@@ -109,9 +109,11 @@ def build_shard(
 ) -> PushTapEngine:
     """Build one shard engine over the global generator stream.
 
-    A 1-shard cluster passes no filter at all, so its engine goes down
-    the legacy streaming load path and is bit-identical to
-    ``PushTapEngine.build(counts=counts, ...)``.
+    A 1-shard cluster passes no filter at all, so its engine streams the
+    generator straight into the loader and is bit-identical to
+    ``PushTapEngine.build(counts=counts, ...)``; a filtered shard
+    materializes its partition first (capacities are sized from it) and
+    hands the lists to the same :meth:`TableRuntime.load_rows`.
     """
     if not 0 <= shard < num_shards:
         raise ConfigError(f"shard {shard} outside [0, {num_shards})")

@@ -200,8 +200,14 @@ class DefragExecutor:
         n = self.mvcc.delta.high_water_rows
         chain_entries = self.mvcc.stale_version_count() + len(self.mvcc.updated_chains())
         moves: List[Tuple[int, RowRef]] = self.mvcc.compact()
-        for row_id, delta_ref in moves:
-            self.storage.copy_row(delta_ref, RowRef(Region.DATA, row_id))
+        if moves:
+            # compact() only ever moves delta-resident heads back.
+            self.storage.copy_rows(
+                Region.DELTA,
+                [delta_ref.index for _, delta_ref in moves],
+                Region.DATA,
+                [row_id for row_id, _ in moves],
+            )
         self.snapshots.rebuild_after_defrag(ts, self.mvcc.num_rows, tombstoned)
 
         p = len(moves) / n if n else 0.0

@@ -19,7 +19,7 @@ Build one with :meth:`PushTapEngine.build`; see ``examples/quickstart.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig, dimm_system
 from repro.core.database import Database
@@ -34,7 +34,6 @@ from repro.format.binpack import compact_aligned_layout
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import TableSchema
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import Region, RowRef
 from repro.olap.engine import OLAPEngine
 from repro.olap.queries import QueryResult, run_query
 from repro.oltp.engine import CostParams, OLTPEngine, TxnContext, TxnResult
@@ -68,16 +67,17 @@ class OLAPBatchResult:
         """Batch wall time: the one mode switch plus every query."""
         return self.switch_time + sum(r.total_time for r in self.results)
 
-#: Index keys matching the deterministic data generator's assignment.
-_INDEX_KEY_FNS: Dict[str, Callable[[Dict], Tuple[str, object]]] = {
-    "warehouse": lambda r: ("warehouse_pk", r["w_id"]),
-    "district": lambda r: ("district_pk", (r["d_w_id"], r["d_id"])),
-    "customer": lambda r: ("customer_pk", (r["c_w_id"], r["c_d_id"], r["c_id"])),
-    "item": lambda r: ("item_pk", r["i_id"]),
-    "stock": lambda r: ("stock_pk", (r["s_w_id"], r["s_i_id"])),
-    "order": lambda r: ("order_pk", r["o_id"]),
-    "neworder": lambda r: ("neworder_pk", r["no_o_id"]),
-    "orderline": lambda r: ("orderline_pk", (r["ol_o_id"], r["ol_number"])),
+#: Table → (index name, key function), matching the deterministic data
+#: generator's key assignment.
+_INDEX_KEYS: Dict[str, Tuple[str, Callable[[Dict], object]]] = {
+    "warehouse": ("warehouse_pk", lambda r: r["w_id"]),
+    "district": ("district_pk", lambda r: (r["d_w_id"], r["d_id"])),
+    "customer": ("customer_pk", lambda r: (r["c_w_id"], r["c_d_id"], r["c_id"])),
+    "item": ("item_pk", lambda r: r["i_id"]),
+    "stock": ("stock_pk", lambda r: (r["s_w_id"], r["s_i_id"])),
+    "order": ("order_pk", lambda r: r["o_id"]),
+    "neworder": ("neworder_pk", lambda r: r["no_o_id"]),
+    "orderline": ("orderline_pk", lambda r: (r["ol_o_id"], r["ol_number"])),
 }
 
 
@@ -238,9 +238,10 @@ class PushTapEngine:
         for index_name in INDEX_NAMES:
             engine.db.add_index(HashIndex(index_name))
         if rows_by_table is None:
-            cls._load_data(engine.db, names, counts, seed)
-        else:
-            cls._load_rows(engine.db, rows_by_table)
+            rows_by_table = {
+                name: generate_table(name, counts, seed) for name in names
+            }
+        cls._load(engine.db, rows_by_table, _INDEX_KEYS)
         return engine
 
     @classmethod
@@ -313,14 +314,9 @@ class PushTapEngine:
             if table_name not in schemas:
                 raise ConfigError(f"index over unknown table {table_name!r}")
             engine.db.add_index(HashIndex(index_name))
-        for name in names:
-            runtime = engine.db.table(name)
-            spec = index_keys.get(name)
-            for row_id, values in enumerate(initial_rows.get(name, ())):
-                runtime.storage.write_row(RowRef(Region.DATA, row_id), values)
-                if spec is not None:
-                    index_name, key_fn = spec
-                    engine.db.index(index_name).insert(key_fn(values), row_id)
+        cls._load(
+            engine.db, {n: initial_rows.get(n, ()) for n in names}, index_keys
+        )
         return engine
 
     @classmethod
@@ -474,29 +470,16 @@ class PushTapEngine:
         return round_up(padded, banks * 8 * block_rows)
 
     @staticmethod
-    def _load_data(
-        db: Database, names: Sequence[str], counts: Dict[str, int], seed: int
+    def _load(
+        db: Database,
+        rows_by_table: Dict[str, Iterable[Dict]],
+        index_keys: Dict[str, Tuple[str, Callable[[Dict], object]]],
     ) -> None:
-        for name in names:
-            runtime = db.table(name)
-            key_fn = _INDEX_KEY_FNS.get(name)
-            for row_id, values in enumerate(generate_table(name, counts, seed)):
-                runtime.storage.write_row(RowRef(Region.DATA, row_id), values)
-                if key_fn is not None:
-                    index_name, key = key_fn(values)
-                    db.index(index_name).insert(key, row_id)
-
-    @staticmethod
-    def _load_rows(db: Database, rows_by_table: Dict[str, List[Dict]]) -> None:
-        """Bulk-load pre-filtered rows (the shard-partition build path)."""
+        """Bulk-load every table, feeding the index its spec names."""
         for name, rows in rows_by_table.items():
-            runtime = db.table(name)
-            key_fn = _INDEX_KEY_FNS.get(name)
-            for row_id, values in enumerate(rows):
-                runtime.storage.write_row(RowRef(Region.DATA, row_id), values)
-                if key_fn is not None:
-                    index_name, key = key_fn(values)
-                    db.index(index_name).insert(key, row_id)
+            spec = index_keys.get(name)
+            index = (db.index(spec[0]), spec[1]) if spec is not None else None
+            db.table(name).load_rows(rows, index)
 
     @staticmethod
     def _build_units(

@@ -22,7 +22,6 @@ from repro.core.storage import TableStorage
 from repro.errors import SnapshotError
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import METADATA_BYTES, Region
-from repro.units import ceil_div
 
 __all__ = ["SnapshotCost", "SnapshotManager"]
 
@@ -125,16 +124,16 @@ class SnapshotManager:
         return 1
 
     def _flush(self) -> None:
+        # Each call is one broadcast store: the per-device copies share a
+        # local address (ADE-aligned, Fig. 6a).
         self.storage.write_bitmap(Region.DATA, self._packed(self._data_bits))
         self.storage.write_bitmap(Region.DELTA, self._packed(self._delta_bits))
 
     @staticmethod
     def _packed(bits: np.ndarray) -> np.ndarray:
-        nbytes = max(1, ceil_div(len(bits), 8))
-        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-        out = np.zeros(nbytes, dtype=np.uint8)
-        out[: len(packed)] = packed
-        return out
+        if not len(bits):
+            return np.zeros(1, dtype=np.uint8)  # an empty region keeps one byte
+        return np.packbits(bits, bitorder="little")
 
     # ------------------------------------------------------------------
     # Introspection / defragmentation hook

@@ -14,9 +14,15 @@ devices of a :class:`~repro.pim.memory.Rank`:
 * per-device copies of the snapshot bitmaps (data + delta region) occupy a
   dedicated, ADE-aligned region (§5.2, Fig. 6a).
 
-The same class serves both functional byte movement (``write_row`` /
-``read_row``) and scan planning for the OLAP operators
-(:meth:`TableStorage.column_scan_plan`).
+The same class serves both functional byte movement and scan planning
+for the OLAP operators (:meth:`TableStorage.column_scan_plan`). Because of
+the ADE alignment, whole-row movement is a column slice of the rank's byte
+matrix — ``rank.mem[:, addr:addr+W]`` is one row's slots on every device —
+so a row copy is one 2-D slice assignment per part, a block of rows one
+strided store (:meth:`TableStorage.write_rows`), a defragmentation pass
+one gather/scatter (:meth:`TableStorage.copy_rows`), and a bitmap update
+one broadcast. Single-column accesses stay per-device (``device_read`` /
+``device_write``).
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ from repro.pim.memory import Rank
 from repro.units import ceil_div
 
 __all__ = ["RankAllocator", "BlockScan", "TableStorage"]
+
+_ROTATION_MISMATCH = (
+    "copy_row requires matching rotations (delta rows are allocated "
+    "rotation-aligned for this reason)"
+)
 
 
 class RankAllocator:
@@ -200,40 +211,55 @@ class TableStorage:
     # ------------------------------------------------------------------
     def write_row(self, ref: RowRef, values: Dict[str, Value]) -> None:
         """Pack and store a full row at ``ref``."""
-        packed = self.layout.pack_row(values)
+        self.write_rows(ref.region, ref.index, [values])
+
+    def write_rows(
+        self, region: str, start: int, rows: Sequence[Dict[str, Value]]
+    ) -> None:
+        """Pack and store ``rows`` at consecutive indices from ``start``.
+
+        All-or-nothing: the range is checked and every row encoded before
+        any byte is stored. Within a circulant block the rotation is
+        constant, so each (block, part) is one ADE-wide store — the rows'
+        flat bytes gathered through the part's rotated slot plan into
+        ``mem[:, lo:hi]``, the same local range on every device (Fig. 6a).
+        """
+        capacity = self._region_capacity(region)
+        if start < 0 or start + len(rows) > capacity:
+            first_bad = start if start < 0 else max(start, capacity)
+            raise MemoryError_(
+                f"table {self.layout.schema.name!r} {region} region: row "
+                f"{first_bad} out of range [0, {capacity}) writing "
+                f"{len(rows)} rows from {start}"
+            )
+        flat = self.layout.encode_rows(rows)
+        mem = self.rank.mem
         num_devices = self.rank.num_devices
-        rotation = self.rotation_of(ref.region, ref.index)
-        for part in self.layout.parts:
-            addr = self.row_addr(ref.region, part.index, ref.index)
-            for slot in part.slots:
-                device = (slot.slot_index + rotation) % num_devices
-                self.rank.device_write(device, addr, packed[part.index][slot.slot_index])
+        done = 0
+        while done < len(rows):
+            block, within = divmod(start + done, self.block_rows)
+            count = min(self.block_rows - within, len(rows) - done)
+            rotation = self.placement.rotation_of_block(block)
+            chunk = flat[done : done + count]
+            for part in self.layout.parts:
+                width = part.row_width
+                lo = self._region_blocks(region, part.index)[block] + within * width
+                packed = chunk[:, self.layout.slot_plan(part.index, rotation)]
+                mem[:, lo : lo + count * width] = packed.transpose(1, 0, 2).reshape(
+                    num_devices, count * width
+                )
+            done += count
 
     def read_row(
         self, ref: RowRef, columns: Optional[Sequence[str]] = None
     ) -> Dict[str, Value]:
-        """Read and unpack a row from ``ref``.
+        """Read and decode the row at ``ref`` (all columns by default).
 
-        With ``columns`` given, only the byte runs of those columns are
-        read and decoded — the OLTP fast path for partial reads, which
-        skips the other slots' device traffic and per-field unpacking.
+        Only the byte runs of ``columns`` are read — the OLTP fast path
+        for partial reads, which skips the other slots' device traffic.
         """
-        if columns is not None:
-            return self._read_columns(ref, columns)
-        num_devices = self.rank.num_devices
-        rotation = self.rotation_of(ref.region, ref.index)
-        packed: List[List[np.ndarray]] = []
-        for part in self.layout.parts:
-            addr = self.row_addr(ref.region, part.index, ref.index)
-            slots: List[np.ndarray] = []
-            for slot in part.slots:
-                device = (slot.slot_index + rotation) % num_devices
-                slots.append(self.rank.device_read(device, addr, part.row_width))
-            packed.append(slots)
-        return self.layout.unpack_row(packed)
-
-    def _read_columns(self, ref: RowRef, columns: Sequence[str]) -> Dict[str, Value]:
-        """Read and decode just ``columns`` of the row at ``ref``."""
+        if columns is None:
+            columns = self.layout.schema.column_names
         plans = self._read_plans
         num_devices = self.rank.num_devices
         rotation = self.rotation_of(ref.region, ref.index)
@@ -313,16 +339,52 @@ class TableStorage:
         if self.rotation_of(src.region, src.index) != self.rotation_of(
             dst.region, dst.index
         ):
-            raise LayoutError(
-                "copy_row requires matching rotations (delta rows are "
-                "allocated rotation-aligned for this reason)"
-            )
+            raise LayoutError(_ROTATION_MISMATCH)
+        mem = self.rank.mem
         for part in self.layout.parts:
             src_addr = self.row_addr(src.region, part.index, src.index)
             dst_addr = self.row_addr(dst.region, part.index, dst.index)
-            for device in range(self.rank.num_devices):
-                data = self.rank.device_read(device, src_addr, part.row_width)
-                self.rank.device_write(device, dst_addr, data)
+            mem[:, dst_addr : dst_addr + part.row_width] = mem[
+                :, src_addr : src_addr + part.row_width
+            ]
+
+    def copy_rows(
+        self,
+        src_region: str,
+        src_rows: Sequence[int],
+        dst_region: str,
+        dst_rows: Sequence[int],
+    ) -> None:
+        """:meth:`copy_row` for many (src, dst) pairs at once.
+
+        One gather/scatter per part moves every row of a defragmentation
+        pass. Destinations must be distinct and disjoint from the sources
+        (delta → data moves are), so the result equals copying in order.
+        """
+        src = np.asarray(src_rows, dtype=np.intp)
+        dst = np.asarray(dst_rows, dtype=np.intp)
+        self._check_rows(src_region, src)
+        self._check_rows(dst_region, dst)
+        src_block, src_within = np.divmod(src, self.block_rows)
+        dst_block, dst_within = np.divmod(dst, self.block_rows)
+        if self.placement.enabled and np.any(
+            (src_block - dst_block) % self.rank.num_devices
+        ):
+            raise LayoutError(_ROTATION_MISMATCH)
+        mem = self.rank.mem
+        for part in self.layout.parts:
+            lanes = np.arange(part.row_width, dtype=np.intp)
+            src_base = np.asarray(self._region_blocks(src_region, part.index))
+            dst_base = np.asarray(self._region_blocks(dst_region, part.index))
+            src_addr = src_base[src_block] + src_within * part.row_width
+            dst_addr = dst_base[dst_block] + dst_within * part.row_width
+            mem[:, dst_addr[:, None] + lanes] = mem[:, src_addr[:, None] + lanes]
+
+    def _check_rows(self, region: str, rows: np.ndarray) -> None:
+        capacity = self._region_capacity(region)
+        bad = rows[(rows < 0) | (rows >= capacity)]
+        if bad.size:
+            raise MemoryError_(f"{region} row {int(bad[0])} out of range [0, {capacity})")
 
     # ------------------------------------------------------------------
     # Snapshot bitmaps (functional, per-device copies)
@@ -332,14 +394,16 @@ class TableStorage:
         return self.data_bitmap_addr if region == Region.DATA else self.delta_bitmap_addr
 
     def write_bitmap(self, region: str, bitmap: np.ndarray) -> None:
-        """Store a full bitmap (packed little-endian bits) to all devices."""
+        """Store a full bitmap (packed little-endian bits) to all devices.
+
+        The copies are ADE-aligned, so this is one broadcast store.
+        """
         base = self.bitmap_addr(region)
         data = np.asarray(bitmap, dtype=np.uint8)
         expected = max(1, ceil_div(self._region_capacity(region), 8))
         if len(data) != expected:
             raise LayoutError(f"bitmap must be {expected} bytes, got {len(data)}")
-        for device in range(self.rank.num_devices):
-            self.rank.device_write(device, base, data)
+        self.rank.mem[:, base : base + len(data)] = data
 
     def read_bitmap(self, region: str, device: int = 0) -> np.ndarray:
         """Read one device's bitmap copy."""
@@ -353,10 +417,10 @@ class TableStorage:
             raise MemoryError_(f"{region} bitmap row {row} out of range")
         addr = self.bitmap_addr(region) + row // 8
         mask = 1 << (row % 8)
-        for device in range(self.rank.num_devices):
-            byte = int(self.rank.device_read(device, addr, 1)[0])
-            byte = (byte | mask) if value else (byte & ~mask)
-            self.rank.device_write(device, addr, np.array([byte], dtype=np.uint8))
+        if value:
+            self.rank.mem[:, addr] |= mask
+        else:
+            self.rank.mem[:, addr] &= 0xFF ^ mask
 
     def bitmap_block_slice_addr(self, region: str, block: int) -> int:
         """Local address of the bitmap bytes covering one block's rows."""

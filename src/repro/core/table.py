@@ -8,18 +8,19 @@ need (:meth:`TableRuntime.region_rows`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
-from repro import perf
 from repro.core.snapshot import SnapshotManager
 from repro.core.storage import TableStorage
-from repro.errors import TransactionError
+from repro.errors import MemoryError_, TransactionError
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import TableSchema, Value
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import RowRef
+from repro.mvcc.metadata import Region, RowRef
 from repro.olap.operators import RegionRows
+from repro.oltp.index import HashIndex
 
 __all__ = ["TableRuntime"]
 
@@ -84,23 +85,13 @@ class TableRuntime:
     def update_row(self, row_id: int, ts: int, changes: Dict[str, Value]) -> RowRef:
         """Install a new version of ``row_id`` with ``changes`` applied.
 
-        The vectorized fast path copies the newest version's raw bytes to
-        the new delta row (same rotation by construction) and rewrites
-        only the changed columns' byte runs — bit-identical device bytes
-        to the naive decode-merge-reencode, since padding is already
-        zeroed and unchanged columns round-trip exactly. Failure ordering
-        matches the naive path: unknown columns raise before the MVCC
-        install, encode errors after it.
+        Copies the newest version's raw bytes to the new delta row (same
+        rotation by construction) and rewrites only the changed columns'
+        byte runs — bit-identical device bytes to a decode-merge-reencode
+        of the whole row (the tests' oracle), since padding is already
+        zeroed and unchanged columns round-trip exactly. Unknown columns
+        raise before the MVCC install, encode errors after it.
         """
-        if not perf.vectorized():
-            current = self.storage.read_row(self.mvcc.newest_ref(row_id))
-            unknown = [c for c in changes if not self.schema.has_column(c)]
-            if unknown:
-                raise TransactionError(f"table {self.name!r} has no columns {unknown}")
-            current.update(changes)
-            ref = self.mvcc.update(row_id, ts)
-            self.storage.write_row(ref, current)
-            return ref
         src = self.mvcc.newest_ref(row_id)
         unknown = [c for c in changes if not self.schema.has_column(c)]
         if unknown:
@@ -117,18 +108,33 @@ class TableRuntime:
         self.storage.write_row(ref, values)
         return row_id
 
-    def load_rows(self, rows: Iterable[Dict[str, Value]]) -> int:
+    def load_rows(
+        self,
+        rows: Iterable[Dict[str, Value]],
+        index: Optional[Tuple[HashIndex, Callable[[Dict[str, Value]], Hashable]]] = None,
+    ) -> int:
         """Bulk-load initial rows into the data region (pre-MVCC).
 
-        Rows must already be accounted in the MVCC manager's
-        ``initial_rows``; this writes their bytes in order.
+        The one loader: consumes ``rows`` one circulant block at a time
+        (so a generator is never materialized), stores each block with
+        :meth:`TableStorage.write_rows`, and feeds ``index`` — an
+        ``(index, key_fn)`` pair — with ``key_fn(row) → row id``. Rows
+        must already be accounted in the MVCC manager's ``initial_rows``;
+        a block that would pass that count raises before it is stored.
         """
+        rows = iter(rows)
+        sized = self.mvcc.num_rows
         count = 0
-        for row_id, values in enumerate(rows):
-            self.storage.write_row(RowRef("data", row_id), values)
-            count += 1
-        if count > self.mvcc.num_rows:
-            raise TransactionError(
-                f"loaded {count} rows but table was sized for {self.mvcc.num_rows}"
-            )
+        while chunk := list(islice(rows, self.storage.block_rows)):
+            if count + len(chunk) > sized:
+                raise MemoryError_(
+                    f"table {self.name!r} data region: row {sized} out of range "
+                    f"[0, {sized}) — the table was sized for {sized} initial rows"
+                )
+            self.storage.write_rows(Region.DATA, count, chunk)
+            if index is not None:
+                hash_index, key_fn = index
+                for offset, values in enumerate(chunk):
+                    hash_index.insert(key_fn(values), count + offset)
+            count += len(chunk)
         return count

@@ -13,7 +13,11 @@ part, aligned to the ADE dimension. Columns are placed into slots as
   (observation 2 of §4.1.2).
 
 :class:`UnifiedLayout` validates the invariants and implements row
-packing/unpacking — the "data re-layout" function of §6.3.
+packing/unpacking — the "data re-layout" function of §6.3 — twice: as a
+per-part *index plan* the storage layer gathers whole blocks through
+(:meth:`UnifiedLayout.encode_rows` + :meth:`UnifiedLayout.slot_plan`),
+and as the row-at-a-time :meth:`UnifiedLayout.pack_row` /
+:meth:`UnifiedLayout.unpack_row` the tests hold it against.
 """
 
 from __future__ import annotations
@@ -137,6 +141,7 @@ class UnifiedLayout:
         self.num_devices = num_devices
         self._runs: Dict[str, List[ColumnRun]] = {c.name: [] for c in schema}
         self._validate()
+        self._slot_plans = self._build_slot_plans()
 
     # ------------------------------------------------------------------
     # Validation
@@ -236,6 +241,54 @@ class UnifiedLayout:
     # ------------------------------------------------------------------
     # Packing / unpacking (the data re-layout function, §6.3)
     # ------------------------------------------------------------------
+    def _build_slot_plans(self) -> List[List[np.ndarray]]:
+        """Per part and rotation: which flat-row byte each stored byte is.
+
+        A *flat row* is the row's encoded columns concatenated in schema
+        order plus one zero sentinel byte, which every padding byte
+        points at. ``plans[part][rotation]`` has shape ``(devices,
+        row_width)``: entry ``[device, b]`` indexes the flat-row byte
+        stored at byte ``b`` of that device's slot. Rotation is constant
+        within a circulant block (§4.2), so one plan serves a whole block.
+        """
+        offsets: Dict[str, int] = {}
+        cursor = 0
+        for col in self.schema:
+            offsets[col.name] = cursor
+            cursor += col.width
+        plans: List[List[np.ndarray]] = []
+        for part in self.parts:
+            base = np.full((self.num_devices, part.row_width), cursor, dtype=np.intp)
+            for slot in part.slots:
+                for f in slot.fields:
+                    start = offsets[f.column] + f.col_offset
+                    base[slot.slot_index, f.slot_offset : f.slot_offset + f.length] = (
+                        np.arange(start, start + f.length)
+                    )
+            plans.append(
+                [np.roll(base, rotation, axis=0) for rotation in range(self.num_devices)]
+            )
+        return plans
+
+    def slot_plan(self, part_index: int, rotation: int) -> np.ndarray:
+        """The ``(devices, row_width)`` flat-row index plan of one part."""
+        return self._slot_plans[part_index][rotation]
+
+    def encode_rows(self, rows: Sequence[Dict[str, Value]]) -> np.ndarray:
+        """Encode row dicts to a ``(len(rows), row_bytes + 1)`` byte matrix.
+
+        Each matrix row is a flat row (see :meth:`_build_slot_plans`);
+        indexing it with a :meth:`slot_plan` yields the stored bytes of
+        one part, padding zeroed. Validation is :meth:`TableSchema.
+        encode_row`'s, so errors surface as they do from :meth:`pack_row`.
+        """
+        chunks: List[bytes] = []
+        for values in rows:
+            chunks.extend(self.schema.encode_row(values).values())
+            chunks.append(b"\x00")
+        flat = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+        return flat.reshape(len(rows), self.schema.row_bytes + 1)
+
     def pack_row(self, values: Dict[str, Value]) -> List[List[np.ndarray]]:
         """Pack a row dict into per-part, per-slot byte arrays.
 

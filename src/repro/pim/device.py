@@ -3,12 +3,15 @@
 A :class:`Device` is one DRAM chip holding a flat byte array, partitioned
 into :class:`Bank` views. PIM units attach to banks (one unit per bank in
 the UPMEM-like configuration) and access them locally — the IDE dimension
-of the paper's two-dimensional access.
+of the paper's two-dimensional access. Inside a
+:class:`~repro.pim.memory.Rank` the array is one row of the rank's byte
+matrix, so the same bytes are reachable across devices (ADE) as a column
+slice.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,9 +58,19 @@ class Bank:
 
 
 class Device:
-    """One DRAM chip: a flat byte array split into equal banks."""
+    """One DRAM chip: a flat byte array split into equal banks.
 
-    def __init__(self, index: int, size: int, num_banks: int = 8) -> None:
+    ``data`` is the backing array — a rank passes row ``index`` of its
+    byte matrix; a stand-alone device allocates its own.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        size: int,
+        num_banks: int = 8,
+        data: Optional[np.ndarray] = None,
+    ) -> None:
         if size <= 0:
             raise MemoryError_(f"device size must be positive, got {size}")
         if num_banks <= 0 or size % num_banks != 0:
@@ -67,7 +80,14 @@ class Device:
             )
         self.index = index
         self.size = size
-        self.data = np.zeros(size, dtype=np.uint8)
+        if data is None:
+            data = np.zeros(size, dtype=np.uint8)
+        elif data.shape != (size,) or data.dtype != np.uint8:
+            raise MemoryError_(
+                f"device {index} backing array must be {size} uint8 bytes, "
+                f"got {data.dtype} {data.shape}"
+            )
+        self.data = data
         bank_size = size // num_banks
         self.banks: List[Bank] = [
             Bank(self, b, b * bank_size, bank_size) for b in range(num_banks)

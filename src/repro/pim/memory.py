@@ -1,14 +1,18 @@
 """Rank-level memory with two-dimensional access.
 
 A :class:`Rank` groups ``d`` devices and exposes the two access views the
-paper builds on (Fig. 1b):
+paper builds on (Fig. 1b). Its bytes are one ``(devices × device_bytes)``
+matrix, :attr:`Rank.mem`, and the two views are its two axes:
 
-* **ADE (across devices)** — the CPU's interleaved view: the linear
-  address space is striped across devices at the interleave granularity
-  (8 B for DIMM). :meth:`Rank.read_interleaved` /
-  :meth:`Rank.write_interleaved` implement it.
+* **ADE (across devices)** — the CPU's view. One access touches the
+  *same local address on every device* (§4.2, Fig. 6a), i.e. a column
+  slice ``mem[:, a:a+n]``; the storage layer moves rows, blocks and
+  bitmap copies this way. The linear interleaved address space — striped
+  across devices at the interleave granularity (8 B for DIMM) — is
+  :meth:`Rank.read_interleaved` / :meth:`Rank.write_interleaved`.
 * **IDE (inside device)** — each PIM unit reads its own device/bank
-  locally via :meth:`Rank.device_read` / :meth:`Rank.device_write`.
+  locally: a row slice ``mem[i, a:a+n]``, which is ``devices[i].data``,
+  via :meth:`Rank.device_read` / :meth:`Rank.device_write`.
 
 The address mapping is the standard low-order interleave: interleaved
 address ``a`` lives on device ``(a // g) % d`` at local offset
@@ -17,6 +21,7 @@ address ``a`` lives on device ``(a // g) % d`` at local offset
 
 from __future__ import annotations
 
+import mmap
 from typing import List, Tuple
 
 import numpy as np
@@ -59,8 +64,18 @@ class Rank:
         if device_bytes % geometry.banks_per_device != 0:
             raise MemoryError_("device_bytes must be a multiple of banks_per_device")
         self.geometry = geometry
+        #: All bytes of the rank: row ``i`` is device ``i``'s array. A
+        #: private anonymous mapping — zero pages appear on first touch,
+        #: as with ``np.zeros``, but without the huge-page advice NumPy
+        #: gives large arrays: a rank image is sparse (regions are sized
+        #: for inserts and deltas that mostly never come), and 2 MB pages
+        #: make most of its resident set untouched zeroes.
+        self.mem = np.frombuffer(
+            mmap.mmap(-1, geometry.devices_per_rank * device_bytes, access=mmap.ACCESS_COPY),
+            dtype=np.uint8,
+        ).reshape(geometry.devices_per_rank, device_bytes)
         self.devices: List[Device] = [
-            Device(i, device_bytes, geometry.banks_per_device)
+            Device(i, device_bytes, geometry.banks_per_device, data=self.mem[i])
             for i in range(geometry.devices_per_rank)
         ]
 
@@ -77,39 +92,30 @@ class Rank:
     @property
     def size(self) -> int:
         """Total interleaved address space of the rank."""
-        return sum(d.size for d in self.devices)
+        return self.mem.size
 
     # ------------------------------------------------------------------
     # ADE view (CPU interleaved access)
     # ------------------------------------------------------------------
     def read_interleaved(self, addr: int, nbytes: int) -> np.ndarray:
         """Read ``nbytes`` from the CPU's interleaved address space."""
-        self._check(addr, nbytes)
-        out = np.empty(nbytes, dtype=np.uint8)
-        for pos, dev, local, run in self._spans(addr, nbytes):
-            out[pos : pos + run] = self.devices[dev].data[local : local + run]
-        return out
+        return self.mem[self._interleaved_index(addr, nbytes)]
 
     def write_interleaved(self, addr: int, data: np.ndarray) -> None:
         """Write ``data`` into the CPU's interleaved address space."""
         data = np.asarray(data, dtype=np.uint8)
-        self._check(addr, len(data))
-        for pos, dev, local, run in self._spans(addr, len(data)):
-            self.devices[dev].data[local : local + run] = data[pos : pos + run]
+        self.mem[self._interleaved_index(addr, len(data))] = data
 
-    def _spans(self, addr: int, nbytes: int):
-        """Yield ``(pos, device, local, run)`` byte-runs of an access.
-
-        Runs never cross a granule boundary, so each run maps to one
-        contiguous region of one device.
-        """
-        pos = 0
-        while pos < nbytes:
-            a = addr + pos
-            dev, local = interleaved_to_local(a, self.granularity, self.num_devices)
-            run = min(self.granularity - (a % self.granularity), nbytes - pos)
-            yield pos, dev, local, run
-            pos += run
+    def _interleaved_index(self, addr: int, nbytes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(device, local)`` of every byte of an interleaved access —
+        :func:`interleaved_to_local` over the whole range."""
+        self._check(addr, nbytes)
+        byte = np.arange(addr, addr + nbytes)
+        stripe = byte // self.granularity
+        return (
+            stripe % self.num_devices,
+            stripe // self.num_devices * self.granularity + byte % self.granularity,
+        )
 
     # ------------------------------------------------------------------
     # IDE view (PIM local access)

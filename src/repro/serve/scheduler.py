@@ -251,16 +251,18 @@ class HTAPScheduler:
         (None if nothing is queued) — lets the loop idle precisely."""
         if not self.olap_queue or self.policy == "naive":
             return None
-        head = self.olap_queue[0]
-        return self._olap_enqueued_at[head.seq] + self.max_wait_ns
+        return self._head_deadline()
+
+    def _head_deadline(self) -> float:
+        return self._olap_enqueued_at[self.olap_queue[0].seq] + self.max_wait_ns
 
     def _olap_triggered(self, now: float) -> bool:
         if self.policy == "naive":
             return True
-        depth = len(self.olap_queue)
-        head = self.olap_queue[0]
-        waited = now - self._olap_enqueued_at[head.seq]
-        if depth >= self.batch_threshold or waited >= self.max_wait_ns:
+        # Test the very expression next_deadline() hands the loop to idle
+        # to: in floats (t + w) - t < w can hold, so a "waited >= w" test
+        # would not fire at the deadline and the clock would stop.
+        if len(self.olap_queue) >= self.batch_threshold or now >= self._head_deadline():
             return True
         if self.policy == "freshness":
             return self.freshness.staleness() >= self.freshness_sla_txns

@@ -1,0 +1,513 @@
+"""Device-image identity: ADE-wide storage I/O vs. a row-at-a-time oracle.
+
+The storage layer moves rows, blocks, defragmentation passes and bitmap
+copies as column slices of the rank's ``(devices × device_bytes)`` matrix.
+:class:`OracleStorage` does the same work the way the seed did — one
+``UnifiedLayout.pack_row`` per row, one ``Device.write`` per slot, one
+device at a time — and every test here requires the two rank images to be
+byte-identical.
+"""
+
+import hashlib
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.config import DeviceGeometry
+from repro.core.defrag import DefragExecutor
+from repro.core.engine import PushTapEngine
+from repro.core.snapshot import SnapshotManager
+from repro.core.storage import RankAllocator, TableStorage
+from repro.core.table import TableRuntime
+from repro.errors import LayoutError, MemoryError_, SchemaError, TransactionError
+from repro.format.binpack import compact_aligned_layout
+from repro.format.schema import Column, TableSchema
+from repro.mvcc.manager import MVCCManager
+from repro.mvcc.metadata import Region, RowRef
+from repro.oltp.index import HashIndex
+from repro.pim.memory import Rank, interleaved_to_local, local_to_interleaved
+from repro.units import ceil_div, round_up
+
+DEVICES = 8
+
+#: sha256 of every device byte after ``build(scale=2e-5, seed=7)``, 180
+#: default-driver TPC-C transactions and one defragmentation, computed on
+#: the commit before the rank became one matrix (per-slot device writes).
+PINNED_IMAGE_SHA256 = "ff8334056ae4ac3958e6b4fa470ebf1a9a0353fab76874f757af125b876cf1bd"
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the seed's per-slot loops, kept test-side
+# ---------------------------------------------------------------------------
+class OracleStorage(TableStorage):
+    """:class:`TableStorage` with every store done one device at a time."""
+
+    def write_rows(self, region, start, rows):
+        for offset, values in enumerate(rows):
+            row = start + offset
+            packed = self.layout.pack_row(values)
+            rotation = self.rotation_of(region, row)
+            for part in self.layout.parts:
+                addr = self.row_addr(region, part.index, row)
+                for slot in part.slots:
+                    device = (slot.slot_index + rotation) % self.rank.num_devices
+                    self.rank.devices[device].write(
+                        addr, packed[part.index][slot.slot_index]
+                    )
+
+    def copy_row(self, src, dst):
+        assert self.rotation_of(src.region, src.index) == self.rotation_of(
+            dst.region, dst.index
+        )
+        for part in self.layout.parts:
+            src_addr = self.row_addr(src.region, part.index, src.index)
+            dst_addr = self.row_addr(dst.region, part.index, dst.index)
+            for device in self.rank.devices:
+                device.write(dst_addr, device.read(src_addr, part.row_width))
+
+    def copy_rows(self, src_region, src_rows, dst_region, dst_rows):
+        for src, dst in zip(src_rows, dst_rows):
+            self.copy_row(RowRef(src_region, src), RowRef(dst_region, dst))
+
+    def write_bitmap(self, region, bitmap):
+        for device in self.rank.devices:
+            device.write(self.bitmap_addr(region), bitmap)
+
+    def set_bitmap_bit(self, region, row, value):
+        addr = self.bitmap_addr(region) + row // 8
+        for device in self.rank.devices:
+            byte = int(device.read(addr, 1)[0])
+            byte = byte | (1 << row % 8) if value else byte & ~(1 << row % 8)
+            device.write(addr, np.array([byte], dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# Random tables
+# ---------------------------------------------------------------------------
+@st.composite
+def table_shapes(draw, block_rows_choices=(8, 256, 1024)):
+    """(schema, key columns, block_rows, circulant) of a random table."""
+    widths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=9))
+    columns = [
+        Column(f"c{i}", w, kind="int" if w <= 8 and draw(st.booleans()) else "bytes")
+        for i, w in enumerate(widths)
+    ]
+    keys = [c.name for c in columns if draw(st.booleans())]
+    return (
+        TableSchema.of("t", columns),
+        keys,
+        draw(st.sampled_from(block_rows_choices)),
+        draw(st.booleans()),
+    )
+
+
+def make_rank(layout, block_rows, capacity, delta_rows):
+    """A rank whose banks hold ~2.5 of the widest block, so consecutive
+    blocks regularly skip to the next bank, pre-filled with noise so a
+    stray or missing byte (padding included) shows in the image."""
+    widest = max(p.row_width for p in layout.parts)
+    bank = round_up(int(2.5 * block_rows * widest) + ceil_div(max(capacity, delta_rows), 8), 8)
+    blocks = ceil_div(capacity, block_rows) + ceil_div(delta_rows, block_rows)
+    need = sum(blocks * block_rows * p.row_width for p in layout.parts) + 2 * bank
+    banks = 2 * ceil_div(need, bank) + 2
+    rank = Rank(DeviceGeometry(banks_per_device=banks), bank * banks)
+    rank.mem[:] = np.random.RandomState(0).randint(
+        0, 256, size=rank.mem.shape, dtype=np.uint8
+    )
+    return rank
+
+
+def make_storage(cls, shape, capacity, delta_rows):
+    schema, keys, block_rows, circulant = shape
+    layout = compact_aligned_layout(schema, keys, DEVICES, 0.6)
+    rank = make_rank(layout, block_rows, capacity, delta_rows)
+    return cls(
+        rank, RankAllocator(rank), layout, capacity, delta_rows, block_rows, circulant
+    )
+
+
+def random_row(schema, rng):
+    values = {}
+    for col in schema:
+        if col.kind == "int":
+            values[col.name] = rng.randrange(col.max_int + 1)
+        else:
+            # Short values exercise the encoder's zero fill.
+            values[col.name] = rng.randbytes(rng.choice((col.width, rng.randrange(col.width + 1))))
+    return values
+
+
+def stored(schema, values):
+    """What a row reads back as (bytes columns come back zero-filled)."""
+    return {c.name: c.decode(c.encode(values[c.name])) for c in schema}
+
+
+def crosses_a_bank(storage, region, first, last):
+    bank = storage.rank.devices[0].bank_size
+    return storage.row_addr(region, 0, first) // bank != storage.row_addr(region, 0, last) // bank
+
+
+# ---------------------------------------------------------------------------
+# (a) write_rows / read_row
+# ---------------------------------------------------------------------------
+class TestWriteRowsImage:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_image_equals_oracle_and_rows_round_trip(self, data):
+        shape = data.draw(table_shapes())
+        schema, _, block_rows, _ = shape
+        # 3 blocks and a partial last one.
+        capacity = 3 * block_rows + data.draw(st.integers(1, block_rows - 1))
+        region = data.draw(st.sampled_from([Region.DATA, Region.DELTA]))
+        # Starts at, just before and just after block boundaries, or anywhere.
+        start = data.draw(
+            st.one_of(
+                st.builds(
+                    lambda b, off: min(capacity - 1, max(0, b * block_rows + off)),
+                    st.integers(0, 3),
+                    st.integers(-3, 3),
+                ),
+                st.integers(0, capacity - 1),
+            )
+        )
+        count = data.draw(st.integers(0, min(capacity - start, block_rows + 19)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        rows = [random_row(schema, rng) for _ in range(count)]
+
+        fast = make_storage(TableStorage, shape, capacity, capacity)
+        slow = make_storage(OracleStorage, shape, capacity, capacity)
+        fast.write_rows(region, start, rows)
+        slow.write_rows(region, start, rows)
+        assert np.array_equal(fast.rank.mem, slow.rank.mem)
+        for offset in sorted({0, count // 2, count - 1} & set(range(count))):
+            ref = RowRef(region, start + offset)
+            assert fast.read_row(ref) == stored(schema, rows[offset])
+            assert fast.read_row(ref, schema.column_names) == stored(schema, rows[offset])
+
+    def test_a_write_can_span_blocks_in_different_banks(self):
+        """The property above does reach the case it names."""
+        shape = (TableSchema.of("t", [Column("a", 8), Column("b", 13, "bytes")]), ["a"], 8, True)
+        fast = make_storage(TableStorage, shape, 64, 64)
+        slow = make_storage(OracleStorage, shape, 64, 64)
+        spans = [
+            (first, first + 11)
+            for first in range(0, 50)
+            if crosses_a_bank(fast, Region.DATA, first, first + 11)
+        ]
+        assert spans
+        rng = random.Random(1)
+        for first, last in spans:
+            rows = [random_row(shape[0], rng) for _ in range(last - first + 1)]
+            fast.write_rows(Region.DATA, first, rows)
+            slow.write_rows(Region.DATA, first, rows)
+        assert np.array_equal(fast.rank.mem, slow.rank.mem)
+
+    def test_write_row_is_write_rows_of_one(self):
+        shape = (TableSchema.of("t", [Column("a", 4), Column("z", 9, "bytes")]), ["a"], 8, True)
+        fast = make_storage(TableStorage, shape, 32, 32)
+        slow = make_storage(OracleStorage, shape, 32, 32)
+        for storage in (fast, slow):
+            storage.write_row(RowRef(Region.DELTA, 13), {"a": 7, "z": b"xyz"})
+        assert np.array_equal(fast.rank.mem, slow.rank.mem)
+
+
+class TestFailBeforeWriting:
+    SHAPE = (TableSchema.of("orders", [Column("a", 4), Column("z", 9, "bytes")]), ["a"], 8, True)
+
+    def rows(self, n):
+        return [{"a": i, "z": b"q"} for i in range(n)]
+
+    @pytest.mark.parametrize(
+        "start,count,first_bad", [(20, 13, 32), (32, 1, 32), (40, 0, 40), (-1, 2, -1)]
+    )
+    def test_write_rows_past_capacity_stores_nothing(self, start, count, first_bad):
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        before = storage.rank.mem.copy()
+        with pytest.raises(MemoryError_) as err:
+            storage.write_rows(Region.DATA, start, self.rows(count))
+        assert np.array_equal(storage.rank.mem, before)
+        for fact in ("'orders'", "data", f"row {first_bad} ", "[0, 32)"):
+            assert fact in str(err.value)
+
+    def test_delta_region_has_its_own_capacity(self):
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        with pytest.raises(MemoryError_, match=r"delta region: row 16 .*\[0, 16\)"):
+            storage.write_rows(Region.DELTA, 10, self.rows(7))
+
+    def test_a_row_that_does_not_encode_stores_nothing(self):
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        before = storage.rank.mem.copy()
+        rows = self.rows(5) + [{"a": 1 << 40, "z": b""}]
+        with pytest.raises(SchemaError, match="out of range for column 'a'"):
+            storage.write_rows(Region.DATA, 0, rows)
+        assert np.array_equal(storage.rank.mem, before)
+
+    def test_row_addr_and_copy_row_keep_their_messages(self):
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        with pytest.raises(MemoryError_, match=r"data row 32 out of range \[0, 32\)"):
+            storage.row_addr(Region.DATA, 0, 32)
+        with pytest.raises(LayoutError, match="copy_row requires matching rotations"):
+            storage.copy_row(RowRef(Region.DELTA, 8), RowRef(Region.DATA, 0))
+        with pytest.raises(LayoutError, match="copy_row requires matching rotations"):
+            storage.copy_rows(Region.DELTA, [0, 8], Region.DATA, [0, 0])
+        with pytest.raises(MemoryError_, match=r"delta row 16 out of range \[0, 16\)"):
+            storage.copy_rows(Region.DELTA, [0, 16], Region.DATA, [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# (b) copy_row and a whole defragmentation pass
+# ---------------------------------------------------------------------------
+BDW_CPU, BDW_PIM = 102.4, 1024.0
+
+
+def make_table(cls, shape, initial, capacity, delta_blocks):
+    schema, _, block_rows, _ = shape
+    storage = make_storage(cls, shape, capacity, delta_blocks * block_rows)
+    mvcc = MVCCManager(initial, capacity, block_rows, DEVICES, delta_blocks)
+    snapshots = SnapshotManager(storage, mvcc)
+    table = TableRuntime("t", schema, storage.layout, storage, mvcc, snapshots)
+    executor = DefragExecutor(storage, mvcc, snapshots, BDW_CPU, BDW_PIM)
+    return table, executor
+
+
+class TestCopyAndDefragImage:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_copy_row_image_equals_oracle(self, data):
+        shape = data.draw(table_shapes())
+        schema, _, block_rows, circulant = shape
+        capacity = 2 * DEVICES * block_rows if block_rows == 8 else 3 * block_rows
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        fast = make_storage(TableStorage, shape, capacity, capacity)
+        slow = make_storage(OracleStorage, shape, capacity, capacity)
+        for _ in range(data.draw(st.integers(1, 12))):
+            src = data.draw(st.integers(0, capacity - 1))
+            # Same rotation: same block, or (block 8 only) a block d away.
+            blocks = [
+                b
+                for b in range(ceil_div(capacity, block_rows))
+                if not circulant or (b - src // block_rows) % DEVICES == 0
+            ]
+            dst = data.draw(st.sampled_from(blocks)) * block_rows + data.draw(
+                st.integers(0, block_rows - 1)
+            )
+            values = random_row(schema, rng)
+            for storage in (fast, slow):
+                storage.write_row(RowRef(Region.DELTA, src), values)
+                storage.copy_row(RowRef(Region.DELTA, src), RowRef(Region.DATA, dst))
+            assert fast.read_row(RowRef(Region.DATA, dst)) == stored(schema, values)
+        assert np.array_equal(fast.rank.mem, slow.rank.mem)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_defrag_after_random_history_equals_oracle(self, data):
+        shape = data.draw(table_shapes(block_rows_choices=(8, 256)))
+        schema, _, block_rows, _ = shape
+        initial = data.draw(st.integers(1, 5 * block_rows if block_rows == 8 else 300))
+        capacity = initial + 40
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        fast, fast_defrag = make_table(TableStorage, shape, initial, capacity, 4 * DEVICES)
+        slow, slow_defrag = make_table(OracleStorage, shape, initial, capacity, 4 * DEVICES)
+        rows = [random_row(schema, rng) for _ in range(initial)]
+        assert fast.load_rows(iter(rows)) == initial
+        assert slow.load_rows(iter(rows)) == initial
+        model = {row_id: stored(schema, values) for row_id, values in enumerate(rows)}
+
+        ts = 0
+        ops = data.draw(
+            st.lists(
+                st.sampled_from(["update", "update", "insert", "delete", "snapshot", "defrag"]),
+                max_size=30,
+            )
+        )
+        for op in ops + ["defrag"]:
+            ts += 1
+            live = sorted(model)
+            if op == "update" and live:
+                row_id = rng.choice(live)
+                columns = rng.sample(schema.column_names, rng.randint(1, len(schema)))
+                changes = {c: random_row(schema, rng)[c] for c in columns}
+                # copy_row + write_columns against a decode-merge-reencode
+                # of the whole row through the per-slot oracle.
+                fast.update_row(row_id, ts, changes)
+                model[row_id] = stored(schema, {**model[row_id], **changes})
+                slow.storage.write_row(slow.mvcc.update(row_id, ts), model[row_id])
+            elif op == "insert":
+                values = random_row(schema, rng)
+                ids = {table.insert_row(ts, values) for table in (fast, slow)}
+                assert len(ids) == 1
+                model[ids.pop()] = stored(schema, values)
+            elif op == "delete" and live:
+                row_id = rng.choice(live)
+                for table in (fast, slow):
+                    table.mvcc.delete(row_id, ts)
+                del model[row_id]
+            elif op == "snapshot":
+                for table in (fast, slow):
+                    table.snapshots.update_to(ts)
+            elif op == "defrag":
+                moved = {ex.run(ts).moved_rows for ex in (fast_defrag, slow_defrag)}
+                assert len(moved) == 1
+            assert np.array_equal(fast.storage.rank.mem, slow.storage.rank.mem), op
+
+        # After the closing pass every live row is home in the data region.
+        for row_id, values in model.items():
+            assert fast.storage.read_row(RowRef(Region.DATA, row_id)) == values
+            assert fast.read_row(row_id, ts) == values
+
+    def test_bitmap_stores_equal_oracle(self):
+        shape = (TableSchema.of("t", [Column("a", 4)]), ["a"], 8, True)
+        fast = make_storage(TableStorage, shape, 100, 50)
+        slow = make_storage(OracleStorage, shape, 100, 50)
+        bitmap = np.random.RandomState(3).randint(0, 256, size=13, dtype=np.uint8)
+        for storage in (fast, slow):
+            storage.write_bitmap(Region.DATA, bitmap)
+            for row, value in [(0, True), (0, False), (9, True), (99, False), (49, True)]:
+                storage.set_bitmap_bit(Region.DATA, row, value)
+            storage.set_bitmap_bit(Region.DELTA, 49, True)
+        assert np.array_equal(fast.rank.mem, slow.rank.mem)
+
+
+# ---------------------------------------------------------------------------
+# The one loader
+# ---------------------------------------------------------------------------
+class TestLoadRows:
+    SHAPE = (TableSchema.of("t", [Column("k", 4), Column("v", 6, "bytes")]), ["k"], 8, True)
+
+    def rows(self, n):
+        return [{"k": 100 + i, "v": bytes([i % 251] * 6)} for i in range(n)]
+
+    def test_consumes_a_generator_block_by_block_and_feeds_the_index(self):
+        table, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
+        pulled = []
+
+        def generate():
+            for i, values in enumerate(self.rows(21)):
+                pulled.append(i)
+                yield values
+
+        written_after = []
+        write_rows = table.storage.write_rows
+
+        def spy(region, start, rows):
+            written_after.append((start, len(rows), len(pulled)))
+            write_rows(region, start, rows)
+
+        table.storage.write_rows = spy
+        index = HashIndex("pk")
+        assert table.load_rows(generate(), (index, lambda r: r["k"])) == 21
+        # One store per block of 8, each issued before the next is generated.
+        assert written_after == [(0, 8, 8), (8, 8, 16), (16, 5, 21)]
+        assert [index.probe(100 + i).row_id for i in range(21)] == list(range(21))
+        assert table.read_row(20, 0) == stored(self.SHAPE[0], self.rows(21)[20])
+
+    def test_image_equals_oracle(self):
+        fast, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
+        slow, _ = make_table(OracleStorage, self.SHAPE, 21, 40, DEVICES)
+        fast.load_rows(self.rows(21))
+        slow.load_rows(self.rows(21))
+        assert np.array_equal(fast.storage.rank.mem, slow.storage.rank.mem)
+
+    def test_more_rows_than_sized_for_fails_before_the_offending_block(self):
+        table, _ = make_table(TableStorage, self.SHAPE, 5, 40, DEVICES)
+        before = table.storage.rank.mem.copy()
+        index = HashIndex("pk")
+        with pytest.raises(MemoryError_, match=r"table 't' data region: row 5 .*\[0, 5\)"):
+            table.load_rows(self.rows(6), (index, lambda r: r["k"]))
+        assert np.array_equal(table.storage.rank.mem, before)
+        assert len(index) == 0
+
+    def test_duplicate_index_key_raises(self):
+        table, _ = make_table(TableStorage, self.SHAPE, 2, 40, DEVICES)
+        with pytest.raises(TransactionError, match="duplicate key"):
+            table.load_rows([self.rows(1)[0]] * 2, (HashIndex("pk"), lambda r: r["k"]))
+
+
+# ---------------------------------------------------------------------------
+# (c) Device.data is a view of Rank.mem
+# ---------------------------------------------------------------------------
+class TestRankMatrixViews:
+    RANK_BYTES = 1 << 12
+
+    def readers(self, rank, device, local):
+        bank = rank.devices[device].bank_of(local)
+        return {
+            "interleaved": lambda: int(
+                rank.read_interleaved(
+                    local_to_interleaved(device, local, rank.granularity, rank.num_devices), 1
+                )[0]
+            ),
+            "device_read": lambda: int(rank.device_read(device, local, 1)[0]),
+            "bank": lambda: int(bank.read(local - bank.start, 1)[0]),
+            "ade_slice": lambda: int(rank.mem[:, local : local + 1][device, 0]),
+        }
+
+    def writers(self, rank, device, local):
+        bank = rank.devices[device].bank_of(local)
+        one = lambda value: np.array([value], dtype=np.uint8)  # noqa: E731
+
+        def ade(value):
+            column = rank.mem[:, local : local + 1].copy()
+            column[device, 0] = value
+            rank.mem[:, local : local + 1] = column
+
+        return {
+            "interleaved": lambda v: rank.write_interleaved(
+                local_to_interleaved(device, local, rank.granularity, rank.num_devices), one(v)
+            ),
+            "device_write": lambda v: rank.device_write(device, local, one(v)),
+            "bank": lambda v: bank.write(local - bank.start, one(v)),
+            "ade_slice": ade,
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, DEVICES - 1),
+        st.integers(0, RANK_BYTES - 1),
+        st.lists(st.integers(0, 255), min_size=4, max_size=4, unique=True),
+    )
+    def test_a_byte_written_through_one_view_reads_back_through_all(
+        self, device, local, values
+    ):
+        rank = Rank(DeviceGeometry(), self.RANK_BYTES)
+        writers = self.writers(rank, device, local)
+        for value, (via, write) in zip(values, writers.items()):
+            write(value)
+            seen = {name: read() for name, read in self.readers(rank, device, local).items()}
+            assert set(seen.values()) == {value}, (via, seen)
+        # ... and nothing else in the rank moved.
+        assert int(np.count_nonzero(rank.mem)) == (1 if values[-1] else 0)
+
+    def test_device_data_shares_memory_with_the_matrix(self):
+        rank = Rank(DeviceGeometry(), self.RANK_BYTES)
+        assert rank.mem.shape == (DEVICES, self.RANK_BYTES)
+        assert rank.size == DEVICES * self.RANK_BYTES
+        for i, device in enumerate(rank.devices):
+            assert np.shares_memory(device.data, rank.mem[i])
+            assert not np.shares_memory(device.data, rank.mem[(i + 1) % DEVICES])
+        addr = 3 * rank.granularity * DEVICES + 5 * rank.granularity + 2
+        assert interleaved_to_local(addr, rank.granularity, DEVICES) == (5, 3 * 8 + 2)
+
+    def test_a_device_rejects_a_backing_array_of_the_wrong_shape(self):
+        from repro.pim.device import Device
+
+        with pytest.raises(MemoryError_, match="backing array"):
+            Device(0, 64, num_banks=8, data=np.zeros(32, dtype=np.uint8))
+        with pytest.raises(MemoryError_, match="backing array"):
+            Device(0, 64, num_banks=8, data=np.zeros(64, dtype=np.int8))
+
+
+# ---------------------------------------------------------------------------
+# (d) the pinned engine image
+# ---------------------------------------------------------------------------
+def test_engine_image_after_build_txns_and_defrag_is_pinned():
+    engine = PushTapEngine.build(scale=2e-5, seed=7)
+    engine.run_transactions(180)
+    engine.defragment()
+    digest = hashlib.sha256()
+    for rank in engine.ranks:
+        for device in rank.devices:
+            digest.update(device.data.tobytes())
+    assert digest.hexdigest() == PINNED_IMAGE_SHA256

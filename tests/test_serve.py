@@ -208,6 +208,41 @@ class TestServeLoop:
         assert result.report["admission"]["rejected"] == 0
         assert result.slo_errors == []
 
+    def test_idling_to_the_max_wait_deadline_terminates(self):
+        """Regression: the loop idles to ``enqueued_at + max_wait_ns`` and
+        the trigger used to test ``now - enqueued_at >= max_wait_ns``; in
+        floats ``(t + w) - t < w`` can hold, so the trigger never fired at
+        the deadline and the clock stopped (5000 req/s/tenant, seed 11,
+        default ``max_wait_ns``: stuck at now = 10226878.33 ns)."""
+        engine = PushTapEngine.build(**ENGINE_KWARGS, extra_rows=2_000)
+        config = ServeConfig(
+            tenants=4, requests_per_tenant=80, policy="freshness", seed=11,
+            olap_fraction=0.05, queue_depth=64, rate_per_tenant=5000.0,
+        )
+        loop = ServeLoop(engine, config)
+        next_action = loop.scheduler.next_action
+        iterations = 0
+
+        def guarded(now, draining=False):
+            nonlocal iterations
+            iterations += 1
+            assert iterations < 40 * 4 * 80, f"serve loop stuck at now={now!r}"
+            return next_action(now, draining=draining)
+
+        loop.scheduler.next_action = guarded
+        result = loop.run()
+        assert result.completed == 4 * 80
+        assert result.slo_errors == []
+
+    def test_max_wait_trigger_fires_exactly_at_the_deadline(self, loaded_engine):
+        enqueued_at, wait = 15360279.878987255, 2_000_000.0
+        assert (enqueued_at + wait) - enqueued_at < wait  # the float trap
+        scheduler = HTAPScheduler(loaded_engine, 1, policy="batched", max_wait_ns=wait)
+        scheduler.enqueue(Request(0, 0, "olap", "Q6", enqueued_at), enqueued_at)
+        deadline = scheduler.next_deadline(enqueued_at)
+        assert scheduler.next_action(deadline - 1.0) is None
+        assert scheduler.next_action(deadline).kind == "olap"
+
     def test_naive_policy_runs_and_accounts(self):
         result = run_serve(small_config(policy="naive"))
         assert result.slo_errors == []

@@ -303,25 +303,6 @@ class TestStorageEquivalence:
         assert naive == vectorized
         assert naive[0] == "err"
 
-    def test_update_row_fast_path_bytes_identical(self):
-        from repro.core.engine import PushTapEngine
-
-        def run_updates():
-            engine = PushTapEngine.build(scale=2e-5, seed=5)
-            runtime = engine.table("orderline")
-            rng = random.Random(99)
-            ts = 0
-            for _ in range(40):
-                ts += 1
-                row = rng.randrange(runtime.num_rows)
-                runtime.update_row(row, ts, {"ol_quantity": rng.randrange(1, 100)})
-            device = runtime.storage.rank.devices[0]
-            return device.data.copy()
-
-        naive, vectorized = both_modes(run_updates)
-        assert naive[0] == vectorized[0] == "ok"
-        np.testing.assert_array_equal(naive[1], vectorized[1])
-
     def test_update_row_unknown_column_message(self, small_engine):
         runtime = small_engine.table("orderline")
         naive, vectorized = both_modes(
