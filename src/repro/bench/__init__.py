@@ -1,22 +1,20 @@
-"""Bench-regression harness: same simulation, faster host.
+"""Bench harnesses: pinned simulated snapshots, microbenchmarks, roofline.
 
-``repro.bench`` reruns the standard profile workloads twice — once on the
-naive reference paths, once vectorized — asserts that every *simulated*
-metric (counters, span totals, QphH/tpmC, critical path) is bit-identical
-between the two modes and against a committed ``BENCH_<tag>.json``
-baseline, and measures the host-side wall-clock speedup the vectorized
-paths deliver. See ``python -m repro.experiments bench``.
+``repro.bench.harness`` reruns the standard profile workloads and
+asserts that every *simulated* metric (counters, span totals, QphH/tpmC,
+critical path) is bit-identical to a committed ``BENCH_<tag>.json``
+baseline, and that the sharded cluster produces the same report at
+``jobs=1`` and ``jobs=N``; see ``python -m repro.experiments bench``.
+``repro.bench.micro`` and ``repro.bench.roofline`` are the PrIM-style
+single-unit sweeps behind ``python -m repro.experiments roofline``.
 """
 
 from repro.bench.harness import (
     SIM_SECTIONS,
     BenchResult,
     ClusterRun,
-    HotPath,
-    WorkloadRun,
     deterministic_snapshot,
     diff_sections,
-    micro_benchmarks,
     run_bench,
     simulated_sections,
 )
@@ -27,13 +25,10 @@ __all__ = [
     "SIM_SECTIONS",
     "BenchResult",
     "ClusterRun",
-    "HotPath",
     "MicroPoint",
-    "WorkloadRun",
     "deterministic_snapshot",
     "diff_sections",
     "fit_saturation",
-    "micro_benchmarks",
     "render_roofline",
     "run_bench",
     "run_micro",

@@ -1,24 +1,21 @@
 """The bench harness behind ``python -m repro.experiments bench``.
 
-Three jobs, in order of importance:
+Each profile workload runs once and its simulated sections are pinned
+two ways:
 
-1. **Equivalence gate** — run each workload under the naive reference
-   paths and under the vectorized paths (:mod:`repro.perf`) and require
-   the simulated sections of the two bench snapshots to be *bit-identical*
-   (exact float equality, no tolerances). A perf PR that changes any
-   simulated number is a correctness regression, not an optimisation.
-2. **Baseline gate** — when the run's parameters match the committed
+1. **Baseline gate** — when the run's parameters match the committed
    baseline snapshot (e.g. ``BENCH_3.json``), the simulated sections must
-   also equal the baseline's exactly, which pins the whole history of
-   snapshots to one simulated truth.
-3. **Speedup evidence** — wall-clock of naive vs. vectorized on the same
-   host for each workload (the scan-heavy ``ch`` workload is the gated
-   one) plus per-hot-path micro-benchmarks, giving the before/after table
-   that quantifies where the time went.
+   equal the baseline's exactly (exact float equality, no tolerances),
+   which pins the whole history of snapshots to one simulated truth. A
+   PR that changes any simulated number is a correctness regression, not
+   an optimisation.
+2. **Parallel identity** — the ``cluster`` workload runs at ``jobs=1``
+   and ``jobs=N``; the two reports must be identical, and their
+   wall-clock ratio is the (optionally gated) parallel speedup.
 
-Wall-clock numbers recorded in old baselines are *not* gated against —
-they were measured on another host; the speedup gate always compares two
-runs of this process.
+Wall-clock numbers in a snapshot are evidence about the host that wrote
+it, never gated against another host's; host-time claims go through
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -26,42 +23,28 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro import perf
 from repro.errors import ConfigError
 from repro.trace.profile import run_profile
 
 __all__ = [
     "SIM_SECTIONS",
-    "HotPath",
-    "WorkloadRun",
     "ClusterRun",
     "BenchResult",
     "simulated_sections",
     "diff_sections",
     "deterministic_snapshot",
-    "micro_benchmarks",
     "run_bench",
 ]
 
-#: Bench-snapshot sections that must be bit-identical across host-side
-#: execution modes (and across PRs at fixed parameters).
+#: Bench-snapshot sections that must be bit-identical across PRs at
+#: fixed parameters.
 SIM_SECTIONS = ("simulated", "counters", "spans", "tracks", "critical_path_ns")
 
-#: Workloads whose wall-clock speedup is gated (scan-heavy).
-SCAN_WORKLOADS = ("ch",)
-
-#: Workloads whose wall-clock speedup is gated by ``min_oltp_speedup``
-#: (transaction-only; exercises the batched TxnContext/commit paths).
-OLTP_WORKLOADS = ("oltp",)
-
-#: Profile workload each bench workload name maps to. ``oltp`` is the
-#: bench-level name for the transaction-only profile (``tpcc``), gated
-#: separately from the scan workloads.
-PROFILE_WORKLOADS = {"oltp": "tpcc", "tpcc": "tpcc", "ch": "ch", "mixed": "mixed"}
+#: Profile workload each bench workload name maps to (``oltp`` is the
+#: bench-level name of the transaction-only ``tpcc`` profile).
+PROFILE_WORKLOADS = {"oltp": "tpcc", "ch": "ch", "mixed": "mixed"}
 
 #: Schema version of the BENCH comparison snapshot.
 BENCH_COMPARE_VERSION = 1
@@ -99,200 +82,24 @@ def diff_sections(
     return drifts
 
 
-# ----------------------------------------------------------------------
-# Hot-path micro-benchmarks (host wall-clock, naive vs. vectorized)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class HotPath:
-    """Before/after wall-clock of one hot path on this host."""
-
-    name: str
-    naive_s: float
-    vectorized_s: float
-
-    @property
-    def speedup(self) -> float:
-        """Naive time over vectorized time (>1 means faster)."""
-        return self.naive_s / self.vectorized_s if self.vectorized_s else float("inf")
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "naive_s": round(self.naive_s, 6),
-            "vectorized_s": round(self.vectorized_s, 6),
-            "speedup": round(self.speedup, 2),
-        }
-
-
-def _best_of(fn: Callable[[], None], repeats: int = 3) -> float:
-    """Best-of-N wall seconds of one callable."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _make_unit(wram: int = 1 << 16):
-    from repro.core.config import DDR5_3200_TIMINGS, DeviceGeometry, PIMUnitConfig
-    from repro.pim.device import Device
-    from repro.pim.pim_unit import PIMUnit
-
-    device = Device(0, 1 << 20, num_banks=8)
-    return PIMUnit(
-        0, device.banks[0], PIMUnitConfig(wram_bytes=wram), DDR5_3200_TIMINGS,
-        DeviceGeometry(),
-    )
-
-
-def micro_benchmarks(seed: int = 11, repeats: int = 3) -> List[HotPath]:
-    """Measure each vectorized hot path against its naive reference.
-
-    Every benchmark runs the *same* functional operation in both modes
-    (the modes are equivalence-tested elsewhere); only host wall-clock
-    differs. Results are per-host and indicative — the workload-level
-    speedup is what the regression gate uses.
-    """
-    from repro.mvcc.manager import MVCCManager
-    from repro.mvcc.metadata import Region
-    from repro.pim.pim_unit import bytes_to_uints
-
-    rng = np.random.default_rng(seed)
-    paths: List[HotPath] = []
-
-    def run_both(name: str, fn: Callable[[], None]) -> None:
-        with perf.naive_mode():
-            naive = _best_of(fn, repeats)
-        perf.set_vectorized(True)
-        vec = _best_of(fn, repeats)
-        paths.append(HotPath(name, naive, vec))
-
-    # pim.bytes_to_uints — WRAM-slice decode into typed arrays.
-    raw = rng.integers(0, 256, size=1 << 18, dtype=np.uint8)
-
-    def bench_decode() -> None:
-        for _ in range(16):
-            bytes_to_uints(raw, 4)
-
-    run_both("pim.bytes_to_uints", bench_decode)
-
-    # pim.load_strided — the OLAP scan's strided DRAM→WRAM stage.
-    unit = _make_unit()
-
-    def bench_load() -> None:
-        for _ in range(4):
-            unit.load_strided(0, 1 << 15, stride=16, chunk=4, wram_offset=0)
-
-    run_both("pim.load_strided", bench_load)
-
-    # pim.op_join — bucket matching via hash positions.
-    join_unit = _make_unit()
-    count = 4096
-    h1 = rng.integers(1, 1 << 16, size=count, dtype=np.uint32)
-    h2 = rng.integers(1, 1 << 16, size=count, dtype=np.uint32)
-    join_unit.wram_write(0, h1.view(np.uint8))
-    join_unit.wram_write(count * 4, h2.view(np.uint8))
-
-    def bench_join() -> None:
-        join_unit.op_join(0, count * 4, count * 8, count, count)
-
-    run_both("pim.op_join", bench_join)
-
-    # mvcc.read — visibility resolution over a partly updated table.
-    block_rows = 1024
-    rows = 16 * block_rows
-    mvcc = MVCCManager(
-        initial_rows=rows,
-        capacity_rows=rows,
-        block_rows=block_rows,
-        num_devices=8,
-        delta_capacity_blocks=24,
-    )
-    updated = rng.choice(rows, size=2048, replace=False)
-    versions_per_row = 6
-    ts = 0
-    for _ in range(versions_per_row):
-        for row in np.sort(updated):
-            ts += 1
-            mvcc.update(int(row), ts)
-    read_ts = ts + 1
-    probe = rng.integers(0, rows, size=1 << 14)
-
-    def bench_read() -> None:
-        for row in probe:
-            mvcc.read(int(row), read_ts)
-            mvcc.chain_length(int(row))
-
-    run_both("mvcc.read", bench_read)
-    assert mvcc.read(int(updated[0]), read_ts).region == Region.DELTA
-
-    # mvcc.visible_refs_at — snapshot-bitmap construction over the index.
-    delta_rows = mvcc.delta.capacity_rows
-
-    def bench_visible() -> None:
-        mvcc.visible_refs_at(read_ts, delta_rows)
-
-    run_both("mvcc.visible_refs_at", bench_visible)
-
-    # storage.read_column_values — the CPU fallback scan's gather.
-    from repro.core.engine import PushTapEngine
-
-    engine = PushTapEngine.build(scale=2e-5, seed=seed)
-    runtime = engine.table("orderline")
-    column = runtime.schema.columns[0].name
-    num_rows = runtime.num_rows
-
-    def bench_column() -> None:
-        runtime.storage.read_column_values(Region.DATA, column, num_rows)
-
-    run_both("storage.read_column_values", bench_column)
-
-    return paths
-
-
-# ----------------------------------------------------------------------
-# Workload runs
-# ----------------------------------------------------------------------
-@dataclass
-class WorkloadRun:
-    """One workload executed in both modes on this host."""
-
-    workload: str
-    bench: Dict[str, object]
-    naive_wall: Dict[str, object]
-    mode_drift: List[str] = field(default_factory=list)
-
-    @property
-    def speedup(self) -> float:
-        """Naive over vectorized run wall-clock."""
-        naive = float(self.naive_wall["run_s"])
-        vec = float(self.bench["wall_clock"]["run_s"])  # type: ignore[index]
-        return naive / vec if vec else float("inf")
-
-
 @dataclass
 class ClusterRun:
     """The sharded cluster executed sequentially and in parallel.
 
-    Three runs of the identical workload: naive ``jobs=1``, vectorized
-    ``jobs=1``, and vectorized ``jobs=N``. ``mode_drift`` is the exact
-    recursive diff of the first two reports (host-execution-mode
-    equivalence), ``jobs_drift`` of the last two (parallel-merge
-    determinism); both must be empty.
+    ``jobs_drift`` is the exact recursive diff of the ``jobs=1`` and
+    ``jobs=N`` reports (parallel-merge determinism); it must be empty.
     """
 
     shards: int
     jobs: int
     report: Dict[str, object]
-    mode_drift: List[str]
     jobs_drift: List[str]
-    naive_s: float
     sequential_s: float
     parallel_s: float
 
     @property
     def parallel_speedup(self) -> float:
-        """Sequential over parallel wall-clock (vectorized both sides)."""
+        """Sequential over parallel wall-clock."""
         return (
             self.sequential_s / self.parallel_s
             if self.parallel_s
@@ -304,48 +111,20 @@ class ClusterRun:
 class BenchResult:
     """Everything one bench run produced, plus pass/fail state."""
 
-    runs: List[WorkloadRun]
-    hot_paths: List[HotPath]
+    #: Bench workload name → its profile bench snapshot.
+    runs: Dict[str, Dict[str, object]]
     baseline_tag: Optional[str]
     baseline_workload: Optional[str]
     baseline_compared: bool
     baseline_drift: List[str]
-    min_speedup: float
-    min_oltp_speedup: float = 0.0
     min_parallel_speedup: float = 0.0
     cluster: Optional[ClusterRun] = None
     snapshot: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def simulated_identical(self) -> bool:
-        """Every execution mode agrees on every simulated metric:
-        naive vs. vectorized per workload, and ``jobs=1`` vs. ``jobs=N``
-        on the cluster workload."""
-        if any(run.mode_drift for run in self.runs):
-            return False
-        if self.cluster is not None and (
-            self.cluster.mode_drift or self.cluster.jobs_drift
-        ):
-            return False
-        return True
-
-    @property
-    def speedup_ok(self) -> bool:
-        """Every gated scan workload meets the wall-clock speedup bar."""
-        return all(
-            run.speedup >= self.min_speedup
-            for run in self.runs
-            if run.workload in SCAN_WORKLOADS
-        )
-
-    @property
-    def oltp_speedup_ok(self) -> bool:
-        """The OLTP workload meets its naive/vectorized wall-clock bar."""
-        return all(
-            run.speedup >= self.min_oltp_speedup
-            for run in self.runs
-            if run.workload in OLTP_WORKLOADS
-        )
+    def jobs_drift(self) -> List[str]:
+        """The cluster workload's jobs=1-vs-jobs=N diff (empty if not run)."""
+        return self.cluster.jobs_drift if self.cluster is not None else []
 
     @property
     def parallel_speedup_ok(self) -> bool:
@@ -357,10 +136,8 @@ class BenchResult:
     @property
     def passed(self) -> bool:
         return (
-            self.simulated_identical
-            and not self.baseline_drift
-            and self.speedup_ok
-            and self.oltp_speedup_ok
+            not self.baseline_drift
+            and not self.jobs_drift
             and self.parallel_speedup_ok
         )
 
@@ -374,7 +151,7 @@ def _run_cluster_compare(
     seed: int,
     defrag_period: int,
 ) -> ClusterRun:
-    """Run the sharded cluster workload three ways and diff the reports.
+    """Run the sharded cluster workload at ``jobs=1`` and ``jobs=N``.
 
     Same build and workload idiom as the ``cluster`` experiment (fixed
     row counts, homogeneous tenant streams); wall-clock covers the
@@ -384,8 +161,7 @@ def _run_cluster_compare(
 
     counts = cluster_row_counts(scale, shards)
 
-    def run_once(vectorized: bool, run_jobs: int) -> Tuple[Dict[str, object], float]:
-        perf.set_vectorized(vectorized)
+    def run_once(run_jobs: int) -> Tuple[Dict[str, object], float]:
         cluster = PushTapCluster.build(
             shards=shards,
             counts=counts,
@@ -408,19 +184,13 @@ def _run_cluster_compare(
         wall = time.perf_counter() - t0
         return report.as_dict(), wall
 
-    try:
-        naive_report, naive_s = run_once(False, 1)
-        seq_report, sequential_s = run_once(True, 1)
-        par_report, parallel_s = run_once(True, jobs)
-    finally:
-        perf.set_vectorized(True)
+    seq_report, sequential_s = run_once(1)
+    par_report, parallel_s = run_once(jobs)
     return ClusterRun(
         shards=shards,
         jobs=jobs,
         report=seq_report,
-        mode_drift=diff_sections(naive_report, seq_report),
         jobs_drift=diff_sections(seq_report, par_report),
-        naive_s=naive_s,
         sequential_s=sequential_s,
         parallel_s=parallel_s,
     )
@@ -436,28 +206,23 @@ def run_bench(
     seed: int = 11,
     defrag_period: int = 200,
     queries: Sequence[str] = ("Q1", "Q6", "Q9"),
-    min_speedup: float = 2.0,
-    min_oltp_speedup: float = 0.0,
     min_parallel_speedup: float = 0.0,
     jobs: int = 4,
     cluster_shards: int = 4,
-    micro: bool = True,
 ) -> BenchResult:
     """Run the bench harness; returns results + the snapshot to write.
 
     The default parameters replicate the committed ``BENCH_3.json``
     baseline exactly, so its simulated sections gate this run. Running at
     other parameters (e.g. a tiny CI smoke) skips the baseline diff and
-    records why, but the naive-vs-vectorized equivalence gate always
-    applies.
+    records why.
 
-    Beyond the profile workloads, ``workloads`` may name ``oltp`` (the
-    transaction-only profile, gated by ``min_oltp_speedup``) and
-    ``cluster`` (the sharded workload run at ``jobs=1`` and ``jobs=N``,
-    whose reports must be identical and whose parallel wall-clock ratio
-    is gated by ``min_parallel_speedup``). Both speedup gates default to
-    0 — wall-clock on shared CI hosts (often single-core) is evidence,
-    not simulated truth; the identity gates always apply.
+    Beyond the profile workloads, ``workloads`` may name ``cluster`` (the
+    sharded workload run at ``jobs=1`` and ``jobs=N``, whose reports must
+    be identical and whose parallel wall-clock ratio is gated by
+    ``min_parallel_speedup``). That gate defaults to 0 — wall-clock on
+    shared CI hosts (often single-core) is evidence, not simulated truth;
+    the identity gate always applies.
     """
     if not workloads:
         raise ConfigError("bench needs at least one workload")
@@ -473,7 +238,7 @@ def run_bench(
         "queries": list(queries),
     }
 
-    runs: List[WorkloadRun] = []
+    runs: Dict[str, Dict[str, object]] = {}
     cluster_run: Optional[ClusterRun] = None
     for workload in workloads:
         if workload == "cluster":
@@ -487,22 +252,9 @@ def run_bench(
                 defrag_period=defrag_period,
             )
             continue
-        profile_workload = PROFILE_WORKLOADS[workload]
-        with perf.naive_mode():
-            naive = run_profile(workload=profile_workload, tag=tag, **params)
-        perf.set_vectorized(True)
-        vectorized = run_profile(workload=profile_workload, tag=tag, **params)
-        drift = diff_sections(
-            simulated_sections(naive.bench), simulated_sections(vectorized.bench)
-        )
-        runs.append(
-            WorkloadRun(
-                workload=workload,
-                bench=vectorized.bench,
-                naive_wall=dict(naive.bench["wall_clock"]),  # type: ignore[arg-type]
-                mode_drift=drift,
-            )
-        )
+        runs[workload] = run_profile(
+            workload=PROFILE_WORKLOADS[workload], tag=tag, **params
+        ).bench
 
     baseline_tag: Optional[str] = None
     baseline_workload: Optional[str] = None
@@ -513,31 +265,33 @@ def run_bench(
             baseline = json.load(fh)
         baseline_tag = str(baseline.get("tag"))
         baseline_workload = str(baseline.get("workload"))
-        match = next(
-            (run for run in runs if run.workload == baseline_workload), None
-        )
+        match = runs.get(baseline_workload)
         if match is not None and baseline.get("params") == params:
             baseline_compared = True
             baseline_drift = diff_sections(
-                simulated_sections(baseline), simulated_sections(match.bench)
+                simulated_sections(baseline), simulated_sections(match)
             )
-
-    hot_paths = micro_benchmarks(seed=seed) if micro else []
 
     result = BenchResult(
         runs=runs,
-        hot_paths=hot_paths,
         baseline_tag=baseline_tag,
         baseline_workload=baseline_workload,
         baseline_compared=baseline_compared,
         baseline_drift=baseline_drift,
-        min_speedup=min_speedup,
-        min_oltp_speedup=min_oltp_speedup,
         min_parallel_speedup=min_parallel_speedup,
         cluster=cluster_run,
     )
     result.snapshot = _snapshot(result, params, baseline_path, tag)
     return result
+
+
+#: Host measurements each profile run carries (wall-clock, RSS).
+_RUN_HOST_KEYS = ("wall_clock", "wall_clock_s", "peak_rss_bytes")
+
+#: Snapshot keys that record host wall-clock (or derive from it) and so
+#: cannot be byte-stable across hosts. Everything else in a bench
+#: snapshot is simulated truth and must regenerate identically.
+_HOST_KEYS = _RUN_HOST_KEYS + ("parallel_speedup",)
 
 
 def _snapshot(
@@ -559,22 +313,8 @@ def _snapshot(
             "simulated_drift": result.baseline_drift,
         },
         "workloads": {
-            run.workload: {
-                "simulated": run.bench["simulated"],
-                "counters": run.bench["counters"],
-                "spans": run.bench["spans"],
-                "tracks": run.bench["tracks"],
-                "critical_path_ns": run.bench["critical_path_ns"],
-                "wall_clock": {
-                    "vectorized": run.bench["wall_clock"],
-                    "naive": run.naive_wall,
-                },
-                "wall_clock_s": run.bench.get("wall_clock_s"),
-                "peak_rss_bytes": run.bench.get("peak_rss_bytes"),
-                "speedup": round(run.speedup, 2),
-                "mode_drift": run.mode_drift,
-            }
-            for run in result.runs
+            workload: {key: bench.get(key) for key in SIM_SECTIONS + _RUN_HOST_KEYS}
+            for workload, bench in result.runs.items()
         },
         "cluster": (
             None
@@ -583,10 +323,8 @@ def _snapshot(
                 "shards": result.cluster.shards,
                 "jobs": result.cluster.jobs,
                 "report": result.cluster.report,
-                "mode_drift": result.cluster.mode_drift,
                 "jobs_drift": result.cluster.jobs_drift,
                 "wall_clock": {
-                    "naive_jobs1_s": round(result.cluster.naive_s, 6),
                     "jobs1_s": round(result.cluster.sequential_s, 6),
                     f"jobs{result.cluster.jobs}_s": round(
                         result.cluster.parallel_s, 6
@@ -595,45 +333,24 @@ def _snapshot(
                 "parallel_speedup": round(result.cluster.parallel_speedup, 2),
             }
         ),
-        "hot_paths": {p.name: p.as_dict() for p in result.hot_paths},
         "gates": {
-            "min_speedup": result.min_speedup,
-            "min_oltp_speedup": result.min_oltp_speedup,
             "min_parallel_speedup": result.min_parallel_speedup,
-            "scan_workloads": list(SCAN_WORKLOADS),
-            "oltp_workloads": list(OLTP_WORKLOADS),
-            "simulated_identical": result.simulated_identical,
             "baseline_drift_free": not result.baseline_drift,
-            "speedup_ok": result.speedup_ok,
-            "oltp_speedup_ok": result.oltp_speedup_ok,
             "parallel_speedup_ok": result.parallel_speedup_ok,
             "passed": result.passed,
         },
     }
 
 
-#: Snapshot keys that record host wall-clock (or derive from it) and so
-#: cannot be byte-stable across hosts. Everything else in a bench
-#: snapshot is simulated truth and must regenerate identically.
-_HOST_KEYS = (
-    "wall_clock",
-    "wall_clock_s",
-    "peak_rss_bytes",
-    "speedup",
-    "parallel_speedup",
-    "hot_paths",
-)
-
-
 def deterministic_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
     """The host-independent subset of a bench comparison snapshot.
 
-    Strips wall-clock timings, RSS, speedups, and the per-host hot-path
-    table, plus the speedup gate outcomes that depend on them — what
-    remains (simulated sections, drift lists, identity gates) must be
-    byte-identical when the snapshot is regenerated with the same
-    parameters on any host. CI regenerates ``BENCH_10.json`` and
-    byte-compares this subset.
+    Strips wall-clock timings, RSS and the parallel speedup, plus the
+    gate outcomes that depend on them — what remains (simulated
+    sections, drift lists, gate parameters) must be byte-identical when
+    the snapshot is regenerated with the same parameters on any host. CI
+    regenerates ``BENCH_5.json`` and ``BENCH_10.json`` and compares this
+    subset.
     """
 
     def strip(value):
@@ -646,7 +363,7 @@ def deterministic_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
     out = strip(snapshot)
     gates = out.get("gates")
     if isinstance(gates, dict):
-        for key in ("speedup_ok", "oltp_speedup_ok", "parallel_speedup_ok", "passed"):
+        for key in ("parallel_speedup_ok", "passed"):
             gates.pop(key, None)
     return out
 

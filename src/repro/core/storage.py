@@ -32,7 +32,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro import perf
 from repro.errors import LayoutError, MemoryError_
 from repro.format.circulant import BlockCirculantPlacement
 from repro.format.layout import UnifiedLayout
@@ -435,8 +434,6 @@ class TableStorage:
         through the CPU at reduced efficiency); PIM scans use
         :meth:`column_scan_plan` instead.
         """
-        if not perf.vectorized():
-            return self._read_column_values_reference(region, column, num_rows)
         col = self.layout.schema.column(column)
         runs = self.layout.column_runs(column)
         capacity = self._region_capacity(region)
@@ -478,27 +475,6 @@ class TableStorage:
         flat = raw.tobytes()
         width = col.width
         return [flat[i * width : (i + 1) * width] for i in range(num_rows)]
-
-    def _read_column_values_reference(
-        self, region: str, column: str, num_rows: int
-    ) -> List:
-        """Naive row-at-a-time gather (kept for equivalence testing)."""
-        col = self.layout.schema.column(column)
-        runs = self.layout.column_runs(column)
-        num_devices = self.rank.num_devices
-        values = []
-        for row in range(num_rows):
-            rotation = self.rotation_of(region, row)
-            raw = bytearray(col.width)
-            for run in runs:
-                p = run.placement
-                addr = self.row_addr(region, run.part_index, row) + p.slot_offset
-                device = (run.slot_index + rotation) % num_devices
-                raw[p.col_offset : p.col_offset + p.length] = self.rank.device_read(
-                    device, addr, p.length
-                ).tobytes()
-            values.append(col.decode(bytes(raw)))
-        return values
 
     def cpu_scan_bytes(self, column: str, num_rows: int) -> int:
         """CPU bus traffic to scan a column sequentially (§4.1.2 fallback).

@@ -345,7 +345,7 @@ def profile(argv) -> int:
 
 
 def bench(argv) -> int:
-    """``bench``: the perf-regression harness (naive vs. vectorized)."""
+    """``bench``: rerun the profile workloads against a pinned baseline."""
     import json
     import os
 
@@ -355,22 +355,20 @@ def bench(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments bench",
         description=(
-            "Rerun the standard profile workloads on both host execution "
-            "modes (naive reference and vectorized), assert the simulated "
-            "metrics are bit-identical to each other and to the committed "
-            "baseline snapshot, measure the wall-clock speedup, and write "
-            "a BENCH_<tag>.json comparison snapshot."
+            "Rerun the standard profile workloads, assert the simulated "
+            "metrics are bit-identical to the committed baseline snapshot "
+            "(and, for 'cluster', between jobs=1 and jobs=N), and write a "
+            "BENCH_<tag>.json comparison snapshot."
         ),
     )
     parser.add_argument(
         "--workloads",
         nargs="+",
-        choices=["tpcc", "oltp", "ch", "mixed", "cluster"],
+        choices=["oltp", "ch", "mixed", "cluster"],
         default=["mixed", "ch"],
         help=(
-            "workloads to rerun in both modes ('oltp' is the gated "
-            "transaction-only profile; 'cluster' compares the sharded "
-            "workload at jobs=1 vs jobs=N)"
+            "workloads to rerun ('oltp' is the transaction-only profile; "
+            "'cluster' compares the sharded workload at jobs=1 vs jobs=N)"
         ),
     )
     parser.add_argument(
@@ -389,24 +387,6 @@ def bench(argv) -> int:
     parser.add_argument("--seed", type=int, default=11, help="workload seed")
     parser.add_argument(
         "--defrag-period", type=int, default=200, help="transactions between defrags"
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=2.0,
-        help=(
-            "required naive/vectorized wall-clock ratio on the scan "
-            "workloads (0 disables the gate, e.g. for noisy CI hosts)"
-        ),
-    )
-    parser.add_argument(
-        "--min-oltp-speedup",
-        type=float,
-        default=0.0,
-        help=(
-            "required naive/vectorized wall-clock ratio on the 'oltp' "
-            "workload (0 disables the gate; the identity gate always runs)"
-        ),
     )
     parser.add_argument(
         "--min-parallel-speedup",
@@ -431,11 +411,6 @@ def bench(argv) -> int:
         help="shard count for the 'cluster' workload",
     )
     parser.add_argument(
-        "--no-micro",
-        action="store_true",
-        help="skip the per-hot-path micro-benchmarks",
-    )
-    parser.add_argument(
         "--out-dir", default=".", help="directory for the BENCH_<tag>.json snapshot"
     )
     args = parser.parse_args(argv)
@@ -449,78 +424,44 @@ def bench(argv) -> int:
         scale=args.scale,
         seed=args.seed,
         defrag_period=args.defrag_period,
-        min_speedup=args.min_speedup,
-        min_oltp_speedup=args.min_oltp_speedup,
         min_parallel_speedup=args.min_parallel_speedup,
         jobs=args.jobs,
         cluster_shards=args.cluster_shards,
-        micro=not args.no_micro,
     )
 
     print(format_table(
-        ["workload", "simulated time", "txns", "queries", "naive run", "vec run", "speedup", "identical"],
+        ["workload", "simulated time", "txns", "queries", "host run"],
         [
             [
-                run.workload,
-                format_time_ns(run.bench["simulated"]["time_ns"]),
-                run.bench["simulated"]["transactions"],
-                run.bench["simulated"]["queries"],
-                f"{float(run.naive_wall['run_s']):.3f}s",
-                f"{float(run.bench['wall_clock']['run_s']):.3f}s",
-                f"{run.speedup:.2f}x",
-                "yes" if not run.mode_drift else "NO",
+                workload,
+                format_time_ns(run["simulated"]["time_ns"]),
+                run["simulated"]["transactions"],
+                run["simulated"]["queries"],
+                f"{float(run['wall_clock']['run_s']):.3f}s",
             ]
-            for run in result.runs
+            for workload, run in result.runs.items()
         ],
     ))
 
     if result.cluster is not None:
         c = result.cluster
-        print(
-            f"\ncluster workload ({c.shards} shards, same simulated "
-            "workload three ways):"
-        )
+        print(f"\ncluster workload ({c.shards} shards, same simulated workload):")
         print(format_table(
-            ["run", "wall-clock", "vs jobs=1 (vec)", "identical"],
+            ["run", "wall-clock", "vs jobs=1", "identical"],
             [
-                ["naive jobs=1", f"{c.naive_s:.3f}s", "-",
-                 "yes" if not c.mode_drift else "NO"],
-                ["vectorized jobs=1", f"{c.sequential_s:.3f}s", "1.00x", "-"],
-                [f"vectorized jobs={c.jobs}", f"{c.parallel_s:.3f}s",
+                ["jobs=1", f"{c.sequential_s:.3f}s", "1.00x", "-"],
+                [f"jobs={c.jobs}", f"{c.parallel_s:.3f}s",
                  f"{c.parallel_speedup:.2f}x",
                  "yes" if not c.jobs_drift else "NO"],
             ],
         ))
-        for drift in c.mode_drift:
-            print(f"MODE DRIFT [cluster]: {drift}", file=sys.stderr)
         for drift in c.jobs_drift:
             print(f"JOBS DRIFT [cluster]: {drift}", file=sys.stderr)
 
-    if result.hot_paths:
-        print("\nhot paths (host wall-clock, naive -> vectorized):")
-        print(format_table(
-            ["hot path", "naive", "vectorized", "speedup"],
-            [
-                [
-                    p.name,
-                    f"{p.naive_s * 1e3:.2f}ms",
-                    f"{p.vectorized_s * 1e3:.2f}ms",
-                    f"{p.speedup:.1f}x",
-                ]
-                for p in result.hot_paths
-            ],
-        ))
-
-    for run in result.runs:
-        for drift in run.mode_drift:
-            print(f"MODE DRIFT [{run.workload}]: {drift}", file=sys.stderr)
     if result.baseline_compared:
-        baseline_run = next(
-            run for run in result.runs if run.workload == result.baseline_workload
-        )
         with open(args.baseline, "r", encoding="utf-8") as fh:
             baseline = json.load(fh)
-        rows = span_before_after(baseline, baseline_run.bench)
+        rows = span_before_after(baseline, result.runs[result.baseline_workload])
         print(
             f"\nper-span simulated self-time vs {args.baseline} "
             f"(tag {result.baseline_tag}, workload {result.baseline_workload}):"
@@ -542,7 +483,7 @@ def bench(argv) -> int:
     elif args.baseline:
         print(
             f"\nbaseline {args.baseline} not compared (different params or "
-            "workload set; the naive-vs-vectorized equivalence gate still ran)"
+            "workload set)"
         )
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -552,20 +493,10 @@ def bench(argv) -> int:
         fh.write("\n")
     print(f"\nbench snapshot written to {out_path}")
 
-    if not result.simulated_identical:
-        print("FAIL: simulated metrics differ between modes", file=sys.stderr)
+    if result.jobs_drift:
+        print("FAIL: cluster report differs between jobs=1 and jobs=N", file=sys.stderr)
     if result.baseline_drift:
         print("FAIL: simulated metrics drifted from the baseline", file=sys.stderr)
-    if not result.speedup_ok:
-        print(
-            f"FAIL: scan-workload speedup below {result.min_speedup:.1f}x",
-            file=sys.stderr,
-        )
-    if not result.oltp_speedup_ok:
-        print(
-            f"FAIL: oltp-workload speedup below {result.min_oltp_speedup:.1f}x",
-            file=sys.stderr,
-        )
     if not result.parallel_speedup_ok:
         print(
             "FAIL: cluster jobs speedup below "

@@ -8,9 +8,8 @@ the weighted Z-set deltas of committed writes — ``(old, -1)``/
 :meth:`~repro.mvcc.manager.MVCCManager.log_between` — instead of
 rescanning the full table on every analytical flush.
 
-The layer deals only in *logical* rows (decoded column values), so its
-results are bit-identical in both :mod:`repro.perf` execution modes;
-the cost of reading and folding deltas is charged to the simulated CPU
+The layer deals only in *logical* rows (decoded column values); the
+cost of reading and folding deltas is charged to the simulated CPU
 through :meth:`~repro.olap.engine.QueryTiming.add_cpu_bytes`, exactly
 like the CPU glue of a full scan.
 """

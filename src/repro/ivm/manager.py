@@ -15,8 +15,7 @@ first refreshes the view to the query timestamp:
 Refresh cost accounting goes through the same
 :meth:`~repro.olap.engine.QueryTiming.add_cpu_bytes` channel as a
 rescan's CPU glue, so incremental and rescan answers are directly
-comparable in simulated time. All state is decoded-int arithmetic —
-independent of the :mod:`repro.perf` mode by construction.
+comparable in simulated time. All state is decoded-int arithmetic.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ rule: each side keeps its own Z-set state and the joined aggregates are
 recomposed on read (both sides are tiny keyed dicts, so recomposition
 is a dictionary walk, not a table scan).
 
-All arithmetic is on decoded Python ints, so view state is independent
-of the :mod:`repro.perf` execution mode by construction.
+All arithmetic is on decoded Python ints.
 """
 
 from __future__ import annotations

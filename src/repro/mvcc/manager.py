@@ -10,9 +10,9 @@ arrays of (head begin-ts, head location, chain length, tombstone ts)
 maintained incrementally on every write — so the hot path answers
 "which version is visible at ts?" with O(1) array lookups and only
 falls back to walking a :class:`~repro.mvcc.metadata.VersionChain` for
-the rare read of a superseded version. The naive walk is retained as
-:meth:`MVCCManager._read_reference` (and selected by
-:func:`repro.perf.vectorized` being off) so equivalence stays testable.
+the rare read of a superseded version. The chains and tombstone dicts
+are maintained on every write too, which is what lets the tests hold
+each read path against a plain chain walk.
 
 Byte movement is **not** done here — the manager deals in
 :class:`~repro.mvcc.metadata.RowRef` locations; the storage engine binds
@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import perf
 from repro.errors import TransactionError
 from repro.mvcc.metadata import Region, RowRef, VersionChain, VersionEntry
 from repro.mvcc.regions import DataRegion, DeltaAllocator
@@ -102,8 +101,6 @@ class MVCCManager:
     # ------------------------------------------------------------------
     def read(self, row_id: int, ts: int) -> RowRef:
         """Locate the version of ``row_id`` visible at ``ts``."""
-        if not perf.vectorized():
-            return self._read_reference(row_id, ts)
         self._check_row(row_id)
         if row_id in self._dead_rows:
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
@@ -119,22 +116,6 @@ class MVCCManager:
             head = chain.head
             head.observe_read(ts)
             return head.location
-        entry = chain.visible_at(ts)
-        if entry is None:
-            raise TransactionError(f"row {row_id} not visible at ts {ts}")
-        entry.observe_read(ts)
-        return entry.location
-
-    def _read_reference(self, row_id: int, ts: int) -> RowRef:
-        """Naive read path: tombstone dicts plus a version-chain walk."""
-        self._check_row(row_id)
-        if row_id in self._dead_rows:
-            raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
-        if row_id in self._tombstones and self._tombstones[row_id] <= ts:
-            raise TransactionError(f"row {row_id} deleted at ts {self._tombstones[row_id]}")
-        chain = self._chains.get(row_id)
-        if chain is None:
-            return RowRef(Region.DATA, row_id)
         entry = chain.visible_at(ts)
         if entry is None:
             raise TransactionError(f"row {row_id} not visible at ts {ts}")
@@ -174,8 +155,6 @@ class MVCCManager:
         out-of-range rows fall back to the per-row path — errors surface
         at the same row, with the same message, as the sequential loop.
         """
-        if not perf.vectorized():
-            return [self.read(row_id, ts) for row_id in row_ids]
         fast = self.fast_row_mask(row_ids)
         return [
             RowRef(Region.DATA, int(row_id)) if fast[i] else self.read(int(row_id), ts)
@@ -193,13 +172,10 @@ class MVCCManager:
     def chain_length(self, row_id: int) -> int:
         """Number of versions of ``row_id`` (1 if never updated)."""
         self._check_row(row_id)
-        chain = self._chains.get(row_id)
-        if chain is None:
+        if row_id not in self._chains:
             return 1
-        if perf.vectorized():
-            # O(1) from the packed index instead of a chain walk.
-            return int(self._chain_len[row_id])
-        return chain.length()
+        # O(1) from the packed index instead of a chain walk.
+        return int(self._chain_len[row_id])
 
     # ------------------------------------------------------------------
     # Writes
@@ -422,8 +398,6 @@ class MVCCManager:
         Unlike :meth:`read`, this never observes reads (it describes a
         snapshot, it doesn't take part in concurrency control).
         """
-        if not perf.vectorized():
-            return self._visible_refs_reference(ts, delta_rows)
         n = self.num_rows
         data_bits = np.zeros(self.data.num_rows, dtype=bool)
         delta_bits = np.zeros(max(delta_rows, 1), dtype=bool)[:delta_rows]
@@ -442,31 +416,6 @@ class MVCCManager:
         # Rare fallback: alive rows whose newest version post-dates ts.
         for row in np.nonzero(alive & (chain_len > 0) & (head_ts > ts))[0]:
             entry = self._chains[int(row)].visible_at(int(ts))
-            if entry is None:
-                continue
-            if entry.location.region == Region.DATA:
-                data_bits[entry.location.index] = True
-            else:
-                delta_bits[entry.location.index] = True
-        return data_bits, delta_bits
-
-    def _visible_refs_reference(
-        self, ts: int, delta_rows: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Naive visibility bitmaps: one chain resolution per row."""
-        data_bits = np.zeros(self.data.num_rows, dtype=bool)
-        delta_bits = np.zeros(max(delta_rows, 1), dtype=bool)[:delta_rows]
-        for row_id in range(self.num_rows):
-            if row_id in self._dead_rows:
-                continue
-            tomb = self._tombstones.get(row_id)
-            if tomb is not None and tomb <= ts:
-                continue
-            chain = self._chains.get(row_id)
-            if chain is None:
-                data_bits[row_id] = True
-                continue
-            entry = chain.visible_at(ts)
             if entry is None:
                 continue
             if entry.location.region == Region.DATA:

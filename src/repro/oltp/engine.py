@@ -11,16 +11,14 @@ barrier that keeps DRAM fresh for the OLAP engine (§6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
-from repro import perf
 from repro.core.config import SystemConfig
 from repro.core.database import Database
 from repro.errors import TransactionAborted, TransactionError
 from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
 from repro.format.schema import Value
-from repro.mvcc.metadata import Region, RowRef
 from repro.oltp.formats import AccessFormatModel
 from repro.pim.timing import BankTimingModel, random_line_time
 from repro.telemetry import registry as telemetry
@@ -215,111 +213,6 @@ class TxnContext:
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
-
-    def read_many(
-        self,
-        table: str,
-        row_ids: Sequence[int],
-        columns: Optional[Sequence[str]] = None,
-    ) -> List[Dict[str, Value]]:
-        """Read the visible versions of many rows of one table (batched).
-
-        Identical charges, side effects, and failure behaviour to
-        calling :meth:`read` once per row in order. Vectorized, the
-        batch's MVCC visibility is array-resolved up front — one packed
-        index pass classifies the never-versioned live rows — and the
-        per-row cost constants are resolved once; rows that need a chain
-        walk (or raise) fall back to the per-row path at their exact
-        stream position, so even mid-batch errors leave the same partial
-        accounting behind.
-        """
-        if not perf.vectorized():
-            return [self.read(table, row_id, columns) for row_id in row_ids]
-        runtime = self.engine.db.table(table)
-        fast = runtime.mvcc.fast_row_mask(row_ids)
-        storage = runtime.storage
-        cost = self._cost
-        model = self._model
-        lines = model.lines_for_row(table, columns)
-        chain_ns = cost.chain_entry_ns
-        memory_ns = lines * self._line_ns
-        relayout_ns = model.relayout_bytes(table, columns) * cost.relayout_per_byte_ns
-        compute_ns = cost.compute_per_op_ns
-        breakdown = self.breakdown
-        roofline = self._roofline
-        rows: List[Dict[str, Value]] = []
-        for i, row_id in enumerate(row_ids):
-            if not fast[i]:
-                # Chained / tombstoned / out-of-range rows resolve (or
-                # raise) exactly as the per-row path would.
-                rows.append(self.read(table, row_id, columns))
-                continue
-            # Never-versioned live row: chain length 1, head in the data
-            # region, no walk and no read observation — the same outcome
-            # read() reaches, with every lookup pre-resolved.
-            breakdown.chain += chain_ns
-            rows.append(storage.read_row(RowRef(Region.DATA, row_id), columns))
-            breakdown.memory += memory_ns
-            breakdown.relayout += relayout_ns
-            if roofline:
-                self.engine.track_rowbuffer(table, row_id, lines, False)
-            breakdown.compute += compute_ns
-            self.rows_read += 1
-        return rows
-
-    def update_many(
-        self, table: str, updates: Sequence[Tuple[int, Dict[str, Value]]]
-    ) -> None:
-        """Install new versions for many rows of one table (batched).
-
-        Equivalent to calling :meth:`update` once per ``(row_id,
-        changes)`` pair in order — same charges, same undo stack, same
-        fault-hook draws — with the per-pair table/injector/cost lookups
-        hoisted out of the loop. The §6.3 commit flush is unchanged:
-        written lines accumulate across the batch and are charged as one
-        line set at commit, not per Python-level call.
-        """
-        if not perf.vectorized():
-            for row_id, changes in updates:
-                self.update(table, row_id, changes)
-            return
-        inj = faults.active()
-        inj_enabled = inj.enabled
-        runtime = self.engine.db.table(table)
-        mvcc = runtime.mvcc
-        cost = self._cost
-        chain_ns = cost.chain_entry_ns
-        alloc_ns = cost.alloc_ns
-        compute_ns = cost.compute_per_op_ns
-        lines = self._model.lines_for_row(table, None)
-        memory_ns = lines * self._line_ns
-        relayout_ns = (
-            self._model.relayout_bytes(table, None) * cost.relayout_per_byte_ns
-        )
-        breakdown = self.breakdown
-        durable = self.engine.durability is not None
-        roofline = self._roofline
-        for row_id, changes in updates:
-            if inj_enabled and inj.fire(fault_plan.DELTA_EXHAUSTION):
-                inj.detect(fault_plan.DELTA_EXHAUSTION)
-                raise TransactionAborted(
-                    "injected fault: delta region exhausted mid-transaction"
-                )
-            chain_before = mvcc.chain_length(row_id)
-            breakdown.chain += chain_before * chain_ns
-            breakdown.alloc += alloc_ns
-            runtime.update_row(row_id, self.ts, changes)
-            if mvcc.chain_length(row_id) > chain_before:
-                self._undo.append(lambda row_id=row_id: mvcc.undo_update(row_id))
-            if durable:
-                self.ops.append(("update", table, row_id, dict(changes)))
-            breakdown.memory += memory_ns
-            breakdown.relayout += relayout_ns
-            self._written_lines += lines
-            if roofline:
-                self.engine.track_rowbuffer(table, row_id, lines, True)
-            breakdown.compute += compute_ns
-            self.rows_written += 1
 
     def insert(
         self,

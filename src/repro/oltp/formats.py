@@ -127,7 +127,7 @@ class UnifiedFormatModel:
         # Both answers are pure in (table, columns) over an immutable
         # layout, and OLTP asks for the same few selections per table on
         # every access — memoized, they drop from a parts/runs walk to a
-        # dict hit (identical values in both perf modes by construction).
+        # dict hit.
         self._lines: Dict[Tuple[str, _ColsKey], int] = {}
         self._relayout: Dict[Tuple[str, _ColsKey], int] = {}
 

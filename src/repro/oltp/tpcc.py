@@ -319,19 +319,13 @@ def order_status(params: OrderStatusParams) -> Callable[[TxnContext], None]:
         ctx.read("customer", c_row, ["c_balance", "c_first", "c_last"])
         o_row = ctx.index_lookup("order_pk", params.o_id)
         ctx.read("order", o_row, ["o_entry_d", "o_carrier_id"])
-        # All the order's lines in one batched read: the index probes
-        # keep their sequential order (only they touch the index phase),
-        # and read_many charges per line in the same order a per-line
-        # loop would — identical breakdown, batched MVCC resolution.
         ol_rows = [
             ctx.index_lookup("orderline_pk", (params.o_id, number))
             for number in range(1, params.ol_cnt + 1)
         ]
-        ctx.read_many(
-            "orderline",
-            ol_rows,
-            ["ol_i_id", "ol_supply_w_id", "ol_quantity", "ol_amount", "ol_delivery_d"],
-        )
+        columns = ["ol_i_id", "ol_supply_w_id", "ol_quantity", "ol_amount", "ol_delivery_d"]
+        for ol_row in ol_rows:
+            ctx.read("orderline", ol_row, columns)
 
     txn.txn_name = "order_status"
     txn.params = params

@@ -29,7 +29,6 @@ from repro.faults import injector as faults
 from repro.faults.plan import TWOPC_HOOKS
 from repro.telemetry import registry as telemetry
 
-from repro import perf
 from repro.parallel import worker as worker_mod
 from repro.parallel.merge import merge_cluster_run
 from repro.parallel.plan import plan_cluster_run
@@ -106,7 +105,6 @@ def _worker_config(workload) -> WorkerConfig:
         num_shards=cluster.num_shards,
         counts=dict(cluster.counts),
         build_kwargs=getattr(cluster, "_shard_build_kwargs", None),
-        vectorized=perf.vectorized(),
         telemetry=(
             (tel.max_histogram_samples, tel.detail_spans, tel.roofline)
             if tel.enabled

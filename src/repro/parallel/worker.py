@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro import perf
 from repro.errors import ParallelExecutionError
 from repro.faults import injector as faults
 from repro.faults.invariants import InvariantChecker
@@ -48,7 +47,6 @@ class WorkerConfig:
     #: ``PushTapEngine.build`` kwargs for the spawn-rebuild path
     #: (None means the fork fast path is mandatory).
     build_kwargs: Optional[Dict[str, object]]
-    vectorized: bool
     #: Telemetry propagation: None disables telemetry in the worker;
     #: otherwise ``(max_histogram_samples, detail_spans, roofline)``.
     telemetry: Optional[Tuple[Optional[int], bool, bool]]
@@ -80,7 +78,6 @@ def run_shard_ops(shard: int, ops: List[tuple], cfg: WorkerConfig) -> ShardResul
     # Every fault decision was drawn at plan time; a live injector here
     # would double-draw. Deactivate before anything else runs.
     faults.deactivate()
-    perf.set_vectorized(cfg.vectorized)
     telemetry.disable()
 
     cluster = _FORK_CLUSTER

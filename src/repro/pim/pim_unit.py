@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from repro import perf
 from repro.core.config import DRAMTimings, DeviceGeometry, PIMUnitConfig
 from repro.errors import MemoryError_, ProtocolError
 from repro.pim.device import Bank
@@ -56,13 +55,9 @@ def bytes_to_uints(raw: np.ndarray, width: int) -> np.ndarray:
         raise ProtocolError(f"element width must be 1..8, got {width}")
     if len(raw) % width != 0:
         raise ProtocolError(f"byte length {len(raw)} not a multiple of width {width}")
-    if perf.vectorized() and width in _NATIVE_WIDTHS:
+    if width in _NATIVE_WIDTHS:
         return raw.view(_NATIVE_WIDTHS[width]).astype(np.uint64)
-    return _bytes_to_uints_reference(raw, width)
-
-
-def _bytes_to_uints_reference(raw: np.ndarray, width: int) -> np.ndarray:
-    """Positional weights decode — the naive reference for all widths."""
+    # Widths 3/5/6/7 have no dtype to view as: positional weights.
     mat = raw.reshape(-1, width).astype(np.uint64)
     weights = (np.uint64(1) << (np.uint64(8) * np.arange(width, dtype=np.uint64)))
     return (mat * weights).sum(axis=1, dtype=np.uint64)
@@ -73,16 +68,9 @@ def uints_to_bytes(values: np.ndarray, width: int) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.uint64)
     if width <= 0 or width > 8:
         raise ProtocolError(f"element width must be 1..8, got {width}")
-    if perf.vectorized() and width == 8:
-        return values.view(np.uint8).copy()
-    if perf.vectorized() and width in _NATIVE_WIDTHS:
+    if width in _NATIVE_WIDTHS:
         # Narrowing keeps the low bytes — exactly the per-byte shifts below.
-        return values.astype(_NATIVE_WIDTHS[width]).view(np.uint8).copy()
-    return _uints_to_bytes_reference(values, width)
-
-
-def _uints_to_bytes_reference(values: np.ndarray, width: int) -> np.ndarray:
-    """Per-byte shift encode — the naive reference for all widths."""
+        return values.astype(_NATIVE_WIDTHS[width], copy=False).view(np.uint8).copy()
     out = np.empty((len(values), width), dtype=np.uint8)
     for b in range(width):
         out[:, b] = (values >> np.uint64(8 * b)).astype(np.uint8)
@@ -269,28 +257,20 @@ class PIMUnit:
             raise ProtocolError(f"invalid stride/chunk {stride}/{chunk}")
         self._check_wram(wram_offset, length)
         pieces = ceil_div(length, chunk)
-        if perf.vectorized():
-            if stride == chunk:
-                out = self.bank.read(dram_addr, length)
-            else:
-                # One span read covering every piece, then a strided
-                # gather — the furthest byte touched equals the naive
-                # per-piece loop's, so bank bounds behave identically.
-                last_take = length - (pieces - 1) * chunk
-                span = (pieces - 1) * stride + last_take
-                flat = self.bank.read(dram_addr, span)
-                idx = (
-                    np.arange(pieces, dtype=np.intp)[:, None] * stride
-                    + np.arange(chunk, dtype=np.intp)[None, :]
-                ).reshape(-1)[:length]
-                out = flat[idx]
+        if stride == chunk:
+            out = self.bank.read(dram_addr, length)
         else:
-            out = np.empty(length, dtype=np.uint8)
-            pos = 0
-            for i in range(pieces):
-                take = min(chunk, length - pos)
-                out[pos : pos + take] = self.bank.read(dram_addr + i * stride, take)
-                pos += take
+            # One span read up to the last byte any piece touches (so
+            # the bank bounds check covers exactly the bytes gathered),
+            # then a strided gather.
+            last_take = length - (pieces - 1) * chunk
+            span = (pieces - 1) * stride + last_take
+            flat = self.bank.read(dram_addr, span)
+            idx = (
+                np.arange(pieces, dtype=np.intp)[:, None] * stride
+                + np.arange(chunk, dtype=np.intp)[None, :]
+            ).reshape(-1)[:length]
+            out = flat[idx]
         self.wram[wram_offset : wram_offset + length] = out
         granule = self.config.access_granularity
         if stride == chunk:
@@ -456,10 +436,7 @@ class PIMUnit:
         """
         h1 = self.wram_read(hash1_offset, count1 * 4).view(np.uint32)
         h2 = self.wram_read(hash2_offset, count2 * 4).view(np.uint32)
-        if perf.vectorized():
-            pairs_flat, num_pairs = _join_pairs_vectorized(h1, h2)
-        else:
-            pairs_flat, num_pairs = _join_pairs_reference(h1, h2)
+        pairs_flat, num_pairs = _join_pairs(h1, h2)
         out = np.empty(4 + num_pairs * 8, dtype=np.uint8)
         out[:4] = np.frombuffer(np.uint32(num_pairs).tobytes(), dtype=np.uint8)
         if num_pairs:
@@ -471,7 +448,7 @@ class PIMUnit:
         """Defragmentation helper: copy ``width``-byte slots bank-locally."""
         if len(src_addrs) != len(dst_addrs):
             raise ProtocolError("src/dst address count mismatch")
-        if perf.vectorized() and len(src_addrs):
+        if len(src_addrs):
             src = np.asarray(src_addrs, dtype=np.intp)
             dst = np.asarray(dst_addrs, dtype=np.intp)
             hi = max(int(src.max()), int(dst.max())) + width
@@ -482,14 +459,11 @@ class PIMUnit:
                 )
             # Defragmentation copies delta blocks into data blocks — the
             # regions are distinct allocations, so gather-then-scatter
-            # matches the sequential per-row copy.
+            # matches a sequential per-row copy.
             data = self.bank.device.data
             base = self.bank.start
             lanes = np.arange(width, dtype=np.intp)
             data[base + dst[:, None] + lanes] = data[base + src[:, None] + lanes]
-        else:
-            for src_a, dst_a in zip(src_addrs, dst_addrs):
-                self.bank.write(int(dst_a), self.bank.read(int(src_a), width))
         granule = self.config.access_granularity
         self._track_row_list(src_addrs, max(width, granule), write=False)
         self._track_row_list(dst_addrs, max(width, granule), write=True)
@@ -502,32 +476,13 @@ class PIMUnit:
         return time
 
 
-def _join_pairs_reference(h1: np.ndarray, h2: np.ndarray):
-    """Naive bucket match: build-side dict probed row by row.
+def _join_pairs(h1: np.ndarray, h2: np.ndarray):
+    """Sort/searchsorted bucket match; returns (flat pairs, pair count).
 
     Pair order is probe index ``i`` ascending, then build index ``j``
-    ascending within equal hashes. Hash 0 marks invisible rows on both
-    sides and never matches.
-    """
-    pairs = []
-    positions = {}
-    for j, h in enumerate(h2):
-        if h:
-            positions.setdefault(int(h), []).append(j)
-    for i, h in enumerate(h1):
-        for j in positions.get(int(h), ()):
-            pairs.append((i, j))
-    if not pairs:
-        return np.empty(0, dtype=np.uint32), 0
-    return np.array(pairs, dtype=np.uint32).reshape(-1), len(pairs)
-
-
-def _join_pairs_vectorized(h1: np.ndarray, h2: np.ndarray):
-    """Sort/searchsorted bucket match, same pair order as the reference.
-
-    The stable sort groups equal build-side hashes while preserving
-    ascending ``j`` within each group, so the ragged gather reproduces
-    the reference's (i-major, j-ascending) order exactly.
+    ascending within equal hashes: the stable sort groups equal
+    build-side hashes while preserving ascending ``j`` within each
+    group. Hash 0 marks invisible rows on both sides and never matches.
     """
     j_nonzero = np.nonzero(h2)[0]
     if len(j_nonzero) == 0 or len(h1) == 0:

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro import perf
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, TransactionAborted
 from repro.faults import injector as faults
@@ -203,18 +202,11 @@ class ServeLoop:
             return 0.0
         return float(self._arrival_rngs[tenant].exponential(self.config.think_ns))
 
-    def _next_closed_arrival(self, tenant: int, at: Optional[float] = None) -> None:
-        """Schedule the tenant's next closed-loop request, if any remain.
-
-        ``at`` overrides the completion time the think draw starts from
-        (the batched OLAP path settles completions after advancing the
-        clock past the whole batch, so each request passes its own
-        finish time explicitly).
-        """
+    def _next_closed_arrival(self, tenant: int) -> None:
+        """Schedule the tenant's next closed-loop request, if any remain."""
         if self.config.arrival == "closed" and self._remaining[tenant] > 0:
             self._remaining[tenant] -= 1
-            base = self.now if at is None else at
-            self._push_arrival(tenant, base + self._think(tenant))
+            self._push_arrival(tenant, self.now + self._think(tenant))
 
     # ------------------------------------------------------------------
     # Arrival processing
@@ -338,45 +330,11 @@ class ServeLoop:
             # Queries inside the batch complete serially after the one
             # shared mode switch; each sees its own completion time.
             self.now += result.switch_time
-            if perf.vectorized():
-                # The clock still advances request-by-request (each query
-                # sees its own finish time), but the SLO bookkeeping for
-                # the whole batch settles in one vectorized pass. The
-                # remaining per-request side effects (admission release,
-                # span, closed-loop think draw) then replay in request
-                # order, so seq numbers, RNG draws, and every recorded
-                # value match the scalar path exactly.
-                ends: List[Tuple[Request, float]] = []
-                for request, query in zip(batch, result.results):
-                    self.now += query.total_time
-                    ends.append((request, self.now))
-                self.slo.on_complete_batch(
-                    [
-                        (
-                            r.tenant,
-                            r.kind,
-                            end - r.submitted_at,
-                            dispatched_at - r.submitted_at,
-                        )
-                        for r, end in ends
-                    ]
+            for request, query in zip(batch, result.results):
+                self.now += query.total_time
+                self._complete(
+                    request, dispatched_at - request.submitted_at, False
                 )
-                for request, end in ends:
-                    self.admission.release(request.tenant)
-                    if tel.enabled:
-                        tel.record_span(
-                            "serve.request",
-                            end - request.submitted_at,
-                            {"tenant": request.tenant, "kind": request.kind},
-                            start=request.submitted_at,
-                        )
-                    self._next_closed_arrival(request.tenant, at=end)
-            else:
-                for request, query in zip(batch, result.results):
-                    self.now += query.total_time
-                    self._complete(
-                        request, dispatched_at - request.submitted_at, False
-                    )
         if tel.enabled:
             for request, lag in zip(batch, lags):
                 tel.histogram("serve.freshness.lag_txns").observe(lag)

@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from repro import perf
 from repro.errors import ConfigError
 from repro.telemetry import registry as telemetry
 from repro.telemetry.metrics import Histogram
@@ -135,51 +132,14 @@ class SLOAccounting:
     def on_complete_batch(
         self, completions: Sequence[Tuple[int, str, float, float]]
     ) -> None:
-        """Record a batch of non-aborted completions (vectorized).
+        """:meth:`on_complete` per ``(tenant, kind, latency_ns, wait_ns)``.
 
-        ``completions`` is ``(tenant, kind, latency_ns, wait_ns)`` per
-        request, in completion order. Identical accounting to calling
-        :meth:`on_complete` once per item: every histogram observes its
-        samples in the same order (decimation-exact), and violations
-        come from one array comparison against the per-class targets —
-        the same float comparison the scalar path makes. The telemetry
-        registry is resolved once per batch instead of per completion.
+        Nothing in ``src/`` calls this; it stays importable only because
+        ``benchmarks/e2e/layers.json`` names it as a trace target, and
+        leaves together with that target (ROADMAP item 1).
         """
-        if not perf.vectorized():
-            for tenant, kind, latency_ns, wait_ns in completions:
-                self.on_complete(tenant, kind, latency_ns, wait_ns)
-            return
-        if not completions:
-            return
-        n = len(completions)
-        targets = {
-            "oltp": self.targets.oltp_ns,
-            "olap": self.targets.olap_ns,
-        }
-        lat = np.fromiter((c[2] for c in completions), dtype=np.float64, count=n)
-        bound = np.fromiter(
-            # Unknown kinds fall through to target_for so they fail with
-            # the same ConfigError the scalar path raises.
-            (targets.get(c[1]) or self.targets.target_for(c[1]) for c in completions),
-            dtype=np.float64,
-            count=n,
-        )
-        violated = lat > bound
-        tel = telemetry.active()
-        tel_on = tel.enabled
-        for (tenant, kind, latency_ns, wait_ns), v in zip(completions, violated):
-            slo = self.tenants[tenant]
-            slo.completed += 1
-            slo.latency_for(kind).observe(latency_ns)
-            slo.queue_wait.observe(wait_ns)
-            if v:
-                slo.violations[kind] += 1
-            if tel_on:
-                tel.histogram(f"serve.tenant{tenant}.{kind}.latency_ns").observe(
-                    latency_ns
-                )
-                if v:
-                    tel.counter(f"serve.slo.violations.{kind}").inc()
+        for tenant, kind, latency_ns, wait_ns in completions:
+            self.on_complete(tenant, kind, latency_ns, wait_ns)
 
     def on_disconnect(self, tenant: int) -> None:
         """The client vanished mid-transaction; no latency to record

@@ -7,12 +7,11 @@ The two load-bearing properties pinned here bit-for-bit:
 * an N-shard cluster's scatter-gather Q1/Q6/Q9 results equal a single
   merged engine executing the same (unsplit) transaction stream —
   including cross-shard 2PC histories and a mid-history defrag of one
-  shard, in both host execution modes.
+  shard.
 """
 
 import pytest
 
-from repro import perf
 from repro.cluster import (
     ClusterWorkload,
     PushTapCluster,
@@ -157,26 +156,6 @@ class TestScatterGatherIdentity:
         assert cross_shard > 0, "history exercised no cross-shard txns"
         for name in ("Q1", "Q6", "Q9"):
             assert cluster.query(name).rows == merged.query(name).rows
-
-    def test_queries_match_in_naive_mode(self):
-        counts = cluster_row_counts(SCALE, 2)
-        with perf.naive_mode():
-            cluster = PushTapCluster.build(
-                shards=2, counts=counts, **ENGINE_KWARGS
-            )
-            merged = PushTapEngine.build(counts=counts, **ENGINE_KWARGS)
-            cluster_drivers, merged_drivers = _mirrored_drivers(
-                counts, 2, tenants=2
-            )
-            for i in range(60):
-                cluster.execute_transaction(
-                    cluster_drivers[i % 2].next_transaction()
-                )
-                merged.execute_transaction(
-                    merged_drivers[i % 2].next_transaction()
-                )
-            for name in ("Q1", "Q6", "Q9"):
-                assert cluster.query(name).rows == merged.query(name).rows
 
     def test_unmergeable_query_rejected(self):
         with pytest.raises(QueryError):

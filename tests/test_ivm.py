@@ -3,14 +3,13 @@
 The core property (ISSUE 6): every registered view's answer is
 bit-identical to the full-rescan answer at the same timestamp, on
 randomized seeded update/insert/delete histories, with defragmentation
-in the middle, under both ``repro.perf`` execution modes.
+in the middle.
 """
 
 import random
 
 import pytest
 
-from repro import perf
 from repro.core.engine import PushTapEngine
 from repro.errors import QueryError
 from repro.format.schema import Column, TableSchema
@@ -160,17 +159,6 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", [1, 5])
     def test_views_match_rescan_vectorized(self, seed):
         run_scenario(seed)
-
-    @pytest.mark.parametrize("seed", [1, 5])
-    def test_views_match_rescan_naive(self, seed):
-        with perf.naive_mode():
-            run_scenario(seed)
-
-    def test_modes_bit_identical(self):
-        vectorized = run_scenario(9)
-        with perf.naive_mode():
-            naive = run_scenario(9)
-        assert vectorized == naive
 
 
 class TestCHBenchEngine:

@@ -4,7 +4,7 @@
 representations of row visibility: the object graph (``_chains`` /
 ``_tombstones`` / ``_dead_rows``) and the packed NumPy index
 (``_head_ts`` / ``_head_delta`` / ``_chain_len`` / ``_tomb_ts`` /
-``_dead``) that the vectorized read and scan paths trust blindly. Every
+``_dead``) that the read and scan paths trust blindly. Every
 write path mutates both by hand, and the abort paths (``undo_update`` /
 ``undo_insert`` / ``undo_delete``) unwind those mutations by hand too —
 a desync is silent until some later query reads a stale packed entry.
@@ -13,15 +13,12 @@ These tests drive seeded random transaction windows of mixed
 insert/update/delete operations, roll a fraction of them back in
 reverse exactly as ``TxnContext`` does, and after EVERY single
 ``undo_*`` call compare the packed index against a from-scratch rebuild
-of the object graph — under both the vectorized and the naive perf
-modes (the packed index is maintained unconditionally; only the read
-paths differ).
+of the object graph.
 """
 
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import Region
 
@@ -131,17 +128,8 @@ def unwind(mvcc, undo):
         assert_packed_matches(mvcc, f"after undo_{kind}({row_id}) step {step}")
 
 
-@pytest.fixture(params=["vectorized", "naive"])
-def perf_mode(request):
-    if request.param == "naive":
-        with perf.naive_mode():
-            yield request.param
-    else:
-        yield request.param
-
-
 @pytest.mark.parametrize("seed", [11, 23, 37, 59, 71])
-def test_random_histories_keep_packed_index_in_sync(perf_mode, seed):
+def test_random_histories_keep_packed_index_in_sync(seed):
     """Mixed commit/abort windows; packed index checked after every undo."""
     mvcc = build_mvcc()
     rng = np.random.default_rng(seed)
@@ -158,7 +146,7 @@ def test_random_histories_keep_packed_index_in_sync(perf_mode, seed):
             assert_packed_matches(mvcc, f"after compact ts={ts}")
 
 
-def test_same_row_insert_update_delete_unwound(perf_mode):
+def test_same_row_insert_update_delete_unwound():
     """The worst interleaving on one row, unwound step by step."""
     mvcc = build_mvcc()
     ts = 500
@@ -174,7 +162,7 @@ def test_same_row_insert_update_delete_unwound(perf_mode):
     assert_packed_matches(mvcc, "after full unwind")
 
 
-def test_update_then_delete_existing_row_unwound(perf_mode):
+def test_update_then_delete_existing_row_unwound():
     """Update + delete of a pre-existing row rolls back to the origin."""
     mvcc = build_mvcc()
     row_id = 3

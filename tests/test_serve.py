@@ -551,16 +551,6 @@ class TestServeIVM:
         b = run_serve(small_config(ivm=True, olap_fraction=0.3)).report
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_ivm_report_identical_across_perf_modes(self):
-        import json
-
-        from repro import perf
-
-        vec = run_serve(small_config(ivm=True, olap_fraction=0.3)).report
-        with perf.naive_mode():
-            naive = run_serve(small_config(ivm=True, olap_fraction=0.3)).report
-        assert json.dumps(vec, sort_keys=True) == json.dumps(naive, sort_keys=True)
-
     def test_ablation_incremental_beats_rescan_at_high_rate(self):
         from repro.serve.runner import run_ivm_ablation
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import PushTapEngine
 from repro.oltp.tpcc import new_order, order_status, stock_level
 
 
@@ -21,6 +22,28 @@ class TestOrderStatus:
         result = engine.execute_transaction(order_status(params))
         assert result.rows_written == 0
         assert result.rows_read >= 2 + params.ol_cnt
+
+    def test_breakdown_pinned(self):
+        """Per-phase charges of one Order-Status over a delivered order
+        (every line read walks a two-version chain). Values computed at
+        94e14a0, when the lines went through ``TxnContext.read_many``."""
+        engine = PushTapEngine.build(scale=2e-5, seed=3)
+        driver = engine.make_driver(seed=3, delivery_fraction=0.2)
+        engine.run_transactions(40, driver)
+        params = driver.next_order_status()
+        assert (params.o_id, params.ol_cnt) == (1211, 10)
+        result = engine.execute_transaction(order_status(params))
+        assert not result.aborted
+        assert (result.rows_read, result.rows_written) == (12, 0)
+        assert result.breakdown.as_dict() == {
+            "index": 2521.879487179487,
+            "alloc": 0.0,
+            "compute": 4200.0,
+            "chain": 48.0,
+            "memory": 876.5679487179488,
+            "relayout": 66.5,
+            "flush": 30.0,
+        }
 
     def test_requires_history(self, fresh_engine):
         driver = fresh_engine.make_driver(seed=22)
