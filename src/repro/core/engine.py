@@ -42,7 +42,7 @@ from repro.oltp.index import HashIndex
 from repro.oltp.tpcc import INDEX_NAMES, TPCCDriver
 from repro.pim.controller import OriginalController, PushTapController, _ControllerBase
 from repro.pim.memory import Rank
-from repro.pim.pim_unit import PIMUnit
+from repro.pim.pim_unit import PIMUnit, RankUnits
 from repro.telemetry import registry as telemetry
 from repro.units import KIB, ceil_div, round_up
 from repro.workloads.chbench import all_queries, ch_schema, key_columns_for, row_counts
@@ -103,7 +103,7 @@ class PushTapEngine:
         db: Database,
         layouts: Dict[str, UnifiedLayout],
         controller: _ControllerBase,
-        units: Dict[Tuple[int, int], PIMUnit],
+        units: RankUnits,
         oltp: OLTPEngine,
         olap: OLAPEngine,
         defrag_period: int,
@@ -119,7 +119,7 @@ class PushTapEngine:
         self.defrag_period = defrag_period
         #: All simulated ranks (build() extends these for ranks > 1).
         self.ranks: List[Rank] = [rank]
-        self.rank_units: List[Dict[Tuple[int, int], PIMUnit]] = [units]
+        self.rank_units: List[RankUnits] = [units]
         self.stats = EngineStats()
         #: Optional incremental-view layer (see :meth:`enable_ivm`).
         self.ivm = None
@@ -342,7 +342,7 @@ class PushTapEngine:
         assignment = cls._assign_ranks(names, layouts, capacities, ranks)
         rank_objects: List[Rank] = []
         allocators: List[RankAllocator] = []
-        rank_units: List[Dict[Tuple[int, int], PIMUnit]] = []
+        rank_units: List[RankUnits] = []
         for rank_index in range(ranks):
             members = [n for n in names if assignment[n] == rank_index]
             device_bytes = cls._device_bytes(
@@ -355,7 +355,9 @@ class PushTapEngine:
             rank_obj = Rank(config.geometry, device_bytes)
             rank_objects.append(rank_obj)
             allocators.append(RankAllocator(rank_obj))
-            rank_units.append(cls._build_units(config, rank_obj))
+            rank_units.append(
+                RankUnits(rank_obj, config.pim, config.timings, config.geometry)
+            )
 
         db = Database()
         for name in names:
@@ -480,20 +482,6 @@ class PushTapEngine:
             spec = index_keys.get(name)
             index = (db.index(spec[0]), spec[1]) if spec is not None else None
             db.table(name).load_rows(rows, index)
-
-    @staticmethod
-    def _build_units(
-        config: SystemConfig, rank: Rank
-    ) -> Dict[Tuple[int, int], PIMUnit]:
-        units: Dict[Tuple[int, int], PIMUnit] = {}
-        unit_id = 0
-        for device in rank.devices:
-            for bank in device.banks:
-                units[(device.index, bank.index)] = PIMUnit(
-                    unit_id, bank, config.pim, config.timings, config.geometry
-                )
-                unit_id += 1
-        return units
 
     @staticmethod
     def _build_controller(

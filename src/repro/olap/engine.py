@@ -24,12 +24,11 @@ from repro.olap.operators import (
     HashOperation,
     RegionRows,
     RowSlice,
-    UnitIndex,
 )
 from repro.olap.cost import scan_bandwidth_per_unit
 from repro.pim.controller import _ControllerBase
 from repro.pim.executor import ExecutionResult, TwoPhaseExecutor
-from repro.pim.pim_unit import Condition
+from repro.pim.pim_unit import CYCLES_PER_ELEMENT, Condition, RankUnits
 from repro.pim.substrate import Substrate
 from repro.telemetry import registry as telemetry
 
@@ -166,7 +165,7 @@ class OLAPEngine:
         self,
         config: SystemConfig,
         controller: _ControllerBase,
-        units: UnitIndex,
+        units: RankUnits,
     ) -> None:
         self.config = config
         self.controller = controller
@@ -178,7 +177,7 @@ class OLAPEngine:
         #: while the telemetry registry's ``roofline`` flag is on.
         self.roofline_log: List[OperatorMetrics] = []
 
-    def _units_for(self, table: TableRuntime) -> UnitIndex:
+    def _units_for(self, table: TableRuntime) -> RankUnits:
         """The PIM units of the rank holding ``table``."""
         return table.units if table.units is not None else self.units
 
@@ -365,18 +364,25 @@ class OLAPEngine:
         build: HashOperation,
         probe: HashOperation,
         timing: QueryTiming,
-        num_buckets: int = 64,
         build_masks: Optional[Mapping[RowSlice, np.ndarray]] = None,
     ) -> qplan.JoinResult:
-        """Bucketized hash join; PIM bucket matching charged as compute."""
-        result = qplan.hash_join(build, probe, num_buckets, build_masks)
+        """Bucketized hash join; PIM bucket matching charged as compute.
+
+        The matching rows come from :func:`repro.olap.plan.hash_join`;
+        the units' share of the join is a charge, not a data path —
+        routing bucket pairs through ``PIMUnit.op_join`` would enumerate
+        every ``(probe, build)`` pair, which grows with the square of a
+        duplicated key's multiplicity and overflows the WRAM result
+        region.
+        """
+        result = qplan.hash_join(build, probe, build_masks)
         timing.add_cpu_bytes(result.cpu_bytes, self.config.total_cpu_bandwidth)
         # PIM units match buckets in parallel (§6.3): elements spread over
         # all units' tasklets at the join cycle cost.
         pim = self.config.pim
         per_unit = result.pim_elements / max(1, len(self.units))
         steps = per_unit / pim.tasklets
-        match_time = steps * 12 * pim.cycle_ns
+        match_time = steps * CYCLES_PER_ELEMENT["join"] * pim.cycle_ns
         timing.scan.compute_time += match_time
         timing.scan.total_time += match_time
         tel = telemetry.active()

@@ -2,10 +2,27 @@
 
 Each operator is a :class:`~repro.pim.executor.ChunkedOperation`: its work
 is a list of :class:`~repro.core.storage.BlockScan` items per PIM unit,
-chunked so each phase's data fits in half the WRAM. A load phase stages
-the snapshot-bitmap slice and the column bytes of up to
-``blocks_per_phase`` blocks into WRAM; the compute phase then runs the
-corresponding Fig. 7b operation per block.
+chunked so each phase's data fits in half the WRAM. A scan phase is *one*
+launch request that every participating unit executes on its own
+bank-local blocks, and it runs here as one array operation per step over
+all the phase's (unit, slot) pairs:
+
+* **load** — one gather from ``Rank.mem`` of the blocks' column bytes and
+  one of their snapshot-bitmap slices, each stored into the rank's WRAM
+  matrix (:class:`~repro.pim.pim_unit.RankUnits`) at the blocks' slot
+  offsets; an aggregation also stores the CPU-supplied index slices.
+* **compute** — the staged ``(blocks × rows)`` operands are read back
+  from the matrix, the operation's Fig. 7b kernel
+  (:mod:`repro.pim.pim_unit`) runs once over them, and the result is
+  written to the slots' result regions and harvested, split per
+  :class:`RowSlice`.
+
+Blocks of a phase that share a row count form one rectangular batch, so a
+phase is a single batch unless it holds the partial last block of a
+region. Simulated time and the units' work counters depend on the block
+geometry alone: they are worked out when the operation is planned (one
+cost per distinct row count, summed per unit in slot order) and charged
+per phase to the rank's counter matrices.
 
 Operators collect *functional* results (masks, group keys, hashes,
 partial sums) on the Python side, standing in for the CPU harvesting
@@ -16,20 +33,32 @@ result buffers; the harvest traffic is modelled via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from itertools import groupby, zip_longest
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.storage import BlockScan, TableStorage
-from repro.errors import QueryError
+from repro.core.storage import TableStorage
+from repro.errors import MemoryError_, ProtocolError, QueryError
 from repro.mvcc.metadata import Region
-from repro.pim.pim_unit import Condition, PIMUnit, bytes_to_uints
+from repro.pim.pim_unit import (
+    Condition,
+    PIMUnit,
+    RankUnits,
+    aggregation_kernel,
+    bytes_to_uints,
+    filter_kernel,
+    group_kernel,
+    hash_kernel,
+    uints_to_bytes,
+)
 from repro.pim.requests import LaunchRequest, OpType
 from repro.pim.timing import stream_time
+from repro.telemetry import registry as telemetry
 from repro.units import ceil_div
 
 __all__ = [
-    "UnitIndex",
     "FilterOperation",
     "GroupOperation",
     "AggregationOperation",
@@ -37,9 +66,6 @@ __all__ = [
     "RegionRows",
     "RowSlice",
 ]
-
-#: Maps (device, bank) to the PIM unit responsible for that bank.
-UnitIndex = Mapping[Tuple[int, int], PIMUnit]
 
 
 @dataclass(frozen=True)
@@ -59,16 +85,89 @@ class RowSlice:
     num_rows: int
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """The blocks of one phase that share a row count, as parallel arrays."""
+
+    num_rows: int
+    slices: List[RowSlice]
+    #: Row of each block's unit in the rank's WRAM / counter matrices.
+    unit_rows: np.ndarray
+    #: WRAM offset of each block's slot.
+    base: np.ndarray
+    device: np.ndarray
+    #: Device-local address of the first row's column bytes / bitmap slice.
+    addr: np.ndarray
+    bitmap_addr: np.ndarray
+
+
+def _runs(matrix: np.ndarray, nbytes: int, count: int = 1, stride: int = 0) -> np.ndarray:
+    """Every run of ``count`` pieces of ``nbytes`` bytes, ``stride`` apart,
+    in the rows of a byte matrix.
+
+    Element ``[row, start]`` is the run starting at byte ``start`` of
+    ``row``, as ``count`` opaque ``nbytes``-byte items — a view, so
+    indexing it with arrays of rows and starts gathers (or stores) many
+    runs at once, and NumPy checks every start against the last run that
+    fits in a row.
+    """
+    rows, size = matrix.shape
+    span = (count - 1) * stride + nbytes
+    return np.ndarray(
+        (rows, size - span + 1, count),
+        dtype=f"V{nbytes}",
+        buffer=matrix,
+        strides=(size, 1, stride),
+    )
+
+
+def _stream_time(unit: PIMUnit, nbytes: int) -> float:
+    """Modelled ns for ``unit`` to stream ``nbytes`` at its granularity."""
+    return stream_time(nbytes, unit.timings, unit.geometry, unit.config.access_granularity)
+
+
+class _PhaseCharges:
+    """What one phase costs each participating unit, in unit order.
+
+    Built from each unit's modelled per-block terms in slot order. The
+    phase times are their left-to-right sums, as a per-block walk adds
+    them; ``load_terms`` / ``compute_terms`` keep the terms apart as
+    ``(k, units)`` arrays (row ``k`` = every unit's ``k``-th term, 0 past
+    a unit's last), so the rank's time counters can be charged term by
+    term in that same order.
+    """
+
+    def __init__(self, load_terms, compute_terms, read_bytes, elements, scanned) -> None:
+        self.load_times = [_in_order(terms) for terms in load_terms]
+        self.compute_times = [_in_order(terms) for terms in compute_terms]
+        self.load_terms = np.array(list(zip_longest(*load_terms, fillvalue=0.0)))
+        self.compute_terms = np.array(list(zip_longest(*compute_terms, fillvalue=0.0)))
+        #: Per unit: DRAM bytes read, elements processed.
+        self.read_bytes = np.array(read_bytes)
+        self.elements = np.array(elements)
+        #: Column + bitmap bytes the whole phase stages.
+        self.scanned = sum(scanned)
+
+
+def _in_order(terms: Sequence[float]) -> float:
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 class _ColumnScanOperation:
-    """Shared machinery: plan, chunking, WRAM staging, bitmap loads."""
+    """Shared machinery: plan, chunking, WRAM staging, phase charges."""
 
     #: Bytes of WRAM the result region of one block may use.
     _RESULT_BYTES_PER_BLOCK = 4096
+    #: Compute-cost class of the operation's kernel.
+    _KIND = ""
 
     def __init__(
         self,
         storage: TableStorage,
-        units: UnitIndex,
+        units: RankUnits,
         column: str,
         rows: RegionRows,
     ) -> None:
@@ -79,37 +178,47 @@ class _ColumnScanOperation:
         self.width = storage.layout.schema.column(column).width
         #: DRAM bytes staged into WRAM by this operation (column + bitmap).
         self.bytes_scanned = 0
-        self._scans: List[Tuple[BlockScan, RowSlice]] = []
-        for region, count in (
-            (Region.DATA, rows.data_rows),
-            (Region.DELTA, rows.delta_rows),
-        ):
-            if count <= 0:
-                continue
-            for scan in storage.column_scan_plan(column, region, count):
-                self._scans.append(
-                    (scan, RowSlice(region, scan.base_row, scan.num_rows))
-                )
-        if not self._scans:
+        #: Bytes the CPU ships to or harvests from the units' WRAM.
+        self.cpu_transfer_bytes = 0
+        scans = [
+            (scan, RowSlice(region, scan.base_row, scan.num_rows))
+            for region, count in (
+                (Region.DATA, rows.data_rows),
+                (Region.DELTA, rows.delta_rows),
+            )
+            if count > 0
+            for scan in storage.column_scan_plan(column, region, count)
+        ]
+        if not scans:
             raise QueryError(f"nothing to scan for column {self.column!r}")
-        self._queues: Dict[Tuple[int, int], List[int]] = {}
-        for i, (scan, _) in enumerate(self._scans):
-            self._queues.setdefault((scan.device, scan.bank), []).append(i)
-        missing = [key for key in self._queues if key not in units]
+        missing = sorted({(scan.device, scan.bank) for scan, _ in scans} - units.keys())
         if missing:
             raise QueryError(f"no PIM unit for banks {missing}")
-        any_unit = next(iter(units.values()))
-        # The WRAM footprint is invariant per operation — compute it once
-        # and precompute every batch slot's offsets instead of rebuilding
-        # the dict on each of the per-block load/compute calls.
         self._block_wram_bytes = self._per_block_wram_bytes()
-        self._blocks_per_phase = self._compute_blocks_per_phase(any_unit)
-        self._chunks = max(
-            ceil_div(len(q), self._blocks_per_phase) for q in self._queues.values()
+        self._blocks_per_phase = self._compute_blocks_per_phase(
+            next(iter(units.values()))
         )
-        self._slot_offsets = [
-            self._offsets(slot) for slot in range(self._blocks_per_phase)
-        ]
+        block = storage.block_rows
+        data = block // 8
+        aux = data + block * self.width
+        #: WRAM offsets of a block's regions within its slot.
+        self._offsets = {
+            "bitmap": 0,
+            "data": data,
+            "aux": aux,
+            "result": aux + self._aux_bytes_per_block(),
+        }
+        self._plan(scans)
+        first = scans[0][0]
+        self._load_request = LaunchRequest(
+            OpType.LS,
+            {
+                "op0_addr": first.dram_addr % (1 << 24),
+                "op0_len": min(first.num_rows * self.width, 0xFFFF),
+                "op0_stride": first.stride,
+                "result_addr": 0,
+            },
+        )
 
     # -- WRAM budget ----------------------------------------------------
     def _per_block_wram_bytes(self) -> int:
@@ -132,108 +241,204 @@ class _ColumnScanOperation:
             )
         return max(1, budget // need)
 
-    def _offsets(self, batch_slot: int) -> Dict[str, int]:
-        """WRAM offsets of one block's regions within a phase batch."""
-        base = batch_slot * self._block_wram_bytes
-        block = self.storage.block_rows
-        bitmap = base
-        data = bitmap + block // 8
-        aux = data + block * self.width
-        result = aux + self._aux_bytes_per_block()
-        return {"bitmap": bitmap, "data": data, "aux": aux, "result": result}
+    # -- Planning --------------------------------------------------------
+    def _plan(self, scans) -> None:
+        """Place every block at a (phase, unit, slot) and price the phases.
+
+        One pass over the scan list, in scan order — which is each unit's
+        queue order, data region first. It validates the geometry (so a
+        bad block fails before any byte moves), looks up the modelled
+        costs (one set per distinct row count), and collects each unit's
+        charges per phase; the blocks of a phase are then grouped by row
+        count into the batches ``load`` / ``compute`` run on.
+        """
+        stride, piece = scans[0][0].stride, scans[0][0].chunk
+        if piece <= 0 or stride < piece:
+            raise ProtocolError(f"invalid stride/chunk {stride}/{piece}")
+        self._stride, self._piece = stride, piece
+        bitmap_bytes = self.storage.block_rows // 8
+        costs: Dict[int, tuple] = {}
+        queued: Dict[Tuple[int, int], int] = {}
+        # (phase, unit) → [load terms, compute terms, DRAM bytes read,
+        # elements, bytes scanned]
+        charges: Dict[tuple, list] = {}
+        placed = []
+        for index, (scan, row_slice) in enumerate(scans):
+            key = (scan.device, scan.bank)
+            unit = self.units[key]
+            count = scan.num_rows
+            if count not in costs:
+                costs[count] = self._block_costs(unit, count)
+            touched, moved, load_terms, compute_time = costs[count]
+            offset = scan.dram_addr - unit.bank.start
+            if offset < 0 or offset + touched > unit.bank.size:
+                raise MemoryError_(
+                    f"bank {unit.bank.index} access [{offset}, {offset + touched}) "
+                    f"out of range (size {unit.bank.size})"
+                )
+            position = queued.get(key, 0)
+            queued[key] = position + 1
+            phase, slot = divmod(position, self._blocks_per_phase)
+            placed.append(
+                (
+                    phase,
+                    count,
+                    unit.unit_id,
+                    slot * self._block_wram_bytes,
+                    scan.device,
+                    scan.dram_addr,
+                    self.storage.bitmap_block_slice_addr(row_slice.region, scan.block),
+                    index,
+                )
+            )
+            charge = charges.setdefault((phase, key), [[], [], 0, 0, 0])
+            charge[0] += load_terms
+            charge[1].append(compute_time)
+            charge[2] += moved + bitmap_bytes
+            charge[3] += count
+            charge[4] += count * self.width + bitmap_bytes
+        unit_keys = sorted(queued)
+        self._units = [self.units[key] for key in unit_keys]
+        self._unit_rows = np.array([unit.unit_id for unit in self._units])
+        chunks = ceil_div(max(queued.values()), self._blocks_per_phase)
+        idle = ([], [], 0, 0, 0)
+        self._charges = [
+            _PhaseCharges(*zip(*(charges.get((phase, key), idle) for key in unit_keys)))
+            for phase in range(chunks)
+        ]
+        # Batches: phase → row count (→ unit → slot), as views of one table.
+        placed.sort()
+        table = np.array(placed, dtype=np.intp)
+        self._batches: List[List[_Batch]] = [[] for _ in range(chunks)]
+        start = 0
+        for (phase, count), group in groupby(placed, itemgetter(0, 1)):
+            slices = [scans[block[-1]][1] for block in group]
+            rows = table[start : start + len(slices)]
+            start += len(slices)
+            self._batches[phase].append(_Batch(count, slices, *rows[:, 2:-1].T))
+
+    def _block_costs(self, unit: PIMUnit, num_rows: int) -> tuple:
+        """``(bank bytes touched, DRAM bytes moved, load-time terms, compute
+        time)`` of one block of ``num_rows`` rows — shape alone decides."""
+        touched, moved, _, load_time = unit.strided_cost(
+            num_rows * self.width, self._stride, self._piece
+        )
+        bitmap_time = _stream_time(unit, self.storage.block_rows // 8)
+        return (
+            touched,
+            moved,
+            [load_time, bitmap_time] + self._aux_load_terms(unit, num_rows),
+            unit.compute_cost(num_rows, self._KIND),
+        )
+
+    def _aux_load_terms(self, unit: PIMUnit, num_rows: int) -> List[float]:
+        """Modelled time(s) to stage one block's extra data; subclasses override."""
+        return []
 
     # -- ChunkedOperation interface --------------------------------------
     def num_chunks(self) -> int:
         """Phases needed to drain the longest unit queue."""
-        return self._chunks
+        return len(self._charges)
 
     def participating_units(self) -> Sequence[PIMUnit]:
         """Units owning at least one block of this scan."""
-        return [self.units[key] for key in sorted(self._queues)]
+        return self._units
 
     def load_request(self, chunk: int) -> LaunchRequest:
         """Representative LS request for the phase (Fig. 7b encoding)."""
-        scan, _ = self._scans[0]
-        return LaunchRequest(
-            OpType.LS,
-            {
-                "op0_addr": scan.dram_addr % (1 << 24),
-                "op0_len": min(scan.num_rows * self.width, 0xFFFF),
-                "op0_stride": scan.stride,
-                "result_addr": 0,
-            },
-        )
+        return self._load_request
 
     def compute_request(self, chunk: int) -> LaunchRequest:
-        raise NotImplementedError
+        """The operation's compute request (the same for every phase)."""
+        return self._compute_request
 
-    def _batch(self, unit_key: Tuple[int, int], chunk: int) -> List[int]:
-        queue = self._queues.get(unit_key, [])
-        start = chunk * self._blocks_per_phase
-        return queue[start : start + self._blocks_per_phase]
+    def load(self, chunk: int) -> List[float]:
+        """Stage bitmap + column bytes of this phase's blocks into WRAM.
 
-    def load(self, unit: PIMUnit, chunk: int) -> float:
-        """Stage bitmap + column bytes of this phase's blocks into WRAM."""
-        time = 0.0
-        key = (unit.bank.device.index, unit.bank.index)
-        bank_base = unit.bank.start
-        for batch_slot, scan_index in enumerate(self._batch(key, chunk)):
-            scan, row_slice = self._scans[scan_index]
-            offsets = self._slot_offsets[batch_slot]
-            time += unit.load_strided(
-                scan.dram_addr - bank_base,
-                scan.num_rows * self.width,
-                scan.stride,
-                scan.chunk,
-                offsets["data"],
-            )
-            time += self._load_bitmap(unit, scan, row_slice, offsets["bitmap"])
-            time += self._load_aux(unit, scan, row_slice, offsets)
-            self.bytes_scanned += scan.num_rows * self.width + self.storage.block_rows // 8
-        return time
-
-    def _load_bitmap(
-        self, unit: PIMUnit, scan: BlockScan, row_slice: RowSlice, offset: int
-    ) -> float:
-        """Stage the block's snapshot-bitmap slice.
-
-        Functionally read from the device's bitmap copy; each bank keeps a
-        replica of its rows' bits (§5.2), so the modelled cost is a local
-        stream of the slice.
+        Functionally the bitmap slice is read from the device's bitmap
+        copy; each bank keeps a replica of its rows' bits (§5.2), so the
+        modelled cost is a local stream of the slice.
         """
-        addr = self.storage.bitmap_block_slice_addr(row_slice.region, scan.block)
-        nbytes = self.storage.block_rows // 8
-        device = unit.bank.device.index
-        data = self.storage.rank.device_read(device, addr, nbytes)
-        unit.wram_write(offset, data)
-        time = stream_time(
-            nbytes, unit.timings, unit.geometry, unit.config.access_granularity
-        )
-        unit.stats.dram_bytes_read += nbytes
-        unit.stats.load_time += time
-        return time
+        batches = self._batches[chunk]
+        # Operator inputs are checked for the whole phase before a byte moves.
+        extras = [self._aux_block(batch) for batch in batches]
+        mem = self.storage.rank.mem
+        bitmap_bytes = self.storage.block_rows // 8
+        for batch, extra in zip(batches, extras):
+            length = batch.num_rows * self.width
+            pieces = ceil_div(length, self._piece)
+            column = _runs(mem, self._piece, pieces, self._stride)[batch.device, batch.addr]
+            self._write(batch, "data", column.view(np.uint8)[:, :length])
+            bitmap = _runs(mem, bitmap_bytes)[batch.device, batch.bitmap_addr]
+            self._write(batch, "bitmap", bitmap.view(np.uint8))
+            if extra is not None:
+                self._write(batch, "aux", extra)
+                self.cpu_transfer_bytes += extra.size
+        tel = telemetry.active()
+        if tel.enabled and tel.roofline:
+            self._track_rows(chunk)
+        charges = self._charges[chunk]
+        self.units.counts[self._unit_rows, 0] += charges.read_bytes
+        for term in charges.load_terms:
+            self.units.times[self._unit_rows, 0] += term
+        self.bytes_scanned += charges.scanned
+        return charges.load_times
 
-    def _load_aux(
-        self, unit: PIMUnit, scan: BlockScan, row_slice: RowSlice, offsets: Dict[str, int]
-    ) -> float:
-        """Stage operator-specific extra data; subclasses override."""
-        return 0.0
+    def _aux_block(self, batch: _Batch) -> Optional[np.ndarray]:
+        """Operator-specific ``(blocks, bytes)`` extra data to stage."""
+        return None
 
-    def compute(self, unit: PIMUnit, chunk: int) -> float:
-        """Run the compute phase on this phase's staged blocks."""
-        time = 0.0
-        key = (unit.bank.device.index, unit.bank.index)
-        for batch_slot, scan_index in enumerate(self._batch(key, chunk)):
-            scan, row_slice = self._scans[scan_index]
-            time += self._compute_block(
-                unit, scan, row_slice, self._slot_offsets[batch_slot]
+    def _track_rows(self, chunk: int) -> None:
+        """Show each unit's row-buffer shadow this phase's column loads,
+        in slot order — a per-block walk, taken only under the telemetry
+        registry's ``roofline`` flag."""
+        units = {unit.unit_id: unit for unit in self._units}
+        blocks = sorted(
+            (row, base, addr, batch.num_rows)
+            for batch in self._batches[chunk]
+            for row, base, addr in zip(
+                batch.unit_rows.tolist(), batch.base.tolist(), batch.addr.tolist()
             )
-        return time
+        )
+        for row, _, addr, count in blocks:
+            unit = units[row]
+            _, moved, span, _ = unit.strided_cost(
+                count * self.width, self._stride, self._piece
+            )
+            unit.track_rows(addr - unit.bank.start, span, moved=moved)
 
-    def _compute_block(
-        self, unit: PIMUnit, scan: BlockScan, row_slice: RowSlice, offsets: Dict[str, int]
-    ) -> float:
+    def compute(self, chunk: int) -> List[float]:
+        """Run the operation's kernel over this phase's staged blocks."""
+        for batch in self._batches[chunk]:
+            count = batch.num_rows
+            values = bytes_to_uints(self._read(batch, "data", count * self.width), self.width)
+            bits = np.unpackbits(
+                self._read(batch, "bitmap", ceil_div(count, 8)), axis=1, bitorder="little"
+            )
+            self._compute_batch(batch, values, bits[:, :count].view(bool))
+        charges = self._charges[chunk]
+        self.units.counts[self._unit_rows, 2] += charges.elements
+        for term in charges.compute_terms:
+            self.units.times[self._unit_rows, 1] += term
+        return charges.compute_times
+
+    def _compute_batch(self, batch: _Batch, values: np.ndarray, visible: np.ndarray) -> None:
+        """Kernel + result write + harvest for one batch; ``values`` and
+        ``visible`` are ``(blocks, rows)``."""
         raise NotImplementedError
+
+    # -- WRAM matrix access ------------------------------------------------
+    def _read(self, batch: _Batch, region: str, nbytes: int) -> np.ndarray:
+        """``nbytes`` of every block's ``region`` → ``(blocks, nbytes)``."""
+        starts = batch.base + self._offsets[region]
+        return _runs(self.units.wram, nbytes)[batch.unit_rows, starts].view(np.uint8)
+
+    def _write(self, batch: _Batch, region: str, data: np.ndarray) -> None:
+        """Store ``(blocks, nbytes)`` at the start of every block's ``region``."""
+        data = np.ascontiguousarray(data)
+        nbytes = data.shape[1]
+        starts = batch.base + self._offsets[region]
+        _runs(self.units.wram, nbytes)[batch.unit_rows, starts] = data.view(f"V{nbytes}")
 
 
 class FilterOperation(_ColumnScanOperation):
@@ -243,10 +448,12 @@ class FilterOperation(_ColumnScanOperation):
     into :attr:`masks` keyed by row slice.
     """
 
+    _KIND = "filter"
+
     def __init__(
         self,
         storage: TableStorage,
-        units: UnitIndex,
+        units: RankUnits,
         column: str,
         condition: Condition,
         rows: RegionRows,
@@ -254,31 +461,17 @@ class FilterOperation(_ColumnScanOperation):
         super().__init__(storage, units, column, rows)
         self.condition = condition
         self.masks: Dict[RowSlice, np.ndarray] = {}
-        self.cpu_transfer_bytes = 0
-
-    def compute_request(self, chunk: int) -> LaunchRequest:
-        return LaunchRequest(
+        self._compute_request = LaunchRequest(
             OpType.FILTER,
-            {
-                "data_width": self.width,
-                "condition": self.condition.encode(),
-            },
+            {"data_width": self.width, "condition": condition.encode()},
         )
 
-    def _compute_block(self, unit, scan, row_slice, offsets) -> float:
-        time = unit.op_filter(
-            offsets["bitmap"],
-            offsets["data"],
-            offsets["result"],
-            self.width,
-            self.condition,
-            scan.num_rows,
-        )
-        packed = unit.wram_read(offsets["result"], ceil_div(scan.num_rows, 8))
-        mask = np.unpackbits(packed, bitorder="little")[: scan.num_rows].astype(bool)
-        self.masks[row_slice] = mask
-        self.cpu_transfer_bytes += len(packed)
-        return time
+    def _compute_batch(self, batch, values, visible) -> None:
+        matches = filter_kernel(values, visible, self.condition)
+        packed = np.packbits(matches, axis=1, bitorder="little")
+        self._write(batch, "result", packed)
+        self.masks.update(zip(batch.slices, matches))
+        self.cpu_transfer_bytes += packed.size
 
 
 class GroupOperation(_ColumnScanOperation):
@@ -288,45 +481,42 @@ class GroupOperation(_ColumnScanOperation):
     (see :func:`repro.olap.plan.merge_group_blocks`).
     """
 
+    _KIND = "group"
     #: WRAM reserved for the per-block dictionary.
     _DICT_CAPACITY = 256
 
     def __init__(
         self,
         storage: TableStorage,
-        units: UnitIndex,
+        units: RankUnits,
         column: str,
         rows: RegionRows,
     ) -> None:
         super().__init__(storage, units, column, rows)
         self.block_dicts: Dict[RowSlice, np.ndarray] = {}
         self.block_indices: Dict[RowSlice, np.ndarray] = {}
-        self.cpu_transfer_bytes = 0
+        self._compute_request = LaunchRequest(OpType.GROUP, {"data_width": self.width})
 
     def _aux_bytes_per_block(self) -> int:
         return self._DICT_CAPACITY * self.width
 
-    def compute_request(self, chunk: int) -> LaunchRequest:
-        return LaunchRequest(OpType.GROUP, {"data_width": self.width})
-
-    def _compute_block(self, unit, scan, row_slice, offsets) -> float:
-        time = unit.op_group(
-            offsets["bitmap"],
-            offsets["data"],
-            offsets["aux"],
-            offsets["result"],
-            self.width,
-            scan.num_rows,
-            dict_capacity=self._DICT_CAPACITY,
+    def _compute_batch(self, batch, values, visible) -> None:
+        dictionaries, indices = group_kernel(values, visible, self._DICT_CAPACITY)
+        self._write(batch, "result", indices.view(np.uint8))
+        # The dictionaries are ragged: store their bytes through one flat
+        # index, block b's run starting at its slot's dictionary region.
+        sizes = np.array([len(d) for d in dictionaries]) * self.width
+        starts = (
+            batch.unit_rows * self.units.wram.shape[1] + batch.base + self._offsets["aux"]
         )
-        indices = unit.wram_read(offsets["result"], scan.num_rows * 2).view(np.uint16)
-        visible = indices != 0xFFFF
-        num_groups = int(indices[visible].max()) + 1 if visible.any() else 0
-        keys_raw = unit.wram_read(offsets["aux"], num_groups * self.width)
-        self.block_dicts[row_slice] = bytes_to_uints(keys_raw, self.width)
-        self.block_indices[row_slice] = indices.copy()
-        self.cpu_transfer_bytes += num_groups * self.width + scan.num_rows * 2
-        return time
+        ends = np.cumsum(sizes)
+        flat = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
+        self.units.wram.reshape(-1)[flat] = uints_to_bytes(
+            np.concatenate(dictionaries), self.width
+        )
+        self.block_dicts.update(zip(batch.slices, dictionaries))
+        self.block_indices.update(zip(batch.slices, indices))
+        self.cpu_transfer_bytes += int(ends[-1]) + indices.nbytes
 
 
 class AggregationOperation(_ColumnScanOperation):
@@ -338,10 +528,12 @@ class AggregationOperation(_ColumnScanOperation):
     modelled as aux load traffic.
     """
 
+    _KIND = "aggregation"
+
     def __init__(
         self,
         storage: TableStorage,
-        units: UnitIndex,
+        units: RankUnits,
         column: str,
         rows: RegionRows,
         indices: Mapping[RowSlice, np.ndarray],
@@ -354,7 +546,9 @@ class AggregationOperation(_ColumnScanOperation):
         self.num_groups = num_groups
         super().__init__(storage, units, column, rows)
         self.partials: Dict[RowSlice, np.ndarray] = {}
-        self.cpu_transfer_bytes = 0
+        self._compute_request = LaunchRequest(
+            OpType.AGGREGATION, {"data_width": self.width}
+        )
 
     def _aux_bytes_per_block(self) -> int:
         return self.storage.block_rows * 2
@@ -362,48 +556,39 @@ class AggregationOperation(_ColumnScanOperation):
     def _per_block_wram_bytes(self) -> int:
         return super()._per_block_wram_bytes() + self.num_groups * 8
 
-    def compute_request(self, chunk: int) -> LaunchRequest:
-        return LaunchRequest(OpType.AGGREGATION, {"data_width": self.width})
-
-    def _load_aux(self, unit, scan, row_slice, offsets) -> float:
-        try:
-            indices = self.indices[row_slice]
-        except KeyError:
-            raise QueryError(
-                f"no group indices for rows {row_slice} — run the group scan "
-                "over the same regions first"
-            ) from None
-        if len(indices) != scan.num_rows:
-            raise QueryError(
-                f"index slice for {row_slice} has {len(indices)} entries, "
-                f"expected {scan.num_rows}"
-            )
-        arr = np.asarray(indices, dtype=np.uint16)
-        unit.wram_write(offsets["aux"], arr.view(np.uint8))
-        self.cpu_transfer_bytes += arr.nbytes
+    def _aux_load_terms(self, unit: PIMUnit, num_rows: int) -> List[float]:
         # CPU→WRAM transfer rides the memory bus; modelled as a stream.
-        time = stream_time(
-            arr.nbytes, unit.timings, unit.geometry, unit.config.access_granularity
-        )
-        unit.stats.load_time += time
-        return time
+        return [_stream_time(unit, num_rows * 2)]
 
-    def _compute_block(self, unit, scan, row_slice, offsets) -> float:
-        acc_offset = offsets["result"]
-        unit.wram_write(acc_offset, np.zeros(self.num_groups * 8, dtype=np.uint8))
-        time = unit.op_aggregation(
-            offsets["bitmap"],
-            offsets["data"],
-            offsets["aux"],
-            acc_offset,
-            self.width,
-            scan.num_rows,
-            self.num_groups,
+    def _aux_block(self, batch: _Batch) -> np.ndarray:
+        blocks = []
+        for row_slice in batch.slices:
+            try:
+                indices = self.indices[row_slice]
+            except KeyError:
+                raise QueryError(
+                    f"no group indices for rows {row_slice} — run the group scan "
+                    "over the same regions first"
+                ) from None
+            if len(indices) != batch.num_rows:
+                raise QueryError(
+                    f"index slice for {row_slice} has {len(indices)} entries, "
+                    f"expected {batch.num_rows}"
+                )
+            blocks.append(indices)
+        return np.array(blocks, dtype=np.uint16).view(np.uint8)
+
+    def _compute_batch(self, batch, values, visible) -> None:
+        indices = self._read(batch, "aux", batch.num_rows * 2).view(np.uint16)
+        partials = aggregation_kernel(
+            values,
+            visible,
+            indices,
+            np.zeros((len(batch.slices), self.num_groups), dtype=np.uint64),
         )
-        partial = unit.wram_read(acc_offset, self.num_groups * 8).view(np.uint64)
-        self.partials[row_slice] = partial.copy()
-        self.cpu_transfer_bytes += partial.nbytes
-        return time
+        self._write(batch, "result", partials.view(np.uint8))
+        self.partials.update(zip(batch.slices, partials))
+        self.cpu_transfer_bytes += partials.nbytes
 
     def total(self) -> np.ndarray:
         """CPU-side merge of all per-block partial sums."""
@@ -416,10 +601,12 @@ class AggregationOperation(_ColumnScanOperation):
 class HashOperation(_ColumnScanOperation):
     """Key hashing for hash join (Fig. 7b ``Hash``)."""
 
+    _KIND = "hash"
+
     def __init__(
         self,
         storage: TableStorage,
-        units: UnitIndex,
+        units: RankUnits,
         column: str,
         rows: RegionRows,
         hash_function: int = 0,
@@ -428,26 +615,14 @@ class HashOperation(_ColumnScanOperation):
         self.hash_function = hash_function
         self.hashes: Dict[RowSlice, np.ndarray] = {}
         self.values: Dict[RowSlice, np.ndarray] = {}
-        self.cpu_transfer_bytes = 0
-
-    def compute_request(self, chunk: int) -> LaunchRequest:
-        return LaunchRequest(
+        self._compute_request = LaunchRequest(
             OpType.HASH,
-            {"data_width": self.width, "hash_function": self.hash_function},
+            {"data_width": self.width, "hash_function": hash_function},
         )
 
-    def _compute_block(self, unit, scan, row_slice, offsets) -> float:
-        time = unit.op_hash(
-            offsets["bitmap"],
-            offsets["data"],
-            offsets["result"],
-            self.width,
-            scan.num_rows,
-            self.hash_function,
-        )
-        hashes = unit.wram_read(offsets["result"], scan.num_rows * 4).view(np.uint32)
-        self.hashes[row_slice] = hashes.copy()
-        raw = unit.wram_read(offsets["data"], scan.num_rows * self.width)
-        self.values[row_slice] = bytes_to_uints(raw, self.width)
+    def _compute_batch(self, batch, values, visible) -> None:
+        hashes = hash_kernel(values, visible, self.hash_function)
+        self._write(batch, "result", hashes.view(np.uint8))
+        self.hashes.update(zip(batch.slices, hashes))
+        self.values.update(zip(batch.slices, values))
         self.cpu_transfer_bytes += hashes.nbytes
-        return time

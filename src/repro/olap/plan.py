@@ -5,12 +5,17 @@ cooperation: merging per-block group dictionaries into global group ids,
 combining filter masks, and exchanging hash buckets between banks. These
 helpers do the functional work and report the CPU traffic they imply so
 the engine can convert it to time.
+
+The join is array code over the concatenated row slices of both scans: a
+semi-join, in each direction, on the staged key values
+(:func:`hash_join`). It enumerates no ``(probe, build)`` pairs, so
+duplicate keys cost nothing extra, and needs no collision pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,14 +143,16 @@ class JoinResult:
     ``probe_masks`` marks which probe-side rows matched (usable as a
     filter for a follow-up aggregation); ``build_masks_out`` marks build
     rows with at least one probe match (semi-join the other way);
-    ``matches`` counts join pairs.
+    ``matches`` counts the probe rows that matched — a probe row counts
+    once however many build rows carry its key, so this is not the
+    number of join pairs.
     """
 
     probe_masks: Dict[RowSlice, np.ndarray]
     matches: int
     cpu_bytes: int
     pim_elements: int
-    build_masks_out: Dict[RowSlice, np.ndarray] = None
+    build_masks_out: Optional[Dict[RowSlice, np.ndarray]] = None
 
     @property
     def matched_build_rows(self) -> int:
@@ -155,65 +162,69 @@ class JoinResult:
         return int(sum(m.sum() for m in self.build_masks_out.values()))
 
 
+def _concatenated(arrays: Iterable[np.ndarray], dtype) -> np.ndarray:
+    """The per-slice arrays of one scan side as one array, in slice order."""
+    arrays = list(arrays)
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
+
+
+def _per_slice(
+    flat: np.ndarray, slices: Mapping[RowSlice, np.ndarray]
+) -> Dict[RowSlice, np.ndarray]:
+    """Split a concatenated per-row array back into the slices it came from."""
+    cuts = np.cumsum([len(rows) for rows in slices.values()])[:-1]
+    return dict(zip(slices, np.split(flat, cuts)))
+
+
 def hash_join(
     build: HashOperation,
     probe: HashOperation,
-    num_buckets: int = 64,
     build_masks: Optional[Mapping[RowSlice, np.ndarray]] = None,
 ) -> JoinResult:
-    """Join two hash scans following the bucket division of §6.3 / [38].
+    """Join two hash scans (§6.3 / [38]) as a semi-join over the staged keys.
 
-    The CPU fetches both sides' hashes, divides them into ``num_buckets``
-    buckets, and hands each bucket pair to PIM units; here the per-bucket
-    match is done functionally on the CPU side while ``pim_elements``
-    carries the modelled PIM join workload (the engine converts it to
-    time using the join cycle cost).
+    The CPU fetches both sides' hashes (``cpu_bytes``) and the PIM units
+    match them bucket by bucket; ``pim_elements`` — the live rows of both
+    sides — carries that modelled workload, which the engine converts to
+    time at the join cycle cost. Which rows match is decided here on the
+    staged key values, so the result is exact whatever the hashes
+    collide on: a probe row matches when its key is among the live build
+    keys, and a build row when its key is among the live probe keys.
+    The bucket division itself is not materialised — equal keys have
+    equal hashes and so share a bucket, hence dividing the hashes into
+    buckets cannot change which rows match, only where the units would
+    match them. That holds within one hash function only: both scans
+    must have used the same one.
 
-    Hash collisions are resolved against the staged key values, so the
-    result is exact. ``build_masks`` optionally restricts the build side
-    to rows passing an earlier filter (e.g. Q9's item predicate).
+    ``build_masks`` optionally restricts the build side to rows passing
+    an earlier filter (e.g. Q9's item predicate).
     """
-    if num_buckets <= 0:
-        raise QueryError("num_buckets must be positive")
-    build_keys: Dict[int, set] = {}
-    cpu_bytes = 0
-    pim_elements = 0
-    for row_slice, hashes in build.hashes.items():
-        values = build.values[row_slice]
-        cpu_bytes += hashes.nbytes
-        mask = build_masks.get(row_slice) if build_masks is not None else None
-        if build_masks is not None and mask is None:
-            raise QueryError(f"build mask missing for rows {row_slice}")
-        for i, (h, v) in enumerate(zip(hashes, values)):
-            if h == 0 or (mask is not None and not mask[i]):
-                continue
-            build_keys.setdefault(int(h) % num_buckets, set()).add(int(v))
-            pim_elements += 1
-    probe_masks: Dict[RowSlice, np.ndarray] = {}
-    matched_values: set = set()
-    matches = 0
-    for row_slice, hashes in probe.hashes.items():
-        values = probe.values[row_slice]
-        cpu_bytes += hashes.nbytes
-        mask = np.zeros(len(hashes), dtype=bool)
-        for i, (h, v) in enumerate(zip(hashes, values)):
-            if h == 0:
-                continue
-            pim_elements += 1
-            bucket = build_keys.get(int(h) % num_buckets)
-            if bucket is not None and int(v) in bucket:
-                mask[i] = True
-                matches += 1
-                matched_values.add(int(v))
-        probe_masks[row_slice] = mask
-    build_masks_out: Dict[RowSlice, np.ndarray] = {}
-    for row_slice, hashes in build.hashes.items():
-        values = build.values[row_slice]
-        in_mask = build_masks.get(row_slice) if build_masks is not None else None
-        out = np.zeros(len(hashes), dtype=bool)
-        for i, (h, v) in enumerate(zip(hashes, values)):
-            if h == 0 or (in_mask is not None and not in_mask[i]):
-                continue
-            out[i] = int(v) in matched_values
-        build_masks_out[row_slice] = out
-    return JoinResult(probe_masks, matches, cpu_bytes, pim_elements, build_masks_out)
+    if build.hash_function != probe.hash_function:
+        raise QueryError(
+            f"cannot join {build.column!r} hashed with function "
+            f"{build.hash_function} to {probe.column!r} hashed with function "
+            f"{probe.hash_function}: equal keys share a bucket only under one "
+            "hash function"
+        )
+    build_hashes = _concatenated(build.hashes.values(), np.uint32)
+    probe_hashes = _concatenated(probe.hashes.values(), np.uint32)
+    build_keys = _concatenated(build.values.values(), np.uint64)
+    probe_keys = _concatenated(probe.values.values(), np.uint64)
+    # Hash 0 marks a row the snapshot hides.
+    build_live = build_hashes != 0
+    probe_live = probe_hashes != 0
+    if build_masks is not None:
+        for row_slice in build.hashes:
+            if row_slice not in build_masks:
+                raise QueryError(f"build mask missing for rows {row_slice}")
+        build_live &= _concatenated((build_masks[s] for s in build.hashes), bool)
+    probe_matched = probe_live & np.isin(probe_keys, build_keys[build_live])
+    build_matched = build_live & np.isin(build_keys, probe_keys[probe_live])
+    return JoinResult(
+        probe_masks=_per_slice(probe_matched, probe.hashes),
+        matches=int(probe_matched.sum()),
+        cpu_bytes=sum(h.nbytes for h in build.hashes.values())
+        + sum(h.nbytes for h in probe.hashes.values()),
+        pim_elements=int(build_live.sum()) + int(probe_live.sum()),
+        build_masks_out=_per_slice(build_matched, build.hashes),
+    )

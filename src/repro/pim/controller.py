@@ -456,8 +456,11 @@ class PushTapController(_ControllerBase):
         type is a protocol violation and raises :class:`ProtocolError`.
         """
         # Compare canonical encodings: omitted fields default to 0, so a
-        # decoded request equals the literal it was encoded from.
-        if self._pending is None or self._pending.encode() != request.encode():
+        # decoded request equals the literal it was encoded from. (The
+        # pending object itself needs no encoding to equal itself.)
+        if self._pending is None or (
+            self._pending is not request and self._pending.encode() != request.encode()
+        ):
             raise ProtocolError("finish does not match the pending request")
         self._pending = None
         if request.op.needs_bank_handover and not self.mode_batch_active:

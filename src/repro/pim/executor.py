@@ -44,8 +44,11 @@ RETRY_BACKOFF_BASE_NS = 100.0
 class ChunkedOperation(Protocol):
     """Work split into WRAM-sized chunks per PIM unit.
 
-    Implementations perform real data movement/compute on the given unit
-    and return the modelled time of each call.
+    A phase is one launch request that every participating unit executes
+    at once, so ``load`` / ``compute`` take the chunk alone: an
+    implementation moves the real bytes of *all* its units for that phase
+    and returns each unit's modelled time, in
+    :meth:`participating_units` order.
     """
 
     def num_chunks(self) -> int:
@@ -64,12 +67,12 @@ class ChunkedOperation(Protocol):
         """The compute launch request for phase ``chunk``."""
         ...
 
-    def load(self, unit: PIMUnit, chunk: int) -> float:
-        """Run the load phase for one unit; returns unit-local time."""
+    def load(self, chunk: int) -> Sequence[float]:
+        """Run the load phase on every unit; returns unit-local times."""
         ...
 
-    def compute(self, unit: PIMUnit, chunk: int) -> float:
-        """Run the compute phase for one unit; returns unit-local time."""
+    def compute(self, chunk: int) -> Sequence[float]:
+        """Run the compute phase on every unit; returns unit-local times."""
         ...
 
 
@@ -219,8 +222,8 @@ class TwoPhaseExecutor:
             if load_req.op != OpType.LS and load_req.op != OpType.DEFRAGMENT:
                 raise QueryError(f"load phase must be LS/Defragment, got {load_req.op.name}")
             launch_cost = self._launch_with_retry(load_req)
-            unit_load_times = [(unit, op.load(unit, chunk)) for unit in units]
-            load_time = max(t for _, t in unit_load_times)
+            unit_load_times = op.load(chunk)
+            load_time = max(unit_load_times)
             self.controller.finish(load_req)
             if tel.enabled:
                 span = tel.record_span(
@@ -230,7 +233,7 @@ class TwoPhaseExecutor:
                 )
                 if detail:
                     self._record_unit_spans(
-                        tel, "pim.unit.load", span.start, chunk, unit_load_times
+                        tel, "pim.unit.load", span.start, chunk, units, unit_load_times
                     )
             poll_cost = self._poll_with_retry()
 
@@ -241,8 +244,8 @@ class TwoPhaseExecutor:
                 )
             op_name = compute_req.op.name
             c_launch_cost = self._launch_with_retry(compute_req)
-            unit_compute_times = [(unit, op.compute(unit, chunk)) for unit in units]
-            compute_time = max(t for _, t in unit_compute_times)
+            unit_compute_times = op.compute(chunk)
+            compute_time = max(unit_compute_times)
             self.controller.finish(compute_req)
             if tel.enabled:
                 span = tel.record_span(
@@ -252,7 +255,7 @@ class TwoPhaseExecutor:
                 )
                 if detail:
                     self._record_unit_spans(
-                        tel, "pim.unit.compute", span.start, chunk, unit_compute_times
+                        tel, "pim.unit.compute", span.start, chunk, units, unit_compute_times
                     )
             c_poll_cost = self._poll_with_retry()
 
@@ -324,14 +327,14 @@ class TwoPhaseExecutor:
         return result
 
     @staticmethod
-    def _record_unit_spans(tel, name, phase_start, chunk, unit_times) -> None:
+    def _record_unit_spans(tel, name, phase_start, chunk, units, unit_times) -> None:
         """Per-unit parallel lanes under one phase span.
 
         Units run concurrently, so each unit span starts with the phase
         and carries its own duration; explicit starts keep the serial
         cursor untouched.
         """
-        for unit, unit_time in unit_times:
+        for unit, unit_time in zip(units, unit_times):
             if unit_time <= 0.0:
                 continue
             tel.record_span(

@@ -14,24 +14,47 @@ Every method is functional (real bytes move) and returns the modelled time
 in nanoseconds. DRAM-side time uses the streaming model of
 :mod:`repro.pim.timing`; compute time is ``ceil(n / tasklets)`` element
 steps at a few cycles per element.
+
+The compute phases are thin: each stages one block out of WRAM, calls the
+operation's *kernel* — a pure array function over a leading block axis
+(:func:`filter_kernel`, :func:`group_kernel`, :func:`aggregation_kernel`,
+:func:`hash_kernel`) — and writes the result back. The OLAP operators
+call the same kernels once per phase on every block of a rank, staged
+through :class:`RankUnits`, which keeps a rank's scratchpads and work
+counters in shared matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
 import numpy as np
 
 from repro.core.config import DRAMTimings, DeviceGeometry, PIMUnitConfig
 from repro.errors import MemoryError_, ProtocolError
 from repro.pim.device import Bank
+from repro.pim.memory import Rank
 from repro.pim.timing import BankTimingModel, stream_time
 from repro.telemetry import registry as telemetry
 from repro.units import ceil_div
 
-__all__ = ["PIMUnit", "PIMUnitStats", "bytes_to_uints", "uints_to_bytes", "Condition"]
+__all__ = [
+    "PIMUnit",
+    "PIMUnitStats",
+    "RankUnits",
+    "CYCLES_PER_ELEMENT",
+    "bytes_to_uints",
+    "uints_to_bytes",
+    "Condition",
+    "filter_kernel",
+    "group_kernel",
+    "aggregation_kernel",
+    "hash_kernel",
+]
 
 #: Modelled compute cost per element, in PIM cycles per tasklet.
-_CYCLES_PER_ELEMENT = {
+CYCLES_PER_ELEMENT = {
     "filter": 4,
     "group": 8,
     "aggregation": 6,
@@ -46,21 +69,31 @@ _NATIVE_WIDTHS = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 
 def bytes_to_uints(raw: np.ndarray, width: int) -> np.ndarray:
-    """Decode a flat byte array into little-endian unsigned ints.
+    """Decode bytes into little-endian unsigned ints along the last axis.
 
-    ``width`` may be 1–8 bytes; the result dtype is ``uint64``.
+    ``width`` may be 1–8 bytes; the result dtype is ``uint64``. Leading
+    axes are kept, so ``(blocks, rows * width)`` bytes decode to
+    ``(blocks, rows)`` values.
     """
     raw = np.ascontiguousarray(raw, dtype=np.uint8)
     if width <= 0 or width > 8:
         raise ProtocolError(f"element width must be 1..8, got {width}")
-    if len(raw) % width != 0:
-        raise ProtocolError(f"byte length {len(raw)} not a multiple of width {width}")
+    if raw.shape[-1] % width != 0:
+        raise ProtocolError(
+            f"byte length {raw.shape[-1]} not a multiple of width {width}"
+        )
     if width in _NATIVE_WIDTHS:
         return raw.view(_NATIVE_WIDTHS[width]).astype(np.uint64)
-    # Widths 3/5/6/7 have no dtype to view as: positional weights.
-    mat = raw.reshape(-1, width).astype(np.uint64)
-    weights = (np.uint64(1) << (np.uint64(8) * np.arange(width, dtype=np.uint64)))
-    return (mat * weights).sum(axis=1, dtype=np.uint64)
+    # Widths 3/5/6/7 have no dtype to view as: read 8 bytes at every
+    # element (a zero pad covers the last one's overhang) and mask off
+    # what belongs to its neighbour.
+    padded = np.zeros(raw.size + 8 - width, dtype=np.uint8)
+    padded[: raw.size] = raw.reshape(-1)
+    wide = np.ndarray(
+        (raw.size // width,), dtype=_NATIVE_WIDTHS[8], buffer=padded, strides=(width,)
+    )
+    mask = np.uint64((1 << (8 * width)) - 1)
+    return (wide & mask).reshape(raw.shape[:-1] + (-1,))
 
 
 def uints_to_bytes(values: np.ndarray, width: int) -> np.ndarray:
@@ -125,15 +158,42 @@ class Condition:
         return values >= operand
 
 
-@dataclass
-class PIMUnitStats:
-    """Accumulated work counters of one PIM unit."""
+def _counter(row: str, index: int) -> property:
+    """A :class:`PIMUnitStats` field kept at ``index`` of one of its rows."""
 
-    dram_bytes_read: int = 0
-    dram_bytes_written: int = 0
-    elements_processed: int = 0
-    load_time: float = 0.0
-    compute_time: float = 0.0
+    def fget(self):
+        return getattr(self, row)[index]
+
+    def fset(self, value) -> None:
+        getattr(self, row)[index] = value
+
+    return property(fget, fset)
+
+
+class PIMUnitStats:
+    """Accumulated work counters of one PIM unit.
+
+    The numbers sit in two array rows — ``counts`` (int64: DRAM bytes
+    read, DRAM bytes written, elements processed) and ``times`` (float64:
+    load, compute) — so a rank can keep all its units' rows in two
+    matrices and charge a phase to every unit with one array add
+    (:class:`RankUnits`). A stand-alone unit allocates its own rows.
+    Fields read and write as plain Python numbers.
+    """
+
+    __slots__ = ("_counts", "_times")
+
+    def __init__(
+        self, counts: Optional[np.ndarray] = None, times: Optional[np.ndarray] = None
+    ) -> None:
+        self._counts = memoryview(np.zeros(3, dtype=np.int64) if counts is None else counts)
+        self._times = memoryview(np.zeros(2) if times is None else times)
+
+    dram_bytes_read = _counter("_counts", 0)
+    dram_bytes_written = _counter("_counts", 1)
+    elements_processed = _counter("_counts", 2)
+    load_time = _counter("_times", 0)
+    compute_time = _counter("_times", 1)
 
     @property
     def total_time(self) -> float:
@@ -151,14 +211,25 @@ class PIMUnit:
         config: PIMUnitConfig,
         timings: DRAMTimings,
         geometry: DeviceGeometry,
+        wram: Optional[np.ndarray] = None,
+        stats: Optional[PIMUnitStats] = None,
     ) -> None:
         self.unit_id = unit_id
         self.bank = bank
         self.config = config
         self.timings = timings
         self.geometry = geometry
-        self.wram = np.zeros(config.wram_bytes, dtype=np.uint8)
-        self.stats = PIMUnitStats()
+        if wram is None:
+            wram = np.zeros(config.wram_bytes, dtype=np.uint8)
+        elif wram.shape != (config.wram_bytes,) or wram.dtype != np.uint8:
+            raise MemoryError_(
+                f"unit {unit_id} WRAM backing array must be {config.wram_bytes} "
+                f"uint8 bytes, got {wram.dtype} {wram.shape}"
+            )
+        #: The scratchpad — a rank passes row ``unit_id`` of its WRAM
+        #: matrix (and of its counter matrices, as ``stats``).
+        self.wram = wram
+        self.stats = stats if stats is not None else PIMUnitStats()
         self.busy = False
         #: Row-buffer shadow model (hit/miss/conflict accounting for this
         #: bank's DRAM traffic). Created lazily on the first tracked
@@ -169,7 +240,7 @@ class PIMUnit:
     # ------------------------------------------------------------------
     # Row-buffer shadow tracking (roofline observability)
     # ------------------------------------------------------------------
-    def _track_rows(
+    def track_rows(
         self, dram_addr: int, span: int, write: bool = False, moved: "int | None" = None
     ) -> None:
         """Feed one contiguous bank access into the row-buffer shadow.
@@ -256,34 +327,39 @@ class PIMUnit:
         if chunk <= 0 or stride < chunk:
             raise ProtocolError(f"invalid stride/chunk {stride}/{chunk}")
         self._check_wram(wram_offset, length)
-        pieces = ceil_div(length, chunk)
-        if stride == chunk:
-            out = self.bank.read(dram_addr, length)
-        else:
-            # One span read up to the last byte any piece touches (so
-            # the bank bounds check covers exactly the bytes gathered),
-            # then a strided gather.
-            last_take = length - (pieces - 1) * chunk
-            span = (pieces - 1) * stride + last_take
-            flat = self.bank.read(dram_addr, span)
+        extent, moved, span, time = self.strided_cost(length, stride, chunk)
+        # One read up to the last byte any piece touches (so the bank
+        # bounds check covers exactly the bytes gathered), then — unless
+        # the pieces are contiguous — a strided gather.
+        out = self.bank.read(dram_addr, extent)
+        if stride != chunk:
             idx = (
-                np.arange(pieces, dtype=np.intp)[:, None] * stride
+                np.arange(ceil_div(length, chunk), dtype=np.intp)[:, None] * stride
                 + np.arange(chunk, dtype=np.intp)[None, :]
             ).reshape(-1)[:length]
-            out = flat[idx]
+            out = out[idx]
         self.wram[wram_offset : wram_offset + length] = out
-        granule = self.config.access_granularity
-        if stride == chunk:
-            moved = max(length, granule)
-            span = length
-        else:
-            moved = pieces * max(granule, chunk)
-            span = (pieces - 1) * stride + chunk
-        self._track_rows(dram_addr, span, moved=moved)
-        time = self._dram_time(moved)
+        self.track_rows(dram_addr, span, moved=moved)
         self.stats.dram_bytes_read += moved
         self.stats.load_time += time
         return time
+
+    def strided_cost(
+        self, length: int, stride: int, chunk: int
+    ) -> Tuple[int, int, int, float]:
+        """``(extent, moved, span, time)`` of one :meth:`load_strided` — a
+        function of the shape alone: bank bytes from the first to the last
+        one read, DRAM bytes moved at the access granularity, address
+        range the row-buffer shadow sees, modelled ns."""
+        granule = self.config.access_granularity
+        if stride == chunk:
+            extent, moved, span = length, max(length, granule), length
+        else:
+            pieces = ceil_div(length, chunk)
+            reach = (pieces - 1) * stride
+            extent = reach + length - (pieces - 1) * chunk
+            moved, span = pieces * max(granule, chunk), reach + chunk
+        return extent, moved, span, self._dram_time(moved)
 
     def _dram_time(self, moved: int) -> float:
         """DRAM-side transfer time, capped by the unit's bandwidth spec."""
@@ -297,7 +373,7 @@ class PIMUnit:
         self._check_wram(wram_offset, length)
         self.bank.write(dram_addr, self.wram[wram_offset : wram_offset + length])
         granule = self.config.access_granularity
-        self._track_rows(dram_addr, length, write=True, moved=max(length, granule))
+        self.track_rows(dram_addr, length, write=True, moved=max(length, granule))
         time = self._dram_time(max(length, granule))
         self.stats.dram_bytes_written += max(length, granule)
         self.stats.load_time += time
@@ -306,23 +382,32 @@ class PIMUnit:
     # ------------------------------------------------------------------
     # Compute phases (WRAM-only)
     # ------------------------------------------------------------------
-    def _compute_time(self, elements: int, kind: str) -> float:
+    def compute_cost(self, elements: int, kind: str) -> float:
+        """Modelled ns of one ``kind`` compute phase over ``elements``."""
         steps = ceil_div(max(elements, 1), self.config.tasklets)
-        time = steps * _CYCLES_PER_ELEMENT[kind] * self.config.cycle_ns
+        return steps * CYCLES_PER_ELEMENT[kind] * self.config.cycle_ns
+
+    def _compute_time(self, elements: int, kind: str) -> float:
+        time = self.compute_cost(elements, kind)
         self.stats.elements_processed += elements
         self.stats.compute_time += time
         return time
 
-    def _visible_mask(
-        self, bitmap_offset: int, count: int, bitmap_base_row: int = 0
-    ) -> np.ndarray:
-        """Expand the snapshot bitmap into a boolean mask of ``count`` rows."""
-        first_bit = bitmap_base_row
+    def _staged(
+        self,
+        data_offset: int,
+        bitmap_offset: int,
+        data_width: int,
+        count: int,
+        bitmap_base_row: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One staged block as the kernels take it: ``(1, count)`` decoded
+        values and the snapshot bitmap expanded to ``(1, count)`` bools."""
+        values = bytes_to_uints(self.wram_read(data_offset, count * data_width), data_width)
         last_bit = bitmap_base_row + count
-        nbytes = ceil_div(last_bit, 8)
-        raw = self.wram_read(bitmap_offset, nbytes)
+        raw = self.wram_read(bitmap_offset, ceil_div(last_bit, 8))
         bits = np.unpackbits(raw, bitorder="little")
-        return bits[first_bit:last_bit].astype(bool)
+        return values[None], bits[None, bitmap_base_row:last_bit].view(bool)
 
     def op_filter(
         self,
@@ -338,11 +423,9 @@ class PIMUnit:
 
         Invisible rows (snapshot bit 0) never match.
         """
-        values = bytes_to_uints(self.wram_read(data_offset, count * data_width), data_width)
-        visible = self._visible_mask(bitmap_offset, count, bitmap_base_row)
-        matches = condition.evaluate(values) & visible
-        packed = np.packbits(matches.astype(np.uint8), bitorder="little")
-        self.wram_write(result_offset, packed)
+        values, visible = self._staged(data_offset, bitmap_offset, data_width, count, bitmap_base_row)
+        matches = filter_kernel(values, visible, condition)
+        self.wram_write(result_offset, np.packbits(matches[0], bitorder="little"))
         return self._compute_time(count, "filter")
 
     def op_group(
@@ -362,18 +445,10 @@ class PIMUnit:
         each) is written at ``dict_offset``; per-row 2-byte group indices
         at ``result_offset``. Invisible rows get index 0xFFFF.
         """
-        values = bytes_to_uints(self.wram_read(data_offset, count * data_width), data_width)
-        visible = self._visible_mask(bitmap_offset, count, bitmap_base_row)
-        uniques = np.unique(values[visible]) if visible.any() else np.array([], dtype=np.uint64)
-        if len(uniques) > dict_capacity:
-            raise ProtocolError(
-                f"group dictionary overflow: {len(uniques)} keys > {dict_capacity}"
-            )
-        indices = np.full(count, 0xFFFF, dtype=np.uint16)
-        if len(uniques):
-            indices[visible] = np.searchsorted(uniques, values[visible]).astype(np.uint16)
-        self.wram_write(dict_offset, uints_to_bytes(uniques, data_width))
-        self.wram_write(result_offset, indices.view(np.uint8))
+        values, visible = self._staged(data_offset, bitmap_offset, data_width, count, bitmap_base_row)
+        dictionaries, indices = group_kernel(values, visible, dict_capacity)
+        self.wram_write(dict_offset, uints_to_bytes(dictionaries[0], data_width))
+        self.wram_write(result_offset, indices.view(np.uint8)[0])
         return self._compute_time(count, "group")
 
     def op_aggregation(
@@ -393,13 +468,10 @@ class PIMUnit:
         accumulators at ``result_offset`` are read-modified-written so
         chunked execution accumulates across phases.
         """
-        values = bytes_to_uints(self.wram_read(data_offset, count * data_width), data_width)
+        values, visible = self._staged(data_offset, bitmap_offset, data_width, count, bitmap_base_row)
         indices = self.wram_read(index_offset, count * 2).view(np.uint16)
-        visible = self._visible_mask(bitmap_offset, count, bitmap_base_row)
-        valid = visible & (indices != 0xFFFF)
-        acc = self.wram_read(result_offset, num_groups * 8).view(np.uint64).copy()
-        if valid.any():
-            np.add.at(acc, indices[valid].astype(np.int64), values[valid])
+        acc = self.wram_read(result_offset, num_groups * 8).view(np.uint64)
+        aggregation_kernel(values, visible, indices[None], acc[None])
         self.wram_write(result_offset, acc.view(np.uint8))
         return self._compute_time(count, "aggregation")
 
@@ -414,11 +486,9 @@ class PIMUnit:
         bitmap_base_row: int = 0,
     ) -> float:
         """Hash ``count`` keys to 4-byte values (0 for invisible rows)."""
-        values = bytes_to_uints(self.wram_read(data_offset, count * data_width), data_width)
-        visible = self._visible_mask(bitmap_offset, count, bitmap_base_row)
-        hashed = _hash_u64(values, hash_function)
-        hashed[~visible] = 0
-        self.wram_write(result_offset, hashed.view(np.uint8))
+        values, visible = self._staged(data_offset, bitmap_offset, data_width, count, bitmap_base_row)
+        hashed = hash_kernel(values, visible, hash_function)
+        self.wram_write(result_offset, hashed.view(np.uint8)[0])
         return self._compute_time(count, "hash")
 
     def op_join(
@@ -474,6 +544,96 @@ class PIMUnit:
         self.stats.load_time += time
         time += self._compute_time(len(src_addrs), "copy")
         return time
+
+
+class RankUnits(Dict[Tuple[int, int], PIMUnit]):
+    """The PIM units of one rank, by ``(device, bank)``, on shared arrays.
+
+    Unit ``i``'s scratchpad is row ``i`` of :attr:`wram` and its work
+    counters are row ``i`` of :attr:`counts` / :attr:`times` (the two rows
+    of its :class:`PIMUnitStats`) — what ``Rank.mem`` is to the devices.
+    A phase that runs on many units at once reads, writes and charges
+    them through these matrices; each unit sees the same bytes and
+    numbers through its own ``wram`` and ``stats``.
+    """
+
+    def __init__(
+        self,
+        rank: Rank,
+        config: PIMUnitConfig,
+        timings: DRAMTimings,
+        geometry: DeviceGeometry,
+    ) -> None:
+        super().__init__()
+        banks = [bank for device in rank.devices for bank in device.banks]
+        self.wram = np.zeros((len(banks), config.wram_bytes), dtype=np.uint8)
+        self.counts = np.zeros((len(banks), 3), dtype=np.int64)
+        self.times = np.zeros((len(banks), 2))
+        for unit_id, bank in enumerate(banks):
+            self[(bank.device.index, bank.index)] = PIMUnit(
+                unit_id,
+                bank,
+                config,
+                timings,
+                geometry,
+                wram=self.wram[unit_id],
+                stats=PIMUnitStats(self.counts[unit_id], self.times[unit_id]),
+            )
+
+
+# ----------------------------------------------------------------------
+# Fig. 7b kernels: pure array functions over ``(blocks, rows)`` operands.
+# ``values`` are decoded keys, ``visible`` the snapshot bits; a unit's
+# ``op_*`` is the one-block case, an operator phase passes a rank's worth.
+# ----------------------------------------------------------------------
+def filter_kernel(values: np.ndarray, visible: np.ndarray, condition: Condition) -> np.ndarray:
+    """Rows that satisfy ``condition`` and are visible."""
+    return condition.evaluate(values) & visible
+
+
+def group_kernel(
+    values: np.ndarray, visible: np.ndarray, dict_capacity: int
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Per-block dictionaries (sorted distinct visible keys) and per-row
+    2-byte indices into them; invisible rows get 0xFFFF."""
+    indices = np.full(values.shape, 0xFFFF, dtype=np.uint16)
+    dictionaries = []
+    # Ragged by nature: each block has its own dictionary.
+    for block_values, block_visible, block_indices in zip(values, visible, indices):
+        keys = block_values[block_visible]
+        uniques = np.unique(keys)
+        if len(uniques) > dict_capacity:
+            raise ProtocolError(
+                f"group dictionary overflow: {len(uniques)} keys > {dict_capacity}"
+            )
+        block_indices[block_visible] = np.searchsorted(uniques, keys)
+        dictionaries.append(uniques)
+    return dictionaries, indices
+
+
+def aggregation_kernel(
+    values: np.ndarray, visible: np.ndarray, indices: np.ndarray, acc: np.ndarray
+) -> np.ndarray:
+    """Add each visible row's value to accumulator ``indices[row]`` of its
+    block; ``acc`` is ``(blocks, groups)`` uint64, updated in place."""
+    groups = acc.shape[1]
+    valid = visible & (indices != 0xFFFF)
+    if (valid & (indices >= groups)).any():
+        raise ProtocolError(f"group index beyond the {groups} accumulators")
+    # One flat pass over every row: a row that counts adds to slot
+    # ``block * groups + index``, any other to a spill slot past the end.
+    slots = np.where(valid, np.arange(len(acc))[:, None] * groups + indices, acc.size)
+    sums = np.zeros(acc.size + 1, dtype=np.uint64)
+    np.add.at(sums, slots.ravel(), values.ravel())
+    acc += sums[:-1].reshape(acc.shape)
+    return acc
+
+
+def hash_kernel(values: np.ndarray, visible: np.ndarray, hash_function: int) -> np.ndarray:
+    """4-byte hashes of the keys; 0 marks an invisible row."""
+    hashed = _hash_u64(values, hash_function)
+    hashed[~visible] = 0
+    return hashed
 
 
 def _join_pairs(h1: np.ndarray, h2: np.ndarray):

@@ -42,13 +42,13 @@ class FakeOp:
     def compute_request(self, chunk):
         return LaunchRequest(OpType.FILTER, {"data_width": 4})
 
-    def load(self, unit, chunk):
-        self.calls.append(("load", unit.unit_id, chunk))
-        return self.load_ns
+    def load(self, chunk):
+        self.calls.extend(("load", unit.unit_id, chunk) for unit in self.units)
+        return [self.load_ns] * len(self.units)
 
-    def compute(self, unit, chunk):
-        self.calls.append(("compute", unit.unit_id, chunk))
-        return self.compute_ns
+    def compute(self, chunk):
+        self.calls.extend(("compute", unit.unit_id, chunk) for unit in self.units)
+        return [self.compute_ns] * len(self.units)
 
 
 class TestPhaseAccounting:
@@ -132,9 +132,9 @@ class TestOffloadSemantics:
         lock_states = []
 
         class ProbeOp(FakeOp):
-            def compute(self, unit, chunk):
-                lock_states.append(unit.bank.locked)
-                return super().compute(unit, chunk)
+            def compute(self, chunk):
+                lock_states.extend(unit.bank.locked for unit in self.units)
+                return super().compute(chunk)
 
         executor.execute(ProbeOp(units, chunks=3))
         assert lock_states and all(lock_states)
@@ -147,9 +147,9 @@ class TestOffloadSemantics:
         lock_states = []
 
         class ProbeOp(FakeOp):
-            def compute(self, unit, chunk):
-                lock_states.append(unit.bank.locked)
-                return super().compute(unit, chunk)
+            def compute(self, chunk):
+                lock_states.extend(unit.bank.locked for unit in self.units)
+                return super().compute(chunk)
 
         executor.execute(ProbeOp(units, chunks=2))
         assert lock_states and not any(lock_states)

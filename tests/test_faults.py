@@ -60,12 +60,12 @@ class FakeOp:
     def compute_request(self, chunk):
         return LaunchRequest(OpType.FILTER, {"data_width": 4})
 
-    def load(self, unit, chunk):
-        return 100.0
+    def load(self, chunk):
+        return [100.0] * len(self.units)
 
-    def compute(self, unit, chunk):
-        self.compute_calls += 1
-        return 50.0
+    def compute(self, chunk):
+        self.compute_calls += len(self.units)
+        return [50.0] * len(self.units)
 
 
 def install_plan(seed=7, **rates):

@@ -215,9 +215,91 @@ class TestHashJoin:
         )
         assert result.matches == reference
 
-    def test_bad_buckets(self):
-        with pytest.raises(QueryError):
-            qplan.hash_join(None, None, num_buckets=0)
+    def test_mismatched_hash_functions_rejected(self, worked_engine):
+        # Same key => same hash => same bucket only holds within one hash
+        # function; joining across two used to return a silently wrong
+        # (much smaller) match set.
+        engine = worked_engine
+        item = engine.table("item")
+        orderline = engine.table("orderline")
+        ts = engine.db.oracle.read_timestamp()
+        item.snapshots.update_to(ts)
+        orderline.snapshots.update_to(ts)
+        timing = QueryTiming()
+        build = engine.olap.hash_scan(item, "i_id", timing, hash_function=0)
+        probe = engine.olap.hash_scan(orderline, "ol_i_id", timing, hash_function=1)
+        with pytest.raises(QueryError, match=r"'i_id'.*function 0.*'ol_i_id'.*function 1"):
+            engine.olap.join(build, probe, timing)
+        same = engine.olap.hash_scan(orderline, "ol_i_id", timing, hash_function=0)
+        assert engine.olap.join(build, same, timing).matches > 0
+
+
+class TestAccountingIdentity:
+    """What an operator run reports is what its units did (ROADMAP 7e):
+    checked per run, against counts taken independently."""
+
+    @staticmethod
+    def unit_work(engine):
+        return {
+            key: (u.stats.dram_bytes_read + u.stats.dram_bytes_written,
+                  u.stats.elements_processed)
+            for key, u in engine.units.items()
+        }
+
+    def test_execution_result_equals_unit_deltas(self, worked_engine):
+        engine = worked_engine
+        table = engine.table("orderline")
+        table.snapshots.update_to(engine.db.oracle.read_timestamp())
+        rows = table.region_rows()
+        storage, units = table.storage, engine.units
+        group = GroupOperation(storage, units, "ol_number", rows)
+        engine.olap.executor.execute(group)
+        merged = qplan.merge_group_blocks(group)
+        runs = [
+            FilterOperation(storage, units, "ol_delivery_d", Condition("gt", 5), rows),
+            GroupOperation(storage, units, "ol_number", rows),
+            AggregationOperation(
+                storage, units, "ol_amount", rows, merged.indices, merged.num_groups
+            ),
+            HashOperation(storage, units, "ol_i_id", rows),
+        ]
+        block_rows = storage.block_rows
+        for op in runs:
+            before = self.unit_work(engine)
+            result = engine.olap.executor.execute(op)
+            after = self.unit_work(engine)
+            deltas = [
+                (after[key][0] - before[key][0], after[key][1] - before[key][1])
+                for key in after
+            ]
+            assert result.dram_bytes == sum(d[0] for d in deltas) > 0
+            assert result.elements == sum(d[1] for d in deltas)
+            # Only the participating units worked, and every one of them did.
+            worked = {key for key, d in zip(after, deltas) if d != (0, 0)}
+            assert worked == {
+                (u.bank.device.index, u.bank.index) for u in op.participating_units()
+            }
+            # Independently: every scanned row is one element; every block
+            # moves its bitmap slice plus at least its column bytes.
+            assert result.elements == rows.data_rows + rows.delta_rows
+            blocks = -(-rows.data_rows // block_rows) + -(-rows.delta_rows // block_rows)
+            assert op.bytes_scanned == result.elements * op.width + blocks * (block_rows // 8)
+            assert result.dram_bytes >= op.bytes_scanned
+
+    def test_join_elements_are_the_live_rows_of_both_sides(self, worked_engine):
+        engine = worked_engine
+        item, orderline = engine.table("item"), engine.table("orderline")
+        ts = engine.db.oracle.read_timestamp()
+        live = 0
+        for table in (item, orderline):
+            table.snapshots.update_to(ts)
+            rows = table.region_rows()
+            live += int(table.snapshots.visible_data_rows()[: rows.data_rows].sum())
+            live += int(table.snapshots.visible_delta_rows()[: rows.delta_rows].sum())
+        timing = QueryTiming()
+        build = engine.olap.hash_scan(item, "i_id", timing)
+        probe = engine.olap.hash_scan(orderline, "ol_i_id", timing)
+        assert engine.olap.join(build, probe, timing).pim_elements == live
 
 
 class TestQueries:

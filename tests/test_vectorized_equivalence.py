@@ -16,11 +16,14 @@ still had the naive execution mode (94e14a0), where both modes agreed.
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import MemoryError_, TransactionError
+from repro.errors import MemoryError_, ProtocolError, TransactionError
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import Region, RowRef
 from repro.pim.pim_unit import bytes_to_uints, uints_to_bytes
@@ -542,3 +545,638 @@ class TestServeBatchedEquivalence:
         think draws that start from each query's own completion time."""
         state = serve_state(arrival)
         assert hashlib.sha256(state.encode()).hexdigest() == SERVE_STATE_SHA256[arrival]
+
+
+# ----------------------------------------------------------------------
+# OLAP join: the semi-join over staged keys vs the dict-of-sets loop
+# ----------------------------------------------------------------------
+def oracle_hash_join(build, probe, build_masks=None, num_buckets=64):
+    """The three per-element passes ``hash_join`` was before it became
+    array code: bucketed dict of build key sets, probe pass, reverse pass.
+    Returns the five compared fields."""
+    from repro.errors import QueryError
+
+    build_keys = {}
+    cpu_bytes = 0
+    pim_elements = 0
+    for row_slice, hashes in build.hashes.items():
+        values = build.values[row_slice]
+        cpu_bytes += hashes.nbytes
+        mask = build_masks.get(row_slice) if build_masks is not None else None
+        if build_masks is not None and mask is None:
+            raise QueryError(f"build mask missing for rows {row_slice}")
+        for i, (h, v) in enumerate(zip(hashes, values)):
+            if h == 0 or (mask is not None and not mask[i]):
+                continue
+            build_keys.setdefault(int(h) % num_buckets, set()).add(int(v))
+            pim_elements += 1
+    probe_masks = {}
+    matched_values = set()
+    matches = 0
+    for row_slice, hashes in probe.hashes.items():
+        values = probe.values[row_slice]
+        cpu_bytes += hashes.nbytes
+        mask = np.zeros(len(hashes), dtype=bool)
+        for i, (h, v) in enumerate(zip(hashes, values)):
+            if h == 0:
+                continue
+            pim_elements += 1
+            bucket = build_keys.get(int(h) % num_buckets)
+            if bucket is not None and int(v) in bucket:
+                mask[i] = True
+                matches += 1
+                matched_values.add(int(v))
+        probe_masks[row_slice] = mask
+    build_masks_out = {}
+    for row_slice, hashes in build.hashes.items():
+        values = build.values[row_slice]
+        in_mask = build_masks.get(row_slice) if build_masks is not None else None
+        out = np.zeros(len(hashes), dtype=bool)
+        for i, (h, v) in enumerate(zip(hashes, values)):
+            if h == 0 or (in_mask is not None and not in_mask[i]):
+                continue
+            out[i] = int(v) in matched_values
+        build_masks_out[row_slice] = out
+    return probe_masks, build_masks_out, matches, cpu_bytes, pim_elements
+
+
+def join_fields(result):
+    return (
+        result.probe_masks,
+        result.build_masks_out,
+        result.matches,
+        result.cpu_bytes,
+        result.pim_elements,
+    )
+
+
+def comparable(value):
+    """Arrays and dicts of arrays as plain lists, for ``==``."""
+    if isinstance(value, dict):
+        return [(key, comparable(v)) for key, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [comparable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return (str(value.dtype), value.tolist())
+    return value
+
+
+@st.composite
+def join_sides(draw):
+    """Two hand-built hash scans and an optional build mask.
+
+    Keys come from a small domain (duplicates on either side) and hash
+    through ``key % 5 + 1`` (forced collisions: many keys, five hashes);
+    hidden rows carry hash 0; a side may have no slices or empty ones.
+    """
+    from repro.olap.operators import RowSlice
+
+    def side(region):
+        lengths = draw(st.lists(st.integers(0, 9), min_size=0, max_size=4))
+        hashes, values = {}, {}
+        base = 0
+        for length in lengths:
+            keys = np.array(
+                draw(st.lists(st.integers(0, 11), min_size=length, max_size=length)),
+                dtype=np.uint64,
+            )
+            hidden = np.array(
+                draw(st.lists(st.booleans(), min_size=length, max_size=length)),
+                dtype=bool,
+            )
+            row_slice = RowSlice(region, base, length)
+            base += 16
+            values[row_slice] = keys
+            hashes[row_slice] = np.where(hidden, 0, keys % 5 + 1).astype(np.uint32)
+        return SimpleNamespace(
+            hashes=hashes, values=values, hash_function=0, column=f"{region}_key"
+        )
+
+    build, probe = side("data"), side("delta")
+    masks = None
+    if draw(st.booleans()):
+        masks = {
+            row_slice: np.array(
+                draw(st.lists(st.booleans(), min_size=len(h), max_size=len(h))),
+                dtype=bool,
+            )
+            for row_slice, h in build.hashes.items()
+        }
+        if masks and draw(st.integers(0, 4)) == 0:
+            del masks[draw(st.sampled_from(sorted(masks, key=lambda s: s.base_row)))]
+    return build, probe, masks
+
+
+class TestHashJoinEquivalence:
+    @settings(max_examples=250, deadline=None)
+    @given(join_sides())
+    def test_semi_join_matches_dict_of_sets(self, sides):
+        from repro.olap.plan import hash_join
+
+        build, probe, masks = sides
+        got = capture(lambda: comparable(join_fields(hash_join(build, probe, masks))))
+        want = capture(lambda: comparable(oracle_hash_join(build, probe, masks)))
+        assert got == want
+
+    def test_collision_and_duplicates_by_hand(self):
+        """Keys 1 and 6 share hash 2: only the staged key decides; a key
+        duplicated ten times on the build side matches its probe row once."""
+        from repro.olap.operators import RowSlice
+        from repro.olap.plan import hash_join
+
+        s0, s1 = RowSlice("data", 0, 12), RowSlice("data", 16, 3)
+        build_keys = np.array([6] * 10 + [3, 4], dtype=np.uint64)
+        probe_keys = np.array([1, 6, 4], dtype=np.uint64)
+        build = SimpleNamespace(
+            hashes={s0: (build_keys % 5 + 1).astype(np.uint32)},
+            values={s0: build_keys}, hash_function=0, column="b",
+        )
+        probe = SimpleNamespace(
+            hashes={s1: (probe_keys % 5 + 1).astype(np.uint32)},
+            values={s1: probe_keys}, hash_function=0, column="p",
+        )
+        result = hash_join(build, probe)
+        assert result.probe_masks[s1].tolist() == [False, True, True]
+        assert result.matches == 2  # probe rows, not the 11 join pairs
+        assert result.build_masks_out[s0].tolist() == [True] * 10 + [False, True]
+        assert result.matched_build_rows == 11
+        assert comparable(join_fields(result)) == comparable(oracle_hash_join(build, probe))
+
+
+# ----------------------------------------------------------------------
+# OLAP operators: rank-wide phases vs the per-unit, per-block walk
+# ----------------------------------------------------------------------
+#: Scanned column → width: the native widths and two that have no dtype.
+SCAN_WIDTHS = {"a": 1, "b": 2, "c": 4, "d": 8, "e": 6, "f": 3}
+
+
+def scan_world(block_rows, capacity, wram_bytes, seed=5):
+    """An engine over one all-key-column table whose rank and WRAMs hold
+    seeded noise: column bytes, bitmaps and stale scratchpad contents are
+    all arbitrary, and two worlds of one seed are byte-identical."""
+    import dataclasses
+
+    from repro.core.config import PIMUnitConfig, dimm_system
+    from repro.core.engine import PushTapEngine
+    from repro.format.schema import Column, TableSchema
+
+    schema = TableSchema.of("t", tuple(Column(n, w) for n, w in SCAN_WIDTHS.items()))
+    engine = PushTapEngine.build_custom(
+        {"t": schema},
+        {"t": tuple(SCAN_WIDTHS)},
+        {"t": []},
+        config=dataclasses.replace(dimm_system(), pim=PIMUnitConfig(wram_bytes=wram_bytes)),
+        block_rows=block_rows,
+        extra_rows=capacity,
+        updates_per_txn_estimate=1,
+    )
+    rng = np.random.default_rng(seed)
+    engine.rank.mem[:] = rng.integers(0, 256, size=engine.rank.mem.shape, dtype=np.uint8)
+    engine.units.wram[:] = rng.integers(0, 256, size=engine.units.wram.shape, dtype=np.uint8)
+    return engine
+
+
+#: block_rows → (data capacity, WRAM bytes): sized so units get more than
+#: one slot and the scan more than one phase (see ``test_shapes_covered``).
+WORLDS = {8: (1200, 64 * 1024), 256: (6000, 32 * 1024), 1024: (12000, 64 * 1024)}
+
+
+def world_rows(block_rows):
+    """Data + delta regions, each ending in a partial block."""
+    from repro.olap.operators import RegionRows
+
+    capacity, _ = WORLDS[block_rows]
+    return RegionRows(
+        capacity - block_rows // 2 - 1, 3 * block_rows + block_rows // 2 + 1
+    )
+
+
+class OraclePhase:
+    """The operators' phases as they ran before they went rank-wide: each
+    unit walks its own queue, one ``load_strided`` + ``device_read`` +
+    ``op_*`` per block. A ``ChunkedOperation`` in the current call shape,
+    so the executor can run it side by side with the real operator.
+    """
+
+    RESULT_BYTES = 4096
+    DICT_CAPACITY = 256
+
+    def __init__(self, kind, storage, units, column, rows, condition=None,
+                 indices=None, num_groups=0, hash_function=0):
+        from repro.mvcc.metadata import Region
+        from repro.olap.operators import RowSlice
+        from repro.pim.requests import LaunchRequest, OpType
+
+        self.kind, self.storage, self.units = kind, storage, units
+        self.condition, self.indices = condition, indices
+        self.num_groups, self.hash_function = num_groups, hash_function
+        self.width = storage.layout.schema.column(column).width
+        self.bytes_scanned = self.cpu_transfer_bytes = 0
+        self.masks, self.block_dicts, self.block_indices = {}, {}, {}
+        self.partials, self.hashes, self.values = {}, {}, {}
+        self.scans = [
+            (scan, RowSlice(region, scan.base_row, scan.num_rows))
+            for region, count in ((Region.DATA, rows.data_rows), (Region.DELTA, rows.delta_rows))
+            if count > 0
+            for scan in storage.column_scan_plan(column, region, count)
+        ]
+        self.queues = {}
+        for i, (scan, _) in enumerate(self.scans):
+            self.queues.setdefault((scan.device, scan.bank), []).append(i)
+        block = storage.block_rows
+        self.aux_bytes = {"group": self.DICT_CAPACITY * self.width, "aggregation": block * 2}.get(kind, 0)
+        self.slot_bytes = block // 8 + block * self.width + self.aux_bytes + self.RESULT_BYTES
+        if kind == "aggregation":
+            self.slot_bytes += num_groups * 8
+        budget = next(iter(units.values())).config.load_buffer_bytes
+        self.blocks_per_phase = max(1, budget // self.slot_bytes)
+        self.request = LaunchRequest(
+            {"filter": OpType.FILTER, "group": OpType.GROUP,
+             "aggregation": OpType.AGGREGATION, "hash": OpType.HASH}[kind],
+            {"data_width": self.width},
+        )
+        self.ls = LaunchRequest(OpType.LS, {"op0_len": 64})
+
+    def num_chunks(self):
+        longest = max(len(q) for q in self.queues.values())
+        return -(-longest // self.blocks_per_phase)
+
+    def participating_units(self):
+        return [self.units[key] for key in sorted(self.queues)]
+
+    def load_request(self, chunk):
+        return self.ls
+
+    def compute_request(self, chunk):
+        return self.request
+
+    def offsets(self, slot):
+        block = self.storage.block_rows
+        bitmap = slot * self.slot_bytes
+        data = bitmap + block // 8
+        aux = data + block * self.width
+        return {"bitmap": bitmap, "data": data, "aux": aux, "result": aux + self.aux_bytes}
+
+    def batch(self, unit, chunk):
+        queue = self.queues[(unit.bank.device.index, unit.bank.index)]
+        start = chunk * self.blocks_per_phase
+        return enumerate(queue[start : start + self.blocks_per_phase])
+
+    def load(self, chunk):
+        return [self.load_unit(unit, chunk) for unit in self.participating_units()]
+
+    def compute(self, chunk):
+        return [self.compute_unit(unit, chunk) for unit in self.participating_units()]
+
+    def load_unit(self, unit, chunk):
+        from repro.pim.timing import stream_time
+
+        time = 0.0
+        for slot, scan_index in self.batch(unit, chunk):
+            scan, row_slice = self.scans[scan_index]
+            offsets = self.offsets(slot)
+            time += unit.load_strided(
+                scan.dram_addr - unit.bank.start, scan.num_rows * self.width,
+                scan.stride, scan.chunk, offsets["data"],
+            )
+            nbytes = self.storage.block_rows // 8
+            addr = self.storage.bitmap_block_slice_addr(row_slice.region, scan.block)
+            unit.wram_write(
+                offsets["bitmap"],
+                self.storage.rank.device_read(unit.bank.device.index, addr, nbytes),
+            )
+            bitmap_time = stream_time(
+                nbytes, unit.timings, unit.geometry, unit.config.access_granularity
+            )
+            unit.stats.dram_bytes_read += nbytes
+            unit.stats.load_time += bitmap_time
+            time += bitmap_time
+            if self.kind == "aggregation":
+                arr = np.asarray(self.indices[row_slice], dtype=np.uint16)
+                unit.wram_write(offsets["aux"], arr.view(np.uint8))
+                self.cpu_transfer_bytes += arr.nbytes
+                aux_time = stream_time(
+                    arr.nbytes, unit.timings, unit.geometry, unit.config.access_granularity
+                )
+                unit.stats.load_time += aux_time
+                time += aux_time
+            self.bytes_scanned += scan.num_rows * self.width + nbytes
+        return time
+
+    def compute_unit(self, unit, chunk):
+        time = 0.0
+        for slot, scan_index in self.batch(unit, chunk):
+            scan, row_slice = self.scans[scan_index]
+            time += getattr(self, "compute_" + self.kind)(
+                unit, scan.num_rows, row_slice, self.offsets(slot)
+            )
+        return time
+
+    def compute_filter(self, unit, count, row_slice, o):
+        time = unit.op_filter(o["bitmap"], o["data"], o["result"], self.width, self.condition, count)
+        packed = unit.wram_read(o["result"], -(-count // 8))
+        self.masks[row_slice] = np.unpackbits(packed, bitorder="little")[:count].astype(bool)
+        self.cpu_transfer_bytes += len(packed)
+        return time
+
+    def compute_group(self, unit, count, row_slice, o):
+        time = unit.op_group(
+            o["bitmap"], o["data"], o["aux"], o["result"], self.width, count,
+            dict_capacity=self.DICT_CAPACITY,
+        )
+        indices = unit.wram_read(o["result"], count * 2).view(np.uint16)
+        visible = indices != 0xFFFF
+        num_groups = int(indices[visible].max()) + 1 if visible.any() else 0
+        self.block_dicts[row_slice] = bytes_to_uints(
+            unit.wram_read(o["aux"], num_groups * self.width), self.width
+        )
+        self.block_indices[row_slice] = indices.copy()
+        self.cpu_transfer_bytes += num_groups * self.width + count * 2
+        return time
+
+    def compute_aggregation(self, unit, count, row_slice, o):
+        unit.wram_write(o["result"], np.zeros(self.num_groups * 8, dtype=np.uint8))
+        time = unit.op_aggregation(
+            o["bitmap"], o["data"], o["aux"], o["result"], self.width, count, self.num_groups
+        )
+        partial = unit.wram_read(o["result"], self.num_groups * 8).view(np.uint64)
+        self.partials[row_slice] = partial.copy()
+        self.cpu_transfer_bytes += partial.nbytes
+        return time
+
+    def compute_hash(self, unit, count, row_slice, o):
+        time = unit.op_hash(o["bitmap"], o["data"], o["result"], self.width, count, self.hash_function)
+        hashes = unit.wram_read(o["result"], count * 4).view(np.uint32)
+        self.hashes[row_slice] = hashes.copy()
+        self.values[row_slice] = bytes_to_uints(
+            unit.wram_read(o["data"], count * self.width), self.width
+        )
+        self.cpu_transfer_bytes += hashes.nbytes
+        return time
+
+
+HARVEST = ("masks", "block_dicts", "block_indices", "partials", "hashes", "values",
+           "cpu_transfer_bytes", "bytes_scanned")
+
+
+def harvest(op):
+    """Everything an operator hands the CPU, keyed and ordered by slice."""
+    out = {}
+    for name in HARVEST:
+        value = getattr(op, name, {})
+        if isinstance(value, dict):
+            value = sorted(
+                ((s.region, s.base_row, s.num_rows), comparable(a)) for s, a in value.items()
+            )
+        out[name] = value
+    return out
+
+
+def unit_stats(units):
+    return [
+        (key, u.stats.dram_bytes_read, u.stats.dram_bytes_written,
+         u.stats.elements_processed, u.stats.load_time, u.stats.compute_time)
+        for key, u in sorted(units.items())
+    ]
+
+
+def operator_pair(kind, block_rows, column):
+    """The real operator and its oracle, each in its own identical world."""
+    from repro.olap import operators as ops
+    from repro.pim.pim_unit import Condition
+
+    capacity, wram_bytes = WORLDS[block_rows]
+    rows = world_rows(block_rows)
+    real_world = scan_world(block_rows, capacity, wram_bytes)
+    oracle_world = scan_world(block_rows, capacity, wram_bytes)
+    params = {}
+    if kind == "filter":
+        params["condition"] = Condition("lt", 1 << min(8 * SCAN_WIDTHS[column] - 1, 55))
+    if kind == "hash":
+        params["hash_function"] = 1
+    if kind == "aggregation":
+        # Group ids as a CPU would supply them, some rows filtered out.
+        rng = np.random.default_rng(11)
+        slices = [s for _, s in OraclePhase("filter", real_world.table("t").storage,
+                                            real_world.units, column, rows).scans]
+        params["indices"] = {
+            s: np.where(rng.random(s.num_rows) < 0.2, 0xFFFF,
+                        rng.integers(0, 5, size=s.num_rows)).astype(np.uint16)
+            for s in slices
+        }
+        params["num_groups"] = 5
+    storage = real_world.table("t").storage
+    if kind == "filter":
+        real = ops.FilterOperation(storage, real_world.units, column, params["condition"], rows)
+    elif kind == "group":
+        real = ops.GroupOperation(storage, real_world.units, column, rows)
+    elif kind == "aggregation":
+        real = ops.AggregationOperation(
+            storage, real_world.units, column, rows, params["indices"], 5
+        )
+    else:
+        real = ops.HashOperation(storage, real_world.units, column, rows, hash_function=1)
+    oracle = OraclePhase(
+        kind, oracle_world.table("t").storage, oracle_world.units, column, rows, **params
+    )
+    return real_world, real, oracle_world, oracle
+
+
+#: Every operator at every block size; columns chosen so that each width
+#: (1/2/4/8 and the dtype-less 6 and 3) meets each operator at least once
+#: — except group, whose 256-key dictionary only fits the 1-byte column.
+PHASE_CASES = [
+    (kind, block_rows, column)
+    for block_rows, columns in ((8, "adef"), (256, "bcef"), (1024, "abcd"))
+    for kind in ("filter", "aggregation", "hash")
+    for column in columns
+] + [("group", block_rows, "a") for block_rows in WORLDS]
+
+
+class TestRankWidePhaseEquivalence:
+    def test_shapes_covered(self):
+        """The worlds exercise what they claim: several slots per unit,
+        several phases, and partial blocks batched apart from full ones."""
+        from repro.olap.operators import FilterOperation
+        from repro.pim.pim_unit import Condition
+
+        seen_batches = set()
+        for block_rows, (capacity, wram_bytes) in WORLDS.items():
+            world = scan_world(block_rows, capacity, wram_bytes)
+            for column in SCAN_WIDTHS:
+                op = FilterOperation(
+                    world.table("t").storage, world.units, column,
+                    Condition("eq", 0), world_rows(block_rows),
+                )
+                blocks = sum(len(b.slices) for phase in op._batches for b in phase)
+                assert blocks > len(op.participating_units())  # > 1 slot per unit
+                seen_batches.update(len(phase) for phase in op._batches)
+                if block_rows == 8 or column == "d":
+                    assert op.num_chunks() > 1
+        assert {1, 2, 3} <= seen_batches
+
+    @pytest.mark.parametrize("kind,block_rows,column", PHASE_CASES)
+    def test_phase_by_phase(self, kind, block_rows, column):
+        """Per phase: each unit's time (exact), then every WRAM byte, each
+        unit's counters and everything harvested."""
+        real_world, real, oracle_world, oracle = operator_pair(kind, block_rows, column)
+        assert real.num_chunks() == oracle.num_chunks()
+        assert [u.unit_id for u in real.participating_units()] == [
+            u.unit_id for u in oracle.participating_units()
+        ]
+        for chunk in range(real.num_chunks()):
+            assert real.load(chunk) == oracle.load(chunk)
+            np.testing.assert_array_equal(real_world.units.wram, oracle_world.units.wram)
+            assert real.compute(chunk) == oracle.compute(chunk)
+            np.testing.assert_array_equal(real_world.units.wram, oracle_world.units.wram)
+            assert unit_stats(real_world.units) == unit_stats(oracle_world.units)
+        assert harvest(real) == harvest(oracle)
+        # Each unit's own view is the matrix row the phases wrote.
+        for unit in real_world.units.values():
+            assert np.shares_memory(unit.wram, real_world.units.wram[unit.unit_id])
+
+    @pytest.mark.parametrize("kind,block_rows,column", PHASE_CASES[::4])
+    def test_execution_result_field_by_field(self, kind, block_rows, column):
+        import dataclasses
+
+        real_world, real, oracle_world, oracle = operator_pair(kind, block_rows, column)
+        got = real_world.olap.executor.execute(real)
+        want = oracle_world.olap.executor.execute(oracle)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert got.dram_bytes > 0 and got.elements > 0
+        assert harvest(real) == harvest(oracle)
+
+    def test_bad_geometry_raises_before_any_byte_moves(self, monkeypatch):
+        """An out-of-range block and a bad stride/chunk fail with the
+        per-block walk's errors — but up front: where the walk had already
+        staged earlier blocks, no WRAM byte or counter changes now."""
+        import dataclasses
+
+        from repro.olap.operators import HashOperation
+
+        capacity, wram_bytes = WORLDS[256]
+        world = scan_world(256, capacity, wram_bytes)
+        storage, rows = world.table("t").storage, world_rows(256)
+        before = world.units.wram.copy()
+        plan = storage.column_scan_plan
+        bank_size = world.rank.devices[0].bank_size
+
+        def walk():
+            oracle = OraclePhase("hash", storage, world.units, "c", rows)
+            for chunk in range(oracle.num_chunks()):
+                oracle.load(chunk)
+
+        edits = {
+            "MemoryError_": lambda i, s: dataclasses.replace(
+                s, dram_addr=(s.bank + 1) * bank_size - 100
+            ) if i == 5 else s,
+            "ProtocolError": lambda i, s: dataclasses.replace(s, stride=s.chunk - 1),
+        }
+        for error, edit in edits.items():
+            monkeypatch.setattr(
+                storage, "column_scan_plan",
+                lambda *a, e=edit: [e(i, s) for i, s in enumerate(plan(*a))],
+            )
+            got = capture(lambda: HashOperation(storage, world.units, "c", rows))
+            assert got[1] == error
+            np.testing.assert_array_equal(world.units.wram, before)
+            assert not world.units.counts.any() and not world.units.times.any()
+            assert got == capture(walk)
+            world.units.wram[:] = before
+            world.units.counts[:] = 0
+            world.units.times[:] = 0
+        monkeypatch.setattr(
+            storage, "column_scan_plan",
+            lambda *a: [dataclasses.replace(s, chunk=0) for s in plan(*a)],
+        )
+        with pytest.raises(ProtocolError, match="invalid stride/chunk"):
+            HashOperation(storage, world.units, "c", rows)
+
+    def test_missing_indices_raise_before_any_byte_moves(self):
+        """A missing or short index slice of a *late* block of the phase:
+        the walk had staged the earlier blocks by then."""
+        from repro.errors import QueryError
+
+        for spoil, message in (
+            (lambda indices, late: indices.pop(late), "no group indices for rows"),
+            (lambda indices, late: indices.update({late: indices[late][:-1]}), "expected"),
+        ):
+            world, real, _, _ = operator_pair("aggregation", 256, "c")
+            before = world.units.wram.copy()
+            late = real._batches[0][-1].slices[-1]
+            spoil(real.indices, late)
+            with pytest.raises(QueryError, match=message):
+                real.load(0)
+            np.testing.assert_array_equal(world.units.wram, before)
+            assert not world.units.counts.any() and not world.units.times.any()
+
+
+# ----------------------------------------------------------------------
+# OLAP queries end to end: rows and simulated timing, pinned
+# ----------------------------------------------------------------------
+SEVEN_QUERIES = ("Q1", "Q6", "Q9", "Q4", "Q12", "Q14", "Q17")
+
+
+def seven_query_state(observed):
+    """Rows, total time and every scan-timing field of the seven query
+    shapes on ``build(2e-5, seed 7)`` after 180 driver transactions and no
+    defragmentation, so delta blocks are scanned too. With ``observed``
+    the queries run under telemetry with the roofline and detail-span
+    flags on, and the state also carries the roofline log, the per-unit
+    lane spans and every unit's row-buffer counters."""
+    import dataclasses
+
+    from repro.core.engine import PushTapEngine
+    from repro.telemetry import registry as telemetry
+    from repro.telemetry.registry import MetricsRegistry
+
+    telemetry.disable()
+    engine = PushTapEngine.build(scale=2e-5, seed=7, defrag_period=0)
+    engine.run_transactions(180)
+    registry = MetricsRegistry()
+    registry.roofline = registry.detail_spans = True
+    if observed:
+        telemetry.enable(registry)
+    try:
+        record = []
+        for name in SEVEN_QUERIES:
+            result = engine.query(name)
+            record.append([
+                name,
+                sorted((str(k), repr(v)) for k, v in result.rows.items()),
+                result.timing.total_time,
+                dataclasses.asdict(result.timing.scan),
+            ])
+    finally:
+        telemetry.disable()
+    if not observed:
+        return json.dumps(record, sort_keys=True)
+    lanes = [
+        [s.name, s.start, s.duration, [list(a) for a in s.attrs]]
+        for s in registry.spans
+        if s.name in ("pim.unit.load", "pim.unit.compute")
+    ]
+    rowbuffers = [
+        [list(key), dataclasses.asdict(unit.rowbuffer.stats)]
+        for key, unit in sorted(engine.units.items())
+        if unit.rowbuffer is not None
+    ]
+    roofline = [m.as_dict() for m in engine.olap.roofline_log]
+    assert lanes and rowbuffers and roofline
+    return json.dumps([record, roofline, lanes, rowbuffers], sort_keys=True)
+
+
+#: sha256 of ``seven_query_state`` computed on 58a156f, the last commit
+#: whose operators walked units and blocks one at a time and whose join
+#: was the dict-of-sets loop.
+SEVEN_QUERY_SHA256 = {
+    False: "9830e94ed041cca354f949621e21aa7a2e38897a00534e24c2fa3df9d1bf30eb",
+    True: "e583ef194fd16ad1bbd29393625b830858c5ebdd8bad07855d497f4b5af10699",
+}
+
+
+class TestQueryPin:
+    @pytest.mark.parametrize("observed", [False, True], ids=["plain", "roofline+detail"])
+    def test_seven_queries_identical(self, observed):
+        state = seven_query_state(observed)
+        assert hashlib.sha256(state.encode()).hexdigest() == SEVEN_QUERY_SHA256[observed]
