@@ -21,21 +21,32 @@ matrix — ``rank.mem[:, addr:addr+W]`` is one row's slots on every device —
 so a row copy is one 2-D slice assignment per part, a block of rows one
 strided store (:meth:`TableStorage.write_rows`), a defragmentation pass
 one gather/scatter (:meth:`TableStorage.copy_rows`), and a bitmap update
-one broadcast. Single-column accesses stay per-device (``device_read`` /
-``device_write``).
+one broadcast.
+
+Reads index the same matrix through one *read plan* per column — the
+geometry of each of its byte runs, resolved once (:class:`_ReadRun`).
+:meth:`TableStorage.read_rows` executes a plan for many rows at a time:
+one fancy gather ``mem[device[:, None], addr[:, None] + lanes]`` per run,
+whatever blocks and rotations the rows sit in, returning column arrays.
+:meth:`TableStorage.read_row` executes the same plan for one row with
+plain slices ``mem[device, a:a+n]`` — a one-row gather costs several
+times a slice, so the scalar reader is not the batch reader of one — and
+:meth:`TableStorage.read_column_values` is ``read_rows`` over a prefix.
+Only single-column *writes* (:meth:`TableStorage.write_columns`) and
+bitmap reads still go through ``device_write`` / ``device_read``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import LayoutError, MemoryError_
 from repro.format.circulant import BlockCirculantPlacement
 from repro.format.layout import UnifiedLayout
-from repro.format.schema import Value
+from repro.format.schema import Column, Value
 from repro.mvcc.metadata import Region, RowRef
 from repro.pim.memory import Rank
 from repro.units import ceil_div
@@ -46,6 +57,26 @@ _ROTATION_MISMATCH = (
     "copy_row requires matching rotations (delta rows are allocated "
     "rotation-aligned for this reason)"
 )
+
+
+class _ReadRun(NamedTuple):
+    """Where one byte run of a column sits in any row (a read plan entry).
+
+    The run's bytes for row ``r`` of region ``g`` (0 data, 1 delta) are
+    ``mem[(slot + rotation) % d, a : a + length]`` with ``a = bases[g]
+    [block] + within * row_width + slot_offset``; they are bytes
+    ``col_offset : col_offset + length`` of the column's value.
+    """
+
+    slot: int
+    slot_offset: int
+    col_offset: int
+    length: int
+    row_width: int
+    #: Per region, the part's block base addresses: as lists for the
+    #: scalar reader, as arrays for the gather.
+    bases: Tuple[List[int], List[int]]
+    base_arrays: Tuple[np.ndarray, np.ndarray]
 
 
 class RankAllocator:
@@ -153,11 +184,11 @@ class TableStorage:
         self.delta_bitmap_addr = allocator.alloc_block(
             max(1, ceil_div(delta_capacity_rows, 8)), align=self._bitmap_align()
         )
-        # Per-column read plans for the OLTP partial-read hot path: the
-        # (column, cached sorted runs) pair is immutable once the layout
-        # validates, so resolve each name's schema/run lookups once and
-        # reuse them on every row (populated lazily, hits only).
-        self._read_plans: Dict[str, tuple] = {}
+        # Per-column read plans, shared by read_row, read_rows and
+        # read_column_values: a column's runs are immutable once the
+        # layout validates, so their geometry is resolved on the first
+        # touch of the name and reused on every row.
+        self._read_plans: Dict[str, Tuple[Column, Tuple[_ReadRun, ...]]] = {}
         # Schema columns in declaration order, for write_columns' encode
         # pass (iterating the schema object per update re-resolves it).
         self._schema_columns = tuple(layout.schema)
@@ -249,52 +280,107 @@ class TableStorage:
                 )
             done += count
 
+    def _read_plan(self, name: str) -> Tuple[Column, Tuple[_ReadRun, ...]]:
+        """Resolve (and cache) one column's read plan.
+
+        Unknown columns raise here, on first touch.
+        """
+        col = self.layout.schema.column(name)
+        runs = []
+        for run in self.layout.column_runs(name):
+            p = run.placement
+            bases = (self._data_blocks[run.part_index], self._delta_blocks[run.part_index])
+            runs.append(
+                _ReadRun(
+                    run.slot_index,
+                    p.slot_offset,
+                    p.col_offset,
+                    p.length,
+                    self.layout.parts[run.part_index].row_width,
+                    bases,
+                    (np.asarray(bases[0], dtype=np.intp), np.asarray(bases[1], dtype=np.intp)),
+                )
+            )
+        plan = self._read_plans[name] = (col, tuple(runs))
+        return plan
+
     def read_row(
         self, ref: RowRef, columns: Optional[Sequence[str]] = None
     ) -> Dict[str, Value]:
         """Read and decode the row at ``ref`` (all columns by default).
 
         Only the byte runs of ``columns`` are read — the OLTP fast path
-        for partial reads, which skips the other slots' device traffic.
+        for partial reads. The scalar executor of the read plans: one
+        range check and one ``divmod`` for the row, then one slice of
+        the rank matrix per run.
         """
         if columns is None:
             columns = self.layout.schema.column_names
-        plans = self._read_plans
+        row = ref.index
+        region = 0 if ref.region == Region.DATA else 1
+        capacity = self.delta_capacity_rows if region else self.capacity_rows
+        if row < 0 or row >= capacity:
+            raise MemoryError_(f"{ref.region} row {row} out of range [0, {capacity})")
+        block, within = divmod(row, self.block_rows)
+        rotation = self.placement.rotation_of_block(block)
         num_devices = self.rank.num_devices
-        rotation = self.rotation_of(ref.region, ref.index)
+        mem = self.rank.mem
+        plans = self._read_plans
         out: Dict[str, Value] = {}
         for name in columns:
-            plan = plans.get(name)
-            if plan is None:
-                # First touch of this column: resolve (and validate) its
-                # schema entry and cached sorted runs once. Unknown
-                # columns raise here, identically to the uncached path.
-                plan = plans[name] = (
-                    self.layout.schema.column(name),
-                    self.layout.column_runs(name),
-                )
-            col, runs = plan
+            col, runs = plans.get(name) or self._read_plan(name)
             if len(runs) == 1:
                 # Common case: the column is one contiguous run (all key
-                # columns and most normal columns) — a single device read.
-                run = runs[0]
-                p = run.placement
-                addr = self.row_addr(ref.region, run.part_index, ref.index)
-                device = (run.slot_index + rotation) % num_devices
-                raw = self.rank.device_read(
-                    device, addr + p.slot_offset, p.length
-                ).tobytes()
+                # columns and most normal columns).
+                slot, slot_offset, _, length, row_width, bases, _ = runs[0]
+                addr = bases[region][block] + within * row_width + slot_offset
+                raw = mem[(slot + rotation) % num_devices, addr : addr + length].tobytes()
             else:
                 buf = bytearray(col.width)
-                for run in runs:
-                    p = run.placement
-                    addr = self.row_addr(ref.region, run.part_index, ref.index)
-                    device = (run.slot_index + rotation) % num_devices
-                    buf[p.col_offset : p.col_offset + p.length] = self.rank.device_read(
-                        device, addr + p.slot_offset, p.length
-                    ).tobytes()
+                for slot, slot_offset, col_offset, length, row_width, bases, _ in runs:
+                    addr = bases[region][block] + within * row_width + slot_offset
+                    buf[col_offset : col_offset + length] = mem[
+                        (slot + rotation) % num_devices, addr : addr + length
+                    ].tobytes()
                 raw = bytes(buf)
             out[name] = col.decode(raw)
+        return out
+
+    def read_rows(
+        self, region: str, rows: Sequence[int], columns: Sequence[str]
+    ) -> Dict[str, np.ndarray]:
+        """Read ``columns`` of many rows of one region as column arrays.
+
+        ``rows`` may be unsorted, repeat, or be empty; the arrays follow
+        its order. Int columns come back as ``uint64``, ``bytes`` columns
+        as an ``(n, width)`` ``uint8`` matrix (trailing NULs kept). The
+        batch executor of the read plans: each run is one gather from the
+        rank matrix — device and address per row, ``length`` lanes wide —
+        into the column's zero-padded byte buffer.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        self._check_rows(region, rows)
+        block, within = np.divmod(rows, self.block_rows)
+        num_devices = self.rank.num_devices
+        rotation = block % num_devices if self.placement.enabled else block * 0
+        region_index = 0 if region == Region.DATA else 1
+        mem = self.rank.mem
+        out: Dict[str, np.ndarray] = {}
+        for name in columns:
+            col, runs = self._read_plans.get(name) or self._read_plan(name)
+            is_int = col.kind == "int"
+            buf = np.zeros((rows.size, 8 if is_int else col.width), dtype=np.uint8)
+            for run in runs:
+                device = (run.slot + rotation) % num_devices
+                addr = (
+                    run.base_arrays[region_index][block]
+                    + within * run.row_width
+                    + run.slot_offset
+                )
+                buf[:, run.col_offset : run.col_offset + run.length] = mem[
+                    device[:, None], addr[:, None] + np.arange(run.length)
+                ]
+            out[name] = buf.view("<u8").ravel() if is_int else buf
         return out
 
     def write_columns(self, ref: RowRef, values: Dict[str, Value]) -> None:
@@ -429,52 +515,14 @@ class TableStorage:
         """Gather one column's decoded values for rows ``0..num_rows``.
 
         Works for *any* column — including normal columns split across
-        parts — by assembling each row's byte runs. This is the CPU
-        fallback path of §4.1.2 (analytical queries on normal columns run
-        through the CPU at reduced efficiency); PIM scans use
-        :meth:`column_scan_plan` instead.
+        parts. This is the CPU fallback path of §4.1.2 (analytical
+        queries on normal columns run through the CPU at reduced
+        efficiency); PIM scans use :meth:`column_scan_plan` instead.
         """
-        col = self.layout.schema.column(column)
-        runs = self.layout.column_runs(column)
-        capacity = self._region_capacity(region)
-        if num_rows > capacity:
-            raise MemoryError_(
-                f"{region} row {capacity} out of range [0, {capacity})"
-            )
-        if num_rows <= 0:
-            return []
-        # Gather block-at-a-time: within a block the rotation (hence the
-        # device per run) is fixed, so each run is one strided 2-D fancy
-        # index into that device's flat byte array.
-        raw = np.zeros((num_rows, col.width), dtype=np.uint8)
-        num_devices = self.rank.num_devices
-        for run in runs:
-            p = run.placement
-            part = self.layout.parts[run.part_index]
-            blocks = self._region_blocks(region, run.part_index)
-            lanes = np.arange(p.length, dtype=np.intp)[None, :]
-            for block_index in range(ceil_div(num_rows, self.block_rows)):
-                base_row = block_index * self.block_rows
-                rows = min(self.block_rows, num_rows - base_row)
-                rotation = self.placement.rotation_of_block(block_index)
-                device = (run.slot_index + rotation) % num_devices
-                base = blocks[block_index] + p.slot_offset
-                addrs = (
-                    base
-                    + np.arange(rows, dtype=np.intp)[:, None] * part.row_width
-                    + lanes
-                )
-                raw[
-                    base_row : base_row + rows,
-                    p.col_offset : p.col_offset + p.length,
-                ] = self.rank.devices[device].data[addrs]
-        if col.kind == "int":
-            padded = np.zeros((num_rows, 8), dtype=np.uint8)
-            padded[:, : col.width] = raw
-            return padded.view("<u8").ravel().tolist()
-        flat = raw.tobytes()
-        width = col.width
-        return [flat[i * width : (i + 1) * width] for i in range(num_rows)]
+        values = self.read_rows(region, np.arange(num_rows), [column])[column]
+        if values.ndim == 1:
+            return values.tolist()
+        return [row.tobytes() for row in values]
 
     def cpu_scan_bytes(self, column: str, num_rows: int) -> int:
         """CPU bus traffic to scan a column sequentially (§4.1.2 fallback).

@@ -68,20 +68,6 @@ class TableRuntime:
         """
         return self.storage.read_row(self.mvcc.read(row_id, ts), columns)
 
-    def read_rows(
-        self, row_ids: Sequence[int], ts: int, columns: Optional[Sequence[str]] = None
-    ) -> list:
-        """Read the versions of many rows visible at ``ts`` (batched).
-
-        Equivalent to calling :meth:`read_row` per id in order; the MVCC
-        visibility of the whole batch is array-resolved in one packed
-        index pass (:meth:`~repro.mvcc.manager.MVCCManager.read_many`).
-        """
-        return [
-            self.storage.read_row(ref, columns)
-            for ref in self.mvcc.read_many(row_ids, ts)
-        ]
-
     def update_row(self, row_id: int, ts: int, changes: Dict[str, Value]) -> RowRef:
         """Install a new version of ``row_id`` with ``changes`` applied.
 

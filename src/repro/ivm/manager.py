@@ -12,10 +12,18 @@ first refreshes the view to the query timestamp:
   releases superseded delta versions, so the change feed can no longer
   bridge the gap.
 
+Either way the rows reach the view as column batches: per table and
+region, the row indices to read (the log window's old/new versions with
+their ∓1 weights, or the set bits of the visibility bitmap with weight
+1) go through one :meth:`~repro.core.storage.TableStorage.read_rows`
+gather, and the view folds the resulting :class:`~repro.ivm.zset.ZSet`
+in one :meth:`~repro.ivm.views.MaterializedView.apply`.
+
 Refresh cost accounting goes through the same
 :meth:`~repro.olap.engine.QueryTiming.add_cpu_bytes` channel as a
 rescan's CPU glue, so incremental and rescan answers are directly
-comparable in simulated time. All state is decoded-int arithmetic.
+comparable in simulated time. The charges are counts — records walked,
+rows folded — and stay Python ints however the rows were read.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.ivm.views import MaterializedView, make_view
-from repro.ivm.zset import record_deltas
-from repro.mvcc.metadata import METADATA_BYTES, Region, RowRef
+from repro.ivm.zset import ZSet, record_deltas
+from repro.mvcc.metadata import METADATA_BYTES, Region
 from repro.olap.engine import QueryTiming
 from repro.olap.queries import QueryResult
 from repro.telemetry import registry as telemetry
@@ -119,37 +127,22 @@ class IVMManager:
         last = self._view_ts[name]
         if ts == last:
             return
-        view = self.views[name]
-        stats = self._stats[name]
-        bandwidth = self.engine.olap.config.total_cpu_bandwidth
-        nbytes = 0
         records = 0
         folded = 0
-        for table, columns in view.columns.items():
-            runtime = self.engine.db.table(table)
-            storage = runtime.storage
-            width = self._widths[(name, table)]
-
-            def read(ref: RowRef, _cols=columns, _storage=storage) -> Tuple[int, ...]:
-                values = _storage.read_row(ref, _cols)
-                return tuple(values[column] for column in _cols)
-
-            for record in runtime.mvcc.log_between(last, ts):
-                records += 1
-                nbytes += METADATA_BYTES
-                for row, weight in record_deltas(record, read):
-                    view.apply(table, row, weight)
-                    nbytes += width
-                    folded += 1
+        nbytes = 0
+        for table in self.views[name].columns:
+            mvcc = self.engine.db.table(table).mvcc
+            count, deltas = record_deltas(mvcc.log_between(last, ts))
+            rows = self._fold(name, table, deltas)
+            records += count
+            folded += rows
+            nbytes += count * METADATA_BYTES + rows * self._widths[(name, table)]
         self._view_ts[name] = ts
-        stats.applied_records += records
-        stats.folded_rows += folded
-        timing.add_cpu_bytes(nbytes, bandwidth)
-        timing.cpu_time += folded * _APPLY_NS_PER_DELTA
+        self._stats[name].applied_records += records
         tel = telemetry.active()
         if tel.enabled:
             tel.counter("ivm.applied_records").inc(records)
-            tel.counter("ivm.folded_rows").inc(folded)
+        self._charge(name, folded, nbytes, timing)
 
     def on_defrag(self, ts: int) -> None:
         """Mark every view for a full resync.
@@ -167,34 +160,63 @@ class IVMManager:
     def _recompute(self, name: str, ts: int, timing: Optional[QueryTiming]) -> None:
         """Rebuild one view from the MVCC visibility bitmaps at ``ts``."""
         view = self.views[name]
-        bandwidth = self.engine.olap.config.total_cpu_bandwidth
         view.clear()
-        nbytes = 0
         folded = 0
-        for table, columns in view.columns.items():
-            runtime = self.engine.db.table(table)
-            storage = runtime.storage
-            mvcc = runtime.mvcc
-            width = self._widths[(name, table)]
+        nbytes = 0
+        for table in view.columns:
+            mvcc = self.engine.db.table(table).mvcc
             # visible_refs_at never observes reads — recomputing a view
             # must not perturb MVCC read-timestamp metadata.
-            data_bits, delta_bits = mvcc.visible_refs_at(ts, mvcc.delta.high_water_rows)
-            for region, bits in ((Region.DATA, data_bits), (Region.DELTA, delta_bits)):
-                for index in np.nonzero(bits)[0]:
-                    values = storage.read_row(RowRef(region, int(index)), columns)
-                    view.apply(table, tuple(values[c] for c in columns), 1)
-                    nbytes += width
-                    folded += 1
+            visible = mvcc.visible_refs_at(ts, mvcc.delta.high_water_rows)
+            deltas = {}
+            for region, bits in zip((Region.DATA, Region.DELTA), visible):
+                index = np.flatnonzero(bits)
+                deltas[region] = (index, np.ones(index.size, dtype=np.int64))
+            rows = self._fold(name, table, deltas)
+            folded += rows
+            nbytes += rows * self._widths[(name, table)]
         self._view_ts[name] = ts
         self._dirty[name] = False
         self._stats[name].recomputes += 1
-        self._stats[name].folded_rows += folded
-        if timing is not None:
-            timing.add_cpu_bytes(nbytes, bandwidth)
-            timing.cpu_time += folded * _APPLY_NS_PER_DELTA
+        self._charge(name, folded, nbytes, timing)
         tel = telemetry.active()
         if tel.enabled:
             tel.counter("ivm.recomputes").inc()
+
+    def _fold(
+        self, name: str, table: str, deltas: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    ) -> int:
+        """Gather ``table``'s weighted rows and fold them into view ``name``.
+
+        ``deltas`` maps a region to the ``(row indices, weights)`` to
+        read — one gather per region, one fold for the table; returns
+        the number of rows folded.
+        """
+        view = self.views[name]
+        storage = self.engine.db.table(table).storage
+        columns = view.columns[table]
+        view.apply(
+            table,
+            ZSet.concat(
+                [
+                    ZSet(storage.read_rows(region, index, columns), weights)
+                    for region, (index, weights) in deltas.items()
+                ]
+            ),
+        )
+        return sum(int(index.size) for index, _ in deltas.values())
+
+    def _charge(
+        self, name: str, folded: int, nbytes: int, timing: Optional[QueryTiming]
+    ) -> None:
+        """Book ``folded`` rows (``nbytes`` moved) to stats, clock and counter."""
+        self._stats[name].folded_rows += folded
+        if timing is not None:
+            timing.add_cpu_bytes(nbytes, self.engine.olap.config.total_cpu_bandwidth)
+            timing.cpu_time += folded * _APPLY_NS_PER_DELTA
+        tel = telemetry.active()
+        if tel.enabled:
+            tel.counter("ivm.folded_rows").inc(folded)
 
     # ------------------------------------------------------------------
     # Cost estimation / introspection (for the serve scheduler)
@@ -218,8 +240,8 @@ class IVMManager:
     def estimate_refresh_time(self, upto_ts: Optional[int] = None) -> float:
         """Estimated simulated ns to refresh every view to ``upto_ts``.
 
-        Deterministic and mode-independent: pending record counts times
-        a per-record byte bound (metadata plus both versions' view
+        Deterministic: pending record counts times a per-record byte
+        bound (metadata plus both versions' view
         columns), over the CPU bandwidth, plus the per-delta apply cost.
         Dirty views are estimated at full-recompute cost (visible rows
         unknown without doing the work, so the live row count bounds it).

@@ -5,16 +5,22 @@ predicate constants (imported, not duplicated), same output ``rows``
 dict — but keeps its aggregate state materialized so committed writes
 fold in as weighted deltas. Q1 is a grouped linear aggregate, Q6 a
 filtered linear aggregate, and Q9 a join view maintained via the chain
-rule: each side keeps its own Z-set state and the joined aggregates are
+rule: each side keeps its own keyed state and the joined aggregates are
 recomposed on read (both sides are tiny keyed dicts, so recomposition
 is a dictionary walk, not a table scan).
 
-All arithmetic is on decoded Python ints.
+A fold takes a whole batch (:class:`~repro.ivm.zset.ZSet`): the view's
+predicate is one mask over the batch's columns, its aggregate one
+consolidation on the group key, and only the consolidated group sums —
+a handful of rows — are merged into the keyed state. Batch sums run in
+``int64`` where they cannot wrap and in exact Python ints where they
+could (:meth:`~repro.ivm.zset.ZSet.weighted`); the state and every
+answer are Python ints.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.ivm.zset import ZSet
@@ -30,12 +36,33 @@ from repro.olap.queries import (
 __all__ = ["MaterializedView", "Q1View", "Q6View", "Q9View", "VIEW_FACTORIES", "make_view"]
 
 
+def _fold_groups(
+    state: Dict[int, List[int]], zset: ZSet, key: str, sums: Sequence[str] = ()
+) -> None:
+    """Consolidate ``zset`` on ``key`` and add its group sums into ``state``.
+
+    Each state entry is ``[*weighted totals of sums, weight]``; an entry
+    whose every component returns to zero is dropped, so a fully
+    retracted key leaves no residue.
+    """
+    groups = zset.consolidate((key,), sums)
+    deltas = [groups.columns[name].tolist() for name in sums] + [groups.weights.tolist()]
+    for value, *delta in zip(groups.columns[key].tolist(), *deltas):
+        entry = state.get(value)
+        if entry is None:
+            state[value] = delta
+            continue
+        for position, amount in enumerate(delta):
+            entry[position] += amount
+        if not any(entry):
+            del state[value]
+
+
 class MaterializedView:
-    """Base class: a named view folding weighted row deltas.
+    """Base class: a named view folding weighted row batches.
 
     ``columns`` maps each source table to the column tuple the view
-    needs; :meth:`apply` receives rows as value tuples in exactly that
-    column order.
+    needs; :meth:`apply` receives a batch carrying exactly those columns.
     """
 
     #: Query name, matching the :data:`repro.olap.queries.QUERIES` key.
@@ -47,8 +74,8 @@ class MaterializedView:
         """Reset to the empty-table state."""
         raise NotImplementedError
 
-    def apply(self, table: str, row: Sequence[int], weight: int) -> None:
-        """Fold one weighted row of ``table`` into the view state."""
+    def apply(self, table: str, zset: ZSet) -> None:
+        """Fold a batch of weighted rows of ``table`` into the view state."""
         raise NotImplementedError
 
     def rows(self) -> Dict:
@@ -73,18 +100,9 @@ class Q1View(MaterializedView):
     def clear(self) -> None:
         self._groups.clear()
 
-    def apply(self, table: str, row: Sequence[int], weight: int) -> None:
-        number, quantity, amount, delivery_d = row
-        if delivery_d <= _Q1_DELIVERY_CUTOFF:
-            return
-        group = self._groups.get(number)
-        if group is None:
-            group = self._groups[number] = [0, 0, 0]
-        group[0] += weight * quantity
-        group[1] += weight * amount
-        group[2] += weight
-        if not (group[0] or group[1] or group[2]):
-            del self._groups[number]
+    def apply(self, table: str, zset: ZSet) -> None:
+        delivered = zset.select(zset.columns["ol_delivery_d"] > _Q1_DELIVERY_CUTOFF)
+        _fold_groups(self._groups, delivered, "ol_number", ("ol_quantity", "ol_amount"))
 
     def rows(self) -> Dict:
         # The rescan only emits groups with a non-zero count; a linear
@@ -110,13 +128,16 @@ class Q6View(MaterializedView):
     def clear(self) -> None:
         self._revenue = 0
 
-    def apply(self, table: str, row: Sequence[int], weight: int) -> None:
-        delivery_d, quantity, amount = row
-        if (
-            _Q6_DELIVERY_LO <= delivery_d < _Q6_DELIVERY_HI
-            and _Q6_QTY_LO <= quantity <= _Q6_QTY_HI
-        ):
-            self._revenue += weight * amount
+    def apply(self, table: str, zset: ZSet) -> None:
+        delivery_d = zset.columns["ol_delivery_d"]
+        quantity = zset.columns["ol_quantity"]
+        band = (
+            (delivery_d >= _Q6_DELIVERY_LO)
+            & (delivery_d < _Q6_DELIVERY_HI)
+            & (quantity >= _Q6_QTY_LO)
+            & (quantity <= _Q6_QTY_HI)
+        )
+        self._revenue += int(zset.weighted("ol_amount")[band].sum())
 
     def rows(self) -> Dict:
         return {"revenue": self._revenue}
@@ -125,11 +146,12 @@ class Q6View(MaterializedView):
 class Q9View(MaterializedView):
     """Q9: orderline ⋈ item (low i_im_id) revenue, via the chain rule.
 
-    The item side keeps a Z-set of qualifying item ids (weights track
-    duplicates so retractions are exact, but membership is *distinct* —
-    the hash join stages build keys in a set); the orderline side keeps
-    per-item-id [sum_amount, count] over *all* visible orderlines. The
-    joined answer recombines the two keyed states on read.
+    The item side keeps the multiplicity of each qualifying item id
+    (weights track duplicates so retractions are exact, but membership
+    is *distinct* — the hash join stages build keys in a set); the
+    orderline side keeps per-item-id [sum_amount, count] over *all*
+    visible orderlines. The joined answer recombines the two keyed
+    states on read.
     """
 
     name = "Q9"
@@ -139,33 +161,25 @@ class Q9View(MaterializedView):
     }
 
     def __init__(self) -> None:
-        self._items = ZSet()  # i_id → multiplicity of qualifying items
+        self._items: Dict[int, list] = {}  # i_id → [multiplicity] of qualifying items
         self._lines: Dict[int, list] = {}  # ol_i_id → [sum_amount, count]
 
     def clear(self) -> None:
         self._items.clear()
         self._lines.clear()
 
-    def apply(self, table: str, row: Sequence[int], weight: int) -> None:
+    def apply(self, table: str, zset: ZSet) -> None:
         if table == "item":
-            i_id, i_im_id = row
-            if i_im_id <= _Q9_IM_CUTOFF:
-                self._items.add(i_id, weight)
-            return
-        ol_i_id, ol_amount = row
-        line = self._lines.get(ol_i_id)
-        if line is None:
-            line = self._lines[ol_i_id] = [0, 0]
-        line[0] += weight * ol_amount
-        line[1] += weight
-        if not (line[0] or line[1]):
-            del self._lines[ol_i_id]
+            qualifying = zset.select(zset.columns["i_im_id"] <= _Q9_IM_CUTOFF)
+            _fold_groups(self._items, qualifying, "i_id")
+        else:
+            _fold_groups(self._lines, zset, "ol_i_id", ("ol_amount",))
 
     def rows(self) -> Dict:
         revenue = 0
         matches = 0
         for key, (sum_amount, count) in self._lines.items():
-            if self._items.weight(key):
+            if key in self._items:
                 revenue += sum_amount
                 matches += count
         return {"revenue": revenue, "matches": matches}

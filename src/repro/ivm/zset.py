@@ -1,90 +1,143 @@
-"""Z-set primitives: weighted multisets and MVCC record deltas.
+"""Z-set primitives: columnar weighted batches and MVCC record deltas.
 
-A Z-set maps values to signed integer weights; a weight of zero
-annihilates the entry. Committed writes translate into weighted row
-deltas (the DBSP change-stream encoding):
+A Z-set maps rows to signed integer weights; a weight of zero
+annihilates the row. Physically it is a *batch* in structure-of-arrays
+form — one array per payload column beside an ``int64`` weight vector —
+so mutation is summation: batches concatenate, and consolidation (sort
+on the key columns, then a segmented sum of the weights) merges equal
+keys and drops the groups that cancelled.
+
+Committed writes translate into weighted row deltas (the DBSP
+change-stream encoding):
 
 * insert → ``(new_row, +1)``
 * delete → ``(old_row, -1)``
 * update → ``(old_row, -1), (new_row, +1)``
 
-Linear view operators fold these pairs directly into their state; the
-join view composes two linear halves via the chain rule.
+:func:`record_deltas` turns a window of the MVCC update log into those
+pairs as ``(row index, weight)`` arrays per region, ready for one
+:meth:`~repro.core.storage.TableStorage.read_rows` gather each. Linear
+view operators fold the resulting batches into their state; the join
+view composes two linear halves via the chain rule.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import QueryError
 from repro.mvcc.manager import UpdateRecord
+from repro.mvcc.metadata import Region
 
 __all__ = ["ZSet", "record_deltas"]
 
-#: Decoded row, as a tuple of column values in the view's column order.
-Row = Tuple[int, ...]
-
-#: Reads the named columns of one row version (``RowRef`` → values).
-RowReader = Callable[[object], Sequence[int]]
+#: Below this bound on Σ|weight · value| a sum cannot leave ``int64``.
+_INT64_SAFE = 1 << 62
 
 
 class ZSet:
-    """A weighted multiset over hashable values.
+    """A batch of weighted rows: payload column arrays + a weight vector.
 
-    Only non-zero weights are stored: adding an opposite weight removes
-    the entry entirely, so a fully retracted value leaves no residue
-    (important for bit-identical comparison against rescans).
+    ``columns`` maps a column name to an array with one entry per row;
+    ``weights`` holds the rows' signed multiplicities. A batch may hold
+    equal rows more than once and zero weights — :meth:`consolidate` is
+    what sums and drops them.
     """
 
-    __slots__ = ("_weights",)
+    __slots__ = ("columns", "weights")
 
-    def __init__(self) -> None:
-        self._weights: Dict[Hashable, int] = {}
-
-    def add(self, value: Hashable, weight: int = 1) -> None:
-        """Fold ``weight`` into ``value``'s entry (zero annihilates)."""
-        total = self._weights.get(value, 0) + weight
-        if total:
-            self._weights[value] = total
-        else:
-            self._weights.pop(value, None)
-
-    def weight(self, value: Hashable) -> int:
-        """The current weight of ``value`` (0 when absent)."""
-        return self._weights.get(value, 0)
-
-    def items(self) -> Iterator[Tuple[Hashable, int]]:
-        """All (value, weight) pairs with non-zero weight."""
-        return iter(self._weights.items())
-
-    def clear(self) -> None:
-        """Drop all entries."""
-        self._weights.clear()
-
-    def __contains__(self, value: Hashable) -> bool:
-        return value in self._weights
+    def __init__(self, columns: Mapping[str, np.ndarray], weights: np.ndarray) -> None:
+        self.columns = dict(columns)
+        self.weights = np.asarray(weights, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return self.weights.size
+
+    @classmethod
+    def concat(cls, batches: Sequence["ZSet"]) -> "ZSet":
+        """The sum of ``batches`` (same columns): their rows, appended."""
+        return cls(
+            {
+                name: np.concatenate([batch.columns[name] for batch in batches])
+                for name in batches[0].columns
+            },
+            np.concatenate([batch.weights for batch in batches]),
+        )
+
+    def select(self, mask: np.ndarray) -> "ZSet":
+        """The rows where ``mask`` holds, weights unchanged."""
+        return ZSet(
+            {name: values[mask] for name, values in self.columns.items()},
+            self.weights[mask],
+        )
+
+    def weighted(self, name: str) -> np.ndarray:
+        """``weight × value`` per row of an int column, ready to sum.
+
+        ``int64`` whenever no sum of the products can wrap; otherwise
+        exact Python ints (object dtype) — an 8-byte column can hold
+        values whose batch total passes 2⁶³.
+        """
+        values = self.columns[name]
+        if values.size and int(values.max()) * int(np.abs(self.weights).sum()) >= _INT64_SAFE:
+            return values.astype(object) * self.weights.astype(object)
+        return values.astype(np.int64) * self.weights
+
+    def consolidate(self, keys: Sequence[str], sums: Sequence[str] = ()) -> "ZSet":
+        """One row per distinct ``keys`` value: sort + segmented sum.
+
+        The result's weight is the group's summed weight, and each
+        column named in ``sums`` becomes the group's weighted total
+        ``Σ weight × value``. Groups whose weight and totals are all
+        zero annihilate — they are not in the result.
+        """
+        order = np.lexsort([self.columns[name] for name in reversed(keys)])
+        sorted_keys = [self.columns[name][order] for name in keys]
+        boundary = np.zeros(len(self), dtype=bool)
+        boundary[:1] = True
+        for column in sorted_keys:
+            boundary[1:] |= column[1:] != column[:-1]
+        starts = np.flatnonzero(boundary)
+        totals = {
+            name: np.add.reduceat(self.weighted(name)[order], starts) for name in sums
+        }
+        weights = np.add.reduceat(self.weights[order], starts)
+        keep = weights != 0
+        for total in totals.values():
+            keep |= total != 0
+        columns = {name: column[starts][keep] for name, column in zip(keys, sorted_keys)}
+        columns.update((name, total[keep]) for name, total in totals.items())
+        return ZSet(columns, weights[keep])
 
 
 def record_deltas(
-    record: UpdateRecord, read: RowReader
-) -> Iterator[Tuple[Sequence[int], int]]:
-    """The weighted row deltas of one committed MVCC log record.
+    records: Iterable[UpdateRecord],
+) -> Tuple[int, Dict[str, Tuple[np.ndarray, np.ndarray]]]:
+    """The weighted row deltas of a window of committed MVCC log records.
 
-    ``read`` resolves a :class:`~repro.mvcc.manager.RowRef` to the view's
-    column values. Old versions stay readable until defragmentation
-    compacts the delta region, and defrag marks every view for a full
-    resync before that happens, so both sides of an update are always
-    materializable here.
+    Returns the record count and, per region, the ``(row indices,
+    weights)`` of the versions to read. Old versions stay readable until
+    defragmentation compacts the delta region, and defrag marks every
+    view for a full resync before that happens, so both sides of an
+    update are always materializable.
     """
-    if record.kind == "update":
-        yield read(record.prev_ref), -1
-        yield read(record.new_ref), +1
-    elif record.kind == "insert":
-        yield read(record.new_ref), +1
-    elif record.kind == "delete":
-        yield read(record.prev_ref), -1
-    else:  # pragma: no cover - the log only ever holds the three kinds
-        raise QueryError(f"unknown update-log record kind: {record.kind!r}")
+    count = 0
+    deltas: Dict[str, Tuple[list, list]] = {Region.DATA: ([], []), Region.DELTA: ([], [])}
+    for record in records:
+        count += 1
+        if record.kind not in ("update", "insert", "delete"):
+            raise QueryError(f"unknown update-log record kind: {record.kind!r}")
+        if record.kind != "insert":
+            indices, weights = deltas[record.prev_ref.region]
+            indices.append(record.prev_ref.index)
+            weights.append(-1)
+        if record.kind != "delete":
+            indices, weights = deltas[record.new_ref.region]
+            indices.append(record.new_ref.index)
+            weights.append(+1)
+    return count, {
+        region: (np.asarray(indices, dtype=np.intp), np.asarray(weights, dtype=np.int64))
+        for region, (indices, weights) in deltas.items()
+    }

@@ -8,15 +8,19 @@ in the middle.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.engine import PushTapEngine
 from repro.errors import QueryError
 from repro.format.schema import Column, TableSchema
+from repro.ivm.manager import IVMManager
 from repro.ivm.views import make_view
 from repro.ivm.zset import ZSet
+from repro.olap.engine import QueryTiming
 from repro.olap.queries import run_query
 from repro.serve.scheduler import HTAPScheduler
+from repro.telemetry import registry as telemetry
 from repro.workloads.tpcc_gen import DATE_EPOCH, DATE_HORIZON
 
 QUERIES = ("Q1", "Q6", "Q9")
@@ -131,22 +135,27 @@ def run_scenario(seed, rounds=6, ops_per_round=30, defrag_round=3):
     return answers
 
 
+def keyed(keys, weights):
+    """A one-column batch: ``keys`` beside ``weights``."""
+    return ZSet({"k": np.asarray(keys, dtype=np.uint64)}, weights)
+
+
+def weights_by_key(zset):
+    return dict(zip(zset.columns["k"].tolist(), zset.weights.tolist()))
+
+
 class TestZSet:
     def test_weights_annihilate(self):
-        z = ZSet()
-        z.add("a", 1)
-        z.add("a", 2)
-        assert z.weight("a") == 3
-        z.add("a", -3)
-        assert "a" not in z
+        z = ZSet.concat([keyed([7], [1]), keyed([7], [2])]).consolidate(["k"])
+        assert weights_by_key(z) == {7: 3}
+        z = ZSet.concat([z, keyed([7], [-3])]).consolidate(["k"])
         assert len(z) == 0
+        assert z.columns["k"].size == 0
 
     def test_items_only_nonzero(self):
-        z = ZSet()
-        z.add(1, 1)
-        z.add(2, 1)
-        z.add(2, -1)
-        assert dict(z.items()) == {1: 1}
+        z = keyed([1, 2, 2], [1, 1, -1]).consolidate(["k"])
+        assert weights_by_key(z) == {1: 1}
+        assert z.weights.dtype == np.int64
 
     def test_unknown_view_rejected(self):
         with pytest.raises(QueryError):
@@ -159,6 +168,91 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", [1, 5])
     def test_views_match_rescan_vectorized(self, seed):
         run_scenario(seed)
+
+
+class TestAccounting:
+    """What a refresh charges is what it read, on either code path."""
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_folded_charge_is_rows_gathered(self, seed, monkeypatch):
+        """After every ``answer()`` of a random history (defrag mid-way,
+        so both the delta fold and the resync run): the rows charged are
+        the rows handed to ``read_rows``, the simulated time is exactly
+        those counts priced, and the refreshed view holds the state a
+        freshly registered view computes from scratch."""
+        rng = random.Random(seed)
+        engine, live = build_toy_engine(rng)
+        ivm = engine.enable_ivm()
+        bandwidth = engine.olap.config.total_cpu_bandwidth
+        gathered = []  # (rows, bytes per row) of every read_rows call
+        for runtime in (engine.table("orderline"), engine.table("item")):
+            storage = runtime.storage
+            original = storage.read_rows
+
+            def spy(region, rows, columns, _original=original, _storage=storage):
+                width = sum(_storage.layout.schema.column(c).width for c in columns)
+                gathered.append((len(rows), width))
+                return _original(region, rows, columns)
+
+            monkeypatch.setattr(storage, "read_rows", spy)
+        for round_index in range(6):
+            run_random_ops(engine, rng, live, 25)
+            if round_index == 3:
+                engine.defragment()
+                run_random_ops(engine, rng, live, 10)
+            ts = engine.db.oracle.read_timestamp()
+            for name in QUERIES:
+                dirty = ivm._dirty[name]
+                records = 0 if dirty else sum(
+                    engine.table(table).mvcc.log_count_between(ivm._view_ts[name], ts)
+                    for table in ivm.views[name].columns
+                )
+                before = ivm.report()["views"][name]
+                del gathered[:]
+                result = ivm.answer(name, ts)
+                after = ivm.report()["views"][name]
+                folded = sum(rows for rows, _ in gathered)
+                assert after["folded_rows"] - before["folded_rows"] == folded
+                assert after["applied_records"] - before["applied_records"] == records
+                assert after["recomputes"] - before["recomputes"] == int(dirty)
+                expected = QueryTiming()
+                expected.add_cpu_bytes(
+                    records * 16 + sum(rows * width for rows, width in gathered), bandwidth
+                )
+                expected.cpu_time += folded * 0.5
+                assert result.timing == expected
+            fresh = IVMManager(engine)
+            for name in QUERIES:
+                fresh.register(name)
+                assert vars(fresh.views[name]) == vars(ivm.views[name])
+                assert fresh.views[name].rows() == ivm.views[name].rows()
+
+    def test_folded_rows_counter_matches_report(self):
+        """The telemetry counter books resync folds too: it equals the
+        report after a history with a defragmentation in it."""
+        telemetry.disable()
+        tel = telemetry.enable()
+        try:
+            rng = random.Random(4)
+            engine, live = build_toy_engine(rng)
+            ivm = engine.enable_ivm()
+            for round_index in range(4):
+                run_random_ops(engine, rng, live, 20)
+                if round_index == 1:
+                    engine.defragment()
+                ts = engine.db.oracle.read_timestamp()
+                for name in QUERIES:
+                    ivm.answer(name, ts)
+            report = ivm.report()
+            assert report["recomputes"] == 2 * len(QUERIES)
+            assert tel.counters["ivm.folded_rows"].value == report["folded_rows"]
+            assert tel.counters["ivm.applied_records"].value == report["applied_records"]
+            assert tel.counters["ivm.recomputes"].value == report["recomputes"]
+            totals = {key: value for key, value in report.items() if key != "views"}
+            for counts in [totals, *report["views"].values()]:
+                assert all(type(value) is int for value in counts.values()), counts
+        finally:
+            telemetry.disable()
 
 
 class TestCHBenchEngine:
