@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError
 from repro.units import round_up
@@ -89,14 +91,18 @@ def cluster_row_counts(scale: float, num_shards: int) -> Dict[str, int]:
     return counts
 
 
-def partition_row_filter(shard: int, num_shards: int) -> Callable[[str, Dict], bool]:
-    """A :meth:`PushTapEngine.build` row filter keeping ``shard``'s rows."""
+def partition_row_filter(
+    shard: int, num_shards: int
+) -> Callable[[str, Dict[str, np.ndarray]], Optional[np.ndarray]]:
+    """A :meth:`PushTapEngine.build` row filter keeping ``shard``'s rows:
+    the mask of a block's rows whose warehouse the shard owns, or
+    ``None`` (keep all) for the replicated ITEM table."""
 
-    def keep(table: str, values: Dict) -> bool:
+    def keep(table: str, columns: Dict[str, np.ndarray]) -> Optional[np.ndarray]:
         column = PARTITION_COLUMNS[table]
         if column is None:
-            return True
-        return shard_of(values[column], num_shards) == shard
+            return None
+        return (columns[column] - 1) % num_shards == shard
 
     return keep
 
@@ -111,9 +117,9 @@ def build_shard(
 
     A 1-shard cluster passes no filter at all, so its engine streams the
     generator straight into the loader and is bit-identical to
-    ``PushTapEngine.build(counts=counts, ...)``; a filtered shard
-    materializes its partition first (capacities are sized from it) and
-    hands the lists to the same :meth:`TableRuntime.load_rows`.
+    ``PushTapEngine.build(counts=counts, ...)``; a filtered shard keeps
+    its partition's column blocks first (capacities are sized from them)
+    and hands them to the same :meth:`TableRuntime.load_columns`.
     """
     if not 0 <= shard < num_shards:
         raise ConfigError(f"shard {shard} outside [0, {num_shards})")

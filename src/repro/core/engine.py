@@ -19,7 +19,19 @@ Build one with :meth:`PushTapEngine.build`; see ``examples/quickstart.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.core.config import SystemConfig, dimm_system
 from repro.core.database import Database
@@ -67,17 +79,18 @@ class OLAPBatchResult:
         """Batch wall time: the one mode switch plus every query."""
         return self.switch_time + sum(r.total_time for r in self.results)
 
-#: Table → (index name, key function), matching the deterministic data
-#: generator's key assignment.
-_INDEX_KEYS: Dict[str, Tuple[str, Callable[[Dict], object]]] = {
-    "warehouse": ("warehouse_pk", lambda r: r["w_id"]),
-    "district": ("district_pk", lambda r: (r["d_w_id"], r["d_id"])),
-    "customer": ("customer_pk", lambda r: (r["c_w_id"], r["c_d_id"], r["c_id"])),
-    "item": ("item_pk", lambda r: r["i_id"]),
-    "stock": ("stock_pk", lambda r: (r["s_w_id"], r["s_i_id"])),
-    "order": ("order_pk", lambda r: r["o_id"]),
-    "neworder": ("neworder_pk", lambda r: r["no_o_id"]),
-    "orderline": ("orderline_pk", lambda r: (r["ol_o_id"], r["ol_number"])),
+#: Table → (index name, key columns), matching the deterministic data
+#: generator's key assignment: one column indexes its plain values,
+#: several their tuples.
+_INDEX_KEYS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "warehouse": ("warehouse_pk", ("w_id",)),
+    "district": ("district_pk", ("d_w_id", "d_id")),
+    "customer": ("customer_pk", ("c_w_id", "c_d_id", "c_id")),
+    "item": ("item_pk", ("i_id",)),
+    "stock": ("stock_pk", ("s_w_id", "s_i_id")),
+    "order": ("order_pk", ("o_id",)),
+    "neworder": ("neworder_pk", ("no_o_id",)),
+    "orderline": ("orderline_pk", ("ol_o_id", "ol_number")),
 }
 
 
@@ -159,7 +172,9 @@ class PushTapEngine:
         ranks: int = 1,
         cost: Optional[CostParams] = None,
         counts: Optional[Dict[str, int]] = None,
-        row_filter: Optional[Callable[[str, Dict], bool]] = None,
+        row_filter: Optional[
+            Callable[[str, Dict[str, np.ndarray]], Optional[np.ndarray]]
+        ] = None,
     ) -> "PushTapEngine":
         """Build a loaded engine over the CH-benCHmark database.
 
@@ -176,10 +191,11 @@ class PushTapEngine:
 
         ``counts`` overrides the per-table row counts derived from
         ``scale`` (the cluster layer uses this to pin the warehouse
-        count independently of the data volume); ``row_filter`` keeps
-        only the generated rows it accepts — a shard engine loads the
-        same deterministic global stream but retains only its partition,
-        with capacities and MVCC sized to the retained rows.
+        count independently of the data volume); ``row_filter(table,
+        columns)`` is given each generated block of column arrays and
+        returns the mask of rows to keep (``None``: all) — a shard engine
+        replays the same deterministic global stream but retains only its
+        partition, with capacities and MVCC sized to the retained rows.
         """
         config = config or dimm_system()
         query_set = list(queries) if queries is not None else all_queries()
@@ -194,20 +210,24 @@ class PushTapEngine:
                 schemas[name], keys, config.geometry.devices_per_rank, th
             )
 
+        def blocks(name: str) -> Iterator[Dict[str, np.ndarray]]:
+            for columns in generate_table(name, counts, seed, block_rows):
+                mask = None if row_filter is None else row_filter(name, columns)
+                if mask is not None:
+                    columns = {c: values[mask] for c, values in columns.items()}
+                yield columns
+
         if row_filter is None:
-            rows_by_table = None
+            # Generated while loading, one block in memory at a time.
+            blocks_by_table = {name: blocks(name) for name in names}
             effective_counts = counts
         else:
-            rows_by_table = {
-                name: [
-                    values
-                    for values in generate_table(name, counts, seed)
-                    if row_filter(name, values)
-                ]
-                for name in names
-            }
+            # The retained counts size the engine, so a filtered shard
+            # keeps its partition's blocks until it is assembled.
+            blocks_by_table = {name: list(blocks(name)) for name in names}
             effective_counts = {
-                name: len(rows_by_table[name]) for name in names
+                name: sum(len(next(iter(block.values()))) for block in kept)
+                for name, kept in blocks_by_table.items()
             }
 
         capacities = {
@@ -237,11 +257,7 @@ class PushTapEngine:
         )
         for index_name in INDEX_NAMES:
             engine.db.add_index(HashIndex(index_name))
-        if rows_by_table is None:
-            rows_by_table = {
-                name: generate_table(name, counts, seed) for name in names
-            }
-        cls._load(engine.db, rows_by_table, _INDEX_KEYS)
+        cls._load(engine.db, blocks_by_table, _INDEX_KEYS, TableRuntime.load_columns)
         return engine
 
     @classmethod
@@ -315,7 +331,10 @@ class PushTapEngine:
                 raise ConfigError(f"index over unknown table {table_name!r}")
             engine.db.add_index(HashIndex(index_name))
         cls._load(
-            engine.db, {n: initial_rows.get(n, ()) for n in names}, index_keys
+            engine.db,
+            {n: initial_rows.get(n, ()) for n in names},
+            index_keys,
+            TableRuntime.load_rows,
         )
         return engine
 
@@ -474,14 +493,17 @@ class PushTapEngine:
     @staticmethod
     def _load(
         db: Database,
-        rows_by_table: Dict[str, Iterable[Dict]],
-        index_keys: Dict[str, Tuple[str, Callable[[Dict], object]]],
+        data_by_table: Dict[str, Iterable],
+        index_keys: Dict[str, Tuple[str, object]],
+        loader: Callable[[TableRuntime, Iterable, Optional[Tuple]], int],
     ) -> None:
-        """Bulk-load every table, feeding the index its spec names."""
-        for name, rows in rows_by_table.items():
+        """Bulk-load every table through ``loader`` (:meth:`TableRuntime.
+        load_rows` or :meth:`~TableRuntime.load_columns`), feeding the
+        index its spec names with the spec's keys."""
+        for name, data in data_by_table.items():
             spec = index_keys.get(name)
             index = (db.index(spec[0]), spec[1]) if spec is not None else None
-            db.table(name).load_rows(rows, index)
+            loader(db.table(name), data, index)
 
     @staticmethod
     def _build_controller(

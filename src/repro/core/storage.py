@@ -19,9 +19,10 @@ for the OLAP operators (:meth:`TableStorage.column_scan_plan`). Because of
 the ADE alignment, whole-row movement is a column slice of the rank's byte
 matrix — ``rank.mem[:, addr:addr+W]`` is one row's slots on every device —
 so a row copy is one 2-D slice assignment per part, a block of rows one
-strided store (:meth:`TableStorage.write_rows`), a defragmentation pass
-one gather/scatter (:meth:`TableStorage.copy_rows`), and a bitmap update
-one broadcast.
+strided store (:meth:`TableStorage.write_rows` for row dicts,
+:meth:`TableStorage.write_column_rows` for column arrays — two encoders
+in front of the same store), a defragmentation pass one gather/scatter
+(:meth:`TableStorage.copy_rows`), and a bitmap update one broadcast.
 
 Reads index the same matrix through one *read plan* per column — the
 geometry of each of its byte runs, resolved once (:class:`_ReadRun`).
@@ -249,26 +250,43 @@ class TableStorage:
         """Pack and store ``rows`` at consecutive indices from ``start``.
 
         All-or-nothing: the range is checked and every row encoded before
-        any byte is stored. Within a circulant block the rotation is
-        constant, so each (block, part) is one ADE-wide store — the rows'
-        flat bytes gathered through the part's rotated slot plan into
-        ``mem[:, lo:hi]``, the same local range on every device (Fig. 6a).
+        any byte is stored (:meth:`_store_flat`).
         """
+        self._check_range(region, start, len(rows))
+        self._store_flat(region, start, self.layout.encode_rows(rows))
+
+    def write_column_rows(
+        self, region: str, start: int, columns: Dict[str, np.ndarray], n: int
+    ) -> None:
+        """:meth:`write_rows` for ``n`` rows given as column arrays
+        (:meth:`UnifiedLayout.encode_columns`): the bulk-load entry."""
+        self._check_range(region, start, n)
+        self._store_flat(region, start, self.layout.encode_columns(columns, n))
+
+    def _check_range(self, region: str, start: int, n: int) -> None:
         capacity = self._region_capacity(region)
-        if start < 0 or start + len(rows) > capacity:
+        if start < 0 or start + n > capacity:
             first_bad = start if start < 0 else max(start, capacity)
             raise MemoryError_(
                 f"table {self.layout.schema.name!r} {region} region: row "
                 f"{first_bad} out of range [0, {capacity}) writing "
-                f"{len(rows)} rows from {start}"
+                f"{n} rows from {start}"
             )
-        flat = self.layout.encode_rows(rows)
+
+    def _store_flat(self, region: str, start: int, flat: np.ndarray) -> None:
+        """Store encoded flat rows at consecutive indices from ``start``.
+
+        Within a circulant block the rotation is constant, so each
+        (block, part) is one ADE-wide store — the rows' flat bytes
+        gathered through the part's rotated slot plan into
+        ``mem[:, lo:hi]``, the same local range on every device (Fig. 6a).
+        """
         mem = self.rank.mem
         num_devices = self.rank.num_devices
         done = 0
-        while done < len(rows):
+        while done < len(flat):
             block, within = divmod(start + done, self.block_rows)
-            count = min(self.block_rows - within, len(rows) - done)
+            count = min(self.block_rows - within, len(flat) - done)
             rotation = self.placement.rotation_of_block(block)
             chunk = flat[done : done + count]
             for part in self.layout.parts:

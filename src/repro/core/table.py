@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.snapshot import SnapshotManager
 from repro.core.storage import TableStorage
 from repro.errors import MemoryError_, TransactionError
@@ -99,28 +101,57 @@ class TableRuntime:
         rows: Iterable[Dict[str, Value]],
         index: Optional[Tuple[HashIndex, Callable[[Dict[str, Value]], Hashable]]] = None,
     ) -> int:
-        """Bulk-load initial rows into the data region (pre-MVCC).
+        """Bulk-load initial rows given as dicts into the data region.
 
-        The one loader: consumes ``rows`` one circulant block at a time
-        (so a generator is never materialized), stores each block with
+        Consumes ``rows`` one circulant block at a time (so a generator is
+        never materialized), stores each block with
         :meth:`TableStorage.write_rows`, and feeds ``index`` — an
         ``(index, key_fn)`` pair — with ``key_fn(row) → row id``. Rows
         must already be accounted in the MVCC manager's ``initial_rows``;
         a block that would pass that count raises before it is stored.
         """
         rows = iter(rows)
-        sized = self.mvcc.num_rows
         count = 0
         while chunk := list(islice(rows, self.storage.block_rows)):
-            if count + len(chunk) > sized:
-                raise MemoryError_(
-                    f"table {self.name!r} data region: row {sized} out of range "
-                    f"[0, {sized}) — the table was sized for {sized} initial rows"
-                )
+            stop = count + len(chunk)
+            self._check_sized(stop)
             self.storage.write_rows(Region.DATA, count, chunk)
             if index is not None:
                 hash_index, key_fn = index
-                for offset, values in enumerate(chunk):
-                    hash_index.insert(key_fn(values), count + offset)
-            count += len(chunk)
+                hash_index.insert_many([key_fn(v) for v in chunk], range(count, stop))
+            count = stop
         return count
+
+    def load_columns(
+        self,
+        blocks: Iterable[Dict[str, np.ndarray]],
+        index: Optional[Tuple[HashIndex, Sequence[str]]] = None,
+    ) -> int:
+        """:meth:`load_rows` for blocks of rows given as column arrays.
+
+        Each block is one :meth:`TableStorage.write_column_rows`; ``index``
+        is an ``(index, key columns)`` pair, a single key column indexing
+        its plain values and several their tuples.
+        """
+        count = 0
+        for columns in blocks:
+            n = len(next(iter(columns.values())))
+            stop = count + n
+            self._check_sized(stop)
+            self.storage.write_column_rows(Region.DATA, count, columns, n)
+            if index is not None:
+                hash_index, key_columns = index
+                keys = [columns[c].tolist() for c in key_columns]
+                hash_index.insert_many(
+                    keys[0] if len(keys) == 1 else list(zip(*keys)), range(count, stop)
+                )
+            count = stop
+        return count
+
+    def _check_sized(self, rows: int) -> None:
+        sized = self.mvcc.num_rows
+        if rows > sized:
+            raise MemoryError_(
+                f"table {self.name!r} data region: row {sized} out of range "
+                f"[0, {sized}) — the table was sized for {sized} initial rows"
+            )

@@ -8,7 +8,8 @@ cache lines), growing with chain length under collisions.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, Optional
+from collections import Counter
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import TransactionError
 
@@ -58,6 +59,24 @@ class HashIndex:
         self._map[key] = row_id
         self._bucket_sizes[bucket] = self._bucket_sizes.get(bucket, 0) + 1
         return self.BASE_PROBE_LINES
+
+    def insert_many(self, keys: Sequence[Hashable], row_ids: Iterable[int]) -> None:
+        """Insert unique ``keys`` → ``row_ids`` (the bulk load), all or
+        nothing: a duplicate raises as :meth:`insert` does, naming the
+        first one, and leaves the index as it was."""
+        new = dict(zip(keys, row_ids))
+        if len(new) < len(keys) or not self._map.keys().isdisjoint(new):
+            seen = set(self._map)
+            for key in keys:
+                if key in seen:
+                    raise TransactionError(
+                        f"index {self.name!r}: duplicate key {key!r}"
+                    )
+                seen.add(key)
+        self._map.update(new)
+        sizes = self._bucket_sizes
+        for bucket, count in Counter(map(self._bucket, new)).items():
+            sizes[bucket] = sizes.get(bucket, 0) + count
 
     def probe(self, key: Hashable) -> ProbeResult:
         """Look up a key; cost grows with the bucket's chain length."""

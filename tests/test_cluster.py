@@ -18,16 +18,19 @@ from repro.cluster import (
     ShardRouter,
     cluster_row_counts,
     merge_rows,
+    partition_row_filter,
     run_cluster_fault_sweep,
     shard_of,
     shard_warehouses,
 )
+from repro.cluster.partition import PARTITION_COLUMNS
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, QueryError, TransactionError
 from repro.faults.plan import TWOPC_HOOKS, FaultRates
 from repro.workloads.chbench import row_counts
 from repro.oltp.tpcc import TPCCDriver
 from repro.workloads.driver import MixedWorkload, _derive_seed
+from repro.workloads.tpcc_gen import generate_table
 
 SCALE = 2e-5
 ENGINE_KWARGS = dict(seed=7, block_rows=256, defrag_period=200)
@@ -68,6 +71,20 @@ class TestPartition:
     def test_shard_of_round_robin(self):
         assert [shard_of(w, 2) for w in (1, 2, 3, 4)] == [0, 1, 0, 1]
         assert shard_warehouses(1, 2, 4) == [2, 4]
+
+    def test_row_filter_is_shard_of_over_a_block(self):
+        """The block mask keeps the rows the per-row rule assigns to the
+        shard; the replicated ITEM table is kept whole (no mask)."""
+        counts = cluster_row_counts(SCALE, 4)
+        for table, column in PARTITION_COLUMNS.items():
+            block = next(generate_table(table, counts, 7, 256))
+            masks = [partition_row_filter(s, 4)(table, block) for s in range(4)]
+            if column is None:
+                assert masks == [None] * 4
+                continue
+            owners = [shard_of(w, 4) for w in block[column].tolist()]
+            for shard, mask in enumerate(masks):
+                assert mask.tolist() == [owner == shard for owner in owners], table
 
     def test_shards_partition_all_rows(self):
         """Every shard-filtered row set unions back to the global counts."""

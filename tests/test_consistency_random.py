@@ -20,7 +20,7 @@ from repro.olap.queries import (
 )
 from repro.oltp.tpcc import delivery, new_order, payment
 from repro.workloads.chbench import row_counts
-from repro.workloads.tpcc_gen import generate_table
+from repro.workloads.tpcc_gen import generate_rows
 
 
 class ReferenceOracle:
@@ -29,17 +29,17 @@ class ReferenceOracle:
     def __init__(self, scale: float, seed: int):
         counts = row_counts(scale)
         self.customers = {}
-        for row in generate_table("customer", counts, seed):
+        for row in generate_rows("customer", counts, seed):
             self.customers[(row["c_w_id"], row["c_d_id"], row["c_id"])] = dict(row)
         self.stock = {}
-        for row in generate_table("stock", counts, seed):
+        for row in generate_rows("stock", counts, seed):
             self.stock[(row["s_w_id"], row["s_i_id"])] = dict(row)
         self.items = {
-            row["i_id"]: dict(row) for row in generate_table("item", counts, seed)
+            row["i_id"]: dict(row) for row in generate_rows("item", counts, seed)
         }
-        self.orderlines = [dict(r) for r in generate_table("orderline", counts, seed)]
-        self.orders = {r["o_id"]: dict(r) for r in generate_table("order", counts, seed)}
-        self.neworders = {r["no_o_id"] for r in generate_table("neworder", counts, seed)}
+        self.orderlines = [dict(r) for r in generate_rows("orderline", counts, seed)]
+        self.orders = {r["o_id"]: dict(r) for r in generate_rows("order", counts, seed)}
+        self.neworders = {r["no_o_id"] for r in generate_rows("neworder", counts, seed)}
 
     def apply_payment(self, p):
         c = self.customers[(p.w_id, p.d_id, p.c_id)]

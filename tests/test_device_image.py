@@ -144,6 +144,24 @@ def stored(schema, values):
     return {c.name: c.decode(c.encode(values[c.name])) for c in schema}
 
 
+def to_columns(schema, rows, short=True):
+    """Row dicts as column arrays: ints as one integer array (unsigned
+    when a value needs it), bytes as a NUL-padded ``uint8`` matrix — as
+    wide as the longest value with ``short``, else as the column."""
+    columns = {}
+    for col in schema:
+        values = [row[col.name] for row in rows]
+        if col.kind == "int":
+            wide = any(v >= 1 << 63 for v in values)
+            columns[col.name] = np.array(values, dtype=np.uint64 if wide else np.int64)
+        else:
+            width = max(map(len, values), default=0) if short else col.width
+            columns[col.name] = np.array(
+                [list(v.ljust(width, b"\x00")) for v in values], dtype=np.uint8
+            ).reshape(len(rows), width)
+    return columns
+
+
 def crosses_a_bank(storage, region, first, last):
     bank = storage.rank.devices[0].bank_size
     return storage.row_addr(region, 0, first) // bank != storage.row_addr(region, 0, last) // bank
@@ -423,6 +441,207 @@ class TestLoadRows:
         table, _ = make_table(TableStorage, self.SHAPE, 2, 40, DEVICES)
         with pytest.raises(TransactionError, match="duplicate key"):
             table.load_rows([self.rows(1)[0]] * 2, (HashIndex("pk"), lambda r: r["k"]))
+
+
+    def test_a_duplicate_key_leaves_the_index_as_it_was(self):
+        """Bulk insert is per block and all-or-nothing: the first block's
+        keys are in, none of the block holding the duplicate."""
+        table, _ = make_table(TableStorage, self.SHAPE, 12, 40, DEVICES)
+        rows = self.rows(12)
+        rows[10] = rows[9]
+        index = HashIndex("pk")
+        with pytest.raises(TransactionError, match="duplicate key 109"):
+            table.load_rows(rows, (index, lambda r: r["k"]))
+        assert list(index.keys()) == [100 + i for i in range(8)]
+
+
+class TestLoadColumns:
+    """The column-array entry of the loader, against ``load_rows``."""
+
+    SHAPE = TestLoadRows.SHAPE
+    rows = TestLoadRows.rows
+
+    def blocks(self, n, size):
+        rows = self.rows(n)
+        return [
+            to_columns(self.SHAPE[0], rows[at : at + size]) for at in range(0, n, size)
+        ]
+
+    @pytest.mark.parametrize("size", [8, 5, 21])
+    def test_image_and_index_equal_load_rows(self, size):
+        """Blocks aligned with the storage blocks, straddling them, and
+        one block for the whole table."""
+        by_columns, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
+        by_rows, _ = make_table(OracleStorage, self.SHAPE, 21, 40, DEVICES)
+        indexes = HashIndex("pk"), HashIndex("pk")
+        assert by_columns.load_columns(self.blocks(21, size), (indexes[0], ("k",))) == 21
+        assert by_rows.load_rows(self.rows(21), (indexes[1], lambda r: r["k"])) == 21
+        assert np.array_equal(by_columns.storage.rank.mem, by_rows.storage.rank.mem)
+        assert list(indexes[0]._map.items()) == list(indexes[1]._map.items())
+        assert indexes[0]._bucket_sizes == indexes[1]._bucket_sizes
+        assert all(type(key) is int for key in indexes[0].keys())
+
+    def test_several_key_columns_index_their_tuples(self):
+        shape = (TableSchema.of("t", [Column("a", 2), Column("b", 2)]), ["a"], 8, True)
+        table, _ = make_table(TableStorage, shape, 3, 40, DEVICES)
+        index = HashIndex("pk")
+        block = {"a": np.array([5, 6, 5]), "b": np.array([1, 1, 2])}
+        table.load_columns([block], (index, ("a", "b")))
+        assert list(index.keys()) == [(5, 1), (6, 1), (5, 2)]
+        assert index.probe((5, 2)).row_id == 2
+
+    def test_blocks_are_stored_as_they_arrive(self):
+        table, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
+        pulled, stored_after = [], []
+        store = table.storage.write_column_rows
+
+        def generate():
+            for block in self.blocks(21, 8):
+                pulled.append(len(block["k"]))
+                yield block
+
+        def spy(region, start, columns, n):
+            stored_after.append((start, n, sum(pulled)))
+            store(region, start, columns, n)
+
+        table.storage.write_column_rows = spy
+        assert table.load_columns(generate()) == 21
+        assert stored_after == [(0, 8, 8), (8, 8, 16), (16, 5, 21)]
+        assert table.read_row(20, 0) == stored(self.SHAPE[0], self.rows(21)[20])
+
+    def test_more_rows_than_sized_for_fails_before_the_offending_block(self):
+        table, _ = make_table(TableStorage, self.SHAPE, 5, 40, DEVICES)
+        index = HashIndex("pk")
+        table.load_columns(self.blocks(4, 4), (index, ("k",)))
+        before = table.storage.rank.mem.copy()
+        with pytest.raises(MemoryError_, match=r"table 't' data region: row 5 .*\[0, 5\)"):
+            table.load_columns(self.blocks(6, 8), (index, ("k",)))
+        assert np.array_equal(table.storage.rank.mem, before)
+        assert len(index) == 4
+
+    def test_duplicate_index_key_raises(self):
+        table, _ = make_table(TableStorage, self.SHAPE, 2, 40, DEVICES)
+        block = to_columns(self.SHAPE[0], [self.rows(1)[0]] * 2)
+        index = HashIndex("pk")
+        with pytest.raises(TransactionError, match="duplicate key 100"):
+            table.load_columns([block], (index, ("k",)))
+        assert len(index) == 0
+
+
+# ---------------------------------------------------------------------------
+# The column-array entry of write_rows
+# ---------------------------------------------------------------------------
+class TestColumnEntry:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_encode_columns_equals_encode_rows(self, data):
+        """Byte for byte: int widths 1–8 (3/5/6/7 included), bytes values
+        shorter than their column and exactly as wide, no rows at all."""
+        schema, keys, _, _ = data.draw(table_shapes())
+        layout = compact_aligned_layout(schema, keys, DEVICES, 0.6)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        rows = [random_row(schema, rng) for _ in range(data.draw(st.integers(0, 12)))]
+        columns = to_columns(schema, rows, short=data.draw(st.booleans()))
+        flat = layout.encode_columns(columns, len(rows))
+        assert flat.dtype == np.uint8
+        assert np.array_equal(flat, layout.encode_rows(rows))
+
+    SCHEMA = TableSchema.of(
+        "t", [Column("a", 3), Column("b", 8), Column("s", 5, "bytes")]
+    )
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [
+            ("a", 2**24),
+            ("a", -1),
+            ("b", -(2**63)),
+            ("a", 1.5),
+            ("s", b"sixsix"),
+            ("s", 7),
+            ("a", b"x"),
+            ("b", None),
+        ],
+        ids=[
+            "value 2**(8*width)",
+            "negative",
+            "negative in 8 bytes",
+            "float for int",
+            "bytes too long",
+            "int for bytes",
+            "bytes for int",
+            "missing column",
+        ],
+    )
+    def test_encode_columns_rejects_in_column_encodes_words(self, column, bad):
+        layout = compact_aligned_layout(self.SCHEMA, ["a"], DEVICES, 0.6)
+        rows = [{"a": i, "b": 2**64 - 1 - i, "s": b"abc"} for i in range(4)]
+        columns = to_columns(self.SCHEMA, rows)
+        if bad is None:
+            del rows[2][column], columns[column]
+        else:
+            rows[2][column] = bad
+            if isinstance(bad, bytes):
+                columns[column] = np.zeros((4, len(bad)), dtype=np.uint8)
+            else:
+                columns[column] = np.array([bad if i == 2 else 1 for i in range(4)])
+        with pytest.raises(SchemaError) as by_rows:
+            layout.encode_rows(rows[2:])
+        with pytest.raises(SchemaError) as by_columns:
+            layout.encode_columns(columns, 4)
+        want = str(by_rows.value)
+        if isinstance(bad, float):
+            # One dtype for the whole array: NumPy's name for the type.
+            want = want.replace("got float", "got float64")
+        elif column == "s" and bad == 7:
+            want = want.replace("got int", "got int64")
+        elif column == "a" and bad == b"x":
+            want = want.replace("got bytes", "got uint8")
+        assert str(by_columns.value) == want
+
+    def test_a_column_of_the_wrong_length_is_refused(self):
+        layout = compact_aligned_layout(self.SCHEMA, ["a"], DEVICES, 0.6)
+        columns = to_columns(self.SCHEMA, [{"a": 1, "b": 2, "s": b""}] * 3)
+        with pytest.raises(SchemaError, match="'a' has 3 values for 4 rows"):
+            layout.encode_columns(columns, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_write_column_rows_image_equals_write_rows(self, data):
+        shape = data.draw(table_shapes(block_rows_choices=(8, 256)))
+        schema, _, block_rows, _ = shape
+        capacity = 3 * block_rows + data.draw(st.integers(1, block_rows - 1))
+        region = data.draw(st.sampled_from([Region.DATA, Region.DELTA]))
+        start = data.draw(st.integers(0, capacity - 1))
+        count = data.draw(st.integers(0, min(capacity - start, block_rows + 19)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        rows = [random_row(schema, rng) for _ in range(count)]
+        by_columns = make_storage(TableStorage, shape, capacity, capacity)
+        by_rows = make_storage(OracleStorage, shape, capacity, capacity)
+        by_columns.write_column_rows(region, start, to_columns(schema, rows), count)
+        by_rows.write_rows(region, start, rows)
+        assert np.array_equal(by_columns.rank.mem, by_rows.rank.mem)
+
+    @pytest.mark.parametrize("start, count, first_bad", [(-1, 2, -1), (38, 5, 40), (41, 1, 41)])
+    def test_range_error_comes_before_any_byte_on_both_entries(self, start, count, first_bad):
+        shape = (self.SCHEMA, ["a"], 8, True)
+        storage = make_storage(TableStorage, shape, 40, 16)
+        before = storage.rank.mem.copy()
+        rows = [{"a": i, "b": i, "s": b"abc"} for i in range(count)]
+        message = (
+            rf"table 't' data region: row {first_bad} out of range \[0, 40\) "
+            rf"writing {count} rows from {start}$"
+        )
+        with pytest.raises(MemoryError_, match=message):
+            storage.write_rows(Region.DATA, start, rows)
+        with pytest.raises(MemoryError_, match=message):
+            storage.write_column_rows(Region.DATA, start, to_columns(self.SCHEMA, rows), count)
+        # An encode error also leaves the image alone: all-or-nothing.
+        with pytest.raises(SchemaError):
+            storage.write_column_rows(
+                Region.DATA, 0, to_columns(self.SCHEMA, rows[:1]) | {"a": np.array([2**24])}, 1
+            )
+        assert np.array_equal(storage.rank.mem, before)
 
 
 # ---------------------------------------------------------------------------

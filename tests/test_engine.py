@@ -32,6 +32,48 @@ class TestBuild:
         row = loaded_engine.table("item").read_row(0, ts)
         assert row["i_id"] == 1
 
+    def test_build_has_no_per_value_path(self, monkeypatch):
+        """Set-up is column blocks end to end: no value is encoded, no
+        key inserted and no row dict stored one at a time."""
+        from repro.core.storage import TableStorage
+        from repro.format.schema import Column
+        from repro.oltp.index import HashIndex
+
+        def per_value(*args, **kwargs):
+            raise AssertionError("per-value call under PushTapEngine.build")
+
+        monkeypatch.setattr(Column, "encode", per_value)
+        monkeypatch.setattr(HashIndex, "insert", per_value)
+        monkeypatch.setattr(TableStorage, "write_rows", per_value)
+        engine = PushTapEngine.build(scale=2e-5, block_rows=256)
+        assert len(engine.db.index("orderline_pk")) == 1200
+
+    def test_row_filter_sees_column_blocks_and_sizes_the_engine(self):
+        import numpy as np
+
+        seen = []
+
+        def odd_items(table, columns):
+            seen.append((table, len(columns["i_id"]), sorted(columns)))
+            return columns["i_id"] % 2 == 1
+
+        engine = PushTapEngine.build(
+            scale=2e-5, tables=["item"], block_rows=256, row_filter=odd_items
+        )
+        assert seen == [("item", 256, ["i_data", "i_id", "i_im_id", "i_name", "i_price"]),
+                        ("item", 144, ["i_data", "i_id", "i_im_id", "i_name", "i_price"])]
+        table = engine.table("item")
+        assert table.num_rows == 200
+        ts = engine.db.oracle.read_timestamp()
+        whole = PushTapEngine.build(scale=2e-5, tables=["item"], block_rows=256)
+        for row_id in (0, 127, 128, 199):
+            assert table.read_row(row_id, ts) == whole.table("item").read_row(2 * row_id, ts)
+        assert engine.db.index("item_pk").probe(399).row_id == 199
+        unfiltered = PushTapEngine.build(
+            scale=2e-5, tables=["item"], block_rows=256, row_filter=lambda t, c: None
+        )
+        assert np.array_equal(unfiltered.rank.mem, whole.rank.mem)
+
     def test_controller_kinds(self):
         pushtap = PushTapEngine.build(scale=1e-5, tables=["item"], block_rows=256)
         assert isinstance(pushtap.controller, PushTapController)

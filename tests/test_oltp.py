@@ -1,6 +1,7 @@
 """OLTP: hash index, format models, the cost engine, TPC-C transactions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import dimm_system
 from repro.errors import SchemaError, TransactionError
@@ -53,6 +54,53 @@ class TestHashIndex:
         idx.insert("b", 2)
         assert len(idx) == 2
         assert set(idx.keys()) == {"a", "b"}
+
+    @staticmethod
+    def state(idx):
+        return list(idx._map.items()), idx._bucket_sizes, len(idx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 50), st.tuples(st.integers(1, 4), st.integers(1, 10))),
+            unique=True,
+            max_size=40,
+        ),
+        st.integers(0, 40),
+        st.sampled_from([1, 3, 4096]),
+    )
+    def test_insert_many_equals_the_insert_loop(self, keys, split, buckets):
+        """Same map order, bucket counts and probe costs as per-key
+        inserts, on an index that already holds some keys."""
+        loop, bulk = HashIndex("t", buckets), HashIndex("t", buckets)
+        for row_id, key in enumerate(keys):
+            loop.insert(key, row_id)
+        head, tail = keys[:split], keys[split:]
+        bulk.insert_many(head, range(len(head)))
+        bulk.insert_many(tail, range(len(head), len(keys)))
+        assert self.state(bulk) == self.state(loop)
+        for key in keys:
+            got, want = bulk.probe(key), loop.probe(key)
+            assert (got.row_id, got.lines) == (want.row_id, want.lines)
+
+    @pytest.mark.parametrize(
+        "batch, duplicate",
+        [([7, 8, 9, 8], 8), ([7, (1, 2), 9], (1, 2)), ([5, 6, 5, 6], 5)],
+        ids=["inside the batch", "against an existing key", "names the first"],
+    )
+    def test_insert_many_is_all_or_nothing(self, batch, duplicate):
+        idx = HashIndex("t", num_buckets=3)
+        idx.insert((1, 2), 0)
+        before = self.state(idx)
+        before = (list(before[0]), dict(before[1]), before[2])
+        with pytest.raises(TransactionError) as bulk_error:
+            idx.insert_many(batch, range(10, 10 + len(batch)))
+        assert self.state(idx) == before
+        with pytest.raises(TransactionError) as loop_error:
+            for key in batch:
+                idx.insert(key, 99)
+        assert str(bulk_error.value) == str(loop_error.value)
+        assert repr(duplicate) in str(bulk_error.value)
 
 
 class TestFormatModels:

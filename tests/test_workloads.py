@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchemaError
 from repro.workloads import chbench as ch
 from repro.workloads import htapbench as hb
-from repro.workloads.tpcc_gen import generate_database, generate_table
+from repro.workloads.tpcc_gen import generate_database, generate_rows
 
 
 class TestCHSchema:
@@ -109,8 +109,8 @@ class TestGenerators:
                 schema.encode_row(row)  # validates widths/ranges
 
     def test_deterministic(self):
-        a = list(generate_table("orderline", self.COUNTS, seed=3))
-        b = list(generate_table("orderline", self.COUNTS, seed=3))
+        a = list(generate_rows("orderline", self.COUNTS, seed=3))
+        b = list(generate_rows("orderline", self.COUNTS, seed=3))
         assert a == b
 
     def test_foreign_keys_in_range(self):
@@ -126,21 +126,21 @@ class TestGenerators:
     def test_orderline_pk_unique(self):
         keys = {
             (r["ol_o_id"], r["ol_number"])
-            for r in generate_table("orderline", self.COUNTS)
+            for r in generate_rows("orderline", self.COUNTS)
         }
         assert len(keys) == self.COUNTS["orderline"]
 
     def test_stock_pk_unique(self):
         keys = {
-            (r["s_w_id"], r["s_i_id"]) for r in generate_table("stock", self.COUNTS)
+            (r["s_w_id"], r["s_i_id"]) for r in generate_rows("stock", self.COUNTS)
         }
         assert len(keys) == self.COUNTS["stock"]
 
     def test_missing_table_rejected(self):
         with pytest.raises(SchemaError):
-            list(generate_table("orderline", {"orderline": 10}))
+            list(generate_rows("orderline", {"orderline": 10}))
         with pytest.raises(SchemaError):
-            list(generate_table("nope", self.COUNTS))
+            list(generate_rows("nope", self.COUNTS))
 
     def test_same_length_tables_use_distinct_streams(self):
         """Regression: seeding by ``len(table)`` put same-length names
