@@ -14,9 +14,10 @@ warehouse-partitioned TPC-C system:
   partials, bit-identical to one engine scanning the union of the data;
 - :mod:`repro.cluster.cluster` — the :class:`PushTapCluster` facade;
 - :mod:`repro.cluster.workload` — the tenant-pinned mixed workload and
-  its :class:`ClusterReport`;
-- :mod:`repro.cluster.sweep` — the fault sweep asserting 2PC atomicity
-  under injected coordinator/participant faults.
+  its :class:`ClusterReport`.
+
+The 2PC fault sweep is the ``cluster`` workload of
+:mod:`repro.faults.sweep`.
 """
 
 from repro.cluster.cluster import ClusterTxnResult, PushTapCluster
@@ -33,7 +34,6 @@ from repro.cluster.partition import (
     shard_warehouses,
 )
 from repro.cluster.router import ShardRouter
-from repro.cluster.sweep import ClusterSweepResult, run_cluster_fault_sweep
 from repro.cluster.twopc import TwoPhaseCommit, TwoPhaseOutcome
 from repro.cluster.workload import ClusterReport, ClusterWorkload, ShardReport
 
@@ -41,7 +41,6 @@ __all__ = [
     "MERGEABLE_QUERIES",
     "ClusterQueryResult",
     "ClusterReport",
-    "ClusterSweepResult",
     "ClusterTxnResult",
     "ClusterWorkload",
     "PushTapCluster",
@@ -53,7 +52,6 @@ __all__ = [
     "cluster_row_counts",
     "merge_rows",
     "partition_row_filter",
-    "run_cluster_fault_sweep",
     "shard_of",
     "shard_warehouses",
 ]

@@ -15,11 +15,15 @@ Figure runs can leave a machine-readable telemetry trail::
     python -m repro.experiments report-metrics fig9a.json
     python -m repro.experiments report-metrics --csv fig9a.json
 
-The fault-injection harness runs the mixed workload under seeded control
-faults and checks consistency invariants::
+The fault sweep runs a workload under seeded faults for every (rates
+row, seed) cell and audits it — invariants, 2PC atomicity on the
+cluster, recovery against a never-crashed reference for WAL crashes::
 
     python -m repro.experiments fault-sweep --seed 1 2 3 \\
         --rates drop_launch=0.05,forced_abort=0.1
+    python -m repro.experiments fault-sweep --workload cluster --seed 1 2 3
+    python -m repro.experiments fault-sweep --workload crash --seed 1 2 3 \\
+        --out crash-sweep.json
 
 The multi-tenant serving layer (admission control, adaptive HTAP
 scheduler, per-tenant SLOs) runs deterministic simulated-time serving::
@@ -38,11 +42,9 @@ DIMM system::
 
     python -m repro.experiments fig9a fig11 --substrate hbm3
 
-The sharded cluster sweeps shard-count scaling and 2PC overhead (and,
-with ``--faults``, the cross-shard atomicity fault sweep)::
+The sharded cluster sweeps shard-count scaling and 2PC overhead::
 
     python -m repro.experiments cluster --shards 1 2 4 --check
-    python -m repro.experiments cluster --faults --fault-seeds 1 2 3
 """
 
 from __future__ import annotations
@@ -582,221 +584,172 @@ def roofline(argv) -> int:
     return 0
 
 
+def _writable(path: str) -> bool:
+    """Fail fast on an unwritable output path rather than after the runs."""
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _format_stat(key: str, value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, dict):
+        return str(sum(value.values()))
+    if key.endswith("_degradation"):
+        return format_percent(value)
+    if isinstance(value, float):
+        return f"{value:,.0f}"
+    return str(value)
+
+
 def fault_sweep(argv) -> int:
-    """``fault-sweep``: run the workload under injected control faults."""
+    """``fault-sweep``: the fault grid, rate rows x seeds, one workload."""
+    import json
+
+    from repro.errors import ConfigError
     from repro.faults.plan import FaultRates
-    from repro.faults.sweep import run_fault_sweep
+    from repro.faults.sweep import DEFAULT_ROWS, WORKLOADS, check_row, run_fault_sweep
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments fault-sweep",
         description=(
-            "Drive the mixed HTAP workload under seeded fault injection and "
-            "report survival, invariant violations, and throughput degradation."
+            "Run one workload under seeded fault injection for every "
+            "(rates row, seed) cell and audit it: mixed/serve/cluster "
+            "compare a faulted run with a clean one (cluster adds the 2PC "
+            "atomicity audit); crash kills a WAL-enabled run, recovers it "
+            "and compares Q1/Q6/Q9 with a never-crashed reference. Exits 1 "
+            "if any cell raised or violated an audit."
         ),
     )
     parser.add_argument(
-        "--seed", type=int, nargs="+", default=[1], help="fault/workload seed(s)"
+        "--workload", choices=list(WORKLOADS), default="mixed",
+        help="workload each cell drives",
     )
     parser.add_argument(
-        "--rates",
-        default="drop_launch=0.05,duplicate_launch=0.05,forced_abort=0.1",
-        help="comma-separated hook=rate pairs (see repro.faults.plan.HOOKS)",
+        "--rates", nargs="+", metavar="SPEC", default=None,
+        help=(
+            "one grid row per comma-separated hook=rate spec (see "
+            "repro.faults.plan.HOOKS; default: the workload's rows in "
+            "repro.faults.sweep.DEFAULT_ROWS)"
+        ),
     )
     parser.add_argument(
-        "--intervals", type=int, default=6, help="query intervals per run"
+        "--seed", type=int, nargs="+", default=[1],
+        help="fault/workload seed(s); every row runs every seed",
     )
     parser.add_argument(
-        "--txns-per-query", type=int, default=30, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
+        "--intervals", type=int, help="query intervals per run (not serve)"
     )
     parser.add_argument(
-        "--controller",
-        choices=["pushtap", "original"],
-        default="pushtap",
+        "--txns-per-query", type=int,
+        help="transactions per interval (serve: requests per tenant)",
+    )
+    parser.add_argument("--scale", type=float, help="CH-benCH scale")
+    parser.add_argument(
+        "--defrag-period", type=int, help="transactions between defrags"
+    )
+    parser.add_argument(
+        "--controller", dest="controller_kind", choices=["pushtap", "original"],
         help="memory controller variant under test",
     )
+    parser.add_argument("--shards", type=int, help="shard count (cluster only)")
     parser.add_argument(
-        "--workload",
-        choices=["mixed", "serve"],
-        default="mixed",
-        help="drive the mixed batch workload or the serving loop",
+        "--checkpoint-every", type=int,
+        help="commits between checkpoint spills, 0 disables (crash only)",
     )
     parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
+        "--metrics-out", metavar="PATH", default=None,
         help="enable telemetry and dump collected metrics to PATH as JSON",
-    )
-    args = parser.parse_args(argv)
-    rates = FaultRates.parse(args.rates)
-    registry = telemetry.enable() if args.metrics_out else None
-    failed = False
-    try:
-        rows = []
-        for seed in args.seed:
-            result = run_fault_sweep(
-                seed,
-                rates,
-                intervals=args.intervals,
-                txns_per_query=args.txns_per_query,
-                scale=args.scale,
-                defrag_period=args.defrag_period,
-                controller_kind=args.controller,
-                workload=args.workload,
-            )
-            rows.append([
-                seed,
-                result.plan_hash[:12],
-                "yes" if result.survived else "NO",
-                sum(result.injected.values()),
-                sum(result.detected.values()),
-                result.retries,
-                result.checks,
-                len(result.violations),
-                format_percent(result.tpmc_degradation),
-                format_percent(result.qphh_degradation),
-            ])
-            if not result.survived:
-                failed = True
-                if result.error:
-                    print(f"seed {seed}: {result.error}", file=sys.stderr)
-                for violation in result.violations:
-                    print(f"seed {seed}: INVARIANT: {violation}", file=sys.stderr)
-        print(format_table(
-            [
-                "seed", "plan", "survived", "injected", "detected", "retries",
-                "checks", "violations", "tpmC loss", "QphH loss",
-            ],
-            rows,
-        ))
-        if registry is not None:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(telemetry_export.to_json(registry))
-            print(f"\nmetrics written to {args.metrics_out}")
-    finally:
-        if registry is not None:
-            telemetry.disable()
-    return 1 if failed else 0
-
-
-def crash_sweep(argv) -> int:
-    """``crash-sweep``: inject crashes, recover, verify nothing was lost."""
-    import json
-
-    from repro.wal.crash import CRASH_SWEEP_HOOKS, run_crash_sweep
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments crash-sweep",
-        description=(
-            "Drive a WAL-enabled engine into injected crashes "
-            "(before/after the WAL append, mid-checkpoint), recover from "
-            "disk, and assert the InvariantChecker passes and OLAP results "
-            "are bit-identical to a never-crashed reference at the "
-            "recovered commit horizon."
-        ),
-    )
-    parser.add_argument(
-        "--hooks",
-        nargs="+",
-        choices=list(CRASH_SWEEP_HOOKS),
-        default=list(CRASH_SWEEP_HOOKS),
-        help="crash hooks to sweep",
-    )
-    parser.add_argument(
-        "--seed", type=int, nargs="+", default=[1, 2, 3],
-        help="fault/workload seed(s) per hook",
-    )
-    parser.add_argument(
-        "--txns", type=int, default=160, help="transactions per crashed run"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=20,
-        help="transactions between interleaved OLAP queries (0 disables)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=24,
-        help="commits between checkpoint spills (0 disables checkpoints)",
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument(
-        "--defrag-period", type=int, default=100,
-        help="transactions between defrags",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=None,
-        help="override the per-hook crash probability",
     )
     parser.add_argument(
         "--out", metavar="PATH", default=None,
-        help="write the sweep report to PATH as JSON",
+        help="write every cell to PATH as JSON",
     )
     args = parser.parse_args(argv)
-    rows = []
-    cells = []
-    failed = False
-    for hook in args.hooks:
-        for seed in args.seed:
-            result = run_crash_sweep(
-                hook,
-                seed,
-                txns=args.txns,
-                txns_per_query=args.txns_per_query,
-                checkpoint_every=args.checkpoint_every,
-                scale=args.scale,
-                defrag_period=args.defrag_period,
-                rate=args.rate,
+    params = {
+        name: getattr(args, name)
+        for name in (
+            "intervals", "txns_per_query", "scale", "defrag_period",
+            "controller_kind", "shards", "checkpoint_every",
+        )
+        if getattr(args, name) is not None
+    }
+    for name, takers in (
+        ("intervals", ("mixed", "cluster", "crash")),
+        ("shards", ("cluster",)),
+        ("checkpoint_every", ("crash",)),
+    ):
+        if name in params and args.workload not in takers:
+            parser.error(
+                f"--{name.replace('_', '-')} does not apply to --workload "
+                f"{args.workload}"
             )
-            cells.append(result.as_dict())
-            rows.append([
-                hook,
-                seed,
-                "yes" if result.crash_fired else "no",
-                result.crashed_at_txn if result.crash_fired else "-",
-                result.horizon,
-                result.checkpoint_horizon,
-                result.segments_applied,
-                result.wal_records_replayed,
-                "yes" if result.torn_tail else "no",
-                "yes" if result.survived else "NO",
-            ])
-            if not result.survived:
-                failed = True
-                if result.error:
-                    print(f"{hook} seed {seed}: {result.error}", file=sys.stderr)
-                for violation in result.violations:
-                    print(
-                        f"{hook} seed {seed}: INVARIANT: {violation}",
-                        file=sys.stderr,
-                    )
-                for mismatch in result.query_mismatches:
-                    print(
-                        f"{hook} seed {seed}: QUERY: {mismatch}", file=sys.stderr
-                    )
+    specs = args.rates if args.rates is not None else DEFAULT_ROWS[args.workload]
+    try:
+        rows = [FaultRates.parse(spec) for spec in specs]
+        for rates in rows:
+            check_row(args.workload, rates)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not all(_writable(path) for path in (args.metrics_out, args.out) if path):
+        return 2
+
+    registry = telemetry.enable() if args.metrics_out else None
+    try:
+        cells = [
+            (spec, run_fault_sweep(seed, rates, args.workload, **params))
+            for spec, rates in zip(specs, rows)
+            for seed in args.seed
+        ]
+        if registry is not None:
+            with open(args.metrics_out, "w", encoding="utf-8") as fh:
+                fh.write(telemetry_export.to_json(registry))
+    finally:
+        if registry is not None:
+            telemetry.disable()
+
+    stats_keys = list(dict.fromkeys(key for _, cell in cells for key in cell.stats))
     print(format_table(
         [
-            "hook", "seed", "crashed", "at txn", "horizon", "ckpt",
-            "segments", "replayed", "torn", "survived",
+            "rates", "seed", "plan", "survived", "injected", "detected",
+            "retries", "checks", "violations", *stats_keys,
         ],
-        rows,
+        [
+            [
+                spec,
+                cell.seed,
+                cell.plan_hash[:12],
+                "yes" if cell.survived else "NO",
+                sum(cell.injected.values()),
+                sum(cell.detected.values()),
+                cell.retries,
+                cell.checks,
+                len(cell.violations),
+                *(_format_stat(key, cell.stats.get(key)) for key in stats_keys),
+            ]
+            for spec, cell in cells
+        ],
     ))
-    survived = sum(1 for cell in cells if cell["survived"])
-    print(f"\n{survived}/{len(cells)} cells survived recovery")
+    for spec, cell in cells:
+        for failure in ([cell.error] if cell.error else []) + cell.violations:
+            print(f"{spec} seed {cell.seed}: {failure}", file=sys.stderr)
+    survived = sum(cell.survived for _, cell in cells)
+    print(f"\n{survived}/{len(cells)} cells survived")
     if args.out:
         report = {
-            "params": {
-                "hooks": list(args.hooks),
-                "seeds": list(args.seed),
-                "txns": args.txns,
-                "txns_per_query": args.txns_per_query,
-                "checkpoint_every": args.checkpoint_every,
-                "scale": args.scale,
-                "defrag_period": args.defrag_period,
-                "rate": args.rate,
-            },
-            "cells": cells,
+            "workload": args.workload,
+            "rows": list(specs),
+            "seeds": list(args.seed),
+            "params": params,
+            "cells": [cell.as_dict() for _, cell in cells],
             "survived": survived,
             "total": len(cells),
         }
@@ -804,7 +757,9 @@ def crash_sweep(argv) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"report written to {args.out}")
-    return 1 if failed else 0
+    if registry is not None:
+        print(f"metrics written to {args.metrics_out}")
+    return 0 if survived == len(cells) else 1
 
 
 def serve(argv) -> int:
@@ -1069,7 +1024,7 @@ def serve(argv) -> int:
 
 
 def cluster_cli(argv) -> int:
-    """``cluster``: shard-count scaling, 2PC overhead, and fault sweeps."""
+    """``cluster``: shard-count scaling and 2PC overhead."""
     import json
     import os
 
@@ -1078,16 +1033,13 @@ def cluster_cli(argv) -> int:
         DEFAULT_SHARD_COUNTS,
         run_cluster_bench,
     )
-    from repro.faults.plan import TWOPC_HOOKS, FaultRates
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments cluster",
         description=(
             "Sweep the sharded cluster over shard count (fixed data, fixed "
             "tenant streams) and remote-warehouse fraction; write the "
             "BENCH_<tag>.json scaling snapshot. --check gates near-linear "
-            "tpmC scaling; --faults sweeps the three 2PC fault hooks and "
-            "asserts cross-shard atomicity."
+            "tpmC scaling."
         ),
     )
     parser.add_argument(
@@ -1137,27 +1089,6 @@ def cluster_cli(argv) -> int:
         help="per-shard scaling efficiency the --check gate requires",
     )
     parser.add_argument(
-        "--faults",
-        action="store_true",
-        help=(
-            "run the cluster fault sweep over the three 2PC hooks instead "
-            "of the scaling bench"
-        ),
-    )
-    parser.add_argument(
-        "--fault-seeds",
-        type=int,
-        nargs="+",
-        default=[1, 2, 3],
-        help="seeds per hook for --faults",
-    )
-    parser.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.25,
-        help="per-cross-shard-transaction hook fire probability for --faults",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
@@ -1167,57 +1098,6 @@ def cluster_cli(argv) -> int:
         ),
     )
     args = parser.parse_args(argv)
-
-    if args.faults:
-        from repro.cluster import run_cluster_fault_sweep
-
-        rows = []
-        failed = False
-        for hook in TWOPC_HOOKS:
-            for seed in args.fault_seeds:
-                result = run_cluster_fault_sweep(
-                    seed,
-                    FaultRates.parse(f"{hook}={args.fault_rate}"),
-                    shards=max(args.shards),
-                    intervals=args.intervals,
-                    txns_per_query=args.txns_per_query,
-                    scale=args.scale,
-                    defrag_period=args.defrag_period,
-                    jobs=args.jobs,
-                )
-                rows.append([
-                    hook,
-                    seed,
-                    "yes" if result.survived else "NO",
-                    sum(result.injected.values()),
-                    result.cross_shard_attempted,
-                    result.cross_shard_aborted,
-                    len(result.violations),
-                    len(result.atomicity_violations),
-                    format_percent(result.tpmc_degradation),
-                ])
-                if not result.survived:
-                    failed = True
-                    if result.error:
-                        print(f"{hook} seed {seed}: {result.error}", file=sys.stderr)
-                    for violation in result.violations:
-                        print(
-                            f"{hook} seed {seed}: INVARIANT: {violation}",
-                            file=sys.stderr,
-                        )
-                    for violation in result.atomicity_violations:
-                        print(
-                            f"{hook} seed {seed}: ATOMICITY: {violation}",
-                            file=sys.stderr,
-                        )
-        print(format_table(
-            [
-                "hook", "seed", "survived", "injected", "cross-shard",
-                "aborted", "invariant", "atomicity", "tpmC loss",
-            ],
-            rows,
-        ))
-        return 1 if failed else 0
 
     snapshot = run_cluster_bench(
         shard_counts=args.shards,
@@ -1295,25 +1175,23 @@ def cluster_cli(argv) -> int:
     return 0
 
 
+#: Subcommands, each taking the rest of the command line.
+SUBCOMMANDS: Dict[str, Callable[[list], int]] = {
+    "report-metrics": report_metrics,
+    "fault-sweep": fault_sweep,
+    "profile": profile,
+    "bench": bench,
+    "serve": serve,
+    "roofline": roofline,
+    "cluster": cluster_cli,
+}
+
+
 def main(argv=None) -> int:
-    """Entry point: run the named experiments (or ``all``)."""
+    """Entry point: run a subcommand, or the named experiments (or ``all``)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "report-metrics":
-        return report_metrics(argv[1:])
-    if argv and argv[0] == "fault-sweep":
-        return fault_sweep(argv[1:])
-    if argv and argv[0] == "profile":
-        return profile(argv[1:])
-    if argv and argv[0] == "bench":
-        return bench(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve(argv[1:])
-    if argv and argv[0] == "crash-sweep":
-        return crash_sweep(argv[1:])
-    if argv and argv[0] == "roofline":
-        return roofline(argv[1:])
-    if argv and argv[0] == "cluster":
-        return cluster_cli(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
 
     from repro.pim.substrate import available_substrates, get_substrate
 
@@ -1325,7 +1203,10 @@ def main(argv=None) -> int:
         "experiments",
         nargs="+",
         choices=sorted(EXPERIMENTS) + ["all"],
-        help="which figures to regenerate (or 'report-metrics FILE' / 'fault-sweep')",
+        help=(
+            "which figures to regenerate; or one subcommand with its own "
+            f"--help: {', '.join(SUBCOMMANDS)}"
+        ),
     )
     parser.add_argument(
         "--substrate",
@@ -1345,17 +1226,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = get_substrate(args.substrate).config if args.substrate else None
     names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    if args.metrics_out:
-        # Fail fast on an unwritable path rather than after the runs.
-        try:
-            with open(args.metrics_out, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            print(
-                f"error: cannot write {args.metrics_out}: {exc.strerror}",
-                file=sys.stderr,
-            )
-            return 2
+    if args.metrics_out and not _writable(args.metrics_out):
+        return 2
     registry = telemetry.enable() if args.metrics_out else None
     try:
         for name in names:

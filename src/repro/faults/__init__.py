@@ -17,8 +17,10 @@ The subsystem has four parts:
 * :mod:`repro.faults.invariants` — :class:`InvariantChecker`: asserts
   controller protocol state, bank-lock discipline, MVCC chain/log
   agreement, and snapshot-bitmap/MVCC-log agreement at safe points;
-* :mod:`repro.faults.sweep` — the ``fault-sweep`` harness behind
-  ``python -m repro.experiments fault-sweep``.
+* :mod:`repro.faults.sweep` — the one sweep grid (rate rows × seeds)
+  behind ``python -m repro.experiments fault-sweep``: the ``mixed``,
+  ``serve``, ``cluster`` (2PC atomicity) and ``crash`` (WAL recovery)
+  workloads, one :class:`~repro.faults.sweep.SweepCell` per cell.
 
 ``invariants`` and ``sweep`` are intentionally *not* imported here: the
 injector is imported by low-level layers (controller, OLTP engine) and

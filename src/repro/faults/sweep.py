@@ -1,101 +1,122 @@
-"""The ``fault-sweep`` harness: workload under injected faults.
+"""The ``fault-sweep`` grid: one workload under injected faults, audited.
 
-Runs the mixed HTAP workload twice — once clean (the baseline) and once
-with a seeded :class:`~repro.faults.injector.FaultInjector` installed —
-and reports whether the engine *survived* (no unhandled error, zero
-invariant violations) together with the throughput degradation the
-injected faults caused. Both runs build identical engines from the same
-seed, so with the same arguments the sweep is bit-for-bit reproducible.
+A sweep is a grid of *rows* (one :class:`FaultRates` each) × seeds; every
+``(row, seed)`` cell is one :func:`run_fault_sweep` call and yields one
+:class:`SweepCell`. The harness owns what every cell shares — the
+:class:`FaultPlan` and its hash, the injector scope, the conversion of an
+unabsorbed :class:`~repro.errors.ReproError` into ``error``, and the
+injected/detected bookkeeping — and a table of workloads owns the rest:
 
-This module sits at the top of the fault stack (it imports the engine
-and workload driver) and is intentionally **not** re-exported from
-:mod:`repro.faults` — importing it from low-level modules would create
-an import cycle.
+* ``mixed`` — the batch HTAP mix (:class:`MixedWorkload`), clean and
+  faulted, on two identically built engines;
+* ``serve`` — the same comparison through the serving loop, which adds
+  the serve-layer hooks (client disconnects, queue overflow, scheduler
+  stalls);
+* ``cluster`` — the sharded workload with 2PC; the hooks only fire on
+  cross-shard transactions;
+* ``crash`` — a WAL-enabled run killed by a ``crash_*`` hook, recovered
+  from disk, and compared with a never-crashed reference run at the
+  recovered commit horizon. Durability covers only what was
+  acknowledged: a commit killed before its WAL append does not exist
+  after recovery, which is why the reference stops at the recovered
+  horizon, not at the crash point.
+
+Each consistency guarantee is held by one named audit, and every entry
+of ``SweepCell.violations`` carries its audit's prefix:
+
+========== ====================== ==========================================
+prefix     workloads              guarantee
+========== ====================== ==========================================
+invariant  all                    :class:`InvariantChecker` (controller,
+                                  bank locks, MVCC chains and log, snapshot
+                                  bitmaps, indexes) after every injected
+                                  fault, at safe points, and at the end
+atomicity  cluster                no transaction committed on one shard and
+                                  aborted on another (2PC outcome log)
+bitmap     crash                  recovered row liveness equals the
+                                  checkpointed liveness bitmaps
+query      crash                  Q1/Q6/Q9 on the recovered engine are
+                                  bit-identical to the reference's
+serve      serve                  the SLO accounting conserves requests
+========== ====================== ==========================================
+
+A cell *survives* when it raised nothing and no audit found a violation.
+Cells are bit-for-bit reproducible from their arguments.
+
+This module sits at the top of the stack (it imports the engine, the
+workload drivers, the cluster and the WAL) and is intentionally **not**
+re-exported from :mod:`repro.faults`, whose injector the low-level layers
+import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import tempfile
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.cluster.cluster import PushTapCluster
+from repro.cluster.workload import ClusterWorkload
 from repro.core.engine import PushTapEngine
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, SimulatedCrash
 from repro.faults.injector import FaultInjector, deactivate, install
 from repro.faults.invariants import InvariantChecker
-from repro.faults.plan import FaultPlan, FaultRates
+from repro.faults.plan import CRASH_HOOKS, TWOPC_HOOKS, FaultPlan, FaultRates
+from repro.olap.queries import run_query
+from repro.serve.loop import ServeConfig, ServeLoop
+from repro.wal.recovery import recover
 from repro.workloads.driver import MixedWorkload
 
-__all__ = ["SweepResult", "run_fault_sweep"]
+__all__ = ["DEFAULT_ROWS", "WORKLOADS", "SweepCell", "check_row", "run_fault_sweep"]
+
+#: Share of Delivery transactions in the single-engine mixes: keeps the
+#: tombstone → defragmentation reconciliation path exercised.
+DELIVERY_FRACTION = 0.1
+#: Cluster remote-warehouse multiplier, well above the spec's 1.0 so that
+#: cross-shard transactions (the only place the 2PC hooks fire) occur at
+#: sweep scale; a near-zero remote rate would let a cell pass vacuously.
+REMOTE_FRACTION = 4.0
+#: The queries a crash run interleaves and compares after recovery.
+CRASH_QUERIES: Tuple[str, ...] = ("Q1", "Q6", "Q9")
 
 
 @dataclass
-class SweepResult:
-    """Outcome of one fault sweep (baseline + faulted run)."""
+class SweepCell:
+    """Outcome of one ``(rates, seed)`` cell of the sweep grid."""
 
+    workload: str
     seed: int
     rates: Dict[str, float]
-    #: Which workload shape drove the engines ("mixed" or "serve").
-    workload: str = "mixed"
     #: SHA-256 of the fault plan's determinism surface (seed + rates) —
-    #: two reports with equal hashes replayed the same fault schedule.
-    plan_hash: str = ""
-    survived: bool = True
+    #: two cells with equal hashes replayed the same fault schedule.
+    plan_hash: str
     error: Optional[str] = None
-    baseline_tpmc: float = 0.0
-    baseline_qphh: float = 0.0
-    faulted_tpmc: float = 0.0
-    faulted_qphh: float = 0.0
-    transactions: int = 0
-    aborted: int = 0
     injected: Dict[str, int] = field(default_factory=dict)
     detected: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
     checks: int = 0
+    #: Audit findings, each prefixed ``invariant:``, ``atomicity:``,
+    #: ``bitmap:``, ``query:`` or ``serve:``.
     violations: List[str] = field(default_factory=list)
+    #: Workload-specific numbers (throughput and its loss, cross-shard
+    #: counts, recovery horizons).
+    stats: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def tpmc_degradation(self) -> float:
-        """Fractional tpmC lost to the injected faults."""
-        if self.baseline_tpmc == 0:
-            return 0.0
-        return 1.0 - self.faulted_tpmc / self.baseline_tpmc
-
-    @property
-    def qphh_degradation(self) -> float:
-        """Fractional QphH lost to the injected faults."""
-        if self.baseline_qphh == 0:
-            return 0.0
-        return 1.0 - self.faulted_qphh / self.baseline_qphh
+    def survived(self) -> bool:
+        """No unabsorbed error and no audit violation."""
+        return self.error is None and not self.violations
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serializable summary."""
-        return {
-            "seed": self.seed,
-            "rates": self.rates,
-            "workload": self.workload,
-            "plan_hash": self.plan_hash,
-            "survived": self.survived,
-            "error": self.error,
-            "baseline_tpmc": self.baseline_tpmc,
-            "baseline_qphh": self.baseline_qphh,
-            "faulted_tpmc": self.faulted_tpmc,
-            "faulted_qphh": self.faulted_qphh,
-            "tpmc_degradation": self.tpmc_degradation,
-            "qphh_degradation": self.qphh_degradation,
-            "transactions": self.transactions,
-            "aborted": self.aborted,
-            "injected": self.injected,
-            "detected": self.detected,
-            "retries": self.retries,
-            "invariant_checks": self.checks,
-            "invariant_violations": self.violations,
-        }
+        return {**asdict(self), "survived": self.survived}
 
 
-def _build_engine(
-    seed: int, scale: float, defrag_period: int, controller_kind: str
-) -> PushTapEngine:
-    return PushTapEngine.build(
+def _engine_params(seed: int, scale: float, defrag_period: int, controller_kind: str) -> dict:
+    return dict(
         scale=scale,
         seed=seed,
         controller_kind=controller_kind,
@@ -104,146 +125,338 @@ def _build_engine(
     )
 
 
-def _run_mixed(
-    seed: int,
-    intervals: int,
-    txns_per_query: int,
-    delivery_fraction: float,
-    invariant_checker: Optional[InvariantChecker],
-    engine: PushTapEngine,
-) -> Dict[str, object]:
-    report = MixedWorkload(
-        engine,
-        txns_per_query=txns_per_query,
-        seed=seed,
-        delivery_fraction=delivery_fraction,
-        invariant_checker=invariant_checker,
-    ).run(intervals)
-    return {
-        "tpmc": report.oltp_tpmc,
-        "qphh": report.olap_qphh,
-        "transactions": report.transactions,
-        "aborted": report.aborted,
-    }
+def _loss(baseline: float, faulted: float) -> float:
+    """Fraction of ``baseline`` lost in the faulted run."""
+    return 0.0 if baseline == 0 else 1.0 - faulted / baseline
 
 
-def _run_serve(
-    seed: int,
-    txns_per_query: int,
-    invariant_checker: Optional[InvariantChecker],
-    engine: PushTapEngine,
-) -> Dict[str, object]:
-    # Imported here: repro.serve sits above this module in the layering
-    # (it imports the fault plan/injector), so a top-level import would
-    # be a cycle.
-    from repro.serve.loop import ServeConfig, ServeLoop
+def _record_checks(cell: SweepCell, checks: int, violations) -> None:
+    cell.checks += checks
+    cell.violations.extend(f"invariant: {v}" for v in violations)
 
-    config = ServeConfig(
-        tenants=3,
-        requests_per_tenant=max(8, txns_per_query),
-        policy="batched",
-        seed=seed,
-        arrival="open",
-        rate_per_tenant=100_000.0,
-        olap_fraction=0.2,
-        queue_depth=12,
+
+def _final_audit(cell: SweepCell, system, checkers: List[InvariantChecker]) -> None:
+    """The end-of-run audit: one more invariant check per engine."""
+    for checker in checkers:
+        checker.check()
+    _record_checks(
+        cell, sum(c.checks for c in checkers), [v for c in checkers for v in c.violations]
     )
-    result = ServeLoop(
-        engine, config, invariant_checker=invariant_checker
-    ).run()
-    throughput = result.report["throughput"]
-    aborted = sum(s["aborted"] for s in result.report["tenants"].values())
-    if result.slo_errors and invariant_checker is not None:
-        # Broken request conservation is an invariant violation of the
-        # serving layer: surface it through the same channel.
-        invariant_checker.violations.extend(
-            f"serve: {err}" for err in result.slo_errors
-        )
-    return {
-        "tpmc": throughput["oltp_tpmc"],
-        "qphh": throughput["olap_qphh"],
-        "transactions": result.report["engine"]["transactions"],
-        "aborted": aborted,
-    }
 
 
-def run_fault_sweep(
-    seed: int,
-    rates: FaultRates,
+def _clean_vs_faulted(cell: SweepCell, faulted, build, drive, audit=_final_audit) -> None:
+    """Drive a clean build, then a second build with the injector installed.
+
+    ``build()`` returns ``(system, engines)``; ``drive(system, checkers)``
+    runs the workload and returns its ``(tpmc, qphh)``. The faulted run
+    gets one invariant checker per engine, and ``audit(cell, system,
+    checkers)`` closes it — also when the run raised.
+    """
+    tpmc, qphh = drive(build()[0], [])
+    cell.stats.update(baseline_tpmc=tpmc, baseline_qphh=qphh)
+    system, engines = build()
+    checkers = [InvariantChecker(engine, raise_on_violation=False) for engine in engines]
+    try:
+        with faulted():
+            faulted_tpmc, faulted_qphh = drive(system, checkers)
+    finally:
+        audit(cell, system, checkers)
+    cell.stats.update(
+        faulted_tpmc=faulted_tpmc,
+        faulted_qphh=faulted_qphh,
+        tpmc_degradation=_loss(tpmc, faulted_tpmc),
+        qphh_degradation=_loss(qphh, faulted_qphh),
+    )
+
+
+def _single_engine(cell: SweepCell, scale: float, defrag_period: int, controller_kind: str):
+    params = _engine_params(cell.seed, scale, defrag_period, controller_kind)
+
+    def build():
+        engine = PushTapEngine.build(**params)
+        return engine, [engine]
+
+    return build
+
+
+def _mixed(
+    cell: SweepCell,
+    faulted,
     intervals: int = 6,
     txns_per_query: int = 30,
     scale: float = 2e-5,
     defrag_period: int = 200,
     controller_kind: str = "pushtap",
-    delivery_fraction: float = 0.1,
-    workload: str = "mixed",
-) -> SweepResult:
-    """Run the baseline and faulted workloads; returns the comparison.
+) -> None:
+    def drive(engine, checkers):
+        report = MixedWorkload(
+            engine,
+            txns_per_query=txns_per_query,
+            seed=cell.seed,
+            delivery_fraction=DELIVERY_FRACTION,
+            invariant_checker=checkers[0] if checkers else None,
+        ).run(intervals)
+        return report.oltp_tpmc, report.olap_qphh
 
-    With ``workload="mixed"``, ``intervals`` query intervals of
-    ``txns_per_query`` transactions each are driven against two
-    identically built engines. With ``workload="serve"``, the serving
-    loop runs instead (``txns_per_query`` becomes requests per tenant),
-    which exercises the serve-layer hooks — client disconnects, spurious
-    queue overflow, scheduler stalls — on top of the engine-level ones.
-    The faulted run installs a :class:`FaultPlan` derived from ``seed``
-    and ``rates`` and checks invariants after every injected fault and
-    at every safe-point boundary. A nonzero ``delivery_fraction`` keeps
-    the tombstone → defragmentation reconciliation path exercised.
+    build = _single_engine(cell, scale, defrag_period, controller_kind)
+    _clean_vs_faulted(cell, faulted, build, drive)
+
+
+def _serve(
+    cell: SweepCell,
+    faulted,
+    txns_per_query: int = 30,
+    scale: float = 2e-5,
+    defrag_period: int = 200,
+    controller_kind: str = "pushtap",
+) -> None:
+    config = ServeConfig(
+        tenants=3,
+        requests_per_tenant=max(8, txns_per_query),
+        policy="batched",
+        seed=cell.seed,
+        arrival="open",
+        rate_per_tenant=100_000.0,
+        olap_fraction=0.2,
+        queue_depth=12,
+    )
+
+    def drive(engine, checkers):
+        checker = checkers[0] if checkers else None
+        result = ServeLoop(engine, config, invariant_checker=checker).run()
+        if checker is not None:
+            cell.violations.extend(f"serve: {err}" for err in result.slo_errors)
+        throughput = result.report["throughput"]
+        return throughput["oltp_tpmc"], throughput["olap_qphh"]
+
+    build = _single_engine(cell, scale, defrag_period, controller_kind)
+    _clean_vs_faulted(cell, faulted, build, drive)
+
+
+def _cluster(
+    cell: SweepCell,
+    faulted,
+    shards: int = 2,
+    intervals: int = 4,
+    txns_per_query: int = 30,
+    scale: float = 2e-5,
+    defrag_period: int = 200,
+    controller_kind: str = "pushtap",
+    jobs: int = 1,
+) -> None:
+    """With ``jobs > 1`` both runs execute shard sub-streams on a process
+    pool; the cell is identical to ``jobs=1``."""
+    params = _engine_params(cell.seed, scale, defrag_period, controller_kind)
+    # Insert capacity sized to the stream (appends accumulate in
+    # ORDERLINE/HISTORY across the whole run).
+    extra_rows = 12 * intervals * txns_per_query
+    workloads: List[ClusterWorkload] = []
+
+    def build():
+        cluster = PushTapCluster.build(shards=shards, extra_rows=extra_rows, **params)
+        return cluster, cluster.engines
+
+    def drive(cluster, checkers):
+        workload = ClusterWorkload(
+            cluster,
+            txns_per_query=txns_per_query,
+            seed=cell.seed,
+            remote_fraction=REMOTE_FRACTION,
+            invariant_checkers=checkers,
+            jobs=jobs,
+            worker_final_check=jobs > 1,
+        )
+        workloads.append(workload)
+        report = workload.run(intervals)
+        if checkers:
+            cell.stats.update(
+                cross_shard_attempted=report.cross_shard_attempted,
+                cross_shard_aborted=report.cross_shard_aborted,
+                aborts_by_cause=dict(sorted(report.aborts_by_cause.items())),
+            )
+        return report.oltp_tpmc, report.olap_qphh
+
+    def audit(cell, cluster, checkers):
+        # Under jobs > 1 the shard data lives in the workers, which ran
+        # the planned checks plus the final audit (worker_final_check).
+        in_workers = workloads[-1].worker_invariants
+        if in_workers:
+            _record_checks(
+                cell,
+                sum(w["checks"] for w in in_workers),
+                [v for w in in_workers for v in w["violations"]],
+            )
+        else:
+            _final_audit(cell, cluster, checkers)
+        cell.violations.extend(
+            f"atomicity: {v}" for v in cluster.twopc.atomicity_violations()
+        )
+
+    _clean_vs_faulted(cell, faulted, build, drive, audit)
+
+
+def _canonical_rows(rows: dict) -> List[Tuple[str, str]]:
+    """Bit-faithful, order-free form of a query's result rows.
+
+    ``repr`` of a Python float round-trips exactly, so two rows compare
+    equal here iff their values are bit-identical.
     """
-    if workload not in ("mixed", "serve"):
-        raise ConfigError(f"unknown sweep workload {workload!r}")
+
+    def norm(value):
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, tuple):
+            return tuple(norm(item) for item in value)
+        return value
+
+    return sorted((repr(norm(key)), repr(norm(value))) for key, value in rows.items())
+
+
+def _crash(
+    cell: SweepCell,
+    faulted,
+    intervals: int = 8,
+    txns_per_query: int = 20,
+    checkpoint_every: int = 24,
+    scale: float = 2e-5,
+    defrag_period: int = 100,
+    controller_kind: str = "pushtap",
+) -> None:
+    """Crash → :func:`recover` → compare with a reference at the horizon.
+
+    Every executed transaction consumes exactly one timestamp, so the
+    reference run always hits the recovered horizon exactly.
+    """
+    params = _engine_params(cell.seed, scale, defrag_period, controller_kind)
+    txns = intervals * txns_per_query
+    with tempfile.TemporaryDirectory(prefix="crash-sweep-") as path:
+        engine = PushTapEngine.build(**params)
+        manager = engine.enable_durability(path, checkpoint_every=checkpoint_every)
+        driver = engine.make_driver(seed=cell.seed, delivery_fraction=DELIVERY_FRACTION)
+        committed = 0
+        crashed_at: Optional[int] = None
+        try:
+            with faulted():
+                for interval in range(intervals):
+                    for _ in range(txns_per_query):
+                        engine.execute_transaction(driver.next_transaction())
+                        committed += 1
+                    engine.query(CRASH_QUERIES[interval % len(CRASH_QUERIES)])
+        except SimulatedCrash:
+            crashed_at = committed
+        finally:
+            manager.close()
+        cell.stats.update(crash_fired=crashed_at is not None, crashed_at_txn=crashed_at)
+
+        result = recover(path, lambda: PushTapEngine.build(**params))
+        horizon = result.horizon
+        cell.stats.update(
+            horizon=horizon,
+            checkpoint_horizon=result.checkpoint_horizon,
+            segments_applied=result.segments_applied,
+            wal_records_replayed=result.wal_records_replayed,
+            torn_tail=result.torn_tail,
+            orphan_segments=len(result.orphan_segments),
+        )
+        recovered = result.engine
+        _final_audit(cell, recovered, [InvariantChecker(recovered, raise_on_violation=False)])
+        cell.violations.extend(f"bitmap: {m}" for m in result.bitmap_mismatches)
+
+    reference = PushTapEngine.build(**params)
+    ref_driver = reference.make_driver(seed=cell.seed, delivery_fraction=DELIVERY_FRACTION)
+    ran = 0
+    while reference.db.oracle.read_timestamp() < horizon:
+        if ran == txns:
+            raise ReproError(
+                f"reference run overshot: horizon {horizon} not reachable "
+                f"within {txns} transactions"
+            )
+        reference.execute_transaction(ref_driver.next_transaction())
+        ran += 1
+    for name in CRASH_QUERIES:
+        got = _canonical_rows(run_query(name, recovered.olap, recovered.db, horizon).rows)
+        want = _canonical_rows(run_query(name, reference.olap, reference.db, horizon).rows)
+        if got != want:
+            differing = sum(1 for g, w in zip(got, want) if g != w)
+            cell.violations.append(
+                f"query: {name}@ts={horizon}: recovered rows differ from "
+                f"reference ({differing} of {max(len(got), len(want))} rows)"
+            )
+
+
+#: The sweep's workloads: each drives one cell given the harness's
+#: injector scope (``faulted``) and its own keyword parameters.
+WORKLOADS: Dict[str, Callable[..., None]] = {
+    "mixed": _mixed,
+    "serve": _serve,
+    "cluster": _cluster,
+    "crash": _crash,
+}
+
+#: Grid rows a sweep runs when none are given. The crash append hooks are
+#: consulted once per commit; the checkpoint hook only once per spill, so
+#: it needs a much higher rate to strike within a short run.
+DEFAULT_ROWS: Dict[str, Tuple[str, ...]] = {
+    "mixed": ("drop_launch=0.05,duplicate_launch=0.05,forced_abort=0.1",),
+    "serve": ("client_disconnect=0.05,queue_overflow=0.05,scheduler_stall=0.1",),
+    "cluster": tuple(f"{hook}=0.25" for hook in TWOPC_HOOKS),
+    "crash": tuple(
+        f"{hook}={rate}" for hook, rate in zip(CRASH_HOOKS, (0.05, 0.05, 0.5))
+    ),
+}
+
+
+def check_row(workload: str, rates: FaultRates) -> None:
+    """Raise :class:`ConfigError` unless ``rates`` is a grid row that can
+    fail: a known workload, at least one active hook, and for ``crash``
+    at least one crash hook (a row that injects nothing passes vacuously)."""
+    if workload not in WORKLOADS:
+        raise ConfigError(
+            f"unknown sweep workload {workload!r}; expected one of {', '.join(WORKLOADS)}"
+        )
+    if not rates.active_hooks:
+        raise ConfigError(f"{workload} sweep row enables no fault hook")
+    if workload == "crash" and not set(rates.active_hooks) & set(CRASH_HOOKS):
+        raise ConfigError(
+            f"crash sweep row enables no crash hook ({', '.join(CRASH_HOOKS)})"
+        )
+
+
+def run_fault_sweep(
+    seed: int, rates: FaultRates, workload: str = "mixed", **params
+) -> SweepCell:
+    """Run one cell of the sweep grid; see the module docstring.
+
+    ``params`` go to the workload: ``intervals`` (not ``serve``),
+    ``txns_per_query`` (requests per tenant for ``serve``), ``scale``,
+    ``defrag_period``, ``controller_kind``, ``shards`` and ``jobs``
+    (``cluster``), ``checkpoint_every`` (``crash``).
+    """
+    check_row(workload, rates)
     plan = FaultPlan(seed, rates)
-    result = SweepResult(
+    injector = FaultInjector(plan)
+    cell = SweepCell(
+        workload=workload,
         seed=seed,
         rates=dict(rates.rates),
-        workload=workload,
         plan_hash=plan.content_hash(),
     )
 
-    def _drive(invariant_checker, engine):
-        if workload == "serve":
-            return _run_serve(seed, txns_per_query, invariant_checker, engine)
-        return _run_mixed(
-            seed,
-            intervals,
-            txns_per_query,
-            delivery_fraction,
-            invariant_checker,
-            engine,
-        )
+    @contextmanager
+    def faulted():
+        install(injector)
+        try:
+            yield
+        finally:
+            deactivate()
 
-    # Baseline: same engine, same workload seeds, no injector.
-    baseline = _build_engine(seed, scale, defrag_period, controller_kind)
-    base = _drive(None, baseline)
-    result.baseline_tpmc = base["tpmc"]
-    result.baseline_qphh = base["qphh"]
-
-    # Faulted run: injector installed for exactly this scope.
-    engine = _build_engine(seed, scale, defrag_period, controller_kind)
-    injector = FaultInjector(plan)
-    checker = InvariantChecker(engine, raise_on_violation=False)
-    install(injector)
     try:
-        faulted = _drive(checker, engine)
-        result.faulted_tpmc = faulted["tpmc"]
-        result.faulted_qphh = faulted["qphh"]
-        result.transactions = faulted["transactions"]
-        result.aborted = faulted["aborted"]
+        WORKLOADS[workload](cell, faulted, **params)
     except ReproError as exc:
         # The engine did not absorb the faults (e.g. retry budget
         # exhausted): report the failure instead of crashing the sweep.
-        result.survived = False
-        result.error = f"{type(exc).__name__}: {exc}"
-    finally:
-        deactivate()
-    # One final end-of-run consistency audit.
-    checker.check()
-    result.injected = dict(injector.injected)
-    result.detected = dict(injector.detected)
-    result.retries = injector.retries
-    result.checks = checker.checks
-    result.violations = list(checker.violations)
-    if result.violations:
-        result.survived = False
-    return result
+        cell.error = f"{type(exc).__name__}: {exc}"
+    cell.injected = dict(injector.injected)
+    cell.detected = dict(injector.detected)
+    cell.retries = injector.retries
+    return cell

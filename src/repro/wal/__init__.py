@@ -16,12 +16,14 @@ death" stops being true:
   engine gets from :meth:`~repro.core.engine.PushTapEngine.enable_durability`.
 * :mod:`repro.wal.recovery` — rebuilds an engine by applying checkpoint
   segments and replaying the WAL tail at the recorded timestamps.
-* :mod:`repro.wal.crash` — the crash-sweep harness: inject a
-  ``crash_*`` fault, recover, and assert invariants plus bit-identical
-  OLAP results against a never-crashed reference run.
+
+The crash sweep that holds this package to its contract — inject a
+``crash_*`` fault, recover, assert invariants plus bit-identical OLAP
+results against a never-crashed reference run — is the ``crash``
+workload of :mod:`repro.faults.sweep`
+(``python -m repro.experiments fault-sweep --workload crash``).
 """
 
-from repro.wal.crash import CRASH_SWEEP_HOOKS, CrashSweepResult, run_crash_sweep
 from repro.wal.log import WriteAheadLog
 from repro.wal.manager import DurabilityManager
 from repro.wal.recovery import RecoveryResult, recover
@@ -33,7 +35,4 @@ __all__ = [
     "DurabilityManager",
     "RecoveryResult",
     "recover",
-    "CrashSweepResult",
-    "run_crash_sweep",
-    "CRASH_SWEEP_HOOKS",
 ]

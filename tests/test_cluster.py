@@ -19,7 +19,6 @@ from repro.cluster import (
     cluster_row_counts,
     merge_rows,
     partition_row_filter,
-    run_cluster_fault_sweep,
     shard_of,
     shard_warehouses,
 )
@@ -27,6 +26,7 @@ from repro.cluster.partition import PARTITION_COLUMNS
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, QueryError, TransactionError
 from repro.faults.plan import TWOPC_HOOKS, FaultRates
+from repro.faults.sweep import run_fault_sweep
 from repro.workloads.chbench import row_counts
 from repro.oltp.tpcc import TPCCDriver
 from repro.workloads.driver import MixedWorkload, _derive_seed
@@ -255,17 +255,18 @@ class TestTwoPhaseCommit:
             assert cluster.query(name).rows == rows
 
     def test_cluster_fault_sweep_smoke(self):
-        result = run_cluster_fault_sweep(
+        result = run_fault_sweep(
             seed=3,
             rates=FaultRates.parse("twopc_coordinator_crash=0.5"),
+            workload="cluster",
             shards=2,
             intervals=2,
             txns_per_query=20,
         )
         assert result.survived
         assert result.injected.get("twopc_coordinator_crash", 0) > 0
-        assert result.cross_shard_aborted > 0
-        assert result.atomicity_violations == []
+        assert result.stats["cross_shard_aborted"] > 0
+        assert result.violations == []
 
 
 class TestClusterWorkload:

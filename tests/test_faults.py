@@ -1,5 +1,7 @@
 """Fault-injection harness: plans, hooks, retries, invariants, sweep."""
 
+import json
+
 import pytest
 
 from repro.core.config import DDR5_3200_TIMINGS, DeviceGeometry, PIMUnitConfig, dimm_system
@@ -9,6 +11,7 @@ from repro.faults import plan as fault_plan
 from repro.faults.injector import FaultInjector, NoopInjector
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import HOOKS, FaultPlan, FaultRates
+from repro.faults import sweep
 from repro.faults.sweep import run_fault_sweep
 from repro.pim.controller import OriginalController, PushTapController
 from repro.pim.device import Device
@@ -341,3 +344,81 @@ class TestFaultSweep:
         a = run_fault_sweep(2, self.RATES, **kwargs)
         b = run_fault_sweep(2, self.RATES, **kwargs)
         assert a.as_dict() == b.as_dict()
+
+    @pytest.mark.parametrize("workload", ["mixed", "serve", "cluster", "crash"])
+    def test_rejects_row_without_active_hook(self, workload):
+        with pytest.raises(ConfigError, match=f"{workload} sweep row enables no"):
+            run_fault_sweep(1, FaultRates({"forced_abort": 0.0}), workload=workload)
+
+    def test_rejects_crash_row_without_crash_hook(self):
+        with pytest.raises(ConfigError, match="crash hook"):
+            run_fault_sweep(1, FaultRates({"forced_abort": 0.1}), workload="crash")
+
+
+class TestFaultSweepCLI:
+    """``fault-sweep``: one cell per (row, seed), exit code = survival."""
+
+    #: workload -> (grid rows, tiny-size arguments)
+    ARGS = {
+        "mixed": (1, ["--intervals", "1", "--txns-per-query", "10"]),
+        "serve": (1, ["--txns-per-query", "8"]),
+        "cluster": (2, [
+            "--rates", "twopc_lost_prepare=0.5", "twopc_coordinator_crash=0.5",
+            "--intervals", "1", "--txns-per-query", "10",
+        ]),
+        "crash": (2, [
+            "--rates", "crash_after_wal_append=0.3", "crash_mid_checkpoint=0.5",
+            "--intervals", "2", "--txns-per-query", "10", "--checkpoint-every", "8",
+        ]),
+    }
+
+    @staticmethod
+    def main(argv):
+        from repro.experiments.__main__ import main
+
+        return main(["fault-sweep", *argv])
+
+    @pytest.mark.parametrize("violated", [False, True])
+    @pytest.mark.parametrize("workload", sorted(ARGS))
+    def test_grid_cells_and_exit_code(
+        self, workload, violated, tmp_path, monkeypatch, capsys
+    ):
+        if violated:
+            drive = sweep.WORKLOADS[workload]
+
+            def drive_and_violate(cell, faulted, **params):
+                drive(cell, faulted, **params)
+                if cell.seed == 2:
+                    cell.violations.append("invariant: planted by the test")
+
+            monkeypatch.setitem(sweep.WORKLOADS, workload, drive_and_violate)
+        rows, args = self.ARGS[workload]
+        out = tmp_path / "cells.json"
+        rc = self.main(
+            ["--workload", workload, "--seed", "1", "2", "--out", str(out), *args]
+        )
+        report = json.loads(out.read_text())
+        cells = report["cells"]
+        assert report["total"] == len(cells) == rows * 2
+        assert [cell["seed"] for cell in cells] == [1, 2] * rows
+        assert len({json.dumps(cell["rates"]) for cell in cells}) == rows
+        assert all(cell["workload"] == workload for cell in cells)
+        if violated:
+            assert rc == 1
+            assert report["survived"] == rows
+            assert "seed 2: invariant: planted by the test" in capsys.readouterr().err
+        else:
+            assert rc == 0
+            assert report["survived"] == report["total"]
+
+    def test_vacuous_row_exits_2(self, capsys):
+        assert self.main(["--rates", ""]) == 2
+        assert "enables no fault hook" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--metrics-out", "--out"])
+    def test_unwritable_output_fails_before_any_cell(self, flag, tmp_path, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the output path was checked")
+
+        monkeypatch.setattr(sweep, "run_fault_sweep", no_cell)
+        assert self.main([flag, str(tmp_path / "missing" / "out.json")]) == 2

@@ -13,9 +13,10 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterWorkload, PushTapCluster, run_cluster_fault_sweep
+from repro.cluster import ClusterWorkload, PushTapCluster
 from repro.errors import ConfigError
 from repro.faults.plan import TWOPC_HOOKS, FaultRates
+from repro.faults.sweep import run_fault_sweep
 from repro.telemetry import registry as telemetry
 
 SCALE = 2e-5
@@ -137,9 +138,11 @@ class TestFaultSweepIdentity:
         the workers: the whole sweep result (tpmC, aborts, cross-shard
         counts, detection bookkeeping) matches jobs=1."""
         rates = FaultRates({hook: 0.25})
-        kwargs = dict(shards=2, intervals=2, txns_per_query=10, scale=SCALE)
-        sequential = run_cluster_fault_sweep(3, rates, **kwargs).as_dict()
-        parallel = run_cluster_fault_sweep(3, rates, jobs=2, **kwargs).as_dict()
+        kwargs = dict(
+            workload="cluster", shards=2, intervals=2, txns_per_query=10, scale=SCALE
+        )
+        sequential = run_fault_sweep(3, rates, **kwargs).as_dict()
+        parallel = run_fault_sweep(3, rates, jobs=2, **kwargs).as_dict()
         assert json.dumps(sequential, sort_keys=True) == json.dumps(
             parallel, sort_keys=True
         )

@@ -8,8 +8,9 @@ import pytest
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, WALError
 from repro.faults.invariants import InvariantChecker
-from repro.wal import LeveledStore, WriteAheadLog, recover, run_crash_sweep
-from repro.wal.crash import CRASH_SWEEP_HOOKS
+from repro.faults.plan import CRASH_HOOKS, FaultRates
+from repro.faults.sweep import run_fault_sweep
+from repro.wal import LeveledStore, WriteAheadLog, recover
 from repro.wal.log import jsonify, unjsonify
 
 ENGINE_KWARGS = dict(scale=2e-5, defrag_period=200, block_rows=256)
@@ -280,19 +281,23 @@ class TestCrashSweep:
         ],
     )
     def test_every_hook_survives(self, hook, rate):
-        cell = run_crash_sweep(
-            hook, seed=1, txns=60, txns_per_query=15, checkpoint_every=12, rate=rate
+        # None: the checkpoint hook at the sweep's default rate.
+        rates = FaultRates({hook: 0.5 if rate is None else rate})
+        cell = run_fault_sweep(
+            1, rates, workload="crash",
+            intervals=4, txns_per_query=15, checkpoint_every=12,
         )
         assert cell.error is None
         assert cell.violations == []
-        assert cell.query_mismatches == []
         assert cell.survived
-        assert cell.crash_fired
+        assert cell.stats["crash_fired"]
 
     def test_cell_report_shape(self):
-        cell = run_crash_sweep(
-            CRASH_SWEEP_HOOKS[0], seed=2, txns=40, txns_per_query=0, checkpoint_every=0
+        cell = run_fault_sweep(
+            2, FaultRates({CRASH_HOOKS[0]: 0.05}), workload="crash",
+            intervals=2, txns_per_query=20, checkpoint_every=0,
         )
         report = cell.as_dict()
         assert report["survived"] is True
+        assert report["checks"] == 1  # the audit of the recovered engine
         assert json.dumps(report)  # JSON-serializable for the CLI artifact
