@@ -2,8 +2,7 @@
 
 Every figure benchmark prints the series the paper's figure reports
 (through :func:`emit`, which bypasses pytest's capture so the rows land
-in ``bench_output.txt``) and times a representative computation with
-pytest-benchmark.
+in ``bench_output.txt``) and times the figure with pytest-benchmark.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ def bench_engine() -> PushTapEngine:
 def emit(capsys):
     """Print a report section, bypassing pytest's output capture."""
 
-    def _emit(title: str, body: str) -> None:
+    def _emit(body: str) -> None:
         with capsys.disabled():
-            print(f"\n=== {title} ===")
-            print(body)
+            print(f"\n{body}")
 
     return _emit

@@ -1,91 +1,60 @@
 #!/usr/bin/env python
-"""Assert the ddr5 figure pipeline is bit-identical to its baseline.
+"""Assert every figure on every substrate is bit-identical to its baseline.
 
-The substrate refactor (and any later change that is supposed to be
-simulation-neutral on the default substrate) must not move a single bit
-of the paper figures. This regenerates Fig. 8a / 9a / 9b on the default
-``ddr5`` substrate and compares every float exactly against the
-committed ``baselines/fig8_fig9_ddr5.json``.
+Any change that is supposed to be simulation-neutral must not move a
+single bit of the paper figures. This regenerates every
+``repro.experiments.figures.FIGURES`` entry on every registered
+substrate and compares every value exactly against the committed
+``baselines/figures.json`` (``{substrate: {figure id: points}}``);
+``--write`` re-pins it instead.
 
-Exit status 0 on bit-identity, 1 on any drift (drifting keys printed).
+Exit status 0 on bit-identity, 1 on any drift (drifting points printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
-from dataclasses import asdict
 
-from repro.experiments import fig8, fig9
+from repro.experiments.figures import FIGURES, as_json
+from repro.pim.substrate import available_substrates, get_substrate
 
-#: Fig. 9b transaction counts pinned in the baseline (the full default
-#: sweep's 8M-txn point is too slow for a regression gate).
-FIG9B_TXN_COUNTS = (10_000, 1_000_000)
-
-
-def current_figures() -> dict:
-    """Regenerate the gated figure points on the default substrate."""
-    return {
-        "fig8a": [asdict(p) for p in fig8.th_sweep()],
-        "fig9a": [asdict(p) for p in fig9.oltp_comparison()],
-        "fig9b": [asdict(p) for p in fig9.olap_comparison(FIG9B_TXN_COUNTS)],
-    }
-
-
-def diff(baseline: dict, current: dict) -> list:
-    """Exact (bit-identical) comparison; returns human-readable drifts."""
-    drifts = []
-    for figure in sorted(set(baseline) | set(current)):
-        base_points = baseline.get(figure)
-        cur_points = current.get(figure)
-        if base_points is None or cur_points is None:
-            drifts.append(f"{figure}: missing on one side")
-            continue
-        if len(base_points) != len(cur_points):
-            drifts.append(
-                f"{figure}: {len(base_points)} baseline points vs "
-                f"{len(cur_points)} current"
-            )
-            continue
-        for i, (base, cur) in enumerate(zip(base_points, cur_points)):
-            if base != cur:
-                keys = [k for k in base if base.get(k) != cur.get(k)]
-                drifts.append(f"{figure}[{i}]: drift in {', '.join(keys)}")
-    return drifts
+BASELINE = pathlib.Path(__file__).resolve().parent.parent / "baselines" / "figures.json"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--baseline",
-        default="baselines/fig8_fig9_ddr5.json",
-        help="committed baseline JSON to compare against",
-    )
-    parser.add_argument(
-        "--write",
-        action="store_true",
-        help="(re)write the baseline from the current pipeline instead",
-    )
+    parser.add_argument("--write", action="store_true", help="re-pin the baseline")
     args = parser.parse_args(argv)
-    current = current_figures()
+    current = {
+        substrate: {
+            figure_id: as_json(figure.points(get_substrate(substrate).config))
+            for figure_id, figure in FIGURES.items()
+        }
+        for substrate in available_substrates()
+    }
     if args.write:
-        with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(current, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"baseline written to {args.baseline}")
+        BASELINE.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
+        print(f"baseline written to {BASELINE}")
         return 0
-    with open(args.baseline, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    drifts = diff(baseline, current)
+    baseline = json.loads(BASELINE.read_text())
+    drifts = []
+    for substrate in sorted(set(baseline) | set(current)):
+        base, cur = baseline.get(substrate, {}), current.get(substrate, {})
+        for figure_id in sorted(set(base) | set(cur)):
+            b, c = base.get(figure_id, []), cur.get(figure_id, [])
+            drifts += [
+                f"{substrate}/{figure_id}[{i}]"
+                for i in range(max(len(b), len(c)))
+                if b[i:i + 1] != c[i:i + 1]  # a missing point differs
+            ]
+    for drift in drifts:
+        print(f"DRIFT: {drift}", file=sys.stderr)
     if drifts:
-        for drift in drifts:
-            print(f"DRIFT: {drift}", file=sys.stderr)
         return 1
-    print(
-        f"figures bit-identical to {args.baseline} "
-        f"({', '.join(sorted(baseline))})"
-    )
+    print(f"{len(FIGURES)} figures bit-identical to {BASELINE.name} on {', '.join(sorted(baseline))}")
     return 0
 
 

@@ -67,13 +67,7 @@ class PushTapQueryModel:
         d = self.config.geometry.devices_per_rank
         bdw_cpu = self.config.total_cpu_bandwidth
         bdw_pim = self.config.total_pim_bandwidth
-        # When CPU bandwidth exceeds aggregate PIM bandwidth (the HBM
-        # system), Eq. 3 has no crossover: CPU movement always wins.
-        threshold = (
-            pim_breakeven_width(METADATA_BYTES, p, bdw_cpu, bdw_pim)
-            if bdw_pim > bdw_cpu
-            else float("inf")
-        )
+        threshold = pim_breakeven_width(METADATA_BYTES, p, bdw_cpu, bdw_pim)
         total = self.defrag_fixed_overhead
         share = n / len(self.part_widths)
         for width in self.part_widths:

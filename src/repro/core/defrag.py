@@ -68,11 +68,15 @@ def comm_pim_time(
 
 
 def pim_breakeven_width(m: int, p: float, bdw_cpu: float, bdw_pim: float) -> float:
-    """Eq. 3 — row width above which the PIM strategy wins."""
-    if bdw_pim <= bdw_cpu:
-        raise DefragError("Eq. 3 requires bdw_pim > bdw_cpu")
+    """Eq. 3 — row width above which the PIM strategy wins.
+
+    With ``bdw_pim <= bdw_cpu`` (e.g. the HBM system) Eq. 3 has no
+    crossover: CPU movement always wins, so the width is infinite.
+    """
     if p <= 0:
         raise DefragError("newest-version fraction p must be positive")
+    if bdw_pim <= bdw_cpu:
+        return float("inf")
     return (bdw_pim + bdw_cpu) / (2 * p * (bdw_pim - bdw_cpu)) * m
 
 
@@ -161,13 +165,9 @@ class DefragExecutor:
             raise DefragError(f"unknown strategy {strategy!r}")
         if strategy != Strategy.HYBRID:
             return {part.index: strategy for part in self.storage.layout.parts}
-        if self.bdw_pim > self.bdw_cpu:
-            threshold = pim_breakeven_width(
-                METADATA_BYTES, max(p, 1e-9), self.bdw_cpu, self.bdw_pim
-            )
-        else:
-            # No crossover (Eq. 3): CPU movement always wins.
-            threshold = float("inf")
+        threshold = pim_breakeven_width(
+            METADATA_BYTES, max(p, 1e-9), self.bdw_cpu, self.bdw_pim
+        )
         return {
             part.index: Strategy.PIM if part.row_width > threshold else Strategy.CPU
             for part in self.storage.layout.parts

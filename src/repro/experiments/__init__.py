@@ -1,8 +1,9 @@
-"""Experiment modules — one per paper figure (§7).
+"""Experiment modules — one per paper figure (§7), plus the ablations.
 
-Each module computes the data series behind one figure; the benchmark
-suite (``benchmarks/``) runs them under pytest-benchmark and prints the
-paper-vs-measured rows recorded in EXPERIMENTS.md.
+Each module computes the data series behind one figure.
+:mod:`repro.experiments.figures` turns them into one ``FIGURES`` table
+(points call, table columns, paper anchors per figure id) that the CLI,
+the figure baseline gate and the benchmark suite read.
 """
 
 from repro.experiments import common, fig8, fig9, fig10, fig11, fig12

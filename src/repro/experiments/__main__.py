@@ -1,13 +1,14 @@
 """Command-line experiment runner.
 
-Regenerate any of the paper's figures (or the ablations) directly::
+Regenerate any of the paper's figures (or the ablations) by its
+``repro.experiments.figures.FIGURES`` id::
 
     python -m repro.experiments fig8a
-    python -m repro.experiments fig9b fig10
+    python -m repro.experiments fig9b fig10 headline a1
     python -m repro.experiments all
 
-Each experiment prints the same rows/series its benchmark reports; see
-EXPERIMENTS.md for the paper-vs-measured comparison.
+Each figure prints its table and its paper anchors; see EXPERIMENTS.md
+for the paper-vs-measured discussion.
 
 Figure runs can leave a machine-readable telemetry trail::
 
@@ -40,7 +41,7 @@ attributes each operator to its bottleneck::
 Figures can also run on any registered substrate instead of the default
 DIMM system::
 
-    python -m repro.experiments fig9a fig11 --substrate hbm3
+    python -m repro.experiments fig9a fig11b --substrate hbm3
 
 The sharded cluster sweeps shard-count scaling and 2PC overhead::
 
@@ -54,166 +55,9 @@ import sys
 from typing import Callable, Dict
 
 from repro import telemetry
-from repro.experiments import ablations, fig8, fig9, fig10, fig11, fig12
+from repro.experiments.figures import FIGURES, render
 from repro.report import format_percent, format_table, format_time_ns
 from repro.telemetry import export as telemetry_export
-
-
-def run_fig8a(config=None) -> None:
-    print(format_table(
-        ["th", "CPU eff bw", "PIM eff bw", "parts"],
-        [
-            [p.th, format_percent(p.cpu_bandwidth), format_percent(p.pim_bandwidth), p.total_parts]
-            for p in fig8.th_sweep(config=config)
-        ],
-    ))
-
-
-def run_fig8b(config=None) -> None:
-    sb = fig8.storage_breakdown_point(0.6, config=config)
-    print(format_table(
-        ["component", "share"],
-        [
-            ["data", format_percent(sb.data_bytes / sb.total_bytes)],
-            ["padding", format_percent(sb.padding_fraction)],
-            ["snapshot bitmap", format_percent(sb.bitmap_fraction)],
-        ],
-    ))
-
-
-def run_fig8cd(config=None) -> None:
-    print(format_table(
-        ["subset", "key cols", "max CPU (PIM>=70%)", "max PIM (CPU>=70%)"],
-        [
-            [
-                p.subset,
-                p.num_key_columns,
-                format_percent(p.max_cpu_with_pim_constraint),
-                format_percent(p.max_pim_with_cpu_constraint),
-            ]
-            for p in fig8.subset_sweep(config=config)
-        ],
-    ))
-
-
-def run_fig9a(config=None) -> None:
-    print(format_table(
-        ["format", "mean txn time", "vs RS"],
-        [
-            [p.label, format_time_ns(p.mean_txn_time), f"{p.relative_to_rs:.3f}x"]
-            for p in fig9.oltp_comparison(config=config)
-        ],
-    ))
-
-
-def run_fig9b(config=None) -> None:
-    points = fig9.olap_comparison(config=config)
-    ideal = {p.num_txns: p.scan_time for p in points if p.system == "ideal"}
-    print(format_table(
-        ["system", "txns", "consistency", "scan", "overhead vs ideal"],
-        [
-            [
-                p.system,
-                f"{p.num_txns:,}",
-                format_time_ns(p.consistency_time),
-                format_time_ns(p.scan_time),
-                format_percent(p.overhead_vs(ideal[p.num_txns])),
-            ]
-            for p in points
-        ],
-    ))
-
-
-def run_fig10(config=None) -> None:
-    for system in ("pushtap", "mi"):
-        print(format_table(
-            ["system", "OLTP (MtpmC)", "OLAP (QphH)"],
-            [
-                [p.system, f"{p.oltp_tpmc / 1e6:.1f}", f"{p.olap_qphh:,.0f}"]
-                for p in fig10.frontier(system, 12, config=config)
-            ],
-        ))
-    model = fig10.FrontierModel(config) if config is not None else None
-    ratios = fig10.peak_ratios(model)
-    print(format_table(
-        ["metric", "value"],
-        [[k, f"{v:,.2f}"] for k, v in ratios.items()],
-    ))
-
-
-def run_fig11(config=None) -> None:
-    print(format_table(
-        ["txns in window", "fragmentation", "defragmentation", "ratio"],
-        [
-            [
-                f"{p.num_txns:,}",
-                format_time_ns(p.fragmentation_overhead),
-                format_time_ns(p.defrag_overhead),
-                f"{p.ratio:.2f}x",
-            ]
-            for p in fig11.fragmentation_vs_defrag(config=config)
-        ],
-    ))
-    print("\ntransaction breakdown:")
-    breakdown = fig11.transaction_breakdown(num_txns=100, config=config)
-    for phase, share in breakdown.items():
-        print(f"  {phase:10s} {format_percent(share)}")
-
-
-def run_fig12a(config=None) -> None:
-    print(format_table(
-        ["strategy", "defragmentation time"],
-        [
-            [p.strategy, format_time_ns(p.total_time)]
-            for p in fig12.defrag_strategy_comparison(config=config)
-        ],
-    ))
-
-
-def run_fig12b(config=None) -> None:
-    print(format_table(
-        ["controller", "WRAM", "Q6 time", "control share"],
-        [
-            [
-                p.controller,
-                f"{p.wram_bytes // 1024} kB",
-                format_time_ns(p.q6_time),
-                format_percent(p.control_fraction),
-            ]
-            for p in fig12.wram_size_sweep(config=config)
-        ],
-    ))
-
-
-def run_ablations(config=None) -> None:
-    print(format_table(
-        ["policy", "padding", "PIM eff bw"],
-        [
-            [p.policy, format_percent(p.padding_fraction), format_percent(p.pim_bandwidth)]
-            for p in ablations.leftover_policy_ablation(config=config)
-        ],
-    ))
-    print(format_table(
-        ["path", "scan time"],
-        [
-            [p.path, format_time_ns(p.scan_time)]
-            for p in ablations.key_column_fallback_ablation(config=config)
-        ],
-    ))
-
-
-EXPERIMENTS: Dict[str, Callable[..., None]] = {
-    "fig8a": run_fig8a,
-    "fig8b": run_fig8b,
-    "fig8cd": run_fig8cd,
-    "fig9a": run_fig9a,
-    "fig9b": run_fig9b,
-    "fig10": run_fig10,
-    "fig11": run_fig11,
-    "fig12a": run_fig12a,
-    "fig12b": run_fig12b,
-    "ablations": run_ablations,
-}
 
 
 def report_metrics(argv) -> int:
@@ -1202,9 +1046,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=list(FIGURES) + ["all"],
         help=(
-            "which figures to regenerate; or one subcommand with its own "
+            "figure ids to regenerate (all: every figure, in paper order); "
+            "or one subcommand with its own "
             f"--help: {', '.join(SUBCOMMANDS)}"
         ),
     )
@@ -1225,14 +1070,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     config = get_substrate(args.substrate).config if args.substrate else None
-    names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
+    names = list(FIGURES) if "all" in args.experiments else args.experiments
     if args.metrics_out and not _writable(args.metrics_out):
         return 2
     registry = telemetry.enable() if args.metrics_out else None
     try:
         for name in names:
-            print(f"\n=== {name} ===")
-            EXPERIMENTS[name](config)
+            print()
+            print(render(name, FIGURES[name].points(config)))
         if registry is not None:
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
                 fh.write(telemetry_export.to_json(registry))

@@ -49,12 +49,18 @@ class CirculantPoint:
     matches: int
 
 
-def circulant_ablation(scale: float = 5e-5) -> List[CirculantPoint]:
+def circulant_ablation(
+    scale: float = 5e-5, config: Optional[SystemConfig] = None
+) -> List[CirculantPoint]:
     """Fig. 5a vs 5b: scan one column with rotation on and off."""
     out: List[CirculantPoint] = []
     for circulant in (True, False):
         engine = PushTapEngine.build(
-            scale=scale, defrag_period=0, block_rows=256, circulant=circulant
+            config=config,
+            scale=scale,
+            defrag_period=0,
+            block_rows=256,
+            circulant=circulant,
         )
         table = engine.table("orderline")
         ts = engine.db.oracle.read_timestamp()
@@ -131,13 +137,15 @@ class ThLatencyPoint:
 
 
 def th_latency_ablation(
-    ths: Sequence[float] = (0.0, 0.6, 1.0), scale: float = 5e-5
+    ths: Sequence[float] = (0.0, 0.6, 1.0),
+    scale: float = 5e-5,
+    config: Optional[SystemConfig] = None,
 ) -> List[ThLatencyPoint]:
     """End-to-end Fig. 8a: the th trade-off in actual query latency."""
     out: List[ThLatencyPoint] = []
     for th in ths:
         engine = PushTapEngine.build(
-            scale=scale, th=th, defrag_period=0, block_rows=256
+            config=config, scale=scale, th=th, defrag_period=0, block_rows=256
         )
         result = engine.query("Q6")
         out.append(ThLatencyPoint(th=th, q6_time=result.total_time,

@@ -1,8 +1,8 @@
 """Ablation experiment modules (fast, analytic parts).
 
-The engine-building ablations (circulant, th-latency) run in the
-benchmark suite; here the analytic ones are verified plus the underlying
-toggles.
+The engine-building ablations (circulant, th-latency) are anchored in
+``tests/test_figures.py``; here the analytic ones are verified plus the
+underlying toggles.
 """
 
 import pytest

@@ -61,8 +61,8 @@ class TestCostEquations:
             assert cpu <= pim
 
     def test_validation(self):
-        with pytest.raises(DefragError):
-            pim_breakeven_width(16, 1.0, 10.0, 5.0)
+        # No crossover when PIM bandwidth does not exceed CPU bandwidth.
+        assert pim_breakeven_width(16, 1.0, 10.0, 5.0) == float("inf")
         with pytest.raises(DefragError):
             pim_breakeven_width(16, 0.0, 1.0, 3.0)
         with pytest.raises(DefragError):

@@ -159,6 +159,13 @@ class TestCLIRunner:
         assert "fig8b" in out and "snapshot bitmap" in out
         assert "fig12a" in out and "hybrid" in out
 
+    def test_fig12a_runs_on_hbm3(self, capsys):
+        """HBM has no Eq. 3 crossover: the hybrid plan is all-CPU."""
+        from repro.experiments.__main__ import main
+
+        assert main(["fig12a", "--substrate", "hbm3"]) == 0
+        assert "hybrid" in capsys.readouterr().out
+
     def test_rejects_unknown(self):
         from repro.experiments.__main__ import main
 

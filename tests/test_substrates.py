@@ -22,7 +22,7 @@ from repro.pim.substrate import (
     register_substrate,
 )
 
-BASELINE = pathlib.Path(__file__).resolve().parent.parent / "baselines" / "fig8_fig9_ddr5.json"
+BASELINE = pathlib.Path(__file__).resolve().parent.parent / "baselines" / "figures.json"
 
 
 class TestRegistry:
@@ -162,5 +162,5 @@ class TestFigureBitIdentity:
 
         from repro.experiments import fig8
 
-        baseline = json.loads(BASELINE.read_text())["fig8a"]
+        baseline = json.loads(BASELINE.read_text())["ddr5"]["fig8a"]
         assert [asdict(p) for p in fig8.th_sweep()] == baseline
