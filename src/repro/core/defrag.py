@@ -15,13 +15,13 @@ Eq. 1 and Eq. 2, and Eq. 3 gives the row-width break-even point. The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict
 
 from repro.core.snapshot import SnapshotManager
 from repro.core.storage import TableStorage
 from repro.errors import DefragError
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import METADATA_BYTES, Region, RowRef
+from repro.mvcc.metadata import METADATA_BYTES, Region
 from repro.telemetry import registry as telemetry
 from repro.units import US
 
@@ -180,37 +180,25 @@ class DefragExecutor:
         self,
         ts: int,
         strategy: str = Strategy.HYBRID,
-        tombstoned: Optional[Iterable[int]] = None,
         include_fixed: bool = True,
     ) -> DefragResult:
         """Defragment the table: move rows, truncate chains, reset bitmaps.
 
         ``ts`` is the quiesced timestamp (all transactions up to it are
         committed; OLTP is paused). Returns the modelled cost.
-        ``tombstoned`` defaults to the MVCC manager's own deleted-row set;
-        it must be captured *before* ``compact()`` folds pending
-        tombstones into the permanent dead-row set and clears the log.
         ``include_fixed`` charges the per-pass fixed overhead (thread
         creation + PIM activation); a multi-table pass pays it once.
         """
-        if tombstoned is None:
-            tombstoned = self.mvcc.tombstoned_rows()
-        else:
-            tombstoned = list(tombstoned)
         n = self.mvcc.delta.high_water_rows
-        chain_entries = self.mvcc.stale_version_count() + len(self.mvcc.updated_chains())
-        moves: List[Tuple[int, RowRef]] = self.mvcc.compact()
-        if moves:
+        chain_entries = self.mvcc.stale_version_count() + self.mvcc.delta_head_count()
+        rows, deltas = self.mvcc.compact()
+        moved = rows.size
+        if moved:
             # compact() only ever moves delta-resident heads back.
-            self.storage.copy_rows(
-                Region.DELTA,
-                [delta_ref.index for _, delta_ref in moves],
-                Region.DATA,
-                [row_id for row_id, _ in moves],
-            )
-        self.snapshots.rebuild_after_defrag(ts, self.mvcc.num_rows, tombstoned)
+            self.storage.copy_rows(Region.DELTA, deltas, Region.DATA, rows)
+        self.snapshots.rebuild_after_defrag(ts)
 
-        p = len(moves) / n if n else 0.0
+        p = moved / n if n else 0.0
         part_plan = self.plan(strategy, p)
         breakdown = self._cost(n, p, part_plan, chain_entries)
         if not include_fixed:
@@ -218,17 +206,17 @@ class DefragExecutor:
         tel = telemetry.active()
         if tel.enabled:
             tel.counter("defrag.runs").inc()
-            tel.counter("defrag.rows_moved").inc(len(moves))
+            tel.counter("defrag.rows_moved").inc(moved)
             tel.counter("defrag.delta_rows_reclaimed").inc(n)
             tel.histogram("defrag.latency_ns").observe(breakdown.total)
             tel.record_span(
                 "defrag.run",
                 breakdown.total,
-                {"strategy": strategy, "moved_rows": len(moves)},
+                {"strategy": strategy, "moved_rows": moved},
             )
         return DefragResult(
             strategy=strategy,
-            moved_rows=len(moves),
+            moved_rows=moved,
             delta_rows=n,
             part_strategies=part_plan,
             breakdown=breakdown,

@@ -610,19 +610,13 @@ class PushTapEngine:
         results: Dict[str, DefragResult] = {}
         first = True
         for name, executor in self._defrag_executors.items():
-            runtime = self.db.table(name)
-            results[name] = executor.run(
-                ts,
-                strategy,
-                tombstoned=runtime.mvcc.tombstoned_rows(),
-                include_fixed=first,
-            )
+            results[name] = executor.run(ts, strategy, include_fixed=first)
             first = False
             self.stats.defrag_time += results[name].total_time
         self.stats.defrag_runs += 1
         self._txns_since_defrag = 0
         if self.ivm is not None:
-            # Compaction cleared the update logs and released superseded
+            # Compaction cleared the version journals and released superseded
             # delta versions — views must resync from the new horizon.
             self.ivm.on_defrag(ts)
         return results

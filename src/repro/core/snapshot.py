@@ -1,7 +1,7 @@
 """Bitmap snapshotting (§5.2, Fig. 6c).
 
-Before an analytical query, the CPU replays the MVCC update log committed
-since the last snapshot into two per-bank visibility bitmaps (data region
+Before an analytical query, the CPU replays the MVCC version journal
+committed since the last snapshot into two per-bank visibility bitmaps (data region
 and delta region), one bit per row, with a copy on every device so each
 PIM unit can consult visibility locally. Bit ``1`` means the row is
 visible in the snapshot.
@@ -56,22 +56,33 @@ class SnapshotCost:
 
 
 class SnapshotManager:
-    """Maintains one table's snapshot bitmaps against its MVCC log."""
+    """Maintains one table's snapshot bitmaps against its version journal."""
 
     def __init__(self, storage: TableStorage, mvcc: MVCCManager) -> None:
         self.storage = storage
         self.mvcc = mvcc
         self.last_snapshot_ts = 0
-        self._data_bits = np.zeros(storage.capacity_rows, dtype=bool)
+        # Both bitmaps are views of one array: a data row's bit sits at its
+        # row index, a delta row's after every data row.
+        self._bits = np.zeros(storage.capacity_rows + storage.delta_capacity_rows, dtype=bool)
+        self._data_bits = self._bits[: storage.capacity_rows]
+        self._delta_bits = self._bits[storage.capacity_rows :]
         self._data_bits[: mvcc.num_rows] = True
-        self._delta_bits = np.zeros(storage.delta_capacity_rows, dtype=bool)
         self._flush()
 
     # ------------------------------------------------------------------
     # Incremental update
     # ------------------------------------------------------------------
     def update_to(self, ts: int) -> SnapshotCost:
-        """Apply committed records up to ``ts``; flush bitmap copies."""
+        """Apply committed records up to ``ts``; flush bitmap copies.
+
+        The journal window arrives as version changes in commit order
+        (an update clears the version it superseded and sets the new one,
+        an insert sets, a delete clears). A bit ends at its last change,
+        and a change is a flip — charged to the cache line of packed
+        bitmap it lands in — only if it differs from the bit's value
+        just before it.
+        """
         if ts < self.last_snapshot_ts:
             raise SnapshotError(
                 f"snapshot timestamp {ts} precedes last snapshot "
@@ -81,47 +92,41 @@ class SnapshotManager:
             # Already at this horizon — repeated calls are idempotent
             # no-ops rather than a log walk plus a fresh cost object.
             return SnapshotCost(records=0, bits_flipped=0, metadata_bytes=0, bitmap_bytes=0)
-        records = 0
-        bits = 0
-        touched_granules = set()
-        for record in self.mvcc.log_between(self.last_snapshot_ts, ts):
-            records += 1
-            if record.kind == "update":
-                bits += self._set(record.prev_ref, False, touched_granules)
-                bits += self._set(record.new_ref, True, touched_granules)
-            elif record.kind == "insert":
-                bits += self._set(record.new_ref, True, touched_granules)
-            elif record.kind == "delete":
-                bits += self._set(record.prev_ref, False, touched_granules)
-            else:  # pragma: no cover - log kinds are closed
-                raise SnapshotError(f"unknown log record kind {record.kind!r}")
+        window = self.mvcc.log_between(self.last_snapshot_ts, ts)
+        rows, deltas, weights = window.changes()
+        in_delta = deltas >= 0
+        index = np.where(in_delta, deltas, rows)
+        bad = np.flatnonzero(index >= np.where(in_delta, len(self._delta_bits), len(self._data_bits)))
+        if bad.size:
+            region = Region.DELTA if in_delta[bad[0]] else Region.DATA
+            raise SnapshotError(f"{region} bitmap row {index[bad[0]]} out of range")
+        # Sort by bit position, commit order kept within each position.
+        pos = index + in_delta * len(self._data_bits)
+        order = np.argsort(pos, kind="stable")
+        pos, index, in_delta = pos[order], index[order], in_delta[order]
+        value = weights[order] > 0
+        first = np.ones(pos.size, dtype=bool)
+        first[1:] = pos[1:] != pos[:-1]
+        before = np.roll(value, 1)
+        before[first] = self._bits[pos[first]]
+        flipped = value != before
+        last = np.roll(first, -1)
+        self._bits[pos[last]] = value[last]
         self.last_snapshot_ts = ts
-        if records:
+        if window.records:
             self._flush()
-        line = self.storage.rank.geometry.cache_line_bytes
-        return SnapshotCost(
-            records=records,
-            bits_flipped=bits,
-            metadata_bytes=records * METADATA_BYTES,
-            bitmap_bytes=len(touched_granules) * line,
-        )
-
-    def _set(self, ref, value: bool, touched: set) -> int:
-        if ref is None:
-            raise SnapshotError("log record missing a row reference")
-        bits = self._data_bits if ref.region == Region.DATA else self._delta_bits
-        if ref.index >= len(bits):
-            raise SnapshotError(f"{ref.region} bitmap row {ref.index} out of range")
-        if bits[ref.index] == value:
-            return 0
-        bits[ref.index] = value
         # Group by the unit the cost model charges: one cache line of
         # packed bitmap covers 8 * cache_line_bytes rows. (Grouping by
         # the per-device interleave granularity instead would overcount
         # touched lines whenever granularity != cache_line_bytes.)
         line = self.storage.rank.geometry.cache_line_bytes
-        touched.add((ref.region, ref.index // (8 * line)))
-        return 1
+        granules = index[flipped] // (8 * line) * 2 + in_delta[flipped]
+        return SnapshotCost(
+            records=window.records,
+            bits_flipped=int(np.count_nonzero(flipped)),
+            metadata_bytes=window.records * METADATA_BYTES,
+            bitmap_bytes=int(np.unique(granules).size) * line,
+        )
 
     def _flush(self) -> None:
         # Each call is one broadcast store: the per-device copies share a
@@ -150,19 +155,16 @@ class SnapshotManager:
         """Total visible rows across both regions."""
         return int(self._data_bits.sum() + self._delta_bits.sum())
 
-    def rebuild_after_defrag(self, ts: int, live_rows: int, tombstoned) -> None:
+    def rebuild_after_defrag(self, ts: int) -> None:
         """Reset bitmaps after defragmentation folded the delta region.
 
-        All live data rows become visible, tombstoned rows invisible, and
-        the delta region empties. ``ts`` becomes the new snapshot horizon
+        Every row alive at ``ts`` becomes visible in the data region (the
+        compaction just folded the tombstones into dead rows) and the
+        delta region empties. ``ts`` becomes the new snapshot horizon
         (OLTP is paused during defragmentation, §5.3, so nothing is
         in-flight).
         """
-        self._data_bits[:] = False
-        self._data_bits[:live_rows] = True
-        tombstoned = np.asarray(list(tombstoned), dtype=np.intp)
-        if tombstoned.size:
-            self._data_bits[tombstoned] = False
-        self._delta_bits[:] = False
+        self._bits[:] = False
+        self._data_bits[: self.mvcc.num_rows] = self.mvcc.alive_at(ts)
         self.last_snapshot_ts = ts
         self._flush()

@@ -8,16 +8,17 @@ rather than corrupting state:
 * **Controller discipline** — no bank may stay locked outside an
   offload; the PUSHtap scheduler's pending slot must be empty; the
   original controller must not believe an offload is still active.
-* **MVCC agreement** — version-chain timestamps strictly decrease from
-  the head; the update log's timestamps never decrease; the number of
-  ``update`` records equals :meth:`MVCCManager.stale_version_count`;
-  ``delete`` records match the pending tombstones; ``insert`` records
-  form the contiguous tail of the row-id space; every delta reference in
-  a chain is allocated and every allocated delta row is referenced
-  (a bijection — dangling or leaked delta rows fail here).
+* **MVCC agreement** — the version journal's timestamps never
+  decrease; ``insert`` entries form the contiguous tail of the row-id
+  space; ``delete`` entries (pending tombstones) and folded dead rows
+  are in range, disjoint, and together the tombstoned set; each updated
+  row's newest version is its last ``update`` entry; and every update's
+  delta row is allocated and every allocated delta row is referenced (a
+  bijection — dangling or leaked delta rows fail here).
 * **Snapshot agreement** — the incremental bitmaps equal a from-scratch
-  rebuild off the MVCC log, and the packed per-device copy in simulated
-  DRAM equals the packed in-memory bitmap.
+  rebuild off the journal and the per-row heads' visibility bitmaps, and
+  the packed per-device copy in simulated DRAM equals the packed
+  in-memory bitmap.
 
 The checker deliberately avoids importing :mod:`repro.core.engine` — it
 duck-types the engine (``db``, ``controller``) so low-level modules that
@@ -31,7 +32,8 @@ from typing import TYPE_CHECKING, List
 import numpy as np
 
 from repro.errors import InvariantViolation
-from repro.mvcc.metadata import Region
+from repro.mvcc.manager import DELETE, INSERT, UPDATE
+from repro.mvcc.metadata import Region, RowRef
 from repro.telemetry import registry as telemetry
 from repro.units import ceil_div
 
@@ -102,85 +104,58 @@ class InvariantChecker:
     def _check_mvcc(self, name: str, runtime) -> List[str]:
         found: List[str] = []
         mvcc = runtime.mvcc
-        log = mvcc._log
+        journal = mvcc.journal
+        kind, rows = journal.kind, journal.row_id
 
-        # Log timestamps never decrease (commit order).
-        last_ts = 0
-        for record in log:
-            if record.write_ts < last_ts:
-                found.append(
-                    f"{name}: log write_ts {record.write_ts} after {last_ts}"
-                )
+        # Journal timestamps never decrease (commit order).
+        drops = np.flatnonzero(np.diff(journal.write_ts) < 0)
+        if drops.size:
+            i = int(drops[0])
+            found.append(
+                f"{name}: journal write_ts {journal.write_ts[i + 1]} after "
+                f"{journal.write_ts[i]}"
+            )
+
+        # Inserts form the contiguous tail of the row-id space.
+        inserts = rows[kind == INSERT].tolist()
+        if inserts != list(range(mvcc.num_rows - len(inserts), mvcc.num_rows)):
+            found.append(
+                f"{name}: insert entries {inserts[:8]}... do not form the "
+                f"contiguous row-id tail ending at {mvcc.num_rows - 1}"
+            )
+
+        # Pending tombstones (delete entries) and folded dead rows: in
+        # range, disjoint, and together exactly the tombstoned set.
+        deletes = rows[kind == DELETE].tolist()
+        dead = np.flatnonzero(~mvcc.alive_at(-1)).tolist()
+        tombstoned = mvcc.tombstoned_rows()
+        if (
+            tombstoned != sorted(set(deletes) | set(dead))
+            or len(tombstoned) != len(deletes) + len(dead)
+            or (tombstoned and tombstoned[-1] >= mvcc.num_rows)
+        ):
+            found.append(
+                f"{name}: tombstoned rows {tombstoned[:8]} are not the journal's "
+                f"deletes {deletes[:8]} plus the dead rows {dead[:8]}, disjoint "
+                "and in range"
+            )
+
+        # Each updated row's newest version is its last journal update.
+        updates = kind == UPDATE
+        referenced = journal.delta[updates].tolist()
+        for row, delta in dict(zip(rows[updates].tolist(), referenced)).items():
+            if row >= mvcc.num_rows or mvcc.newest_ref(row) != RowRef(Region.DELTA, delta):
+                found.append(f"{name}: row {row} head is not its last journal update")
                 break
-            last_ts = record.write_ts
 
-        # Record counts agree with chain / tombstone state.
-        updates = sum(1 for r in log if r.kind == "update")
-        deletes = sum(1 for r in log if r.kind == "delete")
-        inserts = [r.row_id for r in log if r.kind == "insert"]
-        stale = mvcc.stale_version_count()
-        if updates != stale:
-            found.append(
-                f"{name}: {updates} update records but {stale} stale versions"
-            )
-        if deletes != len(mvcc._tombstones):
-            found.append(
-                f"{name}: {deletes} delete records but "
-                f"{len(mvcc._tombstones)} tombstones"
-            )
-        if inserts:
-            expected = list(
-                range(mvcc.num_rows - len(inserts), mvcc.num_rows)
-            )
-            if inserts != expected:
-                found.append(
-                    f"{name}: insert records {inserts[:8]}... do not form the "
-                    f"contiguous row-id tail ending at {mvcc.num_rows - 1}"
-                )
-
-        # Tombstones, dead rows, and row bounds.
-        overlap = set(mvcc._tombstones) & mvcc._dead_rows
-        if overlap:
-            found.append(f"{name}: rows {sorted(overlap)[:8]} both tombstoned and dead")
-        out_of_range = [
-            r
-            for r in list(mvcc._tombstones) + sorted(mvcc._dead_rows)
-            if r < 0 or r >= mvcc.num_rows
-        ]
-        if out_of_range:
-            found.append(f"{name}: deleted rows {out_of_range[:8]} out of range")
-
-        # Chains: strictly decreasing timestamps; delta refs ↔ allocator.
-        referenced = set()
-        for chain in mvcc._chains.values():
-            prev_ts = None
-            for entry in chain.versions():
-                if prev_ts is not None and entry.write_ts >= prev_ts:
-                    found.append(
-                        f"{name}: row {chain.row_id} chain timestamps not "
-                        f"strictly decreasing ({entry.write_ts} under {prev_ts})"
-                    )
-                    break
-                prev_ts = entry.write_ts
-            for entry in chain.versions():
-                if entry.location.region == Region.DELTA:
-                    index = entry.location.index
-                    if not mvcc.delta.is_allocated(index):
-                        found.append(
-                            f"{name}: row {chain.row_id} references "
-                            f"unallocated delta row {index}"
-                        )
-                    elif index in referenced:
-                        found.append(
-                            f"{name}: delta row {index} referenced by "
-                            "multiple versions"
-                        )
-                    referenced.add(index)
-        leaked = mvcc.delta._allocated - referenced
+        # Delta rows: one per update entry, allocated, and nothing else is.
+        allocated = [d for d in set(referenced) if mvcc.delta.is_allocated(d)]
+        if len(allocated) != len(referenced):
+            found.append(f"{name}: journal delta rows are shared or unallocated")
+        leaked = mvcc.delta.allocated_rows - len(allocated)
         if leaked:
             found.append(
-                f"{name}: {len(leaked)} allocated delta row(s) unreferenced "
-                f"by any chain ({sorted(leaked)[:8]})"
+                f"{name}: {leaked} allocated delta row(s) unreferenced by the journal"
             )
         return found
 
@@ -191,54 +166,48 @@ class InvariantChecker:
         found: List[str] = []
         mvcc = runtime.mvcc
         snap = runtime.snapshots
+        snap_data = snap.visible_data_rows()
+        snap_delta = snap.visible_delta_rows()
 
         # Rebuild both bitmaps from scratch: the base state (what the
         # constructor or the last defragmentation established) plus a
-        # replay of log records committed at or before the snapshot
-        # horizon. Inserts newer than the last log clear are all still in
-        # the log, so the base row count is recoverable.
-        inserts_in_log = sum(1 for r in mvcc._log if r.kind == "insert")
-        base_rows = mvcc.num_rows - inserts_in_log
-        data = np.zeros(len(snap._data_bits), dtype=bool)
-        data[:base_rows] = True
-        for row in mvcc._dead_rows:
-            data[row] = False
-        delta = np.zeros(len(snap._delta_bits), dtype=bool)
-        for record in mvcc._log:
-            if record.write_ts > snap.last_snapshot_ts:
-                continue
-            if record.kind == "update":
-                self._apply(data, delta, record.prev_ref, False)
-                self._apply(data, delta, record.new_ref, True)
-            elif record.kind == "insert":
-                self._apply(data, delta, record.new_ref, True)
-            elif record.kind == "delete":
-                self._apply(data, delta, record.prev_ref, False)
+        # one-change-at-a-time replay of the journal up to the snapshot
+        # horizon. Inserts newer than the last compaction are all still
+        # in the journal, so the base row count is recoverable.
+        inserts = int(np.count_nonzero(mvcc.journal.kind == INSERT))
+        data = np.zeros(len(snap_data), dtype=bool)
+        data[: mvcc.num_rows - inserts] = True
+        data[np.flatnonzero(~mvcc.alive_at(-1))] = False
+        delta = np.zeros(len(snap_delta), dtype=bool)
+        changes = mvcc.log_between(-1, snap.last_snapshot_ts).changes()
+        for row, version, weight in zip(*(c.tolist() for c in changes)):
+            if version < 0:
+                data[row] = weight > 0
+            else:
+                delta[version] = weight > 0
 
-        if not np.array_equal(data, snap._data_bits):
-            diff = int(np.sum(data != snap._data_bits))
+        if not np.array_equal(data, snap_data):
+            diff = int(np.sum(data != snap_data))
             found.append(
-                f"{name}: data bitmap disagrees with log rebuild in {diff} bit(s)"
+                f"{name}: data bitmap disagrees with journal rebuild in {diff} bit(s)"
             )
-        if not np.array_equal(delta, snap._delta_bits):
-            diff = int(np.sum(delta != snap._delta_bits))
+        if not np.array_equal(delta, snap_delta):
+            diff = int(np.sum(delta != snap_delta))
             found.append(
-                f"{name}: delta bitmap disagrees with log rebuild in {diff} bit(s)"
+                f"{name}: delta bitmap disagrees with journal rebuild in {diff} bit(s)"
             )
 
-        # Independent cross-check: the MVCC packed visibility index must
-        # describe the same snapshot the incremental log replay maintains.
-        idx_data, idx_delta = mvcc.visible_refs_at(
-            snap.last_snapshot_ts, len(snap._delta_bits)
-        )
-        if not np.array_equal(idx_data, snap._data_bits):
-            diff = int(np.sum(idx_data != snap._data_bits))
+        # Independent cross-check: the per-row heads must describe the
+        # same snapshot the incremental journal replay maintains.
+        idx_data, idx_delta = mvcc.visible_refs_at(snap.last_snapshot_ts, len(snap_delta))
+        if not np.array_equal(idx_data, snap_data):
+            diff = int(np.sum(idx_data != snap_data))
             found.append(
                 f"{name}: data bitmap disagrees with the packed visibility "
                 f"index in {diff} bit(s)"
             )
-        if not np.array_equal(idx_delta, snap._delta_bits):
-            diff = int(np.sum(idx_delta != snap._delta_bits))
+        if not np.array_equal(idx_delta, snap_delta):
+            diff = int(np.sum(idx_delta != snap_delta))
             found.append(
                 f"{name}: delta bitmap disagrees with the packed visibility "
                 f"index in {diff} bit(s)"
@@ -247,10 +216,7 @@ class InvariantChecker:
         # The per-device packed copy in simulated DRAM must mirror the
         # in-memory bitmap (every device holds the same copy; device 0
         # stands in for all of them).
-        for region, bits in (
-            (Region.DATA, snap._data_bits),
-            (Region.DELTA, snap._delta_bits),
-        ):
+        for region, bits in ((Region.DATA, snap_data), (Region.DELTA, snap_delta)):
             stored = runtime.storage.read_bitmap(region, device=0)
             if not np.array_equal(stored, self._packed(bits)):
                 found.append(
@@ -258,11 +224,6 @@ class InvariantChecker:
                     "in-memory bitmap"
                 )
         return found
-
-    @staticmethod
-    def _apply(data: np.ndarray, delta: np.ndarray, ref, value: bool) -> None:
-        bits = data if ref.region == Region.DATA else delta
-        bits[ref.index] = value
 
     @staticmethod
     def _packed(bits: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ of ``SweepCell.violations`` carries its audit's prefix:
 prefix     workloads              guarantee
 ========== ====================== ==========================================
 invariant  all                    :class:`InvariantChecker` (controller,
-                                  bank locks, MVCC chains and log, snapshot
+                                  bank locks, MVCC version journal, snapshot
                                   bitmaps, indexes) after every injected
                                   fault, at safe points, and at the end
 atomicity  cluster                no transaction committed on one shard and

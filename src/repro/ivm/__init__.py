@@ -4,9 +4,9 @@ DBSP-style delta processing: each registered analytical view is a
 *linear* (or chain-rule-composed) operator over the table's row
 multiset, so the view's materialized state can be updated by folding
 the weighted Z-set deltas of committed writes — ``(old, -1)``/
-``(new, +1)`` pairs read straight from
-:meth:`~repro.mvcc.manager.MVCCManager.log_between` — instead of
-rescanning the full table on every analytical flush.
+``(new, +1)`` column arrays sliced straight from the MVCC version
+journal by :meth:`~repro.mvcc.manager.MVCCManager.log_between` —
+instead of rescanning the full table on every analytical flush.
 
 The layer deals only in *logical* rows (decoded column values); the
 cost of reading and folding deltas is charged to the simulated CPU

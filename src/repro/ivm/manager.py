@@ -4,20 +4,22 @@ One :class:`IVMManager` serves one engine. Each registered view carries
 a *view timestamp* — the snapshot its state reflects. Answering a query
 first refreshes the view to the query timestamp:
 
-* normally by folding ``log_between(view_ts, ts)`` into weighted row
-  deltas (reading only the touched versions' view columns), charged to
-  the simulated CPU per byte moved plus a small per-delta apply cost;
+* normally by folding the version-journal window
+  ``log_between(view_ts, ts)`` — already column arrays of old/new
+  versions with their ∓1 weights — into the view (reading only the
+  touched versions' view columns), charged to the simulated CPU per byte
+  moved plus a small per-delta apply cost;
 * after defragmentation by a full resync from the MVCC visibility
-  bitmaps at the new horizon — ``compact()`` drops the update log and
+  bitmaps at the new horizon — ``compact()`` clears the journal and
   releases superseded delta versions, so the change feed can no longer
   bridge the gap.
 
 Either way the rows reach the view as column batches: per table and
-region, the row indices to read (the log window's old/new versions with
-their ∓1 weights, or the set bits of the visibility bitmap with weight
-1) go through one :meth:`~repro.core.storage.TableStorage.read_rows`
-gather, and the view folds the resulting :class:`~repro.ivm.zset.ZSet`
-in one :meth:`~repro.ivm.views.MaterializedView.apply`.
+region, the row indices to read (the journal window's versions, or the
+set bits of the visibility bitmap with weight 1) go through one
+:meth:`~repro.core.storage.TableStorage.read_rows` gather, and the view
+folds the resulting :class:`~repro.ivm.zset.ZSet` in one
+:meth:`~repro.ivm.views.MaterializedView.apply`.
 
 Refresh cost accounting goes through the same
 :meth:`~repro.olap.engine.QueryTiming.add_cpu_bytes` channel as a
@@ -147,8 +149,8 @@ class IVMManager:
     def on_defrag(self, ts: int) -> None:
         """Mark every view for a full resync.
 
-        Defragmentation compacts the delta region and clears the update
-        log, so delta folding cannot cross it; each view recomputes from
+        Defragmentation compacts the delta region and clears the version
+        journal, so delta folding cannot cross it; each view recomputes from
         the post-defrag snapshot on its next refresh.
         """
         for name in self.views:

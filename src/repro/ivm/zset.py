@@ -14,8 +14,9 @@ change-stream encoding):
 * delete → ``(old_row, -1)``
 * update → ``(old_row, -1), (new_row, +1)``
 
-:func:`record_deltas` turns a window of the MVCC update log into those
-pairs as ``(row index, weight)`` arrays per region, ready for one
+The MVCC version journal yields a window of writes in exactly that
+form (:meth:`~repro.mvcc.manager.LogWindow.changes`); :func:`record_deltas`
+splits it into ``(row index, weight)`` arrays per region, ready for one
 :meth:`~repro.core.storage.TableStorage.read_rows` gather each. Linear
 view operators fold the resulting batches into their state; the join
 view composes two linear halves via the chain rule.
@@ -23,12 +24,11 @@ view composes two linear halves via the chain rule.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import QueryError
-from repro.mvcc.manager import UpdateRecord
+from repro.mvcc.manager import LogWindow
 from repro.mvcc.metadata import Region
 
 __all__ = ["ZSet", "record_deltas"]
@@ -112,32 +112,18 @@ class ZSet:
         return ZSet(columns, weights[keep])
 
 
-def record_deltas(
-    records: Iterable[UpdateRecord],
-) -> Tuple[int, Dict[str, Tuple[np.ndarray, np.ndarray]]]:
-    """The weighted row deltas of a window of committed MVCC log records.
+def record_deltas(window: LogWindow) -> Tuple[int, Dict[str, Tuple[np.ndarray, np.ndarray]]]:
+    """The weighted row deltas of a window of the MVCC version journal.
 
-    Returns the record count and, per region, the ``(row indices,
-    weights)`` of the versions to read. Old versions stay readable until
-    defragmentation compacts the delta region, and defrag marks every
-    view for a full resync before that happens, so both sides of an
-    update are always materializable.
+    Returns the entry count and, per region, the ``(row indices,
+    weights)`` of the versions to read, in commit order. Old versions
+    stay readable until defragmentation compacts the delta region, and
+    defrag marks every view for a full resync before that happens, so
+    both sides of an update are always materializable.
     """
-    count = 0
-    deltas: Dict[str, Tuple[list, list]] = {Region.DATA: ([], []), Region.DELTA: ([], [])}
-    for record in records:
-        count += 1
-        if record.kind not in ("update", "insert", "delete"):
-            raise QueryError(f"unknown update-log record kind: {record.kind!r}")
-        if record.kind != "insert":
-            indices, weights = deltas[record.prev_ref.region]
-            indices.append(record.prev_ref.index)
-            weights.append(-1)
-        if record.kind != "delete":
-            indices, weights = deltas[record.new_ref.region]
-            indices.append(record.new_ref.index)
-            weights.append(+1)
-    return count, {
-        region: (np.asarray(indices, dtype=np.intp), np.asarray(weights, dtype=np.int64))
-        for region, (indices, weights) in deltas.items()
+    rows, deltas, weights = window.changes()
+    in_delta = deltas >= 0
+    return window.records, {
+        Region.DATA: (rows[~in_delta], weights[~in_delta]),
+        Region.DELTA: (deltas[in_delta], weights[in_delta]),
     }

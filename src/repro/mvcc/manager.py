@@ -1,18 +1,30 @@
-"""The MVCC manager: version chains, the update log, and visibility (§5.1).
+"""The MVCC manager: one version journal per table (§2.3, §5.1).
 
-One :class:`MVCCManager` serves one table. It tracks version chains for
-updated rows (rows never updated implicitly have their original version in
-the data region), appends inserts at the data-region cursor, and keeps an
-ordered *update log* that snapshotting (§5.2) replays incrementally.
+One :class:`MVCCManager` serves one table. Every committed write since
+the last compaction is one entry of an append-only columnar **journal**,
+in commit order:
 
-Reads resolve through a **packed visibility index** — per-table NumPy
-arrays of (head begin-ts, head location, chain length, tombstone ts)
-maintained incrementally on every write — so the hot path answers
-"which version is visible at ts?" with O(1) array lookups and only
-falls back to walking a :class:`~repro.mvcc.metadata.VersionChain` for
-the rare read of a superseded version. The chains and tombstone dicts
-are maintained on every write too, which is what lets the tests hold
-each read path against a plain chain walk.
+* ``write_ts`` — the writing transaction's timestamp (non-decreasing);
+* ``kind`` — :data:`UPDATE`, :data:`INSERT` or :data:`DELETE`;
+* ``row_id`` — the logical row;
+* ``delta`` — the delta-region row holding an update's new version
+  (−1: the row's own data slot);
+* ``prev`` — the journal position of the version an update supersedes or
+  a delete removes (−1: the data-slot version);
+* ``read_ts`` — the newest timestamp that read an update's version.
+
+Per row the manager keeps the packed ``head`` (journal position of the
+newest version, −1 for the data slot), the data-slot version's
+``base_ts`` (0, the insert ts, or the head ts at the last compaction)
+and its read ts, a pending tombstone ts, the dead flag of a deletion
+compaction folded, and the chain length.
+
+Everything else is a view of the journal: a version chain is a ``prev``
+walk from the head, :meth:`MVCCManager.log_between` is a bisect slice of
+the columns that snapshotting (§5.2) and IVM consume as arrays,
+:meth:`MVCCManager.rollback` pops an aborted transaction's tail, and
+:meth:`MVCCManager.compact` (defragmentation) folds every head into
+``base_ts`` and clears the journal.
 
 Byte movement is **not** done here — the manager deals in
 :class:`~repro.mvcc.metadata.RowRef` locations; the storage engine binds
@@ -21,34 +33,56 @@ refs to device addresses.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.errors import TransactionError
-from repro.mvcc.metadata import Region, RowRef, VersionChain, VersionEntry
+from repro.mvcc.metadata import Region, RowRef
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 
-__all__ = ["UpdateRecord", "MVCCManager"]
+__all__ = ["UPDATE", "INSERT", "DELETE", "KINDS", "LogWindow", "MVCCManager"]
+
+#: Journal entry kinds (the ``kind`` column) and their names.
+UPDATE, INSERT, DELETE = 0, 1, 2
+KINDS = ("update", "insert", "delete")
+
+#: The journal's column attributes, one int64 array each.
+_COLUMNS = ("_write_ts", "_kind", "_row_id", "_delta", "_prev", "_read_ts")
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
-    """One committed write, as replayed by snapshotting.
+class LogWindow(NamedTuple):
+    """A commit-ordered run of journal entries, one array per column.
 
-    ``kind`` is ``"update"``, ``"insert"`` or ``"delete"``. For updates,
-    ``new_ref`` is the freshly allocated delta row and ``prev_ref`` the
-    version it supersedes; for inserts ``new_ref`` is the appended data
-    row; for deletes ``new_ref`` is None.
+    The arrays are views of the journal: read them before the next write.
     """
 
-    write_ts: int
-    kind: str
-    row_id: int
-    new_ref: Optional[RowRef]
-    prev_ref: Optional[RowRef]
+    write_ts: np.ndarray
+    kind: np.ndarray
+    row_id: np.ndarray
+    #: The entry's new version: its delta row, −1 for the data slot.
+    delta: np.ndarray
+    #: The version an update supersedes or a delete removes (−1: data slot).
+    old_delta: np.ndarray
+
+    @property
+    def records(self) -> int:
+        """Number of entries in the window."""
+        return len(self.write_ts)
+
+    def changes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The window as weighted version changes (the Z-set encoding).
+
+        Per entry, in commit order: the superseded or deleted version at
+        weight −1, then the new version at +1 — an update yields both, an
+        insert only the +1, a delete only the −1. Returns ``(row ids,
+        delta rows, weights)``; a delta row of −1 is the row's data slot.
+        """
+        keep = np.stack([self.kind != INSERT, self.kind != DELETE], axis=1).ravel()
+        rows = np.repeat(self.row_id, 2)[keep]
+        deltas = np.stack([self.old_delta, self.delta], axis=1).ravel()[keep]
+        weights = np.tile(np.array([-1, 1], dtype=np.int64), self.records)[keep]
+        return rows, deltas, weights
 
 
 class MVCCManager:
@@ -67,115 +101,81 @@ class MVCCManager:
         self.data = DataRegion(capacity_rows, block_rows, num_devices)
         self.delta = DeltaAllocator(block_rows, num_devices, delta_capacity_blocks)
         self.num_rows = initial_rows
-        self._chains: Dict[int, VersionChain] = {}
-        self._tombstones: Dict[int, int] = {}
-        #: Rows whose deletion defragmentation has folded into the
-        #: snapshot bitmap: their tombstone record and log entries are
-        #: gone, but the rows stay dead forever (ids are never reused).
-        self._dead_rows: Set[int] = set()
-        self._log: List[UpdateRecord] = []
-        #: Parallel write_ts list of ``_log`` (non-decreasing — commit
-        #: order), so ``log_since``/``log_between`` bisect instead of
-        #: re-scanning the whole log on every incremental snapshot.
-        self._log_ts: List[int] = []
-        # Packed visibility index, one entry per data-region row:
-        # head write_ts (0 = origin), head delta index (-1 = head lives
-        # in the data region), chain length (0 = never versioned),
-        # tombstone ts (-1 = live), and the permanent dead flag.
+        self._size = 0
+        for name in _COLUMNS:
+            setattr(self, name, np.zeros(64, dtype=np.int64))
         capacity = max(capacity_rows, 1)
-        self._head_ts = np.zeros(capacity, dtype=np.int64)
-        self._head_delta = np.full(capacity, -1, dtype=np.int64)
-        self._chain_len = np.zeros(capacity, dtype=np.int32)
+        self._head = np.full(capacity, -1, dtype=np.int64)
+        self._base_ts = np.zeros(capacity, dtype=np.int64)
+        self._base_read_ts = np.zeros(capacity, dtype=np.int64)
+        self._chain_len = np.ones(capacity, dtype=np.int64)
         self._tomb_ts = np.full(capacity, -1, dtype=np.int64)
         self._dead = np.zeros(capacity, dtype=bool)
-        #: Superseded versions outstanding — incremented per installed
-        #: update, decremented on undo, zeroed by compaction. Always
-        #: equals ``sum(chain.length() - 1)`` (invariant-checked).
-        self._stale_versions = 0
-        #: Rows whose newest version lives in the delta region, in the
-        #: order their head first moved there (an ordered set).
-        self._delta_heads: Dict[int, None] = {}
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def read(self, row_id: int, ts: int) -> RowRef:
-        """Locate the version of ``row_id`` visible at ``ts``."""
+        """Locate the version of ``row_id`` visible at ``ts`` and record
+        the read on it."""
         self._check_row(row_id)
-        if row_id in self._dead_rows:
+        if self._dead[row_id]:
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
-        tomb = self._tombstones.get(row_id)
-        if tomb is not None and tomb <= ts:
+        tomb = self._tomb_ts[row_id]
+        if 0 <= tomb <= ts:
             raise TransactionError(f"row {row_id} deleted at ts {tomb}")
-        chain = self._chains.get(row_id)
-        if chain is None:
-            return RowRef(Region.DATA, row_id)
-        if self._head_ts[row_id] <= ts:
-            # Common case: the newest version is visible — resolved by
-            # the packed index without walking the chain.
-            head = chain.head
-            head.observe_read(ts)
-            return head.location
-        entry = chain.visible_at(ts)
-        if entry is None:
+        pos = self._version_at(row_id, ts)
+        if pos >= 0:
+            if ts > self._read_ts[pos]:
+                self._read_ts[pos] = ts
+            return RowRef(Region.DELTA, int(self._delta[pos]))
+        if pos < -1:
             raise TransactionError(f"row {row_id} not visible at ts {ts}")
-        entry.observe_read(ts)
-        return entry.location
+        if ts > self._base_read_ts[row_id]:
+            self._base_read_ts[row_id] = ts
+        return RowRef(Region.DATA, row_id)
 
-    def fast_row_mask(self, row_ids) -> np.ndarray:
-        """Classify a batch: which rows resolve without any per-row work.
-
-        A ``True`` entry marks an in-range, never-versioned, live row —
-        its visible version at *any* timestamp is its data-region origin
-        (``RowRef(DATA, row_id)``), with no tombstone check, no chain
-        walk, and no read observation. One vectorized pass over the
-        packed index answers this for the whole batch; callers send the
-        ``False`` rows through :meth:`read` for the full treatment.
-        Pure: no side effects, safe to call speculatively.
-        """
-        ids = np.asarray(row_ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.zeros(0, dtype=bool)
-        fast = (ids >= 0) & (ids < self.num_rows)
-        sel = ids[fast]
-        ok = (
-            (self._chain_len[sel] == 0)
-            & (self._tomb_ts[sel] < 0)
-            & ~self._dead[sel]
-        )
-        fast[np.nonzero(fast)[0][~ok]] = False
-        return fast
+    def _version_at(self, row_id: int, ts: int) -> int:
+        """Journal position of the newest version of ``row_id`` written at
+        or before ``ts``: −1 for the data slot, −2 if even that is newer."""
+        pos = self._head[row_id]
+        while pos >= 0 and self._write_ts[pos] > ts:
+            pos = self._prev[pos]
+        if pos < 0 and self._base_ts[row_id] > ts:
+            return -2
+        return int(pos)
 
     def read_many(self, row_ids, ts: int) -> List[RowRef]:
-        """Locate the versions of a batch of rows visible at ``ts``.
-
-        Identical outcomes and side effects to calling :meth:`read` once
-        per row in order: the packed index resolves never-versioned live
-        rows in one array pass, and only chained / tombstoned / dead /
-        out-of-range rows fall back to the per-row path — errors surface
-        at the same row, with the same message, as the sequential loop.
-        """
-        fast = self.fast_row_mask(row_ids)
-        return [
-            RowRef(Region.DATA, int(row_id)) if fast[i] else self.read(int(row_id), ts)
-            for i, row_id in enumerate(row_ids)
-        ]
+        """:meth:`read` of a batch of rows, in order."""
+        return [self.read(int(row_id), ts) for row_id in row_ids]
 
     def newest_ref(self, row_id: int) -> RowRef:
         """Location of the newest version (ignores visibility)."""
         self._check_row(row_id)
-        chain = self._chains.get(row_id)
-        if chain is None:
+        head = self._head[row_id]
+        if head < 0:
             return RowRef(Region.DATA, row_id)
-        return chain.head.location
+        return RowRef(Region.DELTA, int(self._delta[head]))
 
     def chain_length(self, row_id: int) -> int:
         """Number of versions of ``row_id`` (1 if never updated)."""
         self._check_row(row_id)
-        if row_id not in self._chains:
-            return 1
-        # O(1) from the packed index instead of a chain walk.
         return int(self._chain_len[row_id])
+
+    def alive_at(self, ts: int) -> np.ndarray:
+        """Liveness of rows ``[0, num_rows)`` at ``ts``: neither folded
+        dead by a compaction nor tombstoned at or before ``ts``."""
+        n = self.num_rows
+        tomb = self._tomb_ts[:n]
+        return ~self._dead[:n] & ~((tomb >= 0) & (tomb <= ts))
+
+    def tombstoned_rows(self) -> List[int]:
+        """Row ids deleted so far (all committed in the single-writer sim).
+
+        Includes both pending tombstones and rows whose deletion a past
+        defragmentation already folded into the snapshot bitmap.
+        """
+        return np.flatnonzero(self._dead | (self._tomb_ts >= 0)).tolist()
 
     # ------------------------------------------------------------------
     # Writes
@@ -188,40 +188,25 @@ class MVCCManager:
         A repeated update at the *same* timestamp (the same transaction
         touching one row twice, e.g. a Delivery batch crediting one
         customer for two orders) overwrites that transaction's version in
-        place: no new allocation, no new log record, one undo step.
-        All validation happens before the delta allocation, so a failed
-        update never leaks a delta row.
+        place: no new allocation, no new journal entry. All validation
+        happens before the delta allocation, so a failed update never
+        leaks a delta row.
         """
         self._check_row(row_id)
-        if row_id in self._dead_rows:
+        if self._dead[row_id]:
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
-        chain = self._chains.get(row_id)
-        if chain is not None:
-            if chain.head.write_ts == ts:
-                return chain.head.location
-            if chain.head.write_ts > ts:
-                raise TransactionError(
-                    f"row {row_id}: update ts {ts} precedes head ts "
-                    f"{chain.head.write_ts}"
-                )
-        rotation = self.data.rotation_of(row_id)
-        delta_index = self.delta.allocate(rotation)
-        new_ref = RowRef(Region.DELTA, delta_index)
-        if chain is None:
-            origin = VersionEntry(write_ts=0, location=RowRef(Region.DATA, row_id))
-            chain = VersionChain(row_id, origin)
-            self._chains[row_id] = chain
-            self._chain_len[row_id] = 1
-        prev_ref = chain.head.location
-        chain.install(VersionEntry(write_ts=ts, location=new_ref))
+        head = int(self._head[row_id])
+        head_ts = self._write_ts[head] if head >= 0 else self._base_ts[row_id]
+        if head_ts == ts:
+            return self.newest_ref(row_id)
+        if head_ts > ts:
+            raise TransactionError(
+                f"row {row_id}: update ts {ts} precedes head ts {head_ts}"
+            )
+        delta_index = self.delta.allocate(self.data.rotation_of(row_id))
+        self._head[row_id] = self._append(ts, UPDATE, row_id, delta_index, head)
         self._chain_len[row_id] += 1
-        self._head_ts[row_id] = ts
-        self._head_delta[row_id] = delta_index
-        self._stale_versions += 1
-        if row_id not in self._delta_heads:
-            self._delta_heads[row_id] = None
-        self._append_log(UpdateRecord(ts, "update", row_id, new_ref, prev_ref))
-        return new_ref
+        return RowRef(Region.DELTA, delta_index)
 
     def insert(self, ts: int) -> Tuple[int, RowRef]:
         """Append a new row at the data-region cursor."""
@@ -231,243 +216,180 @@ class MVCCManager:
             )
         row_id = self.num_rows
         self.num_rows += 1
-        ref = RowRef(Region.DATA, row_id)
-        self._chains[row_id] = VersionChain(row_id, VersionEntry(ts, ref))
-        self._chain_len[row_id] = 1
-        self._head_ts[row_id] = ts
-        self._head_delta[row_id] = -1
-        self._append_log(UpdateRecord(ts, "insert", row_id, ref, None))
-        return row_id, ref
+        self._base_ts[row_id] = ts
+        self._append(ts, INSERT, row_id, -1, -1)
+        return row_id, RowRef(Region.DATA, row_id)
 
     def delete(self, row_id: int, ts: int) -> None:
         """Tombstone a row as of ``ts``."""
         self._check_row(row_id)
-        if row_id in self._tombstones or row_id in self._dead_rows:
+        if self._tomb_ts[row_id] >= 0 or self._dead[row_id]:
             raise TransactionError(f"row {row_id} already deleted")
-        self._tombstones[row_id] = ts
         self._tomb_ts[row_id] = ts
-        self._append_log(UpdateRecord(ts, "delete", row_id, None, self.newest_ref(row_id)))
+        self._append(ts, DELETE, row_id, -1, self._head[row_id])
 
-    # ------------------------------------------------------------------
-    # Rollback (transaction aborts)
-    # ------------------------------------------------------------------
-    def undo_update(self, row_id: int) -> RowRef:
-        """Remove the newest version of ``row_id`` (abort path).
+    def _append(self, ts: int, kind: int, row_id: int, delta: int, prev: int) -> int:
+        pos = self._size
+        if pos == len(self._write_ts):
+            for name in _COLUMNS:
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate([column, np.zeros_like(column)]))
+        self._write_ts[pos] = ts
+        self._kind[pos] = kind
+        self._row_id[pos] = row_id
+        self._delta[pos] = delta
+        self._prev[pos] = prev
+        self._read_ts[pos] = 0
+        self._size = pos + 1
+        return pos
 
-        The popped delta row is released and the matching log record
-        dropped; returns the removed version's location.
+    def rollback(self, ts: int) -> None:
+        """Pop the journal entries stamped ``ts`` off the tail (abort path).
+
+        The aborting transaction is the only writer in flight, so its
+        entries are the tail: each is undone newest first (an update's
+        delta row is released). A newer entry above them means that
+        assumption broke; it raises before anything is popped.
         """
-        chain = self._chains.get(row_id)
-        if chain is None or chain.head.prev is None:
-            raise TransactionError(f"row {row_id} has no version to undo")
-        removed = chain.head.location
-        if removed.region != Region.DELTA:
-            raise TransactionError(f"row {row_id}: newest version is not in the delta")
-        # Validate the log tail before mutating anything (undo is atomic).
-        self._pop_log("update", row_id)
-        chain.head = chain.head.prev
-        self.delta.release(removed.index)
-        self._stale_versions -= 1
-        self._chain_len[row_id] -= 1
-        head = chain.head
-        self._head_ts[row_id] = head.write_ts
-        if head.location.region == Region.DELTA:
-            self._head_delta[row_id] = head.location.index
-        else:
-            self._head_delta[row_id] = -1
-            self._delta_heads.pop(row_id, None)
-        return removed
-
-    def undo_insert(self, row_id: int) -> None:
-        """Remove a freshly appended row (abort path).
-
-        Only the most recent insert can be undone — aborts unwind in
-        reverse order.
-        """
-        if row_id != self.num_rows - 1:
+        pos = self._size
+        if pos and self._write_ts[pos - 1] > ts:
             raise TransactionError(
-                f"can only undo the most recent insert (row {self.num_rows - 1}), "
-                f"got {row_id}"
+                f"rollback of ts {ts}: the journal tail holds newer ts "
+                f"{self._write_ts[pos - 1]}"
             )
-        self._pop_log("insert", row_id)
-        del self._chains[row_id]
-        self.num_rows -= 1
-        self._chain_len[row_id] = 0
-        self._head_ts[row_id] = 0
-        self._head_delta[row_id] = -1
-
-    def undo_delete(self, row_id: int) -> None:
-        """Remove a tombstone (abort path)."""
-        if row_id not in self._tombstones:
-            raise TransactionError(f"row {row_id} is not deleted")
-        self._pop_log("delete", row_id)
-        del self._tombstones[row_id]
-        self._tomb_ts[row_id] = -1
-
-    def _append_log(self, record: UpdateRecord) -> None:
-        self._log.append(record)
-        self._log_ts.append(record.write_ts)
-
-    def _pop_log(self, kind: str, row_id: int) -> None:
-        if not self._log or self._log[-1].kind != kind or self._log[-1].row_id != row_id:
-            raise TransactionError(
-                f"log tail does not match undo of {kind} on row {row_id}"
-            )
-        self._log.pop()
-        self._log_ts.pop()
-
-    def tombstoned_rows(self) -> List[int]:
-        """Row ids deleted so far (all committed in the single-writer sim).
-
-        Includes both pending tombstones and rows whose deletion a past
-        defragmentation already folded into the snapshot bitmap.
-        """
-        return sorted(set(self._tombstones) | self._dead_rows)
-
-    def dead_rows(self) -> List[int]:
-        """Row ids whose deletion defragmentation has already folded."""
-        return sorted(self._dead_rows)
+        while pos and self._write_ts[pos - 1] == ts:
+            pos -= 1
+            row_id = self._row_id[pos]
+            kind = self._kind[pos]
+            if kind == UPDATE:
+                self._head[row_id] = self._prev[pos]
+                self._chain_len[row_id] -= 1
+                self.delta.release(int(self._delta[pos]))
+            elif kind == INSERT:
+                self.num_rows -= 1
+                self._base_ts[row_id] = self._base_read_ts[row_id] = 0
+            else:
+                self._tomb_ts[row_id] = -1
+            self._size = pos
 
     # ------------------------------------------------------------------
     # Snapshot / defragmentation support
     # ------------------------------------------------------------------
-    def log_since(self, ts: int) -> Iterator[UpdateRecord]:
-        """Committed records with ``write_ts > ts``, in commit order.
-
-        Timestamps are appended in commit order (non-decreasing,
-        invariant-checked), so the start position bisects in O(log n)
-        rather than re-scanning the whole log.
-        """
-        return iter(self._log[bisect.bisect_right(self._log_ts, ts) :])
-
-    def log_between(self, after_ts: int, upto_ts: int) -> Iterator[UpdateRecord]:
-        """Records with ``after_ts < write_ts <= upto_ts`` (snapshotting).
+    def log_between(self, after_ts: int, upto_ts: int) -> LogWindow:
+        """Entries with ``after_ts < write_ts <= upto_ts`` (snapshotting).
 
         An inverted window (``after_ts > upto_ts``) raises — in the
         snapshot/IVM paths it is always a caller bug (a cursor that ran
         ahead of the target timestamp), and silently yielding nothing
         would let a stale view pass for a fresh one.
         """
-        lo, hi = self._log_window(after_ts, upto_ts)
-        return iter(self._log[lo:hi])
+        return self._window(*self._log_window(after_ts, upto_ts))
 
     def log_count_between(self, after_ts: int, upto_ts: int) -> int:
-        """Number of records :meth:`log_between` would yield, in O(log n).
-
-        Cost estimation (e.g. the serve scheduler's apply-deltas vs
-        full-rescan decision) needs the count without materializing or
-        consuming the records.
-        """
+        """Number of entries :meth:`log_between` would return, in O(log n)."""
         lo, hi = self._log_window(after_ts, upto_ts)
         return hi - lo
 
+    @property
+    def journal(self) -> LogWindow:
+        """Every entry since the last compaction (for audits)."""
+        return self._window(0, self._size)
+
     def _log_window(self, after_ts: int, upto_ts: int) -> Tuple[int, int]:
-        """Bisect the log slice for ``(after_ts, upto_ts]`` windows."""
+        """Bisect the journal positions of ``(after_ts, upto_ts]``."""
         if after_ts > upto_ts:
             raise ValueError(
                 f"inverted update-log window: after_ts {after_ts} > upto_ts {upto_ts}"
             )
-        lo = bisect.bisect_right(self._log_ts, after_ts)
-        hi = bisect.bisect_right(self._log_ts, upto_ts, lo=lo)
-        return lo, hi
+        ts = self._write_ts[: self._size]
+        lo, hi = np.searchsorted(ts, [after_ts, upto_ts], side="right")
+        return int(lo), int(hi)
+
+    def _window(self, lo: int, hi: int) -> LogWindow:
+        prev = self._prev[lo:hi]
+        return LogWindow(
+            self._write_ts[lo:hi],
+            self._kind[lo:hi],
+            self._row_id[lo:hi],
+            self._delta[lo:hi],
+            np.where(prev >= 0, self._delta[prev], -1),
+        )
 
     @property
     def log_length(self) -> int:
-        """Number of committed write records retained."""
-        return len(self._log)
-
-    def updated_chains(self) -> List[VersionChain]:
-        """Chains whose newest version lives in the delta region.
-
-        O(updated rows) via the maintained delta-head set, in the order
-        each row's head first moved to the delta region.
-        """
-        return [self._chains[row_id] for row_id in self._delta_heads]
+        """Number of journal entries retained."""
+        return self._size
 
     def stale_version_count(self) -> int:
-        """Superseded versions awaiting defragmentation (O(1))."""
-        return self._stale_versions
+        """Superseded versions awaiting defragmentation: one per update."""
+        return int(np.count_nonzero(self._kind[: self._size] == UPDATE))
+
+    def delta_head_count(self) -> int:
+        """Rows whose newest version lives in the delta region."""
+        updates = self._kind[: self._size] == UPDATE
+        return int(np.unique(self._row_id[: self._size][updates]).size)
 
     def visible_refs_at(self, ts: int, delta_rows: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Visibility bitmaps at ``ts``, batched over the packed index.
+        """Visibility bitmaps at ``ts``, batched over the per-row heads.
 
         Returns boolean arrays over the data region (``capacity_rows``
         entries) and the delta region's first ``delta_rows`` entries.
-        Rows whose head is newer than ``ts`` fall back to a chain walk —
-        the only per-row work, and only for in-flight multi-version rows.
-        Unlike :meth:`read`, this never observes reads (it describes a
-        snapshot, it doesn't take part in concurrency control).
+        Rows whose head is newer than ``ts`` fall back to a ``prev`` walk
+        — the only per-row work, and only for in-flight multi-version
+        rows. Unlike :meth:`read`, this never records reads (it describes
+        a snapshot, it doesn't take part in concurrency control).
         """
         n = self.num_rows
         data_bits = np.zeros(self.data.num_rows, dtype=bool)
         delta_bits = np.zeros(max(delta_rows, 1), dtype=bool)[:delta_rows]
         if n == 0:
             return data_bits, delta_bits
-        head_ts = self._head_ts[:n]
-        head_delta = self._head_delta[:n]
-        chain_len = self._chain_len[:n]
-        tomb = self._tomb_ts[:n]
-        alive = ~self._dead[:n] & ~((tomb >= 0) & (tomb <= ts))
-        head_visible = alive & ((chain_len == 0) | (head_ts <= ts))
-        rows = np.nonzero(head_visible)[0]
-        deltas = head_delta[rows]
-        data_bits[rows[deltas < 0]] = True
-        delta_bits[deltas[deltas >= 0]] = True
+        alive = self.alive_at(ts)
+        head = self._head[:n]
+        chained = np.flatnonzero(head >= 0)
+        head_ts = self._base_ts[:n].copy()
+        head_ts[chained] = self._write_ts[head[chained]]
+        rows = np.flatnonzero(alive & (head_ts <= ts))
+        heads = head[rows]
+        data_bits[rows[heads < 0]] = True
+        delta_bits[self._delta[heads[heads >= 0]]] = True
         # Rare fallback: alive rows whose newest version post-dates ts.
-        for row in np.nonzero(alive & (chain_len > 0) & (head_ts > ts))[0]:
-            entry = self._chains[int(row)].visible_at(int(ts))
-            if entry is None:
-                continue
-            if entry.location.region == Region.DATA:
-                data_bits[entry.location.index] = True
-            else:
-                delta_bits[entry.location.index] = True
+        for row in np.flatnonzero(alive & (head_ts > ts)).tolist():
+            pos = self._version_at(row, ts)
+            if pos >= 0:
+                delta_bits[self._delta[pos]] = True
+            elif pos == -1:
+                data_bits[row] = True
         return data_bits, delta_bits
 
-    def compact(self) -> List[Tuple[int, RowRef]]:
+    def compact(self) -> Tuple[np.ndarray, np.ndarray]:
         """Defragmentation bookkeeping: fold newest versions into the data
         region.
 
-        Returns ``(row_id, delta_ref)`` pairs that the storage layer must
-        copy back (delta → origin data row). Tombstoned rows are *not*
-        moved — copying a dead row's newest delta version back would be a
-        wasted Eq. 1/2 transfer since no future read can observe it.
-        Their chains are dropped and the tombstones folded into the
-        permanent dead-row set (the log entries that carried them are
-        cleared here, so the deletions must survive elsewhere). Chains of
-        live rows are truncated, all delta rows released, and the update
-        log cleared up to now.
+        Returns the ``(row ids, delta rows)`` the storage layer must copy
+        back (delta → origin data row), in row order. Tombstoned rows are
+        *not* moved — copying a dead row's newest delta version back would
+        be a wasted Eq. 1/2 transfer since no future read can observe it —
+        and their tombstones fold into the permanent dead flag, since the
+        journal entries that carried them are cleared here. Every head's
+        timestamps become its row's data-slot version, all delta rows are
+        released, and the journal is cleared.
         """
-        dead = self._dead_rows | set(self._tombstones)
-        moves: List[Tuple[int, RowRef]] = []
-        for chain in list(self._chains.values()):
-            if chain.row_id in dead:
-                del self._chains[chain.row_id]
-                continue
-            head_loc = chain.head.location
-            if head_loc.region == Region.DELTA:
-                moves.append((chain.row_id, head_loc))
-                chain.head.location = RowRef(Region.DATA, chain.row_id)
-            chain.truncate_to_head()
-        self._dead_rows.update(self._tombstones)
-        self._tombstones.clear()
+        n = self._size
+        kind, rows = self._kind[:n], self._row_id[:n]
+        updated = np.unique(rows[kind == UPDATE])
+        deleted = rows[kind == DELETE]
+        heads = self._head[updated]
+        live = self._tomb_ts[updated] < 0
+        moves = updated[live], self._delta[heads[live]]
+        self._base_ts[updated] = self._write_ts[heads]
+        self._base_read_ts[updated] = self._read_ts[heads]
+        self._head[updated] = -1
+        self._chain_len[updated] = 1
+        self._dead[deleted] = True
+        self._tomb_ts[deleted] = -1
         self.delta.release_all()
-        self._log.clear()
-        self._log_ts.clear()
-        # Packed index: batch-fold the same transitions.
-        self._stale_versions = 0
-        self._delta_heads.clear()
-        if dead:
-            folded = np.fromiter(dead, dtype=np.int64, count=len(dead))
-            self._dead[folded] = True
-            self._tomb_ts[folded] = -1
-            self._chain_len[folded] = 0
-            self._head_ts[folded] = 0
-            self._head_delta[folded] = -1
-        if self._chains:
-            live = np.fromiter(self._chains.keys(), dtype=np.int64, count=len(self._chains))
-            self._chain_len[live] = 1
-            self._head_delta[live] = -1
+        self._size = 0
         return moves
 
     def _check_row(self, row_id: int) -> None:

@@ -1,21 +1,21 @@
-"""MVCC metadata: row references, version entries, version chains (§2.3, §5.1).
+"""MVCC metadata: row references and the version-metadata size (§2.3, §5.1).
 
 Every row version carries a *write timestamp* (the transaction that
 created it), a *read timestamp* (most recent reader), and a *pointer* to
-the previous version — forming a version chain whose head is the newest
-version. Metadata lives in CPU memory (PIM units never need it, §5.1);
-its modelled DRAM footprint is :data:`METADATA_BYTES` per entry, the
-``m = 16`` of the defragmentation cost model (§5.3).
+the previous version — the columns of the version journal
+(:mod:`repro.mvcc.manager`). Metadata lives in CPU memory (PIM units
+never need it, §5.1); its modelled DRAM footprint is
+:data:`METADATA_BYTES` per entry, the ``m = 16`` of the defragmentation
+cost model (§5.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from repro.errors import TransactionError
 
-__all__ = ["Region", "RowRef", "VersionEntry", "VersionChain", "METADATA_BYTES"]
+__all__ = ["Region", "RowRef", "METADATA_BYTES"]
 
 #: Modelled metadata size per version entry (the paper's m = 16 B).
 METADATA_BYTES = 16
@@ -40,74 +40,3 @@ class RowRef:
             raise TransactionError(f"unknown region {self.region!r}")
         if self.index < 0:
             raise TransactionError(f"negative row index {self.index}")
-
-
-@dataclass
-class VersionEntry:
-    """One version of a row."""
-
-    write_ts: int
-    location: RowRef
-    prev: Optional["VersionEntry"] = None
-    read_ts: int = 0
-
-    def observe_read(self, ts: int) -> None:
-        """Record a read at timestamp ``ts``."""
-        if ts > self.read_ts:
-            self.read_ts = ts
-
-
-@dataclass
-class VersionChain:
-    """The version chain of one logical row; ``head`` is the newest."""
-
-    row_id: int
-    head: VersionEntry
-
-    def visible_at(self, ts: int) -> Optional[VersionEntry]:
-        """Newest version with ``write_ts <= ts`` (None if row is newer
-        than the reader's snapshot entirely)."""
-        entry: Optional[VersionEntry] = self.head
-        while entry is not None:
-            if entry.write_ts <= ts:
-                return entry
-            entry = entry.prev
-        return None
-
-    def install(self, entry: VersionEntry) -> None:
-        """Install a new newest version (timestamps must increase)."""
-        if entry.write_ts <= self.head.write_ts:
-            raise TransactionError(
-                f"row {self.row_id}: new version ts {entry.write_ts} not newer "
-                f"than head ts {self.head.write_ts}"
-            )
-        entry.prev = self.head
-        self.head = entry
-
-    def length(self) -> int:
-        """Number of versions in the chain."""
-        n = 0
-        entry: Optional[VersionEntry] = self.head
-        while entry is not None:
-            n += 1
-            entry = entry.prev
-        return n
-
-    def versions(self) -> List[VersionEntry]:
-        """All versions, newest first."""
-        out: List[VersionEntry] = []
-        entry: Optional[VersionEntry] = self.head
-        while entry is not None:
-            out.append(entry)
-            entry = entry.prev
-        return out
-
-    def stale_refs(self) -> List[RowRef]:
-        """Locations of all superseded versions (everything but head)."""
-        return [e.location for e in self.versions()[1:]]
-
-    def truncate_to_head(self) -> List[RowRef]:
-        """Drop all superseded versions; returns their locations."""
-        stale = self.stale_refs()
-        self.head.prev = None
-        return stale

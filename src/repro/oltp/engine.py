@@ -140,10 +140,9 @@ class TxnContext:
         self._line_ns = engine.line_ns
         tel = telemetry.active()
         self._roofline = bool(tel.enabled and tel.roofline)
-        self._undo: list = []
-        #: Logical redo records for the WAL, recorded only when the
-        #: engine has durability enabled (committed transactions only —
-        #: an aborted context's journal is simply discarded).
+        #: Logical redo records, one per completed write: the WAL logs
+        #: them on commit, and :meth:`rollback` takes the index entries
+        #: to restore from them on abort.
         self.ops: list = []
         #: Read-only transactions may publish a computed value here.
         self.result: object = None
@@ -198,17 +197,12 @@ class TxnContext:
                 "injected fault: delta region exhausted mid-transaction"
             )
         runtime = self.engine.db.table(table)
-        chain_before = runtime.mvcc.chain_length(row_id)
-        self.breakdown.chain += chain_before * self.engine.cost.chain_entry_ns
+        self.breakdown.chain += (
+            runtime.mvcc.chain_length(row_id) * self.engine.cost.chain_entry_ns
+        )
         self.breakdown.alloc += self.engine.cost.alloc_ns
         runtime.update_row(row_id, self.ts, changes)
-        # A same-transaction re-update overwrites this transaction's
-        # version in place (no new chain entry) — it must not stack a
-        # second undo step for the single installed version.
-        if runtime.mvcc.chain_length(row_id) > chain_before:
-            self._undo.append(lambda: runtime.mvcc.undo_update(row_id))
-        if self.engine.durability is not None:
-            self.ops.append(("update", table, row_id, dict(changes)))
+        self.ops.append(("update", table, row_id, dict(changes)))
         # Writing a version writes the whole row (new delta row).
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
@@ -224,16 +218,12 @@ class TxnContext:
         runtime = self.engine.db.table(table)
         self.breakdown.alloc += self.engine.cost.alloc_ns
         row_id = runtime.insert_row(self.ts, values)
-        self._undo.append(lambda: runtime.mvcc.undo_insert(row_id))
-        if self.engine.durability is not None:
-            self.ops.append(("insert", table, row_id, dict(values), index_key))
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
         if index_key is not None:
             self.index_insert(index_key[0], index_key[1], row_id)
-            index = self.engine.db.index(index_key[0])
-            self._undo.append(lambda: index.remove(index_key[1]))
+        self.ops.append(("insert", table, row_id, dict(values), index_key))
         return row_id
 
     def delete(self, table: str, row_id: int, index_key: Optional[Tuple[str, Hashable]] = None) -> None:
@@ -243,32 +233,41 @@ class TxnContext:
             runtime.mvcc.chain_length(row_id) * self.engine.cost.chain_entry_ns
         )
         runtime.mvcc.delete(row_id, self.ts)
-        self._undo.append(lambda: runtime.mvcc.undo_delete(row_id))
-        if self.engine.durability is not None:
-            self.ops.append(("delete", table, row_id, index_key))
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
         if index_key is not None:
-            index = self.engine.db.index(index_key[0])
-            # Capture the entry being removed so rollback can restore it
-            # (an aborted delete must leave the index untouched, exactly
-            # as insert's undo removes the entry it added).
-            removed_row = index.probe(index_key[1]).row_id
-            lines = index.remove(index_key[1])
-            self._undo.append(lambda: index.insert(index_key[1], removed_row))
+            lines = self.engine.db.index(index_key[0]).remove(index_key[1])
             self.breakdown.index += (
                 self.engine.cost.index_compute_ns + lines * self.engine.line_ns
             )
+        self.ops.append(("delete", table, row_id, index_key))
 
     def abort(self, reason: str = "") -> None:
         """Abort the transaction; the engine rolls back its writes."""
         raise TransactionAborted(reason or "transaction aborted")
 
     def rollback(self) -> None:
-        """Undo every write of this transaction, newest first."""
-        while self._undo:
-            self._undo.pop()()
+        """Undo every write of this transaction.
+
+        Each table pops the journal entries stamped with this
+        transaction's ts (a table it never wrote has none). That covers
+        a write that failed half-way too, since its entry exists before
+        its op is recorded. Then the completed ops, newest first, give
+        back the index entries their inserts added and deletes removed.
+        """
+        for name, runtime in self.engine.db.tables.items():
+            try:
+                runtime.mvcc.rollback(self.ts)
+            except TransactionError as exc:
+                raise TransactionError(f"table {name!r}: {exc}") from None
+        while self.ops:
+            op = self.ops.pop()
+            kind, row_id, index_key = op[0], op[2], op[-1]
+            if kind == "insert" and index_key is not None:
+                self.engine.db.index(index_key[0]).remove(index_key[1])
+            elif kind == "delete" and index_key is not None:
+                self.engine.db.index(index_key[0]).insert(index_key[1], row_id)
         self._written_lines = 0
 
     def _account_access(
@@ -293,11 +292,15 @@ class TxnContext:
     # Commit
     # ------------------------------------------------------------------
     def commit(self) -> TxnResult:
-        """Flush written lines + memory barrier (§6.3) and finish."""
-        self.breakdown.flush += (
-            self._written_lines * self.engine.cost.flush_per_line_ns
-            + self.engine.cost.commit_barrier_ns
-        )
+        """Flush written lines + memory barrier (§6.3) and finish.
+
+        The flush is exactly a 2PC :meth:`prepare`'s: the same dirty
+        lines must reach DRAM before either may report success.
+        """
+        self.prepare()
+        return self._result()
+
+    def _result(self) -> TxnResult:
         return TxnResult(
             ts=self.ts,
             breakdown=self.breakdown,
@@ -307,7 +310,7 @@ class TxnContext:
         )
 
     # ------------------------------------------------------------------
-    # Two-phase commit (the single-phase commit() above is untouched)
+    # Two-phase commit
     # ------------------------------------------------------------------
     def prepare(self) -> None:
         """First 2PC phase: harden the writes plus a prepare record.
@@ -334,13 +337,7 @@ class TxnContext:
         self.breakdown.flush += (
             self.engine.cost.flush_per_line_ns + self.engine.cost.commit_barrier_ns
         )
-        return TxnResult(
-            ts=self.ts,
-            breakdown=self.breakdown,
-            rows_read=self.rows_read,
-            rows_written=self.rows_written,
-            value=self.result,
-        )
+        return self._result()
 
 
 class PendingTxn:
@@ -462,9 +459,20 @@ class OLTPEngine:
         returns an aborted result; any other exception also rolls back
         but propagates (failure injection keeps the database consistent).
         """
-        ts = self.db.oracle.next_timestamp()
-        ctx = TxnContext(self, ts)
-        tel = telemetry.active()
+        ctx, txn_name, aborted = self._run(txn)
+        if aborted is not None:
+            return aborted
+        return self._account_commit(ctx, txn_name, ctx.commit())
+
+    def _run(
+        self, txn: Callable[[TxnContext], None]
+    ) -> Tuple[TxnContext, str, Optional[TxnResult]]:
+        """Run ``txn``'s body at a fresh timestamp.
+
+        Returns its context, its name, and — if the body aborted, now
+        rolled back and counted — the aborted result (else None).
+        """
+        ctx = TxnContext(self, self.db.oracle.next_timestamp())
         inj = faults.active()
         txn_name = getattr(txn, "txn_name", None) or getattr(txn, "__name__", "txn")
         injected_abort = inj.enabled and inj.fire(fault_plan.FORCED_ABORT)
@@ -476,35 +484,45 @@ class OLTPEngine:
                 raise TransactionAborted("injected fault: forced abort storm")
             txn(ctx)
         except TransactionAborted:
-            ctx.rollback()
-            self.aborted += 1
-            if injected_abort:
-                inj.detect(fault_plan.FORCED_ABORT)
-            if tel.enabled:
-                tel.counter("oltp.txn.aborted").inc()
-                tel.counter(f"oltp.txn.{txn_name}.aborted").inc()
-            return TxnResult(
-                ts=ts,
-                breakdown=ctx.breakdown,
-                rows_read=ctx.rows_read,
-                rows_written=0,
-                aborted=True,
-            )
+            return ctx, txn_name, self._abort(ctx, txn_name, injected_abort)
         except Exception:
             ctx.rollback()
+            tel = telemetry.active()
             if tel.enabled:
                 tel.counter("oltp.txn.failed").inc()
             raise
-        result = ctx.commit()
+        return ctx, txn_name, None
+
+    def _abort(self, ctx: TxnContext, txn_name: str, injected: bool = False) -> TxnResult:
+        """Roll ``ctx`` back and count it aborted; returns its result."""
+        ctx.rollback()
+        self.aborted += 1
+        if injected:
+            faults.active().detect(fault_plan.FORCED_ABORT)
+        tel = telemetry.active()
+        if tel.enabled:
+            tel.counter("oltp.txn.aborted").inc()
+            tel.counter(f"oltp.txn.{txn_name}.aborted").inc()
+        return TxnResult(
+            ts=ctx.ts,
+            breakdown=ctx.breakdown,
+            rows_read=ctx.rows_read,
+            rows_written=0,
+            aborted=True,
+        )
+
+    def _account_commit(self, ctx: TxnContext, txn_name: str, result: TxnResult) -> TxnResult:
+        """Harden and count a committed transaction."""
         if self.durability is not None:
             # Harden the commit: the WAL append (and any checkpoint it
             # triggers) is charged through the same §6.3 flush model as
-            # the clflush+barrier above. A SimulatedCrash raised by the
+            # the commit's clflush+barrier. A SimulatedCrash raised by the
             # crash hooks propagates — a dead process does not roll back.
-            result.breakdown.flush += self.durability.log_commit(ts, ctx.ops)
+            result.breakdown.flush += self.durability.log_commit(ctx.ts, ctx.ops)
         self.committed += 1
         self.total_time += result.total_time
         self.breakdown = self.breakdown.merge(result.breakdown)
+        tel = telemetry.active()
         if tel.enabled:
             tel.counter("oltp.txn.committed").inc()
             tel.counter("oltp.rows_read").inc(result.rows_read)
@@ -527,37 +545,9 @@ class OLTPEngine:
         :meth:`execute` so a no-vote looks exactly like a single-phase
         abort to the stats.
         """
-        ts = self.db.oracle.next_timestamp()
-        ctx = TxnContext(self, ts)
-        tel = telemetry.active()
-        inj = faults.active()
-        txn_name = getattr(txn, "txn_name", None) or getattr(txn, "__name__", "txn")
-        injected_abort = inj.enabled and inj.fire(fault_plan.FORCED_ABORT)
-        try:
-            if injected_abort:
-                raise TransactionAborted("injected fault: forced abort storm")
-            txn(ctx)
-        except TransactionAborted:
-            ctx.rollback()
-            self.aborted += 1
-            if injected_abort:
-                inj.detect(fault_plan.FORCED_ABORT)
-            if tel.enabled:
-                tel.counter("oltp.txn.aborted").inc()
-                tel.counter(f"oltp.txn.{txn_name}.aborted").inc()
-            result = TxnResult(
-                ts=ts,
-                breakdown=ctx.breakdown,
-                rows_read=ctx.rows_read,
-                rows_written=0,
-                aborted=True,
-            )
-            return PreparedTxn(ctx, txn_name, vote_yes=False, result=result)
-        except Exception:
-            ctx.rollback()
-            if tel.enabled:
-                tel.counter("oltp.txn.failed").inc()
-            raise
+        ctx, txn_name, aborted = self._run(txn)
+        if aborted is not None:
+            return PreparedTxn(ctx, txn_name, vote_yes=False, result=aborted)
         ctx.prepare()
         return PreparedTxn(ctx, txn_name, vote_yes=True)
 
@@ -567,25 +557,8 @@ class OLTPEngine:
             raise TransactionError("prepared transaction already resolved")
         prepared.resolved = True
         ctx = prepared.ctx
-        result = ctx.finalize_commit()
-        if self.durability is not None:
-            result.breakdown.flush += self.durability.log_commit(ctx.ts, ctx.ops)
-        self.committed += 1
-        self.total_time += result.total_time
-        self.breakdown = self.breakdown.merge(result.breakdown)
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter("oltp.txn.committed").inc()
-            tel.counter("oltp.rows_read").inc(result.rows_read)
-            tel.counter("oltp.rows_written").inc(result.rows_written)
-            tel.histogram(
-                f"oltp.txn.{prepared.txn_name}.latency_ns"
-            ).observe(result.total_time)
-            tel.record_span(
-                "oltp.txn", result.total_time, {"type": prepared.txn_name}
-            )
-        prepared.result = result
-        return result
+        prepared.result = self._account_commit(ctx, prepared.txn_name, ctx.finalize_commit())
+        return prepared.result
 
     def abort_prepared(self, prepared: PreparedTxn) -> TxnResult:
         """Resolve a yes-voting prepare with a global abort.
@@ -597,22 +570,8 @@ class OLTPEngine:
         if prepared.resolved:
             raise TransactionError("prepared transaction already resolved")
         prepared.resolved = True
-        ctx = prepared.ctx
-        ctx.rollback()
-        self.aborted += 1
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter("oltp.txn.aborted").inc()
-            tel.counter(f"oltp.txn.{prepared.txn_name}.aborted").inc()
-        result = TxnResult(
-            ts=ctx.ts,
-            breakdown=ctx.breakdown,
-            rows_read=ctx.rows_read,
-            rows_written=0,
-            aborted=True,
-        )
-        prepared.result = result
-        return result
+        prepared.result = self._abort(prepared.ctx, prepared.txn_name)
+        return prepared.result
 
     def submit(self, txn: Callable[[TxnContext], None]) -> PendingTxn:
         """Accept a transaction for deferred execution (non-blocking).

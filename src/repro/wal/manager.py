@@ -50,10 +50,8 @@ def liveness_bitmap(mvcc, horizon: int) -> dict:
     carries a tombstone at or before the horizon. Checkpoints store
     this; recovery recomputes it to cross-check the rebuilt state.
     """
-    n = int(mvcc.num_rows)
-    tomb = mvcc._tomb_ts[:n]
-    alive = ~mvcc._dead[:n] & ~((tomb >= 0) & (tomb <= horizon))
-    return {"num_rows": n, "bits": np.packbits(alive).tobytes().hex()}
+    alive = mvcc.alive_at(horizon)
+    return {"num_rows": int(mvcc.num_rows), "bits": np.packbits(alive).tobytes().hex()}
 
 
 class DurabilityManager:

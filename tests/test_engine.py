@@ -225,11 +225,12 @@ class TestDeliveryDefragReconciliation:
         )
         engine.run_transactions(40, driver)
         mvcc = engine.table("neworder").mvcc
-        pending = set(mvcc._tombstones)
+        pending = set(mvcc.tombstoned_rows())
         assert pending, "expected deliveries to tombstone neworder rows"
+        assert mvcc.alive_at(-1)[sorted(pending)].all()  # none folded yet
         engine.defragment()
-        assert not mvcc._tombstones
-        assert pending <= mvcc._dead_rows
+        assert mvcc.log_length == 0
+        assert not mvcc.alive_at(-1)[sorted(pending)].any()  # all folded dead
         # The folded deletions stay observable after the log was cleared.
         row = next(iter(pending))
         ts = engine.db.oracle.read_timestamp()

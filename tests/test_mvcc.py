@@ -1,19 +1,18 @@
-"""MVCC: timestamps, version chains, regions, and the manager (§5.1)."""
+"""MVCC: timestamps, version chains, regions, and the manager (§5.1).
+
+:class:`VersionChain` is the oracle manager's chain (the production
+manager keeps versions in its journal); its tests stay here.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TransactionError
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import (
-    METADATA_BYTES,
-    Region,
-    RowRef,
-    VersionChain,
-    VersionEntry,
-)
+from repro.mvcc.metadata import METADATA_BYTES, Region, RowRef
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 from repro.mvcc.timestamps import TimestampOracle
+from tests.test_vectorized_equivalence import VersionChain, VersionEntry
 
 
 class TestTimestampOracle:
@@ -202,16 +201,16 @@ class TestMVCCManager:
         mv.update(1, ts=2)
         mv.update(2, ts=4)
         mv.insert(ts=6)
-        assert [r.write_ts for r in mv.log_since(2)] == [4, 6]
-        assert [r.write_ts for r in mv.log_between(2, 5)] == [4]
+        assert mv.log_between(2, 10**9).write_ts.tolist() == [4, 6]
+        assert mv.log_between(2, 5).write_ts.tolist() == [4]
         assert mv.log_length == 3
 
     def test_compact_moves_newest_and_truncates(self):
         mv = self.make()
         mv.update(1, ts=2)
         second = mv.update(1, ts=3)
-        moves = mv.compact()
-        assert moves == [(1, second)]
+        rows, deltas = mv.compact()
+        assert (rows.tolist(), deltas.tolist()) == ([1], [second.index])
         assert mv.chain_length(1) == 1
         assert mv.read(1, 10) == RowRef(Region.DATA, 1)
         assert mv.delta.allocated_rows == 0
@@ -223,7 +222,7 @@ class TestMVCCManager:
         mv.update(1, ts=3)
         mv.update(2, ts=4)
         assert mv.stale_version_count() == 3
-        assert len(mv.updated_chains()) == 2
+        assert mv.delta_head_count() == 2
 
     def test_out_of_range(self):
         mv = self.make()
@@ -250,17 +249,18 @@ class TestTombstoneCompaction:
         mv.update(5, ts=2)  # newest version in the delta...
         mv.delete(5, ts=3)  # ...then the row dies
         live = mv.update(6, ts=4)
-        moves = mv.compact()
-        assert moves == [(6, live)]  # no move for the dead row
-        assert 5 not in mv._chains
+        rows, deltas = mv.compact()
+        assert (rows.tolist(), deltas.tolist()) == ([6], [live.index])  # not the dead row
+        assert mv.chain_length(5) == 1
+        assert mv.delta.allocated_rows == 0
 
     def test_compact_folds_tombstones_into_dead_rows(self):
         mv = self.make()
         mv.delete(7, ts=2)
         mv.compact()
-        assert not mv._tombstones
-        assert mv.dead_rows() == [7]
-        assert 7 in mv.tombstoned_rows()
+        assert mv.log_length == 0  # the delete entry is gone...
+        assert mv.tombstoned_rows() == [7]
+        assert not mv.alive_at(0)[7]  # ...and the row is dead at every ts
         with pytest.raises(TransactionError, match="deleted"):
             mv.read(7, 10)
         with pytest.raises(TransactionError, match="already deleted"):
@@ -274,7 +274,8 @@ class TestTombstoneCompaction:
         mv.compact()
         mv.update(8, ts=3)
         mv.compact()
-        assert mv.dead_rows() == [7]
+        assert mv.tombstoned_rows() == [7]
+        assert not mv.alive_at(0)[7]
         with pytest.raises(TransactionError, match="deleted"):
             mv.read(7, 10)
 

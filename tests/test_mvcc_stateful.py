@@ -3,8 +3,9 @@
 A hypothesis rule-based machine drives the MVCC manager and snapshot
 manager with arbitrary interleavings of updates, inserts, deletes,
 snapshot refreshes, and defragmentations, checking after every step that
-the snapshot's visible set equals the model's and that reads resolve to
-the model's version history.
+the snapshot's visible set equals the model's, that reads resolve to
+the model's version history, and that every public output of the
+manager equals the version-chain oracle's driven through the same steps.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.format.schema import Column, TableSchema
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import Region, RowRef
 from repro.pim.memory import Rank
+from tests.test_vectorized_equivalence import OracleMVCC, assert_same_state
 
 SCHEMA = TableSchema.of("t", [Column("k", 4), Column("v", 4)])
 INITIAL_ROWS = 40
@@ -45,6 +47,7 @@ class MVCCMachine(RuleBasedStateMachine):
             rank, RankAllocator(rank), layout, CAPACITY, 26 * BLOCK, BLOCK
         )
         self.mvcc = MVCCManager(INITIAL_ROWS, CAPACITY, BLOCK, 8, 26)
+        self.oracle = OracleMVCC(INITIAL_ROWS, CAPACITY, BLOCK, 8, 26)
         for i in range(INITIAL_ROWS):
             self.storage.write_row(RowRef(Region.DATA, i), {"k": i, "v": i * 10})
         self.snap = SnapshotManager(self.storage, self.mvcc)
@@ -69,6 +72,7 @@ class MVCCMachine(RuleBasedStateMachine):
         value = data.draw(st.integers(min_value=0, max_value=2**31))
         ts = self._next_ts()
         ref = self.mvcc.update(row_id, ts)
+        assert self.oracle.update(row_id, ts) == ref
         self.storage.write_row(ref, {"k": row_id, "v": value})
         self.model[row_id] = value
 
@@ -78,6 +82,7 @@ class MVCCMachine(RuleBasedStateMachine):
             return
         ts = self._next_ts()
         row_id, ref = self.mvcc.insert(ts)
+        assert self.oracle.insert(ts) == (row_id, ref)
         self.storage.write_row(ref, {"k": row_id, "v": value})
         self.model[row_id] = value
 
@@ -87,7 +92,9 @@ class MVCCMachine(RuleBasedStateMachine):
         if not live:
             return
         row_id = data.draw(st.sampled_from(live))
-        self.mvcc.delete(row_id, self._next_ts())
+        ts = self._next_ts()
+        self.mvcc.delete(row_id, ts)
+        self.oracle.delete(row_id, ts)
         self.deleted.add(row_id)
 
     @rule()
@@ -96,7 +103,12 @@ class MVCCMachine(RuleBasedStateMachine):
 
     @rule()
     def run_defrag(self):
-        self.defrag.run(self.ts, tombstoned=self.mvcc.tombstoned_rows())
+        self.defrag.run(self.ts)
+        self.oracle.compact()
+
+    @invariant()
+    def matches_oracle(self):
+        assert_same_state(self.mvcc, self.oracle, probes=(self.ts,))
 
     @invariant()
     def reads_match_model(self):
@@ -128,11 +140,8 @@ class MVCCMachine(RuleBasedStateMachine):
             assert int(row_id) not in self.deleted
         # Visible delta rows are exactly the newest versions of live,
         # updated rows.
-        heads = {
-            c.head.location.index
-            for c in self.mvcc.updated_chains()
-            if c.row_id not in self.deleted
-        }
+        newest = [self.mvcc.newest_ref(r) for r in self.model if r not in self.deleted]
+        heads = {ref.index for ref in newest if ref.region == Region.DELTA}
         visible_delta = {int(i) for i in np.nonzero(delta_bits)[0]}
         assert visible_delta == heads
         for index in visible_delta:

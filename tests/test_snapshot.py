@@ -152,9 +152,10 @@ class TestDefragRebuild:
         _, mvcc, snap = make(rows=100)
         mvcc.update(10, ts=1)
         mvcc.insert(ts=2)  # row 100
+        mvcc.delete(7, ts=2)
         snap.update_to(2)
         mvcc.compact()
-        snap.rebuild_after_defrag(ts=2, live_rows=mvcc.num_rows, tombstoned=[7])
+        snap.rebuild_after_defrag(ts=2)
         data = snap.visible_data_rows()
         assert data[10]
         assert data[100]

@@ -127,27 +127,105 @@ class TestAbort:
         assert not result.aborted
 
 
+def mvcc_state(mvcc):
+    """What a rolled-back transaction must leave exactly as it found."""
+    return (
+        mvcc.num_rows,
+        mvcc.log_length,
+        mvcc.stale_version_count(),
+        mvcc.delta.allocated_rows,
+    )
+
+
+class TestFailedWriteRollback:
+    """A write that fails after its version is installed rolls back too.
+
+    Regression: the MVCC install happened before the value encode, and
+    the undo step was registered only after both, so an encode error
+    left the new version visible to every later reader.
+    """
+
+    def test_failed_update_encode_rolls_back(self, fresh_engine):
+        from repro.errors import SchemaError
+        from repro.mvcc.metadata import Region, RowRef
+
+        mvcc = fresh_engine.table("warehouse").mvcc
+        before = mvcc_state(mvcc)
+
+        def bad_payment(ctx):
+            ctx.update("district", 0, {"d_ytd": 5})
+            ctx.update("warehouse", 0, {"w_ytd": -1})  # out of range
+
+        with pytest.raises(SchemaError):
+            fresh_engine.oltp.execute(bad_payment)
+        later = fresh_engine.db.oracle.next_timestamp()
+        assert mvcc.read(0, later) == RowRef(Region.DATA, 0)
+        assert mvcc_state(mvcc) == before
+        district = fresh_engine.table("district").mvcc
+        assert district.read(0, later) == RowRef(Region.DATA, 0)
+
+    def test_failed_insert_encode_rolls_back(self, fresh_engine):
+        from repro.errors import SchemaError
+
+        mvcc = fresh_engine.table("history").mvcc
+        before = mvcc_state(mvcc)
+        row = dict(h_c_id=1, h_c_d_id=1, h_c_w_id=1, h_d_id=1, h_w_id=1,
+                   h_date=1, h_amount=1, h_data=b"x")
+
+        def bad_history(ctx):
+            ctx.insert("history", row)
+            ctx.insert("history", dict(row, h_amount=-1))  # out of range
+
+        with pytest.raises(SchemaError):
+            fresh_engine.oltp.execute(bad_history)
+        assert mvcc_state(mvcc) == before
+        later = fresh_engine.db.oracle.next_timestamp()
+        with pytest.raises(TransactionError, match="out of range"):
+            mvcc.read(before[0], later)
+
+
 class TestUndoValidation:
+    """``rollback(ts)``: it pops exactly the journal tail stamped ``ts``."""
+
     def test_undo_update_requires_versions(self, fresh_engine):
         mvcc = fresh_engine.table("customer").mvcc
-        with pytest.raises(TransactionError):
-            mvcc.undo_update(0)
+        mvcc.update(0, ts=1000)
+        before = mvcc_state(mvcc)
+        mvcc.rollback(1001)  # a later transaction that wrote no version here
+        assert mvcc_state(mvcc) == before
+        assert mvcc.chain_length(0) == 2
 
     def test_undo_insert_must_be_last(self, fresh_engine):
         mvcc = fresh_engine.table("history").mvcc
-        first, _ = mvcc.insert(ts=1000)
+        mvcc.insert(ts=1000)
         mvcc.insert(ts=1001)
-        with pytest.raises(TransactionError):
-            mvcc.undo_insert(first)
+        with pytest.raises(TransactionError, match="1000.*newer ts 1001"):
+            mvcc.rollback(1000)
 
     def test_undo_order_enforced_by_log(self, fresh_engine):
         mvcc = fresh_engine.table("customer").mvcc
+        before = mvcc_state(mvcc)
         mvcc.update(0, ts=1000)
         mvcc.update(1, ts=1001)
-        with pytest.raises(TransactionError, match="log tail"):
-            mvcc.undo_update(0)
-        mvcc.undo_update(1)
-        mvcc.undo_update(0)
+        mvcc.update(1, ts=1001)  # same transaction: one version
+        with pytest.raises(TransactionError, match="journal tail"):
+            mvcc.rollback(1000)
+        mvcc.rollback(1001)
+        assert mvcc.chain_length(1) == 1 and mvcc.chain_length(0) == 2
+        mvcc.rollback(1000)
+        assert mvcc_state(mvcc) == before
+
+    def test_txn_rollback_names_the_table(self, fresh_engine):
+        """A newer journal tail under an aborting transaction is a
+        broken single-writer assumption: it raises, naming the table."""
+
+        def interleaved(ctx):
+            ctx.update("customer", 0, {"c_balance": 1})
+            ctx.engine.db.table("customer").mvcc.update(1, ctx.ts + 1)
+            ctx.abort()
+
+        with pytest.raises(TransactionError, match="customer.*rollback"):
+            fresh_engine.oltp.execute(interleaved)
 
 
 class TestDelivery:

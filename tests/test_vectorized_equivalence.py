@@ -3,9 +3,9 @@
 ``src/`` has one implementation of each hot path (the NumPy one). The
 row-at-a-time versions it replaced live here, as test-local oracles: the
 general positional codec, a per-piece strided load, a dict-probe join, a
-per-row copy, a version-chain walk, a per-row, per-run column read, a
-per-row view fold over a dict Z-set, the per-row TPC-C generators. Seeded
-randomized histories drive
+per-row copy, the version-chain MVCC manager (:class:`OracleMVCC`), a
+per-row, per-run column read, a per-row view fold over a dict Z-set, the
+per-row TPC-C generators. Seeded randomized histories drive
 the production code and the oracle side by side and require *identical*
 results — masks, refs, pairs, bytes, modelled times, error messages.
 
@@ -14,10 +14,13 @@ batch completion) is pinned to values computed on the last commit that
 still had the naive execution mode (94e14a0), where both modes agreed.
 """
 
+import bisect
 import hashlib
 import json
 import random
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
@@ -29,8 +32,9 @@ from repro.errors import MemoryError_, ProtocolError, QueryError, SchemaError, T
 from repro.ivm.manager import _APPLY_NS_PER_DELTA, IVMManager, ViewStats
 from repro.ivm.views import Q1View, Q6View, Q9View
 from repro.ivm.zset import ZSet
-from repro.mvcc.manager import MVCCManager
+from repro.mvcc.manager import KINDS, MVCCManager
 from repro.mvcc.metadata import Region, RowRef
+from repro.mvcc.regions import DataRegion, DeltaAllocator
 from repro.olap import queries
 from repro.pim.pim_unit import bytes_to_uints, uints_to_bytes
 from repro.workloads.chbench import row_counts
@@ -240,92 +244,643 @@ class TestPIMUnitEquivalence:
 
 
 # ----------------------------------------------------------------------
-# MVCC: packed visibility index vs version-chain walks
+# MVCC: the version journal vs the version-chain objects it replaced
 # ----------------------------------------------------------------------
 CAPACITY = 96
 
 
-def run_history(seed, steps=250):
-    """Drive one randomized MVCC history; returns (manager, last_ts).
+@dataclass
+class VersionEntry:
+    """One version of a row."""
 
-    Both representations (chains/dicts and the packed index) are
-    maintained on every write, so one history serves the production
-    reads and the chain-walk oracles. Invalid operations are attempted
-    on purpose — validation must leave no partial state behind.
+    write_ts: int
+    location: RowRef
+    prev: Optional["VersionEntry"] = None
+    read_ts: int = 0
+
+    def observe_read(self, ts: int) -> None:
+        """Record a read at timestamp ``ts``."""
+        if ts > self.read_ts:
+            self.read_ts = ts
+
+
+@dataclass
+class VersionChain:
+    """The version chain of one logical row; ``head`` is the newest."""
+
+    row_id: int
+    head: VersionEntry
+
+    def visible_at(self, ts: int) -> Optional[VersionEntry]:
+        """Newest version with ``write_ts <= ts`` (None if row is newer
+        than the reader's snapshot entirely)."""
+        entry: Optional[VersionEntry] = self.head
+        while entry is not None:
+            if entry.write_ts <= ts:
+                return entry
+            entry = entry.prev
+        return None
+
+    def install(self, entry: VersionEntry) -> None:
+        """Install a new newest version (timestamps must increase)."""
+        if entry.write_ts <= self.head.write_ts:
+            raise TransactionError(
+                f"row {self.row_id}: new version ts {entry.write_ts} not newer "
+                f"than head ts {self.head.write_ts}"
+            )
+        entry.prev = self.head
+        self.head = entry
+
+    def length(self) -> int:
+        """Number of versions in the chain."""
+        n = 0
+        entry: Optional[VersionEntry] = self.head
+        while entry is not None:
+            n += 1
+            entry = entry.prev
+        return n
+
+    def versions(self) -> List[VersionEntry]:
+        """All versions, newest first."""
+        out: List[VersionEntry] = []
+        entry: Optional[VersionEntry] = self.head
+        while entry is not None:
+            out.append(entry)
+            entry = entry.prev
+        return out
+
+    def stale_refs(self) -> List[RowRef]:
+        """Locations of all superseded versions (everything but head)."""
+        return [e.location for e in self.versions()[1:]]
+
+    def truncate_to_head(self) -> List[RowRef]:
+        """Drop all superseded versions; returns their locations."""
+        stale = self.stale_refs()
+        self.head.prev = None
+        return stale
+
+
+@dataclass(frozen=True)
+class UpdateRecord:
+    """One committed write, as replayed by snapshotting.
+
+    ``kind`` is ``"update"``, ``"insert"`` or ``"delete"``. For updates,
+    ``new_ref`` is the freshly allocated delta row and ``prev_ref`` the
+    version it supersedes; for inserts ``new_ref`` is the appended data
+    row; for deletes ``new_ref`` is None.
+    """
+
+    write_ts: int
+    kind: str
+    row_id: int
+    new_ref: Optional[RowRef]
+    prev_ref: Optional[RowRef]
+
+
+class OracleMVCC:
+    """The MVCC manager before the version journal, kept verbatim.
+
+    One table's history five ways: :class:`VersionChain` objects, a
+    tombstone dict plus a dead-row set, an :class:`UpdateRecord` log with
+    its parallel timestamps, a packed index, and an ``undo_*`` per write
+    kind. :meth:`rollback` is the one addition: the journal's abort,
+    unwound through the ``undo_*`` calls.
+    """
+
+    def __init__(
+        self,
+        initial_rows: int,
+        capacity_rows: int,
+        block_rows: int,
+        num_devices: int,
+        delta_capacity_blocks: int,
+    ) -> None:
+        if initial_rows > capacity_rows:
+            raise TransactionError("initial_rows exceeds capacity_rows")
+        self.data = DataRegion(capacity_rows, block_rows, num_devices)
+        self.delta = DeltaAllocator(block_rows, num_devices, delta_capacity_blocks)
+        self.num_rows = initial_rows
+        self._chains: Dict[int, VersionChain] = {}
+        self._tombstones: Dict[int, int] = {}
+        #: Rows whose deletion defragmentation has folded into the
+        #: snapshot bitmap: their tombstone record and log entries are
+        #: gone, but the rows stay dead forever (ids are never reused).
+        self._dead_rows: Set[int] = set()
+        self._log: List[UpdateRecord] = []
+        #: Parallel write_ts list of ``_log`` (non-decreasing — commit
+        #: order), so ``log_since``/``log_between`` bisect instead of
+        #: re-scanning the whole log on every incremental snapshot.
+        self._log_ts: List[int] = []
+        # Packed visibility index, one entry per data-region row:
+        # head write_ts (0 = origin), head delta index (-1 = head lives
+        # in the data region), chain length (0 = never versioned),
+        # tombstone ts (-1 = live), and the permanent dead flag.
+        capacity = max(capacity_rows, 1)
+        self._head_ts = np.zeros(capacity, dtype=np.int64)
+        self._head_delta = np.full(capacity, -1, dtype=np.int64)
+        self._chain_len = np.zeros(capacity, dtype=np.int32)
+        self._tomb_ts = np.full(capacity, -1, dtype=np.int64)
+        self._dead = np.zeros(capacity, dtype=bool)
+        #: Superseded versions outstanding — incremented per installed
+        #: update, decremented on undo, zeroed by compaction. Always
+        #: equals ``sum(chain.length() - 1)`` (invariant-checked).
+        self._stale_versions = 0
+        #: Rows whose newest version lives in the delta region, in the
+        #: order their head first moved there (an ordered set).
+        self._delta_heads: Dict[int, None] = {}
+
+    # ------------------------------------------------------------------
+    # Reads
+    # ------------------------------------------------------------------
+    def read(self, row_id: int, ts: int) -> RowRef:
+        """Locate the version of ``row_id`` visible at ``ts``."""
+        self._check_row(row_id)
+        if row_id in self._dead_rows:
+            raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
+        tomb = self._tombstones.get(row_id)
+        if tomb is not None and tomb <= ts:
+            raise TransactionError(f"row {row_id} deleted at ts {tomb}")
+        chain = self._chains.get(row_id)
+        if chain is None:
+            return RowRef(Region.DATA, row_id)
+        if self._head_ts[row_id] <= ts:
+            # Common case: the newest version is visible — resolved by
+            # the packed index without walking the chain.
+            head = chain.head
+            head.observe_read(ts)
+            return head.location
+        entry = chain.visible_at(ts)
+        if entry is None:
+            raise TransactionError(f"row {row_id} not visible at ts {ts}")
+        entry.observe_read(ts)
+        return entry.location
+
+    def fast_row_mask(self, row_ids) -> np.ndarray:
+        """Classify a batch: which rows resolve without any per-row work.
+
+        A ``True`` entry marks an in-range, never-versioned, live row —
+        its visible version at *any* timestamp is its data-region origin
+        (``RowRef(DATA, row_id)``), with no tombstone check, no chain
+        walk, and no read observation. One vectorized pass over the
+        packed index answers this for the whole batch; callers send the
+        ``False`` rows through :meth:`read` for the full treatment.
+        Pure: no side effects, safe to call speculatively.
+        """
+        ids = np.asarray(row_ids, dtype=np.int64)
+        if ids.size == 0:
+            return np.zeros(0, dtype=bool)
+        fast = (ids >= 0) & (ids < self.num_rows)
+        sel = ids[fast]
+        ok = (
+            (self._chain_len[sel] == 0)
+            & (self._tomb_ts[sel] < 0)
+            & ~self._dead[sel]
+        )
+        fast[np.nonzero(fast)[0][~ok]] = False
+        return fast
+
+    def read_many(self, row_ids, ts: int) -> List[RowRef]:
+        """Locate the versions of a batch of rows visible at ``ts``.
+
+        Identical outcomes and side effects to calling :meth:`read` once
+        per row in order: the packed index resolves never-versioned live
+        rows in one array pass, and only chained / tombstoned / dead /
+        out-of-range rows fall back to the per-row path — errors surface
+        at the same row, with the same message, as the sequential loop.
+        """
+        fast = self.fast_row_mask(row_ids)
+        return [
+            RowRef(Region.DATA, int(row_id)) if fast[i] else self.read(int(row_id), ts)
+            for i, row_id in enumerate(row_ids)
+        ]
+
+    def newest_ref(self, row_id: int) -> RowRef:
+        """Location of the newest version (ignores visibility)."""
+        self._check_row(row_id)
+        chain = self._chains.get(row_id)
+        if chain is None:
+            return RowRef(Region.DATA, row_id)
+        return chain.head.location
+
+    def chain_length(self, row_id: int) -> int:
+        """Number of versions of ``row_id`` (1 if never updated)."""
+        self._check_row(row_id)
+        if row_id not in self._chains:
+            return 1
+        # O(1) from the packed index instead of a chain walk.
+        return int(self._chain_len[row_id])
+
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
+    def update(self, row_id: int, ts: int) -> RowRef:
+        """Create a new version of ``row_id``; returns its delta location.
+
+        The delta row is allocated with the same rotation as the row's
+        data block so defragmentation can copy it back device-locally.
+        A repeated update at the *same* timestamp (the same transaction
+        touching one row twice, e.g. a Delivery batch crediting one
+        customer for two orders) overwrites that transaction's version in
+        place: no new allocation, no new log record, one undo step.
+        All validation happens before the delta allocation, so a failed
+        update never leaks a delta row.
+        """
+        self._check_row(row_id)
+        if row_id in self._dead_rows:
+            raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
+        chain = self._chains.get(row_id)
+        if chain is not None:
+            if chain.head.write_ts == ts:
+                return chain.head.location
+            if chain.head.write_ts > ts:
+                raise TransactionError(
+                    f"row {row_id}: update ts {ts} precedes head ts "
+                    f"{chain.head.write_ts}"
+                )
+        rotation = self.data.rotation_of(row_id)
+        delta_index = self.delta.allocate(rotation)
+        new_ref = RowRef(Region.DELTA, delta_index)
+        if chain is None:
+            origin = VersionEntry(write_ts=0, location=RowRef(Region.DATA, row_id))
+            chain = VersionChain(row_id, origin)
+            self._chains[row_id] = chain
+            self._chain_len[row_id] = 1
+        prev_ref = chain.head.location
+        chain.install(VersionEntry(write_ts=ts, location=new_ref))
+        self._chain_len[row_id] += 1
+        self._head_ts[row_id] = ts
+        self._head_delta[row_id] = delta_index
+        self._stale_versions += 1
+        if row_id not in self._delta_heads:
+            self._delta_heads[row_id] = None
+        self._append_log(UpdateRecord(ts, "update", row_id, new_ref, prev_ref))
+        return new_ref
+
+    def insert(self, ts: int) -> Tuple[int, RowRef]:
+        """Append a new row at the data-region cursor."""
+        if self.num_rows >= self.data.num_rows:
+            raise TransactionError(
+                f"table full: capacity {self.data.num_rows} rows reached"
+            )
+        row_id = self.num_rows
+        self.num_rows += 1
+        ref = RowRef(Region.DATA, row_id)
+        self._chains[row_id] = VersionChain(row_id, VersionEntry(ts, ref))
+        self._chain_len[row_id] = 1
+        self._head_ts[row_id] = ts
+        self._head_delta[row_id] = -1
+        self._append_log(UpdateRecord(ts, "insert", row_id, ref, None))
+        return row_id, ref
+
+    def delete(self, row_id: int, ts: int) -> None:
+        """Tombstone a row as of ``ts``."""
+        self._check_row(row_id)
+        if row_id in self._tombstones or row_id in self._dead_rows:
+            raise TransactionError(f"row {row_id} already deleted")
+        self._tombstones[row_id] = ts
+        self._tomb_ts[row_id] = ts
+        self._append_log(UpdateRecord(ts, "delete", row_id, None, self.newest_ref(row_id)))
+
+    # ------------------------------------------------------------------
+    # Rollback (transaction aborts)
+    # ------------------------------------------------------------------
+    def undo_update(self, row_id: int) -> RowRef:
+        """Remove the newest version of ``row_id`` (abort path).
+
+        The popped delta row is released and the matching log record
+        dropped; returns the removed version's location.
+        """
+        chain = self._chains.get(row_id)
+        if chain is None or chain.head.prev is None:
+            raise TransactionError(f"row {row_id} has no version to undo")
+        removed = chain.head.location
+        if removed.region != Region.DELTA:
+            raise TransactionError(f"row {row_id}: newest version is not in the delta")
+        # Validate the log tail before mutating anything (undo is atomic).
+        self._pop_log("update", row_id)
+        chain.head = chain.head.prev
+        self.delta.release(removed.index)
+        self._stale_versions -= 1
+        self._chain_len[row_id] -= 1
+        head = chain.head
+        self._head_ts[row_id] = head.write_ts
+        if head.location.region == Region.DELTA:
+            self._head_delta[row_id] = head.location.index
+        else:
+            self._head_delta[row_id] = -1
+            self._delta_heads.pop(row_id, None)
+        return removed
+
+    def undo_insert(self, row_id: int) -> None:
+        """Remove a freshly appended row (abort path).
+
+        Only the most recent insert can be undone — aborts unwind in
+        reverse order.
+        """
+        if row_id != self.num_rows - 1:
+            raise TransactionError(
+                f"can only undo the most recent insert (row {self.num_rows - 1}), "
+                f"got {row_id}"
+            )
+        self._pop_log("insert", row_id)
+        del self._chains[row_id]
+        self.num_rows -= 1
+        self._chain_len[row_id] = 0
+        self._head_ts[row_id] = 0
+        self._head_delta[row_id] = -1
+
+    def undo_delete(self, row_id: int) -> None:
+        """Remove a tombstone (abort path)."""
+        if row_id not in self._tombstones:
+            raise TransactionError(f"row {row_id} is not deleted")
+        self._pop_log("delete", row_id)
+        del self._tombstones[row_id]
+        self._tomb_ts[row_id] = -1
+
+    def rollback(self, ts: int) -> None:
+        """Undo the log's tail records stamped ``ts``, newest first."""
+        if self._log and self._log[-1].write_ts > ts:
+            raise TransactionError(
+                f"rollback of ts {ts}: the journal tail holds newer ts "
+                f"{self._log[-1].write_ts}"
+            )
+        while self._log and self._log[-1].write_ts == ts:
+            record = self._log[-1]
+            getattr(self, f"undo_{record.kind}")(record.row_id)
+
+    def _append_log(self, record: UpdateRecord) -> None:
+        self._log.append(record)
+        self._log_ts.append(record.write_ts)
+
+    def _pop_log(self, kind: str, row_id: int) -> None:
+        if not self._log or self._log[-1].kind != kind or self._log[-1].row_id != row_id:
+            raise TransactionError(
+                f"log tail does not match undo of {kind} on row {row_id}"
+            )
+        self._log.pop()
+        self._log_ts.pop()
+
+    def tombstoned_rows(self) -> List[int]:
+        """Row ids deleted so far (all committed in the single-writer sim).
+
+        Includes both pending tombstones and rows whose deletion a past
+        defragmentation already folded into the snapshot bitmap.
+        """
+        return sorted(set(self._tombstones) | self._dead_rows)
+
+    def dead_rows(self) -> List[int]:
+        """Row ids whose deletion defragmentation has already folded."""
+        return sorted(self._dead_rows)
+
+    # ------------------------------------------------------------------
+    # Snapshot / defragmentation support
+    # ------------------------------------------------------------------
+    def log_since(self, ts: int) -> Iterator[UpdateRecord]:
+        """Committed records with ``write_ts > ts``, in commit order.
+
+        Timestamps are appended in commit order (non-decreasing,
+        invariant-checked), so the start position bisects in O(log n)
+        rather than re-scanning the whole log.
+        """
+        return iter(self._log[bisect.bisect_right(self._log_ts, ts) :])
+
+    def log_between(self, after_ts: int, upto_ts: int) -> Iterator[UpdateRecord]:
+        """Records with ``after_ts < write_ts <= upto_ts`` (snapshotting).
+
+        An inverted window (``after_ts > upto_ts``) raises — in the
+        snapshot/IVM paths it is always a caller bug (a cursor that ran
+        ahead of the target timestamp), and silently yielding nothing
+        would let a stale view pass for a fresh one.
+        """
+        lo, hi = self._log_window(after_ts, upto_ts)
+        return iter(self._log[lo:hi])
+
+    def log_count_between(self, after_ts: int, upto_ts: int) -> int:
+        """Number of records :meth:`log_between` would yield, in O(log n).
+
+        Cost estimation (e.g. the serve scheduler's apply-deltas vs
+        full-rescan decision) needs the count without materializing or
+        consuming the records.
+        """
+        lo, hi = self._log_window(after_ts, upto_ts)
+        return hi - lo
+
+    def _log_window(self, after_ts: int, upto_ts: int) -> Tuple[int, int]:
+        """Bisect the log slice for ``(after_ts, upto_ts]`` windows."""
+        if after_ts > upto_ts:
+            raise ValueError(
+                f"inverted update-log window: after_ts {after_ts} > upto_ts {upto_ts}"
+            )
+        lo = bisect.bisect_right(self._log_ts, after_ts)
+        hi = bisect.bisect_right(self._log_ts, upto_ts, lo=lo)
+        return lo, hi
+
+    @property
+    def log_length(self) -> int:
+        """Number of committed write records retained."""
+        return len(self._log)
+
+    def updated_chains(self) -> List[VersionChain]:
+        """Chains whose newest version lives in the delta region.
+
+        O(updated rows) via the maintained delta-head set, in the order
+        each row's head first moved to the delta region.
+        """
+        return [self._chains[row_id] for row_id in self._delta_heads]
+
+    def stale_version_count(self) -> int:
+        """Superseded versions awaiting defragmentation (O(1))."""
+        return self._stale_versions
+
+    def visible_refs_at(self, ts: int, delta_rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Visibility bitmaps at ``ts``, batched over the packed index.
+
+        Returns boolean arrays over the data region (``capacity_rows``
+        entries) and the delta region's first ``delta_rows`` entries.
+        Rows whose head is newer than ``ts`` fall back to a chain walk —
+        the only per-row work, and only for in-flight multi-version rows.
+        Unlike :meth:`read`, this never observes reads (it describes a
+        snapshot, it doesn't take part in concurrency control).
+        """
+        n = self.num_rows
+        data_bits = np.zeros(self.data.num_rows, dtype=bool)
+        delta_bits = np.zeros(max(delta_rows, 1), dtype=bool)[:delta_rows]
+        if n == 0:
+            return data_bits, delta_bits
+        head_ts = self._head_ts[:n]
+        head_delta = self._head_delta[:n]
+        chain_len = self._chain_len[:n]
+        tomb = self._tomb_ts[:n]
+        alive = ~self._dead[:n] & ~((tomb >= 0) & (tomb <= ts))
+        head_visible = alive & ((chain_len == 0) | (head_ts <= ts))
+        rows = np.nonzero(head_visible)[0]
+        deltas = head_delta[rows]
+        data_bits[rows[deltas < 0]] = True
+        delta_bits[deltas[deltas >= 0]] = True
+        # Rare fallback: alive rows whose newest version post-dates ts.
+        for row in np.nonzero(alive & (chain_len > 0) & (head_ts > ts))[0]:
+            entry = self._chains[int(row)].visible_at(int(ts))
+            if entry is None:
+                continue
+            if entry.location.region == Region.DATA:
+                data_bits[entry.location.index] = True
+            else:
+                delta_bits[entry.location.index] = True
+        return data_bits, delta_bits
+
+    def compact(self) -> List[Tuple[int, RowRef]]:
+        """Defragmentation bookkeeping: fold newest versions into the data
+        region.
+
+        Returns ``(row_id, delta_ref)`` pairs that the storage layer must
+        copy back (delta → origin data row). Tombstoned rows are *not*
+        moved — copying a dead row's newest delta version back would be a
+        wasted Eq. 1/2 transfer since no future read can observe it.
+        Their chains are dropped and the tombstones folded into the
+        permanent dead-row set (the log entries that carried them are
+        cleared here, so the deletions must survive elsewhere). Chains of
+        live rows are truncated, all delta rows released, and the update
+        log cleared up to now.
+        """
+        dead = self._dead_rows | set(self._tombstones)
+        moves: List[Tuple[int, RowRef]] = []
+        for chain in list(self._chains.values()):
+            if chain.row_id in dead:
+                del self._chains[chain.row_id]
+                continue
+            head_loc = chain.head.location
+            if head_loc.region == Region.DELTA:
+                moves.append((chain.row_id, head_loc))
+                chain.head.location = RowRef(Region.DATA, chain.row_id)
+            chain.truncate_to_head()
+        self._dead_rows.update(self._tombstones)
+        self._tombstones.clear()
+        self.delta.release_all()
+        self._log.clear()
+        self._log_ts.clear()
+        # Packed index: batch-fold the same transitions.
+        self._stale_versions = 0
+        self._delta_heads.clear()
+        if dead:
+            folded = np.fromiter(dead, dtype=np.int64, count=len(dead))
+            self._dead[folded] = True
+            self._tomb_ts[folded] = -1
+            self._chain_len[folded] = 0
+            self._head_ts[folded] = 0
+            self._head_delta[folded] = -1
+        if self._chains:
+            live = np.fromiter(self._chains.keys(), dtype=np.int64, count=len(self._chains))
+            self._chain_len[live] = 1
+            self._head_delta[live] = -1
+        return moves
+
+    def _check_row(self, row_id: int) -> None:
+        if row_id < 0 or row_id >= self.num_rows:
+            raise TransactionError(f"row {row_id} out of range [0, {self.num_rows})")
+
+
+def both(managers, op):
+    """Apply ``op`` to the production manager and the oracle; their
+    outcomes (value or exception and message) must agree."""
+    mvcc, oracle = managers
+    assert capture(lambda: op(mvcc)) == capture(lambda: op(oracle))
+
+
+def compact_both(mvcc, oracle):
+    """Compact both; the same rows move from the same delta rows."""
+    rows, deltas = mvcc.compact()
+    moves = oracle.compact()
+    assert list(zip(rows.tolist(), deltas.tolist())) == sorted(
+        (row, ref.index) for row, ref in moves
+    )
+
+
+def window_records(window):
+    """A journal window as the oracle's :class:`UpdateRecord` objects."""
+    records = []
+    for ts, kind, row, delta, old in zip(*(column.tolist() for column in window)):
+        name = KINDS[kind]
+        new_ref = RowRef(Region.DATA, row) if delta < 0 else RowRef(Region.DELTA, delta)
+        old_ref = RowRef(Region.DATA, row) if old < 0 else RowRef(Region.DELTA, old)
+        records.append(
+            UpdateRecord(
+                ts,
+                name,
+                row,
+                None if name == "delete" else new_ref,
+                None if name == "insert" else old_ref,
+            )
+        )
+    return records
+
+
+def assert_same_state(mvcc, oracle, probes=()):
+    """Every public output of the two managers agrees."""
+    assert mvcc.num_rows == oracle.num_rows
+    assert mvcc.log_length == oracle.log_length
+    assert window_records(mvcc.journal) == oracle._log
+    assert mvcc.stale_version_count() == oracle.stale_version_count()
+    assert mvcc.delta_head_count() == len(oracle.updated_chains())
+    assert mvcc.tombstoned_rows() == oracle.tombstoned_rows()
+    assert mvcc.delta.allocated_rows == oracle.delta.allocated_rows
+    for row in range(mvcc.num_rows):
+        assert mvcc.chain_length(row) == oracle.chain_length(row)
+        assert mvcc.newest_ref(row) == oracle.newest_ref(row)
+        for ts in probes:
+            assert capture(lambda: mvcc.read(row, ts)) == capture(lambda: oracle.read(row, ts))
+    for ts in probes:
+        rows = mvcc.delta.capacity_rows
+        for got, expected in zip(mvcc.visible_refs_at(ts, rows), oracle.visible_refs_at(ts, rows)):
+            np.testing.assert_array_equal(got, expected)
+
+
+def run_history(seed, steps=250):
+    """Drive one randomized history through the production manager and
+    the oracle side by side; returns ``(manager, oracle, last_ts)``.
+
+    Every step's outcome must agree. Each write runs at its own ts, so a
+    ``rollback(ts)`` right after it aborts exactly that write. Invalid
+    operations are attempted on purpose — validation must leave no
+    partial state behind.
     """
     rng = random.Random(seed)
-    mvcc = MVCCManager(
-        initial_rows=64,
-        capacity_rows=CAPACITY,
-        block_rows=16,
-        num_devices=4,
-        delta_capacity_blocks=64,
-    )
+    managers = [
+        cls(initial_rows=64, capacity_rows=CAPACITY, block_rows=16, num_devices=4,
+            delta_capacity_blocks=64)
+        for cls in (MVCCManager, OracleMVCC)
+    ]
+    mvcc = managers[0]
     ts = 0
     for _ in range(steps):
         roll = rng.random()
         ts += 1
-        try:
-            if roll < 0.55:
-                row = rng.randrange(mvcc.num_rows)
-                mvcc.update(row, ts)
-                if rng.random() < 0.15:
-                    mvcc.undo_update(row)
-            elif roll < 0.70:
-                row, _ = mvcc.insert(ts)
-                if rng.random() < 0.25:
-                    mvcc.undo_insert(row)
-            elif roll < 0.85:
-                row = rng.randrange(mvcc.num_rows)
-                mvcc.delete(row, ts)
-                if rng.random() < 0.35:
-                    mvcc.undo_delete(row)
-            elif roll < 0.93:
-                mvcc.compact()
-            else:
-                # Deliberately invalid probes.
-                mvcc.update(mvcc.num_rows + 5, ts)
-        except TransactionError:
-            pass
-    return mvcc, ts
-
-
-def oracle_read(mvcc, row_id, ts):
-    """Tombstone dicts plus a version-chain walk; no packed index."""
-    if row_id < 0 or row_id >= mvcc.num_rows:
-        raise TransactionError(f"row {row_id} out of range [0, {mvcc.num_rows})")
-    if row_id in mvcc._dead_rows:
-        raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
-    if row_id in mvcc._tombstones and mvcc._tombstones[row_id] <= ts:
-        raise TransactionError(
-            f"row {row_id} deleted at ts {mvcc._tombstones[row_id]}"
-        )
-    chain = mvcc._chains.get(row_id)
-    if chain is None:
-        return RowRef(Region.DATA, row_id)
-    entry = chain.visible_at(ts)
-    if entry is None:
-        raise TransactionError(f"row {row_id} not visible at ts {ts}")
-    return entry.location
-
-
-def oracle_visible_refs(mvcc, ts, delta_rows):
-    """Visibility bitmaps from one :func:`oracle_read` per row."""
-    data_bits = np.zeros(mvcc.data.num_rows, dtype=bool)
-    delta_bits = np.zeros(delta_rows, dtype=bool)
-    for row_id in range(mvcc.num_rows):
-        try:
-            ref = oracle_read(mvcc, row_id, ts)
-        except TransactionError:
-            continue
-        (data_bits if ref.region == Region.DATA else delta_bits)[ref.index] = True
-    return data_bits, delta_bits
+        if roll < 0.55:
+            row = rng.randrange(mvcc.num_rows)
+            both(managers, lambda m: m.update(row, ts))
+            abort = rng.random() < 0.15
+        elif roll < 0.70:
+            both(managers, lambda m: m.insert(ts))
+            abort = rng.random() < 0.25
+        elif roll < 0.85:
+            row = rng.randrange(mvcc.num_rows)
+            both(managers, lambda m: m.delete(row, ts))
+            abort = rng.random() < 0.35
+        elif roll < 0.93:
+            compact_both(*managers)
+            abort = False
+        else:
+            # Deliberately invalid probes.
+            both(managers, lambda m: m.update(m.num_rows + 5, ts))
+            abort = False
+        if abort:
+            both(managers, lambda m: m.rollback(ts))
+    return managers[0], managers[1], ts
 
 
 @pytest.mark.parametrize("seed", range(8))
 class TestMVCCEquivalence:
     def test_reads_and_lengths_identical(self, seed):
-        mvcc, last_ts = run_history(seed)
+        mvcc, oracle, last_ts = run_history(seed)
         rng = random.Random(seed + 1000)
         probes = [0, 1, last_ts // 2, last_ts, last_ts + 1] + [
             rng.randrange(last_ts + 2) for _ in range(10)
@@ -333,38 +888,41 @@ class TestMVCCEquivalence:
         # Two rows past each end: range errors are part of the contract.
         for row in range(-2, mvcc.num_rows + 2):
             for ts in probes:
-                expected = capture(lambda: oracle_read(mvcc, row, ts))
+                expected = capture(lambda: oracle.read(row, ts))
                 assert capture(lambda: mvcc.read(row, ts)) == expected, (row, ts)
-            chain = mvcc._chains.get(row)
-            if 0 <= row < mvcc.num_rows:
-                assert mvcc.chain_length(row) == (chain.length() if chain else 1)
-            else:
-                with pytest.raises(TransactionError, match="out of range"):
-                    mvcc.chain_length(row)
+            for method in ("chain_length", "newest_ref"):
+                assert capture(lambda: getattr(mvcc, method)(row)) == capture(
+                    lambda: getattr(oracle, method)(row)
+                )
 
     def test_read_observes_the_version_it_returns(self, seed):
-        mvcc, last_ts = run_history(seed)
-        for row, chain in mvcc._chains.items():
-            if row in mvcc._tombstones or row in mvcc._dead_rows:
-                continue
-            for ts in (last_ts + 7, chain.head.write_ts, chain.head.write_ts - 1):
-                entry = chain.visible_at(ts)
-                if entry is None:
+        mvcc, oracle, last_ts = run_history(seed)
+        for row in range(mvcc.num_rows):
+            for ts in (last_ts + 7, last_ts // 2, 1):
+                if capture(lambda: oracle.read(row, ts))[0] == "err":
                     continue
-                assert mvcc.read(row, ts) == entry.location
-                assert entry.read_ts >= ts
+                ref = mvcc.read(row, ts)
+                pos = mvcc._version_at(row, ts)
+                if pos >= 0:
+                    # A delta version's read ts is the oracle entry's.
+                    entry = oracle._chains[row].visible_at(ts)
+                    assert ref == entry.location
+                    assert mvcc._read_ts[pos] == entry.read_ts >= ts
+                else:
+                    assert ref == RowRef(Region.DATA, row)
+                    assert mvcc._base_read_ts[row] >= ts
 
     def test_visible_sets_identical(self, seed):
-        mvcc, last_ts = run_history(seed)
+        mvcc, oracle, last_ts = run_history(seed)
         delta_rows = mvcc.delta.capacity_rows
         for ts in (0, last_ts // 3, last_ts // 2, last_ts, last_ts + 1):
             data_bits, delta_bits = mvcc.visible_refs_at(ts, delta_rows)
-            expect_data, expect_delta = oracle_visible_refs(mvcc, ts, delta_rows)
+            expect_data, expect_delta = oracle.visible_refs_at(ts, delta_rows)
             np.testing.assert_array_equal(data_bits, expect_data)
             np.testing.assert_array_equal(delta_bits, expect_delta)
 
     def test_visible_set_matches_per_row_reads(self, seed):
-        mvcc, last_ts = run_history(seed)
+        mvcc, _, last_ts = run_history(seed)
         ts = last_ts
         data_bits, delta_bits = mvcc.visible_refs_at(ts, mvcc.delta.capacity_rows)
         expect_data = np.zeros_like(data_bits)
@@ -382,83 +940,99 @@ class TestMVCCEquivalence:
         np.testing.assert_array_equal(delta_bits, expect_delta)
 
     def test_incremental_counters_match_bruteforce(self, seed):
-        mvcc, _ = run_history(seed)
-        brute_stale = sum(c.length() - 1 for c in mvcc._chains.values())
-        assert mvcc.stale_version_count() == brute_stale
-        brute_updated = {
-            c.row_id
-            for c in mvcc._chains.values()
-            if c.head.location.region == Region.DELTA
-        }
-        chains = mvcc.updated_chains()
-        assert {c.row_id for c in chains} == brute_updated
-        assert len(chains) == len(brute_updated)
+        mvcc, oracle, _ = run_history(seed)
+        assert_same_state(mvcc, oracle)
 
     def test_log_queries_match_bruteforce(self, seed):
-        mvcc, last_ts = run_history(seed)
+        mvcc, oracle, last_ts = run_history(seed)
         rng = random.Random(seed + 2000)
         bounds = [0, 1, last_ts // 2, last_ts, last_ts + 1] + [
             rng.randrange(last_ts + 2) for _ in range(6)
         ]
         for after in bounds:
-            assert list(mvcc.log_since(after)) == [
-                r for r in mvcc._log if r.write_ts > after
-            ]
             for upto in bounds:
                 if after > upto:
                     # Inverted windows are caller bugs, not empty results.
-                    with pytest.raises(ValueError):
-                        mvcc.log_between(after, upto)
-                    with pytest.raises(ValueError):
-                        mvcc.log_count_between(after, upto)
+                    for manager in (mvcc, oracle):
+                        with pytest.raises(ValueError):
+                            manager.log_between(after, upto)
+                        with pytest.raises(ValueError):
+                            manager.log_count_between(after, upto)
                     continue
-                records = list(mvcc.log_between(after, upto))
-                assert records == [
-                    r for r in mvcc._log if after < r.write_ts <= upto
-                ]
+                records = window_records(mvcc.log_between(after, upto))
+                assert records == list(oracle.log_between(after, upto))
                 assert mvcc.log_count_between(after, upto) == len(records)
 
 
 @pytest.mark.parametrize("seed", range(4))
 class TestMVCCBatchedEquivalence:
-    """``MVCCManager.read_many`` / ``fast_row_mask`` vs the per-row read."""
-
-    def test_fast_row_mask_semantics(self, seed):
-        mvcc, last_ts = run_history(seed)
-        ids = list(range(-2, mvcc.num_rows + 3))
-        mask = mvcc.fast_row_mask(ids)
-        assert len(mask) == len(ids)
-        for row, fast in zip(ids, mask):
-            if not fast:
-                continue
-            # A fast row resolves to its data slot at *any* timestamp,
-            # with a single never-versioned entry and no tombstone.
-            assert 0 <= row < mvcc.num_rows
-            assert mvcc.chain_length(row) == 1
-            assert mvcc.newest_ref(row) == RowRef(Region.DATA, row)
-            for ts in (0, last_ts // 2, last_ts + 1):
-                ref = mvcc.read(row, ts)
-                assert ref.region == Region.DATA and ref.index == row
+    """``MVCCManager.read_many`` vs the per-row reads of both managers."""
 
     def test_read_many_matches_per_row(self, seed):
-        mvcc, last_ts = run_history(seed)
+        mvcc, oracle, last_ts = run_history(seed)
         rng = random.Random(seed + 3000)
         for ts in (0, last_ts // 2, last_ts, last_ts + 1):
             ids = [rng.randrange(mvcc.num_rows) for _ in range(40)]
             batched = capture(lambda: mvcc.read_many(ids, ts))
             assert batched == capture(lambda: [mvcc.read(row, ts) for row in ids])
-            assert batched == capture(
-                lambda: [oracle_read(mvcc, row, ts) for row in ids]
-            )
+            assert batched == capture(lambda: [oracle.read(row, ts) for row in ids])
 
     def test_read_many_error_position(self, seed):
-        mvcc, last_ts = run_history(seed)
+        mvcc, oracle, last_ts = run_history(seed)
         # A bad id mid-batch must fail exactly like the scalar loop —
         # same exception type and message.
         ids = [0, 1, mvcc.num_rows + 5, 2]
         batched = capture(lambda: mvcc.read_many(ids, last_ts))
-        assert batched == capture(lambda: [mvcc.read(r, last_ts) for r in ids])
+        assert batched == capture(lambda: [oracle.read(r, last_ts) for r in ids])
         assert batched[0] == "err"
+
+
+def oracle_update_to(data_bits, delta_bits, records, line):
+    """The per-record snapshot replay: one bit at a time, in commit order.
+
+    Returns the flipped-bit count and the bytes of the packed-bitmap
+    cache lines those flips touched."""
+    flips = 0
+    touched = set()
+    for record in records:
+        changes = []
+        if record.kind != "insert":
+            changes.append((record.prev_ref, False))
+        if record.kind != "delete":
+            changes.append((record.new_ref, True))
+        for ref, value in changes:
+            bits = data_bits if ref.region == Region.DATA else delta_bits
+            if bits[ref.index] != value:
+                bits[ref.index] = value
+                flips += 1
+                touched.add((ref.region, ref.index // (8 * line)))
+    return flips, len(touched) * line
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_snapshot_update_matches_per_record_replay(seed):
+    """``SnapshotManager.update_to`` folds a journal window with array
+    ops; its bitmaps and its cost equal a record-at-a-time replay, across
+    deliveries (deletes), aborts and defragmentations."""
+    from repro.core.engine import PushTapEngine
+
+    engine = PushTapEngine.build(scale=2e-5, seed=seed, defrag_period=70)
+    driver = engine.make_driver(seed=seed + 1, delivery_fraction=0.2)
+    line = engine.config.geometry.cache_line_bytes
+    for step in range(8):
+        engine.run_transactions(5 + 7 * step, driver)
+        ts = engine.db.oracle.read_timestamp()
+        for runtime in engine.db.tables.values():
+            snap, mvcc = runtime.snapshots, runtime.mvcc
+            data, delta = snap.visible_data_rows(), snap.visible_delta_rows()
+            records = window_records(mvcc.log_between(snap.last_snapshot_ts, ts))
+            flips, nbytes = oracle_update_to(data, delta, records, line)
+            cost = snap.update_to(ts)
+            assert (cost.records, cost.bits_flipped, cost.bitmap_bytes) == (
+                len(records), flips, nbytes
+            )
+            np.testing.assert_array_equal(snap.visible_data_rows(), data)
+            np.testing.assert_array_equal(snap.visible_delta_rows(), delta)
 
 
 # ----------------------------------------------------------------------
@@ -916,7 +1490,7 @@ class OracleIVMManager(IVMManager):
         for table, columns in view.columns.items():
             read = self._reader(table, columns)
             width = self._widths[(name, table)]
-            for record in self.engine.db.table(table).mvcc.log_between(last, ts):
+            for record in window_records(self.engine.db.table(table).mvcc.log_between(last, ts)):
                 records += 1
                 nbytes += 16
                 for row, weight in oracle_record_deltas(record, read):

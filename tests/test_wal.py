@@ -1,5 +1,6 @@
 """WAL append/replay, leveled checkpoint store, and crash recovery."""
 
+import hashlib
 import json
 import os
 
@@ -18,6 +19,28 @@ ENGINE_KWARGS = dict(scale=2e-5, defrag_period=200, block_rows=256)
 
 def build_engine():
     return PushTapEngine.build(**ENGINE_KWARGS)
+
+
+#: sha256 of :func:`durable_bytes_sha256`'s files, computed on the commit
+#: before the version journal (per-row chains and undo closures).
+PINNED_DURABLE_SHA256 = "13a6bef569505ed9a064c059753e2a9fc10cb62993a43e8ae46a79cb04ed5452"
+
+
+def durable_bytes_sha256(path):
+    """Run 120 TPC-C transactions (20 % Delivery) with checkpoints every
+    24 commits into ``path``; sha256 over ``wal.log``, ``MANIFEST.json``
+    and every segment file, by name."""
+    engine = PushTapEngine.build(scale=2e-5, seed=7)
+    manager = engine.enable_durability(path, checkpoint_every=24, sync=False)
+    engine.run_transactions(120, engine.make_driver(seed=3, delivery_fraction=0.2))
+    manager.close()
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        if name in ("wal.log", "MANIFEST.json") or name.startswith("seg-"):
+            digest.update(name.encode())
+            with open(os.path.join(path, name), "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()
 
 
 SAMPLE_OPS = [
@@ -177,6 +200,12 @@ class TestDurability:
         assert result.aborted
         assert manager.records == 0
         assert manager.wal.replay() == ([], False)
+
+    def test_wal_and_segment_bytes_pinned(self, tmp_path):
+        """The redo path writes the same bytes as before the version
+        journal replaced the per-row chains and the undo closures."""
+        path = str(tmp_path / "dur")
+        assert durable_bytes_sha256(path) == PINNED_DURABLE_SHA256
 
     def test_enable_durability_twice_rejected(self, fresh_engine, tmp_path):
         fresh_engine.enable_durability(str(tmp_path / "dur"))
