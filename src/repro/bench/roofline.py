@@ -8,8 +8,8 @@
    flag on so every operator logs bytes moved, achieved bandwidth,
    ceiling ratio, and its memory/compute/control-bound classification.
 
-The result is one deterministic, JSON-ready snapshot (``BENCH_8.json``)
-with per-substrate ceilings, achieved-vs-ceiling points, saturation
+The result is one deterministic, JSON-ready snapshot
+(``baselines/roofline.json`` pins the full sweep) with per-substrate ceilings, achieved-vs-ceiling points, saturation
 fits, a bottleneck ranking, row-buffer hit/miss/conflict lanes, and a
 Chrome-trace consistency check: each operator's effective bandwidth must
 match ``dram_bytes / Σ(pim.phase.load)`` re-derived from the exported
@@ -198,15 +198,13 @@ def run_roofline(
     sizes: Sequence[int] = DEFAULT_OPERATOR_SIZES,
     micro_sizes: Sequence[int] = DEFAULT_SIZES,
     block_rows: int = 256,
-    tag: str = "8",
 ) -> Dict[str, object]:
-    """Full roofline sweep; returns the BENCH snapshot dict."""
+    """Full roofline sweep; returns the snapshot dict."""
     names = list(substrates) if substrates else available_substrates()
     sizes = sorted(set(sizes))
     micro_sizes = sorted(set(micro_sizes))
     snapshot: Dict[str, object] = {
         "bench_roofline_version": 1,
-        "tag": tag,
         "params": {
             "substrates": names,
             "sizes": list(sizes),

@@ -36,7 +36,7 @@ The roofline sweep benchmarks every registered hardware substrate and
 attributes each operator to its bottleneck::
 
     python -m repro.experiments roofline
-    python -m repro.experiments roofline --substrates ddr5 hbm3 --tag 8
+    python -m repro.experiments roofline --substrates ddr5 hbm3 --out roofline.json
 
 Figures can also run on any registered substrate instead of the default
 DIMM system::
@@ -51,6 +51,7 @@ The sharded cluster sweeps shard-count scaling and 2PC overhead::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Callable, Dict
 
@@ -88,8 +89,7 @@ def report_metrics(argv) -> int:
 
 
 def profile(argv) -> int:
-    """``profile``: trace one workload and write the perf snapshot."""
-    import json
+    """``profile``: trace one workload and print its bottleneck report."""
     import os
 
     from repro.trace.chrome import to_chrome_json
@@ -100,9 +100,8 @@ def profile(argv) -> int:
         prog="python -m repro.experiments profile",
         description=(
             "Run one workload under the structured tracer; write a Chrome "
-            "trace (Perfetto-loadable), folded flamegraph stacks, a ranked "
-            "bottleneck report, and a machine-readable BENCH_<tag>.json "
-            "perf snapshot."
+            "trace (Perfetto-loadable) and folded flamegraph stacks, and "
+            "print a ranked bottleneck report in simulated time."
         ),
     )
     parser.add_argument(
@@ -132,9 +131,6 @@ def profile(argv) -> int:
         "--out-dir", default=".", help="directory for trace.json / flame.folded"
     )
     parser.add_argument(
-        "--tag", default="profile", help="snapshot tag (writes BENCH_<tag>.json)"
-    )
-    parser.add_argument(
         "--top", type=int, default=10, help="bottleneck rows to print"
     )
     parser.add_argument(
@@ -159,204 +155,28 @@ def profile(argv) -> int:
         defrag_period=args.defrag_period,
         max_histogram_samples=args.max_samples,
         per_unit_spans=not args.no_per_unit_spans,
-        tag=args.tag,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.json")
     flame_path = os.path.join(args.out_dir, "flame.folded")
-    bench_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(to_chrome_json(result.tracer))
     with open(flame_path, "w", encoding="utf-8") as fh:
         fh.write(to_folded(result.tracer))
-    with open(bench_path, "w", encoding="utf-8") as fh:
-        json.dump(result.bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(result.report.render(top=args.top))
-    sim = result.bench["simulated"]
-    wall = result.bench["wall_clock"]
+    sim = result.sections["simulated"]
     print(
         f"\nsimulated: {format_time_ns(sim['time_ns'])} "
         f"({sim['transactions']} txns, {sim['queries']} queries, "
         f"tpmC {sim['oltp_tpmc']:,.0f}, QphH {sim['olap_qphh']:,.0f})"
     )
-    print(
-        f"wall clock: build {wall['build_s']:.2f}s, run {wall['run_s']:.2f}s, "
-        f"peak RSS {wall['peak_rss_kib'] or '?'} KiB"
-    )
     print(f"\ntrace written to {trace_path} (load in https://ui.perfetto.dev)")
     print(f"folded stacks written to {flame_path}")
-    print(f"bench snapshot written to {bench_path}")
     return 0
-
-
-def bench(argv) -> int:
-    """``bench``: rerun the profile workloads against a pinned baseline."""
-    import json
-    import os
-
-    from repro.bench import run_bench
-    from repro.bench.harness import span_before_after
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments bench",
-        description=(
-            "Rerun the standard profile workloads, assert the simulated "
-            "metrics are bit-identical to the committed baseline snapshot "
-            "(and, for 'cluster', between jobs=1 and jobs=N), and write a "
-            "BENCH_<tag>.json comparison snapshot."
-        ),
-    )
-    parser.add_argument(
-        "--workloads",
-        nargs="+",
-        choices=["oltp", "ch", "mixed", "cluster"],
-        default=["mixed", "ch"],
-        help=(
-            "workloads to rerun ('oltp' is the transaction-only profile; "
-            "'cluster' compares the sharded workload at jobs=1 vs jobs=N)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default="BENCH_3.json",
-        help="committed baseline snapshot to diff simulated metrics against",
-    )
-    parser.add_argument("--tag", default="5", help="writes BENCH_<tag>.json")
-    parser.add_argument(
-        "--intervals", type=int, default=6, help="query intervals (or query count)"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=30, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument("--seed", type=int, default=11, help="workload seed")
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=0.0,
-        help=(
-            "required jobs=1/jobs=N wall-clock ratio on the 'cluster' "
-            "workload (0 disables the gate, e.g. on single-core CI "
-            "hosts; the byte-identity gate always runs)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker processes for the 'cluster' workload's parallel run",
-    )
-    parser.add_argument(
-        "--cluster-shards",
-        type=int,
-        default=4,
-        help="shard count for the 'cluster' workload",
-    )
-    parser.add_argument(
-        "--out-dir", default=".", help="directory for the BENCH_<tag>.json snapshot"
-    )
-    args = parser.parse_args(argv)
-
-    result = run_bench(
-        workloads=args.workloads,
-        baseline_path=args.baseline or None,
-        tag=args.tag,
-        intervals=args.intervals,
-        txns_per_query=args.txns_per_query,
-        scale=args.scale,
-        seed=args.seed,
-        defrag_period=args.defrag_period,
-        min_parallel_speedup=args.min_parallel_speedup,
-        jobs=args.jobs,
-        cluster_shards=args.cluster_shards,
-    )
-
-    print(format_table(
-        ["workload", "simulated time", "txns", "queries", "host run"],
-        [
-            [
-                workload,
-                format_time_ns(run["simulated"]["time_ns"]),
-                run["simulated"]["transactions"],
-                run["simulated"]["queries"],
-                f"{float(run['wall_clock']['run_s']):.3f}s",
-            ]
-            for workload, run in result.runs.items()
-        ],
-    ))
-
-    if result.cluster is not None:
-        c = result.cluster
-        print(f"\ncluster workload ({c.shards} shards, same simulated workload):")
-        print(format_table(
-            ["run", "wall-clock", "vs jobs=1", "identical"],
-            [
-                ["jobs=1", f"{c.sequential_s:.3f}s", "1.00x", "-"],
-                [f"jobs={c.jobs}", f"{c.parallel_s:.3f}s",
-                 f"{c.parallel_speedup:.2f}x",
-                 "yes" if not c.jobs_drift else "NO"],
-            ],
-        ))
-        for drift in c.jobs_drift:
-            print(f"JOBS DRIFT [cluster]: {drift}", file=sys.stderr)
-
-    if result.baseline_compared:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        rows = span_before_after(baseline, result.runs[result.baseline_workload])
-        print(
-            f"\nper-span simulated self-time vs {args.baseline} "
-            f"(tag {result.baseline_tag}, workload {result.baseline_workload}):"
-        )
-        print(format_table(
-            ["span", "baseline self", "current self", "drift"],
-            [
-                [
-                    name,
-                    format_time_ns(before),
-                    format_time_ns(after),
-                    "none" if before == after else f"{after - before:+.3f}ns",
-                ]
-                for name, before, after in rows
-            ],
-        ))
-        for drift in result.baseline_drift:
-            print(f"BASELINE DRIFT: {drift}", file=sys.stderr)
-    elif args.baseline:
-        print(
-            f"\nbaseline {args.baseline} not compared (different params or "
-            "workload set)"
-        )
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(result.snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nbench snapshot written to {out_path}")
-
-    if result.jobs_drift:
-        print("FAIL: cluster report differs between jobs=1 and jobs=N", file=sys.stderr)
-    if result.baseline_drift:
-        print("FAIL: simulated metrics drifted from the baseline", file=sys.stderr)
-    if not result.parallel_speedup_ok:
-        print(
-            "FAIL: cluster jobs speedup below "
-            f"{result.min_parallel_speedup:.1f}x",
-            file=sys.stderr,
-        )
-    return 0 if result.passed else 1
 
 
 def roofline(argv) -> int:
     """``roofline``: substrate bandwidth ceilings vs achieved operators."""
-    import json
-    import os
-
     from repro.bench.micro import DEFAULT_SIZES
     from repro.bench.roofline import (
         DEFAULT_OPERATOR_SIZES,
@@ -372,8 +192,8 @@ def roofline(argv) -> int:
             "end OLAP operators across hardware substrates, classify each "
             "operator as memory/compute/control-bound against the "
             "substrate's bandwidth ceilings, cross-check the accounting "
-            "against the exported Chrome trace, and write a "
-            "BENCH_<tag>.json roofline snapshot."
+            "against the exported Chrome trace, and optionally write the "
+            "snapshot as JSON."
         ),
     )
     parser.add_argument(
@@ -400,25 +220,22 @@ def roofline(argv) -> int:
     parser.add_argument(
         "--block-rows", type=int, default=256, help="storage block size (rows)"
     )
-    parser.add_argument("--tag", default="8", help="writes BENCH_<tag>.json")
     parser.add_argument(
-        "--out-dir", default=".", help="directory for the BENCH_<tag>.json snapshot"
+        "--out", metavar="PATH", default=None,
+        help="write the roofline snapshot to PATH as JSON",
     )
     args = parser.parse_args(argv)
+    if args.out and not _writable(args.out):
+        return 2
     snapshot = run_roofline(
         args.substrates,
         sizes=args.sizes,
         micro_sizes=args.micro_sizes,
         block_rows=args.block_rows,
-        tag=args.tag,
     )
     print(render_roofline(snapshot))
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nroofline snapshot written to {out_path}")
+    if args.out:
+        _dump(args.out, snapshot, "roofline snapshot")
     if not all(check["ok"] for check in snapshot["trace_check"].values()):
         print(
             "FAIL: trace-derived bandwidth disagrees with operator accounting",
@@ -439,6 +256,14 @@ def _writable(path: str) -> bool:
     return True
 
 
+def _dump(path: str, value, what: str) -> None:
+    """Write ``value`` to ``path`` as indented, key-sorted JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"\n{what} written to {path}")
+
+
 def _format_stat(key: str, value) -> str:
     if value is None:
         return "-"
@@ -455,8 +280,6 @@ def _format_stat(key: str, value) -> str:
 
 def fault_sweep(argv) -> int:
     """``fault-sweep``: the fault grid, rate rows x seeds, one workload."""
-    import json
-
     from repro.errors import ConfigError
     from repro.faults.plan import FaultRates
     from repro.faults.sweep import DEFAULT_ROWS, WORKLOADS, check_row, run_fault_sweep
@@ -597,10 +420,7 @@ def fault_sweep(argv) -> int:
             "survived": survived,
             "total": len(cells),
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report written to {args.out}")
+        _dump(args.out, report, "report")
     if registry is not None:
         print(f"metrics written to {args.metrics_out}")
     return 0 if survived == len(cells) else 1
@@ -608,8 +428,6 @@ def fault_sweep(argv) -> int:
 
 def serve(argv) -> int:
     """``serve``: the multi-tenant serving loop (or the policy ablation)."""
-    import json
-
     from repro.serve.loop import ServeConfig
     from repro.serve.runner import run_ivm_ablation, run_policy_ablation, run_serve
     from repro.serve.scheduler import POLICIES
@@ -719,6 +537,8 @@ def serve(argv) -> int:
         help="write the machine-readable JSON report to PATH",
     )
     args = parser.parse_args(argv)
+    if args.out and not _writable(args.out):
+        return 2
 
     if args.ablation:
         report = run_policy_ablation(
@@ -860,18 +680,12 @@ def serve(argv) -> int:
             print(f"SLO ACCOUNTING ERROR: {err}", file=sys.stderr)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nreport written to {args.out}")
+        _dump(args.out, report, "report")
     return 1 if failed else 0
 
 
 def cluster_cli(argv) -> int:
     """``cluster``: shard-count scaling and 2PC overhead."""
-    import json
-    import os
-
     from repro.experiments.cluster import (
         DEFAULT_REMOTE_FRACTIONS,
         DEFAULT_SHARD_COUNTS,
@@ -881,9 +695,9 @@ def cluster_cli(argv) -> int:
         prog="python -m repro.experiments cluster",
         description=(
             "Sweep the sharded cluster over shard count (fixed data, fixed "
-            "tenant streams) and remote-warehouse fraction; write the "
-            "BENCH_<tag>.json scaling snapshot. --check gates near-linear "
-            "tpmC scaling."
+            "tenant streams) and remote-warehouse fraction; optionally "
+            "write the snapshot as JSON. --check gates near-linear tpmC "
+            "scaling."
         ),
     )
     parser.add_argument(
@@ -917,9 +731,9 @@ def cluster_cli(argv) -> int:
     parser.add_argument(
         "--defrag-period", type=int, default=200, help="transactions between defrags"
     )
-    parser.add_argument("--tag", default="9", help="writes BENCH_<tag>.json")
     parser.add_argument(
-        "--out-dir", default=".", help="directory for the BENCH_<tag>.json snapshot"
+        "--out", metavar="PATH", default=None,
+        help="write the scaling snapshot to PATH as JSON",
     )
     parser.add_argument(
         "--check",
@@ -942,6 +756,8 @@ def cluster_cli(argv) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if args.out and not _writable(args.out):
+        return 2
 
     snapshot = run_cluster_bench(
         shard_counts=args.shards,
@@ -952,7 +768,6 @@ def cluster_cli(argv) -> int:
         seed=args.seed,
         interconnect_ns=args.interconnect_ns,
         defrag_period=args.defrag_period,
-        tag=args.tag,
         jobs=args.jobs,
     )
     print(format_table(
@@ -991,12 +806,8 @@ def cluster_cli(argv) -> int:
             for cell in snapshot["overhead"]
         ],
     ))
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.tag}.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\ncluster snapshot written to {out_path}")
+    if args.out:
+        _dump(args.out, snapshot, "cluster snapshot")
 
     if args.check:
         failed = False
@@ -1024,7 +835,6 @@ SUBCOMMANDS: Dict[str, Callable[[list], int]] = {
     "report-metrics": report_metrics,
     "fault-sweep": fault_sweep,
     "profile": profile,
-    "bench": bench,
     "serve": serve,
     "roofline": roofline,
     "cluster": cluster_cli,

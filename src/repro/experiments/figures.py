@@ -5,7 +5,7 @@ parameter set), the ``(header, cell)`` table columns that print them, and
 the paper's anchors: a value read off the points, the paper's number and
 the closed band ``[lo, hi]`` the value must land in on the default
 substrate. The CLI (``python -m repro.experiments <ids>|all``), the
-figure baseline gate (``scripts/check_figure_baseline.py``, which pins
+``figures`` row of :mod:`repro.experiments.baselines` (which pins
 :func:`as_json` of every figure on every substrate) and the benchmark
 suite all read this table; nothing else spells a figure out.
 """

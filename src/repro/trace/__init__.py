@@ -9,7 +9,10 @@ analyses a time-breakdown study needs:
 * :mod:`repro.trace.flame` — flamegraph folded stacks;
 * :mod:`repro.trace.analysis` — occupancy, critical path, bottlenecks;
 * :mod:`repro.trace.profile` — the end-to-end profile runner behind
-  ``python -m repro.experiments profile``.
+  ``python -m repro.experiments profile`` and ``baselines/profile.json``.
+
+Every time here is simulated; host time is measured by
+``benchmarks/e2e``.
 """
 
 from repro.trace.analysis import BottleneckReport, analyze

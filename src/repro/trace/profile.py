@@ -1,27 +1,20 @@
-"""Profile runner: workload → trace + bottleneck report + bench snapshot.
+"""Profile runner: workload → trace + bottleneck report + simulated sections.
 
 :func:`run_profile` builds an engine, runs a chosen workload under a
 recording telemetry registry (with per-unit detail spans and bounded
 histograms turned on), and returns everything the ``profile`` CLI
-subcommand writes out: the tracer, the bottleneck analysis, and the
-machine-readable ``BENCH_<tag>.json`` snapshot that future PRs diff
-perf against.
+subcommand writes out or prints: the tracer, the bottleneck analysis,
+and the run's simulated sections (throughput, counters, per-span and
+per-track time, critical path), which ``baselines/profile.json`` pins.
 
-Simulated metrics come from the simulated clock; ``wall_clock`` captures
-what the *host* paid to run the simulation (build/run seconds, peak
-RSS), which is what the profile-guided optimisation loop targets.
+Every number here is on the simulated clock. What the host pays to run
+the simulator is measured by ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX hosts
-    resource = None
 
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError
@@ -32,10 +25,7 @@ from repro.trace.tracer import Tracer
 from repro.units import S
 from repro.workloads.driver import MixedWorkload
 
-__all__ = ["ProfileResult", "run_profile", "BENCH_VERSION"]
-
-#: Schema version of the BENCH snapshot.
-BENCH_VERSION = 1
+__all__ = ["ProfileResult", "run_profile"]
 
 _WORKLOADS = ("tpcc", "ch", "mixed")
 _MODELS = ("pushtap", "original")
@@ -48,20 +38,8 @@ class ProfileResult:
     registry: MetricsRegistry
     tracer: Tracer
     report: BottleneckReport
-    bench: Dict[str, object]
-
-
-def _peak_rss_kib() -> Optional[int]:
-    """Peak resident set size of this process in KiB (None if unknown)."""
-    if resource is None:
-        return None
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB; macOS reports bytes.
-    import sys
-
-    if sys.platform == "darwin":  # pragma: no cover
-        rss //= 1024
-    return int(rss)
+    #: ``simulated``, ``counters``, ``spans``, ``tracks``, ``critical_path_ns``.
+    sections: Dict[str, object]
 
 
 def run_profile(
@@ -75,7 +53,6 @@ def run_profile(
     queries: Sequence[str] = ("Q1", "Q6", "Q9"),
     max_histogram_samples: Optional[int] = 4096,
     per_unit_spans: bool = True,
-    tag: str = "profile",
 ) -> ProfileResult:
     """Run one instrumented workload and analyse its trace.
 
@@ -93,52 +70,26 @@ def run_profile(
     if intervals < 1:
         raise ConfigError("intervals must be >= 1")
 
-    build_start = time.perf_counter()
     engine = PushTapEngine.build(
         scale=scale,
         seed=seed,
         controller_kind=model,
         defrag_period=defrag_period,
     )
-    build_s = time.perf_counter() - build_start
-
     registry = MetricsRegistry(max_histogram_samples=max_histogram_samples)
     registry.detail_spans = per_unit_spans
     telemetry.install(registry)
-    run_start = time.perf_counter()
     try:
         simulated = _run_workload(
             engine, workload, intervals, txns_per_query, queries, seed
         )
     finally:
         telemetry.disable()
-    run_s = time.perf_counter() - run_start
 
     tracer = Tracer(registry.spans)
     report = analyze(tracer)
-    peak_rss_kib = _peak_rss_kib()
-    bench: Dict[str, object] = {
-        "version": BENCH_VERSION,
-        "tag": tag,
-        "workload": workload,
-        "model": model,
-        "params": {
-            "intervals": intervals,
-            "txns_per_query": txns_per_query,
-            "scale": scale,
-            "seed": seed,
-            "defrag_period": defrag_period,
-            "queries": list(queries),
-        },
+    sections: Dict[str, object] = {
         "simulated": simulated,
-        "wall_clock": {
-            "build_s": round(build_s, 4),
-            "run_s": round(run_s, 4),
-            "peak_rss_kib": peak_rss_kib,
-        },
-        # Top-level scalars so bench comparisons don't re-derive them.
-        "wall_clock_s": round(build_s + run_s, 4),
-        "peak_rss_bytes": peak_rss_kib * 1024 if peak_rss_kib is not None else None,
         "spans": {
             name: stats.as_dict() for name, stats in sorted(report.names.items())
         },
@@ -149,7 +100,7 @@ def run_profile(
         "counters": {n: c.value for n, c in sorted(registry.counters.items())},
     }
     return ProfileResult(
-        registry=registry, tracer=tracer, report=report, bench=bench
+        registry=registry, tracer=tracer, report=report, sections=sections
     )
 
 
@@ -161,7 +112,7 @@ def _run_workload(
     queries: Sequence[str],
     seed: int,
 ) -> Dict[str, object]:
-    """Drive the engine; returns the ``simulated`` bench section."""
+    """Drive the engine; returns the ``simulated`` section."""
     if workload == "mixed":
         mixed = MixedWorkload(
             engine, txns_per_query=txns_per_query, queries=queries, seed=seed

@@ -1,13 +1,23 @@
-"""Baseline models: ideal, multi-instance, PUSHtap analytic, original PIM."""
+"""Baselines, both kinds.
+
+The analytic comparison models (ideal, multi-instance, PUSHtap analytic,
+original PIM), and the pinned simulated baselines: every row of
+``repro.experiments.baselines.BASELINES`` against its ``baselines/<id>.json``.
+"""
+
+import json
+import pathlib
 
 import pytest
 
+import repro.olap.engine
 from repro.baselines.ideal import IdealOLAPModel
 from repro.baselines.multi_instance import MultiInstanceModel
 from repro.baselines.original_pim import wram_sweep
 from repro.baselines.pushtap_model import PushTapQueryModel
 from repro.core.config import dimm_system, hbm_system
 from repro.errors import QueryError
+from repro.experiments import baselines as pinned
 from repro.units import KIB
 
 COLUMNS = [(1_000_000, 4), (1_000_000, 8)]
@@ -124,3 +134,60 @@ class TestWramSweep:
         push_gain = pushtap[16 * KIB].total_time / pushtap[256 * KIB].total_time
         assert orig_gain > 3.0
         assert push_gain < 2.0
+
+
+# ---------------------------------------------------------------------------
+# Pinned simulated baselines
+# ---------------------------------------------------------------------------
+BASELINE_DIR = pathlib.Path(__file__).resolve().parent.parent / "baselines"
+
+
+def committed(baseline_id):
+    return json.loads((BASELINE_DIR / f"{baseline_id}.json").read_text())
+
+
+class TestPinnedBaselines:
+    # ``figures`` takes ~11 s on every substrate; tests/test_figures.py
+    # covers it on ddr5 and scripts/check_baselines.py on all of them.
+    @pytest.mark.parametrize(
+        "baseline_id", [i for i in pinned.BASELINES if i != "figures"]
+    )
+    def test_row_regenerates_its_file(self, baseline_id):
+        fresh = pinned.regenerate(baseline_id)
+        assert pinned.diff(committed(baseline_id), fresh, baseline_id) == []
+
+    def test_every_row_has_a_file_and_every_file_a_row(self):
+        files = {path.name for path in BASELINE_DIR.iterdir()}
+        assert files == {f"{i}.json" for i in pinned.BASELINES}
+
+    def test_diff_is_exact_and_names_paths(self):
+        row = {"x": [1.0, {"y": 2}], "z": 0}
+        assert pinned.diff(row, json.loads(json.dumps(row)), "row") == []
+        moved = {"x": [1.0000000000000002, {"y": 2, "w": 3}], "z": 0.0}
+        assert pinned.diff(row, moved, "row") == ["row.x[0]", "row.x[1].w", "row.z"]
+        assert pinned.diff([1], [1, 2], "row") == ["row[1]"]
+
+    def test_mutated_cost_constant_names_row_and_path(self, monkeypatch):
+        monkeypatch.setattr(repro.olap.engine, "_CPU_MERGE_NS_PER_ELEMENT", 0.75)
+        drifts = pinned.diff(committed("profile"), pinned.regenerate("profile"), "profile")
+        assert "profile.ch.simulated.time_ns" in drifts
+        assert all(drift.startswith("profile.") for drift in drifts)
+
+    def test_cluster_scaling_near_linear(self):
+        for cell in committed("cluster_scaling")["scaling"]:
+            assert cell["tpmc_speedup"] >= 0.9 * cell["shards"], cell["shards"]
+
+    def test_roofline_trace_checks_pass(self):
+        checks = committed("roofline")["trace_check"]
+        assert set(checks) == {"ddr5", "hbm3", "lpddr5x-pim"}
+        assert all(check["ok"] for check in checks.values())
+
+    def test_serve_ablation_within_slos_and_ivm_no_worse(self):
+        report = committed("serve_ablation")
+        ivm = report["ivm"]
+        for cell in report["cells"] + ivm["cells"]:
+            assert cell["slo_errors"] == []
+        for delta in ivm["deltas"]:
+            assert delta["olap_qphh_delta"] >= 0, delta
+            assert delta["max_staleness_delta"] <= 0, delta
+        assert any(cell["ivm_flushes"] for cell in ivm["cells"])

@@ -171,3 +171,42 @@ class TestCLIRunner:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+
+class TestCLIOutputPaths:
+    @pytest.mark.parametrize("argv, module, runner", [
+        (["serve"], "repro.serve.runner", "run_serve"),
+        (["serve", "--ablation"], "repro.serve.runner", "run_policy_ablation"),
+        (["roofline"], "repro.bench.roofline", "run_roofline"),
+        (["cluster"], "repro.experiments.cluster", "run_cluster_bench"),
+    ])
+    def test_unwritable_out_fails_before_any_run(
+        self, argv, module, runner, tmp_path, monkeypatch, capsys
+    ):
+        import importlib
+
+        from repro.experiments.__main__ import main
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(importlib.import_module(module), runner, no_run)
+        assert main([*argv, "--out", str(tmp_path / "missing" / "out.json")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["roofline", "--substrates", "ddr5", "--sizes", "512",
+          "--micro-sizes", "8"], "trace_check"),
+        (["cluster", "--shards", "1", "2", "--remote-fractions", "0",
+          "--intervals", "1", "--txns-per-query", "5"], "scaling"),
+    ])
+    def test_out_writes_the_snapshot(self, argv, key, tmp_path, monkeypatch):
+        import json
+
+        from repro.experiments.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "snapshot.json"]) == 0
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert key in snapshot and "tag" not in snapshot
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]

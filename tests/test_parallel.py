@@ -146,58 +146,3 @@ class TestFaultSweepIdentity:
         assert json.dumps(sequential, sort_keys=True) == json.dumps(
             parallel, sort_keys=True
         )
-
-
-class TestBenchClusterWorkload:
-    def test_cluster_compare_has_no_drift(self):
-        """The bench harness's cluster cell: the jobs=1-vs-jobs=N diff
-        is empty on a small instance."""
-        from repro.bench.harness import _run_cluster_compare
-
-        run = _run_cluster_compare(
-            shards=2,
-            jobs=2,
-            intervals=2,
-            txns_per_query=8,
-            scale=SCALE,
-            seed=11,
-            defrag_period=200,
-        )
-        assert run.jobs_drift == []
-        assert run.report["transactions"] > 0
-
-    def test_deterministic_snapshot_strips_host_fields(self):
-        from repro.bench.harness import deterministic_snapshot
-
-        snapshot = {
-            "params": {"seed": 11},
-            "workloads": {
-                "oltp": {
-                    "simulated": {"transactions": 5},
-                    "wall_clock": {"run_s": 1.0},
-                    "wall_clock_s": 1.5,
-                    "peak_rss_bytes": 1 << 20,
-                }
-            },
-            "cluster": {
-                "report": {"oltp_tpmc": 1.0},
-                "jobs_drift": [],
-                "wall_clock": {"jobs1_s": 1.0},
-                "parallel_speedup": 0.5,
-            },
-            "gates": {
-                "min_parallel_speedup": 0.0,
-                "baseline_drift_free": True,
-                "parallel_speedup_ok": False,
-                "passed": False,
-            },
-        }
-        out = deterministic_snapshot(snapshot)
-        # Simulated truth, drift lists and gate parameters survive;
-        # everything measured on the host is gone.
-        assert out == {
-            "params": {"seed": 11},
-            "workloads": {"oltp": {"simulated": {"transactions": 5}}},
-            "cluster": {"report": {"oltp_tpmc": 1.0}, "jobs_drift": []},
-            "gates": {"min_parallel_speedup": 0.0, "baseline_drift_free": True},
-        }

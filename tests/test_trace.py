@@ -319,34 +319,33 @@ class TestRunProfile:
             workload="mixed", intervals=1, txns_per_query=5, seed=5,
         )
         assert not telemetry_enabled()  # profiler restores the no-op
-        bench = result.bench
-        assert bench["version"] == 1
-        assert bench["workload"] == "mixed"
-        assert bench["model"] == "pushtap"
-        sim = bench["simulated"]
+        sections = result.sections
+        # Simulated sections only: host time is the e2e benchmark's.
+        assert set(sections) == {
+            "simulated", "counters", "spans", "tracks", "critical_path_ns"
+        }
+        sim = sections["simulated"]
         assert sim["transactions"] == 5
         assert sim["queries"] == 1
         assert sim["time_ns"] > 0
-        wall = bench["wall_clock"]
-        assert wall["build_s"] > 0 and wall["run_s"] > 0
         # Span/track sections mirror the analysis over the tracer.
-        assert bench["spans"] == {
+        assert sections["spans"] == {
             n: s.as_dict() for n, s in sorted(result.report.names.items())
         }
-        tracks = bench["tracks"]
+        tracks = sections["tracks"]
         assert sum(t["total_ns"] for t in tracks.values()) == pytest.approx(
             sum(s.duration for s in result.registry.spans)
         )
-        assert bench["critical_path_ns"] > 0
-        json.dumps(bench)  # the snapshot must be JSON-serializable
+        assert sections["critical_path_ns"] > 0
+        json.dumps(sections)  # the sections must be JSON-serializable
 
     def test_ch_and_tpcc_workloads(self):
         ch = run_profile(workload="ch", intervals=2, queries=("Q6",), seed=5)
-        assert ch.bench["simulated"]["queries"] == 2
-        assert ch.bench["simulated"]["transactions"] == 0
+        assert ch.sections["simulated"]["queries"] == 2
+        assert ch.sections["simulated"]["transactions"] == 0
         tpcc = run_profile(workload="tpcc", intervals=1, txns_per_query=4, seed=5)
-        assert tpcc.bench["simulated"]["transactions"] == 4
-        assert tpcc.bench["simulated"]["queries"] == 0
+        assert tpcc.sections["simulated"]["transactions"] == 4
+        assert tpcc.sections["simulated"]["queries"] == 0
 
     def test_bounded_histograms_active(self):
         result = run_profile(
@@ -370,8 +369,8 @@ class TestRunProfile:
         )
         assert any(s.name.startswith("pim.unit.") for s in fine.registry.spans)
         # The per-unit detail must not change the simulated outcome.
-        assert fine.bench["simulated"]["time_ns"] == pytest.approx(
-            coarse.bench["simulated"]["time_ns"]
+        assert fine.sections["simulated"]["time_ns"] == pytest.approx(
+            coarse.sections["simulated"]["time_ns"]
         )
 
     def test_invalid_arguments_rejected(self):
@@ -387,9 +386,9 @@ class TestProfileCLI:
     def test_profile_writes_artifacts(self, tmp_path, capsys, monkeypatch):
         from repro.experiments.__main__ import main
 
-        # Run from a different directory than --out-dir: every artifact
-        # (including BENCH_<tag>.json) must land in --out-dir, and none
-        # may leak into the working directory.
+        # Run from a different directory than --out-dir: both artifacts
+        # must land in --out-dir, and nothing may leak into the working
+        # directory.
         cwd = tmp_path / "cwd"
         out_dir = tmp_path / "out"
         cwd.mkdir()
@@ -397,14 +396,13 @@ class TestProfileCLI:
         rc = main([
             "profile", "--workload", "mixed", "--intervals", "1",
             "--txns-per-query", "5", "--seed", "5",
-            "--out-dir", str(out_dir), "--tag", "t",
+            "--out-dir", str(out_dir),
         ])
-        assert rc in (0, None)
+        assert rc == 0
         trace = json.loads((out_dir / "trace.json").read_text())
         assert trace["traceEvents"]
-        bench = json.loads((out_dir / "BENCH_t.json").read_text())
-        assert bench["tag"] == "t"
         assert (out_dir / "flame.folded").read_text().strip()
+        assert sorted(p.name for p in out_dir.iterdir()) == ["flame.folded", "trace.json"]
         assert list(cwd.iterdir()) == []
         out = capsys.readouterr().out
         assert "bottlenecks" in out
