@@ -8,8 +8,8 @@ the trade-off shape is the point).
 """
 
 from repro import PushTapEngine
+from repro.cluster import ClusterWorkload, PushTapCluster
 from repro.report import format_table
-from repro.workloads.driver import MixedWorkload
 
 
 def main() -> None:
@@ -18,8 +18,11 @@ def main() -> None:
         engine = PushTapEngine.build(
             scale=3e-5, defrag_period=300, block_rows=256, extra_rows=30_000
         )
-        workload = MixedWorkload(
-            engine, txns_per_query=txns_per_query, queries=("Q1", "Q6", "Q9")
+        # A bare engine runs through the batch driver as a one-shard cluster.
+        workload = ClusterWorkload(
+            PushTapCluster([engine], engine.table_counts()),
+            txns_per_query=txns_per_query,
+            queries=("Q1", "Q6", "Q9"),
         )
         report = workload.run(num_queries=6)
         rows.append(

@@ -13,8 +13,8 @@ warehouse-partitioned TPC-C system:
 - :mod:`repro.cluster.gather` — scatter-gather merge of Q1/Q6/Q9
   partials, bit-identical to one engine scanning the union of the data;
 - :mod:`repro.cluster.cluster` — the :class:`PushTapCluster` facade;
-- :mod:`repro.cluster.workload` — the tenant-pinned mixed workload and
-  its :class:`ClusterReport`.
+- :mod:`repro.cluster.workload` — the batch HTAP driver (1 to N shards;
+  a bare engine runs as a 1-shard cluster) and its :class:`ClusterReport`.
 
 The 2PC fault sweep is the ``cluster`` workload of
 :mod:`repro.faults.sweep`.

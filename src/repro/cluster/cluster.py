@@ -9,9 +9,10 @@ through the :class:`~repro.cluster.twopc.TwoPhaseCommit` coordinator.
 Analytical queries scatter across every shard and gather additive
 partials (:mod:`repro.cluster.gather`).
 
-A 1-shard cluster is the degenerate case the bit-identity tests pin
-down: the router never splits, the coordinator never runs, the gather
-is free, and every simulated metric equals the bare engine's.
+A bare engine runs as the 1-shard cluster ``PushTapCluster([engine],
+engine.table_counts())``: the router never splits, the coordinator
+never runs, the gather is free, and every simulated metric is the
+engine's own.
 """
 
 from __future__ import annotations
@@ -56,16 +57,10 @@ class PushTapCluster:
         engines,
         counts: Dict[str, int],
         interconnect_ns: float = 500.0,
-        jobs: int = 1,
     ) -> None:
         if not engines:
             raise ConfigError("a cluster needs at least one shard engine")
-        if int(jobs) < 1:
-            raise ConfigError("jobs must be >= 1")
         self.engines = list(engines)
-        #: Default worker count for workloads over this cluster; > 1
-        #: runs shard sub-streams on a process pool (see repro.parallel).
-        self.jobs = int(jobs)
         #: PushTapEngine.build kwargs captured by :meth:`build` so
         #: spawned parallel workers can rebuild their shard engine
         #: bit-identically (None when the cluster was assembled from
@@ -94,7 +89,6 @@ class PushTapCluster:
         scale: float = 1e-4,
         counts: Optional[Dict[str, int]] = None,
         interconnect_ns: float = 500.0,
-        jobs: int = 1,
         **build_kwargs,
     ) -> "PushTapCluster":
         """Build an N-shard cluster over one global generator stream.
@@ -113,7 +107,7 @@ class PushTapCluster:
             build_shard(shard, shards, counts, **build_kwargs)
             for shard in range(shards)
         ]
-        cluster = cls(engines, counts, interconnect_ns=interconnect_ns, jobs=jobs)
+        cluster = cls(engines, counts, interconnect_ns=interconnect_ns)
         cluster._shard_build_kwargs = dict(build_kwargs)
         return cluster
 
@@ -148,15 +142,11 @@ class PushTapCluster:
         sub_txns = self.router.split(txn)
         outcome = self.twopc.execute(home, sub_txns)
         # The 2PC path bypasses PushTapEngine.execute_transaction, so
-        # mirror its accounting on every participant: execution time
-        # always, committed-transaction count and defrag aging only on
-        # commit (same rule the serve loop follows).
+        # every participant accounts its share explicitly.
         for shard, result in outcome.per_shard.items():
-            engine = self.engines[shard]
-            engine.stats.oltp_time += result.total_time
-            if outcome.committed:
-                engine.stats.transactions += 1
-                engine._txns_since_defrag += 1
+            self.engines[shard].account_transaction(
+                result.total_time, outcome.committed
+            )
         return ClusterTxnResult(
             committed=outcome.committed,
             latency=outcome.latency,

@@ -1,19 +1,21 @@
-"""Cluster workload driver: tenants pinned to shards, one clock.
+"""The batch HTAP driver (§7.3.3's measurement methodology), 1 to N shards.
 
-:class:`ClusterWorkload` mirrors :class:`~repro.workloads.driver.
-MixedWorkload`'s interval loop — ``txns_per_query`` transactions, then
-one analytical query — over a :class:`~repro.cluster.cluster.
-PushTapCluster`. Each serving tenant owns a seeded TPC-C driver built
-over the *global* row counts (per-tenant seeds and order-id
-offset/stride follow the serve layer's derivation) with warehouse
-affinity pinning its customers to one shard, so the shards share the
-load evenly while remote payments and order lines still cross shards
-at the TPC-C rates.
+:class:`ClusterWorkload` runs the interval loop — ``txns_per_query``
+transactions, then one analytical query — over a :class:`~repro.cluster.
+cluster.PushTapCluster` and reports throughput in the paper's units,
+tpmC and QphH, computed over *simulated* time, so the numbers reflect
+the modelled system rather than the Python host. A bare engine runs as
+the one-shard cluster ``PushTapCluster([engine], engine.table_counts())``:
+the router never splits, the coordinator never runs and the gather is
+free, so the report is the engine's own.
 
-With one shard and one tenant the loop degenerates to exactly
-``MixedWorkload``: same driver construction, same draw sequence, same
-accounting — the bit-identity the cluster tests assert metric by
-metric.
+Each serving tenant owns a seeded TPC-C driver built over the *global*
+row counts (per-tenant seeds and order-id offset/stride follow the serve
+layer's derivation) with warehouse affinity pinning its customers to one
+shard, so the shards share the load evenly while remote payments and
+order lines still cross shards at the TPC-C rates. A single tenant gets
+one plain driver seeded with ``seed`` (no affinity), the same driver
+:meth:`~repro.core.engine.PushTapEngine.make_driver` builds.
 
 The report's simulated clock is the cluster makespan: shards run in
 parallel (each one a serial engine, like the single-instance model), so
@@ -219,7 +221,12 @@ class ClusterReport:
 
 
 class ClusterWorkload:
-    """Drives a cluster with per-tenant TPC-C streams plus OLAP fanout."""
+    """Drives a cluster with per-tenant TPC-C streams plus OLAP fanout.
+
+    ``txns_per_query`` sets the interleaving (the paper's query scheduler
+    issues analytical queries between transaction batches); ``queries``
+    cycles through the named analytical queries.
+    """
 
     def __init__(
         self,
@@ -235,7 +242,7 @@ class ClusterWorkload:
         invariant_checkers: Sequence = (),
         homogeneous_tenants: bool = False,
         warehouse_groups: Optional[int] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         worker_final_check: bool = False,
     ) -> None:
         if txns_per_query < 0:
@@ -243,10 +250,10 @@ class ClusterWorkload:
         if not queries:
             raise ConfigError("at least one analytical query is required")
         self.cluster = cluster
-        #: Worker count for :meth:`run` (defaults to the cluster's);
-        #: > 1 executes shard sub-streams on a process pool with a
-        #: deterministic merge (see :mod:`repro.parallel`).
-        self.jobs = int(cluster.jobs if jobs is None else jobs)
+        #: Worker count for :meth:`run`; > 1 executes shard sub-streams
+        #: on a process pool with a deterministic merge (see
+        #: :mod:`repro.parallel`).
+        self.jobs = int(jobs)
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         #: Under ``jobs > 1``, run one extra invariant check per shard
@@ -290,9 +297,8 @@ class ClusterWorkload:
                 f"{groups} affinity groups"
             )
         if self.tenants == 1:
-            # One tenant: exactly MixedWorkload's driver construction
-            # (direct seed, no affinity) — the 1-shard/1-tenant cluster
-            # must replay the single-engine workload bit for bit.
+            # One tenant: make_driver's construction (direct seed, no
+            # affinity). The TPCCDriver constructor validates the mix.
             self.drivers = [
                 TPCCDriver(
                     counts,
@@ -329,7 +335,12 @@ class ClusterWorkload:
         self._txn_cursor = 0
 
     def _maybe_check(self, force: bool = False) -> None:
-        """Run the invariant checkers at a safe point (see MixedWorkload)."""
+        """Run the invariant checkers at a safe point.
+
+        Checks run when fault injection reports pending (injected) faults
+        since the last check, or unconditionally with ``force`` (interval
+        boundaries).
+        """
         if not self.invariant_checkers:
             return
         pending = faults.active().take_pending_checks()
@@ -337,19 +348,16 @@ class ClusterWorkload:
             for checker in self.invariant_checkers:
                 checker.check()
 
-    def run(self, num_queries: int, jobs: Optional[int] = None) -> ClusterReport:
+    def run(self, num_queries: int) -> ClusterReport:
         """Run ``num_queries`` query intervals; returns the report.
 
-        With ``jobs > 1`` (argument, constructor, or cluster default)
-        the shard sub-streams execute on a process pool and are merged
-        back in sequential order — the report, histograms, outcome
-        logs, and telemetry export are byte-identical to ``jobs=1``
-        (see :mod:`repro.parallel` for the preconditions enforced).
+        With ``jobs > 1`` the shard sub-streams execute on a process
+        pool and are merged back in sequential order — the report,
+        histograms, outcome logs, and telemetry export are
+        byte-identical to ``jobs=1`` (see :mod:`repro.parallel` for the
+        preconditions enforced).
         """
         cluster = self.cluster
-        jobs = self.jobs if jobs is None else int(jobs)
-        if jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         report = ClusterReport(
             num_shards=cluster.num_shards,
             tenants=self.tenants,
@@ -380,14 +388,14 @@ class ClusterWorkload:
         twopc_before = (twopc.attempted, twopc.committed, twopc.aborted)
         causes_before = dict(twopc.aborts_by_cause)
         coordination_before = cluster.coordination_time
-        if jobs > 1:
+        if self.jobs > 1:
             # Parallel shard execution with a deterministic merge. The
             # merge fills the report's interval-loop accounting and the
             # coordinator-side cluster/2PC/telemetry state; the shared
             # delta bookkeeping below then applies to both paths.
             from repro.parallel import run_parallel_cluster_workload
 
-            run_parallel_cluster_workload(self, num_queries, jobs, report)
+            run_parallel_cluster_workload(self, num_queries, self.jobs, report)
         else:
             for interval in range(num_queries):
                 t0 = tel.sim_time if tel.enabled else 0.0
@@ -414,6 +422,9 @@ class ClusterWorkload:
                 report.observe_query(name, query.total_time)
                 self._maybe_check(force=True)
                 if tel.enabled:
+                    # Wrapper over the whole txn-batch + query interval;
+                    # the explicit start keeps the cursor where the
+                    # sub-spans left it.
                     tel.record_span(
                         "workload.interval",
                         tel.sim_time - t0,
@@ -448,8 +459,4 @@ class ClusterWorkload:
             tel.counter("workload.intervals").inc(num_queries)
             tel.gauge("workload.oltp_tpmc").set(report.oltp_tpmc)
             tel.gauge("workload.olap_qphh").set(report.olap_qphh)
-            tel.gauge("cluster.shards").set(cluster.num_shards)
-            tel.counter("cluster.txns.cross_shard").inc(
-                report.cross_shard_attempted
-            )
         return report

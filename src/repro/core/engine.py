@@ -541,15 +541,24 @@ class PushTapEngine:
         if auto_defrag and self.defrag_due():
             self.defragment()
         result = self.oltp.execute(txn)
-        self.stats.oltp_time += result.total_time
-        # Committed transactions only: aborted txns roll back all their
-        # writes, so they neither count toward throughput (the PR-2 tpmC
-        # fix) nor age the delta regions toward defragmentation. The
-        # serve loop mirrors exactly this accounting.
-        if not result.aborted:
+        self.account_transaction(result.total_time, not result.aborted)
+        return result
+
+    def account_transaction(self, time: float, committed: bool) -> None:
+        """Account one finished transaction on this engine.
+
+        The execution ``time`` (ns) always counts; the transaction count
+        and the defragmentation period only advance on commit — aborted
+        transactions roll back all their writes, so they neither count
+        toward throughput nor age the delta regions. Every path that runs
+        a transaction outside :meth:`execute_transaction` (the serve loop,
+        2PC participants, parallel workers, WAL replay) accounts through
+        here.
+        """
+        self.stats.oltp_time += time
+        if committed:
             self.stats.transactions += 1
             self._txns_since_defrag += 1
-        return result
 
     def run_transactions(
         self, count: int, driver: Optional[TPCCDriver] = None
@@ -577,9 +586,8 @@ class PushTapEngine:
         ``o_id_offset``/``o_id_stride`` give several drivers over the
         same engine (one per serving tenant) disjoint order-id spaces.
         """
-        counts = {name: t.num_rows for name, t in self.db.tables.items()}
         return TPCCDriver(
-            counts,
+            self.table_counts(),
             seed=seed,
             payment_fraction=payment_fraction,
             delivery_fraction=delivery_fraction,
@@ -587,6 +595,13 @@ class PushTapEngine:
             o_id_stride=o_id_stride,
             remote_fraction=remote_fraction,
         )
+
+    def table_counts(self) -> Dict[str, int]:
+        """Every table's current row count — the key space TPC-C drivers
+        draw from, and the ``counts`` a one-shard
+        :class:`~repro.cluster.cluster.PushTapCluster` wraps this engine
+        with."""
+        return {name: t.num_rows for name, t in self.db.tables.items()}
 
     def defrag_due(self) -> bool:
         """Whether defragmentation should run before the next transaction."""
@@ -597,9 +612,6 @@ class PushTapEngine:
             if delta.high_water_rows >= 0.8 * delta.capacity_rows:
                 return True
         return False
-
-    #: Backwards-compatible alias (pre-serve name).
-    _defrag_due = defrag_due
 
     # ------------------------------------------------------------------
     # Defragmentation

@@ -7,8 +7,9 @@ A sweep is a grid of *rows* (one :class:`FaultRates` each) × seeds; every
 unabsorbed :class:`~repro.errors.ReproError` into ``error``, and the
 injected/detected bookkeeping — and a table of workloads owns the rest:
 
-* ``mixed`` — the batch HTAP mix (:class:`MixedWorkload`), clean and
-  faulted, on two identically built engines;
+* ``mixed`` — the batch HTAP mix (:class:`ClusterWorkload` over one
+  engine as a one-shard cluster), clean and faulted, on two identically
+  built engines;
 * ``serve`` — the same comparison through the serving loop, which adds
   the serve-layer hooks (client disconnects, queue overflow, scheduler
   stalls);
@@ -68,7 +69,6 @@ from repro.faults.plan import CRASH_HOOKS, TWOPC_HOOKS, FaultPlan, FaultRates
 from repro.olap.queries import run_query
 from repro.serve.loop import ServeConfig, ServeLoop
 from repro.wal.recovery import recover
-from repro.workloads.driver import MixedWorkload
 
 __all__ = ["DEFAULT_ROWS", "WORKLOADS", "SweepCell", "check_row", "run_fault_sweep"]
 
@@ -189,12 +189,12 @@ def _mixed(
     controller_kind: str = "pushtap",
 ) -> None:
     def drive(engine, checkers):
-        report = MixedWorkload(
-            engine,
+        report = ClusterWorkload(
+            PushTapCluster([engine], engine.table_counts()),
             txns_per_query=txns_per_query,
             seed=cell.seed,
             delivery_fraction=DELIVERY_FRACTION,
-            invariant_checker=checkers[0] if checkers else None,
+            invariant_checkers=checkers,
         ).run(intervals)
         return report.oltp_tpmc, report.olap_qphh
 

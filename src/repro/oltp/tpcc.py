@@ -475,7 +475,7 @@ class TPCCDriver:
                 for w in homes:
                     total += self._customers_at(w)
                     self._home_cumulative.append(total)
-        #: Remote-traffic observability (surfaced in WorkloadReport).
+        #: Remote-traffic observability (surfaced in ClusterReport).
         self.payments = 0
         self.remote_payments = 0
         self.new_orders = 0

@@ -167,12 +167,7 @@ def run_shard_ops(shard: int, ops: List[tuple], cfg: WorkerConfig) -> ShardResul
             else:
                 result = engine.oltp.abort_prepared(handle)
             end(op_id, "resolve")
-            # Mirror the cluster's per-participant accounting (the 2PC
-            # path bypasses PushTapEngine.execute_transaction).
-            engine.stats.oltp_time += result.total_time
-            if resolution == "commit":
-                engine.stats.transactions += 1
-                engine._txns_since_defrag += 1
+            engine.account_transaction(result.total_time, resolution == "commit")
             results[op_id] = result.total_time
         elif kind == "query":
             _, op_id, name = op

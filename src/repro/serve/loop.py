@@ -278,19 +278,12 @@ class ServeLoop:
         else:
             pending = self.engine.oltp.submit(txn)
         result = pending.step()
-        # The engine-level counters normally updated by
-        # execute_transaction(); the serve loop drives the non-blocking
-        # submit/step API directly so defrag stays a scheduler decision.
-        # Committed transactions only, matching execute_transaction():
-        # aborted/disconnected txns roll all writes back, so they count
-        # toward neither throughput nor the defrag period. Note the
-        # transaction's total_time already includes the WAL append cost
-        # when durability is enabled, so the simulated clock below
-        # advances over the commit-hardening flush too.
-        self.engine.stats.oltp_time += result.total_time
-        if not result.aborted:
-            self.engine.stats.transactions += 1
-            self.engine._txns_since_defrag += 1
+        # The serve loop drives the non-blocking submit/step API directly
+        # so defrag stays a scheduler decision, hence the explicit
+        # accounting. The transaction's total_time already includes the
+        # WAL append cost when durability is enabled, so the simulated
+        # clock below advances over the commit-hardening flush too.
+        self.engine.account_transaction(result.total_time, not result.aborted)
         self.now += result.total_time
         if result.aborted:
             self.sessions[request.tenant].note_abort(txn)

@@ -6,6 +6,8 @@ histograms turned on), and returns everything the ``profile`` CLI
 subcommand writes out or prints: the tracer, the bottleneck analysis,
 and the run's simulated sections (throughput, counters, per-span and
 per-track time, critical path), which ``baselines/profile.json`` pins.
+The ``mixed`` workload is the batch driver over the engine as a
+one-shard cluster; ``tpcc`` and ``ch`` are plain loops.
 
 Every number here is on the simulated clock. What the host pays to run
 the simulator is measured by ``benchmarks/e2e``.
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro.cluster import ClusterWorkload, PushTapCluster
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError
 from repro.telemetry import registry as telemetry
@@ -23,7 +26,6 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.trace.analysis import BottleneckReport, analyze
 from repro.trace.tracer import Tracer
 from repro.units import S
-from repro.workloads.driver import MixedWorkload
 
 __all__ = ["ProfileResult", "run_profile"]
 
@@ -59,9 +61,10 @@ def run_profile(
     ``workload`` picks the mix: ``tpcc`` runs only transactions
     (``intervals × txns_per_query`` of them), ``ch`` runs only the
     analytical queries (``intervals`` of them, cycling ``queries``),
-    and ``mixed`` interleaves both through
-    :class:`~repro.workloads.driver.MixedWorkload`. ``model`` selects
-    the controller (``pushtap`` or ``original``, the Fig. 12b pair).
+    and ``mixed`` interleaves both through the batch driver,
+    :class:`~repro.cluster.workload.ClusterWorkload`, over the engine as
+    a one-shard cluster. ``model`` selects the controller (``pushtap``
+    or ``original``, the Fig. 12b pair).
     """
     if workload not in _WORKLOADS:
         raise ConfigError(f"unknown workload {workload!r} (one of {_WORKLOADS})")
@@ -114,10 +117,12 @@ def _run_workload(
 ) -> Dict[str, object]:
     """Drive the engine; returns the ``simulated`` section."""
     if workload == "mixed":
-        mixed = MixedWorkload(
-            engine, txns_per_query=txns_per_query, queries=queries, seed=seed
-        )
-        rep = mixed.run(intervals)
+        rep = ClusterWorkload(
+            PushTapCluster([engine], engine.table_counts()),
+            txns_per_query=txns_per_query,
+            queries=queries,
+            seed=seed,
+        ).run(intervals)
         return {
             "time_ns": rep.simulated_time,
             "transactions": rep.transactions,

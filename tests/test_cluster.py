@@ -2,8 +2,9 @@
 
 The two load-bearing properties pinned here bit-for-bit:
 
-* a 1-shard cluster driven by the cluster workload equals the bare
-  engine driven by :class:`MixedWorkload` on every simulated metric;
+* a bare engine driven as a 1-shard cluster equals the single-engine
+  loop the batch driver replaced (``OracleMixedWorkload``) on every
+  simulated metric, clean and under injected faults;
 * an N-shard cluster's scatter-gather Q1/Q6/Q9 results equal a single
   merged engine executing the same (unsplit) transaction stream —
   including cross-shard 2PC histories and a mid-history defrag of one
@@ -25,12 +26,16 @@ from repro.cluster import (
 from repro.cluster.partition import PARTITION_COLUMNS
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, QueryError, TransactionError
-from repro.faults.plan import TWOPC_HOOKS, FaultRates
+from repro.faults.injector import FaultInjector, deactivate, install
+from repro.faults.invariants import InvariantChecker
+from repro.faults.plan import TWOPC_HOOKS, FaultPlan, FaultRates
 from repro.faults.sweep import run_fault_sweep
+from repro.telemetry import registry as telemetry
 from repro.workloads.chbench import row_counts
 from repro.oltp.tpcc import TPCCDriver
-from repro.workloads.driver import MixedWorkload, _derive_seed
+from repro.workloads.driver import _derive_seed
 from repro.workloads.tpcc_gen import generate_table
+from tests.test_vectorized_equivalence import OracleMixedWorkload
 
 SCALE = 2e-5
 ENGINE_KWARGS = dict(seed=7, block_rows=256, defrag_period=200)
@@ -107,33 +112,80 @@ class TestPartition:
             )
 
 
+#: Every field the single-engine report had, compared exactly.
+_REPORT_FIELDS = (
+    "transactions", "aborted", "queries", "oltp_time", "olap_time",
+    "defrag_time", "simulated_time", "oltp_tpmc", "olap_qphh",
+    "remote_fraction", "payments", "remote_payments", "new_orders",
+    "remote_new_orders", "order_lines", "remote_order_lines",
+)
+
+
+def _one_shard(engine, **kwargs):
+    """A bare engine through the batch driver, as a one-shard cluster."""
+    return ClusterWorkload(PushTapCluster([engine], engine.table_counts()), **kwargs)
+
+
+def _assert_same_report(clustered, bare):
+    for name in _REPORT_FIELDS:
+        assert getattr(clustered, name) == getattr(bare, name), name
+    assert clustered.txn_histogram.samples == bare.txn_histogram.samples
+    assert set(clustered.query_histograms) == set(bare.query_histograms)
+    for name, hist in bare.query_histograms.items():
+        assert clustered.query_histograms[name].samples == hist.samples
+    assert clustered.cross_shard_attempted == 0
+    assert clustered.coordination_time == 0.0
+
+
 class TestSingleShardIdentity:
     def test_report_matches_mixed_workload(self):
         engine = PushTapEngine.build(scale=SCALE, **ENGINE_KWARGS)
-        bare = MixedWorkload(engine, txns_per_query=30, seed=11).run(4)
+        bare = OracleMixedWorkload(engine, txns_per_query=30, seed=11).run(4)
+        engine = PushTapEngine.build(scale=SCALE, **ENGINE_KWARGS)
+        _assert_same_report(_one_shard(engine, txns_per_query=30, seed=11).run(4), bare)
+        # A cluster built with one shard is the same engine again.
         cluster = PushTapCluster.build(shards=1, scale=SCALE, **ENGINE_KWARGS)
-        clustered = ClusterWorkload(cluster, txns_per_query=30, seed=11).run(4)
+        _assert_same_report(ClusterWorkload(cluster, txns_per_query=30, seed=11).run(4), bare)
 
-        assert clustered.transactions == bare.transactions
-        assert clustered.aborted == bare.aborted
-        assert clustered.queries == bare.queries
-        assert clustered.oltp_time == bare.oltp_time
-        assert clustered.olap_time == bare.olap_time
-        assert clustered.defrag_time == bare.defrag_time
-        assert clustered.simulated_time == bare.simulated_time
-        assert clustered.oltp_tpmc == bare.oltp_tpmc
-        assert clustered.olap_qphh == bare.olap_qphh
-        assert (
-            clustered.txn_histogram.samples == bare.txn_histogram.samples
+    def test_faulted_run_matches_mixed_workload(self):
+        """The fault sweep's ``mixed`` cell path: dropped and duplicated
+        launches, forced aborts, Delivery at 0.1, an invariant checker
+        consulted after every injected fault."""
+        rates = FaultRates(
+            {"drop_launch": 0.05, "duplicate_launch": 0.05, "forced_abort": 0.1}
         )
-        for name, hist in bare.query_histograms.items():
-            assert clustered.query_histograms[name].samples == hist.samples
-        assert clustered.cross_shard_attempted == 0
-        assert clustered.coordination_time == 0.0
+
+        def faulted(drive):
+            engine = PushTapEngine.build(scale=SCALE, **ENGINE_KWARGS)
+            checker = InvariantChecker(engine, raise_on_violation=False)
+            injector = FaultInjector(FaultPlan(3, rates))
+            install(injector)
+            try:
+                report = drive(engine, checker)
+            finally:
+                deactivate()
+            return report, checker, injector
+
+        mix = dict(txns_per_query=30, seed=3, delivery_fraction=0.1)
+        bare, bare_checker, bare_injector = faulted(
+            lambda engine, checker: OracleMixedWorkload(
+                engine, invariant_checker=checker, **mix
+            ).run(4)
+        )
+        clustered, checker, injector = faulted(
+            lambda engine, checker: _one_shard(
+                engine, invariant_checkers=[checker], **mix
+            ).run(4)
+        )
+        assert sum(bare_injector.injected.values()) > 0 and bare.aborted > 0
+        _assert_same_report(clustered, bare)
+        assert checker.checks == bare_checker.checks > 0
+        assert checker.violations == bare_checker.violations
+        assert injector.injected == bare_injector.injected
 
     def test_remote_counters_surface_in_reports(self):
         engine = PushTapEngine.build(scale=SCALE, **ENGINE_KWARGS)
-        report = MixedWorkload(
+        report = _one_shard(
             engine, txns_per_query=30, seed=11, remote_fraction=0.0
         ).run(2)
         assert report.remote_fraction == 0.0
@@ -307,3 +359,19 @@ class TestClusterWorkload:
         assert snapshot["shards"] == 2
         assert len(snapshot["per_shard"]) == 2
         assert snapshot["cross_shard"]["attempted"] > 0
+
+    def test_twopc_telemetry_counts_each_attempt_once(self):
+        """The coordinator's counter is the report's cross-shard count; the
+        driver records no second copy of it (nor a shard-count gauge)."""
+        cluster = PushTapCluster.build(shards=2, scale=SCALE, **ENGINE_KWARGS)
+        tel = telemetry.enable()
+        try:
+            report = ClusterWorkload(
+                cluster, txns_per_query=25, seed=11, remote_fraction=4.0
+            ).run(3)
+        finally:
+            telemetry.disable()
+        assert report.cross_shard_attempted > 0
+        assert tel.counters["cluster.twopc.attempted"].value == report.cross_shard_attempted
+        assert not any(name.startswith("cluster.txns") for name in tel.counters)
+        assert "cluster.shards" not in tel.gauges

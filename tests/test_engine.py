@@ -126,7 +126,7 @@ class TestMixedWorkload:
         # directly; the next transaction must defragment first.
         mvcc = engine.table("orderline").mvcc
         ts = 1
-        while not engine._defrag_due():
+        while not engine.defrag_due():
             mvcc.update(ts % mvcc.num_rows, ts)
             ts += 1
         engine.run_transactions(1)

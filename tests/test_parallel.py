@@ -61,8 +61,9 @@ def full_state(
             txns_per_query=txns_per_query,
             seed=seed,
             remote_fraction=remote_fraction,
+            jobs=jobs,
         )
-        report = workload.run(intervals, jobs=jobs)
+        report = workload.run(intervals)
         state = report.as_dict()
         state["txn_samples"] = list(report.txn_histogram.samples)
         state["shard_samples"] = [
@@ -124,11 +125,9 @@ class TestJobsIdentity:
         cluster = PushTapCluster.build(
             shards=2, scale=SCALE, seed=7, block_rows=256, defrag_period=200
         )
-        workload = ClusterWorkload(cluster, txns_per_query=4, seed=11)
-        with pytest.raises(ConfigError):
-            ClusterWorkload(cluster, txns_per_query=4, seed=11, jobs=0)
-        with pytest.raises(ConfigError):
-            workload.run(1, jobs=0)
+        for jobs in (0, -1):
+            with pytest.raises(ConfigError):
+                ClusterWorkload(cluster, txns_per_query=4, seed=11, jobs=jobs)
 
 
 class TestFaultSweepIdentity:

@@ -5,7 +5,8 @@ row-at-a-time versions it replaced live here, as test-local oracles: the
 general positional codec, a per-piece strided load, a dict-probe join, a
 per-row copy, the version-chain MVCC manager (:class:`OracleMVCC`), a
 per-row, per-run column read, a per-row view fold over a dict Z-set, the
-per-row TPC-C generators. Seeded randomized histories drive
+per-row TPC-C generators, the single-engine batch driver
+(:class:`OracleMixedWorkload`). Seeded randomized histories drive
 the production code and the oracle side by side and require *identical*
 results — masks, refs, pairs, bytes, modelled times, error messages.
 
@@ -18,9 +19,9 @@ import bisect
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -28,7 +29,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.partition import cluster_row_counts
-from repro.errors import MemoryError_, ProtocolError, QueryError, SchemaError, TransactionError
+from repro.core.engine import PushTapEngine
+from repro.errors import (
+    ConfigError,
+    MemoryError_,
+    ProtocolError,
+    QueryError,
+    SchemaError,
+    TransactionError,
+)
+from repro.faults import injector as faults
 from repro.ivm.manager import _APPLY_NS_PER_DELTA, IVMManager, ViewStats
 from repro.ivm.views import Q1View, Q6View, Q9View
 from repro.ivm.zset import ZSet
@@ -37,6 +47,9 @@ from repro.mvcc.metadata import Region, RowRef
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 from repro.olap import queries
 from repro.pim.pim_unit import bytes_to_uints, uints_to_bytes
+from repro.telemetry import registry as telemetry
+from repro.telemetry.metrics import Histogram
+from repro.units import S
 from repro.workloads.chbench import row_counts
 from repro.workloads.tpcc_gen import (
     DATE_EPOCH,
@@ -1646,6 +1659,214 @@ class TestServeBatchedEquivalence:
         think draws that start from each query's own completion time."""
         state = serve_state(arrival)
         assert hashlib.sha256(state.encode()).hexdigest() == SERVE_STATE_SHA256[arrival]
+
+
+# ----------------------------------------------------------------------
+# Batch driver: the single-engine interval loop the one-shard cluster
+# replaced (tests/test_cluster.py holds ClusterWorkload against it)
+# ----------------------------------------------------------------------
+@dataclass
+class OracleWorkloadReport:
+    """Throughput and latency summary of one mixed run.
+
+    Per-query latencies are kept in telemetry histograms (one per query
+    type), so the report exposes quantiles as well as the historical
+    list/mean API.
+    """
+
+    transactions: int = 0
+    aborted: int = 0
+    queries: int = 0
+    oltp_time: float = 0.0
+    olap_time: float = 0.0
+    defrag_time: float = 0.0
+    #: The remote-warehouse scaling the driver ran with (1.0 = the
+    #: TPC-C spec rates) plus its observed remote-traffic counters —
+    #: how many payments/new orders actually crossed warehouses.
+    remote_fraction: float = 1.0
+    payments: int = 0
+    remote_payments: int = 0
+    new_orders: int = 0
+    remote_new_orders: int = 0
+    order_lines: int = 0
+    remote_order_lines: int = 0
+    query_histograms: Dict[str, Histogram] = field(default_factory=dict)
+    #: End-to-end latency of every executed transaction (ns). In batch
+    #: mode there is no queue, so end-to-end equals execution time — the
+    #: serve layer records the same metric with queue wait included,
+    #: which makes batch-mode and serve-mode latency directly comparable.
+    txn_histogram: Histogram = field(
+        default_factory=lambda: Histogram("workload.txn.latency_ns")
+    )
+
+    @property
+    def simulated_time(self) -> float:
+        """Total simulated wall time (serial engine) in ns."""
+        return self.oltp_time + self.olap_time + self.defrag_time
+
+    @property
+    def committed(self) -> int:
+        """Transactions that committed (executed minus aborted)."""
+        return self.transactions - self.aborted
+
+    @property
+    def oltp_tpmc(self) -> float:
+        """Committed transactions per simulated minute.
+
+        Aborted transactions consume time but do not count — the
+        standard tpmC definition (an abort storm must not *raise*
+        reported throughput just because aborts are cheap).
+        """
+        if self.simulated_time == 0:
+            return 0.0
+        return self.committed / self.simulated_time * S * 60.0
+
+    @property
+    def olap_qphh(self) -> float:
+        """Queries per simulated hour."""
+        if self.simulated_time == 0:
+            return 0.0
+        return self.queries / self.simulated_time * S * 3600.0
+
+    @property
+    def query_latencies(self) -> Dict[str, List[float]]:
+        """Per-query-type latency samples (ns), in observation order."""
+        return {name: h.samples for name, h in self.query_histograms.items()}
+
+    def observe_query(self, name: str, latency: float) -> None:
+        """Record one query latency sample."""
+        self.query_histogram(name).observe(latency)
+
+    def query_histogram(self, name: str) -> Histogram:
+        """The latency histogram of one query type (empty if never run).
+
+        The histogram is registered on first access, so observations made
+        through the returned handle are retained by the report rather
+        than silently dropped.
+        """
+        hist = self.query_histograms.get(name)
+        if hist is None:
+            hist = self.query_histograms[name] = Histogram(
+                f"workload.query.{name}.latency_ns"
+            )
+        return hist
+
+    def observe_txn(self, latency: float) -> None:
+        """Record one transaction's end-to-end latency sample (ns)."""
+        self.txn_histogram.observe(latency)
+        tel = telemetry.active()
+        if tel.enabled:
+            tel.histogram("workload.txn.latency_ns").observe(latency)
+
+    def mean_query_latency(self, name: str) -> float:
+        """Average simulated latency of one query type."""
+        return self.query_histogram(name).mean
+
+
+class OracleMixedWorkload:
+    """Drives an engine with a transaction/query mix.
+
+    ``txns_per_query`` sets the interleaving (the paper's query scheduler
+    issues analytical queries between transaction batches); ``queries``
+    cycles through the named analytical queries.
+    """
+
+    def __init__(
+        self,
+        engine: PushTapEngine,
+        txns_per_query: int = 50,
+        queries: Sequence[str] = ("Q1", "Q6", "Q9"),
+        seed: int = 11,
+        payment_fraction: float = 0.5,
+        delivery_fraction: float = 0.0,
+        remote_fraction: float = 1.0,
+        invariant_checker=None,
+    ) -> None:
+        if txns_per_query < 0:
+            raise ConfigError("txns_per_query must be non-negative")
+        if not queries:
+            raise ConfigError("at least one analytical query is required")
+        self.engine = engine
+        self.txns_per_query = txns_per_query
+        self.queries = list(queries)
+        # The mix fractions go through make_driver → the TPCCDriver
+        # constructor, so its validation applies (an invalid
+        # payment/delivery/remote mix raises instead of being assigned
+        # blindly).
+        self.driver = engine.make_driver(
+            seed=seed,
+            payment_fraction=payment_fraction,
+            delivery_fraction=delivery_fraction,
+            remote_fraction=remote_fraction,
+        )
+        #: Optional :class:`~repro.faults.invariants.InvariantChecker`,
+        #: consulted after every injected fault and at interval ends.
+        self.invariant_checker = invariant_checker
+        self._query_cursor = 0
+
+    def _maybe_check(self, force: bool = False) -> None:
+        """Run the invariant checker at a safe point.
+
+        Checks run when fault injection reports pending (injected) faults
+        since the last check, or unconditionally with ``force`` (interval
+        boundaries).
+        """
+        checker = self.invariant_checker
+        if checker is None:
+            return
+        pending = faults.active().take_pending_checks()
+        if pending or force:
+            checker.check()
+
+    def run(self, num_queries: int) -> OracleWorkloadReport:
+        """Run ``num_queries`` query intervals; returns the report."""
+        report = OracleWorkloadReport()
+        engine = self.engine
+        tel = telemetry.active()
+        defrag_before = engine.stats.defrag_time
+        for interval in range(num_queries):
+            t0 = tel.sim_time if tel.enabled else 0.0
+            for _ in range(self.txns_per_query):
+                txn = self.driver.next_transaction()
+                result = engine.execute_transaction(txn)
+                report.transactions += 1
+                if result.aborted:
+                    report.aborted += 1
+                    self.driver.note_abort(txn)
+                report.oltp_time += result.total_time
+                report.observe_txn(result.total_time)
+                self._maybe_check()
+            name = self.queries[self._query_cursor % len(self.queries)]
+            self._query_cursor += 1
+            query = engine.query(name)
+            report.queries += 1
+            report.olap_time += query.total_time
+            report.observe_query(name, query.total_time)
+            self._maybe_check(force=True)
+            if tel.enabled:
+                # Wrapper over the whole txn-batch + query interval; the
+                # explicit start keeps the cursor where the sub-spans
+                # left it.
+                tel.record_span(
+                    "workload.interval",
+                    tel.sim_time - t0,
+                    {"interval": interval, "query": name},
+                    start=t0,
+                )
+        report.defrag_time = engine.stats.defrag_time - defrag_before
+        driver = self.driver
+        report.remote_fraction = driver.remote_fraction
+        report.payments = driver.payments
+        report.remote_payments = driver.remote_payments
+        report.new_orders = driver.new_orders
+        report.remote_new_orders = driver.remote_new_orders
+        report.order_lines = driver.order_lines
+        report.remote_order_lines = driver.remote_order_lines
+        if tel.enabled:
+            tel.counter("workload.intervals").inc(num_queries)
+            tel.gauge("workload.oltp_tpmc").set(report.oltp_tpmc)
+            tel.gauge("workload.olap_qphh").set(report.olap_qphh)
+        return report
 
 
 # ----------------------------------------------------------------------

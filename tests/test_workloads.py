@@ -188,73 +188,71 @@ class TestHTAPBench:
             hb.htapbench_query_columns("H99")
 
 
+def one_shard(engine, **kwargs):
+    """The batch driver over a bare engine (a one-shard cluster)."""
+    from repro.cluster import ClusterWorkload, PushTapCluster
+
+    return ClusterWorkload(PushTapCluster([engine], engine.table_counts()), **kwargs)
+
+
 class TestMixedWorkloadDriver:
     def test_run_reports_throughput(self, fresh_engine):
-        from repro.workloads.driver import MixedWorkload
-
-        workload = MixedWorkload(fresh_engine, txns_per_query=10, queries=("Q6",))
+        workload = one_shard(fresh_engine, txns_per_query=10, queries=("Q6",))
         report = workload.run(num_queries=3)
         assert report.transactions == 30
         assert report.queries == 3
         assert report.oltp_tpmc > 0
         assert report.olap_qphh > 0
-        assert report.mean_query_latency("Q6") > 0
+        assert report.query_histogram("Q6").mean > 0
         assert report.simulated_time == pytest.approx(
             report.oltp_time + report.olap_time + report.defrag_time
         )
 
     def test_query_rotation(self, fresh_engine):
-        from repro.workloads.driver import MixedWorkload
-
-        workload = MixedWorkload(
-            fresh_engine, txns_per_query=5, queries=("Q1", "Q6")
-        )
+        workload = one_shard(fresh_engine, txns_per_query=5, queries=("Q1", "Q6"))
         report = workload.run(num_queries=4)
-        assert set(report.query_latencies) == {"Q1", "Q6"}
-        assert len(report.query_latencies["Q1"]) == 2
+        assert set(report.query_histograms) == {"Q1", "Q6"}
+        assert len(report.query_histograms["Q1"].samples) == 2
 
     def test_validation(self, fresh_engine):
         from repro.errors import ConfigError
-        from repro.workloads.driver import MixedWorkload
 
         with pytest.raises(ConfigError):
-            MixedWorkload(fresh_engine, txns_per_query=-1)
+            one_shard(fresh_engine, txns_per_query=-1)
         with pytest.raises(ConfigError):
-            MixedWorkload(fresh_engine, queries=())
+            one_shard(fresh_engine, queries=())
 
     def test_delivery_fraction_reaches_driver(self, fresh_engine):
-        from repro.workloads.driver import MixedWorkload
-
-        workload = MixedWorkload(
-            fresh_engine, payment_fraction=0.4, delivery_fraction=0.2
-        )
-        assert workload.driver.payment_fraction == 0.4
-        assert workload.driver.delivery_fraction == 0.2
+        workload = one_shard(fresh_engine, payment_fraction=0.4, delivery_fraction=0.2)
+        (driver,) = workload.drivers
+        assert driver.payment_fraction == 0.4
+        assert driver.delivery_fraction == 0.2
 
     def test_invalid_delivery_mix_rejected(self, fresh_engine):
         from repro.errors import TransactionError
-        from repro.workloads.driver import MixedWorkload
 
         with pytest.raises(TransactionError, match="delivery_fraction"):
-            MixedWorkload(
-                fresh_engine, payment_fraction=0.5, delivery_fraction=0.8
-            )
+            one_shard(fresh_engine, payment_fraction=0.5, delivery_fraction=0.8)
 
     def test_query_histogram_handle_is_retained(self):
-        from repro.workloads.driver import WorkloadReport
+        from repro.cluster import ClusterReport
 
-        report = WorkloadReport()
+        report = ClusterReport()
         report.query_histogram("Q1").observe(5.0)
         # The handle returned before any observe_query call must be the
         # registered histogram, not a fresh throwaway.
-        assert report.mean_query_latency("Q1") == 5.0
-        assert report.query_latencies["Q1"] == [5.0]
+        assert report.query_histograms["Q1"].mean == 5.0
+        assert report.query_histograms["Q1"].samples == [5.0]
 
     def test_tpmc_counts_committed_only(self):
+        from repro.cluster import ClusterReport, ShardReport
         from repro.units import S
-        from repro.workloads.driver import WorkloadReport
 
-        report = WorkloadReport(transactions=12, aborted=2, oltp_time=60.0 * S)
+        report = ClusterReport(
+            transactions=12,
+            aborted=2,
+            per_shard=[ShardReport(shard=0, warehouses=[1], oltp_time=60.0 * S)],
+        )
         assert report.committed == 10
         assert report.oltp_tpmc == pytest.approx(10.0)
 
