@@ -33,8 +33,9 @@ whatever blocks and rotations the rows sit in, returning column arrays.
 plain slices ``mem[device, a:a+n]`` — a one-row gather costs several
 times a slice, so the scalar reader is not the batch reader of one — and
 :meth:`TableStorage.read_column_values` is ``read_rows`` over a prefix.
-Only single-column *writes* (:meth:`TableStorage.write_columns`) and
-bitmap reads still go through ``device_write`` / ``device_read``.
+One-row writes are slices through the same plans: a run of a changed
+column per :meth:`TableStorage.write_columns` store, a part per
+:meth:`TableStorage.copy_row` / :meth:`TableStorage.write_row` store.
 """
 
 from __future__ import annotations
@@ -185,10 +186,15 @@ class TableStorage:
         self.delta_bitmap_addr = allocator.alloc_block(
             max(1, ceil_div(delta_capacity_rows, 8)), align=self._bitmap_align()
         )
-        # Per-column read plans, shared by read_row, read_rows and
-        # read_column_values: a column's runs are immutable once the
-        # layout validates, so their geometry is resolved on the first
-        # touch of the name and reused on every row.
+        # Per part: row width and per-region block bases (whole-row stores).
+        self._parts = tuple(
+            (part.row_width, (self._data_blocks[part.index], self._delta_blocks[part.index]))
+            for part in layout.parts
+        )
+        # Per-column plans, shared by read_row, read_rows,
+        # read_column_values and write_columns: a column's runs are
+        # immutable once the layout validates, so their geometry is
+        # resolved on the first touch of the name and reused on every row.
         self._read_plans: Dict[str, Tuple[Column, Tuple[_ReadRun, ...]]] = {}
         # Schema columns in declaration order, for write_columns' encode
         # pass (iterating the schema object per update re-resolves it).
@@ -241,8 +247,19 @@ class TableStorage:
     # Row I/O (functional)
     # ------------------------------------------------------------------
     def write_row(self, ref: RowRef, values: Dict[str, Value]) -> None:
-        """Pack and store a full row at ``ref``."""
-        self.write_rows(ref.region, ref.index, [values])
+        """Pack and store a full row at ``ref``: :meth:`write_rows`' checks
+        and bytes, one ``mem[:, lo:lo+W] = flat[slot_plan]`` per part."""
+        self._check_range(ref.region, ref.index, 1)
+        flat = np.frombuffer(
+            b"".join([*self.layout.schema.encode_row(values).values(), b"\x00"]),
+            dtype=np.uint8,
+        )
+        block, within = divmod(ref.index, self.block_rows)
+        rotation = self.placement.rotation_of_block(block)
+        region = 0 if ref.region == Region.DATA else 1
+        for index, (width, bases) in enumerate(self._parts):
+            lo = bases[region][block] + within * width
+            self.rank.mem[:, lo : lo + width] = flat[self.layout.slot_plan(index, rotation)]
 
     def write_rows(
         self, region: str, start: int, rows: Sequence[Dict[str, Value]]
@@ -283,16 +300,16 @@ class TableStorage:
         """
         mem = self.rank.mem
         num_devices = self.rank.num_devices
+        region_index = 0 if region == Region.DATA else 1
         done = 0
         while done < len(flat):
             block, within = divmod(start + done, self.block_rows)
             count = min(self.block_rows - within, len(flat) - done)
             rotation = self.placement.rotation_of_block(block)
             chunk = flat[done : done + count]
-            for part in self.layout.parts:
-                width = part.row_width
-                lo = self._region_blocks(region, part.index)[block] + within * width
-                packed = chunk[:, self.layout.slot_plan(part.index, rotation)]
+            for index, (width, bases) in enumerate(self._parts):
+                lo = bases[region_index][block] + within * width
+                packed = chunk[:, self.layout.slot_plan(index, rotation)]
                 mem[:, lo : lo + count * width] = packed.transpose(1, 0, 2).reshape(
                     num_devices, count * width
                 )
@@ -410,46 +427,59 @@ class TableStorage:
         runs move. Values are encoded in schema declaration order, the
         same order :meth:`~repro.format.layout.UnifiedLayout.pack_row`
         validates them, so encode errors surface identically to a full
-        :meth:`write_row`.
+        :meth:`write_row`; then one range check, and one slice per run.
         """
-        encoded = {
-            col.name: col.encode(values[col.name])
+        encoded = [
+            (col.name, col.encode(values[col.name]))
             for col in self._schema_columns
             if col.name in values
-        }
+        ]
+        region = self._region_of(ref)
+        block, within = divmod(ref.index, self.block_rows)
+        rotation = self.placement.rotation_of_block(block)
         num_devices = self.rank.num_devices
-        rotation = self.rotation_of(ref.region, ref.index)
-        for name, raw in encoded.items():
-            for run in self.layout.column_runs(name):
-                p = run.placement
-                addr = self.row_addr(ref.region, run.part_index, ref.index)
-                device = (run.slot_index + rotation) % num_devices
-                self.rank.device_write(
-                    device,
-                    addr + p.slot_offset,
-                    np.frombuffer(raw, dtype=np.uint8)[
-                        p.col_offset : p.col_offset + p.length
-                    ],
-                )
+        mem = self.rank.mem
+        for name, raw in encoded:
+            # A bytes memoryview stores as uint8 and slices without a copy.
+            raw = memoryview(raw)
+            _, runs = self._read_plans.get(name) or self._read_plan(name)
+            for slot, slot_offset, col_offset, length, row_width, bases, _ in runs:
+                addr = bases[region][block] + within * row_width + slot_offset
+                mem[(slot + rotation) % num_devices, addr : addr + length] = raw[
+                    col_offset : col_offset + length
+                ]
 
     def copy_row(self, src: RowRef, dst: RowRef) -> None:
         """Copy a row's bytes between refs **of the same rotation**.
 
         This is the device-local move defragmentation relies on: because
         delta rows share their origin's rotation, each device copies its
-        own slot without inter-device traffic.
+        own slot without inter-device traffic. Checks rotation, then src
+        range, then dst range.
         """
-        if self.rotation_of(src.region, src.index) != self.rotation_of(
-            dst.region, dst.index
-        ):
+        src_block, src_within = divmod(src.index, self.block_rows)
+        dst_block, dst_within = divmod(dst.index, self.block_rows)
+        rotation_of_block = self.placement.rotation_of_block
+        if rotation_of_block(src_block) != rotation_of_block(dst_block):
             raise LayoutError(_ROTATION_MISMATCH)
+        src_region = self._region_of(src)
+        dst_region = self._region_of(dst)
         mem = self.rank.mem
-        for part in self.layout.parts:
-            src_addr = self.row_addr(src.region, part.index, src.index)
-            dst_addr = self.row_addr(dst.region, part.index, dst.index)
-            mem[:, dst_addr : dst_addr + part.row_width] = mem[
-                :, src_addr : src_addr + part.row_width
-            ]
+        for width, bases in self._parts:
+            lo = bases[src_region][src_block] + src_within * width
+            to = bases[dst_region][dst_block] + dst_within * width
+            mem[:, to : to + width] = mem[:, lo : lo + width]
+
+    def _region_of(self, ref: RowRef) -> int:
+        """``ref``'s region as a plan index (0 data, 1 delta), range-checked."""
+        region = 0 if ref.region == Region.DATA else 1
+        capacity = self.delta_capacity_rows if region else self.capacity_rows
+        if ref.index < 0 or ref.index >= capacity:
+            raise MemoryError_(
+                f"table {self.layout.schema.name!r}: {ref.region} row {ref.index} "
+                f"out of range [0, {capacity})"
+            )
+        return region
 
     def copy_rows(
         self,

@@ -44,13 +44,15 @@ class Column:
                 f"int column {self.name!r} width {self.width} exceeds 8 bytes; "
                 "use kind='bytes'"
             )
+        # The bound encode checks every int against, computed once.
+        object.__setattr__(self, "_max_int", (1 << (8 * self.width)) - 1)
 
     @property
     def max_int(self) -> int:
         """Largest integer representable in this column (int kind only)."""
         if self.kind != "int":
             raise SchemaError(f"column {self.name!r} is not an int column")
-        return (1 << (8 * self.width)) - 1
+        return self._max_int
 
     def encode(self, value: Value) -> bytes:
         """Encode one value to exactly ``width`` bytes."""
@@ -59,7 +61,7 @@ class Column:
                 raise SchemaError(
                     f"column {self.name!r} expects int, got {type(value).__name__}"
                 )
-            if value < 0 or value > self.max_int:
+            if value < 0 or value > self._max_int:
                 raise SchemaError(
                     f"value {value} out of range for column {self.name!r} "
                     f"(width {self.width})"

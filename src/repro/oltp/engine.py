@@ -130,14 +130,11 @@ class TxnContext:
         self.rows_read = 0
         self.rows_written = 0
         self._written_lines = 0
-        # Per-transaction hoists of the per-access lookups: the cost
-        # table, format model, line latency, and the roofline telemetry
-        # decision are all fixed for the transaction's lifetime, so
-        # resolving them once here keeps them out of the per-row loop.
-        # Wall-clock only — every charged value is unchanged.
-        self._cost = engine.cost
-        self._model = engine.format_model
-        self._line_ns = engine.line_ns
+        # Per-transaction hoists of the per-access lookups: the charge
+        # memo and the roofline telemetry decision are fixed for the
+        # transaction's lifetime, so resolving them once here keeps them
+        # out of the per-row loop.
+        self._charges = engine.access_charges
         tel = telemetry.active()
         self._roofline = bool(tel.enabled and tel.roofline)
         #: Logical redo records, one per completed write: the WAL logs
@@ -277,12 +274,11 @@ class TxnContext:
         write: bool,
         row_id: int = -1,
     ) -> None:
-        model = self._model
-        lines = model.lines_for_row(table, columns)
-        self.breakdown.memory += lines * self._line_ns
-        self.breakdown.relayout += (
-            model.relayout_bytes(table, columns) * self._cost.relayout_per_byte_ns
-        )
+        key = (table, None if columns is None else tuple(columns))
+        charge = self._charges.get(key) or self.engine.access_charge(key)
+        lines, memory_ns, relayout_ns = charge
+        self.breakdown.memory += memory_ns
+        self.breakdown.relayout += relayout_ns
         if write:
             self._written_lines += lines
         if self._roofline and row_id >= 0:
@@ -431,6 +427,34 @@ class OLTPEngine:
         #: append/fsync cost lands in the transaction's flush phase.
         self.durability = None
 
+    @property
+    def format_model(self) -> AccessFormatModel:
+        """The access-format cost model; assigning one drops the memo of
+        its charges (:attr:`access_charges`)."""
+        return self._format_model
+
+    @format_model.setter
+    def format_model(self, model: AccessFormatModel) -> None:
+        self._format_model = model
+        #: ``(table, columns tuple | None) → (lines, memory ns, relayout
+        #: ns)`` of one row access under :attr:`format_model`; each charge
+        #: depends on nothing else, so it is computed once per selection.
+        self.access_charges: Dict[Tuple[str, Optional[Tuple[str, ...]]], Tuple] = {}
+
+    def access_charge(self, key: Tuple[str, Optional[Tuple[str, ...]]]) -> Tuple:
+        """The memoized charge of one ``(table, columns)`` access."""
+        charge = self.access_charges.get(key)
+        if charge is None:
+            table, columns = key
+            model = self._format_model
+            lines = model.lines_for_row(table, columns)
+            charge = self.access_charges[key] = (
+                lines,
+                lines * self.line_ns,
+                model.relayout_bytes(table, columns) * self.cost.relayout_per_byte_ns,
+            )
+        return charge
+
     def track_rowbuffer(self, table: str, row_id: int, lines: int, write: bool) -> None:
         """Feed one row access into the table's row-buffer shadow model.
 
@@ -447,7 +471,7 @@ class OLTPEngine:
         if model is None:
             model = self.rowbuffers[table] = BankTimingModel(self.config.timings)
         geom = self.config.geometry
-        row_bytes = self.format_model.lines_for_row(table, None) * geom.cache_line_bytes
+        row_bytes = self.access_charge((table, None))[0] * geom.cache_line_bytes
         dram_row = (row_id * row_bytes) // geom.row_buffer_bytes
         model.access(dram_row, lines * geom.cache_line_bytes, write)
 

@@ -12,7 +12,7 @@ unified format differ. Each model answers two questions per access:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Mapping, Optional, Protocol, Sequence
 
 from repro.core.config import DeviceGeometry
 from repro.errors import SchemaError
@@ -27,13 +27,6 @@ __all__ = [
     "ColumnStoreModel",
     "UnifiedFormatModel",
 ]
-
-#: Memo key for a column selection: None (full row) or the exact tuple.
-_ColsKey = Optional[Tuple[str, ...]]
-
-
-def _cols_key(columns: Optional[Sequence[str]]) -> _ColsKey:
-    return None if columns is None else tuple(columns)
 
 
 class AccessFormatModel(Protocol):
@@ -50,64 +43,39 @@ class AccessFormatModel(Protocol):
         ...
 
 
-class RowStoreModel:
+class _BaselineModel:
+    """Access costs of a baseline single-instance format: its line count
+    per row access, and no re-layout."""
+
+    _format_type: type
+
+    def __init__(self, schemas: Mapping[str, TableSchema], geometry: DeviceGeometry) -> None:
+        self._formats = {n: self._format_type(s) for n, s in schemas.items()}
+        self._geometry = geometry
+
+    def lines_for_row(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
+        try:
+            fmt = self._formats[table]
+        except KeyError:
+            raise SchemaError(f"unknown table {table!r}") from None
+        return fmt.lines_per_row_access(self._geometry, columns)
+
+    def relayout_bytes(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
+        return 0
+
+
+class RowStoreModel(_BaselineModel):
     """Row-store access costs — the OLTP-ideal baseline."""
 
     name = "rowstore"
-
-    def __init__(self, schemas: Mapping[str, TableSchema], geometry: DeviceGeometry) -> None:
-        self._formats = {n: RowStoreFormat(s) for n, s in schemas.items()}
-        self._geometry = geometry
-        self._lines: Dict[Tuple[str, _ColsKey], int] = {}
-
-    def lines_for_row(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
-        # Line counts are pure in (table, columns); the OLTP hot path asks
-        # for the same handful of selections millions of times.
-        key = (table, _cols_key(columns))
-        lines = self._lines.get(key)
-        if lines is None:
-            lines = self._lines[key] = self._format(table).lines_per_row_access(
-                self._geometry, columns
-            )
-        return lines
-
-    def relayout_bytes(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
-        return 0
-
-    def _format(self, table: str) -> RowStoreFormat:
-        try:
-            return self._formats[table]
-        except KeyError:
-            raise SchemaError(f"unknown table {table!r}") from None
+    _format_type = RowStoreFormat
 
 
-class ColumnStoreModel:
+class ColumnStoreModel(_BaselineModel):
     """Column-store access costs — one line per touched column."""
 
     name = "columnstore"
-
-    def __init__(self, schemas: Mapping[str, TableSchema], geometry: DeviceGeometry) -> None:
-        self._formats = {n: ColumnStoreFormat(s) for n, s in schemas.items()}
-        self._geometry = geometry
-        self._lines: Dict[Tuple[str, _ColsKey], int] = {}
-
-    def lines_for_row(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
-        key = (table, _cols_key(columns))
-        lines = self._lines.get(key)
-        if lines is None:
-            lines = self._lines[key] = self._format(table).lines_per_row_access(
-                self._geometry, columns
-            )
-        return lines
-
-    def relayout_bytes(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
-        return 0
-
-    def _format(self, table: str) -> ColumnStoreFormat:
-        try:
-            return self._formats[table]
-        except KeyError:
-            raise SchemaError(f"unknown table {table!r}") from None
+    _format_type = ColumnStoreFormat
 
 
 class UnifiedFormatModel:
@@ -124,12 +92,6 @@ class UnifiedFormatModel:
     def __init__(self, layouts: Mapping[str, UnifiedLayout], geometry: DeviceGeometry) -> None:
         self._layouts = dict(layouts)
         self._geometry = geometry
-        # Both answers are pure in (table, columns) over an immutable
-        # layout, and OLTP asks for the same few selections per table on
-        # every access — memoized, they drop from a parts/runs walk to a
-        # dict hit.
-        self._lines: Dict[Tuple[str, _ColsKey], int] = {}
-        self._relayout: Dict[Tuple[str, _ColsKey], int] = {}
 
     def layout(self, table: str) -> UnifiedLayout:
         """The table's unified layout."""
@@ -149,27 +111,14 @@ class UnifiedFormatModel:
         return sorted(parts)
 
     def lines_for_row(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
-        key = (table, _cols_key(columns))
-        lines = self._lines.get(key)
-        if lines is None:
-            layout = self.layout(table)
-            g = self._geometry.interleave_granularity
-            lines = self._lines[key] = sum(
-                ceil_div(layout.parts[p].row_width, g)
-                for p in self._touched_parts(table, columns)
-            )
-        return lines
+        layout = self.layout(table)
+        g = self._geometry.interleave_granularity
+        return sum(
+            ceil_div(layout.parts[p].row_width, g) for p in self._touched_parts(table, columns)
+        )
 
     def relayout_bytes(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
-        key = (table, _cols_key(columns))
-        total = self._relayout.get(key)
-        if total is None:
-            layout = self.layout(table)
-            if columns is None:
-                total = layout.schema.row_bytes
-            else:
-                total = 0
-                for column in set(columns):
-                    total += layout.schema.column(column).width
-            self._relayout[key] = total
-        return total
+        schema = self.layout(table).schema
+        if columns is None:
+            return schema.row_bytes
+        return sum(schema.column(column).width for column in set(columns))

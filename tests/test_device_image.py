@@ -1,11 +1,12 @@
 """Device-image identity: ADE-wide storage I/O vs. a row-at-a-time oracle.
 
 The storage layer moves rows, blocks, defragmentation passes and bitmap
-copies as column slices of the rank's ``(devices × device_bytes)`` matrix.
+copies as column slices of the rank's ``(devices × device_bytes)`` matrix,
+and one-row writes as slices through the per-column and per-part plans.
 :class:`OracleStorage` does the same work the way the seed did — one
-``UnifiedLayout.pack_row`` per row, one ``Device.write`` per slot, one
-device at a time — and every test here requires the two rank images to be
-byte-identical.
+``UnifiedLayout.pack_row`` per row, one ``Device.write`` per slot or run,
+one device at a time — and every test here requires the two rank images
+to be byte-identical.
 """
 
 import hashlib
@@ -41,8 +42,53 @@ PINNED_IMAGE_SHA256 = "ff8334056ae4ac3958e6b4fa470ebf1a9a0353fab76874f757af125b8
 # ---------------------------------------------------------------------------
 # The oracle: the seed's per-slot loops, kept test-side
 # ---------------------------------------------------------------------------
+def oracle_write_columns(storage, ref, values):
+    """``write_columns`` before it ran the column plans: encode in schema
+    order, then ``row_addr`` and one ``Rank.device_write`` per run."""
+    encoded = {
+        col.name: col.encode(values[col.name])
+        for col in storage.layout.schema
+        if col.name in values
+    }
+    num_devices = storage.rank.num_devices
+    rotation = storage.rotation_of(ref.region, ref.index)
+    for name, raw in encoded.items():
+        for run in storage.layout.column_runs(name):
+            p = run.placement
+            addr = storage.row_addr(ref.region, run.part_index, ref.index)
+            device = (run.slot_index + rotation) % num_devices
+            storage.rank.device_write(
+                device,
+                addr + p.slot_offset,
+                np.frombuffer(raw, dtype=np.uint8)[p.col_offset : p.col_offset + p.length],
+            )
+
+
+def oracle_copy_row(storage, src, dst):
+    """``copy_row`` before the part plans: ``row_addr`` twice per part."""
+    if storage.rotation_of(src.region, src.index) != storage.rotation_of(
+        dst.region, dst.index
+    ):
+        raise LayoutError(
+            "copy_row requires matching rotations (delta rows are allocated "
+            "rotation-aligned for this reason)"
+        )
+    mem = storage.rank.mem
+    for part in storage.layout.parts:
+        src_addr = storage.row_addr(src.region, part.index, src.index)
+        dst_addr = storage.row_addr(dst.region, part.index, dst.index)
+        mem[:, dst_addr : dst_addr + part.row_width] = mem[
+            :, src_addr : src_addr + part.row_width
+        ]
+
+
 class OracleStorage(TableStorage):
     """:class:`TableStorage` with every store done one device at a time."""
+
+    def write_row(self, ref, values):
+        self.write_rows(ref.region, ref.index, [values])
+
+    write_columns = oracle_write_columns
 
     def write_rows(self, region, start, rows):
         for offset, values in enumerate(rows):
@@ -272,6 +318,129 @@ class TestFailBeforeWriting:
             storage.copy_rows(Region.DELTA, [0, 8], Region.DATA, [0, 0])
         with pytest.raises(MemoryError_, match=r"delta row 16 out of range \[0, 16\)"):
             storage.copy_rows(Region.DELTA, [0, 16], Region.DATA, [0, 1])
+
+    @staticmethod
+    def same_error(storage, write, oracle, error):
+        """``write`` and ``oracle`` raise the same ``error`` (production's
+        range errors name the table) and neither stores a byte."""
+        before = storage.rank.mem.copy()
+        with pytest.raises(error) as got:
+            write()
+        with pytest.raises(error) as want:
+            oracle()
+        assert np.array_equal(storage.rank.mem, before)
+        prefix = "table 'orders': " if error is MemoryError_ else ""
+        assert str(got.value) == prefix + str(want.value)
+        return str(got.value)
+
+    @pytest.mark.parametrize(
+        "ref, values, error, text",
+        [
+            (RowRef(Region.DATA, 5), {"a": 1, "z": b"x" * 10}, SchemaError, "column 'z'"),
+            (RowRef(Region.DATA, 32), {"z": b"x" * 10}, SchemaError, "column 'z'"),
+            (RowRef(Region.DATA, 32), {"a": 1 << 40, "z": b""}, SchemaError, "column 'a'"),
+            (RowRef(Region.DATA, 32), {"a": 1}, MemoryError_, r"data row 32 out of range [0, 32)"),
+            (RowRef(Region.DELTA, 16), {"z": b"q"}, MemoryError_, "delta row 16 out of range [0, 16)"),
+        ],
+        ids=["encode error after a good column", "encode before range", "first column first",
+             "data range", "delta range"],
+    )
+    def test_write_columns_errors(self, ref, values, error, text):
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        message = self.same_error(
+            storage,
+            lambda: storage.write_columns(ref, values),
+            lambda: oracle_write_columns(storage, ref, values),
+            error,
+        )
+        assert message.endswith(text) if error is MemoryError_ else text in message
+
+    @pytest.mark.parametrize(
+        "src, dst, error, text",
+        [
+            # Block 2 of the delta region has rotation 2, data row 0 rotation 0.
+            (RowRef(Region.DELTA, 16), RowRef(Region.DATA, 0), LayoutError, "matching rotations"),
+            # Both out of range at rotation 2 (blocks 2 and 10): src first.
+            (RowRef(Region.DELTA, 16), RowRef(Region.DATA, 80), MemoryError_,
+             "delta row 16 out of range [0, 16)"),
+            (RowRef(Region.DELTA, 0), RowRef(Region.DATA, 64), MemoryError_,
+             "data row 64 out of range [0, 32)"),
+        ],
+        ids=["rotation before range", "src before dst", "dst"],
+    )
+    def test_copy_row_errors(self, src, dst, error, text):
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        message = self.same_error(
+            storage,
+            lambda: storage.copy_row(src, dst),
+            lambda: oracle_copy_row(storage, src, dst),
+            error,
+        )
+        assert text in message
+
+
+# ---------------------------------------------------------------------------
+# (a') one-row writes: write_row, write_columns and copy_row
+# ---------------------------------------------------------------------------
+class TestOneRowWritesImage:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_update_sequences_equal_the_per_slot_oracle(self, data):
+        """Full rows, column subsets and same-rotation copies, in both
+        regions, on rows either side of every block boundary — and so of
+        the bank boundaries ``make_rank`` puts between blocks."""
+        shape = data.draw(table_shapes(block_rows_choices=(8, 256)))
+        schema, _, block_rows, _ = shape
+        capacity = 4 * block_rows
+        fast = make_storage(TableStorage, shape, capacity, capacity)
+        slow = make_storage(OracleStorage, shape, capacity, capacity)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        edges = [0, capacity - 1] + [b * block_rows + d for b in (1, 2, 3) for d in (-1, 0)]
+        rows = st.one_of(st.sampled_from(edges), st.integers(0, capacity - 1))
+        regions = st.sampled_from([Region.DATA, Region.DELTA])
+        for _ in range(data.draw(st.integers(1, 25))):
+            ref = RowRef(data.draw(regions), data.draw(rows))
+            op = data.draw(st.sampled_from(["row", "columns", "columns", "copy"]))
+            if op == "row":
+                values = random_row(schema, rng)
+                for storage in (fast, slow):
+                    storage.write_row(ref, values)
+            elif op == "columns":
+                names = rng.sample(schema.column_names, rng.randint(1, len(schema)))
+                changes = {name: random_row(schema, rng)[name] for name in names}
+                for storage in (fast, slow):
+                    storage.write_columns(ref, changes)
+            else:
+                block = ref.index // block_rows
+                dst = RowRef(data.draw(regions), block * block_rows + rng.randrange(block_rows))
+                for storage in (fast, slow):
+                    storage.copy_row(ref, dst)
+            assert np.array_equal(fast.rank.mem, slow.rank.mem), op
+
+    def test_a_column_split_over_parts_at_bank_edges(self):
+        """The property above does reach its named case: a normal column
+        in seven runs over two parts, written on rows whose blocks sit in
+        different banks."""
+        schema = TableSchema.of(
+            "t", [Column("k", 4), Column("n", 20, "bytes"), Column("m", 17, "bytes")]
+        )
+        shape = (schema, ["k"], 8, True)
+        fast = make_storage(TableStorage, shape, 64, 64)
+        slow = make_storage(OracleStorage, shape, 64, 64)
+        runs = fast.layout.column_runs("m")
+        assert len(runs) == 7 and len({run.part_index for run in runs}) == 2
+        edges = [r for r in range(1, 64) if crosses_a_bank(fast, Region.DATA, r - 1, r)]
+        assert edges
+        rng = random.Random(2)
+        for row in edges:
+            for region in (Region.DATA, Region.DELTA):
+                for ref in (RowRef(region, row - 1), RowRef(region, row)):
+                    values = random_row(schema, rng)
+                    for storage in (fast, slow):
+                        storage.write_row(ref, values)
+                        storage.write_columns(ref, {"m": values["n"][:17], "k": 9})
+        assert np.array_equal(fast.rank.mem, slow.rank.mem)
+        assert fast.read_row(RowRef(Region.DELTA, edges[-1]), ["m", "k"])["k"] == 9
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import dimm_system
+from repro.core.engine import PushTapEngine
 from repro.errors import SchemaError, TransactionError
 from repro.oltp.engine import CostParams, TxnBreakdown
 from repro.oltp.formats import ColumnStoreModel, RowStoreModel, UnifiedFormatModel
 from repro.oltp.index import HashIndex
 from repro.oltp.tpcc import NewOrderParams, TPCCDriver, new_order, payment
 from repro.format.binpack import compact_aligned_layout
+from repro.pim.device import Device
+from repro.pim.memory import Rank
 from repro.workloads.chbench import ch_schema, row_counts
 
 GEOM = dimm_system().geometry
@@ -159,6 +162,53 @@ class TestFormatModels:
         model = RowStoreModel(self.schemas, GEOM)
         with pytest.raises(SchemaError):
             model.lines_for_row("nope")
+
+
+class TestAccessChargeMemo:
+    """Each access charge is one lookup in a memo tied to the format model."""
+
+    @staticmethod
+    def breakdowns(swap_after):
+        """The second 15 transactions' breakdowns on an engine switched to
+        the row-store model after ``swap_after`` transactions (None: never)."""
+        engine = PushTapEngine.build(scale=2e-5, defrag_period=200, block_rows=256)
+        driver = engine.make_driver(seed=3)
+        for done in range(30):
+            if done == swap_after:
+                engine.oltp.format_model = RowStoreModel(ch_schema(), GEOM)
+            result = engine.execute_transaction(driver.next_transaction())
+            if done >= 15:
+                yield result.breakdown
+
+    def test_a_swapped_model_charges_like_a_fresh_engine_under_it(self):
+        swapped = list(self.breakdowns(swap_after=15))
+        assert swapped == list(self.breakdowns(swap_after=0))
+        assert swapped != list(self.breakdowns(swap_after=None))
+
+    def test_each_charge_is_the_models_product(self, fresh_engine):
+        oltp = fresh_engine.oltp
+        fresh_engine.run_transactions(10)
+        assert oltp.access_charges
+        for (table, columns), charge in oltp.access_charges.items():
+            lines = oltp.format_model.lines_for_row(table, columns)
+            relayout = oltp.format_model.relayout_bytes(table, columns)
+            assert charge == (
+                lines, lines * oltp.line_ns, relayout * oltp.cost.relayout_per_byte_ns
+            )
+
+
+def test_transactions_make_no_per_run_device_writes(fresh_engine, monkeypatch):
+    """The transaction path stores through the storage plans as slices of
+    the rank matrix: a TPC-C stream never reaches ``Rank.device_write`` or
+    ``Device.write``."""
+    calls = []
+    monkeypatch.setattr(Rank, "device_write", lambda *args: calls.append(args))
+    monkeypatch.setattr(Device, "write", lambda *args: calls.append(args))
+    results = fresh_engine.run_transactions(
+        120, fresh_engine.make_driver(seed=5, delivery_fraction=0.1)
+    )
+    assert sum(r.rows_written for r in results) > 500
+    assert calls == []
 
 
 class TestTxnBreakdown:

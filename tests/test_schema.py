@@ -21,6 +21,21 @@ class TestColumn:
     def test_max_int(self):
         assert Column("x", 2).max_int == 65535
 
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_the_stored_bound_is_the_encode_bound(self, width):
+        col = Column("x", width)
+        assert col.max_int == (1 << (8 * width)) - 1
+        assert col.encode(col.max_int) == b"\xff" * width
+        with pytest.raises(SchemaError) as err:
+            col.encode(col.max_int + 1)
+        assert str(err.value) == (
+            f"value {col.max_int + 1} out of range for column 'x' (width {width})"
+        )
+
+    def test_max_int_of_a_bytes_column_raises(self):
+        with pytest.raises(SchemaError, match="^column 's' is not an int column$"):
+            Column("s", 4, kind="bytes").max_int
+
     @given(st.integers(min_value=1, max_value=8), st.data())
     def test_int_roundtrip_property(self, width, data):
         col = Column("x", width)
