@@ -36,6 +36,10 @@ times a slice, so the scalar reader is not the batch reader of one — and
 One-row writes are slices through the same plans: a run of a changed
 column per :meth:`TableStorage.write_columns` store, a part per
 :meth:`TableStorage.copy_row` / :meth:`TableStorage.write_row` store.
+
+The one-row calls take a version the way the MVCC journal names it,
+``(row_id, delta)``: ``delta ≥ 0`` is a delta-region row and −1 the
+row's data slot. The block calls take a region tag once per call.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from repro.errors import LayoutError, MemoryError_
 from repro.format.circulant import BlockCirculantPlacement
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import Column, Value
-from repro.mvcc.metadata import Region, RowRef
+from repro.mvcc.metadata import DATA_SLOT, Region
 from repro.pim.memory import Rank
 from repro.units import ceil_div
 
@@ -246,17 +250,17 @@ class TableStorage:
     # ------------------------------------------------------------------
     # Row I/O (functional)
     # ------------------------------------------------------------------
-    def write_row(self, ref: RowRef, values: Dict[str, Value]) -> None:
-        """Pack and store a full row at ``ref``: :meth:`write_rows`' checks
-        and bytes, one ``mem[:, lo:lo+W] = flat[slot_plan]`` per part."""
-        self._check_range(ref.region, ref.index, 1)
+    def write_row(self, row_id: int, delta: int, values: Dict[str, Value]) -> None:
+        """Pack and store a full row as version ``(row_id, delta)``:
+        :meth:`write_rows`' bytes, one ``mem[:, lo:lo+W] = flat[slot_plan]``
+        per part. The range is checked before the row is encoded."""
+        region, row = self._locate(row_id, delta)
         flat = np.frombuffer(
             b"".join([*self.layout.schema.encode_row(values).values(), b"\x00"]),
             dtype=np.uint8,
         )
-        block, within = divmod(ref.index, self.block_rows)
+        block, within = divmod(row, self.block_rows)
         rotation = self.placement.rotation_of_block(block)
-        region = 0 if ref.region == Region.DATA else 1
         for index, (width, bases) in enumerate(self._parts):
             lo = bases[region][block] + within * width
             self.rank.mem[:, lo : lo + width] = flat[self.layout.slot_plan(index, rotation)]
@@ -340,9 +344,10 @@ class TableStorage:
         return plan
 
     def read_row(
-        self, ref: RowRef, columns: Optional[Sequence[str]] = None
+        self, row_id: int, delta: int, columns: Optional[Sequence[str]] = None
     ) -> Dict[str, Value]:
-        """Read and decode the row at ``ref`` (all columns by default).
+        """Read and decode version ``(row_id, delta)`` (all columns by
+        default).
 
         Only the byte runs of ``columns`` are read — the OLTP fast path
         for partial reads. The scalar executor of the read plans: one
@@ -351,11 +356,7 @@ class TableStorage:
         """
         if columns is None:
             columns = self.layout.schema.column_names
-        row = ref.index
-        region = 0 if ref.region == Region.DATA else 1
-        capacity = self.delta_capacity_rows if region else self.capacity_rows
-        if row < 0 or row >= capacity:
-            raise MemoryError_(f"{ref.region} row {row} out of range [0, {capacity})")
+        region, row = self._locate(row_id, delta)
         block, within = divmod(row, self.block_rows)
         rotation = self.placement.rotation_of_block(block)
         num_devices = self.rank.num_devices
@@ -418,8 +419,9 @@ class TableStorage:
             out[name] = buf.view("<u8").ravel() if is_int else buf
         return out
 
-    def write_columns(self, ref: RowRef, values: Dict[str, Value]) -> None:
-        """Encode and store just ``values``'s columns of the row at ``ref``.
+    def write_columns(self, row_id: int, delta: int, values: Dict[str, Value]) -> None:
+        """Encode and store just ``values``'s columns of version
+        ``(row_id, delta)``.
 
         The update fast path: the row's other bytes (including zeroed
         padding) are already in place — typically via :meth:`copy_row`
@@ -434,8 +436,8 @@ class TableStorage:
             for col in self._schema_columns
             if col.name in values
         ]
-        region = self._region_of(ref)
-        block, within = divmod(ref.index, self.block_rows)
+        region, row = self._locate(row_id, delta)
+        block, within = divmod(row, self.block_rows)
         rotation = self.placement.rotation_of_block(block)
         num_devices = self.rank.num_devices
         mem = self.rank.mem
@@ -449,37 +451,46 @@ class TableStorage:
                     col_offset : col_offset + length
                 ]
 
-    def copy_row(self, src: RowRef, dst: RowRef) -> None:
-        """Copy a row's bytes between refs **of the same rotation**.
+    def copy_row(self, row_id: int, src_delta: int, dst_delta: int) -> None:
+        """Copy version ``(row_id, src_delta)``'s bytes to version
+        ``(row_id, dst_delta)`` — **of the same rotation**.
 
         This is the device-local move defragmentation relies on: because
         delta rows share their origin's rotation, each device copies its
         own slot without inter-device traffic. Checks rotation, then src
         range, then dst range.
         """
-        src_block, src_within = divmod(src.index, self.block_rows)
-        dst_block, dst_within = divmod(dst.index, self.block_rows)
+        src_region, src = self._locate(row_id, src_delta, check=False)
+        dst_region, dst = self._locate(row_id, dst_delta, check=False)
+        src_block, src_within = divmod(src, self.block_rows)
+        dst_block, dst_within = divmod(dst, self.block_rows)
         rotation_of_block = self.placement.rotation_of_block
         if rotation_of_block(src_block) != rotation_of_block(dst_block):
             raise LayoutError(_ROTATION_MISMATCH)
-        src_region = self._region_of(src)
-        dst_region = self._region_of(dst)
+        self._locate(row_id, src_delta)
+        self._locate(row_id, dst_delta)
         mem = self.rank.mem
         for width, bases in self._parts:
             lo = bases[src_region][src_block] + src_within * width
             to = bases[dst_region][dst_block] + dst_within * width
             mem[:, to : to + width] = mem[:, lo : lo + width]
 
-    def _region_of(self, ref: RowRef) -> int:
-        """``ref``'s region as a plan index (0 data, 1 delta), range-checked."""
-        region = 0 if ref.region == Region.DATA else 1
+    def _locate(self, row_id: int, delta: int, check: bool = True) -> Tuple[int, int]:
+        """Version ``(row_id, delta)`` as ``(region, row)``, range-checked
+        unless ``check`` is off.
+
+        The region is a plan index: 0 for the row's data slot (``delta ==
+        DATA_SLOT``), 1 for delta-region row ``delta``. Any other negative
+        ``delta`` is a delta row out of range.
+        """
+        region, row = (0, row_id) if delta == DATA_SLOT else (1, delta)
         capacity = self.delta_capacity_rows if region else self.capacity_rows
-        if ref.index < 0 or ref.index >= capacity:
+        if check and (row < 0 or row >= capacity):
             raise MemoryError_(
-                f"table {self.layout.schema.name!r}: {ref.region} row {ref.index} "
-                f"out of range [0, {capacity})"
+                f"table {self.layout.schema.name!r}: {(Region.DATA, Region.DELTA)[region]} "
+                f"row {row} out of range [0, {capacity})"
             )
-        return region
+        return region, row
 
     def copy_rows(
         self,
@@ -517,7 +528,10 @@ class TableStorage:
         capacity = self._region_capacity(region)
         bad = rows[(rows < 0) | (rows >= capacity)]
         if bad.size:
-            raise MemoryError_(f"{region} row {int(bad[0])} out of range [0, {capacity})")
+            raise MemoryError_(
+                f"table {self.layout.schema.name!r}: {region} row {int(bad[0])} "
+                f"out of range [0, {capacity})"
+            )
 
     # ------------------------------------------------------------------
     # Snapshot bitmaps (functional, per-device copies)

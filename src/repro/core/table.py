@@ -1,9 +1,9 @@
 """Per-table runtime bundle: layout + storage + MVCC + snapshots.
 
 A :class:`TableRuntime` is the unit both engines operate on. OLTP reads
-and writes rows through MVCC refs; OLAP scans regions under the current
-snapshot. The bundle also exposes the row-count bookkeeping operators
-need (:meth:`TableRuntime.region_rows`).
+and writes rows at the ``(row_id, delta)`` versions MVCC names; OLAP
+scans regions under the current snapshot. The bundle also exposes the
+row-count bookkeeping operators need (:meth:`TableRuntime.region_rows`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.errors import MemoryError_, TransactionError
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import TableSchema, Value
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import Region, RowRef
+from repro.mvcc.metadata import DATA_SLOT, Region
 from repro.olap.operators import RegionRows
 from repro.oltp.index import HashIndex
 
@@ -68,32 +68,33 @@ class TableRuntime:
         With ``columns``, only those columns are read and decoded (the
         storage layer's partial-read fast path).
         """
-        return self.storage.read_row(self.mvcc.read(row_id, ts), columns)
+        return self.storage.read_row(row_id, self.mvcc.read(row_id, ts)[0], columns)
 
-    def update_row(self, row_id: int, ts: int, changes: Dict[str, Value]) -> RowRef:
-        """Install a new version of ``row_id`` with ``changes`` applied.
+    def update_row(self, row_id: int, ts: int, changes: Dict[str, Value]) -> int:
+        """Install a new version of ``row_id`` with ``changes`` applied;
+        returns the row's number of versions before the install.
 
         Copies the newest version's raw bytes to the new delta row (same
         rotation by construction) and rewrites only the changed columns'
         byte runs — bit-identical device bytes to a decode-merge-reencode
         of the whole row (the tests' oracle), since padding is already
-        zeroed and unchanged columns round-trip exactly. Unknown columns
-        raise before the MVCC install, encode errors after it.
+        zeroed and unchanged columns round-trip exactly. A same-timestamp
+        overwrite (``src == dst``) copies nothing. Unknown columns raise
+        before the MVCC install, encode errors after it.
         """
-        src = self.mvcc.newest_ref(row_id)
         unknown = [c for c in changes if not self.schema.has_column(c)]
         if unknown:
             raise TransactionError(f"table {self.name!r} has no columns {unknown}")
-        ref = self.mvcc.update(row_id, ts)
-        if ref != src:
-            self.storage.copy_row(src, ref)
-        self.storage.write_columns(ref, changes)
-        return ref
+        src, dst, chain_len = self.mvcc.update(row_id, ts)
+        if dst != src:
+            self.storage.copy_row(row_id, src, dst)
+        self.storage.write_columns(row_id, dst, changes)
+        return chain_len
 
     def insert_row(self, ts: int, values: Dict[str, Value]) -> int:
-        """Append a new row; returns its row id."""
-        row_id, ref = self.mvcc.insert(ts)
-        self.storage.write_row(ref, values)
+        """Append a new row into its data slot; returns its row id."""
+        row_id = self.mvcc.insert(ts)
+        self.storage.write_row(row_id, DATA_SLOT, values)
         return row_id
 
     def load_rows(

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import InvariantViolation
 from repro.mvcc.manager import DELETE, INSERT, UPDATE
-from repro.mvcc.metadata import Region, RowRef
+from repro.mvcc.metadata import Region
 from repro.telemetry import registry as telemetry
 from repro.units import ceil_div
 
@@ -140,11 +140,11 @@ class InvariantChecker:
                 "and in range"
             )
 
-        # Each updated row's newest version is its last journal update.
-        updates = kind == UPDATE
+        # Each updated row's head is its last journal update.
+        updates = np.flatnonzero(kind == UPDATE)
         referenced = journal.delta[updates].tolist()
-        for row, delta in dict(zip(rows[updates].tolist(), referenced)).items():
-            if row >= mvcc.num_rows or mvcc.newest_ref(row) != RowRef(Region.DELTA, delta):
+        for row, pos in dict(zip(rows[updates].tolist(), updates.tolist())).items():
+            if row >= mvcc.num_rows or mvcc._head[row] != pos:
                 found.append(f"{name}: row {row} head is not its last journal update")
                 break
 

@@ -26,9 +26,9 @@ the columns that snapshotting (§5.2) and IVM consume as arrays,
 :meth:`MVCCManager.compact` (defragmentation) folds every head into
 ``base_ts`` and clears the journal.
 
-Byte movement is **not** done here — the manager deals in
-:class:`~repro.mvcc.metadata.RowRef` locations; the storage engine binds
-refs to device addresses.
+Byte movement is **not** done here. The manager names a version the way
+its journal does, as ``(row_id, delta)`` with −1 for the data slot; the
+storage engine binds that pair to device addresses.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import List, NamedTuple, Tuple
 import numpy as np
 
 from repro.errors import TransactionError
-from repro.mvcc.metadata import Region, RowRef
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 
 __all__ = ["UPDATE", "INSERT", "DELETE", "KINDS", "LogWindow", "MVCCManager"]
@@ -115,9 +114,13 @@ class MVCCManager:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read(self, row_id: int, ts: int) -> RowRef:
+    def read(self, row_id: int, ts: int) -> Tuple[int, int]:
         """Locate the version of ``row_id`` visible at ``ts`` and record
-        the read on it."""
+        the read on it.
+
+        Returns ``(delta, chain length)``: the version's delta row (−1:
+        the row's data slot) and the row's number of versions.
+        """
         self._check_row(row_id)
         if self._dead[row_id]:
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
@@ -128,12 +131,12 @@ class MVCCManager:
         if pos >= 0:
             if ts > self._read_ts[pos]:
                 self._read_ts[pos] = ts
-            return RowRef(Region.DELTA, int(self._delta[pos]))
+            return int(self._delta[pos]), int(self._chain_len[row_id])
         if pos < -1:
             raise TransactionError(f"row {row_id} not visible at ts {ts}")
         if ts > self._base_read_ts[row_id]:
             self._base_read_ts[row_id] = ts
-        return RowRef(Region.DATA, row_id)
+        return -1, int(self._chain_len[row_id])
 
     def _version_at(self, row_id: int, ts: int) -> int:
         """Journal position of the newest version of ``row_id`` written at
@@ -145,17 +148,9 @@ class MVCCManager:
             return -2
         return int(pos)
 
-    def read_many(self, row_ids, ts: int) -> List[RowRef]:
+    def read_many(self, row_ids, ts: int) -> List[Tuple[int, int]]:
         """:meth:`read` of a batch of rows, in order."""
         return [self.read(int(row_id), ts) for row_id in row_ids]
-
-    def newest_ref(self, row_id: int) -> RowRef:
-        """Location of the newest version (ignores visibility)."""
-        self._check_row(row_id)
-        head = self._head[row_id]
-        if head < 0:
-            return RowRef(Region.DATA, row_id)
-        return RowRef(Region.DELTA, int(self._delta[head]))
 
     def chain_length(self, row_id: int) -> int:
         """Number of versions of ``row_id`` (1 if never updated)."""
@@ -180,36 +175,42 @@ class MVCCManager:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def update(self, row_id: int, ts: int) -> RowRef:
-        """Create a new version of ``row_id``; returns its delta location.
+    def update(self, row_id: int, ts: int) -> Tuple[int, int, int]:
+        """Create a new version of ``row_id``.
 
+        Returns ``(src, dst, chain length)``: the newest version's delta
+        row before the install (−1: the data slot), the new version's
+        delta row, and the row's number of versions before the install.
         The delta row is allocated with the same rotation as the row's
         data block so defragmentation can copy it back device-locally.
         A repeated update at the *same* timestamp (the same transaction
         touching one row twice, e.g. a Delivery batch crediting one
         customer for two orders) overwrites that transaction's version in
-        place: no new allocation, no new journal entry. All validation
-        happens before the delta allocation, so a failed update never
-        leaks a delta row.
+        place: no new allocation, no new journal entry, and ``src ==
+        dst``. All validation happens before the delta allocation, so a
+        failed update never leaks a delta row.
         """
         self._check_row(row_id)
         if self._dead[row_id]:
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
         head = int(self._head[row_id])
+        chain_len = int(self._chain_len[row_id])
+        src = int(self._delta[head]) if head >= 0 else -1
         head_ts = self._write_ts[head] if head >= 0 else self._base_ts[row_id]
         if head_ts == ts:
-            return self.newest_ref(row_id)
+            return src, src, chain_len
         if head_ts > ts:
             raise TransactionError(
                 f"row {row_id}: update ts {ts} precedes head ts {head_ts}"
             )
         delta_index = self.delta.allocate(self.data.rotation_of(row_id))
         self._head[row_id] = self._append(ts, UPDATE, row_id, delta_index, head)
-        self._chain_len[row_id] += 1
-        return RowRef(Region.DELTA, delta_index)
+        self._chain_len[row_id] = chain_len + 1
+        return src, delta_index, chain_len
 
-    def insert(self, ts: int) -> Tuple[int, RowRef]:
-        """Append a new row at the data-region cursor."""
+    def insert(self, ts: int) -> int:
+        """Append a new row at the data-region cursor; returns its id
+        (its version is the row's data slot)."""
         if self.num_rows >= self.data.num_rows:
             raise TransactionError(
                 f"table full: capacity {self.data.num_rows} rows reached"
@@ -218,15 +219,16 @@ class MVCCManager:
         self.num_rows += 1
         self._base_ts[row_id] = ts
         self._append(ts, INSERT, row_id, -1, -1)
-        return row_id, RowRef(Region.DATA, row_id)
+        return row_id
 
-    def delete(self, row_id: int, ts: int) -> None:
-        """Tombstone a row as of ``ts``."""
+    def delete(self, row_id: int, ts: int) -> int:
+        """Tombstone a row as of ``ts``; returns its number of versions."""
         self._check_row(row_id)
         if self._tomb_ts[row_id] >= 0 or self._dead[row_id]:
             raise TransactionError(f"row {row_id} already deleted")
         self._tomb_ts[row_id] = ts
         self._append(ts, DELETE, row_id, -1, self._head[row_id])
+        return int(self._chain_len[row_id])
 
     def _append(self, ts: int, kind: int, row_id: int, delta: int, prev: int) -> int:
         pos = self._size

@@ -170,13 +170,12 @@ class TxnContext:
     ) -> Dict[str, Value]:
         """Read the visible version of a row (optionally partial)."""
         runtime = self.engine.db.table(table)
-        self.breakdown.chain += (
-            runtime.mvcc.chain_length(row_id) * self.engine.cost.chain_entry_ns
-        )
+        delta, chain_len = runtime.mvcc.read(row_id, self.ts)
+        self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
         # Partial reads fetch only the requested columns' byte runs —
         # the simulated cost model already charges by touched lines via
         # _account_access; this keeps the *host* cost proportional too.
-        row = runtime.read_row(row_id, self.ts, columns)
+        row = runtime.storage.read_row(row_id, delta, columns)
         self._account_access(table, columns, write=False, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_read += 1
@@ -193,12 +192,9 @@ class TxnContext:
             raise TransactionAborted(
                 "injected fault: delta region exhausted mid-transaction"
             )
-        runtime = self.engine.db.table(table)
-        self.breakdown.chain += (
-            runtime.mvcc.chain_length(row_id) * self.engine.cost.chain_entry_ns
-        )
+        chain_len = self.engine.db.table(table).update_row(row_id, self.ts, changes)
+        self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
         self.breakdown.alloc += self.engine.cost.alloc_ns
-        runtime.update_row(row_id, self.ts, changes)
         self.ops.append(("update", table, row_id, dict(changes)))
         # Writing a version writes the whole row (new delta row).
         self._account_access(table, None, write=True, row_id=row_id)
@@ -225,11 +221,8 @@ class TxnContext:
 
     def delete(self, table: str, row_id: int, index_key: Optional[Tuple[str, Hashable]] = None) -> None:
         """Tombstone a row, optionally removing its index entry."""
-        runtime = self.engine.db.table(table)
-        self.breakdown.chain += (
-            runtime.mvcc.chain_length(row_id) * self.engine.cost.chain_entry_ns
-        )
-        runtime.mvcc.delete(row_id, self.ts)
+        chain_len = self.engine.db.table(table).mvcc.delete(row_id, self.ts)
+        self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1

@@ -17,7 +17,6 @@ from repro.errors import DefragError
 from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import Region, RowRef
 from repro.pim.memory import Rank
 
 BDW_CPU = 102.4
@@ -112,20 +111,20 @@ class TestFunctionalRun:
     def test_run_moves_newest_versions_home(self):
         storage, mvcc, snap, executor = make_executor()
         for i in range(100):
-            storage.write_row(RowRef(Region.DATA, i), self.row(i))
-        ref = mvcc.update(5, ts=1)
-        storage.write_row(ref, self.row(999 % 200))
+            storage.write_row(i, -1, self.row(i))
+        _, delta, _ = mvcc.update(5, ts=1)
+        storage.write_row(5, delta, self.row(999 % 200))
         result = executor.run(ts=1)
         assert result.moved_rows == 1
-        assert storage.read_row(RowRef(Region.DATA, 5)) == self.row(999 % 200)
+        assert storage.read_row(5, -1) == self.row(999 % 200)
         assert mvcc.chain_length(5) == 1
 
     def test_run_resets_snapshot(self):
         storage, mvcc, snap, executor = make_executor()
         for i in range(100):
-            storage.write_row(RowRef(Region.DATA, i), self.row(i))
-        ref = mvcc.update(5, ts=1)
-        storage.write_row(ref, self.row(42))
+            storage.write_row(i, -1, self.row(i))
+        _, delta, _ = mvcc.update(5, ts=1)
+        storage.write_row(5, delta, self.row(42))
         snap.update_to(1)
         executor.run(ts=1)
         assert snap.visible_data_rows()[:100].all()

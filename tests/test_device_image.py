@@ -26,10 +26,11 @@ from repro.errors import LayoutError, MemoryError_, SchemaError, TransactionErro
 from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import Region, RowRef
+from repro.mvcc.metadata import Region
 from repro.oltp.index import HashIndex
 from repro.pim.memory import Rank, interleaved_to_local, local_to_interleaved
 from repro.units import ceil_div, round_up
+from tests.test_vectorized_equivalence import version_of, version_slot
 
 DEVICES = 8
 
@@ -42,7 +43,7 @@ PINNED_IMAGE_SHA256 = "ff8334056ae4ac3958e6b4fa470ebf1a9a0353fab76874f757af125b8
 # ---------------------------------------------------------------------------
 # The oracle: the seed's per-slot loops, kept test-side
 # ---------------------------------------------------------------------------
-def oracle_write_columns(storage, ref, values):
+def oracle_write_columns(storage, row_id, delta, values):
     """``write_columns`` before it ran the column plans: encode in schema
     order, then ``row_addr`` and one ``Rank.device_write`` per run."""
     encoded = {
@@ -51,11 +52,12 @@ def oracle_write_columns(storage, ref, values):
         if col.name in values
     }
     num_devices = storage.rank.num_devices
-    rotation = storage.rotation_of(ref.region, ref.index)
+    region, row = version_slot(row_id, delta)
+    rotation = storage.rotation_of(region, row)
     for name, raw in encoded.items():
         for run in storage.layout.column_runs(name):
             p = run.placement
-            addr = storage.row_addr(ref.region, run.part_index, ref.index)
+            addr = storage.row_addr(region, run.part_index, row)
             device = (run.slot_index + rotation) % num_devices
             storage.rank.device_write(
                 device,
@@ -64,19 +66,19 @@ def oracle_write_columns(storage, ref, values):
             )
 
 
-def oracle_copy_row(storage, src, dst):
+def oracle_copy_row(storage, row_id, src_delta, dst_delta):
     """``copy_row`` before the part plans: ``row_addr`` twice per part."""
-    if storage.rotation_of(src.region, src.index) != storage.rotation_of(
-        dst.region, dst.index
-    ):
+    src_region, src = version_slot(row_id, src_delta)
+    dst_region, dst = version_slot(row_id, dst_delta)
+    if storage.rotation_of(src_region, src) != storage.rotation_of(dst_region, dst):
         raise LayoutError(
             "copy_row requires matching rotations (delta rows are allocated "
             "rotation-aligned for this reason)"
         )
     mem = storage.rank.mem
     for part in storage.layout.parts:
-        src_addr = storage.row_addr(src.region, part.index, src.index)
-        dst_addr = storage.row_addr(dst.region, part.index, dst.index)
+        src_addr = storage.row_addr(src_region, part.index, src)
+        dst_addr = storage.row_addr(dst_region, part.index, dst)
         mem[:, dst_addr : dst_addr + part.row_width] = mem[
             :, src_addr : src_addr + part.row_width
         ]
@@ -85,8 +87,8 @@ def oracle_copy_row(storage, src, dst):
 class OracleStorage(TableStorage):
     """:class:`TableStorage` with every store done one device at a time."""
 
-    def write_row(self, ref, values):
-        self.write_rows(ref.region, ref.index, [values])
+    def write_row(self, row_id, delta, values):
+        self.write_rows(*version_slot(row_id, delta), [values])
 
     write_columns = oracle_write_columns
 
@@ -103,19 +105,20 @@ class OracleStorage(TableStorage):
                         addr, packed[part.index][slot.slot_index]
                     )
 
-    def copy_row(self, src, dst):
-        assert self.rotation_of(src.region, src.index) == self.rotation_of(
-            dst.region, dst.index
-        )
+    def copy_row(self, row_id, src_delta, dst_delta):
+        self.copy_slot(*version_slot(row_id, src_delta), *version_slot(row_id, dst_delta))
+
+    def copy_slot(self, src_region, src, dst_region, dst):
+        assert self.rotation_of(src_region, src) == self.rotation_of(dst_region, dst)
         for part in self.layout.parts:
-            src_addr = self.row_addr(src.region, part.index, src.index)
-            dst_addr = self.row_addr(dst.region, part.index, dst.index)
+            src_addr = self.row_addr(src_region, part.index, src)
+            dst_addr = self.row_addr(dst_region, part.index, dst)
             for device in self.rank.devices:
                 device.write(dst_addr, device.read(src_addr, part.row_width))
 
     def copy_rows(self, src_region, src_rows, dst_region, dst_rows):
         for src, dst in zip(src_rows, dst_rows):
-            self.copy_row(RowRef(src_region, src), RowRef(dst_region, dst))
+            self.copy_slot(src_region, src, dst_region, dst)
 
     def write_bitmap(self, region, bitmap):
         for device in self.rank.devices:
@@ -246,9 +249,9 @@ class TestWriteRowsImage:
         slow.write_rows(region, start, rows)
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
         for offset in sorted({0, count // 2, count - 1} & set(range(count))):
-            ref = RowRef(region, start + offset)
-            assert fast.read_row(ref) == stored(schema, rows[offset])
-            assert fast.read_row(ref, schema.column_names) == stored(schema, rows[offset])
+            version = version_of(region, start + offset)
+            assert fast.read_row(*version) == stored(schema, rows[offset])
+            assert fast.read_row(*version, schema.column_names) == stored(schema, rows[offset])
 
     def test_a_write_can_span_blocks_in_different_banks(self):
         """The property above does reach the case it names."""
@@ -273,7 +276,7 @@ class TestWriteRowsImage:
         fast = make_storage(TableStorage, shape, 32, 32)
         slow = make_storage(OracleStorage, shape, 32, 32)
         for storage in (fast, slow):
-            storage.write_row(RowRef(Region.DELTA, 13), {"a": 7, "z": b"xyz"})
+            storage.write_row(0, 13, {"a": 7, "z": b"xyz"})
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
 
 
@@ -313,7 +316,7 @@ class TestFailBeforeWriting:
         with pytest.raises(MemoryError_, match=r"data row 32 out of range \[0, 32\)"):
             storage.row_addr(Region.DATA, 0, 32)
         with pytest.raises(LayoutError, match="copy_row requires matching rotations"):
-            storage.copy_row(RowRef(Region.DELTA, 8), RowRef(Region.DATA, 0))
+            storage.copy_row(0, 8, -1)
         with pytest.raises(LayoutError, match="copy_row requires matching rotations"):
             storage.copy_rows(Region.DELTA, [0, 8], Region.DATA, [0, 0])
         with pytest.raises(MemoryError_, match=r"delta row 16 out of range \[0, 16\)"):
@@ -334,49 +337,71 @@ class TestFailBeforeWriting:
         return str(got.value)
 
     @pytest.mark.parametrize(
-        "ref, values, error, text",
+        "version, values, error, text",
         [
-            (RowRef(Region.DATA, 5), {"a": 1, "z": b"x" * 10}, SchemaError, "column 'z'"),
-            (RowRef(Region.DATA, 32), {"z": b"x" * 10}, SchemaError, "column 'z'"),
-            (RowRef(Region.DATA, 32), {"a": 1 << 40, "z": b""}, SchemaError, "column 'a'"),
-            (RowRef(Region.DATA, 32), {"a": 1}, MemoryError_, r"data row 32 out of range [0, 32)"),
-            (RowRef(Region.DELTA, 16), {"z": b"q"}, MemoryError_, "delta row 16 out of range [0, 16)"),
+            ((5, -1), {"a": 1, "z": b"x" * 10}, SchemaError, "column 'z'"),
+            ((32, -1), {"z": b"x" * 10}, SchemaError, "column 'z'"),
+            ((32, -1), {"a": 1 << 40, "z": b""}, SchemaError, "column 'a'"),
+            ((32, -1), {"a": 1}, MemoryError_, r"data row 32 out of range [0, 32)"),
+            ((0, 16), {"z": b"q"}, MemoryError_, "delta row 16 out of range [0, 16)"),
         ],
         ids=["encode error after a good column", "encode before range", "first column first",
              "data range", "delta range"],
     )
-    def test_write_columns_errors(self, ref, values, error, text):
+    def test_write_columns_errors(self, version, values, error, text):
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         message = self.same_error(
             storage,
-            lambda: storage.write_columns(ref, values),
-            lambda: oracle_write_columns(storage, ref, values),
+            lambda: storage.write_columns(*version, values),
+            lambda: oracle_write_columns(storage, *version, values),
             error,
         )
         assert message.endswith(text) if error is MemoryError_ else text in message
 
     @pytest.mark.parametrize(
-        "src, dst, error, text",
+        "versions, error, text",
         [
-            # Block 2 of the delta region has rotation 2, data row 0 rotation 0.
-            (RowRef(Region.DELTA, 16), RowRef(Region.DATA, 0), LayoutError, "matching rotations"),
+            # Delta row 16 sits in block 2 (rotation 2), data row 0 in
+            # block 0 (rotation 0).
+            ((0, 16, -1), LayoutError, "matching rotations"),
             # Both out of range at rotation 2 (blocks 2 and 10): src first.
-            (RowRef(Region.DELTA, 16), RowRef(Region.DATA, 80), MemoryError_,
-             "delta row 16 out of range [0, 16)"),
-            (RowRef(Region.DELTA, 0), RowRef(Region.DATA, 64), MemoryError_,
-             "data row 64 out of range [0, 32)"),
+            ((80, 16, -1), MemoryError_, "delta row 16 out of range [0, 16)"),
+            ((64, 0, -1), MemoryError_, "data row 64 out of range [0, 32)"),
         ],
         ids=["rotation before range", "src before dst", "dst"],
     )
-    def test_copy_row_errors(self, src, dst, error, text):
+    def test_copy_row_errors(self, versions, error, text):
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         message = self.same_error(
             storage,
-            lambda: storage.copy_row(src, dst),
-            lambda: oracle_copy_row(storage, src, dst),
+            lambda: storage.copy_row(*versions),
+            lambda: oracle_copy_row(storage, *versions),
             error,
         )
         assert text in message
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda s: s.read_row(32, -1, ["a"]), "data row 32 out of range [0, 32)"),
+            (lambda s: s.read_rows(Region.DELTA, [3, 16], ["a"]),
+             "delta row 16 out of range [0, 16)"),
+            (lambda s: s.copy_rows(Region.DELTA, [0, 16], Region.DATA, [0, 1]),
+             "delta row 16 out of range [0, 16)"),
+            (lambda s: s.copy_rows(Region.DELTA, [0, 1], Region.DATA, [0, 32]),
+             "data row 32 out of range [0, 32)"),
+        ],
+        ids=["read_row", "read_rows", "copy_rows src", "copy_rows dst"],
+    )
+    def test_range_errors_name_the_table(self, call, text):
+        """The readers' and the block copy's range errors name the table
+        in front of the region's own message, and store nothing."""
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        before = storage.rank.mem.copy()
+        with pytest.raises(MemoryError_) as err:
+            call(storage)
+        assert str(err.value) == f"table 'orders': {text}"
+        assert np.array_equal(storage.rank.mem, before)
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +424,28 @@ class TestOneRowWritesImage:
         rows = st.one_of(st.sampled_from(edges), st.integers(0, capacity - 1))
         regions = st.sampled_from([Region.DATA, Region.DELTA])
         for _ in range(data.draw(st.integers(1, 25))):
-            ref = RowRef(data.draw(regions), data.draw(rows))
+            region, row = data.draw(regions), data.draw(rows)
             op = data.draw(st.sampled_from(["row", "columns", "columns", "copy"]))
             if op == "row":
                 values = random_row(schema, rng)
                 for storage in (fast, slow):
-                    storage.write_row(ref, values)
+                    storage.write_row(*version_of(region, row), values)
             elif op == "columns":
                 names = rng.sample(schema.column_names, rng.randint(1, len(schema)))
                 changes = {name: random_row(schema, rng)[name] for name in names}
                 for storage in (fast, slow):
-                    storage.write_columns(ref, changes)
+                    storage.write_columns(*version_of(region, row), changes)
             else:
-                block = ref.index // block_rows
-                dst = RowRef(data.draw(regions), block * block_rows + rng.randrange(block_rows))
+                # Two versions of one row: data slot → delta (an update),
+                # delta → delta (an update of an updated row), delta → data
+                # slot (a defragmentation move), or the data slot onto itself.
+                other = row // block_rows * block_rows + rng.randrange(block_rows)
+                to_data = data.draw(regions) == Region.DATA
+                row_id = row if region == Region.DATA else other
+                src = -1 if region == Region.DATA else row
+                dst = -1 if to_data else other
                 for storage in (fast, slow):
-                    storage.copy_row(ref, dst)
+                    storage.copy_row(row_id, src, dst)
             assert np.array_equal(fast.rank.mem, slow.rank.mem), op
 
     def test_a_column_split_over_parts_at_bank_edges(self):
@@ -434,13 +465,13 @@ class TestOneRowWritesImage:
         rng = random.Random(2)
         for row in edges:
             for region in (Region.DATA, Region.DELTA):
-                for ref in (RowRef(region, row - 1), RowRef(region, row)):
+                for version in (version_of(region, row - 1), version_of(region, row)):
                     values = random_row(schema, rng)
                     for storage in (fast, slow):
-                        storage.write_row(ref, values)
-                        storage.write_columns(ref, {"m": values["n"][:17], "k": 9})
+                        storage.write_row(*version, values)
+                        storage.write_columns(*version, {"m": values["n"][:17], "k": 9})
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
-        assert fast.read_row(RowRef(Region.DELTA, edges[-1]), ["m", "k"])["k"] == 9
+        assert fast.read_row(0, edges[-1], ["m", "k"])["k"] == 9
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +513,9 @@ class TestCopyAndDefragImage:
             )
             values = random_row(schema, rng)
             for storage in (fast, slow):
-                storage.write_row(RowRef(Region.DELTA, src), values)
-                storage.copy_row(RowRef(Region.DELTA, src), RowRef(Region.DATA, dst))
-            assert fast.read_row(RowRef(Region.DATA, dst)) == stored(schema, values)
+                storage.write_row(dst, src, values)
+                storage.copy_row(dst, src, -1)
+            assert fast.read_row(dst, -1) == stored(schema, values)
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
 
     @settings(max_examples=30, deadline=None)
@@ -520,7 +551,7 @@ class TestCopyAndDefragImage:
                 # of the whole row through the per-slot oracle.
                 fast.update_row(row_id, ts, changes)
                 model[row_id] = stored(schema, {**model[row_id], **changes})
-                slow.storage.write_row(slow.mvcc.update(row_id, ts), model[row_id])
+                slow.storage.write_row(row_id, slow.mvcc.update(row_id, ts)[1], model[row_id])
             elif op == "insert":
                 values = random_row(schema, rng)
                 ids = {table.insert_row(ts, values) for table in (fast, slow)}
@@ -541,7 +572,7 @@ class TestCopyAndDefragImage:
 
         # After the closing pass every live row is home in the data region.
         for row_id, values in model.items():
-            assert fast.storage.read_row(RowRef(Region.DATA, row_id)) == values
+            assert fast.storage.read_row(row_id, -1) == values
             assert fast.read_row(row_id, ts) == values
 
     def test_bitmap_stores_equal_oracle(self):

@@ -309,6 +309,18 @@ class TestInvariantChecker:
         checker = InvariantChecker(fresh_engine, raise_on_violation=False)
         assert checker.check()
 
+    def test_catches_a_head_that_is_not_its_last_update(self, fresh_engine):
+        """A row whose head points at an earlier update entry of its own
+        is reported; the same engine untouched reports nothing."""
+        mvcc = fresh_engine.table("district").mvcc
+        first = mvcc.log_length
+        mvcc.update(3, ts=1000)
+        mvcc.update(3, ts=1001)
+        checker = InvariantChecker(fresh_engine, raise_on_violation=False)
+        assert checker.check() == []
+        mvcc._head[3] = first  # the row's earlier update entry
+        assert checker.check() == ["district: row 3 head is not its last journal update"]
+
     def test_catches_leaked_delta_allocation(self, fresh_engine):
         mvcc = fresh_engine.table("warehouse").mvcc
         mvcc.delta.allocate(0)  # allocation no chain references

@@ -7,9 +7,9 @@ manager keeps versions in its journal); its tests stay here.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TransactionError
+from repro.errors import MemoryError_, TransactionError
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import METADATA_BYTES, Region, RowRef
+from repro.mvcc.metadata import METADATA_BYTES
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 from repro.mvcc.timestamps import TimestampOracle
 from tests.test_vectorized_equivalence import VersionChain, VersionEntry
@@ -30,10 +30,10 @@ class TestTimestampOracle:
 
 class TestVersionChain:
     def make_chain(self):
-        origin = VersionEntry(0, RowRef(Region.DATA, 5))
+        origin = VersionEntry(0, -1)
         chain = VersionChain(5, origin)
-        chain.install(VersionEntry(3, RowRef(Region.DELTA, 0)))
-        chain.install(VersionEntry(7, RowRef(Region.DELTA, 1)))
+        chain.install(VersionEntry(3, 0))
+        chain.install(VersionEntry(7, 1))
         return chain
 
     def test_metadata_size_constant(self):
@@ -41,10 +41,10 @@ class TestVersionChain:
 
     def test_visibility(self):
         chain = self.make_chain()
-        assert chain.visible_at(0).location == RowRef(Region.DATA, 5)
-        assert chain.visible_at(3).location == RowRef(Region.DELTA, 0)
-        assert chain.visible_at(6).location == RowRef(Region.DELTA, 0)
-        assert chain.visible_at(100).location == RowRef(Region.DELTA, 1)
+        assert chain.visible_at(0).location == -1
+        assert chain.visible_at(3).location == 0
+        assert chain.visible_at(6).location == 0
+        assert chain.visible_at(100).location == 1
 
     def test_length_and_versions(self):
         chain = self.make_chain()
@@ -54,7 +54,7 @@ class TestVersionChain:
     def test_install_requires_newer_ts(self):
         chain = self.make_chain()
         with pytest.raises(TransactionError):
-            chain.install(VersionEntry(7, RowRef(Region.DELTA, 9)))
+            chain.install(VersionEntry(7, 9))
 
     def test_read_ts_tracking(self):
         chain = self.make_chain()
@@ -73,10 +73,16 @@ class TestVersionChain:
         assert len(self.make_chain().stale_refs()) == 2
 
     def test_rowref_validation(self):
-        with pytest.raises(TransactionError):
-            RowRef("nowhere", 0)
-        with pytest.raises(TransactionError):
-            RowRef(Region.DATA, -1)
+        """A version is ``(row_id, delta)``; storage refuses one outside
+        its region — a negative data row, or a delta below the −1 that
+        names the data slot."""
+        from tests.test_storage import make_storage
+
+        storage = make_storage()
+        with pytest.raises(MemoryError_, match=r"'t': data row -1 out of range"):
+            storage.read_row(-1, -1)
+        with pytest.raises(MemoryError_, match=r"'t': delta row -2 out of range"):
+            storage.read_row(0, -2)
 
 
 class TestDataRegion:
@@ -155,30 +161,30 @@ class TestMVCCManager:
 
     def test_unversioned_read(self):
         mv = self.make()
-        assert mv.read(5, 10) == RowRef(Region.DATA, 5)
+        assert mv.read(5, 10) == (-1, 1)
         assert mv.chain_length(5) == 1
 
     def test_update_creates_delta_version(self):
         mv = self.make()
-        ref = mv.update(5, ts=3)
-        assert ref.region == Region.DELTA
-        assert mv.read(5, 3) == ref
-        assert mv.read(5, 2) == RowRef(Region.DATA, 5)
+        src, dst, before = mv.update(5, ts=3)
+        assert (src, before) == (-1, 1) and dst >= 0
+        assert mv.read(5, 3) == (dst, 2)
+        assert mv.read(5, 2) == (-1, 2)
         assert mv.chain_length(5) == 2
 
     def test_update_matches_rotation(self):
         """§5.1: new versions share their origin row's rotation."""
         mv = self.make()
         for row in (0, 33, 70):
-            ref = mv.update(row, ts=row + 1)
-            assert mv.delta.rotation_of(ref.index) == mv.data.rotation_of(row)
+            _, dst, _ = mv.update(row, ts=row + 1)
+            assert mv.delta.rotation_of(dst) == mv.data.rotation_of(row)
 
     def test_insert_appends(self):
         mv = self.make(rows=100)
-        row_id, ref = mv.insert(ts=5)
+        row_id = mv.insert(ts=5)
         assert row_id == 100
         assert mv.num_rows == 101
-        assert mv.read(row_id, 5) == ref
+        assert mv.read(row_id, 5) == (-1, 1)
         with pytest.raises(TransactionError):
             mv.read(row_id, 4)
 
@@ -189,7 +195,7 @@ class TestMVCCManager:
 
     def test_delete_tombstones(self):
         mv = self.make()
-        mv.delete(7, ts=4)
+        assert mv.delete(7, ts=4) == 1
         mv.read(7, 3)
         with pytest.raises(TransactionError, match="deleted"):
             mv.read(7, 4)
@@ -208,11 +214,11 @@ class TestMVCCManager:
     def test_compact_moves_newest_and_truncates(self):
         mv = self.make()
         mv.update(1, ts=2)
-        second = mv.update(1, ts=3)
+        _, second, _ = mv.update(1, ts=3)
         rows, deltas = mv.compact()
-        assert (rows.tolist(), deltas.tolist()) == ([1], [second.index])
+        assert (rows.tolist(), deltas.tolist()) == ([1], [second])
         assert mv.chain_length(1) == 1
-        assert mv.read(1, 10) == RowRef(Region.DATA, 1)
+        assert mv.read(1, 10) == (-1, 1)
         assert mv.delta.allocated_rows == 0
         assert mv.log_length == 0
 
@@ -248,9 +254,9 @@ class TestTombstoneCompaction:
         mv = self.make()
         mv.update(5, ts=2)  # newest version in the delta...
         mv.delete(5, ts=3)  # ...then the row dies
-        live = mv.update(6, ts=4)
+        _, live, _ = mv.update(6, ts=4)
         rows, deltas = mv.compact()
-        assert (rows.tolist(), deltas.tolist()) == ([6], [live.index])  # not the dead row
+        assert (rows.tolist(), deltas.tolist()) == ([6], [live])  # not the dead row
         assert mv.chain_length(5) == 1
         assert mv.delta.allocated_rows == 0
 
@@ -294,10 +300,13 @@ class TestUpdateAtomicity:
 
     def test_same_ts_update_overwrites_in_place(self):
         mv = self.make()
-        first = mv.update(5, ts=3)
+        src, first, before = mv.update(5, ts=3)
         log_before = mv.log_length
         again = mv.update(5, ts=3)
-        assert again == first  # one version per (row, transaction)
+        # One version per (row, transaction): overwritten in place, with
+        # the chain length it had before this transaction's install.
+        assert (src, before) == (-1, 1)
+        assert again == (first, first, 2)
         assert mv.chain_length(5) == 2
         assert mv.log_length == log_before
         assert mv.delta.allocated_rows == 1

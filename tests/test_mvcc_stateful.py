@@ -26,9 +26,8 @@ from repro.core.config import DeviceGeometry
 from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.manager import MVCCManager
-from repro.mvcc.metadata import Region, RowRef
 from repro.pim.memory import Rank
-from tests.test_vectorized_equivalence import OracleMVCC, assert_same_state
+from tests.test_vectorized_equivalence import OracleMVCC, assert_same_state, newest_delta
 
 SCHEMA = TableSchema.of("t", [Column("k", 4), Column("v", 4)])
 INITIAL_ROWS = 40
@@ -49,7 +48,7 @@ class MVCCMachine(RuleBasedStateMachine):
         self.mvcc = MVCCManager(INITIAL_ROWS, CAPACITY, BLOCK, 8, 26)
         self.oracle = OracleMVCC(INITIAL_ROWS, CAPACITY, BLOCK, 8, 26)
         for i in range(INITIAL_ROWS):
-            self.storage.write_row(RowRef(Region.DATA, i), {"k": i, "v": i * 10})
+            self.storage.write_row(i, -1, {"k": i, "v": i * 10})
         self.snap = SnapshotManager(self.storage, self.mvcc)
         self.defrag = DefragExecutor(
             self.storage, self.mvcc, self.snap, bdw_cpu=100.0, bdw_pim=1000.0
@@ -71,9 +70,9 @@ class MVCCMachine(RuleBasedStateMachine):
         row_id = data.draw(st.sampled_from(live))
         value = data.draw(st.integers(min_value=0, max_value=2**31))
         ts = self._next_ts()
-        ref = self.mvcc.update(row_id, ts)
-        assert self.oracle.update(row_id, ts) == ref
-        self.storage.write_row(ref, {"k": row_id, "v": value})
+        version = self.mvcc.update(row_id, ts)
+        assert self.oracle.update(row_id, ts) == version
+        self.storage.write_row(row_id, version[1], {"k": row_id, "v": value})
         self.model[row_id] = value
 
     @rule(value=st.integers(min_value=0, max_value=2**31))
@@ -81,9 +80,9 @@ class MVCCMachine(RuleBasedStateMachine):
         if self.mvcc.num_rows >= CAPACITY:
             return
         ts = self._next_ts()
-        row_id, ref = self.mvcc.insert(ts)
-        assert self.oracle.insert(ts) == (row_id, ref)
-        self.storage.write_row(ref, {"k": row_id, "v": value})
+        row_id = self.mvcc.insert(ts)
+        assert self.oracle.insert(ts) == row_id
+        self.storage.write_row(row_id, -1, {"k": row_id, "v": value})
         self.model[row_id] = value
 
     @rule(data=st.data())
@@ -93,8 +92,7 @@ class MVCCMachine(RuleBasedStateMachine):
             return
         row_id = data.draw(st.sampled_from(live))
         ts = self._next_ts()
-        self.mvcc.delete(row_id, ts)
-        self.oracle.delete(row_id, ts)
+        assert self.mvcc.delete(row_id, ts) == self.oracle.delete(row_id, ts)
         self.deleted.add(row_id)
 
     @rule()
@@ -115,8 +113,8 @@ class MVCCMachine(RuleBasedStateMachine):
         for row_id, value in list(self.model.items())[:10]:
             if row_id in self.deleted:
                 continue
-            ref = self.mvcc.read(row_id, self.ts)
-            row = self.storage.read_row(ref)
+            delta, _ = self.mvcc.read(row_id, self.ts)
+            row = self.storage.read_row(row_id, delta)
             assert row["v"] == value, (row_id, row, value)
 
     @invariant()
@@ -140,8 +138,8 @@ class MVCCMachine(RuleBasedStateMachine):
             assert int(row_id) not in self.deleted
         # Visible delta rows are exactly the newest versions of live,
         # updated rows.
-        newest = [self.mvcc.newest_ref(r) for r in self.model if r not in self.deleted]
-        heads = {ref.index for ref in newest if ref.region == Region.DELTA}
+        newest = [newest_delta(self.mvcc, r) for r in self.model if r not in self.deleted]
+        heads = {delta for delta in newest if delta >= 0}
         visible_delta = {int(i) for i in np.nonzero(delta_bits)[0]}
         assert visible_delta == heads
         for index in visible_delta:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.mvcc.manager import MVCCManager
-from tests.test_vectorized_equivalence import OracleMVCC, assert_same_state
+from tests.test_vectorized_equivalence import OracleMVCC, assert_same_state, newest_delta
 
 INITIAL_ROWS = 40
 CAPACITY = 96
@@ -46,8 +46,7 @@ def run_window(pair, rng, ts):
             assert mvcc.insert(ts) == oracle.insert(ts)
         elif roll < 0.45:
             row_id = live[int(rng.integers(len(live)))]
-            mvcc.delete(row_id, ts)
-            oracle.delete(row_id, ts)
+            assert mvcc.delete(row_id, ts) == oracle.delete(row_id, ts)
         else:
             row_id = live[int(rng.integers(len(live)))]
             assert mvcc.update(row_id, ts) == oracle.update(row_id, ts)
@@ -83,9 +82,7 @@ def test_random_histories_keep_packed_index_in_sync(seed):
             # Between transactions nothing is in flight: fold.
             rows, deltas = pair[0].compact()
             moves = pair[1].compact()
-            assert sorted((r, ref.index) for r, ref in moves) == list(
-                zip(rows.tolist(), deltas.tolist())
-            )
+            assert sorted(moves) == list(zip(rows.tolist(), deltas.tolist()))
             assert_same(pair, ts, f"after compact ts={ts}")
 
 
@@ -94,7 +91,7 @@ def test_same_row_insert_update_delete_unwound():
     pair = build_pair()
     mvcc, oracle = pair
     ts = 500
-    row_id, _ = mvcc.insert(ts)
+    row_id = mvcc.insert(ts)
     oracle.insert(ts)
     # Same-ts update of a fresh insert overwrites in place: no entry.
     for manager in pair:
@@ -113,7 +110,7 @@ def test_update_then_delete_existing_row_unwound():
     pair = build_pair()
     mvcc, oracle = pair
     row_id = 3
-    committed = mvcc.update(row_id, ts=600)  # committed earlier version
+    _, committed, _ = mvcc.update(row_id, ts=600)  # committed earlier version
     oracle.update(row_id, ts=600)
     for manager in pair:
         manager.update(row_id, ts=601)
@@ -121,6 +118,7 @@ def test_update_then_delete_existing_row_unwound():
     assert_same(pair, 601, "before abort")
     rollback(pair, 601, "after abort")
     # The earlier committed version survives; the aborted one is gone.
-    assert mvcc.newest_ref(row_id) == mvcc.read(row_id, 601) == committed
+    assert newest_delta(mvcc, row_id) == committed
+    assert mvcc.read(row_id, 601) == (committed, 2)
     assert mvcc.chain_length(row_id) == 2
     assert row_id not in mvcc.tombstoned_rows()

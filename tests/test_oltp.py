@@ -277,6 +277,36 @@ class TestTransactionsFunctional:
         assert result.total_time == b.total
         assert result.rows_written >= 4
 
+    def test_chain_charge_is_each_rows_length_before_the_access(self, fresh_engine):
+        """A read, two updates of one row at one timestamp and a delete
+        each charge the chain length the row had *before* the call — the
+        second update sees the first's install, the same-ts overwrite
+        adds no version — in the order the calls ran."""
+        engine = fresh_engine
+        customer = engine.table("customer").mvcc
+        neworder = engine.table("neworder").mvcc
+        assert neworder.num_rows > 0
+        engine.oltp.execute(lambda ctx: ctx.update("customer", 0, {"c_balance": 7}))
+        lengths = []
+
+        def txn(ctx):
+            lengths.append(customer.chain_length(0))
+            ctx.read("customer", 0, ["c_balance"])
+            lengths.append(customer.chain_length(0))
+            ctx.update("customer", 0, {"c_balance": 8})
+            lengths.append(customer.chain_length(0))
+            ctx.update("customer", 0, {"c_balance": 9})
+            lengths.append(neworder.chain_length(0))
+            ctx.delete("neworder", 0)
+
+        result = engine.oltp.execute(txn)
+        assert lengths == [2, 2, 3, 1]
+        assert customer.chain_length(0) == 3
+        expected = 0.0
+        for length in lengths:
+            expected += length * engine.oltp.cost.chain_entry_ns
+        assert result.breakdown.chain == expected
+
     def test_chain_time_negligible(self, worked_engine):
         """§7.4: version-chain traversal is a tiny share of transaction
         time (< 0.1 % at paper scale; chains are relatively longer at the

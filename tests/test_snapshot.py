@@ -44,42 +44,42 @@ class TestIncrementalUpdate:
     def test_update_moves_visibility_to_delta(self):
         """Fig. 6c: T1 updates row a -> bit(a)=0, bit(d)=1."""
         _, mvcc, snap = make()
-        ref = mvcc.update(10, ts=1)
+        _, delta, _ = mvcc.update(10, ts=1)
         cost = snap.update_to(1)
         assert cost.records == 1
         assert not snap.visible_data_rows()[10]
-        assert snap.visible_delta_rows()[ref.index]
+        assert snap.visible_delta_rows()[delta]
         assert snap.visible_count() == 100
 
     def test_chained_updates_keep_only_newest(self):
         _, mvcc, snap = make()
-        first = mvcc.update(10, ts=1)
-        second = mvcc.update(10, ts=2)
+        _, first, _ = mvcc.update(10, ts=1)
+        _, second, _ = mvcc.update(10, ts=2)
         snap.update_to(2)
         delta = snap.visible_delta_rows()
-        assert not delta[first.index]
-        assert delta[second.index]
+        assert not delta[first]
+        assert delta[second]
 
     def test_future_transactions_skipped(self):
         """Fig. 6c: T5 (issued after the query) is not replayed."""
         _, mvcc, snap = make()
         mvcc.update(10, ts=1)
-        late = mvcc.update(11, ts=5)
+        _, late, _ = mvcc.update(11, ts=5)
         snap.update_to(3)
         assert not snap.visible_data_rows()[10]
         assert snap.visible_data_rows()[11]
-        assert not snap.visible_delta_rows()[late.index]
+        assert not snap.visible_delta_rows()[late]
 
     def test_catching_up_later(self):
         _, mvcc, snap = make()
-        late = mvcc.update(11, ts=5)
+        _, late, _ = mvcc.update(11, ts=5)
         snap.update_to(3)
         snap.update_to(5)
-        assert snap.visible_delta_rows()[late.index]
+        assert snap.visible_delta_rows()[late]
 
     def test_insert_becomes_visible(self):
         _, mvcc, snap = make(rows=100)
-        row_id, _ = mvcc.insert(ts=2)
+        row_id = mvcc.insert(ts=2)
         snap.update_to(2)
         assert snap.visible_data_rows()[row_id]
 

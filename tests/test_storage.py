@@ -9,7 +9,7 @@ from repro.core.storage import RankAllocator, TableStorage
 from repro.errors import LayoutError, MemoryError_
 from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
-from repro.mvcc.metadata import Region, RowRef
+from repro.mvcc.metadata import Region
 from repro.pim.memory import Rank
 
 GEOM = DeviceGeometry()
@@ -82,42 +82,43 @@ class TestAddressing:
 class TestRowIO:
     def test_roundtrip(self):
         st_ = make_storage()
-        st_.write_row(RowRef(Region.DATA, 7), row(7))
-        assert st_.read_row(RowRef(Region.DATA, 7)) == row(7)
+        st_.write_row(7, -1, row(7))
+        assert st_.read_row(7, -1) == row(7)
 
     def test_delta_region_io(self):
         st_ = make_storage()
-        st_.write_row(RowRef(Region.DELTA, 3), row(3))
-        assert st_.read_row(RowRef(Region.DELTA, 3)) == row(3)
+        st_.write_row(0, 3, row(3))
+        assert st_.read_row(0, 3) == row(3)
+        assert st_.read_row(99, 3) == row(3)  # a delta row's row id is not consulted
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=511))
     def test_roundtrip_any_row(self, index):
         st_ = make_storage()
-        st_.write_row(RowRef(Region.DATA, index), row(index % 240))
-        assert st_.read_row(RowRef(Region.DATA, index)) == row(index % 240)
+        st_.write_row(index, -1, row(index % 240))
+        assert st_.read_row(index, -1) == row(index % 240)
 
     def test_rows_do_not_interfere(self):
         st_ = make_storage()
         for i in range(0, 130, 13):
-            st_.write_row(RowRef(Region.DATA, i), row(i))
+            st_.write_row(i, -1, row(i))
         for i in range(0, 130, 13):
-            assert st_.read_row(RowRef(Region.DATA, i)) == row(i)
+            assert st_.read_row(i, -1) == row(i)
 
 
 class TestCopyRow:
     def test_copy_same_rotation(self):
         st_ = make_storage()
         # data row 0 has rotation 0; delta rows 0..63 (block 0) rotation 0.
-        st_.write_row(RowRef(Region.DELTA, 5), row(42))
-        st_.copy_row(RowRef(Region.DELTA, 5), RowRef(Region.DATA, 0))
-        assert st_.read_row(RowRef(Region.DATA, 0)) == row(42)
+        st_.write_row(0, 5, row(42))
+        st_.copy_row(0, 5, -1)
+        assert st_.read_row(0, -1) == row(42)
 
     def test_copy_rejects_rotation_mismatch(self):
         st_ = make_storage()
         # delta block 1 (rows 64..127) has rotation 1 != data row 0's 0.
         with pytest.raises(LayoutError, match="rotation"):
-            st_.copy_row(RowRef(Region.DELTA, 64), RowRef(Region.DATA, 0))
+            st_.copy_row(0, 64, -1)
 
 
 class TestBitmaps:
@@ -175,7 +176,7 @@ class TestScanPlan:
 
     def test_plan_reads_actual_bytes(self):
         st_ = make_storage()
-        st_.write_row(RowRef(Region.DATA, 0), row(99))
+        st_.write_row(0, -1, row(99))
         scan = next(iter(st_.column_scan_plan("a", Region.DATA, 1)))
         bank_local = scan.dram_addr - scan.bank * st_.rank.devices[0].bank_size
         data = st_.rank.devices[scan.device].banks[scan.bank].read(bank_local, 4)
@@ -193,7 +194,7 @@ class TestADEAlignmentEndToEnd:
 
     def test_single_line_fetches_all_slots(self):
         st_ = make_storage()
-        st_.write_row(RowRef(Region.DATA, 3), row(42))
+        st_.write_row(3, -1, row(42))
         part = st_.layout.parts[0]
         local = st_.row_addr(Region.DATA, part.index, 3)
         g = st_.rank.granularity

@@ -147,7 +147,6 @@ class TestFailedWriteRollback:
 
     def test_failed_update_encode_rolls_back(self, fresh_engine):
         from repro.errors import SchemaError
-        from repro.mvcc.metadata import Region, RowRef
 
         mvcc = fresh_engine.table("warehouse").mvcc
         before = mvcc_state(mvcc)
@@ -159,10 +158,10 @@ class TestFailedWriteRollback:
         with pytest.raises(SchemaError):
             fresh_engine.oltp.execute(bad_payment)
         later = fresh_engine.db.oracle.next_timestamp()
-        assert mvcc.read(0, later) == RowRef(Region.DATA, 0)
+        assert mvcc.read(0, later) == (-1, 1)
         assert mvcc_state(mvcc) == before
         district = fresh_engine.table("district").mvcc
-        assert district.read(0, later) == RowRef(Region.DATA, 0)
+        assert district.read(0, later) == (-1, 1)
 
     def test_failed_insert_encode_rolls_back(self, fresh_engine):
         from repro.errors import SchemaError

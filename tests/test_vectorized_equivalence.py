@@ -8,7 +8,7 @@ per-row, per-run column read, a per-row view fold over a dict Z-set, the
 per-row TPC-C generators, the single-engine batch driver
 (:class:`OracleMixedWorkload`). Seeded randomized histories drive
 the production code and the oracle side by side and require *identical*
-results — masks, refs, pairs, bytes, modelled times, error messages.
+results — masks, versions, pairs, bytes, modelled times, error messages.
 
 What no oracle reaches (one Order-Status breakdown, the serve loop's
 batch completion) is pinned to values computed on the last commit that
@@ -43,7 +43,7 @@ from repro.ivm.manager import _APPLY_NS_PER_DELTA, IVMManager, ViewStats
 from repro.ivm.views import Q1View, Q6View, Q9View
 from repro.ivm.zset import ZSet
 from repro.mvcc.manager import KINDS, MVCCManager
-from repro.mvcc.metadata import Region, RowRef
+from repro.mvcc.metadata import Region
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 from repro.olap import queries
 from repro.pim.pim_unit import bytes_to_uints, uints_to_bytes
@@ -262,12 +262,19 @@ class TestPIMUnitEquivalence:
 CAPACITY = 96
 
 
+def version_slot(row_id, delta):
+    """Version ``(row_id, delta)`` as the ``(region, row)`` the block and
+    per-run storage paths address: −1 is the row's data slot."""
+    return (Region.DATA, row_id) if delta == -1 else (Region.DELTA, delta)
+
+
 @dataclass
 class VersionEntry:
-    """One version of a row."""
+    """One version of a row; ``location`` is its delta row, −1 for the
+    row's data slot (the journal's encoding)."""
 
     write_ts: int
-    location: RowRef
+    location: int
     prev: Optional["VersionEntry"] = None
     read_ts: int = 0
 
@@ -322,11 +329,11 @@ class VersionChain:
             entry = entry.prev
         return out
 
-    def stale_refs(self) -> List[RowRef]:
+    def stale_refs(self) -> List[int]:
         """Locations of all superseded versions (everything but head)."""
         return [e.location for e in self.versions()[1:]]
 
-    def truncate_to_head(self) -> List[RowRef]:
+    def truncate_to_head(self) -> List[int]:
         """Drop all superseded versions; returns their locations."""
         stale = self.stale_refs()
         self.head.prev = None
@@ -340,14 +347,15 @@ class UpdateRecord:
     ``kind`` is ``"update"``, ``"insert"`` or ``"delete"``. For updates,
     ``new_ref`` is the freshly allocated delta row and ``prev_ref`` the
     version it supersedes; for inserts ``new_ref`` is the appended data
-    row; for deletes ``new_ref`` is None.
+    row; for deletes ``new_ref`` is None. Both are :class:`VersionEntry`
+    locations (−1: the row's data slot).
     """
 
     write_ts: int
     kind: str
     row_id: int
-    new_ref: Optional[RowRef]
-    prev_ref: Optional[RowRef]
+    new_ref: Optional[int]
+    prev_ref: Optional[int]
 
 
 class OracleMVCC:
@@ -405,8 +413,9 @@ class OracleMVCC:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read(self, row_id: int, ts: int) -> RowRef:
-        """Locate the version of ``row_id`` visible at ``ts``."""
+    def read(self, row_id: int, ts: int) -> Tuple[int, int]:
+        """Locate the version of ``row_id`` visible at ``ts``; returns
+        ``(location, chain length)``."""
         self._check_row(row_id)
         if row_id in self._dead_rows:
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
@@ -415,25 +424,25 @@ class OracleMVCC:
             raise TransactionError(f"row {row_id} deleted at ts {tomb}")
         chain = self._chains.get(row_id)
         if chain is None:
-            return RowRef(Region.DATA, row_id)
+            return -1, 1
         if self._head_ts[row_id] <= ts:
             # Common case: the newest version is visible — resolved by
             # the packed index without walking the chain.
             head = chain.head
             head.observe_read(ts)
-            return head.location
+            return head.location, self.chain_length(row_id)
         entry = chain.visible_at(ts)
         if entry is None:
             raise TransactionError(f"row {row_id} not visible at ts {ts}")
         entry.observe_read(ts)
-        return entry.location
+        return entry.location, self.chain_length(row_id)
 
     def fast_row_mask(self, row_ids) -> np.ndarray:
         """Classify a batch: which rows resolve without any per-row work.
 
         A ``True`` entry marks an in-range, never-versioned, live row —
         its visible version at *any* timestamp is its data-region origin
-        (``RowRef(DATA, row_id)``), with no tombstone check, no chain
+        (location −1, chain length 1), with no tombstone check, no chain
         walk, and no read observation. One vectorized pass over the
         packed index answers this for the whole batch; callers send the
         ``False`` rows through :meth:`read` for the full treatment.
@@ -452,7 +461,7 @@ class OracleMVCC:
         fast[np.nonzero(fast)[0][~ok]] = False
         return fast
 
-    def read_many(self, row_ids, ts: int) -> List[RowRef]:
+    def read_many(self, row_ids, ts: int) -> List[Tuple[int, int]]:
         """Locate the versions of a batch of rows visible at ``ts``.
 
         Identical outcomes and side effects to calling :meth:`read` once
@@ -463,16 +472,16 @@ class OracleMVCC:
         """
         fast = self.fast_row_mask(row_ids)
         return [
-            RowRef(Region.DATA, int(row_id)) if fast[i] else self.read(int(row_id), ts)
+            (-1, 1) if fast[i] else self.read(int(row_id), ts)
             for i, row_id in enumerate(row_ids)
         ]
 
-    def newest_ref(self, row_id: int) -> RowRef:
+    def newest_delta(self, row_id: int) -> int:
         """Location of the newest version (ignores visibility)."""
         self._check_row(row_id)
         chain = self._chains.get(row_id)
         if chain is None:
-            return RowRef(Region.DATA, row_id)
+            return -1
         return chain.head.location
 
     def chain_length(self, row_id: int) -> int:
@@ -486,8 +495,9 @@ class OracleMVCC:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def update(self, row_id: int, ts: int) -> RowRef:
-        """Create a new version of ``row_id``; returns its delta location.
+    def update(self, row_id: int, ts: int) -> Tuple[int, int, int]:
+        """Create a new version of ``row_id``; returns ``(superseded
+        location, new location, chain length before)``.
 
         The delta row is allocated with the same rotation as the row's
         data block so defragmentation can copy it back device-locally.
@@ -502,9 +512,10 @@ class OracleMVCC:
         if row_id in self._dead_rows:
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
         chain = self._chains.get(row_id)
+        before = self.chain_length(row_id)
         if chain is not None:
             if chain.head.write_ts == ts:
-                return chain.head.location
+                return chain.head.location, chain.head.location, before
             if chain.head.write_ts > ts:
                 raise TransactionError(
                     f"row {row_id}: update ts {ts} precedes head ts "
@@ -512,9 +523,9 @@ class OracleMVCC:
                 )
         rotation = self.data.rotation_of(row_id)
         delta_index = self.delta.allocate(rotation)
-        new_ref = RowRef(Region.DELTA, delta_index)
+        new_ref = delta_index
         if chain is None:
-            origin = VersionEntry(write_ts=0, location=RowRef(Region.DATA, row_id))
+            origin = VersionEntry(write_ts=0, location=-1)
             chain = VersionChain(row_id, origin)
             self._chains[row_id] = chain
             self._chain_len[row_id] = 1
@@ -527,37 +538,37 @@ class OracleMVCC:
         if row_id not in self._delta_heads:
             self._delta_heads[row_id] = None
         self._append_log(UpdateRecord(ts, "update", row_id, new_ref, prev_ref))
-        return new_ref
+        return prev_ref, new_ref, before
 
-    def insert(self, ts: int) -> Tuple[int, RowRef]:
-        """Append a new row at the data-region cursor."""
+    def insert(self, ts: int) -> int:
+        """Append a new row at the data-region cursor; returns its id."""
         if self.num_rows >= self.data.num_rows:
             raise TransactionError(
                 f"table full: capacity {self.data.num_rows} rows reached"
             )
         row_id = self.num_rows
         self.num_rows += 1
-        ref = RowRef(Region.DATA, row_id)
-        self._chains[row_id] = VersionChain(row_id, VersionEntry(ts, ref))
+        self._chains[row_id] = VersionChain(row_id, VersionEntry(ts, -1))
         self._chain_len[row_id] = 1
         self._head_ts[row_id] = ts
         self._head_delta[row_id] = -1
-        self._append_log(UpdateRecord(ts, "insert", row_id, ref, None))
-        return row_id, ref
+        self._append_log(UpdateRecord(ts, "insert", row_id, -1, None))
+        return row_id
 
-    def delete(self, row_id: int, ts: int) -> None:
-        """Tombstone a row as of ``ts``."""
+    def delete(self, row_id: int, ts: int) -> int:
+        """Tombstone a row as of ``ts``; returns its chain length."""
         self._check_row(row_id)
         if row_id in self._tombstones or row_id in self._dead_rows:
             raise TransactionError(f"row {row_id} already deleted")
         self._tombstones[row_id] = ts
         self._tomb_ts[row_id] = ts
-        self._append_log(UpdateRecord(ts, "delete", row_id, None, self.newest_ref(row_id)))
+        self._append_log(UpdateRecord(ts, "delete", row_id, None, self.newest_delta(row_id)))
+        return self.chain_length(row_id)
 
     # ------------------------------------------------------------------
     # Rollback (transaction aborts)
     # ------------------------------------------------------------------
-    def undo_update(self, row_id: int) -> RowRef:
+    def undo_update(self, row_id: int) -> int:
         """Remove the newest version of ``row_id`` (abort path).
 
         The popped delta row is released and the matching log record
@@ -567,20 +578,18 @@ class OracleMVCC:
         if chain is None or chain.head.prev is None:
             raise TransactionError(f"row {row_id} has no version to undo")
         removed = chain.head.location
-        if removed.region != Region.DELTA:
+        if removed < 0:
             raise TransactionError(f"row {row_id}: newest version is not in the delta")
         # Validate the log tail before mutating anything (undo is atomic).
         self._pop_log("update", row_id)
         chain.head = chain.head.prev
-        self.delta.release(removed.index)
+        self.delta.release(removed)
         self._stale_versions -= 1
         self._chain_len[row_id] -= 1
         head = chain.head
         self._head_ts[row_id] = head.write_ts
-        if head.location.region == Region.DELTA:
-            self._head_delta[row_id] = head.location.index
-        else:
-            self._head_delta[row_id] = -1
+        self._head_delta[row_id] = head.location
+        if head.location < 0:
             self._delta_heads.pop(row_id, None)
         return removed
 
@@ -735,17 +744,17 @@ class OracleMVCC:
             entry = self._chains[int(row)].visible_at(int(ts))
             if entry is None:
                 continue
-            if entry.location.region == Region.DATA:
-                data_bits[entry.location.index] = True
+            if entry.location < 0:
+                data_bits[row] = True
             else:
-                delta_bits[entry.location.index] = True
+                delta_bits[entry.location] = True
         return data_bits, delta_bits
 
-    def compact(self) -> List[Tuple[int, RowRef]]:
+    def compact(self) -> List[Tuple[int, int]]:
         """Defragmentation bookkeeping: fold newest versions into the data
         region.
 
-        Returns ``(row_id, delta_ref)`` pairs that the storage layer must
+        Returns ``(row_id, delta row)`` pairs that the storage layer must
         copy back (delta → origin data row). Tombstoned rows are *not*
         moved — copying a dead row's newest delta version back would be a
         wasted Eq. 1/2 transfer since no future read can observe it.
@@ -756,15 +765,15 @@ class OracleMVCC:
         log cleared up to now.
         """
         dead = self._dead_rows | set(self._tombstones)
-        moves: List[Tuple[int, RowRef]] = []
+        moves: List[Tuple[int, int]] = []
         for chain in list(self._chains.values()):
             if chain.row_id in dead:
                 del self._chains[chain.row_id]
                 continue
             head_loc = chain.head.location
-            if head_loc.region == Region.DELTA:
+            if head_loc >= 0:
                 moves.append((chain.row_id, head_loc))
-                chain.head.location = RowRef(Region.DATA, chain.row_id)
+                chain.head.location = -1
             chain.truncate_to_head()
         self._dead_rows.update(self._tombstones)
         self._tombstones.clear()
@@ -803,9 +812,7 @@ def compact_both(mvcc, oracle):
     """Compact both; the same rows move from the same delta rows."""
     rows, deltas = mvcc.compact()
     moves = oracle.compact()
-    assert list(zip(rows.tolist(), deltas.tolist())) == sorted(
-        (row, ref.index) for row, ref in moves
-    )
+    assert list(zip(rows.tolist(), deltas.tolist())) == sorted(moves)
 
 
 def window_records(window):
@@ -813,22 +820,28 @@ def window_records(window):
     records = []
     for ts, kind, row, delta, old in zip(*(column.tolist() for column in window)):
         name = KINDS[kind]
-        new_ref = RowRef(Region.DATA, row) if delta < 0 else RowRef(Region.DELTA, delta)
-        old_ref = RowRef(Region.DATA, row) if old < 0 else RowRef(Region.DELTA, old)
         records.append(
             UpdateRecord(
                 ts,
                 name,
                 row,
-                None if name == "delete" else new_ref,
-                None if name == "insert" else old_ref,
+                None if name == "delete" else delta,
+                None if name == "insert" else old,
             )
         )
     return records
 
 
+def newest_delta(mvcc, row):
+    """The production manager's newest version of ``row`` (ignores
+    visibility): its head's delta row, −1 for the data slot."""
+    head = mvcc._head[row]
+    return int(mvcc._delta[head]) if head >= 0 else -1
+
+
 def assert_same_state(mvcc, oracle, probes=()):
-    """Every public output of the two managers agrees."""
+    """Every public output of the two managers agrees, and so do their
+    newest versions."""
     assert mvcc.num_rows == oracle.num_rows
     assert mvcc.log_length == oracle.log_length
     assert window_records(mvcc.journal) == oracle._log
@@ -838,7 +851,7 @@ def assert_same_state(mvcc, oracle, probes=()):
     assert mvcc.delta.allocated_rows == oracle.delta.allocated_rows
     for row in range(mvcc.num_rows):
         assert mvcc.chain_length(row) == oracle.chain_length(row)
-        assert mvcc.newest_ref(row) == oracle.newest_ref(row)
+        assert newest_delta(mvcc, row) == oracle.newest_delta(row)
         for ts in probes:
             assert capture(lambda: mvcc.read(row, ts)) == capture(lambda: oracle.read(row, ts))
     for ts in probes:
@@ -903,10 +916,9 @@ class TestMVCCEquivalence:
             for ts in probes:
                 expected = capture(lambda: oracle.read(row, ts))
                 assert capture(lambda: mvcc.read(row, ts)) == expected, (row, ts)
-            for method in ("chain_length", "newest_ref"):
-                assert capture(lambda: getattr(mvcc, method)(row)) == capture(
-                    lambda: getattr(oracle, method)(row)
-                )
+            assert capture(lambda: mvcc.chain_length(row)) == capture(
+                lambda: oracle.chain_length(row)
+            )
 
     def test_read_observes_the_version_it_returns(self, seed):
         mvcc, oracle, last_ts = run_history(seed)
@@ -914,15 +926,15 @@ class TestMVCCEquivalence:
             for ts in (last_ts + 7, last_ts // 2, 1):
                 if capture(lambda: oracle.read(row, ts))[0] == "err":
                     continue
-                ref = mvcc.read(row, ts)
+                delta, _ = mvcc.read(row, ts)
                 pos = mvcc._version_at(row, ts)
                 if pos >= 0:
                     # A delta version's read ts is the oracle entry's.
                     entry = oracle._chains[row].visible_at(ts)
-                    assert ref == entry.location
+                    assert delta == entry.location
                     assert mvcc._read_ts[pos] == entry.read_ts >= ts
                 else:
-                    assert ref == RowRef(Region.DATA, row)
+                    assert delta == -1
                     assert mvcc._base_read_ts[row] >= ts
 
     def test_visible_sets_identical(self, seed):
@@ -942,13 +954,13 @@ class TestMVCCEquivalence:
         expect_delta = np.zeros_like(delta_bits)
         for row in range(mvcc.num_rows):
             try:
-                ref = mvcc.read(row, ts)
+                delta, _ = mvcc.read(row, ts)
             except TransactionError:
                 continue
-            if ref.region == Region.DATA:
-                expect_data[ref.index] = True
+            if delta == -1:
+                expect_data[row] = True
             else:
-                expect_delta[ref.index] = True
+                expect_delta[delta] = True
         np.testing.assert_array_equal(data_bits, expect_data)
         np.testing.assert_array_equal(delta_bits, expect_delta)
 
@@ -1013,12 +1025,13 @@ def oracle_update_to(data_bits, delta_bits, records, line):
             changes.append((record.prev_ref, False))
         if record.kind != "delete":
             changes.append((record.new_ref, True))
-        for ref, value in changes:
-            bits = data_bits if ref.region == Region.DATA else delta_bits
-            if bits[ref.index] != value:
-                bits[ref.index] = value
+        for delta, value in changes:
+            region, row = version_slot(record.row_id, delta)
+            bits = data_bits if region == Region.DATA else delta_bits
+            if bits[row] != value:
+                bits[row] = value
                 flips += 1
-                touched.add((ref.region, ref.index // (8 * line)))
+                touched.add((region, row // (8 * line)))
     return flips, len(touched) * line
 
 
@@ -1066,7 +1079,7 @@ class TestStorageEquivalence:
         assert num_rows > storage.block_rows  # spans a rotation change
         for column in runtime.schema.column_names:
             expected = [
-                storage.read_row(RowRef(Region.DATA, row), [column])[column]
+                storage.read_row(row, -1, [column])[column]
                 for row in range(num_rows)
             ]
             assert storage.read_column_values(Region.DATA, column, num_rows) == expected
@@ -1077,7 +1090,9 @@ class TestStorageEquivalence:
         capacity = storage.capacity_rows
         with pytest.raises(MemoryError_) as err:
             storage.read_column_values(Region.DATA, column, capacity + 1)
-        assert str(err.value) == f"data row {capacity} out of range [0, {capacity})"
+        assert str(err.value) == (
+            f"table 'orderline': data row {capacity} out of range [0, {capacity})"
+        )
         assert storage.read_column_values(Region.DATA, column, 0) == []
 
     def test_update_row_unknown_column_message(self, small_engine):
@@ -1122,6 +1137,12 @@ READ_INT_WIDTHS = {f"w{width}": width for width in range(1, 9)}
 #: column split over two slots of two parts.
 READ_COLUMNS = (*READ_INT_WIDTHS, "n", "z")
 READ_BLOCKS = 9  # data blocks: one more than devices, so a rotation repeats
+
+
+def version_of(region, row):
+    """Row ``row`` of ``region`` as the ``(row_id, delta)`` version the
+    one-row reader takes (a delta row's ``row_id`` is not consulted)."""
+    return (row, -1) if region == Region.DATA else (0, row)
 
 
 def read_world(block_rows, circulant):
@@ -1226,10 +1247,10 @@ class TestReadPlanEquivalence:
         storage, region, rows, columns = case
         expected = oracle_read_rows(storage, region, rows, columns)
         for position, row in enumerate(rows):
-            got = storage.read_row(RowRef(region, row), columns)
+            got = storage.read_row(*version_of(region, row), columns)
             assert got == {name: expected[name][position] for name in columns}
         if rows:  # all columns by default
-            full = storage.read_row(RowRef(region, rows[0]))
+            full = storage.read_row(*version_of(region, rows[0]))
             every = oracle_read_rows(storage, region, rows[:1], READ_COLUMNS)
             assert full == {name: values[0] for name, values in every.items()}
 
@@ -1239,7 +1260,7 @@ class TestReadPlanEquivalence:
         assert [value.tobytes() for value in got] == [
             b"CC\x00\x00\x00", b"\x00" * 5, b"\x00" * 5,
         ]
-        assert storage.read_row(RowRef(Region.DATA, 2), ["z"]) == {"z": b"CC\x00\x00\x00"}
+        assert storage.read_row(2, -1, ["z"]) == {"z": b"CC\x00\x00\x00"}
 
     @pytest.mark.parametrize("region", [Region.DATA, Region.DELTA])
     @pytest.mark.parametrize("circulant", [True, False])
@@ -1249,12 +1270,14 @@ class TestReadPlanEquivalence:
         message = f"{region} row {capacity} out of range [0, {capacity})"
         oracle = capture(lambda: oracle_read_rows(storage, region, [0, capacity, -1], ["w4"]))
         assert oracle == ("err", "MemoryError_", message)
-        assert capture(lambda: storage.read_rows(region, [0, capacity, -1], ["w4"])) == oracle
-        assert capture(lambda: storage.read_row(RowRef(region, capacity), ["w4"])) == oracle
+        # Production names the table in front of the oracle's message.
+        named = ("err", "MemoryError_", f"table 't': {message}")
+        assert capture(lambda: storage.read_rows(region, [0, capacity, -1], ["w4"])) == named
+        assert capture(lambda: storage.read_row(*version_of(region, capacity), ["w4"])) == named
         assert capture(lambda: storage.read_rows(region, [3, -1], ["w4"])) == (
-            "err", "MemoryError_", f"{region} row -1 out of range [0, {capacity})",
+            "err", "MemoryError_", f"table 't': {region} row -1 out of range [0, {capacity})",
         )
-        assert capture(lambda: storage.read_column_values(region, "w4", capacity + 1)) == oracle
+        assert capture(lambda: storage.read_column_values(region, "w4", capacity + 1)) == named
 
     def test_empty_index(self):
         storage = read_world(8, True)
@@ -1265,7 +1288,7 @@ class TestReadPlanEquivalence:
     def test_unknown_column(self):
         storage = read_world(8, True)
         assert capture(lambda: storage.read_rows(Region.DATA, [0], ["nope"])) == capture(
-            lambda: storage.read_row(RowRef(Region.DATA, 0), ["nope"])
+            lambda: storage.read_row(0, -1, ["nope"])
         )
         assert capture(lambda: storage.read_rows(Region.DATA, [0], ["nope"]))[1] == "SchemaError"
 
@@ -1455,12 +1478,12 @@ def _leaves(value):
 def oracle_record_deltas(record, read):
     """The weighted row deltas of one log record, read one at a time."""
     if record.kind == "update":
-        yield read(record.prev_ref), -1
-        yield read(record.new_ref), +1
+        yield read(record.row_id, record.prev_ref), -1
+        yield read(record.row_id, record.new_ref), +1
     elif record.kind == "insert":
-        yield read(record.new_ref), +1
+        yield read(record.row_id, record.new_ref), +1
     elif record.kind == "delete":
-        yield read(record.prev_ref), -1
+        yield read(record.row_id, record.prev_ref), -1
     else:
         raise QueryError(f"unknown update-log record kind: {record.kind!r}")
 
@@ -1484,8 +1507,9 @@ class OracleIVMManager(IVMManager):
     def _reader(self, table, columns):
         storage = self.engine.db.table(table).storage
 
-        def read(ref):
-            values = oracle_read_rows(storage, ref.region, [ref.index], columns)
+        def read(row_id, delta):
+            region, row = version_slot(row_id, delta)
+            values = oracle_read_rows(storage, region, [row], columns)
             return tuple(values[column][0] for column in columns)
 
         return read
@@ -1527,7 +1551,7 @@ class OracleIVMManager(IVMManager):
             bits = mvcc.visible_refs_at(ts, mvcc.delta.high_water_rows)
             for region, region_bits in zip((Region.DATA, Region.DELTA), bits):
                 for index in np.nonzero(region_bits)[0]:
-                    view.apply(table, read(RowRef(region, int(index))), 1)
+                    view.apply(table, read(*version_of(region, int(index))), 1)
                     nbytes += width
                     folded += 1
         self._view_ts[name] = ts
