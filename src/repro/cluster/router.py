@@ -1,21 +1,26 @@
 """Routing TPC-C transactions to shards, splitting cross-shard ones.
 
-The router inspects a transaction closure's attached ``txn_name`` /
-``params`` (every closure in :mod:`repro.oltp.tpcc` carries them) and
-maps the warehouses it touches onto shards. A transaction whose
-warehouses all live on one shard executes unchanged on that engine —
-the overwhelmingly common case, and the reason a 1-shard cluster is
-bit-identical to the bare engine. A transaction spanning shards is
-split into per-shard sub-closures whose union performs *exactly* the
-operations of the original closure (same reads, updates, inserts, same
-computed values), so an N-shard history leaves the shards holding the
-same committed data a single engine running the unsplit transactions
-would hold — the property the scatter-gather OLAP tests verify
-bit-identically.
+Every closure in :mod:`repro.oltp.tpcc` carries its ``txn_name`` and
+``params``, and the params name the warehouses the transaction touches,
+its home warehouse first. The router maps those warehouses onto shards;
+it knows nothing about any one transaction type.
 
-Note the split is by *shard*, not by warehouse: a New-Order line whose
-remote supply warehouse happens to live on the home shard stays in the
-home sub-transaction and pays no 2PC.
+A transaction whose warehouses all live on one shard runs unchanged on
+that engine — the common case, and the reason a 1-shard cluster is
+bit-identical to the bare engine. A transaction spanning shards is
+split into one part per shard: the same factory rebuilt with an
+ownership predicate, so each part performs exactly the original
+operations (in the original order, with the same computed values) on
+rows of warehouses that shard owns. An N-shard history therefore leaves
+the shards holding the committed data a single engine running the
+unsplit transactions would hold — the property the scatter-gather OLAP
+tests verify bit-identically.
+
+The split is by *shard*, not by warehouse: a New-Order line whose
+remote supply warehouse lives on the home shard stays in the home part
+and pays no 2PC. Stock-Level cannot be routed across shards (its STOCK
+reads follow each order line's supply warehouse, known only when it
+runs), so a multi-shard router rejects it before any shard runs.
 """
 
 from __future__ import annotations
@@ -24,201 +29,11 @@ from typing import Callable, Dict, List
 
 from repro.errors import TransactionError
 from repro.oltp.engine import TxnContext
-from repro.oltp.tpcc import DeliveryParams, NewOrderParams, PaymentParams
+from repro.oltp.tpcc import rebuild_transaction
 
 from repro.cluster.partition import shard_of
 
 __all__ = ["ShardRouter"]
-
-
-def _payment_at_warehouse(params: PaymentParams) -> Callable[[TxnContext], None]:
-    """The paying-warehouse half of a remote Payment: warehouse and
-    district YTD absorb the amount and the history row lands here (its
-    ``h_w_id`` is the paying warehouse — same row the full closure
-    inserts)."""
-
-    def txn(ctx: TxnContext) -> None:
-        w_row = ctx.index_lookup("warehouse_pk", params.w_id)
-        warehouse = ctx.read("warehouse", w_row, ["w_ytd", "w_tax"])
-        ctx.update("warehouse", w_row, {"w_ytd": warehouse["w_ytd"] + params.amount})
-        d_row = ctx.index_lookup("district_pk", (params.w_id, params.d_id))
-        district = ctx.read("district", d_row, ["d_ytd", "d_tax"])
-        ctx.update("district", d_row, {"d_ytd": district["d_ytd"] + params.amount})
-        ctx.insert(
-            "history",
-            {
-                "h_c_id": params.c_id,
-                "h_c_d_id": params.customer_d_id,
-                "h_c_w_id": params.customer_w_id,
-                "h_d_id": params.d_id,
-                "h_w_id": params.w_id,
-                "h_date": params.h_date,
-                "h_amount": params.amount,
-                "h_data": b"payment",
-            },
-        )
-
-    txn.txn_name = "payment"
-    txn.params = params
-    return txn
-
-
-def _payment_at_customer(params: PaymentParams) -> Callable[[TxnContext], None]:
-    """The customer-home half of a remote Payment: balance, YTD payment
-    and payment count, exactly as the full closure computes them."""
-
-    def txn(ctx: TxnContext) -> None:
-        c_row = ctx.index_lookup(
-            "customer_pk",
-            (params.customer_w_id, params.customer_d_id, params.c_id),
-        )
-        customer = ctx.read(
-            "customer", c_row, ["c_balance", "c_ytd_payment", "c_payment_cnt"]
-        )
-        new_balance = max(0, customer["c_balance"] - params.amount)
-        ctx.update(
-            "customer",
-            c_row,
-            {
-                "c_balance": new_balance,
-                "c_ytd_payment": customer["c_ytd_payment"] + params.amount,
-                "c_payment_cnt": customer["c_payment_cnt"] + 1,
-            },
-        )
-
-    txn.txn_name = "payment_remote"
-    txn.params = params
-    return txn
-
-
-def _new_order_home(
-    params: NewOrderParams, home: int, num_shards: int
-) -> Callable[[TxnContext], None]:
-    """The home-shard part of a cross-shard New-Order.
-
-    Everything except the stock updates of lines supplied by a *remote
-    shard*: warehouse/district/customer reads, the d_next_o_id bump, the
-    ORDER and NEWORDER inserts, every ITEM price read, every ORDERLINE
-    insert (all lines live at the ordering warehouse), and the stock
-    updates of home-shard-supplied lines (including nominally remote
-    warehouses that happen to reside on the home shard).
-    """
-
-    def txn(ctx: TxnContext) -> None:
-        w_row = ctx.index_lookup("warehouse_pk", params.w_id)
-        ctx.read("warehouse", w_row, ["w_tax"])
-        d_row = ctx.index_lookup("district_pk", (params.w_id, params.d_id))
-        district = ctx.read("district", d_row, ["d_tax", "d_next_o_id"])
-        ctx.update("district", d_row, {"d_next_o_id": district["d_next_o_id"] + 1})
-        c_row = ctx.index_lookup(
-            "customer_pk", (params.w_id, params.d_id, params.c_id)
-        )
-        ctx.read("customer", c_row, ["c_discount", "c_credit"])
-        ctx.insert(
-            "order",
-            {
-                "o_id": params.o_id,
-                "o_d_id": params.d_id,
-                "o_w_id": params.w_id,
-                "o_c_id": params.c_id,
-                "o_entry_d": params.entry_d,
-                "o_carrier_id": 0,
-                "o_ol_cnt": len(params.item_ids),
-                "o_all_local": int(all(s == params.w_id for s in params.supply_w_ids)),
-            },
-            index_key=("order_pk", params.o_id),
-        )
-        ctx.insert(
-            "neworder",
-            {"no_o_id": params.o_id, "no_d_id": params.d_id, "no_w_id": params.w_id},
-            index_key=("neworder_pk", params.o_id),
-        )
-        for number, (i_id, s_w, qty) in enumerate(
-            zip(params.item_ids, params.supply_w_ids, params.quantities), start=1
-        ):
-            i_row = ctx.index_lookup("item_pk", i_id)
-            item = ctx.read("item", i_row, ["i_price"])
-            if shard_of(s_w, num_shards) == home:
-                s_row = ctx.index_lookup("stock_pk", (s_w, i_id))
-                stock = ctx.read(
-                    "stock", s_row, ["s_quantity", "s_ytd", "s_order_cnt"]
-                )
-                new_qty = stock["s_quantity"] - qty
-                if new_qty < 10:
-                    new_qty += 91
-                ctx.update(
-                    "stock",
-                    s_row,
-                    {
-                        "s_quantity": new_qty,
-                        "s_ytd": stock["s_ytd"] + qty,
-                        "s_order_cnt": stock["s_order_cnt"] + 1,
-                    },
-                )
-            ctx.insert(
-                "orderline",
-                {
-                    "ol_o_id": params.o_id,
-                    "ol_d_id": params.d_id,
-                    "ol_w_id": params.w_id,
-                    "ol_number": number,
-                    "ol_i_id": i_id,
-                    "ol_supply_w_id": s_w,
-                    "ol_delivery_d": params.entry_d,
-                    "ol_quantity": qty,
-                    "ol_amount": qty * item["i_price"],
-                    "ol_dist_info": b"neworder",
-                },
-                index_key=("orderline_pk", (params.o_id, number)),
-            )
-
-    txn.txn_name = "new_order"
-    txn.o_id = params.o_id
-    txn.params = params
-    return txn
-
-
-def _new_order_remote_stock(
-    params: NewOrderParams, line_indices: List[int]
-) -> Callable[[TxnContext], None]:
-    """The remote-shard part of a cross-shard New-Order: the stock
-    updates of the lines this shard supplies (and nothing else — the
-    ORDERLINE rows live at the ordering warehouse)."""
-
-    def txn(ctx: TxnContext) -> None:
-        for index in line_indices:
-            i_id = params.item_ids[index]
-            s_w = params.supply_w_ids[index]
-            qty = params.quantities[index]
-            s_row = ctx.index_lookup("stock_pk", (s_w, i_id))
-            stock = ctx.read("stock", s_row, ["s_quantity", "s_ytd", "s_order_cnt"])
-            new_qty = stock["s_quantity"] - qty
-            if new_qty < 10:
-                new_qty += 91
-            ctx.update(
-                "stock",
-                s_row,
-                {
-                    "s_quantity": new_qty,
-                    "s_ytd": stock["s_ytd"] + qty,
-                    "s_order_cnt": stock["s_order_cnt"] + 1,
-                },
-            )
-
-    txn.txn_name = "new_order_remote"
-    txn.params = params
-    return txn
-
-
-def _delivery_subset(
-    params: DeliveryParams, orders: List
-) -> Callable[[TxnContext], None]:
-    """A Delivery restricted to the orders resident on one shard (every
-    operation of a delivered order touches only its home warehouse)."""
-    from repro.oltp.tpcc import delivery
-
-    sub = delivery(DeliveryParams(params.carrier_id, params.delivery_d, orders))
-    return sub
 
 
 class ShardRouter:
@@ -240,83 +55,45 @@ class ShardRouter:
             raise TransactionError(f"warehouse {w_id} outside [1, {self.warehouses}]")
         return shard_of(w_id, self.num_shards)
 
-    def home_shard(self, txn: Callable[[TxnContext], None]) -> int:
-        """The coordinator shard of ``txn`` (where its client connects)."""
+    def _shards(self, txn: Callable[[TxnContext], None]) -> List[int]:
+        """The shards ``txn`` touches, each once, its home shard first."""
         params = getattr(txn, "params", None)
         name = getattr(txn, "txn_name", None)
         if params is None or name is None:
             raise TransactionError("cannot route a transaction without params")
-        if name == "delivery":
-            if not params.orders:
-                raise TransactionError("cannot route an empty delivery")
-            return self.shard_of_warehouse(params.orders[0].w_id)
-        return self.shard_of_warehouse(params.w_id)
+        warehouses = params.warehouses
+        if warehouses is None:
+            if self.num_shards > 1:
+                raise TransactionError(
+                    f"cannot route {name} over {self.num_shards} shards: its "
+                    "warehouses are not known until it runs"
+                )
+            return [0]
+        if not warehouses:
+            raise TransactionError(f"cannot route an empty {name}")
+        return list(dict.fromkeys(self.shard_of_warehouse(w) for w in warehouses))
+
+    def home_shard(self, txn: Callable[[TxnContext], None]) -> int:
+        """The coordinator shard of ``txn`` (where its client connects)."""
+        return self._shards(txn)[0]
 
     def involved_shards(self, txn: Callable[[TxnContext], None]) -> List[int]:
         """Every shard ``txn`` touches (ascending)."""
-        params = getattr(txn, "params", None)
-        name = getattr(txn, "txn_name", None)
-        if params is None or name is None:
-            raise TransactionError("cannot route a transaction without params")
-        if name == "payment":
-            shards = {
-                self.shard_of_warehouse(params.w_id),
-                self.shard_of_warehouse(params.customer_w_id),
-            }
-        elif name == "new_order":
-            shards = {self.shard_of_warehouse(params.w_id)}
-            shards.update(self.shard_of_warehouse(s) for s in params.supply_w_ids)
-        elif name == "delivery":
-            if not params.orders:
-                raise TransactionError("cannot route an empty delivery")
-            shards = {self.shard_of_warehouse(o.w_id) for o in params.orders}
-        else:
-            # Read-only transactions (order_status, stock_level) route to
-            # their home shard; the driver only generates them over
-            # orders it created there.
-            shards = {self.shard_of_warehouse(params.w_id)}
-        return sorted(shards)
+        return sorted(self._shards(txn))
 
     def split(
         self, txn: Callable[[TxnContext], None]
     ) -> Dict[int, Callable[[TxnContext], None]]:
-        """Split a cross-shard transaction into per-shard sub-closures."""
-        params = txn.params
-        name = txn.txn_name
-        if name == "payment":
-            pay = self.shard_of_warehouse(params.w_id)
-            cust = self.shard_of_warehouse(params.customer_w_id)
-            if pay == cust:
-                raise TransactionError("payment is single-shard; nothing to split")
-            return {
-                pay: _payment_at_warehouse(params),
-                cust: _payment_at_customer(params),
-            }
-        if name == "new_order":
-            home = self.shard_of_warehouse(params.w_id)
-            remote_lines: Dict[int, List[int]] = {}
-            for index, s_w in enumerate(params.supply_w_ids):
-                shard = self.shard_of_warehouse(s_w)
-                if shard != home:
-                    remote_lines.setdefault(shard, []).append(index)
-            if not remote_lines:
-                raise TransactionError("new_order is single-shard; nothing to split")
-            subs: Dict[int, Callable[[TxnContext], None]] = {
-                home: _new_order_home(params, home, self.num_shards)
-            }
-            for shard, indices in remote_lines.items():
-                subs[shard] = _new_order_remote_stock(params, indices)
-            return subs
-        if name == "delivery":
-            groups: Dict[int, List] = {}
-            for order in params.orders:
-                groups.setdefault(self.shard_of_warehouse(order.w_id), []).append(
-                    order
-                )
-            if len(groups) < 2:
-                raise TransactionError("delivery is single-shard; nothing to split")
-            return {
-                shard: _delivery_subset(params, orders)
-                for shard, orders in groups.items()
-            }
-        raise TransactionError(f"transaction {name!r} cannot span shards")
+        """Split a cross-shard transaction into per-shard parts: the same
+        closure, restricted to the warehouses each shard owns."""
+        shards = self._shards(txn)
+        if len(shards) < 2:
+            raise TransactionError(f"{txn.txn_name} is single-shard; nothing to split")
+        return {
+            shard: rebuild_transaction(
+                txn.txn_name,
+                txn.params,
+                lambda w_id, shard=shard: self.shard_of_warehouse(w_id) == shard,
+            )
+            for shard in shards
+        }

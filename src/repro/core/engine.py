@@ -411,7 +411,7 @@ class PushTapEngine:
             db.add_table(runtime)
 
         all_units = [u for units in rank_units for u in units.values()]
-        controller = cls._build_controller_from_list(
+        controller = cls._build_controller(
             config, all_units, controller_kind
         )
         oltp = OLTPEngine(
@@ -507,15 +507,6 @@ class PushTapEngine:
 
     @staticmethod
     def _build_controller(
-        config: SystemConfig,
-        units: Dict[Tuple[int, int], PIMUnit],
-        kind: str,
-    ) -> _ControllerBase:
-        ordered = [units[k] for k in sorted(units)]
-        return PushTapEngine._build_controller_from_list(config, ordered, kind)
-
-    @staticmethod
-    def _build_controller_from_list(
         config: SystemConfig, units: List[PIMUnit], kind: str
     ) -> _ControllerBase:
         if kind == "pushtap":

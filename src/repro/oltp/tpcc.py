@@ -7,13 +7,20 @@ delete path and NEWORDER index removal. The :class:`TPCCDriver`
 generates parameter sets consistent with the deterministic data
 generator's key assignment and produces transaction closures for
 :meth:`repro.oltp.engine.OLTPEngine.execute`.
+
+Each parameter set names the warehouses its transaction touches
+(``warehouses``, home first), and the Payment, New-Order and Delivery
+factories take an optional ownership predicate that runs only the
+operations on rows of owned warehouses. The cluster router splits a
+cross-shard transaction by building the same closure once per shard,
+restricted to that shard's warehouses.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +101,11 @@ class PaymentParams:
         """Whether the payment crosses warehouses."""
         return self.customer_w_id != self.w_id
 
+    @property
+    def warehouses(self) -> Tuple[int, ...]:
+        """The warehouses its rows live at, the paying one (home) first."""
+        return (self.w_id, self.customer_w_id)
+
 
 @dataclass(frozen=True)
 class NewOrderParams:
@@ -108,128 +120,161 @@ class NewOrderParams:
     supply_w_ids: List[int]
     quantities: List[int]
 
+    @property
+    def warehouses(self) -> Tuple[int, ...]:
+        """The ordering warehouse (home), then each line's supplier."""
+        return (self.w_id, *self.supply_w_ids)
 
-def payment(params: PaymentParams) -> Callable[[TxnContext], None]:
-    """Build the Payment transaction closure (TPC-C §2.5)."""
+
+def payment(
+    params: PaymentParams, owns: Optional[Callable[[int], bool]] = None
+) -> Callable[[TxnContext], None]:
+    """Build the Payment transaction closure (TPC-C §2.5).
+
+    ``owns`` restricts it to the warehouses one shard owns (None: every
+    warehouse). The WAREHOUSE, DISTRICT and HISTORY rows live at the
+    paying warehouse ``w_id``, the CUSTOMER row at ``customer_w_id``; a
+    part without the paying warehouse is ``payment_remote``.
+    """
+    at_w = owns is None or owns(params.w_id)
+    at_c = owns is None or owns(params.customer_w_id)
 
     def txn(ctx: TxnContext) -> None:
-        w_row = ctx.index_lookup("warehouse_pk", params.w_id)
-        warehouse = ctx.read("warehouse", w_row, ["w_ytd", "w_tax"])
-        ctx.update("warehouse", w_row, {"w_ytd": warehouse["w_ytd"] + params.amount})
+        if at_w:
+            w_row = ctx.index_lookup("warehouse_pk", params.w_id)
+            warehouse = ctx.read("warehouse", w_row, ["w_ytd", "w_tax"])
+            ctx.update("warehouse", w_row, {"w_ytd": warehouse["w_ytd"] + params.amount})
 
-        d_row = ctx.index_lookup("district_pk", (params.w_id, params.d_id))
-        district = ctx.read("district", d_row, ["d_ytd", "d_tax"])
-        ctx.update("district", d_row, {"d_ytd": district["d_ytd"] + params.amount})
+            d_row = ctx.index_lookup("district_pk", (params.w_id, params.d_id))
+            district = ctx.read("district", d_row, ["d_ytd", "d_tax"])
+            ctx.update("district", d_row, {"d_ytd": district["d_ytd"] + params.amount})
 
-        c_row = ctx.index_lookup(
-            "customer_pk",
-            (params.customer_w_id, params.customer_d_id, params.c_id),
-        )
-        customer = ctx.read(
-            "customer", c_row, ["c_balance", "c_ytd_payment", "c_payment_cnt"]
-        )
-        new_balance = max(0, customer["c_balance"] - params.amount)
-        ctx.update(
-            "customer",
-            c_row,
-            {
-                "c_balance": new_balance,
-                "c_ytd_payment": customer["c_ytd_payment"] + params.amount,
-                "c_payment_cnt": customer["c_payment_cnt"] + 1,
-            },
-        )
-        ctx.insert(
-            "history",
-            {
-                "h_c_id": params.c_id,
-                "h_c_d_id": params.customer_d_id,
-                "h_c_w_id": params.customer_w_id,
-                "h_d_id": params.d_id,
-                "h_w_id": params.w_id,
-                "h_date": params.h_date,
-                "h_amount": params.amount,
-                "h_data": b"payment",
-            },
-        )
+        if at_c:
+            c_row = ctx.index_lookup(
+                "customer_pk",
+                (params.customer_w_id, params.customer_d_id, params.c_id),
+            )
+            customer = ctx.read(
+                "customer", c_row, ["c_balance", "c_ytd_payment", "c_payment_cnt"]
+            )
+            new_balance = max(0, customer["c_balance"] - params.amount)
+            ctx.update(
+                "customer",
+                c_row,
+                {
+                    "c_balance": new_balance,
+                    "c_ytd_payment": customer["c_ytd_payment"] + params.amount,
+                    "c_payment_cnt": customer["c_payment_cnt"] + 1,
+                },
+            )
 
-    txn.txn_name = "payment"
+        if at_w:
+            ctx.insert(
+                "history",
+                {
+                    "h_c_id": params.c_id,
+                    "h_c_d_id": params.customer_d_id,
+                    "h_c_w_id": params.customer_w_id,
+                    "h_d_id": params.d_id,
+                    "h_w_id": params.w_id,
+                    "h_date": params.h_date,
+                    "h_amount": params.amount,
+                    "h_data": b"payment",
+                },
+            )
+
+    txn.txn_name = "payment" if at_w else "payment_remote"
     txn.params = params
     return txn
 
 
-def new_order(params: NewOrderParams) -> Callable[[TxnContext], None]:
-    """Build the New-Order transaction closure (TPC-C §2.4)."""
+def new_order(
+    params: NewOrderParams, owns: Optional[Callable[[int], bool]] = None
+) -> Callable[[TxnContext], None]:
+    """Build the New-Order transaction closure (TPC-C §2.4).
+
+    ``owns`` restricts it to the warehouses one shard owns (None: every
+    warehouse). Every row but STOCK lives at the ordering warehouse
+    ``w_id``; a line's STOCK row lives at its supply warehouse. A part
+    without the ordering warehouse is ``new_order_remote``.
+    """
     if not (len(params.item_ids) == len(params.supply_w_ids) == len(params.quantities)):
         raise TransactionError("new_order: item/supply/quantity lengths differ")
+    home = owns is None or owns(params.w_id)
+    supplied = [owns is None or owns(s_w) for s_w in params.supply_w_ids]
 
     def txn(ctx: TxnContext) -> None:
-        w_row = ctx.index_lookup("warehouse_pk", params.w_id)
-        ctx.read("warehouse", w_row, ["w_tax"])
-        d_row = ctx.index_lookup("district_pk", (params.w_id, params.d_id))
-        district = ctx.read("district", d_row, ["d_tax", "d_next_o_id"])
-        ctx.update("district", d_row, {"d_next_o_id": district["d_next_o_id"] + 1})
-        c_row = ctx.index_lookup(
-            "customer_pk", (params.w_id, params.d_id, params.c_id)
-        )
-        ctx.read("customer", c_row, ["c_discount", "c_credit"])
+        if home:
+            w_row = ctx.index_lookup("warehouse_pk", params.w_id)
+            ctx.read("warehouse", w_row, ["w_tax"])
+            d_row = ctx.index_lookup("district_pk", (params.w_id, params.d_id))
+            district = ctx.read("district", d_row, ["d_tax", "d_next_o_id"])
+            ctx.update("district", d_row, {"d_next_o_id": district["d_next_o_id"] + 1})
+            c_row = ctx.index_lookup(
+                "customer_pk", (params.w_id, params.d_id, params.c_id)
+            )
+            ctx.read("customer", c_row, ["c_discount", "c_credit"])
 
-        order_row = ctx.insert(
-            "order",
-            {
-                "o_id": params.o_id,
-                "o_d_id": params.d_id,
-                "o_w_id": params.w_id,
-                "o_c_id": params.c_id,
-                "o_entry_d": params.entry_d,
-                "o_carrier_id": 0,
-                "o_ol_cnt": len(params.item_ids),
-                "o_all_local": int(all(s == params.w_id for s in params.supply_w_ids)),
-            },
-            index_key=("order_pk", params.o_id),
-        )
-        del order_row
-        ctx.insert(
-            "neworder",
-            {"no_o_id": params.o_id, "no_d_id": params.d_id, "no_w_id": params.w_id},
-            index_key=("neworder_pk", params.o_id),
-        )
-        for number, (i_id, s_w, qty) in enumerate(
-            zip(params.item_ids, params.supply_w_ids, params.quantities), start=1
-        ):
-            i_row = ctx.index_lookup("item_pk", i_id)
-            item = ctx.read("item", i_row, ["i_price"])
-            s_row = ctx.index_lookup("stock_pk", (s_w, i_id))
-            stock = ctx.read("stock", s_row, ["s_quantity", "s_ytd", "s_order_cnt"])
-            new_qty = stock["s_quantity"] - qty
-            if new_qty < 10:
-                new_qty += 91
-            ctx.update(
-                "stock",
-                s_row,
+            ctx.insert(
+                "order",
                 {
-                    "s_quantity": new_qty,
-                    "s_ytd": stock["s_ytd"] + qty,
-                    "s_order_cnt": stock["s_order_cnt"] + 1,
+                    "o_id": params.o_id,
+                    "o_d_id": params.d_id,
+                    "o_w_id": params.w_id,
+                    "o_c_id": params.c_id,
+                    "o_entry_d": params.entry_d,
+                    "o_carrier_id": 0,
+                    "o_ol_cnt": len(params.item_ids),
+                    "o_all_local": int(all(s == params.w_id for s in params.supply_w_ids)),
                 },
+                index_key=("order_pk", params.o_id),
             )
             ctx.insert(
-                "orderline",
-                {
-                    "ol_o_id": params.o_id,
-                    "ol_d_id": params.d_id,
-                    "ol_w_id": params.w_id,
-                    "ol_number": number,
-                    "ol_i_id": i_id,
-                    "ol_supply_w_id": s_w,
-                    "ol_delivery_d": params.entry_d,
-                    "ol_quantity": qty,
-                    "ol_amount": qty * item["i_price"],
-                    "ol_dist_info": b"neworder",
-                },
-                index_key=("orderline_pk", (params.o_id, number)),
+                "neworder",
+                {"no_o_id": params.o_id, "no_d_id": params.d_id, "no_w_id": params.w_id},
+                index_key=("neworder_pk", params.o_id),
             )
+        for number, (i_id, s_w, qty, here) in enumerate(
+            zip(params.item_ids, params.supply_w_ids, params.quantities, supplied),
+            start=1,
+        ):
+            if home:
+                i_row = ctx.index_lookup("item_pk", i_id)
+                item = ctx.read("item", i_row, ["i_price"])
+            if here:
+                s_row = ctx.index_lookup("stock_pk", (s_w, i_id))
+                stock = ctx.read("stock", s_row, ["s_quantity", "s_ytd", "s_order_cnt"])
+                new_qty = stock["s_quantity"] - qty
+                if new_qty < 10:
+                    new_qty += 91
+                ctx.update(
+                    "stock",
+                    s_row,
+                    {
+                        "s_quantity": new_qty,
+                        "s_ytd": stock["s_ytd"] + qty,
+                        "s_order_cnt": stock["s_order_cnt"] + 1,
+                    },
+                )
+            if home:
+                ctx.insert(
+                    "orderline",
+                    {
+                        "ol_o_id": params.o_id,
+                        "ol_d_id": params.d_id,
+                        "ol_w_id": params.w_id,
+                        "ol_number": number,
+                        "ol_i_id": i_id,
+                        "ol_supply_w_id": s_w,
+                        "ol_delivery_d": params.entry_d,
+                        "ol_quantity": qty,
+                        "ol_amount": qty * item["i_price"],
+                        "ol_dist_info": b"neworder",
+                    },
+                    index_key=("orderline_pk", (params.o_id, number)),
+                )
 
-    txn.txn_name = "new_order"
+    txn.txn_name = "new_order" if home else "new_order_remote"
     txn.o_id = params.o_id
     txn.params = params
     return txn
@@ -255,17 +300,27 @@ class DeliveryParams:
     delivery_d: int
     orders: List[DeliveryOrder]
 
+    @property
+    def warehouses(self) -> Tuple[int, ...]:
+        """Each order's warehouse, the first order's (home) first."""
+        return tuple(order.w_id for order in self.orders)
 
-def delivery(params: DeliveryParams) -> Callable[[TxnContext], None]:
+
+def delivery(
+    params: DeliveryParams, owns: Optional[Callable[[int], bool]] = None
+) -> Callable[[TxnContext], None]:
     """Build the Delivery transaction closure (TPC-C §2.7, simplified).
 
     For each pending order: delete its NEWORDER row (tombstone + index
     removal), stamp the ORDER with the carrier, set every ORDERLINE's
-    delivery date, and credit the customer's balance.
+    delivery date, and credit the customer's balance. Every row an order
+    touches lives at its ``w_id``, so ``owns`` (None: every warehouse)
+    restricts the batch to the orders one shard owns.
     """
+    orders = [o for o in params.orders if owns is None or owns(o.w_id)]
 
     def txn(ctx: TxnContext) -> None:
-        for order in params.orders:
+        for order in orders:
             no_row = ctx.index_lookup("neworder_pk", order.o_id)
             ctx.delete("neworder", no_row, index_key=("neworder_pk", order.o_id))
             o_row = ctx.index_lookup("order_pk", order.o_id)
@@ -305,6 +360,11 @@ class OrderStatusParams:
     o_id: int
     ol_cnt: int
 
+    @property
+    def warehouses(self) -> Tuple[int, ...]:
+        """Every row it reads lives at its one warehouse."""
+        return (self.w_id,)
+
 
 def order_status(params: OrderStatusParams) -> Callable[[TxnContext], None]:
     """Build the Order-Status transaction closure (TPC-C §2.6, read-only).
@@ -340,6 +400,12 @@ class StockLevelParams:
     d_id: int
     threshold: int
     recent_orders: List[DeliveryOrder]
+
+    @property
+    def warehouses(self) -> None:
+        """Not known until it runs: its STOCK reads follow each order
+        line's ``ol_supply_w_id``."""
+        return None
 
 
 def stock_level(params: StockLevelParams) -> Callable[[TxnContext], None]:
@@ -383,12 +449,16 @@ FACTORIES: Dict[str, Callable] = {
 }
 
 
-def rebuild_transaction(txn_name: str, params) -> Callable[[TxnContext], None]:
-    """Rebuild a transaction closure from its name and frozen params."""
+def rebuild_transaction(
+    txn_name: str, params, owns: Optional[Callable[[int], bool]] = None
+) -> Callable[[TxnContext], None]:
+    """Rebuild a transaction closure from its name and frozen params;
+    ``owns`` restricts a Payment, New-Order or Delivery to the
+    warehouses one shard owns."""
     factory = FACTORIES.get(txn_name)
     if factory is None:
         raise TransactionError(f"unknown transaction {txn_name!r}")
-    return factory(params)
+    return factory(params) if owns is None else factory(params, owns)
 
 
 class TPCCDriver:

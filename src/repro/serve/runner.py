@@ -12,7 +12,7 @@ controller's ``handovers_saved`` counter rather than by workload noise.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.engine import PushTapEngine
 from repro.serve.loop import ServeConfig, ServeLoop, ServeResult
@@ -58,6 +58,35 @@ def run_serve(
     return loop.run()
 
 
+def _ablation_cell(
+    scale: float,
+    fields: Dict[str, object],
+    extra: Callable[[Dict[str, object]], Dict[str, object]],
+    **config,
+) -> Dict[str, object]:
+    """One ablation cell: an open-loop serve run with admission limits
+    effectively off (deep queues, no rate limiter). The cell is
+    ``fields``, the report fields every sweep keeps, and ``extra`` of
+    the report."""
+    r = run_serve(
+        ServeConfig(arrival="open", queue_depth=1_000_000, bucket_rate=0.0, **config),
+        scale=scale,
+    ).report
+    return {
+        **fields,
+        "olap_qphh": r["throughput"]["olap_qphh"],
+        "olap_qphh_busy": r["throughput"]["olap_qphh_busy"],
+        "oltp_tpmc": r["throughput"]["oltp_tpmc"],
+        "olap_time_ns": r["engine"]["olap_time_ns"],
+        "simulated_time_ns": r["simulated_time_ns"],
+        "queries": r["engine"]["queries"],
+        "olap_batches": r["scheduler"]["olap_batches"],
+        "max_staleness_txns": r["freshness"]["max_staleness_txns"],
+        "slo_errors": r["slo_errors"],
+        **extra(r),
+    }
+
+
 def run_policy_ablation(
     seed: int = 7,
     tenants: int = 4,
@@ -75,40 +104,30 @@ def run_policy_ablation(
     Every cell rebuilds the engine from ``seed``, so cells differ only
     in policy and offered rate.
     """
-    cells = []
-    for rate in rates:
-        for policy in policies:
-            config = ServeConfig(
-                tenants=tenants,
-                requests_per_tenant=requests_per_tenant,
-                policy=policy,
-                seed=seed,
-                arrival="open",
-                rate_per_tenant=rate,
-                olap_fraction=olap_fraction,
-                queue_depth=1_000_000,
-                bucket_rate=0.0,
-            )
-            result = run_serve(config, scale=scale)
-            r = result.report
-            cells.append(
-                {
-                    "rate_per_tenant": rate,
-                    "policy": policy,
-                    "olap_qphh": r["throughput"]["olap_qphh"],
-                    "olap_qphh_busy": r["throughput"]["olap_qphh_busy"],
-                    "oltp_tpmc": r["throughput"]["oltp_tpmc"],
-                    "olap_time_ns": r["engine"]["olap_time_ns"],
-                    "simulated_time_ns": r["simulated_time_ns"],
-                    "queries": r["engine"]["queries"],
-                    "olap_batches": r["scheduler"]["olap_batches"],
-                    "mode_batches": r["scheduler"]["mode_batches"],
-                    "handovers": r["scheduler"]["handovers"],
-                    "handovers_saved": r["scheduler"]["handovers_saved"],
-                    "max_staleness_txns": r["freshness"]["max_staleness_txns"],
-                    "slo_errors": r["slo_errors"],
-                }
-            )
+
+    def extra(r):
+        scheduler = r["scheduler"]
+        return {
+            "mode_batches": scheduler["mode_batches"],
+            "handovers": scheduler["handovers"],
+            "handovers_saved": scheduler["handovers_saved"],
+        }
+
+    cells = [
+        _ablation_cell(
+            scale,
+            {"rate_per_tenant": rate, "policy": policy},
+            extra,
+            tenants=tenants,
+            requests_per_tenant=requests_per_tenant,
+            policy=policy,
+            seed=seed,
+            rate_per_tenant=rate,
+            olap_fraction=olap_fraction,
+        )
+        for rate in rates
+        for policy in policies
+    ]
     return {
         "experiment": "serve-policy-ablation",
         "seed": seed,
@@ -145,45 +164,35 @@ def run_ivm_ablation(
     freshness bound affordable.  (Under count-driven policies the flush
     cadence is fixed and the lag axis only shows interleaving noise.)
     """
-    cells = []
-    for rate in rates:
-        for ivm in (False, True):
-            config = ServeConfig(
-                tenants=tenants,
-                requests_per_tenant=requests_per_tenant,
-                policy=policy,
-                seed=seed,
-                arrival="open",
-                rate_per_tenant=rate,
-                olap_fraction=olap_fraction,
-                queue_depth=1_000_000,
-                bucket_rate=0.0,
-                freshness_sla_txns=freshness_sla_txns,
-                ivm=ivm,
-            )
-            result = run_serve(config, scale=scale)
-            r = result.report
-            cells.append(
-                {
-                    "rate_per_tenant": rate,
-                    "mode": "incremental" if ivm else "rescan",
-                    "olap_qphh": r["throughput"]["olap_qphh"],
-                    "olap_qphh_busy": r["throughput"]["olap_qphh_busy"],
-                    "oltp_tpmc": r["throughput"]["oltp_tpmc"],
-                    "olap_time_ns": r["engine"]["olap_time_ns"],
-                    "simulated_time_ns": r["simulated_time_ns"],
-                    "queries": r["engine"]["queries"],
-                    "olap_batches": r["scheduler"]["olap_batches"],
-                    "ivm_flushes": r["scheduler"]["ivm"]["ivm_flushes"],
-                    "rescan_flushes": r["scheduler"]["ivm"]["rescan_flushes"],
-                    "ivm_queries": r["scheduler"]["ivm"]["ivm_queries"],
-                    "max_staleness_txns": r["freshness"]["max_staleness_txns"],
-                    "mean_staleness_txns": r["freshness"]["mean_staleness_txns"],
-                    "max_snapshot_lag_ns": r["freshness"]["max_snapshot_lag_ns"],
-                    "mean_snapshot_lag_ns": r["freshness"]["mean_snapshot_lag_ns"],
-                    "slo_errors": r["slo_errors"],
-                }
-            )
+
+    def extra(r):
+        ivm, freshness = r["scheduler"]["ivm"], r["freshness"]
+        return {
+            "ivm_flushes": ivm["ivm_flushes"],
+            "rescan_flushes": ivm["rescan_flushes"],
+            "ivm_queries": ivm["ivm_queries"],
+            "mean_staleness_txns": freshness["mean_staleness_txns"],
+            "max_snapshot_lag_ns": freshness["max_snapshot_lag_ns"],
+            "mean_snapshot_lag_ns": freshness["mean_snapshot_lag_ns"],
+        }
+
+    cells = [
+        _ablation_cell(
+            scale,
+            {"rate_per_tenant": rate, "mode": "incremental" if ivm else "rescan"},
+            extra,
+            tenants=tenants,
+            requests_per_tenant=requests_per_tenant,
+            policy=policy,
+            seed=seed,
+            rate_per_tenant=rate,
+            olap_fraction=olap_fraction,
+            freshness_sla_txns=freshness_sla_txns,
+            ivm=ivm,
+        )
+        for rate in rates
+        for ivm in (False, True)
+    ]
     # Per-rate deltas: incremental minus rescan, the ablation's headline.
     deltas = []
     for rate in rates:

@@ -32,7 +32,7 @@ from repro.faults.plan import TWOPC_HOOKS, FaultPlan, FaultRates
 from repro.faults.sweep import run_fault_sweep
 from repro.telemetry import registry as telemetry
 from repro.workloads.chbench import row_counts
-from repro.oltp.tpcc import TPCCDriver
+from repro.oltp.tpcc import TPCCDriver, stock_level
 from repro.workloads.driver import _derive_seed
 from repro.workloads.tpcc_gen import generate_table
 from tests.test_vectorized_equivalence import OracleMixedWorkload
@@ -41,7 +41,10 @@ SCALE = 2e-5
 ENGINE_KWARGS = dict(seed=7, block_rows=256, defrag_period=200)
 
 
-def _mirrored_drivers(counts, shards, tenants, seed=11, remote_fraction=4.0):
+def _mirrored_drivers(
+    counts, shards, tenants, seed=11, remote_fraction=4.0, affinity=True,
+    delivery_fraction=0.0,
+):
     """Two identical per-tenant driver lists (cluster vs merged engine)."""
 
     def make():
@@ -52,9 +55,10 @@ def _mirrored_drivers(counts, shards, tenants, seed=11, remote_fraction=4.0):
                 o_id_offset=t,
                 o_id_stride=tenants,
                 remote_fraction=remote_fraction,
+                delivery_fraction=delivery_fraction,
                 home_warehouses=shard_warehouses(
                     t % shards, shards, counts["warehouse"]
-                ),
+                ) if affinity else None,
             )
             for t in range(tenants)
         ]
@@ -196,8 +200,18 @@ class TestSingleShardIdentity:
 
 
 class TestScatterGatherIdentity:
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_queries_match_merged_engine(self, shards):
+    @pytest.mark.parametrize(
+        "shards, tenants, mix",
+        [
+            pytest.param(2, 2, {}, id="2"),
+            pytest.param(3, 3, {}, id="3"),
+            # One tenant without affinity: Delivery batches span shards.
+            pytest.param(
+                2, 1, dict(affinity=False, delivery_fraction=0.2), id="2-delivery"
+            ),
+        ],
+    )
+    def test_queries_match_merged_engine(self, shards, tenants, mix):
         """Cross-shard history + per-shard defrag, queries bit-identical."""
         counts = cluster_row_counts(SCALE, shards)
         cluster = PushTapCluster.build(
@@ -205,24 +219,27 @@ class TestScatterGatherIdentity:
         )
         merged = PushTapEngine.build(counts=counts, **ENGINE_KWARGS)
         cluster_drivers, merged_drivers = _mirrored_drivers(
-            counts, shards, tenants=shards
+            counts, shards, tenants=tenants, **mix
         )
         cross_shard = 0
+        split_deliveries = 0
         for i in range(150):
-            t = i % shards
-            result = cluster.execute_transaction(
-                cluster_drivers[t].next_transaction()
-            )
+            t = i % tenants
+            txn = cluster_drivers[t].next_transaction()
+            result = cluster.execute_transaction(txn)
             reference = merged.execute_transaction(
                 merged_drivers[t].next_transaction()
             )
             assert result.committed == (not reference.aborted)
             cross_shard += result.cross_shard
+            split_deliveries += result.cross_shard and txn.txn_name == "delivery"
             if i == 75:
                 # Defragment one shard mid-history; results must still
                 # merge identically (defrag moves rows, not values).
                 cluster.engines[0].defragment()
         assert cross_shard > 0, "history exercised no cross-shard txns"
+        if mix.get("delivery_fraction"):
+            assert split_deliveries > 0, "no Delivery went through 2PC"
         for name in ("Q1", "Q6", "Q9"):
             assert cluster.query(name).rows == merged.query(name).rows
 
@@ -282,6 +299,24 @@ class TestTwoPhaseCommit:
         txn = driver.next_transaction()
         with pytest.raises(TransactionError):
             router.split(txn)
+
+    def test_stock_level_rejected_before_any_shard_runs(self):
+        """Stock-Level's STOCK reads follow each line's supply warehouse,
+        so after a cross-shard New-Order its home shard cannot run it."""
+        counts = cluster_row_counts(SCALE, 2)
+        cluster = PushTapCluster.build(shards=2, counts=counts, **ENGINE_KWARGS)
+        driver = TPCCDriver(
+            counts, seed=5, payment_fraction=0.0, remote_fraction=6.0
+        )
+        while not cluster.execute_transaction(driver.next_transaction()).cross_shard:
+            pass
+        txn = stock_level(driver.next_stock_level(window=1))
+        before = [e.stats.transactions for e in cluster.engines]
+        with pytest.raises(TransactionError, match="stock_level.*not known until it runs"):
+            cluster.execute_transaction(txn)
+        assert [e.stats.transactions for e in cluster.engines] == before
+        # One shard holds every warehouse, so it still runs there.
+        assert ShardRouter(1, counts["warehouse"]).involved_shards(txn) == [0]
 
     @pytest.mark.parametrize("hook", TWOPC_HOOKS)
     def test_fault_hook_aborts_globally(self, hook):
