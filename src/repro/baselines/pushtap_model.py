@@ -98,17 +98,6 @@ class PushTapQueryModel:
         lazy = num_txns * self.lazy_metadata_bytes_per_txn / self.config.total_cpu_bandwidth
         return self.snapshot_time(pending) + self.defrag_time(pending) + lazy
 
-    def amortized_consistency(self, num_txns: int) -> float:
-        """Total snapshot + defragmentation over ``num_txns`` transactions.
-
-        Unlike :meth:`query_consistency` this charges *every* periodic
-        defragmentation run — the quantity Fig. 11a/b amortize over the
-        OLTP stream.
-        """
-        runs = num_txns // self.defrag_period
-        pending = num_txns % self.defrag_period
-        return runs * self.defrag_time(self.defrag_period) + self.snapshot_time(pending)
-
     def scan_time(
         self, columns: Sequence[Tuple[int, int]], delta_fraction: float = 0.0
     ) -> float:

@@ -141,12 +141,6 @@ class PushTapCluster:
                 engine.defragment()
         sub_txns = self.router.split(txn)
         outcome = self.twopc.execute(home, sub_txns)
-        # The 2PC path bypasses PushTapEngine.execute_transaction, so
-        # every participant accounts its share explicitly.
-        for shard, result in outcome.per_shard.items():
-            self.engines[shard].account_transaction(
-                result.total_time, outcome.committed
-            )
         return ClusterTxnResult(
             committed=outcome.committed,
             latency=outcome.latency,

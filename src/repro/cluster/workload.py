@@ -35,7 +35,7 @@ from repro.oltp.tpcc import TPCCDriver
 from repro.serve.slo import SLOTargets, quantiles
 from repro.telemetry import registry as telemetry
 from repro.telemetry.metrics import Histogram
-from repro.units import S
+from repro.units import qphh, tpmc
 from repro.workloads.driver import _derive_seed
 
 from repro.cluster.cluster import PushTapCluster
@@ -145,16 +145,12 @@ class ClusterReport:
     @property
     def oltp_tpmc(self) -> float:
         """Committed transactions per simulated minute."""
-        if self.simulated_time == 0:
-            return 0.0
-        return self.committed / self.simulated_time * S * 60.0
+        return tpmc(self.committed, self.simulated_time)
 
     @property
     def olap_qphh(self) -> float:
         """Scatter-gather queries per simulated hour."""
-        if self.simulated_time == 0:
-            return 0.0
-        return self.queries / self.simulated_time * S * 3600.0
+        return qphh(self.queries, self.simulated_time)
 
     @property
     def cross_shard_abort_rate(self) -> float:

@@ -194,11 +194,6 @@ class DeviceGeometry:
         """Capacity of one device (chip)."""
         return self.banks_per_device * self.rows_per_bank * self.columns_per_row
 
-    @property
-    def rank_bytes(self) -> int:
-        """Capacity of one rank."""
-        return self.device_bytes * self.devices_per_rank
-
 
 @dataclass(frozen=True)
 class PIMUnitConfig:

@@ -18,7 +18,7 @@ Build one with :meth:`PushTapEngine.build`; see ``examples/quickstart.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -93,17 +93,30 @@ _INDEX_KEYS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "orderline": ("orderline_pk", ("ol_o_id", "ol_number")),
 }
 
+#: Table capacity as a multiple of the loaded rows (plus ``extra_rows``).
+_INSERT_HEADROOM = 2.0
+
 
 @dataclass
 class EngineStats:
-    """Aggregate counters of one engine instance."""
+    """Aggregate counters of one engine instance; the OLTP side reads the
+    OLTP engine, which accounts each transaction where it ends."""
 
-    transactions: int = 0
+    oltp: OLTPEngine = field(repr=False)
     queries: int = 0
     defrag_runs: int = 0
-    oltp_time: float = 0.0
     olap_time: float = 0.0
     defrag_time: float = 0.0
+
+    @property
+    def transactions(self) -> int:
+        """Committed transactions (aborts roll back and do not count)."""
+        return self.oltp.committed
+
+    @property
+    def oltp_time(self) -> float:
+        """OLTP busy time (ns): every transaction's, aborted ones too."""
+        return self.oltp.busy_time
 
 
 class PushTapEngine:
@@ -133,12 +146,13 @@ class PushTapEngine:
         #: All simulated ranks (build() extends these for ranks > 1).
         self.ranks: List[Rank] = [rank]
         self.rank_units: List[RankUnits] = [units]
-        self.stats = EngineStats()
+        self.stats = EngineStats(oltp)
         #: Optional incremental-view layer (see :meth:`enable_ivm`).
         self.ivm = None
         #: Optional durability layer (see :meth:`enable_durability`).
         self.durability = None
-        self._txns_since_defrag = 0
+        #: ``oltp.committed`` at the last :meth:`defragment`.
+        self._committed_at_defrag = 0
         self._defrag_executors: Dict[str, DefragExecutor] = {
             name: DefragExecutor(
                 runtime.storage,
@@ -165,7 +179,6 @@ class PushTapEngine:
         controller_kind: str = "pushtap",
         defrag_period: int = 1_000,
         block_rows: int = 1024,
-        insert_headroom: float = 2.0,
         extra_rows: int = 0,
         updates_per_txn_estimate: int = 12,
         circulant: bool = True,
@@ -182,8 +195,8 @@ class PushTapEngine:
         compact-aligned threshold (§4.1.2, the paper picks 0.6);
         ``queries`` determines the key-column set (default: all 22);
         ``extra_rows`` adds absolute insert capacity per table on top of
-        the multiplicative ``insert_headroom`` (long transaction streams
-        append many ORDERLINE/HISTORY rows); ``circulant=False`` disables
+        twice the loaded rows (long transaction streams append many
+        ORDERLINE/HISTORY rows); ``circulant=False`` disables
         the block-circulant rotation (the Fig. 5a ablation baseline);
         ``ranks`` simulates more than one PIM rank — the paper's third
         access dimension (§1) — with tables assigned round-robin by
@@ -232,7 +245,7 @@ class PushTapEngine:
 
         capacities = {
             name: round_up(
-                max(int(effective_counts[name] * insert_headroom), block_rows)
+                max(int(effective_counts[name] * _INSERT_HEADROOM), block_rows)
                 + extra_rows,
                 8,
             )
@@ -271,7 +284,6 @@ class PushTapEngine:
         index_keys: Optional[Dict[str, Tuple[str, Callable[[Dict], object]]]] = None,
         defrag_period: int = 1_000,
         block_rows: int = 1024,
-        insert_headroom: float = 2.0,
         extra_rows: int = 0,
         updates_per_txn_estimate: int = 12,
         circulant: bool = True,
@@ -304,7 +316,7 @@ class PushTapEngine:
         counts = {name: len(initial_rows.get(name, ())) for name in names}
         capacities = {
             name: round_up(
-                max(int(counts[name] * insert_headroom), block_rows) + extra_rows, 8
+                max(int(counts[name] * _INSERT_HEADROOM), block_rows) + extra_rows, 8
             )
             for name in names
         }
@@ -531,25 +543,7 @@ class PushTapEngine:
         """
         if auto_defrag and self.defrag_due():
             self.defragment()
-        result = self.oltp.execute(txn)
-        self.account_transaction(result.total_time, not result.aborted)
-        return result
-
-    def account_transaction(self, time: float, committed: bool) -> None:
-        """Account one finished transaction on this engine.
-
-        The execution ``time`` (ns) always counts; the transaction count
-        and the defragmentation period only advance on commit — aborted
-        transactions roll back all their writes, so they neither count
-        toward throughput nor age the delta regions. Every path that runs
-        a transaction outside :meth:`execute_transaction` (the serve loop,
-        2PC participants, parallel workers, WAL replay) accounts through
-        here.
-        """
-        self.stats.oltp_time += time
-        if committed:
-            self.stats.transactions += 1
-            self._txns_since_defrag += 1
+        return self.oltp.execute(txn)
 
     def run_transactions(
         self, count: int, driver: Optional[TPCCDriver] = None
@@ -594,9 +588,14 @@ class PushTapEngine:
         with."""
         return {name: t.num_rows for name, t in self.db.tables.items()}
 
+    @property
+    def commits_since_defrag(self) -> int:
+        """Transactions committed since the last :meth:`defragment`."""
+        return self.oltp.committed - self._committed_at_defrag
+
     def defrag_due(self) -> bool:
         """Whether defragmentation should run before the next transaction."""
-        if self.defrag_period and self._txns_since_defrag >= self.defrag_period:
+        if self.defrag_period and self.commits_since_defrag >= self.defrag_period:
             return True
         for runtime in self.db.tables.values():
             delta = runtime.mvcc.delta
@@ -617,7 +616,7 @@ class PushTapEngine:
             first = False
             self.stats.defrag_time += results[name].total_time
         self.stats.defrag_runs += 1
-        self._txns_since_defrag = 0
+        self._committed_at_defrag = self.oltp.committed
         if self.ivm is not None:
             # Compaction cleared the version journals and released superseded
             # delta versions — views must resync from the new horizon.

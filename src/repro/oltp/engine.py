@@ -29,7 +29,6 @@ __all__ = [
     "TxnResult",
     "OLTPEngine",
     "TxnContext",
-    "PendingTxn",
     "PreparedTxn",
 ]
 
@@ -329,34 +328,6 @@ class TxnContext:
         return self._result()
 
 
-class PendingTxn:
-    """A transaction accepted but not yet executed (serve-loop handle).
-
-    The serve event loop queues these behind admission control and steps
-    each one when the simulated server frees up; :meth:`step` executes
-    to completion exactly once and is idempotent afterwards, so a loop
-    can poll a pending handle without double-running the transaction.
-    """
-
-    __slots__ = ("engine", "txn", "result")
-
-    def __init__(self, engine: "OLTPEngine", txn: Callable[[TxnContext], None]) -> None:
-        self.engine = engine
-        self.txn = txn
-        self.result: Optional[TxnResult] = None
-
-    @property
-    def done(self) -> bool:
-        """Whether the transaction has executed."""
-        return self.result is not None
-
-    def step(self) -> TxnResult:
-        """Execute the transaction (first call) or return its result."""
-        if self.result is None:
-            self.result = self.engine.execute(self.txn)
-        return self.result
-
-
 class PreparedTxn:
     """A transaction that ran its body and voted in a 2PC prepare phase.
 
@@ -384,13 +355,6 @@ class PreparedTxn:
         self.result = result
         self.resolved = not vote_yes
 
-    @property
-    def prepare_time(self) -> float:
-        """Simulated time the prepare phase consumed so far (ns)."""
-        if self.result is not None and not self.vote_yes:
-            return self.result.total_time
-        return self.ctx.breakdown.total
-
 
 class OLTPEngine:
     """Executes transactions against a database under a format model."""
@@ -411,8 +375,12 @@ class OLTPEngine:
         #: Per-table row-buffer shadow models (roofline observability).
         #: Populated lazily while the telemetry ``roofline`` flag is on.
         self.rowbuffers: Dict[str, BankTimingModel] = {}
+        #: Each transaction is accounted once, where it commits or aborts:
+        #: ``committed`` is the engine's one commit count, ``busy_time`` its
+        #: OLTP time; ``total_time`` and ``breakdown`` cover commits only.
         self.committed = 0
         self.aborted = 0
+        self.busy_time = 0.0
         self.total_time = 0.0
         self.breakdown = TxnBreakdown()
         #: Optional :class:`repro.wal.DurabilityManager`; when set, every
@@ -511,7 +479,8 @@ class OLTPEngine:
         return ctx, txn_name, None
 
     def _abort(self, ctx: TxnContext, txn_name: str, injected: bool = False) -> TxnResult:
-        """Roll ``ctx`` back and count it aborted; returns its result."""
+        """Roll ``ctx`` back and account it aborted (its time is still
+        busy time); returns its result."""
         ctx.rollback()
         self.aborted += 1
         if injected:
@@ -520,23 +489,27 @@ class OLTPEngine:
         if tel.enabled:
             tel.counter("oltp.txn.aborted").inc()
             tel.counter(f"oltp.txn.{txn_name}.aborted").inc()
-        return TxnResult(
+        result = TxnResult(
             ts=ctx.ts,
             breakdown=ctx.breakdown,
             rows_read=ctx.rows_read,
             rows_written=0,
             aborted=True,
         )
+        self.busy_time += result.total_time
+        return result
 
     def _account_commit(self, ctx: TxnContext, txn_name: str, result: TxnResult) -> TxnResult:
-        """Harden and count a committed transaction."""
+        """Harden and account a committed transaction."""
         if self.durability is not None:
             # Harden the commit: the WAL append (and any checkpoint it
             # triggers) is charged through the same §6.3 flush model as
             # the commit's clflush+barrier. A SimulatedCrash raised by the
-            # crash hooks propagates — a dead process does not roll back.
+            # crash hooks propagates — a dead process does not roll back,
+            # and leaves every counter untouched.
             result.breakdown.flush += self.durability.log_commit(ctx.ts, ctx.ops)
         self.committed += 1
+        self.busy_time += result.total_time
         self.total_time += result.total_time
         self.breakdown = self.breakdown.merge(result.breakdown)
         tel = telemetry.active()
@@ -574,8 +547,7 @@ class OLTPEngine:
             raise TransactionError("prepared transaction already resolved")
         prepared.resolved = True
         ctx = prepared.ctx
-        prepared.result = self._account_commit(ctx, prepared.txn_name, ctx.finalize_commit())
-        return prepared.result
+        return self._account_commit(ctx, prepared.txn_name, ctx.finalize_commit())
 
     def abort_prepared(self, prepared: PreparedTxn) -> TxnResult:
         """Resolve a yes-voting prepare with a global abort.
@@ -587,17 +559,7 @@ class OLTPEngine:
         if prepared.resolved:
             raise TransactionError("prepared transaction already resolved")
         prepared.resolved = True
-        prepared.result = self._abort(prepared.ctx, prepared.txn_name)
-        return prepared.result
-
-    def submit(self, txn: Callable[[TxnContext], None]) -> PendingTxn:
-        """Accept a transaction for deferred execution (non-blocking).
-
-        Nothing runs until the returned handle's :meth:`PendingTxn.step`
-        is called — the serve loop uses this to interleave queued
-        transactions with scheduled OLAP batches on one simulated clock.
-        """
-        return PendingTxn(self, txn)
+        return self._abort(prepared.ctx, prepared.txn_name)
 
     @property
     def mean_txn_time(self) -> float:

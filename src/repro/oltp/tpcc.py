@@ -97,11 +97,6 @@ class PaymentParams:
         return self.d_id if self.c_d_id is None else self.c_d_id
 
     @property
-    def is_remote(self) -> bool:
-        """Whether the payment crosses warehouses."""
-        return self.customer_w_id != self.w_id
-
-    @property
     def warehouses(self) -> Tuple[int, ...]:
         """The warehouses its rows live at, the paying one (home) first."""
         return (self.w_id, self.customer_w_id)
@@ -721,11 +716,6 @@ class TPCCDriver:
             delivery_d=int(self.rng.randint(DATE_EPOCH, DATE_HORIZON)),
             orders=batch,
         )
-
-    @property
-    def pending_deliveries(self) -> int:
-        """New orders generated by this driver but not yet delivered."""
-        return len(self._undelivered)
 
     def note_abort(self, txn: Callable[[TxnContext], None]) -> None:
         """Forget bookkeeping for a transaction that aborted.

@@ -181,13 +181,15 @@ def merge_cluster_run(
     # engines: the pristine precondition makes the absolutes equal the
     # run's deltas, so the caller's ordinary stats-delta bookkeeping
     # (and cluster-level busy-time/makespan accounting) just works. The
-    # engines' *data* is not synced — it lives in the workers.
+    # engines' *data* is not synced — it lives in the workers — so the
+    # data here has aged by no commit and the defrag period restarts.
     for shard, worker in enumerate(shard_results):
         stats = worker.stats
         engine = cluster.engines[shard]
-        engine.stats.transactions += int(stats["transactions"])
+        engine.oltp.committed += int(stats["transactions"])
+        engine.oltp.busy_time += stats["oltp_time"]
         engine.stats.queries += int(stats["queries"])
         engine.stats.defrag_runs += int(stats["defrag_runs"])
-        engine.stats.oltp_time += stats["oltp_time"]
         engine.stats.olap_time += stats["olap_time"]
         engine.stats.defrag_time += stats["defrag_time"]
+        engine._committed_at_defrag = engine.oltp.committed

@@ -54,7 +54,6 @@ def _validate(workload) -> None:
             and engine.stats.oltp_time == 0.0
             and engine.stats.olap_time == 0.0
             and engine.stats.defrag_time == 0.0
-            and engine._txns_since_defrag == 0
             for engine in cluster.engines
         )
     )

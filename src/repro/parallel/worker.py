@@ -167,7 +167,6 @@ def run_shard_ops(shard: int, ops: List[tuple], cfg: WorkerConfig) -> ShardResul
             else:
                 result = engine.oltp.abort_prepared(handle)
             end(op_id, "resolve")
-            engine.account_transaction(result.total_time, resolution == "commit")
             results[op_id] = result.total_time
         elif kind == "query":
             _, op_id, name = op

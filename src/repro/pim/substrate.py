@@ -110,10 +110,6 @@ class Substrate:
     # ------------------------------------------------------------------
     # Classification helpers
     # ------------------------------------------------------------------
-    def ceiling_for_units(self, num_units: int) -> float:
-        """Stream ceiling for an operator spread over ``num_units``."""
-        return self.stream_bandwidth_per_unit * max(num_units, 0)
-
     @staticmethod
     def classify(load_time: float, compute_time: float, control_time: float) -> str:
         """Name the dominant simulated-time component of an operator.

@@ -129,7 +129,7 @@ class AdmissionController:
             t: AdmissionStats() for t in range(num_tenants)
         }
 
-    def submit(self, request: Request, now: float) -> bool:
+    def admit(self, request: Request, now: float) -> bool:
         """Admit or shed ``request``; True means admitted."""
         tenant = request.tenant
         self.stats.submitted += 1

@@ -45,7 +45,7 @@ from repro.serve.admission import AdmissionController, Request
 from repro.serve.scheduler import Action, HTAPScheduler
 from repro.serve.slo import SLOAccounting, SLOTargets
 from repro.telemetry import registry as telemetry
-from repro.units import S
+from repro.units import S, qphh, tpmc
 from repro.workloads.driver import WorkloadSession, _derive_seed
 
 __all__ = ["ServeConfig", "ServeLoop", "ServeResult"]
@@ -224,7 +224,7 @@ class ServeLoop:
                 arrival_horizon=self.engine.db.oracle.read_timestamp(),
             )
             self.slo.on_submit(tenant)
-            if self.admission.submit(request, at):
+            if self.admission.admit(request, at):
                 self.scheduler.enqueue(request, at)
             else:
                 self.slo.on_reject(tenant)
@@ -274,16 +274,11 @@ class ServeLoop:
                 _txn(ctx)
                 raise TransactionAborted("client disconnected mid-transaction")
 
-            pending = self.engine.oltp.submit(_disconnected)
+            result = self.engine.oltp.execute(_disconnected)
         else:
-            pending = self.engine.oltp.submit(txn)
-        result = pending.step()
-        # The serve loop drives the non-blocking submit/step API directly
-        # so defrag stays a scheduler decision, hence the explicit
-        # accounting. The transaction's total_time already includes the
-        # WAL append cost when durability is enabled, so the simulated
-        # clock below advances over the commit-hardening flush too.
-        self.engine.account_transaction(result.total_time, not result.aborted)
+            result = self.engine.oltp.execute(txn)
+        # Not execute_transaction: defrag stays a scheduler decision.
+        # total_time includes any WAL append, so the clock covers it.
         self.now += result.total_time
         if result.aborted:
             self.sessions[request.tenant].note_abort(txn)
@@ -389,9 +384,6 @@ class ServeLoop:
         errors = self.slo.errors(residual_queued=residual)
         completed = sum(s.completed for s in self.slo.tenants.values())
         stats = self.engine.stats
-        # stats.transactions counts committed transactions only (aborts
-        # and disconnects never increment it), so it *is* the tpmC base.
-        committed = stats.transactions
         sim = self.now
         report: Dict[str, object] = {
             "config": {
@@ -436,13 +428,11 @@ class ServeLoop:
                 "defrag_runs": stats.defrag_runs,
             },
             "throughput": {
-                "oltp_tpmc": committed / sim * S * 60.0 if sim else 0.0,
-                "olap_qphh": stats.queries / sim * S * 3600.0 if sim else 0.0,
-                "olap_qphh_busy": (
-                    stats.queries / stats.olap_time * S * 3600.0
-                    if stats.olap_time
-                    else 0.0
-                ),
+                # stats.transactions counts commits only (aborts and
+                # disconnects never reach it), so it *is* the tpmC base.
+                "oltp_tpmc": tpmc(stats.transactions, sim),
+                "olap_qphh": qphh(stats.queries, sim),
+                "olap_qphh_busy": qphh(stats.queries, stats.olap_time),
             },
             "disconnects": self.disconnects,
             "slo_errors": errors,

@@ -25,7 +25,7 @@ from repro.telemetry import registry as telemetry
 from repro.telemetry.registry import MetricsRegistry
 from repro.trace.analysis import BottleneckReport, analyze
 from repro.trace.tracer import Tracer
-from repro.units import S
+from repro.units import qphh, tpmc
 
 __all__ = ["ProfileResult", "run_profile"]
 
@@ -132,37 +132,33 @@ def _run_workload(
             "oltp_tpmc": rep.oltp_tpmc,
             "olap_qphh": rep.olap_qphh,
         }
+    # The plain loops read the fresh engine's own counters.
+    stats = engine.stats
     if workload == "tpcc":
         driver = engine.make_driver(seed=seed)
-        aborted = 0
-        total = 0.0
         count = intervals * txns_per_query
         for _ in range(count):
-            result = engine.execute_transaction(driver.next_transaction())
-            total += result.total_time
-            if result.aborted:
-                aborted += 1
-        time_ns = total + engine.stats.defrag_time
+            engine.execute_transaction(driver.next_transaction())
+        time_ns = stats.oltp_time + stats.defrag_time
         return {
             "time_ns": time_ns,
             "transactions": count,
-            "aborted": aborted,
+            "aborted": engine.oltp.aborted,
             "queries": 0,
-            "defrag_runs": engine.stats.defrag_runs,
-            "oltp_tpmc": (count - aborted) / time_ns * S * 60.0 if time_ns else 0.0,
+            "defrag_runs": stats.defrag_runs,
+            "oltp_tpmc": tpmc(stats.transactions, time_ns),
             "olap_qphh": 0.0,
         }
     # workload == "ch": analytical queries only.
-    total = 0.0
     for i in range(intervals):
-        total += engine.query(queries[i % len(queries)]).total_time
-    time_ns = total + engine.stats.defrag_time
+        engine.query(queries[i % len(queries)])
+    time_ns = stats.olap_time + stats.defrag_time
     return {
         "time_ns": time_ns,
         "transactions": 0,
         "aborted": 0,
         "queries": intervals,
-        "defrag_runs": engine.stats.defrag_runs,
+        "defrag_runs": stats.defrag_runs,
         "oltp_tpmc": 0.0,
-        "olap_qphh": intervals / time_ns * S * 3600.0 if time_ns else 0.0,
+        "olap_qphh": qphh(intervals, time_ns),
     }

@@ -54,6 +54,16 @@ def to_s(time_ns: float) -> float:
     return time_ns / S
 
 
+def tpmc(committed: int, time_ns: float) -> float:
+    """Committed transactions per simulated minute (0.0 at zero time)."""
+    return committed / time_ns * S * 60.0 if time_ns else 0.0
+
+
+def qphh(queries: int, time_ns: float) -> float:
+    """Analytical queries per simulated hour (0.0 at zero time)."""
+    return queries / time_ns * S * 3600.0 if time_ns else 0.0
+
+
 def ceil_div(a: int, b: int) -> int:
     """Integer ceiling division for non-negative ``a`` and positive ``b``."""
     if b <= 0:

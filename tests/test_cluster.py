@@ -28,7 +28,7 @@ from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, QueryError, TransactionError
 from repro.faults.injector import FaultInjector, deactivate, install
 from repro.faults.invariants import InvariantChecker
-from repro.faults.plan import TWOPC_HOOKS, FaultPlan, FaultRates
+from repro.faults.plan import TWOPC_HOOKS, TWOPC_LOST_PREPARE, FaultPlan, FaultRates
 from repro.faults.sweep import run_fault_sweep
 from repro.telemetry import registry as telemetry
 from repro.workloads.chbench import row_counts
@@ -248,6 +248,23 @@ class TestScatterGatherIdentity:
             merge_rows("Q2", [{}, {}])
 
 
+def _assert_participant_accounting(cluster, before, result):
+    """Each shard counted the transaction once, the way it ended: one
+    commit (or none on abort) and exactly its own execution time (0.0
+    for a shard that never ran)."""
+    for shard, engine in enumerate(cluster.engines):
+        txns0, time0 = before[shard]
+        ran = result.per_shard.get(shard)
+        assert engine.stats.transactions - txns0 == int(result.committed), shard
+        assert engine.stats.oltp_time - time0 == (
+            0.0 if ran is None else ran.total_time
+        ), shard
+
+
+def _participant_counters(cluster):
+    return [(e.stats.transactions, e.stats.oltp_time) for e in cluster.engines]
+
+
 class TestTwoPhaseCommit:
     def _remote_payment(self, cluster):
         """A payment paying at warehouse 1 for a customer of warehouse 2."""
@@ -264,6 +281,7 @@ class TestTwoPhaseCommit:
     def test_commit_counters_and_cost(self):
         cluster = PushTapCluster.build(shards=2, scale=SCALE, **ENGINE_KWARGS)
         txn = self._remote_payment(cluster)
+        before = _participant_counters(cluster)
         result = cluster.execute_transaction(txn)
         assert result.committed and result.cross_shard
         assert cluster.twopc.attempted == 1
@@ -280,7 +298,7 @@ class TestTwoPhaseCommit:
         )
         # Participant execution time lands in shard stats; every
         # participant counts the committed transaction.
-        assert sum(e.stats.transactions for e in cluster.engines) == 2
+        _assert_participant_accounting(cluster, before, result)
 
     def test_router_split_is_exhaustive(self):
         cluster = PushTapCluster.build(shards=2, scale=SCALE, **ENGINE_KWARGS)
@@ -330,12 +348,17 @@ class TestTwoPhaseCommit:
             name: cluster.query(name).rows for name in ("Q1", "Q6", "Q9")
         }
         install(FaultInjector(FaultPlan(3, FaultRates.parse(f"{hook}=1.0"))))
+        counters = _participant_counters(cluster)
         try:
             result = cluster.execute_transaction(txn)
         finally:
             deactivate()
         assert not result.committed
         assert result.abort_cause == hook
+        # Aborted work still costs its shard time, but counts no commit;
+        # a lost prepare leaves the remote shard untouched.
+        assert len(result.per_shard) == (1 if hook == TWOPC_LOST_PREPARE else 2)
+        _assert_participant_accounting(cluster, counters, result)
         assert cluster.twopc.aborted == 1
         assert cluster.twopc.atomicity_violations() == []
         for name, rows in before.items():

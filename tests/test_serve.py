@@ -102,7 +102,7 @@ class TestAdmission:
 
     def test_bounded_queue_sheds(self):
         admission = AdmissionController(1, queue_depth=3)
-        admitted = [admission.submit(self.request(i), 0.0) for i in range(5)]
+        admitted = [admission.admit(self.request(i), 0.0) for i in range(5)]
         assert admitted == [True, True, True, False, False]
         stats = admission.stats
         assert stats.submitted == 5
@@ -110,7 +110,7 @@ class TestAdmission:
         assert stats.rejected_by_reason == {"queue_full": 2}
         # Completion frees a slot.
         admission.release(0)
-        assert admission.submit(self.request(5), 0.0)
+        assert admission.admit(self.request(5), 0.0)
 
     def test_token_bucket_rate_limits(self):
         # 2 req/s sustained with a 2-token burst: the 3rd instant
@@ -131,7 +131,7 @@ class TestAdmission:
             FaultInjector(FaultPlan(1, FaultRates({QUEUE_OVERFLOW: 1.0})))
         )
         admission = AdmissionController(1, queue_depth=100)
-        assert not admission.submit(self.request(0), 0.0)
+        assert not admission.admit(self.request(0), 0.0)
         assert admission.stats.rejected_by_reason == {"spurious_overflow": 1}
         assert faults.active().detected[QUEUE_OVERFLOW] == 1
 
@@ -394,7 +394,8 @@ class TestServeFaults:
         """Regression: the serve loop counted aborted and disconnected
         transactions into ``engine.stats.transactions`` and the defrag
         period, diverging from ``execute_transaction`` semantics. Both
-        drivers now count committed transactions only."""
+        drivers now count committed transactions only, on the OLTP
+        engine's one commit counter."""
         from repro.oltp.tpcc import new_order
 
         # Direct driver: aborts leave the counters untouched.
@@ -412,8 +413,9 @@ class TestServeFaults:
                 engine.execute_transaction(inner)
                 committed += 1
         assert engine.stats.transactions == committed
-        assert engine.stats.transactions == engine.oltp.committed
-        assert engine._txns_since_defrag == committed
+        assert engine.oltp.aborted == 4
+        # The defrag period reads the same counter.
+        assert engine.commits_since_defrag == committed
 
         # Serve driver: disconnected (aborted) transactions likewise.
         faults.install(
@@ -422,11 +424,12 @@ class TestServeFaults:
         serve_engine = PushTapEngine.build(**ENGINE_KWARGS)
         result = ServeLoop(serve_engine, small_config(olap_fraction=0.0)).run()
         assert result.disconnects > 0
-        assert serve_engine.stats.transactions == serve_engine.oltp.committed
-        assert (
-            result.report["engine"]["transactions"]
-            == serve_engine.oltp.committed
-        )
+        tenants = result.report["tenants"]
+        served = sum(t["completed"] - t["aborted"] for t in tenants.values())
+        assert result.report["engine"]["transactions"] == served
+        assert serve_engine.stats.transactions == served
+        assert serve_engine.stats.defrag_runs == 0
+        assert serve_engine.commits_since_defrag == served
 
     def test_sweep_report_carries_seed_and_plan_hash(self):
         rates = FaultRates({CLIENT_DISCONNECT: 0.05})

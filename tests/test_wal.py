@@ -185,6 +185,8 @@ class TestDurability:
         )
         assert manager.records == 1
         assert result.breakdown.flush > result_plain.breakdown.flush
+        # The engine's OLTP time is taken after the WAL charge.
+        assert fresh_engine.stats.oltp_time == result.total_time
 
     def test_aborted_transactions_not_logged(self, fresh_engine, tmp_path):
         from repro.oltp.tpcc import new_order
