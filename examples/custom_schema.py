@@ -6,7 +6,10 @@ Builds an engine over the HTAPBench banking schema via
 columns your analytical queries scan, and the initial rows — the library
 generates the compact-aligned layouts, places everything with
 block-circulant rotation, and gives you MVCC transactions plus PIM
-operators on top.
+operators on top. ``index_keys`` maps a table to ``(index name, key
+columns)``: the table keeps that unique hash index itself, keyed by one
+column's value or several columns' tuple, through loads, inserts and
+deletes.
 """
 
 import numpy as np
@@ -56,7 +59,7 @@ def main() -> None:
         key_columns,
         rows,
         block_rows=256,
-        index_keys={"account": ("account_pk", lambda r: r["a_id"])},
+        index_keys={"account": ("account_pk", ("a_id",))},
     )
     print("Custom HTAPBench engine built:")
     print(format_table(

@@ -18,6 +18,7 @@ class Database:
     """All runtime state of one database instance."""
 
     tables: Dict[str, TableRuntime] = field(default_factory=dict)
+    #: Every table's index by name, for lookups (the tables own them).
     indexes: Dict[str, HashIndex] = field(default_factory=dict)
     oracle: TimestampOracle = field(default_factory=TimestampOracle)
 
@@ -36,16 +37,18 @@ class Database:
             raise SchemaError(f"database has no index {name!r}") from None
 
     def add_table(self, runtime: TableRuntime) -> None:
-        """Register a table and create its primary-key index shell."""
+        """Register a table, and its index under the index's name.
+
+        It creates no index: a table brings its own (or none).
+        """
         if runtime.name in self.tables:
             raise SchemaError(f"duplicate table {runtime.name!r}")
+        index = runtime.index
+        if index is not None:
+            if index.name in self.indexes:
+                raise SchemaError(f"duplicate index {index.name!r}")
+            self.indexes[index.name] = index
         self.tables[runtime.name] = runtime
-
-    def add_index(self, index: HashIndex) -> None:
-        """Register an index."""
-        if index.name in self.indexes:
-            raise SchemaError(f"duplicate index {index.name!r}")
-        self.indexes[index.name] = index
 
     @property
     def total_rows(self) -> int:

@@ -23,7 +23,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -39,7 +38,7 @@ from repro.core.defrag import DefragExecutor, DefragResult, Strategy
 from repro.core.snapshot import SnapshotManager
 from repro.core.storage import RankAllocator, TableStorage
 from repro.core.table import TableRuntime
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError, QueryError, SchemaError
 from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
 from repro.format.binpack import compact_aligned_layout
@@ -51,7 +50,7 @@ from repro.olap.queries import QueryResult, run_query
 from repro.oltp.engine import CostParams, OLTPEngine, TxnContext, TxnResult
 from repro.oltp.formats import UnifiedFormatModel
 from repro.oltp.index import HashIndex
-from repro.oltp.tpcc import INDEX_NAMES, TPCCDriver
+from repro.oltp.tpcc import TPCCDriver
 from repro.pim.controller import OriginalController, PushTapController, _ControllerBase
 from repro.pim.memory import Rank
 from repro.pim.pim_unit import PIMUnit, RankUnits
@@ -79,9 +78,9 @@ class OLAPBatchResult:
         """Batch wall time: the one mode switch plus every query."""
         return self.switch_time + sum(r.total_time for r in self.results)
 
-#: Table → (index name, key columns), matching the deterministic data
-#: generator's key assignment: one column indexes its plain values,
-#: several their tuples.
+#: Table → (index name, key columns) of the CH-benCHmark tables, matching
+#: the deterministic data generator's key assignment and the keys TPC-C
+#: probes: one column indexes its plain values, several their tuples.
 _INDEX_KEYS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "warehouse": ("warehouse_pk", ("w_id",)),
     "district": ("district_pk", ("d_w_id", "d_id")),
@@ -95,6 +94,34 @@ _INDEX_KEYS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
 
 #: Table capacity as a multiple of the loaded rows (plus ``extra_rows``).
 _INSERT_HEADROOM = 2.0
+
+
+def _column_arrays(schema: TableSchema, rows: Sequence[Dict]) -> Dict[str, np.ndarray]:
+    """Row dicts as one block of the loader's column arrays: ints as an
+    integer array, bytes as a NUL-padded ``(n, width)`` ``uint8`` matrix.
+    A non-bytes value in a bytes column raises here; any other misfit
+    keeps NumPy's type for :meth:`UnifiedLayout.encode_columns` to reject,
+    both in :meth:`Column.encode`'s words."""
+    columns: Dict[str, np.ndarray] = {}
+    for col in schema:
+        try:
+            values = [row[col.name] for row in rows]
+        except KeyError:
+            raise SchemaError(
+                f"row for table {schema.name!r} missing columns [{col.name!r}]"
+            ) from None
+        if col.kind == "bytes":
+            # NumPy would turn an int among bytes into its digits.
+            bad = [v for v in values if not isinstance(v, (bytes, bytearray))]
+            if bad:
+                raise SchemaError(
+                    f"column {col.name!r} expects bytes, got {type(bad[0]).__name__}"
+                )
+        values = np.array(values)
+        if values.dtype.kind == "S":
+            values = values.view(np.uint8).reshape(len(rows), -1)
+        columns[col.name] = values
+    return columns
 
 
 @dataclass
@@ -267,10 +294,10 @@ class PushTapEngine:
             controller_kind=controller_kind,
             defrag_period=defrag_period,
             cost=cost,
+            indexes={n: spec for n, spec in _INDEX_KEYS.items() if n in names},
         )
-        for index_name in INDEX_NAMES:
-            engine.db.add_index(HashIndex(index_name))
-        cls._load(engine.db, blocks_by_table, _INDEX_KEYS, TableRuntime.load_columns)
+        for name, table_blocks in blocks_by_table.items():
+            engine.db.table(name).load_columns(table_blocks)
         return engine
 
     @classmethod
@@ -281,7 +308,7 @@ class PushTapEngine:
         initial_rows: Dict[str, Sequence[Dict]],
         config: Optional[SystemConfig] = None,
         th: float = 0.6,
-        index_keys: Optional[Dict[str, Tuple[str, Callable[[Dict], object]]]] = None,
+        index_keys: Optional[Dict[str, Tuple[str, Sequence[str]]]] = None,
         defrag_period: int = 1_000,
         block_rows: int = 1024,
         extra_rows: int = 0,
@@ -296,14 +323,29 @@ class PushTapEngine:
         ``schemas`` maps table name → :class:`TableSchema`;
         ``key_columns`` lists each table's analytically scanned columns
         (§4.1.2); ``initial_rows`` supplies the bulk-loaded rows;
-        ``index_keys`` optionally maps a table to ``(index_name, key_fn)``
-        to build a unique hash index over the loaded rows. TPC-C helpers
+        ``index_keys`` optionally maps a table to ``(index_name,
+        key_columns)``: a unique hash index over the table's int key
+        columns, keyed by one column's value or several columns' tuple,
+        which the table keeps through loads, inserts and deletes (key
+        columns cannot be updated). The rows are converted once into
+        column arrays and loaded like :meth:`build`'s. TPC-C helpers
         (:meth:`make_driver`, :meth:`run_transactions`) only apply to the
         CH build — use :meth:`PushTapEngine.oltp` / :meth:`query` plumbing
         directly, or the generic OLAP operators.
         """
         config = config or dimm_system()
         names = list(schemas)
+        indexes = {t: (i, tuple(c)) for t, (i, c) in (index_keys or {}).items()}
+        for table_name, (index_name, columns) in indexes.items():
+            if table_name not in schemas:
+                raise ConfigError(f"index {index_name!r} over unknown table {table_name!r}")
+            schema = schemas[table_name]
+            ints = [c for c in columns if schema.has_column(c) and schema.column(c).kind == "int"]
+            if not columns or len(ints) < len(columns):
+                raise ConfigError(
+                    f"index {index_name!r} on table {table_name!r} needs int key "
+                    f"columns of the table, got {list(columns)}"
+                )
         layouts = {
             name: compact_aligned_layout(
                 schemas[name],
@@ -336,18 +378,12 @@ class PushTapEngine:
             controller_kind=controller_kind,
             defrag_period=defrag_period,
             cost=cost,
+            indexes=indexes,
         )
-        index_keys = index_keys or {}
-        for table_name, (index_name, _) in index_keys.items():
-            if table_name not in schemas:
-                raise ConfigError(f"index over unknown table {table_name!r}")
-            engine.db.add_index(HashIndex(index_name))
-        cls._load(
-            engine.db,
-            {n: initial_rows.get(n, ()) for n in names},
-            index_keys,
-            TableRuntime.load_rows,
-        )
+        for name in names:
+            if initial_rows.get(name):
+                rows = initial_rows[name]
+                engine.db.table(name).load_columns([_column_arrays(schemas[name], rows)])
         return engine
 
     @classmethod
@@ -365,8 +401,11 @@ class PushTapEngine:
         controller_kind: str,
         defrag_period: int,
         cost: Optional[CostParams],
+        indexes: Dict[str, Tuple[str, Tuple[str, ...]]],
     ) -> "PushTapEngine":
-        """Shared assembly: ranks, storage, MVCC, controllers, engines."""
+        """Shared assembly: ranks, storage, MVCC, indexes, controllers,
+        engines; ``indexes`` names each indexed table's index and key
+        columns."""
         names = list(schemas)
         if ranks < 1:
             raise ConfigError("ranks must be >= 1")
@@ -410,6 +449,7 @@ class PushTapEngine:
                 num_devices=rank_obj.num_devices,
                 delta_capacity_blocks=ceil_div(delta_rows, block_rows),
             )
+            index_name, key_columns = indexes.get(name, (None, ()))
             runtime = TableRuntime(
                 name,
                 schemas[name],
@@ -419,6 +459,8 @@ class PushTapEngine:
                 SnapshotManager(storage, mvcc),
                 units=rank_units[rank_index],
                 rank_index=rank_index,
+                index=None if index_name is None else HashIndex(index_name),
+                key_columns=key_columns,
             )
             db.add_table(runtime)
 
@@ -501,21 +543,6 @@ class PushTapEngine:
         banks = config.geometry.banks_per_device
         padded = int(total * 1.4) + 512 * KIB
         return round_up(padded, banks * 8 * block_rows)
-
-    @staticmethod
-    def _load(
-        db: Database,
-        data_by_table: Dict[str, Iterable],
-        index_keys: Dict[str, Tuple[str, object]],
-        loader: Callable[[TableRuntime, Iterable, Optional[Tuple]], int],
-    ) -> None:
-        """Bulk-load every table through ``loader`` (:meth:`TableRuntime.
-        load_rows` or :meth:`~TableRuntime.load_columns`), feeding the
-        index its spec names with the spec's keys."""
-        for name, data in data_by_table.items():
-            spec = index_keys.get(name)
-            index = (db.index(spec[0]), spec[1]) if spec is not None else None
-            loader(db.table(name), data, index)
 
     @staticmethod
     def _build_controller(

@@ -19,9 +19,8 @@ for the OLAP operators (:meth:`TableStorage.column_scan_plan`). Because of
 the ADE alignment, whole-row movement is a column slice of the rank's byte
 matrix — ``rank.mem[:, addr:addr+W]`` is one row's slots on every device —
 so a row copy is one 2-D slice assignment per part, a block of rows one
-strided store (:meth:`TableStorage.write_rows` for row dicts,
-:meth:`TableStorage.write_column_rows` for column arrays — two encoders
-in front of the same store), a defragmentation pass one gather/scatter
+strided store (:meth:`TableStorage.write_column_rows`, from column
+arrays), a defragmentation pass one gather/scatter
 (:meth:`TableStorage.copy_rows`), and a bitmap update one broadcast.
 
 Reads index the same matrix through one *read plan* per column — the
@@ -252,8 +251,9 @@ class TableStorage:
     # ------------------------------------------------------------------
     def write_row(self, row_id: int, delta: int, values: Dict[str, Value]) -> None:
         """Pack and store a full row as version ``(row_id, delta)``:
-        :meth:`write_rows`' bytes, one ``mem[:, lo:lo+W] = flat[slot_plan]``
-        per part. The range is checked before the row is encoded."""
+        :meth:`write_column_rows`' bytes for one row, one ``mem[:, lo:lo+W]
+        = flat[slot_plan]`` per part. The range is checked before the row
+        is encoded."""
         region, row = self._locate(row_id, delta)
         flat = np.frombuffer(
             b"".join([*self.layout.schema.encode_row(values).values(), b"\x00"]),
@@ -265,26 +265,19 @@ class TableStorage:
             lo = bases[region][block] + within * width
             self.rank.mem[:, lo : lo + width] = flat[self.layout.slot_plan(index, rotation)]
 
-    def write_rows(
-        self, region: str, start: int, rows: Sequence[Dict[str, Value]]
-    ) -> None:
-        """Pack and store ``rows`` at consecutive indices from ``start``.
-
-        All-or-nothing: the range is checked and every row encoded before
-        any byte is stored (:meth:`_store_flat`).
-        """
-        self._check_range(region, start, len(rows))
-        self._store_flat(region, start, self.layout.encode_rows(rows))
-
     def write_column_rows(
         self, region: str, start: int, columns: Dict[str, np.ndarray], n: int
     ) -> None:
-        """:meth:`write_rows` for ``n`` rows given as column arrays
-        (:meth:`UnifiedLayout.encode_columns`): the bulk-load entry."""
-        self._check_range(region, start, n)
-        self._store_flat(region, start, self.layout.encode_columns(columns, n))
+        """Pack and store ``n`` rows given as column arrays at consecutive
+        indices from ``start``: the bulk-load entry.
 
-    def _check_range(self, region: str, start: int, n: int) -> None:
+        All-or-nothing: the range is checked and every row encoded
+        (:meth:`UnifiedLayout.encode_columns`) before any byte is stored.
+        Within a circulant block the rotation is constant, so each
+        (block, part) is one ADE-wide store — the rows' flat bytes
+        gathered through the part's rotated slot plan into
+        ``mem[:, lo:hi]``, the same local range on every device (Fig. 6a).
+        """
         capacity = self._region_capacity(region)
         if start < 0 or start + n > capacity:
             first_bad = start if start < 0 else max(start, capacity)
@@ -293,15 +286,7 @@ class TableStorage:
                 f"{first_bad} out of range [0, {capacity}) writing "
                 f"{n} rows from {start}"
             )
-
-    def _store_flat(self, region: str, start: int, flat: np.ndarray) -> None:
-        """Store encoded flat rows at consecutive indices from ``start``.
-
-        Within a circulant block the rotation is constant, so each
-        (block, part) is one ADE-wide store — the rows' flat bytes
-        gathered through the part's rotated slot plan into
-        ``mem[:, lo:hi]``, the same local range on every device (Fig. 6a).
-        """
+        flat = self.layout.encode_columns(columns, n)
         mem = self.rank.mem
         num_devices = self.rank.num_devices
         region_index = 0 if region == Region.DATA else 1

@@ -9,8 +9,7 @@ row-count bookkeeping operators need (:meth:`TableRuntime.region_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +32,9 @@ class TableRuntime:
 
     ``units`` are the PIM units of the rank holding this table (set by
     the engine; None means "use the OLAP engine's default rank"), and
-    ``rank_index`` records which simulated rank that is.
+    ``rank_index`` records which simulated rank that is. The table owns
+    its ``index``: load, insert, delete and their undo all derive a row's
+    key with :meth:`key` from ``key_columns``.
     """
 
     name: str
@@ -44,6 +45,13 @@ class TableRuntime:
     snapshots: SnapshotManager
     units: Optional[Dict] = None
     rank_index: int = 0
+    #: The table's unique hash index (None: not indexed) and the columns
+    #: its keys are made of — the one place a row's key comes from.
+    index: Optional[HashIndex] = None
+    key_columns: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        self._key_set = frozenset(self.key_columns)
 
     @property
     def num_rows(self) -> int:
@@ -79,12 +87,18 @@ class TableRuntime:
         byte runs — bit-identical device bytes to a decode-merge-reencode
         of the whole row (the tests' oracle), since padding is already
         zeroed and unchanged columns round-trip exactly. A same-timestamp
-        overwrite (``src == dst``) copies nothing. Unknown columns raise
-        before the MVCC install, encode errors after it.
+        overwrite (``src == dst``) copies nothing. Unknown columns and
+        index key columns (immutable, see :meth:`stored_key`) raise before
+        the MVCC install, encode errors after it.
         """
         unknown = [c for c in changes if not self.schema.has_column(c)]
         if unknown:
             raise TransactionError(f"table {self.name!r} has no columns {unknown}")
+        if not self._key_set.isdisjoint(changes):
+            keys = [c for c in changes if c in self._key_set]
+            raise TransactionError(
+                f"table {self.name!r}: cannot update index key column(s) {keys}"
+            )
         src, dst, chain_len = self.mvcc.update(row_id, ts)
         if dst != src:
             self.storage.copy_row(row_id, src, dst)
@@ -92,47 +106,63 @@ class TableRuntime:
         return chain_len
 
     def insert_row(self, ts: int, values: Dict[str, Value]) -> int:
-        """Append a new row into its data slot; returns its row id."""
+        """Append a new row into its data slot and index it under its key;
+        returns its row id."""
         row_id = self.mvcc.insert(ts)
         self.storage.write_row(row_id, DATA_SLOT, values)
+        if self.index is not None:
+            self.index.insert(self.key(values), row_id)
         return row_id
 
-    def load_rows(
-        self,
-        rows: Iterable[Dict[str, Value]],
-        index: Optional[Tuple[HashIndex, Callable[[Dict[str, Value]], Hashable]]] = None,
-    ) -> int:
-        """Bulk-load initial rows given as dicts into the data region.
+    def delete_row(self, row_id: int, ts: int) -> int:
+        """Tombstone ``row_id`` and drop its index entry; returns the
+        row's number of versions."""
+        chain_len = self.mvcc.delete(row_id, ts)
+        self.unindex_row(row_id)
+        return chain_len
 
-        Consumes ``rows`` one circulant block at a time (so a generator is
-        never materialized), stores each block with
-        :meth:`TableStorage.write_rows`, and feeds ``index`` — an
-        ``(index, key_fn)`` pair — with ``key_fn(row) → row id``. Rows
-        must already be accounted in the MVCC manager's ``initial_rows``;
-        a block that would pass that count raises before it is stored.
-        """
-        rows = iter(rows)
-        count = 0
-        while chunk := list(islice(rows, self.storage.block_rows)):
-            stop = count + len(chunk)
-            self._check_sized(stop)
-            self.storage.write_rows(Region.DATA, count, chunk)
-            if index is not None:
-                hash_index, key_fn = index
-                hash_index.insert_many([key_fn(v) for v in chunk], range(count, stop))
-            count = stop
-        return count
+    # ------------------------------------------------------------------
+    # The index
+    # ------------------------------------------------------------------
+    def key(self, values: Mapping[str, Value]) -> Hashable:
+        """A row's index key: its one key column's value, or the tuple of
+        several columns' values."""
+        columns = self.key_columns
+        if len(columns) == 1:
+            return values[columns[0]]
+        return tuple(values[c] for c in columns)
 
-    def load_columns(
-        self,
-        blocks: Iterable[Dict[str, np.ndarray]],
-        index: Optional[Tuple[HashIndex, Sequence[str]]] = None,
-    ) -> int:
-        """:meth:`load_rows` for blocks of rows given as column arrays.
+    def keys(self, columns: Mapping[str, np.ndarray]) -> list:
+        """:meth:`key` of every row of a block of column arrays."""
+        keys = [columns[c].tolist() for c in self.key_columns]
+        return keys[0] if len(keys) == 1 else list(zip(*keys))
 
-        Each block is one :meth:`TableStorage.write_column_rows`; ``index``
-        is an ``(index, key columns)`` pair, a single key column indexing
-        its plain values and several their tuples.
+    def stored_key(self, row_id: int) -> Hashable:
+        """``row_id``'s key, read on the host (uncharged) from its data
+        slot. Key columns are immutable, so every version holds it."""
+        return self.key(self.storage.read_row(row_id, DATA_SLOT, self.key_columns))
+
+    def index_row(self, row_id: int) -> None:
+        """Put ``row_id`` back under its stored key (an undone delete)."""
+        if self.index is not None:
+            self.index.insert(self.stored_key(row_id), row_id)
+
+    def unindex_row(self, row_id: int) -> None:
+        """Remove ``row_id``'s stored key from the index."""
+        if self.index is not None:
+            self.index.remove(self.stored_key(row_id))
+
+    # ------------------------------------------------------------------
+    # Bulk load
+    # ------------------------------------------------------------------
+    def load_columns(self, blocks: Iterable[Dict[str, np.ndarray]]) -> int:
+        """Bulk-load initial rows given as blocks of column arrays into
+        the data region, indexing each block under its keys.
+
+        Each block is one :meth:`TableStorage.write_column_rows`, stored
+        as it arrives (a generator is never materialized). Rows must
+        already be accounted in the MVCC manager's ``initial_rows``; a
+        block that would pass that count raises before it is stored.
         """
         count = 0
         for columns in blocks:
@@ -140,12 +170,8 @@ class TableRuntime:
             stop = count + n
             self._check_sized(stop)
             self.storage.write_column_rows(Region.DATA, count, columns, n)
-            if index is not None:
-                hash_index, key_columns = index
-                keys = [columns[c].tolist() for c in key_columns]
-                hash_index.insert_many(
-                    keys[0] if len(keys) == 1 else list(zip(*keys)), range(count, stop)
-                )
+            if self.index is not None:
+                self.index.insert_many(self.keys(columns), range(count, stop))
             count = stop
         return count
 

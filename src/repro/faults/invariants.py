@@ -19,6 +19,9 @@ rather than corrupting state:
   rebuild off the journal and the per-row heads' visibility bitmaps, and
   the packed per-device copy in simulated DRAM equals the packed
   in-memory bitmap.
+* **Index agreement** — an indexed table's index holds exactly one entry
+  per row alive at the read timestamp, under the key of the row's
+  data-slot key columns (one :meth:`TableStorage.read_rows` per table).
 
 The checker deliberately avoids importing :mod:`repro.core.engine` — it
 duck-types the engine (``db``, ``controller``) so low-level modules that
@@ -62,6 +65,7 @@ class InvariantChecker:
         for name, runtime in self.engine.db.tables.items():
             found.extend(self._check_mvcc(name, runtime))
             found.extend(self._check_snapshot(name, runtime))
+            found.extend(self._check_index(name, runtime))
         self.checks += 1
         self.violations.extend(found)
         tel = telemetry.active()
@@ -224,6 +228,31 @@ class InvariantChecker:
                     "in-memory bitmap"
                 )
         return found
+
+    # ------------------------------------------------------------------
+    # Index invariants
+    # ------------------------------------------------------------------
+    def _check_index(self, name: str, runtime) -> List[str]:
+        index = runtime.index
+        if index is None:
+            return []
+        ts = self.engine.db.oracle.read_timestamp()
+        rows = np.flatnonzero(runtime.mvcc.alive_at(ts))
+        keys = runtime.keys(runtime.storage.read_rows(Region.DATA, rows, runtime.key_columns))
+        # Every live row's entry present, and nothing else: then the
+        # index is exactly {key: row} (two rows sharing a key cannot both
+        # be present). Checked without copying the index.
+        entries = index.items()
+        missing = sum((key, row) not in entries for key, row in zip(keys, rows.tolist()))
+        if not missing and len(index) == len(rows):
+            return []
+        duplicate = len(keys) - len(set(keys))
+        stale = len(index) - (len(rows) - missing)
+        return [
+            f"{name}: index {index.name!r} holds {len(index)} keys for {len(rows)} "
+            f"live rows at ts {ts} ({duplicate} duplicate keys, {missing} rows "
+            f"without their entry, {stale} other entries)"
+        ]
 
     @staticmethod
     def _packed(bits: np.ndarray) -> np.ndarray:

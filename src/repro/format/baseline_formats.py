@@ -42,21 +42,6 @@ class RowStoreFormat:
         del columns  # the whole row span is fetched either way
         return ceil_div(self.schema.row_bytes, geometry.cache_line_bytes)
 
-    def cpu_effective_bandwidth(self, geometry: DeviceGeometry) -> float:
-        """Useful fraction of a full-row access."""
-        lines = self.lines_per_row_access(geometry)
-        return self.schema.row_bytes / (lines * geometry.cache_line_bytes)
-
-    def pim_scan_efficiency(self, column: str) -> Optional[float]:
-        """Row-store columns are not IDE-aligned — no PIM scan possible."""
-        self.schema.column(column)
-        return None
-
-    def column_scan_bytes(self, column: str, num_rows: int) -> int:
-        """Bytes the CPU must stream to scan one column (whole table)."""
-        self.schema.column(column)
-        return self.schema.row_bytes * num_rows
-
 
 @dataclass(frozen=True)
 class ColumnStoreFormat:
@@ -78,17 +63,3 @@ class ColumnStoreFormat:
             if not self.schema.has_column(name):
                 raise SchemaError(f"unknown column {name!r}")
         return max(1, len(names))
-
-    def cpu_effective_bandwidth(self, geometry: DeviceGeometry) -> float:
-        """Useful fraction of a full-row access."""
-        lines = self.lines_per_row_access(geometry)
-        return self.schema.row_bytes / (lines * geometry.cache_line_bytes)
-
-    def pim_scan_efficiency(self, column: str) -> Optional[float]:
-        """Columns are compact: a dedicated-instance PIM scan is 100 % useful."""
-        self.schema.column(column)
-        return 1.0
-
-    def column_scan_bytes(self, column: str, num_rows: int) -> int:
-        """Bytes streamed to scan one column (just the column)."""
-        return self.schema.column(column).width * num_rows

@@ -16,8 +16,7 @@ part, aligned to the ADE dimension. Columns are placed into slots as
 packing/unpacking — the "data re-layout" function of §6.3 — twice: as a
 per-part *index plan* the storage layer gathers whole blocks through
 (:meth:`UnifiedLayout.slot_plan` over the flat byte matrix that
-:meth:`UnifiedLayout.encode_rows` builds from row dicts and
-:meth:`UnifiedLayout.encode_columns` from column arrays), and as the
+:meth:`UnifiedLayout.encode_columns` builds from column arrays), and as the
 row-at-a-time :meth:`UnifiedLayout.pack_row` /
 :meth:`UnifiedLayout.unpack_row` the tests hold it against.
 """
@@ -276,27 +275,15 @@ class UnifiedLayout:
         """The ``(devices, row_width)`` flat-row index plan of one part."""
         return self._slot_plans[part_index][rotation]
 
-    def encode_rows(self, rows: Sequence[Dict[str, Value]]) -> np.ndarray:
-        """Encode row dicts to a ``(len(rows), row_bytes + 1)`` byte matrix.
-
-        Each matrix row is a flat row (see :meth:`_build_slot_plans`);
-        indexing it with a :meth:`slot_plan` yields the stored bytes of
-        one part, padding zeroed. Validation is :meth:`TableSchema.
-        encode_row`'s, so errors surface as they do from :meth:`pack_row`.
-        """
-        chunks: List[bytes] = []
-        for values in rows:
-            chunks.extend(self.schema.encode_row(values).values())
-            chunks.append(b"\x00")
-        flat = np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        return flat.reshape(len(rows), self.schema.row_bytes + 1)
-
     def encode_columns(self, columns: Dict[str, np.ndarray], n: int) -> np.ndarray:
-        """:meth:`encode_rows` for ``n`` rows given as column arrays.
+        """Encode ``n`` rows given as column arrays to a ``(n, row_bytes +
+        1)`` byte matrix.
 
         Int columns are integer arrays of ``n`` values, ``bytes`` columns
         ``(n, <= width)`` ``uint8`` matrices (NUL-padded to the width).
-        Returns the same flat matrix, rejecting what :meth:`Column.encode`
+        Each matrix row is a flat row (see :meth:`_build_slot_plans`):
+        indexing it with a :meth:`slot_plan` yields the stored bytes of
+        one part, padding zeroed. Rejects what :meth:`Column.encode`
         rejects in its words — with one range check per column instead of
         one per value.
         """

@@ -20,6 +20,7 @@ from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
 from repro.format.schema import Value
 from repro.oltp.formats import AccessFormatModel
+from repro.oltp.index import HashIndex
 from repro.pim.timing import BankTimingModel, random_line_time
 from repro.telemetry import registry as telemetry
 
@@ -136,9 +137,10 @@ class TxnContext:
         self._charges = engine.access_charges
         tel = telemetry.active()
         self._roofline = bool(tel.enabled and tel.roofline)
-        #: Logical redo records, one per completed write: the WAL logs
-        #: them on commit, and :meth:`rollback` takes the index entries
-        #: to restore from them on abort.
+        #: Logical redo records, one per completed write —
+        #: ``("update", table, row, changes)``, ``("insert", table, row,
+        #: values)``, ``("delete", table, row)``: the WAL logs them on
+        #: commit, and :meth:`rollback` undoes their index changes.
         self.ops: list = []
         #: Read-only transactions may publish a computed value here.
         self.result: object = None
@@ -148,18 +150,18 @@ class TxnContext:
     # ------------------------------------------------------------------
     def index_lookup(self, index: str, key: Hashable) -> int:
         """Probe an index; raises if the key is absent."""
-        result = self.engine.db.index(index).probe(key)
-        self.breakdown.index += (
-            self.engine.cost.index_compute_ns + result.lines * self.engine.line_ns
-        )
-        if not result.found:
-            raise TransactionError(f"index {index!r}: key {key!r} not found")
-        return result.row_id
-
-    def index_insert(self, index: str, key: Hashable, row_id: int) -> None:
-        """Insert into an index."""
-        lines = self.engine.db.index(index).insert(key, row_id)
+        row_id, lines = self.engine.db.index(index).probe(key)
         self.breakdown.index += self.engine.cost.index_compute_ns + lines * self.engine.line_ns
+        if row_id is None:
+            raise TransactionError(f"index {index!r}: key {key!r} not found")
+        return row_id
+
+    def _charge_index_write(self) -> None:
+        """One index insert or remove: a minimal probe."""
+        self.breakdown.index += (
+            self.engine.cost.index_compute_ns
+            + HashIndex.BASE_PROBE_LINES * self.engine.line_ns
+        )
 
     # ------------------------------------------------------------------
     # Row operations
@@ -200,37 +202,30 @@ class TxnContext:
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
 
-    def insert(
-        self,
-        table: str,
-        values: Dict[str, Value],
-        index_key: Optional[Tuple[str, Hashable]] = None,
-    ) -> int:
-        """Append a row, optionally registering it in an index."""
+    def insert(self, table: str, values: Dict[str, Value]) -> int:
+        """Append a row; an indexed table indexes it under its key."""
         runtime = self.engine.db.table(table)
         self.breakdown.alloc += self.engine.cost.alloc_ns
         row_id = runtime.insert_row(self.ts, values)
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
-        if index_key is not None:
-            self.index_insert(index_key[0], index_key[1], row_id)
-        self.ops.append(("insert", table, row_id, dict(values), index_key))
+        if runtime.index is not None:
+            self._charge_index_write()
+        self.ops.append(("insert", table, row_id, dict(values)))
         return row_id
 
-    def delete(self, table: str, row_id: int, index_key: Optional[Tuple[str, Hashable]] = None) -> None:
-        """Tombstone a row, optionally removing its index entry."""
-        chain_len = self.engine.db.table(table).mvcc.delete(row_id, self.ts)
+    def delete(self, table: str, row_id: int) -> None:
+        """Tombstone a row; an indexed table drops its key."""
+        runtime = self.engine.db.table(table)
+        chain_len = runtime.delete_row(row_id, self.ts)
         self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
-        if index_key is not None:
-            lines = self.engine.db.index(index_key[0]).remove(index_key[1])
-            self.breakdown.index += (
-                self.engine.cost.index_compute_ns + lines * self.engine.line_ns
-            )
-        self.ops.append(("delete", table, row_id, index_key))
+        if runtime.index is not None:
+            self._charge_index_write()
+        self.ops.append(("delete", table, row_id))
 
     def abort(self, reason: str = "") -> None:
         """Abort the transaction; the engine rolls back its writes."""
@@ -242,21 +237,22 @@ class TxnContext:
         Each table pops the journal entries stamped with this
         transaction's ts (a table it never wrote has none). That covers
         a write that failed half-way too, since its entry exists before
-        its op is recorded. Then the completed ops, newest first, give
-        back the index entries their inserts added and deletes removed.
+        its op is recorded. Then the completed ops, newest first, undo
+        their index changes: each table removes the keys its inserts
+        added and restores those its deletes removed.
         """
-        for name, runtime in self.engine.db.tables.items():
+        tables = self.engine.db.tables
+        for name, runtime in tables.items():
             try:
                 runtime.mvcc.rollback(self.ts)
             except TransactionError as exc:
                 raise TransactionError(f"table {name!r}: {exc}") from None
         while self.ops:
-            op = self.ops.pop()
-            kind, row_id, index_key = op[0], op[2], op[-1]
-            if kind == "insert" and index_key is not None:
-                self.engine.db.index(index_key[0]).remove(index_key[1])
-            elif kind == "delete" and index_key is not None:
-                self.engine.db.index(index_key[0]).insert(index_key[1], row_id)
+            kind, table, row_id = self.ops.pop()[:3]
+            if kind == "insert":
+                tables[table].unindex_row(row_id)
+            elif kind == "delete":
+                tables[table].index_row(row_id)
         self._written_lines = 0
 
     def _account_access(

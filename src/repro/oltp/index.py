@@ -9,32 +9,18 @@ cache lines), growing with chain length under collisions.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Hashable, Iterable, ItemsView, Optional, Sequence, Tuple
 
 from repro.errors import TransactionError
 
-__all__ = ["HashIndex", "ProbeResult"]
-
-
-class ProbeResult:
-    """Outcome of one index probe: the row id and the lines touched."""
-
-    __slots__ = ("row_id", "lines")
-
-    def __init__(self, row_id: Optional[int], lines: int) -> None:
-        self.row_id = row_id
-        self.lines = lines
-
-    @property
-    def found(self) -> bool:
-        """Whether the key was present."""
-        return self.row_id is not None
+__all__ = ["HashIndex"]
 
 
 class HashIndex:
     """A unique hash index over one table."""
 
-    #: Cache lines of a minimal probe: bucket header + entry.
+    #: Cache lines of a minimal probe: bucket header + entry. An insert or
+    #: remove touches as many.
     BASE_PROBE_LINES = 2
 
     def __init__(self, name: str, num_buckets: int = 4096) -> None:
@@ -51,14 +37,13 @@ class HashIndex:
     def _bucket(self, key: Hashable) -> int:
         return hash(key) % self.num_buckets
 
-    def insert(self, key: Hashable, row_id: int) -> int:
-        """Insert a unique key; returns the lines touched."""
+    def insert(self, key: Hashable, row_id: int) -> None:
+        """Insert a unique key."""
         if key in self._map:
             raise TransactionError(f"index {self.name!r}: duplicate key {key!r}")
         bucket = self._bucket(key)
         self._map[key] = row_id
         self._bucket_sizes[bucket] = self._bucket_sizes.get(bucket, 0) + 1
-        return self.BASE_PROBE_LINES
 
     def insert_many(self, keys: Sequence[Hashable], row_ids: Iterable[int]) -> None:
         """Insert unique ``keys`` → ``row_ids`` (the bulk load), all or
@@ -78,22 +63,20 @@ class HashIndex:
         for bucket, count in Counter(map(self._bucket, new)).items():
             sizes[bucket] = sizes.get(bucket, 0) + count
 
-    def probe(self, key: Hashable) -> ProbeResult:
-        """Look up a key; cost grows with the bucket's chain length."""
-        bucket = self._bucket(key)
-        chain = self._bucket_sizes.get(bucket, 0)
-        lines = self.BASE_PROBE_LINES + max(0, chain - 1)
-        return ProbeResult(self._map.get(key), lines)
+    def probe(self, key: Hashable) -> Tuple[Optional[int], int]:
+        """Look up a key: ``(row id, lines touched)``, the row id None
+        when the key is absent; the lines grow with the bucket's chain."""
+        chain = self._bucket_sizes.get(self._bucket(key), 0)
+        return self._map.get(key), self.BASE_PROBE_LINES + max(0, chain - 1)
 
-    def remove(self, key: Hashable) -> int:
-        """Remove a key; returns the lines touched."""
+    def remove(self, key: Hashable) -> None:
+        """Remove a key."""
         if key not in self._map:
             raise TransactionError(f"index {self.name!r}: missing key {key!r}")
         bucket = self._bucket(key)
         del self._map[key]
         self._bucket_sizes[bucket] -= 1
-        return self.BASE_PROBE_LINES
 
-    def keys(self) -> Iterator[Hashable]:
-        """All indexed keys."""
-        return iter(self._map)
+    def items(self) -> ItemsView[Hashable, int]:
+        """Every ``(key, row id)`` entry."""
+        return self._map.items()

@@ -43,7 +43,6 @@ __all__ = [
     "delivery",
     "order_status",
     "stock_level",
-    "INDEX_NAMES",
     "NEW_ORDER_REMOTE_RATE",
     "PAYMENT_REMOTE_RATE",
 ]
@@ -54,19 +53,6 @@ __all__ = [
 #: scales both (0 disables cross-warehouse traffic, 1 is the spec rate).
 NEW_ORDER_REMOTE_RATE = 0.01
 PAYMENT_REMOTE_RATE = 0.15
-
-#: Index names the transactions expect the database to provide.
-INDEX_NAMES = (
-    "warehouse_pk",
-    "district_pk",
-    "customer_pk",
-    "item_pk",
-    "stock_pk",
-    "order_pk",
-    "neworder_pk",
-    "orderline_pk",
-)
-
 
 @dataclass(frozen=True)
 class PaymentParams:
@@ -222,12 +208,10 @@ def new_order(
                     "o_ol_cnt": len(params.item_ids),
                     "o_all_local": int(all(s == params.w_id for s in params.supply_w_ids)),
                 },
-                index_key=("order_pk", params.o_id),
             )
             ctx.insert(
                 "neworder",
                 {"no_o_id": params.o_id, "no_d_id": params.d_id, "no_w_id": params.w_id},
-                index_key=("neworder_pk", params.o_id),
             )
         for number, (i_id, s_w, qty, here) in enumerate(
             zip(params.item_ids, params.supply_w_ids, params.quantities, supplied),
@@ -266,7 +250,6 @@ def new_order(
                         "ol_amount": qty * item["i_price"],
                         "ol_dist_info": b"neworder",
                     },
-                    index_key=("orderline_pk", (params.o_id, number)),
                 )
 
     txn.txn_name = "new_order" if home else "new_order_remote"
@@ -317,7 +300,7 @@ def delivery(
     def txn(ctx: TxnContext) -> None:
         for order in orders:
             no_row = ctx.index_lookup("neworder_pk", order.o_id)
-            ctx.delete("neworder", no_row, index_key=("neworder_pk", order.o_id))
+            ctx.delete("neworder", no_row)
             o_row = ctx.index_lookup("order_pk", order.o_id)
             ctx.read("order", o_row, ["o_c_id", "o_ol_cnt"])
             ctx.update("order", o_row, {"o_carrier_id": params.carrier_id})

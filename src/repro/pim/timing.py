@@ -22,21 +22,12 @@ from repro.core.config import DRAMTimings, DeviceGeometry
 from repro.units import ceil_div
 
 __all__ = [
-    "AccessKind",
     "AccessStats",
     "BankTimingModel",
     "stream_time",
     "random_line_time",
     "effective_stream_bandwidth",
 ]
-
-
-class AccessKind:
-    """Row-buffer outcome classification for one access."""
-
-    HIT = "hit"
-    MISS = "miss"
-    CONFLICT = "conflict"
 
 
 @dataclass

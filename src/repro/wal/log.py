@@ -7,6 +7,14 @@ One line per committed transaction::
 Records carry *logical redo* operations (the ``TxnContext`` op journal),
 not physical bytes, so replay goes through the normal MVCC/runtime paths
 and every engine invariant holds on the recovered state by construction.
+An op is one of::
+
+    ["update", table, row_id, {col: value}]
+    ["insert", table, row_id, {col: value}]
+    ["delete", table, row_id]
+
+with ``bytes`` values as ``{"__bytes__": hex}``. No op names an index:
+the table derives a row's key from its key columns on replay.
 
 Torn-tail semantics: a crash can cut the final line anywhere. On replay,
 a last line that fails to parse or fails its CRC is treated as a torn

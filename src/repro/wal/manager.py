@@ -81,7 +81,7 @@ class DurabilityManager:
         # Informational only — recovery takes the engine-build callable
         # from its caller, not from disk.
         meta = {
-            "format": 1,
+            "format": 2,
             "checkpoint_every": self.checkpoint_every,
             "sync": bool(sync),
         }
@@ -128,14 +128,7 @@ class DurabilityManager:
             rows = self._pending.setdefault(table, {})
             key = str(row_id)
             entry = rows.setdefault(
-                key,
-                {
-                    "created": False,
-                    "values": None,
-                    "index": None,
-                    "deleted": False,
-                    "del_index": None,
-                },
+                key, {"created": False, "values": None, "deleted": False}
             )
             if kind == "update":
                 values = dict(entry["values"] or {})
@@ -144,10 +137,8 @@ class DurabilityManager:
             elif kind == "insert":
                 entry["created"] = True
                 entry["values"] = dict(op[3])
-                entry["index"] = op[4]
             elif kind == "delete":
                 entry["deleted"] = True
-                entry["del_index"] = op[3]
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -4,11 +4,12 @@
 (the deterministic initial data load), applies every reachable
 checkpoint segment at its horizon timestamp, then replays the WAL
 records past the checkpoint horizon at their recorded commit
-timestamps. All mutation goes through the normal runtime/MVCC paths
-(``insert_row``/``update_row``/``mvcc.delete``/index ops), so the
-recovered engine satisfies the same invariants a live engine does —
-which is exactly what the crash-sweep asserts with the
-``InvariantChecker``.
+timestamps. All mutation goes through the table runtime's own paths
+(``insert_row``/``update_row``/``delete_row``, which keep the table's
+index), so the recovered engine satisfies the same invariants a live
+engine does — which is exactly what the crash-sweep asserts with the
+``InvariantChecker``. A WAL op of a shape this version does not write
+(an unknown kind or arity) raises :class:`WALError`.
 
 ``build_engine`` must reproduce the engine the durability directory was
 written by (same build parameters, same seed) and must **not** itself
@@ -34,6 +35,9 @@ __all__ = ["RecoveryResult", "recover"]
 #: How many segment updates to apply between defrag-due checks; keeps a
 #: merged segment with many cold rows from exhausting a delta region.
 _DEFRAG_CHECK_EVERY = 64
+
+#: WAL op kind → its field count (the ``meta.json`` format 2 shapes).
+_OP_FIELDS = {"update": 4, "insert": 4, "delete": 3}
 
 
 @dataclass
@@ -126,17 +130,13 @@ def _apply_segment(engine, segment: dict) -> int:
         entries = {int(key): entry for key, entry in rows.items()}
         created = sorted(rid for rid, e in entries.items() if e["created"])
         for rid in created:
-            entry = entries[rid]
-            values = {col: unjsonify(v) for col, v in entry["values"].items()}
+            values = {col: unjsonify(v) for col, v in entries[rid]["values"].items()}
             new_id = runtime.insert_row(horizon, values)
             if new_id != rid:
                 raise WALError(
                     f"{table}: segment row {rid} materialized as {new_id}; "
                     f"segment applied out of order or against the wrong build"
                 )
-            if entry["index"] and not entry["deleted"]:
-                index_name, key = unjsonify(entry["index"])
-                engine.db.index(index_name).insert(key, rid)
             applied += 1
         updated = sorted(
             rid
@@ -150,14 +150,7 @@ def _apply_segment(engine, segment: dict) -> int:
             if (position + 1) % _DEFRAG_CHECK_EVERY == 0 and engine.defrag_due():
                 engine.defragment()
         for rid in sorted(rid for rid, e in entries.items() if e["deleted"]):
-            entry = entries[rid]
-            runtime.mvcc.delete(rid, horizon)
-            if entry["del_index"] and not entry["created"]:
-                # A row created *and* deleted inside the window never
-                # materialized its index entry above, so only rows that
-                # predate the window have an entry to remove.
-                index_name, key = unjsonify(entry["del_index"])
-                engine.db.index(index_name).remove(key)
+            runtime.delete_row(rid, horizon)
             applied += 1
     if engine.defrag_due():
         engine.defragment()
@@ -165,28 +158,20 @@ def _apply_segment(engine, segment: dict) -> int:
 
 
 def _apply_ops(engine, ts: int, ops: list) -> int:
-    """Replay one WAL commit record through the normal runtime paths."""
+    """Replay one WAL commit record through the table runtime paths."""
     for op in ops:
-        kind = op[0]
+        kind = op[0] if isinstance(op, tuple) and op and isinstance(op[0], str) else None
+        if kind not in _OP_FIELDS or len(op) != _OP_FIELDS[kind]:
+            raise WALError(f"WAL record at ts {ts}: unknown op shape {op!r}")
+        table, rid = engine.db.table(op[1]), int(op[2])
         if kind == "update":
-            _, table, rid, changes = op
-            engine.db.table(table).update_row(int(rid), ts, dict(changes))
+            table.update_row(rid, ts, dict(op[3]))
         elif kind == "insert":
-            _, table, rid, values, index_key = op
-            new_id = engine.db.table(table).insert_row(ts, dict(values))
-            if new_id != int(rid):
-                raise WALError(
-                    f"{table}: WAL insert expected row {rid}, got {new_id}"
-                )
-            if index_key is not None:
-                engine.db.index(index_key[0]).insert(index_key[1], new_id)
-        elif kind == "delete":
-            _, table, rid, index_key = op
-            engine.db.table(table).mvcc.delete(int(rid), ts)
-            if index_key is not None:
-                engine.db.index(index_key[0]).remove(index_key[1])
+            new_id = table.insert_row(ts, dict(op[3]))
+            if new_id != rid:
+                raise WALError(f"{op[1]}: WAL insert expected row {rid}, got {new_id}")
         else:
-            raise WALError(f"unknown WAL op kind {kind!r}")
+            table.delete_row(rid, ts)
     return len(ops)
 
 

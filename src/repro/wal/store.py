@@ -6,10 +6,12 @@ per-table liveness bitmaps at the window's commit horizon::
     {"horizon": ts,
      "tables": {table: {"<row_id>": {"created": bool,
                                      "values": {col: ...} | None,
-                                     "index": [name, key] | None,
-                                     "deleted": bool,
-                                     "del_index": [name, key] | None}}},
+                                     "deleted": bool}}},
      "bitmaps": {table: {"num_rows": n, "bits": "<hex packbits>"}}}
+
+An entry holds values only: a table derives a row's index key from its
+own key columns, so recovery re-indexes created rows and unindexes
+deleted ones without the segment naming any index.
 
 Segments land in level 0; when a level exceeds the fanout its segments
 are merged newest-wins into the next level (level 2 is the terminal
@@ -46,9 +48,7 @@ def _merge_entry(old: Optional[dict], new: dict) -> dict:
     return {
         "created": bool(old.get("created") or new.get("created")),
         "values": values,
-        "index": old.get("index") or new.get("index"),
         "deleted": bool(old.get("deleted") or new.get("deleted")),
-        "del_index": new.get("del_index") or old.get("del_index"),
     }
 
 

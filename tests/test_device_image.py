@@ -11,6 +11,7 @@ to be byte-identical.
 
 import hashlib
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.mvcc.metadata import Region
 from repro.oltp.index import HashIndex
 from repro.pim.memory import Rank, interleaved_to_local, local_to_interleaved
 from repro.units import ceil_div, round_up
-from tests.test_vectorized_equivalence import version_of, version_slot
+from tests.test_vectorized_equivalence import to_columns, version_of, version_slot
 
 DEVICES = 8
 
@@ -82,6 +83,33 @@ def oracle_copy_row(storage, row_id, src_delta, dst_delta):
         mem[:, dst_addr : dst_addr + part.row_width] = mem[
             :, src_addr : src_addr + part.row_width
         ]
+
+
+def encode_rows(layout, rows):
+    """``UnifiedLayout.encode_rows``, the row-dict encoder set-up had
+    beside the column one: ``TableSchema.encode_row`` per row, flat."""
+    chunks = []
+    for values in rows:
+        chunks.extend(layout.schema.encode_row(values).values())
+        chunks.append(b"\x00")
+    flat = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+    return flat.reshape(len(rows), layout.schema.row_bytes + 1)
+
+
+def load_rows(table, rows):
+    """``TableRuntime.load_rows``, the row-dict loader set-up had beside
+    the column one: one ``write_rows`` per circulant block of a row
+    iterator, then the block's keys into the table's index."""
+    rows = iter(rows)
+    count = 0
+    while chunk := list(islice(rows, table.storage.block_rows)):
+        stop = count + len(chunk)
+        table._check_sized(stop)
+        table.storage.write_rows(Region.DATA, count, chunk)
+        if table.index is not None:
+            table.index.insert_many([table.key(v) for v in chunk], range(count, stop))
+        count = stop
+    return count
 
 
 class OracleStorage(TableStorage):
@@ -193,31 +221,13 @@ def stored(schema, values):
     return {c.name: c.decode(c.encode(values[c.name])) for c in schema}
 
 
-def to_columns(schema, rows, short=True):
-    """Row dicts as column arrays: ints as one integer array (unsigned
-    when a value needs it), bytes as a NUL-padded ``uint8`` matrix — as
-    wide as the longest value with ``short``, else as the column."""
-    columns = {}
-    for col in schema:
-        values = [row[col.name] for row in rows]
-        if col.kind == "int":
-            wide = any(v >= 1 << 63 for v in values)
-            columns[col.name] = np.array(values, dtype=np.uint64 if wide else np.int64)
-        else:
-            width = max(map(len, values), default=0) if short else col.width
-            columns[col.name] = np.array(
-                [list(v.ljust(width, b"\x00")) for v in values], dtype=np.uint8
-            ).reshape(len(rows), width)
-    return columns
-
-
 def crosses_a_bank(storage, region, first, last):
     bank = storage.rank.devices[0].bank_size
     return storage.row_addr(region, 0, first) // bank != storage.row_addr(region, 0, last) // bank
 
 
 # ---------------------------------------------------------------------------
-# (a) write_rows / read_row
+# (a) write_column_rows / read_row
 # ---------------------------------------------------------------------------
 class TestWriteRowsImage:
     @settings(max_examples=40, deadline=None)
@@ -245,7 +255,7 @@ class TestWriteRowsImage:
 
         fast = make_storage(TableStorage, shape, capacity, capacity)
         slow = make_storage(OracleStorage, shape, capacity, capacity)
-        fast.write_rows(region, start, rows)
+        fast.write_column_rows(region, start, to_columns(schema, rows), count)
         slow.write_rows(region, start, rows)
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
         for offset in sorted({0, count // 2, count - 1} & set(range(count))):
@@ -267,7 +277,7 @@ class TestWriteRowsImage:
         rng = random.Random(1)
         for first, last in spans:
             rows = [random_row(shape[0], rng) for _ in range(last - first + 1)]
-            fast.write_rows(Region.DATA, first, rows)
+            fast.write_column_rows(Region.DATA, first, to_columns(shape[0], rows), len(rows))
             slow.write_rows(Region.DATA, first, rows)
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
 
@@ -286,6 +296,9 @@ class TestFailBeforeWriting:
     def rows(self, n):
         return [{"a": i, "z": b"q"} for i in range(n)]
 
+    def write(self, storage, region, start, rows):
+        storage.write_column_rows(region, start, to_columns(self.SHAPE[0], rows), len(rows))
+
     @pytest.mark.parametrize(
         "start,count,first_bad", [(20, 13, 32), (32, 1, 32), (40, 0, 40), (-1, 2, -1)]
     )
@@ -293,7 +306,7 @@ class TestFailBeforeWriting:
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         before = storage.rank.mem.copy()
         with pytest.raises(MemoryError_) as err:
-            storage.write_rows(Region.DATA, start, self.rows(count))
+            self.write(storage, Region.DATA, start, self.rows(count))
         assert np.array_equal(storage.rank.mem, before)
         for fact in ("'orders'", "data", f"row {first_bad} ", "[0, 32)"):
             assert fact in str(err.value)
@@ -301,14 +314,14 @@ class TestFailBeforeWriting:
     def test_delta_region_has_its_own_capacity(self):
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         with pytest.raises(MemoryError_, match=r"delta region: row 16 .*\[0, 16\)"):
-            storage.write_rows(Region.DELTA, 10, self.rows(7))
+            self.write(storage, Region.DELTA, 10, self.rows(7))
 
     def test_a_row_that_does_not_encode_stores_nothing(self):
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         before = storage.rank.mem.copy()
         rows = self.rows(5) + [{"a": 1 << 40, "z": b""}]
         with pytest.raises(SchemaError, match="out of range for column 'a'"):
-            storage.write_rows(Region.DATA, 0, rows)
+            self.write(storage, Region.DATA, 0, rows)
         assert np.array_equal(storage.rank.mem, before)
 
     def test_row_addr_and_copy_row_keep_their_messages(self):
@@ -480,12 +493,17 @@ class TestOneRowWritesImage:
 BDW_CPU, BDW_PIM = 102.4, 1024.0
 
 
-def make_table(cls, shape, initial, capacity, delta_blocks):
+def make_table(cls, shape, initial, capacity, delta_blocks, key_columns=()):
+    """A table runtime and its defragmentation executor; ``key_columns``
+    give it an index named ``pk``."""
     schema, _, block_rows, _ = shape
     storage = make_storage(cls, shape, capacity, delta_blocks * block_rows)
     mvcc = MVCCManager(initial, capacity, block_rows, DEVICES, delta_blocks)
     snapshots = SnapshotManager(storage, mvcc)
-    table = TableRuntime("t", schema, storage.layout, storage, mvcc, snapshots)
+    table = TableRuntime(
+        "t", schema, storage.layout, storage, mvcc, snapshots,
+        index=HashIndex("pk") if key_columns else None, key_columns=tuple(key_columns),
+    )
     executor = DefragExecutor(storage, mvcc, snapshots, BDW_CPU, BDW_PIM)
     return table, executor
 
@@ -529,8 +547,8 @@ class TestCopyAndDefragImage:
         fast, fast_defrag = make_table(TableStorage, shape, initial, capacity, 4 * DEVICES)
         slow, slow_defrag = make_table(OracleStorage, shape, initial, capacity, 4 * DEVICES)
         rows = [random_row(schema, rng) for _ in range(initial)]
-        assert fast.load_rows(iter(rows)) == initial
-        assert slow.load_rows(iter(rows)) == initial
+        assert fast.load_columns([to_columns(schema, rows)]) == initial
+        assert load_rows(slow, iter(rows)) == initial
         model = {row_id: stored(schema, values) for row_id, values in enumerate(rows)}
 
         ts = 0
@@ -592,103 +610,105 @@ class TestCopyAndDefragImage:
 # The one loader
 # ---------------------------------------------------------------------------
 class TestLoadRows:
+    """The loader on a table indexed by its key column ``k``."""
+
     SHAPE = (TableSchema.of("t", [Column("k", 4), Column("v", 6, "bytes")]), ["k"], 8, True)
 
     def rows(self, n):
         return [{"k": 100 + i, "v": bytes([i % 251] * 6)} for i in range(n)]
 
+    def blocks(self, n, size=8):
+        rows = self.rows(n)
+        return [to_columns(self.SHAPE[0], rows[at : at + size]) for at in range(0, n, size)]
+
+    def table(self, initial, cls=TableStorage):
+        return make_table(cls, self.SHAPE, initial, 40, DEVICES, key_columns=("k",))[0]
+
     def test_consumes_a_generator_block_by_block_and_feeds_the_index(self):
-        table, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
+        table = self.table(21)
         pulled = []
 
         def generate():
-            for i, values in enumerate(self.rows(21)):
-                pulled.append(i)
-                yield values
+            for block in self.blocks(21):
+                pulled.append(len(block["k"]))
+                yield block
 
         written_after = []
-        write_rows = table.storage.write_rows
+        store = table.storage.write_column_rows
 
-        def spy(region, start, rows):
-            written_after.append((start, len(rows), len(pulled)))
-            write_rows(region, start, rows)
+        def spy(region, start, columns, n):
+            written_after.append((start, n, sum(pulled)))
+            store(region, start, columns, n)
 
-        table.storage.write_rows = spy
-        index = HashIndex("pk")
-        assert table.load_rows(generate(), (index, lambda r: r["k"])) == 21
+        table.storage.write_column_rows = spy
+        assert table.load_columns(generate()) == 21
         # One store per block of 8, each issued before the next is generated.
         assert written_after == [(0, 8, 8), (8, 8, 16), (16, 5, 21)]
-        assert [index.probe(100 + i).row_id for i in range(21)] == list(range(21))
+        assert [table.index.probe(100 + i)[0] for i in range(21)] == list(range(21))
         assert table.read_row(20, 0) == stored(self.SHAPE[0], self.rows(21)[20])
 
     def test_image_equals_oracle(self):
-        fast, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
-        slow, _ = make_table(OracleStorage, self.SHAPE, 21, 40, DEVICES)
-        fast.load_rows(self.rows(21))
-        slow.load_rows(self.rows(21))
+        fast, slow = self.table(21), self.table(21, OracleStorage)
+        fast.load_columns(self.blocks(21))
+        load_rows(slow, self.rows(21))
         assert np.array_equal(fast.storage.rank.mem, slow.storage.rank.mem)
 
     def test_more_rows_than_sized_for_fails_before_the_offending_block(self):
-        table, _ = make_table(TableStorage, self.SHAPE, 5, 40, DEVICES)
+        table = self.table(5)
         before = table.storage.rank.mem.copy()
-        index = HashIndex("pk")
         with pytest.raises(MemoryError_, match=r"table 't' data region: row 5 .*\[0, 5\)"):
-            table.load_rows(self.rows(6), (index, lambda r: r["k"]))
+            table.load_columns(self.blocks(6))
         assert np.array_equal(table.storage.rank.mem, before)
-        assert len(index) == 0
+        assert len(table.index) == 0
 
     def test_duplicate_index_key_raises(self):
-        table, _ = make_table(TableStorage, self.SHAPE, 2, 40, DEVICES)
+        table = self.table(2)
         with pytest.raises(TransactionError, match="duplicate key"):
-            table.load_rows([self.rows(1)[0]] * 2, (HashIndex("pk"), lambda r: r["k"]))
+            table.load_columns([to_columns(self.SHAPE[0], [self.rows(1)[0]] * 2)])
 
 
     def test_a_duplicate_key_leaves_the_index_as_it_was(self):
         """Bulk insert is per block and all-or-nothing: the first block's
         keys are in, none of the block holding the duplicate."""
-        table, _ = make_table(TableStorage, self.SHAPE, 12, 40, DEVICES)
+        table = self.table(12)
         rows = self.rows(12)
         rows[10] = rows[9]
-        index = HashIndex("pk")
         with pytest.raises(TransactionError, match="duplicate key 109"):
-            table.load_rows(rows, (index, lambda r: r["k"]))
-        assert list(index.keys()) == [100 + i for i in range(8)]
+            table.load_columns(
+                to_columns(self.SHAPE[0], rows[at : at + 8]) for at in (0, 8)
+            )
+        assert [key for key, _ in table.index.items()] == [100 + i for i in range(8)]
 
 
 class TestLoadColumns:
-    """The column-array entry of the loader, against ``load_rows``."""
+    """The column-array loader, against the row-dict one (``load_rows``)."""
 
     SHAPE = TestLoadRows.SHAPE
     rows = TestLoadRows.rows
-
-    def blocks(self, n, size):
-        rows = self.rows(n)
-        return [
-            to_columns(self.SHAPE[0], rows[at : at + size]) for at in range(0, n, size)
-        ]
+    blocks = TestLoadRows.blocks
+    table = TestLoadRows.table
 
     @pytest.mark.parametrize("size", [8, 5, 21])
     def test_image_and_index_equal_load_rows(self, size):
         """Blocks aligned with the storage blocks, straddling them, and
         one block for the whole table."""
-        by_columns, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
-        by_rows, _ = make_table(OracleStorage, self.SHAPE, 21, 40, DEVICES)
-        indexes = HashIndex("pk"), HashIndex("pk")
-        assert by_columns.load_columns(self.blocks(21, size), (indexes[0], ("k",))) == 21
-        assert by_rows.load_rows(self.rows(21), (indexes[1], lambda r: r["k"])) == 21
+        by_columns, by_rows = self.table(21), self.table(21, OracleStorage)
+        assert by_columns.load_columns(self.blocks(21, size)) == 21
+        assert load_rows(by_rows, self.rows(21)) == 21
         assert np.array_equal(by_columns.storage.rank.mem, by_rows.storage.rank.mem)
-        assert list(indexes[0]._map.items()) == list(indexes[1]._map.items())
+        indexes = by_columns.index, by_rows.index
+        assert list(indexes[0].items()) == list(indexes[1].items())
         assert indexes[0]._bucket_sizes == indexes[1]._bucket_sizes
-        assert all(type(key) is int for key in indexes[0].keys())
+        assert all(type(key) is int for key, _ in indexes[0].items())
 
     def test_several_key_columns_index_their_tuples(self):
         shape = (TableSchema.of("t", [Column("a", 2), Column("b", 2)]), ["a"], 8, True)
-        table, _ = make_table(TableStorage, shape, 3, 40, DEVICES)
-        index = HashIndex("pk")
+        table, _ = make_table(TableStorage, shape, 3, 40, DEVICES, key_columns=("a", "b"))
         block = {"a": np.array([5, 6, 5]), "b": np.array([1, 1, 2])}
-        table.load_columns([block], (index, ("a", "b")))
-        assert list(index.keys()) == [(5, 1), (6, 1), (5, 2)]
-        assert index.probe((5, 2)).row_id == 2
+        table.load_columns([block])
+        assert [key for key, _ in table.index.items()] == [(5, 1), (6, 1), (5, 2)]
+        assert table.index.probe((5, 2))[0] == 2
+        assert [table.stored_key(row) for row in range(3)] == [(5, 1), (6, 1), (5, 2)]
 
     def test_blocks_are_stored_as_they_arrive(self):
         table, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
@@ -710,26 +730,24 @@ class TestLoadColumns:
         assert table.read_row(20, 0) == stored(self.SHAPE[0], self.rows(21)[20])
 
     def test_more_rows_than_sized_for_fails_before_the_offending_block(self):
-        table, _ = make_table(TableStorage, self.SHAPE, 5, 40, DEVICES)
-        index = HashIndex("pk")
-        table.load_columns(self.blocks(4, 4), (index, ("k",)))
+        table = self.table(5)
+        table.load_columns(self.blocks(4, 4))
         before = table.storage.rank.mem.copy()
         with pytest.raises(MemoryError_, match=r"table 't' data region: row 5 .*\[0, 5\)"):
-            table.load_columns(self.blocks(6, 8), (index, ("k",)))
+            table.load_columns(self.blocks(6, 8))
         assert np.array_equal(table.storage.rank.mem, before)
-        assert len(index) == 4
+        assert len(table.index) == 4
 
     def test_duplicate_index_key_raises(self):
-        table, _ = make_table(TableStorage, self.SHAPE, 2, 40, DEVICES)
+        table = self.table(2)
         block = to_columns(self.SHAPE[0], [self.rows(1)[0]] * 2)
-        index = HashIndex("pk")
         with pytest.raises(TransactionError, match="duplicate key 100"):
-            table.load_columns([block], (index, ("k",)))
-        assert len(index) == 0
+            table.load_columns([block])
+        assert len(table.index) == 0
 
 
 # ---------------------------------------------------------------------------
-# The column-array entry of write_rows
+# The column-array encoder and store, against the row-dict ones
 # ---------------------------------------------------------------------------
 class TestColumnEntry:
     @settings(max_examples=60, deadline=None)
@@ -744,7 +762,7 @@ class TestColumnEntry:
         columns = to_columns(schema, rows, short=data.draw(st.booleans()))
         flat = layout.encode_columns(columns, len(rows))
         assert flat.dtype == np.uint8
-        assert np.array_equal(flat, layout.encode_rows(rows))
+        assert np.array_equal(flat, encode_rows(layout, rows))
 
     SCHEMA = TableSchema.of(
         "t", [Column("a", 3), Column("b", 8), Column("s", 5, "bytes")]
@@ -786,7 +804,7 @@ class TestColumnEntry:
             else:
                 columns[column] = np.array([bad if i == 2 else 1 for i in range(4)])
         with pytest.raises(SchemaError) as by_rows:
-            layout.encode_rows(rows[2:])
+            encode_rows(layout, rows[2:])
         with pytest.raises(SchemaError) as by_columns:
             layout.encode_columns(columns, 4)
         want = str(by_rows.value)
@@ -832,8 +850,6 @@ class TestColumnEntry:
             rf"table 't' data region: row {first_bad} out of range \[0, 40\) "
             rf"writing {count} rows from {start}$"
         )
-        with pytest.raises(MemoryError_, match=message):
-            storage.write_rows(Region.DATA, start, rows)
         with pytest.raises(MemoryError_, match=message):
             storage.write_column_rows(Region.DATA, start, to_columns(self.SCHEMA, rows), count)
         # An encode error also leaves the image alone: all-or-nothing.

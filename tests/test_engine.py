@@ -34,7 +34,7 @@ class TestBuild:
 
     def test_build_has_no_per_value_path(self, monkeypatch):
         """Set-up is column blocks end to end: no value is encoded, no
-        key inserted and no row dict stored one at a time."""
+        key inserted and no row stored one at a time."""
         from repro.core.storage import TableStorage
         from repro.format.schema import Column
         from repro.oltp.index import HashIndex
@@ -44,7 +44,7 @@ class TestBuild:
 
         monkeypatch.setattr(Column, "encode", per_value)
         monkeypatch.setattr(HashIndex, "insert", per_value)
-        monkeypatch.setattr(TableStorage, "write_rows", per_value)
+        monkeypatch.setattr(TableStorage, "write_row", per_value)
         engine = PushTapEngine.build(scale=2e-5, block_rows=256)
         assert len(engine.db.index("orderline_pk")) == 1200
 
@@ -68,7 +68,7 @@ class TestBuild:
         whole = PushTapEngine.build(scale=2e-5, tables=["item"], block_rows=256)
         for row_id in (0, 127, 128, 199):
             assert table.read_row(row_id, ts) == whole.table("item").read_row(2 * row_id, ts)
-        assert engine.db.index("item_pk").probe(399).row_id == 199
+        assert engine.db.index("item_pk").probe(399)[0] == 199
         unfiltered = PushTapEngine.build(
             scale=2e-5, tables=["item"], block_rows=256, row_filter=lambda t, c: None
         )

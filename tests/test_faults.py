@@ -327,6 +327,48 @@ class TestInvariantChecker:
         checker = InvariantChecker(fresh_engine, raise_on_violation=False)
         assert any("unreferenced" in v for v in checker.check())
 
+    @staticmethod
+    def misplace(table, ts):
+        """Move row 5's key onto row 6."""
+        key = table.stored_key(5)
+        table.index.remove(key)
+        table.index.insert(key, 6)
+
+    @pytest.mark.parametrize(
+        "tamper, counts",
+        [
+            # A tombstone without its unindex leaves a stale key.
+            (lambda t, ts: t.mvcc.delete(5, ts), (0, -1, 0, 0, 1)),
+            (lambda t, ts: t.index.remove(t.stored_key(5)), (-1, 0, 0, 1, 0)),
+            (misplace.__func__, (0, 0, 0, 1, 1)),
+            # Row 6's data slot takes row 5's key behind the index's back.
+            (lambda t, ts: t.storage.write_columns(6, -1, {"no_o_id": t.stored_key(5)}),
+             (0, 0, 1, 1, 1)),
+        ],
+        ids=["stale", "missing", "misplaced", "duplicate"],
+    )
+    def test_catches_an_index_out_of_step_with_its_rows(self, fresh_engine, tamper, counts):
+        """The index holds exactly the live rows' data-slot keys; the
+        same engine untouched (deliveries included) reports nothing.
+        ``counts``: keys and live rows against the untouched index, then
+        the duplicate keys, rows without their entry and other entries."""
+        fresh_engine.run_transactions(
+            20, fresh_engine.make_driver(seed=4, delivery_fraction=0.3)
+        )
+        checker = InvariantChecker(fresh_engine, raise_on_violation=False)
+        assert checker.check() == []
+        ts = fresh_engine.db.oracle.next_timestamp()
+        table = fresh_engine.table("neworder")
+        live = len(table.index)
+        tamper(table, ts)
+        more_keys, more_live, duplicate, missing, other = counts
+        assert checker.check() == [
+            f"neworder: index 'neworder_pk' holds {live + more_keys} keys for "
+            f"{live + more_live} live rows "
+            f"at ts {ts} ({duplicate} duplicate keys, {missing} rows without their "
+            f"entry, {other} other entries)"
+        ]
+
 
 class TestFaultSweep:
     RATES = FaultRates.parse(

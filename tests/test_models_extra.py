@@ -1,5 +1,8 @@
 """Extra coverage: frontier model internals, naive format, runtime helpers."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.config import dimm_system
@@ -94,8 +97,10 @@ class TestDatabaseBundle:
         db = loaded_engine.db
         with pytest.raises(SchemaError):
             db.add_table(db.table("item"))
-        with pytest.raises(SchemaError):
-            db.add_index(db.index("item_pk"))
+        # A second table may not bring an index of a registered name.
+        with pytest.raises(SchemaError, match="duplicate index 'item_pk'"):
+            db.add_table(dataclasses.replace(db.table("item"), name="item2"))
+        assert "item2" not in db.tables
 
     def test_unknown_lookups(self):
         db = Database()
@@ -111,21 +116,44 @@ class TestDatabaseBundle:
 
 class TestTableRuntimeHelpers:
     def test_load_rows_bulk(self, fresh_engine):
-        """The bulk loader writes initial rows without MVCC churn."""
+        """The bulk loader writes initial rows without MVCC churn and
+        indexes them under the table's key column."""
         runtime = fresh_engine.table("item")
-        rows = [
-            {"i_id": i + 1, "i_im_id": 1, "i_name": b"x", "i_price": 100, "i_data": b"y"}
-            for i in range(5)
-        ]
-        count = runtime.load_rows(rows)
+        log_length = runtime.mvcc.log_length
+        block = {
+            "i_id": np.arange(1001, 1006),
+            "i_im_id": np.ones(5, dtype=np.int64),
+            "i_name": np.full((5, 1), ord("x"), dtype=np.uint8),
+            "i_price": np.full(5, 100),
+            "i_data": np.full((5, 1), ord("y"), dtype=np.uint8),
+        }
+        count = runtime.load_columns([block])
         assert count == 5
         ts = fresh_engine.db.oracle.read_timestamp()
         assert runtime.read_row(2, ts)["i_price"] == 100
+        assert runtime.mvcc.log_length == log_length
+        assert fresh_engine.db.index("item_pk").probe(1003)[0] == 2
 
     def test_update_unknown_column_rejected(self, fresh_engine):
         runtime = fresh_engine.table("item")
         with pytest.raises(TransactionError):
             runtime.update_row(0, 1, {"bogus": 1})
+
+    def test_update_of_a_key_column_rejected_before_the_install(self, fresh_engine):
+        """Key columns are immutable: changing one would strand the
+        index entry under the old key. The update raises, naming the
+        table and the columns, and leaves no journal entry."""
+        runtime = fresh_engine.table("stock")
+        log_length = runtime.mvcc.log_length
+        ts = fresh_engine.db.oracle.next_timestamp()
+        with pytest.raises(
+            TransactionError,
+            match=r"table 'stock': cannot update index key column\(s\) \['s_i_id'\]",
+        ):
+            runtime.update_row(0, ts, {"s_quantity": 5, "s_i_id": 9999})
+        assert runtime.mvcc.log_length == log_length
+        assert runtime.read_row(0, ts)["s_i_id"] == runtime.stored_key(0)[1]
+        assert fresh_engine.db.index("stock_pk").probe(runtime.stored_key(0))[0] == 0
 
     def test_region_rows_tracks_delta(self, fresh_engine):
         runtime = fresh_engine.table("item")

@@ -22,13 +22,13 @@ class TestHashIndex:
     def test_insert_probe(self):
         idx = HashIndex("t")
         idx.insert(("a", 1), 42)
-        result = idx.probe(("a", 1))
-        assert result.found and result.row_id == 42
-        assert result.lines >= HashIndex.BASE_PROBE_LINES
+        row_id, lines = idx.probe(("a", 1))
+        assert row_id == 42
+        assert lines >= HashIndex.BASE_PROBE_LINES
 
     def test_miss(self):
         idx = HashIndex("t")
-        assert not idx.probe("missing").found
+        assert idx.probe("missing")[0] is None
 
     def test_duplicate_rejected(self):
         idx = HashIndex("t")
@@ -41,13 +41,13 @@ class TestHashIndex:
         idx.insert("a", 1)
         idx.insert("b", 2)
         idx.insert("c", 3)
-        assert idx.probe("a").lines > HashIndex.BASE_PROBE_LINES
+        assert idx.probe("a")[1] > HashIndex.BASE_PROBE_LINES
 
     def test_remove(self):
         idx = HashIndex("t")
         idx.insert("k", 1)
         idx.remove("k")
-        assert not idx.probe("k").found
+        assert idx.probe("k")[0] is None
         with pytest.raises(TransactionError):
             idx.remove("k")
 
@@ -56,7 +56,7 @@ class TestHashIndex:
         idx.insert("a", 1)
         idx.insert("b", 2)
         assert len(idx) == 2
-        assert set(idx.keys()) == {"a", "b"}
+        assert dict(idx.items()) == {"a": 1, "b": 2}
 
     @staticmethod
     def state(idx):
@@ -83,8 +83,7 @@ class TestHashIndex:
         bulk.insert_many(tail, range(len(head), len(keys)))
         assert self.state(bulk) == self.state(loop)
         for key in keys:
-            got, want = bulk.probe(key), loop.probe(key)
-            assert (got.row_id, got.lines) == (want.row_id, want.lines)
+            assert bulk.probe(key) == loop.probe(key)
 
     @pytest.mark.parametrize(
         "batch, duplicate",
@@ -229,7 +228,7 @@ class TestTransactionsFunctional:
         params = driver.next_payment()
         c_row = engine.db.index("customer_pk").probe(
             (params.w_id, params.d_id, params.c_id)
-        ).row_id
+        )[0]
         ts = engine.db.oracle.read_timestamp()
         before = engine.table("customer").read_row(c_row, ts)
         history_before = engine.table("history").num_rows
@@ -247,7 +246,7 @@ class TestTransactionsFunctional:
         ol_before = engine.table("orderline").num_rows
         engine.execute_transaction(new_order(params))
         assert engine.table("orderline").num_rows == ol_before + len(params.item_ids)
-        row_id = engine.db.index("order_pk").probe(params.o_id).row_id
+        row_id = engine.db.index("order_pk").probe(params.o_id)[0]
         ts = engine.db.oracle.read_timestamp()
         order = engine.table("order").read_row(row_id, ts)
         assert order["o_c_id"] == params.c_id
@@ -259,7 +258,7 @@ class TestTransactionsFunctional:
         params = driver.next_new_order()
         s_row = engine.db.index("stock_pk").probe(
             (params.supply_w_ids[0], params.item_ids[0])
-        ).row_id
+        )[0]
         ts = engine.db.oracle.read_timestamp()
         before = engine.table("stock").read_row(s_row, ts)
         engine.execute_transaction(new_order(params))

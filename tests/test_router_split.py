@@ -126,12 +126,10 @@ def _new_order_home(
                 "o_ol_cnt": len(params.item_ids),
                 "o_all_local": int(all(s == params.w_id for s in params.supply_w_ids)),
             },
-            index_key=("order_pk", params.o_id),
         )
         ctx.insert(
             "neworder",
             {"no_o_id": params.o_id, "no_d_id": params.d_id, "no_w_id": params.w_id},
-            index_key=("neworder_pk", params.o_id),
         )
         for number, (i_id, s_w, qty) in enumerate(
             zip(params.item_ids, params.supply_w_ids, params.quantities), start=1
@@ -169,7 +167,6 @@ def _new_order_home(
                     "ol_amount": qty * item["i_price"],
                     "ol_dist_info": b"neworder",
                 },
-                index_key=("orderline_pk", (params.o_id, number)),
             )
 
     txn.txn_name = "new_order"
@@ -274,12 +271,12 @@ class RecordingContext:
     def update(self, table, row_id, changes):
         self.calls.append(("update", table, row_id, dict(changes)))
 
-    def insert(self, table, values, index_key=None):
-        self.calls.append(("insert", table, dict(values), index_key))
+    def insert(self, table, values):
+        self.calls.append(("insert", table, dict(values)))
         return len(self.calls)
 
-    def delete(self, table, row_id, index_key=None):
-        self.calls.append(("delete", table, row_id, index_key))
+    def delete(self, table, row_id):
+        self.calls.append(("delete", table, row_id))
 
 
 def _calls(txn) -> List[tuple]:

@@ -63,11 +63,11 @@ class TestStockLevel:
         low = set()
         for order in params.recent_orders:
             for number in range(1, order.ol_cnt + 1):
-                ol_row = engine.db.index("orderline_pk").probe((order.o_id, number)).row_id
+                ol_row = engine.db.index("orderline_pk").probe((order.o_id, number))[0]
                 line = engine.table("orderline").read_row(ol_row, ts)
                 s_row = engine.db.index("stock_pk").probe(
                     (line["ol_supply_w_id"], line["ol_i_id"])
-                ).row_id
+                )[0]
                 stock = engine.table("stock").read_row(s_row, ts)
                 if stock["s_quantity"] < params.threshold:
                     low.add(line["ol_i_id"])

@@ -40,7 +40,7 @@ class TestAbort:
         params = driver.next_payment()
         c_row = engine.db.index("customer_pk").probe(
             (params.w_id, params.d_id, params.c_id)
-        ).row_id
+        )[0]
         ts = engine.db.oracle.read_timestamp()
         before = engine.table("customer").read_row(c_row, ts)
         inner = payment(params)
@@ -104,7 +104,7 @@ class TestAbort:
         result = engine.oltp.execute(aborting)
         assert result.aborted
         for order in d_params.orders:
-            assert engine.db.index("neworder_pk").probe(order.o_id).found
+            assert engine.db.index("neworder_pk").probe(order.o_id)[0] is not None
         assert db_fingerprint(engine) == before
         # The restored entries are live: retrying the delivery commits.
         result = engine.execute_transaction(delivery(d_params))
@@ -251,13 +251,13 @@ class TestDelivery:
         ts0 = engine.db.oracle.read_timestamp()
         c_row = engine.db.index("customer_pk").probe(
             (no_params.w_id, no_params.d_id, no_params.c_id)
-        ).row_id
+        )[0]
         before = engine.table("customer").read_row(c_row, ts0)
         engine.execute_transaction(delivery(d_params))
         ts = engine.db.oracle.read_timestamp()
         after = engine.table("customer").read_row(c_row, ts)
         assert after["c_delivery_cnt"] == before["c_delivery_cnt"] + len(d_params.orders)
-        ol_row = engine.db.index("orderline_pk").probe((no_params.o_id, 1)).row_id
+        ol_row = engine.db.index("orderline_pk").probe((no_params.o_id, 1))[0]
         line = engine.table("orderline").read_row(ol_row, ts)
         assert line["ol_delivery_d"] == d_params.delivery_d
 

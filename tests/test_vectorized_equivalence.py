@@ -1145,6 +1145,24 @@ def version_of(region, row):
     return (row, -1) if region == Region.DATA else (0, row)
 
 
+def to_columns(schema, rows, short=True):
+    """Row dicts as column arrays: ints as one integer array (unsigned
+    when a value needs it), bytes as a NUL-padded ``uint8`` matrix — as
+    wide as the longest value with ``short``, else as the column."""
+    columns = {}
+    for col in schema:
+        values = [row[col.name] for row in rows]
+        if col.kind == "int":
+            wide = any(v >= 1 << 63 for v in values)
+            columns[col.name] = np.array(values, dtype=np.uint64 if wide else np.int64)
+        else:
+            width = max(map(len, values), default=0) if short else col.width
+            columns[col.name] = np.array(
+                [list(v.ljust(width, b"\x00")) for v in values], dtype=np.uint8
+            ).reshape(len(rows), width)
+    return columns
+
+
 def read_world(block_rows, circulant):
     """A storage over a hand-built two-part layout, filled with noise.
 
@@ -1189,15 +1207,12 @@ def read_world(block_rows, circulant):
     )
     rng = np.random.default_rng(block_rows + circulant)
     rank.mem[:] = rng.integers(0, 256, size=rank.mem.shape, dtype=np.uint8)
-    storage.write_rows(
-        Region.DATA,
-        0,
-        [
-            {**{name: i % (1 << 8 * w) for name, w in READ_INT_WIDTHS.items()},
-             "n": i * 0x01_00_00_00_01, "z": bytes([65 + i] * (i % 5))}
-            for i in range(12)
-        ],
-    )
+    rows = [
+        {**{name: i % (1 << 8 * w) for name, w in READ_INT_WIDTHS.items()},
+         "n": i * 0x01_00_00_00_01, "z": bytes([65 + i] * (i % 5))}
+        for i in range(12)
+    ]
+    storage.write_column_rows(Region.DATA, 0, to_columns(schema, rows), len(rows))
     return storage
 
 

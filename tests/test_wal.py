@@ -21,9 +21,11 @@ def build_engine():
     return PushTapEngine.build(**ENGINE_KWARGS)
 
 
-#: sha256 of :func:`durable_bytes_sha256`'s files, computed on the commit
-#: before the version journal (per-row chains and undo closures).
-PINNED_DURABLE_SHA256 = "13a6bef569505ed9a064c059753e2a9fc10cb62993a43e8ae46a79cb04ed5452"
+#: sha256 of :func:`durable_bytes_sha256`'s files. Re-pinned when records
+#: lost their index fields (the insert op's index key, the delete op's,
+#: and a segment entry's ``index``/``del_index``): the files equal the
+#: previous pin's with exactly those removed and each WAL CRC recomputed.
+PINNED_DURABLE_SHA256 = "ca3275d367c1c4cf1f87792497698bb79bb82876eef13aea6073b6b7c2c1ddb7"
 
 
 def durable_bytes_sha256(path):
@@ -45,8 +47,8 @@ def durable_bytes_sha256(path):
 
 SAMPLE_OPS = [
     ("update", "customer", 3, {"c_balance": 125, "c_data": b"\x01\xffab"}),
-    ("insert", "neworder", 41, {"no_o_id": 9, "no_d_id": 2}, ("neworder_pk", (9, 2))),
-    ("delete", "neworder", 40, ("neworder_pk", (8, 2))),
+    ("insert", "neworder", 41, {"no_o_id": 9, "no_d_id": 2}),
+    ("delete", "neworder", 40),
 ]
 
 
@@ -60,17 +62,7 @@ class TestWriteAheadLog:
         assert not torn
         assert [ts for ts, _ in records] == [5, 6]
         # Tuples and bytes survive the JSON round trip exactly.
-        assert records[0][1] == [
-            ("update", "customer", 3, {"c_balance": 125, "c_data": b"\x01\xffab"}),
-            (
-                "insert",
-                "neworder",
-                41,
-                {"no_o_id": 9, "no_d_id": 2},
-                ("neworder_pk", (9, 2)),
-            ),
-            ("delete", "neworder", 40, ("neworder_pk", (8, 2))),
-        ]
+        assert records[0][1] == SAMPLE_OPS
 
     def test_jsonify_round_trip_values(self):
         value = ("k", b"\x00\x01", 7, {"nested": (1, b"\xff")})
@@ -204,10 +196,16 @@ class TestDurability:
         assert manager.wal.replay() == ([], False)
 
     def test_wal_and_segment_bytes_pinned(self, tmp_path):
-        """The redo path writes the same bytes as before the version
-        journal replaced the per-row chains and the undo closures."""
+        """The redo path writes the pinned bytes: values only, no index
+        fields."""
         path = str(tmp_path / "dur")
         assert durable_bytes_sha256(path) == PINNED_DURABLE_SHA256
+
+    def test_meta_names_the_record_format(self, fresh_engine, tmp_path):
+        path = str(tmp_path / "dur")
+        fresh_engine.enable_durability(path).close()
+        with open(os.path.join(path, "meta.json"), encoding="utf-8") as handle:
+            assert json.load(handle)["format"] == 2
 
     def test_enable_durability_twice_rejected(self, fresh_engine, tmp_path):
         fresh_engine.enable_durability(str(tmp_path / "dur"))
@@ -288,6 +286,30 @@ class TestRecovery:
         assert result.torn_tail
         assert result.wal_records_replayed == 19
         assert result.horizon == live.db.oracle.read_timestamp() - 1
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            ("insert", "neworder", 1200, {"no_d_id": 1, "no_o_id": 9001, "no_w_id": 1},
+             ("neworder_pk", 9001)),
+            ("delete", "neworder", 40, ("neworder_pk", 41)),
+            ("upsert", "neworder", 40, {"no_d_id": 2}),
+            ("update", "customer", 3),
+        ],
+        ids=["format-1 insert", "format-1 delete", "unknown kind", "short update"],
+    )
+    def test_unknown_op_shape_fails_loudly(self, tmp_path, op):
+        """A record this version does not write (a format-1 insert or
+        delete still naming its index, an unknown kind, a wrong arity)
+        raises naming the ts and the op, before the op is applied."""
+        path = str(tmp_path / "dur")
+        os.makedirs(path)
+        wal = WriteAheadLog(os.path.join(path, "wal.log"))
+        wal.append(5, [jsonify(op)])
+        wal.close()
+        with pytest.raises(WALError) as err:
+            recover(path, build_engine)
+        assert str(err.value) == f"WAL record at ts 5: unknown op shape {op!r}"
 
     def test_recovered_engine_keeps_working(self, tmp_path):
         path = str(tmp_path / "dur")
