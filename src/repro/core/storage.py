@@ -221,31 +221,6 @@ class TableStorage:
     def _region_capacity(self, region: str) -> int:
         return self.capacity_rows if region == Region.DATA else self.delta_capacity_rows
 
-    def row_addr(self, region: str, part_index: int, row: int) -> int:
-        """Bank-local address of a row's slot bytes in one part.
-
-        Identical on every device — which device holds which slot is the
-        placement's business.
-        """
-        if row < 0 or row >= self._region_capacity(region):
-            raise MemoryError_(
-                f"{region} row {row} out of range [0, {self._region_capacity(region)})"
-            )
-        part = self.layout.parts[part_index]
-        block = row // self.block_rows
-        within = row % self.block_rows
-        return self._region_blocks(region, part_index)[block] + within * part.row_width
-
-    def device_of_slot(self, region: str, row: int, slot_index: int) -> int:
-        """Physical device holding ``slot_index`` of a row (circulant)."""
-        block = row // self.block_rows
-        rotation = self.placement.rotation_of_block(block)
-        return (slot_index + rotation) % self.rank.num_devices
-
-    def rotation_of(self, region: str, row: int) -> int:
-        """Rotation of the row's block."""
-        return self.placement.rotation_of_block(row // self.block_rows)
-
     # ------------------------------------------------------------------
     # Row I/O (functional)
     # ------------------------------------------------------------------

@@ -20,9 +20,14 @@ all the phase's (unit, slot) pairs:
 Blocks of a phase that share a row count form one rectangular batch, so a
 phase is a single batch unless it holds the partial last block of a
 region. Simulated time and the units' work counters depend on the block
-geometry alone: they are worked out when the operation is planned (one
-cost per distinct row count, summed per unit in slot order) and charged
-per phase to the rank's counter matrices.
+geometry alone: they are worked out when the scan is planned (one cost
+per distinct row count, summed per unit in slot order) and charged per
+phase to the rank's counter matrices.
+
+That plan (:class:`_ScanPlan`) depends on the region extents and the
+operator's shape alone, so it outlives the query: ``RankUnits.scan_plans``
+keeps one per shape until new extents replace it. It holds no bytes —
+``load`` reads the current snapshot's column and bitmap bytes when it runs.
 
 Operators collect *functional* results (masks, group keys, hashes,
 partial sums) on the Python side, standing in for the CPU harvesting
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby, zip_longest
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,8 +81,7 @@ class RegionRows:
     delta_rows: int = 0
 
 
-@dataclass(frozen=True)
-class RowSlice:
+class RowSlice(NamedTuple):
     """Identifies the rows of one scanned block: region + base row."""
 
     region: str
@@ -90,7 +94,7 @@ class _Batch:
     """The blocks of one phase that share a row count, as parallel arrays."""
 
     num_rows: int
-    slices: List[RowSlice]
+    slices: Tuple[RowSlice, ...]
     #: Row of each block's unit in the rank's WRAM / counter matrices.
     unit_rows: np.ndarray
     #: WRAM offset of each block's slot.
@@ -156,8 +160,147 @@ def _in_order(terms: Sequence[float]) -> float:
     return total
 
 
+class _ScanPlan:
+    """Where every block of one scan runs and what each phase costs: the
+    (phase, unit, slot) of each block, the per-phase charges, the batches,
+    the WRAM offsets and the LS request.
+
+    A function of ``(storage, units, column, RegionRows, shape)`` alone —
+    the shape is the operator class and its per-block WRAM bytes — and it
+    holds no bytes, so one plan serves every query over the same extents.
+    Building it validates the whole scan before any byte moves: nothing to
+    scan, a bank without a unit, the WRAM budget, the stride/chunk and
+    every block's bank range.
+    """
+
+    def __init__(
+        self,
+        storage: TableStorage,
+        units: RankUnits,
+        column: str,
+        rows: RegionRows,
+        shape: Tuple[type, int],
+    ) -> None:
+        cls, block_wram_bytes = shape
+        self.width = width = storage.layout.schema.column(column).width
+        scans = [
+            (scan, RowSlice(region, scan.base_row, scan.num_rows))
+            for region, count in (
+                (Region.DATA, rows.data_rows),
+                (Region.DELTA, rows.delta_rows),
+            )
+            if count > 0
+            for scan in storage.column_scan_plan(column, region, count)
+        ]
+        if not scans:
+            raise QueryError(f"nothing to scan for column {column!r}")
+        missing = sorted({(scan.device, scan.bank) for scan, _ in scans} - units.keys())
+        if missing:
+            raise QueryError(f"no PIM unit for banks {missing}")
+        budget = next(iter(units.values())).config.load_buffer_bytes
+        if block_wram_bytes > budget:
+            raise QueryError(
+                f"one block needs {block_wram_bytes} B of WRAM, budget is {budget} B"
+            )
+        blocks_per_phase = max(1, budget // block_wram_bytes)
+        block = storage.block_rows
+        data = block // 8
+        aux = data + block * width
+        #: WRAM offsets of a block's regions within its slot.
+        self.offsets = {
+            "bitmap": 0,
+            "data": data,
+            "aux": aux,
+            "result": aux + cls._aux_bytes_per_block(storage, width),
+        }
+        first = scans[0][0]
+        self.stride, self.piece = first.stride, first.chunk
+        if self.piece <= 0 or self.stride < self.piece:
+            raise ProtocolError(f"invalid stride/chunk {self.stride}/{self.piece}")
+        self.load_request = LaunchRequest(
+            OpType.LS,
+            {
+                "op0_addr": first.dram_addr % (1 << 24),
+                "op0_len": min(first.num_rows * width, 0xFFFF),
+                "op0_stride": first.stride,
+                "result_addr": 0,
+            },
+        )
+        # One pass in scan order — each unit's queue order, data region
+        # first: check each block's bank range, look up its modelled costs
+        # (one set per distinct row count), place it at (phase, unit, slot)
+        # and collect each unit's charges per phase.
+        bitmap_bytes = block // 8
+        costs: Dict[int, tuple] = {}
+        queued: Dict[Tuple[int, int], int] = {}
+        # (phase, unit) → [load terms, compute terms, DRAM bytes read,
+        # elements, bytes scanned]
+        charges: Dict[tuple, list] = {}
+        placed = []
+        for index, (scan, row_slice) in enumerate(scans):
+            key = (scan.device, scan.bank)
+            unit = units[key]
+            count = scan.num_rows
+            if count not in costs:
+                costs[count] = self._block_costs(unit, cls, bitmap_bytes, count)
+            touched, moved, load_terms, compute_time = costs[count]
+            offset = scan.dram_addr - unit.bank.start
+            if offset < 0 or offset + touched > unit.bank.size:
+                raise MemoryError_(
+                    f"bank {unit.bank.index} access [{offset}, {offset + touched}) "
+                    f"out of range (size {unit.bank.size})"
+                )
+            position = queued.get(key, 0)
+            queued[key] = position + 1
+            phase, slot = divmod(position, blocks_per_phase)
+            bitmap_addr = storage.bitmap_block_slice_addr(row_slice.region, scan.block)
+            placed.append((phase, count, unit.unit_id, slot * block_wram_bytes,
+                           scan.device, scan.dram_addr, bitmap_addr, index))
+            charge = charges.setdefault((phase, key), [[], [], 0, 0, 0])
+            charge[0] += load_terms
+            charge[1].append(compute_time)
+            charge[2] += moved + bitmap_bytes
+            charge[3] += count
+            charge[4] += count * width + bitmap_bytes
+        unit_keys = sorted(queued)
+        self.units = [units[key] for key in unit_keys]
+        self.unit_rows = np.array([unit.unit_id for unit in self.units])
+        chunks = ceil_div(max(queued.values()), blocks_per_phase)
+        idle = ([], [], 0, 0, 0)
+        self.charges = [
+            _PhaseCharges(*zip(*(charges.get((phase, key), idle) for key in unit_keys)))
+            for phase in range(chunks)
+        ]
+        # Batches: phase → row count (→ unit → slot), as views of one table.
+        placed.sort()
+        table = np.array(placed, dtype=np.intp)
+        self.batches: List[List[_Batch]] = [[] for _ in range(chunks)]
+        start = 0
+        for (phase, count), group in groupby(placed, itemgetter(0, 1)):
+            slices = tuple(scans[block[-1]][1] for block in group)
+            rows = table[start : start + len(slices)]
+            start += len(slices)
+            self.batches[phase].append(_Batch(count, slices, *rows[:, 2:-1].T))
+
+    def _block_costs(self, unit: PIMUnit, cls: type, bitmap_bytes: int, num_rows: int) -> tuple:
+        """``(bank bytes touched, DRAM bytes moved, load-time terms, compute
+        time)`` of one block of ``num_rows`` rows — shape alone decides."""
+        touched, moved, _, load_time = unit.strided_cost(
+            num_rows * self.width, self.stride, self.piece
+        )
+        bitmap_time = _stream_time(unit, bitmap_bytes)
+        return (
+            touched,
+            moved,
+            [load_time, bitmap_time] + cls._aux_load_terms(unit, num_rows),
+            unit.compute_cost(num_rows, cls._KIND),
+        )
+
+
 class _ColumnScanOperation:
-    """Shared machinery: plan, chunking, WRAM staging, phase charges."""
+    """Shared machinery: WRAM staging and phase charges through a shared
+    :class:`_ScanPlan`; an operator holds only its query's harvest,
+    ``bytes_scanned`` and ``cpu_transfer_bytes``."""
 
     #: Bytes of WRAM the result region of one block may use.
     _RESULT_BYTES_PER_BLOCK = 4096
@@ -180,173 +323,45 @@ class _ColumnScanOperation:
         self.bytes_scanned = 0
         #: Bytes the CPU ships to or harvests from the units' WRAM.
         self.cpu_transfer_bytes = 0
-        scans = [
-            (scan, RowSlice(region, scan.base_row, scan.num_rows))
-            for region, count in (
-                (Region.DATA, rows.data_rows),
-                (Region.DELTA, rows.delta_rows),
-            )
-            if count > 0
-            for scan in storage.column_scan_plan(column, region, count)
-        ]
-        if not scans:
-            raise QueryError(f"nothing to scan for column {self.column!r}")
-        missing = sorted({(scan.device, scan.bank) for scan, _ in scans} - units.keys())
-        if missing:
-            raise QueryError(f"no PIM unit for banks {missing}")
-        self._block_wram_bytes = self._per_block_wram_bytes()
-        self._blocks_per_phase = self._compute_blocks_per_phase(
-            next(iter(units.values()))
-        )
-        block = storage.block_rows
-        data = block // 8
-        aux = data + block * self.width
-        #: WRAM offsets of a block's regions within its slot.
-        self._offsets = {
-            "bitmap": 0,
-            "data": data,
-            "aux": aux,
-            "result": aux + self._aux_bytes_per_block(),
-        }
-        self._plan(scans)
-        first = scans[0][0]
-        self._load_request = LaunchRequest(
-            OpType.LS,
-            {
-                "op0_addr": first.dram_addr % (1 << 24),
-                "op0_len": min(first.num_rows * self.width, 0xFFFF),
-                "op0_stride": first.stride,
-                "result_addr": 0,
-            },
-        )
+        # The rank's memo holds one (rows, plan) per shape; a plan for new
+        # extents replaces it, and a build that raises stores nothing.
+        shape = (type(self), self._per_block_wram_bytes())
+        key = (storage, column, *shape)
+        entry = units.scan_plans.get(key)
+        if entry is None or entry[0] != rows:
+            entry = units.scan_plans[key] = (rows, _ScanPlan(storage, units, column, rows, shape))
+        self._plan: _ScanPlan = entry[1]
 
     # -- WRAM budget ----------------------------------------------------
     def _per_block_wram_bytes(self) -> int:
         block = self.storage.block_rows
         bitmap = block // 8
         data = block * self.width
-        aux = self._aux_bytes_per_block()
+        aux = self._aux_bytes_per_block(self.storage, self.width)
         return bitmap + data + aux + self._RESULT_BYTES_PER_BLOCK
 
-    def _aux_bytes_per_block(self) -> int:
+    @classmethod
+    def _aux_bytes_per_block(cls, storage: TableStorage, width: int) -> int:
         """Extra staged bytes (e.g. index arrays); subclasses override."""
         return 0
 
-    def _compute_blocks_per_phase(self, unit: PIMUnit) -> int:
-        budget = unit.config.load_buffer_bytes
-        need = self._block_wram_bytes
-        if need > budget:
-            raise QueryError(
-                f"one block needs {need} B of WRAM, budget is {budget} B"
-            )
-        return max(1, budget // need)
-
-    # -- Planning --------------------------------------------------------
-    def _plan(self, scans) -> None:
-        """Place every block at a (phase, unit, slot) and price the phases.
-
-        One pass over the scan list, in scan order — which is each unit's
-        queue order, data region first. It validates the geometry (so a
-        bad block fails before any byte moves), looks up the modelled
-        costs (one set per distinct row count), and collects each unit's
-        charges per phase; the blocks of a phase are then grouped by row
-        count into the batches ``load`` / ``compute`` run on.
-        """
-        stride, piece = scans[0][0].stride, scans[0][0].chunk
-        if piece <= 0 or stride < piece:
-            raise ProtocolError(f"invalid stride/chunk {stride}/{piece}")
-        self._stride, self._piece = stride, piece
-        bitmap_bytes = self.storage.block_rows // 8
-        costs: Dict[int, tuple] = {}
-        queued: Dict[Tuple[int, int], int] = {}
-        # (phase, unit) → [load terms, compute terms, DRAM bytes read,
-        # elements, bytes scanned]
-        charges: Dict[tuple, list] = {}
-        placed = []
-        for index, (scan, row_slice) in enumerate(scans):
-            key = (scan.device, scan.bank)
-            unit = self.units[key]
-            count = scan.num_rows
-            if count not in costs:
-                costs[count] = self._block_costs(unit, count)
-            touched, moved, load_terms, compute_time = costs[count]
-            offset = scan.dram_addr - unit.bank.start
-            if offset < 0 or offset + touched > unit.bank.size:
-                raise MemoryError_(
-                    f"bank {unit.bank.index} access [{offset}, {offset + touched}) "
-                    f"out of range (size {unit.bank.size})"
-                )
-            position = queued.get(key, 0)
-            queued[key] = position + 1
-            phase, slot = divmod(position, self._blocks_per_phase)
-            placed.append(
-                (
-                    phase,
-                    count,
-                    unit.unit_id,
-                    slot * self._block_wram_bytes,
-                    scan.device,
-                    scan.dram_addr,
-                    self.storage.bitmap_block_slice_addr(row_slice.region, scan.block),
-                    index,
-                )
-            )
-            charge = charges.setdefault((phase, key), [[], [], 0, 0, 0])
-            charge[0] += load_terms
-            charge[1].append(compute_time)
-            charge[2] += moved + bitmap_bytes
-            charge[3] += count
-            charge[4] += count * self.width + bitmap_bytes
-        unit_keys = sorted(queued)
-        self._units = [self.units[key] for key in unit_keys]
-        self._unit_rows = np.array([unit.unit_id for unit in self._units])
-        chunks = ceil_div(max(queued.values()), self._blocks_per_phase)
-        idle = ([], [], 0, 0, 0)
-        self._charges = [
-            _PhaseCharges(*zip(*(charges.get((phase, key), idle) for key in unit_keys)))
-            for phase in range(chunks)
-        ]
-        # Batches: phase → row count (→ unit → slot), as views of one table.
-        placed.sort()
-        table = np.array(placed, dtype=np.intp)
-        self._batches: List[List[_Batch]] = [[] for _ in range(chunks)]
-        start = 0
-        for (phase, count), group in groupby(placed, itemgetter(0, 1)):
-            slices = [scans[block[-1]][1] for block in group]
-            rows = table[start : start + len(slices)]
-            start += len(slices)
-            self._batches[phase].append(_Batch(count, slices, *rows[:, 2:-1].T))
-
-    def _block_costs(self, unit: PIMUnit, num_rows: int) -> tuple:
-        """``(bank bytes touched, DRAM bytes moved, load-time terms, compute
-        time)`` of one block of ``num_rows`` rows — shape alone decides."""
-        touched, moved, _, load_time = unit.strided_cost(
-            num_rows * self.width, self._stride, self._piece
-        )
-        bitmap_time = _stream_time(unit, self.storage.block_rows // 8)
-        return (
-            touched,
-            moved,
-            [load_time, bitmap_time] + self._aux_load_terms(unit, num_rows),
-            unit.compute_cost(num_rows, self._KIND),
-        )
-
-    def _aux_load_terms(self, unit: PIMUnit, num_rows: int) -> List[float]:
+    @staticmethod
+    def _aux_load_terms(unit: PIMUnit, num_rows: int) -> List[float]:
         """Modelled time(s) to stage one block's extra data; subclasses override."""
         return []
 
     # -- ChunkedOperation interface --------------------------------------
     def num_chunks(self) -> int:
         """Phases needed to drain the longest unit queue."""
-        return len(self._charges)
+        return len(self._plan.charges)
 
     def participating_units(self) -> Sequence[PIMUnit]:
         """Units owning at least one block of this scan."""
-        return self._units
+        return self._plan.units
 
     def load_request(self, chunk: int) -> LaunchRequest:
         """Representative LS request for the phase (Fig. 7b encoding)."""
-        return self._load_request
+        return self._plan.load_request
 
     def compute_request(self, chunk: int) -> LaunchRequest:
         """The operation's compute request (the same for every phase)."""
@@ -359,15 +374,16 @@ class _ColumnScanOperation:
         copy; each bank keeps a replica of its rows' bits (§5.2), so the
         modelled cost is a local stream of the slice.
         """
-        batches = self._batches[chunk]
+        plan = self._plan
+        batches = plan.batches[chunk]
         # Operator inputs are checked for the whole phase before a byte moves.
         extras = [self._aux_block(batch) for batch in batches]
         mem = self.storage.rank.mem
         bitmap_bytes = self.storage.block_rows // 8
         for batch, extra in zip(batches, extras):
             length = batch.num_rows * self.width
-            pieces = ceil_div(length, self._piece)
-            column = _runs(mem, self._piece, pieces, self._stride)[batch.device, batch.addr]
+            pieces = ceil_div(length, plan.piece)
+            column = _runs(mem, plan.piece, pieces, plan.stride)[batch.device, batch.addr]
             self._write(batch, "data", column.view(np.uint8)[:, :length])
             bitmap = _runs(mem, bitmap_bytes)[batch.device, batch.bitmap_addr]
             self._write(batch, "bitmap", bitmap.view(np.uint8))
@@ -377,10 +393,10 @@ class _ColumnScanOperation:
         tel = telemetry.active()
         if tel.enabled and tel.roofline:
             self._track_rows(chunk)
-        charges = self._charges[chunk]
-        self.units.counts[self._unit_rows, 0] += charges.read_bytes
+        charges = plan.charges[chunk]
+        self.units.counts[plan.unit_rows, 0] += charges.read_bytes
         for term in charges.load_terms:
-            self.units.times[self._unit_rows, 0] += term
+            self.units.times[plan.unit_rows, 0] += term
         self.bytes_scanned += charges.scanned
         return charges.load_times
 
@@ -392,10 +408,10 @@ class _ColumnScanOperation:
         """Show each unit's row-buffer shadow this phase's column loads,
         in slot order — a per-block walk, taken only under the telemetry
         registry's ``roofline`` flag."""
-        units = {unit.unit_id: unit for unit in self._units}
+        units = {unit.unit_id: unit for unit in self._plan.units}
         blocks = sorted(
             (row, base, addr, batch.num_rows)
-            for batch in self._batches[chunk]
+            for batch in self._plan.batches[chunk]
             for row, base, addr in zip(
                 batch.unit_rows.tolist(), batch.base.tolist(), batch.addr.tolist()
             )
@@ -403,23 +419,24 @@ class _ColumnScanOperation:
         for row, _, addr, count in blocks:
             unit = units[row]
             _, moved, span, _ = unit.strided_cost(
-                count * self.width, self._stride, self._piece
+                count * self.width, self._plan.stride, self._plan.piece
             )
             unit.track_rows(addr - unit.bank.start, span, moved=moved)
 
     def compute(self, chunk: int) -> List[float]:
         """Run the operation's kernel over this phase's staged blocks."""
-        for batch in self._batches[chunk]:
+        plan = self._plan
+        for batch in plan.batches[chunk]:
             count = batch.num_rows
             values = bytes_to_uints(self._read(batch, "data", count * self.width), self.width)
             bits = np.unpackbits(
                 self._read(batch, "bitmap", ceil_div(count, 8)), axis=1, bitorder="little"
             )
             self._compute_batch(batch, values, bits[:, :count].view(bool))
-        charges = self._charges[chunk]
-        self.units.counts[self._unit_rows, 2] += charges.elements
+        charges = plan.charges[chunk]
+        self.units.counts[plan.unit_rows, 2] += charges.elements
         for term in charges.compute_terms:
-            self.units.times[self._unit_rows, 1] += term
+            self.units.times[plan.unit_rows, 1] += term
         return charges.compute_times
 
     def _compute_batch(self, batch: _Batch, values: np.ndarray, visible: np.ndarray) -> None:
@@ -430,14 +447,14 @@ class _ColumnScanOperation:
     # -- WRAM matrix access ------------------------------------------------
     def _read(self, batch: _Batch, region: str, nbytes: int) -> np.ndarray:
         """``nbytes`` of every block's ``region`` → ``(blocks, nbytes)``."""
-        starts = batch.base + self._offsets[region]
+        starts = batch.base + self._plan.offsets[region]
         return _runs(self.units.wram, nbytes)[batch.unit_rows, starts].view(np.uint8)
 
     def _write(self, batch: _Batch, region: str, data: np.ndarray) -> None:
         """Store ``(blocks, nbytes)`` at the start of every block's ``region``."""
         data = np.ascontiguousarray(data)
         nbytes = data.shape[1]
-        starts = batch.base + self._offsets[region]
+        starts = batch.base + self._plan.offsets[region]
         _runs(self.units.wram, nbytes)[batch.unit_rows, starts] = data.view(f"V{nbytes}")
 
 
@@ -497,8 +514,9 @@ class GroupOperation(_ColumnScanOperation):
         self.block_indices: Dict[RowSlice, np.ndarray] = {}
         self._compute_request = LaunchRequest(OpType.GROUP, {"data_width": self.width})
 
-    def _aux_bytes_per_block(self) -> int:
-        return self._DICT_CAPACITY * self.width
+    @classmethod
+    def _aux_bytes_per_block(cls, storage: TableStorage, width: int) -> int:
+        return cls._DICT_CAPACITY * width
 
     def _compute_batch(self, batch, values, visible) -> None:
         dictionaries, indices = group_kernel(values, visible, self._DICT_CAPACITY)
@@ -507,7 +525,7 @@ class GroupOperation(_ColumnScanOperation):
         # index, block b's run starting at its slot's dictionary region.
         sizes = np.array([len(d) for d in dictionaries]) * self.width
         starts = (
-            batch.unit_rows * self.units.wram.shape[1] + batch.base + self._offsets["aux"]
+            batch.unit_rows * self.units.wram.shape[1] + batch.base + self._plan.offsets["aux"]
         )
         ends = np.cumsum(sizes)
         flat = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
@@ -541,7 +559,7 @@ class AggregationOperation(_ColumnScanOperation):
     ) -> None:
         if num_groups <= 0:
             raise QueryError("num_groups must be positive")
-        # Set before super().__init__: the WRAM budget depends on them.
+        # Set before super().__init__: the plan's shape depends on them.
         self.indices = indices
         self.num_groups = num_groups
         super().__init__(storage, units, column, rows)
@@ -550,13 +568,15 @@ class AggregationOperation(_ColumnScanOperation):
             OpType.AGGREGATION, {"data_width": self.width}
         )
 
-    def _aux_bytes_per_block(self) -> int:
-        return self.storage.block_rows * 2
+    @classmethod
+    def _aux_bytes_per_block(cls, storage: TableStorage, width: int) -> int:
+        return storage.block_rows * 2
 
     def _per_block_wram_bytes(self) -> int:
         return super()._per_block_wram_bytes() + self.num_groups * 8
 
-    def _aux_load_terms(self, unit: PIMUnit, num_rows: int) -> List[float]:
+    @staticmethod
+    def _aux_load_terms(unit: PIMUnit, num_rows: int) -> List[float]:
         # CPU→WRAM transfer rides the memory bus; modelled as a stream.
         return [_stream_time(unit, num_rows * 2)]
 

@@ -31,7 +31,13 @@ from repro.mvcc.metadata import Region
 from repro.oltp.index import HashIndex
 from repro.pim.memory import Rank, interleaved_to_local, local_to_interleaved
 from repro.units import ceil_div, round_up
-from tests.test_vectorized_equivalence import to_columns, version_of, version_slot
+from tests.test_vectorized_equivalence import (
+    rotation_of,
+    row_addr,
+    to_columns,
+    version_of,
+    version_slot,
+)
 
 DEVICES = 8
 
@@ -54,11 +60,11 @@ def oracle_write_columns(storage, row_id, delta, values):
     }
     num_devices = storage.rank.num_devices
     region, row = version_slot(row_id, delta)
-    rotation = storage.rotation_of(region, row)
+    rotation = rotation_of(storage, region, row)
     for name, raw in encoded.items():
         for run in storage.layout.column_runs(name):
             p = run.placement
-            addr = storage.row_addr(region, run.part_index, row)
+            addr = row_addr(storage, region, run.part_index, row)
             device = (run.slot_index + rotation) % num_devices
             storage.rank.device_write(
                 device,
@@ -71,15 +77,15 @@ def oracle_copy_row(storage, row_id, src_delta, dst_delta):
     """``copy_row`` before the part plans: ``row_addr`` twice per part."""
     src_region, src = version_slot(row_id, src_delta)
     dst_region, dst = version_slot(row_id, dst_delta)
-    if storage.rotation_of(src_region, src) != storage.rotation_of(dst_region, dst):
+    if rotation_of(storage, src_region, src) != rotation_of(storage, dst_region, dst):
         raise LayoutError(
             "copy_row requires matching rotations (delta rows are allocated "
             "rotation-aligned for this reason)"
         )
     mem = storage.rank.mem
     for part in storage.layout.parts:
-        src_addr = storage.row_addr(src_region, part.index, src)
-        dst_addr = storage.row_addr(dst_region, part.index, dst)
+        src_addr = row_addr(storage, src_region, part.index, src)
+        dst_addr = row_addr(storage, dst_region, part.index, dst)
         mem[:, dst_addr : dst_addr + part.row_width] = mem[
             :, src_addr : src_addr + part.row_width
         ]
@@ -124,9 +130,9 @@ class OracleStorage(TableStorage):
         for offset, values in enumerate(rows):
             row = start + offset
             packed = self.layout.pack_row(values)
-            rotation = self.rotation_of(region, row)
+            rotation = rotation_of(self, region, row)
             for part in self.layout.parts:
-                addr = self.row_addr(region, part.index, row)
+                addr = row_addr(self, region, part.index, row)
                 for slot in part.slots:
                     device = (slot.slot_index + rotation) % self.rank.num_devices
                     self.rank.devices[device].write(
@@ -137,10 +143,10 @@ class OracleStorage(TableStorage):
         self.copy_slot(*version_slot(row_id, src_delta), *version_slot(row_id, dst_delta))
 
     def copy_slot(self, src_region, src, dst_region, dst):
-        assert self.rotation_of(src_region, src) == self.rotation_of(dst_region, dst)
+        assert rotation_of(self, src_region, src) == rotation_of(self, dst_region, dst)
         for part in self.layout.parts:
-            src_addr = self.row_addr(src_region, part.index, src)
-            dst_addr = self.row_addr(dst_region, part.index, dst)
+            src_addr = row_addr(self, src_region, part.index, src)
+            dst_addr = row_addr(self, dst_region, part.index, dst)
             for device in self.rank.devices:
                 device.write(dst_addr, device.read(src_addr, part.row_width))
 
@@ -223,7 +229,8 @@ def stored(schema, values):
 
 def crosses_a_bank(storage, region, first, last):
     bank = storage.rank.devices[0].bank_size
-    return storage.row_addr(region, 0, first) // bank != storage.row_addr(region, 0, last) // bank
+    first_addr, last_addr = row_addr(storage, region, 0, first), row_addr(storage, region, 0, last)
+    return first_addr // bank != last_addr // bank
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +334,7 @@ class TestFailBeforeWriting:
     def test_row_addr_and_copy_row_keep_their_messages(self):
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         with pytest.raises(MemoryError_, match=r"data row 32 out of range \[0, 32\)"):
-            storage.row_addr(Region.DATA, 0, 32)
+            row_addr(storage, Region.DATA, 0, 32)
         with pytest.raises(LayoutError, match="copy_row requires matching rotations"):
             storage.copy_row(0, 8, -1)
         with pytest.raises(LayoutError, match="copy_row requires matching rotations"):

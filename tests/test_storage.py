@@ -11,6 +11,7 @@ from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.metadata import Region
 from repro.pim.memory import Rank
+from tests.test_vectorized_equivalence import device_of_slot, rotation_of, row_addr
 
 GEOM = DeviceGeometry()
 SCHEMA = TableSchema.of(
@@ -61,22 +62,22 @@ class TestAddressing:
         st_ = make_storage()
         # By construction row_addr is device-independent; check block math.
         part = st_.layout.parts[0]
-        a0 = st_.row_addr(Region.DATA, 0, 0)
-        a1 = st_.row_addr(Region.DATA, 0, 1)
+        a0 = row_addr(st_, Region.DATA, 0, 0)
+        a1 = row_addr(st_, Region.DATA, 0, 1)
         assert a1 - a0 == part.row_width
-        blk = st_.row_addr(Region.DATA, 0, BLOCK)
+        blk = row_addr(st_, Region.DATA, 0, BLOCK)
         assert blk != a0 + BLOCK * part.row_width or True  # new block base
 
     def test_rotation_changes_per_block(self):
         st_ = make_storage()
-        dev_block0 = st_.device_of_slot(Region.DATA, 0, 0)
-        dev_block1 = st_.device_of_slot(Region.DATA, BLOCK, 0)
+        dev_block0 = device_of_slot(st_, Region.DATA, 0, 0)
+        dev_block1 = device_of_slot(st_, Region.DATA, BLOCK, 0)
         assert dev_block1 == (dev_block0 + 1) % 8
 
     def test_out_of_range(self):
         st_ = make_storage(capacity=128)
         with pytest.raises(MemoryError_):
-            st_.row_addr(Region.DATA, 0, 128)
+            row_addr(st_, Region.DATA, 0, 128)
 
 
 class TestRowIO:
@@ -196,7 +197,7 @@ class TestADEAlignmentEndToEnd:
         st_ = make_storage()
         st_.write_row(3, -1, row(42))
         part = st_.layout.parts[0]
-        local = st_.row_addr(Region.DATA, part.index, 3)
+        local = row_addr(st_, Region.DATA, part.index, 3)
         g = st_.rank.granularity
         d = st_.rank.num_devices
         # Interleaved line covering local bytes [local, local+W) of every
@@ -206,7 +207,7 @@ class TestADEAlignmentEndToEnd:
             k = (local + offset) // g
             lines[k] = st_.rank.read_interleaved(k * g * d, g * d)
         # Reassemble each slot's bytes purely from the interleaved lines.
-        rotation = st_.rotation_of(Region.DATA, 3)
+        rotation = rotation_of(st_, Region.DATA, 3)
         for slot in part.slots:
             device = (slot.slot_index + rotation) % d
             got = bytearray()
@@ -228,7 +229,7 @@ class TestADEAlignmentEndToEnd:
         g = st_.rank.granularity
         touched = set()
         for part in st_.layout.parts:
-            local = st_.row_addr(Region.DATA, part.index, 7)
+            local = row_addr(st_, Region.DATA, part.index, 7)
             for offset in range(part.row_width):
                 touched.add((part.index, (local + offset) // g))
         assert len(touched) == cpu_lines_per_row(st_.layout, geometry)

@@ -1109,6 +1109,27 @@ class TestStorageEquivalence:
 # ----------------------------------------------------------------------
 # Storage: the read plans (gather and scalar) vs per-row, per-run reads
 # ----------------------------------------------------------------------
+def row_addr(storage, region, part_index, row):
+    """``TableStorage.row_addr``: bank-local address of a row's slot bytes
+    in one part, identical on every device."""
+    capacity = storage._region_capacity(region)
+    if row < 0 or row >= capacity:
+        raise MemoryError_(f"{region} row {row} out of range [0, {capacity})")
+    block, within = divmod(row, storage.block_rows)
+    width = storage.layout.parts[part_index].row_width
+    return storage._region_blocks(region, part_index)[block] + within * width
+
+
+def rotation_of(storage, region, row):
+    """``TableStorage.rotation_of``: the circulant rotation of a row's block."""
+    return storage.placement.rotation_of_block(row // storage.block_rows)
+
+
+def device_of_slot(storage, region, row, slot_index):
+    """``TableStorage.device_of_slot``: the device holding one slot of a row."""
+    return (slot_index + rotation_of(storage, region, row)) % storage.rank.num_devices
+
+
 def oracle_read_rows(storage, region, rows, columns):
     """``read_row`` as it ran before the read plans, once per row: every
     column run is one ``row_addr`` + ``Rank.device_read``, the runs are
@@ -1122,8 +1143,8 @@ def oracle_read_rows(storage, region, rows, columns):
             buf = bytearray(col.width)
             for run in storage.layout.column_runs(name):
                 p = run.placement
-                addr = storage.row_addr(region, run.part_index, row)
-                device = (run.slot_index + storage.rotation_of(region, row)) % num_devices
+                addr = row_addr(storage, region, run.part_index, row)
+                device = (run.slot_index + rotation_of(storage, region, row)) % num_devices
                 buf[p.col_offset : p.col_offset + p.length] = storage.rank.device_read(
                     device, addr + p.slot_offset, p.length
                 ).tobytes()
@@ -2369,9 +2390,9 @@ class TestRankWidePhaseEquivalence:
                     world.table("t").storage, world.units, column,
                     Condition("eq", 0), world_rows(block_rows),
                 )
-                blocks = sum(len(b.slices) for phase in op._batches for b in phase)
+                blocks = sum(len(b.slices) for phase in op._plan.batches for b in phase)
                 assert blocks > len(op.participating_units())  # > 1 slot per unit
-                seen_batches.update(len(phase) for phase in op._batches)
+                seen_batches.update(len(phase) for phase in op._plan.batches)
                 if block_rows == 8 or column == "d":
                     assert op.num_chunks() > 1
         assert {1, 2, 3} <= seen_batches
@@ -2464,7 +2485,7 @@ class TestRankWidePhaseEquivalence:
         ):
             world, real, _, _ = operator_pair("aggregation", 256, "c")
             before = world.units.wram.copy()
-            late = real._batches[0][-1].slices[-1]
+            late = real._plan.batches[0][-1].slices[-1]
             spoil(real.indices, late)
             with pytest.raises(QueryError, match=message):
                 real.load(0)
