@@ -299,10 +299,6 @@ class SystemConfig:
         """Aggregate CPU-side memory bandwidth, bytes/ns."""
         return self.channels * self.cpu_channel_bandwidth
 
-    def with_wram(self, wram_bytes: int) -> "SystemConfig":
-        """Return a copy with a different WRAM size (Fig. 12b sweep)."""
-        return replace(self, pim=replace(self.pim, wram_bytes=wram_bytes))
-
 
 @dataclass(frozen=True)
 class AreaModel:

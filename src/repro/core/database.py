@@ -49,8 +49,3 @@ class Database:
                 raise SchemaError(f"duplicate index {index.name!r}")
             self.indexes[index.name] = index
         self.tables[runtime.name] = runtime
-
-    @property
-    def total_rows(self) -> int:
-        """Live rows across all tables."""
-        return sum(t.num_rows for t in self.tables.values())

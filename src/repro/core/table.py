@@ -9,7 +9,7 @@ row-count bookkeeping operators need (:meth:`TableRuntime.region_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.core.storage import TableStorage
 from repro.errors import MemoryError_, TransactionError
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import TableSchema, Value
-from repro.mvcc.manager import MVCCManager
+from repro.mvcc.manager import DELETE, INSERT, UPDATE, MVCCManager
 from repro.mvcc.metadata import DATA_SLOT, Region
 from repro.olap.operators import RegionRows
 from repro.oltp.index import HashIndex
@@ -34,7 +34,8 @@ class TableRuntime:
     the engine; None means "use the OLAP engine's default rank"), and
     ``rank_index`` records which simulated rank that is. The table owns
     its ``index``: load, insert, delete and their undo all derive a row's
-    key with :meth:`key` from ``key_columns``.
+    key with :meth:`key` from ``key_columns``. A :class:`TransactionError`
+    of an MVCC write or rollback surfaces naming the table and the ts.
     """
 
     name: str
@@ -99,7 +100,7 @@ class TableRuntime:
             raise TransactionError(
                 f"table {self.name!r}: cannot update index key column(s) {keys}"
             )
-        src, dst, chain_len = self.mvcc.update(row_id, ts)
+        src, dst, chain_len = self._mvcc(self.mvcc.update, row_id, ts)
         if dst != src:
             self.storage.copy_row(row_id, src, dst)
         self.storage.write_columns(row_id, dst, changes)
@@ -108,7 +109,7 @@ class TableRuntime:
     def insert_row(self, ts: int, values: Dict[str, Value]) -> int:
         """Append a new row into its data slot and index it under its key;
         returns its row id."""
-        row_id = self.mvcc.insert(ts)
+        row_id = self._mvcc(self.mvcc.insert, ts)
         self.storage.write_row(row_id, DATA_SLOT, values)
         if self.index is not None:
             self.index.insert(self.key(values), row_id)
@@ -117,9 +118,36 @@ class TableRuntime:
     def delete_row(self, row_id: int, ts: int) -> int:
         """Tombstone ``row_id`` and drop its index entry; returns the
         row's number of versions."""
-        chain_len = self.mvcc.delete(row_id, ts)
-        self.unindex_row(row_id)
+        chain_len = self._mvcc(self.mvcc.delete, row_id, ts)
+        if self.index is not None:
+            self.index.remove(self.stored_key(row_id))
         return chain_len
+
+    def rollback(self, ts: int) -> None:
+        """Pop the journal entries stamped ``ts`` (an aborting
+        transaction's writes) and undo their index changes, newest first.
+
+        An undone insert drops its key only if the key maps to this row:
+        a failed insert has a journal entry, but its key may be another
+        row's. An undone delete puts its key back only if it is absent.
+        """
+        index = self.index
+        for kind, row_id in self._mvcc(self.mvcc.rollback, ts):
+            if index is None or kind == UPDATE:
+                continue
+            key = self.stored_key(row_id)
+            owner = index.probe(key)[0]
+            if kind == INSERT and owner == row_id:
+                index.remove(key)
+            elif kind == DELETE and owner is None:
+                index.insert(key, row_id)
+
+    def _mvcc(self, write: Callable, *args):
+        """``write(*args)``, an MVCC write or rollback with its ts last."""
+        try:
+            return write(*args)
+        except TransactionError as exc:
+            raise type(exc)(f"table {self.name!r}: {exc} (ts {args[-1]})") from None
 
     # ------------------------------------------------------------------
     # The index
@@ -141,16 +169,6 @@ class TableRuntime:
         """``row_id``'s key, read on the host (uncharged) from its data
         slot. Key columns are immutable, so every version holds it."""
         return self.key(self.storage.read_row(row_id, DATA_SLOT, self.key_columns))
-
-    def index_row(self, row_id: int) -> None:
-        """Put ``row_id`` back under its stored key (an undone delete)."""
-        if self.index is not None:
-            self.index.insert(self.stored_key(row_id), row_id)
-
-    def unindex_row(self, row_id: int) -> None:
-        """Remove ``row_id``'s stored key from the index."""
-        if self.index is not None:
-            self.index.remove(self.stored_key(row_id))
 
     # ------------------------------------------------------------------
     # Bulk load

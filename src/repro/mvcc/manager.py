@@ -21,10 +21,10 @@ compaction folded, and the chain length.
 
 Everything else is a view of the journal: a version chain is a ``prev``
 walk from the head, :meth:`MVCCManager.log_between` is a bisect slice of
-the columns that snapshotting (§5.2) and IVM consume as arrays,
-:meth:`MVCCManager.rollback` pops an aborted transaction's tail, and
-:meth:`MVCCManager.compact` (defragmentation) folds every head into
-``base_ts`` and clears the journal.
+the columns that snapshotting (§5.2), IVM and the WAL's redo records
+consume as arrays, :meth:`MVCCManager.rollback` pops an aborted
+transaction's tail, and :meth:`MVCCManager.compact` (defragmentation)
+folds every head into ``base_ts`` and clears the journal.
 
 Byte movement is **not** done here. The manager names a version the way
 its journal does, as ``(row_id, delta)`` with −1 for the data slot; the
@@ -245,14 +245,16 @@ class MVCCManager:
         self._size = pos + 1
         return pos
 
-    def rollback(self, ts: int) -> None:
-        """Pop the journal entries stamped ``ts`` off the tail (abort path).
+    def rollback(self, ts: int) -> List[Tuple[int, int]]:
+        """Pop the journal entries stamped ``ts`` off the tail (abort path);
+        returns their ``(kind, row_id)`` pairs, newest first.
 
         The aborting transaction is the only writer in flight, so its
         entries are the tail: each is undone newest first (an update's
         delta row is released). A newer entry above them means that
         assumption broke; it raises before anything is popped.
         """
+        undone = []
         pos = self._size
         if pos and self._write_ts[pos - 1] > ts:
             raise TransactionError(
@@ -261,8 +263,9 @@ class MVCCManager:
             )
         while pos and self._write_ts[pos - 1] == ts:
             pos -= 1
-            row_id = self._row_id[pos]
-            kind = self._kind[pos]
+            row_id = int(self._row_id[pos])
+            kind = int(self._kind[pos])
+            undone.append((kind, row_id))
             if kind == UPDATE:
                 self._head[row_id] = self._prev[pos]
                 self._chain_len[row_id] -= 1
@@ -273,6 +276,7 @@ class MVCCManager:
             else:
                 self._tomb_ts[row_id] = -1
             self._size = pos
+        return undone
 
     # ------------------------------------------------------------------
     # Snapshot / defragmentation support

@@ -137,11 +137,6 @@ class TxnContext:
         self._charges = engine.access_charges
         tel = telemetry.active()
         self._roofline = bool(tel.enabled and tel.roofline)
-        #: Logical redo records, one per completed write —
-        #: ``("update", table, row, changes)``, ``("insert", table, row,
-        #: values)``, ``("delete", table, row)``: the WAL logs them on
-        #: commit, and :meth:`rollback` undoes their index changes.
-        self.ops: list = []
         #: Read-only transactions may publish a computed value here.
         self.result: object = None
 
@@ -196,7 +191,6 @@ class TxnContext:
         chain_len = self.engine.db.table(table).update_row(row_id, self.ts, changes)
         self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
         self.breakdown.alloc += self.engine.cost.alloc_ns
-        self.ops.append(("update", table, row_id, dict(changes)))
         # Writing a version writes the whole row (new delta row).
         self._account_access(table, None, write=True, row_id=row_id)
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
@@ -212,7 +206,6 @@ class TxnContext:
         self.rows_written += 1
         if runtime.index is not None:
             self._charge_index_write()
-        self.ops.append(("insert", table, row_id, dict(values)))
         return row_id
 
     def delete(self, table: str, row_id: int) -> None:
@@ -225,34 +218,18 @@ class TxnContext:
         self.rows_written += 1
         if runtime.index is not None:
             self._charge_index_write()
-        self.ops.append(("delete", table, row_id))
 
     def abort(self, reason: str = "") -> None:
         """Abort the transaction; the engine rolls back its writes."""
         raise TransactionAborted(reason or "transaction aborted")
 
     def rollback(self) -> None:
-        """Undo every write of this transaction.
-
-        Each table pops the journal entries stamped with this
-        transaction's ts (a table it never wrote has none). That covers
-        a write that failed half-way too, since its entry exists before
-        its op is recorded. Then the completed ops, newest first, undo
-        their index changes: each table removes the keys its inserts
-        added and restores those its deletes removed.
-        """
-        tables = self.engine.db.tables
-        for name, runtime in tables.items():
-            try:
-                runtime.mvcc.rollback(self.ts)
-            except TransactionError as exc:
-                raise TransactionError(f"table {name!r}: {exc}") from None
-        while self.ops:
-            kind, table, row_id = self.ops.pop()[:3]
-            if kind == "insert":
-                tables[table].unindex_row(row_id)
-            elif kind == "delete":
-                tables[table].index_row(row_id)
+        """Undo every write of this transaction: each table pops the
+        journal entries stamped with its ts and undoes their index changes
+        (a table it never wrote has none). That covers a write that failed
+        half-way too, since its journal entry comes first."""
+        for runtime in self.engine.db.tables.values():
+            runtime.rollback(self.ts)
         self._written_lines = 0
 
     def _account_access(
@@ -503,7 +480,7 @@ class OLTPEngine:
             # the commit's clflush+barrier. A SimulatedCrash raised by the
             # crash hooks propagates — a dead process does not roll back,
             # and leaves every counter untouched.
-            result.breakdown.flush += self.durability.log_commit(ctx.ts, ctx.ops)
+            result.breakdown.flush += self.durability.log_commit(ctx.ts)
         self.committed += 1
         self.busy_time += result.total_time
         self.total_time += result.total_time

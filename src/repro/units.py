@@ -39,21 +39,6 @@ def gb_per_s(value: float) -> float:
     return float(value)
 
 
-def to_us(time_ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return time_ns / US
-
-
-def to_ms(time_ns: float) -> float:
-    """Convert nanoseconds to milliseconds."""
-    return time_ns / MS
-
-
-def to_s(time_ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return time_ns / S
-
-
 def tpmc(committed: int, time_ns: float) -> float:
     """Committed transactions per simulated minute (0.0 at zero time)."""
     return committed / time_ns * S * 60.0 if time_ns else 0.0

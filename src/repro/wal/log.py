@@ -4,16 +4,17 @@ One line per committed transaction::
 
     {"crc": <crc32 of [ts, ops]>, "ops": [...], "ts": <commit ts>}
 
-Records carry *logical redo* operations (the ``TxnContext`` op journal),
-not physical bytes, so replay goes through the normal MVCC/runtime paths
-and every engine invariant holds on the recovered state by construction.
-An op is one of::
+Records carry *logical redo* operations read off the tables' version
+journals, not physical bytes, so replay goes through the normal
+MVCC/runtime paths and every engine invariant holds on the recovered
+state by construction. An op is one of::
 
-    ["update", table, row_id, {col: value}]
-    ["insert", table, row_id, {col: value}]
+    ["update", table, row_id, {col: value}]   # the columns that changed
+    ["insert", table, row_id, {col: value}]   # the whole row
     ["delete", table, row_id]
 
-with ``bytes`` values as ``{"__bytes__": hex}``. No op names an index:
+with ``bytes`` values as ``{"__bytes__": hex}``. A record lists its ops
+table by table, each table's in journal order. No op names an index:
 the table derives a row's key from its key columns on replay.
 
 Torn-tail semantics: a crash can cut the final line anywhere. On replay,
@@ -30,8 +31,6 @@ import os
 import zlib
 from typing import IO, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import WALError
 
 __all__ = ["WriteAheadLog", "jsonify", "unjsonify"]
@@ -42,22 +41,16 @@ LINE_BYTES = 64
 
 
 def jsonify(value):
-    """Convert an op-journal value into a JSON-safe equivalent.
+    """Convert a redo-op value into a JSON-safe equivalent.
 
     ``bytes`` become ``{"__bytes__": hex}`` (the only dict shape the
-    journal never produces naturally); tuples become lists; NumPy
-    scalars collapse to their Python counterparts.
+    ops never produce naturally); tuples become lists; ints and strings
+    pass through.
     """
     if isinstance(value, bytes):
         return {"__bytes__": value.hex()}
-    if isinstance(value, bool) or value is None or isinstance(value, str):
+    if isinstance(value, (int, str)):
         return value
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     if isinstance(value, (list, tuple)):
         return [jsonify(item) for item in value]
     if isinstance(value, dict):
@@ -90,8 +83,6 @@ class WriteAheadLog:
         #: and recovery-only readers may turn it off.
         self.sync = sync
         self._fh: Optional[IO[bytes]] = None
-        self.appended_records = 0
-        self.appended_bytes = 0
 
     def _handle(self) -> IO[bytes]:
         if self._fh is None:
@@ -116,8 +107,6 @@ class WriteAheadLog:
         handle.flush()
         if self.sync:
             os.fsync(handle.fileno())
-        self.appended_records += 1
-        self.appended_bytes += len(data)
         return len(data)
 
     def reset(self) -> None:

@@ -1,8 +1,9 @@
 """The durability layer an engine gets from ``enable_durability``.
 
 ``log_commit`` runs inside the commit path of every transaction: it
-appends the transaction's logical redo ops to the WAL (fsync'd), folds
-them into the pending checkpoint window, and — every
+reads the transaction's logical redo ops off each table's version
+journal, appends them to the WAL (fsync'd), folds them into the pending
+checkpoint window, and — every
 ``checkpoint_every`` commits — spills the folded window plus per-table
 liveness bitmaps as a segment into the :class:`~repro.wal.store.LeveledStore`
 and rotates the WAL.
@@ -33,6 +34,7 @@ import numpy as np
 from repro.errors import SimulatedCrash
 from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
+from repro.mvcc.manager import INSERT, UPDATE
 from repro.telemetry import registry as telemetry
 from repro.units import ceil_div
 from repro.wal.log import LINE_BYTES, WriteAheadLog, jsonify
@@ -81,7 +83,7 @@ class DurabilityManager:
         # Informational only — recovery takes the engine-build callable
         # from its caller, not from disk.
         meta = {
-            "format": 2,
+            "format": 3,
             "checkpoint_every": self.checkpoint_every,
             "sync": bool(sync),
         }
@@ -91,14 +93,14 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # Commit path
     # ------------------------------------------------------------------
-    def log_commit(self, ts: int, ops: list) -> float:
-        """Harden one committed transaction; returns the charged ns."""
+    def log_commit(self, ts: int) -> float:
+        """Harden the transaction committed at ``ts``; returns the charged ns."""
         inj = faults.active()
         if inj.enabled and inj.fire(fault_plan.CRASH_BEFORE_WAL_APPEND):
             raise SimulatedCrash(
                 "injected crash before WAL append: commit record lost"
             )
-        json_ops = [jsonify(op) for op in ops]
+        json_ops = [jsonify(op) for op in self._redo_ops(ts)]
         nbytes = self.wal.append(ts, json_ops)
         cost = (
             ceil_div(nbytes, LINE_BYTES) * self.cost.flush_per_line_ns
@@ -121,6 +123,27 @@ class DurabilityManager:
         if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
             cost += self.checkpoint()
         return cost
+
+    def _redo_ops(self, ts: int) -> list:
+        """The redo ops of the transaction committed at ``ts``: its journal
+        entries, table by table, in journal order. An insert logs its data
+        slot's row, an update the columns where its version differs from
+        the one it supersedes (``{}`` if none), a delete its row id; every
+        read is on the host, uncharged."""
+        ops = []
+        for name, runtime in self.engine.db.tables.items():
+            window = runtime.mvcc.log_between(ts - 1, ts)
+            read = runtime.storage.read_row
+            for kind, row, delta, old in zip(*(column.tolist() for column in window[1:])):
+                if kind == UPDATE:
+                    new, prev = read(row, delta), read(row, old)
+                    changes = {col: v for col, v in new.items() if v != prev[col]}
+                    ops.append(("update", name, row, changes))
+                elif kind == INSERT:
+                    ops.append(("insert", name, row, read(row, delta)))
+                else:
+                    ops.append(("delete", name, row))
+        return ops
 
     def _fold(self, json_ops: list) -> None:
         for op in json_ops:

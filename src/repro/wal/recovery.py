@@ -36,7 +36,7 @@ __all__ = ["RecoveryResult", "recover"]
 #: merged segment with many cold rows from exhausting a delta region.
 _DEFRAG_CHECK_EVERY = 64
 
-#: WAL op kind → its field count (the ``meta.json`` format 2 shapes).
+#: WAL op kind → its field count (the ``meta.json`` format 2 and 3 shapes).
 _OP_FIELDS = {"update": 4, "insert": 4, "delete": 3}
 
 

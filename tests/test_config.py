@@ -110,11 +110,6 @@ class TestHBMSystem:
 
 
 class TestValidationAndUtilities:
-    def test_with_wram(self):
-        s = dimm_system().with_wram(128 * KIB)
-        assert s.pim.wram_bytes == 128 * KIB
-        assert s.pim.tasklets == 16
-
     def test_rejects_bad_memory_kind(self):
         with pytest.raises(ConfigError):
             SystemConfig(memory_kind="optane")

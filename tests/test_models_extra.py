@@ -109,10 +109,6 @@ class TestDatabaseBundle:
         with pytest.raises(SchemaError):
             db.index("ghost")
 
-    def test_total_rows(self, loaded_engine):
-        total = sum(t.num_rows for t in loaded_engine.db.tables.values())
-        assert loaded_engine.db.total_rows == total
-
 
 class TestTableRuntimeHelpers:
     def test_load_rows_bulk(self, fresh_engine):

@@ -1,5 +1,7 @@
 """Transaction aborts, rollback, failure injection, and Delivery."""
 
+import itertools
+
 import pytest
 
 from repro.errors import TransactionAborted, TransactionError
@@ -182,6 +184,97 @@ class TestFailedWriteRollback:
         with pytest.raises(TransactionError, match="out of range"):
             mvcc.read(before[0], later)
 
+    def test_failed_duplicate_insert_keeps_the_owners_key(self, fresh_engine):
+        """The insert's journal entry exists, but its key is another row's:
+        undoing it must not drop that row's key."""
+        index = fresh_engine.table("neworder").index
+        before = dict(index.items())
+
+        def duplicate(ctx):
+            ctx.insert("neworder", ctx.read("neworder", 0))
+
+        with pytest.raises(TransactionError, match="duplicate key"):
+            fresh_engine.oltp.execute(duplicate)
+        assert index.probe(1)[0] == 0
+        assert dict(index.items()) == before
+
+    def test_aborted_insert_then_delete_leaves_the_index(self, fresh_engine):
+        index = fresh_engine.table("neworder").index
+        before = dict(index.items())
+
+        def insert_and_delete(ctx):
+            row = ctx.insert("neworder", dict(ctx.read("neworder", 0), no_o_id=90_000))
+            ctx.delete("neworder", row)
+            ctx.abort()
+
+        assert fresh_engine.oltp.execute(insert_and_delete).aborted
+        assert dict(index.items()) == before
+
+    @pytest.mark.parametrize("removal_fails", [False, True])
+    def test_aborted_delete_restores_the_key_once(self, fresh_engine, monkeypatch, removal_fails):
+        """Whether or not the delete got as far as removing its key, the
+        abort leaves the key mapping to the row exactly once."""
+        index = fresh_engine.table("neworder").index
+        before = dict(index.items())
+        if removal_fails:
+            def remove(key):
+                raise TransactionError("index removal failed")
+
+            monkeypatch.setattr(index, "remove", remove)
+
+        def delete(ctx):
+            ctx.delete("neworder", 0)
+            ctx.abort()
+
+        if removal_fails:
+            with pytest.raises(TransactionError, match="index removal failed"):
+                fresh_engine.oltp.execute(delete)
+        else:
+            assert fresh_engine.oltp.execute(delete).aborted
+        assert index.probe(1)[0] == 0
+        assert dict(index.items()) == before
+
+
+def failing_txn(engine, body):
+    """Run ``body(ctx)``, which must raise a plain :class:`TransactionError`;
+    returns its message and the transaction's ts."""
+    seen = []
+
+    def txn(ctx):
+        seen.append(ctx.ts)
+        body(ctx)
+
+    with pytest.raises(TransactionError) as err:
+        engine.oltp.execute(txn)
+    assert type(err.value) is TransactionError
+    return str(err.value), seen[0]
+
+
+class TestWriteErrorsNameTableAndTs:
+    """A :class:`TransactionError` of an MVCC write or rollback surfaces as
+    the same type, prefixed with the table and naming the ts (a rollback
+    under a newer tail: ``test_txn_rollback_names_the_table``)."""
+
+    def test_already_deleted(self, fresh_engine):
+        def delete_twice(ctx):
+            ctx.delete("neworder", 4)
+            ctx.delete("neworder", 4)
+
+        message, ts = failing_txn(fresh_engine, delete_twice)
+        assert message == f"table 'neworder': row 4 already deleted (ts {ts})"
+        assert fresh_engine.table("neworder").index.probe(5)[0] == 4
+
+    def test_table_full(self, fresh_engine):
+        def fill(ctx):
+            row = ctx.read("warehouse", 0)
+            for w_id in itertools.count(2):
+                ctx.insert("warehouse", dict(row, w_id=w_id))
+
+        message, ts = failing_txn(fresh_engine, fill)
+        assert message == f"table 'warehouse': table full: capacity 256 rows reached (ts {ts})"
+        warehouse = fresh_engine.table("warehouse")
+        assert warehouse.num_rows == 1 and len(warehouse.index) == 1
+
 
 class TestUndoValidation:
     """``rollback(ts)``: it pops exactly the journal tail stamped ``ts``."""
@@ -214,17 +307,32 @@ class TestUndoValidation:
         mvcc.rollback(1000)
         assert mvcc_state(mvcc) == before
 
+    def test_rollback_returns_the_undone_entries(self, fresh_engine):
+        from repro.mvcc.manager import DELETE, INSERT, UPDATE
+
+        mvcc = fresh_engine.table("neworder").mvcc
+        row = mvcc.insert(ts=1000)
+        mvcc.update(row, ts=1000)  # the insert's own version: no entry
+        mvcc.update(3, ts=1000)
+        mvcc.delete(row, ts=1000)
+        assert mvcc.rollback(1000) == [(DELETE, row), (UPDATE, 3), (INSERT, row)]
+        assert mvcc.rollback(1000) == []
+
     def test_txn_rollback_names_the_table(self, fresh_engine):
         """A newer journal tail under an aborting transaction is a
-        broken single-writer assumption: it raises, naming the table."""
+        broken single-writer assumption: it raises, naming the table and
+        the ts."""
 
         def interleaved(ctx):
             ctx.update("customer", 0, {"c_balance": 1})
             ctx.engine.db.table("customer").mvcc.update(1, ctx.ts + 1)
             ctx.abort()
 
-        with pytest.raises(TransactionError, match="customer.*rollback"):
-            fresh_engine.oltp.execute(interleaved)
+        message, ts = failing_txn(fresh_engine, interleaved)
+        assert message == (
+            f"table 'customer': rollback of ts {ts}: the journal tail holds "
+            f"newer ts {ts + 1} (ts {ts})"
+        )
 
 
 class TestDelivery:

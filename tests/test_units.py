@@ -23,12 +23,6 @@ def test_gb_per_s_is_identity():
     assert units.gb_per_s(25.6) == 25.6
 
 
-def test_time_conversions():
-    assert units.to_us(1_500.0) == 1.5
-    assert units.to_ms(2_500_000.0) == 2.5
-    assert units.to_s(3e9) == 3.0
-
-
 def test_ceil_div_basic():
     assert units.ceil_div(0, 8) == 0
     assert units.ceil_div(1, 8) == 1

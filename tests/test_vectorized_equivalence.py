@@ -619,16 +619,20 @@ class OracleMVCC:
         del self._tombstones[row_id]
         self._tomb_ts[row_id] = -1
 
-    def rollback(self, ts: int) -> None:
-        """Undo the log's tail records stamped ``ts``, newest first."""
+    def rollback(self, ts: int) -> List[Tuple[int, int]]:
+        """Undo the log's tail records stamped ``ts``, newest first;
+        returns their ``(kind code, row_id)`` pairs in that order."""
         if self._log and self._log[-1].write_ts > ts:
             raise TransactionError(
                 f"rollback of ts {ts}: the journal tail holds newer ts "
                 f"{self._log[-1].write_ts}"
             )
+        undone = []
         while self._log and self._log[-1].write_ts == ts:
             record = self._log[-1]
+            undone.append((KINDS.index(record.kind), record.row_id))
             getattr(self, f"undo_{record.kind}")(record.row_id)
+        return undone
 
     def _append_log(self, record: UpdateRecord) -> None:
         self._log.append(record)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.engine import PushTapEngine
@@ -13,6 +14,7 @@ from repro.faults.plan import CRASH_HOOKS, FaultRates
 from repro.faults.sweep import run_fault_sweep
 from repro.wal import LeveledStore, WriteAheadLog, recover
 from repro.wal.log import jsonify, unjsonify
+from repro.workloads.tpcc_gen import DATE_EPOCH, DATE_HORIZON
 
 ENGINE_KWARGS = dict(scale=2e-5, defrag_period=200, block_rows=256)
 
@@ -22,10 +24,12 @@ def build_engine():
 
 
 #: sha256 of :func:`durable_bytes_sha256`'s files. Re-pinned when records
-#: lost their index fields (the insert op's index key, the delete op's,
-#: and a segment entry's ``index``/``del_index``): the files equal the
-#: previous pin's with exactly those removed and each WAL CRC recomputed.
-PINNED_DURABLE_SHA256 = "ca3275d367c1c4cf1f87792497698bb79bb82876eef13aea6073b6b7c2c1ddb7"
+#: came to be read off the version journals (``meta.json`` format 3): a
+#: record lists its ops table by table, an insert logs its stored row, an
+#: update only the columns that changed, and a bytes value has its
+#: column's full width. A fresh engine recovered from these files and one recovered
+#: from the format-2 files have the same device image and Q1/Q6/Q9 rows.
+PINNED_DURABLE_SHA256 = "c688f643c139b19db12ebf6bf3df8ca1c189f9826c569b76e3db8810ac08d8e5"
 
 
 def durable_bytes_sha256(path):
@@ -67,6 +71,11 @@ class TestWriteAheadLog:
     def test_jsonify_round_trip_values(self):
         value = ("k", b"\x00\x01", 7, {"nested": (1, b"\xff")})
         assert unjsonify(jsonify(value)) == value
+
+    @pytest.mark.parametrize("value", [1.5, np.int64(3), None], ids=["float", "numpy", "none"])
+    def test_jsonify_rejects_values_no_column_stores(self, value):
+        with pytest.raises(WALError, match="cannot encode"):
+            jsonify(("update", "customer", 3, {"c_balance": value}))
 
     def test_torn_tail_dropped_and_flagged(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -205,7 +214,7 @@ class TestDurability:
         path = str(tmp_path / "dur")
         fresh_engine.enable_durability(path).close()
         with open(os.path.join(path, "meta.json"), encoding="utf-8") as handle:
-            assert json.load(handle)["format"] == 2
+            assert json.load(handle)["format"] == 3
 
     def test_enable_durability_twice_rejected(self, fresh_engine, tmp_path):
         fresh_engine.enable_durability(str(tmp_path / "dur"))
@@ -225,13 +234,46 @@ class TestDurability:
             recover(path, durable_builder)
 
 
+#: An order line inside Q1's and Q6's windows, so the rows the redo
+#: cases below write count in both queries.
+IN_WINDOW = dict(ol_delivery_d=(DATE_EPOCH + DATE_HORIZON) // 2, ol_quantity=5)
+
+
+def update_twice(ctx):
+    """One row updated twice: one journal entry, as when Delivery credits
+    one customer for two orders."""
+    ctx.update("orderline", 3, dict(IN_WINDOW, ol_amount=111))
+    ctx.update("orderline", 3, {"ol_amount": 222})
+
+
+def insert_then_update(ctx):
+    """The update overwrites the inserted row's data slot in place."""
+    row = ctx.read("orderline", 0)
+    new = ctx.insert("orderline", dict(row, ol_o_id=90_000, **IN_WINDOW))
+    ctx.update("orderline", new, {"ol_amount": 333})
+
+
+def update_then_delete(ctx):
+    ctx.update("orderline", 5, dict(IN_WINDOW, ol_amount=444))
+    ctx.delete("orderline", 5)
+
+
+def unchanged_update(ctx):
+    """Writes the value the row holds: logged as ``{}``, replayed as a
+    version all the same."""
+    ctx.update("orderline", 7, ctx.read("orderline", 7, ["ol_amount"]))
+
+
 class TestRecovery:
-    def _run(self, path, txns, checkpoint_every=0, seed=11):
+    def _run(self, path, txns, checkpoint_every=0, seed=11, last=None):
+        """``txns`` TPC-C transactions, then ``last`` if given."""
         engine = build_engine()
         manager = engine.enable_durability(path, checkpoint_every=checkpoint_every)
         driver = engine.make_driver(seed=seed, delivery_fraction=0.1)
         for _ in range(txns):
             engine.execute_transaction(driver.next_transaction())
+        if last is not None:
+            assert not engine.execute_transaction(last).aborted
         manager.close()
         return engine, manager
 
@@ -273,6 +315,25 @@ class TestRecovery:
         assert manager.store.compactions > 0
         result = recover(path, build_engine)
         self._assert_matches(result.engine, live, result.horizon)
+
+    @pytest.mark.parametrize("checkpoint_every", [0, 9], ids=["wal", "segment"])
+    @pytest.mark.parametrize(
+        "last", [update_twice, insert_then_update, update_then_delete, unchanged_update]
+    )
+    def test_redo_edge_cases(self, tmp_path, last, checkpoint_every):
+        """A record read off the journal replays each of these writes, by
+        WAL replay or by segment fold (nine commits, one checkpoint)."""
+        path = str(tmp_path / "dur")
+        live, _ = self._run(path, txns=8, checkpoint_every=checkpoint_every, last=last)
+        result = recover(path, build_engine)
+        assert result.segments_applied == (1 if checkpoint_every else 0)
+        self._assert_matches(result.engine, live, result.horizon)
+        if not checkpoint_every:
+            # Replay re-runs every write at its ts: the journals are equal.
+            for name, runtime in live.db.tables.items():
+                journal = result.engine.db.table(name).mvcc.journal
+                for got, want in zip(journal, runtime.mvcc.journal):
+                    np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_torn_tail_recovery_drops_last_commit(self, tmp_path):
         path = str(tmp_path / "dur")
