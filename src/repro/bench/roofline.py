@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from repro import telemetry
 from repro.bench.micro import DEFAULT_SIZES, PRIMITIVES, fit_saturation, run_micro
 from repro.core.engine import PushTapEngine
+from repro.errors import ConfigError
 from repro.format.schema import Column, TableSchema
 from repro.olap.engine import QueryTiming
 from repro.olap.operators import RegionRows
@@ -199,7 +200,16 @@ def run_roofline(
     micro_sizes: Sequence[int] = DEFAULT_SIZES,
     block_rows: int = 256,
 ) -> Dict[str, object]:
-    """Full roofline sweep; returns the snapshot dict."""
+    """Full roofline sweep; returns the snapshot dict.
+
+    Raises :class:`ConfigError` before any substrate runs unless every
+    size and ``block_rows`` is positive.
+    """
+    for name, values in (
+        ("sizes", sizes), ("micro_sizes", micro_sizes), ("block_rows", [block_rows])
+    ):
+        if not values or min(values) < 1:
+            raise ConfigError(f"{name} must be positive")
     names = list(substrates) if substrates else available_substrates()
     sizes = sorted(set(sizes))
     micro_sizes = sorted(set(micro_sizes))

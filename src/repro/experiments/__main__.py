@@ -27,7 +27,9 @@ cluster, recovery against a never-crashed reference for WAL crashes::
         --out crash-sweep.json
 
 The multi-tenant serving layer (admission control, adaptive HTAP
-scheduler, per-tenant SLOs) runs deterministic simulated-time serving::
+scheduler, per-tenant SLOs) runs deterministic simulated-time serving;
+``--ablation`` runs the pinned ``baselines/serve_ablation.json``
+experiment at its defaults::
 
     python -m repro.experiments serve --tenants 4 --policy batched --seed 7
     python -m repro.experiments serve --ablation --out ablation.json
@@ -46,41 +48,163 @@ DIMM system::
 The sharded cluster sweeps shard-count scaling and 2PC overhead::
 
     python -m repro.experiments cluster --shards 1 2 4 --check
+
+A parameter flag sets one parameter of the config or function a
+subcommand runs (``--requests`` sets ``ServeConfig.requests_per_tenant``)
+and takes its type and default from that signature, so a default is
+written once, in the callee: ``roofline``, ``cluster`` and ``serve
+--ablation`` with no parameter flag reproduce their ``baselines/`` rows.
+A given flag the run does not take, and a refused input (a
+:class:`~repro.errors.ConfigError`), exit 2 before anything runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections.abc
+import inspect
 import json
 import sys
-from typing import Callable, Dict
+import typing
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import telemetry
+from repro.errors import ConfigError
 from repro.experiments.figures import FIGURES, render
 from repro.report import format_percent, format_table, format_time_ns
 from repro.telemetry import export as telemetry_export
 
+#: Memory controller variants (``controller_kind`` / ``model``).
+_CONTROLLERS = ("pushtap", "original")
+_METRICS_OUT_HELP = "enable telemetry and dump collected metrics to PATH as JSON"
+
+
+def _parameters(callee) -> Optional[Dict[str, tuple]]:
+    """``callee``'s parameters as ``name -> (annotation, default)``, or
+    None when it takes ``**kwargs`` and so any keyword."""
+    params = inspect.signature(callee).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return None
+    hints = typing.get_type_hints(callee)
+    return {p.name: (hints.get(p.name), p.default) for p in params}
+
+
+def _flag_type(flag: str, hint) -> Dict[str, Any]:
+    """argparse keywords for a flag that sets a parameter annotated ``hint``."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if hint is bool:
+        return {"action": "store_false" if flag.startswith("--no-") else "store_true"}
+    if typing.get_origin(hint) in (collections.abc.Sequence, list, tuple):
+        return {"nargs": "+", "type": typing.get_args(hint)[0]}
+    return {"type": hint}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser whose parameter flags are derived from the
+    signatures of the callables they set."""
+
+    def __init__(self, command: str, description: str) -> None:
+        super().__init__(prog=f"python -m repro.experiments {command}", description=description)
+        #: Derived flags, parameter name (the dest) -> flag.
+        self.derived: Dict[str, str] = {}
+
+    def derive(self, spec: Dict[str, tuple], *callees) -> None:
+        """Add one flag per ``spec`` entry, ``flag: (parameter, help[, choices])``.
+
+        A callee is a callable or a ``(label, callable)`` pair. The flag's
+        type comes from the parameter's annotation, its help ends with the
+        default of every callee that takes it (per label, unless every label
+        takes it with one default), and its own default is ``SUPPRESS``: an
+        absent flag is not passed, so the callee's default holds.
+        """
+        signatures = [
+            (label, params)
+            for label, callee in (c if isinstance(c, tuple) else ("", c) for c in callees)
+            if (params := _parameters(callee)) is not None
+        ]
+        labels = {label for label, _ in signatures}
+        for flag, (dest, text, *choices) in spec.items():
+            takers = [(label, params[dest]) for label, params in signatures if dest in params]
+            defaults = {label: default for label, (_, default) in takers}
+            shown = {repr(default) for default in defaults.values()}
+            if len(shown) == 1 and set(defaults) == labels:
+                default = shown.pop()
+            else:
+                default = ", ".join(f"{label} {value!r}" for label, value in defaults.items())
+            self.add_argument(
+                flag,
+                dest=dest,
+                default=argparse.SUPPRESS,
+                help=f"{text} (default: {default})",
+                **({"choices": choices[0]} if choices else {}),
+                **_flag_type(flag, takers[0][1][0]),
+            )
+            self.derived[dest] = flag
+
+    def given(self, args, *callees, where: str) -> List[Dict[str, Any]]:
+        """Per callee, the derived flags given in ``args`` that it takes (all
+        of them if it takes ``**kwargs``). A given flag that no callee takes
+        is a usage error: it does not apply to ``where``."""
+        given = {dest: getattr(args, dest) for dest in self.derived if hasattr(args, dest)}
+        takes = [_parameters(callee) for callee in callees]
+        for dest in given:
+            if all(t is not None and dest not in t for t in takes):
+                self.error(f"{self.derived[dest]} does not apply to {where}")
+        return [{d: v for d, v in given.items() if t is None or d in t} for t in takes]
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """Fail fast on an unwritable output path rather than after the runs."""
+    if not path:
+        return
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+@contextmanager
+def _metrics(path: Optional[str]):
+    """Collect telemetry in the block and dump it to ``path`` as JSON; a
+    no-op without a path. The path is checked before the block runs."""
+    if not path:
+        yield
+        return
+    _check_writable(path)
+    registry = telemetry.enable()
+    try:
+        yield
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(telemetry_export.to_json(registry))
+        print(f"\nmetrics written to {path}")
+    finally:
+        telemetry.disable()
+
+
+def _dump(path: str, value, what: str) -> None:
+    """Write ``value`` to ``path`` as indented, key-sorted JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"\n{what} written to {path}")
+
 
 def report_metrics(argv) -> int:
     """``report-metrics``: pretty-print a telemetry JSON dump."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments report-metrics",
-        description="Render a telemetry dump produced by --metrics-out.",
-    )
+    parser = _Parser("report-metrics", "Render a telemetry dump produced by --metrics-out.")
     parser.add_argument("path", help="metrics JSON file to render")
-    parser.add_argument(
-        "--csv", action="store_true", help="emit flat CSV instead of tables"
-    )
+    parser.add_argument("--csv", action="store_true", help="emit flat CSV instead of tables")
     args = parser.parse_args(argv)
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             registry = telemetry_export.from_json(fh.read())
     except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"cannot read {args.path}: {exc.strerror}") from None
     except ValueError as exc:
-        print(f"error: {args.path} is not a telemetry JSON dump: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{args.path} is not a telemetry JSON dump: {exc}") from None
     if args.csv:
         print(telemetry_export.to_csv(registry), end="")
     else:
@@ -96,66 +220,28 @@ def profile(argv) -> int:
     from repro.trace.flame import to_folded
     from repro.trace.profile import run_profile
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments profile",
-        description=(
-            "Run one workload under the structured tracer; write a Chrome "
-            "trace (Perfetto-loadable) and folded flamegraph stacks, and "
-            "print a ranked bottleneck report in simulated time."
-        ),
+    parser = _Parser(
+        "profile",
+        "Run one workload under the structured tracer; write a Chrome "
+        "trace (Perfetto-loadable) and folded flamegraph stacks, and "
+        "print a ranked bottleneck report in simulated time.",
     )
-    parser.add_argument(
-        "--workload",
-        choices=["tpcc", "ch", "mixed"],
-        default="mixed",
-        help="workload mix to trace",
-    )
-    parser.add_argument(
-        "--model",
-        choices=["pushtap", "original"],
-        default="pushtap",
-        help="memory controller variant under test",
-    )
-    parser.add_argument(
-        "--intervals", type=int, default=4, help="query intervals (or query count)"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=25, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
-    )
-    parser.add_argument("--seed", type=int, default=11, help="workload seed")
-    parser.add_argument(
-        "--out-dir", default=".", help="directory for trace.json / flame.folded"
-    )
-    parser.add_argument(
-        "--top", type=int, default=10, help="bottleneck rows to print"
-    )
-    parser.add_argument(
-        "--max-samples",
-        type=int,
-        default=4096,
-        help="histogram sample bound (bounded/decimating mode)",
-    )
-    parser.add_argument(
-        "--no-per-unit-spans",
-        action="store_true",
-        help="skip per-PIM-unit detail spans (smaller trace)",
-    )
+    parser.derive({
+        "--workload": ("workload", "workload mix to trace", ["tpcc", "ch", "mixed"]),
+        "--model": ("model", "memory controller variant under test", _CONTROLLERS),
+        "--intervals": ("intervals", "query intervals (or query count)"),
+        "--txns-per-query": ("txns_per_query", "transactions per interval"),
+        "--scale": ("scale", "CH-benCH scale"),
+        "--defrag-period": ("defrag_period", "transactions between defrags"),
+        "--seed": ("seed", "workload seed"),
+        "--max-samples": ("max_histogram_samples", "histogram sample bound (bounded/decimating mode)"),
+        "--no-per-unit-spans": ("per_unit_spans", "per-PIM-unit detail spans; the flag skips them (smaller trace)"),
+    }, run_profile)
+    parser.add_argument("--out-dir", default=".", help="directory for trace.json / flame.folded")
+    parser.add_argument("--top", type=int, default=10, help="bottleneck rows to print")
     args = parser.parse_args(argv)
-    result = run_profile(
-        workload=args.workload,
-        model=args.model,
-        intervals=args.intervals,
-        txns_per_query=args.txns_per_query,
-        scale=args.scale,
-        seed=args.seed,
-        defrag_period=args.defrag_period,
-        max_histogram_samples=args.max_samples,
-        per_unit_spans=not args.no_per_unit_spans,
-    )
+    (params,) = parser.given(args, run_profile, where="profile")
+    result = run_profile(**params)
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.json")
     flame_path = os.path.join(args.out_dir, "flame.folded")
@@ -177,91 +263,36 @@ def profile(argv) -> int:
 
 def roofline(argv) -> int:
     """``roofline``: substrate bandwidth ceilings vs achieved operators."""
-    from repro.bench.micro import DEFAULT_SIZES
-    from repro.bench.roofline import (
-        DEFAULT_OPERATOR_SIZES,
-        render_roofline,
-        run_roofline,
-    )
+    from repro.bench.roofline import render_roofline, run_roofline
     from repro.pim.substrate import available_substrates
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments roofline",
-        description=(
-            "Sweep PrIM-style single-unit microbenchmarks and the end-to-"
-            "end OLAP operators across hardware substrates, classify each "
-            "operator as memory/compute/control-bound against the "
-            "substrate's bandwidth ceilings, cross-check the accounting "
-            "against the exported Chrome trace, and optionally write the "
-            "snapshot as JSON."
-        ),
+    parser = _Parser(
+        "roofline",
+        "Sweep PrIM-style single-unit microbenchmarks and the end-to-"
+        "end OLAP operators across hardware substrates, classify each "
+        "operator as memory/compute/control-bound against the "
+        "substrate's bandwidth ceilings, cross-check the accounting "
+        "against the exported Chrome trace, and optionally write the "
+        "snapshot as JSON.",
     )
-    parser.add_argument(
-        "--substrates",
-        nargs="+",
-        choices=available_substrates(),
-        default=None,
-        help="substrates to sweep (default: all registered)",
-    )
-    parser.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_OPERATOR_SIZES),
-        help="table sizes (rows) for the end-to-end operator sweep",
-    )
-    parser.add_argument(
-        "--micro-sizes",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_SIZES),
-        help="operand sizes (rows) for the single-unit microbenchmarks",
-    )
-    parser.add_argument(
-        "--block-rows", type=int, default=256, help="storage block size (rows)"
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the roofline snapshot to PATH as JSON",
-    )
+    parser.derive({
+        "--substrates": ("substrates", "substrates to sweep (None: all registered)", available_substrates()),
+        "--sizes": ("sizes", "table sizes (rows) for the end-to-end operator sweep"),
+        "--micro-sizes": ("micro_sizes", "operand sizes (rows) for the single-unit microbenchmarks"),
+        "--block-rows": ("block_rows", "storage block size (rows)"),
+    }, run_roofline)
+    parser.add_argument("--out", metavar="PATH", help="write the roofline snapshot to PATH as JSON")
     args = parser.parse_args(argv)
-    if args.out and not _writable(args.out):
-        return 2
-    snapshot = run_roofline(
-        args.substrates,
-        sizes=args.sizes,
-        micro_sizes=args.micro_sizes,
-        block_rows=args.block_rows,
-    )
+    (params,) = parser.given(args, run_roofline, where="roofline")
+    _check_writable(args.out)
+    snapshot = run_roofline(**params)
     print(render_roofline(snapshot))
     if args.out:
         _dump(args.out, snapshot, "roofline snapshot")
     if not all(check["ok"] for check in snapshot["trace_check"].values()):
-        print(
-            "FAIL: trace-derived bandwidth disagrees with operator accounting",
-            file=sys.stderr,
-        )
+        print("FAIL: trace-derived bandwidth disagrees with operator accounting", file=sys.stderr)
         return 1
     return 0
-
-
-def _writable(path: str) -> bool:
-    """Fail fast on an unwritable output path rather than after the runs."""
-    try:
-        with open(path, "a", encoding="utf-8"):
-            pass
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
-
-
-def _dump(path: str, value, what: str) -> None:
-    """Write ``value`` to ``path`` as indented, key-sorted JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(value, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\n{what} written to {path}")
 
 
 def _format_stat(key: str, value) -> str:
@@ -280,27 +311,23 @@ def _format_stat(key: str, value) -> str:
 
 def fault_sweep(argv) -> int:
     """``fault-sweep``: the fault grid, rate rows x seeds, one workload."""
-    from repro.errors import ConfigError
     from repro.faults.plan import FaultRates
     from repro.faults.sweep import DEFAULT_ROWS, WORKLOADS, check_row, run_fault_sweep
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments fault-sweep",
-        description=(
-            "Run one workload under seeded fault injection for every "
-            "(rates row, seed) cell and audit it: mixed/serve/cluster "
-            "compare a faulted run with a clean one (cluster adds the 2PC "
-            "atomicity audit); crash kills a WAL-enabled run, recovers it "
-            "and compares Q1/Q6/Q9 with a never-crashed reference. Exits 1 "
-            "if any cell raised or violated an audit."
-        ),
+    parser = _Parser(
+        "fault-sweep",
+        "Run one workload under seeded fault injection for every "
+        "(rates row, seed) cell and audit it: mixed/serve/cluster "
+        "compare a faulted run with a clean one (cluster adds the 2PC "
+        "atomicity audit); crash kills a WAL-enabled run, recovers it "
+        "and compares Q1/Q6/Q9 with a never-crashed reference. Exits 1 "
+        "if any cell raised or violated an audit.",
     )
     parser.add_argument(
-        "--workload", choices=list(WORKLOADS), default="mixed",
-        help="workload each cell drives",
+        "--workload", choices=list(WORKLOADS), default="mixed", help="workload each cell drives"
     )
     parser.add_argument(
-        "--rates", nargs="+", metavar="SPEC", default=None,
+        "--rates", nargs="+", metavar="SPEC",
         help=(
             "one grid row per comma-separated hook=rate spec (see "
             "repro.faults.plan.HOOKS; default: the workload's rows in "
@@ -311,78 +338,31 @@ def fault_sweep(argv) -> int:
         "--seed", type=int, nargs="+", default=[1],
         help="fault/workload seed(s); every row runs every seed",
     )
-    parser.add_argument(
-        "--intervals", type=int, help="query intervals per run (not serve)"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int,
-        help="transactions per interval (serve: requests per tenant)",
-    )
-    parser.add_argument("--scale", type=float, help="CH-benCH scale")
-    parser.add_argument(
-        "--defrag-period", type=int, help="transactions between defrags"
-    )
-    parser.add_argument(
-        "--controller", dest="controller_kind", choices=["pushtap", "original"],
-        help="memory controller variant under test",
-    )
-    parser.add_argument("--shards", type=int, help="shard count (cluster only)")
-    parser.add_argument(
-        "--checkpoint-every", type=int,
-        help="commits between checkpoint spills, 0 disables (crash only)",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
-        help="enable telemetry and dump collected metrics to PATH as JSON",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write every cell to PATH as JSON",
-    )
+    parser.derive({
+        "--intervals": ("intervals", "query intervals per run"),
+        "--txns-per-query": ("txns_per_query", "transactions per interval (serve: requests per tenant)"),
+        "--scale": ("scale", "CH-benCH scale"),
+        "--defrag-period": ("defrag_period", "transactions between defrags"),
+        "--controller": ("controller_kind", "memory controller variant under test", _CONTROLLERS),
+        "--shards": ("shards", "shard count"),
+        "--checkpoint-every": ("checkpoint_every", "commits between checkpoint spills, 0 disables"),
+    }, *WORKLOADS.items())
+    parser.add_argument("--metrics-out", metavar="PATH", help=_METRICS_OUT_HELP)
+    parser.add_argument("--out", metavar="PATH", help="write every cell to PATH as JSON")
     args = parser.parse_args(argv)
-    params = {
-        name: getattr(args, name)
-        for name in (
-            "intervals", "txns_per_query", "scale", "defrag_period",
-            "controller_kind", "shards", "checkpoint_every",
-        )
-        if getattr(args, name) is not None
-    }
-    for name, takers in (
-        ("intervals", ("mixed", "cluster", "crash")),
-        ("shards", ("cluster",)),
-        ("checkpoint_every", ("crash",)),
-    ):
-        if name in params and args.workload not in takers:
-            parser.error(
-                f"--{name.replace('_', '-')} does not apply to --workload "
-                f"{args.workload}"
-            )
+    (params,) = parser.given(args, WORKLOADS[args.workload], where=f"--workload {args.workload}")
     specs = args.rates if args.rates is not None else DEFAULT_ROWS[args.workload]
-    try:
-        rows = [FaultRates.parse(spec) for spec in specs]
-        for rates in rows:
-            check_row(args.workload, rates)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not all(_writable(path) for path in (args.metrics_out, args.out) if path):
-        return 2
+    rows = [FaultRates.parse(spec) for spec in specs]
+    for rates in rows:
+        check_row(args.workload, rates)
+    _check_writable(args.out)
 
-    registry = telemetry.enable() if args.metrics_out else None
-    try:
+    with _metrics(args.metrics_out):
         cells = [
             (spec, run_fault_sweep(seed, rates, args.workload, **params))
             for spec, rates in zip(specs, rows)
             for seed in args.seed
         ]
-        if registry is not None:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(telemetry_export.to_json(registry))
-    finally:
-        if registry is not None:
-            telemetry.disable()
-
     stats_keys = list(dict.fromkeys(key for _, cell in cells for key in cell.stats))
     print(format_table(
         [
@@ -421,133 +401,61 @@ def fault_sweep(argv) -> int:
             "total": len(cells),
         }
         _dump(args.out, report, "report")
-    if registry is not None:
-        print(f"metrics written to {args.metrics_out}")
     return 0 if survived == len(cells) else 1
 
 
 def serve(argv) -> int:
-    """``serve``: the multi-tenant serving loop (or the policy ablation)."""
+    """``serve``: the multi-tenant serving loop (or the serve ablation)."""
     from repro.serve.loop import ServeConfig
-    from repro.serve.runner import run_ivm_ablation, run_policy_ablation, run_serve
+    from repro.serve.runner import run_serve, run_serve_ablation
     from repro.serve.scheduler import POLICIES
     from repro.serve.slo import SLOTargets
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve",
-        description=(
-            "Serve N tenants through the admission controller and adaptive "
-            "HTAP scheduler over simulated time; print (and optionally "
-            "write) the per-tenant SLO report. --ablation sweeps arrival "
-            "rate x scheduler policy instead."
-        ),
+    parser = _Parser(
+        "serve",
+        "Serve N tenants through the admission controller and adaptive "
+        "HTAP scheduler over simulated time; print (and optionally "
+        "write) the per-tenant SLO report. --ablation runs the pinned "
+        "arrival rate x scheduler policy and incremental-vs-rescan sweeps "
+        "instead.",
     )
-    parser.add_argument("--tenants", type=int, default=4, help="client sessions")
-    parser.add_argument(
-        "--requests", type=int, default=64, help="requests per tenant"
-    )
-    parser.add_argument(
-        "--policy",
-        choices=list(POLICIES),
-        default="batched",
-        help="HTAP scheduler policy",
-    )
-    parser.add_argument("--seed", type=int, default=7, help="run seed")
-    parser.add_argument(
-        "--arrival",
-        choices=["open", "closed"],
-        default="open",
-        help="open-loop Poisson or closed-loop think-time arrivals",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=50_000.0,
-        help="open-loop arrival rate per tenant (req/s, simulated)",
-    )
-    parser.add_argument(
-        "--think-ns",
-        type=float,
-        default=20_000.0,
-        help="closed-loop mean think time (ns)",
+    parser.derive(
+        {
+            "--tenants": ("tenants", "client sessions"),
+            "--requests": ("requests_per_tenant", "requests per tenant"),
+            "--policy": ("policy", "HTAP scheduler policy", POLICIES),
+            "--seed": ("seed", "run seed"),
+            "--arrival": ("arrival", "open-loop Poisson or closed-loop think-time arrivals", ["open", "closed"]),
+            "--rate": ("rate_per_tenant", "open-loop arrival rate per tenant (req/s, simulated)"),
+            "--think-ns": ("think_ns", "closed-loop mean think time (ns)"),
+            "--olap-fraction": ("olap_fraction", "fraction of requests that are analytical queries"),
+            "--queue-depth": ("queue_depth", "per-tenant admission bound"),
+            "--bucket-rate": ("bucket_rate", "token-bucket rate per tenant (req/s; 0 disables)"),
+            "--batch-threshold": ("batch_threshold", "OLAP batch trigger depth"),
+            "--freshness-sla": ("freshness_sla_txns", "freshness policy: max committed txns of snapshot staleness"),
+            "--slo-oltp-ns": ("oltp_ns", "per-transaction end-to-end latency target (ns)"),
+            "--slo-olap-ns": ("olap_ns", "per-query end-to-end latency target (ns)"),
+            "--scale": ("scale", "CH-benCH scale"),
+            "--controller": ("controller_kind", "memory controller variant under test", _CONTROLLERS),
+            "--ivm": ("ivm", "maintain incremental views; a flush folds deltas when that beats a rescan"),
+        },
+        ("serve", ServeConfig),
+        ("serve", SLOTargets),
+        ("serve", run_serve),
+        ("--ablation", run_serve_ablation),
     )
     parser.add_argument(
-        "--olap-fraction",
-        type=float,
-        default=0.1,
-        help="fraction of requests that are analytical queries",
+        "--ablation", action="store_true",
+        help="run the pinned serve ablation instead of one run (the flags it takes apply)",
     )
-    parser.add_argument(
-        "--queue-depth", type=int, default=16, help="per-tenant admission bound"
-    )
-    parser.add_argument(
-        "--bucket-rate",
-        type=float,
-        default=0.0,
-        help="token-bucket rate per tenant (req/s; 0 disables)",
-    )
-    parser.add_argument(
-        "--batch-threshold", type=int, default=4, help="OLAP batch trigger depth"
-    )
-    parser.add_argument(
-        "--freshness-sla",
-        type=int,
-        default=64,
-        help="freshness policy: max committed txns of snapshot staleness",
-    )
-    parser.add_argument(
-        "--slo-oltp-ns",
-        type=float,
-        default=200_000.0,
-        help="per-transaction end-to-end latency target (ns)",
-    )
-    parser.add_argument(
-        "--slo-olap-ns",
-        type=float,
-        default=50_000_000.0,
-        help="per-query end-to-end latency target (ns)",
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument(
-        "--controller",
-        choices=["pushtap", "original"],
-        default="pushtap",
-        help="memory controller variant under test",
-    )
-    parser.add_argument(
-        "--ablation",
-        action="store_true",
-        help=(
-            "run the arrival-rate x policy sweep plus the incremental-vs-"
-            "rescan sweep instead of one run"
-        ),
-    )
-    parser.add_argument(
-        "--ivm",
-        action="store_true",
-        help=(
-            "maintain incremental views; the scheduler answers flushes by "
-            "folding deltas when that beats a full rescan"
-        ),
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write the machine-readable JSON report to PATH",
-    )
+    parser.add_argument("--out", metavar="PATH", help="write the machine-readable JSON report to PATH")
     args = parser.parse_args(argv)
-    if args.out and not _writable(args.out):
-        return 2
 
     if args.ablation:
-        report = run_policy_ablation(
-            seed=args.seed,
-            tenants=args.tenants,
-            requests_per_tenant=args.requests,
-            olap_fraction=max(args.olap_fraction, 0.05),
-            scale=args.scale,
-        )
+        (params,) = parser.given(args, run_serve_ablation, where="--ablation")
+        _check_writable(args.out)
+        report = run_serve_ablation(**params)
+        ivm_report = report["ivm"]
         print(format_table(
             [
                 "rate/tenant", "policy", "QphH", "tpmC", "batches",
@@ -555,26 +463,13 @@ def serve(argv) -> int:
             ],
             [
                 [
-                    f"{c['rate_per_tenant']:,.0f}",
-                    c["policy"],
-                    f"{c['olap_qphh']:,.0f}",
-                    f"{c['oltp_tpmc']:,.0f}",
-                    c["olap_batches"],
-                    c["handovers"],
-                    c["handovers_saved"],
-                    c["max_staleness_txns"],
+                    f"{c['rate_per_tenant']:,.0f}", c["policy"], f"{c['olap_qphh']:,.0f}",
+                    f"{c['oltp_tpmc']:,.0f}", c["olap_batches"], c["handovers"],
+                    c["handovers_saved"], c["max_staleness_txns"],
                 ]
                 for c in report["cells"]
             ],
         ))
-        ivm_report = run_ivm_ablation(
-            seed=args.seed,
-            tenants=args.tenants,
-            requests_per_tenant=args.requests,
-            olap_fraction=max(args.olap_fraction, 0.05),
-            scale=args.scale,
-        )
-        report["ivm"] = ivm_report
         print()
         print(format_table(
             [
@@ -583,14 +478,9 @@ def serve(argv) -> int:
             ],
             [
                 [
-                    f"{c['rate_per_tenant']:,.0f}",
-                    c["mode"],
-                    f"{c['olap_qphh']:,.0f}",
-                    f"{c['oltp_tpmc']:,.0f}",
-                    c["ivm_flushes"],
-                    c["rescan_flushes"],
-                    c["max_staleness_txns"],
-                    format_time_ns(c["max_snapshot_lag_ns"]),
+                    f"{c['rate_per_tenant']:,.0f}", c["mode"], f"{c['olap_qphh']:,.0f}",
+                    f"{c['oltp_tpmc']:,.0f}", c["ivm_flushes"], c["rescan_flushes"],
+                    c["max_staleness_txns"], format_time_ns(c["max_snapshot_lag_ns"]),
                 ]
                 for c in ivm_report["cells"]
             ],
@@ -603,30 +493,12 @@ def serve(argv) -> int:
                 f"{delta['max_staleness_delta']:+d} txns, max snapshot-lag "
                 f"delta {delta['max_snapshot_lag_delta_ns']:+,.0f} ns"
             )
-        failed = any(
-            c["slo_errors"] for c in report["cells"] + ivm_report["cells"]
-        )
+        failed = any(c["slo_errors"] for c in report["cells"] + ivm_report["cells"])
     else:
-        config = ServeConfig(
-            tenants=args.tenants,
-            requests_per_tenant=args.requests,
-            policy=args.policy,
-            seed=args.seed,
-            arrival=args.arrival,
-            rate_per_tenant=args.rate,
-            think_ns=args.think_ns,
-            olap_fraction=args.olap_fraction,
-            queue_depth=args.queue_depth,
-            bucket_rate=args.bucket_rate,
-            batch_threshold=args.batch_threshold,
-            freshness_sla_txns=args.freshness_sla,
-            ivm=args.ivm,
-            slo=SLOTargets(oltp_ns=args.slo_oltp_ns, olap_ns=args.slo_olap_ns),
-        )
-        result = run_serve(
-            config, scale=args.scale, controller_kind=args.controller
-        )
-        report = result.report
+        config, slo, params = parser.given(args, ServeConfig, SLOTargets, run_serve, where="serve")
+        config = ServeConfig(**config, slo=SLOTargets(**slo))
+        _check_writable(args.out)
+        report = run_serve(config, **params).report
         admission = report["admission"]
         print(format_table(
             [
@@ -635,14 +507,9 @@ def serve(argv) -> int:
             ],
             [
                 [
-                    tenant,
-                    t["completed"],
-                    t["rejected"],
-                    format_time_ns(t["oltp"]["p50_ns"]),
-                    format_time_ns(t["oltp"]["p95_ns"]),
-                    format_time_ns(t["oltp"]["p99_ns"]),
-                    t["violations"]["oltp"] + t["violations"]["olap"],
-                    t["disconnected"],
+                    tenant, t["completed"], t["rejected"],
+                    *(format_time_ns(t["oltp"][f"{q}_ns"]) for q in ("p50", "p95", "p99")),
+                    t["violations"]["oltp"] + t["violations"]["olap"], t["disconnected"],
                 ]
                 for tenant, t in report["tenants"].items()
             ],
@@ -686,101 +553,46 @@ def serve(argv) -> int:
 
 def cluster_cli(argv) -> int:
     """``cluster``: shard-count scaling and 2PC overhead."""
-    from repro.experiments.cluster import (
-        DEFAULT_REMOTE_FRACTIONS,
-        DEFAULT_SHARD_COUNTS,
-        run_cluster_bench,
+    from repro.experiments.cluster import run_cluster_bench
+
+    parser = _Parser(
+        "cluster",
+        "Sweep the sharded cluster over shard count (fixed data, fixed "
+        "tenant streams) and remote-warehouse fraction; optionally "
+        "write the snapshot as JSON. --check gates near-linear tpmC "
+        "scaling.",
     )
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments cluster",
-        description=(
-            "Sweep the sharded cluster over shard count (fixed data, fixed "
-            "tenant streams) and remote-warehouse fraction; optionally "
-            "write the snapshot as JSON. --check gates near-linear tpmC "
-            "scaling."
-        ),
-    )
+    parser.derive({
+        "--shards": ("shard_counts", "shard counts to sweep (1 is always included as the baseline)"),
+        "--remote-fractions": ("remote_fractions", "remote-rate multipliers for the overhead curve (1.0 = spec)"),
+        "--intervals": ("intervals", "query intervals per cell"),
+        "--txns-per-query": ("txns_per_query", "transactions per interval"),
+        "--scale": ("scale", "CH-benCH scale"),
+        "--seed": ("seed", "workload seed"),
+        "--interconnect-ns": ("interconnect_ns", "per-message cluster interconnect latency (simulated ns)"),
+        "--defrag-period": ("defrag_period", "transactions between defrags"),
+        "--jobs": ("jobs", "worker processes for shard sub-streams (snapshots are byte-identical)"),
+    }, run_cluster_bench)
+    parser.add_argument("--out", metavar="PATH", help="write the scaling snapshot to PATH as JSON")
     parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_SHARD_COUNTS),
-        help="shard counts to sweep (1 is always included as the baseline)",
-    )
-    parser.add_argument(
-        "--remote-fractions",
-        type=float,
-        nargs="+",
-        default=list(DEFAULT_REMOTE_FRACTIONS),
-        help="remote-rate multipliers for the overhead curve (1.0 = spec)",
-    )
-    parser.add_argument(
-        "--intervals", type=int, default=4, help="query intervals per cell"
-    )
-    parser.add_argument(
-        "--txns-per-query", type=int, default=60, help="transactions per interval"
-    )
-    parser.add_argument("--scale", type=float, default=2e-5, help="CH-benCH scale")
-    parser.add_argument("--seed", type=int, default=11, help="workload seed")
-    parser.add_argument(
-        "--interconnect-ns",
-        type=float,
-        default=500.0,
-        help="per-message cluster interconnect latency (simulated ns)",
-    )
-    parser.add_argument(
-        "--defrag-period", type=int, default=200, help="transactions between defrags"
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the scaling snapshot to PATH as JSON",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
+        "--check", action="store_true",
         help="fail unless tpmC(N) >= min-scaling * N * tpmC(1) for every N",
     )
     parser.add_argument(
-        "--min-scaling",
-        type=float,
-        default=0.9,
+        "--min-scaling", type=float, default=0.9,
         help="per-shard scaling efficiency the --check gate requires",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for shard sub-streams (merge is "
-            "deterministic: any value yields byte-identical snapshots)"
-        ),
-    )
     args = parser.parse_args(argv)
-    if args.out and not _writable(args.out):
-        return 2
-
-    snapshot = run_cluster_bench(
-        shard_counts=args.shards,
-        remote_fractions=args.remote_fractions,
-        intervals=args.intervals,
-        txns_per_query=args.txns_per_query,
-        scale=args.scale,
-        seed=args.seed,
-        interconnect_ns=args.interconnect_ns,
-        defrag_period=args.defrag_period,
-        jobs=args.jobs,
-    )
+    (params,) = parser.given(args, run_cluster_bench, where="cluster")
+    _check_writable(args.out)
+    snapshot = run_cluster_bench(**params)
     print(format_table(
         ["shards", "tpmC", "speedup", "QphH", "speedup", "cross-shard", "coord"],
         [
             [
-                cell["shards"],
-                f"{cell['oltp_tpmc']:,.0f}",
-                f"{cell['tpmc_speedup']:.2f}x",
-                f"{cell['olap_qphh']:,.0f}",
-                f"{cell['qphh_speedup']:.2f}x",
-                cell["cross_shard"]["attempted"],
-                format_time_ns(cell["coordination_time_ns"]),
+                cell["shards"], f"{cell['oltp_tpmc']:,.0f}", f"{cell['tpmc_speedup']:.2f}x",
+                f"{cell['olap_qphh']:,.0f}", f"{cell['qphh_speedup']:.2f}x",
+                cell["cross_shard"]["attempted"], format_time_ns(cell["coordination_time_ns"]),
             ]
             for cell in snapshot["scaling"]
         ],
@@ -830,23 +642,8 @@ def cluster_cli(argv) -> int:
     return 0
 
 
-#: Subcommands, each taking the rest of the command line.
-SUBCOMMANDS: Dict[str, Callable[[list], int]] = {
-    "report-metrics": report_metrics,
-    "fault-sweep": fault_sweep,
-    "profile": profile,
-    "serve": serve,
-    "roofline": roofline,
-    "cluster": cluster_cli,
-}
-
-
-def main(argv=None) -> int:
-    """Entry point: run a subcommand, or the named experiments (or ``all``)."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        return SUBCOMMANDS[argv[0]](argv[1:])
-
+def figures(argv) -> int:
+    """Run the named experiments (or ``all``)."""
     from repro.pim.substrate import available_substrates, get_substrate
 
     parser = argparse.ArgumentParser(
@@ -864,38 +661,48 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--substrate",
-        choices=available_substrates(),
-        default=None,
+        "--substrate", choices=available_substrates(),
         help=(
             "run the figures on a registered hardware substrate instead of "
             "each figure's default system (HBM comparison rows keep HBM)"
         ),
     )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="enable telemetry and dump collected metrics to PATH as JSON",
-    )
+    parser.add_argument("--metrics-out", metavar="PATH", help=_METRICS_OUT_HELP)
     args = parser.parse_args(argv)
     config = get_substrate(args.substrate).config if args.substrate else None
     names = list(FIGURES) if "all" in args.experiments else args.experiments
-    if args.metrics_out and not _writable(args.metrics_out):
-        return 2
-    registry = telemetry.enable() if args.metrics_out else None
-    try:
+    with _metrics(args.metrics_out):
         for name in names:
             print()
             print(render(name, FIGURES[name].points(config)))
-        if registry is not None:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(telemetry_export.to_json(registry))
-            print(f"\nmetrics written to {args.metrics_out}")
-    finally:
-        if registry is not None:
-            telemetry.disable()
     return 0
+
+
+#: Subcommands, each taking the rest of the command line.
+SUBCOMMANDS: Dict[str, Callable[[list], int]] = {
+    "report-metrics": report_metrics,
+    "fault-sweep": fault_sweep,
+    "profile": profile,
+    "serve": serve,
+    "roofline": roofline,
+    "cluster": cluster_cli,
+}
+
+
+def main(argv=None) -> int:
+    """Entry point: run a subcommand, or the named experiments (or ``all``).
+
+    A :class:`ConfigError` is the user's input refused: it prints as one
+    ``error:`` line and exits 2.
+    """
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        if argv and argv[0] in SUBCOMMANDS:
+            return SUBCOMMANDS[argv[0]](argv[1:])
+        return figures(argv)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """The simulated-identity gate as data: one :data:`BASELINES` row per pinned file.
 
-A row is a producer: a call with every parameter spelled out in the row,
-whose JSON output is pinned in ``baselines/<id>.json`` at the repository
-root. A change that leaves every producer equal to its file — exact
-floats, no tolerance — preserves the simulated behaviour; a change that
-moves one number is a correctness change, and :func:`diff` names the row
-and the path where it moved. ``scripts/check_baselines.py [ids…]``
+A row is a producer: a call with every parameter spelled out in the row
+(``serve_ablation``'s are :func:`run_serve_ablation`'s defaults, the one
+parameter set that ``serve --ablation`` runs as well), whose JSON output
+is pinned in ``baselines/<id>.json`` at the repository root. A change
+that leaves every producer equal to its file — exact floats, no
+tolerance — preserves the simulated behaviour; a change that moves one
+number is a correctness change, and :func:`diff` names the row and the
+path where it moved. ``scripts/check_baselines.py [ids…]``
 regenerates the rows and diffs them (``--write`` re-pins), and
 ``tests/test_baselines.py`` runs every row except ``figures``.
 """
@@ -20,7 +22,7 @@ from repro.cluster import cluster_row_counts
 from repro.experiments.cluster import _run_cell, run_cluster_bench
 from repro.experiments.figures import FIGURES, as_json
 from repro.pim.substrate import available_substrates, get_substrate
-from repro.serve.runner import run_ivm_ablation, run_policy_ablation
+from repro.serve.runner import run_serve_ablation
 from repro.trace.profile import run_profile
 
 __all__ = ["BASELINES", "diff", "regenerate"]
@@ -61,18 +63,12 @@ def _cluster_jobs() -> Dict[str, Any]:
     )
 
 
-def _serve_ablation() -> Dict[str, Any]:
-    """The scheduler-policy ablation with the IVM ablation under ``ivm``."""
-    params = dict(seed=7, tenants=2, requests_per_tenant=32, olap_fraction=0.3)
-    return {**run_policy_ablation(**params), "ivm": run_ivm_ablation(**params)}
-
-
 #: Baseline id → producer; the id names the file ``baselines/<id>.json``.
 BASELINES: Dict[str, Callable[[], Any]] = {
     "figures": _figures,
     "profile": _profile,
     "cluster_jobs": _cluster_jobs,
-    "serve_ablation": _serve_ablation,
+    "serve_ablation": run_serve_ablation,
     "roofline": lambda: run_roofline(
         ("ddr5", "hbm3", "lpddr5x-pim"), sizes=(4096, 16384, 65536),
         micro_sizes=(8, 64, 1024, 16384, 65536), block_rows=256,

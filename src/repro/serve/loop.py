@@ -42,7 +42,7 @@ from repro.errors import ConfigError, TransactionAborted
 from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
 from repro.serve.admission import AdmissionController, Request
-from repro.serve.scheduler import Action, HTAPScheduler
+from repro.serve.scheduler import POLICIES, Action, HTAPScheduler
 from repro.serve.slo import SLOAccounting, SLOTargets
 from repro.telemetry import registry as telemetry
 from repro.units import S, qphh, tpmc
@@ -84,6 +84,8 @@ class ServeConfig:
             raise ConfigError("tenants must be >= 1")
         if self.requests_per_tenant < 1:
             raise ConfigError("requests_per_tenant must be >= 1")
+        if self.policy not in POLICIES:
+            raise ConfigError(f"policy must be one of {', '.join(POLICIES)}")
         if self.arrival not in ("open", "closed"):
             raise ConfigError("arrival must be 'open' or 'closed'")
         if self.arrival == "open" and self.rate_per_tenant <= 0:

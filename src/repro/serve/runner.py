@@ -8,6 +8,8 @@ scheduler policy over identically built engines, which isolates the
 policy: every cell sees the same offered request sequences, so the
 ``batched``-vs-``naive`` OLAP throughput gap is explained by the
 controller's ``handovers_saved`` counter rather than by workload noise.
+:func:`run_serve_ablation` is the pinned experiment: both sweeps at one
+parameter set, its defaults.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.engine import PushTapEngine
+from repro.errors import ConfigError
 from repro.serve.loop import ServeConfig, ServeLoop, ServeResult
 from repro.serve.scheduler import POLICIES
 
@@ -23,6 +26,7 @@ __all__ = [
     "run_serve",
     "run_policy_ablation",
     "run_ivm_ablation",
+    "run_serve_ablation",
 ]
 
 
@@ -88,13 +92,14 @@ def _ablation_cell(
 
 
 def run_policy_ablation(
-    seed: int = 7,
-    tenants: int = 4,
-    requests_per_tenant: int = 48,
+    *,
+    seed: int,
+    tenants: int,
+    requests_per_tenant: int,
+    olap_fraction: float,
+    scale: float,
     rates: Sequence[float] = (10_000.0, 50_000.0, 200_000.0),
     policies: Sequence[str] = POLICIES,
-    olap_fraction: float = 0.25,
-    scale: float = 2e-5,
 ) -> Dict[str, object]:
     """Arrival rate × scheduler policy sweep; returns the report dict.
 
@@ -141,12 +146,13 @@ def run_policy_ablation(
 
 
 def run_ivm_ablation(
-    seed: int = 7,
-    tenants: int = 4,
-    requests_per_tenant: int = 48,
+    *,
+    seed: int,
+    tenants: int,
+    requests_per_tenant: int,
+    olap_fraction: float,
+    scale: float,
     rates: Sequence[float] = (10_000.0, 50_000.0, 200_000.0),
-    olap_fraction: float = 0.25,
-    scale: float = 2e-5,
     policy: str = "freshness",
     freshness_sla_txns: int = 8,
 ) -> Dict[str, object]:
@@ -235,3 +241,29 @@ def run_ivm_ablation(
         "cells": cells,
         "deltas": deltas,
     }
+
+
+def run_serve_ablation(
+    seed: int = 7,
+    tenants: int = 2,
+    requests_per_tenant: int = 32,
+    olap_fraction: float = 0.3,
+    scale: float = 2e-5,
+) -> Dict[str, object]:
+    """The serve ablation: :func:`run_policy_ablation`'s report with
+    :func:`run_ivm_ablation`'s under ``"ivm"``, both at these parameters.
+
+    Its defaults are the parameters ``baselines/serve_ablation.json``
+    pins. A non-positive ``olap_fraction`` is refused: with no queries
+    every cell's QphH is 0 and the ablation measures nothing.
+    """
+    if olap_fraction <= 0:
+        raise ConfigError("olap_fraction must be > 0 for an ablation")
+    params = dict(
+        seed=seed,
+        tenants=tenants,
+        requests_per_tenant=requests_per_tenant,
+        olap_fraction=olap_fraction,
+        scale=scale,
+    )
+    return {**run_policy_ablation(**params), "ivm": run_ivm_ablation(**params)}

@@ -176,21 +176,26 @@ class TestCLIRunner:
 class TestCLIOutputPaths:
     @pytest.mark.parametrize("argv, module, runner", [
         (["serve"], "repro.serve.runner", "run_serve"),
-        (["serve", "--ablation"], "repro.serve.runner", "run_policy_ablation"),
+        (["serve", "--ablation"], "repro.serve.runner", "run_serve_ablation"),
         (["roofline"], "repro.bench.roofline", "run_roofline"),
         (["cluster"], "repro.experiments.cluster", "run_cluster_bench"),
     ])
     def test_unwritable_out_fails_before_any_run(
         self, argv, module, runner, tmp_path, monkeypatch, capsys
     ):
+        import functools
         import importlib
 
         from repro.experiments.__main__ import main
 
+        module = importlib.import_module(module)
+
+        # wraps: the CLI types its flags from the runner's signature.
+        @functools.wraps(getattr(module, runner))
         def no_run(*args, **kwargs):
             raise AssertionError("the run started before --out was checked")
 
-        monkeypatch.setattr(importlib.import_module(module), runner, no_run)
+        monkeypatch.setattr(module, runner, no_run)
         assert main([*argv, "--out", str(tmp_path / "missing" / "out.json")]) == 2
         assert "cannot write" in capsys.readouterr().err
 
@@ -210,3 +215,141 @@ class TestCLIOutputPaths:
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         assert key in snapshot and "tag" not in snapshot
         assert [p.name for p in tmp_path.iterdir()] == ["snapshot.json"]
+
+
+class _Parsed(Exception):
+    """Raised in place of parsing a command line; carries the parser."""
+
+
+def _callees(command):
+    """The callables whose signatures type a subcommand's flags."""
+    from repro.bench.roofline import run_roofline
+    from repro.experiments.cluster import run_cluster_bench
+    from repro.faults.sweep import WORKLOADS
+    from repro.serve.loop import ServeConfig
+    from repro.serve.runner import run_serve, run_serve_ablation
+    from repro.serve.slo import SLOTargets
+    from repro.trace.profile import run_profile
+
+    return {
+        "fault-sweep": list(WORKLOADS.values()),
+        "profile": [run_profile],
+        "serve": [ServeConfig, SLOTargets, run_serve, run_serve_ablation],
+        "roofline": [run_roofline],
+        "cluster": [run_cluster_bench],
+    }[command]
+
+
+class TestCLIFlags:
+    """Parameter flags are derived from the signatures they set."""
+
+    #: Every subcommand's option strings, as the CLI had them before the
+    #: flags were derived; deriving them may not add, drop or rename one.
+    OPTIONS = {
+        "report-metrics": {"-h", "--help", "--csv"},
+        "fault-sweep": {
+            "-h", "--help", "--workload", "--rates", "--seed", "--intervals",
+            "--txns-per-query", "--scale", "--defrag-period", "--controller",
+            "--shards", "--checkpoint-every", "--metrics-out", "--out",
+        },
+        "profile": {
+            "-h", "--help", "--workload", "--model", "--intervals", "--txns-per-query",
+            "--scale", "--defrag-period", "--seed", "--out-dir", "--top",
+            "--max-samples", "--no-per-unit-spans",
+        },
+        "serve": {
+            "-h", "--help", "--tenants", "--requests", "--policy", "--seed",
+            "--arrival", "--rate", "--think-ns", "--olap-fraction", "--queue-depth",
+            "--bucket-rate", "--batch-threshold", "--freshness-sla", "--slo-oltp-ns",
+            "--slo-olap-ns", "--scale", "--controller", "--ablation", "--ivm", "--out",
+        },
+        "roofline": {
+            "-h", "--help", "--substrates", "--sizes", "--micro-sizes", "--block-rows",
+            "--out",
+        },
+        "cluster": {
+            "-h", "--help", "--shards", "--remote-fractions", "--intervals",
+            "--txns-per-query", "--scale", "--seed", "--interconnect-ns",
+            "--defrag-period", "--out", "--check", "--min-scaling", "--jobs",
+        },
+        "figures": {"-h", "--help", "--substrate", "--metrics-out"},
+    }
+
+    @staticmethod
+    def parser(command, monkeypatch):
+        import argparse
+
+        from repro.experiments.__main__ import main
+
+        def capture(self, args=None, namespace=None):
+            raise _Parsed(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(_Parsed) as parsed:
+            main(["fig8a"] if command == "figures" else [command])
+        monkeypatch.undo()
+        return parsed.value.args[0]
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_strings_unchanged(self, command, monkeypatch):
+        parser = self.parser(command, monkeypatch)
+        options = {o for action in parser._actions for o in action.option_strings}
+        assert options == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("command", ["cluster", "fault-sweep", "profile", "roofline", "serve"])
+    def test_defaults_live_in_the_callee(self, command, monkeypatch):
+        """Parsing no flags sets no derived attribute, and each derived
+        flag's help names the default of every callee that takes it."""
+        import inspect
+
+        parser = self.parser(command, monkeypatch)
+        derived = parser.derived
+        assert derived and not set(vars(parser.parse_args([]))) & set(derived)
+        signatures = [inspect.signature(c).parameters for c in _callees(command)]
+        for action in parser._actions:
+            if action.dest not in derived:
+                continue
+            defaults = [p[action.dest].default for p in signatures if action.dest in p]
+            assert defaults, action.dest
+            for default in defaults:
+                assert repr(default) in action.help, (action.dest, action.help)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fault-sweep", "--workload", "serve", "--intervals", "2"], "--intervals"),
+        (["serve", "--ablation", "--policy", "naive"], "--policy"),
+    ])
+    def test_flag_the_callee_does_not_take_exits_2(self, argv, flag, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{flag} does not apply" in capsys.readouterr().err
+
+    def test_kwargs_callee_takes_every_flag(self, monkeypatch):
+        from repro.experiments.__main__ import main
+        from repro.faults import sweep
+
+        seen = {}
+        monkeypatch.setitem(
+            sweep.WORKLOADS, "mixed", lambda cell, faulted, **params: seen.update(params)
+        )
+        argv = ["fault-sweep", "--rates", "forced_abort=0.1", "--shards", "3"]
+        assert main(argv) == 0
+        assert seen == {"shards": 3}
+
+    @pytest.mark.parametrize("argv, field", [
+        (["serve", "--tenants", "0"], "tenants"),
+        (["serve", "--ablation", "--olap-fraction", "0"], "olap_fraction"),
+        (["profile", "--intervals", "0"], "intervals"),
+        (["cluster", "--shards", "0"], "shard_counts"),
+        (["roofline", "--block-rows", "0"], "block_rows"),
+        (["roofline", "--sizes", "0"], "sizes"),
+    ])
+    def test_config_error_exits_2_naming_the_field(self, argv, field, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err

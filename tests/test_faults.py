@@ -1,5 +1,6 @@
 """Fault-injection harness: plans, hooks, retries, invariants, sweep."""
 
+import functools
 import json
 
 import pytest
@@ -440,6 +441,8 @@ class TestFaultSweepCLI:
         if violated:
             drive = sweep.WORKLOADS[workload]
 
+            # wraps: the CLI types its flags from the workload's signature.
+            @functools.wraps(drive)
             def drive_and_violate(cell, faulted, **params):
                 drive(cell, faulted, **params)
                 if cell.seed == 2:

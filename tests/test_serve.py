@@ -324,6 +324,7 @@ class TestPolicyAblation:
             rates=(200_000.0,),
             policies=("naive", "batched"),
             olap_fraction=0.3,
+            scale=2e-5,
         )
         by_policy = {c["policy"]: c for c in report["cells"]}
         naive, batched = by_policy["naive"], by_policy["batched"]
@@ -475,6 +476,8 @@ class TestServeCLI:
         with pytest.raises(ConfigError):
             ServeConfig(arrival="open", rate_per_tenant=0.0)
         with pytest.raises(ConfigError):
+            ServeConfig(policy="wishful")
+        with pytest.raises(ConfigError):
             HTAPScheduler(None, 1, policy="wishful")
 
     def test_config_validates_full_determinism_surface(self):
@@ -563,6 +566,7 @@ class TestServeIVM:
             requests_per_tenant=24,
             rates=(200_000.0,),
             olap_fraction=0.3,
+            scale=2e-5,
         )
         assert all(not c["slo_errors"] for c in report["cells"])
         (delta,) = report["deltas"]
