@@ -15,12 +15,15 @@ devices of a :class:`~repro.pim.memory.Rank`:
   dedicated, ADE-aligned region (§5.2, Fig. 6a).
 
 The same class serves both functional byte movement and scan planning
-for the OLAP operators (:meth:`TableStorage.column_scan_plan`). Because of
-the ADE alignment, whole-row movement is a column slice of the rank's byte
-matrix — ``rank.mem[:, addr:addr+W]`` is one row's slots on every device —
-so a row copy is one 2-D slice assignment per part, a block of rows one
-strided store (:meth:`TableStorage.write_column_rows`, from column
-arrays), a defragmentation pass one gather/scatter
+for the OLAP operators (:meth:`TableStorage.column_scan_plan` walks a
+key column's blocks from any block on, so a growing plan walks only the
+blocks that changed, and raises for rows past the region's allocated
+blocks). Because of the ADE alignment, whole-row movement is a column
+slice of the rank's byte matrix — ``rank.mem[:, addr:addr+W]`` is one
+row's slots on every device — so a row copy is one 2-D slice assignment
+per part, a block of rows one strided store
+(:meth:`TableStorage.write_column_rows`, from column arrays), a
+defragmentation pass one gather/scatter
 (:meth:`TableStorage.copy_rows`), and a bitmap update one broadcast.
 
 Reads index the same matrix through one *read plan* per column — the
@@ -562,34 +565,34 @@ class TableStorage:
     # Scan planning (for the OLAP operators)
     # ------------------------------------------------------------------
     def column_scan_plan(
-        self, column: str, region: str, num_rows: int
+        self, column: str, region: str, num_rows: int, first: int = 0
     ) -> Iterator[BlockScan]:
-        """Yield per-block scan work for a key column.
+        """Yield per-block scan work for a key column, from block ``first``.
 
         ``num_rows`` bounds the scan (data region: the table's live rows;
-        delta region: the materialized high-water mark).
+        delta region: the materialized high-water mark). Rows past the
+        region's allocated blocks raise :class:`MemoryError_`.
         """
         run = self.layout.key_column_location(column)
         part = self.layout.parts[run.part_index]
         placement = run.placement
         blocks = self._region_blocks(region, run.part_index)
+        if num_rows > len(blocks) * self.block_rows:
+            raise MemoryError_(
+                f"table {self.layout.schema.name!r}: {region} scan of {num_rows} rows "
+                f"past its {len(blocks)} blocks of {self.block_rows} rows"
+            )
         bank_size = self.rank.devices[0].bank_size
-        remaining = num_rows
-        for block_index, block_base in enumerate(blocks):
-            if remaining <= 0:
-                break
-            rows = min(self.block_rows, remaining)
-            remaining -= rows
-            rotation = self.placement.rotation_of_block(block_index)
-            device = (run.slot_index + rotation) % self.rank.num_devices
-            addr = block_base + placement.slot_offset
+        for block in range(first, ceil_div(num_rows, self.block_rows)):
+            base_row = block * self.block_rows
+            rotation = self.placement.rotation_of_block(block)
             yield BlockScan(
-                block=block_index,
-                base_row=block_index * self.block_rows,
-                num_rows=rows,
-                device=device,
-                bank=block_base // bank_size,
-                dram_addr=addr,
+                block=block,
+                base_row=base_row,
+                num_rows=min(self.block_rows, num_rows - base_row),
+                device=(run.slot_index + rotation) % self.rank.num_devices,
+                bank=blocks[block] // bank_size,
+                dram_addr=blocks[block] + placement.slot_offset,
                 stride=part.row_width,
                 chunk=placement.length,
             )

@@ -1,7 +1,7 @@
 """Physical OLAP operators executed by PIM units (§6.2, §6.3).
 
 Each operator is a :class:`~repro.pim.executor.ChunkedOperation`: its work
-is a list of :class:`~repro.core.storage.BlockScan` items per PIM unit,
+is a queue of its column's blocks per PIM unit, data region first,
 chunked so each phase's data fits in half the WRAM. A scan phase is *one*
 launch request that every participating unit executes on its own
 bank-local blocks, and it runs here as one array operation per step over
@@ -26,8 +26,10 @@ phase to the rank's counter matrices.
 
 That plan (:class:`_ScanPlan`) depends on the region extents and the
 operator's shape alone, so it outlives the query: ``RankUnits.scan_plans``
-keeps one per shape until new extents replace it. It holds no bytes —
-``load`` reads the current snapshot's column and bitmap bytes when it runs.
+keeps one per shape, and a query over new extents grows it — only the
+blocks that changed (a tail that gained rows, appended blocks) are placed
+again, unless a region lost blocks. It holds no bytes — ``load`` reads the
+current snapshot's column and bitmap bytes when it runs.
 
 Operators collect *functional* results (masks, group keys, hashes,
 partial sums) on the Python side, standing in for the CPU harvesting
@@ -38,8 +40,9 @@ result buffers; the harvest traffic is modelled via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby, zip_longest
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,8 +92,7 @@ class RowSlice(NamedTuple):
     num_rows: int
 
 
-@dataclass(frozen=True)
-class _Batch:
+class _Batch(NamedTuple):
     """The blocks of one phase that share a row count, as parallel arrays."""
 
     num_rows: int
@@ -133,19 +135,20 @@ def _stream_time(unit: PIMUnit, nbytes: int) -> float:
 class _PhaseCharges:
     """What one phase costs each participating unit, in unit order.
 
-    Built from each unit's modelled per-block terms in slot order. The
-    phase times are their left-to-right sums, as a per-block walk adds
-    them; ``load_terms`` / ``compute_terms`` keep the terms apart as
-    ``(k, units)`` arrays (row ``k`` = every unit's ``k``-th term, 0 past
-    a unit's last), so the rank's time counters can be charged term by
-    term in that same order.
+    Built from each unit's (phase, unit) cell (:meth:`_ScanPlan._cell`):
+    its modelled per-block terms in slot order and their left-to-right
+    sums, as a per-block walk adds them. ``load_terms`` / ``compute_terms``
+    keep the terms apart as ``(k, units)`` arrays (row ``k`` = every unit's
+    ``k``-th term, 0 past a unit's last), so the rank's time counters can
+    be charged term by term in that same order.
     """
 
-    def __init__(self, load_terms, compute_terms, read_bytes, elements, scanned) -> None:
-        self.load_times = [_in_order(terms) for terms in load_terms]
-        self.compute_times = [_in_order(terms) for terms in compute_terms]
-        self.load_terms = np.array(list(zip_longest(*load_terms, fillvalue=0.0)))
-        self.compute_terms = np.array(list(zip_longest(*compute_terms, fillvalue=0.0)))
+    def __init__(self, cells: Sequence[tuple]) -> None:
+        load, compute, load_times, compute_times, read_bytes, elements, scanned = zip(*cells)
+        self.load_times = list(load_times)
+        self.compute_times = list(compute_times)
+        self.load_terms = np.array(list(zip_longest(*load, fillvalue=0.0)))
+        self.compute_terms = np.array(list(zip_longest(*compute, fillvalue=0.0)))
         #: Per unit: DRAM bytes read, elements processed.
         self.read_bytes = np.array(read_bytes)
         self.elements = np.array(elements)
@@ -153,24 +156,21 @@ class _PhaseCharges:
         self.scanned = sum(scanned)
 
 
-def _in_order(terms: Sequence[float]) -> float:
-    total = 0.0
-    for term in terms:
-        total += term
-    return total
-
-
 class _ScanPlan:
     """Where every block of one scan runs and what each phase costs: the
     (phase, unit, slot) of each block, the per-phase charges, the batches,
     the WRAM offsets and the LS request.
 
-    A function of ``(storage, units, column, RegionRows, shape)`` alone —
-    the shape is the operator class and its per-block WRAM bytes — and it
-    holds no bytes, so one plan serves every query over the same extents.
-    Building it validates the whole scan before any byte moves: nothing to
-    scan, a bank without a unit, the WRAM budget, the stride/chunk and
-    every block's bank range.
+    A function of ``(storage, units, column, shape)`` and the extents
+    :attr:`rows` alone — the shape is the operator class and its per-block
+    WRAM bytes — and it holds no bytes, so one plan serves every query over
+    the same extents. A unit's queue is its data blocks, then its delta
+    blocks; queue position ``p`` is (phase, slot) = ``divmod(p, slots per
+    phase)``. Plans are grown, never edited (:meth:`grown`): only the blocks
+    new extents change are placed, and the cells and phases they touch
+    rebuilt. Each placed block is validated before any byte moves: nothing
+    to scan, a bank without a unit, the WRAM budget, the stride/chunk and
+    the bank range.
     """
 
     def __init__(
@@ -178,31 +178,11 @@ class _ScanPlan:
         storage: TableStorage,
         units: RankUnits,
         column: str,
-        rows: RegionRows,
         shape: Tuple[type, int],
     ) -> None:
-        cls, block_wram_bytes = shape
+        """The empty plan: no extents, no blocks."""
+        self.source = (storage, units, column, shape)
         self.width = width = storage.layout.schema.column(column).width
-        scans = [
-            (scan, RowSlice(region, scan.base_row, scan.num_rows))
-            for region, count in (
-                (Region.DATA, rows.data_rows),
-                (Region.DELTA, rows.delta_rows),
-            )
-            if count > 0
-            for scan in storage.column_scan_plan(column, region, count)
-        ]
-        if not scans:
-            raise QueryError(f"nothing to scan for column {column!r}")
-        missing = sorted({(scan.device, scan.bank) for scan, _ in scans} - units.keys())
-        if missing:
-            raise QueryError(f"no PIM unit for banks {missing}")
-        budget = next(iter(units.values())).config.load_buffer_bytes
-        if block_wram_bytes > budget:
-            raise QueryError(
-                f"one block needs {block_wram_bytes} B of WRAM, budget is {budget} B"
-            )
-        blocks_per_phase = max(1, budget // block_wram_bytes)
         block = storage.block_rows
         data = block // 8
         aux = data + block * width
@@ -211,76 +191,167 @@ class _ScanPlan:
             "bitmap": 0,
             "data": data,
             "aux": aux,
-            "result": aux + cls._aux_bytes_per_block(storage, width),
+            "result": aux + shape[0]._aux_bytes_per_block(storage, width),
         }
-        first = scans[0][0]
-        self.stride, self.piece = first.stride, first.chunk
-        if self.piece <= 0 or self.stride < self.piece:
-            raise ProtocolError(f"invalid stride/chunk {self.stride}/{self.piece}")
-        self.load_request = LaunchRequest(
-            OpType.LS,
-            {
-                "op0_addr": first.dram_addr % (1 << 24),
-                "op0_len": min(first.num_rows * width, 0xFFFF),
-                "op0_stride": first.stride,
-                "result_addr": 0,
-            },
+        self.rows = RegionRows(0, 0)
+        self.stride = self.piece = 0
+        self.load_request: Optional[LaunchRequest] = None
+        self.unit_rows = np.array([], dtype=np.intp)
+        self.units: List[PIMUnit] = []
+        self.charges: List[_PhaseCharges] = []
+        self.batches: List[List[_Batch]] = []
+        # The unit keys, sorted as ``units``; per key, [its queue of block
+        # entries, how many are data blocks]; per (phase, unit key), the
+        # unit's charges for the phase and its batch rows; per row count,
+        # one block's :meth:`_block_costs`.
+        self._keys, self._queues, self._cells, self._costs = [], {}, {}, {}
+
+    def grown(self, rows: RegionRows) -> _ScanPlan:
+        """The plan for extents ``rows``: grown from this one if each
+        region keeps its blocks, else from the empty plan. This plan is
+        left as it was, also when growth raises."""
+        storage, units, column, (cls, block_wram_bytes) = self.source
+        name, block = storage.layout.schema.name, storage.block_rows
+        extents = (
+            (Region.DATA, self.rows.data_rows, rows.data_rows),
+            (Region.DELTA, self.rows.delta_rows, rows.delta_rows),
         )
-        # One pass in scan order — each unit's queue order, data region
-        # first: check each block's bank range, look up its modelled costs
-        # (one set per distinct row count), place it at (phase, unit, slot)
-        # and collect each unit's charges per phase.
+        kept = {region: ceil_div(old, block) for region, old, _ in extents}
+        if any(ceil_div(new, block) < kept[region] for region, _, new in extents):
+            return _ScanPlan(*self.source).grown(rows)
+        # Walk only the blocks that change, in scan order: a region's old
+        # tail if its row count moved, then its appended blocks.
+        scans = []
+        for region, old, new in extents:
+            tail = (kept[region] - 1) * block
+            first = kept[region] - (tail >= 0 and min(block, new - tail) != old - tail)
+            if first < ceil_div(new, block):
+                scans += [
+                    (scan, RowSlice(region, scan.base_row, scan.num_rows))
+                    for scan in storage.column_scan_plan(column, region, new, first)
+                ]
+        if not (scans or self._queues):
+            raise QueryError(f"table {name!r}: nothing to scan for column {column!r}")
+        missing = sorted({key for s, _ in scans if (key := (s.device, s.bank)) not in units})
+        if missing:
+            raise QueryError(f"table {name!r}: no PIM unit for banks {missing}")
+        budget = next(iter(units.values())).config.load_buffer_bytes
+        if block_wram_bytes > budget:
+            raise QueryError(
+                f"table {name!r}: one block needs {block_wram_bytes} B of WRAM, "
+                f"budget is {budget} B"
+            )
+        slots = max(1, budget // block_wram_bytes)
+        plan = object.__new__(_ScanPlan)
+        plan.__dict__ = {**vars(self), "rows": rows}
+        if scans:
+            first, row_slice = scans[0]
+            plan.stride, plan.piece = first.stride, first.chunk
+            if plan.piece <= 0 or plan.stride < plan.piece:
+                raise ProtocolError(
+                    f"table {name!r}: invalid stride/chunk {plan.stride}/{plan.piece}"
+                )
+            if (row_slice.region, first.block) == (
+                Region.DATA if rows.data_rows > 0 else Region.DELTA, 0
+            ):
+                plan.load_request = LaunchRequest(
+                    OpType.LS,
+                    {
+                        "op0_addr": first.dram_addr % (1 << 24),
+                        "op0_len": min(first.num_rows * plan.width, 0xFFFF),
+                        "op0_stride": first.stride,
+                        "result_addr": 0,
+                    },
+                )
+        # Place each walked block in its unit's queue, copied on first
+        # touch: a changed tail in place, an appended delta block last, an
+        # appended data block after the unit's data blocks — which moves
+        # each of its delta blocks back a slot, so they are placed again.
         bitmap_bytes = block // 8
-        costs: Dict[int, tuple] = {}
-        queued: Dict[Tuple[int, int], int] = {}
-        # (phase, unit) → [load terms, compute terms, DRAM bytes read,
-        # elements, bytes scanned]
-        charges: Dict[tuple, list] = {}
-        placed = []
-        for index, (scan, row_slice) in enumerate(scans):
+        costs = plan._costs = dict(self._costs)
+        queues = plan._queues = dict(self._queues)
+        placed: Dict[Tuple[int, int], set] = {}
+        for scan, row_slice in scans:
             key = (scan.device, scan.bank)
-            unit = units[key]
-            count = scan.num_rows
+            unit, count = units[key], scan.num_rows
             if count not in costs:
-                costs[count] = self._block_costs(unit, cls, bitmap_bytes, count)
-            touched, moved, load_terms, compute_time = costs[count]
+                costs[count] = plan._block_costs(unit, cls, bitmap_bytes, count)
+            touched = costs[count][0]
             offset = scan.dram_addr - unit.bank.start
             if offset < 0 or offset + touched > unit.bank.size:
                 raise MemoryError_(
-                    f"bank {unit.bank.index} access [{offset}, {offset + touched}) "
-                    f"out of range (size {unit.bank.size})"
+                    f"table {name!r}: bank {unit.bank.index} access "
+                    f"[{offset}, {offset + touched}) out of range (size {unit.bank.size})"
                 )
-            position = queued.get(key, 0)
-            queued[key] = position + 1
-            phase, slot = divmod(position, blocks_per_phase)
-            bitmap_addr = storage.bitmap_block_slice_addr(row_slice.region, scan.block)
-            placed.append((phase, count, unit.unit_id, slot * block_wram_bytes,
-                           scan.device, scan.dram_addr, bitmap_addr, index))
-            charge = charges.setdefault((phase, key), [[], [], 0, 0, 0])
-            charge[0] += load_terms
-            charge[1].append(compute_time)
-            charge[2] += moved + bitmap_bytes
-            charge[3] += count
-            charge[4] += count * width + bitmap_bytes
-        unit_keys = sorted(queued)
-        self.units = [units[key] for key in unit_keys]
-        self.unit_rows = np.array([unit.unit_id for unit in self.units])
-        chunks = ceil_div(max(queued.values()), blocks_per_phase)
-        idle = ([], [], 0, 0, 0)
-        self.charges = [
-            _PhaseCharges(*zip(*(charges.get((phase, key), idle) for key in unit_keys)))
-            for phase in range(chunks)
-        ]
-        # Batches: phase → row count (→ unit → slot), as views of one table.
-        placed.sort()
-        table = np.array(placed, dtype=np.intp)
-        self.batches: List[List[_Batch]] = [[] for _ in range(chunks)]
-        start = 0
-        for (phase, count), group in groupby(placed, itemgetter(0, 1)):
-            slices = tuple(scans[block[-1]][1] for block in group)
-            rows = table[start : start + len(slices)]
-            start += len(slices)
-            self.batches[phase].append(_Batch(count, slices, *rows[:, 2:-1].T))
+            entry = (count, unit.unit_id, scan.device, scan.dram_addr,
+                     storage.bitmap_block_slice_addr(row_slice.region, scan.block),
+                     row_slice, costs[count])
+            if key not in placed:
+                entries, data = queues.get(key, ((), 0))
+                queues[key], placed[key] = [list(entries), data], set()
+            queue = queues[key]
+            entries, data = queue
+            in_data = row_slice.region == Region.DATA
+            if scan.block < kept[row_slice.region]:
+                at = data - 1 if in_data else len(entries) - 1
+                entries[at] = entry
+                placed[key].add(at)
+            else:
+                at = data if in_data else len(entries)
+                entries.insert(at, entry)
+                queue[1] += in_data
+                placed[key].update(range(at, len(entries)))
+        # Rebuild the touched cells, then the touched phases — every phase
+        # if a unit joined the scan.
+        cells = plan._cells = dict(self._cells)
+        phases = set()
+        for key, positions in placed.items():
+            entries = queues[key][0]
+            for phase in {position // slots for position in positions}:
+                cells[phase, key] = plan._cell(
+                    entries[phase * slots : (phase + 1) * slots], bitmap_bytes, block_wram_bytes
+                )
+                phases.add(phase)
+        chunks = max([len(self.charges)] + [ceil_div(len(queues[key][0]), slots) for key in placed])
+        plan.charges = self.charges + [None] * (chunks - len(self.charges))
+        plan.batches = self.batches + [None] * (chunks - len(self.batches))
+        if len(queues) > len(self._queues):
+            plan._keys = sorted(queues)
+            plan.units = [units[key] for key in plan._keys]
+            plan.unit_rows = np.array([unit.unit_id for unit in plan.units])
+            phases = range(chunks)
+        for phase in phases:
+            plan._assemble(phase)
+        return plan
+
+    def _cell(self, entries: Sequence[tuple], bitmap_bytes: int, slot_bytes: int) -> tuple:
+        """One (phase, unit) cell from its block entries in slot order: the
+        unit's charges for the phase (terms, and their sums left to right)
+        and its batch rows."""
+        load, compute, read, elements, scanned, rows = [], [], 0, 0, 0, []
+        for slot, (count, unit_id, device, addr, bitmap, row_slice, costs) in enumerate(entries):
+            _, moved, load_terms, compute_time = costs
+            load += load_terms
+            compute.append(compute_time)
+            read += moved + bitmap_bytes
+            elements += count
+            scanned += count * self.width + bitmap_bytes
+            rows.append((count, unit_id, slot * slot_bytes, device, addr, bitmap, row_slice))
+        # The sums run left to right, as a per-block walk adds the terms.
+        sums = reduce(add, load, 0.0), reduce(add, compute, 0.0)
+        return (load, compute, *sums, read, elements, scanned), rows
+
+    def _assemble(self, phase: int) -> None:
+        """One phase's charges and batches, from its cells in unit order."""
+        idle = (([], [], 0.0, 0.0, 0, 0, 0), [])
+        cells = [self._cells.get((phase, key), idle) for key in self._keys]
+        self.charges[phase] = _PhaseCharges([charges for charges, _ in cells])
+        # Batches: row count (→ unit → slot), each one table of columns.
+        batches = self.batches[phase] = []
+        placed = sorted(row for _, rows in cells for row in rows)
+        for count, group in groupby(placed, itemgetter(0)):
+            _, *columns, slices = zip(*group)
+            batches.append(_Batch(count, slices, *np.array(columns, dtype=np.intp)))
 
     def _block_costs(self, unit: PIMUnit, cls: type, bitmap_bytes: int, num_rows: int) -> tuple:
         """``(bank bytes touched, DRAM bytes moved, load-time terms, compute
@@ -323,14 +394,15 @@ class _ColumnScanOperation:
         self.bytes_scanned = 0
         #: Bytes the CPU ships to or harvests from the units' WRAM.
         self.cpu_transfer_bytes = 0
-        # The rank's memo holds one (rows, plan) per shape; a plan for new
-        # extents replaces it, and a build that raises stores nothing.
+        # The rank's memo holds one plan per shape; new extents replace it
+        # with its growth, and a growth that raises stores nothing.
         shape = (type(self), self._per_block_wram_bytes())
         key = (storage, column, *shape)
-        entry = units.scan_plans.get(key)
-        if entry is None or entry[0] != rows:
-            entry = units.scan_plans[key] = (rows, _ScanPlan(storage, units, column, rows, shape))
-        self._plan: _ScanPlan = entry[1]
+        plan = units.scan_plans.get(key)
+        if plan is None or plan.rows != rows:
+            plan = (plan or _ScanPlan(storage, units, column, shape)).grown(rows)
+            units.scan_plans[key] = plan
+        self._plan: _ScanPlan = plan
 
     # -- WRAM budget ----------------------------------------------------
     def _per_block_wram_bytes(self) -> int:

@@ -569,9 +569,9 @@ class RankUnits(Dict[Tuple[int, int], PIMUnit]):
         self.wram = np.zeros((len(banks), config.wram_bytes), dtype=np.uint8)
         self.counts = np.zeros((len(banks), 3), dtype=np.int64)
         self.times = np.zeros((len(banks), 2))
-        #: The OLAP operators' scan plans over these matrices, one
-        #: ``(region rows, plan)`` per shape (:mod:`repro.olap.operators`).
-        self.scan_plans: Dict[tuple, tuple] = {}
+        #: The OLAP operators' scan plans over these matrices, one per
+        #: shape, grown as the extents move (:mod:`repro.olap.operators`).
+        self.scan_plans: Dict[tuple, object] = {}
         for unit_id, bank in enumerate(banks):
             self[(bank.device.index, bank.index)] = PIMUnit(
                 unit_id,

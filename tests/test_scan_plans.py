@@ -1,14 +1,18 @@
-"""Scan plans outlive the query: the rank's memo against an empty one.
+"""Scan plans outlive the query and grow with the table.
 
 An operator's block placement and phase charges follow from block geometry
-alone, so :mod:`repro.olap.operators` builds them once per ``(storage,
-operator class, column, per-block WRAM bytes)`` and region extents and
-keeps them in the rank's ``RankUnits.scan_plans``. The oracle is the same
-operator planned on an empty memo: every test here requires the two to
-agree on everything a query sees, or checks that planning has left a warm
-query and that the memo stays bounded and free of failed builds.
+alone, so :mod:`repro.olap.operators` keeps one plan per ``(storage,
+operator class, column, per-block WRAM bytes)`` in the rank's
+``RankUnits.scan_plans`` and, when a query brings new extents, grows it:
+only the blocks that changed are placed again. Two oracles: the same
+operator planned on an empty memo, which must agree on everything a query
+sees, and a plan grown from empty in one step, which a plan grown step by
+step must equal field by field. The other tests check that planning has
+left a warm query, that growth walks only what changed, and that the memo
+stays bounded and free of failed builds.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -69,17 +73,73 @@ def record_scans(engine, log, plans=None):
     engine.olap.executor.execute = recorded
 
 
-def count_plans(monkeypatch):
-    """Every ``column_scan_plan`` call from here on, by its arguments."""
+def count_plans(monkeypatch, walked=None):
+    """Every ``column_scan_plan`` call from here on, by its arguments; with
+    ``walked``, also every block the calls yield."""
     calls = []
     plan = TableStorage.column_scan_plan
 
     def counted(self, *args):
         calls.append(args)
-        return plan(self, *args)
+        return walk(plan(self, *args))
+
+    def walk(scans):
+        for scan in scans:
+            if walked is not None:
+                walked.append(scan)
+            yield scan
 
     monkeypatch.setattr(TableStorage, "column_scan_plan", counted)
     return calls
+
+
+def fresh(plan):
+    """The plan for ``plan``'s extents, grown from empty in one step."""
+    return ops._ScanPlan(*plan.source).grown(plan.rows)
+
+
+def same_array(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def assert_same_plan(got, want):
+    """Field by field: floats by ``==``, arrays by value, shape and dtype,
+    and the queues and cells growth starts from."""
+    assert got.rows == want.rows and got.source == want.source
+    assert (got.width, got.offsets, got.stride, got.piece) == (
+        want.width, want.offsets, want.stride, want.piece
+    )
+    assert got.load_request == want.load_request
+    assert got.units == want.units
+    same_array(got.unit_rows, want.unit_rows)
+    assert len(got.charges) == len(want.charges)
+    for a, b in zip(got.charges, want.charges):
+        assert a.load_times == b.load_times and a.compute_times == b.compute_times
+        for name in ("load_terms", "compute_terms", "read_bytes", "elements"):
+            same_array(getattr(a, name), getattr(b, name))
+        assert a.scanned == b.scanned
+    assert len(got.batches) == len(want.batches)
+    for phase, expected in zip(got.batches, want.batches):
+        assert [(b.num_rows, b.slices) for b in phase] == [
+            (b.num_rows, b.slices) for b in expected
+        ]
+        for a, b in zip(phase, expected):
+            for name in ("unit_rows", "base", "device", "addr", "bitmap_addr"):
+                same_array(getattr(a, name), getattr(b, name))
+    assert got._queues == want._queues and got._keys == want._keys
+    assert got._cells == want._cells
+
+
+def frozen(plan):
+    """A deep copy of ``plan`` that shares only its storage and units: what
+    :func:`assert_same_plan` holds a plan to, to prove it unchanged."""
+    snapshot = copy.copy(plan)
+    shared = {"source": plan.source, "units": list(plan.units)}
+    snapshot.__dict__ = {
+        **copy.deepcopy({k: v for k, v in vars(plan).items() if k not in shared}), **shared
+    }
+    return snapshot
 
 
 def history(seed, rounds):
@@ -163,6 +223,144 @@ class TestMemoIsTheOracle:
         assert got[1:] == want[1:]
 
 
+#: Operator shapes the growth oracle plans, over (storage, units, rows).
+SHAPES = (
+    lambda *a: ops.HashOperation(*a[:2], "c", a[2]),
+    lambda *a: ops.FilterOperation(*a[:2], "a", Condition("ge", 7), a[2]),
+    lambda *a: ops.GroupOperation(*a[:2], "f", a[2]),
+    lambda *a: ops.AggregationOperation(*a[:2], "e", a[2], {}, 5),
+)
+
+
+def step_kinds(block, old, new):
+    """The growth cases one step of extents covers."""
+    blocks = [(-(-a // block), -(-b // block))
+              for a, b in zip(dataclasses.astuple(old), dataclasses.astuple(new))]
+    if any(b < a for a, b in blocks):
+        return {"shrink"}
+    kinds = set()
+    for region, (a, b), (was, now) in zip(("data", "delta"), blocks,
+                                          zip(dataclasses.astuple(old), dataclasses.astuple(new))):
+        if was == 0 < now:
+            kinds.add("from zero")
+        elif b > a:
+            kinds.add(f"appended {region} block")
+        elif now != was:
+            kinds.add("tail fills its block" if now % block == 0 else "tail grows in its block")
+    tails = [(rows.data_rows % block, rows.delta_rows % block) for rows in (old, new)]
+    if tails[1][0] and tails[1][0] == tails[1][1] and tails[0][0] != tails[0][1]:
+        kinds.add("both tails reach one row count")
+    return kinds
+
+
+def extent_steps(rng, block, data_max, delta_max, steps):
+    """Random extents for the growth oracle: each step grows a tail, fills
+    it, appends blocks, equalizes the two tails, empties a region or grows
+    one from zero."""
+    data, delta = rng.randint(1, data_max // 2), rng.randint(0, delta_max // 2)
+    yield RegionRows(data, delta)
+    for _ in range(steps):
+        move = rng.choice(("tail", "tail", "fill", "append", "append", "same", "empty", "shrink"))
+        room = -data % block
+        if move == "tail" and room > 1:
+            data += rng.randint(1, room - 1)
+        elif move == "fill" and room:
+            data += room
+        elif move == "append":
+            if rng.random() < 0.5:
+                data = min(data_max, data + rng.randint(1, 2 * block))
+            else:
+                delta = min(delta_max, delta + rng.randint(1, 2 * block))
+        elif move == "same" and data % block:
+            delta = min(delta_max, -(-delta // block) * block + data % block)
+        elif move == "empty":
+            delta = 0 if delta else rng.randint(1, 2 * block)
+        elif move == "shrink":
+            data = rng.randint(1, max(1, data - block))
+        else:
+            delta = min(delta_max, delta + rng.randint(0, block))
+        yield RegionRows(data, delta)
+
+
+class TestGrowthIsAFreshBuild:
+    @pytest.mark.parametrize("block", sorted(WORLDS))
+    def test_random_extents_on_a_scan_world(self, block):
+        """After every step, each shape's memo plan equals the plan grown
+        from empty in one step, field by field, and the plan it grew from
+        is unchanged."""
+        world = scan_world(block, *WORLDS[block])
+        storage = world.table("t").storage
+        data_max = -(-storage.capacity_rows // block) * block
+        delta_max = -(-storage.delta_capacity_rows // block) * block
+        rng = random.Random(block)
+        seen, previous = set(), None
+        for rows in extent_steps(rng, block, data_max, delta_max, 60):
+            if previous is not None:
+                seen |= step_kinds(block, previous, rows)
+            olds = {key: (plan, frozen(plan)) for key, plan in world.units.scan_plans.items()}
+            for shape in SHAPES:
+                plan = shape(storage, world.units, rows)._plan
+                assert plan.rows == rows
+                assert_same_plan(plan, fresh(plan))
+            for old, snapshot in olds.values():
+                assert_same_plan(old, snapshot)
+            previous = rows
+        assert seen >= {
+            "tail grows in its block", "tail fills its block", "appended data block",
+            "appended delta block", "from zero", "both tails reach one row count", "shrink",
+        }
+
+    @pytest.mark.parametrize("block", [8, 256])
+    def test_appended_data_blocks_push_delta_blocks_back(self, block):
+        """Data blocks appended one by one to full delta queues: the units
+        holding both move their delta blocks back a slot, some into the
+        next phase, and each step equals a fresh plan."""
+        world = scan_world(block, *WORLDS[block])
+        storage = world.table("t").storage
+        data_max = -(-storage.capacity_rows // block) * block
+        delta_max = -(-storage.delta_capacity_rows // block) * block
+        moved = 0
+        old = None
+        for data in range(data_max - 6 * block + 3, data_max + 1, block):
+            op = ops.HashOperation(storage, world.units, "a", RegionRows(data, delta_max))
+            plan = op._plan
+            assert_same_plan(plan, fresh(plan))
+            if old is not None:
+                budget = plan.units[0].config.load_buffer_bytes
+                slots = budget // op._per_block_wram_bytes()
+                phases = {id(entry): p // slots for entries, _ in old._queues.values()
+                          for p, entry in enumerate(entries)}
+                moved += sum(phases.get(id(entry), p // slots) != p // slots
+                             for entries, _ in plan._queues.values()
+                             for p, entry in enumerate(entries))
+            old = plan
+        assert moved > 0
+
+    def test_a_live_engine(self):
+        """Transactions, deletes and defragmentation between queries: after
+        each query every memo plan equals a fresh one, and most plans that
+        changed were grown from the one before."""
+        engine = PushTapEngine.build(scale=2e-5, seed=7, defrag_period=0)
+        driver = engine.make_driver(seed=5, payment_fraction=0.4, delivery_fraction=0.2)
+        grown = 0
+        for txns, defrag, names in history(5, 20):
+            engine.run_transactions(txns, driver)
+            if defrag:
+                engine.defragment()
+            for name in names:
+                before = {key: plan for units in rank_units(engine)
+                          for key, plan in units.scan_plans.items()}
+                engine.query(name)
+                for units in rank_units(engine):
+                    for key, plan in units.scan_plans.items():
+                        assert_same_plan(plan, fresh(plan))
+                        old = before.get(key)
+                        grown += old is not None and old is not plan and any(
+                            cell is old._cells.get(at) for at, cell in plan._cells.items()
+                        )
+        assert grown > 10
+
+
 @pytest.fixture(scope="module")
 def warm_engine():
     engine = PushTapEngine.build(scale=2e-5, seed=7, defrag_period=0)
@@ -181,23 +379,65 @@ class TestStructuralGuards:
         assert dataclasses.asdict(warm.timing.scan) == dataclasses.asdict(cold.timing.scan)
 
     def test_new_extents_replace_the_shapes_entry(self, monkeypatch):
+        """New extents replace the shape's entry with a new plan: grown from
+        the old one while each region keeps its blocks (one row fewer in a
+        tail included), from empty once a region loses a block."""
         world = scan_world(256, *WORLDS[256])
         storage, rows = world.table("t").storage, world_rows(256)
         calls = count_plans(monkeypatch)
         first = ops.HashOperation(storage, world.units, "c", rows)
-        assert len(calls) == 2  # data + delta region
+        assert calls == [("c", Region.DATA, rows.data_rows, 0),
+                         ("c", Region.DELTA, rows.delta_rows, 0)]
         again = ops.HashOperation(storage, world.units, "c", rows, hash_function=1)
         assert again._plan is first._plan and len(calls) == 2
         fewer = RegionRows(rows.data_rows - 1, rows.delta_rows)
+        snapshot = frozen(first._plan)
         moved = ops.HashOperation(storage, world.units, "c", fewer)
-        assert moved._plan is not first._plan and len(calls) == 4
-        assert list(world.units.scan_plans.values()) == [(fewer, moved._plan)]
+        tail = rows.data_rows // 256
+        assert moved._plan is not first._plan
+        assert calls[2:] == [("c", Region.DATA, fewer.data_rows, tail)]
+        assert list(world.units.scan_plans.values()) == [moved._plan]
+        shrunk = RegionRows(fewer.data_rows, fewer.delta_rows - 256)
+        ops.HashOperation(storage, world.units, "c", shrunk)
+        assert calls[3:] == [("c", Region.DATA, shrunk.data_rows, 0),
+                             ("c", Region.DELTA, shrunk.delta_rows, 0)]
+        assert_same_plan(first._plan, snapshot)
+        assert_same_plan(moved._plan, fresh(moved._plan))
         # Another column, class or group count is another shape.
         ops.HashOperation(storage, world.units, "d", fewer)
         ops.FilterOperation(storage, world.units, "c", Condition("eq", 0), fewer)
         for groups in (3, 4):
             ops.AggregationOperation(storage, world.units, "c", fewer, {}, groups)
         assert len(world.units.scan_plans) == 5
+
+    def test_tail_growth_places_only_the_tails(self, monkeypatch):
+        """Both tails grow inside their blocks: the walk yields those two
+        blocks, two queue entries and two cells are new, every other entry
+        and cell is the old plan's own object, and the old plan is
+        unchanged."""
+        world = scan_world(256, *WORLDS[256])
+        storage, rows = world.table("t").storage, world_rows(256)
+        old = ops.HashOperation(storage, world.units, "c", rows)._plan
+        snapshot = frozen(old)
+        walked = []
+        count_plans(monkeypatch, walked)
+        grown_rows = RegionRows(rows.data_rows + 5, rows.delta_rows + 3)
+        new = ops.HashOperation(storage, world.units, "c", grown_rows)._plan
+        assert [(scan.block, scan.num_rows) for scan in walked] == [
+            (rows.data_rows // 256, grown_rows.data_rows % 256),
+            (rows.delta_rows // 256, grown_rows.delta_rows % 256),
+        ]
+        replaced = [
+            (key, position)
+            for key, (entries, _) in new._queues.items()
+            for position, entry in enumerate(entries)
+            if entry is not old._queues[key][0][position]
+        ]
+        assert len(replaced) == 2 and new._queues.keys() == old._queues.keys()
+        assert sum(cell is not old._cells[key] for key, cell in new._cells.items()) == 2
+        assert new._cells.keys() == old._cells.keys()
+        assert_same_plan(old, snapshot)
+        assert_same_plan(new, fresh(new))
 
     def test_the_memo_holds_one_entry_per_shape(self):
         """50 interleaved transaction/query rounds: the memo holds exactly
@@ -221,35 +461,47 @@ class TestStructuralGuards:
         assert len(extents) > 2 * len(shapes)
 
 
+def spoil_last_bank(storage, bank_size):
+    """``column_scan_plan`` with the last block it walks moved to the end
+    of its bank, so that block's range check fails."""
+    plan = storage.column_scan_plan
+
+    def bad_bank(*args):
+        scans = list(plan(*args))
+        last = scans[-1]
+        scans[-1] = dataclasses.replace(last, dram_addr=(last.bank + 1) * bank_size - 100)
+        return scans
+
+    return bad_bank
+
+
 class TestFailedBuildsAreNotStored:
     def failure_cases(self, world, monkeypatch):
         storage, rows = world.table("t").storage, world_rows(256)
         first = next(storage.column_scan_plan("c", Region.DATA, 1))
         bank_size = world.rank.devices[0].bank_size
-        plan = storage.column_scan_plan
-
-        def bad_bank(*args):
-            scans = list(plan(*args))
-            last = scans[-1]
-            scans[-1] = dataclasses.replace(last, dram_addr=(last.bank + 1) * bank_size - 100)
-            return scans
+        past = -(-storage.delta_capacity_rows // 256) * 256 + 1
 
         def missing_unit():
             monkeypatch.delitem(world.units, (first.device, first.bank))
 
         return [
             (None, lambda: ops.HashOperation(storage, world.units, "c", RegionRows(0, 0)),
-             QueryError, "nothing to scan"),
+             QueryError, "table 't': nothing to scan"),
             (missing_unit, lambda: ops.HashOperation(storage, world.units, "c", rows),
-             QueryError, "no PIM unit"),
+             QueryError, "table 't': no PIM unit"),
             (None, lambda: ops.AggregationOperation(storage, world.units, "c", rows, {}, 10**6),
-             QueryError, "one block needs"),
-            (lambda: monkeypatch.setattr(storage, "column_scan_plan", bad_bank),
+             QueryError, "table 't': one block needs"),
+            (lambda: monkeypatch.setattr(
+                storage, "column_scan_plan", spoil_last_bank(storage, bank_size)),
              lambda: ops.HashOperation(storage, world.units, "c", rows),
-             MemoryError_, "out of range"),
+             MemoryError_, "table 't': bank .* out of range"),
+            (None, lambda: ops.HashOperation(
+                storage, world.units, "c", RegionRows(rows.data_rows, past)),
+             MemoryError_, f"table 't': delta scan of {past} rows past its"),
         ]
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(5))
     def test_raises_every_time_and_stores_nothing(self, case, monkeypatch):
         world = scan_world(256, *WORLDS[256])
         storage, rows = world.table("t").storage, world_rows(256)
@@ -267,3 +519,29 @@ class TestFailedBuildsAreNotStored:
         result = world.olap.executor.execute(op)
         assert result.phases == op.num_chunks() > 1
         assert np.sum(op.units.counts) > 0
+
+    @pytest.mark.parametrize("grow", ["tail", "append"])
+    def test_a_failed_growth_changes_nothing(self, grow, monkeypatch):
+        """The grown tail's (or appended block's) bank range fails: growth
+        raises every time, and the memo entry and a live operator's plan
+        stay the old plan, unchanged; unspoiled, the growth succeeds."""
+        world = scan_world(256, *WORLDS[256])
+        storage, rows = world.table("t").storage, world_rows(256)
+        live = ops.HashOperation(storage, world.units, "c", rows)
+        plan, snapshot = live._plan, frozen(live._plan)
+        more = RegionRows(rows.data_rows + (5 if grow == "tail" else 300), rows.delta_rows)
+        with monkeypatch.context() as patch:
+            bank_size = world.rank.devices[0].bank_size
+            patch.setattr(storage, "column_scan_plan", spoil_last_bank(storage, bank_size))
+            for _ in range(2):
+                with pytest.raises(MemoryError_, match="table 't': bank .* out of range"):
+                    ops.HashOperation(storage, world.units, "c", more)
+                assert list(world.units.scan_plans.values()) == [plan]
+                assert live._plan is plan
+                assert_same_plan(plan, snapshot)
+        grown = ops.HashOperation(storage, world.units, "c", more)._plan
+        assert list(world.units.scan_plans.values()) == [grown]
+        assert_same_plan(grown, fresh(grown))
+        assert_same_plan(plan, snapshot)
+        result = world.olap.executor.execute(live)
+        assert result.phases == len(plan.charges)

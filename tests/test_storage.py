@@ -183,6 +183,26 @@ class TestScanPlan:
         data = st_.rank.devices[scan.device].banks[scan.bank].read(bank_local, 4)
         assert int.from_bytes(bytes(data), "little") == 99
 
+    def test_plan_from_a_later_block(self):
+        st_ = make_storage(capacity=512)
+        scans = list(st_.column_scan_plan("a", Region.DATA, 300))
+        assert list(st_.column_scan_plan("a", Region.DATA, 300, 2)) == scans[2:]
+        assert list(st_.column_scan_plan("a", Region.DATA, 300, len(scans))) == []
+
+    def test_rows_past_the_allocated_blocks_raise(self):
+        """The walk covers a region's allocated blocks — the whole last
+        block too, past the capacity, as a delta high-water mark may — and
+        raises for a row beyond them instead of dropping it."""
+        st_ = make_storage(capacity=512, delta=200)
+        delta_blocks = -(-200 // BLOCK)
+        scans = list(st_.column_scan_plan("a", Region.DELTA, delta_blocks * BLOCK))
+        assert sum(s.num_rows for s in scans) == delta_blocks * BLOCK > 200
+        for region, rows in ((Region.DELTA, delta_blocks * BLOCK + 1), (Region.DATA, 513)):
+            with pytest.raises(MemoryError_, match=f"table 't': {region} scan of {rows} rows"):
+                list(st_.column_scan_plan("a", region, rows))
+            with pytest.raises(MemoryError_, match="past its"):
+                list(st_.column_scan_plan("a", region, rows, rows // BLOCK))
+
     def test_non_key_column_rejected(self):
         st_ = make_storage()
         with pytest.raises(LayoutError):

@@ -2434,8 +2434,9 @@ class TestRankWidePhaseEquivalence:
 
     def test_bad_geometry_raises_before_any_byte_moves(self, monkeypatch):
         """An out-of-range block and a bad stride/chunk fail with the
-        per-block walk's errors — but up front: where the walk had already
-        staged earlier blocks, no WRAM byte or counter changes now."""
+        per-block walk's errors, naming the table — but up front: where the
+        walk had already staged earlier blocks, no WRAM byte or counter
+        changes now."""
         import dataclasses
 
         from repro.olap.operators import HashOperation
@@ -2467,7 +2468,8 @@ class TestRankWidePhaseEquivalence:
             assert got[1] == error
             np.testing.assert_array_equal(world.units.wram, before)
             assert not world.units.counts.any() and not world.units.times.any()
-            assert got == capture(walk)
+            kind, name, message = capture(walk)
+            assert got == (kind, name, f"table 't': {message}")
             world.units.wram[:] = before
             world.units.counts[:] = 0
             world.units.times[:] = 0
