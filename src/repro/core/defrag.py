@@ -190,8 +190,9 @@ class DefragExecutor:
         creation + PIM activation); a multi-table pass pays it once.
         """
         n = self.mvcc.delta.high_water_rows
-        chain_entries = self.mvcc.stale_version_count() + self.mvcc.delta_head_count()
-        rows, deltas = self.mvcc.compact()
+        updated = self.mvcc.updated_rows()
+        chain_entries = self.mvcc.stale_version_count() + updated.size
+        rows, deltas = self.mvcc.compact(updated)
         moved = rows.size
         if moved:
             # compact() only ever moves delta-resident heads back.

@@ -23,13 +23,14 @@ slice of the rank's byte matrix — ``rank.mem[:, addr:addr+W]`` is one
 row's slots on every device — so a row copy is one 2-D slice assignment
 per part, a block of rows one strided store
 (:meth:`TableStorage.write_column_rows`, from column arrays), a
-defragmentation pass one gather/scatter
-(:meth:`TableStorage.copy_rows`), and a bitmap update one broadcast.
+defragmentation pass one gather and one store of ``W``-byte items per
+part (:meth:`TableStorage.copy_rows`, through
+:func:`~repro.pim.memory.byte_runs`), and a bitmap update one broadcast.
 
 Reads index the same matrix through one *read plan* per column — the
 geometry of each of its byte runs, resolved once (:class:`_ReadRun`).
 :meth:`TableStorage.read_rows` executes a plan for many rows at a time:
-one fancy gather ``mem[device[:, None], addr[:, None] + lanes]`` per run,
+one item gather ``byte_runs(mem, length)[device, addr]`` per run,
 whatever blocks and rotations the rows sit in, returning column arrays.
 :meth:`TableStorage.read_row` executes the same plan for one row with
 plain slices ``mem[device, a:a+n]`` — a one-row gather costs several
@@ -56,15 +57,10 @@ from repro.format.circulant import BlockCirculantPlacement
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import Column, Value
 from repro.mvcc.metadata import DATA_SLOT, Region
-from repro.pim.memory import Rank
+from repro.pim.memory import Rank, byte_runs
 from repro.units import ceil_div
 
 __all__ = ["RankAllocator", "BlockScan", "TableStorage"]
-
-_ROTATION_MISMATCH = (
-    "copy_row requires matching rotations (delta rows are allocated "
-    "rotation-aligned for this reason)"
-)
 
 
 class _ReadRun(NamedTuple):
@@ -353,9 +349,9 @@ class TableStorage:
         ``rows`` may be unsorted, repeat, or be empty; the arrays follow
         its order. Int columns come back as ``uint64``, ``bytes`` columns
         as an ``(n, width)`` ``uint8`` matrix (trailing NULs kept). The
-        batch executor of the read plans: each run is one gather from the
-        rank matrix — device and address per row, ``length`` lanes wide —
-        into the column's zero-padded byte buffer.
+        batch executor of the read plans: each run is one gather of
+        ``length``-byte items from the rank matrix — device and address
+        per row — into the column's zero-padded byte buffer.
         """
         rows = np.asarray(rows, dtype=np.intp)
         self._check_rows(region, rows)
@@ -376,9 +372,8 @@ class TableStorage:
                     + within * run.row_width
                     + run.slot_offset
                 )
-                buf[:, run.col_offset : run.col_offset + run.length] = mem[
-                    device[:, None], addr[:, None] + np.arange(run.length)
-                ]
+                items = byte_runs(mem, run.length)[device, addr]
+                buf[:, run.col_offset : run.col_offset + run.length] = items.view(np.uint8)
             out[name] = buf.view("<u8").ravel() if is_int else buf
         return out
 
@@ -421,7 +416,7 @@ class TableStorage:
         This is the device-local move defragmentation relies on: because
         delta rows share their origin's rotation, each device copies its
         own slot without inter-device traffic. Checks rotation, then src
-        range, then dst range.
+        range, then dst range, before any byte moves.
         """
         src_region, src = self._locate(row_id, src_delta, check=False)
         dst_region, dst = self._locate(row_id, dst_delta, check=False)
@@ -429,7 +424,8 @@ class TableStorage:
         dst_block, dst_within = divmod(dst, self.block_rows)
         rotation_of_block = self.placement.rotation_of_block
         if rotation_of_block(src_block) != rotation_of_block(dst_block):
-            raise LayoutError(_ROTATION_MISMATCH)
+            names = (Region.DATA, Region.DELTA)
+            raise self._rotation_mismatch((names[src_region], src), (names[dst_region], dst))
         self._locate(row_id, src_delta)
         self._locate(row_id, dst_delta)
         mem = self.rank.mem
@@ -462,11 +458,12 @@ class TableStorage:
         dst_region: str,
         dst_rows: Sequence[int],
     ) -> None:
-        """:meth:`copy_row` for many (src, dst) pairs at once.
+        """:meth:`copy_row` for many (src, dst) pairs at once: per part, one
+        gather and one store of ``W``-byte items (:func:`byte_runs`).
 
-        One gather/scatter per part moves every row of a defragmentation
-        pass. Destinations must be distinct and disjoint from the sources
-        (delta → data moves are), so the result equals copying in order.
+        Destinations must be distinct and disjoint from the sources (delta
+        → data moves are), so the result equals copying in order. Checks
+        src range, then dst range, then rotation, before any byte moves.
         """
         src = np.asarray(src_rows, dtype=np.intp)
         dst = np.asarray(dst_rows, dtype=np.intp)
@@ -474,18 +471,28 @@ class TableStorage:
         self._check_rows(dst_region, dst)
         src_block, src_within = np.divmod(src, self.block_rows)
         dst_block, dst_within = np.divmod(dst, self.block_rows)
-        if self.placement.enabled and np.any(
-            (src_block - dst_block) % self.rank.num_devices
-        ):
-            raise LayoutError(_ROTATION_MISMATCH)
-        mem = self.rank.mem
-        for part in self.layout.parts:
-            lanes = np.arange(part.row_width, dtype=np.intp)
-            src_base = np.asarray(self._region_blocks(src_region, part.index))
-            dst_base = np.asarray(self._region_blocks(dst_region, part.index))
-            src_addr = src_base[src_block] + src_within * part.row_width
-            dst_addr = dst_base[dst_block] + dst_within * part.row_width
-            mem[:, dst_addr[:, None] + lanes] = mem[:, src_addr[:, None] + lanes]
+        bad = np.flatnonzero((src_block - dst_block) % self.rank.num_devices)
+        if self.placement.enabled and bad.size:
+            i = bad[0]
+            raise self._rotation_mismatch((src_region, int(src[i])), (dst_region, int(dst[i])))
+        for index, (width, _) in enumerate(self._parts):
+            src_addr = np.take(self._region_blocks(src_region, index), src_block)
+            dst_addr = np.take(self._region_blocks(dst_region, index), dst_block)
+            slots = byte_runs(self.rank.mem, width)
+            slots[:, dst_addr + dst_within * width] = slots[:, src_addr + src_within * width]
+
+    def _rotation_mismatch(self, src: Tuple[str, int], dst: Tuple[str, int]) -> LayoutError:
+        """A copy's rotation mismatch, naming the table and the first bad
+        (source, destination) pair, each a ``(region, row)``."""
+        rotation = self.placement.rotation_of_block
+        named = " -> ".join(
+            f"{region} row {row} (rotation {rotation(row // self.block_rows)})"
+            for region, row in (src, dst)
+        )
+        return LayoutError(
+            f"table {self.layout.schema.name!r}: copy_row requires matching rotations "
+            f"(delta rows are allocated rotation-aligned for this reason): {named}"
+        )
 
     def _check_rows(self, region: str, rows: np.ndarray) -> None:
         capacity = self._region_capacity(region)

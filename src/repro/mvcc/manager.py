@@ -33,7 +33,7 @@ storage engine binds that pair to device addresses.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -330,10 +330,16 @@ class MVCCManager:
         """Superseded versions awaiting defragmentation: one per update."""
         return int(np.count_nonzero(self._kind[: self._size] == UPDATE))
 
+    def updated_rows(self) -> np.ndarray:
+        """Rows whose newest version lives in the delta region, ascending:
+        read off the heads, ≥ 0 exactly when the journal holds an UPDATE of
+        the row (rollback restores the previous head, compaction resets it
+        to −1, inserts and deletes never set it)."""
+        return np.flatnonzero(self._head[: self.num_rows] >= 0)
+
     def delta_head_count(self) -> int:
-        """Rows whose newest version lives in the delta region."""
-        updates = self._kind[: self._size] == UPDATE
-        return int(np.unique(self._row_id[: self._size][updates]).size)
+        """Size of :meth:`updated_rows`."""
+        return int(self.updated_rows().size)
 
     def visible_refs_at(self, ts: int, delta_rows: int) -> Tuple[np.ndarray, np.ndarray]:
         """Visibility bitmaps at ``ts``, batched over the per-row heads.
@@ -368,11 +374,12 @@ class MVCCManager:
                 data_bits[row] = True
         return data_bits, delta_bits
 
-    def compact(self) -> Tuple[np.ndarray, np.ndarray]:
+    def compact(self, updated: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
         """Defragmentation bookkeeping: fold newest versions into the data
         region.
 
-        Returns the ``(row ids, delta rows)`` the storage layer must copy
+        ``updated`` is :meth:`updated_rows` if the caller took it since the
+        last write. Returns the ``(row ids, delta rows)`` the storage layer must copy
         back (delta → origin data row), in row order. Tombstoned rows are
         *not* moved — copying a dead row's newest delta version back would
         be a wasted Eq. 1/2 transfer since no future read can observe it —
@@ -382,9 +389,8 @@ class MVCCManager:
         released, and the journal is cleared.
         """
         n = self._size
-        kind, rows = self._kind[:n], self._row_id[:n]
-        updated = np.unique(rows[kind == UPDATE])
-        deleted = rows[kind == DELETE]
+        updated = self.updated_rows() if updated is None else updated
+        deleted = self._row_id[:n][self._kind[:n] == DELETE]
         heads = self._head[updated]
         live = self._tomb_ts[updated] < 0
         moves = updated[live], self._delta[heads[live]]

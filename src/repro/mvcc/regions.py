@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
+import numpy as np
+
 from repro.errors import TransactionError
 from repro.units import ceil_div
 
@@ -102,12 +104,6 @@ class DeltaAllocator:
             raise TransactionError(f"negative delta index {delta_index}")
         return (delta_index // self.block_rows) % self.num_devices
 
-    def block_of(self, delta_index: int) -> int:
-        """Block index of a delta row."""
-        if delta_index < 0:
-            raise TransactionError(f"negative delta index {delta_index}")
-        return delta_index // self.block_rows
-
     def allocate(self, rotation: int) -> int:
         """Allocate one delta row with the requested rotation.
 
@@ -130,10 +126,21 @@ class DeltaAllocator:
         self._free[self.rotation_of(delta_index)].append(delta_index)
 
     def release_all(self) -> int:
-        """Free every allocated row (after defragmentation); returns count."""
+        """Free every allocated row (after defragmentation); returns count.
+
+        One sort by (rotation, row) and one split by rotation append each
+        rotation's rows to its free list in ascending order."""
         count = len(self._allocated)
-        for index in sorted(self._allocated):
-            self._free[self.rotation_of(index)].append(index)
+        if not count:
+            return 0
+        rows = np.fromiter(self._allocated, dtype=np.int64, count=count)
+        rotations = rows // self.block_rows % self.num_devices
+        # Rows are below capacity_rows, so each key's remainder is its row.
+        keys = np.sort(rotations * self.capacity_rows + rows)
+        ordered = (keys % self.capacity_rows).tolist()
+        ends = np.bincount(rotations, minlength=self.num_devices).cumsum().tolist()
+        for rotation, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            self._free[rotation].extend(ordered[lo:hi])
         self._allocated.clear()
         return count
 

@@ -50,6 +50,7 @@ import numpy as np
 from repro.core.storage import TableStorage
 from repro.errors import MemoryError_, ProtocolError, QueryError
 from repro.mvcc.metadata import Region
+from repro.pim.memory import byte_runs
 from repro.pim.pim_unit import (
     Condition,
     PIMUnit,
@@ -105,26 +106,6 @@ class _Batch(NamedTuple):
     #: Device-local address of the first row's column bytes / bitmap slice.
     addr: np.ndarray
     bitmap_addr: np.ndarray
-
-
-def _runs(matrix: np.ndarray, nbytes: int, count: int = 1, stride: int = 0) -> np.ndarray:
-    """Every run of ``count`` pieces of ``nbytes`` bytes, ``stride`` apart,
-    in the rows of a byte matrix.
-
-    Element ``[row, start]`` is the run starting at byte ``start`` of
-    ``row``, as ``count`` opaque ``nbytes``-byte items — a view, so
-    indexing it with arrays of rows and starts gathers (or stores) many
-    runs at once, and NumPy checks every start against the last run that
-    fits in a row.
-    """
-    rows, size = matrix.shape
-    span = (count - 1) * stride + nbytes
-    return np.ndarray(
-        (rows, size - span + 1, count),
-        dtype=f"V{nbytes}",
-        buffer=matrix,
-        strides=(size, 1, stride),
-    )
 
 
 def _stream_time(unit: PIMUnit, nbytes: int) -> float:
@@ -455,9 +436,9 @@ class _ColumnScanOperation:
         for batch, extra in zip(batches, extras):
             length = batch.num_rows * self.width
             pieces = ceil_div(length, plan.piece)
-            column = _runs(mem, plan.piece, pieces, plan.stride)[batch.device, batch.addr]
+            column = byte_runs(mem, plan.piece, pieces, plan.stride)[batch.device, batch.addr]
             self._write(batch, "data", column.view(np.uint8)[:, :length])
-            bitmap = _runs(mem, bitmap_bytes)[batch.device, batch.bitmap_addr]
+            bitmap = byte_runs(mem, bitmap_bytes)[batch.device, batch.bitmap_addr]
             self._write(batch, "bitmap", bitmap.view(np.uint8))
             if extra is not None:
                 self._write(batch, "aux", extra)
@@ -520,14 +501,14 @@ class _ColumnScanOperation:
     def _read(self, batch: _Batch, region: str, nbytes: int) -> np.ndarray:
         """``nbytes`` of every block's ``region`` → ``(blocks, nbytes)``."""
         starts = batch.base + self._plan.offsets[region]
-        return _runs(self.units.wram, nbytes)[batch.unit_rows, starts].view(np.uint8)
+        return byte_runs(self.units.wram, nbytes)[batch.unit_rows, starts].view(np.uint8)
 
     def _write(self, batch: _Batch, region: str, data: np.ndarray) -> None:
         """Store ``(blocks, nbytes)`` at the start of every block's ``region``."""
         data = np.ascontiguousarray(data)
         nbytes = data.shape[1]
         starts = batch.base + self._plan.offsets[region]
-        _runs(self.units.wram, nbytes)[batch.unit_rows, starts] = data.view(f"V{nbytes}")
+        byte_runs(self.units.wram, nbytes)[batch.unit_rows, starts] = data.view(f"V{nbytes}")
 
 
 class FilterOperation(_ColumnScanOperation):

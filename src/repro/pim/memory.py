@@ -30,7 +30,27 @@ from repro.core.config import DeviceGeometry
 from repro.errors import MemoryError_
 from repro.pim.device import Device
 
-__all__ = ["Rank", "interleaved_to_local", "local_to_interleaved"]
+__all__ = ["Rank", "byte_runs", "interleaved_to_local", "local_to_interleaved"]
+
+
+def byte_runs(matrix: np.ndarray, nbytes: int, count: int = 1, stride: int = 0) -> np.ndarray:
+    """Every run of ``count`` pieces of ``nbytes`` bytes, ``stride`` apart,
+    in the rows of a C-contiguous byte matrix.
+
+    Element ``[row, start]`` is the run starting at byte ``start`` of
+    ``row``, as ``count`` opaque ``nbytes``-byte items — a view, so
+    indexing it with arrays of rows and starts gathers (or stores) many
+    runs at once, one item per piece instead of one index per byte, and
+    NumPy checks every start against the last run that fits in a row.
+    """
+    rows, size = matrix.shape
+    span = (count - 1) * stride + nbytes
+    return np.ndarray(
+        (rows, size - span + 1, count),
+        dtype=f"V{nbytes}",
+        buffer=matrix,
+        strides=(size, 1, stride),
+    )
 
 
 def interleaved_to_local(addr: int, granularity: int, num_devices: int) -> Tuple[int, int]:

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.config import DRAMTimings, DeviceGeometry, PIMUnitConfig
 from repro.errors import MemoryError_, ProtocolError
 from repro.pim.device import Bank
-from repro.pim.memory import Rank
+from repro.pim.memory import Rank, byte_runs
 from repro.pim.timing import BankTimingModel, stream_time
 from repro.telemetry import registry as telemetry
 from repro.units import ceil_div
@@ -529,11 +529,10 @@ class PIMUnit:
                 )
             # Defragmentation copies delta blocks into data blocks — the
             # regions are distinct allocations, so gather-then-scatter
-            # matches a sequential per-row copy.
-            data = self.bank.device.data
+            # matches a sequential per-row copy: one item per row.
+            slots = byte_runs(self.bank.device.data[None], width)[0]
             base = self.bank.start
-            lanes = np.arange(width, dtype=np.intp)
-            data[base + dst[:, None] + lanes] = data[base + src[:, None] + lanes]
+            slots[base + dst] = slots[base + src]
         granule = self.config.access_granularity
         self._track_row_list(src_addrs, max(width, granule), write=False)
         self._track_row_list(dst_addrs, max(width, granule), write=True)

@@ -343,17 +343,20 @@ class TestFailBeforeWriting:
             storage.copy_rows(Region.DELTA, [0, 16], Region.DATA, [0, 1])
 
     @staticmethod
-    def same_error(storage, write, oracle, error):
-        """``write`` and ``oracle`` raise the same ``error`` (production's
-        range errors name the table) and neither stores a byte."""
+    def same_error(storage, write, oracle, error, pair=None):
+        """``write`` and ``oracle`` raise the same ``error`` and neither
+        stores a byte. Production's range and rotation errors name the
+        table in front of the oracle's message; a rotation error also
+        names the mismatched ``pair`` after it."""
         before = storage.rank.mem.copy()
         with pytest.raises(error) as got:
             write()
         with pytest.raises(error) as want:
             oracle()
         assert np.array_equal(storage.rank.mem, before)
-        prefix = "table 'orders': " if error is MemoryError_ else ""
-        assert str(got.value) == prefix + str(want.value)
+        prefix = "table 'orders': " if error in (MemoryError_, LayoutError) else ""
+        suffix = f": {pair}" if pair else ""
+        assert str(got.value) == prefix + str(want.value) + suffix
         return str(got.value)
 
     @pytest.mark.parametrize(
@@ -383,7 +386,7 @@ class TestFailBeforeWriting:
         [
             # Delta row 16 sits in block 2 (rotation 2), data row 0 in
             # block 0 (rotation 0).
-            ((0, 16, -1), LayoutError, "matching rotations"),
+            ((0, 16, -1), LayoutError, "delta row 16 (rotation 2) -> data row 0 (rotation 0)"),
             # Both out of range at rotation 2 (blocks 2 and 10): src first.
             ((80, 16, -1), MemoryError_, "delta row 16 out of range [0, 16)"),
             ((64, 0, -1), MemoryError_, "data row 64 out of range [0, 32)"),
@@ -397,8 +400,34 @@ class TestFailBeforeWriting:
             lambda: storage.copy_row(*versions),
             lambda: oracle_copy_row(storage, *versions),
             error,
+            pair=text if error is LayoutError else None,
         )
-        assert text in message
+        assert message.endswith(text)
+
+    @pytest.mark.parametrize(
+        "call, text",
+        [
+            (lambda s: s.copy_row(3, 9, -1), "delta row 9 (rotation 1) -> data row 3 (rotation 0)"),
+            # Pairs 0 and 1 match; pairs 2 and 3 do not: the first is named.
+            (lambda s: s.copy_rows(Region.DELTA, [0, 1, 9, 10], Region.DATA, [0, 1, 2, 3]),
+             "delta row 9 (rotation 1) -> data row 2 (rotation 0)"),
+            (lambda s: s.copy_rows(Region.DELTA, [2, 15], Region.DATA, [31, 4]),
+             "delta row 2 (rotation 0) -> data row 31 (rotation 3)"),
+        ],
+        ids=["copy_row", "copy_rows", "copy_rows first pair"],
+    )
+    def test_rotation_errors_name_the_table_and_the_pair(self, call, text):
+        """A rotation mismatch names the table and the first mismatched
+        (source, destination) pair, and stores nothing."""
+        storage = make_storage(TableStorage, self.SHAPE, 32, 16)
+        before = storage.rank.mem.copy()
+        with pytest.raises(LayoutError) as err:
+            call(storage)
+        assert str(err.value) == (
+            "table 'orders': copy_row requires matching rotations (delta rows are "
+            f"allocated rotation-aligned for this reason): {text}"
+        )
+        assert np.array_equal(storage.rank.mem, before)
 
     @pytest.mark.parametrize(
         "call, text",
@@ -558,10 +587,33 @@ class TestCopyAndDefragImage:
         assert load_rows(slow, iter(rows)) == initial
         model = {row_id: stored(schema, values) for row_id, values in enumerate(rows)}
 
+        def update(model, row_id):
+            columns = rng.sample(schema.column_names, rng.randint(1, len(schema)))
+            changes = {c: random_row(schema, rng)[c] for c in columns}
+            # copy_row + write_columns against a decode-merge-reencode
+            # of the whole row through the per-slot oracle.
+            fast.update_row(row_id, ts, changes)
+            model[row_id] = stored(schema, {**model[row_id], **changes})
+            slow.storage.write_row(row_id, slow.mvcc.update(row_id, ts)[1], model[row_id])
+
+        def insert(model):
+            values = random_row(schema, rng)
+            ids = {table.insert_row(ts, values) for table in (fast, slow)}
+            assert len(ids) == 1
+            model[ids.pop()] = stored(schema, values)
+
+        def delete(model, row_id):
+            for table in (fast, slow):
+                table.mvcc.delete(row_id, ts)
+            del model[row_id]
+
         ts = 0
         ops = data.draw(
             st.lists(
-                st.sampled_from(["update", "update", "insert", "delete", "snapshot", "defrag"]),
+                st.sampled_from(
+                    ["update", "update", "insert", "delete", "snapshot", "defrag", "abort",
+                     "repeat"]
+                ),
                 max_size=30,
             )
         )
@@ -569,24 +621,32 @@ class TestCopyAndDefragImage:
             ts += 1
             live = sorted(model)
             if op == "update" and live:
+                update(model, rng.choice(live))
+            elif op == "repeat" and live:
+                # One transaction updating one row twice: the second
+                # write overwrites its own version in place.
                 row_id = rng.choice(live)
-                columns = rng.sample(schema.column_names, rng.randint(1, len(schema)))
-                changes = {c: random_row(schema, rng)[c] for c in columns}
-                # copy_row + write_columns against a decode-merge-reencode
-                # of the whole row through the per-slot oracle.
-                fast.update_row(row_id, ts, changes)
-                model[row_id] = stored(schema, {**model[row_id], **changes})
-                slow.storage.write_row(row_id, slow.mvcc.update(row_id, ts)[1], model[row_id])
+                update(model, row_id)
+                update(model, row_id)
             elif op == "insert":
-                values = random_row(schema, rng)
-                ids = {table.insert_row(ts, values) for table in (fast, slow)}
-                assert len(ids) == 1
-                model[ids.pop()] = stored(schema, values)
+                insert(model)
             elif op == "delete" and live:
-                row_id = rng.choice(live)
+                delete(model, rng.choice(live))
+            elif op == "abort":
+                # 1-3 writes at one ts, then the transaction rolls back:
+                # its versions stay in released delta rows (or a data
+                # slot past the live rows) and the model is unchanged.
+                pending = dict(model)
+                for _ in range(rng.randint(1, 3)):
+                    write = rng.choice(["update", "insert", "delete"] if pending else ["insert"])
+                    if write == "update":
+                        update(pending, rng.choice(sorted(pending)))
+                    elif write == "insert":
+                        insert(pending)
+                    else:
+                        delete(pending, rng.choice(sorted(pending)))
                 for table in (fast, slow):
-                    table.mvcc.delete(row_id, ts)
-                del model[row_id]
+                    table.rollback(ts)
             elif op == "snapshot":
                 for table in (fast, slow):
                     table.snapshots.update_to(ts)
@@ -599,6 +659,34 @@ class TestCopyAndDefragImage:
         for row_id, values in model.items():
             assert fast.storage.read_row(row_id, -1) == values
             assert fast.read_row(row_id, ts) == values
+
+    @pytest.mark.parametrize("block_rows", [8, 256])
+    @pytest.mark.parametrize("circulant", [True, False], ids=["circulant", "flat"])
+    def test_copy_rows_equals_a_copy_row_loop(self, circulant, block_rows):
+        """The item gather/store of ``copy_rows`` against one ``copy_row``
+        per (delta, data) pair, on parts 13, 3 and 1 bytes wide."""
+        schema = TableSchema.of(
+            "t", [Column("a", 13, "bytes"), Column("b", 3, "bytes"), Column("c", 1, "bytes"),
+                  Column("n", 20, "bytes")],
+        )
+        shape = (schema, ["a", "b", "c"], block_rows, circulant)
+        capacity = 3 * DEVICES * block_rows
+        fast = make_storage(TableStorage, shape, capacity, capacity)
+        loop = make_storage(TableStorage, shape, capacity, capacity)
+        assert [part.row_width for part in fast.layout.parts] == [13, 3, 1]
+        rng = np.random.default_rng(block_rows + circulant)
+        rows = rng.choice(capacity, size=capacity // 3, replace=False)
+        # Each source is a delta row of its destination's rotation.
+        rounds = rng.integers(0, 3, size=rows.size) * DEVICES
+        rotations = rows // block_rows % DEVICES if circulant else rng.integers(0, DEVICES, rows.size)
+        blocks = rotations + rounds
+        deltas = blocks * block_rows + rng.integers(0, block_rows, size=rows.size)
+        before = fast.rank.mem.copy()
+        fast.copy_rows(Region.DELTA, deltas, Region.DATA, rows)
+        for row_id, delta in zip(rows.tolist(), deltas.tolist()):
+            loop.copy_row(row_id, delta, -1)
+        assert not np.array_equal(fast.rank.mem, before)
+        assert np.array_equal(fast.rank.mem, loop.rank.mem)
 
     def test_bitmap_stores_equal_oracle(self):
         shape = (TableSchema.of("t", [Column("a", 4)]), ["a"], 8, True)

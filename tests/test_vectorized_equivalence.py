@@ -42,7 +42,7 @@ from repro.faults import injector as faults
 from repro.ivm.manager import _APPLY_NS_PER_DELTA, IVMManager, ViewStats
 from repro.ivm.views import Q1View, Q6View, Q9View
 from repro.ivm.zset import ZSet
-from repro.mvcc.manager import KINDS, MVCCManager
+from repro.mvcc.manager import KINDS, UPDATE, MVCCManager
 from repro.mvcc.metadata import Region
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 from repro.olap import queries
@@ -812,8 +812,18 @@ def both(managers, op):
     assert capture(lambda: op(mvcc)) == capture(lambda: op(oracle))
 
 
+def assert_updated_rows_match_journal(mvcc):
+    """The rows read off the heads are the journal's updated rows: the
+    ``np.unique`` derivation compaction ran before, kept as the oracle."""
+    journal = mvcc.journal
+    expected = np.unique(journal.row_id[journal.kind == UPDATE])
+    np.testing.assert_array_equal(mvcc.updated_rows(), expected)
+    assert mvcc.delta_head_count() == expected.size
+
+
 def compact_both(mvcc, oracle):
     """Compact both; the same rows move from the same delta rows."""
+    assert_updated_rows_match_journal(mvcc)
     rows, deltas = mvcc.compact()
     moves = oracle.compact()
     assert list(zip(rows.tolist(), deltas.tolist())) == sorted(moves)
@@ -904,6 +914,7 @@ def run_history(seed, steps=250):
             abort = False
         if abort:
             both(managers, lambda m: m.rollback(ts))
+    assert_updated_rows_match_journal(mvcc)
     return managers[0], managers[1], ts
 
 
@@ -1014,6 +1025,43 @@ class TestMVCCBatchedEquivalence:
         batched = capture(lambda: mvcc.read_many(ids, last_ts))
         assert batched == capture(lambda: [oracle.read(r, last_ts) for r in ids])
         assert batched[0] == "err"
+
+
+class OracleDeltaAllocator(DeltaAllocator):
+    """:class:`DeltaAllocator` with ``release_all``'s sorted per-index loop."""
+
+    def release_all(self):
+        count = len(self._allocated)
+        for index in sorted(self._allocated):
+            self._free[self.rotation_of(index)].append(index)
+        self._allocated.clear()
+        return count
+
+
+@pytest.mark.parametrize("block_rows, devices", [(1, 1), (4, 3), (16, 4), (64, 8)])
+@pytest.mark.parametrize("seed", range(3))
+def test_release_all_matches_the_per_index_loop(seed, block_rows, devices):
+    """Random allocate / release / ``release_all`` sequences: after each
+    step every rotation's free list equals the oracle's, and so does
+    every allocation (or its error)."""
+    rng = random.Random(seed * 97 + block_rows * 7 + devices)
+    allocators = [cls(block_rows, devices, 24) for cls in (DeltaAllocator, OracleDeltaAllocator)]
+    for _ in range(400):
+        roll = rng.random()
+        if roll < 0.7:
+            rotation = rng.randrange(devices)
+            got, want = (capture(lambda: a.allocate(rotation)) for a in allocators)
+            assert got == want
+        elif roll < 0.85 and allocators[1]._allocated:
+            index = rng.choice(sorted(allocators[1]._allocated))
+            for allocator in allocators:
+                allocator.release(index)
+        elif roll > 0.95:
+            assert allocators[0].release_all() == allocators[1].release_all()
+        fast, slow = allocators
+        assert fast._free == slow._free
+        assert fast._allocated == slow._allocated
+        assert fast.num_blocks == slow.num_blocks
 
 
 def oracle_update_to(data_bits, delta_bits, records, line):
