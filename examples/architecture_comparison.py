@@ -46,7 +46,7 @@ def functional_comparison() -> None:
             Condition("le", 5), table.region_rows(),
         )
         result = engine.olap.executor.execute(op)
-        matches = sum(int(m.sum()) for m in op.masks.values())
+        matches = int(op.mask.sum())
         rows.append(
             [
                 kind,

@@ -78,7 +78,7 @@ def circulant_ablation(
                 circulant=circulant,
                 units_used=len(op.participating_units()),
                 scan_time=result.total_time,
-                matches=sum(int(m.sum()) for m in op.masks.values()),
+                matches=int(op.mask.sum()),
             )
         )
     return out

@@ -9,13 +9,14 @@ configuration's CPU bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.table import TableRuntime
 from repro.errors import QueryError
+from repro.mvcc.metadata import Region
 from repro.olap import plan as qplan
 from repro.olap.operators import (
     AggregationOperation,
@@ -23,7 +24,6 @@ from repro.olap.operators import (
     GroupOperation,
     HashOperation,
     RegionRows,
-    RowSlice,
 )
 from repro.olap.cost import scan_bandwidth_per_unit
 from repro.pim.controller import _ControllerBase
@@ -42,7 +42,7 @@ class CPUFilterResult:
 
     column: str
     condition: "Condition"
-    masks: Dict["RowSlice", np.ndarray] = field(default_factory=dict)
+    mask: np.ndarray
     cpu_bytes: int = 0
 
 #: Modelled per-element CPU merge cost (ns) for dictionaries/buckets.
@@ -315,7 +315,7 @@ class OLAPEngine:
         self,
         table: TableRuntime,
         column: str,
-        indices: Mapping[RowSlice, np.ndarray],
+        indices: np.ndarray,
         num_groups: int,
         timing: QueryTiming,
         rows: Optional[RegionRows] = None,
@@ -334,7 +334,7 @@ class OLAPEngine:
         timing.scan = timing.scan.merge(scan)
         timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
         self._observe("aggregate", op, scan, column, t0)
-        return op.total()
+        return op.total
 
     def hash_scan(
         self,
@@ -364,7 +364,7 @@ class OLAPEngine:
         build: HashOperation,
         probe: HashOperation,
         timing: QueryTiming,
-        build_masks: Optional[Mapping[RowSlice, np.ndarray]] = None,
+        build_mask: Optional[np.ndarray] = None,
     ) -> qplan.JoinResult:
         """Bucketized hash join; PIM bucket matching charged as compute.
 
@@ -375,7 +375,7 @@ class OLAPEngine:
         duplicated key's multiplicity and overflows the WRAM result
         region.
         """
-        result = qplan.hash_join(build, probe, build_masks)
+        result = qplan.hash_join(build, probe, build_mask)
         timing.add_cpu_bytes(result.cpu_bytes, self.config.total_cpu_bandwidth)
         # PIM units match buckets in parallel (§6.3): elements spread over
         # all units' tasklets at the join cycle cost.
@@ -426,16 +426,14 @@ class OLAPEngine:
         Normal columns are not IDE-aligned, so PIM units cannot stream
         them; the CPU streams every part containing the column instead —
         correct, but at a bandwidth cost the key-column mechanism avoids.
-        Masks are produced per block in the same :class:`RowSlice` shape
-        as PIM filters, so results compose with aggregates and joins.
+        The mask covers the scan's rows in the same order as a PIM
+        filter's, so results compose with aggregates and joins.
         """
         rows = rows or table.region_rows()
         storage = table.storage
-        masks: Dict[RowSlice, np.ndarray] = {}
+        masks: List[np.ndarray] = []
         cpu_bytes = 0
         per_row_compute = 1.0  # ns per predicate evaluation on the CPU
-        from repro.mvcc.metadata import Region
-
         for region, count, visible in (
             (Region.DATA, rows.data_rows, table.snapshots.visible_data_rows()),
             (Region.DELTA, rows.delta_rows, table.snapshots.visible_delta_rows()),
@@ -449,20 +447,16 @@ class OLAPEngine:
                 # Opaque byte columns compare as 0 (matches the per-row
                 # ``v if isinstance(v, int) else 0`` reference behavior).
                 values = np.zeros(count, dtype=np.uint64)
-            matches = condition.evaluate(values) & visible[:count]
+            masks.append(condition.evaluate(values) & visible[:count])
             cpu_bytes += storage.cpu_scan_bytes(column, count)
             timing.cpu_time += count * per_row_compute
-            block = storage.block_rows
-            for base in range(0, count, block):
-                hi = min(base + block, count)
-                masks[RowSlice(region, base, hi - base)] = matches[base:hi]
         timing.add_cpu_bytes(cpu_bytes, self.config.total_cpu_bandwidth)
         tel = telemetry.active()
         if tel.enabled:
             tel.counter("olap.operator.cpu_filter.count").inc()
             tel.counter("olap.cpu_filter_bytes").inc(cpu_bytes)
-        return CPUFilterResult(column=column, condition=condition, masks=masks,
-                               cpu_bytes=cpu_bytes)
+        mask = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
+        return CPUFilterResult(column, condition, mask, cpu_bytes)
 
     # ------------------------------------------------------------------
     # Derived helpers
@@ -478,8 +472,8 @@ class OLAPEngine:
         """SUM(value) over rows passing all filters (no GROUP BY)."""
         if not filters:
             raise QueryError("filtered_sum needs at least one filter")
-        masks, cpu_bytes = qplan.combine_masks(filters)
+        mask, cpu_bytes = qplan.combine_masks(filters)
         timing.add_cpu_bytes(cpu_bytes, self.config.total_cpu_bandwidth)
-        indices = qplan.masks_to_indices(masks)
+        indices = qplan.masks_to_indices(mask)
         total = self.aggregate(table, value_column, indices, 1, timing, rows)
         return int(total[0])

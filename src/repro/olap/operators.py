@@ -10,19 +10,20 @@ all the phase's (unit, slot) pairs:
 * **load** — one gather from ``Rank.mem`` of the blocks' column bytes and
   one of their snapshot-bitmap slices, each stored into the rank's WRAM
   matrix (:class:`~repro.pim.pim_unit.RankUnits`) at the blocks' slot
-  offsets; an aggregation also stores the CPU-supplied index slices.
+  offsets; an aggregation also stores the blocks' runs of the
+  CPU-supplied group indices.
 * **compute** — the staged ``(blocks × rows)`` operands are read back
   from the matrix, the operation's Fig. 7b kernel
   (:mod:`repro.pim.pim_unit`) runs once over them, and the result is
-  written to the slots' result regions and harvested, split per
-  :class:`RowSlice`.
+  written to the slots' result regions and harvested.
 
 Blocks of a phase that share a row count form one rectangular batch, so a
 phase is a single batch unless it holds the partial last block of a
 region. Simulated time and the units' work counters depend on the block
 geometry alone: they are worked out when the scan is planned (one cost
 per distinct row count, summed per unit in slot order) and charged per
-phase to the rank's counter matrices.
+phase to the rank's counter matrices, each counter's terms added left to
+right in one ``np.add.accumulate``.
 
 That plan (:class:`_ScanPlan`) depends on the region extents and the
 operator's shape alone, so it outlives the query: ``RankUnits.scan_plans``
@@ -31,10 +32,14 @@ blocks that changed (a tail that gained rows, appended blocks) are placed
 again, unless a region lost blocks. It holds no bytes — ``load`` reads the
 current snapshot's column and bitmap bytes when it runs.
 
-Operators collect *functional* results (masks, group keys, hashes,
-partial sums) on the Python side, standing in for the CPU harvesting
-result buffers; the harvest traffic is modelled via
-``cpu_transfer_bytes``.
+Operators collect *functional* results on the Python side, standing in
+for the CPU harvesting result buffers (the traffic is modelled via
+``cpu_transfer_bytes``). Each result is one array over the scan's rows in
+region order — the data rows, then the delta rows (:func:`scan_rows`) —
+and each batch stores its blocks into it as one item per block: a
+filter's ``mask``, a group scan's local ``indices`` with each row's
+``starts`` into the concatenated ``dictionary``, a hash scan's
+``hashes`` and ``values``, and an aggregation's running ``total``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby, zip_longest
 from operator import add, itemgetter
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +78,7 @@ __all__ = [
     "AggregationOperation",
     "HashOperation",
     "RegionRows",
-    "RowSlice",
+    "scan_rows",
 ]
 
 
@@ -85,19 +90,15 @@ class RegionRows:
     delta_rows: int = 0
 
 
-class RowSlice(NamedTuple):
-    """Identifies the rows of one scanned block: region + base row."""
-
-    region: str
-    base_row: int
-    num_rows: int
+def scan_rows(rows: RegionRows) -> int:
+    """Length of a scan's result arrays: its data rows, then its delta rows."""
+    return rows.data_rows + rows.delta_rows
 
 
 class _Batch(NamedTuple):
     """The blocks of one phase that share a row count, as parallel arrays."""
 
     num_rows: int
-    slices: Tuple[RowSlice, ...]
     #: Row of each block's unit in the rank's WRAM / counter matrices.
     unit_rows: np.ndarray
     #: WRAM offset of each block's slot.
@@ -106,6 +107,9 @@ class _Batch(NamedTuple):
     #: Device-local address of the first row's column bytes / bitmap slice.
     addr: np.ndarray
     bitmap_addr: np.ndarray
+    #: Each block's region (1 = delta) and first row within it.
+    delta: np.ndarray
+    base_row: np.ndarray
 
 
 def _stream_time(unit: PIMUnit, nbytes: int) -> float:
@@ -121,7 +125,7 @@ class _PhaseCharges:
     sums, as a per-block walk adds them. ``load_terms`` / ``compute_terms``
     keep the terms apart as ``(k, units)`` arrays (row ``k`` = every unit's
     ``k``-th term, 0 past a unit's last), so the rank's time counters can
-    be charged term by term in that same order.
+    be charged term by term in that same order (:func:`_charge`).
     """
 
     def __init__(self, cells: Sequence[tuple]) -> None:
@@ -208,7 +212,7 @@ class _ScanPlan:
             first = kept[region] - (tail >= 0 and min(block, new - tail) != old - tail)
             if first < ceil_div(new, block):
                 scans += [
-                    (scan, RowSlice(region, scan.base_row, scan.num_rows))
+                    (scan, region)
                     for scan in storage.column_scan_plan(column, region, new, first)
                 ]
         if not (scans or self._queues):
@@ -226,13 +230,13 @@ class _ScanPlan:
         plan = object.__new__(_ScanPlan)
         plan.__dict__ = {**vars(self), "rows": rows}
         if scans:
-            first, row_slice = scans[0]
+            first, first_region = scans[0]
             plan.stride, plan.piece = first.stride, first.chunk
             if plan.piece <= 0 or plan.stride < plan.piece:
                 raise ProtocolError(
                     f"table {name!r}: invalid stride/chunk {plan.stride}/{plan.piece}"
                 )
-            if (row_slice.region, first.block) == (
+            if (first_region, first.block) == (
                 Region.DATA if rows.data_rows > 0 else Region.DELTA, 0
             ):
                 plan.load_request = LaunchRequest(
@@ -252,7 +256,7 @@ class _ScanPlan:
         costs = plan._costs = dict(self._costs)
         queues = plan._queues = dict(self._queues)
         placed: Dict[Tuple[int, int], set] = {}
-        for scan, row_slice in scans:
+        for scan, region in scans:
             key = (scan.device, scan.bank)
             unit, count = units[key], scan.num_rows
             if count not in costs:
@@ -264,16 +268,16 @@ class _ScanPlan:
                     f"table {name!r}: bank {unit.bank.index} access "
                     f"[{offset}, {offset + touched}) out of range (size {unit.bank.size})"
                 )
+            in_data = region == Region.DATA
             entry = (count, unit.unit_id, scan.device, scan.dram_addr,
-                     storage.bitmap_block_slice_addr(row_slice.region, scan.block),
-                     row_slice, costs[count])
+                     storage.bitmap_block_slice_addr(region, scan.block),
+                     int(not in_data), scan.base_row, costs[count])
             if key not in placed:
                 entries, data = queues.get(key, ((), 0))
                 queues[key], placed[key] = [list(entries), data], set()
             queue = queues[key]
             entries, data = queue
-            in_data = row_slice.region == Region.DATA
-            if scan.block < kept[row_slice.region]:
+            if scan.block < kept[region]:
                 at = data - 1 if in_data else len(entries) - 1
                 entries[at] = entry
                 placed[key].add(at)
@@ -310,14 +314,14 @@ class _ScanPlan:
         unit's charges for the phase (terms, and their sums left to right)
         and its batch rows."""
         load, compute, read, elements, scanned, rows = [], [], 0, 0, 0, []
-        for slot, (count, unit_id, device, addr, bitmap, row_slice, costs) in enumerate(entries):
+        for slot, (count, unit_id, device, addr, bitmap, *at, costs) in enumerate(entries):
             _, moved, load_terms, compute_time = costs
             load += load_terms
             compute.append(compute_time)
             read += moved + bitmap_bytes
             elements += count
             scanned += count * self.width + bitmap_bytes
-            rows.append((count, unit_id, slot * slot_bytes, device, addr, bitmap, row_slice))
+            rows.append((count, unit_id, slot * slot_bytes, device, addr, bitmap, *at))
         # The sums run left to right, as a per-block walk adds the terms.
         sums = reduce(add, load, 0.0), reduce(add, compute, 0.0)
         return (load, compute, *sums, read, elements, scanned), rows
@@ -331,8 +335,8 @@ class _ScanPlan:
         batches = self.batches[phase] = []
         placed = sorted(row for _, rows in cells for row in rows)
         for count, group in groupby(placed, itemgetter(0)):
-            _, *columns, slices = zip(*group)
-            batches.append(_Batch(count, slices, *np.array(columns, dtype=np.intp)))
+            _, *columns = zip(*group)
+            batches.append(_Batch(count, *np.array(columns, dtype=np.intp)))
 
     def _block_costs(self, unit: PIMUnit, cls: type, bitmap_bytes: int, num_rows: int) -> tuple:
         """``(bank bytes touched, DRAM bytes moved, load-time terms, compute
@@ -347,6 +351,14 @@ class _ScanPlan:
             [load_time, bitmap_time] + cls._aux_load_terms(unit, num_rows),
             unit.compute_cost(num_rows, cls._KIND),
         )
+
+
+def _charge(times: np.ndarray, rows: np.ndarray, column: int, terms: np.ndarray) -> None:
+    """Add each row of ``terms`` in turn to ``times[rows, column]``: one
+    ``np.add.accumulate`` down the term axis, the same float adds, in the
+    same order, as a loop adding the rows one by one."""
+    counters = np.concatenate((times[None, rows, column], terms))
+    times[rows, column] = np.add.accumulate(counters, axis=0)[-1]
 
 
 class _ColumnScanOperation:
@@ -428,18 +440,16 @@ class _ColumnScanOperation:
         modelled cost is a local stream of the slice.
         """
         plan = self._plan
-        batches = plan.batches[chunk]
-        # Operator inputs are checked for the whole phase before a byte moves.
-        extras = [self._aux_block(batch) for batch in batches]
         mem = self.storage.rank.mem
         bitmap_bytes = self.storage.block_rows // 8
-        for batch, extra in zip(batches, extras):
+        for batch in plan.batches[chunk]:
             length = batch.num_rows * self.width
             pieces = ceil_div(length, plan.piece)
             column = byte_runs(mem, plan.piece, pieces, plan.stride)[batch.device, batch.addr]
             self._write(batch, "data", column.view(np.uint8)[:, :length])
             bitmap = byte_runs(mem, bitmap_bytes)[batch.device, batch.bitmap_addr]
             self._write(batch, "bitmap", bitmap.view(np.uint8))
+            extra = self._aux_block(batch)
             if extra is not None:
                 self._write(batch, "aux", extra)
                 self.cpu_transfer_bytes += extra.size
@@ -448,8 +458,7 @@ class _ColumnScanOperation:
             self._track_rows(chunk)
         charges = plan.charges[chunk]
         self.units.counts[plan.unit_rows, 0] += charges.read_bytes
-        for term in charges.load_terms:
-            self.units.times[plan.unit_rows, 0] += term
+        _charge(self.units.times, plan.unit_rows, 0, charges.load_terms)
         self.bytes_scanned += charges.scanned
         return charges.load_times
 
@@ -488,8 +497,7 @@ class _ColumnScanOperation:
             self._compute_batch(batch, values, bits[:, :count].view(bool))
         charges = plan.charges[chunk]
         self.units.counts[plan.unit_rows, 2] += charges.elements
-        for term in charges.compute_terms:
-            self.units.times[plan.unit_rows, 1] += term
+        _charge(self.units.times, plan.unit_rows, 1, charges.compute_terms)
         return charges.compute_times
 
     def _compute_batch(self, batch: _Batch, values: np.ndarray, visible: np.ndarray) -> None:
@@ -510,12 +518,31 @@ class _ColumnScanOperation:
         starts = batch.base + self._plan.offsets[region]
         byte_runs(self.units.wram, nbytes)[batch.unit_rows, starts] = data.view(f"V{nbytes}")
 
+    # -- Scan arrays -------------------------------------------------------
+    def _runs(self, array: np.ndarray, batch: _Batch) -> Tuple[np.ndarray, np.ndarray]:
+        """Every ``num_rows``-row run of the scan array ``array`` as one
+        item (a view), and the byte starts of the batch's blocks in it."""
+        nbytes = batch.num_rows * array.itemsize
+        starts = batch.base_row + batch.delta * self.rows.data_rows
+        return byte_runs(array.view(np.uint8)[None], nbytes)[0], starts * array.itemsize
+
+    def _store(self, array: np.ndarray, batch: _Batch, rows: np.ndarray) -> None:
+        """Store ``(blocks, num_rows)`` ``rows`` at the batch's blocks of ``array``."""
+        runs, starts = self._runs(array, batch)
+        rows = np.ascontiguousarray(rows, dtype=array.dtype)
+        runs[starts] = rows.view(f"V{rows.shape[1] * array.itemsize}")
+
+    def _gather(self, array: np.ndarray, batch: _Batch) -> np.ndarray:
+        """The batch's blocks of ``array`` as ``(blocks, bytes)``."""
+        runs, starts = self._runs(array, batch)
+        return runs[starts].view(np.uint8)
+
 
 class FilterOperation(_ColumnScanOperation):
     """Predicate scan of one key column (Fig. 7b ``Filter``).
 
-    Produces a visibility-anded match mask per scanned block, harvested
-    into :attr:`masks` keyed by row slice.
+    Produces a visibility-anded match per scanned row, harvested into
+    :attr:`mask` over the scan's rows.
     """
 
     _KIND = "filter"
@@ -530,7 +557,7 @@ class FilterOperation(_ColumnScanOperation):
     ) -> None:
         super().__init__(storage, units, column, rows)
         self.condition = condition
-        self.masks: Dict[RowSlice, np.ndarray] = {}
+        self.mask = np.zeros(scan_rows(rows), dtype=bool)
         self._compute_request = LaunchRequest(
             OpType.FILTER,
             {"data_width": self.width, "condition": condition.encode()},
@@ -540,15 +567,16 @@ class FilterOperation(_ColumnScanOperation):
         matches = filter_kernel(values, visible, self.condition)
         packed = np.packbits(matches, axis=1, bitorder="little")
         self._write(batch, "result", packed)
-        self.masks.update(zip(batch.slices, matches))
+        self._store(self.mask, batch, matches)
         self.cpu_transfer_bytes += packed.size
 
 
 class GroupOperation(_ColumnScanOperation):
     """Group-key scan (Fig. 7b ``Group``): per-block dictionaries + indices.
 
-    The CPU merges per-block dictionaries into global group ids afterwards
-    (see :func:`repro.olap.plan.merge_group_blocks`).
+    Row ``r``'s key is ``dictionary[starts[r] + indices[r]]`` (a hidden
+    row's index is 0xFFFF). The CPU merges the dictionaries into global
+    group ids afterwards (see :func:`repro.olap.plan.merge_group_blocks`).
     """
 
     _KIND = "group"
@@ -563,8 +591,12 @@ class GroupOperation(_ColumnScanOperation):
         rows: RegionRows,
     ) -> None:
         super().__init__(storage, units, column, rows)
-        self.block_dicts: Dict[RowSlice, np.ndarray] = {}
-        self.block_indices: Dict[RowSlice, np.ndarray] = {}
+        #: Each row's index into its block's dictionary.
+        self.indices = np.full(scan_rows(rows), 0xFFFF, dtype=np.uint16)
+        #: Each row's block's first key in :attr:`dictionary`.
+        self.starts = np.zeros(scan_rows(rows), dtype=np.intp)
+        #: Every block's dictionary, concatenated in the order they ran.
+        self.dictionary = np.zeros(0, dtype=np.uint64)
         self._compute_request = LaunchRequest(OpType.GROUP, {"data_width": self.width})
 
     @classmethod
@@ -582,21 +614,23 @@ class GroupOperation(_ColumnScanOperation):
         )
         ends = np.cumsum(sizes)
         flat = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
-        self.units.wram.reshape(-1)[flat] = uints_to_bytes(
-            np.concatenate(dictionaries), self.width
-        )
-        self.block_dicts.update(zip(batch.slices, dictionaries))
-        self.block_indices.update(zip(batch.slices, indices))
+        dictionary = np.concatenate(dictionaries)
+        self.units.wram.reshape(-1)[flat] = uints_to_bytes(dictionary, self.width)
+        first = len(self.dictionary) + (ends - sizes) // self.width
+        self._store(self.indices, batch, indices)
+        self._store(self.starts, batch, np.repeat(first, batch.num_rows).reshape(indices.shape))
+        self.dictionary = np.concatenate((self.dictionary, dictionary))
         self.cpu_transfer_bytes += int(ends[-1]) + indices.nbytes
 
 
 class AggregationOperation(_ColumnScanOperation):
     """Grouped sum of one value column (Fig. 7b ``Aggregation``).
 
-    ``indices`` supplies per-row *global* group ids (from a prior group
-    scan, merged by the CPU); the CPU transfers each block's index slice
-    to the bank holding that block's value column (§6.3), which is
-    modelled as aux load traffic.
+    ``indices`` supplies each scanned row's *global* group id (from a
+    prior group scan, merged by the CPU); the CPU transfers each block's
+    run of it to the bank holding that block's value column (§6.3), which
+    is modelled as aux load traffic. The per-block partial sums add into
+    the running :attr:`total`.
     """
 
     _KIND = "aggregation"
@@ -607,16 +641,22 @@ class AggregationOperation(_ColumnScanOperation):
         units: RankUnits,
         column: str,
         rows: RegionRows,
-        indices: Mapping[RowSlice, np.ndarray],
+        indices: np.ndarray,
         num_groups: int,
     ) -> None:
         if num_groups <= 0:
             raise QueryError("num_groups must be positive")
+        indices = np.ascontiguousarray(indices, dtype=np.uint16)
+        if indices.shape != (scan_rows(rows),):
+            raise QueryError(
+                f"table {storage.layout.schema.name!r}: {indices.size} group indices "
+                f"for a scan of {scan_rows(rows)} rows"
+            )
         # Set before super().__init__: the plan's shape depends on them.
         self.indices = indices
         self.num_groups = num_groups
         super().__init__(storage, units, column, rows)
-        self.partials: Dict[RowSlice, np.ndarray] = {}
+        self.total = np.zeros(num_groups, dtype=np.uint64)
         self._compute_request = LaunchRequest(
             OpType.AGGREGATION, {"data_width": self.width}
         )
@@ -634,22 +674,7 @@ class AggregationOperation(_ColumnScanOperation):
         return [_stream_time(unit, num_rows * 2)]
 
     def _aux_block(self, batch: _Batch) -> np.ndarray:
-        blocks = []
-        for row_slice in batch.slices:
-            try:
-                indices = self.indices[row_slice]
-            except KeyError:
-                raise QueryError(
-                    f"no group indices for rows {row_slice} — run the group scan "
-                    "over the same regions first"
-                ) from None
-            if len(indices) != batch.num_rows:
-                raise QueryError(
-                    f"index slice for {row_slice} has {len(indices)} entries, "
-                    f"expected {batch.num_rows}"
-                )
-            blocks.append(indices)
-        return np.array(blocks, dtype=np.uint16).view(np.uint8)
+        return self._gather(self.indices, batch)
 
     def _compute_batch(self, batch, values, visible) -> None:
         indices = self._read(batch, "aux", batch.num_rows * 2).view(np.uint16)
@@ -657,22 +682,16 @@ class AggregationOperation(_ColumnScanOperation):
             values,
             visible,
             indices,
-            np.zeros((len(batch.slices), self.num_groups), dtype=np.uint64),
+            np.zeros((len(batch.base), self.num_groups), dtype=np.uint64),
         )
         self._write(batch, "result", partials.view(np.uint8))
-        self.partials.update(zip(batch.slices, partials))
+        self.total += partials.sum(axis=0, dtype=np.uint64)
         self.cpu_transfer_bytes += partials.nbytes
-
-    def total(self) -> np.ndarray:
-        """CPU-side merge of all per-block partial sums."""
-        out = np.zeros(self.num_groups, dtype=np.uint64)
-        for partial in self.partials.values():
-            out += partial
-        return out
 
 
 class HashOperation(_ColumnScanOperation):
-    """Key hashing for hash join (Fig. 7b ``Hash``)."""
+    """Key hashing for hash join (Fig. 7b ``Hash``): each scanned row's
+    hash (0 for a hidden row) and staged key."""
 
     _KIND = "hash"
 
@@ -686,8 +705,8 @@ class HashOperation(_ColumnScanOperation):
     ) -> None:
         super().__init__(storage, units, column, rows)
         self.hash_function = hash_function
-        self.hashes: Dict[RowSlice, np.ndarray] = {}
-        self.values: Dict[RowSlice, np.ndarray] = {}
+        self.hashes = np.zeros(scan_rows(rows), dtype=np.uint32)
+        self.values = np.zeros(scan_rows(rows), dtype=np.uint64)
         self._compute_request = LaunchRequest(
             OpType.HASH,
             {"data_width": self.width, "hash_function": hash_function},
@@ -696,6 +715,6 @@ class HashOperation(_ColumnScanOperation):
     def _compute_batch(self, batch, values, visible) -> None:
         hashes = hash_kernel(values, visible, self.hash_function)
         self._write(batch, "result", hashes.view(np.uint8))
-        self.hashes.update(zip(batch.slices, hashes))
-        self.values.update(zip(batch.slices, values))
+        self._store(self.hashes, batch, hashes)
+        self._store(self.values, batch, values)
         self.cpu_transfer_bytes += hashes.nbytes

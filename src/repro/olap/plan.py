@@ -6,26 +6,29 @@ combining filter masks, and exchanging hash buckets between banks. These
 helpers do the functional work and report the CPU traffic they imply so
 the engine can convert it to time.
 
-The join is array code over the concatenated row slices of both scans: a
-semi-join, in each direction, on the staged key values
-(:func:`hash_join`). It enumerates no ``(probe, build)`` pairs, so
-duplicate keys cost nothing extra, and needs no collision pass.
+Each helper runs once per scan, over the operators' scan arrays: one
+entry per scanned row, the data rows then the delta rows
+(:func:`repro.olap.operators.scan_rows`). Masks, group indices and join
+results of scans over the same extents therefore line up row by row, and
+a helper handed arrays of different lengths raises
+:class:`~repro.errors.QueryError`. The CPU traffic is still counted per
+block, as the units hand their results over.
+
+The join is a semi-join, in each direction, on the staged key values of
+both scans (:func:`hash_join`). It enumerates no ``(probe, build)``
+pairs, so duplicate keys cost nothing extra, and needs no collision pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import QueryError
-from repro.olap.operators import (
-    FilterOperation,
-    GroupOperation,
-    HashOperation,
-    RowSlice,
-)
+from repro.olap.operators import FilterOperation, GroupOperation, HashOperation, RegionRows
+from repro.units import ceil_div
 
 __all__ = [
     "MergedGroups",
@@ -43,10 +46,11 @@ INVALID_GROUP = 0xFFFF
 
 @dataclass(frozen=True)
 class MergedGroups:
-    """Global group ids after the CPU merges per-block dictionaries."""
+    """Global group ids after the CPU merges per-block dictionaries:
+    ``indices`` holds each scanned row's id into ``keys``."""
 
     keys: np.ndarray
-    indices: Dict[RowSlice, np.ndarray]
+    indices: np.ndarray
     cpu_bytes: int
 
     @property
@@ -58,128 +62,89 @@ class MergedGroups:
 def merge_group_blocks(group_op: GroupOperation) -> MergedGroups:
     """Merge a group scan's per-block dictionaries into global ids.
 
-    Each block's local indices are remapped through a global, sorted key
+    Each row's local index is remapped through a global, sorted key
     dictionary; invisible rows keep :data:`INVALID_GROUP`.
     """
-    if not group_op.block_dicts:
-        raise QueryError("group operation has no results to merge — run it first")
-    all_keys = np.unique(
-        np.concatenate([d for d in group_op.block_dicts.values() if len(d)])
-        if any(len(d) for d in group_op.block_dicts.values())
-        else np.array([], dtype=np.uint64)
+    dictionary, local = group_op.dictionary, group_op.indices
+    keys = np.unique(dictionary)
+    if len(keys) >= INVALID_GROUP:
+        raise QueryError(f"too many groups ({len(keys)}) for 2-byte indices")
+    remap = np.searchsorted(keys, dictionary).astype(np.uint16)
+    valid = local != INVALID_GROUP
+    indices = np.full(len(local), INVALID_GROUP, dtype=np.uint16)
+    indices[valid] = remap[group_op.starts[valid] + local[valid]]
+    return MergedGroups(keys, indices, local.nbytes + dictionary.nbytes)
+
+
+def _bitmap_bytes(rows: RegionRows, block_rows: int) -> int:
+    """Bytes of a scan's per-block bitmaps: ⌈n/8⌉ for a block of n rows."""
+    return sum(
+        count // block_rows * ceil_div(block_rows, 8) + ceil_div(count % block_rows, 8)
+        for count in (rows.data_rows, rows.delta_rows)
     )
-    if len(all_keys) >= INVALID_GROUP:
-        raise QueryError(f"too many groups ({len(all_keys)}) for 2-byte indices")
-    merged: Dict[RowSlice, np.ndarray] = {}
-    cpu_bytes = 0
-    for row_slice, local in group_op.block_indices.items():
-        local_keys = group_op.block_dicts[row_slice]
-        out = np.full(len(local), INVALID_GROUP, dtype=np.uint16)
-        valid = local != INVALID_GROUP
-        if valid.any() and len(local_keys):
-            remap = np.searchsorted(all_keys, local_keys).astype(np.uint16)
-            out[valid] = remap[local[valid]]
-        merged[row_slice] = out
-        cpu_bytes += local.nbytes + local_keys.nbytes
-    return MergedGroups(all_keys, merged, cpu_bytes)
 
 
-def combine_masks(
-    filters: Sequence[FilterOperation],
-) -> Tuple[Dict[RowSlice, np.ndarray], int]:
-    """AND the masks of several filter scans over identical row slices."""
+def combine_masks(filters: Sequence[FilterOperation]) -> Tuple[np.ndarray, int]:
+    """AND the masks of several filter scans over the same table and extents."""
     if not filters:
         raise QueryError("combine_masks needs at least one filter")
-    slices = set(filters[0].masks)
+    first = filters[0]
+    name = first.storage.layout.schema.name
+    mask = first.mask.copy()
     for f in filters[1:]:
-        if set(f.masks) != slices:
-            raise QueryError("filters cover different row slices; cannot combine")
-    combined: Dict[RowSlice, np.ndarray] = {}
-    cpu_bytes = 0
-    for row_slice in slices:
-        mask = filters[0].masks[row_slice].copy()
-        for f in filters[1:]:
-            mask &= f.masks[row_slice]
-        combined[row_slice] = mask
-        cpu_bytes += sum(-(-len(mask) // 8) for _ in filters)
-    return combined, cpu_bytes
+        if f.storage is not first.storage or f.rows != first.rows:
+            raise QueryError(
+                f"table {name!r}: cannot combine a filter over {first.rows} with one "
+                f"over {f.rows} of table {f.storage.layout.schema.name!r}"
+            )
+        mask &= f.mask
+    return mask, len(filters) * _bitmap_bytes(first.rows, first.storage.block_rows)
 
 
-def masks_to_indices(
-    masks: Mapping[RowSlice, np.ndarray], group: int = 0
-) -> Dict[RowSlice, np.ndarray]:
-    """Turn boolean masks into single-group aggregation indices.
+def masks_to_indices(mask: np.ndarray, group: int = 0) -> np.ndarray:
+    """Turn a boolean mask into single-group aggregation indices.
 
     Matching rows get group ``group``; others :data:`INVALID_GROUP` —
     filtered aggregation without a GROUP BY is the one-group case.
     """
-    out: Dict[RowSlice, np.ndarray] = {}
-    for row_slice, mask in masks.items():
-        indices = np.full(len(mask), INVALID_GROUP, dtype=np.uint16)
-        indices[mask] = group
-        out[row_slice] = indices
-    return out
+    return np.where(mask, group, INVALID_GROUP).astype(np.uint16)
 
 
-def apply_mask_to_indices(
-    indices: Mapping[RowSlice, np.ndarray],
-    masks: Mapping[RowSlice, np.ndarray],
-) -> Dict[RowSlice, np.ndarray]:
+def apply_mask_to_indices(indices: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Invalidate group indices of rows a filter rejected."""
-    out: Dict[RowSlice, np.ndarray] = {}
-    for row_slice, idx in indices.items():
-        if row_slice not in masks:
-            raise QueryError(f"mask missing for rows {row_slice}")
-        masked = idx.copy()
-        masked[~masks[row_slice]] = INVALID_GROUP
-        out[row_slice] = masked
-    return out
+    if len(mask) != len(indices):
+        raise QueryError(f"a mask of {len(mask)} rows for {len(indices)} group indices")
+    return np.where(mask, indices, INVALID_GROUP).astype(np.uint16)
 
 
 @dataclass(frozen=True)
 class JoinResult:
     """Outcome of a hash join between two scanned key columns.
 
-    ``probe_masks`` marks which probe-side rows matched (usable as a
-    filter for a follow-up aggregation); ``build_masks_out`` marks build
+    ``probe_mask`` marks which probe-side rows matched (usable as a
+    filter for a follow-up aggregation); ``build_mask_out`` marks build
     rows with at least one probe match (semi-join the other way);
     ``matches`` counts the probe rows that matched — a probe row counts
     once however many build rows carry its key, so this is not the
     number of join pairs.
     """
 
-    probe_masks: Dict[RowSlice, np.ndarray]
+    probe_mask: np.ndarray
     matches: int
     cpu_bytes: int
     pim_elements: int
-    build_masks_out: Optional[Dict[RowSlice, np.ndarray]] = None
+    build_mask_out: np.ndarray
 
     @property
     def matched_build_rows(self) -> int:
         """Build rows with at least one probe match."""
-        if not self.build_masks_out:
-            return 0
-        return int(sum(m.sum() for m in self.build_masks_out.values()))
-
-
-def _concatenated(arrays: Iterable[np.ndarray], dtype) -> np.ndarray:
-    """The per-slice arrays of one scan side as one array, in slice order."""
-    arrays = list(arrays)
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
-
-
-def _per_slice(
-    flat: np.ndarray, slices: Mapping[RowSlice, np.ndarray]
-) -> Dict[RowSlice, np.ndarray]:
-    """Split a concatenated per-row array back into the slices it came from."""
-    cuts = np.cumsum([len(rows) for rows in slices.values()])[:-1]
-    return dict(zip(slices, np.split(flat, cuts)))
+        return int(self.build_mask_out.sum())
 
 
 def hash_join(
     build: HashOperation,
     probe: HashOperation,
-    build_masks: Optional[Mapping[RowSlice, np.ndarray]] = None,
+    build_mask: Optional[np.ndarray] = None,
 ) -> JoinResult:
     """Join two hash scans (§6.3 / [38]) as a semi-join over the staged keys.
 
@@ -196,8 +161,8 @@ def hash_join(
     match them. That holds within one hash function only: both scans
     must have used the same one.
 
-    ``build_masks`` optionally restricts the build side to rows passing
-    an earlier filter (e.g. Q9's item predicate).
+    ``build_mask`` optionally restricts the build side to rows passing
+    an earlier filter over the same scan (e.g. Q9's item predicate).
     """
     if build.hash_function != probe.hash_function:
         raise QueryError(
@@ -206,25 +171,22 @@ def hash_join(
             f"{probe.hash_function}: equal keys share a bucket only under one "
             "hash function"
         )
-    build_hashes = _concatenated(build.hashes.values(), np.uint32)
-    probe_hashes = _concatenated(probe.hashes.values(), np.uint32)
-    build_keys = _concatenated(build.values.values(), np.uint64)
-    probe_keys = _concatenated(probe.values.values(), np.uint64)
     # Hash 0 marks a row the snapshot hides.
-    build_live = build_hashes != 0
-    probe_live = probe_hashes != 0
-    if build_masks is not None:
-        for row_slice in build.hashes:
-            if row_slice not in build_masks:
-                raise QueryError(f"build mask missing for rows {row_slice}")
-        build_live &= _concatenated((build_masks[s] for s in build.hashes), bool)
-    probe_matched = probe_live & np.isin(probe_keys, build_keys[build_live])
-    build_matched = build_live & np.isin(build_keys, probe_keys[probe_live])
+    build_live = build.hashes != 0
+    probe_live = probe.hashes != 0
+    if build_mask is not None:
+        if len(build_mask) != len(build_live):
+            raise QueryError(
+                f"table {build.storage.layout.schema.name!r}: {len(build_mask)} "
+                f"build-mask rows for a scan of {len(build_live)} rows"
+            )
+        build_live &= build_mask
+    probe_matched = probe_live & np.isin(probe.values, build.values[build_live])
+    build_matched = build_live & np.isin(build.values, probe.values[probe_live])
     return JoinResult(
-        probe_masks=_per_slice(probe_matched, probe.hashes),
+        probe_mask=probe_matched,
         matches=int(probe_matched.sum()),
-        cpu_bytes=sum(h.nbytes for h in build.hashes.values())
-        + sum(h.nbytes for h in probe.hashes.values()),
+        cpu_bytes=build.hashes.nbytes + probe.hashes.nbytes,
         pim_elements=int(build_live.sum()) + int(probe_live.sum()),
-        build_masks_out=_per_slice(build_matched, build.hashes),
+        build_mask_out=build_matched,
     )

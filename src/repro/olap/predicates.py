@@ -8,24 +8,25 @@ minimal set of single-column scans plus CPU-side mask algebra:
 >>> p = (col("ol_quantity").between(2, 8)
 ...      & (col("ol_delivery_d") >= 1500)
 ...      & ~(col("ol_number") == 3))
->>> masks = evaluate(p, olap_engine, table, timing)
+>>> mask = evaluate(p, olap_engine, table, timing)
 
 Each *leaf* comparison becomes one ``Filter`` launch; boolean structure
-is applied to the returned bitmaps by the CPU (cheap — bitmaps are
-rows/8 bytes). Leaves over normal columns automatically fall back to the
-CPU scan of §4.1.2.
+is applied by the CPU to the leaves' masks, one array over the scan's
+rows each (cheap — bitmaps are rows/8 bytes), so each node is one array
+operation. Leaves over normal columns automatically fall back to the CPU
+scan of §4.1.2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.core.table import TableRuntime
 from repro.errors import QueryError
-from repro.olap.operators import RegionRows, RowSlice
+from repro.olap.operators import RegionRows
 from repro.pim.pim_unit import Condition
 
 __all__ = ["Predicate", "Comparison", "And", "Or", "Not", "col", "evaluate"]
@@ -47,7 +48,7 @@ class Predicate:
         """Yield every comparison leaf."""
         raise NotImplementedError
 
-    def _apply(self, masks: Dict["Comparison", Dict[RowSlice, np.ndarray]]):
+    def _apply(self, masks: Dict[Union["Comparison", str], np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -82,9 +83,7 @@ class And(Predicate):
         yield from self.right.leaves()
 
     def _apply(self, masks):
-        a = self.left._apply(masks)
-        b = self.right._apply(masks)
-        return {rs: a[rs] & b[rs] for rs in a}
+        return self.left._apply(masks) & self.right._apply(masks)
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,7 @@ class Or(Predicate):
         yield from self.right.leaves()
 
     def _apply(self, masks):
-        a = self.left._apply(masks)
-        b = self.right._apply(masks)
-        return {rs: a[rs] | b[rs] for rs in a}
+        return self.left._apply(masks) | self.right._apply(masks)
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,7 @@ class Not(Predicate):
         yield from self.inner.leaves()
 
     def _apply(self, masks):
-        inner = self.inner._apply(masks)
-        visible = masks["__visible__"]
-        return {rs: visible[rs] & ~inner[rs] for rs in inner}
+        return masks["__visible__"] & ~self.inner._apply(masks)
 
 
 class _ColumnProxy:
@@ -164,16 +159,16 @@ def evaluate(
     table: TableRuntime,
     timing,
     rows: Optional[RegionRows] = None,
-) -> Dict[RowSlice, np.ndarray]:
+) -> np.ndarray:
     """Run every leaf as a scan and fold the boolean structure.
 
     Deduplicates identical leaves (each distinct comparison scans once).
     Leaves over key columns run on the PIM units; others fall back to the
-    CPU path. Returns per-slice masks already ANDed with snapshot
-    visibility, composable with aggregates and joins.
+    CPU path. Returns one mask over the scan's rows, already ANDed with
+    snapshot visibility, composable with aggregates and joins.
     """
     rows = rows or table.region_rows()
-    leaf_masks: Dict[Comparison, Dict[RowSlice, np.ndarray]] = {}
+    leaf_masks: Dict[Union[Comparison, str], np.ndarray] = {}
     for leaf in predicate.leaves():
         if leaf in leaf_masks:
             continue
@@ -181,23 +176,15 @@ def evaluate(
             raise QueryError(f"unknown column {leaf.column!r}")
         if leaf.column in table.layout.key_columns:
             op = olap.filter(table, leaf.column, leaf.condition(), timing, rows)
-            leaf_masks[leaf] = op.masks
+            leaf_masks[leaf] = op.mask
         else:
             result = olap.cpu_filter(table, leaf.column, leaf.condition(), timing, rows)
-            leaf_masks[leaf] = result.masks
+            leaf_masks[leaf] = result.mask
     if not leaf_masks:
         raise QueryError("predicate has no comparisons")
-    # Visibility mask (for Not): an always-true comparison's shape.
-    any_masks = next(iter(leaf_masks.values()))
-    visible: Dict[RowSlice, np.ndarray] = {}
-    for row_slice in any_masks:
-        bits = (
-            table.snapshots.visible_data_rows()
-            if row_slice.region == "data"
-            else table.snapshots.visible_delta_rows()
-        )
-        visible[row_slice] = bits[
-            row_slice.base_row : row_slice.base_row + row_slice.num_rows
-        ]
-    leaf_masks["__visible__"] = visible
+    # Visibility mask (for Not), over the same rows as the leaves'.
+    leaf_masks["__visible__"] = np.concatenate((
+        table.snapshots.visible_data_rows()[: rows.data_rows],
+        table.snapshots.visible_delta_rows()[: rows.delta_rows],
+    ))
     return predicate._apply(leaf_masks)

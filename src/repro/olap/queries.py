@@ -91,21 +91,17 @@ def q1(olap: OLAPEngine, db: Database, ts: int) -> QueryResult:
         rows,
     )
     _, merged = olap.group(table, "ol_number", result.timing, rows)
-    indices = qplan.apply_mask_to_indices(merged.indices, delivered.masks)
+    indices = qplan.apply_mask_to_indices(merged.indices, delivered.mask)
     sum_qty = olap.aggregate(
         table, "ol_quantity", indices, merged.num_groups, result.timing, rows
     )
     sum_amount = olap.aggregate(
         table, "ol_amount", indices, merged.num_groups, result.timing, rows
     )
-    counts = np.zeros(merged.num_groups, dtype=np.int64)
-    for idx in indices.values():
-        valid = idx != qplan.INVALID_GROUP
-        if valid.any():
-            counts += np.bincount(idx[valid], minlength=merged.num_groups)
-    result.timing.add_cpu_bytes(
-        sum(i.nbytes for i in indices.values()), olap.config.total_cpu_bandwidth
+    counts = np.bincount(
+        indices[indices != qplan.INVALID_GROUP], minlength=merged.num_groups
     )
+    result.timing.add_cpu_bytes(indices.nbytes, olap.config.total_cpu_bandwidth)
     for g, key in enumerate(merged.keys):
         if counts[g]:
             result.rows[int(key)] = {
@@ -147,8 +143,8 @@ def q9(olap: OLAPEngine, db: Database, ts: int) -> QueryResult:
     )
     build = olap.hash_scan(item, "i_id", result.timing, item_rows)
     probe = olap.hash_scan(orderline, "ol_i_id", result.timing, ol_rows)
-    join = olap.join(build, probe, result.timing, build_masks=item_filter.masks)
-    indices = qplan.masks_to_indices(join.probe_masks)
+    join = olap.join(build, probe, result.timing, build_mask=item_filter.mask)
+    indices = qplan.masks_to_indices(join.probe_mask)
     total = olap.aggregate(orderline, "ol_amount", indices, 1, result.timing, ol_rows)
     result.rows["revenue"] = int(total[0])
     result.rows["matches"] = join.matches
@@ -171,11 +167,11 @@ def q4(olap: OLAPEngine, db: Database, ts: int) -> QueryResult:
     entered_hi = olap.filter(
         order, "o_entry_d", Condition("lt", _Q4_ENTRY_HI), result.timing, o_rows
     )
-    masks, cpu_bytes = qplan.combine_masks([entered, entered_hi])
+    mask, cpu_bytes = qplan.combine_masks([entered, entered_hi])
     result.timing.add_cpu_bytes(cpu_bytes, olap.config.total_cpu_bandwidth)
     build = olap.hash_scan(order, "o_id", result.timing, o_rows)
     probe = olap.hash_scan(orderline, "ol_o_id", result.timing, ol_rows)
-    join = olap.join(build, probe, result.timing, build_masks=masks)
+    join = olap.join(build, probe, result.timing, build_mask=mask)
     result.rows["order_count"] = join.matched_build_rows
     return result
 
@@ -194,25 +190,18 @@ def q12(olap: OLAPEngine, db: Database, ts: int) -> QueryResult:
         olap.filter(orderline, "ol_delivery_d", Condition("ge", _Q12_DELIVERY_LO), result.timing, ol_rows),
         olap.filter(orderline, "ol_delivery_d", Condition("lt", _Q12_DELIVERY_HI), result.timing, ol_rows),
     ]
-    ol_masks, cpu_bytes = qplan.combine_masks(delivered)
+    ol_mask, cpu_bytes = qplan.combine_masks(delivered)
     result.timing.add_cpu_bytes(cpu_bytes, olap.config.total_cpu_bandwidth)
     # Build on the filtered order lines; probing ORDER flags matching orders.
     build = olap.hash_scan(orderline, "ol_o_id", result.timing, ol_rows)
     probe = olap.hash_scan(order, "o_id", result.timing, o_rows)
-    join = olap.join(build, probe, result.timing, build_masks=ol_masks)
+    join = olap.join(build, probe, result.timing, build_mask=ol_mask)
     _, merged = olap.group(order, "o_ol_cnt", result.timing, o_rows)
-    counts = np.zeros(merged.num_groups, dtype=np.int64)
-    for row_slice, idx in merged.indices.items():
-        matched = join.probe_masks.get(row_slice)
-        if matched is None:
-            continue
-        valid = (idx != qplan.INVALID_GROUP) & matched
-        if valid.any():
-            counts += np.bincount(idx[valid], minlength=merged.num_groups)
-    result.timing.add_cpu_bytes(
-        sum(i.nbytes for i in merged.indices.values()),
-        olap.config.total_cpu_bandwidth,
+    indices = qplan.apply_mask_to_indices(merged.indices, join.probe_mask)
+    counts = np.bincount(
+        indices[indices != qplan.INVALID_GROUP], minlength=merged.num_groups
     )
+    result.timing.add_cpu_bytes(merged.indices.nbytes, olap.config.total_cpu_bandwidth)
     result.rows = {
         int(key): int(counts[g]) for g, key in enumerate(merged.keys) if counts[g]
     }
@@ -234,8 +223,8 @@ def q14(olap: OLAPEngine, db: Database, ts: int) -> QueryResult:
     )
     build = olap.hash_scan(item, "i_id", result.timing, item_rows)
     probe = olap.hash_scan(orderline, "ol_i_id", result.timing, ol_rows)
-    join = olap.join(build, probe, result.timing, build_masks=promo_items.masks)
-    promo_indices = qplan.masks_to_indices(join.probe_masks)
+    join = olap.join(build, probe, result.timing, build_mask=promo_items.mask)
+    promo_indices = qplan.masks_to_indices(join.probe_mask)
     promo = olap.aggregate(orderline, "ol_amount", promo_indices, 1, result.timing, ol_rows)
     everything = olap.filter(
         orderline, "ol_amount", Condition("ge", 0), result.timing, ol_rows
@@ -243,7 +232,7 @@ def q14(olap: OLAPEngine, db: Database, ts: int) -> QueryResult:
     total = olap.aggregate(
         orderline,
         "ol_amount",
-        qplan.masks_to_indices(everything.masks),
+        qplan.masks_to_indices(everything.mask),
         1,
         result.timing,
         ol_rows,
@@ -271,16 +260,17 @@ def q17(olap: OLAPEngine, db: Database, ts: int) -> QueryResult:
     )
     build = olap.hash_scan(item, "i_id", result.timing, item_rows)
     probe = olap.hash_scan(orderline, "ol_i_id", result.timing, ol_rows)
-    join = olap.join(build, probe, result.timing, build_masks=item_filter.masks)
+    join = olap.join(build, probe, result.timing, build_mask=item_filter.mask)
     small_qty = olap.filter(
         orderline, "ol_quantity", Condition("le", _Q17_QTY_MAX), result.timing, ol_rows
     )
-    masks = {
-        row_slice: join.probe_masks[row_slice] & small_qty.masks[row_slice]
-        for row_slice in small_qty.masks
-    }
     total = olap.aggregate(
-        orderline, "ol_amount", qplan.masks_to_indices(masks), 1, result.timing, ol_rows
+        orderline,
+        "ol_amount",
+        qplan.masks_to_indices(join.probe_mask & small_qty.mask),
+        1,
+        result.timing,
+        ol_rows,
     )
     result.rows["revenue"] = int(total[0])
     return result

@@ -16,7 +16,7 @@ argument is about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Protocol, Sequence
+from typing import Callable, List, Protocol, Sequence
 
 from repro.errors import QueryError
 from repro.faults import injector as faults
@@ -222,9 +222,8 @@ class TwoPhaseExecutor:
             if load_req.op != OpType.LS and load_req.op != OpType.DEFRAGMENT:
                 raise QueryError(f"load phase must be LS/Defragment, got {load_req.op.name}")
             launch_cost = self._launch_with_retry(load_req)
-            unit_load_times = op.load(chunk)
+            unit_load_times = self._run_phase(op.load, chunk, load_req)
             load_time = max(unit_load_times)
-            self.controller.finish(load_req)
             if tel.enabled:
                 span = tel.record_span(
                     "pim.phase.load",
@@ -244,9 +243,8 @@ class TwoPhaseExecutor:
                 )
             op_name = compute_req.op.name
             c_launch_cost = self._launch_with_retry(compute_req)
-            unit_compute_times = op.compute(chunk)
+            unit_compute_times = self._run_phase(op.compute, chunk, compute_req)
             compute_time = max(unit_compute_times)
-            self.controller.finish(compute_req)
             if tel.enabled:
                 span = tel.record_span(
                     "pim.phase.compute",
@@ -325,6 +323,24 @@ class TwoPhaseExecutor:
         if tel.enabled:
             tel.counter("pim.executor.offloads").inc()
         return result
+
+    def _run_phase(
+        self, run: Callable[[int], Sequence[float]], chunk: int, request: LaunchRequest
+    ) -> Sequence[float]:
+        """``run(chunk)`` while ``request`` is pending, then finish it.
+
+        A phase that raises leaves no pending request and no open offload
+        behind: the request is finished and the offload ended before the
+        error propagates, so the engine can run its next operation.
+        """
+        try:
+            unit_times = run(chunk)
+        except BaseException:
+            self.controller.finish(request)
+            self.controller.end_offload()
+            raise
+        self.controller.finish(request)
+        return unit_times
 
     @staticmethod
     def _record_unit_spans(tel, name, phase_start, chunk, units, unit_times) -> None:

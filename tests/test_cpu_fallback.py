@@ -52,8 +52,8 @@ class TestCPUFilter:
         cpu = engine.olap.cpu_filter(table, "ol_quantity", cond, timing, rows)
         pim = FilterOperation(table.storage, engine.units, "ol_quantity", cond, rows)
         engine.olap.executor.execute(pim)
-        for row_slice, mask in pim.masks.items():
-            assert np.array_equal(cpu.masks[row_slice], mask), row_slice
+        assert cpu.mask.dtype == pim.mask.dtype == bool
+        assert np.array_equal(cpu.mask, pim.mask)
 
     def test_normal_column_scan_correct(self, worked_engine):
         """h_amount is a normal column (no query scans HISTORY) — only the
@@ -66,7 +66,7 @@ class TestCPUFilter:
         result = engine.olap.cpu_filter(
             table, "h_amount", Condition("ge", 1000), timing
         )
-        matched = sum(int(m.sum()) for m in result.masks.values())
+        matched = int(result.mask.sum())
         reference = sum(
             1 for r in visible_rows(engine, "history") if r["h_amount"] >= 1000
         )
@@ -85,7 +85,7 @@ class TestCPUFilter:
             table, "ol_quantity", Condition("le", 3), timing, rows
         )
         total = engine.olap.aggregate(
-            table, "ol_amount", qplan.masks_to_indices(cpu.masks), 1, timing, rows
+            table, "ol_amount", qplan.masks_to_indices(cpu.mask), 1, timing, rows
         )
         reference = sum(
             r["ol_amount"]

@@ -80,12 +80,12 @@ class TestBuildCustom:
         ts = engine.db.oracle.read_timestamp()
         table.snapshots.update_to(ts)
         timing = QueryTiming()
-        masks = evaluate(
+        mask = evaluate(
             (col("x_time") >= 1300) & (col("x_kind") == 1),
             engine.olap, table, timing,
         )
         total = engine.olap.aggregate(
-            table, "x_amount", qplan.masks_to_indices(masks), 1, timing
+            table, "x_amount", qplan.masks_to_indices(mask), 1, timing
         )
         reference = sum(
             r["x_amount"]

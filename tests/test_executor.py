@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import DDR5_3200_TIMINGS, DeviceGeometry, PIMUnitConfig, dimm_system
-from repro.errors import QueryError
+from repro.errors import ProtocolError, QueryError
 from repro.pim.controller import OriginalController, PushTapController
 from repro.pim.device import Device
 from repro.pim.executor import ExecutionResult, TwoPhaseExecutor
@@ -198,3 +198,52 @@ class TestValidation:
         result = ExecutionResult(total_time=100.0, control_time=25.0)
         assert result.control_fraction == 0.25
         assert ExecutionResult().control_fraction == 0.0
+
+
+class TestFailedPhase:
+    """A phase that raises leaves the controller as an offload's end does:
+    the original error surfaces and the next operation runs."""
+
+    @pytest.mark.parametrize("controller_cls", [PushTapController, OriginalController])
+    @pytest.mark.parametrize("phase", ["load", "compute"])
+    def test_raising_phase_finishes_and_ends_the_offload(self, controller_cls, phase):
+        units = make_units(4)
+        controller = controller_cls(dimm_system(), units)
+        executor = TwoPhaseExecutor(controller)
+
+        class Failing(FakeOp):
+            def load(self, chunk):
+                if phase == "load" and chunk == 1:
+                    raise ProtocolError("load failed")
+                return super().load(chunk)
+
+            def compute(self, chunk):
+                if phase == "compute" and chunk == 1:
+                    raise ProtocolError("compute failed")
+                return super().compute(chunk)
+
+        with pytest.raises(ProtocolError, match=f"{phase} failed"):
+            executor.execute(Failing(units))
+        assert getattr(controller, "pending", None) is None
+        assert not getattr(controller, "_offload_active", False)
+        assert not any(unit.bank.locked for unit in units)
+        assert executor.execute(FakeOp(units)).phases == 3
+
+    @pytest.mark.parametrize("kind", ["pushtap", "original"])
+    def test_group_overflow_does_not_wedge_the_engine(self, kind):
+        """ORDERLINE's item ids overflow a block's 256-key dictionary at
+        1e-4: the group scan raises that, the invariants hold afterwards,
+        and the next Q6 answers as on an engine that never failed."""
+        from repro.core.engine import PushTapEngine
+        from repro.faults.invariants import InvariantChecker
+        from repro.olap.engine import QueryTiming
+
+        engine, clean = (
+            PushTapEngine.build(scale=1e-4, seed=7, defrag_period=0, controller_kind=kind)
+            for _ in range(2)
+        )
+        with pytest.raises(ProtocolError, match=r"group dictionary overflow: \d+ keys > 256"):
+            engine.olap.group(engine.table("orderline"), "ol_i_id", QueryTiming())
+        assert InvariantChecker(engine).check() == []
+        assert engine.query("Q6").rows == clean.query("Q6").rows
+        assert InvariantChecker(engine).check() == []

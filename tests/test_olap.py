@@ -4,6 +4,8 @@ Functional correctness is checked against pure-Python references
 computed from the same MVCC-visible rows.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -35,14 +37,6 @@ def visible_rows(engine, table):
     return [runtime.read_row(rid, ts) for rid in range(runtime.num_rows)]
 
 
-def combined_mask_values(op):
-    """Flatten an operator's per-slice results ordered by slice."""
-    out = {}
-    for row_slice, data in op.masks.items():
-        out[row_slice] = data
-    return out
-
-
 class TestFilterOperation:
     def test_filter_matches_reference(self, worked_engine):
         engine = worked_engine
@@ -57,7 +51,7 @@ class TestFilterOperation:
             table.region_rows(),
         )
         engine.olap.executor.execute(op)
-        matched = sum(int(m.sum()) for m in op.masks.values())
+        matched = int(op.mask.sum())
         reference = sum(1 for r in visible_rows(engine, "orderline") if r["ol_quantity"] <= 5)
         assert matched == reference
 
@@ -103,7 +97,7 @@ class TestGroupAndAggregation:
             merged.num_groups,
         )
         engine.olap.executor.execute(agg)
-        totals = agg.total()
+        totals = agg.total
         reference = {}
         for r in visible_rows(engine, "orderline"):
             reference[r["ol_number"]] = reference.get(r["ol_number"], 0) + r["ol_quantity"]
@@ -115,56 +109,65 @@ class TestGroupAndAggregation:
     def test_aggregation_needs_matching_indices(self, loaded_engine):
         table = loaded_engine.table("orderline")
         rows = table.region_rows()
-        agg = AggregationOperation(
-            table.storage, loaded_engine.units, "ol_amount", rows, {}, 1
-        )
-        with pytest.raises(QueryError, match="group indices"):
-            loaded_engine.olap.executor.execute(agg)
+        count = rows.data_rows + rows.delta_rows
+        with pytest.raises(
+            QueryError,
+            match=f"table 'orderline': 0 group indices for a scan of {count} rows",
+        ):
+            AggregationOperation(
+                table.storage, loaded_engine.units, "ol_amount", rows, np.zeros(0), 1
+            )
 
     def test_aggregation_rejects_zero_groups(self, loaded_engine):
         table = loaded_engine.table("orderline")
         with pytest.raises(QueryError):
             AggregationOperation(
                 table.storage, loaded_engine.units, "ol_amount",
-                table.region_rows(), {}, 0,
+                table.region_rows(), np.zeros(0), 0,
             )
+
+
+#: A table's storage, as ``combine_masks`` reads it.
+STORAGE = SimpleNamespace(block_rows=16, layout=SimpleNamespace(schema=SimpleNamespace(name="t")))
+
+
+def fake_filter(bits, storage=STORAGE):
+    """A filter scan's harvest: its mask over ``len(bits)`` data rows."""
+    return SimpleNamespace(
+        mask=np.array(bits, dtype=bool), rows=RegionRows(len(bits)), storage=storage
+    )
 
 
 class TestPlanHelpers:
     def test_combine_masks_is_and(self):
-        s = qplan.RowSlice("data", 0, 4)
-
-        class F:
-            def __init__(self, bits):
-                self.masks = {s: np.array(bits, dtype=bool)}
-
-        combined, _ = qplan.combine_masks([F([1, 1, 0, 0]), F([1, 0, 1, 0])])
-        assert list(combined[s]) == [True, False, False, False]
+        combined, _ = qplan.combine_masks(
+            [fake_filter([1, 1, 0, 0]), fake_filter([1, 0, 1, 0])]
+        )
+        assert list(combined) == [True, False, False, False]
 
     def test_combine_masks_mismatched_slices(self):
-        class F:
-            def __init__(self, base):
-                self.masks = {qplan.RowSlice("data", base, 2): np.ones(2, dtype=bool)}
-
-        with pytest.raises(QueryError):
-            qplan.combine_masks([F(0), F(2)])
+        with pytest.raises(QueryError, match="table 't': cannot combine a filter over"):
+            qplan.combine_masks([fake_filter([1, 1]), fake_filter([1, 1, 1, 1])])
+        other = SimpleNamespace(**vars(STORAGE))
+        with pytest.raises(QueryError, match="table 't'"):
+            qplan.combine_masks([fake_filter([1, 1]), fake_filter([1, 1], storage=other)])
 
     def test_combine_requires_filters(self):
         with pytest.raises(QueryError):
             qplan.combine_masks([])
 
     def test_masks_to_indices(self):
-        s = qplan.RowSlice("data", 0, 3)
-        indices = qplan.masks_to_indices({s: np.array([True, False, True])})
-        assert list(indices[s]) == [0, qplan.INVALID_GROUP, 0]
+        indices = qplan.masks_to_indices(np.array([True, False, True]))
+        assert indices.dtype == np.uint16
+        assert list(indices) == [0, qplan.INVALID_GROUP, 0]
 
     def test_apply_mask_to_indices(self):
-        s = qplan.RowSlice("data", 0, 3)
-        indices = {s: np.array([1, 2, 3], dtype=np.uint16)}
-        masked = qplan.apply_mask_to_indices(indices, {s: np.array([True, False, True])})
-        assert list(masked[s]) == [1, qplan.INVALID_GROUP, 3]
-        with pytest.raises(QueryError):
-            qplan.apply_mask_to_indices(indices, {})
+        indices = np.array([1, 2, 3], dtype=np.uint16)
+        masked = qplan.apply_mask_to_indices(indices, np.array([True, False, True]))
+        assert masked.dtype == np.uint16
+        assert list(masked) == [1, qplan.INVALID_GROUP, 3]
+        with pytest.raises(QueryError, match="a mask of 0 rows for 3 group indices"):
+            qplan.apply_mask_to_indices(indices, np.zeros(0, dtype=bool))
 
 
 class TestHashJoin:
@@ -206,7 +209,7 @@ class TestHashJoin:
         )
         engine.olap.executor.execute(build)
         engine.olap.executor.execute(probe)
-        result = qplan.hash_join(build, probe, build_masks=f.masks)
+        result = qplan.hash_join(build, probe, build_mask=f.mask)
         small = {
             r["i_id"] for r in visible_rows(engine, "item") if r["i_im_id"] <= 100
         }
@@ -214,6 +217,12 @@ class TestHashJoin:
             1 for r in visible_rows(engine, "orderline") if r["ol_i_id"] in small
         )
         assert result.matches == reference
+        # A mask over other extents is refused, naming the build table.
+        count = len(f.mask)
+        with pytest.raises(
+            QueryError, match=f"table 'item': {count - 1} build-mask rows for a scan of {count} rows"
+        ):
+            qplan.hash_join(build, probe, build_mask=f.mask[:-1])
 
     def test_mismatched_hash_functions_rejected(self, worked_engine):
         # Same key => same hash => same bucket only holds within one hash

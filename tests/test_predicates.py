@@ -15,8 +15,8 @@ def visible_rows(engine, table):
     return [runtime.read_row(rid, ts) for rid in range(runtime.num_rows)]
 
 
-def matched(masks):
-    return sum(int(m.sum()) for m in masks.values())
+def matched(mask):
+    return int(mask.sum())
 
 
 @pytest.fixture()
@@ -49,38 +49,38 @@ class TestEvaluation:
     def test_conjunction_matches_reference(self, worked_engine, orderline):
         timing = QueryTiming()
         p = col("ol_quantity").between(2, 8) & (col("ol_delivery_d") >= 1500)
-        masks = evaluate(p, worked_engine.olap, orderline, timing)
+        mask = evaluate(p, worked_engine.olap, orderline, timing)
         reference = sum(
             1
             for r in visible_rows(worked_engine, "orderline")
             if 2 <= r["ol_quantity"] <= 8 and r["ol_delivery_d"] >= 1500
         )
-        assert matched(masks) == reference
+        assert matched(mask) == reference
 
     def test_disjunction_matches_reference(self, worked_engine, orderline):
         timing = QueryTiming()
         p = (col("ol_quantity") <= 2) | (col("ol_quantity") >= 9)
-        masks = evaluate(p, worked_engine.olap, orderline, timing)
+        mask = evaluate(p, worked_engine.olap, orderline, timing)
         reference = sum(
             1
             for r in visible_rows(worked_engine, "orderline")
             if r["ol_quantity"] <= 2 or r["ol_quantity"] >= 9
         )
-        assert matched(masks) == reference
+        assert matched(mask) == reference
 
     def test_negation_excludes_invisible_rows(self, worked_engine, orderline):
         timing = QueryTiming()
         p = ~(col("ol_quantity") <= 5)
-        masks = evaluate(p, worked_engine.olap, orderline, timing)
+        mask = evaluate(p, worked_engine.olap, orderline, timing)
         reference = sum(
             1
             for r in visible_rows(worked_engine, "orderline")
             if not r["ol_quantity"] <= 5
         )
-        assert matched(masks) == reference
+        assert matched(mask) == reference
         # Stale delta rows must NOT reappear under negation.
         total_visible = orderline.snapshots.visible_count()
-        assert matched(masks) <= total_visible
+        assert matched(mask) <= total_visible
 
     def test_normal_column_leaf_uses_cpu_fallback(self, worked_engine):
         engine = worked_engine
@@ -89,13 +89,13 @@ class TestEvaluation:
         history.snapshots.update_to(ts)
         timing = QueryTiming()
         p = (col("h_amount") >= 1000) & (col("h_date") >= 1500)
-        masks = evaluate(p, engine.olap, history, timing)
+        mask = evaluate(p, engine.olap, history, timing)
         reference = sum(
             1
             for r in visible_rows(engine, "history")
             if r["h_amount"] >= 1000 and r["h_date"] >= 1500
         )
-        assert matched(masks) == reference
+        assert matched(mask) == reference
         assert timing.cpu_time > 0  # the fallback charged CPU time
 
     def test_duplicate_leaves_scan_once(self, worked_engine, orderline):
@@ -111,9 +111,9 @@ class TestEvaluation:
     def test_composes_with_aggregation(self, worked_engine, orderline):
         timing = QueryTiming()
         p = col("ol_quantity").between(1, 3)
-        masks = evaluate(p, worked_engine.olap, orderline, timing)
+        mask = evaluate(p, worked_engine.olap, orderline, timing)
         total = worked_engine.olap.aggregate(
-            orderline, "ol_amount", qplan.masks_to_indices(masks), 1, timing
+            orderline, "ol_amount", qplan.masks_to_indices(mask), 1, timing
         )
         reference = sum(
             r["ol_amount"]

@@ -21,7 +21,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -1984,6 +1984,30 @@ class OracleMixedWorkload:
 # ----------------------------------------------------------------------
 # OLAP join: the semi-join over staged keys vs the dict-of-sets loop
 # ----------------------------------------------------------------------
+class RowSlice(NamedTuple):
+    """The rows of one scanned block, as the per-block oracles key their
+    results: region, first row within it, row count."""
+
+    region: str
+    base_row: int
+    num_rows: int
+
+
+def in_region_order(per_slice, dtype):
+    """Per-block arrays as one scan array: the data blocks, then the delta
+    blocks, each region by first row — the operators' harvest order."""
+    order = sorted(per_slice, key=lambda s: (s.region != "data", s.base_row))
+    parts = [np.asarray(per_slice[s], dtype=dtype) for s in order]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def scan_side(name, hashes, values):
+    """A hash scan as ``hash_join`` reads it: arrays over the scan's rows."""
+    storage = SimpleNamespace(layout=SimpleNamespace(schema=SimpleNamespace(name=name)))
+    return SimpleNamespace(hashes=hashes, values=values, hash_function=0,
+                           column=f"{name}_key", storage=storage)
+
+
 def oracle_hash_join(build, probe, build_masks=None, num_buckets=64):
     """The three per-element passes ``hash_join`` was before it became
     array code: bucketed dict of build key sets, probe pass, reverse pass.
@@ -2036,12 +2060,18 @@ def oracle_hash_join(build, probe, build_masks=None, num_buckets=64):
 
 def join_fields(result):
     return (
-        result.probe_masks,
-        result.build_masks_out,
+        result.probe_mask,
+        result.build_mask_out,
         result.matches,
         result.cpu_bytes,
         result.pim_elements,
     )
+
+
+def oracle_join_fields(fields):
+    """The oracle's five fields with its per-block masks as scan arrays."""
+    probe_masks, build_masks_out, *counts = fields
+    return (in_region_order(probe_masks, bool), in_region_order(build_masks_out, bool), *counts)
 
 
 def comparable(value):
@@ -2061,9 +2091,9 @@ def join_sides(draw):
 
     Keys come from a small domain (duplicates on either side) and hash
     through ``key % 5 + 1`` (forced collisions: many keys, five hashes);
-    hidden rows carry hash 0; a side may have no slices or empty ones.
+    hidden rows carry hash 0; a side may have no slices or empty ones. A
+    build mask may lack one non-empty block's rows.
     """
-    from repro.olap.operators import RowSlice
 
     def side(region):
         lengths = draw(st.lists(st.integers(0, 9), min_size=0, max_size=4))
@@ -2082,9 +2112,7 @@ def join_sides(draw):
             base += 16
             values[row_slice] = keys
             hashes[row_slice] = np.where(hidden, 0, keys % 5 + 1).astype(np.uint32)
-        return SimpleNamespace(
-            hashes=hashes, values=values, hash_function=0, column=f"{region}_key"
-        )
+        return SimpleNamespace(hashes=hashes, values=values)
 
     build, probe = side("data"), side("delta")
     masks = None
@@ -2096,8 +2124,9 @@ def join_sides(draw):
             )
             for row_slice, h in build.hashes.items()
         }
-        if masks and draw(st.integers(0, 4)) == 0:
-            del masks[draw(st.sampled_from(sorted(masks, key=lambda s: s.base_row)))]
+        rows = sorted((s for s in masks if s.num_rows), key=lambda s: s.base_row)
+        if rows and draw(st.integers(0, 4)) == 0:
+            del masks[draw(st.sampled_from(rows))]
     return build, probe, masks
 
 
@@ -2105,36 +2134,49 @@ class TestHashJoinEquivalence:
     @settings(max_examples=250, deadline=None)
     @given(join_sides())
     def test_semi_join_matches_dict_of_sets(self, sides):
+        """The join over scan arrays equals the per-block dict-of-sets
+        loop; a build mask short of a block's rows raises, naming the
+        build side's table."""
         from repro.olap.plan import hash_join
 
         build, probe, masks = sides
-        got = capture(lambda: comparable(join_fields(hash_join(build, probe, masks))))
-        want = capture(lambda: comparable(oracle_hash_join(build, probe, masks)))
-        assert got == want
+        want = capture(lambda: comparable(oracle_join_fields(oracle_hash_join(build, probe, masks))))
+        got = capture(lambda: comparable(join_fields(hash_join(
+            scan_side("b", in_region_order(build.hashes, np.uint32),
+                      in_region_order(build.values, np.uint64)),
+            scan_side("p", in_region_order(probe.hashes, np.uint32),
+                      in_region_order(probe.values, np.uint64)),
+            None if masks is None else in_region_order(masks, bool),
+        ))))
+        if want[0] == "err":
+            assert want[1] == "QueryError" and want[2].startswith("build mask missing for rows")
+            assert got[:2] == ("err", "QueryError")
+            assert got[2].startswith("table 'b': ") and "build-mask rows for a scan of" in got[2]
+        else:
+            assert got == want
 
     def test_collision_and_duplicates_by_hand(self):
         """Keys 1 and 6 share hash 2: only the staged key decides; a key
         duplicated ten times on the build side matches its probe row once."""
-        from repro.olap.operators import RowSlice
         from repro.olap.plan import hash_join
 
         s0, s1 = RowSlice("data", 0, 12), RowSlice("data", 16, 3)
         build_keys = np.array([6] * 10 + [3, 4], dtype=np.uint64)
         probe_keys = np.array([1, 6, 4], dtype=np.uint64)
-        build = SimpleNamespace(
-            hashes={s0: (build_keys % 5 + 1).astype(np.uint32)},
-            values={s0: build_keys}, hash_function=0, column="b",
+        build_hashes = (build_keys % 5 + 1).astype(np.uint32)
+        probe_hashes = (probe_keys % 5 + 1).astype(np.uint32)
+        result = hash_join(
+            scan_side("b", build_hashes, build_keys), scan_side("p", probe_hashes, probe_keys)
         )
-        probe = SimpleNamespace(
-            hashes={s1: (probe_keys % 5 + 1).astype(np.uint32)},
-            values={s1: probe_keys}, hash_function=0, column="p",
-        )
-        result = hash_join(build, probe)
-        assert result.probe_masks[s1].tolist() == [False, True, True]
+        assert result.probe_mask.tolist() == [False, True, True]
         assert result.matches == 2  # probe rows, not the 11 join pairs
-        assert result.build_masks_out[s0].tolist() == [True] * 10 + [False, True]
+        assert result.build_mask_out.tolist() == [True] * 10 + [False, True]
         assert result.matched_build_rows == 11
-        assert comparable(join_fields(result)) == comparable(oracle_hash_join(build, probe))
+        oracle = oracle_hash_join(
+            SimpleNamespace(hashes={s0: build_hashes}, values={s0: build_keys}),
+            SimpleNamespace(hashes={s1: probe_hashes}, values={s1: probe_keys}),
+        )
+        assert comparable(join_fields(result)) == comparable(oracle_join_fields(oracle))
 
 
 # ----------------------------------------------------------------------
@@ -2188,8 +2230,9 @@ def world_rows(block_rows):
 class OraclePhase:
     """The operators' phases as they ran before they went rank-wide: each
     unit walks its own queue, one ``load_strided`` + ``device_read`` +
-    ``op_*`` per block. A ``ChunkedOperation`` in the current call shape,
-    so the executor can run it side by side with the real operator.
+    ``op_*`` per block, and harvests per block, keyed by :class:`RowSlice`.
+    A ``ChunkedOperation`` in the current call shape, so the executor can
+    run it side by side with the real operator.
     """
 
     RESULT_BYTES = 4096
@@ -2198,10 +2241,9 @@ class OraclePhase:
     def __init__(self, kind, storage, units, column, rows, condition=None,
                  indices=None, num_groups=0, hash_function=0):
         from repro.mvcc.metadata import Region
-        from repro.olap.operators import RowSlice
         from repro.pim.requests import LaunchRequest, OpType
 
-        self.kind, self.storage, self.units = kind, storage, units
+        self.kind, self.storage, self.units, self.rows = kind, storage, units, rows
         self.condition, self.indices = condition, indices
         self.num_groups, self.hash_function = num_groups, hash_function
         self.width = storage.layout.schema.column(column).width
@@ -2286,7 +2328,8 @@ class OraclePhase:
             unit.stats.load_time += bitmap_time
             time += bitmap_time
             if self.kind == "aggregation":
-                arr = np.asarray(self.indices[row_slice], dtype=np.uint16)
+                start = row_slice.base_row + (row_slice.region != "data") * self.rows.data_rows
+                arr = np.asarray(self.indices[start : start + scan.num_rows], dtype=np.uint16)
                 unit.wram_write(offsets["aux"], arr.view(np.uint8))
                 self.cpu_transfer_bytes += arr.nbytes
                 aux_time = stream_time(
@@ -2349,21 +2392,71 @@ class OraclePhase:
         return time
 
 
-HARVEST = ("masks", "block_dicts", "block_indices", "partials", "hashes", "values",
-           "cpu_transfer_bytes", "bytes_scanned")
+    def harvest(self):
+        """The per-block results as the operators' scan arrays: each
+        concatenated in region order, the partial sums added up."""
+        order = sorted(self.block_dicts, key=lambda s: (s.region != "data", s.base_row))
+        out = {
+            "filter": lambda: {"mask": in_region_order(self.masks, bool)},
+            "group": lambda: {
+                "indices": in_region_order(self.block_indices, np.uint16),
+                "dictionaries": [self.block_dicts[s] for s in order],
+            },
+            "aggregation": lambda: {
+                "total": sum(self.partials.values(), np.zeros(self.num_groups, np.uint64))
+            },
+            "hash": lambda: {
+                "hashes": in_region_order(self.hashes, np.uint32),
+                "values": in_region_order(self.values, np.uint64),
+            },
+        }[self.kind]()
+        return {**out, "cpu_transfer_bytes": self.cpu_transfer_bytes,
+                "bytes_scanned": self.bytes_scanned}
+
+
+def scan_blocks(op):
+    """``(first row, rows)`` of each block of ``op``'s scan arrays, in
+    region order."""
+    block, rows = op.storage.block_rows, op.rows
+    return [
+        (offset + base, min(block, count - base))
+        for offset, count in ((0, rows.data_rows), (rows.data_rows, rows.delta_rows))
+        for base in range(0, count, block)
+    ]
+
+
+def block_dictionaries(op):
+    """A group scan's dictionary cut back into its blocks' dictionaries,
+    in region order: a block's keys start at its rows' ``starts`` and
+    number one more than its largest local index."""
+    out = []
+    for first, count in scan_blocks(op):
+        starts, local = op.starts[first : first + count], op.indices[first : first + count]
+        assert (starts == starts[0]).all()
+        visible = local[local != 0xFFFF]
+        out.append(op.dictionary[starts[0] : starts[0] + (int(visible.max()) + 1 if visible.size else 0)])
+    assert sum(map(len, out)) == len(op.dictionary)
+    return out
 
 
 def harvest(op):
-    """Everything an operator hands the CPU, keyed and ordered by slice."""
-    out = {}
-    for name in HARVEST:
-        value = getattr(op, name, {})
-        if isinstance(value, dict):
-            value = sorted(
-                ((s.region, s.base_row, s.num_rows), comparable(a)) for s, a in value.items()
-            )
-        out[name] = value
-    return out
+    """Everything an operator hands the CPU, as comparable values: the
+    scan arrays, and a group scan's dictionaries block by block."""
+    from repro.olap import operators as ops
+
+    if isinstance(op, OraclePhase):
+        out = op.harvest()
+    else:
+        out = {
+            ops.FilterOperation: lambda: {"mask": op.mask},
+            ops.GroupOperation: lambda: {
+                "indices": op.indices, "dictionaries": block_dictionaries(op)
+            },
+            ops.AggregationOperation: lambda: {"total": op.total},
+            ops.HashOperation: lambda: {"hashes": op.hashes, "values": op.values},
+        }[type(op)]()
+        out.update(cpu_transfer_bytes=op.cpu_transfer_bytes, bytes_scanned=op.bytes_scanned)
+    return {name: comparable(value) for name, value in out.items()}
 
 
 def unit_stats(units):
@@ -2391,13 +2484,10 @@ def operator_pair(kind, block_rows, column):
     if kind == "aggregation":
         # Group ids as a CPU would supply them, some rows filtered out.
         rng = np.random.default_rng(11)
-        slices = [s for _, s in OraclePhase("filter", real_world.table("t").storage,
-                                            real_world.units, column, rows).scans]
-        params["indices"] = {
-            s: np.where(rng.random(s.num_rows) < 0.2, 0xFFFF,
-                        rng.integers(0, 5, size=s.num_rows)).astype(np.uint16)
-            for s in slices
-        }
+        count = rows.data_rows + rows.delta_rows
+        params["indices"] = np.where(
+            rng.random(count) < 0.2, 0xFFFF, rng.integers(0, 5, size=count)
+        ).astype(np.uint16)
         params["num_groups"] = 5
     storage = real_world.table("t").storage
     if kind == "filter":
@@ -2430,11 +2520,12 @@ PHASE_CASES = [
 class TestRankWidePhaseEquivalence:
     def test_shapes_covered(self):
         """The worlds exercise what they claim: several slots per unit,
-        several phases, and partial blocks batched apart from full ones."""
+        several phases, partial blocks batched apart from full ones, and
+        phases that hold both data and delta blocks."""
         from repro.olap.operators import FilterOperation
         from repro.pim.pim_unit import Condition
 
-        seen_batches = set()
+        seen_batches, mixed = set(), set()
         for block_rows, (capacity, wram_bytes) in WORLDS.items():
             world = scan_world(block_rows, capacity, wram_bytes)
             for column in SCAN_WIDTHS:
@@ -2442,12 +2533,16 @@ class TestRankWidePhaseEquivalence:
                     world.table("t").storage, world.units, column,
                     Condition("eq", 0), world_rows(block_rows),
                 )
-                blocks = sum(len(b.slices) for phase in op._plan.batches for b in phase)
+                blocks = sum(len(b.base) for phase in op._plan.batches for b in phase)
                 assert blocks > len(op.participating_units())  # > 1 slot per unit
                 seen_batches.update(len(phase) for phase in op._plan.batches)
                 if block_rows == 8 or column == "d":
                     assert op.num_chunks() > 1
+                for phase in op._plan.batches:
+                    if len({d for b in phase for d in b.delta.tolist()}) == 2:
+                        mixed.add(block_rows)
         assert {1, 2, 3} <= seen_batches
+        assert mixed == set(WORLDS)
 
     @pytest.mark.parametrize("kind,block_rows,column", PHASE_CASES)
     def test_phase_by_phase(self, kind, block_rows, column):
@@ -2529,22 +2624,24 @@ class TestRankWidePhaseEquivalence:
             HashOperation(storage, world.units, "c", rows)
 
     def test_missing_indices_raise_before_any_byte_moves(self):
-        """A missing or short index slice of a *late* block of the phase:
-        the walk had staged the earlier blocks by then."""
-        from repro.errors import QueryError
+        """Group indices short of a block's rows, or one too many: the
+        aggregation refuses them when it is built, naming the table — no
+        WRAM byte, counter or memo entry changes."""
+        from repro.olap.operators import AggregationOperation
 
-        for spoil, message in (
-            (lambda indices, late: indices.pop(late), "no group indices for rows"),
-            (lambda indices, late: indices.update({late: indices[late][:-1]}), "expected"),
-        ):
-            world, real, _, _ = operator_pair("aggregation", 256, "c")
-            before = world.units.wram.copy()
-            late = real._plan.batches[0][-1].slices[-1]
-            spoil(real.indices, late)
-            with pytest.raises(QueryError, match=message):
-                real.load(0)
+        world, real, _, _ = operator_pair("aggregation", 256, "c")
+        storage, rows = world.table("t").storage, world_rows(256)
+        before, memo = world.units.wram.copy(), dict(world.units.scan_plans)
+        count = rows.data_rows + rows.delta_rows
+        for indices in (real.indices[: count - 128], np.append(real.indices, 0)):
+            with pytest.raises(QueryError) as error:
+                AggregationOperation(storage, world.units, "c", rows, indices, 5)
+            assert str(error.value) == (
+                f"table 't': {len(indices)} group indices for a scan of {count} rows"
+            )
             np.testing.assert_array_equal(world.units.wram, before)
             assert not world.units.counts.any() and not world.units.times.any()
+            assert world.units.scan_plans == memo
 
 
 # ----------------------------------------------------------------------
