@@ -311,8 +311,7 @@ def _format_stat(key: str, value) -> str:
 
 def fault_sweep(argv) -> int:
     """``fault-sweep``: the fault grid, rate rows x seeds, one workload."""
-    from repro.faults.plan import FaultRates
-    from repro.faults.sweep import DEFAULT_ROWS, WORKLOADS, check_row, run_fault_sweep
+    from repro.faults.sweep import WORKLOADS, sweep_report
 
     parser = _Parser(
         "fault-sweep",
@@ -351,19 +350,11 @@ def fault_sweep(argv) -> int:
     parser.add_argument("--out", metavar="PATH", help="write every cell to PATH as JSON")
     args = parser.parse_args(argv)
     (params,) = parser.given(args, WORKLOADS[args.workload], where=f"--workload {args.workload}")
-    specs = args.rates if args.rates is not None else DEFAULT_ROWS[args.workload]
-    rows = [FaultRates.parse(spec) for spec in specs]
-    for rates in rows:
-        check_row(args.workload, rates)
     _check_writable(args.out)
-
     with _metrics(args.metrics_out):
-        cells = [
-            (spec, run_fault_sweep(seed, rates, args.workload, **params))
-            for spec, rates in zip(specs, rows)
-            for seed in args.seed
-        ]
-    stats_keys = list(dict.fromkeys(key for _, cell in cells for key in cell.stats))
+        report = sweep_report(args.workload, args.rates, args.seed, **params)
+    cells = list(zip([row for row in report["rows"] for _ in report["seeds"]], report["cells"]))
+    stats_keys = list(dict.fromkeys(key for _, cell in cells for key in cell["stats"]))
     print(format_table(
         [
             "rates", "seed", "plan", "survived", "injected", "detected",
@@ -371,37 +362,21 @@ def fault_sweep(argv) -> int:
         ],
         [
             [
-                spec,
-                cell.seed,
-                cell.plan_hash[:12],
-                "yes" if cell.survived else "NO",
-                sum(cell.injected.values()),
-                sum(cell.detected.values()),
-                cell.retries,
-                cell.checks,
-                len(cell.violations),
-                *(_format_stat(key, cell.stats.get(key)) for key in stats_keys),
+                spec, cell["seed"], cell["plan_hash"][:12], "yes" if cell["survived"] else "NO",
+                sum(cell["injected"].values()), sum(cell["detected"].values()),
+                cell["retries"], cell["checks"], len(cell["violations"]),
+                *(_format_stat(key, cell["stats"].get(key)) for key in stats_keys),
             ]
             for spec, cell in cells
         ],
     ))
     for spec, cell in cells:
-        for failure in ([cell.error] if cell.error else []) + cell.violations:
-            print(f"{spec} seed {cell.seed}: {failure}", file=sys.stderr)
-    survived = sum(cell.survived for _, cell in cells)
-    print(f"\n{survived}/{len(cells)} cells survived")
+        for failure in ([cell["error"]] if cell["error"] else []) + cell["violations"]:
+            print(f"{spec} seed {cell['seed']}: {failure}", file=sys.stderr)
+    print(f"\n{report['survived']}/{report['total']} cells survived")
     if args.out:
-        report = {
-            "workload": args.workload,
-            "rows": list(specs),
-            "seeds": list(args.seed),
-            "params": params,
-            "cells": [cell.as_dict() for _, cell in cells],
-            "survived": survived,
-            "total": len(cells),
-        }
         _dump(args.out, report, "report")
-    return 0 if survived == len(cells) else 1
+    return 0 if report["survived"] == report["total"] else 1
 
 
 def serve(argv) -> int:

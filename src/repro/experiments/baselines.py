@@ -9,23 +9,35 @@ tolerance — preserves the simulated behaviour; a change that moves one
 number is a correctness change, and :func:`diff` names the row and the
 path where it moved. ``scripts/check_baselines.py [ids…]``
 regenerates the rows and diffs them (``--write`` re-pins), and
-``tests/test_baselines.py`` runs every row except ``figures``.
+``tests/test_baselines.py`` runs every row except ``figures`` (~11 s; its
+ddr5 half is ``tests/test_figures.py``) and ``pins`` (each :data:`PINS`
+digest has its own tier-1 test beside the code it pins).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import pathlib
+import tempfile
 from typing import Any, Callable, Dict, List
 
 from repro.bench.roofline import run_roofline
 from repro.cluster import cluster_row_counts
+from repro.core.engine import PushTapEngine
 from repro.experiments.cluster import _run_cell, run_cluster_bench
 from repro.experiments.figures import FIGURES, as_json
+from repro.faults.sweep import sweep_report
 from repro.pim.substrate import available_substrates, get_substrate
+from repro.serve.loop import ServeConfig, ServeLoop
 from repro.serve.runner import run_serve_ablation
+from repro.telemetry import registry as telemetry
 from repro.trace.profile import run_profile
 
-__all__ = ["BASELINES", "diff", "regenerate"]
+__all__ = ["BASELINES", "PINS", "SEVEN_QUERIES", "diff", "regenerate"]
+
+SEVEN_QUERIES = ("Q1", "Q6", "Q9", "Q4", "Q12", "Q14", "Q17")
 
 
 def _figures() -> Dict[str, Dict[str, list]]:
@@ -63,9 +75,121 @@ def _cluster_jobs() -> Dict[str, Any]:
     )
 
 
+def device_image_sha256() -> str:
+    """sha256 of every device byte after a build, 180 transactions and a defrag."""
+    engine = PushTapEngine.build(scale=2e-5, seed=7)
+    engine.run_transactions(180)
+    engine.defragment()
+    digest = hashlib.sha256()
+    for rank in engine.ranks:
+        for device in rank.devices:
+            digest.update(device.data.tobytes())
+    return digest.hexdigest()
+
+
+def durable_bytes_sha256() -> str:
+    """sha256 over the WAL, manifest and segment files (by name) that 120 TPC-C
+    transactions (20 % Delivery) checkpointed every 24 commits leave."""
+    engine = PushTapEngine.build(scale=2e-5, seed=7)
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as path:
+        manager = engine.enable_durability(path, checkpoint_every=24, sync=False)
+        engine.run_transactions(120, engine.make_driver(seed=3, delivery_fraction=0.2))
+        manager.close()
+        for file in sorted(pathlib.Path(path).iterdir()):
+            if file.name in ("wal.log", "MANIFEST.json") or file.name.startswith("seg-"):
+                digest.update(file.name.encode() + file.read_bytes())
+    return digest.hexdigest()
+
+
+def serve_state(arrival: str) -> str:
+    """One full serve run; returns (report, telemetry dump) as JSON."""
+    telemetry.disable()
+    engine = PushTapEngine.build(scale=2e-5, seed=5)
+    tel = telemetry.enable()
+    try:
+        config = ServeConfig(
+            tenants=2, requests_per_tenant=16, policy="batched", seed=9,
+            arrival=arrival, olap_fraction=0.3,
+        )
+        result = ServeLoop(engine, config).run()
+        dump = {
+            "counters": {k: c.value for k, c in sorted(tel.counters.items())},
+            "histograms": {
+                k: (h.count, h.sum, list(h.samples)) for k, h in sorted(tel.histograms.items())
+            },
+            "spans": [(s.name, s.start, s.duration, s.attrs) for s in tel.spans],
+            "sim_time": tel.sim_time,
+        }
+        return json.dumps({"report": result.report, "telemetry": dump}, sort_keys=True, default=str)
+    finally:
+        telemetry.disable()
+
+
+def seven_query_state(observed: bool) -> str:
+    """Rows, total time and every scan-timing field of :data:`SEVEN_QUERIES`
+    on ``build(2e-5, seed 7)`` after 180 driver transactions and no defrag,
+    so delta blocks are scanned too. ``observed`` runs them under telemetry
+    with the roofline and detail-span flags on and adds the roofline log,
+    the per-unit lane spans and every unit's row-buffer counters."""
+    telemetry.disable()
+    engine = PushTapEngine.build(scale=2e-5, seed=7, defrag_period=0)
+    engine.run_transactions(180)
+    registry = telemetry.MetricsRegistry()
+    registry.roofline = registry.detail_spans = True
+    if observed:
+        telemetry.enable(registry)
+    try:
+        record = []
+        for name in SEVEN_QUERIES:
+            result = engine.query(name)
+            rows = sorted((str(k), repr(v)) for k, v in result.rows.items())
+            scan = dataclasses.asdict(result.timing.scan)
+            record.append([name, rows, result.timing.total_time, scan])
+    finally:
+        telemetry.disable()
+    if not observed:
+        return json.dumps(record, sort_keys=True)
+    lanes = [
+        [s.name, s.start, s.duration, [list(a) for a in s.attrs]]
+        for s in registry.spans if s.name in ("pim.unit.load", "pim.unit.compute")
+    ]
+    rowbuffers = [
+        [list(key), dataclasses.asdict(unit.rowbuffer.stats)]
+        for key, unit in sorted(engine.units.items()) if unit.rowbuffer is not None
+    ]
+    roofline = [m.as_dict() for m in engine.olap.roofline_log]
+    assert lanes and rowbuffers and roofline
+    return json.dumps([record, roofline, lanes, rowbuffers], sort_keys=True)
+
+
+#: Pin name → the call that recomputes its digest (the ``pins`` row).
+PINS: Dict[str, Callable[[], str]] = {
+    "device_image": device_image_sha256,
+    "wal_durable": durable_bytes_sha256,
+    "serve_state.open": lambda: hashlib.sha256(serve_state("open").encode()).hexdigest(),
+    "serve_state.closed": lambda: hashlib.sha256(serve_state("closed").encode()).hexdigest(),
+    "seven_queries.plain": lambda: hashlib.sha256(seven_query_state(False).encode()).hexdigest(),
+    "seven_queries.observed": lambda: hashlib.sha256(seven_query_state(True).encode()).hexdigest(),
+}
+
+#: ``fault_sweeps`` entry → :func:`sweep_report` arguments, i.e. ``fault-sweep``
+#: flags; ``mixed`` and ``serve`` run their ``DEFAULT_ROWS``.
+FAULT_SWEEPS: Dict[str, Dict[str, Any]] = {
+    "mixed": dict(seeds=(1, 2, 3), intervals=2, txns_per_query=15),
+    "defrag": dict(seeds=(1, 2, 3), intervals=3, txns_per_query=20, rows=("defrag_mid_query=1.0",)),
+    "crash": dict(
+        workload="crash", seeds=(1, 2, 3), intervals=6, txns_per_query=20, checkpoint_every=24
+    ),
+    "serve": dict(workload="serve", seeds=(1, 2), txns_per_query=12),
+    "cluster": dict(workload="cluster", seeds=(1, 2, 3), shards=2, intervals=2, txns_per_query=20),
+}
+
 #: Baseline id → producer; the id names the file ``baselines/<id>.json``.
 BASELINES: Dict[str, Callable[[], Any]] = {
     "figures": _figures,
+    "pins": lambda: {name: pin() for name, pin in PINS.items()},
+    "fault_sweeps": lambda: {name: sweep_report(**kw) for name, kw in FAULT_SWEEPS.items()},
     "profile": _profile,
     "cluster_jobs": _cluster_jobs,
     "serve_ablation": run_serve_ablation,

@@ -55,7 +55,7 @@ from __future__ import annotations
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from repro.olap.queries import run_query
 from repro.serve.loop import ServeConfig, ServeLoop
 from repro.wal.recovery import recover
 
-__all__ = ["DEFAULT_ROWS", "WORKLOADS", "SweepCell", "check_row", "run_fault_sweep"]
+__all__ = ["DEFAULT_ROWS", "WORKLOADS", "SweepCell", "check_row", "run_fault_sweep", "sweep_report"]
 
 #: Share of Delivery transactions in the single-engine mixes: keeps the
 #: tombstone → defragmentation reconciliation path exercised.
@@ -460,3 +460,24 @@ def run_fault_sweep(
     cell.detected = dict(injector.detected)
     cell.retries = injector.retries
     return cell
+
+
+def sweep_report(
+    workload: str = "mixed", rows: Optional[Sequence[str]] = None, seeds: Sequence[int] = (1,),
+    **params,
+) -> Dict[str, object]:
+    """Every ``(row, seed)`` cell of one grid, as ``fault-sweep --out`` writes it; the
+    ``rows`` specs (default: :data:`DEFAULT_ROWS`) are all checked before any cell runs."""
+    specs = list(DEFAULT_ROWS[workload] if rows is None else rows)
+    grid = [FaultRates.parse(spec) for spec in specs]
+    for rates in grid:
+        check_row(workload, rates)
+    cells = [
+        run_fault_sweep(seed, rates, workload, **params).as_dict()
+        for rates in grid
+        for seed in seeds
+    ]
+    return {
+        "workload": workload, "rows": specs, "seeds": list(seeds), "params": params,
+        "cells": cells, "survived": sum(cell["survived"] for cell in cells), "total": len(cells),
+    }

@@ -149,8 +149,11 @@ def committed(baseline_id):
 class TestPinnedBaselines:
     # ``figures`` takes ~11 s on every substrate; tests/test_figures.py
     # covers it on ddr5 and scripts/check_baselines.py on all of them.
+    # Each ``pins`` digest already has its own test (PINS[name] against
+    # pins.json) beside the code it pins, so running the row here would
+    # run every scenario twice.
     @pytest.mark.parametrize(
-        "baseline_id", [i for i in pinned.BASELINES if i != "figures"]
+        "baseline_id", [i for i in pinned.BASELINES if i not in ("figures", "pins")]
     )
     def test_row_regenerates_its_file(self, baseline_id):
         fresh = pinned.regenerate(baseline_id)
@@ -181,6 +184,31 @@ class TestPinnedBaselines:
         checks = committed("roofline")["trace_check"]
         assert set(checks) == {"ddr5", "hbm3", "lpddr5x-pim"}
         assert all(check["ok"] for check in checks.values())
+
+    def test_fault_sweeps_survive_and_inject(self):
+        for name, report in committed("fault_sweeps").items():
+            cells = report["cells"]
+            assert report["survived"] == report["total"] == len(cells), name
+            for cell in cells:
+                assert cell["survived"] and cell["error"] is None, (name, cell["error"])
+                assert cell["violations"] == [], (name, cell["violations"])
+                # Not vacuous: every non-crash cell injected a fault.
+                if report["workload"] != "crash":
+                    assert sum(cell["injected"].values()), (name, "vacuous cell")
+
+    def test_crash_sweep_fires_replays_and_folds(self):
+        cells = committed("fault_sweeps")["crash"]["cells"]
+        assert all(cell["stats"]["crash_fired"] for cell in cells), "no crash fired"
+        # Every cell replays WAL records, so the replay accounting runs.
+        assert all(cell["stats"]["wal_records_replayed"] >= 1 for cell in cells)
+        # Every recovered engine is audited (indexes included) at least once.
+        assert all(cell["checks"] >= 1 for cell in cells)
+        # Both redo paths run: per crash hook row, some cell folds a segment.
+        folded = {}
+        for cell in cells:
+            row = json.dumps(cell["rates"], sort_keys=True)
+            folded[row] = max(folded.get(row, 0), cell["stats"]["segments_applied"])
+        assert all(n >= 1 for n in folded.values()), folded
 
     def test_serve_ablation_within_slos_and_ivm_no_worse(self):
         report = committed("serve_ablation")

@@ -9,7 +9,6 @@ one device at a time — and every test here requires the two rank images
 to be byte-identical.
 """
 
-import hashlib
 import random
 from itertools import islice
 
@@ -19,11 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DeviceGeometry
 from repro.core.defrag import DefragExecutor
-from repro.core.engine import PushTapEngine
 from repro.core.snapshot import SnapshotManager
 from repro.core.storage import RankAllocator, TableStorage
 from repro.core.table import TableRuntime
 from repro.errors import LayoutError, MemoryError_, SchemaError, TransactionError
+from repro.experiments.baselines import PINS
 from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.manager import MVCCManager
@@ -31,6 +30,7 @@ from repro.mvcc.metadata import Region
 from repro.oltp.index import HashIndex
 from repro.pim.memory import Rank, interleaved_to_local, local_to_interleaved
 from repro.units import ceil_div, round_up
+from tests.test_baselines import committed
 from tests.test_vectorized_equivalence import (
     rotation_of,
     row_addr,
@@ -40,11 +40,6 @@ from tests.test_vectorized_equivalence import (
 )
 
 DEVICES = 8
-
-#: sha256 of every device byte after ``build(scale=2e-5, seed=7)``, 180
-#: default-driver TPC-C transactions and one defragmentation, computed on
-#: the commit before the rank became one matrix (per-slot device writes).
-PINNED_IMAGE_SHA256 = "ff8334056ae4ac3958e6b4fa470ebf1a9a0353fab76874f757af125b876cf1bd"
 
 
 # ---------------------------------------------------------------------------
@@ -1033,11 +1028,6 @@ class TestRankMatrixViews:
 # (d) the pinned engine image
 # ---------------------------------------------------------------------------
 def test_engine_image_after_build_txns_and_defrag_is_pinned():
-    engine = PushTapEngine.build(scale=2e-5, seed=7)
-    engine.run_transactions(180)
-    engine.defragment()
-    digest = hashlib.sha256()
-    for rank in engine.ranks:
-        for device in rank.devices:
-            digest.update(device.data.tobytes())
-    assert digest.hexdigest() == PINNED_IMAGE_SHA256
+    """Pinned on the commit before the rank became one matrix (per-slot
+    device writes)."""
+    assert PINS["device_image"]() == committed("pins")["device_image"]

@@ -26,12 +26,12 @@ from repro.cluster.workload import ClusterWorkload
 from repro.core.engine import PushTapEngine
 from repro.core.storage import TableStorage
 from repro.errors import MemoryError_, QueryError
+from repro.experiments.baselines import SEVEN_QUERIES
 from repro.mvcc.metadata import Region
 from repro.olap import operators as ops
 from repro.olap.operators import RegionRows
 from repro.pim.pim_unit import Condition
 from tests.test_vectorized_equivalence import (
-    SEVEN_QUERIES,
     WORLDS,
     harvest,
     scan_world,

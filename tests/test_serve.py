@@ -461,6 +461,7 @@ class TestServeCLI:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["slo_errors"] == []
+        assert report["requests"] == 24  # 2 tenants x 12 requests
         assert report["config"]["policy"] == "batched"
         assert set(report["tenants"]) == {"0", "1"}
         for tenant in report["tenants"].values():

@@ -16,7 +16,6 @@ still had the naive execution mode (94e14a0), where both modes agreed.
 """
 
 import bisect
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from repro.errors import (
     SchemaError,
     TransactionError,
 )
+from repro.experiments.baselines import PINS
 from repro.faults import injector as faults
 from repro.ivm.manager import _APPLY_NS_PER_DELTA, IVMManager, ViewStats
 from repro.ivm.views import Q1View, Q6View, Q9View
@@ -59,6 +59,7 @@ from repro.workloads.tpcc_gen import (
     generate_rows,
     generate_table,
 )
+from tests.test_baselines import committed
 
 
 def capture(fn):
@@ -1718,59 +1719,17 @@ class TestIVMManagerEquivalence:
 # ----------------------------------------------------------------------
 # Serve: the batched OLAP completion loop, pinned
 # ----------------------------------------------------------------------
-def serve_state(arrival):
-    """One full serve run; returns (report, telemetry dump) as JSON."""
-    from repro.core.engine import PushTapEngine
-    from repro.serve.loop import ServeConfig, ServeLoop
-    from repro.telemetry import registry as telemetry
-
-    telemetry.disable()
-    engine = PushTapEngine.build(scale=2e-5, seed=5)
-    tel = telemetry.enable()
-    try:
-        config = ServeConfig(
-            tenants=2,
-            requests_per_tenant=16,
-            policy="batched",
-            seed=9,
-            arrival=arrival,
-            olap_fraction=0.3,
-        )
-        result = ServeLoop(engine, config).run()
-        dump = {
-            "counters": {k: c.value for k, c in sorted(tel.counters.items())},
-            "histograms": {
-                k: (h.count, h.sum, list(h.samples))
-                for k, h in sorted(tel.histograms.items())
-            },
-            "spans": [(s.name, s.start, s.duration, s.attrs) for s in tel.spans],
-            "sim_time": tel.sim_time,
-        }
-        return json.dumps(
-            {"report": result.report, "telemetry": dump},
-            sort_keys=True,
-            default=str,
-        )
-    finally:
-        telemetry.disable()
-
-
-#: sha256 of ``serve_state(arrival)`` at 94e14a0, where the per-request
-#: completion loop and the (since deleted) batch-settling path agreed.
-SERVE_STATE_SHA256 = {
-    "open": "11b77188a140c8730f55a836caf5e22ee2b8cd8a2c55c06f323d690c80446a1d",
-    "closed": "aa729ca9fae27745416fa687282b05ad83bb98de39cc85c8fe5cf61ebd828112",
-}
-
-
 class TestServeBatchedEquivalence:
-    @pytest.mark.parametrize("arrival", ["open", "closed"])
-    def test_serve_run_identical(self, arrival):
+    @pytest.mark.parametrize(
+        "pin", ["serve_state.open", "serve_state.closed"], ids=["open", "closed"]
+    )
+    def test_serve_run_identical(self, pin):
         """Full report plus every telemetry sample and span of a batched
         serve run — SLO bookkeeping, request spans, and (closed loop) the
-        think draws that start from each query's own completion time."""
-        state = serve_state(arrival)
-        assert hashlib.sha256(state.encode()).hexdigest() == SERVE_STATE_SHA256[arrival]
+        think draws that start from each query's own completion time —
+        pinned at 94e14a0, where the per-request completion loop and the
+        (since deleted) batch-settling path agreed."""
+        assert PINS[pin]() == committed("pins")[pin]
 
 
 # ----------------------------------------------------------------------
@@ -2647,72 +2606,14 @@ class TestRankWidePhaseEquivalence:
 # ----------------------------------------------------------------------
 # OLAP queries end to end: rows and simulated timing, pinned
 # ----------------------------------------------------------------------
-SEVEN_QUERIES = ("Q1", "Q6", "Q9", "Q4", "Q12", "Q14", "Q17")
-
-
-def seven_query_state(observed):
-    """Rows, total time and every scan-timing field of the seven query
-    shapes on ``build(2e-5, seed 7)`` after 180 driver transactions and no
-    defragmentation, so delta blocks are scanned too. With ``observed``
-    the queries run under telemetry with the roofline and detail-span
-    flags on, and the state also carries the roofline log, the per-unit
-    lane spans and every unit's row-buffer counters."""
-    import dataclasses
-
-    from repro.core.engine import PushTapEngine
-    from repro.telemetry import registry as telemetry
-    from repro.telemetry.registry import MetricsRegistry
-
-    telemetry.disable()
-    engine = PushTapEngine.build(scale=2e-5, seed=7, defrag_period=0)
-    engine.run_transactions(180)
-    registry = MetricsRegistry()
-    registry.roofline = registry.detail_spans = True
-    if observed:
-        telemetry.enable(registry)
-    try:
-        record = []
-        for name in SEVEN_QUERIES:
-            result = engine.query(name)
-            record.append([
-                name,
-                sorted((str(k), repr(v)) for k, v in result.rows.items()),
-                result.timing.total_time,
-                dataclasses.asdict(result.timing.scan),
-            ])
-    finally:
-        telemetry.disable()
-    if not observed:
-        return json.dumps(record, sort_keys=True)
-    lanes = [
-        [s.name, s.start, s.duration, [list(a) for a in s.attrs]]
-        for s in registry.spans
-        if s.name in ("pim.unit.load", "pim.unit.compute")
-    ]
-    rowbuffers = [
-        [list(key), dataclasses.asdict(unit.rowbuffer.stats)]
-        for key, unit in sorted(engine.units.items())
-        if unit.rowbuffer is not None
-    ]
-    roofline = [m.as_dict() for m in engine.olap.roofline_log]
-    assert lanes and rowbuffers and roofline
-    return json.dumps([record, roofline, lanes, rowbuffers], sort_keys=True)
-
-
-#: sha256 of ``seven_query_state`` computed on 58a156f, the last commit
-#: whose operators walked units and blocks one at a time and whose join
-#: was the dict-of-sets loop.
-SEVEN_QUERY_SHA256 = {
-    False: "9830e94ed041cca354f949621e21aa7a2e38897a00534e24c2fa3df9d1bf30eb",
-    True: "e583ef194fd16ad1bbd29393625b830858c5ebdd8bad07855d497f4b5af10699",
-}
-
-
 class TestQueryPin:
-    @pytest.mark.parametrize("observed", [False, True], ids=["plain", "roofline+detail"])
-    def test_seven_queries_identical(self, observed):
-        state = seven_query_state(observed)
-        assert hashlib.sha256(state.encode()).hexdigest() == SEVEN_QUERY_SHA256[observed]
+    @pytest.mark.parametrize(
+        "pin", ["seven_queries.plain", "seven_queries.observed"], ids=["plain", "roofline+detail"]
+    )
+    def test_seven_queries_identical(self, pin):
+        """Pinned on 58a156f, the last commit whose operators walked units
+        and blocks one at a time and whose join was the dict-of-sets loop."""
+        assert PINS[pin]() == committed("pins")[pin]
 
 
 # ----------------------------------------------------------------------

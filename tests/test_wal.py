@@ -1,6 +1,5 @@
 """WAL append/replay, leveled checkpoint store, and crash recovery."""
 
-import hashlib
 import json
 import os
 
@@ -9,44 +8,20 @@ import pytest
 
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError, WALError
+from repro.experiments.baselines import PINS
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import CRASH_HOOKS, FaultRates
 from repro.faults.sweep import run_fault_sweep
 from repro.wal import LeveledStore, WriteAheadLog, recover
 from repro.wal.log import jsonify, unjsonify
 from repro.workloads.tpcc_gen import DATE_EPOCH, DATE_HORIZON
+from tests.test_baselines import committed
 
 ENGINE_KWARGS = dict(scale=2e-5, defrag_period=200, block_rows=256)
 
 
 def build_engine():
     return PushTapEngine.build(**ENGINE_KWARGS)
-
-
-#: sha256 of :func:`durable_bytes_sha256`'s files. Re-pinned when records
-#: came to be read off the version journals (``meta.json`` format 3): a
-#: record lists its ops table by table, an insert logs its stored row, an
-#: update only the columns that changed, and a bytes value has its
-#: column's full width. A fresh engine recovered from these files and one recovered
-#: from the format-2 files have the same device image and Q1/Q6/Q9 rows.
-PINNED_DURABLE_SHA256 = "c688f643c139b19db12ebf6bf3df8ca1c189f9826c569b76e3db8810ac08d8e5"
-
-
-def durable_bytes_sha256(path):
-    """Run 120 TPC-C transactions (20 % Delivery) with checkpoints every
-    24 commits into ``path``; sha256 over ``wal.log``, ``MANIFEST.json``
-    and every segment file, by name."""
-    engine = PushTapEngine.build(scale=2e-5, seed=7)
-    manager = engine.enable_durability(path, checkpoint_every=24, sync=False)
-    engine.run_transactions(120, engine.make_driver(seed=3, delivery_fraction=0.2))
-    manager.close()
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(path)):
-        if name in ("wal.log", "MANIFEST.json") or name.startswith("seg-"):
-            digest.update(name.encode())
-            with open(os.path.join(path, name), "rb") as handle:
-                digest.update(handle.read())
-    return digest.hexdigest()
 
 
 SAMPLE_OPS = [
@@ -204,11 +179,12 @@ class TestDurability:
         assert manager.records == 0
         assert manager.wal.replay() == ([], False)
 
-    def test_wal_and_segment_bytes_pinned(self, tmp_path):
+    def test_wal_and_segment_bytes_pinned(self):
         """The redo path writes the pinned bytes: values only, no index
-        fields."""
-        path = str(tmp_path / "dur")
-        assert durable_bytes_sha256(path) == PINNED_DURABLE_SHA256
+        fields (``meta.json`` format 3: a record lists its ops table by
+        table, an insert logs its stored row, an update only the columns
+        that changed, a bytes value has its column's full width)."""
+        assert PINS["wal_durable"]() == committed("pins")["wal_durable"]
 
     def test_meta_names_the_record_format(self, fresh_engine, tmp_path):
         path = str(tmp_path / "dur")
