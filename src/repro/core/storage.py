@@ -52,7 +52,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import LayoutError, MemoryError_
+from repro.errors import ConfigError, LayoutError, MemoryError_
 from repro.format.circulant import BlockCirculantPlacement
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import Column, Value
@@ -155,6 +155,9 @@ class TableStorage:
         block_rows: int = 1024,
         circulant: bool = True,
     ) -> None:
+        # Per-block bitmap slices are block_rows // 8 bytes.
+        if block_rows < 1 or block_rows % 8:
+            raise ConfigError(f"block_rows must be a positive multiple of 8, got {block_rows}")
         if layout.num_devices != rank.num_devices:
             raise LayoutError(
                 f"layout expects {layout.num_devices} devices, rank has "

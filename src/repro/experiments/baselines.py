@@ -34,6 +34,8 @@ from repro.serve.loop import ServeConfig, ServeLoop
 from repro.serve.runner import run_serve_ablation
 from repro.telemetry import registry as telemetry
 from repro.trace.profile import run_profile
+from repro.workloads.chbench import row_counts
+from repro.workloads.tpcc_gen import generate_table
 
 __all__ = ["BASELINES", "PINS", "SEVEN_QUERIES", "diff", "regenerate"]
 
@@ -73,6 +75,17 @@ def _cluster_jobs() -> Dict[str, Any]:
         remote_fraction=1.0, intervals=6, txns_per_query=30, seed=11,
         interconnect_ns=500.0, defrag_period=200, jobs=4,
     )
+
+
+def generator_sha256() -> str:
+    """sha256 of every table's column blocks at ``row_counts(2e-5)``, seed 7."""
+    counts = row_counts(2e-5)
+    digest = hashlib.sha256()
+    for table in counts:
+        for block in generate_table(table, counts, seed=7):
+            for column, values in block.items():
+                digest.update(column.encode() + values.tobytes())
+    return digest.hexdigest()
 
 
 def device_image_sha256() -> str:
@@ -165,6 +178,7 @@ def seven_query_state(observed: bool) -> str:
 
 #: Pin name → the call that recomputes its digest (the ``pins`` row).
 PINS: Dict[str, Callable[[], str]] = {
+    "generator": generator_sha256,
     "device_image": device_image_sha256,
     "wal_durable": durable_bytes_sha256,
     "serve_state.open": lambda: hashlib.sha256(serve_state("open").encode()).hexdigest(),

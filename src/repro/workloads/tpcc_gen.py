@@ -6,69 +6,50 @@ quantities, amounts); text columns get cheap deterministic filler. All
 randomness is seeded, so tests and benchmarks are reproducible.
 
 A table is *data* (:data:`_GENERATORS`): per column either a function of
-the row number, a constant, or a draw — ``("int", lo, hi)`` for the legacy
-``int(rng.randint(lo, hi))``, ``("fill", width)`` for the legacy
-``bytes(rng.randint(65, 91, size=width, dtype=np.uint8))`` — the draws
-listed in the order the legacy per-row generator made them.
+the row number, a constant, or a draw — ``("int", lo, hi)`` for an integer
+in ``[lo, hi)``, ``("fill", width)`` for ``width`` letters ``A``–``Z``.
 :func:`generate_table` yields blocks of rows as column arrays;
 :func:`generate_rows` is the dict-per-row view of the same blocks.
 
-**The replay contract.** Every pinned device image and ``sim_digest``
-depends on the legacy ``RandomState`` stream, where a row's draws are
-``randint`` calls of different ranges, sizes and dtypes. The blocks replay
-that stream byte for byte without one call per draw:
+**The stream contract.** Each drawn column has a stream of its own: the
+table's ``SeedSequence(_table_seed(table, seed))`` spawns one ``PCG64``
+per drawn column, in rule order. Every row takes a fixed number of raw
+64-bit words from its column's stream:
 
-* ``rng.randint(0, 2**32, size=k, dtype=np.uint32)`` returns the next ``k``
-  raw 32-bit words of the stream, so words are pulled in bulk and unused
-  ones carried into the next block (the ``RandomState`` is private to one
-  table; words past the last row are dropped).
-* ``randint(lo, hi)`` with ``r = hi - 1 - lo`` (``r < 2**32``): ``r == 0``
-  draws nothing; else ``mask = 2**r.bit_length() - 1`` and words are taken
-  until ``w & mask <= r``, the value being ``lo + (w & mask)``.
-* ``randint(65, 91, size=w, dtype=np.uint8)`` eats the bytes of successive
-  words low byte first, keeps ``b & 31`` where it is ``<= 25`` until ``w``
-  are kept, and drops the rest of its last word (the byte buffer is per
-  call).
+* ``("int", lo, hi)``: one word ``w``, the value ``lo + ((w >> 32) *
+  (hi - lo) >> 32)`` (Lemire's multiply-shift over the high half, with
+  no rejection step);
+* ``("fill", width)``: ``ceil(width / 2)`` words, two letters a word,
+  low 32-bit half first, each half ``h`` the letter ``65 + (h * 26 >> 32)``.
 
-The parse has no per-draw step: per distinct draw shape, ``next[p]`` is the
-word position after one such draw started at word ``p``, for all ``p`` at
-once (int: reversed ``minimum.accumulate`` over the accepted positions,
-plus one; fill: the word holding the ``w``-th accepted byte counted from
-word ``p``, plus one). Composing them in the row's order gives the position
-after one *row* started at ``p``; the row starts are the orbit of 0 under
-that map (one lookup per row), and every draw's values are then one gather.
-Too few words for the rows asked: pull more and parse again.
+So a row's values depend on its row number only, never on how the rows
+are blocked. The values are taken from the BitGenerator's raw output
+(``random_raw``) because NumPy keeps that stream stable across versions
+and does not promise it for ``Generator`` methods. ``Generator.integers``
+with ``dtype=np.uint8`` is not used either: it buffers bytes within a
+call, so its values would change with the block split.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator
 
 import numpy as np
 
 from repro.errors import SchemaError
 from repro.format.schema import Value
-from repro.workloads.chbench import row_counts
 
 __all__ = [
     "DATE_EPOCH",
     "DATE_HORIZON",
     "generate_table",
     "generate_rows",
-    "generate_database",
 ]
 
 #: Synthetic date range (days) used for *_d / *_date columns.
 DATE_EPOCH = 1_000
 DATE_HORIZON = 3_000
-
-#: Rows parsed per replay step. It bounds the replay's working set (a few
-#: position arrays per draw shape, each as long as the step's words)
-#: whatever ``block_rows`` the caller stores by. Measured, not derived:
-#: EXPERIMENTS.md "Set-up as column blocks" has the sizes tried and what
-#: each did to peak memory and to the allocator state queries inherit.
-_REPLAY_ROWS = 512
 
 _DATE = ("int", DATE_EPOCH, DATE_HORIZON)
 
@@ -109,8 +90,8 @@ def _address(prefix: str):
     )
 
 #: Table → (counts → ((column, rule), ...)). A rule is a function of the
-#: row-number array, a draw tuple, or a constant. Draw order within a row
-#: is the legacy generator's and may not change (see the module docstring).
+#: row-number array, a draw tuple, or a constant. The order of the draws
+#: picks each one's stream and may not change (see the module docstring).
 _GENERATORS = {
     "warehouse": lambda c: (("w_id", _row_number), *_address("w"), ("w_ytd", 300_000)),
     "district": lambda c: (
@@ -204,125 +185,16 @@ _GENERATORS = {
 }
 
 
-class _Replay:
-    """The legacy draws of one table's rows, parsed from raw stream words.
-
-    ``draws`` are the row's ``(column, shape)`` pairs in legacy order;
-    :meth:`take` returns the next ``rows`` rows' values per column. The
-    only state is the ``RandomState`` and the words pulled but not yet
-    consumed.
-    """
-
-    def __init__(self, rng: np.random.RandomState, draws: Sequence[Tuple[str, tuple]]):
-        self.rng = rng
-        self.words = np.empty(0, dtype=np.uint32)
-        self.draws = []
-        self.words_per_row = 0.0
-        for column, shape in draws:
-            if shape[0] == "int":
-                _, low, high = shape
-                span = high - 1 - low
-                if not 0 <= span < 1 << 32:
-                    raise SchemaError(f"draw {shape} of {column!r} is not a 32-bit range")
-                mask = (1 << span.bit_length()) - 1
-                shape = ("int", low, span, mask)
-                self.words_per_row += (mask + 1) / (span + 1) if span else 0.0
-            else:
-                # 26 of 32 byte values are accepted, four bytes a word,
-                # and the rest of the last word is dropped.
-                self.words_per_row += shape[1] * 32 / 26 / 4 + 0.5
-            self.draws.append((column, shape))
-
-    def take(self, rows: int) -> Dict[str, np.ndarray]:
-        """The next ``rows`` rows of every drawn column."""
-        out = {
-            column: np.empty(rows, dtype=np.int64)
-            if shape[0] == "int"
-            else np.empty((rows, shape[1]), dtype=np.uint8)
-            for column, shape in self.draws
-        }
-        for start in range(0, rows, _REPLAY_ROWS):
-            stop = min(start + _REPLAY_ROWS, rows)
-            want = int(self.words_per_row * (stop - start) * 1.05) + 64
-            while True:
-                if self.words.size < want:
-                    fresh = self.rng.randint(
-                        0, 1 << 32, size=want - self.words.size, dtype=np.uint32
-                    )
-                    self.words = np.concatenate([self.words, fresh])
-                if self._parse({c: v[start:stop] for c, v in out.items()}, stop - start):
-                    break
-                want = self.words.size + want // 4
-        return out
-
-    def _parse(self, out: Dict[str, np.ndarray], rows: int) -> bool:
-        """Fill ``out`` with ``rows`` rows parsed from the front of
-        ``self.words`` and drop what they consumed; False when the words
-        run out first (nothing is consumed then)."""
-        words = self.words
-        size = words.size
-        # Positions run 0..size; size + 1 is "ran off the words", which
-        # every map below sends to itself.
-        short = size + 1
-        positions = np.arange(size, dtype=np.int32)
-        after: Dict[tuple, np.ndarray] = {}
-        payload: Dict[tuple, np.ndarray] = {}
-        fills = sorted({s[1] for _, s in self.draws if s[0] == "fill"})
-        if fills:
-            lanes = words.astype("<u4", copy=False).view(np.uint8) & 31
-            accepted = lanes <= 25
-            # kept[k]: byte position of the k-th accepted byte; the word
-            # after the one holding it is where a draw ending there ends.
-            kept = np.flatnonzero(accepted).astype(np.int32)
-            end_of = np.concatenate(
-                [(kept >> 2) + 1, np.full(fills[-1], short, dtype=np.int32)]
-            )
-            # before[p]: accepted bytes in words 0..p-1 (a word's four 0/1
-            # flags summed by one multiply).
-            per_word = (accepted.view(np.uint32) * np.uint32(0x01010101)) >> np.uint32(24)
-            before = np.zeros(size + 2, dtype=np.int32)
-            np.cumsum(per_word, out=before[1 : size + 1])
-            before[short] = before[size]
-            for width in fills:
-                after["fill", width] = end_of[before + (width - 1)]
-        for _, shape in self.draws:
-            if shape[0] == "int" and shape[2] and shape not in after:
-                _, _, span, mask = shape
-                masked = words & np.uint32(mask)
-                first = np.where(masked <= span, positions, np.int32(size))
-                step = np.full(size + 2, short, dtype=np.int32)
-                step[:size] = np.minimum.accumulate(first[::-1])[::-1] + 1
-                after[shape] = step
-                payload[shape] = masked
-
-        row_after: Optional[np.ndarray] = None
-        for _, shape in self.draws:
-            step = after.get(shape)
-            if step is not None:
-                row_after = step if row_after is None else step[row_after]
-        starts = [0] * rows
-        position = 0
-        if row_after is not None:
-            for row in range(rows):
-                starts[row] = position
-                position = int(row_after[position])
-            if position == short:
-                return False
-
-        at = np.array(starts, dtype=np.int32)
-        for column, shape in self.draws:
-            if shape[0] == "fill":
-                width = shape[1]
-                taken = kept[before[at][:, None] + np.arange(width)]
-                out[column][:] = lanes[taken] + np.uint8(65)
-                at = after[shape][at]
-            elif shape[2] == 0:
-                out[column][:] = shape[1]
-            else:
-                at = after[shape][at]
-                out[column][:] = payload[shape][at - 1].astype(np.int64) + shape[1]
-        self.words = words[position:]
-        return True
+def _draw(stream: np.random.PCG64, rule: tuple, rows: int) -> np.ndarray:
+    """The next ``rows`` rows of one drawn column (see the module docstring)."""
+    if rule[0] == "int":
+        _, low, high = rule
+        high_halves = stream.random_raw(rows) >> np.uint64(32)
+        return (high_halves * np.uint64(high - low) >> np.uint64(32)).astype(np.int64) + low
+    width = rule[1]
+    words = stream.random_raw(rows * -(-width // 2)).astype("<u8", copy=False)
+    halves = words.view("<u4").reshape(rows, -1)[:, :width].astype(np.uint64)
+    return (np.uint64(65) + (halves * np.uint64(26) >> np.uint64(32))).astype(np.uint8)
 
 
 def generate_table(
@@ -347,17 +219,15 @@ def generate_table(
     if generator is None:
         raise SchemaError(f"no generator for table {table!r}")
     rules = generator(counts)
-    replay = _Replay(
-        np.random.RandomState(_table_seed(table, seed)),
-        [(column, rule) for column, rule in rules if isinstance(rule, tuple)],
-    )
+    drawn = [(column, rule) for column, rule in rules if isinstance(rule, tuple)]
+    children = np.random.SeedSequence(_table_seed(table, seed)).spawn(len(drawn))
+    streams = {column: np.random.PCG64(child) for (column, _), child in zip(drawn, children)}
     for start in range(0, n, block_rows):
         i = np.arange(start, min(start + block_rows, n), dtype=np.int64)
-        drawn = replay.take(i.size)
         block: Dict[str, np.ndarray] = {}
         for column, rule in rules:
             if isinstance(rule, tuple):
-                block[column] = drawn[column]
+                block[column] = _draw(streams[column], rule, i.size)
             elif callable(rule):
                 block[column] = rule(i)
             elif isinstance(rule, bytes):
@@ -380,12 +250,3 @@ def generate_rows(
         ]
         for row in zip(*values):
             yield dict(zip(block, row))
-
-
-def generate_database(
-    scale: float, seed: int = 7, tables: List[str] = None
-) -> Dict[str, List[Dict[str, Value]]]:
-    """Generate all (or selected) tables at ``scale``."""
-    counts = row_counts(scale)
-    names = tables if tables is not None else list(counts)
-    return {t: list(generate_rows(t, counts, seed)) for t in names}

@@ -345,6 +345,7 @@ class TestCLIFlags:
         (["cluster", "--shards", "0"], "shard_counts"),
         (["roofline", "--block-rows", "0"], "block_rows"),
         (["roofline", "--sizes", "0"], "sizes"),
+        (["roofline", "--block-rows", "12"], "block_rows"),
     ])
     def test_config_error_exits_2_naming_the_field(self, argv, field, capsys):
         from repro.experiments.__main__ import main

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DeviceGeometry
+from repro.core.engine import PushTapEngine
 from repro.core.storage import RankAllocator, TableStorage
-from repro.errors import LayoutError, MemoryError_
+from repro.errors import ConfigError, LayoutError, MemoryError_
 from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.metadata import Region
@@ -21,11 +22,11 @@ KEYS = ["a", "b", "c"]
 BLOCK = 64
 
 
-def make_storage(capacity=512, delta=256):
+def make_storage(capacity=512, delta=256, block_rows=BLOCK):
     rank = Rank(GEOM, device_bytes=1 << 20)
     alloc = RankAllocator(rank)
     layout = compact_aligned_layout(SCHEMA, KEYS, 8, 0.5)
-    return TableStorage(rank, alloc, layout, capacity, delta, block_rows=BLOCK)
+    return TableStorage(rank, alloc, layout, capacity, delta, block_rows=block_rows)
 
 
 def row(i: int):
@@ -53,6 +54,22 @@ class TestRankAllocator:
         alloc = RankAllocator(rank)
         with pytest.raises(MemoryError_):
             alloc.alloc_block(2048)  # bank is 1024
+
+
+class TestBlockRows:
+    """Per-block bitmap slices are ``block_rows // 8`` bytes, so a block
+    size that is not a positive multiple of 8 is refused at construction
+    (12 and 20 used to answer Q1 wrong, 3 to crash in NumPy)."""
+
+    @pytest.mark.parametrize("block_rows", [0, 3, 12, 20])
+    def test_not_a_multiple_of_8_is_refused(self, block_rows):
+        with pytest.raises(ConfigError, match=f"block_rows .* got {block_rows}$"):
+            make_storage(block_rows=block_rows)
+
+    @pytest.mark.parametrize("block_rows", [3, 12, 20])
+    def test_engine_build_refuses_it(self, block_rows):
+        with pytest.raises(ConfigError, match="block_rows"):
+            PushTapEngine.build(scale=2e-5, block_rows=block_rows)
 
 
 class TestAddressing:

@@ -5,8 +5,7 @@ row-at-a-time versions it replaced live here, as test-local oracles: the
 general positional codec, a per-piece strided load, a dict-probe join, a
 per-row copy, the version-chain MVCC manager (:class:`OracleMVCC`), a
 per-row, per-run column read, a per-row view fold over a dict Z-set, the
-per-row TPC-C generators, the single-engine batch driver
-(:class:`OracleMixedWorkload`). Seeded randomized histories drive
+single-engine batch driver (:class:`OracleMixedWorkload`). Seeded randomized histories drive
 the production code and the oracle side by side and require *identical*
 results — masks, versions, pairs, bytes, modelled times, error messages.
 
@@ -27,14 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.partition import cluster_row_counts
 from repro.core.engine import PushTapEngine
 from repro.errors import (
     ConfigError,
     MemoryError_,
     ProtocolError,
     QueryError,
-    SchemaError,
     TransactionError,
 )
 from repro.experiments.baselines import PINS
@@ -50,15 +47,6 @@ from repro.pim.pim_unit import bytes_to_uints, uints_to_bytes
 from repro.telemetry import registry as telemetry
 from repro.telemetry.metrics import Histogram
 from repro.units import S
-from repro.workloads.chbench import row_counts
-from repro.workloads.tpcc_gen import (
-    DATE_EPOCH,
-    DATE_HORIZON,
-    _Replay,
-    _table_seed,
-    generate_rows,
-    generate_table,
-)
 from tests.test_baselines import committed
 
 
@@ -2614,250 +2602,3 @@ class TestQueryPin:
         """Pinned on 58a156f, the last commit whose operators walked units
         and blocks one at a time and whose join was the dict-of-sets loop."""
         assert PINS[pin]() == committed("pins")[pin]
-
-
-# ----------------------------------------------------------------------
-# Data generation: column blocks replaying the legacy RandomState stream
-# ----------------------------------------------------------------------
-def _filler(rng, width):
-    return bytes(rng.randint(65, 91, size=width, dtype=np.uint8))
-
-
-def _address(rng, prefix):
-    """The name/address/state/zip/tax run WAREHOUSE and DISTRICT share."""
-    return {
-        f"{prefix}_name": _filler(rng, 10),
-        f"{prefix}_street_1": _filler(rng, 20),
-        f"{prefix}_street_2": _filler(rng, 20),
-        f"{prefix}_city": _filler(rng, 20),
-        f"{prefix}_state": int(rng.randint(0, 50)),
-        f"{prefix}_zip": _filler(rng, 9),
-        f"{prefix}_tax": int(rng.randint(0, 2000)),
-    }
-
-
-def _oracle_warehouse(i, c, rng):
-    return {"w_id": i + 1, **_address(rng, "w"), "w_ytd": 300_000}
-
-
-def _oracle_district(i, c, rng):
-    return {
-        "d_id": i % 10 + 1,
-        "d_w_id": i // 10 % c["warehouse"] + 1,
-        **_address(rng, "d"),
-        "d_ytd": 30_000,
-        "d_next_o_id": 3001,
-    }
-
-
-def _oracle_customer(i, c, rng):
-    return {
-        "c_id": i + 1,
-        "c_d_id": i % 10 + 1,
-        "c_w_id": i % c["warehouse"] + 1,
-        "c_first": _filler(rng, 16),
-        "c_middle": b"OE",
-        "c_last": _filler(rng, 16),
-        "c_street_1": _filler(rng, 20),
-        "c_street_2": _filler(rng, 20),
-        "c_city": _filler(rng, 20),
-        "c_state": int(rng.randint(0, 50)),
-        "c_zip": _filler(rng, 9),
-        "c_phone": _filler(rng, 16),
-        "c_since": int(rng.randint(DATE_EPOCH, DATE_HORIZON)),
-        "c_credit": int(rng.randint(0, 2)),
-        "c_credit_lim": 50_000,
-        "c_discount": int(rng.randint(0, 5000)),
-        "c_balance": 10,
-        "c_ytd_payment": 10,
-        "c_payment_cnt": 1,
-        "c_delivery_cnt": 0,
-        "c_data": _filler(rng, 152),
-    }
-
-
-def _oracle_history(i, c, rng):
-    return {
-        "h_c_id": i % c["customer"] + 1,
-        "h_c_d_id": i % 10 + 1,
-        "h_c_w_id": i % c["warehouse"] + 1,
-        "h_d_id": i % 10 + 1,
-        "h_w_id": i % c["warehouse"] + 1,
-        "h_date": int(rng.randint(DATE_EPOCH, DATE_HORIZON)),
-        "h_amount": 1000,
-        "h_data": _filler(rng, 24),
-    }
-
-
-def _oracle_neworder(i, c, rng):
-    return {"no_o_id": i + 1, "no_d_id": i % 10 + 1, "no_w_id": i % c["warehouse"] + 1}
-
-
-def _oracle_order(i, c, rng):
-    return {
-        "o_id": i + 1,
-        "o_d_id": i % 10 + 1,
-        "o_w_id": i % c["warehouse"] + 1,
-        "o_c_id": int(rng.randint(1, c["customer"] + 1)),
-        "o_entry_d": int(rng.randint(DATE_EPOCH, DATE_HORIZON)),
-        "o_carrier_id": int(rng.randint(0, 11)),
-        "o_ol_cnt": int(rng.randint(5, 16)),
-        "o_all_local": 1,
-    }
-
-
-def _oracle_orderline(i, c, rng):
-    return {
-        "ol_o_id": i % c["order"] + 1,
-        "ol_d_id": i % 10 + 1,
-        "ol_w_id": i % c["warehouse"] + 1,
-        "ol_number": i // c["order"] % 15 + 1,
-        "ol_i_id": int(rng.randint(1, c["item"] + 1)),
-        "ol_supply_w_id": i % c["warehouse"] + 1,
-        "ol_delivery_d": int(rng.randint(DATE_EPOCH, DATE_HORIZON)),
-        "ol_quantity": int(rng.randint(1, 11)),
-        "ol_amount": int(rng.randint(1, 10_000)),
-        "ol_dist_info": _filler(rng, 24),
-    }
-
-
-def _oracle_item(i, c, rng):
-    return {
-        "i_id": i + 1,
-        "i_im_id": int(rng.randint(1, 10_001)),
-        "i_name": _filler(rng, 24),
-        "i_price": int(rng.randint(100, 10_001)),
-        "i_data": _filler(rng, 50),
-    }
-
-
-def _oracle_stock(i, c, rng):
-    row = {
-        "s_i_id": i % c["item"] + 1,
-        "s_w_id": i % c["warehouse"] + 1,
-        "s_quantity": int(rng.randint(10, 101)),
-        "s_ytd": 0,
-        "s_order_cnt": 0,
-        "s_remote_cnt": 0,
-        "s_data": _filler(rng, 50),
-    }
-    for d in range(1, 11):
-        row[f"s_dist_{d:02d}"] = _filler(rng, 24)
-    return row
-
-
-_ORACLE_GENERATORS = {
-    "warehouse": _oracle_warehouse,
-    "district": _oracle_district,
-    "customer": _oracle_customer,
-    "history": _oracle_history,
-    "neworder": _oracle_neworder,
-    "order": _oracle_order,
-    "orderline": _oracle_orderline,
-    "item": _oracle_item,
-    "stock": _oracle_stock,
-}
-
-
-def oracle_generate_table(table, counts, seed=7):
-    """The per-row generators ``src/`` had before the column blocks: one
-    ``randint`` call per drawn field, one dict per row."""
-    rng = np.random.RandomState(_table_seed(table, seed))
-    return [_ORACLE_GENERATORS[table](i, counts, rng) for i in range(counts[table])]
-
-
-def block_rows_of(table, counts, seed, block_rows):
-    """``generate_table``'s blocks as dict rows, block sizes checked."""
-    rows, sizes = [], []
-    for block in generate_table(table, counts, seed, block_rows):
-        values = [v.tolist() if v.ndim == 1 else [r.tobytes() for r in v] for v in block.values()]
-        rows.extend(dict(zip(block, row)) for row in zip(*values))
-        sizes.append(len(values[0]))
-    full, last = divmod(counts[table], block_rows)
-    assert sizes == [block_rows] * full + [last] * (last > 0)
-    return rows
-
-
-#: The row counts the benchmark's five workloads build at.
-BENCHMARK_COUNTS = {
-    "olap_scan": row_counts(5e-4),
-    "oltp_tpcc+htap_mixed": row_counts(3e-4),
-    "serve_tenants": row_counts(1e-4),
-    "cluster_2pc": cluster_row_counts(1e-4, 4),
-}
-
-#: 777 divides none of the counts: blocks carry words over and the last
-#: block is partial; 1024 and 777 also span replay steps within a block.
-REPLAY_BLOCK_ROWS = (256, 1024, 777)
-
-
-class TestGeneratorReplayEquivalence:
-    @pytest.mark.parametrize("workload", list(BENCHMARK_COUNTS))
-    def test_every_table_at_the_benchmark_counts(self, workload):
-        counts = BENCHMARK_COUNTS[workload]
-        for table in counts:
-            oracle = oracle_generate_table(table, counts, 7)
-            for block_rows in REPLAY_BLOCK_ROWS:
-                assert block_rows_of(table, counts, 7, block_rows) == oracle, (table, block_rows)
-
-    @pytest.mark.parametrize("workload", ["serve_tenants", "cluster_2pc"])
-    def test_a_seed_not_used_while_writing(self, workload):
-        counts = BENCHMARK_COUNTS[workload]
-        for table in counts:
-            oracle = oracle_generate_table(table, counts, 20251)
-            assert block_rows_of(table, counts, 20251, 777) == oracle, table
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        # 1 → a draw over one value (no words); 2, 4, 8, 16 → no rejection.
-        st.fixed_dictionaries(
-            {t: st.sampled_from([1, 2, 3, 4, 5, 8, 11, 16, 23]) for t in row_counts(1e-4)}
-        ),
-        st.integers(0, 2**31),
-        st.sampled_from([1, 2, 3, 7, 1024]),
-    )
-    def test_small_counts(self, counts, seed, block_rows):
-        # Tables: one with no draws (NEWORDER), one-row tables, ranges of
-        # one value (o_c_id with one customer), power-of-two ranges.
-        for table in counts:
-            oracle = oracle_generate_table(table, counts, seed)
-            assert block_rows_of(table, counts, seed, block_rows) == oracle, table
-
-    def test_draw_shapes_reach_the_special_cases(self):
-        """What ``test_small_counts`` is for does occur in it."""
-        shapes = _Replay(None, [
-            ("one", ("int", 1, 2)), ("pow2", ("int", 0, 2)), ("odd", ("int", 1, 4)),
-        ]).draws
-        assert [s for _, s in shapes] == [("int", 1, 0, 0), ("int", 0, 1, 1), ("int", 1, 2, 3)]
-
-    def test_too_few_words_pulls_more_and_parses_again(self, monkeypatch):
-        parses = []
-        parse = _Replay._parse
-
-        def counting(self, out, rows):
-            done = parse(self, out, rows)
-            parses.append(done)
-            return done
-
-        init = _Replay.__init__
-
-        def starved(self, rng, draws):
-            init(self, rng, draws)
-            self.words_per_row = 0.0  # asks for 64 words whatever the rows
-
-        monkeypatch.setattr(_Replay, "_parse", counting)
-        monkeypatch.setattr(_Replay, "__init__", starved)
-        counts = BENCHMARK_COUNTS["serve_tenants"]
-        assert block_rows_of("stock", counts, 7, 1024) == oracle_generate_table("stock", counts, 7)
-        assert parses.count(False) > 3 and parses[-1]
-
-    def test_rows_are_a_view_of_the_blocks(self):
-        counts = row_counts(2e-5)
-        for table in counts:
-            rows = list(generate_rows(table, counts, 9))
-            assert rows == oracle_generate_table(table, counts, 9)
-            assert all(type(v) in (int, bytes) for row in rows[:3] for v in row.values())
-
-    def test_an_int_draw_wider_than_32_bits_is_refused(self):
-        with pytest.raises(SchemaError, match="32-bit"):
-            _Replay(None, [("x", ("int", 0, 2**32 + 1))])

@@ -1,11 +1,22 @@
 """CH-benCHmark / HTAPBench workload definitions and data generation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.experiments.baselines import PINS
 from repro.workloads import chbench as ch
 from repro.workloads import htapbench as hb
-from repro.workloads.tpcc_gen import generate_database, generate_rows
+from repro.workloads.tpcc_gen import (
+    _GENERATORS,
+    _draw,
+    _table_seed,
+    generate_rows,
+    generate_table,
+)
+from tests.test_baselines import committed
 
 
 class TestCHSchema:
@@ -97,31 +108,157 @@ class TestRowCounts:
             ch.row_counts(0)
 
 
+def whole_table(table, counts, seed=7, block_rows=1024):
+    """``generate_table``'s blocks joined: column → array over every row."""
+    blocks = list(generate_table(table, counts, seed, block_rows))
+    return {column: np.concatenate([b[column] for b in blocks]) for column in blocks[0]}
+
+
+def reference_table(table, counts, seed):
+    """The stream contract row by row, in Python ints: per drawn column one
+    ``PCG64`` spawned in rule order, one raw word per int, two letters per
+    word (low half first) per fill."""
+    rules = _GENERATORS[table](counts)
+    drawn = [(column, rule) for column, rule in rules if isinstance(rule, tuple)]
+    children = np.random.SeedSequence(_table_seed(table, seed)).spawn(len(drawn))
+    streams = {column: np.random.PCG64(child) for (column, _), child in zip(drawn, children)}
+    rows = []
+    for _ in range(counts[table]):
+        row = {}
+        for column, rule in drawn:
+            if rule[0] == "int":
+                word = int(streams[column].random_raw())
+                row[column] = rule[1] + ((word >> 32) * (rule[2] - rule[1]) >> 32)
+            else:
+                halves = []
+                for _ in range(-(-rule[1] // 2)):
+                    word = int(streams[column].random_raw())
+                    halves += [word & 0xFFFFFFFF, word >> 32]
+                row[column] = bytes(65 + (h * 26 >> 32) for h in halves[: rule[1]])
+        rows.append(row)
+    return rows
+
+
+class _Words:
+    """A stand-in stream that hands out the given raw words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        return self.words[:size]
+
+
 class TestGenerators:
     COUNTS = ch.row_counts(2e-5)
 
     def test_all_tables_generate(self):
-        db = generate_database(2e-5)
-        for table, rows in db.items():
+        for table in self.COUNTS:
+            rows = list(generate_rows(table, self.COUNTS))
             assert len(rows) == self.COUNTS[table]
             schema = ch.ch_table(table)
             for row in rows[:5]:
                 schema.encode_row(row)  # validates widths/ranges
+
+    def test_rows_are_a_view_of_the_blocks(self):
+        for table in self.COUNTS:
+            rows = list(generate_rows(table, self.COUNTS, 9))
+            values = whole_table(table, self.COUNTS, 9)
+            assert rows == [
+                {c: v[i].tolist() if v.ndim == 1 else v[i].tobytes() for c, v in values.items()}
+                for i in range(self.COUNTS[table])
+            ]
+            assert all(type(v) in (int, bytes) for row in rows[:3] for v in row.values())
 
     def test_deterministic(self):
         a = list(generate_rows("orderline", self.COUNTS, seed=3))
         b = list(generate_rows("orderline", self.COUNTS, seed=3))
         assert a == b
 
-    def test_foreign_keys_in_range(self):
-        db = generate_database(2e-5)
-        items = self.COUNTS["item"]
-        warehouses = self.COUNTS["warehouse"]
-        for ol in db["orderline"]:
-            assert 1 <= ol["ol_i_id"] <= items
-            assert 1 <= ol["ol_w_id"] <= warehouses
-        for c in db["customer"]:
-            assert 1 <= c["c_d_id"] <= 10
+    @pytest.mark.parametrize("scale", [2e-5, 1e-3])
+    def test_foreign_keys_in_range(self, scale):
+        counts = ch.row_counts(scale)
+        # column → the table its values number (1-based), or its count;
+        # a table's own id column numbers its rows.
+        targets = {
+            "warehouse": {"w_id": "warehouse"},
+            "district": {"d_id": 10, "d_w_id": "warehouse"},
+            "customer": {"c_id": "customer", "c_d_id": 10, "c_w_id": "warehouse"},
+            "history": {
+                "h_c_id": "customer", "h_c_d_id": 10, "h_c_w_id": "warehouse",
+                "h_d_id": 10, "h_w_id": "warehouse",
+            },
+            "neworder": {"no_o_id": "neworder", "no_d_id": 10, "no_w_id": "warehouse"},
+            "order": {"o_id": "order", "o_d_id": 10, "o_w_id": "warehouse", "o_c_id": "customer"},
+            "orderline": {
+                "ol_o_id": "order", "ol_d_id": 10, "ol_w_id": "warehouse",
+                "ol_i_id": "item", "ol_supply_w_id": "warehouse",
+            },
+            "item": {"i_id": "item"},
+            "stock": {"s_i_id": "item", "s_w_id": "warehouse"},
+        }
+        for table, columns in targets.items():
+            values = whole_table(table, counts)
+            for column, target in columns.items():
+                top = counts[target] if isinstance(target, str) else target
+                assert 1 <= values[column].min() and values[column].max() <= top, column
+
+    def test_draws_in_range(self):
+        """Every int draw lies in ``[lo, hi)`` and every fill is ``A``–``Z``."""
+        for table in self.COUNTS:
+            values = whole_table(table, self.COUNTS)
+            for column, rule in _GENERATORS[table](self.COUNTS):
+                if isinstance(rule, tuple) and rule[0] == "int":
+                    assert rule[1] <= values[column].min(), column
+                    assert values[column].max() < rule[2], column
+                elif isinstance(rule, tuple):
+                    assert values[column].shape == (self.COUNTS[table], rule[1])
+                    assert values[column].min() >= ord("A"), column
+                    assert values[column].max() <= ord("Z"), column
+
+    def test_extreme_words_map_to_the_range_ends(self):
+        top = 2**64 - 1
+        ints = _draw(_Words([0, top, 2**63]), ("int", 5, 16), 3)
+        assert ints.tolist() == [5, 15, 10]
+        assert _draw(_Words([0, top]), ("int", 1, 2), 2).tolist() == [1, 1]
+        # Low half first: word 0xFFFFFFFF gives "ZA", its high half alone "AZ".
+        letters = _draw(_Words([0xFFFFFFFF, top << 32 & top, 0]), ("fill", 5), 1)
+        assert letters.tobytes() == b"ZAAZA"
+
+    @pytest.mark.parametrize("table", list(COUNTS))
+    def test_block_rows_do_not_change_a_table(self, table):
+        whole = whole_table(table, self.COUNTS, block_rows=1024)
+        for block_rows in (1, 7):
+            split = whole_table(table, self.COUNTS, block_rows=block_rows)
+            assert split.keys() == whole.keys()
+            for column in whole:
+                assert np.array_equal(split[column], whole[column]), (column, block_rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # 1 → one-row tables and ranges of one value (o_c_id with one customer).
+        st.fixed_dictionaries(
+            {t: st.sampled_from([1, 2, 3, 4, 5, 8, 11, 16, 23]) for t in ch.row_counts(1e-4)}
+        ),
+        st.integers(0, 2**31),
+        st.sampled_from([1, 2, 3, 7, 1024]),
+    )
+    def test_small_counts(self, counts, seed, block_rows):
+        # Every table, NEWORDER (no draws) included, against the contract.
+        for table in counts:
+            blocks = list(generate_table(table, counts, seed, block_rows))
+            assert [len(next(iter(b.values()))) for b in blocks] == [
+                min(block_rows, counts[table] - start)
+                for start in range(0, counts[table], block_rows)
+            ]
+            values = {c: np.concatenate([b[c] for b in blocks]) for c in blocks[0]}
+            reference = reference_table(table, counts, seed)
+            drawn = [
+                {c: values[c][i].tolist() if values[c].ndim == 1 else values[c][i].tobytes()
+                 for c in row}
+                for i, row in enumerate(reference)
+            ]
+            assert drawn == reference, table
 
     def test_orderline_pk_unique(self):
         keys = {
@@ -145,26 +282,31 @@ class TestGenerators:
     def test_same_length_tables_use_distinct_streams(self):
         """Regression: seeding by ``len(table)`` put same-length names
         (stock/order, 5 chars each) on identical RNG streams."""
-        from repro.workloads.tpcc_gen import _table_seed
-
         by_length = {}
         for table in self.COUNTS:
             by_length.setdefault(len(table), []).append(_table_seed(table, 7))
         for seeds in by_length.values():
             assert len(seeds) == len(set(seeds))
-        # The streams themselves diverge: equal-length names no longer
-        # draw identical random sequences.
-        import numpy as np
 
-        a = np.random.RandomState(_table_seed("stock", 7)).randint(0, 2**31, 16)
-        b = np.random.RandomState(_table_seed("order", 7)).randint(0, 2**31, 16)
-        assert list(a) != list(b)
+        # The streams themselves diverge: no drawn column of one table
+        # starts with the raw words of one of the other's.
+        def first_words(table):
+            drawn = [rule for _, rule in _GENERATORS[table](self.COUNTS) if isinstance(rule, tuple)]
+            children = np.random.SeedSequence(_table_seed(table, 7)).spawn(len(drawn))
+            return {tuple(np.random.PCG64(child).random_raw(4).tolist()) for child in children}
+
+        stock, order = first_words("stock"), first_words("order")
+        assert len(stock) == 12 and len(order) == 4 and not stock & order
 
     def test_table_seed_stable_across_seeds(self):
-        from repro.workloads.tpcc_gen import _table_seed
-
         assert _table_seed("stock", 7) == _table_seed("stock", 7)
         assert _table_seed("stock", 7) != _table_seed("stock", 8)
+
+    def test_generator_pin(self):
+        """The stream canary: every table at ``row_counts(2e-5)``, seed 7.
+        A NumPy BitGenerator or rule change drifts here first, before the
+        device-image, WAL, serve and seven-query pins downstream of it."""
+        assert PINS["generator"]() == committed("pins")["generator"]
 
 
 class TestHTAPBench:
