@@ -36,9 +36,9 @@ whatever blocks and rotations the rows sit in, returning column arrays.
 plain slices ``mem[device, a:a+n]`` — a one-row gather costs several
 times a slice, so the scalar reader is not the batch reader of one — and
 :meth:`TableStorage.read_column_values` is ``read_rows`` over a prefix.
-One-row writes are slices through the same plans: a run of a changed
-column per :meth:`TableStorage.write_columns` store, a part per
-:meth:`TableStorage.copy_row` / :meth:`TableStorage.write_row` store.
+One-row writes are slices through the same plans: a part per slice for
+:meth:`TableStorage.write_row` and for the source copy of an update's
+:meth:`TableStorage.write_columns`, then a run of a changed column per slice.
 
 The one-row calls take a version the way the MVCC journal names it,
 ``(row_id, delta)``: ``delta ≥ 0`` is a delta-region row and −1 the
@@ -380,28 +380,47 @@ class TableStorage:
             out[name] = buf.view("<u8").ravel() if is_int else buf
         return out
 
-    def write_columns(self, row_id: int, delta: int, values: Dict[str, Value]) -> None:
-        """Encode and store just ``values``'s columns of version
-        ``(row_id, delta)``.
+    def write_columns(
+        self, row_id: int, src_delta: int, dst_delta: int, values: Dict[str, Value]
+    ) -> None:
+        """Store version ``(row_id, dst_delta)`` as ``(row_id, src_delta)``
+        with ``values``' columns replaced: an update, or a row copy if empty.
 
-        The update fast path: the row's other bytes (including zeroed
-        padding) are already in place — typically via :meth:`copy_row`
-        from the previous version — so only the changed columns' byte
-        runs move. Values are encoded in schema declaration order, the
-        same order :meth:`~repro.format.layout.UnifiedLayout.pack_row`
-        validates them, so encode errors surface identically to a full
-        :meth:`write_row`; then one range check, and one slice per run.
+        All-or-nothing: ``values`` are encoded in schema order (the order
+        :meth:`~repro.format.layout.UnifiedLayout.pack_row` validates, so
+        encode errors match :meth:`write_row`'s), then the versions'
+        rotations and ranges are checked. Only then does the source move,
+        device-locally since a row's versions share a rotation — one ADE
+        slice per part, none when ``src_delta == dst_delta`` — and each
+        changed column's runs are stored, one slice per run.
         """
         encoded = [
             (col.name, col.encode(values[col.name]))
             for col in self._schema_columns
             if col.name in values
         ]
-        region, row = self._locate(row_id, delta)
+        if src_delta != dst_delta:
+            # Rotations before ranges, so a mismatch names any pair.
+            src = row_id if src_delta == DATA_SLOT else src_delta
+            dst = row_id if dst_delta == DATA_SLOT else dst_delta
+            rotation_of = self.placement.rotation_of_block
+            if rotation_of(src // self.block_rows) != rotation_of(dst // self.block_rows):
+                names = (Region.DATA, Region.DELTA)
+                raise self._rotation_mismatch(
+                    (names[src_delta != DATA_SLOT], src), (names[dst_delta != DATA_SLOT], dst)
+                )
+            src_region, src = self._locate(row_id, src_delta)
+        region, row = self._locate(row_id, dst_delta)
         block, within = divmod(row, self.block_rows)
+        mem = self.rank.mem
+        if src_delta != dst_delta:
+            src_block, src_within = divmod(src, self.block_rows)
+            for width, bases in self._parts:
+                lo = bases[src_region][src_block] + src_within * width
+                to = bases[region][block] + within * width
+                mem[:, to : to + width] = mem[:, lo : lo + width]
         rotation = self.placement.rotation_of_block(block)
         num_devices = self.rank.num_devices
-        mem = self.rank.mem
         for name, raw in encoded:
             # A bytes memoryview stores as uint8 and slices without a copy.
             raw = memoryview(raw)
@@ -412,34 +431,8 @@ class TableStorage:
                     col_offset : col_offset + length
                 ]
 
-    def copy_row(self, row_id: int, src_delta: int, dst_delta: int) -> None:
-        """Copy version ``(row_id, src_delta)``'s bytes to version
-        ``(row_id, dst_delta)`` — **of the same rotation**.
-
-        This is the device-local move defragmentation relies on: because
-        delta rows share their origin's rotation, each device copies its
-        own slot without inter-device traffic. Checks rotation, then src
-        range, then dst range, before any byte moves.
-        """
-        src_region, src = self._locate(row_id, src_delta, check=False)
-        dst_region, dst = self._locate(row_id, dst_delta, check=False)
-        src_block, src_within = divmod(src, self.block_rows)
-        dst_block, dst_within = divmod(dst, self.block_rows)
-        rotation_of_block = self.placement.rotation_of_block
-        if rotation_of_block(src_block) != rotation_of_block(dst_block):
-            names = (Region.DATA, Region.DELTA)
-            raise self._rotation_mismatch((names[src_region], src), (names[dst_region], dst))
-        self._locate(row_id, src_delta)
-        self._locate(row_id, dst_delta)
-        mem = self.rank.mem
-        for width, bases in self._parts:
-            lo = bases[src_region][src_block] + src_within * width
-            to = bases[dst_region][dst_block] + dst_within * width
-            mem[:, to : to + width] = mem[:, lo : lo + width]
-
-    def _locate(self, row_id: int, delta: int, check: bool = True) -> Tuple[int, int]:
-        """Version ``(row_id, delta)`` as ``(region, row)``, range-checked
-        unless ``check`` is off.
+    def _locate(self, row_id: int, delta: int) -> Tuple[int, int]:
+        """Version ``(row_id, delta)`` as ``(region, row)``, range-checked.
 
         The region is a plan index: 0 for the row's data slot (``delta ==
         DATA_SLOT``), 1 for delta-region row ``delta``. Any other negative
@@ -447,7 +440,7 @@ class TableStorage:
         """
         region, row = (0, row_id) if delta == DATA_SLOT else (1, delta)
         capacity = self.delta_capacity_rows if region else self.capacity_rows
-        if check and (row < 0 or row >= capacity):
+        if row < 0 or row >= capacity:
             raise MemoryError_(
                 f"table {self.layout.schema.name!r}: {(Region.DATA, Region.DELTA)[region]} "
                 f"row {row} out of range [0, {capacity})"
@@ -461,8 +454,8 @@ class TableStorage:
         dst_region: str,
         dst_rows: Sequence[int],
     ) -> None:
-        """:meth:`copy_row` for many (src, dst) pairs at once: per part, one
-        gather and one store of ``W``-byte items (:func:`byte_runs`).
+        """Copy many (src, dst) row pairs — defragmentation's move: per
+        part, one gather and one store of ``W``-byte items (:func:`byte_runs`).
 
         Destinations must be distinct and disjoint from the sources (delta
         → data moves are), so the result equals copying in order. Checks
@@ -493,7 +486,7 @@ class TableStorage:
             for region, row in (src, dst)
         )
         return LayoutError(
-            f"table {self.layout.schema.name!r}: copy_row requires matching rotations "
+            f"table {self.layout.schema.name!r}: a row copy requires matching rotations "
             f"(delta rows are allocated rotation-aligned for this reason): {named}"
         )
 
@@ -530,17 +523,6 @@ class TableStorage:
         base = self.bitmap_addr(region)
         nbytes = max(1, ceil_div(self._region_capacity(region), 8))
         return self.rank.device_read(device, base, nbytes)
-
-    def set_bitmap_bit(self, region: str, row: int, value: bool) -> None:
-        """Flip one visibility bit on every device copy."""
-        if row < 0 or row >= self._region_capacity(region):
-            raise MemoryError_(f"{region} bitmap row {row} out of range")
-        addr = self.bitmap_addr(region) + row // 8
-        mask = 1 << (row % 8)
-        if value:
-            self.rank.mem[:, addr] |= mask
-        else:
-            self.rank.mem[:, addr] &= 0xFF ^ mask
 
     def bitmap_block_slice_addr(self, region: str, block: int) -> int:
         """Local address of the bitmap bytes covering one block's rows."""

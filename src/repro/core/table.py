@@ -83,14 +83,14 @@ class TableRuntime:
         """Install a new version of ``row_id`` with ``changes`` applied;
         returns the row's number of versions before the install.
 
-        Copies the newest version's raw bytes to the new delta row (same
-        rotation by construction) and rewrites only the changed columns'
-        byte runs — bit-identical device bytes to a decode-merge-reencode
-        of the whole row (the tests' oracle), since padding is already
-        zeroed and unchanged columns round-trip exactly. A same-timestamp
-        overwrite (``src == dst``) copies nothing. Unknown columns and
-        index key columns (immutable, see :meth:`stored_key`) raise before
-        the MVCC install, encode errors after it.
+        One :meth:`TableStorage.write_columns` install: the newest
+        version's raw bytes move to the new delta row (same rotation by
+        construction) and only the changed columns' byte runs are
+        rewritten — bit-identical device bytes to a decode-merge-reencode
+        of the whole row (the tests' oracle). A same-timestamp overwrite
+        (``src == dst``) copies nothing. Unknown columns and index key
+        columns (immutable, see :meth:`stored_key`) raise before the MVCC
+        install; encode errors after it, but before any byte is stored.
         """
         unknown = [c for c in changes if not self.schema.has_column(c)]
         if unknown:
@@ -101,9 +101,7 @@ class TableRuntime:
                 f"table {self.name!r}: cannot update index key column(s) {keys}"
             )
         src, dst, chain_len = self._mvcc(self.mvcc.update, row_id, ts)
-        if dst != src:
-            self.storage.copy_row(row_id, src, dst)
-        self.storage.write_columns(row_id, dst, changes)
+        self.storage.write_columns(row_id, src, dst, changes)
         return chain_len
 
     def insert_row(self, ts: int, values: Dict[str, Value]) -> int:

@@ -45,16 +45,18 @@ DEVICES = 8
 # ---------------------------------------------------------------------------
 # The oracle: the seed's per-slot loops, kept test-side
 # ---------------------------------------------------------------------------
-def oracle_write_columns(storage, row_id, delta, values):
-    """``write_columns`` before it ran the column plans: encode in schema
-    order, then ``row_addr`` and one ``Rank.device_write`` per run."""
+def oracle_write_columns(storage, row_id, src_delta, dst_delta, values):
+    """``write_columns`` before it was one pass and ran the column plans:
+    encode in schema order, then :func:`oracle_copy_row` from the source
+    version, then ``row_addr`` and one ``Rank.device_write`` per run."""
     encoded = {
         col.name: col.encode(values[col.name])
         for col in storage.layout.schema
         if col.name in values
     }
+    oracle_copy_row(storage, row_id, src_delta, dst_delta)
     num_devices = storage.rank.num_devices
-    region, row = version_slot(row_id, delta)
+    region, row = version_slot(row_id, dst_delta)
     rotation = rotation_of(storage, region, row)
     for name, raw in encoded.items():
         for run in storage.layout.column_runs(name):
@@ -74,7 +76,7 @@ def oracle_copy_row(storage, row_id, src_delta, dst_delta):
     dst_region, dst = version_slot(row_id, dst_delta)
     if rotation_of(storage, src_region, src) != rotation_of(storage, dst_region, dst):
         raise LayoutError(
-            "copy_row requires matching rotations (delta rows are allocated "
+            "a row copy requires matching rotations (delta rows are allocated "
             "rotation-aligned for this reason)"
         )
     mem = storage.rank.mem
@@ -152,13 +154,6 @@ class OracleStorage(TableStorage):
     def write_bitmap(self, region, bitmap):
         for device in self.rank.devices:
             device.write(self.bitmap_addr(region), bitmap)
-
-    def set_bitmap_bit(self, region, row, value):
-        addr = self.bitmap_addr(region) + row // 8
-        for device in self.rank.devices:
-            byte = int(device.read(addr, 1)[0])
-            byte = byte | (1 << row % 8) if value else byte & ~(1 << row % 8)
-            device.write(addr, np.array([byte], dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +325,9 @@ class TestFailBeforeWriting:
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         with pytest.raises(MemoryError_, match=r"data row 32 out of range \[0, 32\)"):
             row_addr(storage, Region.DATA, 0, 32)
-        with pytest.raises(LayoutError, match="copy_row requires matching rotations"):
-            storage.copy_row(0, 8, -1)
-        with pytest.raises(LayoutError, match="copy_row requires matching rotations"):
+        with pytest.raises(LayoutError, match="a row copy requires matching rotations"):
+            storage.write_columns(0, 8, -1, {})
+        with pytest.raises(LayoutError, match="a row copy requires matching rotations"):
             storage.copy_rows(Region.DELTA, [0, 8], Region.DATA, [0, 0])
         with pytest.raises(MemoryError_, match=r"delta row 16 out of range \[0, 16\)"):
             storage.copy_rows(Region.DELTA, [0, 16], Region.DATA, [0, 1])
@@ -355,26 +350,39 @@ class TestFailBeforeWriting:
         return str(got.value)
 
     @pytest.mark.parametrize(
-        "version, values, error, text",
+        "versions, values, error, text",
         [
-            ((5, -1), {"a": 1, "z": b"x" * 10}, SchemaError, "column 'z'"),
-            ((32, -1), {"z": b"x" * 10}, SchemaError, "column 'z'"),
-            ((32, -1), {"a": 1 << 40, "z": b""}, SchemaError, "column 'a'"),
-            ((32, -1), {"a": 1}, MemoryError_, r"data row 32 out of range [0, 32)"),
-            ((0, 16), {"z": b"q"}, MemoryError_, "delta row 16 out of range [0, 16)"),
+            ((5, -1, -1), {"a": 1, "z": b"x" * 10}, SchemaError, "column 'z'"),
+            ((32, -1, -1), {"z": b"x" * 10}, SchemaError, "column 'z'"),
+            ((32, -1, -1), {"a": 1 << 40, "z": b""}, SchemaError, "column 'a'"),
+            ((32, -1, -1), {"a": 1}, MemoryError_, r"data row 32 out of range [0, 32)"),
+            ((0, 16, 16), {"z": b"q"}, MemoryError_, "delta row 16 out of range [0, 16)"),
+            # Two versions. Data row 16 and delta row 16 sit in block 2
+            # (rotation 2), delta row 8 in block 1 (rotation 1).
+            ((16, 8, -1), {"a": 1}, LayoutError,
+             "delta row 8 (rotation 1) -> data row 16 (rotation 2)"),
+            ((16, 16, -1), {"a": 1}, MemoryError_, "delta row 16 out of range [0, 16)"),
+            ((16, -1, 16), {"a": 1}, MemoryError_, "delta row 16 out of range [0, 16)"),
+            # Data row 3 and delta row 5 are both in block 0: the copy
+            # is valid, and still nothing moves.
+            ((3, -1, 5), {"a": 1, "z": b"x" * 10}, SchemaError, "column 'z'"),
         ],
         ids=["encode error after a good column", "encode before range", "first column first",
-             "data range", "delta range"],
+             "data range", "delta range", "copy rotation", "copy src range", "copy dst range",
+             "encode error with a copy pending"],
     )
-    def test_write_columns_errors(self, version, values, error, text):
+    def test_write_columns_errors(self, versions, values, error, text):
+        """Every error of the install is ``oracle_copy_row``'s, then
+        ``oracle_write_columns``', and leaves memory as it was."""
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         message = self.same_error(
             storage,
-            lambda: storage.write_columns(*version, values),
-            lambda: oracle_write_columns(storage, *version, values),
+            lambda: storage.write_columns(*versions, values),
+            lambda: oracle_write_columns(storage, *versions, values),
             error,
+            pair=text if error is LayoutError else None,
         )
-        assert message.endswith(text) if error is MemoryError_ else text in message
+        assert message.endswith(text) if error is not SchemaError else text in message
 
     @pytest.mark.parametrize(
         "versions, error, text",
@@ -392,7 +400,7 @@ class TestFailBeforeWriting:
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         message = self.same_error(
             storage,
-            lambda: storage.copy_row(*versions),
+            lambda: storage.write_columns(*versions, {}),
             lambda: oracle_copy_row(storage, *versions),
             error,
             pair=text if error is LayoutError else None,
@@ -402,7 +410,8 @@ class TestFailBeforeWriting:
     @pytest.mark.parametrize(
         "call, text",
         [
-            (lambda s: s.copy_row(3, 9, -1), "delta row 9 (rotation 1) -> data row 3 (rotation 0)"),
+            (lambda s: s.write_columns(3, 9, -1, {}),
+             "delta row 9 (rotation 1) -> data row 3 (rotation 0)"),
             # Pairs 0 and 1 match; pairs 2 and 3 do not: the first is named.
             (lambda s: s.copy_rows(Region.DELTA, [0, 1, 9, 10], Region.DATA, [0, 1, 2, 3]),
              "delta row 9 (rotation 1) -> data row 2 (rotation 0)"),
@@ -419,7 +428,7 @@ class TestFailBeforeWriting:
         with pytest.raises(LayoutError) as err:
             call(storage)
         assert str(err.value) == (
-            "table 'orders': copy_row requires matching rotations (delta rows are "
+            "table 'orders': a row copy requires matching rotations (delta rows are "
             f"allocated rotation-aligned for this reason): {text}"
         )
         assert np.array_equal(storage.rank.mem, before)
@@ -449,15 +458,16 @@ class TestFailBeforeWriting:
 
 
 # ---------------------------------------------------------------------------
-# (a') one-row writes: write_row, write_columns and copy_row
+# (a') one-row writes: write_row and write_columns
 # ---------------------------------------------------------------------------
 class TestOneRowWritesImage:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_update_sequences_equal_the_per_slot_oracle(self, data):
-        """Full rows, column subsets and same-rotation copies, in both
-        regions, on rows either side of every block boundary — and so of
-        the bank boundaries ``make_rank`` puts between blocks."""
+        """Full rows, column subsets and installs from a same-rotation
+        version (with a possibly empty change set), in both regions, on
+        rows either side of every block boundary — and so of the bank
+        boundaries ``make_rank`` puts between blocks."""
         shape = data.draw(table_shapes(block_rows_choices=(8, 256)))
         schema, _, block_rows, _ = shape
         capacity = 4 * block_rows
@@ -477,8 +487,9 @@ class TestOneRowWritesImage:
             elif op == "columns":
                 names = rng.sample(schema.column_names, rng.randint(1, len(schema)))
                 changes = {name: random_row(schema, rng)[name] for name in names}
+                row_id, delta = version_of(region, row)
                 for storage in (fast, slow):
-                    storage.write_columns(*version_of(region, row), changes)
+                    storage.write_columns(row_id, delta, delta, changes)
             else:
                 # Two versions of one row: data slot → delta (an update),
                 # delta → delta (an update of an updated row), delta → data
@@ -488,8 +499,11 @@ class TestOneRowWritesImage:
                 row_id = row if region == Region.DATA else other
                 src = -1 if region == Region.DATA else row
                 dst = -1 if to_data else other
-                for storage in (fast, slow):
-                    storage.copy_row(row_id, src, dst)
+                names = rng.sample(schema.column_names, rng.randint(0, len(schema)))
+                changes = {name: random_row(schema, rng)[name] for name in names}
+                fast.write_columns(row_id, src, dst, changes)
+                slow.copy_row(row_id, src, dst)
+                slow.write_columns(row_id, dst, dst, changes)
             assert np.array_equal(fast.rank.mem, slow.rank.mem), op
 
     def test_a_column_split_over_parts_at_bank_edges(self):
@@ -511,15 +525,16 @@ class TestOneRowWritesImage:
             for region in (Region.DATA, Region.DELTA):
                 for version in (version_of(region, row - 1), version_of(region, row)):
                     values = random_row(schema, rng)
+                    row_id, delta = version
                     for storage in (fast, slow):
-                        storage.write_row(*version, values)
-                        storage.write_columns(*version, {"m": values["n"][:17], "k": 9})
+                        storage.write_row(row_id, delta, values)
+                        storage.write_columns(row_id, delta, delta, {"m": values["n"][:17], "k": 9})
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
         assert fast.read_row(0, edges[-1], ["m", "k"])["k"] == 9
 
 
 # ---------------------------------------------------------------------------
-# (b) copy_row and a whole defragmentation pass
+# (b) row copies and a whole defragmentation pass
 # ---------------------------------------------------------------------------
 BDW_CPU, BDW_PIM = 102.4, 1024.0
 
@@ -563,7 +578,8 @@ class TestCopyAndDefragImage:
             values = random_row(schema, rng)
             for storage in (fast, slow):
                 storage.write_row(dst, src, values)
-                storage.copy_row(dst, src, -1)
+            fast.write_columns(dst, src, -1, {})
+            slow.copy_row(dst, src, -1)
             assert fast.read_row(dst, -1) == stored(schema, values)
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
 
@@ -585,8 +601,8 @@ class TestCopyAndDefragImage:
         def update(model, row_id):
             columns = rng.sample(schema.column_names, rng.randint(1, len(schema)))
             changes = {c: random_row(schema, rng)[c] for c in columns}
-            # copy_row + write_columns against a decode-merge-reencode
-            # of the whole row through the per-slot oracle.
+            # One install against a decode-merge-reencode of the whole
+            # row through the per-slot oracle.
             fast.update_row(row_id, ts, changes)
             model[row_id] = stored(schema, {**model[row_id], **changes})
             slow.storage.write_row(row_id, slow.mvcc.update(row_id, ts)[1], model[row_id])
@@ -658,8 +674,9 @@ class TestCopyAndDefragImage:
     @pytest.mark.parametrize("block_rows", [8, 256])
     @pytest.mark.parametrize("circulant", [True, False], ids=["circulant", "flat"])
     def test_copy_rows_equals_a_copy_row_loop(self, circulant, block_rows):
-        """The item gather/store of ``copy_rows`` against one ``copy_row``
-        per (delta, data) pair, on parts 13, 3 and 1 bytes wide."""
+        """The item gather/store of ``copy_rows`` against one row copy
+        (``write_columns`` with no changes) per (delta, data) pair, on
+        parts 13, 3 and 1 bytes wide."""
         schema = TableSchema.of(
             "t", [Column("a", 13, "bytes"), Column("b", 3, "bytes"), Column("c", 1, "bytes"),
                   Column("n", 20, "bytes")],
@@ -679,7 +696,7 @@ class TestCopyAndDefragImage:
         before = fast.rank.mem.copy()
         fast.copy_rows(Region.DELTA, deltas, Region.DATA, rows)
         for row_id, delta in zip(rows.tolist(), deltas.tolist()):
-            loop.copy_row(row_id, delta, -1)
+            loop.write_columns(row_id, delta, -1, {})
         assert not np.array_equal(fast.rank.mem, before)
         assert np.array_equal(fast.rank.mem, loop.rank.mem)
 
@@ -687,13 +704,13 @@ class TestCopyAndDefragImage:
         shape = (TableSchema.of("t", [Column("a", 4)]), ["a"], 8, True)
         fast = make_storage(TableStorage, shape, 100, 50)
         slow = make_storage(OracleStorage, shape, 100, 50)
-        bitmap = np.random.RandomState(3).randint(0, 256, size=13, dtype=np.uint8)
+        noise = np.random.RandomState(3)
+        data, delta = (noise.randint(0, 256, size=n, dtype=np.uint8) for n in (13, 7))
         for storage in (fast, slow):
-            storage.write_bitmap(Region.DATA, bitmap)
-            for row, value in [(0, True), (0, False), (9, True), (99, False), (49, True)]:
-                storage.set_bitmap_bit(Region.DATA, row, value)
-            storage.set_bitmap_bit(Region.DELTA, 49, True)
+            storage.write_bitmap(Region.DATA, data)
+            storage.write_bitmap(Region.DELTA, delta)
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
+        assert np.array_equal(fast.read_bitmap(Region.DELTA, 5), slow.read_bitmap(Region.DELTA, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ class TestInvariantChecker:
             (lambda t, ts: t.index.remove(t.stored_key(5)), (-1, 0, 0, 1, 0)),
             (misplace.__func__, (0, 0, 0, 1, 1)),
             # Row 6's data slot takes row 5's key behind the index's back.
-            (lambda t, ts: t.storage.write_columns(6, -1, {"no_o_id": t.stored_key(5)}),
+            (lambda t, ts: t.storage.write_columns(6, -1, -1, {"no_o_id": t.stored_key(5)}),
              (0, 0, 1, 1, 1)),
         ],
         ids=["stale", "missing", "misplaced", "duplicate"],

@@ -129,14 +129,14 @@ class TestCopyRow:
         st_ = make_storage()
         # data row 0 has rotation 0; delta rows 0..63 (block 0) rotation 0.
         st_.write_row(0, 5, row(42))
-        st_.copy_row(0, 5, -1)
+        st_.write_columns(0, 5, -1, {})
         assert st_.read_row(0, -1) == row(42)
 
     def test_copy_rejects_rotation_mismatch(self):
         st_ = make_storage()
         # delta block 1 (rows 64..127) has rotation 1 != data row 0's 0.
         with pytest.raises(LayoutError, match="rotation"):
-            st_.copy_row(0, 64, -1)
+            st_.write_columns(0, 64, -1, {})
 
 
 class TestBitmaps:
@@ -150,14 +150,18 @@ class TestBitmaps:
     def test_set_bit_updates_all_copies(self):
         st_ = make_storage(capacity=512)
         st_.write_bitmap(Region.DATA, np.zeros(64, dtype=np.uint8))
-        st_.set_bitmap_bit(Region.DATA, 9, True)
+        bitmap = np.zeros(64, dtype=np.uint8)
+        bitmap[1] = 0b10  # row 9
+        st_.write_bitmap(Region.DATA, bitmap)
         for device in range(8):
             assert st_.read_bitmap(Region.DATA, device)[1] == 0b10
 
     def test_clear_bit(self):
         st_ = make_storage(capacity=512)
         st_.write_bitmap(Region.DATA, np.full(64, 0xFF, dtype=np.uint8))
-        st_.set_bitmap_bit(Region.DATA, 0, False)
+        bitmap = np.full(64, 0xFF, dtype=np.uint8)
+        bitmap[0] = 0xFE  # row 0
+        st_.write_bitmap(Region.DATA, bitmap)
         assert st_.read_bitmap(Region.DATA)[0] == 0xFE
 
     def test_wrong_size_rejected(self):
