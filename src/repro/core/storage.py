@@ -20,8 +20,8 @@ key column's blocks from any block on, so a growing plan walks only the
 blocks that changed, and raises for rows past the region's allocated
 blocks). Because of the ADE alignment, whole-row movement is a column
 slice of the rank's byte matrix — ``rank.mem[:, addr:addr+W]`` is one
-row's slots on every device — so a row copy is one 2-D slice assignment
-per part, a block of rows one strided store
+row's slots on every device — so a row copy is one ``W``-byte item per
+device and part, a block of rows one strided store
 (:meth:`TableStorage.write_column_rows`, from column arrays), a
 defragmentation pass one gather and one store of ``W``-byte items per
 part (:meth:`TableStorage.copy_rows`, through
@@ -33,12 +33,12 @@ geometry of each of its byte runs, resolved once (:class:`_ReadRun`).
 one item gather ``byte_runs(mem, length)[device, addr]`` per run,
 whatever blocks and rotations the rows sit in, returning column arrays.
 :meth:`TableStorage.read_row` executes the same plan for one row with
-plain slices ``mem[device, a:a+n]`` — a one-row gather costs several
-times a slice, so the scalar reader is not the batch reader of one — and
+slices ``Rank.flat[a:a+n]`` — a one-row gather costs several times a
+slice, so the scalar reader is not the batch reader of one — and
 :meth:`TableStorage.read_column_values` is ``read_rows`` over a prefix.
-One-row writes are slices through the same plans: a part per slice for
-:meth:`TableStorage.write_row` and for the source copy of an update's
-:meth:`TableStorage.write_columns`, then a run of a changed column per slice.
+One-row writes go through the same plans: a part per ADE slice for
+:meth:`TableStorage.write_row`, per item copy for the source of an update's
+:meth:`TableStorage.write_columns`, then a changed column's run per ``flat`` slice.
 
 The one-row calls take a version the way the MVCC journal names it,
 ``(row_id, delta)``: ``delta ≥ 0`` is a delta-region row and −1 the
@@ -68,8 +68,9 @@ class _ReadRun(NamedTuple):
 
     The run's bytes for row ``r`` of region ``g`` (0 data, 1 delta) are
     ``mem[(slot + rotation) % d, a : a + length]`` with ``a = bases[g]
-    [block] + within * row_width + slot_offset``; they are bytes
-    ``col_offset : col_offset + length`` of the column's value.
+    [block] + within * row_width + slot_offset``, i.e. ``Rank.flat[f :
+    f + length]`` with ``f = at[rotation] + a - slot_offset``; they are
+    bytes ``col_offset : col_offset + length`` of the column's value.
     """
 
     slot: int
@@ -81,6 +82,8 @@ class _ReadRun(NamedTuple):
     #: scalar reader, as arrays for the gather.
     bases: Tuple[List[int], List[int]]
     base_arrays: Tuple[np.ndarray, np.ndarray]
+    #: Per rotation, ``(slot + rotation) % d * device_bytes + slot_offset``.
+    at: Tuple[int, ...]
 
 
 class RankAllocator:
@@ -196,14 +199,17 @@ class TableStorage:
             (part.row_width, (self._data_blocks[part.index], self._delta_blocks[part.index]))
             for part in layout.parts
         )
+        # Per part, the rank as W-byte items: a source copy is one item per device.
+        self._part_items = tuple(byte_runs(rank.mem, width)[:, :, 0] for width, _ in self._parts)
         # Per-column plans, shared by read_row, read_rows,
         # read_column_values and write_columns: a column's runs are
         # immutable once the layout validates, so their geometry is
         # resolved on the first touch of the name and reused on every row.
         self._read_plans: Dict[str, Tuple[Column, Tuple[_ReadRun, ...]]] = {}
-        # Schema columns in declaration order, for write_columns' encode
-        # pass (iterating the schema object per update re-resolves it).
+        # write_columns' schema columns in declaration order (iterating the
+        # schema per update re-resolves it) and names (its unknown-name check).
         self._schema_columns = tuple(layout.schema)
+        self._column_names = frozenset(layout.schema.column_names)
 
     def _bitmap_align(self) -> int:
         # Blocks are block_rows bits = block_rows/8 bytes; aligning the
@@ -284,9 +290,11 @@ class TableStorage:
     def _read_plan(self, name: str) -> Tuple[Column, Tuple[_ReadRun, ...]]:
         """Resolve (and cache) one column's read plan.
 
-        Unknown columns raise here, on first touch.
+        Unknown columns raise here, on first touch, as does a one-run
+        column short of its width (``read_row`` skips ``Column.decode``'s check).
         """
         col = self.layout.schema.column(name)
+        d, size = self.rank.mem.shape
         runs = []
         for run in self.layout.column_runs(name):
             p = run.placement
@@ -300,7 +308,13 @@ class TableStorage:
                     self.layout.parts[run.part_index].row_width,
                     bases,
                     (np.asarray(bases[0], dtype=np.intp), np.asarray(bases[1], dtype=np.intp)),
+                    tuple((run.slot_index + r) % d * size + p.slot_offset for r in range(d)),
                 )
+            )
+        if len(runs) == 1 and runs[0].length != col.width:
+            raise LayoutError(
+                f"table {self.layout.schema.name!r}: column {name!r} is one run of "
+                f"{runs[0].length} B, not {col.width} B"
             )
         plan = self._read_plans[name] = (col, tuple(runs))
         return plan
@@ -314,34 +328,30 @@ class TableStorage:
         Only the byte runs of ``columns`` are read — the OLTP fast path
         for partial reads. The scalar executor of the read plans: one
         range check and one ``divmod`` for the row, then one slice of
-        the rank matrix per run.
+        ``Rank.flat`` per run. Values are ``int`` or ``bytes``, never views.
         """
         if columns is None:
             columns = self.layout.schema.column_names
         region, row = self._locate(row_id, delta)
         block, within = divmod(row, self.block_rows)
         rotation = self.placement.rotation_of_block(block)
-        num_devices = self.rank.num_devices
-        mem = self.rank.mem
+        flat = self.rank.flat
         plans = self._read_plans
         out: Dict[str, Value] = {}
         for name in columns:
             col, runs = plans.get(name) or self._read_plan(name)
-            if len(runs) == 1:
+            if len(runs) == 1 and col.kind == "int":
                 # Common case: the column is one contiguous run (all key
                 # columns and most normal columns).
-                slot, slot_offset, _, length, row_width, bases, _ = runs[0]
-                addr = bases[region][block] + within * row_width + slot_offset
-                raw = mem[(slot + rotation) % num_devices, addr : addr + length].tobytes()
+                _, _, _, length, row_width, bases, _, at = runs[0]
+                a = at[rotation] + bases[region][block] + within * row_width
+                out[name] = int.from_bytes(flat[a : a + length], "little")
             else:
                 buf = bytearray(col.width)
-                for slot, slot_offset, col_offset, length, row_width, bases, _ in runs:
-                    addr = bases[region][block] + within * row_width + slot_offset
-                    buf[col_offset : col_offset + length] = mem[
-                        (slot + rotation) % num_devices, addr : addr + length
-                    ].tobytes()
-                raw = bytes(buf)
-            out[name] = col.decode(raw)
+                for _, _, col_offset, length, row_width, bases, _, at in runs:
+                    a = at[rotation] + bases[region][block] + within * row_width
+                    buf[col_offset : col_offset + length] = flat[a : a + length]
+                out[name] = col.decode(bytes(buf))
         return out
 
     def read_rows(
@@ -386,14 +396,17 @@ class TableStorage:
         """Store version ``(row_id, dst_delta)`` as ``(row_id, src_delta)``
         with ``values``' columns replaced: an update, or a row copy if empty.
 
-        All-or-nothing: ``values`` are encoded in schema order (the order
-        :meth:`~repro.format.layout.UnifiedLayout.pack_row` validates, so
-        encode errors match :meth:`write_row`'s), then the versions'
-        rotations and ranges are checked. Only then does the source move,
-        device-locally since a row's versions share a rotation — one ADE
-        slice per part, none when ``src_delta == dst_delta`` — and each
-        changed column's runs are stored, one slice per run.
+        All-or-nothing: a name outside the schema raises first (the first
+        in ``values``' order); ``values`` are then encoded in schema order (the
+        order :meth:`~repro.format.layout.UnifiedLayout.pack_row` validates, so
+        encode errors match :meth:`write_row`'s) and the versions' rotations and
+        ranges checked. Only then does the source move, device-locally since a
+        row's versions share a rotation — one item copy per part, none when
+        ``src_delta == dst_delta`` — and each changed run is one ``flat`` slice.
         """
+        known = self._column_names
+        if not values.keys() <= known:  # raise read_row's SchemaError
+            self.layout.schema.column(next(name for name in values if name not in known))
         encoded = [
             (col.name, col.encode(values[col.name]))
             for col in self._schema_columns
@@ -412,24 +425,19 @@ class TableStorage:
             src_region, src = self._locate(row_id, src_delta)
         region, row = self._locate(row_id, dst_delta)
         block, within = divmod(row, self.block_rows)
-        mem = self.rank.mem
         if src_delta != dst_delta:
             src_block, src_within = divmod(src, self.block_rows)
-            for width, bases in self._parts:
+            for (width, bases), items in zip(self._parts, self._part_items):
                 lo = bases[src_region][src_block] + src_within * width
                 to = bases[region][block] + within * width
-                mem[:, to : to + width] = mem[:, lo : lo + width]
+                items[:, to] = items[:, lo]
         rotation = self.placement.rotation_of_block(block)
-        num_devices = self.rank.num_devices
+        flat = self.rank.flat
         for name, raw in encoded:
-            # A bytes memoryview stores as uint8 and slices without a copy.
-            raw = memoryview(raw)
             _, runs = self._read_plans.get(name) or self._read_plan(name)
-            for slot, slot_offset, col_offset, length, row_width, bases, _ in runs:
-                addr = bases[region][block] + within * row_width + slot_offset
-                mem[(slot + rotation) % num_devices, addr : addr + length] = raw[
-                    col_offset : col_offset + length
-                ]
+            for _, _, col_offset, length, row_width, bases, _, at in runs:
+                a = at[rotation] + bases[region][block] + within * row_width
+                flat[a : a + length] = raw[col_offset : col_offset + length]
 
     def _locate(self, row_id: int, delta: int) -> Tuple[int, int]:
         """Version ``(row_id, delta)`` as ``(region, row)``, range-checked.

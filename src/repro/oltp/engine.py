@@ -148,7 +148,7 @@ class TxnContext:
         row_id, lines = self.engine.db.index(index).probe(key)
         self.breakdown.index += self.engine.cost.index_compute_ns + lines * self.engine.line_ns
         if row_id is None:
-            raise TransactionError(f"index {index!r}: key {key!r} not found")
+            raise TransactionError(f"index {index!r}: key {key!r} not found (ts {self.ts})")
         return row_id
 
     def _charge_index_write(self) -> None:

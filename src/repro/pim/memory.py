@@ -14,6 +14,11 @@ matrix, :attr:`Rank.mem`, and the two views are its two axes:
   locally: a row slice ``mem[i, a:a+n]``, which is ``devices[i].data``,
   via :meth:`Rank.device_read` / :meth:`Rank.device_write`.
 
+A third view, :attr:`Rank.flat`, models no access: it is ``mem`` as one
+``memoryview`` (byte ``local`` of device ``i`` is ``flat[i * device_bytes +
+local]``), which the storage layer's one-row reader and writer slice per
+column run, at a fraction of the cost of indexing the matrix.
+
 The address mapping is the standard low-order interleave: interleaved
 address ``a`` lives on device ``(a // g) % d`` at local offset
 ``(a // (g * d)) * g + (a % g)``.
@@ -94,6 +99,8 @@ class Rank:
             mmap.mmap(-1, geometry.devices_per_rank * device_bytes, access=mmap.ACCESS_COPY),
             dtype=np.uint8,
         ).reshape(geometry.devices_per_rank, device_bytes)
+        #: ``mem`` as one 1-D ``memoryview`` (format "B"); ``mem`` is never rebound.
+        self.flat = memoryview(self.mem).cast("B")
         self.devices: List[Device] = [
             Device(i, device_bytes, geometry.banks_per_device, data=self.mem[i])
             for i in range(geometry.devices_per_rank)

@@ -47,8 +47,11 @@ DEVICES = 8
 # ---------------------------------------------------------------------------
 def oracle_write_columns(storage, row_id, src_delta, dst_delta, values):
     """``write_columns`` before it was one pass and ran the column plans:
-    encode in schema order, then :func:`oracle_copy_row` from the source
-    version, then ``row_addr`` and one ``Rank.device_write`` per run."""
+    reject names outside the schema, encode in schema order, then
+    :func:`oracle_copy_row` from the source version, then ``row_addr`` and
+    one ``Rank.device_write`` per run."""
+    for name in values:
+        storage.layout.schema.column(name)
     encoded = {
         col.name: col.encode(values[col.name])
         for col in storage.layout.schema
@@ -366,10 +369,14 @@ class TestFailBeforeWriting:
             # Data row 3 and delta row 5 are both in block 0: the copy
             # is valid, and still nothing moves.
             ((3, -1, 5), {"a": 1, "z": b"x" * 10}, SchemaError, "column 'z'"),
+            # An unknown name raises before 'a' fails to encode; the
+            # first unknown in the caller's order is named.
+            ((3, -1, 5), {"a": 1 << 40, "nope": 1, "b": 2}, SchemaError,
+             "table 'orders' has no column 'nope'"),
         ],
         ids=["encode error after a good column", "encode before range", "first column first",
              "data range", "delta range", "copy rotation", "copy src range", "copy dst range",
-             "encode error with a copy pending"],
+             "encode error with a copy pending", "unknown column before any encode"],
     )
     def test_write_columns_errors(self, versions, values, error, text):
         """Every error of the install is ``oracle_copy_row``'s, then
@@ -984,6 +991,7 @@ class TestRankMatrixViews:
             "device_read": lambda: int(rank.device_read(device, local, 1)[0]),
             "bank": lambda: int(bank.read(local - bank.start, 1)[0]),
             "ade_slice": lambda: int(rank.mem[:, local : local + 1][device, 0]),
+            "flat": lambda: rank.flat[device * self.RANK_BYTES + local],
         }
 
     def writers(self, rank, device, local):
@@ -995,6 +1003,9 @@ class TestRankMatrixViews:
             column[device, 0] = value
             rank.mem[:, local : local + 1] = column
 
+        def flat(value):
+            rank.flat[device * self.RANK_BYTES + local] = value
+
         return {
             "interleaved": lambda v: rank.write_interleaved(
                 local_to_interleaved(device, local, rank.granularity, rank.num_devices), one(v)
@@ -1002,13 +1013,14 @@ class TestRankMatrixViews:
             "device_write": lambda v: rank.device_write(device, local, one(v)),
             "bank": lambda v: bank.write(local - bank.start, one(v)),
             "ade_slice": ade,
+            "flat": flat,
         }
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, DEVICES - 1),
         st.integers(0, RANK_BYTES - 1),
-        st.lists(st.integers(0, 255), min_size=4, max_size=4, unique=True),
+        st.lists(st.integers(0, 255), min_size=5, max_size=5, unique=True),
     )
     def test_a_byte_written_through_one_view_reads_back_through_all(
         self, device, local, values

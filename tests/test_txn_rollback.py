@@ -253,7 +253,8 @@ def failing_txn(engine, body):
 class TestWriteErrorsNameTableAndTs:
     """A :class:`TransactionError` of an MVCC write or rollback surfaces as
     the same type, prefixed with the table and naming the ts (a rollback
-    under a newer tail: ``test_txn_rollback_names_the_table``)."""
+    under a newer tail: ``test_txn_rollback_names_the_table``). An index
+    miss names its index and the ts."""
 
     def test_already_deleted(self, fresh_engine):
         def delete_twice(ctx):
@@ -274,6 +275,12 @@ class TestWriteErrorsNameTableAndTs:
         assert message == f"table 'warehouse': table full: capacity 256 rows reached (ts {ts})"
         warehouse = fresh_engine.table("warehouse")
         assert warehouse.num_rows == 1 and len(warehouse.index) == 1
+
+    def test_missing_key(self, fresh_engine):
+        message, ts = failing_txn(
+            fresh_engine, lambda ctx: ctx.index_lookup("stock_pk", (1, 10**6))
+        )
+        assert message == f"index 'stock_pk': key (1, 1000000) not found (ts {ts})"
 
 
 class TestUndoValidation:

@@ -17,7 +17,7 @@ still had the naive execution mode (94e14a0), where both modes agreed.
 import bisect
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -1326,10 +1326,29 @@ class TestReadPlanEquivalence:
         for position, row in enumerate(rows):
             got = storage.read_row(*version_of(region, row), columns)
             assert got == {name: expected[name][position] for name in columns}
+            # Values, not views of the rank (a view also compares equal).
+            assert {type(value) for value in got.values()} <= {int, bytes}
         if rows:  # all columns by default
-            full = storage.read_row(*version_of(region, rows[0]))
-            every = oracle_read_rows(storage, region, rows[:1], READ_COLUMNS)
-            assert full == {name: values[0] for name, values in every.items()}
+            version = version_of(region, rows[0])
+            full = storage.read_row(*version)
+            every = {name: values[0] for name, values in oracle_read_rows(
+                storage, region, rows[:1], READ_COLUMNS
+            ).items()}
+            assert full == every
+            # Overwriting every column of the row leaves what was read as
+            # it was; writing the values back restores the shared world.
+            schema = storage.layout.schema
+            flipped = {
+                name: schema.column(name).max_int - value if isinstance(value, int)
+                else bytes(255 - byte for byte in value)
+                for name, value in full.items()
+            }
+            storage.write_columns(*version, version[1], flipped)
+            try:
+                assert storage.read_row(*version) == flipped
+                assert full == every
+            finally:
+                storage.write_columns(*version, version[1], every)
 
     def test_trailing_nuls_survive(self):
         storage = read_world(8, True)
@@ -1355,6 +1374,17 @@ class TestReadPlanEquivalence:
             "err", "MemoryError_", f"table 't': {region} row -1 out of range [0, {capacity})",
         )
         assert capture(lambda: storage.read_column_values(region, "w4", capacity + 1)) == named
+
+    def test_a_single_run_short_of_its_column_is_a_layout_error(self):
+        """The one-row reader decodes a single-run int column without
+        ``Column.decode``'s length check, so its plan checks the run."""
+        storage = read_world(8, True)
+        run = storage.layout.column_runs("w4")[0]
+        short = replace(run, placement=replace(run.placement, length=3))
+        storage.layout._runs["w4"] = [short]
+        error = ("err", "LayoutError", "table 't': column 'w4' is one run of 3 B, not 4 B")
+        assert capture(lambda: storage.read_row(0, -1, ["w4"])) == error
+        assert capture(lambda: storage.write_columns(0, -1, -1, {"w4": 1})) == error
 
     def test_empty_index(self):
         storage = read_world(8, True)
