@@ -1,7 +1,8 @@
 """Bench sweeps: PrIM-style microbenchmarks and the substrate roofline.
 
-``repro.bench.micro`` and ``repro.bench.roofline`` are the single-unit
-and end-to-end operator sweeps behind ``python -m repro.experiments
+``repro.bench.micro`` runs the query path's primitives on a one-unit
+table and ``repro.bench.roofline`` adds the end-to-end operator sweep on
+the full rank; together they are ``python -m repro.experiments
 roofline``; ``baselines/roofline.json`` pins the full sweep (see
 :mod:`repro.experiments.baselines`).
 """

@@ -1,60 +1,64 @@
-"""PrIM-style single-unit microbenchmarks (roofline observability).
+"""PrIM-style microbenchmarks on the query path (roofline observability).
 
-Each primitive drives ONE standalone PIM unit — no executor, no
-controller — through the same functional load/compute methods the OLAP
-operators use, sweeping the operand size. Time and traffic come from the
-unit's own work counters (:class:`~repro.pim.pim_unit.PIMUnitStats`), so
-a point's effective bandwidth is *achieved* bandwidth under the
-substrate's timing model, directly comparable to the substrate's stream
-ceiling. This mirrors the PrIM methodology: measure the primitive in
-isolation first, then explain end-to-end operators as compositions of
-the primitives' rooflines.
+Each primitive runs the code the OLAP queries run — the planned operator
+scans of :mod:`repro.olap.operators`, through :class:`OLAPEngine` where
+the query does — on an engine with ONE PIM unit: the sweep table
+(:func:`_build_engine`) on the substrate's configuration with a
+one-device, one-bank rank, so each key column sits in its own dense part.
+Time and traffic are that unit's work counters
+(:class:`~repro.pim.pim_unit.PIMUnitStats`), so a point's effective
+bandwidth is *achieved* bandwidth under the substrate's timing model,
+directly comparable to the substrate's stream ceiling. This mirrors the
+PrIM methodology: measure the primitive first, then explain end-to-end
+operators (:mod:`repro.bench.roofline`, the same table on the full rank)
+as compositions of the primitives' rooflines.
+
+* ``scan`` — a filter scan's load phases alone (column and bitmap);
+* ``filter`` — :meth:`OLAPEngine.filter` of ``v < 32768``;
+* ``aggregate`` — :meth:`OLAPEngine.aggregate` of ``v`` into one group;
+* ``join`` — two hash scans of ``k``, then :meth:`PIMUnit.op_join` per
+  1,024-row bucket chunk;
+* ``copy`` — :meth:`PIMUnit.copy_rows` of every row's ``v`` slot into the
+  data region's free half, the bank-local move of §5.3 (Eq. 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.config import SystemConfig
+from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError
-from repro.pim.device import Device
-from repro.pim.pim_unit import Condition, PIMUnit, uints_to_bytes
+from repro.format.schema import Column, TableSchema
+from repro.mvcc.metadata import Region
+from repro.olap.engine import QueryTiming
+from repro.olap.operators import FilterOperation, RegionRows
+from repro.pim.pim_unit import Condition
 from repro.pim.substrate import Substrate, available_substrates, get_substrate
-from repro.units import ceil_div
 
 __all__ = [
     "MicroPoint",
     "PRIMITIVES",
     "DEFAULT_SIZES",
-    "standalone_unit",
     "run_primitive",
     "run_micro",
     "fit_saturation",
 ]
 
-#: Element width of the synthetic operand column (bytes).
-_WIDTH = 4
-#: Rows loaded into WRAM per chunk (16 kB of operand data).
-_CHUNK_ROWS = 4096
+#: Rows per block of the one-unit table (the roofline's ``block_rows``
+#: sets the operator sweep's blocks only).
+_BLOCK_ROWS = 256
 #: Rows per side of one join bucket chunk.
 _JOIN_ROWS = 1024
-#: Bank address of the store/build-side region (past any operand sweep).
-_FAR_REGION = 1 << 19
+#: The filter predicate of both sweeps: about half of ``v`` matches.
+_PREDICATE = Condition("lt", 32768)
 
-# WRAM layout shared by the chunked primitives (fits a 64 kB scratchpad).
-_DATA_OFF = 0  # operand chunk, _CHUNK_ROWS * _WIDTH bytes
-_BITMAP_OFF = 16_384  # visibility bitmap, _CHUNK_ROWS / 8 bytes
-_RESULT_OFF = 20_480  # filter result bitmap
-_INDEX_OFF = 24_576  # aggregation group indices (2 B per row)
-_ACC_OFF = 33_792  # aggregation accumulators (8 B per group)
-_HASH2_OFF = 8_192  # join build side (probe side sits at _DATA_OFF)
-_JOIN_OUT_OFF = 16_384  # join match count + pairs
-
-#: Default operand sizes (rows) swept per primitive. Sizes below one
-#: WRAM chunk become a single small transfer, exposing the fixed
-#: activation overhead (the saturation knee); large sizes amortize it.
+#: Default table sizes (rows) swept per primitive. A few rows are one
+#: partial block, exposing the fixed activation and bitmap overhead (the
+#: saturation knee); large tables fill many WRAM phases and amortize it.
 DEFAULT_SIZES = (8, 64, 1024, 16384, 65536)
 
 
@@ -96,119 +100,83 @@ class MicroPoint:
 
     def as_dict(self) -> Dict[str, object]:
         """Plain dict (for JSON snapshots), derived values included."""
-        return {
-            "substrate": self.substrate,
-            "primitive": self.primitive,
-            "rows": self.rows,
-            "dram_bytes": self.dram_bytes,
-            "elements": self.elements,
-            "load_time": self.load_time,
-            "compute_time": self.compute_time,
-            "total_time": self.total_time,
-            "effective_bandwidth": self.effective_bandwidth,
-            "operational_intensity": self.operational_intensity,
-            "ceiling_bandwidth": self.ceiling_bandwidth,
-            "ceiling_ratio": self.ceiling_ratio,
-            "bound": self.bound,
-        }
+        derived = ("total_time", "effective_bandwidth", "operational_intensity", "ceiling_ratio")
+        return {**asdict(self), **{name: getattr(self, name) for name in derived}}
 
 
-def standalone_unit(substrate: Substrate) -> PIMUnit:
-    """A fresh PIM unit over one bank, configured for ``substrate``."""
-    geometry = substrate.config.geometry
-    num_banks = geometry.banks_per_device
-    # 1 MB per bank — enough for the largest operand sweep plus a
-    # disjoint store region.
-    device = Device(0, num_banks << 20, num_banks=num_banks)
-    return PIMUnit(
-        0,
-        device.banks[0],
-        substrate.config.pim,
-        substrate.config.timings,
-        geometry,
+def _build_engine(config: SystemConfig, rows: int, block_rows: int) -> PushTapEngine:
+    """The sweep table on ``config``, its snapshot current: ``rows``
+    deterministic rows of a join key ``k``, a value ``v`` (~50% filter
+    selectivity) and a group key ``g`` (64 groups)."""
+    schema = TableSchema.of("points", (Column("k", 4), Column("v", 4), Column("g", 2)))
+    values = [
+        {"k": (i * 2654435761) & 0xFFFFFFFF, "v": (i * 48271) % 65536, "g": i % 64}
+        for i in range(rows)
+    ]
+    engine = PushTapEngine.build_custom(
+        {"points": schema}, {"points": ("k", "v", "g")}, {"points": values},
+        config=config, block_rows=block_rows,
     )
+    engine.table("points").snapshots.update_to(engine.db.oracle.read_timestamp())
+    return engine
 
 
-def _operand_values(rows: int) -> np.ndarray:
-    """Deterministic pseudo-random operand values in [0, 2^16)."""
-    idx = np.arange(rows, dtype=np.uint64)
-    return (idx * np.uint64(2654435761)) & np.uint64(0xFFFF)
+def _unit_engine(substrate: Substrate, rows: int) -> PushTapEngine:
+    """The sweep table on ``substrate`` over one device of one bank: one unit."""
+    config = substrate.config
+    geometry = replace(config.geometry, devices_per_rank=1, banks_per_device=1)
+    return _build_engine(replace(config, geometry=geometry), rows, _BLOCK_ROWS)
 
 
-def _prepare_operand(unit: PIMUnit, rows: int) -> None:
-    unit.bank.write(0, uints_to_bytes(_operand_values(rows), _WIDTH))
+def _run_scan(engine: PushTapEngine, rows: int) -> None:
+    """The load phases of a filter scan: stream the column and its bitmap."""
+    table = engine.table("points")
+    op = FilterOperation(table.storage, table.units, "v", _PREDICATE, RegionRows(rows))
+    for chunk in range(op.num_chunks()):
+        op.load(chunk)
 
 
-def _ones_bitmap(unit: PIMUnit) -> None:
-    unit.wram_write(_BITMAP_OFF, np.full(_CHUNK_ROWS // 8, 0xFF, dtype=np.uint8))
+def _run_filter(engine: PushTapEngine, rows: int) -> None:
+    """The operator sweep's predicate scan."""
+    table = engine.table("points")
+    engine.olap.filter(table, "v", _PREDICATE, QueryTiming(), RegionRows(rows))
 
 
-def _chunks(rows: int, chunk_rows: int):
-    for base in range(0, rows, chunk_rows):
-        yield base, min(chunk_rows, rows - base)
+def _run_aggregate(engine: PushTapEngine, rows: int) -> None:
+    """A single-group sum of the value column."""
+    table = engine.table("points")
+    indices = np.zeros(rows, dtype=np.uint16)
+    engine.olap.aggregate(table, "v", indices, 1, QueryTiming(), RegionRows(rows))
 
 
-def _run_copy(unit: PIMUnit, rows: int) -> None:
-    """Stream rows bank→WRAM→bank (the LS phase round trip)."""
-    _prepare_operand(unit, rows)
-    for base, n in _chunks(rows, _CHUNK_ROWS):
-        nbytes = n * _WIDTH
-        unit.load_strided(base * _WIDTH, nbytes, nbytes, nbytes, _DATA_OFF)
-        unit.store_dense(_FAR_REGION + base * _WIDTH, _DATA_OFF, nbytes)
+def _run_join(engine: PushTapEngine, rows: int) -> None:
+    """Hash both sides of a self-join on ``k``, then match each bucket
+    chunk in the unit's WRAM: probe hashes, build hashes, then the pairs."""
+    table = engine.table("points")
+    timing, selection = QueryTiming(), RegionRows(rows)
+    build = engine.olap.hash_scan(table, "k", timing, selection)
+    probe = engine.olap.hash_scan(table, "k", timing, selection)
+    (unit,) = engine.units.values()
+    for base in range(0, rows, _JOIN_ROWS):
+        n = min(_JOIN_ROWS, rows - base)
+        sides = (probe.hashes[base : base + n], build.hashes[base : base + n])
+        unit.wram_write(0, np.concatenate(sides).view(np.uint8))
+        unit.op_join(0, n * 4, n * 8, n, n)
 
 
-def _run_scan(unit: PIMUnit, rows: int) -> None:
-    """Pure streaming read of the operand column."""
-    _prepare_operand(unit, rows)
-    for base, n in _chunks(rows, _CHUNK_ROWS):
-        nbytes = n * _WIDTH
-        unit.load_strided(base * _WIDTH, nbytes, nbytes, nbytes, _DATA_OFF)
+def _run_copy(engine: PushTapEngine, rows: int) -> None:
+    """Copy every row's ``v`` slot into the data region's free half (the
+    build's insert headroom doubles the region), bank-locally."""
+    (unit,) = engine.units.values()
+    scans = list(engine.table("points").storage.column_scan_plan("v", Region.DATA, 2 * rows))
+    addrs = np.concatenate(
+        [scan.dram_addr + scan.stride * np.arange(scan.num_rows) for scan in scans]
+    ) - unit.bank.start
+    unit.copy_rows(addrs[:rows], addrs[rows:], scans[0].chunk)
 
 
-def _run_filter(unit: PIMUnit, rows: int) -> None:
-    """Predicate scan: load, compare, write the match bitmap back."""
-    _prepare_operand(unit, rows)
-    _ones_bitmap(unit)
-    condition = Condition("lt", 0x8000)  # ~50% selectivity
-    for base, n in _chunks(rows, _CHUNK_ROWS):
-        nbytes = n * _WIDTH
-        unit.load_strided(base * _WIDTH, nbytes, nbytes, nbytes, _DATA_OFF)
-        unit.op_filter(_BITMAP_OFF, _DATA_OFF, _RESULT_OFF, _WIDTH, condition, n)
-        unit.store_dense(_FAR_REGION + base // 8, _RESULT_OFF, ceil_div(n, 8))
-
-
-def _run_aggregate(unit: PIMUnit, rows: int) -> None:
-    """Single-group sum: load, accumulate in WRAM across chunks."""
-    _prepare_operand(unit, rows)
-    _ones_bitmap(unit)
-    unit.wram_write(_INDEX_OFF, np.zeros(_CHUNK_ROWS * 2, dtype=np.uint8))
-    unit.wram_write(_ACC_OFF, np.zeros(8, dtype=np.uint8))
-    for base, n in _chunks(rows, _CHUNK_ROWS):
-        nbytes = n * _WIDTH
-        unit.load_strided(base * _WIDTH, nbytes, nbytes, nbytes, _DATA_OFF)
-        unit.op_aggregation(_BITMAP_OFF, _DATA_OFF, _INDEX_OFF, _ACC_OFF, _WIDTH, n, 1)
-
-
-def _run_join(unit: PIMUnit, rows: int) -> None:
-    """Bucket join: load both hash sides, match pairs in WRAM.
-
-    The build side plants a match every 16th row (high bit set
-    elsewhere), so the pair count stays bounded and deterministic.
-    """
-    idx = np.arange(rows, dtype=np.uint32)
-    probe = idx + np.uint32(1)
-    build = np.where(idx % 16 == 0, probe, idx | np.uint32(1 << 31))
-    unit.bank.write(0, probe.view(np.uint8))
-    unit.bank.write(_FAR_REGION, build.view(np.uint8))
-    for base, n in _chunks(rows, _JOIN_ROWS):
-        nbytes = n * 4
-        unit.load_strided(base * 4, nbytes, nbytes, nbytes, _DATA_OFF)
-        unit.load_strided(_FAR_REGION + base * 4, nbytes, nbytes, nbytes, _HASH2_OFF)
-        unit.op_join(_DATA_OFF, _HASH2_OFF, _JOIN_OUT_OFF, n, n)
-
-
-#: Primitive name → single-unit driver.
-PRIMITIVES: Dict[str, Callable[[PIMUnit, int], None]] = {
+#: Primitive name → driver over a one-unit engine of that many rows.
+PRIMITIVES: Dict[str, Callable[[PushTapEngine, int], None]] = {
     "copy": _run_copy,
     "scan": _run_scan,
     "filter": _run_filter,
@@ -218,7 +186,8 @@ PRIMITIVES: Dict[str, Callable[[PIMUnit, int], None]] = {
 
 
 def run_primitive(substrate: Substrate, primitive: str, rows: int) -> MicroPoint:
-    """Run one primitive at one size on a fresh unit; returns its point."""
+    """Run one primitive over a fresh ``rows``-row one-unit table; returns
+    its point, read off the unit's work counters."""
     try:
         driver = PRIMITIVES[primitive]
     except KeyError:
@@ -227,8 +196,9 @@ def run_primitive(substrate: Substrate, primitive: str, rows: int) -> MicroPoint
         ) from None
     if rows <= 0:
         raise ConfigError(f"primitive sweep size must be positive, got {rows}")
-    unit = standalone_unit(substrate)
-    driver(unit, rows)
+    engine = _unit_engine(substrate, rows)
+    (unit,) = engine.units.values()
+    driver(engine, rows)
     stats = unit.stats
     return MicroPoint(
         substrate=substrate.name,

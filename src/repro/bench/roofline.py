@@ -2,11 +2,12 @@
 
 ``run_roofline`` sweeps every requested substrate twice:
 
-1. the PrIM-style single-unit primitives (:mod:`repro.bench.micro`), and
-2. the real OLAP operators over a synthetic table built on that
-   substrate's configuration, with the telemetry registry's ``roofline``
-   flag on so every operator logs bytes moved, achieved bandwidth,
-   ceiling ratio, and its memory/compute/control-bound classification.
+1. the PrIM-style primitives (:mod:`repro.bench.micro`): the query path
+   on a one-unit copy of the sweep table, and
+2. the OLAP operators over the sweep table on that substrate's full
+   configuration, with the telemetry registry's ``roofline`` flag on so
+   every operator logs bytes moved, achieved bandwidth, ceiling ratio,
+   and its memory/compute/control-bound classification.
 
 The result is one deterministic, JSON-ready snapshot
 (``baselines/roofline.json`` pins the full sweep) with per-substrate ceilings, achieved-vs-ceiling points, saturation
@@ -21,13 +22,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
-from repro.bench.micro import DEFAULT_SIZES, PRIMITIVES, fit_saturation, run_micro
-from repro.core.engine import PushTapEngine
+from repro.bench.micro import (
+    DEFAULT_SIZES,
+    PRIMITIVES,
+    _PREDICATE,
+    _build_engine,
+    fit_saturation,
+    run_micro,
+)
 from repro.errors import ConfigError
-from repro.format.schema import Column, TableSchema
 from repro.olap.engine import QueryTiming
 from repro.olap.operators import RegionRows
-from repro.pim.pim_unit import Condition
 from repro.pim.substrate import Substrate, available_substrates, get_substrate
 from repro.telemetry.registry import MetricsRegistry
 from repro.trace.chrome import to_chrome_trace
@@ -42,36 +47,6 @@ DEFAULT_OPERATOR_SIZES = (4096, 16384, 65536)
 TRACE_TOLERANCE = 0.01
 
 
-def _synthetic_schema() -> TableSchema:
-    """The sweep table: a join key, a value column, and a group key."""
-    return TableSchema.of(
-        "points", (Column("k", 4), Column("v", 4), Column("g", 2))
-    )
-
-
-def _synthetic_rows(rows: int) -> List[Dict[str, int]]:
-    """Deterministic rows: ~50% filter selectivity, 64 group keys."""
-    return [
-        {
-            "k": (i * 2654435761) & 0xFFFFFFFF,
-            "v": (i * 48271) % 65536,
-            "g": i % 64,
-        }
-        for i in range(rows)
-    ]
-
-
-def _build_engine(substrate: Substrate, rows: int, block_rows: int) -> PushTapEngine:
-    schema = _synthetic_schema()
-    return PushTapEngine.build_custom(
-        {schema.name: schema},
-        {schema.name: ("k", "v", "g")},
-        {schema.name: _synthetic_rows(rows)},
-        config=substrate.config,
-        block_rows=block_rows,
-    )
-
-
 def _sweep_operators(
     substrate: Substrate, sizes: Sequence[int], block_rows: int
 ) -> Dict[str, object]:
@@ -80,18 +55,14 @@ def _sweep_operators(
     registry.roofline = True
     telemetry.enable(registry)
     try:
-        engine = _build_engine(substrate, max(sizes), block_rows)
+        engine = _build_engine(substrate.config, max(sizes), block_rows)
         table = engine.table("points")
-        ts = engine.db.oracle.read_timestamp()
-        table.snapshots.update_to(ts)
         operators: List[Dict[str, object]] = []
         for rows in sizes:
             selection = RegionRows(data_rows=rows)
             timing = QueryTiming()
             mark = len(engine.olap.roofline_log)
-            engine.olap.filter(
-                table, "v", Condition("lt", 32768), timing, selection
-            )
+            engine.olap.filter(table, "v", _PREDICATE, timing, selection)
             _, merged = engine.olap.group(table, "g", timing, selection)
             engine.olap.aggregate(
                 table, "v", merged.indices, merged.num_groups, timing, selection
@@ -202,8 +173,10 @@ def run_roofline(
 ) -> Dict[str, object]:
     """Full roofline sweep; returns the snapshot dict.
 
-    Raises :class:`ConfigError` before any substrate runs unless every
-    size and ``block_rows`` is positive.
+    ``block_rows`` sets the operator sweep's storage blocks only; the
+    microbenchmarks keep their own 256-row blocks. Raises
+    :class:`ConfigError` before any substrate runs unless every size and
+    ``block_rows`` is positive.
     """
     for name, values in (
         ("sizes", sizes), ("micro_sizes", micro_sizes), ("block_rows", [block_rows])

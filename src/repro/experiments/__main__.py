@@ -268,7 +268,7 @@ def roofline(argv) -> int:
 
     parser = _Parser(
         "roofline",
-        "Sweep PrIM-style single-unit microbenchmarks and the end-to-"
+        "Sweep PrIM-style one-unit microbenchmarks and the end-to-"
         "end OLAP operators across hardware substrates, classify each "
         "operator as memory/compute/control-bound against the "
         "substrate's bandwidth ceilings, cross-check the accounting "
@@ -278,7 +278,7 @@ def roofline(argv) -> int:
     parser.derive({
         "--substrates": ("substrates", "substrates to sweep (None: all registered)", available_substrates()),
         "--sizes": ("sizes", "table sizes (rows) for the end-to-end operator sweep"),
-        "--micro-sizes": ("micro_sizes", "operand sizes (rows) for the single-unit microbenchmarks"),
+        "--micro-sizes": ("micro_sizes", "table sizes (rows) for the one-unit microbenchmarks"),
         "--block-rows": ("block_rows", "storage block size (rows)"),
     }, run_roofline)
     parser.add_argument("--out", metavar="PATH", help="write the roofline snapshot to PATH as JSON")

@@ -15,13 +15,19 @@ in nanoseconds. DRAM-side time uses the streaming model of
 :mod:`repro.pim.timing`; compute time is ``ceil(n / tasklets)`` element
 steps at a few cycles per element.
 
-The compute phases are thin: each stages one block out of WRAM, calls the
-operation's *kernel* — a pure array function over a leading block axis
-(:func:`filter_kernel`, :func:`group_kernel`, :func:`aggregation_kernel`,
-:func:`hash_kernel`) — and writes the result back. The OLAP operators
-call the same kernels once per phase on every block of a rank, staged
-through :class:`RankUnits`, which keeps a rank's scratchpads and work
-counters in shared matrices.
+The OLAP operators run these operations a rank at a time: once per phase
+they call an operation's *kernel* — a pure array function over a leading
+block axis (:func:`filter_kernel`, :func:`group_kernel`,
+:func:`aggregation_kernel`, :func:`hash_kernel`) — on every block of the
+rank, staged through :class:`RankUnits`, which keeps a rank's scratchpads
+and work counters in shared matrices, and charge each unit what
+:meth:`PIMUnit.strided_cost` and :meth:`PIMUnit.compute_cost` give.
+:mod:`repro.bench.micro` measures that query path on a one-unit rank,
+plus this class's :meth:`PIMUnit.op_join` and :meth:`PIMUnit.copy_rows`.
+The one-block :meth:`PIMUnit.load_strided` and ``op_filter`` /
+``op_group`` / ``op_aggregation`` / ``op_hash`` (each staging its block
+out of WRAM and calling the same kernel) serve the unit tests and the
+end-to-end benchmark's layer trace, not the queries.
 """
 
 from __future__ import annotations
@@ -240,10 +246,8 @@ class PIMUnit:
     # ------------------------------------------------------------------
     # Row-buffer shadow tracking (roofline observability)
     # ------------------------------------------------------------------
-    def track_rows(
-        self, dram_addr: int, span: int, write: bool = False, moved: "int | None" = None
-    ) -> None:
-        """Feed one contiguous bank access into the row-buffer shadow.
+    def track_rows(self, dram_addr: int, span: int, moved: "int | None" = None) -> None:
+        """Feed one contiguous bank read into the row-buffer shadow.
 
         ``span`` is the address range touched; ``moved`` the bytes
         actually transferred (defaults to the span). The span is
@@ -261,7 +265,7 @@ class PIMUnit:
         last = (dram_addr + span - 1) // rb
         moved = span if moved is None else moved
         for row in range(first, last + 1):
-            self.rowbuffer.access(row, moved if row == first else 0, write)
+            self.rowbuffer.access(row, moved if row == first else 0)
 
     def _track_row_list(self, addrs, width: int, write: bool = False) -> None:
         """Feed scattered row-granularity accesses into the shadow model."""
@@ -365,19 +369,6 @@ class PIMUnit:
         """DRAM-side transfer time, capped by the unit's bandwidth spec."""
         raw = stream_time(moved, self.timings, self.geometry, self.config.access_granularity)
         return max(raw, moved / self.config.dram_bandwidth)
-
-    def store_dense(self, dram_addr: int, wram_offset: int, length: int) -> float:
-        """Write ``length`` WRAM bytes back to the bank contiguously."""
-        if length <= 0:
-            return 0.0
-        self._check_wram(wram_offset, length)
-        self.bank.write(dram_addr, self.wram[wram_offset : wram_offset + length])
-        granule = self.config.access_granularity
-        self.track_rows(dram_addr, length, write=True, moved=max(length, granule))
-        time = self._dram_time(max(length, granule))
-        self.stats.dram_bytes_written += max(length, granule)
-        self.stats.load_time += time
-        return time
 
     # ------------------------------------------------------------------
     # Compute phases (WRAM-only)

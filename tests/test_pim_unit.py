@@ -121,12 +121,6 @@ class TestLoadStore:
         t = unit.load_strided(0, n, stride=1, chunk=1, wram_offset=0)
         assert t >= n / unit.config.dram_bandwidth
 
-    def test_store_dense(self):
-        unit = make_unit()
-        unit.wram_write(0, np.arange(64, dtype=np.uint8))
-        unit.store_dense(128, 0, 64)
-        assert np.array_equal(unit.bank.read(128, 64), np.arange(64, dtype=np.uint8))
-
     def test_invalid_stride(self):
         unit = make_unit()
         with pytest.raises(ProtocolError):
