@@ -173,22 +173,26 @@ class TableRuntime:
     # ------------------------------------------------------------------
     def load_columns(self, blocks: Iterable[Dict[str, np.ndarray]]) -> int:
         """Bulk-load initial rows given as blocks of column arrays into
-        the data region, indexing each block under its keys.
+        the data region, then index them in one :meth:`HashIndex.insert_many`.
 
         Each block is one :meth:`TableStorage.write_column_rows`, stored
-        as it arrives (a generator is never materialized). Rows must
-        already be accounted in the MVCC manager's ``initial_rows``; a
-        block that would pass that count raises before it is stored.
+        as it arrives (a generator is never materialized); only its keys
+        are kept. Rows must already be accounted in the MVCC manager's
+        ``initial_rows``; a block that would pass that count raises
+        before it is stored.
         """
         count = 0
+        keys: list = []
         for columns in blocks:
             n = len(next(iter(columns.values())))
             stop = count + n
             self._check_sized(stop)
             self.storage.write_column_rows(Region.DATA, count, columns, n)
             if self.index is not None:
-                self.index.insert_many(self.keys(columns), range(count, stop))
+                keys += self.keys(columns)
             count = stop
+        if self.index is not None:
+            self.index.insert_many(keys, range(count))
         return count
 
     def _check_sized(self, rows: int) -> None:

@@ -8,8 +8,9 @@ cache lines), growing with chain length under collisions.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Hashable, Iterable, ItemsView, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, ItemsView, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import TransactionError
 
@@ -29,7 +30,7 @@ class HashIndex:
         self.name = name
         self.num_buckets = num_buckets
         self._map: Dict[Hashable, int] = {}
-        self._bucket_sizes: Dict[int, int] = {}
+        self._bucket_sizes: List[int] = [0] * num_buckets
 
     def __len__(self) -> int:
         return len(self._map)
@@ -43,7 +44,7 @@ class HashIndex:
             raise TransactionError(f"index {self.name!r}: duplicate key {key!r}")
         bucket = self._bucket(key)
         self._map[key] = row_id
-        self._bucket_sizes[bucket] = self._bucket_sizes.get(bucket, 0) + 1
+        self._bucket_sizes[bucket] += 1
 
     def insert_many(self, keys: Sequence[Hashable], row_ids: Iterable[int]) -> None:
         """Insert unique ``keys`` → ``row_ids`` (the bulk load), all or
@@ -58,15 +59,19 @@ class HashIndex:
                         f"index {self.name!r}: duplicate key {key!r}"
                     )
                 seen.add(key)
-        self._map.update(new)
-        sizes = self._bucket_sizes
-        for bucket, count in Counter(map(self._bucket, new)).items():
-            sizes[bucket] = sizes.get(bucket, 0) + count
+        if self._map:
+            self._map.update(new)
+        else:
+            self._map = new
+        # Each key's _bucket: NumPy's % takes the divisor's sign, as Python's.
+        hashes = np.fromiter(map(hash, new), np.int64, len(new))
+        counts = np.bincount(hashes % self.num_buckets, minlength=self.num_buckets)
+        self._bucket_sizes = (counts + self._bucket_sizes).tolist()
 
     def probe(self, key: Hashable) -> Tuple[Optional[int], int]:
         """Look up a key: ``(row id, lines touched)``, the row id None
         when the key is absent; the lines grow with the bucket's chain."""
-        chain = self._bucket_sizes.get(self._bucket(key), 0)
+        chain = self._bucket_sizes[self._bucket(key)]
         return self._map.get(key), self.BASE_PROBE_LINES + max(0, chain - 1)
 
     def remove(self, key: Hashable) -> None:

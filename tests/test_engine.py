@@ -34,7 +34,9 @@ class TestBuild:
 
     def test_build_has_no_per_value_path(self, monkeypatch):
         """Set-up is column blocks end to end: no value is encoded, no
-        key inserted and no row stored one at a time."""
+        key inserted or bucketed and no row stored one at a time; each
+        indexed table is bulk-loaded by one ``insert_many``."""
+        from repro.core.engine import _INDEX_KEYS
         from repro.core.storage import TableStorage
         from repro.format.schema import Column
         from repro.oltp.index import HashIndex
@@ -42,11 +44,21 @@ class TestBuild:
         def per_value(*args, **kwargs):
             raise AssertionError("per-value call under PushTapEngine.build")
 
+        bulk_loads = []
+        insert_many = HashIndex.insert_many
+
+        def counted(index, keys, row_ids):
+            bulk_loads.append(index.name)
+            insert_many(index, keys, row_ids)
+
         monkeypatch.setattr(Column, "encode", per_value)
         monkeypatch.setattr(HashIndex, "insert", per_value)
+        monkeypatch.setattr(HashIndex, "_bucket", per_value)
+        monkeypatch.setattr(HashIndex, "insert_many", counted)
         monkeypatch.setattr(TableStorage, "write_row", per_value)
         engine = PushTapEngine.build(scale=2e-5, block_rows=256)
         assert len(engine.db.index("orderline_pk")) == 1200
+        assert sorted(bulk_loads) == sorted(name for name, _ in _INDEX_KEYS.values())
 
     def test_row_filter_sees_column_blocks_and_sizes_the_engine(self):
         import numpy as np

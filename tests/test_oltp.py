@@ -1,7 +1,9 @@
 """OLTP: hash index, format models, the cost engine, TPC-C transactions."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import dimm_system
 from repro.core.engine import PushTapEngine
@@ -65,16 +67,22 @@ class TestHashIndex:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.one_of(st.integers(0, 50), st.tuples(st.integers(1, 4), st.integers(1, 10))),
+            st.one_of(
+                st.integers(-50, 50),
+                st.tuples(st.integers(-4, 4), st.integers(1, 10)),
+            ),
             unique=True,
             max_size=40,
         ),
         st.integers(0, 40),
-        st.sampled_from([1, 3, 4096]),
+        st.sampled_from([1, 3, 7, 4096]),
     )
+    @example(keys=[-1, -2, (-1, 3), 5], split=1, buckets=7)
     def test_insert_many_equals_the_insert_loop(self, keys, split, buckets):
         """Same map order, bucket counts and probe costs as per-key
-        inserts, on an index that already holds some keys."""
+        inserts, on an index that already holds some keys; the counts
+        follow ``hash(key) % num_buckets`` for negative hashes too
+        (``hash(-1) == -2``)."""
         loop, bulk = HashIndex("t", buckets), HashIndex("t", buckets)
         for row_id, key in enumerate(keys):
             loop.insert(key, row_id)
@@ -84,6 +92,8 @@ class TestHashIndex:
         assert self.state(bulk) == self.state(loop)
         for key in keys:
             assert bulk.probe(key) == loop.probe(key)
+        rule = Counter(hash(key) % buckets for key in keys)
+        assert bulk._bucket_sizes == [rule[b] for b in range(buckets)]
 
     @pytest.mark.parametrize(
         "batch, duplicate",
@@ -94,7 +104,7 @@ class TestHashIndex:
         idx = HashIndex("t", num_buckets=3)
         idx.insert((1, 2), 0)
         before = self.state(idx)
-        before = (list(before[0]), dict(before[1]), before[2])
+        before = (list(before[0]), list(before[1]), before[2])
         with pytest.raises(TransactionError) as bulk_error:
             idx.insert_many(batch, range(10, 10 + len(batch)))
         assert self.state(idx) == before
