@@ -14,7 +14,7 @@ from repro.report import format_table
 
 def customer_state(engine, key):
     ts = engine.db.oracle.read_timestamp()
-    row_id = engine.db.index("customer_pk").probe(key)[0]
+    row_id = engine.db.index("customer_pk").probe(key)
     row = engine.table("customer").read_row(row_id, ts)
     chain = engine.table("customer").mvcc.chain_length(row_id)
     return row, chain

@@ -134,7 +134,7 @@ class TableRuntime:
             if index is None or kind == UPDATE:
                 continue
             key = self.stored_key(row_id)
-            owner = index.probe(key)[0]
+            owner = index.probe(key)
             if kind == INSERT and owner == row_id:
                 index.remove(key)
             elif kind == DELETE and owner is None:

@@ -20,7 +20,7 @@ from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
 from repro.format.schema import Value
 from repro.oltp.formats import AccessFormatModel
-from repro.oltp.index import HashIndex
+from repro.oltp.index import PROBE_LINES
 from repro.pim.timing import BankTimingModel, random_line_time
 from repro.telemetry import registry as telemetry
 
@@ -145,18 +145,16 @@ class TxnContext:
     # ------------------------------------------------------------------
     def index_lookup(self, index: str, key: Hashable) -> int:
         """Probe an index; raises if the key is absent."""
-        row_id, lines = self.engine.db.index(index).probe(key)
-        self.breakdown.index += self.engine.cost.index_compute_ns + lines * self.engine.line_ns
+        row_id = self.engine.db.index(index).probe(key)
+        self._charge_index()
         if row_id is None:
             raise TransactionError(f"index {index!r}: key {key!r} not found (ts {self.ts})")
         return row_id
 
-    def _charge_index_write(self) -> None:
-        """One index insert or remove: a minimal probe."""
-        self.breakdown.index += (
-            self.engine.cost.index_compute_ns
-            + HashIndex.BASE_PROBE_LINES * self.engine.line_ns
-        )
+    def _charge_index(self) -> None:
+        """One index probe, insert or remove (DESIGN.md §5)."""
+        cost = self.engine.cost
+        self.breakdown.index += cost.index_compute_ns + PROBE_LINES * self.engine.line_ns
 
     # ------------------------------------------------------------------
     # Row operations
@@ -205,7 +203,7 @@ class TxnContext:
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
         if runtime.index is not None:
-            self._charge_index_write()
+            self._charge_index()
         return row_id
 
     def delete(self, table: str, row_id: int) -> None:
@@ -217,7 +215,7 @@ class TxnContext:
         self.breakdown.compute += self.engine.cost.compute_per_op_ns
         self.rows_written += 1
         if runtime.index is not None:
-            self._charge_index_write()
+            self._charge_index()
 
     def abort(self, reason: str = "") -> None:
         """Abort the transaction; the engine rolls back its writes."""

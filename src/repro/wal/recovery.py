@@ -9,7 +9,7 @@ timestamps. All mutation goes through the table runtime's own paths
 index), so the recovered engine satisfies the same invariants a live
 engine does — which is exactly what the crash-sweep asserts with the
 ``InvariantChecker``. A WAL op of a shape this version does not write
-(an unknown kind or arity) raises :class:`WALError`.
+(an unknown kind, arity or table) raises :class:`WALError` naming its ts.
 
 ``build_engine`` must reproduce the engine the durability directory was
 written by (same build parameters, same seed) and must **not** itself
@@ -126,7 +126,9 @@ def _apply_segment(engine, segment: dict) -> int:
     applied = 0
     for table in sorted(segment.get("tables", {})):
         rows = segment["tables"][table]
-        runtime = engine.db.table(table)
+        if table not in engine.db.tables:
+            raise WALError(f"segment at horizon {horizon}: unknown table {table!r}")
+        runtime = engine.db.tables[table]
         entries = {int(key): entry for key, entry in rows.items()}
         created = sorted(rid for rid, e in entries.items() if e["created"])
         for rid in created:
@@ -134,7 +136,7 @@ def _apply_segment(engine, segment: dict) -> int:
             new_id = runtime.insert_row(horizon, values)
             if new_id != rid:
                 raise WALError(
-                    f"{table}: segment row {rid} materialized as {new_id}; "
+                    f"segment at horizon {horizon}: {table} row {rid} materialized as {new_id}; "
                     f"segment applied out of order or against the wrong build"
                 )
             applied += 1
@@ -159,17 +161,20 @@ def _apply_segment(engine, segment: dict) -> int:
 
 def _apply_ops(engine, ts: int, ops: list) -> int:
     """Replay one WAL commit record through the table runtime paths."""
+    where = f"WAL record at ts {ts}"
     for op in ops:
         kind = op[0] if isinstance(op, tuple) and op and isinstance(op[0], str) else None
         if kind not in _OP_FIELDS or len(op) != _OP_FIELDS[kind]:
-            raise WALError(f"WAL record at ts {ts}: unknown op shape {op!r}")
-        table, rid = engine.db.table(op[1]), int(op[2])
+            raise WALError(f"{where}: unknown op shape {op!r}")
+        if op[1] not in engine.db.tables:
+            raise WALError(f"{where}: unknown table {op[1]!r}")
+        table, rid = engine.db.tables[op[1]], int(op[2])
         if kind == "update":
             table.update_row(rid, ts, dict(op[3]))
         elif kind == "insert":
             new_id = table.insert_row(ts, dict(op[3]))
             if new_id != rid:
-                raise WALError(f"{op[1]}: WAL insert expected row {rid}, got {new_id}")
+                raise WALError(f"{where}: {op[1]} insert expected row {rid}, got {new_id}")
         else:
             table.delete_row(rid, ts)
     return len(ops)

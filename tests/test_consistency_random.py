@@ -134,7 +134,7 @@ def test_random_interleaving_consistency(seed):
             # Spot-check a few customers through the MVCC read path.
             ts = engine.db.oracle.read_timestamp()
             for key in list(oracle.customers)[:5]:
-                row_id = engine.db.index("customer_pk").probe(key)[0]
+                row_id = engine.db.index("customer_pk").probe(key)
                 row = engine.table("customer").read_row(row_id, ts)
                 ref = oracle.customers[key]
                 for col in ("c_balance", "c_ytd_payment", "c_payment_cnt", "c_delivery_cnt"):

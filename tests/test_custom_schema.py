@@ -66,7 +66,7 @@ class TestBuildCustom:
 
     def test_index_built(self, htap_engine):
         engine, _ = htap_engine
-        assert engine.db.index("account_pk").probe(8)[0] == 7
+        assert engine.db.index("account_pk").probe(8) == 7
 
     def test_key_columns_pim_scannable(self, htap_engine):
         engine, _ = htap_engine
@@ -191,5 +191,5 @@ class TestBuildCustom:
 
         engine.oltp.execute(open_and_close)
         index = engine.db.index("account_pk")
-        assert index.probe(500)[0] == 40 and index.probe(7)[0] is None
+        assert index.probe(500) == 40 and index.probe(7) is None
         assert InvariantChecker(engine, raise_on_violation=False).check() == []

@@ -34,8 +34,8 @@ class TestBuild:
 
     def test_build_has_no_per_value_path(self, monkeypatch):
         """Set-up is column blocks end to end: no value is encoded, no
-        key inserted or bucketed and no row stored one at a time; each
-        indexed table is bulk-loaded by one ``insert_many``."""
+        key inserted and no row stored one at a time; each indexed table
+        is bulk-loaded by one ``insert_many``."""
         from repro.core.engine import _INDEX_KEYS
         from repro.core.storage import TableStorage
         from repro.format.schema import Column
@@ -53,7 +53,6 @@ class TestBuild:
 
         monkeypatch.setattr(Column, "encode", per_value)
         monkeypatch.setattr(HashIndex, "insert", per_value)
-        monkeypatch.setattr(HashIndex, "_bucket", per_value)
         monkeypatch.setattr(HashIndex, "insert_many", counted)
         monkeypatch.setattr(TableStorage, "write_row", per_value)
         engine = PushTapEngine.build(scale=2e-5, block_rows=256)
@@ -80,7 +79,7 @@ class TestBuild:
         whole = PushTapEngine.build(scale=2e-5, tables=["item"], block_rows=256)
         for row_id in (0, 127, 128, 199):
             assert table.read_row(row_id, ts) == whole.table("item").read_row(2 * row_id, ts)
-        assert engine.db.index("item_pk").probe(399)[0] == 199
+        assert engine.db.index("item_pk").probe(399) == 199
         unfiltered = PushTapEngine.build(
             scale=2e-5, tables=["item"], block_rows=256, row_filter=lambda t, c: None
         )

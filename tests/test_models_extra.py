@@ -128,7 +128,7 @@ class TestTableRuntimeHelpers:
         ts = fresh_engine.db.oracle.read_timestamp()
         assert runtime.read_row(2, ts)["i_price"] == 100
         assert runtime.mvcc.log_length == log_length
-        assert fresh_engine.db.index("item_pk").probe(1003)[0] == 2
+        assert fresh_engine.db.index("item_pk").probe(1003) == 2
 
     def test_update_unknown_column_rejected(self, fresh_engine):
         runtime = fresh_engine.table("item")
@@ -149,7 +149,7 @@ class TestTableRuntimeHelpers:
             runtime.update_row(0, ts, {"s_quantity": 5, "s_i_id": 9999})
         assert runtime.mvcc.log_length == log_length
         assert runtime.read_row(0, ts)["s_i_id"] == runtime.stored_key(0)[1]
-        assert fresh_engine.db.index("stock_pk").probe(runtime.stored_key(0))[0] == 0
+        assert fresh_engine.db.index("stock_pk").probe(runtime.stored_key(0)) == 0
 
     def test_region_rows_tracks_delta(self, fresh_engine):
         runtime = fresh_engine.table("item")

@@ -26,7 +26,8 @@ class TestOrderStatus:
     def test_breakdown_pinned(self):
         """Per-phase charges of one Order-Status over a delivered order
         (every line read walks a two-version chain). Values computed at
-        94e14a0, when the lines went through ``TxnContext.read_many``."""
+        94e14a0, when the lines went through ``TxnContext.read_many``;
+        ``index`` is 12 probes at the constant ``PROBE_LINES`` charge."""
         engine = PushTapEngine.build(scale=2e-5, seed=3)
         driver = engine.make_driver(seed=3, delivery_fraction=0.2)
         engine.run_transactions(40, driver)
@@ -36,7 +37,7 @@ class TestOrderStatus:
         assert not result.aborted
         assert (result.rows_read, result.rows_written) == (12, 0)
         assert result.breakdown.as_dict() == {
-            "index": 2521.879487179487,
+            "index": 2418.753846153846,
             "alloc": 0.0,
             "compute": 4200.0,
             "chain": 48.0,
@@ -63,11 +64,9 @@ class TestStockLevel:
         low = set()
         for order in params.recent_orders:
             for number in range(1, order.ol_cnt + 1):
-                ol_row = engine.db.index("orderline_pk").probe((order.o_id, number))[0]
+                ol_row = engine.db.index("orderline_pk").probe((order.o_id, number))
                 line = engine.table("orderline").read_row(ol_row, ts)
-                s_row = engine.db.index("stock_pk").probe(
-                    (line["ol_supply_w_id"], line["ol_i_id"])
-                )[0]
+                s_row = engine.db.index("stock_pk").probe((line["ol_supply_w_id"], line["ol_i_id"]))
                 stock = engine.table("stock").read_row(s_row, ts)
                 if stock["s_quantity"] < params.threshold:
                     low.add(line["ol_i_id"])

@@ -40,9 +40,7 @@ class TestAbort:
         engine = fresh_engine
         driver = engine.make_driver(seed=3)
         params = driver.next_payment()
-        c_row = engine.db.index("customer_pk").probe(
-            (params.w_id, params.d_id, params.c_id)
-        )[0]
+        c_row = engine.db.index("customer_pk").probe((params.w_id, params.d_id, params.c_id))
         ts = engine.db.oracle.read_timestamp()
         before = engine.table("customer").read_row(c_row, ts)
         inner = payment(params)
@@ -106,7 +104,7 @@ class TestAbort:
         result = engine.oltp.execute(aborting)
         assert result.aborted
         for order in d_params.orders:
-            assert engine.db.index("neworder_pk").probe(order.o_id)[0] is not None
+            assert engine.db.index("neworder_pk").probe(order.o_id) is not None
         assert db_fingerprint(engine) == before
         # The restored entries are live: retrying the delivery commits.
         result = engine.execute_transaction(delivery(d_params))
@@ -195,7 +193,7 @@ class TestFailedWriteRollback:
 
         with pytest.raises(TransactionError, match="duplicate key"):
             fresh_engine.oltp.execute(duplicate)
-        assert index.probe(1)[0] == 0
+        assert index.probe(1) == 0
         assert dict(index.items()) == before
 
     def test_aborted_insert_then_delete_leaves_the_index(self, fresh_engine):
@@ -231,7 +229,7 @@ class TestFailedWriteRollback:
                 fresh_engine.oltp.execute(delete)
         else:
             assert fresh_engine.oltp.execute(delete).aborted
-        assert index.probe(1)[0] == 0
+        assert index.probe(1) == 0
         assert dict(index.items()) == before
 
 
@@ -263,7 +261,7 @@ class TestWriteErrorsNameTableAndTs:
 
         message, ts = failing_txn(fresh_engine, delete_twice)
         assert message == f"table 'neworder': row 4 already deleted (ts {ts})"
-        assert fresh_engine.table("neworder").index.probe(5)[0] == 4
+        assert fresh_engine.table("neworder").index.probe(5) == 4
 
     def test_table_full(self, fresh_engine):
         def fill(ctx):
@@ -366,13 +364,13 @@ class TestDelivery:
         ts0 = engine.db.oracle.read_timestamp()
         c_row = engine.db.index("customer_pk").probe(
             (no_params.w_id, no_params.d_id, no_params.c_id)
-        )[0]
+        )
         before = engine.table("customer").read_row(c_row, ts0)
         engine.execute_transaction(delivery(d_params))
         ts = engine.db.oracle.read_timestamp()
         after = engine.table("customer").read_row(c_row, ts)
         assert after["c_delivery_cnt"] == before["c_delivery_cnt"] + len(d_params.orders)
-        ol_row = engine.db.index("orderline_pk").probe((no_params.o_id, 1))[0]
+        ol_row = engine.db.index("orderline_pk").probe((no_params.o_id, 1))
         line = engine.table("orderline").read_row(ol_row, ts)
         assert line["ol_delivery_d"] == d_params.delivery_d
 

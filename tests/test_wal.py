@@ -348,6 +348,41 @@ class TestRecovery:
             recover(path, build_engine)
         assert str(err.value) == f"WAL record at ts 5: unknown op shape {op!r}"
 
+    NEW_ORDER = {"no_d_id": 1, "no_o_id": 9001, "no_w_id": 1}
+
+    @pytest.mark.parametrize(
+        "record, segment, message",
+        [
+            (("insert", "neworder", 99999, NEW_ORDER), None,
+             "WAL record at ts 5: neworder insert expected row 99999, got {rows}"),
+            (("update", "nosuch", 3, {"x": 1}), None,
+             "WAL record at ts 5: unknown table 'nosuch'"),
+            (None, {"neworder": {"99999": {"created": True, "deleted": False,
+                                           "values": NEW_ORDER}}},
+             "segment at horizon 7: neworder row 99999 materialized as {rows}; "
+             "segment applied out of order or against the wrong build"),
+            (None, {"nosuch": {}}, "segment at horizon 7: unknown table 'nosuch'"),
+        ],
+        ids=["record insert row", "record table", "segment insert row", "segment table"],
+    )
+    def test_tampered_replay_names_its_timestamp(self, tmp_path, record, segment, message):
+        """A WAL record (ts 5) or checkpoint segment (horizon 7) that the
+        build cannot replay raises :class:`WALError` naming that ts."""
+        path = str(tmp_path / "dur")
+        os.makedirs(path)
+        if segment is not None:
+            store = LeveledStore(path)
+            name = store.write_segment({"horizon": 7, "tables": segment, "bitmaps": {}})
+            store.commit_segment(name, 7)
+        wal = WriteAheadLog(os.path.join(path, "wal.log"))
+        if record is not None:
+            wal.append(5, [jsonify(record)])
+        wal.close()
+        with pytest.raises(WALError) as err:
+            recover(path, build_engine)
+        rows = build_engine().table("neworder").num_rows
+        assert str(err.value) == message.format(rows=rows)
+
     def test_recovered_engine_keeps_working(self, tmp_path):
         path = str(tmp_path / "dur")
         live, _ = self._run(path, txns=25, checkpoint_every=10)
