@@ -61,11 +61,6 @@ class PushTapCluster:
         if not engines:
             raise ConfigError("a cluster needs at least one shard engine")
         self.engines = list(engines)
-        #: PushTapEngine.build kwargs captured by :meth:`build` so
-        #: spawned parallel workers can rebuild their shard engine
-        #: bit-identically (None when the cluster was assembled from
-        #: pre-built engines).
-        self._shard_build_kwargs: Optional[Dict[str, object]] = None
         self.num_shards = len(self.engines)
         #: The *global* row counts the shards were filtered from — the
         #: workload layer builds its drivers over these, not over any
@@ -107,9 +102,7 @@ class PushTapCluster:
             build_shard(shard, shards, counts, **build_kwargs)
             for shard in range(shards)
         ]
-        cluster = cls(engines, counts, interconnect_ns=interconnect_ns)
-        cluster._shard_build_kwargs = dict(build_kwargs)
-        return cluster
+        return cls(engines, counts, interconnect_ns=interconnect_ns)
 
     # ------------------------------------------------------------------
     # OLTP path

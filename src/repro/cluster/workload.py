@@ -239,7 +239,6 @@ class ClusterWorkload:
         homogeneous_tenants: bool = False,
         warehouse_groups: Optional[int] = None,
         jobs: int = 1,
-        worker_final_check: bool = False,
     ) -> None:
         if txns_per_query < 0:
             raise ConfigError("txns_per_query must be non-negative")
@@ -252,10 +251,6 @@ class ClusterWorkload:
         self.jobs = int(jobs)
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        #: Under ``jobs > 1``, run one extra invariant check per shard
-        #: after the stream ends, inside the worker that owns the data
-        #: (the fault sweep's post-run audit).
-        self.worker_final_check = bool(worker_final_check)
         #: Per-shard worker checker summaries of the last parallel run.
         self.worker_invariants: List[Dict[str, object]] = []
         self.txns_per_query = txns_per_query

@@ -264,7 +264,6 @@ def _cluster(
             remote_fraction=REMOTE_FRACTION,
             invariant_checkers=checkers,
             jobs=jobs,
-            worker_final_check=jobs > 1,
         )
         workloads.append(workload)
         report = workload.run(intervals)
@@ -278,7 +277,7 @@ def _cluster(
 
     def audit(cell, cluster, checkers):
         # Under jobs > 1 the shard data lives in the workers, which ran
-        # the planned checks plus the final audit (worker_final_check).
+        # the planned checks plus the end-of-stream audit.
         in_workers = workloads[-1].worker_invariants
         if in_workers:
             _record_checks(

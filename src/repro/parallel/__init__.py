@@ -11,7 +11,9 @@ drivers and the seeded fault plan — not by execution timing. The
    operation sub-stream per shard plus a global record list (including
    every 2PC fault decision, drawn from the plan ahead of time).
 2. :mod:`~repro.parallel.worker` executes each shard's sub-stream in a
-   process-pool worker, journaling telemetry segments with a
+   process-pool worker forked from the coordinator, which inherits the
+   run (engines, checkers, telemetry settings) rather than rebuilding
+   it, journaling telemetry segments with a
    :class:`~repro.telemetry.record.RecordingRegistry`.
 3. :mod:`~repro.parallel.merge` re-applies the per-shard results on
    the coordinator in the *sequential* interleaving order, so every

@@ -4,19 +4,22 @@ The parallel path is only sound when the run's nondeterminism is fully
 front-loaded into the seeded streams the plan pass replays, so the
 runner enforces the preconditions instead of silently diverging:
 
+* the platform must offer the ``fork`` start method — workers inherit
+  the run instead of rebuilding it (elsewhere, run with ``jobs=1``);
 * the cluster and workload must be **pristine** (no prior transactions,
-  queries, or cursor movement) — workers rebuild/inherit engines from
-  the initial state, so mid-stream resumption has no parallel meaning;
+  queries, or cursor movement) — workers inherit the engines in their
+  initial state, so mid-stream resumption has no parallel meaning;
 * an active fault injector may only use the 2PC hooks (the plan pass
   draws those ahead of time; engine-local hooks would fire inside
   workers on divergent streams);
-* invariant checkers, when present, must be the canonical one-per-shard
-  set so workers can reconstruct them.
+* invariant checkers, when present, must be one unused checker per
+  shard, in shard order, so each worker runs its shard's own checker.
 
-Workers run on a ``concurrent.futures`` process pool. Where the
-platform offers ``fork`` the workers inherit the coordinator's pristine
-engines copy-on-write (no rebuild cost); otherwise each worker rebuilds
-its shard from the shared generator stream, bit-identically.
+Workers run on a ``concurrent.futures`` process pool whose processes
+are forked after the pristine workload is published, so they inherit
+its engines copy-on-write (no rebuild cost). A worker's
+:class:`~repro.errors.ReproError` is re-raised here as the same type,
+naming its shard.
 """
 
 from __future__ import annotations
@@ -24,20 +27,24 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.faults import injector as faults
 from repro.faults.plan import TWOPC_HOOKS
-from repro.telemetry import registry as telemetry
 
 from repro.parallel import worker as worker_mod
 from repro.parallel.merge import merge_cluster_run
 from repro.parallel.plan import plan_cluster_run
-from repro.parallel.worker import WorkerConfig, run_shard_ops
+from repro.parallel.worker import run_shard_ops
 
 __all__ = ["run_parallel_cluster_workload"]
 
 
 def _validate(workload) -> None:
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(
+            "jobs > 1 requires the fork start method: workers inherit "
+            "the built cluster rather than rebuild it (run with jobs=1)"
+        )
     cluster = workload.cluster
     pristine = (
         workload._txn_cursor == 0
@@ -79,64 +86,43 @@ def _validate(workload) -> None:
                 "divergent streams (run with jobs=1)"
             )
     checkers = workload.invariant_checkers
-    if checkers:
-        if len(checkers) != cluster.num_shards or any(
-            checker.engine is not cluster.engines[shard]
+    if checkers and (
+        len(checkers) != cluster.num_shards
+        or any(
+            checker.engine is not cluster.engines[shard] or checker.checks
             for shard, checker in enumerate(checkers)
-        ):
-            raise ConfigError(
-                "jobs > 1 requires one invariant checker per shard, in "
-                "shard order over the cluster's engines (workers rebuild "
-                "the checkers; any other arrangement cannot be mirrored)"
-            )
-        if len({checker.raise_on_violation for checker in checkers}) > 1:
-            raise ConfigError(
-                "jobs > 1 requires a uniform raise_on_violation across "
-                "the invariant checkers"
-            )
+        )
+    ):
+        raise ConfigError(
+            "jobs > 1 requires one unused invariant checker per shard, in "
+            "shard order over the cluster's engines (each worker runs its "
+            "shard's checker; any other arrangement cannot be mirrored)"
+        )
 
 
-def _worker_config(workload) -> WorkerConfig:
-    cluster = workload.cluster
-    tel = telemetry.active()
-    checkers = workload.invariant_checkers
-    return WorkerConfig(
-        num_shards=cluster.num_shards,
-        counts=dict(cluster.counts),
-        build_kwargs=getattr(cluster, "_shard_build_kwargs", None),
-        telemetry=(
-            (tel.max_histogram_samples, tel.detail_spans, tel.roofline)
-            if tel.enabled
-            else None
-        ),
-        checkers=bool(checkers),
-        checker_raises=checkers[0].raise_on_violation if checkers else True,
-        final_check=bool(getattr(workload, "worker_final_check", False)),
-    )
-
-
-def _execute(cluster, run_plan, cfg: WorkerConfig, jobs: int):
-    num_shards = cluster.num_shards
+def _execute(workload, run_plan, jobs: int):
+    num_shards = workload.cluster.num_shards
     max_workers = max(1, min(int(jobs), num_shards))
-    start_methods = multiprocessing.get_all_start_methods()
-    use_fork = "fork" in start_methods
-    context = multiprocessing.get_context("fork" if use_fork else None)
-    if use_fork:
-        # Forked workers inherit the pristine cluster copy-on-write —
-        # zero rebuild cost, which is where the wall-clock win lives.
-        worker_mod._set_fork_cluster(cluster)
+    # Forked workers inherit the pristine workload copy-on-write — zero
+    # rebuild cost, which is where the wall-clock win lives.
+    worker_mod._set_fork_workload(workload)
     try:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=context
+            max_workers=max_workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
             futures = [
-                pool.submit(run_shard_ops, shard, run_plan.shard_ops[shard], cfg)
+                pool.submit(run_shard_ops, shard, run_plan.shard_ops[shard])
                 for shard in range(num_shards)
             ]
-            return [future.result() for future in futures]
+            results = []
+            for shard, future in enumerate(futures):
+                try:
+                    results.append(future.result())
+                except ReproError as exc:
+                    raise type(exc)(f"shard {shard}: {exc}") from None
+            return results
     finally:
-        if use_fork:
-            worker_mod._set_fork_cluster(None)
+        worker_mod._set_fork_workload(None)
 
 
 def run_parallel_cluster_workload(workload, num_queries: int, jobs: int, report) -> None:
@@ -147,8 +133,7 @@ def run_parallel_cluster_workload(workload, num_queries: int, jobs: int, report)
     """
     _validate(workload)
     run_plan = plan_cluster_run(workload, num_queries)
-    cfg = _worker_config(workload)
-    shard_results = _execute(workload.cluster, run_plan, cfg, jobs)
+    shard_results = _execute(workload, run_plan, jobs)
     workload.worker_invariants = [
         {"checks": result.checks, "violations": list(result.violations)}
         for result in shard_results

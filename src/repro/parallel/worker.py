@@ -1,12 +1,10 @@
 """The worker pass: execute one shard's operation sub-stream.
 
-Each worker owns exactly one shard engine. Under the ``fork`` start
-method the engine is inherited copy-on-write from the coordinator's
-pristine cluster (zero rebuild cost — the fast path that makes
-``jobs=N`` beat ``jobs=1`` on wall-clock); under ``spawn`` the worker
-rebuilds its shard from the shared generator stream via
-:func:`~repro.cluster.partition.build_shard`, which produces the
-bit-identical engine.
+Each worker owns exactly one shard engine. Workers are forked from the
+coordinator and inherit its run: the pristine workload (cluster,
+router and invariant checkers, copy-on-write — zero rebuild cost, which
+is where ``jobs=N`` beats ``jobs=1`` on wall-clock) and the active
+telemetry registry whose settings the worker's recorder copies.
 
 Workers never consult the fault plan — every fault decision was drawn
 at plan time — so the injector is deactivated for the whole worker
@@ -22,40 +20,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ParallelExecutionError
 from repro.faults import injector as faults
-from repro.faults.invariants import InvariantChecker
 from repro.telemetry import registry as telemetry
 from repro.telemetry.record import RecordingRegistry, Segment
 
-__all__ = ["WorkerConfig", "ShardResult", "run_shard_ops"]
+__all__ = ["ShardResult", "run_shard_ops"]
 
-#: Coordinator's pristine cluster, inherited copy-on-write by forked
-#: workers. ``None`` in spawned workers, which rebuild their shard.
-_FORK_CLUSTER = None
-
-
-def _set_fork_cluster(cluster) -> None:
-    global _FORK_CLUSTER
-    _FORK_CLUSTER = cluster
+#: The coordinator's pristine workload, inherited by forked workers.
+_FORK_WORKLOAD = None
 
 
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a worker needs besides its operation list."""
-
-    num_shards: int
-    counts: Dict[str, int]
-    #: ``PushTapEngine.build`` kwargs for the spawn-rebuild path
-    #: (None means the fork fast path is mandatory).
-    build_kwargs: Optional[Dict[str, object]]
-    #: Telemetry propagation: None disables telemetry in the worker;
-    #: otherwise ``(max_histogram_samples, detail_spans, roofline)``.
-    telemetry: Optional[Tuple[Optional[int], bool, bool]]
-    #: Build a per-shard invariant checker and run the planned checks.
-    checkers: bool
-    checker_raises: bool
-    #: Run one extra check after the stream ends (the fault sweep's
-    #: post-run audit, executed where the engine state lives).
-    final_check: bool
+def _set_fork_workload(workload) -> None:
+    global _FORK_WORKLOAD
+    _FORK_WORKLOAD = workload
 
 
 @dataclass
@@ -73,45 +49,28 @@ class ShardResult:
     violations: List[str]
 
 
-def run_shard_ops(shard: int, ops: List[tuple], cfg: WorkerConfig) -> ShardResult:
+def run_shard_ops(shard: int, ops: List[tuple]) -> ShardResult:
     """Execute ``ops`` against shard ``shard``; returns the journal."""
     # Every fault decision was drawn at plan time; a live injector here
     # would double-draw. Deactivate before anything else runs.
     faults.deactivate()
-    telemetry.disable()
+    workload = _FORK_WORKLOAD
+    engine = workload.cluster.engines[shard]
+    router = workload.cluster.router
+    checkers = workload.invariant_checkers
+    checker = checkers[shard] if checkers else None
 
-    cluster = _FORK_CLUSTER
-    if cluster is not None:
-        engine = cluster.engines[shard]
-        router = cluster.router
-    else:
-        if cfg.build_kwargs is None:
-            raise ParallelExecutionError(
-                "worker cannot rebuild its shard: the cluster was not "
-                "constructed via PushTapCluster.build and the platform "
-                "does not support fork"
-            )
-        from repro.cluster.partition import build_shard
-        from repro.cluster.router import ShardRouter
-
-        # Build with telemetry off (as the coordinator built its
-        # engines), then start recording.
-        engine = build_shard(shard, cfg.num_shards, cfg.counts, **cfg.build_kwargs)
-        router = ShardRouter(cfg.num_shards, int(cfg.counts["warehouse"]))
-
+    # A pool process that runs a second shard reads the recorder the
+    # first one installed, which carries the same settings.
+    inherited = telemetry.active()
     recorder: Optional[RecordingRegistry] = None
-    if cfg.telemetry is not None:
-        max_samples, detail_spans, roofline = cfg.telemetry
-        recorder = RecordingRegistry(max_histogram_samples=max_samples)
-        recorder.detail_spans = detail_spans
-        recorder.roofline = roofline
+    if inherited.enabled:
+        recorder = RecordingRegistry(
+            max_histogram_samples=inherited.max_histogram_samples
+        )
+        recorder.detail_spans = inherited.detail_spans
+        recorder.roofline = inherited.roofline
         telemetry.install(recorder)
-
-    checker = (
-        InvariantChecker(engine, raise_on_violation=cfg.checker_raises)
-        if cfg.checkers
-        else None
-    )
 
     from repro.oltp.tpcc import rebuild_transaction
 
@@ -136,8 +95,8 @@ def run_shard_ops(shard: int, ops: List[tuple], cfg: WorkerConfig) -> ShardResul
             end(op_id, "txn")
             if result.aborted:
                 raise ParallelExecutionError(
-                    f"shard {shard}: single-shard {name} (op {op_id}) "
-                    "aborted, but the plan assumed it commits"
+                    f"single-shard {name} (op {op_id}) aborted, but the "
+                    "plan assumed it commits"
                 )
             results[op_id] = result.total_time
         elif kind == "part":
@@ -158,8 +117,8 @@ def run_shard_ops(shard: int, ops: List[tuple], cfg: WorkerConfig) -> ShardResul
             end(op_id, "prepare")
             if not handle.vote_yes:
                 raise ParallelExecutionError(
-                    f"shard {shard}: prepare of {name} (op {op_id}) voted "
-                    "no, but the plan assumed a yes vote"
+                    f"prepare of {name} (op {op_id}) voted no, but the "
+                    "plan assumed a yes vote"
                 )
             begin()
             if resolution == "commit":
@@ -182,9 +141,10 @@ def run_shard_ops(shard: int, ops: List[tuple], cfg: WorkerConfig) -> ShardResul
         else:  # pragma: no cover - plan corruption
             raise ParallelExecutionError(f"unknown shard op {op!r}")
 
-    if checker is not None and cfg.final_check:
-        # The sweep's end-of-run audit runs where the data lives; its
-        # telemetry is post-run and intentionally not journaled.
+    if checker is not None:
+        # Only this worker holds the shard's final state, so the
+        # end-of-stream audit runs here; its telemetry is post-run and
+        # intentionally not journaled.
         checker.check()
 
     stats = engine.stats

@@ -4,9 +4,10 @@ The parallel layer's whole contract is that the process pool is a pure
 wall-clock optimisation: the merged report, every histogram's retained
 samples, the 2PC outcome log, and the full telemetry export (counters,
 histograms, spans, simulated clock) must match the sequential run
-bit-for-bit — under the 2PC fault hooks and on the spawn fallback path
-(no ``fork``). These tests serialize the
-entire observable surface to canonical JSON and compare strings.
+bit-for-bit — under the 2PC fault hooks and under every telemetry
+setting the forked workers inherit. These tests serialize the entire
+observable surface to canonical JSON and compare strings. Without
+``fork`` the parallel path refuses to run.
 """
 
 import json
@@ -14,10 +15,12 @@ import json
 import pytest
 
 from repro.cluster import ClusterWorkload, PushTapCluster
-from repro.errors import ConfigError
+from repro.core.engine import PushTapEngine
+from repro.errors import ConfigError, QueryError
 from repro.faults.plan import TWOPC_HOOKS, FaultRates
 from repro.faults.sweep import run_fault_sweep
 from repro.telemetry import registry as telemetry
+from repro.telemetry.registry import MetricsRegistry
 
 SCALE = 2e-5
 
@@ -37,13 +40,15 @@ def full_state(
     seed=11,
     remote_fraction=4.0,
     with_telemetry=True,
+    registry=None,
 ):
     """Run one cluster workload; returns every observable surface as JSON.
 
     Covers the report dict, the raw retained histogram samples (order
     matters under decimation), the 2PC outcome log, and — when enabled —
-    the complete telemetry registry: counters, histogram samples, spans
-    with their start offsets, and the simulated clock.
+    the complete telemetry registry (``registry``, or a fresh default
+    one): counters, histogram samples, spans with their start offsets,
+    and the simulated clock.
     """
     telemetry.disable()
     cluster = PushTapCluster.build(
@@ -54,7 +59,7 @@ def full_state(
         defrag_period=200,
         extra_rows=12 * intervals * txns_per_query,
     )
-    tel = telemetry.enable() if with_telemetry else None
+    tel = telemetry.enable(registry) if with_telemetry else None
     try:
         workload = ClusterWorkload(
             cluster,
@@ -110,16 +115,48 @@ class TestJobsIdentity:
         parallel = full_state(2, with_telemetry=False)
         assert sequential == parallel
 
-    def test_spawn_fallback_identical(self, monkeypatch):
-        """Workers rebuilt from kwargs (no fork/COW) merge identically."""
+    def test_telemetry_settings_reach_workers(self):
+        """Decimation, detail spans and roofline accounting are read by
+        the workers from the registry they inherit."""
+
+        def tuned():
+            registry = MetricsRegistry(max_histogram_samples=4)
+            registry.detail_spans = registry.roofline = True
+            return registry
+
+        assert full_state(1, registry=tuned()) == full_state(2, registry=tuned())
+
+    def test_no_fork_refused_before_plan(self, monkeypatch):
+        """Workers only inherit the run: without fork, jobs > 1 raises
+        before the plan pass moves any driver."""
         import repro.parallel.runner as runner
 
-        sequential = full_state(1)
         monkeypatch.setattr(
             runner.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        parallel = full_state(2)
-        assert sequential == parallel
+        cluster = PushTapCluster.build(
+            shards=2, scale=SCALE, seed=7, block_rows=256, defrag_period=200
+        )
+        workload = ClusterWorkload(cluster, txns_per_query=4, seed=11, jobs=2)
+        with pytest.raises(ConfigError, match="fork"):
+            workload.run(1)
+        assert workload._txn_cursor == 0
+
+    def test_worker_error_names_its_shard(self, monkeypatch):
+        """A worker's ReproError comes back as the same type, prefixed
+        with its shard once."""
+
+        def boom(self, name):
+            raise QueryError("boom")
+
+        # Forked workers inherit the patched method.
+        monkeypatch.setattr(PushTapEngine, "query", boom)
+        cluster = PushTapCluster.build(
+            shards=2, scale=SCALE, seed=7, block_rows=256, defrag_period=200
+        )
+        workload = ClusterWorkload(cluster, txns_per_query=4, seed=11, jobs=2)
+        with pytest.raises(QueryError, match=r"^shard \d: boom"):
+            workload.run(1)
 
     def test_invalid_jobs_rejected(self):
         cluster = PushTapCluster.build(
