@@ -13,7 +13,12 @@
   chooses 10k at full scale — scaled runs pick proportionally smaller
   periods).
 
-Build one with :meth:`PushTapEngine.build`; see ``examples/quickstart.py``.
+Two builders make an engine: :meth:`PushTapEngine.build` over the
+CH-benCHmark tables (see ``examples/quickstart.py``) and
+:meth:`PushTapEngine.build_custom` over any schemas. Each checks its
+inputs at one boundary, turns them into schemas, key columns, indexes,
+row counts and column blocks, and hands them to the one loader,
+``PushTapEngine._load``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -47,7 +53,7 @@ from repro.format.schema import TableSchema
 from repro.mvcc.manager import MVCCManager
 from repro.olap.engine import OLAPEngine
 from repro.olap.queries import QueryResult, run_query
-from repro.oltp.engine import CostParams, OLTPEngine, TxnContext, TxnResult
+from repro.oltp.engine import OLTPEngine, TxnContext, TxnResult
 from repro.oltp.formats import UnifiedFormatModel
 from repro.oltp.index import HashIndex
 from repro.oltp.tpcc import TPCCDriver
@@ -124,6 +130,36 @@ def _column_arrays(schema: TableSchema, rows: Sequence[Dict]) -> Dict[str, np.nd
     return columns
 
 
+#: The memory controllers an engine can be built with (``controller_kind``).
+_CONTROLLERS: Dict[str, Callable[[SystemConfig, List[PIMUnit]], _ControllerBase]] = {
+    "pushtap": PushTapController,
+    "original": OriginalController,
+}
+
+
+def _check_build_inputs(
+    bad_tables: Dict[str, List[str]],
+    controller_kind: str,
+    extra_rows: int,
+    defrag_period: int,
+    ranks: int,
+) -> None:
+    """The builders' one boundary: a bad input raises :class:`ConfigError`
+    before anything is generated or allocated. ``bad_tables`` maps each
+    table problem (e.g. ``"counts lacks tables"``) to the tables it names;
+    a ``defrag_period`` of 0 means no periodic defragmentation."""
+    for name, value, least in (
+        ("extra_rows", extra_rows, 0), ("defrag_period", defrag_period, 0), ("ranks", ranks, 1)
+    ):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if controller_kind not in _CONTROLLERS:
+        raise ConfigError(f"unknown controller kind {controller_kind!r}")
+    for problem, tables in bad_tables.items():
+        if tables:
+            raise ConfigError(f"{problem} {tables}")
+
+
 @dataclass
 class EngineStats:
     """Aggregate counters of one engine instance; the OLTP side reads the
@@ -152,27 +188,28 @@ class PushTapEngine:
     def __init__(
         self,
         config: SystemConfig,
-        rank: Rank,
+        ranks: List[Rank],
         db: Database,
         layouts: Dict[str, UnifiedLayout],
         controller: _ControllerBase,
-        units: RankUnits,
+        rank_units: List[RankUnits],
         oltp: OLTPEngine,
         olap: OLAPEngine,
         defrag_period: int,
     ) -> None:
         self.config = config
-        self.rank = rank
+        #: Every simulated rank and its PIM units; ``rank`` and ``units``
+        #: are the first of each.
+        self.ranks = ranks
+        self.rank_units = rank_units
+        self.rank = ranks[0]
+        self.units = rank_units[0]
         self.db = db
         self.layouts = layouts
         self.controller = controller
-        self.units = units
         self.oltp = oltp
         self.olap = olap
         self.defrag_period = defrag_period
-        #: All simulated ranks (build() extends these for ranks > 1).
-        self.ranks: List[Rank] = [rank]
-        self.rank_units: List[RankUnits] = [units]
         self.stats = EngineStats(oltp)
         #: Optional incremental-view layer (see :meth:`enable_ivm`).
         self.ivm = None
@@ -210,7 +247,6 @@ class PushTapEngine:
         updates_per_txn_estimate: int = 12,
         circulant: bool = True,
         ranks: int = 1,
-        cost: Optional[CostParams] = None,
         counts: Optional[Dict[str, int]] = None,
         row_filter: Optional[
             Callable[[str, Dict[str, np.ndarray]], Optional[np.ndarray]]
@@ -237,18 +273,18 @@ class PushTapEngine:
         replays the same deterministic global stream but retains only its
         partition, with capacities and MVCC sized to the retained rows.
         """
-        config = config or dimm_system()
         query_set = list(queries) if queries is not None else all_queries()
         schemas = ch_schema()
         names = list(tables) if tables is not None else list(schemas)
         counts = dict(counts) if counts is not None else row_counts(scale)
-
-        layouts: Dict[str, UnifiedLayout] = {}
-        for name in names:
-            keys = key_columns_for(query_set, name)
-            layouts[name] = compact_aligned_layout(
-                schemas[name], keys, config.geometry.devices_per_rank, th
-            )
+        _check_build_inputs(
+            {
+                "tables names unknown tables": [n for n in names if n not in schemas],
+                "counts lacks tables": [n for n in names if n not in counts],
+            },
+            controller_kind, extra_rows, defrag_period, ranks,
+        )
+        key_columns = {n: key_columns_for(query_set, n) for n in names}
 
         def blocks(name: str) -> Iterator[Dict[str, np.ndarray]]:
             for columns in generate_table(name, counts, seed, block_rows):
@@ -260,45 +296,26 @@ class PushTapEngine:
         if row_filter is None:
             # Generated while loading, one block in memory at a time.
             blocks_by_table = {name: blocks(name) for name in names}
-            effective_counts = counts
+            loaded = {name: counts[name] for name in names}
         else:
             # The retained counts size the engine, so a filtered shard
-            # keeps its partition's blocks until it is assembled.
+            # keeps its partition's blocks until it is loaded.
             blocks_by_table = {name: list(blocks(name)) for name in names}
-            effective_counts = {
+            loaded = {
                 name: sum(len(next(iter(block.values()))) for block in kept)
                 for name, kept in blocks_by_table.items()
             }
-
-        capacities = {
-            name: round_up(
-                max(int(effective_counts[name] * _INSERT_HEADROOM), block_rows)
-                + extra_rows,
-                8,
-            )
-            for name in names
-        }
-        delta_rows = cls._delta_rows(
-            defrag_period, updates_per_txn_estimate, block_rows, config
+        return cls._load(
+            config or dimm_system(),
+            {n: schemas[n] for n in names},
+            key_columns,
+            {n: spec for n, spec in _INDEX_KEYS.items() if n in names},
+            loaded,
+            blocks_by_table,
+            th=th, defrag_period=defrag_period, block_rows=block_rows, extra_rows=extra_rows,
+            updates_per_txn_estimate=updates_per_txn_estimate, circulant=circulant,
+            ranks=ranks, controller_kind=controller_kind,
         )
-        engine = cls._assemble(
-            config=config,
-            schemas={n: schemas[n] for n in names},
-            layouts=layouts,
-            capacities=capacities,
-            initial_counts={n: effective_counts[n] for n in names},
-            delta_rows=delta_rows,
-            block_rows=block_rows,
-            circulant=circulant,
-            ranks=ranks,
-            controller_kind=controller_kind,
-            defrag_period=defrag_period,
-            cost=cost,
-            indexes={n: spec for n, spec in _INDEX_KEYS.items() if n in names},
-        )
-        for name, table_blocks in blocks_by_table.items():
-            engine.db.table(name).load_columns(table_blocks)
-        return engine
 
     @classmethod
     def build_custom(
@@ -316,7 +333,6 @@ class PushTapEngine:
         circulant: bool = True,
         ranks: int = 1,
         controller_kind: str = "pushtap",
-        cost: Optional[CostParams] = None,
     ) -> "PushTapEngine":
         """Build an engine over *arbitrary* schemas (not CH-benCHmark).
 
@@ -333,9 +349,54 @@ class PushTapEngine:
         CH build — use :meth:`PushTapEngine.oltp` / :meth:`query` plumbing
         directly, or the generic OLAP operators.
         """
-        config = config or dimm_system()
+        _check_build_inputs(
+            {
+                f"{argument} names tables not in schemas": [n for n in given if n not in schemas]
+                for argument, given in (("initial_rows", initial_rows), ("key_columns", key_columns))
+            },
+            controller_kind, extra_rows, defrag_period, ranks,
+        )
+        return cls._load(
+            config or dimm_system(),
+            schemas,
+            key_columns,
+            {t: (i, tuple(c)) for t, (i, c) in (index_keys or {}).items()},
+            {name: len(initial_rows.get(name, ())) for name in schemas},
+            {
+                name: [_column_arrays(schema, initial_rows[name])] if initial_rows.get(name) else []
+                for name, schema in schemas.items()
+            },
+            th=th, defrag_period=defrag_period, block_rows=block_rows, extra_rows=extra_rows,
+            updates_per_txn_estimate=updates_per_txn_estimate, circulant=circulant,
+            ranks=ranks, controller_kind=controller_kind,
+        )
+
+    @classmethod
+    def _load(
+        cls,
+        config: SystemConfig,
+        schemas: Dict[str, "TableSchema"],
+        key_columns: Dict[str, Sequence[str]],
+        indexes: Dict[str, Tuple[str, Tuple[str, ...]]],
+        counts: Dict[str, int],
+        blocks: Dict[str, Iterable[Dict[str, np.ndarray]]],
+        *,
+        th: float,
+        defrag_period: int,
+        block_rows: int,
+        extra_rows: int,
+        updates_per_txn_estimate: int,
+        circulant: bool,
+        ranks: int,
+        controller_kind: str,
+    ) -> "PushTapEngine":
+        """The one loader behind both builders: lay out, size and place
+        every table of ``schemas``, assemble its storage, MVCC, snapshots
+        and index, the controller and both engines, then load each
+        table's ``blocks`` in order. ``key_columns`` are a table's scanned
+        columns, ``indexes`` its index name and int key columns, and
+        ``counts`` its loaded rows."""
         names = list(schemas)
-        indexes = {t: (i, tuple(c)) for t, (i, c) in (index_keys or {}).items()}
         for table_name, (index_name, columns) in indexes.items():
             if table_name not in schemas:
                 raise ConfigError(f"index {index_name!r} over unknown table {table_name!r}")
@@ -355,7 +416,6 @@ class PushTapEngine:
             )
             for name in names
         }
-        counts = {name: len(initial_rows.get(name, ())) for name in names}
         capacities = {
             name: round_up(
                 max(int(counts[name] * _INSERT_HEADROOM), block_rows) + extra_rows, 8
@@ -365,58 +425,20 @@ class PushTapEngine:
         delta_rows = cls._delta_rows(
             defrag_period, updates_per_txn_estimate, block_rows, config
         )
-        engine = cls._assemble(
-            config=config,
-            schemas=schemas,
-            layouts=layouts,
-            capacities=capacities,
-            initial_counts=counts,
-            delta_rows=delta_rows,
-            block_rows=block_rows,
-            circulant=circulant,
-            ranks=ranks,
-            controller_kind=controller_kind,
-            defrag_period=defrag_period,
-            cost=cost,
-            indexes=indexes,
-        )
-        for name in names:
-            if initial_rows.get(name):
-                rows = initial_rows[name]
-                engine.db.table(name).load_columns([_column_arrays(schemas[name], rows)])
-        return engine
-
-    @classmethod
-    def _assemble(
-        cls,
-        config: SystemConfig,
-        schemas: Dict[str, "TableSchema"],
-        layouts: Dict[str, UnifiedLayout],
-        capacities: Dict[str, int],
-        initial_counts: Dict[str, int],
-        delta_rows: int,
-        block_rows: int,
-        circulant: bool,
-        ranks: int,
-        controller_kind: str,
-        defrag_period: int,
-        cost: Optional[CostParams],
-        indexes: Dict[str, Tuple[str, Tuple[str, ...]]],
-    ) -> "PushTapEngine":
-        """Shared assembly: ranks, storage, MVCC, indexes, controllers,
-        engines; ``indexes`` names each indexed table's index and key
-        columns."""
-        names = list(schemas)
-        if ranks < 1:
-            raise ConfigError("ranks must be >= 1")
-        assignment = cls._assign_ranks(names, layouts, capacities, ranks)
+        # Balance tables over ranks: biggest footprint first, onto the
+        # currently lightest rank.
+        footprints = {n: layouts[n].bytes_per_row() * capacities[n] for n in names}
+        loads, assignment = [0] * ranks, {}
+        for name in sorted(names, key=footprints.get, reverse=True):
+            assignment[name] = loads.index(min(loads))
+            loads[assignment[name]] += footprints[name]
         rank_objects: List[Rank] = []
         allocators: List[RankAllocator] = []
         rank_units: List[RankUnits] = []
         for rank_index in range(ranks):
             members = [n for n in names if assignment[n] == rank_index]
             device_bytes = cls._device_bytes(
-                {n: layouts[n] for n in members} or layouts,
+                {n: layouts[n] for n in members},
                 capacities,
                 delta_rows,
                 block_rows,
@@ -443,13 +465,13 @@ class PushTapEngine:
                 circulant=circulant,
             )
             mvcc = MVCCManager(
-                initial_rows=initial_counts[name],
+                initial_rows=counts[name],
                 capacity_rows=capacities[name],
                 block_rows=block_rows,
                 num_devices=rank_obj.num_devices,
                 delta_capacity_blocks=ceil_div(delta_rows, block_rows),
             )
-            index_name, key_columns = indexes.get(name, (None, ()))
+            index_name, index_columns = indexes.get(name, (None, ()))
             runtime = TableRuntime(
                 name,
                 schemas[name],
@@ -460,57 +482,28 @@ class PushTapEngine:
                 units=rank_units[rank_index],
                 rank_index=rank_index,
                 index=None if index_name is None else HashIndex(index_name),
-                key_columns=key_columns,
+                key_columns=index_columns,
             )
             db.add_table(runtime)
 
         all_units = [u for units in rank_units for u in units.values()]
-        controller = cls._build_controller(
-            config, all_units, controller_kind
-        )
-        oltp = OLTPEngine(
-            db,
-            UnifiedFormatModel(layouts, config.geometry),
-            config,
-            cost or CostParams(),
-        )
+        controller = _CONTROLLERS[controller_kind](config, all_units)
+        oltp = OLTPEngine(db, UnifiedFormatModel(layouts, config.geometry), config)
         olap = OLAPEngine(config, controller, rank_units[0])
         engine = cls(
             config,
-            rank_objects[0],
+            rank_objects,
             db,
             layouts,
             controller,
-            rank_units[0],
+            rank_units,
             oltp,
             olap,
             defrag_period,
         )
-        engine.ranks = rank_objects
-        engine.rank_units = rank_units
+        for name in names:
+            db.table(name).load_columns(blocks[name])
         return engine
-
-    @staticmethod
-    def _assign_ranks(
-        names: Sequence[str],
-        layouts: Dict[str, UnifiedLayout],
-        capacities: Dict[str, int],
-        ranks: int,
-    ) -> Dict[str, int]:
-        """Balance tables over ranks: biggest footprint first, onto the
-        currently lightest rank."""
-        loads = [0] * ranks
-        assignment: Dict[str, int] = {}
-        by_size = sorted(
-            names,
-            key=lambda n: layouts[n].bytes_per_row() * capacities[n],
-            reverse=True,
-        )
-        for name in by_size:
-            target = loads.index(min(loads))
-            assignment[name] = target
-            loads[target] += layouts[name].bytes_per_row() * capacities[name]
-        return assignment
 
     @staticmethod
     def _delta_rows(
@@ -543,16 +536,6 @@ class PushTapEngine:
         banks = config.geometry.banks_per_device
         padded = int(total * 1.4) + 512 * KIB
         return round_up(padded, banks * 8 * block_rows)
-
-    @staticmethod
-    def _build_controller(
-        config: SystemConfig, units: List[PIMUnit], kind: str
-    ) -> _ControllerBase:
-        if kind == "pushtap":
-            return PushTapController(config, units)
-        if kind == "original":
-            return OriginalController(config, units)
-        raise ConfigError(f"unknown controller kind {kind!r}")
 
     # ------------------------------------------------------------------
     # OLTP path

@@ -1,5 +1,6 @@
 """End-to-end engine integration: HTAP over the simulated PIM rank."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import hbm_system
@@ -60,8 +61,6 @@ class TestBuild:
         assert sorted(bulk_loads) == sorted(name for name, _ in _INDEX_KEYS.values())
 
     def test_row_filter_sees_column_blocks_and_sizes_the_engine(self):
-        import numpy as np
-
         seen = []
 
         def odd_items(table, columns):
@@ -111,6 +110,95 @@ class TestBuild:
         assert (
             low.layouts["orderline"].num_parts <= high.layouts["orderline"].num_parts
         )
+
+    def test_the_two_builders_agree(self):
+        """``build_custom`` over the CH tables, given ``build``'s key
+        columns, indexes and generated rows, loads the same engine: the
+        same device image, row counts and index entries."""
+        from repro.core.engine import _INDEX_KEYS
+        from repro.workloads.chbench import all_queries, ch_schema, key_columns_for, row_counts
+        from repro.workloads.tpcc_gen import generate_table
+
+        def as_rows(block):
+            n = len(next(iter(block.values())))
+            return [
+                {c: v[i].tobytes() if v.ndim == 2 else int(v[i]) for c, v in block.items()}
+                for i in range(n)
+            ]
+
+        schemas = ch_schema()
+        counts = row_counts(2e-5)
+        custom = PushTapEngine.build_custom(
+            schemas,
+            {name: key_columns_for(all_queries(), name) for name in schemas},
+            {
+                name: [row for block in generate_table(name, counts, 7, 256) for row in as_rows(block)]
+                for name in schemas
+            },
+            index_keys=_INDEX_KEYS,
+            block_rows=256,
+        )
+        built = PushTapEngine.build(scale=2e-5, seed=7, block_rows=256)
+        assert np.array_equal(custom.rank.mem, built.rank.mem)
+        assert custom.table_counts() == built.table_counts()
+        for name, table in built.db.tables.items():
+            other = custom.table(name).index
+            if table.index is None:
+                assert other is None
+            else:
+                assert dict(other.items()) == dict(table.index.items())
+
+
+class TestBuildBoundary:
+    """A bad build input raises ``ConfigError`` before anything is
+    generated or allocated."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        import repro.core.engine as engine_module
+
+        def built(*args, **kwargs):
+            raise AssertionError("generated or allocated before the input check")
+
+        for name in ("generate_table", "_column_arrays", "Rank"):
+            monkeypatch.setattr(engine_module, name, built)
+
+    @pytest.mark.parametrize(
+        "kwargs, text",
+        [
+            ({"counts": {"warehouse": 1}}, "counts lacks tables ['district', 'customer', "),
+            ({"tables": ["item", "ghost"]}, "tables names unknown tables ['ghost']"),
+            ({"extra_rows": -5}, "extra_rows must be >= 0, got -5"),
+            ({"defrag_period": -1}, "defrag_period must be >= 0"),
+        ],
+        ids=["counts lack a table", "unknown table", "extra_rows", "defrag_period"],
+    )
+    def test_build_rejects(self, kwargs, text):
+        with pytest.raises(ConfigError) as err:
+            PushTapEngine.build(scale=2e-5, block_rows=256, **kwargs)
+        assert text in str(err.value)
+
+    @pytest.mark.parametrize("argument", ["initial_rows", "key_columns"])
+    def test_build_custom_rejects_a_table_not_in_schemas(self, argument):
+        from repro.format.schema import Column, TableSchema
+
+        inputs = {
+            "schemas": {"points": TableSchema.of("points", (Column("k", 4),))},
+            "key_columns": {"points": ["k"], "ghost": ["k"]},
+            "initial_rows": {"points": [{"k": 1}], "ghost": [{"k": 2}]},
+        }
+        other = "key_columns" if argument == "initial_rows" else "initial_rows"
+        del inputs[other]["ghost"]
+        with pytest.raises(
+            ConfigError, match=rf"^{argument} names tables not in schemas \['ghost'\]$"
+        ):
+            PushTapEngine.build_custom(**inputs, block_rows=256)
+
+
+def test_defrag_period_zero_runs_no_periodic_defrag():
+    engine = PushTapEngine.build(scale=2e-5, block_rows=256, defrag_period=0)
+    engine.run_transactions(5)
+    assert engine.stats.transactions == 5 and engine.stats.defrag_runs == 0
 
 
 class TestMixedWorkload:
@@ -221,6 +309,15 @@ class TestMultiRank:
 
         with pytest.raises(ConfigError):
             PushTapEngine.build(scale=1e-5, ranks=0, block_rows=256)
+
+    def test_an_empty_rank_is_sized_for_no_table(self):
+        engine = PushTapEngine.build(
+            scale=2e-5, tables=["warehouse", "district"], ranks=3, block_rows=256
+        )
+        assert {t.rank_index for t in engine.db.tables.values()} == {0, 1}
+        minimum = PushTapEngine._device_bytes({}, {}, 0, 256, engine.config)
+        assert minimum == 512 * 1024
+        assert engine.ranks[2].mem.shape[1] == minimum
 
 
 class TestDeliveryDefragReconciliation:
