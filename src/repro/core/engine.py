@@ -42,7 +42,7 @@ from repro.core.config import SystemConfig, dimm_system
 from repro.core.database import Database
 from repro.core.defrag import DefragExecutor, DefragResult, Strategy
 from repro.core.snapshot import SnapshotManager
-from repro.core.storage import RankAllocator, TableStorage
+from repro.core.storage import RankAllocator, TableStorage, check_block_rows
 from repro.core.table import TableRuntime
 from repro.errors import ConfigError, QueryError, SchemaError
 from repro.faults import injector as faults
@@ -143,11 +143,13 @@ def _check_build_inputs(
     extra_rows: int,
     defrag_period: int,
     ranks: int,
+    block_rows: int,
 ) -> None:
     """The builders' one boundary: a bad input raises :class:`ConfigError`
     before anything is generated or allocated. ``bad_tables`` maps each
     table problem (e.g. ``"counts lacks tables"``) to the tables it names;
     a ``defrag_period`` of 0 means no periodic defragmentation."""
+    check_block_rows(block_rows)
     for name, value, least in (
         ("extra_rows", extra_rows, 0), ("defrag_period", defrag_period, 0), ("ranks", ranks, 1)
     ):
@@ -282,7 +284,7 @@ class PushTapEngine:
                 "tables names unknown tables": [n for n in names if n not in schemas],
                 "counts lacks tables": [n for n in names if n not in counts],
             },
-            controller_kind, extra_rows, defrag_period, ranks,
+            controller_kind, extra_rows, defrag_period, ranks, block_rows,
         )
         key_columns = {n: key_columns_for(query_set, n) for n in names}
 
@@ -354,7 +356,7 @@ class PushTapEngine:
                 f"{argument} names tables not in schemas": [n for n in given if n not in schemas]
                 for argument, given in (("initial_rows", initial_rows), ("key_columns", key_columns))
             },
-            controller_kind, extra_rows, defrag_period, ranks,
+            controller_kind, extra_rows, defrag_period, ranks, block_rows,
         )
         return cls._load(
             config or dimm_system(),
@@ -558,7 +560,9 @@ class PushTapEngine:
     def run_transactions(
         self, count: int, driver: Optional[TPCCDriver] = None
     ) -> List[TxnResult]:
-        """Run ``count`` transactions from a driver (created if omitted)."""
+        """Run ``count`` ≥ 0 transactions from a driver (created if omitted)."""
+        if count < 0:
+            raise ConfigError(f"run_transactions count must be >= 0, got {count}")
         driver = driver or self.make_driver()
         return [
             self.execute_transaction(driver.next_transaction()) for _ in range(count)

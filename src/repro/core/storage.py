@@ -31,14 +31,15 @@ Reads index the same matrix through one *read plan* per column — the
 geometry of each of its byte runs, resolved once (:class:`_ReadRun`).
 :meth:`TableStorage.read_rows` executes a plan for many rows at a time:
 one item gather ``byte_runs(mem, length)[device, addr]`` per run,
-whatever blocks and rotations the rows sit in, returning column arrays.
-:meth:`TableStorage.read_row` executes the same plan for one row with
-slices ``Rank.flat[a:a+n]`` — a one-row gather costs several times a
-slice, so the scalar reader is not the batch reader of one — and
+whatever blocks and rotations the rows sit in, returning column arrays;
 :meth:`TableStorage.read_column_values` is ``read_rows`` over a prefix.
-One-row writes go through the same plans: a part per ADE slice for
-:meth:`TableStorage.write_row`, per item copy for the source of an update's
-:meth:`TableStorage.write_columns`, then a changed column's run per ``flat`` slice.
+The one-row calls resolve a *row shape* (the column names one call gives)
+into those plans once, so per row only the shape's plan runs:
+:meth:`TableStorage.read_row` with slices ``Rank.flat[a:a+n]`` (a one-row
+gather costs several times a slice, so it is not ``read_rows`` of one), an
+update's :meth:`TableStorage.write_columns` by encoding in schema order, one
+item copy per part for its source, then a changed run per ``flat`` slice.
+:meth:`TableStorage.write_row` stores a part per ADE slice.
 
 The one-row calls take a version the way the MVCC journal names it,
 ``(row_id, delta)``: ``delta ≥ 0`` is a delta-region row and −1 the
@@ -60,7 +61,13 @@ from repro.mvcc.metadata import DATA_SLOT, Region
 from repro.pim.memory import Rank, byte_runs
 from repro.units import ceil_div
 
-__all__ = ["RankAllocator", "BlockScan", "TableStorage"]
+__all__ = ["RankAllocator", "BlockScan", "TableStorage", "check_block_rows"]
+
+
+def check_block_rows(block_rows: int) -> None:
+    """Per-block bitmap slices are ``block_rows // 8`` bytes: 8 | block_rows > 0."""
+    if block_rows < 1 or block_rows % 8:
+        raise ConfigError(f"block_rows must be a positive multiple of 8, got {block_rows}")
 
 
 class _ReadRun(NamedTuple):
@@ -158,9 +165,7 @@ class TableStorage:
         block_rows: int = 1024,
         circulant: bool = True,
     ) -> None:
-        # Per-block bitmap slices are block_rows // 8 bytes.
-        if block_rows < 1 or block_rows % 8:
-            raise ConfigError(f"block_rows must be a positive multiple of 8, got {block_rows}")
+        check_block_rows(block_rows)
         if layout.num_devices != rank.num_devices:
             raise LayoutError(
                 f"layout expects {layout.num_devices} devices, rank has "
@@ -201,15 +206,14 @@ class TableStorage:
         )
         # Per part, the rank as W-byte items: a source copy is one item per device.
         self._part_items = tuple(byte_runs(rank.mem, width)[:, :, 0] for width, _ in self._parts)
-        # Per-column plans, shared by read_row, read_rows,
-        # read_column_values and write_columns: a column's runs are
-        # immutable once the layout validates, so their geometry is
-        # resolved on the first touch of the name and reused on every row.
+        # Per-column plans, shared by read_rows, read_column_values and the
+        # row-shape plans: a column's runs are immutable once the layout
+        # validates, so they are resolved on the first touch of the name.
         self._read_plans: Dict[str, Tuple[Column, Tuple[_ReadRun, ...]]] = {}
-        # write_columns' schema columns in declaration order (iterating the
-        # schema per update re-resolves it) and names (its unknown-name check).
-        self._schema_columns = tuple(layout.schema)
-        self._column_names = frozenset(layout.schema.column_names)
+        # read_row's and write_columns' plans per row shape (the names one
+        # call gives), built on its first call; a shape that raises is not kept.
+        self._row_plans: Dict[Optional[Tuple[str, ...]], Tuple] = {}
+        self._write_plans: Dict[Tuple[str, ...], Tuple] = {}
 
     def _bitmap_align(self) -> int:
         # Blocks are block_rows bits = block_rows/8 bytes; aligning the
@@ -319,6 +323,17 @@ class TableStorage:
         plan = self._read_plans[name] = (col, tuple(runs))
         return plan
 
+    def _row_plan(self, shape: Optional[Tuple[str, ...]]) -> Tuple:
+        """:meth:`read_row`'s plan for a shape (None: every column), cached:
+        ``(name, None, run)`` for one run of an int column, else ``(name, column, runs)``."""
+        plan = []
+        for name in self.layout.schema.column_names if shape is None else shape:
+            col, runs = self._read_plans.get(name) or self._read_plan(name)
+            one = len(runs) == 1 and col.kind == "int"
+            plan.append((name, None, runs[0]) if one else (name, col, runs))
+        self._row_plans[shape] = plan = tuple(plan)
+        return plan
+
     def read_row(
         self, row_id: int, delta: int, columns: Optional[Sequence[str]] = None
     ) -> Dict[str, Value]:
@@ -326,24 +341,24 @@ class TableStorage:
         default).
 
         Only the byte runs of ``columns`` are read — the OLTP fast path
-        for partial reads. The scalar executor of the read plans: one
-        range check and one ``divmod`` for the row, then one slice of
-        ``Rank.flat`` per run. Values are ``int`` or ``bytes``, never views.
+        for partial reads. The scalar executor of the shape's plan: one range
+        check and one ``divmod`` for the row, then one slice of ``Rank.flat``
+        per run. Values are ``int`` or ``bytes``, never views.
         """
-        if columns is None:
-            columns = self.layout.schema.column_names
         region, row = self._locate(row_id, delta)
+        shape = None if columns is None else tuple(columns)
+        plan = self._row_plans.get(shape)
+        if plan is None:
+            plan = self._row_plan(shape)
         block, within = divmod(row, self.block_rows)
         rotation = self.placement.rotation_of_block(block)
         flat = self.rank.flat
-        plans = self._read_plans
         out: Dict[str, Value] = {}
-        for name in columns:
-            col, runs = plans.get(name) or self._read_plan(name)
-            if len(runs) == 1 and col.kind == "int":
-                # Common case: the column is one contiguous run (all key
-                # columns and most normal columns).
-                _, _, _, length, row_width, bases, _, at = runs[0]
+        for name, col, runs in plan:
+            if col is None:
+                # Common case, ``runs`` the one run of an int column (all
+                # key columns and most normal columns).
+                _, _, _, length, row_width, bases, _, at = runs
                 a = at[rotation] + bases[region][block] + within * row_width
                 out[name] = int.from_bytes(flat[a : a + length], "little")
             else:
@@ -390,28 +405,34 @@ class TableStorage:
             out[name] = buf.view("<u8").ravel() if is_int else buf
         return out
 
+    def _write_plan(self, shape: Tuple[str, ...]) -> Tuple:
+        """:meth:`write_columns`' plan for a shape, cached: ``(name, encoder,
+        runs)`` per changed column in schema order. An unknown name raises."""
+        runs = {name: (self._read_plans.get(name) or self._read_plan(name))[1] for name in shape}
+        self._write_plans[shape] = plan = tuple(
+            (col.name, col.encode, runs[col.name]) for col in self.layout.schema if col.name in runs
+        )
+        return plan
+
     def write_columns(
         self, row_id: int, src_delta: int, dst_delta: int, values: Dict[str, Value]
     ) -> None:
         """Store version ``(row_id, dst_delta)`` as ``(row_id, src_delta)``
         with ``values``' columns replaced: an update, or a row copy if empty.
 
-        All-or-nothing: a name outside the schema raises first (the first
-        in ``values``' order); ``values`` are then encoded in schema order (the
-        order :meth:`~repro.format.layout.UnifiedLayout.pack_row` validates, so
-        encode errors match :meth:`write_row`'s) and the versions' rotations and
-        ranges checked. Only then does the source move, device-locally since a
-        row's versions share a rotation — one item copy per part, none when
+        All-or-nothing: the shape's plan raises first for a name outside the
+        schema (the first in ``values``' order); ``values`` are then encoded in
+        schema order (the order :meth:`~repro.format.layout.UnifiedLayout.pack_row`
+        validates, so encode errors match :meth:`write_row`'s) and the versions'
+        rotations and ranges checked. Only then does the source move, device-locally
+        since a row's versions share a rotation — one item copy per part, none when
         ``src_delta == dst_delta`` — and each changed run is one ``flat`` slice.
         """
-        known = self._column_names
-        if not values.keys() <= known:  # raise read_row's SchemaError
-            self.layout.schema.column(next(name for name in values if name not in known))
-        encoded = [
-            (col.name, col.encode(values[col.name]))
-            for col in self._schema_columns
-            if col.name in values
-        ]
+        shape = tuple(values)
+        plan = self._write_plans.get(shape)
+        if plan is None:
+            plan = self._write_plan(shape)
+        encoded = [(encode(values[name]), runs) for name, encode, runs in plan]
         if src_delta != dst_delta:
             # Rotations before ranges, so a mismatch names any pair.
             src = row_id if src_delta == DATA_SLOT else src_delta
@@ -433,8 +454,7 @@ class TableStorage:
                 items[:, to] = items[:, lo]
         rotation = self.placement.rotation_of_block(block)
         flat = self.rank.flat
-        for name, raw in encoded:
-            _, runs = self._read_plans.get(name) or self._read_plan(name)
+        for raw, runs in encoded:
             for _, _, col_offset, length, row_width, bases, _, at in runs:
                 a = at[rotation] + bases[region][block] + within * row_width
                 flat[a : a + length] = raw[col_offset : col_offset + length]

@@ -8,7 +8,7 @@ row-count bookkeeping operators need (:meth:`TableRuntime.region_rows`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,9 +50,8 @@ class TableRuntime:
     #: its keys are made of — the one place a row's key comes from.
     index: Optional[HashIndex] = None
     key_columns: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        self._key_set = frozenset(self.key_columns)
+    #: The change shapes (``tuple(changes)``) :meth:`update_row` passed.
+    _update_shapes: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def num_rows(self) -> int:
@@ -90,16 +89,20 @@ class TableRuntime:
         of the whole row (the tests' oracle). A same-timestamp overwrite
         (``src == dst``) copies nothing. Unknown columns and index key
         columns (immutable, see :meth:`stored_key`) raise before the MVCC
-        install; encode errors after it, but before any byte is stored.
+        install (checked once per shape that passes); encode errors after
+        it, but before any byte is stored.
         """
-        unknown = [c for c in changes if not self.schema.has_column(c)]
-        if unknown:
-            raise TransactionError(f"table {self.name!r} has no columns {unknown}")
-        if not self._key_set.isdisjoint(changes):
-            keys = [c for c in changes if c in self._key_set]
-            raise TransactionError(
-                f"table {self.name!r}: cannot update index key column(s) {keys}"
-            )
+        shape = tuple(changes)
+        if shape not in self._update_shapes:
+            unknown = [c for c in changes if not self.schema.has_column(c)]
+            if unknown:
+                raise TransactionError(f"table {self.name!r} has no columns {unknown}")
+            keys = [c for c in changes if c in self.key_columns]
+            if keys:
+                raise TransactionError(
+                    f"table {self.name!r}: cannot update index key column(s) {keys}"
+                )
+            self._update_shapes.add(shape)
         src, dst, chain_len = self._mvcc(self.mvcc.update, row_id, ts)
         self.storage.write_columns(row_id, src, dst, changes)
         return chain_len

@@ -119,24 +119,27 @@ class MVCCManager:
         the read on it.
 
         Returns ``(delta, chain length)``: the version's delta row (−1:
-        the row's data slot) and the row's number of versions.
+        the row's data slot) and the row's number of versions, as ``int``s.
         """
-        self._check_row(row_id)
-        if self._dead[row_id]:
+        if row_id < 0 or row_id >= self.num_rows:
+            raise TransactionError(f"row {row_id} out of range [0, {self.num_rows})")
+        if self._dead.item(row_id):
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
-        tomb = self._tomb_ts[row_id]
+        tomb = self._tomb_ts.item(row_id)
         if 0 <= tomb <= ts:
             raise TransactionError(f"row {row_id} deleted at ts {tomb}")
-        pos = self._version_at(row_id, ts)
+        pos = self._head.item(row_id)
+        while pos >= 0 and self._write_ts.item(pos) > ts:
+            pos = self._prev.item(pos)
         if pos >= 0:
-            if ts > self._read_ts[pos]:
+            if ts > self._read_ts.item(pos):
                 self._read_ts[pos] = ts
-            return int(self._delta[pos]), int(self._chain_len[row_id])
-        if pos < -1:
+            return self._delta.item(pos), self._chain_len.item(row_id)
+        if self._base_ts.item(row_id) > ts:
             raise TransactionError(f"row {row_id} not visible at ts {ts}")
-        if ts > self._base_read_ts[row_id]:
+        if ts > self._base_read_ts.item(row_id):
             self._base_read_ts[row_id] = ts
-        return -1, int(self._chain_len[row_id])
+        return -1, self._chain_len.item(row_id)
 
     def _version_at(self, row_id: int, ts: int) -> int:
         """Journal position of the newest version of ``row_id`` written at
@@ -191,12 +194,12 @@ class MVCCManager:
         failed update never leaks a delta row.
         """
         self._check_row(row_id)
-        if self._dead[row_id]:
+        if self._dead.item(row_id):
             raise TransactionError(f"row {row_id} deleted (folded by defragmentation)")
-        head = int(self._head[row_id])
-        chain_len = int(self._chain_len[row_id])
-        src = int(self._delta[head]) if head >= 0 else -1
-        head_ts = self._write_ts[head] if head >= 0 else self._base_ts[row_id]
+        head = self._head.item(row_id)
+        chain_len = self._chain_len.item(row_id)
+        src = self._delta.item(head) if head >= 0 else -1
+        head_ts = self._write_ts.item(head) if head >= 0 else self._base_ts.item(row_id)
         if head_ts == ts:
             return src, src, chain_len
         if head_ts > ts:

@@ -130,10 +130,11 @@ class TxnContext:
         self.rows_read = 0
         self.rows_written = 0
         self._written_lines = 0
-        # Per-transaction hoists of the per-access lookups: the charge
-        # memo and the roofline telemetry decision are fixed for the
-        # transaction's lifetime, so resolving them once here keeps them
-        # out of the per-row loop.
+        # Per-transaction hoists of the per-access lookups: the cost
+        # constants, the charge memo and the roofline telemetry decision are
+        # fixed for the transaction's lifetime, so resolving them once here
+        # keeps them out of the per-row loop.
+        self._cost = engine.cost
         self._charges = engine.access_charges
         tel = telemetry.active()
         self._roofline = bool(tel.enabled and tel.roofline)
@@ -153,8 +154,7 @@ class TxnContext:
 
     def _charge_index(self) -> None:
         """One index probe, insert or remove (DESIGN.md §5)."""
-        cost = self.engine.cost
-        self.breakdown.index += cost.index_compute_ns + PROBE_LINES * self.engine.line_ns
+        self.breakdown.index += self._cost.index_compute_ns + PROBE_LINES * self.engine.line_ns
 
     # ------------------------------------------------------------------
     # Row operations
@@ -165,13 +165,13 @@ class TxnContext:
         """Read the visible version of a row (optionally partial)."""
         runtime = self.engine.db.table(table)
         delta, chain_len = runtime.mvcc.read(row_id, self.ts)
-        self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
+        self.breakdown.chain += chain_len * self._cost.chain_entry_ns
         # Partial reads fetch only the requested columns' byte runs —
         # the simulated cost model already charges by touched lines via
         # _account_access; this keeps the *host* cost proportional too.
         row = runtime.storage.read_row(row_id, delta, columns)
         self._account_access(table, columns, write=False, row_id=row_id)
-        self.breakdown.compute += self.engine.cost.compute_per_op_ns
+        self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_read += 1
         return row
 
@@ -187,20 +187,20 @@ class TxnContext:
                 "injected fault: delta region exhausted mid-transaction"
             )
         chain_len = self.engine.db.table(table).update_row(row_id, self.ts, changes)
-        self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
-        self.breakdown.alloc += self.engine.cost.alloc_ns
+        self.breakdown.chain += chain_len * self._cost.chain_entry_ns
+        self.breakdown.alloc += self._cost.alloc_ns
         # Writing a version writes the whole row (new delta row).
         self._account_access(table, None, write=True, row_id=row_id)
-        self.breakdown.compute += self.engine.cost.compute_per_op_ns
+        self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_written += 1
 
     def insert(self, table: str, values: Dict[str, Value]) -> int:
         """Append a row; an indexed table indexes it under its key."""
         runtime = self.engine.db.table(table)
-        self.breakdown.alloc += self.engine.cost.alloc_ns
+        self.breakdown.alloc += self._cost.alloc_ns
         row_id = runtime.insert_row(self.ts, values)
         self._account_access(table, None, write=True, row_id=row_id)
-        self.breakdown.compute += self.engine.cost.compute_per_op_ns
+        self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_written += 1
         if runtime.index is not None:
             self._charge_index()
@@ -210,9 +210,9 @@ class TxnContext:
         """Tombstone a row; an indexed table drops its key."""
         runtime = self.engine.db.table(table)
         chain_len = runtime.delete_row(row_id, self.ts)
-        self.breakdown.chain += chain_len * self.engine.cost.chain_entry_ns
+        self.breakdown.chain += chain_len * self._cost.chain_entry_ns
         self._account_access(table, None, write=True, row_id=row_id)
-        self.breakdown.compute += self.engine.cost.compute_per_op_ns
+        self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_written += 1
         if runtime.index is not None:
             self._charge_index()
@@ -282,8 +282,8 @@ class TxnContext:
         :meth:`rollback` resolves the decision.
         """
         self.breakdown.flush += (
-            self._written_lines * self.engine.cost.flush_per_line_ns
-            + self.engine.cost.commit_barrier_ns
+            self._written_lines * self._cost.flush_per_line_ns
+            + self._cost.commit_barrier_ns
         )
 
     def finalize_commit(self) -> TxnResult:
@@ -294,7 +294,7 @@ class TxnContext:
         a cross-shard transaction pays over a single-phase commit.
         """
         self.breakdown.flush += (
-            self.engine.cost.flush_per_line_ns + self.engine.cost.commit_barrier_ns
+            self._cost.flush_per_line_ns + self._cost.commit_barrier_ns
         )
         return self._result()
 

@@ -178,6 +178,17 @@ class TestBuildBoundary:
             PushTapEngine.build(scale=2e-5, block_rows=256, **kwargs)
         assert text in str(err.value)
 
+    @pytest.mark.parametrize("block_rows", [0, -8, 12])
+    def test_block_rows_fails_at_the_boundary(self, block_rows):
+        """Both builders refuse a block size that is not a positive
+        multiple of 8 with ``TableStorage``'s text (0 used to raise a bare
+        ``ValueError`` from ``ceil_div``)."""
+        text = f"^block_rows must be a positive multiple of 8, got {block_rows}$"
+        with pytest.raises(ConfigError, match=text):
+            PushTapEngine.build(scale=2e-5, block_rows=block_rows)
+        with pytest.raises(ConfigError, match=text):
+            PushTapEngine.build_custom({}, {}, {}, block_rows=block_rows)
+
     @pytest.mark.parametrize("argument", ["initial_rows", "key_columns"])
     def test_build_custom_rejects_a_table_not_in_schemas(self, argument):
         from repro.format.schema import Column, TableSchema
@@ -193,6 +204,13 @@ class TestBuildBoundary:
             ConfigError, match=rf"^{argument} names tables not in schemas \['ghost'\]$"
         ):
             PushTapEngine.build_custom(**inputs, block_rows=256)
+
+
+def test_run_transactions_refuses_a_negative_count(fresh_engine):
+    with pytest.raises(ConfigError, match=r"^run_transactions count must be >= 0, got -1$"):
+        fresh_engine.run_transactions(-1)
+    assert fresh_engine.run_transactions(0) == []
+    assert fresh_engine.stats.transactions == 0
 
 
 def test_defrag_period_zero_runs_no_periodic_defrag():
