@@ -211,6 +211,10 @@ class PIMUnitConfig:
             raise ConfigError("wram_bytes must be positive")
         if self.tasklets <= 0:
             raise ConfigError("tasklets must be positive")
+        if self.frequency_mhz <= 0:
+            raise ConfigError(f"frequency_mhz must be positive, got {self.frequency_mhz}")
+        if self.dram_bandwidth <= 0:
+            raise ConfigError(f"dram_bandwidth must be positive, got {self.dram_bandwidth}")
 
     @property
     def cycle_ns(self) -> float:

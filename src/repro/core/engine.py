@@ -803,6 +803,19 @@ class PushTapEngine:
             _publish(f"oltp.rowbuffer.{table}", model.stats)
             model.stats = AccessStats()
 
+    def memory_bytes(self) -> Dict[str, int]:
+        """Host memory by layer, in bytes: the MVCC per-row arrays and
+        journals, the snapshot bitmaps and the WRAM matrices; and
+        ``index_entries``, the keys the hash indexes hold."""
+        tables = self.db.tables.values()
+        return {
+            "mvcc_rows": sum(t.mvcc.row_bytes for t in tables),
+            "mvcc_journal": sum(t.mvcc.journal_bytes for t in tables),
+            "snapshot_bits": sum(t.snapshots.bits_bytes for t in tables),
+            "wram": sum(units.wram.nbytes for units in self.rank_units),
+            "index_entries": sum(len(t.index) for t in tables if t.index is not None),
+        }
+
     def report(self) -> Dict[str, object]:
         """Summary of the engine's state and accumulated work."""
         return {

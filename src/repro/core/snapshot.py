@@ -151,6 +151,11 @@ class SnapshotManager:
         """Boolean visibility of delta-region rows."""
         return self._delta_bits.copy()
 
+    @property
+    def bits_bytes(self) -> int:
+        """Host bytes of both bitmaps (mapped; untouched pages stay zero)."""
+        return self._bits.nbytes
+
     def visible_count(self) -> int:
         """Total visible rows across both regions."""
         return int(self._data_bits.sum() + self._delta_bits.sum())
@@ -162,9 +167,10 @@ class SnapshotManager:
         compaction just folded the tombstones into dead rows) and the
         delta region empties. ``ts`` becomes the new snapshot horizon
         (OLTP is paused during defragmentation, §5.3, so nothing is
-        in-flight).
+        in-flight). Only bits a snapshot can have set are cleared (rows below
+        ``num_rows`` and the delta high-water mark): the tails stay zero pages.
         """
-        self._bits[:] = False
+        self._delta_bits[: self.mvcc.delta.high_water_rows] = False
         self._data_bits[: self.mvcc.num_rows] = self.mvcc.alive_at(ts)
         self.last_snapshot_ts = ts
         self._flush()

@@ -17,7 +17,7 @@ Per row the manager keeps the packed ``head`` (journal position of the
 newest version, −1 for the data slot), the data-slot version's
 ``base_ts`` (0, the insert ts, or the head ts at the last compaction)
 and its read ts, a pending tombstone ts, the dead flag of a deletion
-compaction folded, and the chain length.
+compaction folded, and the chain length, sized to the rows that exist.
 
 Everything else is a view of the journal: a version chain is a ``prev``
 walk from the head, :meth:`MVCCManager.log_between` is a bisect slice of
@@ -48,6 +48,21 @@ KINDS = ("update", "insert", "delete")
 
 #: The journal's column attributes, one int64 array each.
 _COLUMNS = ("_write_ts", "_kind", "_row_id", "_delta", "_prev", "_read_ts")
+
+#: The per-row arrays: attribute, dtype and the value of an unwritten row.
+#: They hold the rows that exist, grown geometrically up to the capacity.
+_ROW_ARRAYS = (
+    ("_head", np.int32, -1),
+    ("_base_ts", np.int64, 0),
+    ("_base_read_ts", np.int64, 0),
+    ("_chain_len", np.int32, 1),
+    ("_tomb_ts", np.int64, -1),
+    ("_dead", bool, False),
+)
+
+#: Journal entries one table may hold: a head (a journal position) and a
+#: chain length (one more than the row's updates) must both fit int32.
+_JOURNAL_LIMIT = 2**31 - 2
 
 
 class LogWindow(NamedTuple):
@@ -103,13 +118,15 @@ class MVCCManager:
         self._size = 0
         for name in _COLUMNS:
             setattr(self, name, np.zeros(64, dtype=np.int64))
-        capacity = max(capacity_rows, 1)
-        self._head = np.full(capacity, -1, dtype=np.int64)
-        self._base_ts = np.zeros(capacity, dtype=np.int64)
-        self._base_read_ts = np.zeros(capacity, dtype=np.int64)
-        self._chain_len = np.ones(capacity, dtype=np.int64)
-        self._tomb_ts = np.full(capacity, -1, dtype=np.int64)
-        self._dead = np.zeros(capacity, dtype=bool)
+        self._hold_rows(min(max(initial_rows, block_rows), capacity_rows))
+
+    def _hold_rows(self, size: int) -> None:
+        """Grow the per-row arrays to ``size`` rows; zero fills stay zero pages."""
+        for name, dtype, fill in _ROW_ARRAYS:
+            array = np.full(size, fill, dtype=dtype) if fill else np.zeros(size, dtype=dtype)
+            held = getattr(self, name, array[:0])
+            array[: len(held)] = held
+            setattr(self, name, array)
 
     # ------------------------------------------------------------------
     # Reads
@@ -207,7 +224,11 @@ class MVCCManager:
                 f"row {row_id}: update ts {ts} precedes head ts {head_ts}"
             )
         delta_index = self.delta.allocate(self.data.rotation_of(row_id))
-        self._head[row_id] = self._append(ts, UPDATE, row_id, delta_index, head)
+        try:
+            self._head[row_id] = self._append(ts, UPDATE, row_id, delta_index, head)
+        except TransactionError:
+            self.delta.release(delta_index)
+            raise
         self._chain_len[row_id] = chain_len + 1
         return src, delta_index, chain_len
 
@@ -219,9 +240,11 @@ class MVCCManager:
                 f"table full: capacity {self.data.num_rows} rows reached"
             )
         row_id = self.num_rows
+        if row_id == len(self._head):
+            self._hold_rows(min(2 * row_id, self.data.num_rows))
+        self._append(ts, INSERT, row_id, -1, -1)
         self.num_rows += 1
         self._base_ts[row_id] = ts
-        self._append(ts, INSERT, row_id, -1, -1)
         return row_id
 
     def delete(self, row_id: int, ts: int) -> int:
@@ -229,12 +252,14 @@ class MVCCManager:
         self._check_row(row_id)
         if self._tomb_ts[row_id] >= 0 or self._dead[row_id]:
             raise TransactionError(f"row {row_id} already deleted")
-        self._tomb_ts[row_id] = ts
         self._append(ts, DELETE, row_id, -1, self._head[row_id])
+        self._tomb_ts[row_id] = ts
         return int(self._chain_len[row_id])
 
     def _append(self, ts: int, kind: int, row_id: int, delta: int, prev: int) -> int:
         pos = self._size
+        if pos >= _JOURNAL_LIMIT:
+            raise TransactionError(f"journal full: {_JOURNAL_LIMIT} entries")
         if pos == len(self._write_ts):
             for name in _COLUMNS:
                 column = getattr(self, name)
@@ -323,6 +348,16 @@ class MVCCManager:
             self._delta[lo:hi],
             np.where(prev >= 0, self._delta[prev], -1),
         )
+
+    @property
+    def row_bytes(self) -> int:
+        """Host bytes of the per-row arrays."""
+        return sum(getattr(self, name).nbytes for name, _, _ in _ROW_ARRAYS)
+
+    @property
+    def journal_bytes(self) -> int:
+        """Host bytes of the journal's columns."""
+        return sum(getattr(self, name).nbytes for name in _COLUMNS)
 
     @property
     def log_length(self) -> int:

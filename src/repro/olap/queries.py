@@ -28,6 +28,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.database import Database
+from repro.errors import QueryError
 from repro.olap import plan as qplan
 from repro.olap.engine import OLAPEngine, QueryTiming
 from repro.pim.pim_unit import Condition
@@ -285,5 +286,5 @@ def run_query(name: str, olap: OLAPEngine, db: Database, ts: int) -> QueryResult
     try:
         fn = QUERIES[name]
     except KeyError:
-        raise KeyError(f"unknown executable query {name!r} (have {sorted(QUERIES)})")
+        raise QueryError(f"unknown executable query {name!r} (have {sorted(QUERIES)})") from None
     return fn(olap, db, ts)

@@ -126,6 +126,16 @@ class TestValidationAndUtilities:
         with pytest.raises(ConfigError):
             PIMUnitConfig(tasklets=0)
 
+    @pytest.mark.parametrize("value", [0, -500.0])
+    def test_rejects_non_positive_frequency(self, value):
+        with pytest.raises(ConfigError, match="frequency_mhz"):
+            PIMUnitConfig(frequency_mhz=value)
+
+    @pytest.mark.parametrize("value", [0, -1.0])
+    def test_rejects_non_positive_dram_bandwidth(self, value):
+        with pytest.raises(ConfigError, match="dram_bandwidth"):
+            PIMUnitConfig(dram_bandwidth=value)
+
     def test_rejects_bad_channels(self):
         with pytest.raises(ConfigError):
             SystemConfig(channels=0)

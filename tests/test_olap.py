@@ -373,5 +373,7 @@ class TestQueries:
         assert t.scan.phases > 0
 
     def test_unknown_query(self, loaded_engine):
-        with pytest.raises(KeyError):
+        with pytest.raises(QueryError, match="Q99"):
             loaded_engine.query("Q99")
+        with pytest.raises(QueryError, match="Q99"):
+            loaded_engine.query_batch(["Q6", "Q99"])
