@@ -344,9 +344,11 @@ class ClusterWorkload:
 
         With ``jobs > 1`` the shard sub-streams execute on a process
         pool and are merged back in sequential order — the report,
-        histograms, outcome logs, and telemetry export are
-        byte-identical to ``jobs=1`` (see :mod:`repro.parallel` for the
-        preconditions enforced).
+        histograms and outcome logs are byte-identical to ``jobs=1``.
+        Telemetry records only in the in-process ``jobs=1`` loop; under
+        ``jobs > 1`` an enabled registry raises ``ConfigError`` before
+        any driver moves (see :mod:`repro.parallel` for every
+        precondition enforced).
         """
         cluster = self.cluster
         report = ClusterReport(
@@ -382,8 +384,8 @@ class ClusterWorkload:
         if self.jobs > 1:
             # Parallel shard execution with a deterministic merge. The
             # merge fills the report's interval-loop accounting and the
-            # coordinator-side cluster/2PC/telemetry state; the shared
-            # delta bookkeeping below then applies to both paths.
+            # coordinator-side cluster/2PC state; the shared delta
+            # bookkeeping below then applies to both paths.
             from repro.parallel import run_parallel_cluster_workload
 
             run_parallel_cluster_workload(self, num_queries, self.jobs, report)

@@ -215,6 +215,12 @@ class PIMUnitConfig:
             raise ConfigError(f"frequency_mhz must be positive, got {self.frequency_mhz}")
         if self.dram_bandwidth <= 0:
             raise ConfigError(f"dram_bandwidth must be positive, got {self.dram_bandwidth}")
+        if self.units_per_rank <= 0:
+            raise ConfigError(f"units_per_rank must be positive, got {self.units_per_rank}")
+        if self.wire_width_bits <= 0 or self.wire_width_bits % 8:
+            raise ConfigError(
+                f"wire_width_bits must be a positive multiple of 8, got {self.wire_width_bits}"
+            )
 
     @property
     def cycle_ns(self) -> float:
@@ -243,6 +249,12 @@ class CPUConfig:
     l2_bytes: int = 1 * KIB * KIB
     l3_bytes: int = 22 * KIB * KIB
     cache_line_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        if self.cores <= 0:
+            raise ConfigError(f"cores must be positive, got {self.cores}")
+        if self.frequency_ghz <= 0:
+            raise ConfigError(f"frequency_ghz must be positive, got {self.frequency_ghz}")
 
     @property
     def cycle_ns(self) -> float:
@@ -282,6 +294,16 @@ class SystemConfig:
             raise ConfigError(f"unknown memory kind {self.memory_kind!r}")
         if self.channels <= 0 or self.ranks_per_channel <= 0:
             raise ConfigError("channels and ranks_per_channel must be positive")
+        for name in (
+            "mode_switch_latency", "unit_message_latency", "controller_request_latency",
+        ):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+        if self.cpu_channel_bandwidth <= 0:
+            raise ConfigError(
+                f"cpu_channel_bandwidth must be positive, got {self.cpu_channel_bandwidth}"
+            )
 
     @property
     def total_ranks(self) -> int:

@@ -58,16 +58,6 @@ class BlockCirculantPlacement:
         self._check_slot(slot_index)
         return (slot_index + self.rotation(row)) % self.num_devices
 
-    def slot_for(self, row: int, device: int) -> int:
-        """Inverse of :meth:`device_for`."""
-        self._check_slot(device)
-        return (device - self.rotation(row)) % self.num_devices
-
-    def row_in_block(self, row: int) -> int:
-        """Offset of ``row`` within its block."""
-        self._check_row(row)
-        return row % self.block_rows
-
     def scan_parallelism(self, num_rows: int) -> float:
         """Fraction of devices kept busy when scanning one column.
 

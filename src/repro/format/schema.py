@@ -142,10 +142,6 @@ class TableSchema:
             raise SchemaError(f"row for table {self.name!r} missing columns {missing}")
         return {c.name: c.encode(values[c.name]) for c in self.columns}
 
-    def decode_row(self, raw: Dict[str, bytes]) -> Dict[str, Value]:
-        """Decode per-column byte strings back to a row dict."""
-        return {c.name: c.decode(raw[c.name]) for c in self.columns}
-
     def __iter__(self):
         return iter(self.columns)
 

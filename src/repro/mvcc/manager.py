@@ -375,10 +375,6 @@ class MVCCManager:
         to −1, inserts and deletes never set it)."""
         return np.flatnonzero(self._head[: self.num_rows] >= 0)
 
-    def delta_head_count(self) -> int:
-        """Size of :meth:`updated_rows`."""
-        return int(self.updated_rows().size)
-
     def visible_refs_at(self, ts: int, delta_rows: int) -> Tuple[np.ndarray, np.ndarray]:
         """Visibility bitmaps at ``ts``, batched over the per-row heads.
 

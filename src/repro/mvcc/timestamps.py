@@ -36,8 +36,3 @@ class TimestampOracle:
         the oracle at the recovered commit horizon.
         """
         self._next = max(self._next, int(ts) + 1)
-
-    @property
-    def last_issued(self) -> int:
-        """The most recently issued timestamp (0 if none)."""
-        return self._next - 1

@@ -18,6 +18,7 @@ from typing import Optional
 
 from repro.core.config import SystemConfig
 from repro.errors import QueryError
+from repro.pim.pim_unit import compute_phase_time
 from repro.pim.timing import effective_stream_bandwidth
 
 __all__ = ["ScanCost", "column_scan_cost", "scan_bandwidth_per_unit"]
@@ -59,7 +60,6 @@ def column_scan_cost(
     column_width: int,
     part_row_width: Optional[int] = None,
     controller_kind: str = "pushtap",
-    cycles_per_element: int = 4,
     parallel_units: Optional[int] = None,
     wram_bytes: Optional[int] = None,
 ) -> ScanCost:
@@ -95,8 +95,7 @@ def column_scan_cost(
     bw = scan_bandwidth_per_unit(config)
     load_per_phase = chunk_bytes / bw
     elements_per_phase = (num_rows / units) / phases
-    steps = ceil(max(elements_per_phase, 1) / config.pim.tasklets)
-    compute_per_phase = steps * cycles_per_element * config.pim.cycle_ns
+    compute_per_phase = compute_phase_time(config.pim, elements_per_phase, "filter")
 
     handover = config.mode_switch_latency * config.total_ranks
     if controller_kind == "pushtap":

@@ -379,6 +379,7 @@ class OLAPEngine:
         timing.add_cpu_bytes(result.cpu_bytes, self.config.total_cpu_bandwidth)
         # PIM units match buckets in parallel (§6.3): elements spread over
         # all units' tasklets at the join cycle cost.
+        # No ceil, unlike compute_phase_time: unifying them drifts (ROADMAP item 17).
         pim = self.config.pim
         per_unit = result.pim_elements / max(1, len(self.units))
         steps = per_unit / pim.tasklets

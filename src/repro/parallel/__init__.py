@@ -12,13 +12,15 @@ drivers and the seeded fault plan — not by execution timing. The
    every 2PC fault decision, drawn from the plan ahead of time).
 2. :mod:`~repro.parallel.worker` executes each shard's sub-stream in a
    process-pool worker forked from the coordinator, which inherits the
-   run (engines, checkers, telemetry settings) rather than rebuilding
-   it, journaling telemetry segments with a
-   :class:`~repro.telemetry.record.RecordingRegistry`.
+   run (engines, checkers) rather than rebuilding it.
 3. :mod:`~repro.parallel.merge` re-applies the per-shard results on
    the coordinator in the *sequential* interleaving order, so every
-   report, histogram, outcome log, and telemetry export is
-   byte-identical to a ``jobs=1`` run.
+   report, histogram and outcome log is byte-identical to a ``jobs=1``
+   run.
+
+Telemetry records on the coordinator only: each simulated metric
+belongs on the one timeline of the in-process loop, so ``jobs > 1``
+refuses a recording registry (:mod:`~repro.parallel.runner`).
 """
 
 from repro.parallel.runner import run_parallel_cluster_workload

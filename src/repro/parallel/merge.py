@@ -1,14 +1,13 @@
 """The merge pass: reconstruct the sequential run from shard journals.
 
-Walks the plan's global record list in stream order, replaying each
-worker's journaled telemetry segments at the exact position the
-sequential interleaving would have produced them, and re-running the
+Walks the plan's global record list in stream order and re-runs the
 coordinator-side bookkeeping (report accounting, 2PC settlement,
 scatter-gather timing) with the same code paths a ``jobs=1`` run
 takes — :meth:`TwoPhaseCommit._settle` for cross-shard transactions,
 the same float accumulation order everywhere — so the resulting
-report, histograms, outcome log, and telemetry export are
-byte-identical to the sequential run.
+report, histograms and outcome log are byte-identical to the
+sequential run. No telemetry is recorded: the runner refuses a
+recording registry under ``jobs > 1``.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from typing import Dict, List, Sequence
 
 from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
-from repro.telemetry import registry as telemetry
-from repro.telemetry.record import SegmentReplayer
 
-from repro.parallel.plan import CheckRecord, QueryRecord, RunPlan, TxnRecord
+from repro.parallel.plan import QueryRecord, RunPlan, TxnRecord
 from repro.parallel.worker import ShardResult
 
 __all__ = ["merge_cluster_run"]
@@ -41,7 +38,6 @@ class _WorkerTxnResult:
 
 def merge_cluster_run(
     workload,
-    num_queries: int,
     run_plan: RunPlan,
     shard_results: Sequence[ShardResult],
     report,
@@ -49,25 +45,11 @@ def merge_cluster_run(
     """Fill ``report`` from the plan and the per-shard worker journals."""
     cluster = workload.cluster
     num_shards = cluster.num_shards
-    tel = telemetry.active()
     inj = faults.active()
-    replayer = SegmentReplayer(tel) if tel.enabled else None
-    segments = [r.segments for r in shard_results]
     results: List[Dict[int, float]] = [r.results for r in shard_results]
-
-    def replay(shard: int, op_id: int, tag: str) -> None:
-        if replayer is None:
-            return
-        segment = segments[shard].get((op_id, tag))
-        if segment:
-            replayer.replay(segment)
 
     def merge_twopc(rec: TxnRecord):
         decision = rec.decision
-        # Pre-prepare defragmentation of every involved shard, in the
-        # ascending order the cluster runs it.
-        for shard in rec.shards:
-            replay(shard, rec.op_id, "defrag")
         # Phase 1 in coordinator order, re-applying the accounting of
         # each planned fault at the position its draw happened.
         for shard in decision.order:
@@ -76,7 +58,6 @@ def merge_cluster_run(
                 inj.replay_fire(fault_plan.TWOPC_LOST_PREPARE)
                 inj.detect(fault_plan.TWOPC_LOST_PREPARE)
                 continue
-            replay(shard, rec.op_id, "prepare")
             if status == "timeout":
                 inj.replay_fire(fault_plan.TWOPC_PARTICIPANT_TIMEOUT)
                 inj.detect(fault_plan.TWOPC_PARTICIPANT_TIMEOUT)
@@ -85,7 +66,6 @@ def merge_cluster_run(
             inj.detect(fault_plan.TWOPC_COORDINATOR_CRASH)
 
         def resolve(shard: int, action: str) -> _WorkerTxnResult:
-            replay(shard, rec.op_id, "resolve")
             return _WorkerTxnResult(results[shard][rec.op_id])
 
         return cluster.twopc._settle(
@@ -102,19 +82,9 @@ def merge_cluster_run(
     def merge_query(rec: QueryRecord) -> float:
         cluster.queries_run += 1
         if num_shards == 1:
-            replay(0, rec.op_id, "query")
             return results[0][rec.op_id]
-        for shard in range(num_shards):
-            replay(shard, rec.op_id, "query")
         gather = (num_shards - 1) * cluster.interconnect_ns
         cluster.gather_time += gather
-        if tel.enabled:
-            tel.counter("cluster.olap.scatter_queries").inc()
-            tel.record_span(
-                "cluster.gather",
-                gather,
-                {"query": rec.name, "shards": num_shards},
-            )
         # ClusterQueryResult.total_time: shard scans run in parallel, so
         # the client sees the slowest shard plus the gather.
         slowest = max(
@@ -123,30 +93,13 @@ def merge_cluster_run(
         )
         return slowest + gather
 
-    records = run_plan.records
-    index = 0
-
-    def maybe_replay_check(index: int) -> int:
-        # Mirrors ClusterWorkload._maybe_check: the pending count is
-        # drained at every safe point; the plan already decided where a
-        # check actually runs.
-        if not workload.invariant_checkers:
-            return index
-        inj.take_pending_checks()
-        if index < len(records) and isinstance(records[index], CheckRecord):
-            rec = records[index]
-            for shard in range(num_shards):
-                replay(shard, rec.op_id, "check")
-            return index + 1
-        return index
-
-    for interval in range(num_queries):
-        t0 = tel.sim_time if tel.enabled else 0.0
-        for _ in range(workload.txns_per_query):
-            rec = records[index]
-            index += 1
-            if not rec.cross_shard:
-                replay(rec.home, rec.op_id, "txn")
+    for rec in run_plan.records:
+        if isinstance(rec, QueryRecord):
+            total_time = merge_query(rec)
+            report.queries += 1
+            report.observe_query(rec.name, total_time)
+        else:
+            if rec.decision is None:
                 latency = results[rec.home][rec.op_id]
                 committed = True
             else:
@@ -162,20 +115,12 @@ def merge_cluster_run(
             home.oltp_latency.observe(latency)
             if latency > workload.slo_targets.oltp_ns:
                 home.slo_violations += 1
-            index = maybe_replay_check(index)
-        qrec = records[index]
-        index += 1
-        total_time = merge_query(qrec)
-        report.queries += 1
-        report.observe_query(qrec.name, total_time)
-        index = maybe_replay_check(index)
-        if tel.enabled:
-            tel.record_span(
-                "workload.interval",
-                tel.sim_time - t0,
-                {"interval": interval, "query": qrec.name},
-                start=t0,
-            )
+        # Mirrors ClusterWorkload._maybe_check: the pending count is
+        # drained at every safe point (after each transaction and each
+        # query); the plan decided where a check runs, and the workers
+        # ran it.
+        if workload.invariant_checkers:
+            inj.take_pending_checks()
 
     # Mirror the workers' final engine stats onto the coordinator's
     # engines: the pristine precondition makes the absolutes equal the

@@ -25,14 +25,13 @@ Two invariants make this sound:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cluster.twopc import TwoPCDecision, plan_twopc_decision
 
 __all__ = [
     "TxnRecord",
     "QueryRecord",
-    "CheckRecord",
     "RunPlan",
     "plan_cluster_run",
 ]
@@ -44,8 +43,6 @@ class TxnRecord:
 
     op_id: int
     home: int
-    shards: Tuple[int, ...]
-    cross_shard: bool
     #: The planned 2PC fault decision (None for single-shard).
     decision: Optional[TwoPCDecision]
 
@@ -56,13 +53,6 @@ class QueryRecord:
 
     op_id: int
     name: str
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One invariant-checker sweep across every shard."""
-
-    op_id: int
 
 
 @dataclass
@@ -99,10 +89,8 @@ def plan_cluster_run(workload, num_queries: int) -> RunPlan:
             return
         pending, state["pending"] = state["pending"], 0
         if pending or force:
-            op_id = next_op_id()
-            records.append(CheckRecord(op_id))
             for ops in shard_ops:
-                ops.append(("check", op_id))
+                ops.append(("check",))
 
     for _ in range(num_queries):
         for _ in range(workload.txns_per_query):
@@ -114,7 +102,7 @@ def plan_cluster_run(workload, num_queries: int) -> RunPlan:
             op_id = next_op_id()
             if len(shards) == 1:
                 home = shards[0]
-                records.append(TxnRecord(op_id, home, (home,), False, None))
+                records.append(TxnRecord(op_id, home, None))
                 shard_ops[home].append(
                     ("txn", op_id, txn.txn_name, txn.params)
                 )
@@ -124,9 +112,7 @@ def plan_cluster_run(workload, num_queries: int) -> RunPlan:
                 state["pending"] += decision.fires
                 if not decision.decide_commit:
                     driver.note_abort(txn)
-                records.append(
-                    TxnRecord(op_id, home, tuple(shards), True, decision)
-                )
+                records.append(TxnRecord(op_id, home, decision))
                 resolution = "commit" if decision.decide_commit else "abort"
                 for shard in shards:
                     shard_ops[shard].append(

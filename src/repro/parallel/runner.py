@@ -6,6 +6,9 @@ runner enforces the preconditions instead of silently diverging:
 
 * the platform must offer the ``fork`` start method — workers inherit
   the run instead of rebuilding it (elsewhere, run with ``jobs=1``);
+* telemetry must be off — each simulated metric belongs on the one
+  timeline of the in-process loop, so a recording registry runs with
+  ``jobs=1``;
 * the cluster and workload must be **pristine** (no prior transactions,
   queries, or cursor movement) — workers inherit the engines in their
   initial state, so mid-stream resumption has no parallel meaning;
@@ -30,6 +33,7 @@ import multiprocessing
 from repro.errors import ConfigError, ReproError
 from repro.faults import injector as faults
 from repro.faults.plan import TWOPC_HOOKS
+from repro.telemetry import registry as telemetry
 
 from repro.parallel import worker as worker_mod
 from repro.parallel.merge import merge_cluster_run
@@ -44,6 +48,11 @@ def _validate(workload) -> None:
         raise ConfigError(
             "jobs > 1 requires the fork start method: workers inherit "
             "the built cluster rather than rebuild it (run with jobs=1)"
+        )
+    if telemetry.active().enabled:
+        raise ConfigError(
+            "jobs > 1 does not record telemetry: simulated metrics live on "
+            "the one timeline of the in-process loop (run with jobs=1)"
         )
     cluster = workload.cluster
     pristine = (
@@ -128,8 +137,8 @@ def _execute(workload, run_plan, jobs: int):
 def run_parallel_cluster_workload(workload, num_queries: int, jobs: int, report) -> None:
     """Run ``num_queries`` intervals of ``workload`` on ``jobs`` workers.
 
-    Fills ``report`` (and the coordinator-side cluster/telemetry/fault
-    state) byte-identically to a sequential run.
+    Fills ``report`` (and the coordinator-side cluster and fault state)
+    byte-identically to a sequential run.
     """
     _validate(workload)
     run_plan = plan_cluster_run(workload, num_queries)
@@ -138,4 +147,4 @@ def run_parallel_cluster_workload(workload, num_queries: int, jobs: int, report)
         {"checks": result.checks, "violations": list(result.violations)}
         for result in shard_results
     ]
-    merge_cluster_run(workload, num_queries, run_plan, shard_results, report)
+    merge_cluster_run(workload, run_plan, shard_results, report)

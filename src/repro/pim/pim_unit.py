@@ -33,6 +33,7 @@ end-to-end benchmark's layer trace, not the queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "PIMUnitStats",
     "RankUnits",
     "CYCLES_PER_ELEMENT",
+    "compute_phase_time",
     "bytes_to_uints",
     "uints_to_bytes",
     "Condition",
@@ -68,6 +70,15 @@ CYCLES_PER_ELEMENT = {
     "join": 12,
     "copy": 2,
 }
+
+
+def compute_phase_time(config: PIMUnitConfig, elements: float, kind: str) -> float:
+    """Modelled ns of one ``kind`` compute phase over ``elements`` on one
+    unit: ``ceil(max(n, 1) / tasklets)`` steps of ``CYCLES_PER_ELEMENT[kind]``
+    cycles. The functional units and the analytic scan model
+    (:func:`repro.olap.cost.column_scan_cost`) both charge this."""
+    steps = ceil(max(elements, 1) / config.tasklets)
+    return steps * CYCLES_PER_ELEMENT[kind] * config.cycle_ns
 
 
 #: Widths with a native little-endian dtype (decoded via a zero-copy view).
@@ -375,8 +386,7 @@ class PIMUnit:
     # ------------------------------------------------------------------
     def compute_cost(self, elements: int, kind: str) -> float:
         """Modelled ns of one ``kind`` compute phase over ``elements``."""
-        steps = ceil_div(max(elements, 1), self.config.tasklets)
-        return steps * CYCLES_PER_ELEMENT[kind] * self.config.cycle_ns
+        return compute_phase_time(self.config, elements, kind)
 
     def _compute_time(self, elements: int, kind: str) -> float:
         time = self.compute_cost(elements, kind)

@@ -148,10 +148,7 @@ class MetricsRegistry:
     ) -> SpanEvent:
         """Record a wrapper span covering the cursor advance since ``base``.
 
-        ``base`` must be an earlier value of :attr:`sim_time`. Keeping
-        the ``sim_time - base`` arithmetic inside the registry lets a
-        replaying registry recompute the duration on its own cursor
-        trajectory instead of trusting a recorded float.
+        ``base`` must be an earlier value of :attr:`sim_time`.
         """
         return self.record_span(name, self._sim_cursor - base, attrs, start=base)
 

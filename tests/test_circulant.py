@@ -28,7 +28,7 @@ class TestRotation:
         assert p.block_of(0) == 0
         assert p.block_of(255) == 0
         assert p.block_of(256) == 1
-        assert p.row_in_block(257) == 1
+        assert p.block_of(511) == 1
 
     @given(
         st.integers(min_value=0, max_value=1 << 20),
@@ -37,7 +37,7 @@ class TestRotation:
     def test_device_slot_bijection(self, row, slot):
         p = BlockCirculantPlacement(8)
         device = p.device_for(row, slot)
-        assert p.slot_for(row, device) == slot
+        assert (device - p.rotation(row)) % 8 == slot
 
     @given(st.integers(min_value=0, max_value=1 << 16))
     def test_row_slots_cover_all_devices(self, row):

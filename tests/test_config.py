@@ -140,6 +140,38 @@ class TestValidationAndUtilities:
         with pytest.raises(ConfigError):
             SystemConfig(channels=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mode_switch_latency", -5.0),
+        ("unit_message_latency", -1.0),
+        ("controller_request_latency", -0.1),
+        ("cpu_channel_bandwidth", 0),
+        ("cpu_channel_bandwidth", -25.6),
+    ])
+    def test_system_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            dimm_system(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("units_per_rank", 0),
+        ("units_per_rank", -64),
+        ("wire_width_bits", 0),
+        ("wire_width_bits", 12),
+        ("wire_width_bits", -64),
+    ])
+    def test_pim_unit_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PIMUnitConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("cores", 0),
+        ("cores", -16),
+        ("frequency_ghz", 0),
+        ("frequency_ghz", -3.2),
+    ])
+    def test_cpu_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CPUConfig(**{field: value})
+
 
 class TestAreaModel:
     """§7.6 constants recorded from the paper."""

@@ -20,7 +20,7 @@ class TestTimestampOracle:
         oracle = TimestampOracle()
         assert oracle.next_timestamp() == 1
         assert oracle.next_timestamp() == 2
-        assert oracle.last_issued == 2
+        assert oracle.read_timestamp() == 2
 
     def test_read_timestamp_sees_committed(self):
         oracle = TimestampOracle()
@@ -228,7 +228,7 @@ class TestMVCCManager:
         mv.update(1, ts=3)
         mv.update(2, ts=4)
         assert mv.stale_version_count() == 3
-        assert mv.delta_head_count() == 2
+        assert mv.updated_rows().tolist() == [1, 2]
 
     def test_out_of_range(self):
         mv = self.make()

@@ -2,12 +2,11 @@
 
 The parallel layer's whole contract is that the process pool is a pure
 wall-clock optimisation: the merged report, every histogram's retained
-samples, the 2PC outcome log, and the full telemetry export (counters,
-histograms, spans, simulated clock) must match the sequential run
-bit-for-bit — under the 2PC fault hooks and under every telemetry
-setting the forked workers inherit. These tests serialize the entire
-observable surface to canonical JSON and compare strings. Without
-``fork`` the parallel path refuses to run.
+samples and the 2PC outcome log must match the sequential run
+bit-for-bit, under the 2PC fault hooks too. These tests serialize that
+observable surface to canonical JSON and compare strings. Telemetry
+records in the in-process loop only: with a recording registry, or
+without ``fork``, the parallel path refuses to run.
 """
 
 import json
@@ -20,7 +19,6 @@ from repro.errors import ConfigError, QueryError
 from repro.faults.plan import TWOPC_HOOKS, FaultRates
 from repro.faults.sweep import run_fault_sweep
 from repro.telemetry import registry as telemetry
-from repro.telemetry.registry import MetricsRegistry
 
 SCALE = 2e-5
 
@@ -39,16 +37,14 @@ def full_state(
     txns_per_query=12,
     seed=11,
     remote_fraction=4.0,
-    with_telemetry=True,
-    registry=None,
+    traced=False,
 ):
     """Run one cluster workload; returns every observable surface as JSON.
 
     Covers the report dict, the raw retained histogram samples (order
-    matters under decimation), the 2PC outcome log, and — when enabled —
-    the complete telemetry registry (``registry``, or a fresh default
-    one): counters, histogram samples, spans with their start offsets,
-    and the simulated clock.
+    matters under decimation) and the 2PC outcome log. ``traced`` runs
+    under a recording registry, which only ``jobs=1`` accepts; the
+    telemetry itself is left out of the state.
     """
     telemetry.disable()
     cluster = PushTapCluster.build(
@@ -59,7 +55,8 @@ def full_state(
         defrag_period=200,
         extra_rows=12 * intervals * txns_per_query,
     )
-    tel = telemetry.enable(registry) if with_telemetry else None
+    if traced:
+        telemetry.enable()
     try:
         workload = ClusterWorkload(
             cluster,
@@ -78,26 +75,21 @@ def full_state(
             {str(k): v for k, v in row.items()}
             for row in cluster.twopc.outcomes
         ]
-        if tel is not None:
-            state["counters"] = {
-                k: c.value for k, c in sorted(tel.counters.items())
-            }
-            state["histograms"] = {
-                k: (h.count, h.sum, list(h.samples))
-                for k, h in sorted(tel.histograms.items())
-            }
-            state["spans"] = [
-                (s.name, s.start, s.duration, s.attrs) for s in tel.spans
-            ]
-            state["sim_time"] = tel.sim_time
         return json.dumps(state, sort_keys=True, default=str)
     finally:
         telemetry.disable()
 
 
+def small_workload(jobs=2):
+    cluster = PushTapCluster.build(
+        shards=2, scale=SCALE, seed=7, block_rows=256, defrag_period=200
+    )
+    return ClusterWorkload(cluster, txns_per_query=4, seed=11, jobs=jobs)
+
+
 class TestJobsIdentity:
     def test_jobs4_four_shards_identical(self):
-        """The headline contract: 4 shards on 4 workers, full telemetry."""
+        """The headline contract: 4 shards on 4 workers."""
         sequential = full_state(1, shards=4)
         parallel = full_state(4, shards=4)
         assert sequential == parallel
@@ -111,20 +103,21 @@ class TestJobsIdentity:
         assert sequential == parallel
 
     def test_identity_without_telemetry(self):
-        sequential = full_state(1, with_telemetry=False)
-        parallel = full_state(2, with_telemetry=False)
-        assert sequential == parallel
+        """The untraced pool run equals the traced in-process run:
+        recording telemetry changes nothing the report holds."""
+        assert full_state(1, traced=True) == full_state(2)
 
-    def test_telemetry_settings_reach_workers(self):
-        """Decimation, detail spans and roofline accounting are read by
-        the workers from the registry they inherit."""
-
-        def tuned():
-            registry = MetricsRegistry(max_histogram_samples=4)
-            registry.detail_spans = registry.roofline = True
-            return registry
-
-        assert full_state(1, registry=tuned()) == full_state(2, registry=tuned())
+    def test_recording_registry_refused_before_plan(self):
+        """Telemetry records on the coordinator only: under an enabled
+        registry, jobs > 1 raises before the plan pass moves any driver
+        and records nothing."""
+        workload = small_workload()
+        registry = telemetry.enable()
+        with pytest.raises(ConfigError, match="jobs=1"):
+            workload.run(1)
+        assert workload._txn_cursor == 0
+        assert workload._query_cursor == 0
+        assert not registry.spans and not registry.counters
 
     def test_no_fork_refused_before_plan(self, monkeypatch):
         """Workers only inherit the run: without fork, jobs > 1 raises
@@ -134,10 +127,7 @@ class TestJobsIdentity:
         monkeypatch.setattr(
             runner.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        cluster = PushTapCluster.build(
-            shards=2, scale=SCALE, seed=7, block_rows=256, defrag_period=200
-        )
-        workload = ClusterWorkload(cluster, txns_per_query=4, seed=11, jobs=2)
+        workload = small_workload()
         with pytest.raises(ConfigError, match="fork"):
             workload.run(1)
         assert workload._txn_cursor == 0
@@ -151,10 +141,7 @@ class TestJobsIdentity:
 
         # Forked workers inherit the patched method.
         monkeypatch.setattr(PushTapEngine, "query", boom)
-        cluster = PushTapCluster.build(
-            shards=2, scale=SCALE, seed=7, block_rows=256, defrag_period=200
-        )
-        workload = ClusterWorkload(cluster, txns_per_query=4, seed=11, jobs=2)
+        workload = small_workload()
         with pytest.raises(QueryError, match=r"^shard \d: boom"):
             workload.run(1)
 

@@ -100,7 +100,7 @@ class TestTableSchema:
         s = self.make()
         row = {"a": 7, "b": 123456, "z": b"hello"}
         encoded = s.encode_row(row)
-        decoded = s.decode_row(encoded)
+        decoded = {c.name: c.decode(encoded[c.name]) for c in s.columns}
         assert decoded["a"] == 7
         assert decoded["b"] == 123456
         assert decoded["z"].rstrip(b"\x00") == b"hello"

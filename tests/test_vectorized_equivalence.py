@@ -807,7 +807,6 @@ def assert_updated_rows_match_journal(mvcc):
     journal = mvcc.journal
     expected = np.unique(journal.row_id[journal.kind == UPDATE])
     np.testing.assert_array_equal(mvcc.updated_rows(), expected)
-    assert mvcc.delta_head_count() == expected.size
 
 
 def compact_both(mvcc, oracle):
@@ -849,7 +848,7 @@ def assert_same_state(mvcc, oracle, probes=()):
     assert mvcc.log_length == oracle.log_length
     assert window_records(mvcc.journal) == oracle._log
     assert mvcc.stale_version_count() == oracle.stale_version_count()
-    assert mvcc.delta_head_count() == len(oracle.updated_chains())
+    assert mvcc.updated_rows().size == len(oracle.updated_chains())
     assert mvcc.tombstoned_rows() == oracle.tombstoned_rows()
     assert mvcc.delta.allocated_rows == oracle.delta.allocated_rows
     for row in range(mvcc.num_rows):
