@@ -62,6 +62,7 @@ from repro.pim.pim_unit import (
     RankUnits,
     aggregation_kernel,
     bytes_to_uints,
+    compute_phase_time,
     filter_kernel,
     group_kernel,
     hash_kernel,
@@ -349,7 +350,7 @@ class _ScanPlan:
             touched,
             moved,
             [load_time, bitmap_time] + cls._aux_load_terms(unit, num_rows),
-            unit.compute_cost(num_rows, cls._KIND),
+            compute_phase_time(unit.config, num_rows, cls._KIND),
         )
 
 

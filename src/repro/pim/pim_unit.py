@@ -21,7 +21,7 @@ block axis (:func:`filter_kernel`, :func:`group_kernel`,
 :func:`aggregation_kernel`, :func:`hash_kernel`) — on every block of the
 rank, staged through :class:`RankUnits`, which keeps a rank's scratchpads
 and work counters in shared matrices, and charge each unit what
-:meth:`PIMUnit.strided_cost` and :meth:`PIMUnit.compute_cost` give.
+:meth:`PIMUnit.strided_cost` and :func:`compute_phase_time` give.
 :mod:`repro.bench.micro` measures that query path on a one-unit rank,
 plus this class's :meth:`PIMUnit.op_join` and :meth:`PIMUnit.copy_rows`.
 The one-block :meth:`PIMUnit.load_strided` and ``op_filter`` /
@@ -384,12 +384,8 @@ class PIMUnit:
     # ------------------------------------------------------------------
     # Compute phases (WRAM-only)
     # ------------------------------------------------------------------
-    def compute_cost(self, elements: int, kind: str) -> float:
-        """Modelled ns of one ``kind`` compute phase over ``elements``."""
-        return compute_phase_time(self.config, elements, kind)
-
     def _compute_time(self, elements: int, kind: str) -> float:
-        time = self.compute_cost(elements, kind)
+        time = compute_phase_time(self.config, elements, kind)
         self.stats.elements_processed += elements
         self.stats.compute_time += time
         return time

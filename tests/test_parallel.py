@@ -113,8 +113,11 @@ class TestJobsIdentity:
         and records nothing."""
         workload = small_workload()
         registry = telemetry.enable()
-        with pytest.raises(ConfigError, match="jobs=1"):
-            workload.run(1)
+        try:
+            with pytest.raises(ConfigError, match="jobs=1"):
+                workload.run(1)
+        finally:
+            telemetry.disable()
         assert workload._txn_cursor == 0
         assert workload._query_cursor == 0
         assert not registry.spans and not registry.counters
