@@ -18,9 +18,7 @@ tests verify bit-identically.
 
 The split is by *shard*, not by warehouse: a New-Order line whose
 remote supply warehouse lives on the home shard stays in the home part
-and pays no 2PC. Stock-Level cannot be routed across shards (its STOCK
-reads follow each order line's supply warehouse, known only when it
-runs), so a multi-shard router rejects it before any shard runs.
+and pays no 2PC.
 """
 
 from __future__ import annotations
@@ -62,13 +60,6 @@ class ShardRouter:
         if params is None or name is None:
             raise TransactionError("cannot route a transaction without params")
         warehouses = params.warehouses
-        if warehouses is None:
-            if self.num_shards > 1:
-                raise TransactionError(
-                    f"cannot route {name} over {self.num_shards} shards: its "
-                    "warehouses are not known until it runs"
-                )
-            return [0]
         if not warehouses:
             raise TransactionError(f"cannot route an empty {name}")
         return list(dict.fromkeys(self.shard_of_warehouse(w) for w in warehouses))

@@ -95,7 +95,7 @@ def _flag_type(flag: str, hint) -> Dict[str, Any]:
     if typing.get_origin(hint) is typing.Union:  # Optional[X]
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     if hint is bool:
-        return {"action": "store_false" if flag.startswith("--no-") else "store_true"}
+        return {"action": "store_true"}
     if typing.get_origin(hint) in (collections.abc.Sequence, list, tuple):
         return {"nargs": "+", "type": typing.get_args(hint)[0]}
     return {"type": hint}
@@ -234,8 +234,6 @@ def profile(argv) -> int:
         "--scale": ("scale", "CH-benCH scale"),
         "--defrag-period": ("defrag_period", "transactions between defrags"),
         "--seed": ("seed", "workload seed"),
-        "--max-samples": ("max_histogram_samples", "histogram sample bound (bounded/decimating mode)"),
-        "--no-per-unit-spans": ("per_unit_spans", "per-PIM-unit detail spans; the flag skips them (smaller trace)"),
     }, run_profile)
     parser.add_argument("--out-dir", default=".", help="directory for trace.json / flame.folded")
     parser.add_argument("--top", type=int, default=10, help="bottleneck rows to print")

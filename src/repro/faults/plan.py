@@ -133,8 +133,8 @@ TWOPC_HOOKS: Tuple[str, ...] = (
 class FaultRates:
     """Per-hook injection probabilities, each in ``[0, 1]``.
 
-    Constructed from keyword arguments or :meth:`from_mapping` (the CLI's
-    ``--rates drop_launch=0.05,...`` form). Unknown hook names raise
+    Constructed from a ``{hook: rate}`` mapping or by :meth:`parse` (the
+    CLI's ``--rates drop_launch=0.05,...`` form). Unknown hook names raise
     :class:`~repro.errors.ConfigError` so typos cannot silently disable a
     fault class.
     """
@@ -149,11 +149,6 @@ class FaultRates:
                 )
             if not 0.0 <= float(rate) <= 1.0:
                 raise ConfigError(f"fault rate {hook}={rate} outside [0, 1]")
-
-    @classmethod
-    def from_mapping(cls, rates: Mapping[str, float]) -> "FaultRates":
-        """Build from a plain ``{hook: rate}`` mapping."""
-        return cls(dict(rates))
 
     @classmethod
     def parse(cls, spec: str) -> "FaultRates":
@@ -233,12 +228,6 @@ class FaultPlan:
         if low > high:
             raise ConfigError(f"draw_int bounds inverted: [{low}, {high}]")
         return int(self._stream(hook).randint(low, high + 1))
-
-    def draws(self, hook: str) -> int:
-        """Number of consultations of ``hook`` so far."""
-        if hook not in HOOKS:
-            raise ConfigError(f"unknown fault hook {hook!r}")
-        return self._draws[hook]
 
     def content_hash(self) -> str:
         """SHA-256 over the plan's determinism surface (seed + rates).

@@ -111,8 +111,6 @@ class TxnResult:
     rows_read: int = 0
     rows_written: int = 0
     aborted: bool = False
-    #: Optional value a read-only transaction computed (``ctx.result``).
-    value: object = None
 
     @property
     def total_time(self) -> float:
@@ -138,8 +136,6 @@ class TxnContext:
         self._charges = engine.access_charges
         tel = telemetry.active()
         self._roofline = bool(tel.enabled and tel.roofline)
-        #: Read-only transactions may publish a computed value here.
-        self.result: object = None
 
     # ------------------------------------------------------------------
     # Index operations
@@ -265,7 +261,6 @@ class TxnContext:
             breakdown=self.breakdown,
             rows_read=self.rows_read,
             rows_written=self.rows_written,
-            value=self.result,
         )
 
     # ------------------------------------------------------------------

@@ -33,16 +33,12 @@ __all__ = [
     "NewOrderParams",
     "DeliveryOrder",
     "DeliveryParams",
-    "OrderStatusParams",
-    "StockLevelParams",
     "TPCCDriver",
     "FACTORIES",
     "rebuild_transaction",
     "payment",
     "new_order",
     "delivery",
-    "order_status",
-    "stock_level",
     "NEW_ORDER_REMOTE_RATE",
     "PAYMENT_REMOTE_RATE",
 ]
@@ -328,93 +324,6 @@ def delivery(
     return txn
 
 
-@dataclass(frozen=True)
-class OrderStatusParams:
-    """Inputs of one Order-Status transaction (read-only)."""
-
-    w_id: int
-    d_id: int
-    c_id: int
-    o_id: int
-    ol_cnt: int
-
-    @property
-    def warehouses(self) -> Tuple[int, ...]:
-        """Every row it reads lives at its one warehouse."""
-        return (self.w_id,)
-
-
-def order_status(params: OrderStatusParams) -> Callable[[TxnContext], None]:
-    """Build the Order-Status transaction closure (TPC-C §2.6, read-only).
-
-    Reads the customer, their most recent order, and that order's lines.
-    """
-
-    def txn(ctx: TxnContext) -> None:
-        c_row = ctx.index_lookup(
-            "customer_pk", (params.w_id, params.d_id, params.c_id)
-        )
-        ctx.read("customer", c_row, ["c_balance", "c_first", "c_last"])
-        o_row = ctx.index_lookup("order_pk", params.o_id)
-        ctx.read("order", o_row, ["o_entry_d", "o_carrier_id"])
-        ol_rows = [
-            ctx.index_lookup("orderline_pk", (params.o_id, number))
-            for number in range(1, params.ol_cnt + 1)
-        ]
-        columns = ["ol_i_id", "ol_supply_w_id", "ol_quantity", "ol_amount", "ol_delivery_d"]
-        for ol_row in ol_rows:
-            ctx.read("orderline", ol_row, columns)
-
-    txn.txn_name = "order_status"
-    txn.params = params
-    return txn
-
-
-@dataclass(frozen=True)
-class StockLevelParams:
-    """Inputs of one Stock-Level transaction (read-only, simplified)."""
-
-    w_id: int
-    d_id: int
-    threshold: int
-    recent_orders: List[DeliveryOrder]
-
-    @property
-    def warehouses(self) -> None:
-        """Not known until it runs: its STOCK reads follow each order
-        line's ``ol_supply_w_id``."""
-        return None
-
-
-def stock_level(params: StockLevelParams) -> Callable[[TxnContext], None]:
-    """Build the Stock-Level transaction closure (TPC-C §2.8, simplified).
-
-    Counts distinct items of the district's recent orders whose stock
-    quantity is below the threshold. The recent-order window comes from
-    the driver (we have no ordered secondary index over orders).
-    """
-
-    def txn(ctx: TxnContext) -> None:
-        d_row = ctx.index_lookup("district_pk", (params.w_id, params.d_id))
-        ctx.read("district", d_row, ["d_next_o_id"])
-        low = set()
-        for order in params.recent_orders:
-            for number in range(1, order.ol_cnt + 1):
-                ol_row = ctx.index_lookup("orderline_pk", (order.o_id, number))
-                line = ctx.read("orderline", ol_row, ["ol_i_id", "ol_supply_w_id"])
-                s_row = ctx.index_lookup(
-                    "stock_pk", (line["ol_supply_w_id"], line["ol_i_id"])
-                )
-                stock = ctx.read("stock", s_row, ["s_quantity"])
-                if stock["s_quantity"] < params.threshold:
-                    low.add(line["ol_i_id"])
-        ctx.result = len(low)
-
-    txn.txn_name = "stock_level"
-    txn.params = params
-    return txn
-
-
 #: Transaction factories by name — the parallel execution layer ships
 #: ``(txn_name, params)`` pairs to shard workers (closures don't pickle)
 #: and rebuilds the closure there.
@@ -422,8 +331,6 @@ FACTORIES: Dict[str, Callable] = {
     "payment": payment,
     "new_order": new_order,
     "delivery": delivery,
-    "order_status": order_status,
-    "stock_level": stock_level,
 }
 
 
@@ -431,12 +338,11 @@ def rebuild_transaction(
     txn_name: str, params, owns: Optional[Callable[[int], bool]] = None
 ) -> Callable[[TxnContext], None]:
     """Rebuild a transaction closure from its name and frozen params;
-    ``owns`` restricts a Payment, New-Order or Delivery to the
-    warehouses one shard owns."""
+    ``owns`` restricts it to the warehouses one shard owns."""
     factory = FACTORIES.get(txn_name)
     if factory is None:
         raise TransactionError(f"unknown transaction {txn_name!r}")
-    return factory(params) if owns is None else factory(params, owns)
+    return factory(params, owns)
 
 
 class TPCCDriver:
@@ -531,9 +437,6 @@ class TPCCDriver:
         self.order_lines = 0
         self.remote_order_lines = 0
         self._undelivered: List[DeliveryOrder] = []
-        #: Orders created by this driver (known exact line counts), kept
-        #: for the read-only Order-Status / Stock-Level transactions.
-        self._recent_orders: List[DeliveryOrder] = []
         # New order ids must not collide with any preloaded order or
         # new-order key (the generator assigns 1..N in both tables).
         # Offset/stride give concurrent drivers (one per serving tenant)
@@ -656,37 +559,10 @@ class TPCCDriver:
         self.remote_order_lines += remote_lines
         if remote_lines:
             self.remote_new_orders += 1
-        record = DeliveryOrder(o_id=o_id, w_id=w, d_id=d, c_id=c, ol_cnt=len(items))
-        self._undelivered.append(record)
-        self._recent_orders.append(record)
-        if len(self._recent_orders) > 100:
-            self._recent_orders.pop(0)
+        self._undelivered.append(
+            DeliveryOrder(o_id=o_id, w_id=w, d_id=d, c_id=c, ol_cnt=len(items))
+        )
         return params
-
-    def next_order_status(self) -> Optional[OrderStatusParams]:
-        """Generate an Order-Status over an order this driver created."""
-        if not self._recent_orders:
-            return None
-        order = self._recent_orders[int(self.rng.randint(0, len(self._recent_orders)))]
-        return OrderStatusParams(
-            w_id=order.w_id,
-            d_id=order.d_id,
-            c_id=order.c_id,
-            o_id=order.o_id,
-            ol_cnt=order.ol_cnt,
-        )
-
-    def next_stock_level(self, window: int = 5) -> Optional[StockLevelParams]:
-        """Generate a Stock-Level over this driver's most recent orders."""
-        if not self._recent_orders:
-            return None
-        recent = self._recent_orders[-window:]
-        return StockLevelParams(
-            w_id=recent[-1].w_id,
-            d_id=recent[-1].d_id,
-            threshold=int(self.rng.randint(10, 60)),
-            recent_orders=recent,
-        )
 
     def next_delivery(self) -> Optional[DeliveryParams]:
         """Generate a Delivery over pending new orders (None if none)."""
@@ -704,15 +580,13 @@ class TPCCDriver:
         """Forget bookkeeping for a transaction that aborted.
 
         A New-Order that rolled back never created its ORDER/NEWORDER
-        rows, so the driver must not route a later Delivery (or
-        Order-Status / Stock-Level) at its order id — those lookups
-        would fail on keys that were never inserted.
+        rows, so the driver must not route a later Delivery at its order
+        id — its lookups would fail on keys that were never inserted.
         """
         o_id = getattr(txn, "o_id", None)
         if o_id is None:
             return
         self._undelivered = [o for o in self._undelivered if o.o_id != o_id]
-        self._recent_orders = [o for o in self._recent_orders if o.o_id != o_id]
 
     def next_transaction(self) -> Callable[[TxnContext], None]:
         """Generate the next transaction of the mix."""

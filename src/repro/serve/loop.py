@@ -100,6 +100,8 @@ class ServeConfig:
             raise ConfigError("tick_ns must be > 0")
         if self.max_wait_ns < 0:
             raise ConfigError("max_wait_ns must be >= 0")
+        if self.freshness_sla_txns < 0:
+            raise ConfigError("freshness_sla_txns must be >= 0")
 
 
 @dataclass

@@ -30,7 +30,6 @@ from repro.telemetry.registry import (
     active,
     disable,
     enable,
-    enabled,
     install,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "active",
     "disable",
     "enable",
-    "enabled",
     "install",
 ]

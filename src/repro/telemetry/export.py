@@ -28,36 +28,33 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def to_dict(registry: MetricsRegistry, include_samples: bool = True) -> Dict:
+def to_dict(registry: MetricsRegistry) -> Dict:
     """Serialize a registry to a plain dict (JSON-compatible)."""
     return {
         "version": FORMAT_VERSION,
         "counters": {n: c.value for n, c in sorted(registry.counters.items())},
         "gauges": {n: g.value for n, g in sorted(registry.gauges.items())},
-        "histograms": {
-            n: h.as_dict(include_samples=include_samples)
-            for n, h in sorted(registry.histograms.items())
-        },
+        "histograms": {n: h.as_dict() for n, h in sorted(registry.histograms.items())},
         "spans": [s.as_dict() for s in registry.spans],
     }
 
 
 def from_dict(data: Dict) -> MetricsRegistry:
-    """Rebuild a registry from :func:`to_dict` output."""
+    """Rebuild a registry from :func:`to_dict` output.
+
+    A histogram must carry its raw samples: one without them raises
+    ``ValueError`` naming it, rather than reloading as an empty
+    histogram whose statistics would read 0.
+    """
     registry = MetricsRegistry()
     for name, value in data.get("counters", {}).items():
         registry.counters[name] = Counter(name, value)
     for name, value in data.get("gauges", {}).items():
         registry.gauges[name] = Gauge(name, value)
     for name, summary in data.get("histograms", {}).items():
-        if "samples" in summary:
-            registry.histograms[name] = Histogram(name, summary["samples"])
-        else:
-            # Dump written with include_samples=False: the raw
-            # distribution is gone, but the count/sum/quantile summary
-            # must survive the round-trip rather than silently reloading
-            # as an empty histogram.
-            registry.histograms[name] = Histogram.from_summary(name, summary)
+        if "samples" not in summary:
+            raise ValueError(f"histogram {name!r} has no samples")
+        registry.histograms[name] = Histogram(name, summary["samples"])
     for span in data.get("spans", []):
         registry.spans.append(
             SpanEvent(
@@ -70,9 +67,9 @@ def from_dict(data: Dict) -> MetricsRegistry:
     return registry
 
 
-def to_json(registry: MetricsRegistry, include_samples: bool = True) -> str:
+def to_json(registry: MetricsRegistry) -> str:
     """Serialize a registry to a JSON string."""
-    return json.dumps(to_dict(registry, include_samples=include_samples), indent=2)
+    return json.dumps(to_dict(registry), indent=2)
 
 
 def from_json(text: str) -> MetricsRegistry:
@@ -90,8 +87,9 @@ def to_csv(registry: MetricsRegistry) -> str:
     for name, gauge in sorted(registry.gauges.items()):
         writer.writerow(["gauge", name, "value", gauge.value])
     for name, hist in sorted(registry.histograms.items()):
-        for key, value in hist.as_dict(include_samples=False).items():
-            writer.writerow(["histogram", name, key, value])
+        for key, value in hist.as_dict().items():
+            if key != "samples":
+                writer.writerow(["histogram", name, key, value])
     for span in registry.spans:
         writer.writerow(["span", span.name, "start", span.start])
         writer.writerow(["span", span.name, "duration", span.duration])

@@ -68,10 +68,6 @@ class Gauge:
         """Replace the gauge's value."""
         self.value = value
 
-    def add(self, delta: float) -> None:
-        """Shift the gauge by ``delta`` (either sign)."""
-        self.value += delta
-
     def as_dict(self) -> Dict[str, float]:
         """Summary used by the exporters."""
         return {"value": self.value}
@@ -81,104 +77,29 @@ class Gauge:
 
 
 class Histogram:
-    """A latency/size distribution that keeps its raw samples.
+    """A latency/size distribution that keeps every raw sample.
 
     Keeping samples exact (rather than bucketed) is affordable at
     simulator scale and makes quantiles and exporter round-trips exact.
-
-    With ``max_samples`` set the histogram switches to a *bounded* mode
-    for long profiling runs: ``count``/``sum``/``min``/``max`` stay
-    exact, but only a deterministic systematic subset of samples is
-    retained (every 2^k-th observation, with k growing as the stream
-    does), so quantiles become approximations over that subset. The
-    decimation is seed-free: two runs observing the same stream retain
-    the same samples.
-
-    A histogram can also be *summary-only* (see :meth:`from_summary`):
-    rebuilt from an export without raw samples, it answers the summary
-    statistics it was saved with and refuses everything else.
     """
 
-    __slots__ = (
-        "name",
-        "_samples",
-        "_sorted",
-        "_count",
-        "_sum",
-        "_min",
-        "_max",
-        "max_samples",
-        "_stride",
-        "_frozen_quantiles",
-    )
+    __slots__ = ("name", "_samples", "_sorted", "_sum", "_min", "_max")
 
-    def __init__(
-        self,
-        name: str,
-        samples: Optional[List[float]] = None,
-        max_samples: Optional[int] = None,
-    ) -> None:
-        if max_samples is not None and max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
+    def __init__(self, name: str, samples: Optional[List[float]] = None) -> None:
         self.name = name
         self._samples: List[float] = []
         self._sorted = False
-        self._count = 0
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self.max_samples = max_samples
-        #: Observation stride of the systematic sample (1 = keep all).
-        self._stride = 1
-        #: Quantile table of a summary-only histogram, else None.
-        self._frozen_quantiles: Optional[Dict[float, float]] = None
         if samples:
             for value in samples:
                 self.observe(value)
 
-    @classmethod
-    def from_summary(cls, name: str, summary: Dict[str, object]) -> "Histogram":
-        """Rebuild a histogram from a sample-free exporter summary.
-
-        The result is *summary-only*: it reports the saved count, sum,
-        mean, min, max, and the saved quantiles, but raises on
-        :meth:`observe` and on quantiles that were not exported —
-        the raw distribution is gone and cannot be extended honestly.
-        """
-        hist = cls(name)
-        hist._count = int(summary.get("count", 0))
-        hist._sum = float(summary.get("sum", 0.0))
-        if hist._count:
-            hist._min = float(summary.get("min", 0.0))
-            hist._max = float(summary.get("max", 0.0))
-        hist._frozen_quantiles = {
-            q: float(summary[f"p{int(q * 100)}"])
-            for q in SUMMARY_QUANTILES
-            if f"p{int(q * 100)}" in summary
-        }
-        return hist
-
-    @property
-    def summary_only(self) -> bool:
-        """Whether this histogram was reloaded without raw samples."""
-        return self._frozen_quantiles is not None
-
     def observe(self, value: float) -> None:
         """Record one sample."""
-        if self._frozen_quantiles is not None:
-            raise ValueError(
-                f"histogram {self.name!r} is summary-only (reloaded from an "
-                "export without samples) and cannot record new samples"
-            )
-        if (self._count % self._stride) == 0:
-            self._samples.append(value)
-            self._sorted = False
-            if self.max_samples is not None and len(self._samples) > self.max_samples:
-                # Deterministic decimation: keep every other retained
-                # sample and double the stride for future observations.
-                self._samples = self._samples[::2]
-                self._stride *= 2
-        self._count += 1
+        self._samples.append(value)
+        self._sorted = False
         self._sum += value
         if self._min is None or value < self._min:
             self._min = value
@@ -187,23 +108,23 @@ class Histogram:
 
     @property
     def samples(self) -> List[float]:
-        """The retained samples (all of them unless bounded)."""
+        """Every recorded sample."""
         return list(self._samples)
 
     @property
     def count(self) -> int:
-        """Number of recorded samples (exact even in bounded mode)."""
-        return self._count
+        """Number of recorded samples."""
+        return len(self._samples)
 
     @property
     def sum(self) -> float:
-        """Sum of all samples (exact even in bounded mode)."""
+        """Sum of all samples."""
         return self._sum
 
     @property
     def mean(self) -> float:
         """Arithmetic mean (0.0 when empty)."""
-        return self._sum / self._count if self._count else 0.0
+        return self._sum / len(self._samples) if self._samples else 0.0
 
     @property
     def min(self) -> float:
@@ -216,21 +137,9 @@ class Histogram:
         return self._max if self._max is not None else 0.0
 
     def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile ``q`` in [0, 1] (0.0 when empty).
-
-        In bounded mode the quantile is computed over the retained
-        systematic sample; on a summary-only histogram, only the
-        quantiles saved in the export are available.
-        """
+        """Linear-interpolated quantile ``q`` in [0, 1] (0.0 when empty)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._frozen_quantiles is not None:
-            if q in self._frozen_quantiles:
-                return self._frozen_quantiles[q]
-            raise ValueError(
-                f"histogram {self.name!r} is summary-only; quantile {q} was "
-                f"not exported (available: {sorted(self._frozen_quantiles)})"
-            )
         if not self._samples:
             return 0.0
         if not self._sorted:
@@ -258,8 +167,8 @@ class Histogram:
         """99th percentile."""
         return self.quantile(0.99)
 
-    def as_dict(self, include_samples: bool = True) -> Dict[str, object]:
-        """Summary (and optionally raw samples) used by the exporters."""
+    def as_dict(self) -> Dict[str, object]:
+        """Summary and raw samples, as the exporters write them."""
         out: Dict[str, object] = {
             "count": self.count,
             "sum": self.sum,
@@ -269,8 +178,7 @@ class Histogram:
         }
         for q in SUMMARY_QUANTILES:
             out[f"p{int(q * 100)}"] = self.quantile(q)
-        if include_samples:
-            out["samples"] = self.samples
+        out["samples"] = self.samples
         return out
 
     def __repr__(self) -> str:
@@ -330,9 +238,6 @@ class NullGauge:
     def set(self, value: float) -> None:
         """Discard the value."""
 
-    def add(self, delta: float) -> None:
-        """Discard the delta."""
-
     def as_dict(self) -> Dict[str, float]:
         """Empty summary."""
         return {"value": 0.0}
@@ -360,7 +265,7 @@ class NullHistogram:
         """Always 0.0."""
         return 0.0
 
-    def as_dict(self, include_samples: bool = True) -> Dict[str, object]:
+    def as_dict(self) -> Dict[str, object]:
         """Empty summary."""
         return {"count": 0, "sum": 0.0}
 

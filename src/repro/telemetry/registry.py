@@ -16,14 +16,12 @@ Instrumented code follows one pattern::
         tel.histogram("oltp.txn.payment.latency_ns").observe(t)
         tel.record_span("pim.phase.load", duration_ns, {"chunk": 0})
 
-Names are hierarchical (``layer.component.metric``); :meth:`scope`
-pushes a name prefix so nested code can use short local names.
+Names are hierarchical (``layer.component.metric``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.telemetry.metrics import (
     NULL_COUNTER,
@@ -41,7 +39,6 @@ __all__ = [
     "active",
     "enable",
     "disable",
-    "enabled",
     "install",
 ]
 
@@ -51,19 +48,14 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, max_histogram_samples: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.spans: List[SpanEvent] = []
-        self._prefix: List[str] = []
         #: Cursor of the serial simulated timeline; spans recorded without
         #: an explicit start are laid out end-to-end from here.
         self._sim_cursor = 0.0
-        #: When set, histograms created by this registry retain at most
-        #: this many raw samples (deterministic decimation; exact
-        #: count/sum/min/max either way). Long profiling runs set this.
-        self.max_histogram_samples = max_histogram_samples
         #: When true, instrumented layers may emit fine-grained spans
         #: (e.g. per-PIM-unit load/compute) that are too voluminous for
         #: ordinary metric dumps. The profiler turns this on.
@@ -71,42 +63,39 @@ class MetricsRegistry:
         #: When true, instrumented layers emit roofline accounting —
         #: per-operator bandwidth/op-intensity counters, extended span
         #: attributes, and row-buffer shadow tracking. Off by default so
-        #: committed BENCH baselines (exact key diffs) stay bit-identical;
-        #: the ``roofline`` subcommand and report-metrics turn it on.
+        #: the telemetry dump that ``pins.serve_state`` hashes stays
+        #: bit-identical; the ``roofline`` subcommand and the observed
+        #: seven-query pin turn it on.
         self.roofline = False
 
     # ------------------------------------------------------------------
     # Metric access (create-on-first-use)
     # ------------------------------------------------------------------
-    def _full(self, name: str) -> str:
+    @staticmethod
+    def _check(name: str) -> str:
         if not name:
             raise ValueError("metric name must be non-empty")
-        return ".".join(self._prefix + [name]) if self._prefix else name
+        return name
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name`` (created on first use)."""
-        full = self._full(name)
-        metric = self.counters.get(full)
+        metric = self.counters.get(name)
         if metric is None:
-            metric = self.counters[full] = Counter(full)
+            metric = self.counters[name] = Counter(self._check(name))
         return metric
 
     def gauge(self, name: str) -> Gauge:
         """The gauge called ``name`` (created on first use)."""
-        full = self._full(name)
-        metric = self.gauges.get(full)
+        metric = self.gauges.get(name)
         if metric is None:
-            metric = self.gauges[full] = Gauge(full)
+            metric = self.gauges[name] = Gauge(self._check(name))
         return metric
 
     def histogram(self, name: str) -> Histogram:
         """The histogram called ``name`` (created on first use)."""
-        full = self._full(name)
-        metric = self.histograms.get(full)
+        metric = self.histograms.get(name)
         if metric is None:
-            metric = self.histograms[full] = Histogram(
-                full, max_samples=self.max_histogram_samples
-            )
+            metric = self.histograms[name] = Histogram(self._check(name))
         return metric
 
     # ------------------------------------------------------------------
@@ -132,7 +121,7 @@ class MetricsRegistry:
             start = self._sim_cursor
             self._sim_cursor = start + duration
         span = SpanEvent(
-            self._full(name),
+            self._check(name),
             start,
             duration,
             tuple(sorted(attrs.items())) if attrs else (),
@@ -185,31 +174,6 @@ class MetricsRegistry:
         if ts > self._sim_cursor:
             self._sim_cursor = ts
 
-    # ------------------------------------------------------------------
-    # Scopes
-    # ------------------------------------------------------------------
-    @contextmanager
-    def scope(self, name: str) -> Iterator["MetricsRegistry"]:
-        """Prefix every metric/span name inside the block with ``name``."""
-        if not name:
-            raise ValueError("scope name must be non-empty")
-        self._prefix.append(name)
-        try:
-            yield self
-        finally:
-            self._prefix.pop()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Drop every metric and span (prefixes survive)."""
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-        self.spans.clear()
-        self._sim_cursor = 0.0
-
 
 class NoopRegistry:
     """The disabled registry: every operation is a cheap no-op."""
@@ -220,7 +184,6 @@ class NoopRegistry:
     histograms: Dict[str, Histogram] = {}
     spans: List[SpanEvent] = []
     sim_time = 0.0
-    max_histogram_samples = None
     detail_spans = False
     roofline = False
 
@@ -251,14 +214,6 @@ class NoopRegistry:
     def advance_to(self, ts: float) -> None:
         """Nothing to advance."""
 
-    @contextmanager
-    def scope(self, name: str) -> Iterator["NoopRegistry"]:
-        """No-op scope."""
-        yield self
-
-    def reset(self) -> None:
-        """Nothing to drop."""
-
 
 _NOOP = NoopRegistry()
 _active: object = _NOOP
@@ -267,11 +222,6 @@ _active: object = _NOOP
 def active():
     """The currently installed registry (recording or no-op)."""
     return _active
-
-
-def enabled() -> bool:
-    """Whether telemetry is currently recording."""
-    return _active.enabled  # type: ignore[union-attr]
 
 
 def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:

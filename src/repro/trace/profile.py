@@ -1,11 +1,11 @@
 """Profile runner: workload → trace + bottleneck report + simulated sections.
 
 :func:`run_profile` builds an engine, runs a chosen workload under a
-recording telemetry registry (with per-unit detail spans and bounded
-histograms turned on), and returns everything the ``profile`` CLI
-subcommand writes out or prints: the tracer, the bottleneck analysis,
-and the run's simulated sections (throughput, counters, per-span and
-per-track time, critical path), which ``baselines/profile.json`` pins.
+recording telemetry registry (with per-unit detail spans turned on),
+and returns everything the ``profile`` CLI subcommand writes out or
+prints: the tracer, the bottleneck analysis, and the run's simulated
+sections (throughput, counters, per-span and per-track time, critical
+path), which ``baselines/profile.json`` pins.
 The ``mixed`` workload is the batch driver over the engine as a
 one-shard cluster; ``tpcc`` and ``ch`` are plain loops.
 
@@ -16,7 +16,7 @@ the simulator is measured by ``benchmarks/e2e``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.cluster import ClusterWorkload, PushTapCluster
 from repro.core.engine import PushTapEngine
@@ -53,8 +53,6 @@ def run_profile(
     seed: int = 11,
     defrag_period: int = 200,
     queries: Sequence[str] = ("Q1", "Q6", "Q9"),
-    max_histogram_samples: Optional[int] = 4096,
-    per_unit_spans: bool = True,
 ) -> ProfileResult:
     """Run one instrumented workload and analyse its trace.
 
@@ -79,8 +77,8 @@ def run_profile(
         controller_kind=model,
         defrag_period=defrag_period,
     )
-    registry = MetricsRegistry(max_histogram_samples=max_histogram_samples)
-    registry.detail_spans = per_unit_spans
+    registry = MetricsRegistry()
+    registry.detail_spans = True
     telemetry.install(registry)
     try:
         simulated = _run_workload(

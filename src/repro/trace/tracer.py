@@ -180,11 +180,7 @@ class Tracer:
     span carries its inferred parent, children, track, and self time.
     """
 
-    def __init__(
-        self,
-        events: Sequence[SpanEvent],
-        track_of=default_track,
-    ) -> None:
+    def __init__(self, events: Sequence[SpanEvent]) -> None:
         spans = [
             TraceSpan(
                 index=i,
@@ -192,7 +188,7 @@ class Tracer:
                 start=ev.start,
                 duration=ev.duration,
                 attrs=dict(ev.attrs),
-                track=track_of(ev.name, dict(ev.attrs)),
+                track=default_track(ev.name, dict(ev.attrs)),
             )
             for i, ev in enumerate(events)
         ]

@@ -13,11 +13,11 @@ import pytest
 import repro.olap.engine
 from repro.baselines.ideal import IdealOLAPModel
 from repro.baselines.multi_instance import MultiInstanceModel
-from repro.baselines.original_pim import wram_sweep
 from repro.baselines.pushtap_model import PushTapQueryModel
 from repro.core.config import dimm_system, hbm_system
 from repro.errors import QueryError
 from repro.experiments import baselines as pinned
+from repro.olap.cost import column_scan_cost
 from repro.units import KIB
 
 COLUMNS = [(1_000_000, 4), (1_000_000, 8)]
@@ -126,14 +126,18 @@ class TestPUSHtapBeatsMI:
 
 class TestWramSweep:
     def test_sweep_shapes(self):
-        sizes = (16 * KIB, 64 * KIB, 256 * KIB)
-        original = wram_sweep(dimm_system(), 10**7, 8, sizes, "original")
-        pushtap = wram_sweep(dimm_system(), 10**7, 8, sizes, "pushtap")
+        def gain(controller):
+            small, large = (
+                column_scan_cost(
+                    dimm_system(), 10**7, 8, controller_kind=controller, wram_bytes=wram
+                ).total_time
+                for wram in (16 * KIB, 256 * KIB)
+            )
+            return small / large
+
         # Original improves sharply with WRAM; PUSHtap barely moves (§7.5).
-        orig_gain = original[16 * KIB].total_time / original[256 * KIB].total_time
-        push_gain = pushtap[16 * KIB].total_time / pushtap[256 * KIB].total_time
-        assert orig_gain > 3.0
-        assert push_gain < 2.0
+        assert gain("original") > 3.0
+        assert gain("pushtap") < 2.0
 
 
 # ---------------------------------------------------------------------------

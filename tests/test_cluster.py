@@ -32,7 +32,7 @@ from repro.faults.plan import TWOPC_HOOKS, TWOPC_LOST_PREPARE, FaultPlan, FaultR
 from repro.faults.sweep import run_fault_sweep
 from repro.telemetry import registry as telemetry
 from repro.workloads.chbench import row_counts
-from repro.oltp.tpcc import TPCCDriver, stock_level
+from repro.oltp.tpcc import TPCCDriver
 from repro.workloads.driver import _derive_seed
 from repro.workloads.tpcc_gen import generate_table
 from tests.test_vectorized_equivalence import OracleMixedWorkload
@@ -317,24 +317,6 @@ class TestTwoPhaseCommit:
         txn = driver.next_transaction()
         with pytest.raises(TransactionError):
             router.split(txn)
-
-    def test_stock_level_rejected_before_any_shard_runs(self):
-        """Stock-Level's STOCK reads follow each line's supply warehouse,
-        so after a cross-shard New-Order its home shard cannot run it."""
-        counts = cluster_row_counts(SCALE, 2)
-        cluster = PushTapCluster.build(shards=2, counts=counts, **ENGINE_KWARGS)
-        driver = TPCCDriver(
-            counts, seed=5, payment_fraction=0.0, remote_fraction=6.0
-        )
-        while not cluster.execute_transaction(driver.next_transaction()).cross_shard:
-            pass
-        txn = stock_level(driver.next_stock_level(window=1))
-        before = [e.stats.transactions for e in cluster.engines]
-        with pytest.raises(TransactionError, match="stock_level.*not known until it runs"):
-            cluster.execute_transaction(txn)
-        assert [e.stats.transactions for e in cluster.engines] == before
-        # One shard holds every warehouse, so it still runs there.
-        assert ShardRouter(1, counts["warehouse"]).involved_shards(txn) == [0]
 
     @pytest.mark.parametrize("hook", TWOPC_HOOKS)
     def test_fault_hook_aborts_globally(self, hook):

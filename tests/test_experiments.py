@@ -255,7 +255,6 @@ class TestCLIFlags:
         "profile": {
             "-h", "--help", "--workload", "--model", "--intervals", "--txns-per-query",
             "--scale", "--defrag-period", "--seed", "--out-dir", "--top",
-            "--max-samples", "--no-per-unit-spans",
         },
         "serve": {
             "-h", "--help", "--tenants", "--requests", "--policy", "--seed",

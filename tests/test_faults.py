@@ -133,7 +133,13 @@ class TestFaultPlanDeterminism:
             assert only.draw(fault_plan.FORCED_ABORT) == both.draw(
                 fault_plan.FORCED_ABORT
             )
-        assert both.draws(fault_plan.DROP_LAUNCH) == 0
+        assert both.schedule == only.schedule
+        # The zero-rate hook's stream is untouched: its next value is a
+        # fresh plan's first.
+        fresh = FaultPlan(9)
+        assert both.draw_int(fault_plan.DROP_LAUNCH, 0, 2**30) == fresh.draw_int(
+            fault_plan.DROP_LAUNCH, 0, 2**30
+        )
 
     def test_unknown_hook_draw_rejected(self):
         with pytest.raises(ConfigError):

@@ -321,7 +321,7 @@ class TestRooflineSweep:
         assert "trace consistency" in text
 
     def test_telemetry_left_disabled(self, snapshot):
-        assert not telemetry.enabled()
+        assert not telemetry.active().enabled
 
     def test_defaults_cover_all_substrates(self):
         from repro.bench.roofline import DEFAULT_OPERATOR_SIZES

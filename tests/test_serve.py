@@ -499,6 +499,19 @@ class TestServeCLI:
         ServeConfig(olap_fraction=1.0)
         ServeConfig(max_wait_ns=0.0)
 
+    def test_negative_freshness_sla_refused(self, tmp_path, capsys):
+        """A negative staleness bound used to run as if it were 0; it is
+        refused by name, and the CLI exits 2 before anything runs."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(ConfigError, match="freshness_sla_txns must be >= 0"):
+            ServeConfig(freshness_sla_txns=-1)
+        ServeConfig(freshness_sla_txns=0)
+        out = tmp_path / "serve.json"
+        assert main(["serve", "--freshness-sla", "-1", "--out", str(out)]) == 2
+        assert "freshness_sla_txns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_config_block_is_complete(self):
         """Regression: think_ns, bucket_capacity, and tick_ns are part
         of the determinism surface but were missing from the report."""

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry import disable
-from repro.telemetry import enabled as telemetry_enabled
+from repro.telemetry import active, disable, enable
 from repro.telemetry.registry import MetricsRegistry
 from repro.trace import (
     Tracer,
@@ -284,7 +283,6 @@ class TestEndToEndTrace:
         """A real engine run: per-track totals reconcile with the raw
         span log and the Chrome export stays schema-valid."""
         from repro import PushTapEngine
-        from repro.telemetry import enable
 
         reg = enable(MetricsRegistry())
         reg.detail_spans = True
@@ -318,7 +316,7 @@ class TestRunProfile:
         result = run_profile(
             workload="mixed", intervals=1, txns_per_query=5, seed=5,
         )
-        assert not telemetry_enabled()  # profiler restores the no-op
+        assert not active().enabled  # profiler restores the no-op
         sections = result.sections
         # Simulated sections only: host time is the e2e benchmark's.
         assert set(sections) == {
@@ -347,30 +345,24 @@ class TestRunProfile:
         assert tpcc.sections["simulated"]["transactions"] == 4
         assert tpcc.sections["simulated"]["queries"] == 0
 
-    def test_bounded_histograms_active(self):
-        result = run_profile(
-            workload="tpcc", intervals=1, txns_per_query=10,
-            max_histogram_samples=4, seed=5,
-        )
-        assert result.registry.max_histogram_samples == 4
-        for hist in result.registry.histograms.values():
-            assert len(hist.samples) <= 4
-
     def test_detail_spans_gate(self):
-        coarse = run_profile(
-            workload="ch", intervals=1, queries=("Q6",),
-            per_unit_spans=False, seed=5,
-        )
-        assert not any(
-            s.name.startswith("pim.unit.") for s in coarse.registry.spans
-        )
+        """Per-unit spans need the registry's ``detail_spans`` flag, which
+        the profiler sets; they do not change the simulated outcome."""
+        from repro import PushTapEngine
+
+        engine = PushTapEngine.build(scale=2e-5, seed=5)
+        coarse = enable(MetricsRegistry())
+        try:
+            engine.query("Q6")
+        finally:
+            disable()
+        assert not any(s.name.startswith("pim.unit.") for s in coarse.spans)
         fine = run_profile(
             workload="ch", intervals=1, queries=("Q6",), seed=5,
         )
         assert any(s.name.startswith("pim.unit.") for s in fine.registry.spans)
-        # The per-unit detail must not change the simulated outcome.
         assert fine.sections["simulated"]["time_ns"] == pytest.approx(
-            coarse.sections["simulated"]["time_ns"]
+            engine.stats.olap_time + engine.stats.defrag_time
         )
 
     def test_invalid_arguments_rejected(self):

@@ -9,9 +9,9 @@ single-engine batch driver (:class:`OracleMixedWorkload`). Seeded randomized his
 the production code and the oracle side by side and require *identical*
 results — masks, versions, pairs, bytes, modelled times, error messages.
 
-What no oracle reaches (one Order-Status breakdown, the serve loop's
-batch completion) is pinned to values computed on the last commit that
-still had the naive execution mode (94e14a0), where both modes agreed.
+What no oracle reaches (the serve loop's batch completion) is pinned to
+values computed on the last commit that still had the naive execution
+mode (94e14a0), where both modes agreed.
 """
 
 import bisect
