@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from repro.bench.micro import run_primitive
+from repro.core.config import SUBSTRATES
 from repro.format.binpack import compact_aligned_layout
 from repro.olap.operators import FilterOperation
 from repro.pim.pim_unit import Condition
 from repro.pim.requests import LaunchRequest, OpType, decode_launch
-from repro.pim.substrate import available_substrates, get_substrate
 from repro.workloads.chbench import all_queries, ch_table, key_columns_for
 
 
@@ -93,11 +93,11 @@ def test_bench_request_codec(benchmark):
     assert decoded.op == OpType.LS
 
 
-@pytest.mark.parametrize("substrate", available_substrates())
+@pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
 def test_bench_primitive_scan_per_substrate(benchmark, substrate):
     """Host-side cost of one PrIM-style scan point on each substrate,
     plus the roofline acceptance check: streaming stays memory-bound at
     >=50% of the per-unit ceiling everywhere."""
-    point = benchmark(run_primitive, get_substrate(substrate), "scan", 16384)
+    point = benchmark(run_primitive, substrate, "scan", 16384)
     assert point.bound == "memory"
     assert point.ceiling_ratio >= 0.5

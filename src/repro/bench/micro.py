@@ -24,20 +24,20 @@ as compositions of the primitives' rooflines.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import SystemConfig
+from repro.core.config import SUBSTRATES, SystemConfig, substrate_config
 from repro.core.engine import PushTapEngine
 from repro.errors import ConfigError
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.metadata import Region
+from repro.olap.cost import RooflinePoint, classify, scan_bandwidth_per_unit
 from repro.olap.engine import QueryTiming
 from repro.olap.operators import FilterOperation, RegionRows
 from repro.pim.pim_unit import Condition
-from repro.pim.substrate import Substrate, available_substrates, get_substrate
 
 __all__ = [
     "MicroPoint",
@@ -63,45 +63,17 @@ DEFAULT_SIZES = (8, 64, 1024, 16384, 65536)
 
 
 @dataclass(frozen=True)
-class MicroPoint:
+class MicroPoint(RooflinePoint):
     """One (substrate, primitive, size) measurement."""
 
     substrate: str
     primitive: str
     rows: int
-    dram_bytes: int
-    elements: int
-    load_time: float
-    compute_time: float
-    ceiling_bandwidth: float
-    bound: str
 
     @property
     def total_time(self) -> float:
         """Unit-busy time of the sweep point (ns)."""
         return self.load_time + self.compute_time
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Achieved DRAM bandwidth during load phases, bytes/ns."""
-        return self.dram_bytes / self.load_time if self.load_time else 0.0
-
-    @property
-    def operational_intensity(self) -> float:
-        """Elements processed per DRAM byte moved."""
-        return self.elements / self.dram_bytes if self.dram_bytes else 0.0
-
-    @property
-    def ceiling_ratio(self) -> float:
-        """Achieved bandwidth as a fraction of the substrate ceiling."""
-        if not self.ceiling_bandwidth:
-            return 0.0
-        return self.effective_bandwidth / self.ceiling_bandwidth
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain dict (for JSON snapshots), derived values included."""
-        derived = ("total_time", "effective_bandwidth", "operational_intensity", "ceiling_ratio")
-        return {**asdict(self), **{name: getattr(self, name) for name in derived}}
 
 
 def _build_engine(config: SystemConfig, rows: int, block_rows: int) -> PushTapEngine:
@@ -121,9 +93,8 @@ def _build_engine(config: SystemConfig, rows: int, block_rows: int) -> PushTapEn
     return engine
 
 
-def _unit_engine(substrate: Substrate, rows: int) -> PushTapEngine:
-    """The sweep table on ``substrate`` over one device of one bank: one unit."""
-    config = substrate.config
+def _unit_engine(config: SystemConfig, rows: int) -> PushTapEngine:
+    """The sweep table on ``config`` over one device of one bank: one unit."""
     geometry = replace(config.geometry, devices_per_rank=1, banks_per_device=1)
     return _build_engine(replace(config, geometry=geometry), rows, _BLOCK_ROWS)
 
@@ -185,9 +156,10 @@ PRIMITIVES: Dict[str, Callable[[PushTapEngine, int], None]] = {
 }
 
 
-def run_primitive(substrate: Substrate, primitive: str, rows: int) -> MicroPoint:
-    """Run one primitive over a fresh ``rows``-row one-unit table; returns
-    its point, read off the unit's work counters."""
+def run_primitive(substrate: str, primitive: str, rows: int) -> MicroPoint:
+    """Run one primitive over a fresh ``rows``-row one-unit table of the
+    named substrate; returns its point, read off the unit's work counters."""
+    config = substrate_config(substrate)
     try:
         driver = PRIMITIVES[primitive]
     except KeyError:
@@ -196,20 +168,20 @@ def run_primitive(substrate: Substrate, primitive: str, rows: int) -> MicroPoint
         ) from None
     if rows <= 0:
         raise ConfigError(f"primitive sweep size must be positive, got {rows}")
-    engine = _unit_engine(substrate, rows)
+    engine = _unit_engine(config, rows)
     (unit,) = engine.units.values()
     driver(engine, rows)
     stats = unit.stats
     return MicroPoint(
-        substrate=substrate.name,
+        substrate=substrate,
         primitive=primitive,
         rows=rows,
         dram_bytes=stats.dram_bytes_read + stats.dram_bytes_written,
         elements=stats.elements_processed,
         load_time=stats.load_time,
         compute_time=stats.compute_time,
-        ceiling_bandwidth=substrate.stream_bandwidth_per_unit,
-        bound=Substrate.classify(stats.load_time, stats.compute_time, 0.0),
+        ceiling_bandwidth=scan_bandwidth_per_unit(config),
+        bound=classify(stats.load_time, stats.compute_time, 0.0),
     )
 
 
@@ -219,15 +191,14 @@ def run_micro(
     primitives: Optional[Sequence[str]] = None,
 ) -> List[MicroPoint]:
     """Sweep every (substrate, primitive, size) cell; returns all points."""
-    names = list(substrates) if substrates else available_substrates()
+    names = list(substrates) if substrates else sorted(SUBSTRATES)
     prims = list(primitives) if primitives else sorted(PRIMITIVES)
-    points: List[MicroPoint] = []
-    for name in names:
-        substrate = get_substrate(name)
-        for primitive in prims:
-            for rows in sizes:
-                points.append(run_primitive(substrate, primitive, rows))
-    return points
+    return [
+        run_primitive(name, primitive, rows)
+        for name in names
+        for primitive in prims
+        for rows in sizes
+    ]
 
 
 def fit_saturation(sizes_bytes: Sequence[float], bandwidths: Sequence[float]) -> Dict[str, float]:

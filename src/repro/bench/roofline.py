@@ -30,10 +30,12 @@ from repro.bench.micro import (
     fit_saturation,
     run_micro,
 )
+from repro.core.config import SUBSTRATES, SystemConfig, substrate_config
 from repro.errors import ConfigError
+from repro.olap.cost import scan_bandwidth_per_unit
 from repro.olap.engine import QueryTiming
 from repro.olap.operators import RegionRows
-from repro.pim.substrate import Substrate, available_substrates, get_substrate
+from repro.pim.timing import random_line_time
 from repro.telemetry.registry import MetricsRegistry
 from repro.trace.chrome import to_chrome_trace
 from repro.trace.tracer import Tracer
@@ -47,15 +49,37 @@ DEFAULT_OPERATOR_SIZES = (4096, 16384, 65536)
 TRACE_TOLERANCE = 0.01
 
 
+def _ceilings(config: SystemConfig) -> Dict[str, float]:
+    """The roofline ceilings of ``config``: stream bandwidth per unit,
+    rank and system, the random cache-line floor (no row hits) and its
+    bandwidth, and the control cost of one offload — two mode switches
+    plus one disguised launch and one poll request (§6.1/§7.1).
+    Bandwidths are bytes/ns (= GB/s), times ns."""
+    per_unit = scan_bandwidth_per_unit(config)
+    random_line_ns = random_line_time(1, config.timings)
+    return {
+        "stream_bandwidth_per_unit": per_unit,
+        "stream_bandwidth_per_rank": per_unit * config.pim.units_per_rank,
+        "stream_bandwidth_system": per_unit * config.total_pim_units,
+        "random_line_ns": random_line_ns,
+        "random_line_bandwidth": config.geometry.cache_line_bytes / random_line_ns,
+        "control_overhead_ns": (
+            2.0 * config.mode_switch_latency + 2.0 * config.controller_request_latency
+        ),
+        "cpu_bandwidth": config.total_cpu_bandwidth,
+        "total_pim_units": float(config.total_pim_units),
+    }
+
+
 def _sweep_operators(
-    substrate: Substrate, sizes: Sequence[int], block_rows: int
+    config: SystemConfig, sizes: Sequence[int], block_rows: int
 ) -> Dict[str, object]:
     """Run the operator suite at each size under roofline telemetry."""
     registry = MetricsRegistry()
     registry.roofline = True
     telemetry.enable(registry)
     try:
-        engine = _build_engine(substrate.config, max(sizes), block_rows)
+        engine = _build_engine(config, max(sizes), block_rows)
         table = engine.table("points")
         operators: List[Dict[str, object]] = []
         for rows in sizes:
@@ -183,7 +207,7 @@ def run_roofline(
     ):
         if not values or min(values) < 1:
             raise ConfigError(f"{name} must be positive")
-    names = list(substrates) if substrates else available_substrates()
+    names = list(substrates) if substrates else sorted(SUBSTRATES)
     sizes = sorted(set(sizes))
     micro_sizes = sorted(set(micro_sizes))
     snapshot: Dict[str, object] = {
@@ -203,8 +227,10 @@ def run_roofline(
         "trace_check": {},
     }
     for name in names:
-        substrate = get_substrate(name)
-        snapshot["substrates"][name] = substrate.summary()
+        config = substrate_config(name)
+        snapshot["substrates"][name] = {
+            "name": name, "description": SUBSTRATES[name][1], **_ceilings(config)
+        }
         points = run_micro([name], micro_sizes)
         snapshot["micro"][name] = [p.as_dict() for p in points]
         fits: Dict[str, Dict[str, float]] = {}
@@ -215,7 +241,7 @@ def run_roofline(
                 [p.effective_bandwidth for p in series],
             )
         snapshot["fits"][name] = fits
-        sweep = _sweep_operators(substrate, sizes, block_rows)
+        sweep = _sweep_operators(config, sizes, block_rows)
         snapshot["operators"][name] = sweep["operators"]
         snapshot["bottlenecks"][name] = _bottlenecks(
             sweep["operators"], max(sizes)

@@ -4,11 +4,14 @@ Every experiment instantiates a :class:`SystemConfig`, usually via the
 factory functions :func:`dimm_system` (the paper's default DIMM-based PIM
 server) or :func:`hbm_system` (the HBM-based comparison system from
 Section 7.3). All timing values come verbatim from Table 1 of the paper.
+:data:`SUBSTRATES` names these two and :func:`lpddr5x_system`, a mobile
+stack beyond the paper's; :func:`substrate_config` builds one by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.units import KIB, US, gb_per_s
@@ -26,6 +29,8 @@ __all__ = [
     "dimm_system",
     "hbm_system",
     "lpddr5x_system",
+    "SUBSTRATES",
+    "substrate_config",
 ]
 
 
@@ -413,3 +418,21 @@ def lpddr5x_system(**overrides) -> SystemConfig:
         cpu_channel_bandwidth=gb_per_s(17.1),
     )
     return replace(config, **overrides) if overrides else config
+
+
+#: Named hardware models: name → (config factory, description).
+SUBSTRATES: Dict[str, Tuple[Callable[[], SystemConfig], str]] = {
+    "ddr5": (dimm_system, "DDR5-3200 DIMM-based PIM server (paper Table 1 default)"),
+    "hbm3": (hbm_system, "HBM3-2Gbps comparison system (paper Table 1, HBM block)"),
+    "lpddr5x-pim": (lpddr5x_system, "LPDDR5X-8533 mobile PIM stack (LP5X-PIM Sim tech note)"),
+}
+
+
+def substrate_config(name: str) -> SystemConfig:
+    """A fresh config of the named substrate; raises ``ConfigError`` if unknown."""
+    try:
+        factory, _ = SUBSTRATES[name]
+    except KeyError:
+        known = ", ".join(sorted(SUBSTRATES))
+        raise ConfigError(f"unknown substrate {name!r} (known: {known})") from None
+    return factory()

@@ -262,7 +262,7 @@ def profile(argv) -> int:
 def roofline(argv) -> int:
     """``roofline``: substrate bandwidth ceilings vs achieved operators."""
     from repro.bench.roofline import render_roofline, run_roofline
-    from repro.pim.substrate import available_substrates
+    from repro.core.config import SUBSTRATES
 
     parser = _Parser(
         "roofline",
@@ -274,7 +274,7 @@ def roofline(argv) -> int:
         "snapshot as JSON.",
     )
     parser.derive({
-        "--substrates": ("substrates", "substrates to sweep (None: all registered)", available_substrates()),
+        "--substrates": ("substrates", "substrates to sweep (None: all registered)", sorted(SUBSTRATES)),
         "--sizes": ("sizes", "table sizes (rows) for the end-to-end operator sweep"),
         "--micro-sizes": ("micro_sizes", "table sizes (rows) for the one-unit microbenchmarks"),
         "--block-rows": ("block_rows", "storage block size (rows)"),
@@ -617,7 +617,7 @@ def cluster_cli(argv) -> int:
 
 def figures(argv) -> int:
     """Run the named experiments (or ``all``)."""
-    from repro.pim.substrate import available_substrates, get_substrate
+    from repro.core.config import SUBSTRATES, substrate_config
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -634,7 +634,7 @@ def figures(argv) -> int:
         ),
     )
     parser.add_argument(
-        "--substrate", choices=available_substrates(),
+        "--substrate", choices=sorted(SUBSTRATES),
         help=(
             "run the figures on a registered hardware substrate instead of "
             "each figure's default system (HBM comparison rows keep HBM)"
@@ -642,7 +642,7 @@ def figures(argv) -> int:
     )
     parser.add_argument("--metrics-out", metavar="PATH", help=_METRICS_OUT_HELP)
     args = parser.parse_args(argv)
-    config = get_substrate(args.substrate).config if args.substrate else None
+    config = substrate_config(args.substrate) if args.substrate else None
     names = list(FIGURES) if "all" in args.experiments else args.experiments
     with _metrics(args.metrics_out):
         for name in names:

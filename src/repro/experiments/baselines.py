@@ -25,11 +25,11 @@ from typing import Any, Callable, Dict, List
 
 from repro.bench.roofline import run_roofline
 from repro.cluster import cluster_row_counts
+from repro.core.config import SUBSTRATES, substrate_config
 from repro.core.engine import PushTapEngine
 from repro.experiments.cluster import _run_cell, run_cluster_bench
 from repro.experiments.figures import FIGURES, as_json
 from repro.faults.sweep import sweep_report
-from repro.pim.substrate import available_substrates, get_substrate
 from repro.serve.loop import ServeConfig, ServeLoop
 from repro.serve.runner import run_serve_ablation
 from repro.telemetry import registry as telemetry
@@ -46,10 +46,10 @@ def _figures() -> Dict[str, Dict[str, list]]:
     """Every figure's points on every registered substrate."""
     return {
         substrate: {
-            figure_id: as_json(figure.points(get_substrate(substrate).config))
+            figure_id: as_json(figure.points(substrate_config(substrate)))
             for figure_id, figure in FIGURES.items()
         }
-        for substrate in available_substrates()
+        for substrate in sorted(SUBSTRATES)
     }
 
 

@@ -12,16 +12,22 @@ so the two agree by construction at small scale (validated in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.errors import QueryError
 from repro.pim.pim_unit import compute_phase_time
 from repro.pim.timing import effective_stream_bandwidth
 
-__all__ = ["ScanCost", "column_scan_cost", "scan_bandwidth_per_unit"]
+__all__ = [
+    "ScanCost",
+    "RooflinePoint",
+    "classify",
+    "column_scan_cost",
+    "scan_bandwidth_per_unit",
+]
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,63 @@ def scan_bandwidth_per_unit(config: SystemConfig) -> float:
         config.timings, config.geometry, config.pim.access_granularity
     )
     return min(raw, config.pim.dram_bandwidth)
+
+
+def classify(load_time: float, compute_time: float, control_time: float) -> str:
+    """Name the dominant simulated-time component of an operator.
+
+    ``memory`` when DRAM streaming dominates, ``compute`` when the PIM
+    pipelines do, ``control`` when offload orchestration does; ties
+    prefer memory, then compute.
+    """
+    if load_time >= compute_time and load_time >= control_time:
+        return "memory"
+    if compute_time >= control_time:
+        return "compute"
+    return "control"
+
+
+@dataclass(frozen=True)
+class RooflinePoint:
+    """One measured point against a stream ceiling.
+
+    Bandwidths are bytes/ns (= GB/s). Each subclass also has a
+    ``total_time`` (ns), which :meth:`as_dict` reports.
+    """
+
+    dram_bytes: int
+    elements: int
+    load_time: float
+    compute_time: float
+    ceiling_bandwidth: float
+    bound: str
+
+    @property
+    def effective_bandwidth(self) -> float:
+        """Achieved DRAM bandwidth during load phases, bytes/ns."""
+        return self.dram_bytes / self.load_time if self.load_time else 0.0
+
+    @property
+    def operational_intensity(self) -> float:
+        """Elements processed per DRAM byte moved (roofline x-axis)."""
+        return self.elements / self.dram_bytes if self.dram_bytes else 0.0
+
+    @property
+    def ceiling_ratio(self) -> float:
+        """Achieved bandwidth as a fraction of the stream ceiling."""
+        if not self.ceiling_bandwidth:
+            return 0.0
+        return self.effective_bandwidth / self.ceiling_bandwidth
+
+    def as_dict(self) -> Dict[str, object]:
+        """Plain dict (for JSON snapshots), derived values included."""
+        return {
+            **asdict(self),
+            "total_time": self.total_time,
+            "effective_bandwidth": self.effective_bandwidth,
+            "operational_intensity": self.operational_intensity,
+            "ceiling_ratio": self.ceiling_ratio,
+        }
 
 
 def column_scan_cost(

@@ -25,11 +25,10 @@ from repro.olap.operators import (
     HashOperation,
     RegionRows,
 )
-from repro.olap.cost import scan_bandwidth_per_unit
+from repro.olap.cost import RooflinePoint, classify, scan_bandwidth_per_unit
 from repro.pim.controller import _ControllerBase
 from repro.pim.executor import ExecutionResult, TwoPhaseExecutor
 from repro.pim.pim_unit import CYCLES_PER_ELEMENT, Condition, RankUnits
-from repro.pim.substrate import Substrate
 from repro.telemetry import registry as telemetry
 
 __all__ = ["QueryTiming", "OLAPEngine", "OperatorMetrics", "CPUFilterResult"]
@@ -50,43 +49,19 @@ _CPU_MERGE_NS_PER_ELEMENT = 0.5
 
 
 @dataclass(frozen=True)
-class OperatorMetrics:
+class OperatorMetrics(RooflinePoint):
     """Roofline accounting of one operator execution.
 
-    Bandwidths are bytes/ns (= GB/s); ``effective_bandwidth`` is DRAM
-    bytes over the operation's DRAM-busy (load) time, aggregated across
-    the participating units, and ``ceiling_ratio`` relates it to the
-    active substrate's stream ceiling for that many units.
+    ``effective_bandwidth`` is aggregated across the participating
+    units, and ``ceiling_bandwidth`` is the per-unit stream ceiling for
+    that many units.
     """
 
     operator: str
     column: str
-    dram_bytes: int
-    elements: int
-    load_time: float
-    compute_time: float
     control_time: float
     total_time: float
     num_units: int
-    ceiling_bandwidth: float
-    bound: str
-
-    @property
-    def effective_bandwidth(self) -> float:
-        """Achieved DRAM bandwidth during load phases, bytes/ns."""
-        return self.dram_bytes / self.load_time if self.load_time else 0.0
-
-    @property
-    def operational_intensity(self) -> float:
-        """Elements processed per DRAM byte moved (roofline x-axis)."""
-        return self.elements / self.dram_bytes if self.dram_bytes else 0.0
-
-    @property
-    def ceiling_ratio(self) -> float:
-        """Achieved bandwidth as a fraction of the substrate ceiling."""
-        if not self.ceiling_bandwidth:
-            return 0.0
-        return self.effective_bandwidth / self.ceiling_bandwidth
 
     @classmethod
     def from_scan(
@@ -109,29 +84,8 @@ class OperatorMetrics:
             total_time=scan.total_time,
             num_units=num_units,
             ceiling_bandwidth=per_unit_ceiling * max(num_units, 0),
-            bound=Substrate.classify(
-                scan.load_time, scan.compute_time, scan.control_time
-            ),
+            bound=classify(scan.load_time, scan.compute_time, scan.control_time),
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain dict (for JSON snapshots), derived values included."""
-        return {
-            "operator": self.operator,
-            "column": self.column,
-            "dram_bytes": self.dram_bytes,
-            "elements": self.elements,
-            "load_time": self.load_time,
-            "compute_time": self.compute_time,
-            "control_time": self.control_time,
-            "total_time": self.total_time,
-            "num_units": self.num_units,
-            "ceiling_bandwidth": self.ceiling_bandwidth,
-            "effective_bandwidth": self.effective_bandwidth,
-            "operational_intensity": self.operational_intensity,
-            "ceiling_ratio": self.ceiling_ratio,
-            "bound": self.bound,
-        }
 
 
 @dataclass
@@ -206,10 +160,9 @@ class OLAPEngine:
         """Whether a mode batch currently holds the banks."""
         return self.controller.mode_batch_active
 
-    def _observe(
-        self, operator: str, op, scan: ExecutionResult, column: str, start: float
-    ) -> None:
-        """Report one operator execution into the telemetry registry.
+    def _scan(self, operator: str, op, column: str, timing: QueryTiming) -> None:
+        """Run one scan operator and charge it to ``timing``: its phases,
+        then the CPU harvest of its results; report it to telemetry.
 
         The operator span is a *wrapper* recorded at the explicit
         timeline position where its executor run began, so it contains
@@ -217,6 +170,10 @@ class OLAPEngine:
         cursor a second time.
         """
         tel = telemetry.active()
+        start = tel.sim_time
+        scan = self.executor.execute(op)
+        timing.scan = timing.scan.merge(scan)
+        timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
         if not tel.enabled:
             return
         tel.counter("olap.operators").inc()
@@ -283,11 +240,7 @@ class OLAPEngine:
             condition,
             rows or table.region_rows(),
         )
-        t0 = telemetry.active().sim_time
-        scan = self.executor.execute(op)
-        timing.scan = timing.scan.merge(scan)
-        timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
-        self._observe("filter", op, scan, column, t0)
+        self._scan("filter", op, column, timing)
         return op
 
     def group(
@@ -301,11 +254,7 @@ class OLAPEngine:
         op = GroupOperation(
             table.storage, self._units_for(table), column, rows or table.region_rows()
         )
-        t0 = telemetry.active().sim_time
-        scan = self.executor.execute(op)
-        timing.scan = timing.scan.merge(scan)
-        timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
-        self._observe("group", op, scan, column, t0)
+        self._scan("group", op, column, timing)
         merged = qplan.merge_group_blocks(op)
         timing.add_cpu_bytes(merged.cpu_bytes, self.config.total_cpu_bandwidth)
         timing.cpu_time += merged.num_groups * _CPU_MERGE_NS_PER_ELEMENT
@@ -329,11 +278,7 @@ class OLAPEngine:
             indices,
             num_groups,
         )
-        t0 = telemetry.active().sim_time
-        scan = self.executor.execute(op)
-        timing.scan = timing.scan.merge(scan)
-        timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
-        self._observe("aggregate", op, scan, column, t0)
+        self._scan("aggregate", op, column, timing)
         return op.total
 
     def hash_scan(
@@ -352,11 +297,7 @@ class OLAPEngine:
             rows or table.region_rows(),
             hash_function,
         )
-        t0 = telemetry.active().sim_time
-        scan = self.executor.execute(op)
-        timing.scan = timing.scan.merge(scan)
-        timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
-        self._observe("hash", op, scan, column, t0)
+        self._scan("hash", op, column, timing)
         return op
 
     def join(

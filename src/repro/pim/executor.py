@@ -107,16 +107,6 @@ class ExecutionResult:
         """Control (mode-switch + messaging) share of total time."""
         return self.control_time / self.total_time if self.total_time else 0.0
 
-    @property
-    def effective_bandwidth(self) -> float:
-        """Achieved DRAM bandwidth over the operation's total time (B/ns)."""
-        return self.dram_bytes / self.total_time if self.total_time else 0.0
-
-    @property
-    def operational_intensity(self) -> float:
-        """Elements processed per DRAM byte moved (roofline x-axis)."""
-        return self.elements / self.dram_bytes if self.dram_bytes else 0.0
-
     def merge(self, other: "ExecutionResult") -> "ExecutionResult":
         """Concatenate two results (serial composition)."""
         return ExecutionResult(

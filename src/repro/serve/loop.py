@@ -96,6 +96,12 @@ class ServeConfig:
             raise ConfigError("olap_fraction must be within [0, 1]")
         if self.queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
+        if self.bucket_rate < 0:
+            raise ConfigError("bucket_rate must be >= 0")
+        if self.bucket_capacity <= 0:
+            raise ConfigError("bucket_capacity must be > 0")
+        if self.batch_threshold < 1:
+            raise ConfigError("batch_threshold must be >= 1")
         if self.tick_ns <= 0:
             raise ConfigError("tick_ns must be > 0")
         if self.max_wait_ns < 0:

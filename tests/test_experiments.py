@@ -353,3 +353,14 @@ class TestCLIFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
+
+    def test_serve_limit_refused_before_the_engine_is_built(self, monkeypatch, capsys):
+        from repro.experiments.__main__ import main
+        from repro.serve import runner
+
+        def build(*args, **kwargs):
+            raise AssertionError("the serve engine was built")
+
+        monkeypatch.setattr(runner, "build_serve_engine", build)
+        assert main(["serve", "--batch-threshold", "0"]) == 2
+        assert "batch_threshold" in capsys.readouterr().err

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
+from repro.core.config import substrate_config
 from repro.experiments.figures import FIGURES, as_json
-from repro.pim.substrate import get_substrate
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "baselines" / "figures.json"
@@ -21,7 +21,7 @@ ANCHORS = [
 
 @pytest.fixture(scope="module")
 def ddr5_points():
-    config = get_substrate("ddr5").config
+    config = substrate_config("ddr5")
     return {figure_id: figure.points(config) for figure_id, figure in FIGURES.items()}
 
 

@@ -14,11 +14,11 @@ from repro.bench.micro import (
     run_primitive,
 )
 from repro.bench.roofline import render_roofline, run_roofline
+from repro.core.config import SUBSTRATES, substrate_config
 from repro.errors import ConfigError
 from repro.olap.engine import OperatorMetrics, QueryTiming
 from repro.olap.operators import AggregationOperation, FilterOperation, RegionRows
 from repro.pim.pim_unit import Condition
-from repro.pim.substrate import available_substrates, get_substrate
 from repro.telemetry.export import render_report
 from repro.telemetry.registry import MetricsRegistry
 
@@ -52,7 +52,7 @@ def plain_registry():
 
 
 def _engine(substrate_name="ddr5", rows=ROWS):
-    return _build_engine(get_substrate(substrate_name).config, rows, block_rows=256)
+    return _build_engine(substrate_config(substrate_name), rows, block_rows=256)
 
 
 def _run_filter(engine, rows=ROWS):
@@ -68,16 +68,14 @@ class TestMicro:
     @pytest.mark.parametrize("substrate", ["ddr5", "hbm3", "lpddr5x-pim"])
     def test_scan_and_filter_memory_bound_at_large_sizes(self, substrate):
         """Acceptance: streaming primitives hit >=50% of the ceiling."""
-        sub = get_substrate(substrate)
         for primitive in ("scan", "filter"):
-            point = run_primitive(sub, primitive, 16384)
+            point = run_primitive(substrate, primitive, 16384)
             assert point.bound == "memory"
             assert point.ceiling_ratio >= 0.5
 
     def test_all_primitives_move_bytes(self):
-        sub = get_substrate("ddr5")
         for primitive in PRIMITIVES:
-            point = run_primitive(sub, primitive, 64)
+            point = run_primitive("ddr5", primitive, 64)
             assert point.dram_bytes > 0
             assert point.load_time > 0
             assert point.effective_bandwidth > 0
@@ -96,24 +94,23 @@ class TestMicro:
         ],
     )
     def test_bandwidth_never_exceeds_unit_port(self, substrate):
-        sub = get_substrate(substrate)
+        port = substrate_config(substrate).pim.dram_bandwidth
         for rows in DEFAULT_SIZES:
-            point = run_primitive(sub, "scan", rows)
-            assert point.effective_bandwidth <= sub.config.pim.dram_bandwidth + 1e-9
+            point = run_primitive(substrate, "scan", rows)
+            assert point.effective_bandwidth <= port + 1e-9
 
     def test_saturation_knee_small_transfers_slower(self):
-        sub = get_substrate("lpddr5x-pim")
-        small = run_primitive(sub, "filter", 8)
-        large = run_primitive(sub, "filter", 16384)
+        small = run_primitive("lpddr5x-pim", "filter", 8)
+        large = run_primitive("lpddr5x-pim", "filter", 16384)
         assert small.effective_bandwidth < large.effective_bandwidth
 
     def test_unknown_primitive_rejected(self):
         with pytest.raises(ConfigError, match="unknown primitive"):
-            run_primitive(get_substrate("ddr5"), "sort", 64)
+            run_primitive("ddr5", "sort", 64)
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ConfigError, match="positive"):
-            run_primitive(get_substrate("ddr5"), "scan", 0)
+            run_primitive("ddr5", "scan", 0)
 
     @pytest.mark.parametrize("substrate", ["ddr5", "hbm3", "lpddr5x-pim"])
     @pytest.mark.parametrize("rows", [8, 1024, 16384])
@@ -121,9 +118,8 @@ class TestMicro:
     def test_point_is_the_planned_charges(self, primitive, rows, substrate):
         """A scan primitive charges its unit exactly what the query path's
         scan plan charges the same operator on the same one-unit table."""
-        sub = get_substrate(substrate)
-        point = run_primitive(sub, primitive, rows)
-        table = _unit_engine(sub, rows).table("points")
+        point = run_primitive(substrate, primitive, rows)
+        table = _unit_engine(substrate_config(substrate), rows).table("points")
         selection = RegionRows(data_rows=rows)
         if primitive == "aggregate":
             indices = np.zeros(rows, dtype=np.uint16)
@@ -142,16 +138,16 @@ class TestMicro:
 
     @pytest.mark.parametrize("rows", [8, 1500])
     def test_join_counts_both_hash_scans_and_the_match(self, rows):
-        point = run_primitive(get_substrate("ddr5"), "join", rows)
+        point = run_primitive("ddr5", "join", rows)
         assert point.elements == 4 * rows
 
     def test_copy_reads_and_writes_each_slot_at_the_granule(self):
-        point = run_primitive(get_substrate("ddr5"), "copy", 1500)
+        point = run_primitive("ddr5", "copy", 1500)
         assert point.dram_bytes == 2 * 1500 * 8
         assert point.elements == 1500
 
     def test_point_dict_round_trips_derived_values(self):
-        point = run_primitive(get_substrate("ddr5"), "scan", 64)
+        point = run_primitive("ddr5", "scan", 64)
         d = point.as_dict()
         assert d["effective_bandwidth"] == pytest.approx(point.effective_bandwidth)
         assert d["ceiling_ratio"] == pytest.approx(point.ceiling_ratio)
@@ -328,4 +324,4 @@ class TestRooflineSweep:
 
         assert len(DEFAULT_OPERATOR_SIZES) >= 2
         # run_roofline(None) sweeps every registered substrate.
-        assert set(available_substrates()) >= {"ddr5", "hbm3", "lpddr5x-pim"}
+        assert set(SUBSTRATES) >= {"ddr5", "hbm3", "lpddr5x-pim"}

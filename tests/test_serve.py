@@ -499,6 +499,17 @@ class TestServeCLI:
         ServeConfig(olap_fraction=1.0)
         ServeConfig(max_wait_ns=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_threshold", 0),
+        ("bucket_rate", -1.0),
+        ("bucket_capacity", 0.0),
+    ])
+    def test_config_rejects_admission_and_batch_limits(self, field, value):
+        """Regression: these were refused only by the scheduler or the
+        token bucket, after the serve engine was built."""
+        with pytest.raises(ConfigError, match=field):
+            ServeConfig(**{field: value})
+
     def test_negative_freshness_sla_refused(self, tmp_path, capsys):
         """A negative staleness bound used to run as if it were 0; it is
         refused by name, and the CLI exits 2 before anything runs."""

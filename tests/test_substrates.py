@@ -1,4 +1,4 @@
-"""Substrate registry, config validation, and ceiling properties."""
+"""Named substrates, config validation, and ceiling properties."""
 
 import json
 import pathlib
@@ -6,118 +6,119 @@ import pathlib
 import pytest
 from dataclasses import replace
 
+from repro.bench.roofline import _ceilings
 from repro.core.config import (
+    SUBSTRATES,
     DeviceGeometry,
     LPDDR5X_8533_TIMINGS,
+    SystemConfig,
     dimm_system,
     hbm_system,
     lpddr5x_system,
+    substrate_config,
 )
 from repro.errors import ConfigError
-from repro.pim.substrate import (
-    DEFAULT_SUBSTRATE,
-    Substrate,
-    available_substrates,
-    get_substrate,
-    register_substrate,
-)
+from repro.olap.cost import classify
 
 BASELINE = pathlib.Path(__file__).resolve().parent.parent / "baselines" / "figures.json"
 
 
 class TestRegistry:
     def test_three_presets_available(self):
-        names = available_substrates()
-        assert {"ddr5", "hbm3", "lpddr5x-pim"} <= set(names)
-        assert names == sorted(names)
+        assert set(SUBSTRATES) == {"ddr5", "hbm3", "lpddr5x-pim"}
+        assert all(description for _, description in SUBSTRATES.values())
 
     def test_default_is_ddr5(self):
-        assert DEFAULT_SUBSTRATE == "ddr5"
-        assert get_substrate().name == "ddr5"
+        # A config built without naming a substrate is the ddr5 one.
+        assert substrate_config("ddr5") == SystemConfig()
 
     def test_ddr5_matches_dimm_system_exactly(self):
         # The refactor must be simulation-neutral: the default substrate
         # IS the paper's DIMM config, field for field.
-        assert get_substrate("ddr5").config == dimm_system()
+        assert substrate_config("ddr5") == dimm_system()
 
     def test_hbm3_matches_hbm_system(self):
-        assert get_substrate("hbm3").config == hbm_system()
+        assert substrate_config("hbm3") == hbm_system()
 
     def test_lpddr5x_uses_lp5x_timings(self):
-        config = get_substrate("lpddr5x-pim").config
+        config = substrate_config("lpddr5x-pim")
         assert config == lpddr5x_system()
         assert config.timings == LPDDR5X_8533_TIMINGS
         assert config.memory_kind == "lpddr5x"
 
     def test_unknown_substrate_names_the_known_ones(self):
-        with pytest.raises(ConfigError, match="unknown substrate.*known.*ddr5"):
-            get_substrate("gddr7")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_substrate("ddr5", dimm_system)
+        with pytest.raises(
+            ConfigError,
+            match=r"^unknown substrate 'gddr7' \(known: ddr5, hbm3, lpddr5x-pim\)$",
+        ):
+            substrate_config("gddr7")
 
     def test_registry_returns_fresh_configs(self):
         # Factories run per lookup so callers can't mutate a shared config.
-        assert get_substrate("ddr5").config is not get_substrate("ddr5").config
+        assert substrate_config("ddr5") is not substrate_config("ddr5")
 
 
 class TestCeilings:
     def test_per_unit_ceiling_capped_by_unit_port(self):
-        sub = get_substrate("ddr5")
-        assert sub.stream_bandwidth_per_unit <= sub.config.pim.dram_bandwidth
-        assert sub.stream_bandwidth_per_unit > 0
+        config = substrate_config("ddr5")
+        per_unit = _ceilings(config)["stream_bandwidth_per_unit"]
+        assert 0 < per_unit <= config.pim.dram_bandwidth
 
     def test_rank_and_system_scale_from_unit(self):
-        sub = get_substrate("ddr5")
-        per_unit = sub.stream_bandwidth_per_unit
-        assert sub.stream_bandwidth_per_rank == pytest.approx(
-            per_unit * sub.config.pim.units_per_rank
+        config = substrate_config("ddr5")
+        ceilings = _ceilings(config)
+        per_unit = ceilings["stream_bandwidth_per_unit"]
+        assert ceilings["stream_bandwidth_per_rank"] == pytest.approx(
+            per_unit * config.pim.units_per_rank
         )
-        assert sub.stream_bandwidth_system == pytest.approx(
-            per_unit * sub.config.total_pim_units
+        assert ceilings["stream_bandwidth_system"] == pytest.approx(
+            per_unit * config.total_pim_units
         )
 
     def test_system_ceiling_monotonic_in_channels(self):
         base = dimm_system()
-        more = Substrate("x", replace(base, channels=base.channels * 2))
-        assert more.stream_bandwidth_system > Substrate("y", base).stream_bandwidth_system
+        more = _ceilings(replace(base, channels=base.channels * 2))
+        assert more["stream_bandwidth_system"] > _ceilings(base)["stream_bandwidth_system"]
 
     def test_random_line_floor_positive(self):
-        for name in available_substrates():
-            sub = get_substrate(name)
-            assert sub.random_line_ns > 0
-            assert sub.random_line_bandwidth > 0
+        for name in sorted(SUBSTRATES):
+            ceilings = _ceilings(substrate_config(name))
+            assert ceilings["random_line_ns"] > 0
+            assert ceilings["random_line_bandwidth"] > 0
             # Random line traffic never beats streaming at system scale.
-            assert sub.random_line_bandwidth < sub.stream_bandwidth_system
+            assert ceilings["random_line_bandwidth"] < ceilings["stream_bandwidth_system"]
 
     def test_control_overhead_covers_switches_and_requests(self):
-        sub = get_substrate("ddr5")
-        cfg = sub.config
-        assert sub.control_overhead_ns == pytest.approx(
+        cfg = substrate_config("ddr5")
+        assert _ceilings(cfg)["control_overhead_ns"] == pytest.approx(
             2 * cfg.mode_switch_latency + 2 * cfg.controller_request_latency
         )
 
     def test_summary_is_json_ready(self):
-        summary = get_substrate("lpddr5x-pim").summary()
+        from repro.bench.roofline import run_roofline
+
+        snapshot = run_roofline(["lpddr5x-pim"], sizes=(64,), micro_sizes=(8,))
+        summary = snapshot["substrates"]["lpddr5x-pim"]
         assert summary["name"] == "lpddr5x-pim"
+        assert summary["description"] == SUBSTRATES["lpddr5x-pim"][1]
+        assert len(summary) == 10
         json.dumps(summary)  # no non-serializable values
         assert summary["stream_bandwidth_per_unit"] > 0
 
 
 class TestClassify:
     def test_memory_bound_when_load_dominates(self):
-        assert Substrate.classify(10.0, 5.0, 1.0) == "memory"
+        assert classify(10.0, 5.0, 1.0) == "memory"
 
     def test_compute_bound_when_compute_dominates(self):
-        assert Substrate.classify(1.0, 10.0, 5.0) == "compute"
+        assert classify(1.0, 10.0, 5.0) == "compute"
 
     def test_control_bound_when_control_dominates(self):
-        assert Substrate.classify(1.0, 2.0, 10.0) == "control"
+        assert classify(1.0, 2.0, 10.0) == "control"
 
     def test_ties_prefer_memory_then_compute(self):
-        assert Substrate.classify(5.0, 5.0, 5.0) == "memory"
-        assert Substrate.classify(1.0, 5.0, 5.0) == "compute"
+        assert classify(5.0, 5.0, 5.0) == "memory"
+        assert classify(1.0, 5.0, 5.0) == "compute"
 
 
 class TestTimingValidation:
