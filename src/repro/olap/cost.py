@@ -8,6 +8,11 @@ it is built from the *same* per-phase quantities the executor produces —
 chunked WRAM loads, per-element compute steps, and controller overheads —
 so the two agree by construction at small scale (validated in
 ``tests/test_cost_model.py``).
+
+The roofline's rules live here too, once each: the per-unit stream
+ceiling (:func:`scan_bandwidth_per_unit`), the bound label
+(:func:`classify`) and a measured point's derived metrics
+(:class:`RooflinePoint`).
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ def scan_bandwidth_per_unit(config: SystemConfig) -> float:
     """Effective per-unit streaming bandwidth in bytes/ns.
 
     The DRAM-side streaming rate capped by the unit's bandwidth spec
-    (1 GB/s for the UPMEM-like unit of Table 1).
+    (1 GB/s for the UPMEM-like unit of Table 1), the cap
+    ``PIMUnit._dram_time`` enforces: the roofline's per-unit stream
+    ceiling.
     """
     raw = effective_stream_bandwidth(
         config.timings, config.geometry, config.pim.access_granularity
