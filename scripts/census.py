@@ -12,12 +12,15 @@ counts for every definition of that name, so it can miss dead code but
 does not list code that has a caller by name. Each listed name has to
 get a ``src/`` caller, move into the tests, or leave.
 
-Run from the repository root::
+``scripts/census.txt`` holds the accepted list, one ``path qualname``
+per line. Run from the repository root::
 
     python scripts/census.py
 
 It prints one ``path:line qualname (N lines)`` row per orphan and a
-total, and always exits 0.
+total, then each difference from ``census.txt``. It exits 1 if there is
+one: an orphan that joined the list, or a listed name that left it and
+is still written down.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = ROOT / "src"
 REFERRERS = tuple(ROOT / d for d in ("src", "examples", "benchmarks", "scripts"))
 LAYERS = ROOT / "benchmarks" / "e2e" / "layers.json"
+ACCEPTED = ROOT / "scripts" / "census.txt"
 
 
 def _python_files(root: pathlib.Path) -> Iterator[pathlib.Path]:
@@ -94,7 +98,13 @@ def main() -> int:
         print(f"{path}:{line} {qualname} ({length} lines)")
     total = sum(length for *_, length in orphans)
     print(f"{len(orphans)} definitions ({total} lines) that nothing outside the tests mentions")
-    return 0
+    found = {f"{path} {qualname}" for path, _, qualname, _ in orphans}
+    accepted = set(ACCEPTED.read_text(encoding="utf-8").splitlines())
+    for entry in sorted(found - accepted):
+        print(f"new orphan: {entry} (give it a src/ caller, move it into the tests, or delete it)")
+    for entry in sorted(accepted - found):
+        print(f"no longer an orphan: {entry} (drop it from {ACCEPTED.relative_to(ROOT)})")
+    return 1 if found != accepted else 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@
 The result is one deterministic, JSON-ready snapshot
 (``baselines/roofline.json`` pins the full sweep) with per-substrate ceilings, achieved-vs-ceiling points, saturation
 fits, a bottleneck ranking, row-buffer hit/miss/conflict lanes, and a
-Chrome-trace consistency check: each operator's effective bandwidth must
-match ``dram_bytes / Σ(pim.phase.load)`` re-derived from the exported
-trace of the same run.
+trace consistency check: each operator's effective bandwidth must match
+``dram_bytes / Σ(pim.phase.load)`` over its load-phase child spans in
+the same run.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.olap.engine import QueryTiming
 from repro.olap.operators import RegionRows
 from repro.pim.timing import random_line_time
 from repro.telemetry.registry import MetricsRegistry
-from repro.trace.chrome import to_chrome_trace
 from repro.trace.tracer import Tracer
 
 __all__ = ["run_roofline", "render_roofline", "DEFAULT_OPERATOR_SIZES"]
@@ -115,38 +114,20 @@ def _sweep_operators(
 def _trace_consistency(
     registry: MetricsRegistry, tolerance: float = TRACE_TOLERANCE
 ) -> Dict[str, object]:
-    """Re-derive operator bandwidth from the exported Chrome trace.
+    """Re-derive operator bandwidth from the span tree.
 
-    For each operator event carrying a ``dram_bytes`` attribute, DRAM
-    busy time is the sum of ``pim.phase.load`` event durations contained
-    in the operator's interval; ``dram_bytes / busy`` must agree with
-    the operator's reported ``eff_gbps`` within ``tolerance``.
+    For each operator span carrying a ``dram_bytes`` attribute, DRAM
+    busy time is the sum of its ``pim.phase.load`` children's durations;
+    ``dram_bytes / busy`` must agree with the operator's reported
+    ``eff_gbps`` within ``tolerance``.
     """
-    events = to_chrome_trace(Tracer(registry.spans))["traceEvents"]
-    ops = []
-    loads = []
-    for event in events:
-        if event.get("ph") != "X":
-            continue
-        args = event.get("args", {})
-        start = args.get("start_ns")
-        duration = args.get("duration_ns")
-        if start is None or duration is None:
-            continue
-        name = event.get("name", "")
-        if name.startswith("olap.operator.") and args.get("dram_bytes"):
-            ops.append((start, start + duration, args))
-        elif name == "pim.phase.load":
-            loads.append((start, start + duration, duration))
-    eps = 1e-6
     checked = 0
     max_rel_err = 0.0
-    for begin, end, args in ops:
-        busy = sum(
-            dur
-            for l_begin, l_end, dur in loads
-            if l_begin >= begin - eps and l_end <= end + eps
-        )
+    for span in Tracer(registry.spans).spans:
+        args = span.attrs
+        if not (span.name.startswith("olap.operator.") and args.get("dram_bytes")):
+            continue
+        busy = sum(c.duration for c in span.children if c.name == "pim.phase.load")
         reported = args.get("eff_gbps", 0.0)
         if busy <= 0 or not reported:
             continue

@@ -17,6 +17,7 @@ engine's own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -31,6 +32,14 @@ from repro.cluster.router import ShardRouter
 from repro.cluster.twopc import TwoPhaseCommit
 
 __all__ = ["ClusterTxnResult", "PushTapCluster"]
+
+
+def _check_interconnect(interconnect_ns: float) -> float:
+    """``interconnect_ns`` as a float; ``ConfigError`` unless finite and >= 0."""
+    value = float(interconnect_ns)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"interconnect_ns must be finite and >= 0, got {interconnect_ns!r}")
+    return value
 
 
 @dataclass
@@ -67,9 +76,9 @@ class PushTapCluster:
         #: single shard's filtered row counts.
         self.counts = dict(counts)
         self.warehouses = int(counts["warehouse"])
-        self.interconnect_ns = float(interconnect_ns)
+        self.interconnect_ns = _check_interconnect(interconnect_ns)
         self.router = ShardRouter(self.num_shards, self.warehouses)
-        self.twopc = TwoPhaseCommit(self.engines, interconnect_ns)
+        self.twopc = TwoPhaseCommit(self.engines, self.interconnect_ns)
         #: Accumulated scatter-gather interconnect time (ns).
         self.gather_time = 0.0
         self.queries_run = 0
@@ -95,6 +104,7 @@ class PushTapCluster:
         """
         if shards < 1:
             raise ConfigError("shards must be >= 1")
+        _check_interconnect(interconnect_ns)
         counts = dict(counts) if counts is not None else cluster_row_counts(
             scale, shards
         )

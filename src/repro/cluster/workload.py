@@ -391,39 +391,29 @@ class ClusterWorkload:
             run_parallel_cluster_workload(self, num_queries, self.jobs, report)
         else:
             for interval in range(num_queries):
-                t0 = tel.sim_time if tel.enabled else 0.0
-                for _ in range(self.txns_per_query):
-                    tenant = self._txn_cursor % self.tenants
-                    self._txn_cursor += 1
-                    driver = self.drivers[tenant]
-                    txn = driver.next_transaction()
-                    result = cluster.execute_transaction(txn)
-                    report.transactions += 1
-                    if not result.committed:
-                        report.aborted += 1
-                        driver.note_abort(txn)
-                    report.observe_txn(result.latency)
-                    home = report.per_shard[result.home]
-                    home.oltp_latency.observe(result.latency)
-                    if result.latency > self.slo_targets.oltp_ns:
-                        home.slo_violations += 1
-                    self._maybe_check()
                 name = self.queries[self._query_cursor % len(self.queries)]
                 self._query_cursor += 1
-                query = cluster.query(name)
-                report.queries += 1
-                report.observe_query(name, query.total_time)
-                self._maybe_check(force=True)
-                if tel.enabled:
-                    # Wrapper over the whole txn-batch + query interval;
-                    # the explicit start keeps the cursor where the
-                    # sub-spans left it.
-                    tel.record_span(
-                        "workload.interval",
-                        tel.sim_time - t0,
-                        {"interval": interval, "query": name},
-                        start=t0,
-                    )
+                with tel.span("workload.interval", {"interval": interval, "query": name}):
+                    for _ in range(self.txns_per_query):
+                        tenant = self._txn_cursor % self.tenants
+                        self._txn_cursor += 1
+                        driver = self.drivers[tenant]
+                        txn = driver.next_transaction()
+                        result = cluster.execute_transaction(txn)
+                        report.transactions += 1
+                        if not result.committed:
+                            report.aborted += 1
+                            driver.note_abort(txn)
+                        report.observe_txn(result.latency)
+                        home = report.per_shard[result.home]
+                        home.oltp_latency.observe(result.latency)
+                        if result.latency > self.slo_targets.oltp_ns:
+                            home.slo_violations += 1
+                        self._maybe_check()
+                    query = cluster.query(name)
+                    report.queries += 1
+                    report.observe_query(name, query.total_time)
+                    self._maybe_check(force=True)
         for shard, engine in enumerate(cluster.engines):
             txns0, runs0, oltp0, olap0, defrag0 = stats_before[shard]
             entry = report.per_shard[shard]

@@ -652,21 +652,23 @@ class PushTapEngine:
             self.defragment()
         ts = self.db.oracle.read_timestamp()
         tel = telemetry.active()
-        # The query wrapper must start *after* any fault-injected defrag
-        # above — defrag time is accounted separately, not in the query.
-        t0 = tel.sim_time if tel.enabled else 0.0
-        result = run_query(name, self.olap, self.db, ts)
-        self.stats.queries += 1
-        self.stats.olap_time += result.total_time
-        if tel.enabled:
-            tel.counter("olap.queries").inc()
-            tel.histogram(f"olap.query.{name}.latency_ns").observe(result.total_time)
-            # Sub-spans (snapshots, operator scans) advanced the cursor by
-            # the PIM-side time; the remainder of the query's total is CPU
-            # glue (harvest, merges, bucket exchange), recorded as its own
-            # serial span so the wrapper's window covers the whole query.
-            tel.record_gap_span("olap.cpu", result.total_time, t0, {"query": name})
-            tel.record_window_span("olap.query", t0, {"query": name})
+        # The query frame opens *after* any fault-injected defrag above —
+        # defrag time is accounted separately, not in the query.
+        with tel.span("olap.query", {"query": name}) as frame:
+            result = run_query(name, self.olap, self.db, ts)
+            self.stats.queries += 1
+            self.stats.olap_time += result.total_time
+            if tel.enabled:
+                tel.counter("olap.queries").inc()
+                tel.histogram(f"olap.query.{name}.latency_ns").observe(result.total_time)
+                # Sub-spans (snapshots, operator scans) advanced the cursor
+                # by the PIM-side time; the remainder of the query's total
+                # is CPU glue (harvest, merges, bucket exchange), recorded
+                # as its own serial span, above float noise, so the frame
+                # covers the whole query.
+                gap = result.total_time - (tel.sim_time - frame.start)
+                if gap > 1e-9:
+                    tel.record_span("olap.cpu", gap, {"query": name})
         return result
 
     def enable_ivm(self, queries: Sequence[str] = ("Q1", "Q6", "Q9")) -> "IVMManager":

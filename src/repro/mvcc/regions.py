@@ -22,7 +22,6 @@ from typing import Dict, List, Set
 import numpy as np
 
 from repro.errors import TransactionError
-from repro.units import ceil_div
 
 __all__ = ["DataRegion", "DeltaAllocator"]
 
@@ -40,11 +39,6 @@ class DataRegion:
             raise TransactionError("num_rows must be non-negative")
         if self.block_rows <= 0 or self.num_devices <= 0:
             raise TransactionError("block_rows and num_devices must be positive")
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of (possibly partially filled) blocks."""
-        return ceil_div(self.num_rows, self.block_rows) if self.num_rows else 0
 
     def block_of(self, row: int) -> int:
         """Block index of a data row."""
@@ -77,11 +71,6 @@ class DeltaAllocator:
         self._next_block = 0
         self._free: Dict[int, List[int]] = {r: [] for r in range(num_devices)}
         self._allocated: Set[int] = set()
-
-    @property
-    def num_blocks(self) -> int:
-        """Delta blocks materialized so far."""
-        return self._next_block
 
     @property
     def capacity_rows(self) -> int:

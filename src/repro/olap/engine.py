@@ -164,49 +164,48 @@ class OLAPEngine:
         """Run one scan operator and charge it to ``timing``: its phases,
         then the CPU harvest of its results; report it to telemetry.
 
-        The operator span is a *wrapper* recorded at the explicit
-        timeline position where its executor run began, so it contains
-        the phase/control spans the run recorded without advancing the
-        cursor a second time.
+        The operator span is a frame around the executor run: the phase
+        and control spans the run records are its children, and it
+        covers their window without advancing the cursor a second time.
         """
         tel = telemetry.active()
-        start = tel.sim_time
-        scan = self.executor.execute(op)
-        timing.scan = timing.scan.merge(scan)
-        timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
-        if not tel.enabled:
-            return
-        tel.counter("olap.operators").inc()
-        tel.counter(f"olap.operator.{operator}.count").inc()
-        tel.counter("olap.bytes_scanned").inc(getattr(op, "bytes_scanned", 0))
-        tel.counter("olap.cpu_transfer_bytes").inc(getattr(op, "cpu_transfer_bytes", 0))
-        tel.histogram(f"olap.operator.{operator}.latency_ns").observe(scan.total_time)
-        attrs: Dict[str, object] = {"column": column, "phases": scan.phases}
-        if tel.roofline:
-            metrics = OperatorMetrics.from_scan(
-                operator,
-                column,
-                scan,
-                len(list(op.participating_units())),
-                self.unit_ceiling,
-            )
-            self.roofline_log.append(metrics)
-            attrs.update(
-                dram_bytes=metrics.dram_bytes,
-                eff_gbps=round(metrics.effective_bandwidth, 6),
-                ceiling_ratio=round(metrics.ceiling_ratio, 6),
-                bound=metrics.bound,
-            )
-            tel.counter(f"olap.operator.{operator}.dram_bytes").inc(metrics.dram_bytes)
-            tel.counter(f"olap.operator.{operator}.elements").inc(metrics.elements)
-            tel.counter(f"olap.operator.{operator}.bound.{metrics.bound}").inc()
-            tel.histogram(f"olap.operator.{operator}.eff_gbps").observe(
-                metrics.effective_bandwidth
-            )
-            tel.histogram(f"olap.operator.{operator}.ceiling_ratio").observe(
-                metrics.ceiling_ratio
-            )
-        tel.record_window_span(f"olap.operator.{operator}", start, attrs)
+        attrs: Dict[str, object] = {"column": column}
+        with tel.span(f"olap.operator.{operator}", attrs):
+            scan = self.executor.execute(op)
+            timing.scan = timing.scan.merge(scan)
+            timing.add_cpu_bytes(op.cpu_transfer_bytes, self.config.total_cpu_bandwidth)
+            if not tel.enabled:
+                return
+            tel.counter("olap.operators").inc()
+            tel.counter(f"olap.operator.{operator}.count").inc()
+            tel.counter("olap.bytes_scanned").inc(getattr(op, "bytes_scanned", 0))
+            tel.counter("olap.cpu_transfer_bytes").inc(getattr(op, "cpu_transfer_bytes", 0))
+            tel.histogram(f"olap.operator.{operator}.latency_ns").observe(scan.total_time)
+            attrs["phases"] = scan.phases
+            if tel.roofline:
+                metrics = OperatorMetrics.from_scan(
+                    operator,
+                    column,
+                    scan,
+                    len(list(op.participating_units())),
+                    self.unit_ceiling,
+                )
+                self.roofline_log.append(metrics)
+                attrs.update(
+                    dram_bytes=metrics.dram_bytes,
+                    eff_gbps=round(metrics.effective_bandwidth, 6),
+                    ceiling_ratio=round(metrics.ceiling_ratio, 6),
+                    bound=metrics.bound,
+                )
+                tel.counter(f"olap.operator.{operator}.dram_bytes").inc(metrics.dram_bytes)
+                tel.counter(f"olap.operator.{operator}.elements").inc(metrics.elements)
+                tel.counter(f"olap.operator.{operator}.bound.{metrics.bound}").inc()
+                tel.histogram(f"olap.operator.{operator}.eff_gbps").observe(
+                    metrics.effective_bandwidth
+                )
+                tel.histogram(f"olap.operator.{operator}.ceiling_ratio").observe(
+                    metrics.ceiling_ratio
+                )
 
     # ------------------------------------------------------------------
     # Snapshot

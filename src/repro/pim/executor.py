@@ -196,10 +196,7 @@ class TwoPhaseExecutor:
         tel = telemetry.active()
         # The controller records its own pim.control spans as launches and
         # polls happen, so phase spans recorded here in execution order
-        # interleave with them on one coherent timeline. Per-unit detail
-        # spans (parallel lanes under each phase) are opt-in via the
-        # registry's detail_spans flag — the profiler turns it on.
-        detail = tel.enabled and tel.detail_spans
+        # interleave with them on one coherent timeline.
         # One offload spans every phase: the original architecture pays
         # its bank handover here (once) and holds the banks throughout.
         begin_cost = self.controller.begin_offload()
@@ -215,15 +212,9 @@ class TwoPhaseExecutor:
             unit_load_times = self._run_phase(op.load, chunk, load_req)
             load_time = max(unit_load_times)
             if tel.enabled:
-                span = tel.record_span(
-                    "pim.phase.load",
-                    load_time,
-                    {"chunk": chunk, "op": load_req.op.name},
+                self._record_phase(
+                    tel, "load", load_time, chunk, load_req.op.name, units, unit_load_times
                 )
-                if detail:
-                    self._record_unit_spans(
-                        tel, "pim.unit.load", span.start, chunk, units, unit_load_times
-                    )
             poll_cost = self._poll_with_retry()
 
             compute_req = op.compute_request(chunk)
@@ -236,15 +227,9 @@ class TwoPhaseExecutor:
             unit_compute_times = self._run_phase(op.compute, chunk, compute_req)
             compute_time = max(unit_compute_times)
             if tel.enabled:
-                span = tel.record_span(
-                    "pim.phase.compute",
-                    compute_time,
-                    {"chunk": chunk, "op": op_name},
+                self._record_phase(
+                    tel, "compute", compute_time, chunk, op_name, units, unit_compute_times
                 )
-                if detail:
-                    self._record_unit_spans(
-                        tel, "pim.unit.compute", span.start, chunk, units, unit_compute_times
-                    )
             c_poll_cost = self._poll_with_retry()
 
             reissue_control = 0.0
@@ -333,18 +318,23 @@ class TwoPhaseExecutor:
         return unit_times
 
     @staticmethod
-    def _record_unit_spans(tel, name, phase_start, chunk, units, unit_times) -> None:
-        """Per-unit parallel lanes under one phase span.
+    def _record_phase(tel, kind, duration, chunk, op_name, units, unit_times) -> None:
+        """One ``pim.phase.<kind>`` span, then (with the registry's
+        ``detail_spans`` flag, which the profiler sets) its per-unit lanes.
 
-        Units run concurrently, so each unit span starts with the phase
-        and carries its own duration; explicit starts keep the serial
-        cursor untouched.
+        Units run concurrently, so each lane starts with the phase, lasts
+        its own time and names the phase as parent; explicit starts keep
+        the serial cursor untouched.
         """
+        parent = len(tel.spans)
+        phase = tel.record_span(f"pim.phase.{kind}", duration, {"chunk": chunk, "op": op_name})
+        if not tel.detail_spans:
+            return
         for unit, unit_time in zip(units, unit_times):
             if unit_time <= 0.0:
                 continue
             tel.record_span(
-                name,
+                f"pim.unit.{kind}",
                 unit_time,
                 {
                     "chunk": chunk,
@@ -352,5 +342,6 @@ class TwoPhaseExecutor:
                     "device": unit.bank.device.index,
                     "bank": unit.bank.index,
                 },
-                start=phase_start,
+                start=phase.start,
+                parent=parent,
             )

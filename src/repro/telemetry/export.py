@@ -1,8 +1,9 @@
 """Exporters: registry ↔ dict/JSON, plus flat CSV and a text report.
 
-The JSON form is lossless for counters, gauges, and histograms (raw
-samples are included), so ``from_json(to_json(reg))`` reproduces every
-summary statistic exactly — the property the exporter tests lock in.
+The JSON form is lossless for counters, gauges, histograms (raw samples
+are included) and the span tree (each span keeps its parent index), so
+``from_json(to_json(reg))`` reproduces every summary statistic and self
+time exactly — the property the exporter tests lock in.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ __all__ = [
     "render_report",
 ]
 
-#: Schema version stamped into every export.
-FORMAT_VERSION = 1
+#: Schema version stamped into every export (2: each span keeps its parent).
+FORMAT_VERSION = 2
 
 
 def to_dict(registry: MetricsRegistry) -> Dict:
@@ -42,10 +43,13 @@ def to_dict(registry: MetricsRegistry) -> Dict:
 def from_dict(data: Dict) -> MetricsRegistry:
     """Rebuild a registry from :func:`to_dict` output.
 
-    A histogram must carry its raw samples: one without them raises
-    ``ValueError`` naming it, rather than reloading as an empty
-    histogram whose statistics would read 0.
+    A dump of another version, a histogram without its raw samples or
+    a span without a valid ``parent`` raises ``ValueError`` naming it,
+    rather than reloading as statistics that read 0 or a forest of roots.
     """
+    version = data.get("version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"dump version {version!r} is not {FORMAT_VERSION}")
     registry = MetricsRegistry()
     for name, value in data.get("counters", {}).items():
         registry.counters[name] = Counter(name, value)
@@ -55,13 +59,18 @@ def from_dict(data: Dict) -> MetricsRegistry:
         if "samples" not in summary:
             raise ValueError(f"histogram {name!r} has no samples")
         registry.histograms[name] = Histogram(name, summary["samples"])
-    for span in data.get("spans", []):
+    spans = data.get("spans", [])
+    for index, span in enumerate(spans):
+        parent = span.get("parent", -1)
+        if parent is not None and not (isinstance(parent, int) and 0 <= parent < len(spans)):
+            raise ValueError(f"span {index} ({span['name']!r}) has no valid parent")
         registry.spans.append(
             SpanEvent(
                 span["name"],
                 span["start"],
                 span["duration"],
                 tuple(sorted(span.get("attrs", {}).items())),
+                parent,
             )
         )
     return registry

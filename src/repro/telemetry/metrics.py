@@ -185,18 +185,22 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.count})"
 
 
-@dataclass(frozen=True)
+@dataclass
 class SpanEvent:
     """One span on the simulated timeline.
 
     ``start`` and ``duration`` are simulated nanoseconds supplied by the
     instrumented layer — the simulator has no wall clock to measure.
+    ``parent`` is the index of the enclosing span in the registry's span
+    log (``None`` for a root); a span recorded inside an open frame gets
+    it when that frame closes.
     """
 
     name: str
     start: float
     duration: float
     attrs: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
+    parent: Optional[int] = None
 
     @property
     def end(self) -> float:
@@ -210,6 +214,7 @@ class SpanEvent:
             "start": self.start,
             "duration": self.duration,
             "attrs": dict(self.attrs),
+            "parent": self.parent,
         }
 
 

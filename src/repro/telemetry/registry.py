@@ -16,11 +16,18 @@ Instrumented code follows one pattern::
         tel.histogram("oltp.txn.payment.latency_ns").observe(t)
         tel.record_span("pim.phase.load", duration_ns, {"chunk": 0})
 
+    with tel.span("olap.query", {"query": "Q6"}):
+        ...  # spans recorded here get the olap.query span as parent
+
+A parent is recorded, never inferred: an explicit ``parent=`` index (a
+per-unit lane names its phase), else the innermost open frame, else none.
+
 Names are hierarchical (``layer.component.metric``).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List, Mapping, Optional
 
 from repro.telemetry.metrics import (
@@ -56,6 +63,8 @@ class MetricsRegistry:
         #: Cursor of the serial simulated timeline; spans recorded without
         #: an explicit start are laid out end-to-end from here.
         self._sim_cursor = 0.0
+        #: Open :meth:`span` frames, innermost last.
+        self._frames: List[_Frame] = []
         #: When true, instrumented layers may emit fine-grained spans
         #: (e.g. per-PIM-unit load/compute) that are too voluminous for
         #: ordinary metric dumps. The profiler turns this on.
@@ -107,13 +116,16 @@ class MetricsRegistry:
         duration: float,
         attrs: Optional[Mapping[str, object]] = None,
         start: Optional[float] = None,
+        parent: Optional[int] = None,
     ) -> SpanEvent:
         """Record one span of simulated time.
 
         Without an explicit ``start`` the span is appended at the current
         timeline cursor, which then advances by ``duration`` — matching
         the serial engine, where phases/queries/transactions follow each
-        other on one simulated clock.
+        other on one simulated clock. ``parent`` is the index in
+        :attr:`spans` of an already recorded parent; without one, the
+        innermost open :meth:`span` frame (if any) becomes the parent.
         """
         if duration < 0:
             raise ValueError(f"span {name!r}: negative duration {duration}")
@@ -125,39 +137,20 @@ class MetricsRegistry:
             start,
             duration,
             tuple(sorted(attrs.items())) if attrs else (),
+            parent,
         )
+        if parent is None and self._frames:
+            self._frames[-1].children.append(span)
         self.spans.append(span)
         return span
 
-    def record_window_span(
-        self,
-        name: str,
-        base: float,
-        attrs: Optional[Mapping[str, object]] = None,
-    ) -> SpanEvent:
-        """Record a wrapper span covering the cursor advance since ``base``.
-
-        ``base`` must be an earlier value of :attr:`sim_time`.
-        """
-        return self.record_span(name, self._sim_cursor - base, attrs, start=base)
-
-    def record_gap_span(
-        self,
-        name: str,
-        total: float,
-        base: float,
-        attrs: Optional[Mapping[str, object]] = None,
-    ) -> Optional[SpanEvent]:
-        """Record the gap between ``total`` and the advance since ``base``.
-
-        Used for host-side (CPU) time that a wrapped operation charged
-        beyond what its sub-spans laid out on the timeline. Gaps at or
-        below float noise are dropped.
-        """
-        gap = total - (self._sim_cursor - base)
-        if gap > 1e-9:
-            return self.record_span(name, gap, attrs)
-        return None
+    def span(self, name: str, attrs: Optional[Mapping[str, object]] = None) -> "_Frame":
+        """A frame: ``with tel.span(name, attrs) as frame:`` records, on a
+        normal exit, a span over the cursor advance since ``frame.start``,
+        after and as the parent of every span recorded inside it without
+        an explicit parent. ``attrs`` is read on exit, so the body may
+        still add to it."""
+        return _Frame(self, name, attrs)
 
     @property
     def sim_time(self) -> float:
@@ -199,22 +192,54 @@ class NoopRegistry:
         """The shared null histogram."""
         return NULL_HISTOGRAM  # type: ignore[return-value]
 
-    def record_span(self, name, duration, attrs=None, start=None) -> None:
+    def record_span(self, name, duration, attrs=None, start=None, parent=None) -> None:
         """Discard the span."""
         return None
 
-    def record_window_span(self, name, base, attrs=None) -> None:
-        """Discard the span."""
-        return None
-
-    def record_gap_span(self, name, total, base, attrs=None) -> None:
-        """Discard the span."""
-        return None
+    def span(self, name, attrs=None) -> nullcontext:
+        """The shared null frame."""
+        return _NULL_FRAME
 
     def advance_to(self, ts: float) -> None:
         """Nothing to advance."""
 
 
+class _Frame:
+    """One open :meth:`MetricsRegistry.span`."""
+
+    __slots__ = ("registry", "name", "attrs", "start", "children")
+
+    def __init__(self, registry: MetricsRegistry, name: str, attrs) -> None:
+        self.registry = registry
+        self.name = name
+        self.attrs = attrs
+        self.start = 0.0
+        self.children: List[SpanEvent] = []
+
+    def __enter__(self) -> "_Frame":
+        self.start = self.registry._sim_cursor
+        self.registry._frames.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        registry = self.registry
+        frames = registry._frames
+        frames.pop()
+        if exc_type is not None:
+            # No wrapper is recorded for a body that raised; its spans
+            # belong to the enclosing frame instead.
+            if frames:
+                frames[-1].children.extend(self.children)
+            return
+        index = len(registry.spans)
+        for child in self.children:
+            child.parent = index
+        registry.record_span(
+            self.name, registry._sim_cursor - self.start, self.attrs, start=self.start
+        )
+
+
+_NULL_FRAME = nullcontext()
 _NOOP = NoopRegistry()
 _active: object = _NOOP
 

@@ -4,7 +4,7 @@ The :mod:`repro.trace` package turns the flat simulated-time span log
 recorded by :mod:`repro.telemetry` into a structured timeline and the
 analyses a time-breakdown study needs:
 
-* :mod:`repro.trace.tracer` — track assignment + containment nesting;
+* :mod:`repro.trace.tracer` — track assignment + the recorded span tree;
 * :mod:`repro.trace.chrome` — Chrome trace-event JSON (Perfetto);
 * :mod:`repro.trace.flame` — flamegraph folded stacks;
 * :mod:`repro.trace.analysis` — occupancy, critical path, bottlenecks;

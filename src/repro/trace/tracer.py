@@ -1,16 +1,14 @@
 """Structured tracer: turns the flat span log into a timeline forest.
 
 The telemetry layer records :class:`~repro.telemetry.metrics.SpanEvent`
-objects — flat ``(name, start, duration, attrs)`` tuples on one
-simulated clock. This module reconstructs the structure those spans
-imply:
+objects — ``(name, start, duration, attrs, parent)`` on one simulated
+clock. This module builds the structure those spans record:
 
-* **Nesting** is inferred by containment: a span that lies inside
-  another span's ``[start, end]`` window is its child. The instrumented
-  layers record wrapper spans (``olap.query``, ``pim.phase``,
-  ``workload.interval``) at explicit start timestamps spanning their
-  sub-spans, so containment recovers the call tree without any explicit
-  parent IDs threaded through the engine.
+* **Nesting** is read from each span's ``parent`` index, which the
+  registry records: a ``tel.span`` frame (``olap.query``, the operator
+  spans, ``workload.interval``) parents the spans recorded inside it,
+  and each per-unit lane names its phase span. Nothing is inferred from
+  times.
 * **Tracks** group spans by the hardware/software resource they occupy
   (CPU OLTP, CPU OLAP, controller, PIM phases, individual PIM units,
   defrag), mirroring the row layout of a Perfetto / chrome://tracing
@@ -29,18 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.telemetry.metrics import SpanEvent
 
 __all__ = ["TraceSpan", "Tracer", "default_track"]
-
-#: Tolerance when deciding containment — simulated times are floats
-#: accumulated by summation, so exact boundary equality can be off by
-#: rounding noise.
-_EPS = 1e-6
-
-#: Span-name prefixes recorded as *parallel lanes*: such spans share a
-#: start with their siblings (concurrent PIM units under one phase), so
-#: they may receive a parent but never adopt children — otherwise the
-#: longest lane would swallow its siblings.
-PARALLEL_LEAF_PREFIXES = ("pim.unit.",)
-
 
 class TraceSpan:
     """One span enriched with track, parent/child links, and self time."""
@@ -105,7 +91,7 @@ class TraceSpan:
         for child in sorted(self.children, key=lambda s: s.start):
             if cur_start is None:
                 cur_start, cur_end = child.start, child.end
-            elif child.start <= cur_end + _EPS:
+            elif child.start <= cur_end:
                 cur_end = max(cur_end, child.end)
             else:
                 covered += cur_end - cur_start
@@ -177,7 +163,7 @@ class Tracer:
 
     ``Tracer(registry.spans)`` is the usual entry point; the resulting
     :attr:`spans` list preserves the original recording order and every
-    span carries its inferred parent, children, track, and self time.
+    span carries its recorded parent, its children, track, and self time.
     """
 
     def __init__(self, events: Sequence[SpanEvent]) -> None:
@@ -192,7 +178,10 @@ class Tracer:
             )
             for i, ev in enumerate(events)
         ]
-        _link_by_containment(spans)
+        for span, event in zip(spans, events):
+            if event.parent is not None:
+                span.parent = spans[event.parent]
+                span.parent.children.append(span)
         #: All spans, in original recording order.
         self.spans: List[TraceSpan] = spans
 
@@ -217,27 +206,3 @@ class Tracer:
     def end_time(self) -> float:
         """Latest span end (0.0 for an empty trace)."""
         return max((s.end for s in self.spans), default=0.0)
-
-
-def _link_by_containment(spans: List[TraceSpan]) -> None:
-    """Assign parents by interval containment, using a sweep stack.
-
-    Spans are visited in ``(start, -duration, index)`` order so a
-    wrapper beginning at the same instant as its first child is visited
-    first (longer windows open before the spans inside them), and ties
-    on both keys resolve to the earlier-recorded span as the parent.
-    Parallel-lane spans (:data:`PARALLEL_LEAF_PREFIXES`) take a parent
-    but are never pushed as candidate parents themselves.
-    """
-    stack: List[TraceSpan] = []
-    for span in sorted(spans, key=lambda s: (s.start, -s.duration, s.index)):
-        while stack and span.start > stack[-1].end - _EPS:
-            stack.pop()
-        # Zero-duration spans at a window boundary belong to the window
-        # they start in; the strict check above keeps a span that begins
-        # exactly at a sibling's end from nesting inside that sibling.
-        if stack and span.end <= stack[-1].end + _EPS:
-            span.parent = stack[-1]
-            stack[-1].children.append(span)
-        if not span.name.startswith(PARALLEL_LEAF_PREFIXES):
-            stack.append(span)

@@ -115,6 +115,23 @@ class TestPartition:
                 shards=4, counts=row_counts(SCALE), **ENGINE_KWARGS
             )
 
+    @pytest.mark.parametrize("interconnect_ns", [-1.0, float("nan"), float("inf")])
+    def test_bad_interconnect_rejected_before_any_shard_is_built(
+        self, interconnect_ns, monkeypatch
+    ):
+        import repro.cluster.cluster as cluster_module
+
+        def build_shard(*args, **kwargs):
+            raise AssertionError("a shard engine was built")
+
+        monkeypatch.setattr(cluster_module, "build_shard", build_shard)
+        with pytest.raises(ConfigError, match="interconnect_ns"):
+            PushTapCluster.build(
+                shards=2, scale=SCALE, interconnect_ns=interconnect_ns, **ENGINE_KWARGS
+            )
+        with pytest.raises(ConfigError, match="interconnect_ns"):
+            PushTapCluster([object()], {"warehouse": 1}, interconnect_ns=interconnect_ns)
+
 
 #: Every field the single-engine report had, compared exactly.
 _REPORT_FIELDS = (

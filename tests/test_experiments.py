@@ -345,6 +345,7 @@ class TestCLIFlags:
         (["roofline", "--block-rows", "0"], "block_rows"),
         (["roofline", "--sizes", "0"], "sizes"),
         (["roofline", "--block-rows", "12"], "block_rows"),
+        (["cluster", "--interconnect-ns", "-1"], "interconnect_ns"),
     ])
     def test_config_error_exits_2_naming_the_field(self, argv, field, capsys):
         from repro.experiments.__main__ import main

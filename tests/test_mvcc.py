@@ -88,7 +88,7 @@ class TestVersionChain:
 class TestDataRegion:
     def test_blocks_and_rotation(self):
         region = DataRegion(5000, 1024, 8)
-        assert region.num_blocks == 5
+        assert region.block_of(region.num_rows - 1) == 4
         assert region.block_of(1023) == 0
         assert region.block_of(1024) == 1
         assert region.rotation_of(1024) == 1

@@ -1,5 +1,7 @@
 """Telemetry subsystem: metrics, registry, no-op mode, exporters."""
 
+import re
+
 import pytest
 
 from repro.telemetry import (
@@ -133,6 +135,40 @@ class TestRegistry:
         with pytest.raises(ValueError):
             MetricsRegistry().record_span("x", -1.0)
 
+    def test_span_frames_record_parents_in_close_order(self):
+        """A frame is recorded after its children and becomes their
+        parent; an explicit ``parent`` wins; a span outside every frame
+        is a root even at an explicit start."""
+        reg = MetricsRegistry()
+        with reg.span("outer", {"k": 1}):
+            reg.record_span("a", 10.0)
+            with reg.span("inner") as frame:
+                assert frame.start == 10.0
+                reg.record_span("b", 5.0)
+                reg.record_span("lane", 3.0, start=10.0, parent=1)
+            reg.record_span("c", 2.0, start=0.0)
+        reg.record_span("root", 1.0, start=0.0)
+        assert [(s.name, s.parent) for s in reg.spans] == [
+            ("a", 5), ("b", 3), ("lane", 1), ("inner", 5), ("c", 5),
+            ("outer", None), ("root", None),
+        ]
+        inner, outer = reg.spans[3], reg.spans[5]
+        assert (inner.start, inner.duration) == (10.0, 5.0)
+        assert (outer.start, outer.duration, outer.attrs) == (0.0, 15.0, (("k", 1),))
+        assert reg.sim_time == 15.0
+
+    def test_raising_frame_records_no_wrapper(self):
+        """A frame whose body raises records nothing; the spans inside it
+        go to the enclosing frame."""
+        reg = MetricsRegistry()
+        with reg.span("outer"):
+            with pytest.raises(RuntimeError):
+                with reg.span("inner"):
+                    reg.record_span("a", 4.0)
+                    raise RuntimeError("boom")
+        assert [(s.name, s.parent) for s in reg.spans] == [("a", 1), ("outer", None)]
+
+
 class TestGlobalSwitch:
     def test_disabled_by_default(self):
         assert not active().enabled
@@ -163,6 +199,14 @@ class TestGlobalSwitch:
         assert h.count == 0
         assert noop.record_span("s", 1.0) is None
 
+    def test_disabled_span_is_one_shared_null_context(self):
+        noop = active()
+        frame = noop.span("olap.query", {"query": "Q6"})
+        assert frame is noop.span("olap.operator.filter")
+        with frame:
+            assert noop.record_span("s", 1.0) is None
+        assert noop.spans == []
+
     def test_instrumented_layers_emit_when_enabled(self):
         """End-to-end: running the engine populates every layer's metrics."""
         from repro import PushTapEngine
@@ -187,8 +231,10 @@ class TestExport:
         reg.gauge("workload.oltp_tpmc").set(123.5)
         for v in (1.0, 2.0, 3.0, 10.0):
             reg.histogram("oltp.txn.payment.latency_ns").observe(v)
-        reg.record_span("pim.phase.load", 50.0, {"chunk": 0})
-        reg.record_span("pim.phase.compute", 25.0, {"chunk": 0})
+        with reg.span("olap.query", {"query": "Q6"}):
+            reg.record_span("pim.phase.load", 50.0, {"chunk": 0})
+            reg.record_span("pim.phase.compute", 25.0, {"chunk": 0})
+        reg.record_span("pim.unit.load", 40.0, {"unit": 1}, start=0.0, parent=0)
         return reg
 
     def test_json_round_trip_is_lossless(self):
@@ -202,8 +248,40 @@ class TestExport:
         assert copy.p95 == orig.p95
         assert back.spans == reg.spans
 
+    def test_round_trip_keeps_the_span_tree(self):
+        from repro.trace import Tracer
+
+        reg = self.make_registry()
+        back = export.from_json(export.to_json(reg))
+        assert [s.parent for s in back.spans] == [s.parent for s in reg.spans] == [2, 2, None, 0]
+        before, after = Tracer(reg.spans), Tracer(back.spans)
+        assert [s.self_time for s in after.spans] == [s.self_time for s in before.spans]
+        assert [s.self_time for s in after.spans] == [10.0, 25.0, 0.0, 40.0]
+
     def test_dict_version_stamp(self):
-        assert export.to_dict(self.make_registry())["version"] == export.FORMAT_VERSION
+        assert export.to_dict(self.make_registry())["version"] == export.FORMAT_VERSION == 2
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: data.update(version=1), "dump version 1 is not 2"),
+        (lambda data: data["spans"][1].pop("parent"),
+         "span 1 ('pim.phase.compute') has no valid parent"),
+    ], ids=["version-1", "parentless-span"])
+    def test_treeless_dump_is_refused(self, damage, message, tmp_path, capsys):
+        """A version-1 dump or a span without its parent does not reload
+        as a forest of roots: the load fails naming it, and report-metrics
+        exits 2."""
+        import json
+
+        from repro.experiments.__main__ import main
+
+        data = export.to_dict(self.make_registry())
+        damage(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            export.from_dict(data)
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(data))
+        assert main(["report-metrics", str(path)]) == 2
+        assert f"is not a telemetry JSON dump: {message}" in capsys.readouterr().err
 
     def test_sample_free_histogram_is_refused(self, tmp_path, capsys):
         """A histogram dumped without its samples does not reload as an
@@ -239,13 +317,12 @@ class TestExport:
         """The span table distinguishes inclusive from exclusive time:
         a wrapper covering its children reports (near-)zero self time."""
         reg = MetricsRegistry()
-        t0 = reg.sim_time
-        reg.record_span("pim.phase.load", 50.0)
-        reg.record_span("pim.phase.compute", 30.0)
-        reg.record_span("olap.query", reg.sim_time - t0, start=t0)
+        with reg.span("olap.query"):
+            reg.record_span("pim.phase.load", 50.0)
+            reg.record_span("pim.phase.compute", 30.0)
         text = export.render_report(reg)
         assert "self time" in text
         query_row = next(
             line for line in text.splitlines() if "olap.query" in line
         )
-        assert "0 ns" in query_row
+        assert query_row.split()[-2:] == ["0.0", "ns"]

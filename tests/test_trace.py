@@ -37,32 +37,33 @@ def make_registry():
         pim/phases               |pim.load--|pim.compute----|
         pim/dev.bank             |unit|       |unit--| |unit|
 
-    The wrapper ``olap.query`` is recorded *after* its children at an
-    explicit start; the per-unit spans share their phase's start and
-    overlap each other (parallel lanes).
+    The ``olap.query`` frame is recorded *after* its children; the
+    per-unit spans share their phase's start, overlap each other
+    (parallel lanes) and name their phase as parent.
     """
     reg = MetricsRegistry()
     reg.record_span("oltp.txn", 100.0, {"type": "payment"})
-    t0 = reg.sim_time
-    load = reg.record_span("pim.phase.load", 40.0, {"chunk": 0})
-    reg.record_span(
-        "pim.unit.load", 30.0,
-        {"chunk": 0, "unit": 0, "device": 0, "bank": 0}, start=load.start,
-    )
-    reg.record_span(
-        "pim.unit.load", 40.0,
-        {"chunk": 0, "unit": 1, "device": 1, "bank": 0}, start=load.start,
-    )
-    comp = reg.record_span("pim.phase.compute", 60.0, {"chunk": 0})
-    reg.record_span(
-        "pim.unit.compute", 60.0,
-        {"chunk": 0, "unit": 0, "device": 0, "bank": 0}, start=comp.start,
-    )
-    reg.record_span(
-        "pim.unit.compute", 45.0,
-        {"chunk": 0, "unit": 1, "device": 1, "bank": 0}, start=comp.start,
-    )
-    reg.record_span("olap.query", reg.sim_time - t0, {"query": "Q6"}, start=t0)
+    with reg.span("olap.query", {"query": "Q6"}):
+        load = reg.record_span("pim.phase.load", 40.0, {"chunk": 0})
+        parent = len(reg.spans) - 1
+        reg.record_span(
+            "pim.unit.load", 30.0,
+            {"chunk": 0, "unit": 0, "device": 0, "bank": 0}, start=load.start, parent=parent,
+        )
+        reg.record_span(
+            "pim.unit.load", 40.0,
+            {"chunk": 0, "unit": 1, "device": 1, "bank": 0}, start=load.start, parent=parent,
+        )
+        comp = reg.record_span("pim.phase.compute", 60.0, {"chunk": 0})
+        parent = len(reg.spans) - 1
+        reg.record_span(
+            "pim.unit.compute", 60.0,
+            {"chunk": 0, "unit": 0, "device": 0, "bank": 0}, start=comp.start, parent=parent,
+        )
+        reg.record_span(
+            "pim.unit.compute", 45.0,
+            {"chunk": 0, "unit": 1, "device": 1, "bank": 0}, start=comp.start, parent=parent,
+        )
     reg.record_span("oltp.txn", 50.0, {"type": "neworder"})
     return reg
 
@@ -372,6 +373,45 @@ class TestRunProfile:
             run_profile(model="hybrid")
         with pytest.raises(ConfigError):
             run_profile(intervals=0)
+
+
+class TestRecordedTree:
+    """The span tree the instrumented layers record, on the pinned runs."""
+
+    @pytest.mark.parametrize("workload", ["ch", "mixed", "tpcc"])
+    def test_critical_path_is_the_serial_timeline(self, workload):
+        """Every span of these runs lies on one serial clock, so the leaf
+        chain covers all of it: a zero-duration span makes no leaf of
+        its neighbour a parent."""
+        sections = run_profile(
+            workload, intervals=6, txns_per_query=30, scale=2e-5, seed=11,
+            defrag_period=200,
+        ).sections
+        assert sections["critical_path_ns"] == pytest.approx(
+            sections["simulated"]["time_ns"], rel=1e-12, abs=0.0
+        )
+        if workload == "ch":
+            assert sections["critical_path_ns"] == sections["simulated"]["time_ns"]
+
+    def test_serve_run_nests_queries_not_neighbours(self):
+        """The ``serve_state("open")`` run: snapshots and CPU gaps sit
+        under their query, and no transaction, control span or request
+        parents anything."""
+        from repro import PushTapEngine
+        from repro.serve import ServeConfig, ServeLoop
+
+        engine = PushTapEngine.build(scale=2e-5, seed=5)
+        reg = enable(MetricsRegistry())
+        ServeLoop(engine, ServeConfig(
+            tenants=2, requests_per_tenant=16, policy="batched", seed=9,
+            arrival="open", olap_fraction=0.3,
+        )).run()
+        disable()
+        tracer = Tracer(reg.spans)
+        nested = [s for s in tracer.spans if s.name in ("olap.snapshot", "olap.cpu")]
+        assert nested and all(s.parent.name == "olap.query" for s in nested)
+        parents = {s.parent.name for s in tracer.spans if s.parent is not None}
+        assert not parents & {"pim.control", "oltp.txn", "serve.request"}
 
 
 class TestProfileCLI:

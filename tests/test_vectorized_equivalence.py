@@ -1049,7 +1049,7 @@ def test_release_all_matches_the_per_index_loop(seed, block_rows, devices):
         fast, slow = allocators
         assert fast._free == slow._free
         assert fast._allocated == slow._allocated
-        assert fast.num_blocks == slow.num_blocks
+        assert fast.high_water_rows == slow.high_water_rows
 
 
 def oracle_update_to(data_bits, delta_bits, records, line):
@@ -1913,34 +1913,24 @@ class OracleMixedWorkload:
         tel = telemetry.active()
         defrag_before = engine.stats.defrag_time
         for interval in range(num_queries):
-            t0 = tel.sim_time if tel.enabled else 0.0
-            for _ in range(self.txns_per_query):
-                txn = self.driver.next_transaction()
-                result = engine.execute_transaction(txn)
-                report.transactions += 1
-                if result.aborted:
-                    report.aborted += 1
-                    self.driver.note_abort(txn)
-                report.oltp_time += result.total_time
-                report.observe_txn(result.total_time)
-                self._maybe_check()
             name = self.queries[self._query_cursor % len(self.queries)]
             self._query_cursor += 1
-            query = engine.query(name)
-            report.queries += 1
-            report.olap_time += query.total_time
-            report.observe_query(name, query.total_time)
-            self._maybe_check(force=True)
-            if tel.enabled:
-                # Wrapper over the whole txn-batch + query interval; the
-                # explicit start keeps the cursor where the sub-spans
-                # left it.
-                tel.record_span(
-                    "workload.interval",
-                    tel.sim_time - t0,
-                    {"interval": interval, "query": name},
-                    start=t0,
-                )
+            with tel.span("workload.interval", {"interval": interval, "query": name}):
+                for _ in range(self.txns_per_query):
+                    txn = self.driver.next_transaction()
+                    result = engine.execute_transaction(txn)
+                    report.transactions += 1
+                    if result.aborted:
+                        report.aborted += 1
+                        self.driver.note_abort(txn)
+                    report.oltp_time += result.total_time
+                    report.observe_txn(result.total_time)
+                    self._maybe_check()
+                query = engine.query(name)
+                report.queries += 1
+                report.olap_time += query.total_time
+                report.observe_query(name, query.total_time)
+                self._maybe_check(force=True)
         report.defrag_time = engine.stats.defrag_time - defrag_before
         driver = self.driver
         report.remote_fraction = driver.remote_fraction
