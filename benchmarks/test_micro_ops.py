@@ -1,8 +1,8 @@
 """Microbenchmarks of the core library primitives.
 
 Not a paper figure — these track the reproduction's own performance:
-row packing, transaction execution, snapshotting, filter scans, and
-launch-request encoding.
+row packing, the one-row storage calls a transaction runs, transaction
+execution, snapshotting, filter scans, and launch-request encoding.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench.micro import run_primitive
 from repro.core.config import SUBSTRATES
+from repro.core.engine import PushTapEngine
 from repro.format.binpack import compact_aligned_layout
 from repro.olap.operators import FilterOperation
 from repro.pim.pim_unit import Condition
@@ -29,6 +30,38 @@ def test_bench_pack_row(benchmark):
     }
     packed = benchmark(layout.pack_row, row)
     assert layout.unpack_row(packed) == row
+
+
+@pytest.fixture(scope="module")
+def fresh_engine():
+    """An engine no transaction has run on: its delta rows are free, so
+    the one-row benchmarks below may store into them."""
+    return PushTapEngine.build(scale=2e-5, block_rows=256)
+
+
+def test_bench_write_row(benchmark, fresh_engine):
+    """An inserted ORDERLINE row, as New-Order stores one per line."""
+    storage = fresh_engine.table("orderline").storage
+    row = storage.read_row(0, -1)
+    benchmark(storage.write_row, 0, -1, row)
+    assert storage.read_row(0, -1) == row
+
+
+def test_bench_write_columns(benchmark, fresh_engine):
+    """New-Order's STOCK update: the data slot installed as delta row 0
+    with three columns replaced."""
+    storage = fresh_engine.table("stock").storage
+    changes = {"s_quantity": 17, "s_ytd": 40, "s_order_cnt": 3}
+    benchmark(storage.write_columns, 0, -1, 0, changes)
+    assert storage.read_row(0, 0, list(changes)) == changes
+
+
+def test_bench_read_row(benchmark, fresh_engine):
+    """New-Order's STOCK read."""
+    storage = fresh_engine.table("stock").storage
+    columns = ["s_quantity", "s_ytd", "s_order_cnt"]
+    values = benchmark(storage.read_row, 0, -1, columns)
+    assert list(values) == columns
 
 
 def test_bench_layout_generation(benchmark):

@@ -102,8 +102,8 @@ class PushTapCluster:
         set across every shard-count cell); all other keyword arguments
         pass through to :meth:`PushTapEngine.build` for every shard.
         """
-        if shards < 1:
-            raise ConfigError("shards must be >= 1")
+        if type(shards) is not int or shards < 1:
+            raise ConfigError(f"shards must be an int >= 1, got {shards!r}")
         _check_interconnect(interconnect_ns)
         counts = dict(counts) if counts is not None else cluster_row_counts(
             scale, shards

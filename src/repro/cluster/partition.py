@@ -77,8 +77,8 @@ def cluster_row_counts(scale: float, num_shards: int) -> Dict[str, int]:
     data volume regardless of N, which is what makes the shard-count
     sweep a scaling experiment rather than a data-size one.
     """
-    if num_shards < 1:
-        raise ConfigError("num_shards must be >= 1")
+    if type(num_shards) is not int or num_shards < 1:
+        raise ConfigError(f"num_shards must be an int >= 1, got {num_shards!r}")
     counts = row_counts(scale)
     if num_shards == 1:
         return counts

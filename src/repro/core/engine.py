@@ -283,6 +283,10 @@ class PushTapEngine:
             {
                 "tables names unknown tables": [n for n in names if n not in schemas],
                 "counts lacks tables": [n for n in names if n not in counts],
+                "counts are not ints >= 1 for tables": [
+                    f"{n}: {c!r}" for n, c in counts.items()
+                    if n in names and (type(c) is not int or c < 1)
+                ],
             },
             controller_kind, extra_rows, defrag_period, ranks, block_rows,
         )

@@ -21,7 +21,7 @@ blocks that changed, and raises for rows past the region's allocated
 blocks). Because of the ADE alignment, whole-row movement is a column
 slice of the rank's byte matrix — ``rank.mem[:, addr:addr+W]`` is one
 row's slots on every device — so a row copy is one ``W``-byte item per
-device and part, a block of rows one strided store
+device and part, a block of rows one strided store per part
 (:meth:`TableStorage.write_column_rows`, from column arrays), a
 defragmentation pass one gather and one store of ``W``-byte items per
 part (:meth:`TableStorage.copy_rows`, through
@@ -39,7 +39,10 @@ into those plans once, so per row only the shape's plan runs:
 gather costs several times a slice, so it is not ``read_rows`` of one), an
 update's :meth:`TableStorage.write_columns` by encoding in schema order, one
 item copy per part for its source, then a changed run per ``flat`` slice.
-:meth:`TableStorage.write_row` stores a part per ADE slice.
+:meth:`TableStorage.write_row` gathers the row once through the layout's
+row plan for its rotation, then stores a part per ADE slice. An ``int`` in
+an int column is encoded by ``int.to_bytes`` (its ``OverflowError`` is
+:meth:`Column.encode`'s range check), any other value by ``Column.encode``.
 
 The one-row calls take a version the way the MVCC journal names it,
 ``(row_id, delta)``: ``delta ≥ 0`` is a delta-region row and −1 the
@@ -53,7 +56,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError, LayoutError, MemoryError_
+from repro.errors import ConfigError, LayoutError, MemoryError_, SchemaError
 from repro.format.circulant import BlockCirculantPlacement
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import Column, Value
@@ -199,13 +202,18 @@ class TableStorage:
         self.delta_bitmap_addr = allocator.alloc_block(
             max(1, ceil_div(delta_capacity_rows, 8)), align=self._bitmap_align()
         )
-        # Per part: row width and per-region block bases (whole-row stores).
+        # Per part: row width, per-region block bases (whole-row stores) and
+        # the offset of its columns in the layout's row plans.
         self._parts = tuple(
-            (part.row_width, (self._data_blocks[part.index], self._delta_blocks[part.index]))
-            for part in layout.parts
+            (part.row_width, (self._data_blocks[part.index], self._delta_blocks[part.index]), at)
+            for part, at in zip(layout.parts, layout.part_offsets)
         )
+        # A block's rotation is ``block % _rotations`` (one rotation, 0, without the circulant).
+        self._rotations = rank.num_devices if circulant else 1
+        # Per column in schema order: name, int width (0: bytes) and Column.encode.
+        self._codec = tuple((c.name, c.width * (c.kind == "int"), c.encode) for c in layout.schema)
         # Per part, the rank as W-byte items: a source copy is one item per device.
-        self._part_items = tuple(byte_runs(rank.mem, width)[:, :, 0] for width, _ in self._parts)
+        self._part_items = tuple(byte_runs(rank.mem, width)[:, :, 0] for width, _, _ in self._parts)
         # Per-column plans, shared by read_rows, read_column_values and the
         # row-shape plans: a column's runs are immutable once the layout
         # validates, so they are resolved on the first touch of the name.
@@ -236,21 +244,39 @@ class TableStorage:
     # ------------------------------------------------------------------
     # Row I/O (functional)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _encode(codec: Tuple, values: Dict[str, Value]) -> List[bytes]:
+        """``Column.encode`` of each ``codec`` column's value, in order: an
+        ``int`` in an int column straight through ``int.to_bytes``, whose
+        ``OverflowError`` is a value ``Column.encode`` rejects in its words."""
+        out = []
+        try:
+            for name, width, encode in codec:
+                v = values[name]
+                out.append(v.to_bytes(width, "little") if type(v) is int and width else encode(v))
+        except OverflowError:
+            encode(v)  # raises
+        return out
+
     def write_row(self, row_id: int, delta: int, values: Dict[str, Value]) -> None:
         """Pack and store a full row as version ``(row_id, delta)``:
-        :meth:`write_column_rows`' bytes for one row, one ``mem[:, lo:lo+W]
-        = flat[slot_plan]`` per part. The range is checked before the row
-        is encoded."""
+        :meth:`write_column_rows`' bytes for one row, one gather of the flat
+        row through the rotation's row plan, then one ``mem[:, lo:lo+W]``
+        store per part. The range is checked before the row is encoded; a
+        missing column or a bad value raises
+        :meth:`~repro.format.schema.TableSchema.encode_row`'s error."""
         region, row = self._locate(row_id, delta)
-        flat = np.frombuffer(
-            b"".join([*self.layout.schema.encode_row(values).values(), b"\x00"]),
-            dtype=np.uint8,
-        )
+        try:
+            raw = self._encode(self._codec, values)
+        except (KeyError, SchemaError):
+            self.layout.schema.encode_row(values)  # raises: missing columns before bad values
+            raise
         block, within = divmod(row, self.block_rows)
-        rotation = self.placement.rotation_of_block(block)
-        for index, (width, bases) in enumerate(self._parts):
+        flat = np.frombuffer(b"".join([*raw, b"\x00"]), dtype=np.uint8)
+        stored = flat[self.layout.row_plans[block % self._rotations]]
+        for width, bases, at in self._parts:
             lo = bases[region][block] + within * width
-            self.rank.mem[:, lo : lo + width] = flat[self.layout.slot_plan(index, rotation)]
+            self.rank.mem[:, lo : lo + width] = stored[:, at : at + width]
 
     def write_column_rows(
         self, region: str, start: int, columns: Dict[str, np.ndarray], n: int
@@ -262,7 +288,7 @@ class TableStorage:
         (:meth:`UnifiedLayout.encode_columns`) before any byte is stored.
         Within a circulant block the rotation is constant, so each
         (block, part) is one ADE-wide store — the rows' flat bytes
-        gathered through the part's rotated slot plan into
+        gathered through the part's columns of the rotation's row plan into
         ``mem[:, lo:hi]``, the same local range on every device (Fig. 6a).
         """
         capacity = self._region_capacity(region)
@@ -281,11 +307,11 @@ class TableStorage:
         while done < len(flat):
             block, within = divmod(start + done, self.block_rows)
             count = min(self.block_rows - within, len(flat) - done)
-            rotation = self.placement.rotation_of_block(block)
+            plan = self.layout.row_plans[block % self._rotations]
             chunk = flat[done : done + count]
-            for index, (width, bases) in enumerate(self._parts):
+            for width, bases, at in self._parts:
                 lo = bases[region_index][block] + within * width
-                packed = chunk[:, self.layout.slot_plan(index, rotation)]
+                packed = chunk[:, plan[:, at : at + width]]
                 mem[:, lo : lo + count * width] = packed.transpose(1, 0, 2).reshape(
                     num_devices, count * width
                 )
@@ -351,7 +377,7 @@ class TableStorage:
         if plan is None:
             plan = self._row_plan(shape)
         block, within = divmod(row, self.block_rows)
-        rotation = self.placement.rotation_of_block(block)
+        rotation = block % self._rotations
         flat = self.rank.flat
         out: Dict[str, Value] = {}
         for name, col, runs in plan:
@@ -385,7 +411,7 @@ class TableStorage:
         self._check_rows(region, rows)
         block, within = np.divmod(rows, self.block_rows)
         num_devices = self.rank.num_devices
-        rotation = block % num_devices if self.placement.enabled else block * 0
+        rotation = block % self._rotations
         region_index = 0 if region == Region.DATA else 1
         mem = self.rank.mem
         out: Dict[str, np.ndarray] = {}
@@ -406,12 +432,12 @@ class TableStorage:
         return out
 
     def _write_plan(self, shape: Tuple[str, ...]) -> Tuple:
-        """:meth:`write_columns`' plan for a shape, cached: ``(name, encoder,
-        runs)`` per changed column in schema order. An unknown name raises."""
+        """:meth:`write_columns`' plan for a shape, cached: the changed
+        columns' ``_codec`` entries in schema order, and their runs. An
+        unknown name raises."""
         runs = {name: (self._read_plans.get(name) or self._read_plan(name))[1] for name in shape}
-        self._write_plans[shape] = plan = tuple(
-            (col.name, col.encode, runs[col.name]) for col in self.layout.schema if col.name in runs
-        )
+        codec = tuple(entry for entry in self._codec if entry[0] in runs)
+        self._write_plans[shape] = plan = (codec, tuple(runs[name] for name, _, _ in codec))
         return plan
 
     def write_columns(
@@ -429,16 +455,13 @@ class TableStorage:
         ``src_delta == dst_delta`` — and each changed run is one ``flat`` slice.
         """
         shape = tuple(values)
-        plan = self._write_plans.get(shape)
-        if plan is None:
-            plan = self._write_plan(shape)
-        encoded = [(encode(values[name]), runs) for name, encode, runs in plan]
+        codec, column_runs = self._write_plans.get(shape) or self._write_plan(shape)
+        encoded = self._encode(codec, values)
         if src_delta != dst_delta:
             # Rotations before ranges, so a mismatch names any pair.
             src = row_id if src_delta == DATA_SLOT else src_delta
             dst = row_id if dst_delta == DATA_SLOT else dst_delta
-            rotation_of = self.placement.rotation_of_block
-            if rotation_of(src // self.block_rows) != rotation_of(dst // self.block_rows):
+            if (src // self.block_rows - dst // self.block_rows) % self._rotations:
                 names = (Region.DATA, Region.DELTA)
                 raise self._rotation_mismatch(
                     (names[src_delta != DATA_SLOT], src), (names[dst_delta != DATA_SLOT], dst)
@@ -448,13 +471,13 @@ class TableStorage:
         block, within = divmod(row, self.block_rows)
         if src_delta != dst_delta:
             src_block, src_within = divmod(src, self.block_rows)
-            for (width, bases), items in zip(self._parts, self._part_items):
+            for (width, bases, _), items in zip(self._parts, self._part_items):
                 lo = bases[src_region][src_block] + src_within * width
                 to = bases[region][block] + within * width
                 items[:, to] = items[:, lo]
-        rotation = self.placement.rotation_of_block(block)
+        rotation = block % self._rotations
         flat = self.rank.flat
-        for raw, runs in encoded:
+        for raw, runs in zip(encoded, column_runs):
             for _, _, col_offset, length, row_width, bases, _, at in runs:
                 a = at[rotation] + bases[region][block] + within * row_width
                 flat[a : a + length] = raw[col_offset : col_offset + length]
@@ -495,11 +518,11 @@ class TableStorage:
         self._check_rows(dst_region, dst)
         src_block, src_within = np.divmod(src, self.block_rows)
         dst_block, dst_within = np.divmod(dst, self.block_rows)
-        bad = np.flatnonzero((src_block - dst_block) % self.rank.num_devices)
-        if self.placement.enabled and bad.size:
+        bad = np.flatnonzero((src_block - dst_block) % self._rotations)
+        if bad.size:
             i = bad[0]
             raise self._rotation_mismatch((src_region, int(src[i])), (dst_region, int(dst[i])))
-        for index, (width, _) in enumerate(self._parts):
+        for index, (width, _, _) in enumerate(self._parts):
             src_addr = np.take(self._region_blocks(src_region, index), src_block)
             dst_addr = np.take(self._region_blocks(dst_region, index), dst_block)
             slots = byte_runs(self.rank.mem, width)

@@ -13,17 +13,18 @@ part, aligned to the ADE dimension. Columns are placed into slots as
   (observation 2 of §4.1.2).
 
 :class:`UnifiedLayout` validates the invariants and implements row
-packing/unpacking — the "data re-layout" function of §6.3 — twice: as a
-per-part *index plan* the storage layer gathers whole blocks through
-(:meth:`UnifiedLayout.slot_plan` over the flat byte matrix that
-:meth:`UnifiedLayout.encode_columns` builds from column arrays), and as the
-row-at-a-time :meth:`UnifiedLayout.pack_row` /
+packing/unpacking — the "data re-layout" function of §6.3 — twice: as one
+*index plan* per rotation the storage layer gathers rows through
+(:attr:`UnifiedLayout.row_plans`, every part side by side, over a flat row or
+the flat byte matrix that :meth:`UnifiedLayout.encode_columns` builds from
+column arrays), and as the row-at-a-time :meth:`UnifiedLayout.pack_row` /
 :meth:`UnifiedLayout.unpack_row` the tests hold it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -142,7 +143,8 @@ class UnifiedLayout:
         self.num_devices = num_devices
         self._runs: Dict[str, List[ColumnRun]] = {c.name: [] for c in schema}
         self._validate()
-        self._slot_plans = self._build_slot_plans()
+        # Per rotation, every part's flat-row index plan side by side (see below).
+        self.row_plans, self.part_offsets = self._build_row_plans()
 
     # ------------------------------------------------------------------
     # Validation
@@ -242,38 +244,29 @@ class UnifiedLayout:
     # ------------------------------------------------------------------
     # Packing / unpacking (the data re-layout function, §6.3)
     # ------------------------------------------------------------------
-    def _build_slot_plans(self) -> List[List[np.ndarray]]:
-        """Per part and rotation: which flat-row byte each stored byte is.
+    def _build_row_plans(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[int, ...]]:
+        """Per rotation: which flat-row byte each stored byte of a row is.
 
         A *flat row* is the row's encoded columns concatenated in schema
         order plus one zero sentinel byte, which every padding byte
-        points at. ``plans[part][rotation]`` has shape ``(devices,
-        row_width)``: entry ``[device, b]`` indexes the flat-row byte
-        stored at byte ``b`` of that device's slot. Rotation is constant
+        points at. ``plans[rotation]`` has shape ``(devices, Σ row_width)``:
+        entry ``[device, offsets[p] + b]`` indexes the flat-row byte stored
+        at byte ``b`` of that device's slot of part ``p``. Rotation is constant
         within a circulant block (§4.2), so one plan serves a whole block.
         """
-        offsets: Dict[str, int] = {}
-        cursor = 0
-        for col in self.schema:
-            offsets[col.name] = cursor
-            cursor += col.width
-        plans: List[List[np.ndarray]] = []
-        for part in self.parts:
-            base = np.full((self.num_devices, part.row_width), cursor, dtype=np.intp)
+        widths = [c.width for c in self.schema]
+        starts = dict(zip(self.schema.column_names, accumulate(widths, initial=0)))
+        sentinel = self.schema.row_bytes
+        offsets = list(accumulate((part.row_width for part in self.parts), initial=0))
+        base = np.full((self.num_devices, offsets[-1]), sentinel, dtype=np.intp)
+        for part, offset in zip(self.parts, offsets):
             for slot in part.slots:
                 for f in slot.fields:
-                    start = offsets[f.column] + f.col_offset
-                    base[slot.slot_index, f.slot_offset : f.slot_offset + f.length] = (
-                        np.arange(start, start + f.length)
-                    )
-            plans.append(
-                [np.roll(base, rotation, axis=0) for rotation in range(self.num_devices)]
-            )
-        return plans
-
-    def slot_plan(self, part_index: int, rotation: int) -> np.ndarray:
-        """The ``(devices, row_width)`` flat-row index plan of one part."""
-        return self._slot_plans[part_index][rotation]
+                    start = starts[f.column] + f.col_offset
+                    at = offset + f.slot_offset
+                    base[slot.slot_index, at : at + f.length] = np.arange(start, start + f.length)
+        plans = tuple(np.roll(base, rotation, axis=0) for rotation in range(self.num_devices))
+        return plans, tuple(offsets[:-1])
 
     def encode_columns(self, columns: Dict[str, np.ndarray], n: int) -> np.ndarray:
         """Encode ``n`` rows given as column arrays to a ``(n, row_bytes +
@@ -281,9 +274,9 @@ class UnifiedLayout:
 
         Int columns are integer arrays of ``n`` values, ``bytes`` columns
         ``(n, <= width)`` ``uint8`` matrices (NUL-padded to the width).
-        Each matrix row is a flat row (see :meth:`_build_slot_plans`):
-        indexing it with a :meth:`slot_plan` yields the stored bytes of
-        one part, padding zeroed. Rejects what :meth:`Column.encode`
+        Each matrix row is a flat row (see :meth:`_build_row_plans`):
+        indexing it with a part's columns of a row plan yields the
+        stored bytes of that part, padding zeroed. Rejects what :meth:`Column.encode`
         rejects in its words — with one range check per column instead of
         one per value.
         """

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import SchemaError
+from repro.errors import ConfigError, SchemaError
 from repro.format.schema import Column, TableSchema
 
 __all__ = [
@@ -372,8 +372,8 @@ def row_counts(scale: float) -> Dict[str, int]:
     warehouse→district→customer foreign keys stay consistent at any
     scale (the generators assign ``d_id = i % 10 + 1``).
     """
-    if scale <= 0:
-        raise SchemaError("scale must be positive")
+    if not 0 < scale < float("inf"):  # NaN fails both comparisons
+        raise ConfigError(f"scale must be a positive finite number, got {scale!r}")
     counts = {name: max(1, int(count * scale)) for name, count in PAPER_ROW_COUNTS.items()}
     counts["district"] = counts["warehouse"] * 10
     return counts

@@ -115,6 +115,26 @@ class TestPartition:
                 shards=4, counts=row_counts(SCALE), **ENGINE_KWARGS
             )
 
+    @pytest.mark.parametrize("num_shards", [2.5, 0, -1, True, "2"])
+    def test_cluster_row_counts_needs_an_int_shard_count(self, num_shards):
+        """A fractional shard count used to come back as 2.5 warehouses,
+        and ``build`` with given counts leaked a ``TypeError``."""
+        with pytest.raises(ConfigError, match=r"^num_shards must be an int >= 1, got "):
+            cluster_row_counts(SCALE, num_shards)
+        with pytest.raises(ConfigError, match=r"^shards must be an int >= 1, got "):
+            PushTapCluster.build(shards=num_shards, counts=cluster_row_counts(SCALE, 2))
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-4])
+    def test_bad_scale_rejected_before_any_shard_is_built(self, scale, monkeypatch):
+        import repro.cluster.cluster as cluster_module
+
+        def build_shard(*args, **kwargs):
+            raise AssertionError("a shard engine was built")
+
+        monkeypatch.setattr(cluster_module, "build_shard", build_shard)
+        with pytest.raises(ConfigError, match="^scale must be a positive finite number, got "):
+            PushTapCluster.build(shards=2, scale=scale, **ENGINE_KWARGS)
+
     @pytest.mark.parametrize("interconnect_ns", [-1.0, float("nan"), float("inf")])
     def test_bad_interconnect_rejected_before_any_shard_is_built(
         self, interconnect_ns, monkeypatch

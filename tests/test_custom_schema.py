@@ -159,9 +159,12 @@ class TestBuildCustom:
         ids=["negative", "bytes too long", "bytes for int", "int for bytes", "missing"],
     )
     def test_bad_rows_rejected_in_the_encoder_words(self, column, bad, text):
+        """The bulk load and a one-row insert (``write_row``) reject the
+        same row in ``Column.encode``'s words; the insert stores nothing."""
         from repro.errors import SchemaError
 
         rows = make_rows(accounts=40, history=10)
+        good = dict(rows["account"][3])
         if bad is None:
             del rows["account"][3][column]
         else:
@@ -171,6 +174,16 @@ class TestBuildCustom:
         with pytest.raises(SchemaError) as err:
             PushTapEngine.build_custom(schemas, keys, rows, block_rows=256)
         assert text in str(err.value)
+        engine = PushTapEngine.build_custom(
+            schemas, keys, make_rows(accounts=40, history=10), block_rows=256
+        )
+        before = engine.table("account").storage.rank.mem.copy()
+        row = dict(rows["account"][3], a_id=500)
+        with pytest.raises(SchemaError) as err:
+            engine.oltp.execute(lambda ctx: ctx.insert("account", row))
+        assert text in str(err.value)
+        assert np.array_equal(engine.table("account").storage.rank.mem, before)
+        engine.oltp.execute(lambda ctx: ctx.insert("account", dict(good, a_id=500)))
 
     def test_transactions_keep_the_custom_index(self):
         """Inserts and deletes on a custom table index and unindex its

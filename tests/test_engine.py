@@ -178,6 +178,24 @@ class TestBuildBoundary:
             PushTapEngine.build(scale=2e-5, block_rows=256, **kwargs)
         assert text in str(err.value)
 
+    @pytest.mark.parametrize("count", [-5, 0, 2.5, None, True])
+    def test_build_rejects_a_count_that_is_not_an_int_of_at_least_one(self, count):
+        """-5, 0 and 2.5 used to leak ``OverflowError``, ``TransactionError``
+        and ``TypeError`` from the loader."""
+        from repro.workloads.chbench import row_counts
+
+        counts = dict(row_counts(2e-5), stock=count)
+        with pytest.raises(ConfigError) as err:
+            PushTapEngine.build(block_rows=256, counts=counts)
+        assert str(err.value) == f"counts are not ints >= 1 for tables ['stock: {count!r}']"
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-4])
+    def test_build_rejects_a_scale_that_is_not_positive_and_finite(self, scale):
+        """NaN used to raise a bare ``ValueError`` and inf an ``OverflowError``."""
+        with pytest.raises(ConfigError) as err:
+            PushTapEngine.build(scale=scale, block_rows=256)
+        assert str(err.value) == f"scale must be a positive finite number, got {scale!r}"
+
     @pytest.mark.parametrize("block_rows", [0, -8, 12])
     def test_block_rows_fails_at_the_boundary(self, block_rows):
         """Both builders refuse a block size that is not a positive

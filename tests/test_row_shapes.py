@@ -19,7 +19,13 @@ from repro.core.storage import TableStorage
 from repro.errors import SchemaError, TransactionError
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.manager import MVCCManager
-from tests.test_device_image import make_storage, make_table, random_row, table_shapes
+from tests.test_device_image import (
+    OracleStorage,
+    make_storage,
+    make_table,
+    random_row,
+    table_shapes,
+)
 from tests.test_scale_ladder import TXN_MIX
 
 SHAPE = (
@@ -105,6 +111,71 @@ class TestACachedShapeStillChecksItsValues:
             assert np.array_equal(storage.rank.mem, before)
         with pytest.raises(SchemaError, match="too long for column 'z'"):
             storage.write_columns(3, src, -1, {"b": 2, "z": b"r" * 10})
+        assert np.array_equal(storage.rank.mem, before)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize(
+        "value",
+        [True, "max", "max + 1", -1, np.int64(3), 1.0, b"\x01"],
+        ids=["True", "max_int", "max_int + 1", "-1", "np.int64", "float", "bytes"],
+    )
+    def test_one_row_writes_encode_as_column_encode(self, width, value):
+        """``write_row`` and ``write_columns`` (in place and with a copy)
+        store what ``Column.encode`` yields for an int column of any width
+        — including the 3, 5 and 6 no ``struct`` code covers — or raise its
+        exact error and store nothing."""
+        column = Column("v", width)
+        value = {"max": column.max_int, "max + 1": column.max_int + 1}.get(value, value)
+        shape = (
+            TableSchema.of("orders", [Column("a", 4), column, Column("z", 9, "bytes")]),
+            ["a"], 8, True,
+        )
+        self.same_as_column_encode(shape, "v", value)
+
+    @pytest.mark.parametrize("value", [bytearray(b"ab"), b"", 7, "ab"])
+    def test_a_bytes_column_encodes_as_column_encode(self, value):
+        self.same_as_column_encode(SHAPE, "z", value)
+
+    @staticmethod
+    def same_as_column_encode(shape, name, value):
+        """Each one-row write of ``value`` to column ``name`` leaves the image
+        the per-slot oracle (``Column.encode`` per value) leaves, or raises
+        ``Column.encode``'s error and stores nothing."""
+        column = shape[0].column(name)
+        try:
+            raw, error = column.encode(value), None
+        except SchemaError as err:
+            raw, error = None, str(err)
+        good = {c.name: c.decode(bytes(c.width)) for c in shape[0]}
+        storages = [make_storage(cls, shape, 32, 16) for cls in (TableStorage, OracleStorage)]
+        for storage in storages:
+            storage.write_row(3, -1, good)
+        writes = [
+            ((4, -1), lambda s: s.write_row(4, -1, dict(good, **{name: value}))),
+            ((3, -1), lambda s: s.write_columns(3, -1, -1, {name: value})),
+            ((3, 5), lambda s: s.write_columns(3, -1, 5, {name: value})),
+        ]
+        for (row, delta), write in writes:
+            before = storages[0].rank.mem.copy()
+            if error is not None:
+                with pytest.raises(SchemaError) as err:
+                    write(storages[0])
+                assert str(err.value) == error
+                assert np.array_equal(storages[0].rank.mem, before)
+                continue
+            for storage in storages:
+                write(storage)
+            assert np.array_equal(storages[0].rank.mem, storages[1].rank.mem)
+            assert storages[0].read_row(row, delta, [name]) == {name: column.decode(raw)}
+
+    def test_write_row_names_missing_columns_before_a_bad_value(self):
+        """As ``TableSchema.encode_row``: a missing column is named even when
+        an earlier column's value is bad, and nothing is stored."""
+        storage = storage_with_a_row()
+        before = storage.rank.mem.copy()
+        for row in ({"a": -1, "b": 1}, {"a": 1.0, "b": 1}, {"a": 1, "b": 1 << 16}):
+            with pytest.raises(SchemaError, match=r"missing columns \['z'\]$"):
+                storage.write_row(4, -1, row)
         assert np.array_equal(storage.rank.mem, before)
 
     def test_encode_errors_follow_schema_order(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchemaError
+from repro.errors import ConfigError, SchemaError
 from repro.experiments.baselines import PINS
 from repro.workloads import chbench as ch
 from repro.workloads import htapbench as hb
@@ -104,8 +104,9 @@ class TestRowCounts:
         assert all(v >= 1 for v in counts.values())
 
     def test_bad_scale(self):
-        with pytest.raises(SchemaError):
-            ch.row_counts(0)
+        for scale in (0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="^scale must be a positive finite number"):
+                ch.row_counts(scale)
 
 
 def whole_table(table, counts, seed=7, block_rows=1024):
