@@ -10,11 +10,11 @@
    and its memory/compute/control-bound classification.
 
 The result is one deterministic, JSON-ready snapshot
-(``baselines/roofline.json`` pins the full sweep) with per-substrate ceilings, achieved-vs-ceiling points, saturation
-fits, a bottleneck ranking, row-buffer hit/miss/conflict lanes, and a
-trace consistency check: each operator's effective bandwidth must match
-``dram_bytes / Σ(pim.phase.load)`` over its load-phase child spans in
-the same run.
+(``baselines/roofline.json`` pins the full sweep) with per-substrate
+ceilings, achieved-vs-ceiling points, saturation fits, a bottleneck
+ranking, and a span-tree consistency check: each operator's effective
+bandwidth must match ``dram_bytes / Σ(pim.phase.load)`` over its
+load-phase child spans in the same run.
 """
 
 from __future__ import annotations
@@ -95,20 +95,10 @@ def _sweep_operators(
             engine.olap.join(build, probe, timing)
             for metrics in engine.olap.roofline_log[mark:]:
                 operators.append({"rows": rows, **metrics.as_dict()})
-        engine.publish_rowbuffer_telemetry()
-        rowbuffer = {
-            name: counter.value
-            for name, counter in sorted(registry.counters.items())
-            if ".rowbuffer." in name
-        }
         trace_check = _trace_consistency(registry)
     finally:
         telemetry.disable()
-    return {
-        "operators": operators,
-        "rowbuffer": rowbuffer,
-        "trace_check": trace_check,
-    }
+    return {"operators": operators, "trace_check": trace_check}
 
 
 def _trace_consistency(
@@ -192,7 +182,7 @@ def run_roofline(
     sizes = sorted(set(sizes))
     micro_sizes = sorted(set(micro_sizes))
     snapshot: Dict[str, object] = {
-        "bench_roofline_version": 1,
+        "bench_roofline_version": 2,
         "params": {
             "substrates": names,
             "sizes": list(sizes),
@@ -204,7 +194,6 @@ def run_roofline(
         "fits": {},
         "operators": {},
         "bottlenecks": {},
-        "rowbuffer": {},
         "trace_check": {},
     }
     for name in names:
@@ -227,7 +216,6 @@ def run_roofline(
         snapshot["bottlenecks"][name] = _bottlenecks(
             sweep["operators"], max(sizes)
         )
-        snapshot["rowbuffer"][name] = sweep["rowbuffer"]
         snapshot["trace_check"][name] = sweep["trace_check"]
     return snapshot
 

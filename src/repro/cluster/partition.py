@@ -121,6 +121,9 @@ def build_shard(
     its partition's column blocks first (capacities are sized from them)
     and hands them to the same :meth:`TableRuntime.load_columns`.
     """
+    for name, value in (("shard", shard), ("num_shards", num_shards)):
+        if type(value) is not int:
+            raise ConfigError(f"{name} must be an int, got {value!r}")
     if not 0 <= shard < num_shards:
         raise ConfigError(f"shard {shard} outside [0, {num_shards})")
     if counts["warehouse"] < num_shards:

@@ -81,10 +81,6 @@ class DRAMTimings:
         """Latency of a read that hits the open row buffer."""
         return self.tCL + self.tBURST
 
-    def row_miss_read_latency(self) -> float:
-        """Latency of a read to a closed bank (activate + read)."""
-        return self.tRCD + self.tCL + self.tBURST
-
     def row_conflict_read_latency(self) -> float:
         """Latency of a read that must close another open row first."""
         return self.tRP + self.tRCD + self.tCL + self.tBURST

@@ -775,40 +775,6 @@ class PushTapEngine:
         """PIM units across all simulated ranks."""
         return sum(len(units) for units in self.rank_units)
 
-    def publish_rowbuffer_telemetry(self) -> None:
-        """Drain row-buffer shadow stats into per-lane telemetry counters.
-
-        Each PIM unit's bank lane becomes ``pim.rowbuffer.rR.devDD.bankBB.*``
-        and each OLTP table ``oltp.rowbuffer.<table>.*`` with hits /
-        misses / conflicts / bytes counters. Stats accumulate only while
-        the registry's ``roofline`` flag is on; draining resets the
-        shadows so repeated publishes never double-count.
-        """
-        tel = telemetry.active()
-        if not tel.enabled:
-            return
-        from repro.pim.timing import AccessStats
-
-        def _publish(lane: str, stats: AccessStats) -> None:
-            tel.counter(f"{lane}.hits").inc(stats.hits)
-            tel.counter(f"{lane}.misses").inc(stats.misses)
-            tel.counter(f"{lane}.conflicts").inc(stats.conflicts)
-            tel.counter(f"{lane}.bytes").inc(stats.bytes_transferred)
-
-        for rank_idx, units in enumerate(self.rank_units):
-            for (dev, bank), unit in sorted(units.items()):
-                model = unit.rowbuffer
-                if model is None or model.stats.accesses == 0:
-                    continue
-                _publish(f"pim.rowbuffer.r{rank_idx}.dev{dev:02d}.bank{bank:02d}",
-                         model.stats)
-                model.stats = AccessStats()
-        for table, model in sorted(self.oltp.rowbuffers.items()):
-            if model.stats.accesses == 0:
-                continue
-            _publish(f"oltp.rowbuffer.{table}", model.stats)
-            model.stats = AccessStats()
-
     def memory_bytes(self) -> Dict[str, int]:
         """Host memory by layer, in bytes: the MVCC per-row arrays and
         journals, the snapshot bitmaps and the WRAM matrices; and

@@ -458,10 +458,12 @@ class TableStorage:
         codec, column_runs = self._write_plans.get(shape) or self._write_plan(shape)
         encoded = self._encode(codec, values)
         if src_delta != dst_delta:
-            # Rotations before ranges, so a mismatch names any pair.
+            # Rotations before ranges, so a mismatch names any pair; a
+            # negative row has no block, so its range check names it.
             src = row_id if src_delta == DATA_SLOT else src_delta
             dst = row_id if dst_delta == DATA_SLOT else dst_delta
-            if (src // self.block_rows - dst // self.block_rows) % self._rotations:
+            rows = self.block_rows
+            if min(src, dst) >= 0 and (src // rows - dst // rows) % self._rotations:
                 names = (Region.DATA, Region.DELTA)
                 raise self._rotation_mismatch(
                     (names[src_delta != DATA_SLOT], src), (names[dst_delta != DATA_SLOT], dst)
@@ -531,9 +533,8 @@ class TableStorage:
     def _rotation_mismatch(self, src: Tuple[str, int], dst: Tuple[str, int]) -> LayoutError:
         """A copy's rotation mismatch, naming the table and the first bad
         (source, destination) pair, each a ``(region, row)``."""
-        rotation = self.placement.rotation_of_block
         named = " -> ".join(
-            f"{region} row {row} (rotation {rotation(row // self.block_rows)})"
+            f"{region} row {row} (rotation {row // self.block_rows % self._rotations})"
             for region, row in (src, dst)
         )
         return LayoutError(

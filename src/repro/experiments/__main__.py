@@ -270,8 +270,8 @@ def roofline(argv) -> int:
         "end OLAP operators across hardware substrates, classify each "
         "operator as memory/compute/control-bound against the "
         "substrate's bandwidth ceilings, cross-check the accounting "
-        "against the exported Chrome trace, and optionally write the "
-        "snapshot as JSON.",
+        "against the run's span tree, and optionally write the snapshot "
+        "as JSON.",
     )
     parser.derive({
         "--substrates": ("substrates", "substrates to sweep (None: all registered)", sorted(SUBSTRATES)),

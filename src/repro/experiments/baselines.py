@@ -143,13 +143,13 @@ def seven_query_state(observed: bool) -> str:
     """Rows, total time and every scan-timing field of :data:`SEVEN_QUERIES`
     on ``build(2e-5, seed 7)`` after 180 driver transactions and no defrag,
     so delta blocks are scanned too. ``observed`` runs them under telemetry
-    with the roofline and detail-span flags on and adds the roofline log,
-    the per-unit lane spans and every unit's row-buffer counters."""
+    with the roofline flag on and adds the roofline log and the per-unit
+    lane spans."""
     telemetry.disable()
     engine = PushTapEngine.build(scale=2e-5, seed=7, defrag_period=0)
     engine.run_transactions(180)
     registry = telemetry.MetricsRegistry()
-    registry.roofline = registry.detail_spans = True
+    registry.roofline = True
     if observed:
         telemetry.enable(registry)
     try:
@@ -167,13 +167,9 @@ def seven_query_state(observed: bool) -> str:
         [s.name, s.start, s.duration, [list(a) for a in s.attrs]]
         for s in registry.spans if s.name in ("pim.unit.load", "pim.unit.compute")
     ]
-    rowbuffers = [
-        [list(key), dataclasses.asdict(unit.rowbuffer.stats)]
-        for key, unit in sorted(engine.units.items()) if unit.rowbuffer is not None
-    ]
     roofline = [m.as_dict() for m in engine.olap.roofline_log]
-    assert lanes and rowbuffers and roofline
-    return json.dumps([record, roofline, lanes, rowbuffers], sort_keys=True)
+    assert lanes and roofline
+    return json.dumps([record, roofline, lanes], sort_keys=True)
 
 
 #: Pin name → the call that recomputes its digest (the ``pins`` row).

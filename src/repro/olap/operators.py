@@ -70,7 +70,6 @@ from repro.pim.pim_unit import (
 )
 from repro.pim.requests import LaunchRequest, OpType
 from repro.pim.timing import stream_time
-from repro.telemetry import registry as telemetry
 from repro.units import ceil_div
 
 __all__ = [
@@ -342,7 +341,7 @@ class _ScanPlan:
     def _block_costs(self, unit: PIMUnit, cls: type, bitmap_bytes: int, num_rows: int) -> tuple:
         """``(bank bytes touched, DRAM bytes moved, load-time terms, compute
         time)`` of one block of ``num_rows`` rows — shape alone decides."""
-        touched, moved, _, load_time = unit.strided_cost(
+        touched, moved, load_time = unit.strided_cost(
             num_rows * self.width, self.stride, self.piece
         )
         bitmap_time = _stream_time(unit, bitmap_bytes)
@@ -454,9 +453,6 @@ class _ColumnScanOperation:
             if extra is not None:
                 self._write(batch, "aux", extra)
                 self.cpu_transfer_bytes += extra.size
-        tel = telemetry.active()
-        if tel.enabled and tel.roofline:
-            self._track_rows(chunk)
         charges = plan.charges[chunk]
         self.units.counts[plan.unit_rows, 0] += charges.read_bytes
         _charge(self.units.times, plan.unit_rows, 0, charges.load_terms)
@@ -466,25 +462,6 @@ class _ColumnScanOperation:
     def _aux_block(self, batch: _Batch) -> Optional[np.ndarray]:
         """Operator-specific ``(blocks, bytes)`` extra data to stage."""
         return None
-
-    def _track_rows(self, chunk: int) -> None:
-        """Show each unit's row-buffer shadow this phase's column loads,
-        in slot order — a per-block walk, taken only under the telemetry
-        registry's ``roofline`` flag."""
-        units = {unit.unit_id: unit for unit in self._plan.units}
-        blocks = sorted(
-            (row, base, addr, batch.num_rows)
-            for batch in self._plan.batches[chunk]
-            for row, base, addr in zip(
-                batch.unit_rows.tolist(), batch.base.tolist(), batch.addr.tolist()
-            )
-        )
-        for row, _, addr, count in blocks:
-            unit = units[row]
-            _, moved, span, _ = unit.strided_cost(
-                count * self.width, self._plan.stride, self._plan.piece
-            )
-            unit.track_rows(addr - unit.bank.start, span, moved=moved)
 
     def compute(self, chunk: int) -> List[float]:
         """Run the operation's kernel over this phase's staged blocks."""

@@ -21,7 +21,7 @@ from repro.faults import plan as fault_plan
 from repro.format.schema import Value
 from repro.oltp.formats import AccessFormatModel
 from repro.oltp.index import PROBE_LINES
-from repro.pim.timing import BankTimingModel, random_line_time
+from repro.pim.timing import random_line_time
 from repro.telemetry import registry as telemetry
 
 __all__ = [
@@ -129,13 +129,11 @@ class TxnContext:
         self.rows_written = 0
         self._written_lines = 0
         # Per-transaction hoists of the per-access lookups: the cost
-        # constants, the charge memo and the roofline telemetry decision are
-        # fixed for the transaction's lifetime, so resolving them once here
-        # keeps them out of the per-row loop.
+        # constants and the charge memo are fixed for the transaction's
+        # lifetime, so resolving them once here keeps them out of the
+        # per-row loop.
         self._cost = engine.cost
         self._charges = engine.access_charges
-        tel = telemetry.active()
-        self._roofline = bool(tel.enabled and tel.roofline)
 
     # ------------------------------------------------------------------
     # Index operations
@@ -166,7 +164,7 @@ class TxnContext:
         # the simulated cost model already charges by touched lines via
         # _account_access; this keeps the *host* cost proportional too.
         row = runtime.storage.read_row(row_id, delta, columns)
-        self._account_access(table, columns, write=False, row_id=row_id)
+        self._account_access(table, columns, write=False)
         self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_read += 1
         return row
@@ -186,7 +184,7 @@ class TxnContext:
         self.breakdown.chain += chain_len * self._cost.chain_entry_ns
         self.breakdown.alloc += self._cost.alloc_ns
         # Writing a version writes the whole row (new delta row).
-        self._account_access(table, None, write=True, row_id=row_id)
+        self._account_access(table, None, write=True)
         self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_written += 1
 
@@ -195,7 +193,7 @@ class TxnContext:
         runtime = self.engine.db.table(table)
         self.breakdown.alloc += self._cost.alloc_ns
         row_id = runtime.insert_row(self.ts, values)
-        self._account_access(table, None, write=True, row_id=row_id)
+        self._account_access(table, None, write=True)
         self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_written += 1
         if runtime.index is not None:
@@ -207,7 +205,7 @@ class TxnContext:
         runtime = self.engine.db.table(table)
         chain_len = runtime.delete_row(row_id, self.ts)
         self.breakdown.chain += chain_len * self._cost.chain_entry_ns
-        self._account_access(table, None, write=True, row_id=row_id)
+        self._account_access(table, None, write=True)
         self.breakdown.compute += self._cost.compute_per_op_ns
         self.rows_written += 1
         if runtime.index is not None:
@@ -231,7 +229,6 @@ class TxnContext:
         table: str,
         columns: Optional[Sequence[str]],
         write: bool,
-        row_id: int = -1,
     ) -> None:
         key = (table, None if columns is None else tuple(columns))
         charge = self._charges.get(key) or self.engine.access_charge(key)
@@ -240,8 +237,6 @@ class TxnContext:
         self.breakdown.relayout += relayout_ns
         if write:
             self._written_lines += lines
-        if self._roofline and row_id >= 0:
-            self.engine.track_rowbuffer(table, row_id, lines, write)
 
     # ------------------------------------------------------------------
     # Commit
@@ -336,11 +331,9 @@ class OLTPEngine:
         self.format_model = format_model
         self.config = config
         self.cost = cost
-        #: Modelled latency of one random cache-line access.
+        #: Modelled latency of one random cache-line access, priced as a
+        #: row conflict (DESIGN.md §4 bounds what that overstates).
         self.line_ns = random_line_time(1, config.timings)
-        #: Per-table row-buffer shadow models (roofline observability).
-        #: Populated lazily while the telemetry ``roofline`` flag is on.
-        self.rowbuffers: Dict[str, BankTimingModel] = {}
         #: Each transaction is accounted once, where it commits or aborts:
         #: ``committed`` is the engine's one commit count, ``busy_time`` its
         #: OLTP time; ``total_time`` and ``breakdown`` cover commits only.
@@ -381,26 +374,6 @@ class OLTPEngine:
                 model.relayout_bytes(table, columns) * self.cost.relayout_per_byte_ns,
             )
         return charge
-
-    def track_rowbuffer(self, table: str, row_id: int, lines: int, write: bool) -> None:
-        """Feed one row access into the table's row-buffer shadow model.
-
-        Active only while the telemetry registry's ``roofline`` flag is
-        on (zero overhead otherwise). The DRAM row is derived from the
-        row's byte position in the table's base layout — a proxy for the
-        physical placement that preserves locality structure: adjacent
-        row ids share DRAM rows, scattered ones conflict.
-        """
-        tel = telemetry.active()
-        if row_id < 0 or not (tel.enabled and tel.roofline):
-            return
-        model = self.rowbuffers.get(table)
-        if model is None:
-            model = self.rowbuffers[table] = BankTimingModel(self.config.timings)
-        geom = self.config.geometry
-        row_bytes = self.access_charge((table, None))[0] * geom.cache_line_bytes
-        dram_row = (row_id * row_bytes) // geom.row_buffer_bytes
-        model.access(dram_row, lines * geom.cache_line_bytes, write)
 
     def execute(self, txn: Callable[[TxnContext], None]) -> TxnResult:
         """Run ``txn`` to commit; returns its timing.

@@ -320,7 +320,7 @@ class TwoPhaseExecutor:
     @staticmethod
     def _record_phase(tel, kind, duration, chunk, op_name, units, unit_times) -> None:
         """One ``pim.phase.<kind>`` span, then (with the registry's
-        ``detail_spans`` flag, which the profiler sets) its per-unit lanes.
+        ``roofline`` flag, which the profiler sets) its per-unit lanes.
 
         Units run concurrently, so each lane starts with the phase, lasts
         its own time and names the phase as parent; explicit starts keep
@@ -328,7 +328,7 @@ class TwoPhaseExecutor:
         """
         parent = len(tel.spans)
         phase = tel.record_span(f"pim.phase.{kind}", duration, {"chunk": chunk, "op": op_name})
-        if not tel.detail_spans:
+        if not tel.roofline:
             return
         for unit, unit_time in zip(units, unit_times):
             if unit_time <= 0.0:

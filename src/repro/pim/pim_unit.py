@@ -42,8 +42,7 @@ from repro.core.config import DRAMTimings, DeviceGeometry, PIMUnitConfig
 from repro.errors import MemoryError_, ProtocolError
 from repro.pim.device import Bank
 from repro.pim.memory import Rank, byte_runs
-from repro.pim.timing import BankTimingModel, stream_time
-from repro.telemetry import registry as telemetry
+from repro.pim.timing import stream_time
 from repro.units import ceil_div
 
 __all__ = [
@@ -248,53 +247,6 @@ class PIMUnit:
         self.wram = wram
         self.stats = stats if stats is not None else PIMUnitStats()
         self.busy = False
-        #: Row-buffer shadow model (hit/miss/conflict accounting for this
-        #: bank's DRAM traffic). Created lazily on the first tracked
-        #: access while the telemetry registry's ``roofline`` flag is on;
-        #: stays ``None`` — zero overhead — otherwise.
-        self.rowbuffer: "BankTimingModel | None" = None
-
-    # ------------------------------------------------------------------
-    # Row-buffer shadow tracking (roofline observability)
-    # ------------------------------------------------------------------
-    def track_rows(self, dram_addr: int, span: int, moved: "int | None" = None) -> None:
-        """Feed one contiguous bank read into the row-buffer shadow.
-
-        ``span`` is the address range touched; ``moved`` the bytes
-        actually transferred (defaults to the span). The span is
-        collapsed to one access per touched DRAM row — a streaming
-        access opens each row once — with the transferred bytes charged
-        to the run as a whole.
-        """
-        tel = telemetry.active()
-        if not (tel.enabled and tel.roofline) or span <= 0:
-            return
-        if self.rowbuffer is None:
-            self.rowbuffer = BankTimingModel(self.timings)
-        rb = self.geometry.row_buffer_bytes
-        first = dram_addr // rb
-        last = (dram_addr + span - 1) // rb
-        moved = span if moved is None else moved
-        for row in range(first, last + 1):
-            self.rowbuffer.access(row, moved if row == first else 0)
-
-    def _track_row_list(self, addrs, width: int, write: bool = False) -> None:
-        """Feed scattered row-granularity accesses into the shadow model."""
-        tel = telemetry.active()
-        if not (tel.enabled and tel.roofline) or len(addrs) == 0:
-            return
-        if self.rowbuffer is None:
-            self.rowbuffer = BankTimingModel(self.timings)
-        rb = self.geometry.row_buffer_bytes
-        rows = np.asarray(addrs, dtype=np.int64) // rb
-        # Collapse consecutive repeats: same-row back-to-back accesses
-        # would all be hits, which one access already represents.
-        keep = np.ones(len(rows), dtype=bool)
-        keep[1:] = rows[1:] != rows[:-1]
-        collapsed = rows[keep]
-        per_access = len(addrs) * max(width, 1) // max(len(collapsed), 1)
-        for row in collapsed:
-            self.rowbuffer.access(int(row), per_access, write)
 
     # ------------------------------------------------------------------
     # WRAM access
@@ -342,7 +294,7 @@ class PIMUnit:
         if chunk <= 0 or stride < chunk:
             raise ProtocolError(f"invalid stride/chunk {stride}/{chunk}")
         self._check_wram(wram_offset, length)
-        extent, moved, span, time = self.strided_cost(length, stride, chunk)
+        extent, moved, time = self.strided_cost(length, stride, chunk)
         # One read up to the last byte any piece touches (so the bank
         # bounds check covers exactly the bytes gathered), then — unless
         # the pieces are contiguous — a strided gather.
@@ -354,27 +306,25 @@ class PIMUnit:
             ).reshape(-1)[:length]
             out = out[idx]
         self.wram[wram_offset : wram_offset + length] = out
-        self.track_rows(dram_addr, span, moved=moved)
         self.stats.dram_bytes_read += moved
         self.stats.load_time += time
         return time
 
     def strided_cost(
         self, length: int, stride: int, chunk: int
-    ) -> Tuple[int, int, int, float]:
-        """``(extent, moved, span, time)`` of one :meth:`load_strided` — a
+    ) -> Tuple[int, int, float]:
+        """``(extent, moved, time)`` of one :meth:`load_strided` — a
         function of the shape alone: bank bytes from the first to the last
-        one read, DRAM bytes moved at the access granularity, address
-        range the row-buffer shadow sees, modelled ns."""
+        one read, DRAM bytes moved at the access granularity, modelled
+        ns."""
         granule = self.config.access_granularity
         if stride == chunk:
-            extent, moved, span = length, max(length, granule), length
+            extent, moved = length, max(length, granule)
         else:
             pieces = ceil_div(length, chunk)
-            reach = (pieces - 1) * stride
-            extent = reach + length - (pieces - 1) * chunk
-            moved, span = pieces * max(granule, chunk), reach + chunk
-        return extent, moved, span, self._dram_time(moved)
+            extent = (pieces - 1) * (stride - chunk) + length
+            moved = pieces * max(granule, chunk)
+        return extent, moved, self._dram_time(moved)
 
     def _dram_time(self, moved: int) -> float:
         """DRAM-side transfer time, capped by the unit's bandwidth spec."""
@@ -531,8 +481,6 @@ class PIMUnit:
             base = self.bank.start
             slots[base + dst] = slots[base + src]
         granule = self.config.access_granularity
-        self._track_row_list(src_addrs, max(width, granule), write=False)
-        self._track_row_list(dst_addrs, max(width, granule), write=True)
         moved = 2 * len(src_addrs) * max(width, granule)
         time = self._dram_time(moved)
         self.stats.dram_bytes_read += moved // 2

@@ -105,50 +105,11 @@ def to_csv(registry: MetricsRegistry) -> str:
     return buf.getvalue()
 
 
-def _rowbuffer_rows(counters: Dict[str, Counter]) -> List[List[str]]:
-    """Group ``*.rowbuffer.<lane>.*`` counters into per-lane rate rows."""
-    lanes: Dict[str, Dict[str, float]] = {}
-    for name, counter in counters.items():
-        if ".rowbuffer." not in name:
-            continue
-        lane, _, metric = name.rpartition(".")
-        if metric in ("hits", "misses", "conflicts", "bytes"):
-            lanes.setdefault(lane, {})[metric] = counter.value
-    rows: List[List[str]] = []
-    for lane, stats in sorted(lanes.items()):
-        hits = stats.get("hits", 0)
-        misses = stats.get("misses", 0)
-        conflicts = stats.get("conflicts", 0)
-        accesses = hits + misses + conflicts
-        if accesses <= 0:
-            continue
-        rows.append(
-            [
-                lane,
-                f"{accesses:,.0f}",
-                f"{hits / accesses:.1%}",
-                f"{misses / accesses:.1%}",
-                f"{conflicts / accesses:.1%}",
-                f"{stats.get('bytes', 0):,.0f}",
-            ]
-        )
-    return rows
-
-
 def render_report(registry: MetricsRegistry) -> str:
     """Human-readable summary of a registry (the CLI's output)."""
     from repro.report import format_table, format_time_ns
 
     sections: List[str] = []
-    rowbuffer_rows = _rowbuffer_rows(registry.counters)
-    if rowbuffer_rows:
-        sections.append("row buffer (per lane):")
-        sections.append(
-            format_table(
-                ["lane", "accesses", "hit", "miss", "conflict", "bytes"],
-                rowbuffer_rows,
-            )
-        )
     if registry.counters:
         sections.append("counters:")
         sections.append(

@@ -65,16 +65,13 @@ class MetricsRegistry:
         self._sim_cursor = 0.0
         #: Open :meth:`span` frames, innermost last.
         self._frames: List[_Frame] = []
-        #: When true, instrumented layers may emit fine-grained spans
-        #: (e.g. per-PIM-unit load/compute) that are too voluminous for
-        #: ordinary metric dumps. The profiler turns this on.
-        self.detail_spans = False
-        #: When true, instrumented layers emit roofline accounting —
-        #: per-operator bandwidth/op-intensity counters, extended span
-        #: attributes, and row-buffer shadow tracking. Off by default so
-        #: the telemetry dump that ``pins.serve_state`` hashes stays
-        #: bit-identical; the ``roofline`` subcommand and the observed
-        #: seven-query pin turn it on.
+        #: When true, instrumented layers emit roofline detail: each PIM
+        #: phase's per-unit load/compute spans, and per-operator DRAM
+        #: bytes, elements and bound counters with the matching span
+        #: attributes. Off by default so the telemetry dump that
+        #: ``pins.serve_state`` hashes stays bit-identical; the profiler,
+        #: the ``roofline`` subcommand and the observed seven-query pin
+        #: turn it on.
         self.roofline = False
 
     # ------------------------------------------------------------------
@@ -177,7 +174,6 @@ class NoopRegistry:
     histograms: Dict[str, Histogram] = {}
     spans: List[SpanEvent] = []
     sim_time = 0.0
-    detail_spans = False
     roofline = False
 
     def counter(self, name: str) -> "Counter":

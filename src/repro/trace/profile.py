@@ -78,7 +78,7 @@ def run_profile(
         defrag_period=defrag_period,
     )
     registry = MetricsRegistry()
-    registry.detail_spans = True
+    registry.roofline = True
     telemetry.install(registry)
     try:
         simulated = _run_workload(

@@ -124,6 +124,25 @@ class TestPartition:
         with pytest.raises(ConfigError, match=r"^shards must be an int >= 1, got "):
             PushTapCluster.build(shards=num_shards, counts=cluster_row_counts(SCALE, 2))
 
+    @pytest.mark.parametrize("argument", ["shard", "num_shards"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_build_shard_needs_int_arguments(self, argument, value, monkeypatch):
+        """A fractional shard count used to build a shard holding 1 of 4
+        warehouses, because the row filter kept ``(w - 1) % 2.5 == 0``."""
+        import repro.cluster.partition as partition_module
+
+        class _NoBuild:
+            @staticmethod
+            def build(*args, **kwargs):
+                raise AssertionError("a shard engine was built")
+
+        monkeypatch.setattr(partition_module, "PushTapEngine", _NoBuild)
+        arguments = {"shard": 0, "num_shards": 2, argument: value}
+        with pytest.raises(ConfigError, match=rf"^{argument} must be an int, got "):
+            partition_module.build_shard(
+                counts=cluster_row_counts(SCALE, 4), block_rows=256, **arguments
+            )
+
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-4])
     def test_bad_scale_rejected_before_any_shard_is_built(self, scale, monkeypatch):
         import repro.cluster.cluster as cluster_module

@@ -450,12 +450,22 @@ class TestFailBeforeWriting:
              "delta row 16 out of range [0, 16)"),
             (lambda s: s.copy_rows(Region.DELTA, [0, 1], Region.DATA, [0, 32]),
              "data row 32 out of range [0, 32)"),
+            (lambda s: s.write_columns(3, -9, -1, {"a": 1}),
+             "delta row -9 out of range [0, 16)"),
+            (lambda s: s.write_columns(3, -1, -9, {}), "delta row -9 out of range [0, 16)"),
+            (lambda s: s.write_columns(-9, -1, 3, {}), "data row -9 out of range [0, 32)"),
         ],
-        ids=["read_row", "read_rows", "copy_rows src", "copy_rows dst"],
+        ids=[
+            "read_row", "read_rows", "copy_rows src", "copy_rows dst",
+            "write_columns negative src", "write_columns negative dst",
+            "write_columns negative row",
+        ],
     )
     def test_range_errors_name_the_table(self, call, text):
-        """The readers' and the block copy's range errors name the table
-        in front of the region's own message, and store nothing."""
+        """The readers', the block copy's and the install's range errors
+        name the table in front of the region's own message, and store
+        nothing — a negative version too, whatever its block's rotation
+        would be."""
         storage = make_storage(TableStorage, self.SHAPE, 32, 16)
         before = storage.rank.mem.copy()
         with pytest.raises(MemoryError_) as err:

@@ -13,6 +13,7 @@ from repro.oltp.tpcc import NewOrderParams, TPCCDriver, new_order, payment
 from repro.format.binpack import compact_aligned_layout
 from repro.pim.device import Device
 from repro.pim.memory import Rank
+from repro.telemetry import registry as telemetry
 from repro.workloads.chbench import ch_schema, row_counts
 
 GEOM = dimm_system().geometry
@@ -215,6 +216,27 @@ class TestTxnBreakdown:
 
 
 class TestTransactionsFunctional:
+    def test_observing_changes_no_result(self):
+        """The telemetry ``roofline`` flag changes what is observed, not
+        what is simulated: a transaction history returns the same results
+        with it on as with telemetry off."""
+
+        def history(observe):
+            engine = PushTapEngine.build(scale=2e-5, seed=7)
+            registry = telemetry.MetricsRegistry()
+            registry.roofline = True
+            if observe:
+                telemetry.enable(registry)
+            try:
+                driver = engine.make_driver(seed=8, delivery_fraction=0.1)
+                return engine.run_transactions(60, driver), registry
+            finally:
+                telemetry.disable()
+
+        observed, registry = history(True)
+        assert registry.counters["oltp.txn.committed"].value > 0
+        assert observed == history(False)[0]
+
     def test_payment_updates_balances(self, fresh_engine):
         engine = fresh_engine
         driver = engine.make_driver(seed=1)

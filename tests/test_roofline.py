@@ -19,7 +19,6 @@ from repro.errors import ConfigError
 from repro.olap.engine import OperatorMetrics, QueryTiming
 from repro.olap.operators import AggregationOperation, FilterOperation, RegionRows
 from repro.pim.pim_unit import Condition
-from repro.telemetry.export import render_report
 from repro.telemetry.registry import MetricsRegistry
 
 ROWS = 1024
@@ -212,9 +211,7 @@ class TestOperatorAccounting:
         engine = _engine()
         _run_filter(engine)
         assert engine.olap.roofline_log == []
-        assert not any(
-            ".dram_bytes" in n or ".rowbuffer." in n for n in plain_registry.counters
-        )
+        assert not any(".dram_bytes" in n for n in plain_registry.counters)
         spans = [s for s in plain_registry.spans if s.name == "olap.operator.filter"]
         assert spans and "dram_bytes" not in dict(spans[-1].attrs)
 
@@ -232,54 +229,6 @@ class TestOperatorAccounting:
         assert metrics.ceiling_bandwidth == pytest.approx(4.0)
 
 
-class TestRowBufferTelemetry:
-    def test_pim_lanes_published_and_drained(self, roofline_registry):
-        engine = _engine()
-        _run_filter(engine)
-        engine.publish_rowbuffer_telemetry()
-        lanes = {
-            n: c.value
-            for n, c in roofline_registry.counters.items()
-            if n.startswith("pim.rowbuffer.")
-        }
-        assert lanes
-        assert any(n.endswith(".misses") and v > 0 for n, v in lanes.items())
-        assert any(n.endswith(".bytes") and v > 0 for n, v in lanes.items())
-        # Draining: republishing without new traffic adds nothing.
-        engine.publish_rowbuffer_telemetry()
-        after = {
-            n: c.value
-            for n, c in roofline_registry.counters.items()
-            if n.startswith("pim.rowbuffer.")
-        }
-        assert after == lanes
-
-    def test_oltp_lane_tracks_row_accesses(self, roofline_registry):
-        engine = _engine()
-        engine.oltp.execute(lambda ctx: ctx.read("points", 5))
-        engine.oltp.execute(lambda ctx: ctx.read("points", 5))
-        engine.publish_rowbuffer_telemetry()
-        hits = roofline_registry.counters.get("oltp.rowbuffer.points.hits")
-        misses = roofline_registry.counters.get("oltp.rowbuffer.points.misses")
-        assert misses is not None and misses.value >= 1
-        assert hits is not None and hits.value >= 1
-
-    def test_shadow_models_off_without_flag(self, plain_registry):
-        engine = _engine()
-        _run_filter(engine)
-        engine.oltp.execute(lambda ctx: ctx.read("points", 5))
-        assert all(unit.rowbuffer is None for unit in engine.units.values())
-        assert engine.oltp.rowbuffers == {}
-
-    def test_report_renders_rowbuffer_section(self, roofline_registry):
-        engine = _engine()
-        _run_filter(engine)
-        engine.publish_rowbuffer_telemetry()
-        report = render_report(roofline_registry)
-        assert "row buffer (per lane):" in report
-        assert "pim.rowbuffer." in report
-
-
 class TestRooflineSweep:
     @pytest.fixture(scope="class")
     def snapshot(self):
@@ -288,9 +237,9 @@ class TestRooflineSweep:
         )
 
     def test_snapshot_shape(self, snapshot):
-        assert snapshot["bench_roofline_version"] == 1
+        assert snapshot["bench_roofline_version"] == 2
         for key in ("substrates", "micro", "fits", "operators", "bottlenecks",
-                    "rowbuffer", "trace_check"):
+                    "trace_check"):
             assert set(snapshot[key]) == {"ddr5", "lpddr5x-pim"}
 
     def test_operator_sweep_covers_suite(self, snapshot):
@@ -298,8 +247,8 @@ class TestRooflineSweep:
         assert {"filter", "group", "aggregate", "hash", "join"} <= operators
 
     def test_trace_consistency_within_one_percent(self, snapshot):
-        """Acceptance: operator bandwidth re-derived from the Chrome
-        trace agrees with the accounting within +-1%."""
+        """Acceptance: operator bandwidth re-derived from the span tree
+        agrees with the accounting within +-1%."""
         for name, check in snapshot["trace_check"].items():
             assert check["checked"] > 0, name
             assert check["ok"], (name, check)

@@ -3,64 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.config import DDR5_3200_TIMINGS, DeviceGeometry, HBM3_TIMINGS
-from repro.pim.timing import (
-    AccessStats,
-    BankTimingModel,
-    effective_stream_bandwidth,
-    random_line_time,
-    stream_time,
+from repro.core.config import (
+    DDR5_3200_TIMINGS,
+    DeviceGeometry,
+    HBM3_TIMINGS,
+    substrate_config,
 )
+from repro.pim.timing import effective_stream_bandwidth, random_line_time, stream_time
 
 GEOM = DeviceGeometry()
-
-
-class TestBankTimingModel:
-    def test_first_access_is_miss(self):
-        bank = BankTimingModel(DDR5_3200_TIMINGS)
-        latency = bank.access(row=3)
-        assert latency == DDR5_3200_TIMINGS.row_miss_read_latency()
-        assert bank.stats.misses == 1
-
-    def test_repeat_access_hits(self):
-        bank = BankTimingModel(DDR5_3200_TIMINGS)
-        bank.access(row=3)
-        latency = bank.access(row=3)
-        assert latency == DDR5_3200_TIMINGS.row_hit_read_latency()
-        assert bank.stats.hits == 1
-
-    def test_row_change_conflicts(self):
-        bank = BankTimingModel(DDR5_3200_TIMINGS)
-        bank.access(row=3)
-        latency = bank.access(row=4)
-        assert latency == DDR5_3200_TIMINGS.row_conflict_read_latency()
-        assert bank.stats.conflicts == 1
-
-    def test_write_costs_at_least_a_burst(self):
-        bank = BankTimingModel(DDR5_3200_TIMINGS)
-        assert bank.access(row=0, write=True) >= DDR5_3200_TIMINGS.tBURST
-
-    def test_reset_closes_row(self):
-        bank = BankTimingModel(DDR5_3200_TIMINGS)
-        bank.access(row=5)
-        bank.reset()
-        bank.access(row=5)
-        assert bank.stats.misses == 2
-
-    def test_hit_rate(self):
-        bank = BankTimingModel(DDR5_3200_TIMINGS)
-        assert bank.stats.hit_rate == 0.0
-        bank.access(row=1)
-        bank.access(row=1)
-        bank.access(row=2)
-        assert bank.stats.hit_rate == pytest.approx(1 / 3)
-
-    def test_stats_merge(self):
-        a = AccessStats(hits=1, misses=2, conflicts=3, total_time=10.0, bytes_transferred=64)
-        b = AccessStats(hits=4, misses=0, conflicts=1, total_time=5.0, bytes_transferred=128)
-        a.merge(b)
-        assert a.accesses == 11
-        assert a.bytes_transferred == 192
 
 
 class TestStreamTime:
@@ -107,6 +58,23 @@ class TestRandomLineTime:
         cold = random_line_time(100, DDR5_3200_TIMINGS, hit_rate=0.0)
         warm = random_line_time(100, DDR5_3200_TIMINGS, hit_rate=0.9)
         assert warm < cold
+
+    @pytest.mark.parametrize(
+        "substrate, shadow_ratio, all_hit_ratio",
+        [("ddr5", 0.684, 0.400), ("hbm3", 0.705, 0.440), ("lpddr5x-pim", 0.666, 0.366)],
+    )
+    def test_conflict_charge_bound(self, substrate, shadow_ratio, all_hit_ratio):
+        """DESIGN.md §4's bound on the conflict-priced OLTP line: the price
+        of a line at 52.7 % row hits, and of one that always hits, over the
+        conflict price the engine charges."""
+        timings = substrate_config(substrate).timings
+        conflict = random_line_time(1, timings)
+        assert random_line_time(1, timings, hit_rate=0.527) / conflict == pytest.approx(
+            shadow_ratio, abs=5e-4
+        )
+        assert random_line_time(1, timings, hit_rate=1.0) / conflict == pytest.approx(
+            all_hit_ratio, abs=5e-4
+        )
 
 
 class TestEffectiveStreamBandwidth:

@@ -286,7 +286,7 @@ class TestEndToEndTrace:
         from repro import PushTapEngine
 
         reg = enable(MetricsRegistry())
-        reg.detail_spans = True
+        reg.roofline = True
         engine = PushTapEngine.build(scale=2e-5)
         driver = engine.make_driver(seed=3)
         engine.run_transactions(10, driver)
@@ -347,7 +347,7 @@ class TestRunProfile:
         assert tpcc.sections["simulated"]["queries"] == 0
 
     def test_detail_spans_gate(self):
-        """Per-unit spans need the registry's ``detail_spans`` flag, which
+        """Per-unit spans need the registry's ``roofline`` flag, which
         the profiler sets; they do not change the simulated outcome."""
         from repro import PushTapEngine
 

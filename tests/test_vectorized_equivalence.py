@@ -34,7 +34,7 @@ from repro.errors import (
     QueryError,
     TransactionError,
 )
-from repro.experiments.baselines import PINS
+from repro.experiments.baselines import PINS, seven_query_state
 from repro.faults import injector as faults
 from repro.ivm.manager import _APPLY_NS_PER_DELTA, IVMManager, ViewStats
 from repro.ivm.views import Q1View, Q6View, Q9View
@@ -2615,9 +2615,15 @@ class TestRankWidePhaseEquivalence:
 # ----------------------------------------------------------------------
 class TestQueryPin:
     @pytest.mark.parametrize(
-        "pin", ["seven_queries.plain", "seven_queries.observed"], ids=["plain", "roofline+detail"]
+        "pin", ["seven_queries.plain", "seven_queries.observed"], ids=["plain", "roofline"]
     )
     def test_seven_queries_identical(self, pin):
         """Pinned on 58a156f, the last commit whose operators walked units
         and blocks one at a time and whose join was the dict-of-sets loop."""
         assert PINS[pin]() == committed("pins")[pin]
+
+    def test_observing_changes_no_query(self):
+        """The ``roofline`` flag changes what is observed, not what is
+        simulated: the observed run's rows, times and scan timings are the
+        plain run's."""
+        assert json.loads(seven_query_state(True))[0] == json.loads(seven_query_state(False))
