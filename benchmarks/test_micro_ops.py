@@ -2,7 +2,8 @@
 
 Not a paper figure — these track the reproduction's own performance:
 row packing, the one-row storage calls a transaction runs, transaction
-execution, snapshotting, filter scans, and launch-request encoding.
+execution, snapshotting, filter scans, two queries, and launch-request
+encoding.
 """
 
 import numpy as np
@@ -112,6 +113,13 @@ def test_bench_filter_scan(benchmark, bench_engine):
 def test_bench_query_q6(benchmark, bench_engine):
     result = benchmark(bench_engine.query, "Q6")
     assert "revenue" in result.rows
+
+
+def test_bench_query_q1(benchmark, bench_engine):
+    """A filter, a group scan and its dictionary merge, then two
+    aggregations over the merged group ids."""
+    result = benchmark(bench_engine.query, "Q1")
+    assert result.rows
 
 
 def test_bench_request_codec(benchmark):

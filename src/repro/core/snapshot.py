@@ -22,6 +22,7 @@ from repro.core.storage import TableStorage
 from repro.errors import SnapshotError
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import METADATA_BYTES, Region
+from repro.pim.pim_unit import distinct
 
 __all__ = ["SnapshotCost", "SnapshotManager"]
 
@@ -125,7 +126,7 @@ class SnapshotManager:
             records=window.records,
             bits_flipped=int(np.count_nonzero(flipped)),
             metadata_bytes=window.records * METADATA_BYTES,
-            bitmap_bytes=int(np.unique(granules).size) * line,
+            bitmap_bytes=distinct(granules).size * line,
         )
 
     def _flush(self) -> None:

@@ -29,8 +29,8 @@ That plan (:class:`_ScanPlan`) depends on the region extents and the
 operator's shape alone, so it outlives the query: ``RankUnits.scan_plans``
 keeps one per shape, and a query over new extents grows it — only the
 blocks that changed (a tail that gained rows, appended blocks) are placed
-again, unless a region lost blocks. It holds no bytes — ``load`` reads the
-current snapshot's column and bitmap bytes when it runs.
+again, unless a region lost blocks. It holds no bytes, only views: ``load``
+reads the current snapshot's column and bitmap bytes through them.
 
 Operators collect *functional* results on the Python side, standing in
 for the CPU harvesting result buffers (the traffic is modelled via
@@ -84,10 +84,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegionRows:
-    """How many rows to scan in each region."""
+    """How many rows to scan in each region: each a non-negative integer."""
 
     data_rows: int
     delta_rows: int = 0
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise QueryError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def scan_rows(rows: RegionRows) -> int:
@@ -96,7 +101,8 @@ def scan_rows(rows: RegionRows) -> int:
 
 
 class _Batch(NamedTuple):
-    """The blocks of one phase that share a row count, as parallel arrays."""
+    """The blocks of one phase that share a row count, as parallel arrays,
+    and the staging its runs index (views stay valid: no matrix is rebound)."""
 
     num_rows: int
     #: Row of each block's unit in the rank's WRAM / counter matrices.
@@ -110,6 +116,13 @@ class _Batch(NamedTuple):
     #: Each block's region (1 = delta) and first row within it.
     delta: np.ndarray
     base_row: np.ndarray
+    #: Per region, the WRAM start of each block's region.
+    starts: Dict[str, np.ndarray]
+    #: ``Rank.mem`` as runs of a block's column pieces / of its bitmap slice,
+    #: and ``RankUnits.wram`` as runs of each width stored or read (on first use).
+    column: np.ndarray
+    bitmap: np.ndarray
+    wram: Dict[int, np.ndarray]
 
 
 def _stream_time(unit: PIMUnit, nbytes: int) -> float:
@@ -307,6 +320,9 @@ class _ScanPlan:
             phases = range(chunks)
         for phase in phases:
             plan._assemble(phase)
+        # What all the phases add to the units' DRAM-read and element counters.
+        totals = np.sum([(c.read_bytes.sum(), c.elements.sum()) for c in plan.charges], axis=0)
+        plan.work = tuple(int(total) for total in totals)
         return plan
 
     def _cell(self, entries: Sequence[tuple], bitmap_bytes: int, slot_bytes: int) -> tuple:
@@ -331,12 +347,19 @@ class _ScanPlan:
         idle = (([], [], 0.0, 0.0, 0, 0, 0), [])
         cells = [self._cells.get((phase, key), idle) for key in self._keys]
         self.charges[phase] = _PhaseCharges([charges for charges, _ in cells])
-        # Batches: row count (→ unit → slot), each one table of columns.
+        # Batches: row count (→ unit → slot), each a table of columns and its staging.
+        storage = self.source[0]
+        mem = storage.rank.mem
+        bitmap = byte_runs(mem, storage.block_rows // 8)
         batches = self.batches[phase] = []
         placed = sorted(row for _, rows in cells for row in rows)
         for count, group in groupby(placed, itemgetter(0)):
             _, *columns = zip(*group)
-            batches.append(_Batch(count, *np.array(columns, dtype=np.intp)))
+            columns = np.array(columns, dtype=np.intp)
+            starts = {region: columns[1] + offset for region, offset in self.offsets.items()}
+            pieces = ceil_div(count * self.width, self.piece)
+            column = byte_runs(mem, self.piece, pieces, self.stride)
+            batches.append(_Batch(count, *columns, starts, column, bitmap, {}))
 
     def _block_costs(self, unit: PIMUnit, cls: type, bitmap_bytes: int, num_rows: int) -> tuple:
         """``(bank bytes touched, DRAM bytes moved, load-time terms, compute
@@ -428,6 +451,10 @@ class _ColumnScanOperation:
         """Representative LS request for the phase (Fig. 7b encoding)."""
         return self._plan.load_request
 
+    def work(self) -> Tuple[int, int]:
+        """DRAM bytes read and elements processed by all phases."""
+        return self._plan.work
+
     def compute_request(self, chunk: int) -> LaunchRequest:
         """The operation's compute request (the same for every phase)."""
         return self._compute_request
@@ -440,14 +467,10 @@ class _ColumnScanOperation:
         modelled cost is a local stream of the slice.
         """
         plan = self._plan
-        mem = self.storage.rank.mem
-        bitmap_bytes = self.storage.block_rows // 8
         for batch in plan.batches[chunk]:
-            length = batch.num_rows * self.width
-            pieces = ceil_div(length, plan.piece)
-            column = byte_runs(mem, plan.piece, pieces, plan.stride)[batch.device, batch.addr]
-            self._write(batch, "data", column.view(np.uint8)[:, :length])
-            bitmap = byte_runs(mem, bitmap_bytes)[batch.device, batch.bitmap_addr]
+            column = batch.column[batch.device, batch.addr].view(np.uint8)
+            self._write(batch, "data", column[:, : batch.num_rows * self.width])
+            bitmap = batch.bitmap[batch.device, batch.bitmap_addr]
             self._write(batch, "bitmap", bitmap.view(np.uint8))
             extra = self._aux_block(batch)
             if extra is not None:
@@ -484,17 +507,22 @@ class _ColumnScanOperation:
         raise NotImplementedError
 
     # -- WRAM matrix access ------------------------------------------------
+    def _wram_runs(self, batch: _Batch, nbytes: int) -> np.ndarray:
+        """The batch's view of the WRAM matrix as ``nbytes``-byte runs."""
+        if nbytes not in batch.wram:
+            batch.wram[nbytes] = byte_runs(self.units.wram, nbytes)
+        return batch.wram[nbytes]
+
     def _read(self, batch: _Batch, region: str, nbytes: int) -> np.ndarray:
         """``nbytes`` of every block's ``region`` → ``(blocks, nbytes)``."""
-        starts = batch.base + self._plan.offsets[region]
-        return byte_runs(self.units.wram, nbytes)[batch.unit_rows, starts].view(np.uint8)
+        return self._wram_runs(batch, nbytes)[batch.unit_rows, batch.starts[region]].view(np.uint8)
 
     def _write(self, batch: _Batch, region: str, data: np.ndarray) -> None:
         """Store ``(blocks, nbytes)`` at the start of every block's ``region``."""
         data = np.ascontiguousarray(data)
         nbytes = data.shape[1]
-        starts = batch.base + self._plan.offsets[region]
-        byte_runs(self.units.wram, nbytes)[batch.unit_rows, starts] = data.view(f"V{nbytes}")
+        runs = self._wram_runs(batch, nbytes)
+        runs[batch.unit_rows, batch.starts[region]] = data.view(f"V{nbytes}")
 
     # -- Scan arrays -------------------------------------------------------
     def _runs(self, array: np.ndarray, batch: _Batch) -> Tuple[np.ndarray, np.ndarray]:
@@ -587,9 +615,7 @@ class GroupOperation(_ColumnScanOperation):
         # The dictionaries are ragged: store their bytes through one flat
         # index, block b's run starting at its slot's dictionary region.
         sizes = np.array([len(d) for d in dictionaries]) * self.width
-        starts = (
-            batch.unit_rows * self.units.wram.shape[1] + batch.base + self._plan.offsets["aux"]
-        )
+        starts = batch.unit_rows * self.units.wram.shape[1] + batch.starts["aux"]
         ends = np.cumsum(sizes)
         flat = np.repeat(starts - (ends - sizes), sizes) + np.arange(ends[-1])
         dictionary = np.concatenate(dictionaries)
@@ -624,12 +650,21 @@ class AggregationOperation(_ColumnScanOperation):
     ) -> None:
         if num_groups <= 0:
             raise QueryError("num_groups must be positive")
-        indices = np.ascontiguousarray(indices, dtype=np.uint16)
+        name, indices = storage.layout.schema.name, np.asarray(indices)
         if indices.shape != (scan_rows(rows),):
             raise QueryError(
-                f"table {storage.layout.schema.name!r}: {indices.size} group indices "
+                f"table {name!r}: {indices.size} group indices "
                 f"for a scan of {scan_rows(rows)} rows"
             )
+        # Ids of another dtype could wrap in the cast; the kernels check uint16 ids.
+        if indices.dtype.kind not in "iu":
+            raise QueryError(f"table {name!r}: group indices of dtype {indices.dtype}")
+        if indices.dtype != np.uint16:
+            bad = np.flatnonzero((indices < 0) | ((indices >= num_groups) & (indices != 0xFFFF)))
+            if bad.size:
+                raise QueryError(f"table {name!r}: row {bad[0]} has group index "
+                                 f"{indices[bad[0]]}, outside [0, {num_groups})")
+        indices = np.ascontiguousarray(indices, dtype=np.uint16)
         # Set before super().__init__: the plan's shape depends on them.
         self.indices = indices
         self.num_groups = num_groups

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.olap.operators import FilterOperation, GroupOperation, HashOperation, RegionRows
+from repro.pim.pim_unit import distinct
 from repro.units import ceil_div
 
 __all__ = [
@@ -66,7 +67,7 @@ def merge_group_blocks(group_op: GroupOperation) -> MergedGroups:
     dictionary; invisible rows keep :data:`INVALID_GROUP`.
     """
     dictionary, local = group_op.dictionary, group_op.indices
-    keys = np.unique(dictionary)
+    keys = distinct(dictionary)
     if len(keys) >= INVALID_GROUP:
         raise QueryError(f"too many groups ({len(keys)}) for 2-byte indices")
     remap = np.searchsorted(keys, dictionary).astype(np.uint16)
@@ -107,14 +108,14 @@ def masks_to_indices(mask: np.ndarray, group: int = 0) -> np.ndarray:
     Matching rows get group ``group``; others :data:`INVALID_GROUP` —
     filtered aggregation without a GROUP BY is the one-group case.
     """
-    return np.where(mask, group, INVALID_GROUP).astype(np.uint16)
+    return np.where(mask, np.uint16(group), np.uint16(INVALID_GROUP))
 
 
 def apply_mask_to_indices(indices: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Invalidate group indices of rows a filter rejected."""
     if len(mask) != len(indices):
         raise QueryError(f"a mask of {len(mask)} rows for {len(indices)} group indices")
-    return np.where(mask, indices, INVALID_GROUP).astype(np.uint16)
+    return np.where(mask, indices.astype(np.uint16, copy=False), np.uint16(INVALID_GROUP))
 
 
 @dataclass(frozen=True)

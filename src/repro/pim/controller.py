@@ -99,6 +99,10 @@ class _ControllerBase:
         #: injection can deliver "not done" a few extra times.
         self.last_poll_done = True
         self._not_done_polls = 0
+        #: Whether the units' banks are handed over: each bank's ``locked``.
+        self.banks_locked = False
+        for unit in self.units:
+            unit.bank.controller = self
 
     @property
     def num_units(self) -> int:
@@ -110,10 +114,6 @@ class _ControllerBase:
         """Number of PIM ranks under this controller."""
         units_per_rank = self.config.pim.units_per_rank
         return max(1, -(-self.num_units // units_per_rank))
-
-    def _lock_banks(self, locked: bool) -> None:
-        for unit in self.units:
-            unit.bank.locked = locked
 
     def begin_offload(self) -> ControlCost:
         """Start one offload (a whole multi-phase operation).
@@ -159,7 +159,7 @@ class _ControllerBase:
 
     def finish(self, request: LaunchRequest) -> None:
         """Mark the operation finished; release banks when appropriate."""
-        self._lock_banks(False)
+        self.banks_locked = False
 
     def _record(self, kind: str, cost: ControlCost) -> None:
         """Mirror one control interaction into the telemetry registry."""
@@ -263,7 +263,7 @@ class OriginalController(_ControllerBase):
         self._offload_active = True
         # Handover is paid per rank, serially (0.2 us per rank, §7.1).
         handover = self.config.mode_switch_latency * self.num_ranks
-        self._lock_banks(True)
+        self.banks_locked = True
         self.stats.handovers += 1
         self.stats.control_time += handover
         cost = ControlCost(0.0, handover)
@@ -279,7 +279,7 @@ class OriginalController(_ControllerBase):
         if not self._offload_active or self.mode_batch_active:
             return ControlCost(0.0, 0.0)
         self._offload_active = False
-        self._lock_banks(False)
+        self.banks_locked = False
         return ControlCost(0.0, 0.0)
 
     def launch(self, request: LaunchRequest) -> ControlCost:
@@ -314,7 +314,7 @@ class OriginalController(_ControllerBase):
     def finish(self, request: LaunchRequest) -> None:
         """Phase end: banks stay locked until :meth:`end_offload`."""
         if not self._offload_active:
-            self._lock_banks(False)
+            self.banks_locked = False
 
 
 class PushTapController(_ControllerBase):
@@ -366,7 +366,7 @@ class PushTapController(_ControllerBase):
             return ControlCost(0.0, 0.0)
         self.mode_batch_active = True
         handover = self.config.mode_switch_latency * self.num_ranks
-        self._lock_banks(True)
+        self.banks_locked = True
         self.stats.handovers += 1
         self.stats.mode_batches += 1
         self.stats.control_time += handover
@@ -382,7 +382,7 @@ class PushTapController(_ControllerBase):
         if not self.mode_batch_active:
             return ControlCost(0.0, 0.0)
         self.mode_batch_active = False
-        self._lock_banks(False)
+        self.banks_locked = False
         return ControlCost(0.0, 0.0)
 
     # ------------------------------------------------------------------
@@ -419,7 +419,7 @@ class PushTapController(_ControllerBase):
                     tel.counter("pim.controller.handovers_saved").inc()
             else:
                 handover = self.config.mode_switch_latency * self.num_ranks
-                self._lock_banks(True)
+                self.banks_locked = True
                 self.stats.handovers += 1
         self._pending = request
         inj = faults.active()
@@ -464,7 +464,7 @@ class PushTapController(_ControllerBase):
             raise ProtocolError("finish does not match the pending request")
         self._pending = None
         if request.op.needs_bank_handover and not self.mode_batch_active:
-            self._lock_banks(False)
+            self.banks_locked = False
 
     @property
     def pending(self) -> Optional[LaunchRequest]:

@@ -33,7 +33,13 @@ class Bank:
         self.index = index
         self.start = start
         self.size = size
-        self.locked = False
+        #: The memory controller this bank's unit answers to, if any.
+        self.controller = None
+
+    @property
+    def locked(self) -> bool:
+        """Whether the controller has handed this bank to its PIM unit."""
+        return self.controller is not None and self.controller.banks_locked
 
     def read(self, offset: int, nbytes: int) -> np.ndarray:
         """Read ``nbytes`` starting at ``offset`` within this bank."""

@@ -16,7 +16,7 @@ argument is about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Protocol, Sequence
+from typing import Callable, List, Protocol, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.faults import injector as faults
@@ -75,6 +75,10 @@ class ChunkedOperation(Protocol):
         """Run the compute phase on every unit; returns unit-local times."""
         ...
 
+    def work(self) -> Tuple[int, int]:
+        """DRAM bytes moved and elements processed by all the phases."""
+        ...
+
 
 @dataclass(frozen=True)
 class PhaseTrace:
@@ -97,9 +101,9 @@ class ExecutionResult:
     control_time: float = 0.0
     phases: int = 0
     traces: List[PhaseTrace] = field(default_factory=list)
-    #: DRAM bytes moved (read + written) by the participating units.
+    #: DRAM bytes moved (read + written) by the participating units and elements
+    #: pushed through their compute pipelines (:meth:`ChunkedOperation.work`).
     dram_bytes: int = 0
-    #: Elements pushed through the units' compute pipelines.
     elements: int = 0
 
     @property
@@ -188,10 +192,6 @@ class TwoPhaseExecutor:
         if not units:
             raise QueryError("chunked operation has no participating units")
         result = ExecutionResult()
-        bytes_before = sum(
-            u.stats.dram_bytes_read + u.stats.dram_bytes_written for u in units
-        )
-        elements_before = sum(u.stats.elements_processed for u in units)
         blocking_compute = self.controller.locks_banks_during_compute
         tel = telemetry.active()
         # The controller records its own pim.control spans as launches and
@@ -290,11 +290,7 @@ class TwoPhaseExecutor:
         result.total_time += end_cost.total
         result.control_time += end_cost.total
         result.cpu_blocked_time += end_cost.total
-        result.dram_bytes = (
-            sum(u.stats.dram_bytes_read + u.stats.dram_bytes_written for u in units)
-            - bytes_before
-        )
-        result.elements = sum(u.stats.elements_processed for u in units) - elements_before
+        result.dram_bytes, result.elements = op.work()
         if tel.enabled:
             tel.counter("pim.executor.offloads").inc()
         return result

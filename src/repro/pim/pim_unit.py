@@ -54,6 +54,7 @@ __all__ = [
     "bytes_to_uints",
     "uints_to_bytes",
     "Condition",
+    "distinct",
     "filter_kernel",
     "group_kernel",
     "aggregation_kernel",
@@ -538,6 +539,14 @@ def filter_kernel(values: np.ndarray, visible: np.ndarray, condition: Condition)
     return condition.evaluate(values) & visible
 
 
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array by a sort and a neighbour compare (no hashing)."""
+    ordered = np.sort(keys)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 def group_kernel(
     values: np.ndarray, visible: np.ndarray, dict_capacity: int
 ) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -548,7 +557,7 @@ def group_kernel(
     # Ragged by nature: each block has its own dictionary.
     for block_values, block_visible, block_indices in zip(values, visible, indices):
         keys = block_values[block_visible]
-        uniques = np.unique(keys)
+        uniques = distinct(keys)
         if len(uniques) > dict_capacity:
             raise ProtocolError(
                 f"group dictionary overflow: {len(uniques)} keys > {dict_capacity}"

@@ -11,6 +11,15 @@ import pytest
 
 from repro.core.engine import PushTapEngine
 
+def unit_work(units):
+    """DRAM bytes moved and elements processed, as the units' counters hold
+    them: what a test double's ``ChunkedOperation.work()`` diffs."""
+    return (
+        sum(u.stats.dram_bytes_read + u.stats.dram_bytes_written for u in units),
+        sum(u.stats.elements_processed for u in units),
+    )
+
+
 #: Small but non-trivial build parameters shared by engine fixtures.
 ENGINE_KWARGS = dict(scale=2e-5, defrag_period=200, block_rows=256)
 

@@ -9,6 +9,7 @@ from repro.pim.device import Device
 from repro.pim.executor import ExecutionResult, TwoPhaseExecutor
 from repro.pim.pim_unit import PIMUnit
 from repro.pim.requests import LaunchRequest, OpType
+from tests.conftest import unit_work
 
 
 def make_units(n=4):
@@ -29,6 +30,7 @@ class FakeOp:
         self.load_ns = load_ns
         self.compute_ns = compute_ns
         self.calls = []
+        self.work_before = unit_work(units)
 
     def num_chunks(self):
         return self.chunks
@@ -49,6 +51,10 @@ class FakeOp:
     def compute(self, chunk):
         self.calls.extend(("compute", unit.unit_id, chunk) for unit in self.units)
         return [self.compute_ns] * len(self.units)
+
+    def work(self):
+        """The units' counter deltas since the operation was made."""
+        return tuple(now - then for now, then in zip(unit_work(self.units), self.work_before))
 
 
 class TestPhaseAccounting:

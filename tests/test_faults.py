@@ -24,7 +24,7 @@ from repro.pim.executor import (
 from repro.pim.pim_unit import PIMUnit
 from repro.pim.requests import LaunchRequest, OpType
 
-from tests.conftest import ENGINE_KWARGS
+from tests.conftest import ENGINE_KWARGS, unit_work
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +51,7 @@ class FakeOp:
         self.units = units
         self.chunks = chunks
         self.compute_calls = 0
+        self.work_before = unit_work(units)
 
     def num_chunks(self):
         return self.chunks
@@ -70,6 +71,10 @@ class FakeOp:
     def compute(self, chunk):
         self.compute_calls += len(self.units)
         return [50.0] * len(self.units)
+
+    def work(self):
+        """The units' counter deltas since the operation was made."""
+        return tuple(now - then for now, then in zip(unit_work(self.units), self.work_before))
 
 
 def install_plan(seed=7, **rates):
@@ -293,11 +298,11 @@ class TestInvariantChecker:
 
     def test_catches_lingering_bank_lock(self, fresh_engine):
         """A controller that never releases banks must be caught."""
-        fresh_engine.controller._lock_banks(True)
+        fresh_engine.controller.banks_locked = True
         checker = InvariantChecker(fresh_engine)
         with pytest.raises(InvariantViolation, match="locked"):
             checker.check()
-        fresh_engine.controller._lock_banks(False)
+        fresh_engine.controller.banks_locked = False
 
     def test_catches_broken_finish(self, fresh_engine):
         """A finish() that forgets the pending request must be caught."""

@@ -18,6 +18,7 @@ from repro.olap.operators import (
     GroupOperation,
     HashOperation,
     RegionRows,
+    scan_rows,
 )
 from repro.olap.queries import (
     _Q1_DELIVERY_CUTOFF,
@@ -125,6 +126,55 @@ class TestGroupAndAggregation:
                 table.storage, loaded_engine.units, "ol_amount",
                 table.region_rows(), np.zeros(0), 0,
             )
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (np.array([0, 65537]), r"row 1 has group index 65537, outside \[0, 2\)"),
+            (np.array([0, -1]), r"row 1 has group index -1, outside \[0, 2\)"),
+            (np.array([0.0, 0.9]), "group indices of dtype float64"),
+        ],
+    )
+    def test_aggregation_rejects_ids_that_would_wrap(self, loaded_engine, ids, message):
+        """Ids a cast to 2 bytes would wrap, or truncate, are refused by
+        name before any phase runs."""
+        table = loaded_engine.table("orderline")
+        indices = np.resize(ids, scan_rows(table.region_rows()))
+        counts = loaded_engine.units.counts.copy()
+        with pytest.raises(QueryError, match=f"table 'orderline': {message}"):
+            loaded_engine.olap.aggregate(table, "ol_amount", indices, 2, QueryTiming())
+        assert np.array_equal(loaded_engine.units.counts, counts)
+
+    def test_aggregation_takes_in_range_ids_of_any_integer_dtype(self, worked_engine):
+        table = worked_engine.table("orderline")
+        ids = np.resize(np.array([0, 1, qplan.INVALID_GROUP]), scan_rows(table.region_rows()))
+        totals = [
+            worked_engine.olap.aggregate(table, "ol_amount", ids.astype(dtype), 2, QueryTiming())
+            for dtype in (np.uint16, np.int64, np.uint64, np.int32)
+        ]
+        assert totals[0].any()
+        for total in totals[1:]:
+            assert np.array_equal(total, totals[0])
+
+
+class TestRegionRows:
+    @pytest.mark.parametrize(
+        "extents, field",
+        [
+            ((-5, 0), "data_rows"),
+            ((10, -3), "delta_rows"),
+            ((2.5, 0), "data_rows"),
+            ((True, 0), "data_rows"),
+            ((0, np.bool_(True)), "delta_rows"),
+        ],
+    )
+    def test_bad_extents_are_refused_by_name(self, extents, field):
+        with pytest.raises(QueryError, match=f"{field} must be a non-negative integer"):
+            RegionRows(*extents)
+
+    def test_numpy_integers_are_extents(self):
+        rows = RegionRows(np.int64(3), np.uint32(0))
+        assert scan_rows(rows) == 3
 
 
 #: A table's storage, as ``combine_masks`` reads it.
@@ -256,7 +306,25 @@ class TestAccountingIdentity:
         }
 
     def test_execution_result_equals_unit_deltas(self, worked_engine):
-        engine = worked_engine
+        self.check_operator_runs(worked_engine)
+
+    def test_identity_holds_on_grown_plans(self, fresh_engine):
+        """Each operator's memo plan is grown by further transactions; the
+        work it reports is that of the grown plan, not the one it grew from."""
+        engine = fresh_engine
+        driver = engine.make_driver(seed=3)
+        engine.run_transactions(40, driver)
+        self.check_operator_runs(engine)
+        plans = dict(engine.units.scan_plans)
+        engine.run_transactions(60, driver)
+        self.check_operator_runs(engine)
+        grown = [
+            key for key, plan in engine.units.scan_plans.items()
+            if key in plans and plan.rows != plans[key].rows and plan.work != plans[key].work
+        ]
+        assert len(grown) == len(plans) == 4
+
+    def check_operator_runs(self, engine):
         table = engine.table("orderline")
         table.snapshots.update_to(engine.db.oracle.read_timestamp())
         rows = table.region_rows()

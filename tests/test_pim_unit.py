@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import DDR5_3200_TIMINGS, DeviceGeometry, PIMUnitConfig
 from repro.errors import MemoryError_, ProtocolError
 from repro.pim.device import Device
-from repro.pim.pim_unit import Condition, PIMUnit, bytes_to_uints, uints_to_bytes
+from repro.pim.pim_unit import (
+    Condition,
+    PIMUnit,
+    bytes_to_uints,
+    distinct,
+    group_kernel,
+    uints_to_bytes,
+)
 from repro.units import ceil_div
 
 
@@ -178,6 +185,39 @@ class TestGroupAndAggregate:
         full_bitmap(unit, 0, 300)
         with pytest.raises(ProtocolError):
             unit.op_group(0, 1024, 2048, 8192, 2, 300, dict_capacity=256)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), max_size=300),
+        st.integers(1, 16),
+    )
+    def test_distinct_is_unique(self, keys, spread):
+        """The sort-based helper equals ``np.unique``: values and dtype, on
+        wide keys and on few distinct keys, repeated."""
+        for array in (np.array(keys, dtype=np.uint64),
+                      np.array(keys, dtype=np.uint64) % np.uint64(spread)):
+            got, want = distinct(array), np.unique(array)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_group_kernel_empty_and_invisible_blocks(self):
+        values = np.arange(16, dtype=np.uint64).reshape(2, 8)
+        visible = np.zeros((2, 8), dtype=bool)
+        dictionaries, indices = group_kernel(values, visible, 256)
+        assert [d.dtype for d in dictionaries] == [np.uint64, np.uint64]
+        assert [len(d) for d in dictionaries] == [0, 0]
+        assert (indices == 0xFFFF).all()
+        dictionaries, indices = group_kernel(values[:0], visible[:0], 256)
+        assert dictionaries == [] and indices.shape == (0, 8)
+
+    def test_group_kernel_capacity_boundary(self):
+        """256 distinct keys fit one block's dictionary; 257 raise."""
+        keys = np.arange(257, dtype=np.uint64)[::-1].copy()
+        visible = np.ones((1, 257), dtype=bool)
+        dictionaries, indices = group_kernel(keys[None, :256], visible[:, :256], 256)
+        assert np.array_equal(dictionaries[0], np.arange(1, 257, dtype=np.uint64))
+        assert np.array_equal(dictionaries[0][indices[0]], keys[:256])
+        with pytest.raises(ProtocolError, match="257 keys > 256"):
+            group_kernel(keys[None], visible, 256)
 
     def test_aggregation_sums_by_group(self):
         unit = make_unit()

@@ -125,17 +125,32 @@ def assert_same_plan(got, want):
         for a, b in zip(phase, expected):
             for name in ("unit_rows", "base", "device", "addr", "bitmap_addr", "delta", "base_row"):
                 same_array(getattr(a, name), getattr(b, name))
+            assert a.starts.keys() == b.starts.keys()
+            for region in a.starts:
+                same_array(a.starts[region], b.starts[region])
+            for name in ("column", "bitmap"):
+                got_view, want_view = getattr(a, name), getattr(b, name)
+                assert (got_view.shape, got_view.strides, got_view.dtype) == (
+                    want_view.shape, want_view.strides, want_view.dtype
+                )
     assert got._queues == want._queues and got._keys == want._keys
     assert got._cells == want._cells
 
 
 def frozen(plan):
-    """A deep copy of ``plan`` that shares only its storage and units: what
-    :func:`assert_same_plan` holds a plan to, to prove it unchanged."""
+    """A deep copy of ``plan`` that shares only its storage and units, and
+    its staging views over their memory: what :func:`assert_same_plan`
+    holds a plan to, to prove it unchanged."""
     snapshot = copy.copy(plan)
     shared = {"source": plan.source, "units": list(plan.units)}
+    views = {
+        id(view): view
+        for phase in plan.batches for batch in phase
+        for view in (batch.column, batch.bitmap, *batch.wram.values())
+    }
     snapshot.__dict__ = {
-        **copy.deepcopy({k: v for k, v in vars(plan).items() if k not in shared}), **shared
+        **copy.deepcopy({k: v for k, v in vars(plan).items() if k not in shared}, views),
+        **shared,
     }
     return snapshot
 
@@ -462,6 +477,32 @@ class TestStructuralGuards:
             engine.query(SEVEN_QUERIES[i % len(SEVEN_QUERIES)])
         assert set(engine.units.scan_plans) == shapes
         assert len(extents) > 2 * len(shapes)
+
+
+class TestPlanStaging:
+    def test_views_are_windows_on_the_rank_and_its_wram(self):
+        """Each batch's staging views index ``Rank.mem`` and
+        ``RankUnits.wram`` themselves, not copies: a byte changed in
+        either shows through every view at its block's address."""
+        world = scan_world(256, *WORLDS[256])
+        storage = world.table("t").storage
+        op = ops.FilterOperation(storage, world.units, "c", Condition("lt", 7), world_rows(256))
+        world.olap.executor.execute(op)
+        mem, wram = storage.rank.mem, world.units.wram
+        for phase in op._plan.batches:
+            for batch in phase:
+                assert {batch.num_rows * op.width, 256 // 8} <= batch.wram.keys()
+                device, unit = batch.device[0], batch.unit_rows[0]
+                windows = [
+                    (mem, batch.column, device, batch.addr[0]),
+                    (mem, batch.bitmap, device, batch.bitmap_addr[0]),
+                ] + [(wram, runs, unit, batch.starts["data"][0]) for runs in batch.wram.values()]
+                for matrix, view, row, at in windows:
+                    assert np.shares_memory(view[row, at], matrix)
+                    byte = matrix[row, at]
+                    matrix[row, at] = ~byte
+                    assert view[row, at].tobytes()[0] == matrix[row, at]
+                    matrix[row, at] = byte
 
 
 def spoil_last_bank(storage, bank_size):

@@ -47,6 +47,7 @@ from repro.pim.pim_unit import bytes_to_uints, uints_to_bytes
 from repro.telemetry import registry as telemetry
 from repro.telemetry.metrics import Histogram
 from repro.units import S
+from tests.conftest import unit_work
 from tests.test_baselines import committed
 
 
@@ -2238,6 +2239,12 @@ class OraclePhase:
             {"data_width": self.width},
         )
         self.ls = LaunchRequest(OpType.LS, {"op0_len": 64})
+        self.work_before = unit_work(self.participating_units())
+
+    def work(self):
+        """The units' counter deltas since the operation was made."""
+        now = unit_work(self.participating_units())
+        return tuple(a - b for a, b in zip(now, self.work_before))
 
     def num_chunks(self):
         longest = max(len(q) for q in self.queues.values())
