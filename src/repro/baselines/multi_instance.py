@@ -88,10 +88,6 @@ class MultiInstanceModel:
             for rows, width in columns
         )
 
-    def query_time(self, columns: Sequence[Tuple[int, int]], num_txns: int) -> float:
-        """Rebuild-then-scan query time after ``num_txns`` transactions."""
-        return self.rebuild_cost(num_txns).total + self.scan_time(columns)
-
     def log_bytes_per_txn(self) -> float:
         """CPU log/replication traffic each transaction adds."""
         return self.writes_per_txn * (self.avg_row_bytes + METADATA_BYTES)

@@ -121,13 +121,3 @@ class PushTapQueryModel:
         """Un-defragmented delta rows relative to the scanned rows."""
         pending = min(num_txns, self.defrag_period)
         return pending * self.writes_per_txn / max(base_rows, 1)
-
-    def query_time(
-        self, columns: Sequence[Tuple[int, int]], num_txns: int
-    ) -> float:
-        """End-to-end query time after ``num_txns`` transactions."""
-        base_rows = max(sum(rows for rows, _ in columns), 1)
-        delta_fraction = self.pending_delta_fraction(num_txns, base_rows)
-        return self.query_consistency(num_txns) + self.scan_time(
-            columns, delta_fraction
-        )

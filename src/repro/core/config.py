@@ -190,11 +190,6 @@ class DeviceGeometry:
         """Bytes delivered by one interleaved burst across the rank."""
         return self.devices_per_rank * self.interleave_granularity
 
-    @property
-    def device_bytes(self) -> int:
-        """Capacity of one device (chip)."""
-        return self.banks_per_device * self.rows_per_bank * self.columns_per_row
-
 
 @dataclass(frozen=True)
 class PIMUnitConfig:
@@ -256,11 +251,6 @@ class CPUConfig:
             raise ConfigError(f"cores must be positive, got {self.cores}")
         if self.frequency_ghz <= 0:
             raise ConfigError(f"frequency_ghz must be positive, got {self.frequency_ghz}")
-
-    @property
-    def cycle_ns(self) -> float:
-        """Duration of one CPU clock cycle in nanoseconds."""
-        return 1.0 / self.frequency_ghz
 
 
 @dataclass(frozen=True)

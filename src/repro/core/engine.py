@@ -79,11 +79,6 @@ class OLAPBatchResult:
     results: List[QueryResult]
     switch_time: float = 0.0
 
-    @property
-    def total_time(self) -> float:
-        """Batch wall time: the one mode switch plus every query."""
-        return self.switch_time + sum(r.total_time for r in self.results)
-
 #: Table → (index name, key columns) of the CH-benCHmark tables, matching
 #: the deterministic data generator's key assignment and the keys TPC-C
 #: probes: one column indexes its plain values, several their tuples.
@@ -786,29 +781,4 @@ class PushTapEngine:
             "snapshot_bits": sum(t.snapshots.bits_bytes for t in tables),
             "wram": sum(units.wram.nbytes for units in self.rank_units),
             "index_entries": sum(len(t.index) for t in tables if t.index is not None),
-        }
-
-    def report(self) -> Dict[str, object]:
-        """Summary of the engine's state and accumulated work."""
-        return {
-            "config": self.config.name,
-            "ranks": len(self.ranks),
-            "pim_units": self.num_units,
-            "tables": {
-                name: {
-                    "rows": t.num_rows,
-                    "rank": t.rank_index,
-                    "parts": t.layout.num_parts,
-                    "delta_high_water": t.mvcc.delta.high_water_rows,
-                    "stale_versions": t.mvcc.stale_version_count(),
-                }
-                for name, t in self.db.tables.items()
-            },
-            "transactions": self.stats.transactions,
-            "queries": self.stats.queries,
-            "defrag_runs": self.stats.defrag_runs,
-            "mean_txn_time_ns": self.oltp.mean_txn_time,
-            "oltp_time_ns": self.stats.oltp_time,
-            "olap_time_ns": self.stats.olap_time,
-            "defrag_time_ns": self.stats.defrag_time,
         }

@@ -46,15 +46,6 @@ class SnapshotCost:
         """All CPU memory traffic of the update."""
         return self.metadata_bytes + self.bitmap_bytes
 
-    def merge(self, other: "SnapshotCost") -> "SnapshotCost":
-        """Sum two costs."""
-        return SnapshotCost(
-            self.records + other.records,
-            self.bits_flipped + other.bits_flipped,
-            self.metadata_bytes + other.metadata_bytes,
-            self.bitmap_bytes + other.bitmap_bytes,
-        )
-
 
 class SnapshotManager:
     """Maintains one table's snapshot bitmaps against its version journal."""

@@ -110,11 +110,6 @@ class RankAllocator:
         self.device_size = rank.devices[0].size
         self._cursor = 0
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes allocated so far (per device)."""
-        return self._cursor
-
     def alloc_block(self, nbytes: int, align: int = 8) -> int:
         """Allocate ``nbytes`` that must not straddle a bank boundary."""
         if nbytes <= 0:

@@ -12,13 +12,12 @@ of :mod:`repro.format.bandwidth`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.format.bandwidth import (
-    cpu_lines_per_row,
-    pim_column_efficiency,
+    cpu_effective_bandwidth,
+    pim_effective_bandwidth,
     storage_breakdown,
     StorageBreakdown,
 )
@@ -65,14 +64,7 @@ def database_cpu_bandwidth(
 ) -> float:
     """Row-weighted CPU effective bandwidth over all tables."""
     counts = weights if weights is not None else row_counts(1.0)
-    useful = 0.0
-    transferred = 0.0
-    line = config.geometry.cache_line_bytes
-    for name, layout in layouts.items():
-        rows = counts.get(name, 0)
-        useful += rows * layout.useful_bytes_per_row()
-        transferred += rows * cpu_lines_per_row(layout, config.geometry) * line
-    return useful / transferred if transferred else 0.0
+    return cpu_effective_bandwidth(layouts, config.geometry, counts)
 
 
 def database_pim_bandwidth(
@@ -80,22 +72,16 @@ def database_pim_bandwidth(
     queries: Sequence[str],
     weights: Mapping[str, int] = None,
 ) -> float:
-    """Scan-weighted PIM effective bandwidth over all key columns."""
+    """Scan-weighted PIM effective bandwidth over all key columns. A
+    scanned column that is not a key column of its table runs on the CPU
+    (§4.1.2), so it carries no PIM weight."""
     counts = weights if weights is not None else row_counts(1.0)
-    weighted = 0.0
-    total = 0.0
-    for name, layout in layouts.items():
-        rows = counts.get(name, 0)
-        if rows == 0:
-            continue
-        scan_weights = column_scan_weights(queries, name)
-        for column, weight in scan_weights.items():
-            if column not in layout.key_columns:
-                continue
-            w = weight * rows
-            weighted += w * pim_column_efficiency(layout, column)
-            total += w
-    return weighted / total if total else 0.0
+    return pim_effective_bandwidth(layouts, {
+        (name, column): weight * counts[name]
+        for name, layout in layouts.items() if counts.get(name, 0)
+        for column, weight in column_scan_weights(queries, name).items()
+        if column in layout.key_columns
+    })
 
 
 def database_storage(

@@ -26,8 +26,8 @@ from repro.experiments.common import (
 )
 from repro.format.bandwidth import (
     StorageBreakdown,
-    cpu_lines_per_row,
-    pim_column_efficiency,
+    cpu_effective_bandwidth,
+    pim_effective_bandwidth,
 )
 from repro.format.binpack import compact_aligned_layout
 from repro.workloads.chbench import all_queries, ch_schema
@@ -183,22 +183,16 @@ def htapbench_point(
     schemas = htapbench_schema()
     d = config.geometry.devices_per_rank
     row_weights = {"account": 10, "teller": 1, "branch": 1, "txn_history": 50}
-    line = config.geometry.cache_line_bytes
-    useful = transferred = 0.0
-    weighted = total = 0.0
-    for name in HTAPBENCH_TABLES:
-        layout = compact_aligned_layout(
-            schemas[name], htapbench_key_columns(name), d, th
-        )
-        rows = row_weights[name]
-        useful += rows * layout.useful_bytes_per_row()
-        transferred += rows * cpu_lines_per_row(layout, config.geometry) * line
-        for column, weight in htapbench_scan_weights(name).items():
-            w = weight * rows
-            weighted += w * pim_column_efficiency(layout, column)
-            total += w
+    layouts = {
+        name: compact_aligned_layout(schemas[name], htapbench_key_columns(name), d, th)
+        for name in HTAPBENCH_TABLES
+    }
     return {
         "th": th,
-        "cpu_bandwidth": useful / transferred,
-        "pim_bandwidth": weighted / total,
+        "cpu_bandwidth": cpu_effective_bandwidth(layouts, config.geometry, row_weights),
+        "pim_bandwidth": pim_effective_bandwidth(layouts, {
+            (name, column): weight * row_weights[name]
+            for name in HTAPBENCH_TABLES
+            for column, weight in htapbench_scan_weights(name).items()
+        }),
     }

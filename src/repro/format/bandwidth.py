@@ -5,12 +5,19 @@ useful data. For the CPU it is driven by how many interleaved cache lines
 a row access touches; for a PIM unit it is the ratio of the scanned key
 column's width to the row width of the part holding it (a streamed scan at
 8 B granularity must read the whole per-row footprint).
+
+Each quantity has one formula over a set of tables:
+:func:`cpu_effective_bandwidth` weights tables by ``{table: rows}`` (row
+accesses hit tables in proportion to their rows), and
+:func:`pim_effective_bandwidth` weights key columns by ``{(table,
+column): weight}`` (scan frequency × table size). A single table is the
+one-entry case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Tuple
 
 from repro.core.config import DeviceGeometry
 from repro.errors import LayoutError
@@ -37,13 +44,19 @@ def cpu_lines_per_row(layout: UnifiedLayout, geometry: DeviceGeometry) -> int:
     return sum(ceil_div(part.row_width, g) for part in layout.parts)
 
 
-def cpu_effective_bandwidth(layout: UnifiedLayout, geometry: DeviceGeometry) -> float:
-    """Useful fraction of bytes moved when the CPU reads one row."""
-    lines = cpu_lines_per_row(layout, geometry)
-    transferred = lines * geometry.cache_line_bytes
-    if transferred == 0:
-        return 0.0
-    return layout.useful_bytes_per_row() / transferred
+def cpu_effective_bandwidth(
+    layouts: Mapping[str, UnifiedLayout], geometry: DeviceGeometry, rows: Mapping[str, float]
+) -> float:
+    """Useful fraction of the bytes the CPU moves reading whole rows, each
+    table weighted by its ``rows`` (a table missing there weighs 0)."""
+    useful = 0.0
+    transferred = 0.0
+    line = geometry.cache_line_bytes
+    for name, layout in layouts.items():
+        count = rows.get(name, 0)
+        useful += count * layout.useful_bytes_per_row()
+        transferred += count * cpu_lines_per_row(layout, geometry) * line
+    return useful / transferred if transferred else 0.0
 
 
 def pim_column_efficiency(layout: UnifiedLayout, column: str) -> float:
@@ -54,28 +67,29 @@ def pim_column_efficiency(layout: UnifiedLayout, column: str) -> float:
 
 
 def pim_effective_bandwidth(
-    layout: UnifiedLayout, column_weights: Mapping[str, float]
+    layouts: Mapping[str, UnifiedLayout], weights: Mapping[Tuple[str, str], float]
 ) -> float:
-    """Scan-frequency-weighted average PIM efficiency over key columns.
+    """Weighted average PIM efficiency over key columns.
 
-    ``column_weights`` maps key column name → how often analytical queries
-    scan it (e.g. the number of TPC-H queries touching it). Columns with
-    zero or missing weight do not contribute.
+    ``weights`` maps ``(table, key column)`` → how often analytical
+    queries scan it, times the table's size. Columns with zero or missing
+    weight do not contribute; a weighted column that is not a key column
+    of its table's layout has no PIM efficiency (it scans on the CPU,
+    §4.1.2) and raises ``LayoutError``.
     """
-    total_weight = 0.0
     weighted = 0.0
-    for name, weight in column_weights.items():
+    total = 0.0
+    for (table, column), weight in weights.items():
         if weight <= 0:
             continue
-        if name not in layout.key_columns:
+        layout = layouts[table]
+        if column not in layout.key_columns:
             raise LayoutError(
-                f"weighted column {name!r} is not a key column of the layout"
+                f"weighted column {column!r} is not a key column of table {table!r}"
             )
-        weighted += weight * pim_column_efficiency(layout, name)
-        total_weight += weight
-    if total_weight == 0:
-        return 0.0
-    return weighted / total_weight
+        weighted += weight * pim_column_efficiency(layout, column)
+        total += weight
+    return weighted / total if total else 0.0
 
 
 @dataclass(frozen=True)

@@ -85,13 +85,6 @@ class BinPackReport:
     stored_bytes_per_row: int
     relaxed_keys: Tuple[str, ...] = ()
 
-    @property
-    def padding_fraction(self) -> float:
-        """Padding as a fraction of stored bytes."""
-        if self.stored_bytes_per_row == 0:
-            return 0.0
-        return self.padding_bytes_per_row / self.stored_bytes_per_row
-
 
 def compact_aligned_layout(
     schema: TableSchema,

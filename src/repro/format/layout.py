@@ -62,10 +62,6 @@ class DeviceSlot:
     slot_index: int
     fields: Tuple[FieldPlacement, ...] = ()
 
-    def used_bytes(self) -> int:
-        """Number of data bytes (non-padding) in this slot."""
-        return sum(f.length for f in self.fields)
-
 
 @dataclass(frozen=True)
 class TablePart:
@@ -99,14 +95,6 @@ class TablePart:
     def num_slots(self) -> int:
         """Number of device slots (equals devices per rank)."""
         return len(self.slots)
-
-    def used_bytes(self) -> int:
-        """Data bytes (non-padding) per row in this part."""
-        return sum(s.used_bytes() for s in self.slots)
-
-    def padding_bytes(self) -> int:
-        """Padding bytes per row in this part."""
-        return self.num_slots * self.row_width - self.used_bytes()
 
     def bytes_per_row(self) -> int:
         """Total stored bytes per row in this part (incl. padding)."""
@@ -215,10 +203,6 @@ class UnifiedLayout:
             raise LayoutError(f"{name!r} is not a key column")
         return self.column_runs(name)[0]
 
-    def part_of_key_column(self, name: str) -> TablePart:
-        """The part holding a key column."""
-        return self.parts[self.key_column_location(name).part_index]
-
     @property
     def num_parts(self) -> int:
         """Number of parts in the layout."""
@@ -235,11 +219,6 @@ class UnifiedLayout:
     def padding_bytes_per_row(self) -> int:
         """Padding bytes per row across all parts."""
         return self.bytes_per_row() - self.useful_bytes_per_row()
-
-    def padding_fraction(self) -> float:
-        """Padding bytes as a fraction of stored bytes."""
-        stored = self.bytes_per_row()
-        return self.padding_bytes_per_row() / stored if stored else 0.0
 
     # ------------------------------------------------------------------
     # Packing / unpacking (the data re-layout function, §6.3)

@@ -359,11 +359,6 @@ class MVCCManager:
         """Host bytes of the journal's columns."""
         return sum(getattr(self, name).nbytes for name in _COLUMNS)
 
-    @property
-    def log_length(self) -> int:
-        """Number of journal entries retained."""
-        return self._size
-
     def stale_version_count(self) -> int:
         """Superseded versions awaiting defragmentation: one per update."""
         return int(np.count_nonzero(self._kind[: self._size] == UPDATE))

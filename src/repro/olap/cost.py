@@ -47,11 +47,6 @@ class ScanCost:
     phases: int
     bytes_streamed: int
 
-    @property
-    def control_fraction(self) -> float:
-        """Control overhead share of total time."""
-        return self.control_time / self.total_time if self.total_time else 0.0
-
 
 def scan_bandwidth_per_unit(config: SystemConfig) -> float:
     """Effective per-unit streaming bandwidth in bytes/ns.

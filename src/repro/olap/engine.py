@@ -155,11 +155,6 @@ class OLAPEngine:
         """Close the open mode batch; returns the switch-back cost in ns."""
         return self.controller.end_mode_batch().total
 
-    @property
-    def mode_batch_active(self) -> bool:
-        """Whether a mode batch currently holds the banks."""
-        return self.controller.mode_batch_active
-
     def _scan(self, operator: str, op, column: str, timing: QueryTiming) -> None:
         """Run one scan operator and charge it to ``timing``: its phases,
         then the CPU harvest of its results; report it to telemetry.

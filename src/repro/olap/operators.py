@@ -656,14 +656,15 @@ class AggregationOperation(_ColumnScanOperation):
                 f"table {name!r}: {indices.size} group indices "
                 f"for a scan of {scan_rows(rows)} rows"
             )
-        # Ids of another dtype could wrap in the cast; the kernels check uint16 ids.
+        # Every dtype is checked before any phase charges a unit: a wide id
+        # could wrap in the cast, and a uint16 one could pass its
+        # accumulators (the kernel's own check guards ids read from WRAM).
         if indices.dtype.kind not in "iu":
             raise QueryError(f"table {name!r}: group indices of dtype {indices.dtype}")
-        if indices.dtype != np.uint16:
-            bad = np.flatnonzero((indices < 0) | ((indices >= num_groups) & (indices != 0xFFFF)))
-            if bad.size:
-                raise QueryError(f"table {name!r}: row {bad[0]} has group index "
-                                 f"{indices[bad[0]]}, outside [0, {num_groups})")
+        bad = np.flatnonzero((indices < 0) | ((indices >= num_groups) & (indices != 0xFFFF)))
+        if bad.size:
+            raise QueryError(f"table {name!r}: row {bad[0]} has group index "
+                             f"{indices[bad[0]]}, outside [0, {num_groups})")
         indices = np.ascontiguousarray(indices, dtype=np.uint16)
         # Set before super().__init__: the plan's shape depends on them.
         self.indices = indices

@@ -20,6 +20,7 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 from repro.core.config import DeviceGeometry
 from repro.errors import SchemaError
+from repro.format.bandwidth import cpu_lines_per_row
 from repro.format.layout import UnifiedLayout
 from repro.format.schema import TableSchema
 from repro.units import ceil_div
@@ -115,22 +116,13 @@ class UnifiedFormatModel:
         except KeyError:
             raise SchemaError(f"unknown table {table!r}") from None
 
-    def _touched_parts(self, table: str, columns: Optional[Sequence[str]]) -> Sequence[int]:
-        layout = self.layout(table)
-        if columns is None:
-            return [p.index for p in layout.parts]
-        parts = set()
-        for column in columns:
-            for run in layout.column_runs(column):
-                parts.add(run.part_index)
-        return sorted(parts)
-
     def lines_for_row(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
         layout = self.layout(table)
+        if columns is None:
+            return cpu_lines_per_row(layout, self._geometry)
+        touched = {run.part_index for column in columns for run in layout.column_runs(column)}
         g = self._geometry.interleave_granularity
-        return sum(
-            ceil_div(layout.parts[p].row_width, g) for p in self._touched_parts(table, columns)
-        )
+        return sum(ceil_div(layout.parts[p].row_width, g) for p in touched)
 
     def relayout_bytes(self, table: str, columns: Optional[Sequence[str]] = None) -> int:
         schema = self.layout(table).schema

@@ -46,11 +46,6 @@ class Bank:
         self._check(offset, nbytes)
         return self.device.read(self.start + offset, nbytes)
 
-    def write(self, offset: int, data: np.ndarray) -> None:
-        """Write ``data`` starting at ``offset`` within this bank."""
-        self._check(offset, len(data))
-        self.device.write(self.start + offset, data)
-
     def _check(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             raise MemoryError_(
@@ -103,11 +98,6 @@ class Device:
     def bank_size(self) -> int:
         """Capacity of each bank in bytes."""
         return self.banks[0].size
-
-    def bank_of(self, offset: int) -> Bank:
-        """Return the bank containing byte ``offset``."""
-        self._check(offset, 1)
-        return self.banks[offset // self.bank_size]
 
     def read(self, offset: int, nbytes: int) -> np.ndarray:
         """Read ``nbytes`` from the device starting at ``offset``."""

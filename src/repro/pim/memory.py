@@ -155,10 +155,6 @@ class Rank:
         """Write ``data`` locally to one device (PIM view)."""
         self.devices[device].write(local, data)
 
-    def bank_of(self, device: int, local: int):
-        """Return the bank of ``device`` containing local byte ``local``."""
-        return self.devices[device].bank_of(local)
-
     def _check(self, addr: int, nbytes: int) -> None:
         if addr < 0 or nbytes < 0 or addr + nbytes > self.size:
             raise MemoryError_(

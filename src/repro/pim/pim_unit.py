@@ -212,11 +212,6 @@ class PIMUnitStats:
     load_time = _counter("_times", 0)
     compute_time = _counter("_times", 1)
 
-    @property
-    def total_time(self) -> float:
-        """Total busy time of the unit."""
-        return self.load_time + self.compute_time
-
 
 class PIMUnit:
     """One per-bank PIM unit with a WRAM scratchpad."""

@@ -47,10 +47,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r}: negative increment {amount}")
         self.value += amount
 
-    def as_dict(self) -> Dict[str, float]:
-        """Summary used by the exporters."""
-        return {"value": self.value}
-
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
 
@@ -67,10 +63,6 @@ class Gauge:
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
         self.value = value
-
-    def as_dict(self) -> Dict[str, float]:
-        """Summary used by the exporters."""
-        return {"value": self.value}
 
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {self.value})"
@@ -202,11 +194,6 @@ class SpanEvent:
     attrs: Tuple[Tuple[str, object], ...] = field(default_factory=tuple)
     parent: Optional[int] = None
 
-    @property
-    def end(self) -> float:
-        """Span end on the simulated timeline."""
-        return self.start + self.duration
-
     def as_dict(self) -> Dict[str, object]:
         """Mapping used by the exporters."""
         return {
@@ -228,10 +215,6 @@ class NullCounter:
     def inc(self, amount: float = 1.0) -> None:
         """Discard the increment."""
 
-    def as_dict(self) -> Dict[str, float]:
-        """Empty summary."""
-        return {"value": 0.0}
-
 
 class NullGauge:
     """No-op gauge handed out when telemetry is disabled."""
@@ -242,10 +225,6 @@ class NullGauge:
 
     def set(self, value: float) -> None:
         """Discard the value."""
-
-    def as_dict(self) -> Dict[str, float]:
-        """Empty summary."""
-        return {"value": 0.0}
 
 
 class NullHistogram:

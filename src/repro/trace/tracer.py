@@ -66,16 +66,6 @@ class TraceSpan:
         return self.start + self.duration
 
     @property
-    def depth(self) -> int:
-        """Nesting depth (0 for roots)."""
-        depth = 0
-        node = self.parent
-        while node is not None:
-            depth += 1
-            node = node.parent
-        return depth
-
-    @property
     def self_time(self) -> float:
         """Exclusive time: duration minus the union of child windows.
 
@@ -184,11 +174,6 @@ class Tracer:
                 span.parent.children.append(span)
         #: All spans, in original recording order.
         self.spans: List[TraceSpan] = spans
-
-    @property
-    def roots(self) -> List[TraceSpan]:
-        """Spans with no parent, in recording order."""
-        return [s for s in self.spans if s.parent is None]
 
     @property
     def tracks(self) -> Dict[str, List[TraceSpan]]:

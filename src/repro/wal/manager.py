@@ -209,15 +209,3 @@ class DurabilityManager:
     def close(self) -> None:
         """Release file handles; never writes (a crash may precede this)."""
         self.wal.close()
-
-    def report(self) -> dict:
-        """Counters for reports and the crash-sweep."""
-        return {
-            "path": self.path,
-            "records": self.records,
-            "bytes_appended": self.bytes_appended,
-            "checkpoints": self.checkpoints,
-            "compactions": self.store.compactions,
-            "horizon": self._last_ts,
-            "levels": [len(level) for level in self.store.levels],
-        }

@@ -57,19 +57,6 @@ class RecoveryResult:
     orphan_segments: List[str] = field(default_factory=list)
     bitmap_mismatches: List[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "checkpoint_horizon": self.checkpoint_horizon,
-            "segments_applied": self.segments_applied,
-            "wal_records_replayed": self.wal_records_replayed,
-            "wal_records_skipped": self.wal_records_skipped,
-            "ops_applied": self.ops_applied,
-            "torn_tail": self.torn_tail,
-            "orphan_segments": list(self.orphan_segments),
-            "bitmap_mismatches": list(self.bitmap_mismatches),
-        }
-
 
 def recover(path: str, build_engine: Callable[[], object]) -> RecoveryResult:
     """Rebuild an engine from the durability directory at ``path``."""

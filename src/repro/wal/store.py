@@ -101,11 +101,6 @@ class LeveledStore:
         """Commit horizon covered by the reachable segments (0 if none)."""
         return self._horizon
 
-    @property
-    def levels(self) -> List[List[str]]:
-        """Reachable segment names per level (oldest first within a level)."""
-        return [list(level) for level in self._levels]
-
     def _read_manifest(self) -> dict:
         if not os.path.exists(self.manifest_path):
             return {"horizon": 0, "levels": [[] for _ in range(LEVELS)], "next_seq": 0}

@@ -8,8 +8,7 @@ randomness is seeded, so tests and benchmarks are reproducible.
 A table is *data* (:data:`_GENERATORS`): per column either a function of
 the row number, a constant, or a draw — ``("int", lo, hi)`` for an integer
 in ``[lo, hi)``, ``("fill", width)`` for ``width`` letters ``A``–``Z``.
-:func:`generate_table` yields blocks of rows as column arrays;
-:func:`generate_rows` is the dict-per-row view of the same blocks.
+:func:`generate_table` yields blocks of rows as column arrays.
 
 **The stream contract.** Each drawn column has a stream of its own: the
 table's ``SeedSequence(_table_seed(table, seed))`` spawns one ``PCG64``
@@ -38,13 +37,11 @@ from typing import Dict, Iterator
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.format.schema import Value
 
 __all__ = [
     "DATE_EPOCH",
     "DATE_HORIZON",
     "generate_table",
-    "generate_rows",
 ]
 
 #: Synthetic date range (days) used for *_d / *_date columns.
@@ -237,16 +234,3 @@ def generate_table(
             else:
                 block[column] = np.full(i.size, rule, dtype=np.int64)
         yield block
-
-
-def generate_rows(
-    table: str, counts: Dict[str, int], seed: int = 7
-) -> Iterator[Dict[str, Value]]:
-    """The rows of :func:`generate_table` as dicts (``int`` / ``bytes``)."""
-    for block in generate_table(table, counts, seed):
-        values = [
-            v.tolist() if v.ndim == 1 else [row.tobytes() for row in v]
-            for v in block.values()
-        ]
-        for row in zip(*values):
-            yield dict(zip(block, row))

@@ -24,6 +24,18 @@ SCHEMA = TableSchema.of(
 KEYS = ["k8", "k4", "k2"]
 
 
+def cpu_bandwidth(layout, geometry=GEOM):
+    """The database CPU formula on one table."""
+    return cpu_effective_bandwidth({"t": layout}, geometry, {"t": 1})
+
+
+def pim_bandwidth(layout, column_weights):
+    """The database PIM formula on one table's columns."""
+    return pim_effective_bandwidth(
+        {"t": layout}, {("t", column): weight for column, weight in column_weights.items()}
+    )
+
+
 class TestCPUModel:
     def test_lines_per_row_counts_parts(self):
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 0.0)
@@ -34,25 +46,25 @@ class TestCPUModel:
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 0.0)
         lines = cpu_lines_per_row(layout, GEOM)
         expected = SCHEMA.row_bytes / (lines * 64)
-        assert cpu_effective_bandwidth(layout, GEOM) == pytest.approx(expected)
+        assert cpu_bandwidth(layout) == pytest.approx(expected)
 
     def test_cpu_bandwidth_degrades_with_th(self):
-        low = cpu_effective_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 0.0), GEOM)
-        high = cpu_effective_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 1.0), GEOM)
+        low = cpu_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 0.0))
+        high = cpu_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 1.0))
         assert high <= low
 
     def test_hbm_granularity_hurts_small_rows(self):
         """§8: 64 B granularity wastes bandwidth on small columns."""
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 0.6)
-        dimm = cpu_effective_bandwidth(layout, GEOM)
-        hbm = cpu_effective_bandwidth(layout, hbm_system().geometry)
+        dimm = cpu_bandwidth(layout)
+        hbm = cpu_bandwidth(layout, hbm_system().geometry)
         assert hbm < dimm
 
 
 class TestPIMModel:
     def test_efficiency_is_width_over_part_width(self):
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 0.0)
-        part = layout.part_of_key_column("k2")
+        part = layout.parts[layout.key_column_location("k2").part_index]
         assert pim_column_efficiency(layout, "k2") == pytest.approx(2 / part.row_width)
 
     def test_dedicated_parts_are_fully_efficient(self):
@@ -62,22 +74,22 @@ class TestPIMModel:
 
     def test_weighted_average(self):
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 1.0)
-        assert pim_effective_bandwidth(layout, {"k8": 3, "k4": 1}) == 1.0
+        assert pim_bandwidth(layout, {"k8": 3, "k4": 1}) == 1.0
 
     def test_zero_weights_give_zero(self):
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 1.0)
-        assert pim_effective_bandwidth(layout, {}) == 0.0
-        assert pim_effective_bandwidth(layout, {"k8": 0}) == 0.0
+        assert pim_bandwidth(layout, {}) == 0.0
+        assert pim_bandwidth(layout, {"k8": 0}) == 0.0
 
     def test_non_key_weight_rejected(self):
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 1.0)
         with pytest.raises(LayoutError):
-            pim_effective_bandwidth(layout, {"n": 1})
+            pim_bandwidth(layout, {"n": 1})
 
     def test_pim_bandwidth_improves_with_th(self):
         weights = {"k8": 1, "k4": 1, "k2": 1}
-        low = pim_effective_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 0.0), weights)
-        high = pim_effective_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 1.0), weights)
+        low = pim_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 0.0), weights)
+        high = pim_bandwidth(compact_aligned_layout(SCHEMA, KEYS, 8, 1.0), weights)
         assert high >= low
 
 

@@ -135,7 +135,7 @@ class TestThTradeoff:
 
     def test_high_th_separates_widths(self):
         layout = compact_aligned_layout(self.SCHEMA, self.KEYS, 8, 1.0)
-        widths = {layout.part_of_key_column(k).row_width for k in self.KEYS}
+        widths = {layout.parts[layout.key_column_location(k).part_index].row_width for k in self.KEYS}
         assert widths == {8, 4, 2}
         for key in self.KEYS:
             assert pim_column_efficiency(layout, key) == 1.0
@@ -172,4 +172,4 @@ class TestReport:
         assert report.num_parts == layout.num_parts
         assert report.key_parts + report.normal_parts == report.num_parts
         assert report.stored_bytes_per_row == layout.bytes_per_row()
-        assert 0 <= report.padding_fraction < 1
+        assert 0 <= report.padding_bytes_per_row < report.stored_bytes_per_row

@@ -80,9 +80,6 @@ class TestDerivedQuantities:
         assert p.load_buffer_bytes == 32 * KIB
         assert p.access_granularity == 8
 
-    def test_cpu_cycle(self):
-        assert CPUConfig().cycle_ns == pytest.approx(1 / 3.2)
-
     def test_total_bandwidths(self):
         s = dimm_system()
         assert s.total_pim_bandwidth == 1024.0

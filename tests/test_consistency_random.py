@@ -20,7 +20,7 @@ from repro.olap.queries import (
 )
 from repro.oltp.tpcc import delivery, new_order, payment
 from repro.workloads.chbench import row_counts
-from repro.workloads.tpcc_gen import generate_rows
+from tests.test_workloads import generate_rows
 
 
 class ReferenceOracle:

@@ -93,7 +93,7 @@ class TestAgreementWithFunctionalExecutor:
             table.storage, engine.units, "ol_amount", Condition("ge", 0), rows
         )
         functional = engine.olap.executor.execute(op)
-        part = table.layout.part_of_key_column("ol_amount")
+        part = table.layout.parts[table.layout.key_column_location("ol_amount").part_index]
         # Evaluate the analytic model for the same single-rank setup.
         analytic = column_scan_cost(
             engine.config,

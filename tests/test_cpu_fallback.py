@@ -35,7 +35,7 @@ class TestReadColumnValues:
         storage = loaded_engine.table("orderline").storage
         # A key column touches one part; a normal split column may touch more.
         key_bytes = storage.cpu_scan_bytes("ol_amount", 100)
-        part = storage.layout.part_of_key_column("ol_amount")
+        part = storage.layout.parts[storage.layout.key_column_location("ol_amount").part_index]
         assert key_bytes == part.row_width * 8 * 100
 
 
@@ -103,7 +103,7 @@ class TestCPUFilter:
         cpu_time = cpu_bytes / engine.config.total_cpu_bandwidth
         from repro.olap.cost import column_scan_cost
 
-        part = table.layout.part_of_key_column("ol_amount")
+        part = table.layout.parts[table.layout.key_column_location("ol_amount").part_index]
         pim = column_scan_cost(
             engine.config, rows.data_rows, 8, part_row_width=part.row_width
         )

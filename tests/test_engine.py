@@ -373,7 +373,7 @@ class TestDeliveryDefragReconciliation:
         assert pending, "expected deliveries to tombstone neworder rows"
         assert mvcc.alive_at(-1)[sorted(pending)].all()  # none folded yet
         engine.defragment()
-        assert mvcc.log_length == 0
+        assert mvcc.journal.records == 0
         assert not mvcc.alive_at(-1)[sorted(pending)].any()  # all folded dead
         # The folded deletions stay observable after the log was cleared.
         row = next(iter(pending))

@@ -316,7 +316,7 @@ class TestInvariantChecker:
     def test_catches_mvcc_log_tampering(self, fresh_engine):
         fresh_engine.run_transactions(10, fresh_engine.make_driver(seed=4))
         table = fresh_engine.table("district")
-        assert table.mvcc.log_length > 0
+        assert table.mvcc.journal.records > 0
         table.mvcc._size -= 1  # lose one committed record
         checker = InvariantChecker(fresh_engine, raise_on_violation=False)
         assert checker.check()
@@ -325,7 +325,7 @@ class TestInvariantChecker:
         """A row whose head points at an earlier update entry of its own
         is reported; the same engine untouched reports nothing."""
         mvcc = fresh_engine.table("district").mvcc
-        first = mvcc.log_length
+        first = mvcc.journal.records
         mvcc.update(3, ts=1000)
         mvcc.update(3, ts=1001)
         checker = InvariantChecker(fresh_engine, raise_on_violation=False)

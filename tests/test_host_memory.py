@@ -69,7 +69,7 @@ def stack(mvcc_cls, snapshot_cls, initial_rows):
 def assert_same(new, ref, ts):
     (storage, mvcc, snap, _), (ref_storage, ref_mvcc, ref_snap, _) = new, ref
     assert mvcc.num_rows == ref_mvcc.num_rows
-    assert mvcc.log_length == ref_mvcc.log_length
+    assert mvcc.journal.records == ref_mvcc.journal.records
     for a, b in zip(mvcc.journal, ref_mvcc.journal):
         np.testing.assert_array_equal(a, b)
     n = mvcc.num_rows
@@ -162,7 +162,7 @@ class TestSameHistoryAsCapacitySized:
         for manager in (mvcc, ref):
             with pytest.raises(TransactionError, match="table full: capacity 20"):
                 manager.insert(21)
-            assert manager.num_rows == 20 and manager.log_length == 20
+            assert manager.num_rows == 20 and manager.journal.records == 20
 
     def test_rebuild_after_defrag_equals_full_clear(self):
         new = stack(MVCCManager, SnapshotManager, 40)
@@ -185,11 +185,11 @@ class TestJournalGuard:
         mvcc.update(0, 1)
         mvcc.insert(2)
         mvcc.delete(1, 3)
-        before = (mvcc.num_rows, mvcc.log_length, mvcc.delta.allocated_rows)
+        before = (mvcc.num_rows, mvcc.journal.records, mvcc.delta.allocated_rows)
         for write in (lambda: mvcc.update(2, 4), lambda: mvcc.insert(4), lambda: mvcc.delete(3, 4)):
             with pytest.raises(TransactionError, match="journal full: 3 entries"):
                 write()
-            assert (mvcc.num_rows, mvcc.log_length, mvcc.delta.allocated_rows) == before
+            assert (mvcc.num_rows, mvcc.journal.records, mvcc.delta.allocated_rows) == before
         assert mvcc.tombstoned_rows() == [1]
         assert mvcc.chain_length(2) == 1
         mvcc.compact()

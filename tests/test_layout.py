@@ -35,7 +35,6 @@ class TestValidation:
         assert layout.bytes_per_row() == 16
         assert layout.useful_bytes_per_row() == 12
         assert layout.padding_bytes_per_row() == 4
-        assert layout.padding_fraction() == pytest.approx(4 / 16)
 
     def test_rejects_overlapping_placements(self):
         with pytest.raises(LayoutError):
@@ -132,9 +131,6 @@ class TestIntrospection:
         assert run.part_index == 0 and run.slot_index == 0
         with pytest.raises(LayoutError):
             layout.key_column_location("z")
-
-    def test_part_of_key_column(self):
-        assert simple_layout().part_of_key_column("b").row_width == 4
 
 
 class TestPacking:

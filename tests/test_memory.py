@@ -35,12 +35,6 @@ class TestDevice:
         assert dev.bank_size == 512
         assert [b.start for b in dev.banks] == [i * 512 for i in range(8)]
 
-    def test_bank_of(self):
-        dev = Device(0, 4096, num_banks=8)
-        assert dev.bank_of(0).index == 0
-        assert dev.bank_of(511).index == 0
-        assert dev.bank_of(512).index == 1
-
     def test_bank_read_is_bank_relative(self):
         dev = Device(0, 4096, num_banks=8)
         dev.write(512 + 7, np.array([42], dtype=np.uint8))
@@ -120,12 +114,6 @@ class TestRank:
         assert rank.size == 8 * 8192
         with pytest.raises(MemoryError_):
             rank.read_interleaved(rank.size - 3, 10)
-
-    def test_bank_of(self):
-        rank = make_rank(8192)
-        bank = rank.bank_of(2, 1025)
-        assert bank.device.index == 2
-        assert bank.index == 1
 
     def test_geometry_validation(self):
         with pytest.raises(MemoryError_):

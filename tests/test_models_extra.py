@@ -115,7 +115,7 @@ class TestTableRuntimeHelpers:
         """The bulk loader writes initial rows without MVCC churn and
         indexes them under the table's key column."""
         runtime = fresh_engine.table("item")
-        log_length = runtime.mvcc.log_length
+        log_length = runtime.mvcc.journal.records
         block = {
             "i_id": np.arange(1001, 1006),
             "i_im_id": np.ones(5, dtype=np.int64),
@@ -127,7 +127,7 @@ class TestTableRuntimeHelpers:
         assert count == 5
         ts = fresh_engine.db.oracle.read_timestamp()
         assert runtime.read_row(2, ts)["i_price"] == 100
-        assert runtime.mvcc.log_length == log_length
+        assert runtime.mvcc.journal.records == log_length
         assert fresh_engine.db.index("item_pk").probe(1003) == 2
 
     def test_update_unknown_column_rejected(self, fresh_engine):
@@ -140,14 +140,14 @@ class TestTableRuntimeHelpers:
         index entry under the old key. The update raises, naming the
         table and the columns, and leaves no journal entry."""
         runtime = fresh_engine.table("stock")
-        log_length = runtime.mvcc.log_length
+        log_length = runtime.mvcc.journal.records
         ts = fresh_engine.db.oracle.next_timestamp()
         with pytest.raises(
             TransactionError,
             match=r"table 'stock': cannot update index key column\(s\) \['s_i_id'\]",
         ):
             runtime.update_row(0, ts, {"s_quantity": 5, "s_i_id": 9999})
-        assert runtime.mvcc.log_length == log_length
+        assert runtime.mvcc.journal.records == log_length
         assert runtime.read_row(0, ts)["s_i_id"] == runtime.stored_key(0)[1]
         assert fresh_engine.db.index("stock_pk").probe(runtime.stored_key(0)) == 0
 

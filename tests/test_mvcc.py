@@ -209,7 +209,7 @@ class TestMVCCManager:
         mv.insert(ts=6)
         assert mv.log_between(2, 10**9).write_ts.tolist() == [4, 6]
         assert mv.log_between(2, 5).write_ts.tolist() == [4]
-        assert mv.log_length == 3
+        assert mv.journal.records == 3
 
     def test_compact_moves_newest_and_truncates(self):
         mv = self.make()
@@ -220,7 +220,7 @@ class TestMVCCManager:
         assert mv.chain_length(1) == 1
         assert mv.read(1, 10) == (-1, 1)
         assert mv.delta.allocated_rows == 0
-        assert mv.log_length == 0
+        assert mv.journal.records == 0
 
     def test_stale_version_count(self):
         mv = self.make()
@@ -264,7 +264,7 @@ class TestTombstoneCompaction:
         mv = self.make()
         mv.delete(7, ts=2)
         mv.compact()
-        assert mv.log_length == 0  # the delete entry is gone...
+        assert mv.journal.records == 0  # the delete entry is gone...
         assert mv.tombstoned_rows() == [7]
         assert not mv.alive_at(0)[7]  # ...and the row is dead at every ts
         with pytest.raises(TransactionError, match="deleted"):
@@ -301,14 +301,14 @@ class TestUpdateAtomicity:
     def test_same_ts_update_overwrites_in_place(self):
         mv = self.make()
         src, first, before = mv.update(5, ts=3)
-        log_before = mv.log_length
+        log_before = mv.journal.records
         again = mv.update(5, ts=3)
         # One version per (row, transaction): overwritten in place, with
         # the chain length it had before this transaction's install.
         assert (src, before) == (-1, 1)
         assert again == (first, first, 2)
         assert mv.chain_length(5) == 2
-        assert mv.log_length == log_before
+        assert mv.journal.records == log_before
         assert mv.delta.allocated_rows == 1
 
     def test_failed_update_leaks_no_delta_row(self):

@@ -98,11 +98,11 @@ def test_same_row_insert_update_delete_unwound():
         manager.update(row_id, ts)
         assert manager.chain_length(row_id) == 1
         manager.delete(row_id, ts)
-    assert mvcc.log_length == 2
+    assert mvcc.journal.records == 2
     assert_same(pair, ts, "after insert+update+delete")
     rollback(pair, ts, "after full rollback")
     assert mvcc.num_rows == INITIAL_ROWS
-    assert mvcc.log_length == 0
+    assert mvcc.journal.records == 0
 
 
 def test_update_then_delete_existing_row_unwound():

@@ -133,17 +133,20 @@ class TestGroupAndAggregation:
             (np.array([0, 65537]), r"row 1 has group index 65537, outside \[0, 2\)"),
             (np.array([0, -1]), r"row 1 has group index -1, outside \[0, 2\)"),
             (np.array([0.0, 0.9]), "group indices of dtype float64"),
+            # uint16 needs no cast, and is checked all the same.
+            (np.array([0, 2], dtype=np.uint16), r"row 1 has group index 2, outside \[0, 2\)"),
         ],
     )
     def test_aggregation_rejects_ids_that_would_wrap(self, loaded_engine, ids, message):
-        """Ids a cast to 2 bytes would wrap, or truncate, are refused by
-        name before any phase runs."""
+        """Ids a cast to 2 bytes would wrap, or truncate, and ids beyond
+        the accumulators are refused by name before any phase runs."""
         table = loaded_engine.table("orderline")
         indices = np.resize(ids, scan_rows(table.region_rows()))
-        counts = loaded_engine.units.counts.copy()
+        units = loaded_engine.units
+        counts, times = units.counts.copy(), units.times.copy()
         with pytest.raises(QueryError, match=f"table 'orderline': {message}"):
             loaded_engine.olap.aggregate(table, "ol_amount", indices, 2, QueryTiming())
-        assert np.array_equal(loaded_engine.units.counts, counts)
+        assert np.array_equal(units.counts, counts) and np.array_equal(units.times, times)
 
     def test_aggregation_takes_in_range_ids_of_any_integer_dtype(self, worked_engine):
         table = worked_engine.table("orderline")

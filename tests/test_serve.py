@@ -312,7 +312,8 @@ class TestPolicyAblation:
             batch_engine.config.mode_switch_latency
             * batch_engine.controller.num_ranks
         )
-        assert naive_time - batch.total_time == pytest.approx(
+        batch_time = batch.switch_time + sum(r.total_time for r in batch.results)
+        assert naive_time - batch_time == pytest.approx(
             saved * handover_ns
         )
 

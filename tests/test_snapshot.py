@@ -130,15 +130,6 @@ class TestIncrementalUpdate:
         # One data-region granule + one delta-region granule.
         assert cost.bitmap_bytes == 2 * line
 
-    def test_cost_merge(self):
-        _, mvcc, snap = make()
-        mvcc.update(1, ts=1)
-        a = snap.update_to(1)
-        mvcc.update(2, ts=2)
-        b = snap.update_to(2)
-        merged = a.merge(b)
-        assert merged.records == 2
-
     def test_backwards_timestamp_rejected(self):
         _, mvcc, snap = make()
         mvcc.update(1, ts=1)

@@ -191,7 +191,7 @@ class TestScanPlan:
 
     def test_plan_stride_and_chunk(self):
         st_ = make_storage()
-        part = st_.layout.part_of_key_column("c")
+        part = st_.layout.parts[st_.layout.key_column_location("c").part_index]
         scan = next(iter(st_.column_scan_plan("c", Region.DATA, 10)))
         assert scan.stride == part.row_width
         assert scan.chunk == 8

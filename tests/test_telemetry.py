@@ -83,7 +83,6 @@ class TestMetrics:
 
     def test_span_event(self):
         s = SpanEvent("pim.phase.load", start=100.0, duration=50.0)
-        assert s.end == 150.0
         assert s.as_dict()["attrs"] == {}
 
 
@@ -114,8 +113,8 @@ class TestRegistry:
         reg = MetricsRegistry()
         a = reg.record_span("x", 10.0)
         b = reg.record_span("y", 5.0)
-        assert (a.start, a.end) == (0.0, 10.0)
-        assert (b.start, b.end) == (10.0, 15.0)
+        assert (a.start, a.duration) == (0.0, 10.0)
+        assert (b.start, b.duration) == (10.0, 5.0)
         assert reg.sim_time == 15.0
         # An explicit start does not move the cursor.
         reg.record_span("z", 100.0, start=2.0)

@@ -13,7 +13,7 @@ def db_fingerprint(engine):
     + delta occupancy."""
     out = {}
     for name, t in engine.db.tables.items():
-        out[name] = (t.num_rows, t.mvcc.log_length, t.mvcc.delta.allocated_rows)
+        out[name] = (t.num_rows, t.mvcc.journal.records, t.mvcc.delta.allocated_rows)
     out["_indexes"] = {n: len(i) for n, i in engine.db.indexes.items()}
     return out
 
@@ -131,7 +131,7 @@ def mvcc_state(mvcc):
     """What a rolled-back transaction must leave exactly as it found."""
     return (
         mvcc.num_rows,
-        mvcc.log_length,
+        mvcc.journal.records,
         mvcc.stale_version_count(),
         mvcc.delta.allocated_rows,
     )

@@ -143,7 +143,7 @@ def oracle_join_pairs(h1, h2):
 def oracle_copy_rows(bank, src_addrs, dst_addrs, width):
     """One bank read + write per row, in order."""
     for src, dst in zip(src_addrs, dst_addrs):
-        bank.write(int(dst), bank.read(int(src), width))
+        bank.device.write(bank.start + int(dst), bank.read(int(src), width))
 
 
 class TestPIMUnitEquivalence:
@@ -151,7 +151,7 @@ class TestPIMUnitEquivalence:
     def test_load_strided(self, stride, chunk):
         rng = np.random.default_rng(stride * 31 + chunk)
         unit = make_unit()
-        unit.bank.write(0, rng.integers(0, 256, size=1 << 13, dtype=np.uint8))
+        unit.bank.device.write(unit.bank.start, rng.integers(0, 256, size=1 << 13, dtype=np.uint8))
         length = 1 << 12
         expected = oracle_load_strided(unit.bank, 64, length, stride, chunk)
         time = unit.load_strided(64, length, stride=stride, chunk=chunk, wram_offset=0)
@@ -211,7 +211,7 @@ class TestPIMUnitEquivalence:
         dst = src + 2048
         unit, reference = make_unit(), make_unit()
         for u in (unit, reference):
-            u.bank.write(0, image)
+            u.bank.device.write(u.bank.start, image)
         oracle_copy_rows(reference.bank, src, dst, width)
         time = unit.copy_rows(src, dst, width)
         np.testing.assert_array_equal(
@@ -223,7 +223,7 @@ class TestPIMUnitEquivalence:
     def test_copy_rows_out_of_range_writes_nothing(self):
         unit = make_unit()
         rng = np.random.default_rng(17)
-        unit.bank.write(0, rng.integers(0, 256, size=unit.bank.size, dtype=np.uint8))
+        unit.bank.device.write(unit.bank.start, rng.integers(0, 256, size=unit.bank.size, dtype=np.uint8))
         before = unit.bank.read(0, unit.bank.size).copy()
         width = 8
         # The first row is in range; the second source row ends 4 bytes
@@ -846,7 +846,7 @@ def assert_same_state(mvcc, oracle, probes=()):
     """Every public output of the two managers agrees, and so do their
     newest versions."""
     assert mvcc.num_rows == oracle.num_rows
-    assert mvcc.log_length == oracle.log_length
+    assert mvcc.journal.records == oracle.log_length
     assert window_records(mvcc.journal) == oracle._log
     assert mvcc.stale_version_count() == oracle.stale_version_count()
     assert mvcc.updated_rows().size == len(oracle.updated_chains())
@@ -1138,12 +1138,12 @@ class TestStorageEquivalence:
 
     def test_update_row_unknown_column_message(self, small_engine):
         runtime = small_engine.table("orderline")
-        log_length = runtime.mvcc.log_length
+        log_length = runtime.mvcc.journal.records
         with pytest.raises(TransactionError) as err:
             runtime.update_row(0, 10**9, {"nope": 1})
         assert str(err.value) == "table 'orderline' has no columns ['nope']"
         # Unknown columns raise before the MVCC install.
-        assert runtime.mvcc.log_length == log_length
+        assert runtime.mvcc.journal.records == log_length
         assert runtime.mvcc.chain_length(0) == 1
 
 

@@ -144,7 +144,9 @@ class TestLeveledStore:
         for horizon in range(10, 22, 2):
             store.commit_segment(store.write_segment(self._segment(horizon)), horizon)
         assert store.compactions > 0
-        assert all(len(level) <= 2 for level in store.levels[:-1])
+        with open(store.manifest_path, encoding="utf-8") as fh:
+            levels = json.load(fh)["levels"]
+        assert all(len(level) <= 2 for level in levels[:-1])
         # Newest-wins horizon survives the merges.
         assert LeveledStore(str(tmp_path), fanout=2).horizon == 20
 
