@@ -60,6 +60,19 @@ class TestCPUModel:
         hbm = cpu_bandwidth(layout, hbm_system().geometry)
         assert hbm < dimm
 
+    def test_tables_weigh_by_rows(self):
+        """Several tables pool useful and moved bytes, each by its rows;
+        a table absent from ``rows`` moves nothing."""
+        dense = compact_aligned_layout(SCHEMA, KEYS, 8, 0.0)
+        split = compact_aligned_layout(SCHEMA, KEYS, 8, 1.0)
+        layouts = {"dense": dense, "split": split}
+        moved = {name: cpu_lines_per_row(l, GEOM) * 64 for name, l in layouts.items()}
+        pooled = cpu_effective_bandwidth(layouts, GEOM, {"dense": 3, "split": 1})
+        expected = 4 * SCHEMA.row_bytes / (3 * moved["dense"] + moved["split"])
+        assert pooled == pytest.approx(expected)
+        assert cpu_effective_bandwidth(layouts, GEOM, {"dense": 5}) == cpu_bandwidth(dense)
+        assert cpu_effective_bandwidth(layouts, GEOM, {}) == 0.0
+
 
 class TestPIMModel:
     def test_efficiency_is_width_over_part_width(self):
@@ -75,6 +88,14 @@ class TestPIMModel:
     def test_weighted_average(self):
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 1.0)
         assert pim_bandwidth(layout, {"k8": 3, "k4": 1}) == 1.0
+
+    def test_columns_of_several_tables_average_by_weight(self):
+        dense = compact_aligned_layout(SCHEMA, KEYS, 8, 0.0)
+        split = compact_aligned_layout(SCHEMA, KEYS, 8, 1.0)
+        layouts = {"dense": dense, "split": split}
+        weights = {("dense", "k2"): 3, ("split", "k4"): 1}
+        expected = (3 * pim_column_efficiency(dense, "k2") + 1.0) / 4
+        assert pim_effective_bandwidth(layouts, weights) == pytest.approx(expected)
 
     def test_zero_weights_give_zero(self):
         layout = compact_aligned_layout(SCHEMA, KEYS, 8, 1.0)

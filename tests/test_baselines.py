@@ -17,6 +17,7 @@ from repro.baselines.pushtap_model import PushTapQueryModel
 from repro.core.config import dimm_system, hbm_system
 from repro.errors import QueryError
 from repro.experiments import baselines as pinned
+from repro.experiments import fig9
 from repro.olap.cost import column_scan_cost
 from repro.units import KIB
 
@@ -59,6 +60,19 @@ class TestMultiInstance:
         accel = MultiInstanceModel(dimm_system(), accelerator_speedup=6.0)
         assert accel.rebuild_cost(10**6).total < base.rebuild_cost(10**6).total
 
+    def test_query_time_includes_rebuild(self):
+        """Fig. 9b's MI query pays the rebuild on top of its scan."""
+        points = {
+            (p.system, p.num_txns): p for p in fig9.olap_comparison(txn_counts=(10**6,))
+        }
+        mi = MultiInstanceModel(dimm_system(), writes_per_txn=fig9._WRITES_PER_TXN)
+        point = points["MI", 10**6]
+        assert point.consistency_time == mi.rebuild_cost(10**6).total > 0
+        assert point.scan_time == mi.scan_time(fig9._mean_query_columns(1.0))
+        assert point.total_time == pytest.approx(
+            mi.rebuild_cost(10**6).total + mi.scan_time(fig9._mean_query_columns(1.0))
+        )
+
     def test_negative_txns_rejected(self):
         with pytest.raises(QueryError):
             MultiInstanceModel(dimm_system()).rebuild_cost(-1)
@@ -78,6 +92,21 @@ class TestPushTapModel:
             9 * model.defrag_period * model.lazy_metadata_bytes_per_txn
         ) / dimm_system().total_cpu_bandwidth
         assert at_10x == pytest.approx(at_period + lazy_extra)
+
+    def test_fig9_point_scans_the_pending_delta(self):
+        """Fig. 9b's PUSHtap point: snapshot consistency, then a scan
+        inflated by the delta rows not yet defragmented."""
+        model = PushTapQueryModel(dimm_system(), writes_per_txn=fig9._WRITES_PER_TXN)
+        columns = fig9._mean_query_columns(1.0)
+        base_rows = sum(rows for rows, _ in columns)
+        for n in (10_000, 10**6):
+            (point,) = [
+                p for p in fig9.olap_comparison(txn_counts=(n,)) if p.system == "PUSHtap"
+            ]
+            delta = model.pending_delta_fraction(n, base_rows)
+            assert delta > 0
+            assert point.consistency_time == model.query_consistency(n)
+            assert point.scan_time == model.scan_time(columns, delta) > model.scan_time(columns)
 
     def test_fragmentation_inflates_scan(self):
         model = PushTapQueryModel(dimm_system())

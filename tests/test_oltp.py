@@ -10,6 +10,7 @@ from repro.oltp.engine import CostParams, TxnBreakdown
 from repro.oltp.formats import ColumnStoreModel, RowStoreModel, UnifiedFormatModel
 from repro.oltp.index import HashIndex
 from repro.oltp.tpcc import NewOrderParams, TPCCDriver, new_order, payment
+from repro.format.bandwidth import cpu_lines_per_row
 from repro.format.binpack import compact_aligned_layout
 from repro.pim.device import Device
 from repro.pim.memory import Rank
@@ -142,6 +143,16 @@ class TestFormatModels:
         assert unified.lines_for_row("customer", ["c_id"]) <= unified.lines_for_row(
             "customer"
         )
+
+    def test_unified_whole_row_is_the_cpu_bandwidth_line_count(self):
+        """A whole-row access touches every part: the same line count the
+        CPU effective-bandwidth model charges, however it is asked."""
+        for th in (0.0, 0.6, 1.0):
+            layout = compact_aligned_layout(self.schemas["customer"], ["c_id", "c_balance"], 8, th)
+            unified = UnifiedFormatModel({"customer": layout}, GEOM)
+            lines = cpu_lines_per_row(layout, GEOM)
+            assert unified.lines_for_row("customer") == lines
+            assert unified.lines_for_row("customer", self.schemas["customer"].column_names) == lines
 
     def test_unified_relayout_bytes(self):
         layouts = {

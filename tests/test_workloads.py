@@ -172,6 +172,16 @@ class TestGenerators:
             for row in rows[:5]:
                 schema.encode_row(row)  # validates widths/ranges
 
+    def test_rows_are_a_view_of_the_blocks(self):
+        for table in self.COUNTS:
+            rows = list(generate_rows(table, self.COUNTS, 9))
+            values = whole_table(table, self.COUNTS, 9)
+            assert rows == [
+                {c: v[i].tolist() if v.ndim == 1 else v[i].tobytes() for c, v in values.items()}
+                for i in range(self.COUNTS[table])
+            ]
+            assert all(type(v) in (int, bytes) for row in rows[:3] for v in row.values())
+
     def test_deterministic(self):
         a = list(generate_rows("orderline", self.COUNTS, seed=3))
         b = list(generate_rows("orderline", self.COUNTS, seed=3))
