@@ -2,8 +2,8 @@
 
 Not a paper figure — these track the reproduction's own performance:
 row packing, the one-row storage calls a transaction runs, transaction
-execution, snapshotting, filter scans, two queries, and launch-request
-encoding.
+execution, snapshotting, filter scans, two queries, a whole build, and
+launch-request encoding.
 """
 
 import numpy as np
@@ -120,6 +120,13 @@ def test_bench_query_q1(benchmark, bench_engine):
     aggregations over the merged group ids."""
     result = benchmark(bench_engine.query, "Q1")
     assert result.rows
+
+
+def test_bench_build(benchmark):
+    """Set-up at 1e-4: generate, lay out and store every CH-benCHmark
+    table through its column runs, and index the packed keys."""
+    engine = benchmark(PushTapEngine.build, scale=1e-4)
+    assert engine.memory_bytes()["index_entries"] > 0
 
 
 def test_bench_request_codec(benchmark):

@@ -158,8 +158,6 @@ class DeviceGeometry:
 
     devices_per_rank: int = 8
     banks_per_device: int = 8
-    rows_per_bank: int = 131_072
-    columns_per_row: int = 1024
     interleave_granularity: int = 8
     row_buffer_bytes: int = 1024
 
@@ -168,10 +166,6 @@ class DeviceGeometry:
             raise ConfigError("devices_per_rank must be positive")
         if self.banks_per_device <= 0:
             raise ConfigError("banks_per_device must be positive")
-        if self.rows_per_bank <= 0:
-            raise ConfigError("rows_per_bank must be positive")
-        if self.columns_per_row <= 0:
-            raise ConfigError("columns_per_row must be positive")
         # Address interleaving and row-buffer indexing both use these as
         # power-of-two strides (byte_address // row_buffer_bytes etc.).
         if not _is_power_of_two(self.interleave_granularity):
@@ -356,8 +350,6 @@ def hbm_system(**overrides) -> SystemConfig:
     geometry = DeviceGeometry(
         devices_per_rank=8,
         banks_per_device=8,
-        rows_per_bank=32_768,
-        columns_per_row=64,
         interleave_granularity=64,
         row_buffer_bytes=1024,
     )
@@ -388,8 +380,6 @@ def lpddr5x_system(**overrides) -> SystemConfig:
     geometry = DeviceGeometry(
         devices_per_rank=4,
         banks_per_device=16,
-        rows_per_bank=65_536,
-        columns_per_row=1024,
         interleave_granularity=16,
         row_buffer_bytes=2048,
     )

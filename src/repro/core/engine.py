@@ -81,7 +81,7 @@ class OLAPBatchResult:
 
 #: Table → (index name, key columns) of the CH-benCHmark tables, matching
 #: the deterministic data generator's key assignment and the keys TPC-C
-#: probes: one column indexes its plain values, several their tuples.
+#: probes: one column indexes its plain values, several their packed ones.
 _INDEX_KEYS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "warehouse": ("warehouse_pk", ("w_id",)),
     "district": ("district_pk", ("d_w_id", "d_id")),
@@ -101,7 +101,7 @@ def _column_arrays(schema: TableSchema, rows: Sequence[Dict]) -> Dict[str, np.nd
     """Row dicts as one block of the loader's column arrays: ints as an
     integer array, bytes as a NUL-padded ``(n, width)`` ``uint8`` matrix.
     A non-bytes value in a bytes column raises here; any other misfit
-    keeps NumPy's type for :meth:`UnifiedLayout.encode_columns` to reject,
+    keeps NumPy's type for :meth:`TableStorage.write_column_rows` to reject,
     both in :meth:`Column.encode`'s words."""
     columns: Dict[str, np.ndarray] = {}
     for col in schema:
@@ -342,10 +342,10 @@ class PushTapEngine:
         (§4.1.2); ``initial_rows`` supplies the bulk-loaded rows;
         ``index_keys`` optionally maps a table to ``(index_name,
         key_columns)``: a unique hash index over the table's int key
-        columns, keyed by one column's value or several columns' tuple,
-        which the table keeps through loads, inserts and deletes (key
-        columns cannot be updated). The rows are converted once into
-        column arrays and loaded like :meth:`build`'s. TPC-C helpers
+        columns (64 bits at most), keyed by one column's value or several
+        packed into one int, which the table keeps through loads, inserts
+        and deletes (key columns cannot be updated). The rows are converted
+        once into column arrays and loaded like :meth:`build`'s. TPC-C helpers
         (:meth:`make_driver`, :meth:`run_transactions`) only apply to the
         CH build — use :meth:`PushTapEngine.oltp` / :meth:`query` plumbing
         directly, or the generic OLAP operators.
@@ -407,6 +407,12 @@ class PushTapEngine:
                 raise ConfigError(
                     f"index {index_name!r} on table {table_name!r} needs int key "
                     f"columns of the table, got {list(columns)}"
+                )
+            bits = sum(8 * schema.column(c).width for c in columns)
+            if bits > 64:
+                raise ConfigError(
+                    f"index {index_name!r} on table {table_name!r}: key columns "
+                    f"{list(columns)} are {bits} bits, more than the 64 of a packed key"
                 )
         layouts = {
             name: compact_aligned_layout(
@@ -772,13 +778,15 @@ class PushTapEngine:
 
     def memory_bytes(self) -> Dict[str, int]:
         """Host memory by layer, in bytes: the MVCC per-row arrays and
-        journals, the snapshot bitmaps and the WRAM matrices; and
-        ``index_entries``, the keys the hash indexes hold."""
+        journals, the snapshot bitmaps, the WRAM matrices and the hash
+        indexes; and ``index_entries``, the keys the hash indexes hold."""
         tables = self.db.tables.values()
+        indexes = [t.index for t in tables if t.index is not None]
         return {
             "mvcc_rows": sum(t.mvcc.row_bytes for t in tables),
             "mvcc_journal": sum(t.mvcc.journal_bytes for t in tables),
             "snapshot_bits": sum(t.snapshots.bits_bytes for t in tables),
             "wram": sum(units.wram.nbytes for units in self.rank_units),
-            "index_entries": sum(len(t.index) for t in tables if t.index is not None),
+            "index_bytes": sum(index.nbytes for index in indexes),
+            "index_entries": sum(map(len, indexes)),
         }

@@ -21,10 +21,8 @@ blocks that changed, and raises for rows past the region's allocated
 blocks). Because of the ADE alignment, whole-row movement is a column
 slice of the rank's byte matrix — ``rank.mem[:, addr:addr+W]`` is one
 row's slots on every device — so a row copy is one ``W``-byte item per
-device and part, a block of rows one strided store per part
-(:meth:`TableStorage.write_column_rows`, from column arrays), a
-defragmentation pass one gather and one store of ``W``-byte items per
-part (:meth:`TableStorage.copy_rows`, through
+device and part, a defragmentation pass one gather and one store of
+``W``-byte items per part (:meth:`TableStorage.copy_rows`, through
 :func:`~repro.pim.memory.byte_runs`), and a bitmap update one broadcast.
 
 Reads index the same matrix through one *read plan* per column — the
@@ -33,6 +31,9 @@ geometry of each of its byte runs, resolved once (:class:`_ReadRun`).
 one item gather ``byte_runs(mem, length)[device, addr]`` per run,
 whatever blocks and rotations the rows sit in, returning column arrays;
 :meth:`TableStorage.read_column_values` is ``read_rows`` over a prefix.
+The bulk load writes through the same plans: per block, one zeroing
+store per part, then one strided store of ``length``-byte items per run
+(:meth:`TableStorage.write_column_rows`, from column arrays).
 The one-row calls resolve a *row shape* (the column names one call gives)
 into those plans once, so per row only the shape's plan runs:
 :meth:`TableStorage.read_row` with slices ``Rank.flat[a:a+n]`` (a one-row
@@ -203,6 +204,10 @@ class TableStorage:
             (part.row_width, (self._data_blocks[part.index], self._delta_blocks[part.index]), at)
             for part, at in zip(layout.parts, layout.part_offsets)
         )
+        # Per part, the same block bases as arrays (the read plans' gathers).
+        self._base_arrays = tuple(
+            tuple(np.asarray(bases, dtype=np.intp) for bases in regions) for _, regions, _ in self._parts
+        )
         # A block's rotation is ``block % _rotations`` (one rotation, 0, without the circulant).
         self._rotations = rank.num_devices if circulant else 1
         # Per column in schema order: name, int width (0: bytes) and Column.encode.
@@ -217,6 +222,10 @@ class TableStorage:
         # call gives), built on its first call; a shape that raises is not kept.
         self._row_plans: Dict[Optional[Tuple[str, ...]], Tuple] = {}
         self._write_plans: Dict[Tuple[str, ...], Tuple] = {}
+        # write_column_rows' plan, built on its first call: per column run, its
+        # column, read-plan entry (not cached as the column's read plan) and
+        # targets, the rank as blocks of block_rows items from any flat address.
+        self._load_plan: Optional[Tuple] = None
 
     def _bitmap_align(self) -> int:
         # Blocks are block_rows bits = block_rows/8 bytes; aligning the
@@ -279,12 +288,11 @@ class TableStorage:
         """Pack and store ``n`` rows given as column arrays at consecutive
         indices from ``start``: the bulk-load entry.
 
-        All-or-nothing: the range is checked and every row encoded
-        (:meth:`UnifiedLayout.encode_columns`) before any byte is stored.
-        Within a circulant block the rotation is constant, so each
-        (block, part) is one ADE-wide store — the rows' flat bytes
-        gathered through the part's columns of the rotation's row plan into
-        ``mem[:, lo:hi]``, the same local range on every device (Fig. 6a).
+        All-or-nothing: the range and every column (:meth:`_column_bytes`)
+        are checked before any byte is stored. Per block, one ADE-wide store
+        zeroes each part's ``mem[:, lo:lo + count·W]`` (padding stays zero on
+        reused memory), then each run of the columns' read plans is one
+        strided store of ``length``-byte items, ``row_width`` apart.
         """
         capacity = self._region_capacity(region)
         if start < 0 or start + n > capacity:
@@ -294,26 +302,81 @@ class TableStorage:
                 f"{first_bad} out of range [0, {capacity}) writing "
                 f"{n} rows from {start}"
             )
-        flat = self.layout.encode_columns(columns, n)
+        raw = self._column_bytes(columns, n)
+        if self._load_plan is None:
+            flat = self.rank.mem.reshape(1, -1)
+            self._load_plan = tuple(
+                (name, run, byte_runs(flat, run.length, self.block_rows, run.row_width)[0])
+                for name in self.layout.schema.column_names
+                for run in self._read_plan(name, keep=False)[1]
+            )
         mem = self.rank.mem
-        num_devices = self.rank.num_devices
         region_index = 0 if region == Region.DATA else 1
         done = 0
-        while done < len(flat):
+        while done < n:
             block, within = divmod(start + done, self.block_rows)
-            count = min(self.block_rows - within, len(flat) - done)
-            plan = self.layout.row_plans[block % self._rotations]
-            chunk = flat[done : done + count]
-            for width, bases, at in self._parts:
+            count = min(self.block_rows - within, n - done)
+            rotation = block % self._rotations
+            for width, bases, _ in self._parts:
                 lo = bases[region_index][block] + within * width
-                packed = chunk[:, plan[:, at : at + width]]
-                mem[:, lo : lo + count * width] = packed.transpose(1, 0, 2).reshape(
-                    num_devices, count * width
-                )
+                mem[:, lo : lo + count * width] = 0
+            for name, run, targets in self._load_plan:
+                items = raw[name][done : done + count, run.col_offset : run.col_offset + run.length]
+                first = run.at[rotation] + run.bases[region_index][block]
+                targets[first, within : within + count] = items.view(f"V{run.length}")[:, 0]
             done += count
 
-    def _read_plan(self, name: str) -> Tuple[Column, Tuple[_ReadRun, ...]]:
-        """Resolve (and cache) one column's read plan.
+    def _column_bytes(self, columns: Dict[str, np.ndarray], n: int) -> Dict[str, np.ndarray]:
+        """Each column (an integer array, or an ``(n, <= width)`` ``uint8``
+        matrix for bytes) as a C-contiguous byte matrix: ``<u8`` bytes, or
+        NUL-padded to the width. Rejects what :meth:`Column.encode` rejects,
+        in its words, with one range check per column: missing columns (all
+        named), then per column in schema order its type, its length, a
+        bytes value too long and the first int out of range."""
+        schema = self.layout.schema
+        missing = [c.name for c in schema if c.name not in columns]
+        if missing:
+            raise SchemaError(f"row for table {schema.name!r} missing columns {missing}")
+        out: Dict[str, np.ndarray] = {}
+        for col in schema:
+            values = np.asarray(columns[col.name])
+            if col.kind == "int":
+                typed = values.dtype.kind in "iu" and values.ndim == 1
+            else:
+                typed = values.dtype == np.uint8 and values.ndim == 2
+            if not typed:
+                raise SchemaError(
+                    f"column {col.name!r} expects {col.kind}, got {values.dtype.name}"
+                )
+            if len(values) != n:
+                raise SchemaError(
+                    f"column {col.name!r} has {len(values)} values for {n} rows"
+                )
+            if col.kind == "bytes":
+                if values.shape[1] > col.width:
+                    raise SchemaError(
+                        f"value of {values.shape[1]} bytes too long for column "
+                        f"{col.name!r} (width {col.width})"
+                    )
+                raw = values
+                if values.shape[1] < col.width or not values.flags.c_contiguous:
+                    raw = np.zeros((n, col.width), dtype=np.uint8)
+                    raw[:, : values.shape[1]] = values
+            else:
+                if n and (int(values.min()) < 0 or int(values.max()) > col.max_int):
+                    bad = next(v for v in values.tolist() if not 0 <= v <= col.max_int)
+                    raise SchemaError(
+                        f"value {bad} out of range for column {col.name!r} "
+                        f"(width {col.width})"
+                    )
+                # In range, an int64's bytes are its uint64 bytes: no copy.
+                wide = values if values.dtype.str in ("<i8", "<u8") else values.astype("<u8")
+                raw = np.ascontiguousarray(wide).view(np.uint8).reshape(n, 8)
+            out[col.name] = raw
+        return out
+
+    def _read_plan(self, name: str, keep: bool = True) -> Tuple[Column, Tuple[_ReadRun, ...]]:
+        """Resolve (and, if ``keep``, cache) one column's read plan.
 
         Unknown columns raise here, on first touch, as does a one-run
         column short of its width (``read_row`` skips ``Column.decode``'s check).
@@ -323,16 +386,16 @@ class TableStorage:
         runs = []
         for run in self.layout.column_runs(name):
             p = run.placement
-            bases = (self._data_blocks[run.part_index], self._delta_blocks[run.part_index])
+            row_width, bases, _ = self._parts[run.part_index]
             runs.append(
                 _ReadRun(
                     run.slot_index,
                     p.slot_offset,
                     p.col_offset,
                     p.length,
-                    self.layout.parts[run.part_index].row_width,
+                    row_width,
                     bases,
-                    (np.asarray(bases[0], dtype=np.intp), np.asarray(bases[1], dtype=np.intp)),
+                    self._base_arrays[run.part_index],
                     tuple((run.slot_index + r) % d * size + p.slot_offset for r in range(d)),
                 )
             )
@@ -341,7 +404,9 @@ class TableStorage:
                 f"table {self.layout.schema.name!r}: column {name!r} is one run of "
                 f"{runs[0].length} B, not {col.width} B"
             )
-        plan = self._read_plans[name] = (col, tuple(runs))
+        plan = (col, tuple(runs))
+        if keep:
+            self._read_plans[name] = plan
         return plan
 
     def _row_plan(self, shape: Optional[Tuple[str, ...]]) -> Tuple:

@@ -9,6 +9,8 @@ row-count bookkeeping operators need (:meth:`TableRuntime.region_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index as as_int
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +28,50 @@ from repro.oltp.index import HashIndex
 __all__ = ["TableRuntime"]
 
 
+def _packer(widths: Sequence[int], shifts: Sequence[int]) -> Callable[[tuple], Optional[int]]:
+    """A key tuple of columns ``widths`` bytes wide as one int, each value
+    shifted left by its ``shifts`` entry; None, which no index holds, for a
+    tuple of another arity or a value that is not an integer (NumPy's pack
+    as Python's) in its column's ``[0, 2^(8·width))``, so such a key misses
+    and never aliases another. Two and three columns (every composite
+    CH-benCHmark key) get a packer of their own: the loop costs twice as much."""
+    limits = [1 << 8 * w for w in widths]
+    if len(widths) == 2:
+        (la, lb), (sa, _) = limits, shifts
+
+        def pack(key):
+            try:
+                a, b = key
+                a, b = as_int(a), as_int(b)
+            except (TypeError, ValueError):
+                return None
+            return a << sa | b if 0 <= a < la and 0 <= b < lb else None
+
+    elif len(widths) == 3:
+        (la, lb, lc), (sa, sb, _) = limits, shifts
+
+        def pack(key):
+            try:
+                a, b, c = key
+                a, b, c = as_int(a), as_int(b), as_int(c)
+            except (TypeError, ValueError):
+                return None
+            return a << sa | b << sb | c if 0 <= a < la and 0 <= b < lb and 0 <= c < lc else None
+
+    else:
+
+        def pack(key):
+            try:
+                values = [as_int(v) for v in key]
+            except TypeError:
+                return None
+            if len(values) == len(limits) and all(0 <= v < n for v, n in zip(values, limits)):
+                return sum(v << s for v, s in zip(values, shifts))
+            return None
+
+    return pack
+
+
 @dataclass
 class TableRuntime:
     """Everything one table needs at runtime.
@@ -34,7 +80,8 @@ class TableRuntime:
     the engine; None means "use the OLAP engine's default rank"), and
     ``rank_index`` records which simulated rank that is. The table owns
     its ``index``: load, insert, delete and their undo all derive a row's
-    key with :meth:`key` from ``key_columns``. A :class:`TransactionError`
+    key with :meth:`key` from ``key_columns`` (several pack into one int,
+    first column highest, 64 bits at most). A :class:`TransactionError`
     of an MVCC write or rollback surfaces naming the table and the ts.
     """
 
@@ -52,6 +99,17 @@ class TableRuntime:
     key_columns: Tuple[str, ...] = ()
     #: The change shapes (``tuple(changes)``) :meth:`update_row` passed.
     _update_shapes: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Several key columns: each one's shift in a packed key, a getter of
+        # their values and the packer, which the index uses on a probed tuple.
+        if len(self.key_columns) > 1:
+            widths = [self.schema.column(c).width for c in self.key_columns]
+            self._shifts = tuple(8 * sum(widths[i + 1 :]) for i in range(len(widths)))
+            self._key_values = itemgetter(*self.key_columns)
+            self._pack = _packer(widths, self._shifts)
+            if self.index is not None:
+                self.index.pack = self._pack
 
     @property
     def num_rows(self) -> int:
@@ -154,17 +212,23 @@ class TableRuntime:
     # The index
     # ------------------------------------------------------------------
     def key(self, values: Mapping[str, Value]) -> Hashable:
-        """A row's index key: its one key column's value, or the tuple of
-        several columns' values."""
+        """A row's index key: its one key column's value, or several
+        columns' values packed into one int."""
         columns = self.key_columns
         if len(columns) == 1:
             return values[columns[0]]
-        return tuple(values[c] for c in columns)
+        return self._pack(self._key_values(values))
 
     def keys(self, columns: Mapping[str, np.ndarray]) -> list:
-        """:meth:`key` of every row of a block of column arrays."""
-        keys = [columns[c].tolist() for c in self.key_columns]
-        return keys[0] if len(keys) == 1 else list(zip(*keys))
+        """:meth:`key` of every row of a block of column arrays, in range:
+        several columns packed with ``uint64`` operations."""
+        names = self.key_columns
+        packed = columns[names[-1]]
+        if len(names) > 1:
+            packed = packed.astype(np.uint64)
+            for name, shift in zip(names[:-1], self._shifts):
+                packed |= columns[name].astype(np.uint64) << np.uint64(shift)
+        return packed.tolist()
 
     def stored_key(self, row_id: int) -> Hashable:
         """``row_id``'s key, read on the host (uncharged) from its data

@@ -14,11 +14,11 @@ part, aligned to the ADE dimension. Columns are placed into slots as
 
 :class:`UnifiedLayout` validates the invariants and implements row
 packing/unpacking — the "data re-layout" function of §6.3 — twice: as one
-*index plan* per rotation the storage layer gathers rows through
-(:attr:`UnifiedLayout.row_plans`, every part side by side, over a flat row or
-the flat byte matrix that :meth:`UnifiedLayout.encode_columns` builds from
-column arrays), and as the row-at-a-time :meth:`UnifiedLayout.pack_row` /
-:meth:`UnifiedLayout.unpack_row` the tests hold it against.
+*index plan* per rotation the storage layer gathers a flat row through
+(:attr:`UnifiedLayout.row_plans`, every part side by side), and as the
+row-at-a-time :meth:`UnifiedLayout.pack_row` / :meth:`UnifiedLayout.unpack_row`
+the tests hold it against. A bulk load stores column arrays through the
+column runs themselves (:meth:`UnifiedLayout.column_runs`), not through a plan.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import LayoutError, SchemaError
+from repro.errors import LayoutError
 from repro.format.schema import TableSchema, Value
 
 __all__ = ["FieldPlacement", "DeviceSlot", "TablePart", "UnifiedLayout", "ColumnRun"]
@@ -246,58 +246,6 @@ class UnifiedLayout:
                     base[slot.slot_index, at : at + f.length] = np.arange(start, start + f.length)
         plans = tuple(np.roll(base, rotation, axis=0) for rotation in range(self.num_devices))
         return plans, tuple(offsets[:-1])
-
-    def encode_columns(self, columns: Dict[str, np.ndarray], n: int) -> np.ndarray:
-        """Encode ``n`` rows given as column arrays to a ``(n, row_bytes +
-        1)`` byte matrix.
-
-        Int columns are integer arrays of ``n`` values, ``bytes`` columns
-        ``(n, <= width)`` ``uint8`` matrices (NUL-padded to the width).
-        Each matrix row is a flat row (see :meth:`_build_row_plans`):
-        indexing it with a part's columns of a row plan yields the
-        stored bytes of that part, padding zeroed. Rejects what :meth:`Column.encode`
-        rejects in its words — with one range check per column instead of
-        one per value.
-        """
-        schema = self.schema
-        missing = [c.name for c in schema if c.name not in columns]
-        if missing:
-            raise SchemaError(f"row for table {schema.name!r} missing columns {missing}")
-        flat = np.zeros((n, schema.row_bytes + 1), dtype=np.uint8)
-        cursor = 0
-        for col in schema:
-            values = np.asarray(columns[col.name])
-            if col.kind == "int":
-                typed = values.dtype.kind in "iu" and values.ndim == 1
-            else:
-                typed = values.dtype == np.uint8 and values.ndim == 2
-            if not typed:
-                raise SchemaError(
-                    f"column {col.name!r} expects {col.kind}, got {values.dtype.name}"
-                )
-            if len(values) != n:
-                raise SchemaError(
-                    f"column {col.name!r} has {len(values)} values for {n} rows"
-                )
-            if col.kind == "bytes":
-                if values.shape[1] > col.width:
-                    raise SchemaError(
-                        f"value of {values.shape[1]} bytes too long for column "
-                        f"{col.name!r} (width {col.width})"
-                    )
-                flat[:, cursor : cursor + values.shape[1]] = values
-            elif n:
-                if int(values.min()) < 0 or int(values.max()) > col.max_int:
-                    bad = next(v for v in values.tolist() if not 0 <= v <= col.max_int)
-                    raise SchemaError(
-                        f"value {bad} out of range for column {col.name!r} "
-                        f"(width {col.width})"
-                    )
-                flat[:, cursor : cursor + col.width] = (
-                    values.astype("<u8").view(np.uint8).reshape(n, 8)[:, : col.width]
-                )
-            cursor += col.width
-        return flat
 
     def pack_row(self, values: Dict[str, Value]) -> List[List[np.ndarray]]:
         """Pack a row dict into per-part, per-slot byte arrays.

@@ -1,7 +1,7 @@
 """Hash index (§7.1: "We use the hash index in DBX1000 to speed up the
 transaction and snapshotting during analytical queries").
 
-A :class:`HashIndex` maps a key tuple to a row id. It models a hash
+A :class:`HashIndex` maps a key to a row id. It models a hash
 table sized to its table's rows (load factor ≤ 1), so every probe,
 insert and remove touches one bucket header plus one entry:
 :data:`PROBE_LINES` cache lines, at every scale.
@@ -9,7 +9,8 @@ insert and remove touches one bucket header plus one entry:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, ItemsView, Optional, Sequence
+import sys
+from typing import Callable, Dict, Hashable, Iterable, ItemsView, Optional, Sequence
 
 from repro.errors import TransactionError
 
@@ -20,14 +21,23 @@ PROBE_LINES = 2
 
 
 class HashIndex:
-    """A unique hash index over one table."""
+    """A unique hash index over one table. ``pack``, if set (by a table
+    whose keys pack several columns into one int), turns a probed tuple
+    into the stored key."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._map: Dict[Hashable, int] = {}
+        self.pack: Optional[Callable[[tuple], Optional[Hashable]]] = None
 
     def __len__(self) -> int:
         return len(self._map)
+
+    @property
+    def nbytes(self) -> int:
+        """Host bytes: the dict plus each key and row-id object (``sys.getsizeof``)."""
+        size = sys.getsizeof
+        return size(self._map) + sum(map(size, self._map)) + sum(map(size, self._map.values()))
 
     def insert(self, key: Hashable, row_id: int) -> None:
         """Insert a unique key."""
@@ -40,7 +50,8 @@ class HashIndex:
         nothing: a duplicate raises as :meth:`insert` does, naming the
         first one, and leaves the index as it was."""
         new = dict(zip(keys, row_ids))
-        if len(new) < len(keys) or not self._map.keys().isdisjoint(new):
+        # Two key views: isdisjoint walks the smaller side (none, on a load).
+        if len(new) < len(keys) or not self._map.keys().isdisjoint(new.keys()):
             seen = set(self._map)
             for key in keys:
                 if key in seen:
@@ -54,7 +65,10 @@ class HashIndex:
             self._map = new
 
     def probe(self, key: Hashable) -> Optional[int]:
-        """Look up a key: its row id, or None when it is absent."""
+        """Look up a key: its row id, or None when it is absent. A tuple
+        goes through :attr:`pack` first, if the index has one."""
+        if type(key) is tuple and self.pack is not None:
+            key = self.pack(key)
         return self._map.get(key)
 
     def remove(self, key: Hashable) -> None:

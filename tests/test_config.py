@@ -36,8 +36,6 @@ class TestTable1Values:
         g = dimm_system().geometry
         assert g.devices_per_rank == 8
         assert g.banks_per_device == 8
-        assert g.rows_per_bank == 131_072
-        assert g.columns_per_row == 1024
         assert g.interleave_granularity == 8
 
     def test_pim_unit(self):

@@ -824,14 +824,18 @@ class TestLoadColumns:
         assert list(indexes[0].items()) == list(indexes[1].items())
         assert all(type(key) is int for key, _ in indexes[0].items())
 
-    def test_several_key_columns_index_their_tuples(self):
+    def test_several_key_columns_index_their_packed_values(self):
+        """First column highest: ``a << 16 | b`` for two 2-byte columns."""
         shape = (TableSchema.of("t", [Column("a", 2), Column("b", 2)]), ["a"], 8, True)
         table, _ = make_table(TableStorage, shape, 3, 40, DEVICES, key_columns=("a", "b"))
         block = {"a": np.array([5, 6, 5]), "b": np.array([1, 1, 2])}
         table.load_columns([block])
-        assert [key for key, _ in table.index.items()] == [(5, 1), (6, 1), (5, 2)]
+        packed = [5 << 16 | 1, 6 << 16 | 1, 5 << 16 | 2]
+        assert [key for key, _ in table.index.items()] == packed
+        assert all(type(key) is int for key, _ in table.index.items())
+        assert table.index.probe(5 << 16 | 2) == 2
         assert table.index.probe((5, 2)) == 2
-        assert [table.stored_key(row) for row in range(3)] == [(5, 1), (6, 1), (5, 2)]
+        assert [table.stored_key(row) for row in range(3)] == packed
 
     def test_blocks_are_stored_as_they_arrive(self):
         table, _ = make_table(TableStorage, self.SHAPE, 21, 40, DEVICES)
@@ -870,22 +874,34 @@ class TestLoadColumns:
 
 
 # ---------------------------------------------------------------------------
-# The column-array encoder and store, against the row-dict ones
+# The column-run store and its checks, against the row-dict ones
 # ---------------------------------------------------------------------------
+def over_0xff(cls, shape, capacity):
+    """A storage whose every byte is 0xFF: a padding byte the store leaves
+    alone shows against ``pack_row``'s zero."""
+    storage = make_storage(cls, shape, capacity, capacity)
+    storage.rank.mem[:] = 0xFF
+    return storage
+
+
 class TestColumnEntry:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_encode_columns_equals_encode_rows(self, data):
-        """Byte for byte: int widths 1–8 (3/5/6/7 included), bytes values
-        shorter than their column and exactly as wide, no rows at all."""
-        schema, keys, _, _ = data.draw(table_shapes())
-        layout = compact_aligned_layout(schema, keys, DEVICES, 0.6)
+    def test_stored_columns_equal_pack_row_over_0xff(self, data):
+        """Byte for byte, padding re-zeroed: int widths 1–8 (3/5/6/7
+        included), bytes values shorter than their column and exactly as
+        wide, no rows at all."""
+        shape = data.draw(table_shapes(block_rows_choices=(8, 256)))
+        schema, _, block_rows, _ = shape
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         rows = [random_row(schema, rng) for _ in range(data.draw(st.integers(0, 12)))]
         columns = to_columns(schema, rows, short=data.draw(st.booleans()))
-        flat = layout.encode_columns(columns, len(rows))
-        assert flat.dtype == np.uint8
-        assert np.array_equal(flat, encode_rows(layout, rows))
+        start = data.draw(st.integers(0, block_rows))
+        by_runs = over_0xff(TableStorage, shape, 2 * block_rows + 12)
+        by_rows = over_0xff(OracleStorage, shape, 2 * block_rows + 12)
+        by_runs.write_column_rows(Region.DATA, start, columns, len(rows))
+        by_rows.write_rows(Region.DATA, start, rows)
+        assert np.array_equal(by_runs.rank.mem, by_rows.rank.mem)
 
     SCHEMA = TableSchema.of(
         "t", [Column("a", 3), Column("b", 8), Column("s", 5, "bytes")]
@@ -914,8 +930,11 @@ class TestColumnEntry:
             "missing column",
         ],
     )
-    def test_encode_columns_rejects_in_column_encodes_words(self, column, bad):
-        layout = compact_aligned_layout(self.SCHEMA, ["a"], DEVICES, 0.6)
+    def test_write_column_rows_rejects_in_column_encodes_words(self, column, bad):
+        """... and stores nothing, though the columns before the bad one
+        are good."""
+        storage = over_0xff(TableStorage, (self.SCHEMA, ["a"], 8, True), 8)
+        layout = storage.layout
         rows = [{"a": i, "b": 2**64 - 1 - i, "s": b"abc"} for i in range(4)]
         columns = to_columns(self.SCHEMA, rows)
         if bad is None:
@@ -929,7 +948,8 @@ class TestColumnEntry:
         with pytest.raises(SchemaError) as by_rows:
             encode_rows(layout, rows[2:])
         with pytest.raises(SchemaError) as by_columns:
-            layout.encode_columns(columns, 4)
+            storage.write_column_rows(Region.DATA, 0, columns, 4)
+        assert (storage.rank.mem == 0xFF).all()
         want = str(by_rows.value)
         if isinstance(bad, float):
             # One dtype for the whole array: NumPy's name for the type.
@@ -941,10 +961,10 @@ class TestColumnEntry:
         assert str(by_columns.value) == want
 
     def test_a_column_of_the_wrong_length_is_refused(self):
-        layout = compact_aligned_layout(self.SCHEMA, ["a"], DEVICES, 0.6)
+        storage = make_storage(TableStorage, (self.SCHEMA, ["a"], 8, True), 8, 8)
         columns = to_columns(self.SCHEMA, [{"a": 1, "b": 2, "s": b""}] * 3)
         with pytest.raises(SchemaError, match="'a' has 3 values for 4 rows"):
-            layout.encode_columns(columns, 4)
+            storage.write_column_rows(Region.DATA, 0, columns, 4)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -228,7 +228,17 @@ class TestHeadroomIsFree:
             len(t.index) for t in engine.db.tables.values() if t.index is not None
         )
         assert memory["wram"] == engine.num_units * engine.config.pim.wram_bytes
-        assert set(memory) == {"mvcc_rows", "mvcc_journal", "snapshot_bits", "wram", "index_entries"}
+        assert set(memory) == {
+            "mvcc_rows", "mvcc_journal", "snapshot_bits", "wram", "index_bytes", "index_entries"
+        }
+
+    def test_index_bytes_grow_with_index_entries(self):
+        engine = PushTapEngine.build(scale=2e-5, seed=7, block_rows=64)
+        before = engine.memory_bytes()
+        engine.run_transactions(100, engine.make_driver(seed=3))
+        after = engine.memory_bytes()
+        assert after["index_entries"] > before["index_entries"]
+        assert after["index_bytes"] > before["index_bytes"]
 
     def test_inserts_grow_the_arrays_geometrically(self):
         engine = PushTapEngine.build(scale=2e-5, seed=7, block_rows=64)

@@ -148,7 +148,7 @@ class TestTableRuntimeHelpers:
         ):
             runtime.update_row(0, ts, {"s_quantity": 5, "s_i_id": 9999})
         assert runtime.mvcc.journal.records == log_length
-        assert runtime.read_row(0, ts)["s_i_id"] == runtime.stored_key(0)[1]
+        assert runtime.key(runtime.read_row(0, ts)) == runtime.stored_key(0)
         assert fresh_engine.db.index("stock_pk").probe(runtime.stored_key(0)) == 0
 
     def test_region_rows_tracks_delta(self, fresh_engine):

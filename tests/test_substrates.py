@@ -144,8 +144,6 @@ class TestGeometryValidation:
             DeviceGeometry(devices_per_rank=0)
         with pytest.raises(ConfigError):
             DeviceGeometry(banks_per_device=0)
-        with pytest.raises(ConfigError):
-            DeviceGeometry(rows_per_bank=0)
 
     def test_non_power_of_two_interleave_rejected(self):
         with pytest.raises(ConfigError, match="interleave_granularity"):
