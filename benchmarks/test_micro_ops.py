@@ -6,7 +6,6 @@ execution, snapshotting, filter scans, two queries, a whole build, and
 launch-request encoding.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.micro import run_primitive

@@ -6,7 +6,6 @@ bin-packing threshold over the full CH-benCHmark, and shows how the
 block-circulant placement spreads one column over all devices.
 """
 
-from repro.core.config import dimm_system
 from repro.experiments import fig8
 from repro.format.binpack import compact_aligned_layout_with_report
 from repro.format.circulant import BlockCirculantPlacement

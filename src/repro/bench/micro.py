@@ -102,7 +102,7 @@ def _unit_engine(config: SystemConfig, rows: int) -> PushTapEngine:
 def _run_scan(engine: PushTapEngine, rows: int) -> None:
     """The load phases of a filter scan: stream the column and its bitmap."""
     table = engine.table("points")
-    op = FilterOperation(table.storage, table.units, "v", _PREDICATE, RegionRows(rows))
+    op = FilterOperation(table.storage, engine.units, "v", _PREDICATE, RegionRows(rows))
     for chunk in range(op.num_chunks()):
         op.load(chunk)
 

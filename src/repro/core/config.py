@@ -234,10 +234,6 @@ class CPUConfig:
 
     cores: int = 16
     frequency_ghz: float = 3.2
-    l1i_bytes: int = 32 * KIB
-    l1d_bytes: int = 32 * KIB
-    l2_bytes: int = 1 * KIB * KIB
-    l3_bytes: int = 22 * KIB * KIB
     cache_line_bytes: int = 64
 
     def __post_init__(self) -> None:

@@ -118,7 +118,6 @@ class DefragResult:
     strategy: str
     moved_rows: int
     delta_rows: int
-    part_strategies: Dict[int, str]
     breakdown: DefragBreakdown
 
     @property
@@ -219,7 +218,6 @@ class DefragExecutor:
             strategy=strategy,
             moved_rows=moved,
             delta_rows=n,
-            part_strategies=part_plan,
             breakdown=breakdown,
         )
 

@@ -137,7 +137,6 @@ def _check_build_inputs(
     controller_kind: str,
     extra_rows: int,
     defrag_period: int,
-    ranks: int,
     block_rows: int,
 ) -> None:
     """The builders' one boundary: a bad input raises :class:`ConfigError`
@@ -145,11 +144,9 @@ def _check_build_inputs(
     table problem (e.g. ``"counts lacks tables"``) to the tables it names;
     a ``defrag_period`` of 0 means no periodic defragmentation."""
     check_block_rows(block_rows)
-    for name, value, least in (
-        ("extra_rows", extra_rows, 0), ("defrag_period", defrag_period, 0), ("ranks", ranks, 1)
-    ):
-        if value < least:
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    for name, value in (("extra_rows", extra_rows), ("defrag_period", defrag_period)):
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     if controller_kind not in _CONTROLLERS:
         raise ConfigError(f"unknown controller kind {controller_kind!r}")
     for problem, tables in bad_tables.items():
@@ -185,22 +182,19 @@ class PushTapEngine:
     def __init__(
         self,
         config: SystemConfig,
-        ranks: List[Rank],
+        rank: Rank,
         db: Database,
         layouts: Dict[str, UnifiedLayout],
         controller: _ControllerBase,
-        rank_units: List[RankUnits],
+        units: RankUnits,
         oltp: OLTPEngine,
         olap: OLAPEngine,
         defrag_period: int,
     ) -> None:
         self.config = config
-        #: Every simulated rank and its PIM units; ``rank`` and ``units``
-        #: are the first of each.
-        self.ranks = ranks
-        self.rank_units = rank_units
-        self.rank = ranks[0]
-        self.units = rank_units[0]
+        #: The one simulated rank holding every table, and its PIM units.
+        self.rank = rank
+        self.units = units
         self.db = db
         self.layouts = layouts
         self.controller = controller
@@ -234,7 +228,6 @@ class PushTapEngine:
         config: Optional[SystemConfig] = None,
         scale: float = 1e-4,
         th: float = 0.6,
-        queries: Optional[Sequence[str]] = None,
         tables: Optional[Sequence[str]] = None,
         seed: int = 7,
         controller_kind: str = "pushtap",
@@ -243,7 +236,6 @@ class PushTapEngine:
         extra_rows: int = 0,
         updates_per_txn_estimate: int = 12,
         circulant: bool = True,
-        ranks: int = 1,
         counts: Optional[Dict[str, int]] = None,
         row_filter: Optional[
             Callable[[str, Dict[str, np.ndarray]], Optional[np.ndarray]]
@@ -252,15 +244,12 @@ class PushTapEngine:
         """Build a loaded engine over the CH-benCHmark database.
 
         ``scale`` scales the paper's row counts (§7.1); ``th`` is the
-        compact-aligned threshold (§4.1.2, the paper picks 0.6);
-        ``queries`` determines the key-column set (default: all 22);
-        ``extra_rows`` adds absolute insert capacity per table on top of
-        twice the loaded rows (long transaction streams append many
-        ORDERLINE/HISTORY rows); ``circulant=False`` disables
-        the block-circulant rotation (the Fig. 5a ablation baseline);
-        ``ranks`` simulates more than one PIM rank — the paper's third
-        access dimension (§1) — with tables assigned round-robin by
-        footprint, each scanned by its own rank's PIM units.
+        compact-aligned threshold (§4.1.2, the paper picks 0.6); the key
+        columns are those all 22 queries scan; ``extra_rows`` adds absolute
+        insert capacity per table on top of twice the loaded rows (long
+        transaction streams append many ORDERLINE/HISTORY rows);
+        ``circulant=False`` disables the block-circulant rotation (the
+        Fig. 5a ablation baseline).
 
         ``counts`` overrides the per-table row counts derived from
         ``scale`` (the cluster layer uses this to pin the warehouse
@@ -270,7 +259,6 @@ class PushTapEngine:
         replays the same deterministic global stream but retains only its
         partition, with capacities and MVCC sized to the retained rows.
         """
-        query_set = list(queries) if queries is not None else all_queries()
         schemas = ch_schema()
         names = list(tables) if tables is not None else list(schemas)
         counts = dict(counts) if counts is not None else row_counts(scale)
@@ -283,9 +271,9 @@ class PushTapEngine:
                     if n in names and (type(c) is not int or c < 1)
                 ],
             },
-            controller_kind, extra_rows, defrag_period, ranks, block_rows,
+            controller_kind, extra_rows, defrag_period, block_rows,
         )
-        key_columns = {n: key_columns_for(query_set, n) for n in names}
+        key_columns = {n: key_columns_for(all_queries(), n) for n in names}
 
         def blocks(name: str) -> Iterator[Dict[str, np.ndarray]]:
             for columns in generate_table(name, counts, seed, block_rows):
@@ -315,7 +303,7 @@ class PushTapEngine:
             blocks_by_table,
             th=th, defrag_period=defrag_period, block_rows=block_rows, extra_rows=extra_rows,
             updates_per_txn_estimate=updates_per_txn_estimate, circulant=circulant,
-            ranks=ranks, controller_kind=controller_kind,
+            controller_kind=controller_kind,
         )
 
     @classmethod
@@ -332,7 +320,6 @@ class PushTapEngine:
         extra_rows: int = 0,
         updates_per_txn_estimate: int = 12,
         circulant: bool = True,
-        ranks: int = 1,
         controller_kind: str = "pushtap",
     ) -> "PushTapEngine":
         """Build an engine over *arbitrary* schemas (not CH-benCHmark).
@@ -355,7 +342,7 @@ class PushTapEngine:
                 f"{argument} names tables not in schemas": [n for n in given if n not in schemas]
                 for argument, given in (("initial_rows", initial_rows), ("key_columns", key_columns))
             },
-            controller_kind, extra_rows, defrag_period, ranks, block_rows,
+            controller_kind, extra_rows, defrag_period, block_rows,
         )
         return cls._load(
             config or dimm_system(),
@@ -369,7 +356,7 @@ class PushTapEngine:
             },
             th=th, defrag_period=defrag_period, block_rows=block_rows, extra_rows=extra_rows,
             updates_per_txn_estimate=updates_per_txn_estimate, circulant=circulant,
-            ranks=ranks, controller_kind=controller_kind,
+            controller_kind=controller_kind,
         )
 
     @classmethod
@@ -388,7 +375,6 @@ class PushTapEngine:
         extra_rows: int,
         updates_per_txn_estimate: int,
         circulant: bool,
-        ranks: int,
         controller_kind: str,
     ) -> "PushTapEngine":
         """The one loader behind both builders: lay out, size and place
@@ -432,39 +418,18 @@ class PushTapEngine:
         delta_rows = cls._delta_rows(
             defrag_period, updates_per_txn_estimate, block_rows, config
         )
-        # Balance tables over ranks: biggest footprint first, onto the
-        # currently lightest rank.
-        footprints = {n: layouts[n].bytes_per_row() * capacities[n] for n in names}
-        loads, assignment = [0] * ranks, {}
-        for name in sorted(names, key=footprints.get, reverse=True):
-            assignment[name] = loads.index(min(loads))
-            loads[assignment[name]] += footprints[name]
-        rank_objects: List[Rank] = []
-        allocators: List[RankAllocator] = []
-        rank_units: List[RankUnits] = []
-        for rank_index in range(ranks):
-            members = [n for n in names if assignment[n] == rank_index]
-            device_bytes = cls._device_bytes(
-                {n: layouts[n] for n in members},
-                capacities,
-                delta_rows,
-                block_rows,
-                config,
-            )
-            rank_obj = Rank(config.geometry, device_bytes)
-            rank_objects.append(rank_obj)
-            allocators.append(RankAllocator(rank_obj))
-            rank_units.append(
-                RankUnits(rank_obj, config.pim, config.timings, config.geometry)
-            )
+        rank = Rank(
+            config.geometry,
+            cls._device_bytes(layouts, capacities, delta_rows, block_rows, config),
+        )
+        allocator = RankAllocator(rank)
+        units = RankUnits(rank, config.pim, config.timings, config.geometry)
 
         db = Database()
         for name in names:
-            rank_index = assignment[name]
-            rank_obj = rank_objects[rank_index]
             storage = TableStorage(
-                rank_obj,
-                allocators[rank_index],
+                rank,
+                allocator,
                 layouts[name],
                 capacities[name],
                 delta_rows,
@@ -475,7 +440,7 @@ class PushTapEngine:
                 initial_rows=counts[name],
                 capacity_rows=capacities[name],
                 block_rows=block_rows,
-                num_devices=rank_obj.num_devices,
+                num_devices=rank.num_devices,
                 delta_capacity_blocks=ceil_div(delta_rows, block_rows),
             )
             index_name, index_columns = indexes.get(name, (None, ()))
@@ -486,27 +451,16 @@ class PushTapEngine:
                 storage,
                 mvcc,
                 SnapshotManager(storage, mvcc),
-                units=rank_units[rank_index],
-                rank_index=rank_index,
                 index=None if index_name is None else HashIndex(index_name),
                 key_columns=index_columns,
             )
             db.add_table(runtime)
 
-        all_units = [u for units in rank_units for u in units.values()]
-        controller = _CONTROLLERS[controller_kind](config, all_units)
+        controller = _CONTROLLERS[controller_kind](config, units.values())
         oltp = OLTPEngine(db, UnifiedFormatModel(layouts, config.geometry), config)
-        olap = OLAPEngine(config, controller, rank_units[0])
+        olap = OLAPEngine(config, controller, units)
         engine = cls(
-            config,
-            rank_objects,
-            db,
-            layouts,
-            controller,
-            rank_units,
-            oltp,
-            olap,
-            defrag_period,
+            config, rank, db, layouts, controller, units, oltp, olap, defrag_period
         )
         for name in names:
             db.table(name).load_columns(blocks[name])
@@ -773,8 +727,8 @@ class PushTapEngine:
 
     @property
     def num_units(self) -> int:
-        """PIM units across all simulated ranks."""
-        return sum(len(units) for units in self.rank_units)
+        """PIM units of the engine's rank."""
+        return len(self.units)
 
     def memory_bytes(self) -> Dict[str, int]:
         """Host memory by layer, in bytes: the MVCC per-row arrays and
@@ -786,7 +740,7 @@ class PushTapEngine:
             "mvcc_rows": sum(t.mvcc.row_bytes for t in tables),
             "mvcc_journal": sum(t.mvcc.journal_bytes for t in tables),
             "snapshot_bits": sum(t.snapshots.bits_bytes for t in tables),
-            "wram": sum(units.wram.nbytes for units in self.rank_units),
+            "wram": self.units.wram.nbytes,
             "index_bytes": sum(index.nbytes for index in indexes),
             "index_entries": sum(map(len, indexes)),
         }

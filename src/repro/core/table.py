@@ -76,13 +76,11 @@ def _packer(widths: Sequence[int], shifts: Sequence[int]) -> Callable[[tuple], O
 class TableRuntime:
     """Everything one table needs at runtime.
 
-    ``units`` are the PIM units of the rank holding this table (set by
-    the engine; None means "use the OLAP engine's default rank"), and
-    ``rank_index`` records which simulated rank that is. The table owns
-    its ``index``: load, insert, delete and their undo all derive a row's
-    key with :meth:`key` from ``key_columns`` (several pack into one int,
-    first column highest, 64 bits at most). A :class:`TransactionError`
-    of an MVCC write or rollback surfaces naming the table and the ts.
+    The table owns its ``index``: load, insert, delete and their undo
+    all derive a row's key with :meth:`key` from ``key_columns`` (several
+    pack into one int, first column highest, 64 bits at most). A
+    :class:`TransactionError` of an MVCC write or rollback surfaces
+    naming the table and the ts.
     """
 
     name: str
@@ -91,8 +89,6 @@ class TableRuntime:
     storage: TableStorage
     mvcc: MVCCManager
     snapshots: SnapshotManager
-    units: Optional[Dict] = None
-    rank_index: int = 0
     #: The table's unique hash index (None: not indexed) and the columns
     #: its keys are made of — the one place a row's key comes from.
     index: Optional[HashIndex] = None

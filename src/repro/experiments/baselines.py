@@ -94,9 +94,8 @@ def device_image_sha256() -> str:
     engine.run_transactions(180)
     engine.defragment()
     digest = hashlib.sha256()
-    for rank in engine.ranks:
-        for device in rank.devices:
-            digest.update(device.data.tobytes())
+    for device in engine.rank.devices:
+        digest.update(device.data.tobytes())
     return digest.hexdigest()
 
 

@@ -21,7 +21,7 @@ from repro.core.defrag import comm_cpu_time, comm_pim_time, pim_breakeven_width
 from repro.experiments.common import build_layouts, query_scan_columns
 from repro.mvcc.metadata import METADATA_BYTES
 from repro.olap.cost import ScanCost, column_scan_cost
-from repro.units import KIB, US
+from repro.units import KIB
 from repro.workloads.chbench import all_queries
 
 __all__ = [

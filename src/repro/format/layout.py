@@ -23,7 +23,7 @@ column runs themselves (:meth:`UnifiedLayout.column_runs`), not through a plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 

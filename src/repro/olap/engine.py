@@ -131,10 +131,6 @@ class OLAPEngine:
         #: while the telemetry registry's ``roofline`` flag is on.
         self.roofline_log: List[OperatorMetrics] = []
 
-    def _units_for(self, table: TableRuntime) -> RankUnits:
-        """The PIM units of the rank holding ``table``."""
-        return table.units if table.units is not None else self.units
-
     # ------------------------------------------------------------------
     # Mode-switch batching (serve-layer scheduler hook)
     # ------------------------------------------------------------------
@@ -228,11 +224,7 @@ class OLAPEngine:
     ) -> FilterOperation:
         """Run a predicate scan; mask harvest is charged to CPU time."""
         op = FilterOperation(
-            table.storage,
-            self._units_for(table),
-            column,
-            condition,
-            rows or table.region_rows(),
+            table.storage, self.units, column, condition, rows or table.region_rows()
         )
         self._scan("filter", op, column, timing)
         return op
@@ -245,9 +237,7 @@ class OLAPEngine:
         rows: Optional[RegionRows] = None,
     ) -> Tuple[GroupOperation, qplan.MergedGroups]:
         """Group scan + CPU dictionary merge."""
-        op = GroupOperation(
-            table.storage, self._units_for(table), column, rows or table.region_rows()
-        )
+        op = GroupOperation(table.storage, self.units, column, rows or table.region_rows())
         self._scan("group", op, column, timing)
         merged = qplan.merge_group_blocks(op)
         timing.add_cpu_bytes(merged.cpu_bytes, self.config.total_cpu_bandwidth)
@@ -265,12 +255,7 @@ class OLAPEngine:
     ) -> np.ndarray:
         """Grouped sum of a value column under precomputed group indices."""
         op = AggregationOperation(
-            table.storage,
-            self._units_for(table),
-            column,
-            rows or table.region_rows(),
-            indices,
-            num_groups,
+            table.storage, self.units, column, rows or table.region_rows(), indices, num_groups
         )
         self._scan("aggregate", op, column, timing)
         return op.total
@@ -285,11 +270,7 @@ class OLAPEngine:
     ) -> HashOperation:
         """Hash a join key column."""
         op = HashOperation(
-            table.storage,
-            self._units_for(table),
-            column,
-            rows or table.region_rows(),
-            hash_function,
+            table.storage, self.units, column, rows or table.region_rows(), hash_function
         )
         self._scan("hash", op, column, timing)
         return op

@@ -242,7 +242,6 @@ class PIMUnit:
         #: matrix (and of its counter matrices, as ``stats``).
         self.wram = wram
         self.stats = stats if stats is not None else PIMUnitStats()
-        self.busy = False
 
     # ------------------------------------------------------------------
     # WRAM access

@@ -145,21 +145,17 @@ def render_report(registry: MetricsRegistry) -> str:
             )
         )
     if registry.spans:
+        from repro.trace.analysis import name_stats
         from repro.trace.tracer import Tracer
 
-        totals: Dict[str, List[float]] = {}
-        for span in Tracer(registry.spans).spans:
-            entry = totals.setdefault(span.name, [0, 0.0, 0.0])
-            entry[0] += 1
-            entry[1] += span.duration
-            entry[2] += span.self_time
+        stats = name_stats(Tracer(registry.spans))
         sections.append("spans (aggregated):")
         sections.append(
             format_table(
                 ["name", "count", "total simulated time", "self time"],
                 [
-                    [n, int(count), format_time_ns(total), format_time_ns(self_t)]
-                    for n, (count, total, self_t) in sorted(totals.items())
+                    [n, s.count, format_time_ns(s.total_time), format_time_ns(s.self_time)]
+                    for n, s in sorted(stats.items())
                 ],
             )
         )

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.trace.tracer import Tracer, TraceSpan
+from repro.trace.tracer import Tracer, TraceSpan, interval_union
 
 __all__ = [
     "TrackStats",
@@ -74,24 +74,6 @@ class NameStats:
         }
 
 
-def _interval_union(spans: List[TraceSpan]) -> float:
-    """Total length of the union of the spans' windows."""
-    total = 0.0
-    cur_start: Optional[float] = None
-    cur_end = 0.0
-    for span in sorted(spans, key=lambda s: s.start):
-        if cur_start is None:
-            cur_start, cur_end = span.start, span.end
-        elif span.start <= cur_end:
-            cur_end = max(cur_end, span.end)
-        else:
-            total += cur_end - cur_start
-            cur_start, cur_end = span.start, span.end
-    if cur_start is not None:
-        total += cur_end - cur_start
-    return total
-
-
 def track_stats(tracer: Tracer) -> Dict[str, TrackStats]:
     """Per-track count, total, busy (union), and occupancy."""
     horizon = tracer.end_time()
@@ -99,7 +81,7 @@ def track_stats(tracer: Tracer) -> Dict[str, TrackStats]:
     for track, spans in tracer.tracks.items():
         stats = TrackStats(track=track, count=len(spans))
         stats.total_time = sum(s.duration for s in spans)
-        stats.busy_time = _interval_union(spans)
+        stats.busy_time = interval_union(spans)
         stats.occupancy = stats.busy_time / horizon if horizon > 0 else 0.0
         out[track] = stats
     return out

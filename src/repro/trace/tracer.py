@@ -22,11 +22,11 @@ registry and costs nothing while the simulation runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.telemetry.metrics import SpanEvent
 
-__all__ = ["TraceSpan", "Tracer", "default_track"]
+__all__ = ["TraceSpan", "Tracer", "default_track", "interval_union"]
 
 class TraceSpan:
     """One span enriched with track, parent/child links, and self time."""
@@ -75,20 +75,7 @@ class TraceSpan:
         """
         if not self.children:
             return self.duration
-        covered = 0.0
-        cur_start: Optional[float] = None
-        cur_end = 0.0
-        for child in sorted(self.children, key=lambda s: s.start):
-            if cur_start is None:
-                cur_start, cur_end = child.start, child.end
-            elif child.start <= cur_end:
-                cur_end = max(cur_end, child.end)
-            else:
-                covered += cur_end - cur_start
-                cur_start, cur_end = child.start, child.end
-        if cur_start is not None:
-            covered += cur_end - cur_start
-        return max(0.0, self.duration - covered)
+        return max(0.0, self.duration - interval_union(self.children))
 
     @property
     def stack(self) -> Tuple[str, ...]:
@@ -105,6 +92,24 @@ class TraceSpan:
             f"TraceSpan({self.name!r}, start={self.start}, "
             f"dur={self.duration}, track={self.track!r})"
         )
+
+
+def interval_union(spans: Iterable[TraceSpan]) -> float:
+    """Total length of the union of the spans' windows."""
+    total = 0.0
+    cur_start: Optional[float] = None
+    cur_end = 0.0
+    for span in sorted(spans, key=lambda s: s.start):
+        if cur_start is None:
+            cur_start, cur_end = span.start, span.end
+        elif span.start <= cur_end:
+            cur_end = max(cur_end, span.end)
+        else:
+            total += cur_end - cur_start
+            cur_start, cur_end = span.start, span.end
+    if cur_start is not None:
+        total += cur_end - cur_start
+    return total
 
 
 def default_track(name: str, attrs: Dict[str, object]) -> str:

@@ -51,8 +51,6 @@ class RecoveryResult:
     checkpoint_horizon: int
     segments_applied: int
     wal_records_replayed: int
-    wal_records_skipped: int
-    ops_applied: int
     torn_tail: bool
     orphan_segments: List[str] = field(default_factory=list)
     bitmap_mismatches: List[str] = field(default_factory=list)
@@ -65,27 +63,25 @@ def recover(path: str, build_engine: Callable[[], object]) -> RecoveryResult:
         raise WALError("build_engine must not enable durability before recovery")
     store = LeveledStore(path)
     orphans = store.drop_orphans()
-    ops_applied = 0
     segments = store.load_segments()
     for segment in segments:
-        ops_applied += _apply_segment(engine, segment)
+        _apply_segment(engine, segment)
     checkpoint_horizon = store.horizon
     mismatches = _verify_bitmaps(engine, segments, checkpoint_horizon)
 
     wal = WriteAheadLog(os.path.join(path, "wal.log"), sync=False)
     records, torn_tail = wal.replay()
-    replayed = skipped = 0
+    replayed = 0
     horizon = checkpoint_horizon
     for ts, ops in records:
         if ts <= checkpoint_horizon:
             # Rotation happens after the manifest commit; a crash in
             # between leaves records the checkpoint already covers.
-            skipped += 1
             continue
         engine.db.oracle.advance_to(ts)
         if engine.defrag_due():
             engine.defragment()
-        ops_applied += _apply_ops(engine, ts, ops)
+        _apply_ops(engine, ts, ops)
         # A replayed record commits without executing a transaction: it
         # counts (and ages the defrag period) but costs no simulated time.
         engine.oltp.committed += 1
@@ -98,19 +94,16 @@ def recover(path: str, build_engine: Callable[[], object]) -> RecoveryResult:
         checkpoint_horizon=checkpoint_horizon,
         segments_applied=len(segments),
         wal_records_replayed=replayed,
-        wal_records_skipped=skipped,
-        ops_applied=ops_applied,
         torn_tail=torn_tail,
         orphan_segments=orphans,
         bitmap_mismatches=mismatches,
     )
 
 
-def _apply_segment(engine, segment: dict) -> int:
+def _apply_segment(engine, segment: dict) -> None:
     """Apply one folded checkpoint window, entirely at its horizon ts."""
     horizon = int(segment["horizon"])
     engine.db.oracle.advance_to(horizon)
-    applied = 0
     for table in sorted(segment.get("tables", {})):
         rows = segment["tables"][table]
         if table not in engine.db.tables:
@@ -126,7 +119,6 @@ def _apply_segment(engine, segment: dict) -> int:
                     f"segment at horizon {horizon}: {table} row {rid} materialized as {new_id}; "
                     f"segment applied out of order or against the wrong build"
                 )
-            applied += 1
         updated = sorted(
             rid
             for rid, e in entries.items()
@@ -135,18 +127,15 @@ def _apply_segment(engine, segment: dict) -> int:
         for position, rid in enumerate(updated):
             changes = {col: unjsonify(v) for col, v in entries[rid]["values"].items()}
             runtime.update_row(rid, horizon, changes)
-            applied += 1
             if (position + 1) % _DEFRAG_CHECK_EVERY == 0 and engine.defrag_due():
                 engine.defragment()
         for rid in sorted(rid for rid, e in entries.items() if e["deleted"]):
             runtime.delete_row(rid, horizon)
-            applied += 1
     if engine.defrag_due():
         engine.defragment()
-    return applied
 
 
-def _apply_ops(engine, ts: int, ops: list) -> int:
+def _apply_ops(engine, ts: int, ops: list) -> None:
     """Replay one WAL commit record through the table runtime paths."""
     where = f"WAL record at ts {ts}"
     for op in ops:
@@ -164,7 +153,6 @@ def _apply_ops(engine, ts: int, ops: list) -> int:
                 raise WALError(f"{where}: {op[1]} insert expected row {rid}, got {new_id}")
         else:
             table.delete_row(rid, ts)
-    return len(ops)
 
 
 def _verify_bitmaps(engine, segments: List[dict], horizon: int) -> List[str]:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import PushTapEngine
-from repro.errors import TransactionAborted
 from repro.olap.queries import (
     _Q6_DELIVERY_HI,
     _Q6_DELIVERY_LO,

@@ -1,7 +1,6 @@
 """CPU fallback scans for normal columns (§4.1.2 discussion)."""
 
 import numpy as np
-import pytest
 
 from repro.mvcc.metadata import Region
 from repro.olap.engine import QueryTiming

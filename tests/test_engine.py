@@ -288,72 +288,23 @@ class TestMixedWorkload:
         assert worked_engine.oltp.mean_txn_time > 0
 
 
-class TestMultiRank:
-    """The third access dimension (§1): scaling across ranks."""
+def test_one_rank_holds_every_table_and_its_units_run_every_scan(loaded_engine):
+    """Each builder places every table in the engine's one rank, and the
+    controller, the OLAP engine and the engine share that rank's units."""
+    from repro.format.schema import Column, TableSchema
 
-    @pytest.fixture(scope="class")
-    def multirank_engine(self):
-        from repro.core.engine import PushTapEngine
-
-        engine = PushTapEngine.build(
-            scale=2e-5, defrag_period=200, block_rows=256, ranks=4
-        )
-        engine.run_transactions(40, engine.make_driver(seed=6))
-        return engine
-
-    def test_tables_spread_over_ranks(self, multirank_engine):
-        assignment = {t.rank_index for t in multirank_engine.db.tables.values()}
-        assert len(assignment) > 1
-        assert len(multirank_engine.ranks) == 4
-        assert multirank_engine.num_units == 4 * 64
-
-    def test_tables_scan_their_own_rank(self, multirank_engine):
-        for runtime in multirank_engine.db.tables.values():
-            any_unit = next(iter(runtime.units.values()))
-            assert any_unit.bank.device is runtime.storage.rank.devices[
-                any_unit.bank.device.index
-            ]
-
-    def test_queries_correct_across_ranks(self, multirank_engine):
-        """Q9 joins ITEM and ORDERLINE even when they live in different
-        ranks (the bucket exchange rides the CPU, §6.3)."""
-        engine = multirank_engine
-        result = engine.query("Q9")
-        ts = engine.db.oracle.read_timestamp()
-        item = engine.table("item")
-        small = {
-            item.read_row(r, ts)["i_id"]
-            for r in range(item.num_rows)
-            if item.read_row(r, ts)["i_im_id"] <= 5000
-        }
-        orderline = engine.table("orderline")
-        reference = sum(
-            orderline.read_row(r, ts)["ol_amount"]
-            for r in range(orderline.num_rows)
-            if orderline.read_row(r, ts)["ol_i_id"] in small
-        )
-        assert result.rows["revenue"] == reference
-
-    def test_defrag_works_per_rank(self, multirank_engine):
-        before = multirank_engine.query("Q6").rows
-        multirank_engine.defragment()
-        assert multirank_engine.query("Q6").rows == before
-
-    def test_invalid_rank_count(self):
-        from repro.core.engine import PushTapEngine
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            PushTapEngine.build(scale=1e-5, ranks=0, block_rows=256)
-
-    def test_an_empty_rank_is_sized_for_no_table(self):
-        engine = PushTapEngine.build(
-            scale=2e-5, tables=["warehouse", "district"], ranks=3, block_rows=256
-        )
-        assert {t.rank_index for t in engine.db.tables.values()} == {0, 1}
-        minimum = PushTapEngine._device_bytes({}, {}, 0, 256, engine.config)
-        assert minimum == 512 * 1024
-        assert engine.ranks[2].mem.shape[1] == minimum
+    custom = PushTapEngine.build_custom(
+        {name: TableSchema.of(name, (Column("k", 4), Column("v", 8))) for name in ("a", "b")},
+        {"a": ["v"], "b": ["k"]},
+        {"a": [{"k": 1, "v": 2}], "b": [{"k": 3, "v": 4}]},
+        block_rows=256,
+    )
+    for engine in (loaded_engine, custom):
+        assert all(t.storage.rank is engine.rank for t in engine.db.tables.values())
+        assert engine.olap.units is engine.units
+        units = list(engine.units.values())
+        assert len(engine.controller.units) == len(units) == engine.num_units
+        assert all(a is b for a, b in zip(engine.controller.units, units))
 
 
 class TestDeliveryDefragReconciliation:

@@ -7,13 +7,11 @@ import pytest
 
 from repro.core.config import dimm_system
 from repro.core.database import Database
-from repro.core.table import TableRuntime
 from repro.errors import SchemaError, TransactionError
 from repro.experiments.fig10 import FrontierModel
 from repro.format.naive import naive_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.timestamps import TimestampOracle
-from repro.oltp.index import HashIndex
 
 
 class TestFrontierModelInternals:

@@ -10,13 +10,7 @@ manager equals the version-chain oracle's driven through the same steps.
 
 import numpy as np
 from hypothesis import settings
-from hypothesis.stateful import (
-    Bundle,
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    rule,
-)
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 import hypothesis.strategies as st
 
 from repro.core.defrag import DefragExecutor

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.config import dimm_system
 from repro.core.engine import PushTapEngine
 from repro.errors import SchemaError, TransactionError
-from repro.oltp.engine import CostParams, TxnBreakdown
+from repro.oltp.engine import TxnBreakdown
 from repro.oltp.formats import ColumnStoreModel, RowStoreModel, UnifiedFormatModel
 from repro.oltp.index import HashIndex
 from repro.oltp.tpcc import NewOrderParams, TPCCDriver, new_order, payment

@@ -1,6 +1,5 @@
 """Composable predicate trees compiled to filter scans."""
 
-import numpy as np
 import pytest
 
 from repro.errors import QueryError

@@ -118,14 +118,15 @@ class TestMicro:
         """A scan primitive charges its unit exactly what the query path's
         scan plan charges the same operator on the same one-unit table."""
         point = run_primitive(substrate, primitive, rows)
-        table = _unit_engine(substrate_config(substrate), rows).table("points")
+        engine = _unit_engine(substrate_config(substrate), rows)
+        table = engine.table("points")
         selection = RegionRows(data_rows=rows)
         if primitive == "aggregate":
             indices = np.zeros(rows, dtype=np.uint16)
-            op = AggregationOperation(table.storage, table.units, "v", selection, indices, 1)
+            op = AggregationOperation(table.storage, engine.units, "v", selection, indices, 1)
         else:
             condition = Condition("lt", 32768)
-            op = FilterOperation(table.storage, table.units, "v", condition, selection)
+            op = FilterOperation(table.storage, engine.units, "v", condition, selection)
         charges = op._plan.charges
         load = sum(sum(c.load_times) for c in charges)
         compute = 0.0 if primitive == "scan" else sum(sum(c.compute_times) for c in charges)

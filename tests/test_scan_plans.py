@@ -46,12 +46,6 @@ class NoMemo(dict):
         pass
 
 
-def rank_units(engine):
-    """Every ``RankUnits`` an engine's operators may plan on."""
-    units = [engine.units] + [t.units for t in engine.db.tables.values() if t.units is not None]
-    return list({id(u): u for u in units}.values())
-
-
 def record_scans(engine, log, plans=None):
     """Log each column scan the engine runs: its shape, its harvest, its
     ``ExecutionResult`` and the counter deltas it charged the rank."""
@@ -171,8 +165,7 @@ def engine_run(seed, memo):
     and, with ``memo``, every plan its operators used."""
     engine = PushTapEngine.build(scale=2e-5, seed=7, defrag_period=0)
     if not memo:
-        for units in rank_units(engine):
-            units.scan_plans = NoMemo()
+        engine.units.scan_plans = NoMemo()
     log, plans, answers = [], [], []
     record_scans(engine, log, plans)
     driver = engine.make_driver(seed=seed, payment_fraction=0.4, delivery_fraction=0.2)
@@ -184,7 +177,7 @@ def engine_run(seed, memo):
             result = engine.query(name)
             answers.append((name, sorted((str(k), repr(v)) for k, v in result.rows.items()),
                             result.timing.total_time))
-    totals = [(u.counts.tolist(), u.times.tolist()) for u in rank_units(engine)]
+    totals = (engine.units.counts.tolist(), engine.units.times.tolist())
     return log, plans, answers, totals
 
 
@@ -218,8 +211,7 @@ class TestMemoIsTheOracle:
             log = []
             for engine in cluster.engines:
                 if not memo:
-                    for units in rank_units(engine):
-                        units.scan_plans = NoMemo()
+                    engine.units.scan_plans = NoMemo()
                 record_scans(engine, log)
             workload = ClusterWorkload(
                 cluster, txns_per_query=8, queries=MERGEABLE_QUERIES, seed=11, jobs=1,
@@ -366,16 +358,14 @@ class TestGrowthIsAFreshBuild:
             if defrag:
                 engine.defragment()
             for name in names:
-                before = {key: plan for units in rank_units(engine)
-                          for key, plan in units.scan_plans.items()}
+                before = dict(engine.units.scan_plans)
                 engine.query(name)
-                for units in rank_units(engine):
-                    for key, plan in units.scan_plans.items():
-                        assert_same_plan(plan, fresh(plan))
-                        old = before.get(key)
-                        grown += old is not None and old is not plan and any(
-                            cell is old._cells.get(at) for at, cell in plan._cells.items()
-                        )
+                for key, plan in engine.units.scan_plans.items():
+                    assert_same_plan(plan, fresh(plan))
+                    old = before.get(key)
+                    grown += old is not None and old is not plan and any(
+                        cell is old._cells.get(at) for at, cell in plan._cells.items()
+                    )
         assert grown > 10
 
 

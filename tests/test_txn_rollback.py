@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.errors import TransactionAborted, TransactionError
+from repro.errors import TransactionError
 from repro.oltp.tpcc import delivery, new_order, payment
 
 
