@@ -288,23 +288,44 @@ class TestMixedWorkload:
         assert worked_engine.oltp.mean_txn_time > 0
 
 
-def test_one_rank_holds_every_table_and_its_units_run_every_scan(loaded_engine):
-    """Each builder places every table in the engine's one rank, and the
-    controller, the OLAP engine and the engine share that rank's units."""
+def _two_table_custom_engine() -> PushTapEngine:
     from repro.format.schema import Column, TableSchema
 
-    custom = PushTapEngine.build_custom(
+    return PushTapEngine.build_custom(
         {name: TableSchema.of(name, (Column("k", 4), Column("v", 8))) for name in ("a", "b")},
         {"a": ["v"], "b": ["k"]},
         {"a": [{"k": 1, "v": 2}], "b": [{"k": 3, "v": 4}]},
         block_rows=256,
     )
-    for engine in (loaded_engine, custom):
-        assert all(t.storage.rank is engine.rank for t in engine.db.tables.values())
-        assert engine.olap.units is engine.units
-        units = list(engine.units.values())
-        assert len(engine.controller.units) == len(units) == engine.num_units
-        assert all(a is b for a, b in zip(engine.controller.units, units))
+
+
+@pytest.mark.parametrize("builder", ["build", "build_custom"])
+def test_one_rank_holds_every_table_and_its_units_run_every_scan(builder, request):
+    """Each builder places every table in the engine's one rank, and the
+    controller, the OLAP engine and the engine share that rank's units."""
+    if builder == "build":
+        engine = request.getfixturevalue("loaded_engine")
+    else:
+        engine = _two_table_custom_engine()
+    assert all(t.storage.rank is engine.rank for t in engine.db.tables.values())
+    assert engine.olap.units is engine.units
+    units = list(engine.units.values())
+    assert len(engine.controller.units) == len(units) == engine.num_units
+    assert all(a is b for a, b in zip(engine.controller.units, units))
+
+
+def test_a_rank_for_no_table_is_sized_to_the_floor():
+    """With no table to hold, a device is the 512 KiB floor; a rank built
+    for two small tables is at least that and a whole number of
+    bank-interleaved blocks."""
+    engine = PushTapEngine.build(
+        scale=2e-5, tables=["warehouse", "district"], block_rows=256
+    )
+    minimum = PushTapEngine._device_bytes({}, {}, 0, 256, engine.config)
+    assert minimum == 512 * 1024
+    device_bytes = engine.rank.mem.shape[1]
+    assert device_bytes >= minimum
+    assert device_bytes % (engine.config.geometry.banks_per_device * 8 * 256) == 0
 
 
 class TestDeliveryDefragReconciliation:

@@ -18,6 +18,7 @@ from repro.trace import (
     to_folded,
 )
 from repro.trace.analysis import critical_path, name_stats, track_stats
+from repro.trace.tracer import TraceSpan, interval_union
 
 
 @pytest.fixture(autouse=True)
@@ -135,6 +136,25 @@ class TestTracerNesting:
         assert query.self_time == pytest.approx(0.0)
         txn = tracer.spans[0]
         assert txn.self_time == pytest.approx(txn.duration)
+
+    @pytest.mark.parametrize(
+        "windows, union",
+        [
+            ([], 0.0),
+            ([(0.0, 10.0), (20.0, 5.0)], 15.0),
+            ([(0.0, 30.0), (0.0, 40.0)], 40.0),
+            ([(0.0, 50.0), (10.0, 5.0), (20.0, 5.0)], 50.0),
+            ([(30.0, 10.0), (0.0, 10.0), (10.0, 20.0)], 40.0),
+        ],
+        ids=["empty", "disjoint", "overlapping", "nested", "unsorted-touching"],
+    )
+    def test_interval_union(self, windows, union):
+        """The one merge behind self time and track busy time."""
+        spans = [
+            TraceSpan(i, "s", start, duration, {}, "t")
+            for i, (start, duration) in enumerate(windows)
+        ]
+        assert interval_union(spans) == pytest.approx(union)
 
     def test_empty_trace(self):
         tracer = Tracer([])
