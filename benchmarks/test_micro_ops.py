@@ -2,8 +2,8 @@
 
 Not a paper figure — these track the reproduction's own performance:
 row packing, the one-row storage calls a transaction runs, transaction
-execution, snapshotting, filter scans, two queries, a whole build, and
-launch-request encoding.
+execution, snapshotting, a defragmentation pass, filter scans, two
+queries, a whole build, and launch-request encoding.
 """
 
 import pytest
@@ -90,6 +90,27 @@ def test_bench_snapshot_update(benchmark, bench_engine):
 
     cost = benchmark(update_and_snapshot)
     assert cost.records >= 1
+
+
+def test_bench_defrag(benchmark):
+    """One defragmentation pass (§5.3) on a 3e-4 engine after 280
+    transactions of the end-to-end mix: copy the newest versions back,
+    fold the journal, free the delta rows and store the rebuilt bitmaps.
+    The engine is rebuilt per round; only the pass is timed."""
+    txns = 280
+
+    def setup():
+        engine = PushTapEngine.build(
+            scale=3e-4, seed=7, defrag_period=txns, extra_rows=8 * txns + 4096
+        )
+        engine.run_transactions(
+            txns, engine.make_driver(seed=8, payment_fraction=0.45, delivery_fraction=0.10)
+        )
+        assert engine.stats.defrag_runs == 0
+        return (engine,), {}
+
+    results = benchmark.pedantic(lambda engine: engine.defragment(), setup=setup, rounds=3)
+    assert sum(r.moved_rows for r in results.values()) > 0
 
 
 def test_bench_filter_scan(benchmark, bench_engine):

@@ -23,6 +23,7 @@ from repro.errors import SnapshotError
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import METADATA_BYTES, Region
 from repro.pim.pim_unit import distinct
+from repro.units import ceil_div
 
 __all__ = ["SnapshotCost", "SnapshotManager"]
 
@@ -60,13 +61,13 @@ class SnapshotManager:
         self._data_bits = self._bits[: storage.capacity_rows]
         self._delta_bits = self._bits[storage.capacity_rows :]
         self._data_bits[: mvcc.num_rows] = True
-        self._flush()
+        self._store_prefixes()
 
     # ------------------------------------------------------------------
     # Incremental update
     # ------------------------------------------------------------------
     def update_to(self, ts: int) -> SnapshotCost:
-        """Apply committed records up to ``ts``; flush bitmap copies.
+        """Apply committed records up to ``ts``; store the changed bitmap bytes.
 
         The journal window arrives as version changes in commit order
         (an update clears the version it superseded and sets the new one,
@@ -105,8 +106,10 @@ class SnapshotManager:
         last = np.roll(first, -1)
         self._bits[pos[last]] = value[last]
         self.last_snapshot_ts = ts
-        if window.records:
-            self._flush()
+        for region, mask in ((Region.DATA, last & ~in_delta), (Region.DELTA, last & in_delta)):
+            rows = index[mask]
+            if rows.size:
+                self._store(region, rows[0], rows[-1] + 1)
         # Group by the unit the cost model charges: one cache line of
         # packed bitmap covers 8 * cache_line_bytes rows. (Grouping by
         # the per-device interleave granularity instead would overcount
@@ -120,17 +123,19 @@ class SnapshotManager:
             bitmap_bytes=distinct(granules).size * line,
         )
 
-    def _flush(self) -> None:
-        # Each call is one broadcast store: the per-device copies share a
-        # local address (ADE-aligned, Fig. 6a).
-        self.storage.write_bitmap(Region.DATA, self._packed(self._data_bits))
-        self.storage.write_bitmap(Region.DELTA, self._packed(self._delta_bits))
+    def _store(self, region: str, lo: int, hi: int) -> None:
+        """Store the whole packed bytes covering bits ``[lo, hi)`` of one
+        bitmap: one broadcast, as the device copies share a local address
+        (ADE-aligned, Fig. 6a)."""
+        bits = self._data_bits if region == Region.DATA else self._delta_bits
+        first = lo // 8
+        packed = np.packbits(bits[first * 8 : ceil_div(hi, 8) * 8], bitorder="little")
+        self.storage.write_bitmap(region, packed, first)
 
-    @staticmethod
-    def _packed(bits: np.ndarray) -> np.ndarray:
-        if not len(bits):
-            return np.zeros(1, dtype=np.uint8)  # an empty region keeps one byte
-        return np.packbits(bits, bitorder="little")
+    def _store_prefixes(self) -> None:
+        """Store the bits a snapshot can have set (see :meth:`rebuild_after_defrag`)."""
+        self._store(Region.DATA, 0, self.mvcc.num_rows)
+        self._store(Region.DELTA, 0, self.mvcc.delta.high_water_rows)
 
     # ------------------------------------------------------------------
     # Introspection / defragmentation hook
@@ -160,9 +165,10 @@ class SnapshotManager:
         delta region empties. ``ts`` becomes the new snapshot horizon
         (OLTP is paused during defragmentation, §5.3, so nothing is
         in-flight). Only bits a snapshot can have set are cleared (rows below
-        ``num_rows`` and the delta high-water mark): the tails stay zero pages.
+        ``num_rows`` and the delta high-water mark), and only their bytes
+        are stored: the tails stay zero pages.
         """
         self._delta_bits[: self.mvcc.delta.high_water_rows] = False
         self._data_bits[: self.mvcc.num_rows] = self.mvcc.alive_at(ts)
         self.last_snapshot_ts = ts
-        self._flush()
+        self._store_prefixes()

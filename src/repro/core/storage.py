@@ -22,8 +22,9 @@ blocks). Because of the ADE alignment, whole-row movement is a column
 slice of the rank's byte matrix — ``rank.mem[:, addr:addr+W]`` is one
 row's slots on every device — so a row copy is one ``W``-byte item per
 device and part, a defragmentation pass one gather and one store of
-``W``-byte items per part (:meth:`TableStorage.copy_rows`, through
-:func:`~repro.pim.memory.byte_runs`), and a bitmap update one broadcast.
+``W``-byte items per part (:meth:`TableStorage.copy_rows`, through the
+part's :func:`~repro.pim.memory.byte_runs` view), and a bitmap update one
+broadcast of the changed byte range (:meth:`TableStorage.write_bitmap`).
 
 Reads index the same matrix through one *read plan* per column — the
 geometry of each of its byte runs, resolved once (:class:`_ReadRun`).
@@ -101,7 +102,7 @@ class RankAllocator:
     """Lockstep allocator for per-device regions of a rank.
 
     All devices have identical layouts, so a single cursor serves the
-    whole rank. :meth:`alloc_block` guarantees the returned range stays
+    whole rank. :meth:`alloc_blocks` guarantees each returned range stays
     within one bank (advancing to the next bank when needed).
     """
 
@@ -111,24 +112,36 @@ class RankAllocator:
         self.device_size = rank.devices[0].size
         self._cursor = 0
 
-    def alloc_block(self, nbytes: int, align: int = 8) -> int:
-        """Allocate ``nbytes`` that must not straddle a bank boundary."""
+    def alloc_blocks(self, nbytes: int, count: int = 1, align: int = 8) -> List[int]:
+        """Allocate ``count`` blocks of ``nbytes``, each at the cursor rounded
+        up to ``align`` or, if it would straddle a bank boundary, at the next
+        bank's start; the rest of a bank after an aligned block is placed at
+        once. Exhaustion names the first block that does not fit and allocates none."""
         if nbytes <= 0:
             raise MemoryError_(f"allocation size must be positive, got {nbytes}")
         if nbytes > self.bank_size:
             raise MemoryError_(
                 f"block of {nbytes} B exceeds bank size {self.bank_size} B"
             )
-        cursor = ceil_div(self._cursor, align) * align
-        if cursor // self.bank_size != (cursor + nbytes - 1) // self.bank_size:
-            cursor = (cursor // self.bank_size + 1) * self.bank_size
-        if cursor + nbytes > self.device_size:
-            raise MemoryError_(
-                f"device memory exhausted: need {nbytes} B at {cursor}, "
-                f"device size {self.device_size} B"
-            )
-        self._cursor = cursor + nbytes
-        return cursor
+        step = ceil_div(nbytes, align) * align
+        out: List[int] = []
+        cursor = self._cursor
+        while len(out) < count:
+            at = ceil_div(cursor, align) * align
+            if at // self.bank_size != (at + nbytes - 1) // self.bank_size:
+                at = (at // self.bank_size + 1) * self.bank_size
+            if at + nbytes > self.device_size:
+                raise MemoryError_(
+                    f"device memory exhausted: need {nbytes} B at {at}, "
+                    f"device size {self.device_size} B"
+                )
+            bank_end = (at // self.bank_size + 1) * self.bank_size
+            fits = 1 if at % align else (bank_end - at - nbytes) // step + 1
+            n = min(fits, count - len(out))
+            out.extend(range(at, at + n * step, step))
+            cursor = out[-1] + nbytes
+        self._cursor = cursor
+        return out
 
 
 @dataclass(frozen=True)
@@ -185,18 +198,14 @@ class TableStorage:
         self._delta_blocks: List[List[int]] = []
         for part in layout.parts:
             block_bytes = block_rows * part.row_width
-            self._data_blocks.append(
-                [allocator.alloc_block(block_bytes) for _ in range(data_blocks)]
-            )
-            self._delta_blocks.append(
-                [allocator.alloc_block(block_bytes) for _ in range(delta_blocks)]
-            )
-        # Bitmap copies: one bit per region row, every device stores one.
-        self.data_bitmap_addr = allocator.alloc_block(
-            max(1, ceil_div(capacity_rows, 8)), align=self._bitmap_align()
-        )
-        self.delta_bitmap_addr = allocator.alloc_block(
-            max(1, ceil_div(delta_capacity_rows, 8)), align=self._bitmap_align()
+            self._data_blocks.append(allocator.alloc_blocks(block_bytes, data_blocks))
+            self._delta_blocks.append(allocator.alloc_blocks(block_bytes, delta_blocks))
+        # Bitmap copies: one bit per region row, every device stores one. A
+        # base aligned to a block's block_rows / 8 bytes keeps per-block
+        # bitmap slices byte-aligned.
+        self.data_bitmap_addr, self.delta_bitmap_addr = (
+            allocator.alloc_blocks(self._bitmap_bytes(region), align=max(8, block_rows // 8))[0]
+            for region in (Region.DATA, Region.DELTA)
         )
         # Per part: row width, per-region block bases (whole-row stores) and
         # the offset of its columns in the layout's row plans.
@@ -226,11 +235,6 @@ class TableStorage:
         # column, read-plan entry (not cached as the column's read plan) and
         # targets, the rank as blocks of block_rows items from any flat address.
         self._load_plan: Optional[Tuple] = None
-
-    def _bitmap_align(self) -> int:
-        # Blocks are block_rows bits = block_rows/8 bytes; aligning the
-        # bitmap base to that keeps per-block bitmap slices byte-aligned.
-        return max(8, self.block_rows // 8)
 
     # ------------------------------------------------------------------
     # Addressing
@@ -584,11 +588,11 @@ class TableStorage:
         if bad.size:
             i = bad[0]
             raise self._rotation_mismatch((src_region, int(src[i])), (dst_region, int(dst[i])))
-        for index, (width, _, _) in enumerate(self._parts):
-            src_addr = np.take(self._region_blocks(src_region, index), src_block)
-            dst_addr = np.take(self._region_blocks(dst_region, index), dst_block)
-            slots = byte_runs(self.rank.mem, width)
-            slots[:, dst_addr + dst_within * width] = slots[:, src_addr + src_within * width]
+        src_index, dst_index = (0 if r == Region.DATA else 1 for r in (src_region, dst_region))
+        for (width, _, _), bases, items in zip(self._parts, self._base_arrays, self._part_items):
+            items[:, bases[dst_index][dst_block] + dst_within * width] = items[
+                :, bases[src_index][src_block] + src_within * width
+            ]
 
     def _rotation_mismatch(self, src: Tuple[str, int], dst: Tuple[str, int]) -> LayoutError:
         """A copy's rotation mismatch, naming the table and the first bad
@@ -618,23 +622,29 @@ class TableStorage:
         """Local base address of a region's bitmap."""
         return self.data_bitmap_addr if region == Region.DATA else self.delta_bitmap_addr
 
-    def write_bitmap(self, region: str, bitmap: np.ndarray) -> None:
-        """Store a full bitmap (packed little-endian bits) to all devices.
+    def _bitmap_bytes(self, region: str) -> int:
+        """Bytes of a region's packed bitmap (an empty region keeps one)."""
+        return max(1, ceil_div(self._region_capacity(region), 8))
 
-        The copies are ADE-aligned, so this is one broadcast store.
+    def write_bitmap(self, region: str, packed: np.ndarray, first_byte: int = 0) -> None:
+        """Store packed little-endian bitmap bytes from ``first_byte`` on, to all devices.
+
+        The copies are ADE-aligned, so this is one broadcast store. The byte
+        range is checked against the region's bitmap before anything is stored.
         """
-        base = self.bitmap_addr(region)
-        data = np.asarray(bitmap, dtype=np.uint8)
-        expected = max(1, ceil_div(self._region_capacity(region), 8))
-        if len(data) != expected:
-            raise LayoutError(f"bitmap must be {expected} bytes, got {len(data)}")
+        data = np.asarray(packed, dtype=np.uint8)
+        size = self._bitmap_bytes(region)
+        if first_byte < 0 or first_byte + len(data) > size:
+            raise LayoutError(
+                f"table {self.layout.schema.name!r}: {region} bitmap store of bytes "
+                f"[{first_byte}, {first_byte + len(data)}) outside [0, {size})"
+            )
+        base = self.bitmap_addr(region) + first_byte
         self.rank.mem[:, base : base + len(data)] = data
 
     def read_bitmap(self, region: str, device: int = 0) -> np.ndarray:
         """Read one device's bitmap copy."""
-        base = self.bitmap_addr(region)
-        nbytes = max(1, ceil_div(self._region_capacity(region), 8))
-        return self.rank.device_read(device, base, nbytes)
+        return self.rank.device_read(device, self.bitmap_addr(region), self._bitmap_bytes(region))
 
     def bitmap_block_slice_addr(self, region: str, block: int) -> int:
         """Local address of the bitmap bytes covering one block's rows."""

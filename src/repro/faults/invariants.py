@@ -217,15 +217,17 @@ class InvariantChecker:
                 f"index in {diff} bit(s)"
             )
 
-        # The per-device packed copy in simulated DRAM must mirror the
-        # in-memory bitmap (every device holds the same copy; device 0
-        # stands in for all of them).
+        # Every device's packed copy in simulated DRAM must mirror the in-memory
+        # bitmap over the whole region, tails included (stores cover byte ranges).
+        storage = runtime.storage
         for region, bits in ((Region.DATA, snap_data), (Region.DELTA, snap_delta)):
-            stored = runtime.storage.read_bitmap(region, device=0)
-            if not np.array_equal(stored, self._packed(bits)):
+            want = self._packed(bits)
+            copies = [storage.read_bitmap(region, d) for d in range(storage.rank.num_devices)]
+            devices = [d for d, copy in enumerate(copies) if not np.array_equal(copy, want)]
+            if devices:
                 found.append(
-                    f"{name}: stored {region} bitmap copy diverges from the "
-                    "in-memory bitmap"
+                    f"{name}: stored {region} bitmap copy on device(s) {devices} "
+                    "diverges from the in-memory bitmap"
                 )
         return found
 

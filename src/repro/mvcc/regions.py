@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
-import numpy as np
-
 from repro.errors import TransactionError
 
 __all__ = ["DataRegion", "DeltaAllocator"]
@@ -70,7 +68,8 @@ class DeltaAllocator:
         self.capacity_blocks = capacity_blocks
         self._next_block = 0
         self._free: Dict[int, List[int]] = {r: [] for r in range(num_devices)}
-        self._allocated: Set[int] = set()
+        # Allocated rows, one set per rotation.
+        self._allocated: List[Set[int]] = [set() for _ in range(num_devices)]
 
     @property
     def capacity_rows(self) -> int:
@@ -80,7 +79,7 @@ class DeltaAllocator:
     @property
     def allocated_rows(self) -> int:
         """Currently allocated delta rows."""
-        return len(self._allocated)
+        return sum(map(len, self._allocated))
 
     @property
     def high_water_rows(self) -> int:
@@ -104,38 +103,30 @@ class DeltaAllocator:
         if not self._free[rotation]:
             self._grow_until(rotation)
         index = self._free[rotation].pop()
-        self._allocated.add(index)
+        self._allocated[rotation].add(index)
         return index
 
     def release(self, delta_index: int) -> None:
         """Return a delta row to its rotation's free list."""
-        if delta_index not in self._allocated:
+        if not self.is_allocated(delta_index):
             raise TransactionError(f"delta row {delta_index} is not allocated")
-        self._allocated.discard(delta_index)
-        self._free[self.rotation_of(delta_index)].append(delta_index)
+        rotation = self.rotation_of(delta_index)
+        self._allocated[rotation].remove(delta_index)
+        self._free[rotation].append(delta_index)
 
     def release_all(self) -> int:
         """Free every allocated row (after defragmentation); returns count.
 
-        One sort by (rotation, row) and one split by rotation append each
-        rotation's rows to its free list in ascending order."""
-        count = len(self._allocated)
-        if not count:
-            return 0
-        rows = np.fromiter(self._allocated, dtype=np.int64, count=count)
-        rotations = rows // self.block_rows % self.num_devices
-        # Rows are below capacity_rows, so each key's remainder is its row.
-        keys = np.sort(rotations * self.capacity_rows + rows)
-        ordered = (keys % self.capacity_rows).tolist()
-        ends = np.bincount(rotations, minlength=self.num_devices).cumsum().tolist()
-        for rotation, (lo, hi) in enumerate(zip([0, *ends], ends)):
-            self._free[rotation].extend(ordered[lo:hi])
-        self._allocated.clear()
+        Each rotation's rows join its free list in ascending order."""
+        count = self.allocated_rows
+        for rotation, rows in enumerate(self._allocated):
+            self._free[rotation].extend(sorted(rows))
+            rows.clear()
         return count
 
     def is_allocated(self, delta_index: int) -> bool:
         """Whether a delta row is currently allocated."""
-        return delta_index in self._allocated
+        return delta_index in self._allocated[delta_index // self.block_rows % self.num_devices]
 
     def _grow_until(self, rotation: int) -> None:
         """Materialize blocks until ``rotation`` has a free row."""

@@ -96,6 +96,18 @@ class TestOriginalController:
 
 
 class TestPushTapController:
+    @pytest.mark.parametrize("substrate, ranks", [("ddr5", 1), ("hbm3", 2), ("lpddr5x-pim", 1)])
+    def test_an_engine_hands_over_its_units_ranks(self, substrate, ranks):
+        """An engine's 64 units (one rank of devices × banks) span two of
+        hbm3's 32-unit PIM ranks, so its handover is charged twice there."""
+        from repro.core.config import SUBSTRATES
+        from repro.core.engine import PushTapEngine
+
+        config = SUBSTRATES[substrate][0]()
+        controller = PushTapEngine.build(config=config, scale=2e-5).controller
+        assert (controller.num_units, controller.num_ranks) == (64, ranks)
+        assert controller.begin_mode_batch().handover_time == ranks * config.mode_switch_latency
+
     def test_launch_is_single_request(self):
         cfg = dimm_system()
         ctrl = PushTapController(cfg, make_units(4))

@@ -154,9 +154,9 @@ class OracleStorage(TableStorage):
         for src, dst in zip(src_rows, dst_rows):
             self.copy_slot(src_region, src, dst_region, dst)
 
-    def write_bitmap(self, region, bitmap):
+    def write_bitmap(self, region, packed, first_byte=0):
         for device in self.rank.devices:
-            device.write(self.bitmap_addr(region), bitmap)
+            device.write(self.bitmap_addr(region) + first_byte, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +726,8 @@ class TestCopyAndDefragImage:
         for storage in (fast, slow):
             storage.write_bitmap(Region.DATA, data)
             storage.write_bitmap(Region.DELTA, delta)
+            storage.write_bitmap(Region.DATA, delta[:4], first_byte=6)
+            storage.write_bitmap(Region.DELTA, data[:2], first_byte=5)
         assert np.array_equal(fast.rank.mem, slow.rank.mem)
         assert np.array_equal(fast.read_bitmap(Region.DELTA, 5), slow.read_bitmap(Region.DELTA, 5))
 

@@ -14,6 +14,7 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import HOOKS, FaultPlan, FaultRates
 from repro.faults import sweep
 from repro.faults.sweep import run_fault_sweep
+from repro.mvcc.metadata import Region
 from repro.pim.controller import OriginalController, PushTapController
 from repro.pim.device import Device
 from repro.pim.executor import (
@@ -338,6 +339,27 @@ class TestInvariantChecker:
         mvcc.delta.allocate(0)  # allocation no chain references
         checker = InvariantChecker(fresh_engine, raise_on_violation=False)
         assert any("unreferenced" in v for v in checker.check())
+
+    @pytest.mark.parametrize("region", [Region.DATA, Region.DELTA])
+    @pytest.mark.parametrize("device, at", [(0, 0), (7, 0), (3, -1)], ids=["dev0", "dev7", "dev3-tail"])
+    def test_catches_one_device_bitmap_copy_out_of_step(self, fresh_engine, region, device, at):
+        """Each device's copy is checked over the whole region, tails
+        included: one flipped bit on one device is named, and the same
+        engine untouched (after a query and a defragmentation) reports nothing."""
+        fresh_engine.run_transactions(20, fresh_engine.make_driver(seed=4))
+        fresh_engine.query("Q6")
+        fresh_engine.defragment()
+        fresh_engine.run_transactions(10, fresh_engine.make_driver(seed=5))
+        fresh_engine.query("Q6")
+        checker = InvariantChecker(fresh_engine, raise_on_violation=False)
+        assert checker.check() == []
+        storage = fresh_engine.table("orderline").storage
+        addr = storage.bitmap_addr(region) + at % len(storage.read_bitmap(region))
+        storage.rank.mem[device, addr] ^= 0x80
+        assert checker.check() == [
+            f"orderline: stored {region} bitmap copy on device(s) [{device}] "
+            "diverges from the in-memory bitmap"
+        ]
 
     @staticmethod
     def misplace(table, ts):

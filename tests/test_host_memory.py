@@ -43,13 +43,15 @@ class CapacitySizedMVCC(MVCCManager):
 
 
 class FullClearSnapshots(SnapshotManager):
-    """A defragmentation clears every bit of both bitmaps first."""
+    """A defragmentation clears every bit of both bitmaps first, then
+    stores both whole bitmaps."""
 
     def rebuild_after_defrag(self, ts):
         self._bits[:] = False
         self._data_bits[: self.mvcc.num_rows] = self.mvcc.alive_at(ts)
         self.last_snapshot_ts = ts
-        self._flush()
+        for region, bits in ((Region.DATA, self._data_bits), (Region.DELTA, self._delta_bits)):
+            self.storage.write_bitmap(region, np.packbits(bits, bitorder="little"))
 
 
 def stack(mvcc_cls, snapshot_cls, initial_rows):

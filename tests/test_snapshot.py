@@ -1,9 +1,12 @@
 """Bitmap snapshotting (§5.2, Fig. 6c)."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core.config import DeviceGeometry
+from repro.core.defrag import DefragExecutor
 from repro.core.snapshot import SnapshotManager
 from repro.core.storage import RankAllocator, TableStorage
 from repro.errors import SnapshotError
@@ -181,3 +184,47 @@ class TestIdempotentUpdateTo:
         assert cost.records == 0
         assert cost.total_cpu_bytes == 0
         assert cost.bitmap_bytes == 0
+
+
+class TestDeviceCopiesFollowTheHostBits:
+    """Bitmap stores cover only the bytes whose bits changed, so the copies
+    are compared whole (tails included) on every device after every step."""
+
+    @staticmethod
+    def assert_copies_equal_host(storage, snap):
+        for region, bits in (
+            (Region.DATA, snap.visible_data_rows()),
+            (Region.DELTA, snap.visible_delta_rows()),
+        ):
+            want = np.packbits(bits, bitorder="little")
+            for device in range(storage.rank.num_devices):
+                assert np.array_equal(storage.read_bitmap(region, device), want), (region, device)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_histories_with_a_defragmentation_mid_way(self, seed):
+        """Random updates, inserts and deletes, snapshots at lagging
+        horizons, and a defragmentation after each of the first two phases."""
+        rng = random.Random(seed)
+        storage, mvcc, snap = make(rows=100)
+        defrag = DefragExecutor(storage, mvcc, snap, bdw_cpu=1.0, bdw_pim=2.0)
+        self.assert_copies_equal_host(storage, snap)
+        alive, ts = list(range(100)), 0
+        for phase in range(3):
+            for _ in range(60):
+                ts += 1
+                roll = rng.random()
+                if roll < 0.6:
+                    mvcc.update(rng.choice(alive), ts)
+                elif roll < 0.75 and mvcc.num_rows < 256:
+                    alive.append(mvcc.insert(ts))
+                elif roll < 0.85:
+                    mvcc.delete(alive.pop(rng.randrange(len(alive))), ts)
+                elif roll > 0.9:
+                    snap.update_to(rng.randint(snap.last_snapshot_ts, ts))
+                    self.assert_copies_equal_host(storage, snap)
+            if phase < 2:
+                defrag.run(ts)
+                self.assert_copies_equal_host(storage, snap)
+        snap.update_to(ts)
+        self.assert_copies_equal_host(storage, snap)
+        assert snap.visible_count() == len(alive)

@@ -1,5 +1,7 @@
 """Physical table storage: addressing, row I/O, bitmaps, scan plans."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from repro.format.binpack import compact_aligned_layout
 from repro.format.schema import Column, TableSchema
 from repro.mvcc.metadata import Region
 from repro.pim.memory import Rank
-from tests.test_vectorized_equivalence import device_of_slot, rotation_of, row_addr
+from tests.test_vectorized_equivalence import capture, device_of_slot, rotation_of, row_addr
 
 GEOM = DeviceGeometry()
 SCHEMA = TableSchema.of(
@@ -33,27 +35,77 @@ def row(i: int):
     return {"a": i, "b": i % 100, "c": i * 31, "z": bytes([i % 250] * 10)}
 
 
+class OracleRankAllocator:
+    """The per-block allocation loop: one block at a time, each at the
+    cursor rounded up to ``align`` or at the next bank's start if it would
+    straddle. A failed run allocates nothing."""
+
+    def __init__(self, rank):
+        self.bank_size = rank.devices[0].bank_size
+        self.device_size = rank.devices[0].size
+        self.cursor = 0
+
+    def alloc_blocks(self, nbytes, count=1, align=8):
+        if nbytes <= 0:
+            raise MemoryError_(f"allocation size must be positive, got {nbytes}")
+        if nbytes > self.bank_size:
+            raise MemoryError_(f"block of {nbytes} B exceeds bank size {self.bank_size} B")
+        out, cursor = [], self.cursor
+        for _ in range(count):
+            at = -(-cursor // align) * align
+            if at // self.bank_size != (at + nbytes - 1) // self.bank_size:
+                at = (at // self.bank_size + 1) * self.bank_size
+            if at + nbytes > self.device_size:
+                raise MemoryError_(
+                    f"device memory exhausted: need {nbytes} B at {at}, "
+                    f"device size {self.device_size} B"
+                )
+            out.append(at)
+            cursor = at + nbytes
+        self.cursor = cursor
+        return out
+
+
 class TestRankAllocator:
     def test_blocks_never_straddle_banks(self):
         rank = Rank(GEOM, device_bytes=1 << 16)
         alloc = RankAllocator(rank)
         bank = rank.devices[0].bank_size
-        for _ in range(40):
-            addr = alloc.alloc_block(500)
+        addrs = alloc.alloc_blocks(500, 40)
+        assert len(addrs) == 40
+        for addr in addrs:
             assert addr // bank == (addr + 499) // bank
 
     def test_exhaustion(self):
         rank = Rank(GEOM, device_bytes=8 * 1024)
         alloc = RankAllocator(rank)
-        with pytest.raises(MemoryError_):
-            for _ in range(100):
-                alloc.alloc_block(1024)
+        with pytest.raises(MemoryError_, match="exhausted: need 1024 B at 8192"):
+            alloc.alloc_blocks(1024, 100)
+        # Nothing was allocated: the whole device is still free.
+        assert alloc.alloc_blocks(1024, 8) == list(range(0, 8192, 1024))
 
     def test_oversized_block_rejected(self):
         rank = Rank(GEOM, device_bytes=8 * 1024)
         alloc = RankAllocator(rank)
         with pytest.raises(MemoryError_):
-            alloc.alloc_block(2048)  # bank is 1024
+            alloc.alloc_blocks(2048)  # bank is 1024
+
+    @pytest.mark.parametrize("bank", [1000, 1024, 4096])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_run_equals_the_per_block_loop(self, seed, bank):
+        """Random runs (sizes, counts, alignments, some too large or past
+        the device's end): each run's addresses, or its error, equal the
+        per-block loop's, and a failed run allocates nothing."""
+        rng = random.Random(seed * 31 + bank)
+        rank = Rank(GEOM, device_bytes=bank * GEOM.banks_per_device)
+        alloc, oracle = RankAllocator(rank), OracleRankAllocator(rank)
+        for _ in range(60):
+            nbytes = rng.choice([rng.randint(1, 80), rng.randint(1, bank), bank, bank + 1])
+            count = rng.randint(0, 12)
+            align = rng.choice([1, 8, 24, 64, 128])
+            got, want = (capture(lambda: a.alloc_blocks(nbytes, count, align)) for a in (alloc, oracle))
+            assert got == want
+            assert alloc._cursor == oracle.cursor
 
 
 class TestBlockRows:
@@ -164,10 +216,41 @@ class TestBitmaps:
         st_.write_bitmap(Region.DATA, bitmap)
         assert st_.read_bitmap(Region.DATA)[0] == 0xFE
 
-    def test_wrong_size_rejected(self):
+    def test_a_byte_range_stores_only_its_bytes(self):
         st_ = make_storage(capacity=512)
-        with pytest.raises(LayoutError):
-            st_.write_bitmap(Region.DATA, np.zeros(10, dtype=np.uint8))
+        st_.write_bitmap(Region.DATA, np.full(64, 0x0F, dtype=np.uint8))
+        st_.write_bitmap(Region.DATA, np.full(3, 0xF0, dtype=np.uint8), first_byte=10)
+        want = np.full(64, 0x0F, dtype=np.uint8)
+        want[10:13] = 0xF0
+        for device in range(8):
+            assert np.array_equal(st_.read_bitmap(Region.DATA, device), want)
+
+    def test_a_short_store_at_byte_zero_is_legal(self):
+        st_ = make_storage(capacity=512)
+        st_.write_bitmap(Region.DATA, np.full(10, 0xFF, dtype=np.uint8))
+        stored = st_.read_bitmap(Region.DATA)
+        assert stored[:10].all() and not stored[10:].any()
+
+    @pytest.mark.parametrize(
+        "region, packed_bytes, first_byte, span",
+        [
+            (Region.DATA, 10, 60, r"\[60, 70\) outside \[0, 64\)"),
+            (Region.DATA, 65, 0, r"\[0, 65\) outside \[0, 64\)"),
+            (Region.DELTA, 1, 32, r"\[32, 33\) outside \[0, 32\)"),
+            (Region.DATA, 4, -1, r"\[-1, 3\) outside \[0, 64\)"),
+            (Region.DELTA, 0, -8, r"\[-8, -8\) outside \[0, 32\)"),
+        ],
+    )
+    def test_a_store_outside_the_bitmap_raises_and_stores_nothing(
+        self, region, packed_bytes, first_byte, span
+    ):
+        """Past the region's end, or from a negative byte: a ``LayoutError``
+        naming the table and the range, and no device byte changes."""
+        st_ = make_storage(capacity=512)
+        before = st_.rank.mem.copy()
+        with pytest.raises(LayoutError, match=f"table 't': {region} bitmap store of bytes {span}"):
+            st_.write_bitmap(region, np.full(packed_bytes, 0xFF, dtype=np.uint8), first_byte)
+        assert np.array_equal(st_.rank.mem, before)
 
     def test_block_slice_addr_is_byte_aligned(self):
         st_ = make_storage(capacity=512)

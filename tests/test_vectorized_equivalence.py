@@ -1016,8 +1016,52 @@ class TestMVCCBatchedEquivalence:
         assert batched[0] == "err"
 
 
-class OracleDeltaAllocator(DeltaAllocator):
-    """:class:`DeltaAllocator` with ``release_all``'s sorted per-index loop."""
+class OracleDeltaAllocator:
+    """A delta allocator holding its allocated rows as one flat set, with
+    ``release_all`` the sorted per-index loop."""
+
+    def __init__(self, block_rows, num_devices, capacity_blocks):
+        self.block_rows = block_rows
+        self.num_devices = num_devices
+        self.capacity_blocks = capacity_blocks
+        self._next_block = 0
+        self._free = {r: [] for r in range(num_devices)}
+        self._allocated = set()
+
+    @property
+    def allocated_rows(self):
+        return len(self._allocated)
+
+    @property
+    def high_water_rows(self):
+        return self._next_block * self.block_rows
+
+    def rotation_of(self, index):
+        return index // self.block_rows % self.num_devices
+
+    def allocate(self, rotation):
+        if rotation < 0 or rotation >= self.num_devices:
+            raise TransactionError(f"rotation {rotation} out of range")
+        while not self._free[rotation]:
+            if self._next_block >= self.capacity_blocks:
+                raise TransactionError(
+                    f"delta region full ({self.capacity_blocks} blocks); "
+                    "defragmentation required"
+                )
+            start = self._next_block * self.block_rows
+            self._free[self._next_block % self.num_devices].extend(
+                range(start + self.block_rows - 1, start - 1, -1)
+            )
+            self._next_block += 1
+        index = self._free[rotation].pop()
+        self._allocated.add(index)
+        return index
+
+    def release(self, index):
+        if index not in self._allocated:
+            raise TransactionError(f"delta row {index} is not allocated")
+        self._allocated.discard(index)
+        self._free[self.rotation_of(index)].append(index)
 
     def release_all(self):
         count = len(self._allocated)
@@ -1026,15 +1070,20 @@ class OracleDeltaAllocator(DeltaAllocator):
         self._allocated.clear()
         return count
 
+    def is_allocated(self, index):
+        return index in self._allocated
+
 
 @pytest.mark.parametrize("block_rows, devices", [(1, 1), (4, 3), (16, 4), (64, 8)])
 @pytest.mark.parametrize("seed", range(3))
 def test_release_all_matches_the_per_index_loop(seed, block_rows, devices):
     """Random allocate / release / ``release_all`` sequences: after each
-    step every rotation's free list equals the oracle's, and so does
-    every allocation (or its error)."""
+    step every rotation's free list equals the oracle's, and so do every
+    allocation (or its error), each row's ``is_allocated`` and the
+    allocated count."""
     rng = random.Random(seed * 97 + block_rows * 7 + devices)
     allocators = [cls(block_rows, devices, 24) for cls in (DeltaAllocator, OracleDeltaAllocator)]
+    rows = range(-1, 24 * block_rows + 1)
     for _ in range(400):
         roll = rng.random()
         if roll < 0.7:
@@ -1049,7 +1098,8 @@ def test_release_all_matches_the_per_index_loop(seed, block_rows, devices):
             assert allocators[0].release_all() == allocators[1].release_all()
         fast, slow = allocators
         assert fast._free == slow._free
-        assert fast._allocated == slow._allocated
+        assert [fast.is_allocated(i) for i in rows] == [slow.is_allocated(i) for i in rows]
+        assert fast.allocated_rows == slow.allocated_rows
         assert fast.high_water_rows == slow.high_water_rows
 
 
