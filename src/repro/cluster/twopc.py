@@ -306,19 +306,14 @@ class TwoPhaseCommit:
         self.coordination_time += coordination
         latency = exec_time + coordination
         if decide_commit:
-            self.committed += 1
+            telemetry.count(self, "committed", "cluster.twopc.committed")
         else:
-            self.aborted += 1
-            self.aborts_by_cause[abort_cause] = (
-                self.aborts_by_cause.get(abort_cause, 0) + 1
+            telemetry.count(self, "aborted", "cluster.twopc.aborted")
+            telemetry.tally(
+                self.aborts_by_cause, abort_cause, f"cluster.twopc.aborted.{abort_cause}"
             )
         if tel.enabled:
             tel.counter("cluster.twopc.attempted").inc()
-            if decide_commit:
-                tel.counter("cluster.twopc.committed").inc()
-            else:
-                tel.counter("cluster.twopc.aborted").inc()
-                tel.counter(f"cluster.twopc.aborted.{abort_cause}").inc()
             tel.histogram("cluster.twopc.latency_ns").observe(latency)
             tel.record_span(
                 "cluster.twopc",

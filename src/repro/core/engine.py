@@ -615,10 +615,9 @@ class PushTapEngine:
         # defrag time is accounted separately, not in the query.
         with tel.span("olap.query", {"query": name}) as frame:
             result = run_query(name, self.olap, self.db, ts)
-            self.stats.queries += 1
+            telemetry.count(self.stats, "queries", "olap.queries")
             self.stats.olap_time += result.total_time
             if tel.enabled:
-                tel.counter("olap.queries").inc()
                 tel.histogram(f"olap.query.{name}.latency_ns").observe(result.total_time)
                 # Sub-spans (snapshots, operator scans) advanced the cursor
                 # by the PIM-side time; the remainder of the query's total
@@ -679,11 +678,10 @@ class PushTapEngine:
             raise QueryError("incremental views are not enabled on this engine")
         ts = self.db.oracle.read_timestamp()
         result = self.ivm.answer(name, ts)
-        self.stats.queries += 1
+        telemetry.count(self.stats, "queries", "olap.queries")
         self.stats.olap_time += result.total_time
         tel = telemetry.active()
         if tel.enabled:
-            tel.counter("olap.queries").inc()
             tel.counter("olap.ivm.queries").inc()
             tel.histogram(f"olap.query.{name}.latency_ns").observe(result.total_time)
             if result.total_time > 1e-9:

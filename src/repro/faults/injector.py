@@ -10,11 +10,10 @@ all an un-faulted run pays. Instrumented layers follow one pattern::
     if inj.enabled and inj.fire(plan.DROP_LAUNCH):
         ...model the fault...
 
-Every injected fault increments ``faults.injected.<hook>`` and every
-engine-side detection increments ``faults.detected.<hook>`` in the
-telemetry registry (when telemetry records), so the counters expose the
-faults exactly as ROADMAP requires. The injector additionally keeps its
-own counts, so fault reports work even with telemetry disabled.
+The injector counts every injected fault and every engine-side
+detection per hook, so fault reports work with telemetry disabled; the
+same count site mirrors each into ``faults.injected.<hook>`` /
+``faults.detected.<hook>`` while a registry records.
 
 This module must stay importable from the lowest layers (PIM controller,
 OLTP engine); it depends only on the plan and telemetry modules.
@@ -55,11 +54,8 @@ class FaultInjector:
         """One consultation of ``hook``; True means "inject here"."""
         if not self.plan.draw(hook):
             return False
-        self.injected[hook] = self.injected.get(hook, 0) + 1
+        telemetry.tally(self.injected, hook, f"faults.injected.{hook}")
         self._pending_checks += 1
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter(f"faults.injected.{hook}").inc()
         return True
 
     def draw_int(self, hook: str, low: int, high: int) -> int:
@@ -74,25 +70,18 @@ class FaultInjector:
         this at the same point of the sequential interleaving to apply
         the injection accounting without drawing again.
         """
-        self.injected[hook] = self.injected.get(hook, 0) + 1
+        telemetry.tally(self.injected, hook, f"faults.injected.{hook}")
         self._pending_checks += 1
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter(f"faults.injected.{hook}").inc()
 
     def detect(self, hook: str) -> None:
         """The engine noticed (and survived) an injected fault."""
-        self.detected[hook] = self.detected.get(hook, 0) + 1
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter(f"faults.detected.{hook}").inc()
+        telemetry.tally(self.detected, hook, f"faults.detected.{hook}")
 
     def retry(self, backoff_ns: float) -> None:
         """One bounded-retry attempt; ``backoff_ns`` is simulated wait."""
-        self.retries += 1
+        telemetry.count(self, "retries", "faults.retries")
         tel = telemetry.active()
         if tel.enabled:
-            tel.counter("faults.retries").inc()
             tel.record_span("faults.retry_backoff", backoff_ns)
 
     # ------------------------------------------------------------------

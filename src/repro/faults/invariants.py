@@ -66,13 +66,11 @@ class InvariantChecker:
             found.extend(self._check_mvcc(name, runtime))
             found.extend(self._check_snapshot(name, runtime))
             found.extend(self._check_index(name, runtime))
-        self.checks += 1
+        telemetry.count(self, "checks", "faults.invariant.checks")
         self.violations.extend(found)
         tel = telemetry.active()
-        if tel.enabled:
-            tel.counter("faults.invariant.checks").inc()
-            if found:
-                tel.counter("faults.invariant.violations").inc(len(found))
+        if tel.enabled and found:
+            tel.counter("faults.invariant.violations").inc(len(found))
         if found and self.raise_on_violation:
             raise InvariantViolation("; ".join(found))
         return found

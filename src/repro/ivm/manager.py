@@ -140,10 +140,7 @@ class IVMManager:
             folded += rows
             nbytes += count * METADATA_BYTES + rows * self._widths[(name, table)]
         self._view_ts[name] = ts
-        self._stats[name].applied_records += records
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter("ivm.applied_records").inc(records)
+        telemetry.count(self._stats[name], "applied_records", "ivm.applied_records", records)
         self._charge(name, folded, nbytes, timing)
 
     def on_defrag(self, ts: int) -> None:
@@ -179,11 +176,8 @@ class IVMManager:
             nbytes += rows * self._widths[(name, table)]
         self._view_ts[name] = ts
         self._dirty[name] = False
-        self._stats[name].recomputes += 1
+        telemetry.count(self._stats[name], "recomputes", "ivm.recomputes")
         self._charge(name, folded, nbytes, timing)
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter("ivm.recomputes").inc()
 
     def _fold(
         self, name: str, table: str, deltas: Dict[str, Tuple[np.ndarray, np.ndarray]]
@@ -211,14 +205,11 @@ class IVMManager:
     def _charge(
         self, name: str, folded: int, nbytes: int, timing: Optional[QueryTiming]
     ) -> None:
-        """Book ``folded`` rows (``nbytes`` moved) to stats, clock and counter."""
-        self._stats[name].folded_rows += folded
+        """Book ``folded`` rows (``nbytes`` moved) to stats, counter and clock."""
+        telemetry.count(self._stats[name], "folded_rows", "ivm.folded_rows", folded)
         if timing is not None:
             timing.add_cpu_bytes(nbytes, self.engine.olap.config.total_cpu_bandwidth)
             timing.cpu_time += folded * _APPLY_NS_PER_DELTA
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter("ivm.folded_rows").inc(folded)
 
     # ------------------------------------------------------------------
     # Cost estimation / introspection (for the serve scheduler)

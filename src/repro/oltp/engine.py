@@ -421,12 +421,11 @@ class OLTPEngine:
         """Roll ``ctx`` back and account it aborted (its time is still
         busy time); returns its result."""
         ctx.rollback()
-        self.aborted += 1
+        telemetry.count(self, "aborted", "oltp.txn.aborted")
         if injected:
             faults.active().detect(fault_plan.FORCED_ABORT)
         tel = telemetry.active()
         if tel.enabled:
-            tel.counter("oltp.txn.aborted").inc()
             tel.counter(f"oltp.txn.{txn_name}.aborted").inc()
         result = TxnResult(
             ts=ctx.ts,
@@ -447,13 +446,12 @@ class OLTPEngine:
             # crash hooks propagates — a dead process does not roll back,
             # and leaves every counter untouched.
             result.breakdown.flush += self.durability.log_commit(ctx.ts)
-        self.committed += 1
+        telemetry.count(self, "committed", "oltp.txn.committed")
         self.busy_time += result.total_time
         self.total_time += result.total_time
         self.breakdown = self.breakdown.merge(result.breakdown)
         tel = telemetry.active()
         if tel.enabled:
-            tel.counter("oltp.txn.committed").inc()
             tel.counter("oltp.rows_read").inc(result.rows_read)
             tel.counter("oltp.rows_written").inc(result.rows_written)
             tel.histogram(f"oltp.txn.{txn_name}.latency_ns").observe(result.total_time)

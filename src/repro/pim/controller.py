@@ -162,14 +162,14 @@ class _ControllerBase:
         self.banks_locked = False
 
     def _record(self, kind: str, cost: ControlCost) -> None:
-        """Mirror one control interaction into the telemetry registry."""
+        """Count one control interaction in ``stats.<kind>`` (and counter
+        ``pim.controller.<kind>``) and record its ``pim.control`` span."""
+        telemetry.count(self.stats, kind, "pim.controller." + kind)
         tel = telemetry.active()
-        if tel.enabled:
-            tel.counter(f"pim.controller.{kind}").inc()
-            if cost.total:
-                tel.record_span(
-                    "pim.control", cost.total, {"kind": kind, "cpu_time": cost.cpu_time}
-                )
+        if tel.enabled and cost.total:
+            tel.record_span(
+                "pim.control", cost.total, {"kind": kind, "cpu_time": cost.cpu_time}
+            )
 
     # ------------------------------------------------------------------
     # Fault injection (control-path anomalies)
@@ -240,7 +240,6 @@ class OriginalController(_ControllerBase):
         operations inside the batch skip their per-offload handover.
         """
         self.mode_batch_active = True
-        self.stats.mode_batches += 1
         cost = self.begin_offload()
         self._record("mode_batches", cost)
         return cost
@@ -255,16 +254,14 @@ class OriginalController(_ControllerBase):
         if self._offload_active:
             if self.mode_batch_active:
                 # This operation's handover is absorbed by the batch.
-                self.stats.handovers_saved += 1
-                tel = telemetry.active()
-                if tel.enabled:
-                    tel.counter("pim.controller.handovers_saved").inc()
+                telemetry.count(
+                    self.stats, "handovers_saved", "pim.controller.handovers_saved"
+                )
             return ControlCost(0.0, 0.0)
         self._offload_active = True
         # Handover is paid per rank, serially (0.2 us per rank, §7.1).
         handover = self.config.mode_switch_latency * self.num_ranks
         self.banks_locked = True
-        self.stats.handovers += 1
         self.stats.control_time += handover
         cost = ControlCost(0.0, handover)
         self._record("handovers", cost)
@@ -296,7 +293,6 @@ class OriginalController(_ControllerBase):
                 # idle unit is detected and ignored, costing one message.
                 inj.detect(fault_plan.DUPLICATE_LAUNCH)
                 cpu_time += self.config.unit_message_latency
-        self.stats.launches += 1
         self.stats.control_time += cpu_time
         cost = ControlCost(cpu_time, begin.handover_time)
         self._record("launches", cost)
@@ -305,7 +301,6 @@ class OriginalController(_ControllerBase):
     def poll(self) -> ControlCost:
         cpu_time = self.num_units * self.config.unit_message_latency
         self.last_poll_done = self._poll_reports_done()
-        self.stats.polls += 1
         self.stats.control_time += cpu_time
         cost = ControlCost(cpu_time, 0.0)
         self._record("polls", cost)
@@ -367,14 +362,10 @@ class PushTapController(_ControllerBase):
         self.mode_batch_active = True
         handover = self.config.mode_switch_latency * self.num_ranks
         self.banks_locked = True
-        self.stats.handovers += 1
-        self.stats.mode_batches += 1
+        telemetry.count(self.stats, "handovers", "pim.controller.handovers")
         self.stats.control_time += handover
         cost = ControlCost(0.0, handover)
         self._record("mode_batches", cost)
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter("pim.controller.handovers").inc()
         return cost
 
     def end_mode_batch(self) -> ControlCost:
@@ -403,7 +394,6 @@ class PushTapController(_ControllerBase):
         if not self.last_launch_accepted:
             # The disguised write was lost or rejected: nothing is armed,
             # no banks are handed over; the CPU still paid the access.
-            self.stats.launches += 1
             self.stats.control_time += cpu_time
             cost = ControlCost(cpu_time, 0.0)
             self._record("launches", cost)
@@ -413,14 +403,13 @@ class PushTapController(_ControllerBase):
             if self.mode_batch_active:
                 # The open mode batch already holds the banks in PIM
                 # mode; this launch's mode switch is amortised away.
-                self.stats.handovers_saved += 1
-                tel = telemetry.active()
-                if tel.enabled:
-                    tel.counter("pim.controller.handovers_saved").inc()
+                telemetry.count(
+                    self.stats, "handovers_saved", "pim.controller.handovers_saved"
+                )
             else:
                 handover = self.config.mode_switch_latency * self.num_ranks
                 self.banks_locked = True
-                self.stats.handovers += 1
+                telemetry.count(self.stats, "handovers", "pim.controller.handovers")
         self._pending = request
         inj = faults.active()
         if inj.enabled and inj.fire(fault_plan.DUPLICATE_LAUNCH):
@@ -430,19 +419,15 @@ class PushTapController(_ControllerBase):
             # checker asserts — at the cost of one more request.
             inj.detect(fault_plan.DUPLICATE_LAUNCH)
             cpu_time += self.config.controller_request_latency
-        self.stats.launches += 1
         self.stats.control_time += cpu_time + handover
         cost = ControlCost(cpu_time, handover)
         self._record("launches", cost)
-        if handover:
-            telemetry.active().counter("pim.controller.handovers").inc()
         return cost
 
     def poll(self) -> ControlCost:
         """Polling-module path: one disguised read answers the CPU."""
         cpu_time = self.config.controller_request_latency
         self.last_poll_done = self._poll_reports_done()
-        self.stats.polls += 1
         self.stats.control_time += cpu_time
         cost = ControlCost(cpu_time, 0.0)
         self._record("polls", cost)

@@ -211,10 +211,9 @@ class TwoPhaseExecutor:
             launch_cost = self._launch_with_retry(load_req)
             unit_load_times = self._run_phase(op.load, chunk, load_req)
             load_time = max(unit_load_times)
-            if tel.enabled:
-                self._record_phase(
-                    tel, "load", load_time, chunk, load_req.op.name, units, unit_load_times
-                )
+            self._record_phase(
+                tel, "load", load_time, chunk, load_req.op.name, units, unit_load_times
+            )
             poll_cost = self._poll_with_retry()
 
             compute_req = op.compute_request(chunk)
@@ -226,10 +225,9 @@ class TwoPhaseExecutor:
             c_launch_cost = self._launch_with_retry(compute_req)
             unit_compute_times = self._run_phase(op.compute, chunk, compute_req)
             compute_time = max(unit_compute_times)
-            if tel.enabled:
-                self._record_phase(
-                    tel, "compute", compute_time, chunk, op_name, units, unit_compute_times
-                )
+            self._record_phase(
+                tel, "compute", compute_time, chunk, op_name, units, unit_compute_times
+            )
             c_poll_cost = self._poll_with_retry()
 
             reissue_control = 0.0
@@ -315,13 +313,16 @@ class TwoPhaseExecutor:
 
     @staticmethod
     def _record_phase(tel, kind, duration, chunk, op_name, units, unit_times) -> None:
-        """One ``pim.phase.<kind>`` span, then (with the registry's
-        ``roofline`` flag, which the profiler sets) its per-unit lanes.
+        """While ``tel`` records, one ``pim.phase.<kind>`` span, then (with
+        the registry's ``roofline`` flag, which the profiler sets) its
+        per-unit lanes.
 
         Units run concurrently, so each lane starts with the phase, lasts
         its own time and names the phase as parent; explicit starts keep
         the serial cursor untouched.
         """
+        if not tel.enabled:
+            return
         parent = len(tel.spans)
         phase = tel.record_span(f"pim.phase.{kind}", duration, {"chunk": chunk, "op": op_name})
         if not tel.roofline:

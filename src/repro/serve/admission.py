@@ -146,18 +146,16 @@ class AdmissionController:
             reason = REASON_QUEUE_FULL
         elif not self.buckets[tenant].try_take(now):
             reason = REASON_RATE_LIMITED
-        tel = telemetry.active()
         if reason is not None:
-            self.stats.reject(reason)
+            self.stats.rejected += 1
+            telemetry.tally(
+                self.stats.rejected_by_reason, reason, f"serve.admission.rejected.{reason}"
+            )
             self.tenant_stats[tenant].reject(reason)
-            if tel.enabled:
-                tel.counter(f"serve.admission.rejected.{reason}").inc()
             return False
         self.occupancy[tenant] += 1
-        self.stats.admitted += 1
+        telemetry.count(self.stats, "admitted", "serve.admission.admitted")
         self.tenant_stats[tenant].admitted += 1
-        if tel.enabled:
-            tel.counter("serve.admission.admitted").inc()
         return True
 
     def release(self, tenant: int) -> None:

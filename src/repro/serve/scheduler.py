@@ -309,13 +309,9 @@ class HTAPScheduler:
             estimated_rescan = self._rescan_query_ns * len(names)
             mode = "ivm" if estimated_ivm < estimated_rescan else "rescan"
         if mode == "ivm":
-            self.stats.ivm_flushes += 1
             self.stats.ivm_queries += len(names)
-        else:
-            self.stats.rescan_flushes += 1
-        tel = telemetry.active()
-        if tel.enabled:
-            tel.counter(f"serve.scheduler.{mode}_flushes").inc()
+        field = f"{mode}_flushes"
+        telemetry.count(self.stats, field, "serve.scheduler." + field)
         return mode
 
     def note_rescan(self, total_query_time: float, num_queries: int) -> None:

@@ -118,16 +118,13 @@ class SLOAccounting:
             slo.aborted += 1
         slo.latency_for(kind).observe(latency_ns)
         slo.queue_wait.observe(wait_ns)
-        violated = latency_ns > self.targets.target_for(kind)
-        if violated:
-            slo.violations[kind] += 1
+        if latency_ns > self.targets.target_for(kind):
+            telemetry.tally(slo.violations, kind, f"serve.slo.violations.{kind}")
         tel = telemetry.active()
         if tel.enabled:
             tel.histogram(f"serve.tenant{tenant}.{kind}.latency_ns").observe(
                 latency_ns
             )
-            if violated:
-                tel.counter(f"serve.slo.violations.{kind}").inc()
 
     def on_complete_batch(
         self, completions: Sequence[Tuple[int, str, float, float]]

@@ -43,9 +43,10 @@ def to_dict(registry: MetricsRegistry) -> Dict:
 def from_dict(data: Dict) -> MetricsRegistry:
     """Rebuild a registry from :func:`to_dict` output.
 
-    A dump of another version, a histogram without its raw samples or
-    a span without a valid ``parent`` raises ``ValueError`` naming it,
-    rather than reloading as statistics that read 0 or a forest of roots.
+    A dump of another version, a histogram without its raw samples, a
+    span without a valid ``parent`` or a span that is its own ancestor
+    raises ``ValueError`` naming it, rather than reloading as statistics
+    that read 0 or a forest of roots.
     """
     version = data.get("version")
     if version != FORMAT_VERSION:
@@ -73,6 +74,16 @@ def from_dict(data: Dict) -> MetricsRegistry:
                 parent,
             )
         )
+    # A closed frame's index is above its children's: refuse cycles, not an order.
+    settled = set()
+    for index in range(len(spans)):
+        chain, node = [], index
+        while node is not None and node not in settled:
+            if node in chain:
+                raise ValueError(f"span {node} ({spans[node]['name']!r}) is its own ancestor")
+            chain.append(node)
+            node = registry.spans[node].parent
+        settled.update(chain)
     return registry
 
 

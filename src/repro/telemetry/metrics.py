@@ -3,10 +3,6 @@
 These are dependency-free value holders. They carry no locking (the
 simulator is single-threaded) and no wall-clock reads — every observed
 quantity is *simulated* time or a count, supplied by the caller.
-
-Each class has a ``Null*`` twin whose mutators are no-ops; the registry
-hands those out when telemetry is disabled so instrumented code pays
-(nearly) nothing on the hot path.
 """
 
 from __future__ import annotations
@@ -20,12 +16,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "SpanEvent",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
 ]
 
 #: Quantiles every histogram summary reports.
@@ -203,57 +193,3 @@ class SpanEvent:
             "attrs": dict(self.attrs),
             "parent": self.parent,
         }
-
-
-class NullCounter:
-    """No-op counter handed out when telemetry is disabled."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Discard the increment."""
-
-
-class NullGauge:
-    """No-op gauge handed out when telemetry is disabled."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        """Discard the value."""
-
-
-class NullHistogram:
-    """No-op histogram handed out when telemetry is disabled."""
-
-    __slots__ = ()
-    name = "<null>"
-    samples: List[float] = []
-    count = 0
-    sum = 0.0
-    mean = 0.0
-    min = 0.0
-    max = 0.0
-    p50 = 0.0
-    p95 = 0.0
-    p99 = 0.0
-
-    def observe(self, value: float) -> None:
-        """Discard the sample."""
-
-    def quantile(self, q: float) -> float:
-        """Always 0.0."""
-        return 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Empty summary."""
-        return {"count": 0, "sum": 0.0}
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()

@@ -2,22 +2,27 @@
 
 A :class:`MetricsRegistry` owns every metric by dotted name plus the
 span log. One registry is installed process-wide; it starts as the
-shared no-op registry, so un-instrumented runs pay only an attribute
-check per event. :func:`enable` swaps in a recording registry,
-:func:`disable` swaps the no-op back.
+disabled registry, whose ``enabled`` flag is all an un-instrumented
+run reads per event. :func:`enable` swaps in a recording registry,
+:func:`disable` swaps the disabled one back.
 
 Instrumented code follows one pattern::
 
-    from repro import telemetry
+    from repro.telemetry import registry as telemetry
 
     tel = telemetry.active()
     if tel.enabled:
-        tel.counter("oltp.txn.committed").inc()
         tel.histogram("oltp.txn.payment.latency_ns").observe(t)
         tel.record_span("pim.phase.load", duration_ns, {"chunk": 0})
 
     with tel.span("olap.query", {"query": "Q6"}):
         ...  # spans recorded here get the olap.query span as parent
+
+An event that a stats record also counts is counted once, at one call
+site, by :func:`count` (a field) or :func:`tally` (a dict entry), which
+mirror it into the named counter while a registry records::
+
+    telemetry.count(self.stats, "polls", "pim.controller.polls")
 
 A parent is recorded, never inferred: an explicit ``parent=`` index (a
 per-unit lane names its phase), else the innermost open frame, else none.
@@ -30,20 +35,14 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Dict, List, Mapping, Optional
 
-from repro.telemetry.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    SpanEvent,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, SpanEvent
 
 __all__ = [
     "MetricsRegistry",
     "NoopRegistry",
     "active",
+    "count",
+    "tally",
     "enable",
     "disable",
     "install",
@@ -166,38 +165,14 @@ class MetricsRegistry:
 
 
 class NoopRegistry:
-    """The disabled registry: every operation is a cheap no-op."""
+    """The disabled registry: its ``enabled`` flag guards every metric
+    and span call, and its frame is the shared null context."""
 
     enabled = False
-    counters: Dict[str, Counter] = {}
-    gauges: Dict[str, Gauge] = {}
-    histograms: Dict[str, Histogram] = {}
-    spans: List[SpanEvent] = []
-    sim_time = 0.0
-    roofline = False
-
-    def counter(self, name: str) -> "Counter":
-        """The shared null counter."""
-        return NULL_COUNTER  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> "Gauge":
-        """The shared null gauge."""
-        return NULL_GAUGE  # type: ignore[return-value]
-
-    def histogram(self, name: str) -> "Histogram":
-        """The shared null histogram."""
-        return NULL_HISTOGRAM  # type: ignore[return-value]
-
-    def record_span(self, name, duration, attrs=None, start=None, parent=None) -> None:
-        """Discard the span."""
-        return None
 
     def span(self, name, attrs=None) -> nullcontext:
         """The shared null frame."""
         return _NULL_FRAME
-
-    def advance_to(self, ts: float) -> None:
-        """Nothing to advance."""
 
 
 class _Frame:
@@ -241,8 +216,24 @@ _active: object = _NOOP
 
 
 def active():
-    """The currently installed registry (recording or no-op)."""
+    """The currently installed registry (recording or disabled)."""
     return _active
+
+
+def count(owner, field: str, name: str, n=1) -> None:
+    """Add ``n`` to ``owner.<field>`` and, while a registry records, to
+    counter ``name``: the one count site of an event a stats record and
+    a telemetry counter both keep."""
+    setattr(owner, field, getattr(owner, field) + n)
+    if _active.enabled:
+        _active.counter(name).inc(n)
+
+
+def tally(counts: Dict, key, name: str) -> None:
+    """:func:`count` for the dict tally ``counts[key]``."""
+    counts[key] = counts.get(key, 0) + 1
+    if _active.enabled:
+        _active.counter(name).inc()
 
 
 def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -260,7 +251,7 @@ def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
 
 
 def disable() -> None:
-    """Swap the no-op registry back in (recorded data is dropped)."""
+    """Swap the disabled registry back in (recorded data is dropped)."""
     global _active
     _active = _NOOP
 

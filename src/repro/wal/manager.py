@@ -76,7 +76,6 @@ class DurabilityManager:
         self._since_checkpoint = 0
         self._last_ts = self.store.horizon
         self.records = 0
-        self.bytes_appended = 0
         self.checkpoints = 0
 
     def _write_meta(self, sync: bool) -> None:
@@ -106,14 +105,12 @@ class DurabilityManager:
             ceil_div(nbytes, LINE_BYTES) * self.cost.flush_per_line_ns
             + self.cost.commit_barrier_ns
         )
-        self.records += 1
-        self.bytes_appended += nbytes
+        telemetry.count(self, "records", "wal.records")
         self._fold(json_ops)
         self._last_ts = int(ts)
         self._since_checkpoint += 1
         tel = telemetry.active()
         if tel.enabled:
-            tel.counter("wal.records").inc()
             tel.counter("wal.bytes").inc(nbytes)
             tel.record_span("wal.append", cost, {"bytes": nbytes})
         if inj.enabled and inj.fire(fault_plan.CRASH_AFTER_WAL_APPEND):
@@ -188,14 +185,13 @@ class DurabilityManager:
         self.wal.reset()
         self._pending = {}
         self._since_checkpoint = 0
-        self.checkpoints += 1
+        telemetry.count(self, "checkpoints", "wal.checkpoints")
         cost = (
             ceil_div(nbytes, LINE_BYTES) * self.cost.flush_per_line_ns
             + self.cost.commit_barrier_ns
         )
         tel = telemetry.active()
         if tel.enabled:
-            tel.counter("wal.checkpoints").inc()
             if compactions:
                 tel.counter("wal.compactions").inc(compactions)
             tel.record_span(

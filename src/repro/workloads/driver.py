@@ -68,11 +68,9 @@ class WorkloadSession:
             _derive_seed(seed, f"tenant{tenant}.kind")
         )
         self._query_cursor = 0
-        self.generated = 0
 
     def next_request(self) -> Tuple[str, object]:
         """The session's next request: kind plus its payload."""
-        self.generated += 1
         if self._kind_rng.random_sample() < self.olap_fraction:
             name = self.queries[self._query_cursor % len(self.queries)]
             self._query_cursor += 1

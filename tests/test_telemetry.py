@@ -1,5 +1,7 @@
 """Telemetry subsystem: metrics, registry, no-op mode, exporters."""
 
+import ast
+import pathlib
 import re
 
 import pytest
@@ -15,8 +17,8 @@ from repro.telemetry import (
     enable,
     install,
 )
-from repro.telemetry import export
-from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM, SpanEvent
+from repro.telemetry import export, registry
+from repro.telemetry.metrics import SpanEvent
 
 
 @pytest.fixture(autouse=True)
@@ -168,6 +170,14 @@ class TestRegistry:
         assert [(s.name, s.parent) for s in reg.spans] == [("a", 1), ("outer", None)]
 
 
+class _Record:
+    """A stand-in stats record: one field and one dict tally."""
+
+    def __init__(self):
+        self.polls = 0
+        self.by_kind = {}
+
+
 class TestGlobalSwitch:
     def test_disabled_by_default(self):
         assert not active().enabled
@@ -188,23 +198,39 @@ class TestGlobalSwitch:
         assert active() is mine
 
     def test_noop_mode_records_nothing(self):
+        """The disabled registry is a flag: it has no metric getters, and
+        a count on it updates only the record."""
         noop = active()
-        assert noop.counter("a") is NULL_COUNTER
-        noop.counter("a").inc(100)
-        assert noop.counter("a").value == 0.0
-        h = noop.histogram("h")
-        assert h is NULL_HISTOGRAM
-        h.observe(5.0)
-        assert h.count == 0
-        assert noop.record_span("s", 1.0) is None
+        for getter in ("counter", "gauge", "histogram", "record_span", "advance_to"):
+            assert not hasattr(noop, getter)
+        record = _Record()
+        registry.count(record, "polls", "pim.controller.polls", 3)
+        registry.tally(record.by_kind, "olap", "serve.slo.violations.olap")
+        assert (record.polls, record.by_kind) == (3, {"olap": 1})
+        assert not active().enabled
 
     def test_disabled_span_is_one_shared_null_context(self):
         noop = active()
         frame = noop.span("olap.query", {"query": "Q6"})
         assert frame is noop.span("olap.operator.filter")
-        with frame:
-            assert noop.record_span("s", 1.0) is None
-        assert noop.spans == []
+        with frame as opened:
+            assert opened is None
+        assert not hasattr(noop, "spans")
+
+    def test_count_and_tally_mirror_into_a_recording_registry(self):
+        """While a registry records, one count updates both homes; the
+        counter holds the deltas since the registry was enabled."""
+        record = _Record()
+        registry.count(record, "polls", "pim.controller.polls")
+        reg = enable(MetricsRegistry())
+        registry.count(record, "polls", "pim.controller.polls", 2)
+        registry.tally(record.by_kind, "oltp", "serve.slo.violations.oltp")
+        registry.tally(record.by_kind, "oltp", "serve.slo.violations.oltp")
+        assert (record.polls, record.by_kind) == (3, {"oltp": 2})
+        assert {n: c.value for n, c in reg.counters.items()} == {
+            "pim.controller.polls": 2.0,
+            "serve.slo.violations.oltp": 2.0,
+        }
 
     def test_instrumented_layers_emit_when_enabled(self):
         """End-to-end: running the engine populates every layer's metrics."""
@@ -221,6 +247,115 @@ class TestGlobalSwitch:
         assert any(n.startswith("oltp.txn.") and n.endswith(".latency_ns")
                    for n in reg.histograms)
         assert any(s.name == "pim.phase.compute" for s in reg.spans)
+
+
+#: Registry methods that only a recording registry has.
+_METRIC_CALLS = ("counter", "gauge", "histogram", "record_span", "advance_to")
+
+
+def _is_registry(node) -> bool:
+    """``tel`` or ``telemetry.active()`` (``oracle.advance_to`` is not one)."""
+    if isinstance(node, ast.Name):
+        return node.id == "tel"
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "active"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "telemetry"
+    )
+
+
+def _reads_enabled(test) -> bool:
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "enabled" and _is_registry(node.value)
+        for node in ast.walk(test)
+    )
+
+
+def _metric_calls(node):
+    return [
+        call.lineno
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in _METRIC_CALLS
+        and _is_registry(call.func.value)
+    ]
+
+
+def _unguarded(stmts, guarded=False):
+    """Lines of metric calls in ``stmts`` outside an ``if`` reading a
+    registry's ``.enabled``. A guard clause (``if not tel.enabled:
+    return``) guards the statements after it in its block; a nested
+    ``def`` starts unguarded."""
+    found = []
+    for stmt in stmts:
+        if isinstance(stmt, ast.If) and _reads_enabled(stmt.test):
+            exits = isinstance(stmt.body[-1], (ast.Return, ast.Continue, ast.Raise))
+            found += _unguarded(stmt.body, guarded or not exits)
+            found += _unguarded(stmt.orelse, guarded or exits)
+            guarded = guarded or exits
+            continue
+        blocks = [
+            getattr(stmt, name) for name in ("body", "orelse", "finalbody")
+            if isinstance(getattr(stmt, name, None), list)
+        ] + [handler.body for handler in getattr(stmt, "handlers", [])]
+        inner = guarded and not isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+        for block in blocks:
+            found += _unguarded(block, inner)
+        if not guarded:
+            heads = [
+                value for name, value in ast.iter_fields(stmt)
+                if name not in ("body", "orelse", "finalbody", "handlers")
+            ]
+            for head in heads:
+                for node in head if isinstance(head, list) else [head]:
+                    if isinstance(node, ast.AST):
+                        found += _metric_calls(node)
+    return found
+
+
+def _unguarded_sites(root: pathlib.Path):
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if "telemetry" in path.relative_to(root).parts:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += [f"{path.relative_to(root)}:{line}" for line in _unguarded(tree.body)]
+    return sites
+
+
+class TestOneSwitch:
+    SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def test_every_metric_call_is_guarded_by_enabled(self):
+        """The disabled registry has no metric getters, so every counter,
+        gauge, histogram, span-record and cursor call on a registry sits
+        under an ``if`` that reads its ``enabled`` flag."""
+        assert _unguarded_sites(self.SRC) == []
+
+    def test_guard_detection(self):
+        source = (
+            "def f():\n"
+            "    tel = telemetry.active()\n"
+            "    if tel.enabled:\n"
+            "        tel.counter('a').inc()\n"
+            "    with tel.span('s'):\n"
+            "        if not tel.enabled:\n"
+            "            return\n"
+            "        tel.histogram('h').observe(1)\n"
+            "    oracle.advance_to(3)\n"
+            "    if inj.enabled:\n"
+            "        tel.gauge('g').set(1)\n"
+            "    telemetry.active().counter('b').inc()\n"
+            "    if tel.enabled:\n"
+            "        def g():\n"
+            "            tel.record_span('x', 1.0)\n"
+        )
+        assert _unguarded(ast.parse(source).body) == [11, 12, 15]
 
 
 class TestExport:
@@ -281,6 +416,40 @@ class TestExport:
         path.write_text(json.dumps(data))
         assert main(["report-metrics", str(path)]) == 2
         assert f"is not a telemetry JSON dump: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parents, message", [
+        ({0: 0}, "span 0 ('pim.phase.load') is its own ancestor"),
+        ({0: 1, 1: 0}, "span 0 ('pim.phase.load') is its own ancestor"),
+        ({0: 3, 3: 2, 2: 0}, "span 0 ('pim.phase.load') is its own ancestor"),
+    ], ids=["self-parent", "two-cycle", "cycle-through-the-wrapper"])
+    def test_cyclic_span_parents_are_refused(self, parents, message, tmp_path, capsys):
+        """A span that is its own ancestor would reload with every self
+        time and the critical path at 0: the load fails naming it, and
+        report-metrics exits 2."""
+        import json
+
+        from repro.experiments.__main__ import main
+
+        data = export.to_dict(self.make_registry())
+        for index, parent in parents.items():
+            data["spans"][index]["parent"] = parent
+        with pytest.raises(ValueError, match=re.escape(message)):
+            export.from_dict(data)
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(data))
+        assert main(["report-metrics", str(path)]) == 2
+        assert f"is not a telemetry JSON dump: {message}" in capsys.readouterr().err
+
+    def test_recorded_dump_with_deep_frames_reloads(self):
+        """A closed frame is recorded after its children, so parents point
+        to higher indexes as often as lower ones; only a cycle is refused."""
+        reg = MetricsRegistry()
+        with reg.span("olap.query"):
+            with reg.span("olap.operator.filter"):
+                reg.record_span("pim.phase.load", 5.0)
+            reg.record_span("pim.unit.load", 2.0, start=0.0, parent=0)
+        back = export.from_dict(export.to_dict(reg))
+        assert [s.parent for s in back.spans] == [1, 3, 0, None]
 
     def test_sample_free_histogram_is_refused(self, tmp_path, capsys):
         """A histogram dumped without its samples does not reload as an
