@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, on_shard
 from repro.olap.queries import QueryResult
 from repro.oltp.engine import TxnContext, TxnResult
 from repro.telemetry import registry as telemetry
@@ -124,7 +124,7 @@ class PushTapCluster:
         shards = self.router.involved_shards(txn)
         if len(shards) == 1:
             home = shards[0]
-            result = self.engines[home].execute_transaction(txn)
+            result = on_shard(home, self.engines[home].execute_transaction, txn)
             return ClusterTxnResult(
                 committed=not result.aborted,
                 latency=result.total_time,
@@ -141,7 +141,7 @@ class PushTapCluster:
         for shard in shards:
             engine = self.engines[shard]
             if engine.defrag_due():
-                engine.defragment()
+                on_shard(shard, engine.defragment)
         sub_txns = self.router.split(txn)
         outcome = self.twopc.execute(home, sub_txns)
         return ClusterTxnResult(
@@ -161,12 +161,12 @@ class PushTapCluster:
         """Scatter ``name`` across every shard and gather the partials."""
         self.queries_run += 1
         if self.num_shards == 1:
-            result = self.engines[0].query(name)
+            result = on_shard(0, self.engines[0].query, name)
             return ClusterQueryResult(
                 name, rows=result.rows, shard_results=[result], gather_time=0.0
             )
         shard_results: list[QueryResult] = [
-            engine.query(name) for engine in self.engines
+            on_shard(shard, engine.query, name) for shard, engine in enumerate(self.engines)
         ]
         rows = merge_rows(name, [r.rows for r in shard_results])
         gather = (self.num_shards - 1) * self.interconnect_ns

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import TransactionError
+from repro.errors import TransactionError, on_shard
 from repro.faults import injector as faults
 from repro.faults import plan as fault_plan
 from repro.oltp.engine import TxnContext, TxnResult
@@ -183,7 +183,7 @@ class TwoPhaseCommit:
                 statuses[shard] = "lost"
                 causes.append(fault_plan.TWOPC_LOST_PREPARE)
                 continue
-            handle = self.engines[shard].oltp.prepare(sub_txns[shard])
+            handle = on_shard(shard, self.engines[shard].oltp.prepare, sub_txns[shard])
             prepared[shard] = handle
             if not handle.vote_yes:
                 statuses[shard] = "vote_no"
@@ -220,10 +220,9 @@ class TwoPhaseCommit:
             abort_cause = causes[0]
 
         def resolve(shard: int, action: str) -> TxnResult:
-            handle = prepared[shard]
-            if action == "commit":
-                return self.engines[shard].oltp.commit_prepared(handle)
-            return self.engines[shard].oltp.abort_prepared(handle)
+            oltp = self.engines[shard].oltp
+            call = oltp.commit_prepared if action == "commit" else oltp.abort_prepared
+            return on_shard(shard, call, prepared[shard])
 
         return self._settle(
             home,

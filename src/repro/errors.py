@@ -6,6 +6,10 @@ catch one base class. Subclasses are grouped by subsystem.
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -81,6 +85,16 @@ class ParallelExecutionError(ReproError):
     voting no) — the parallel run cannot be merged deterministically
     and must not silently differ from ``jobs=1``.
     """
+
+
+def on_shard(shard: int, call: Callable[..., T], *args) -> T:
+    """``call(*args)``, re-raising a :class:`ReproError` as its own type
+    with ``shard N:`` before its message: a cluster's errors name the
+    shard engine they happened on, in process or in a worker."""
+    try:
+        return call(*args)
+    except ReproError as exc:
+        raise type(exc)(f"shard {shard}: {exc}") from None
 
 
 class SimulatedCrash(ReproError):

@@ -298,42 +298,6 @@ class UnifiedLayout:
             c.name: c.decode(bytes(raw[c.name])) for c in self.schema
         }
 
-    def describe(self) -> Dict:
-        """Structured description of the layout (for tooling/inspection).
-
-        Returns a plain-dict tree: per part, per slot, the placed byte
-        runs — the same information Fig. 3c/Fig. 4 draw.
-        """
-        return {
-            "table": self.schema.name,
-            "num_devices": self.num_devices,
-            "key_columns": list(self.key_columns),
-            "bytes_per_row": self.bytes_per_row(),
-            "padding_bytes_per_row": self.padding_bytes_per_row(),
-            "parts": [
-                {
-                    "index": part.index,
-                    "row_width": part.row_width,
-                    "slots": [
-                        {
-                            "slot": slot.slot_index,
-                            "fields": [
-                                {
-                                    "column": f.column,
-                                    "col_offset": f.col_offset,
-                                    "slot_offset": f.slot_offset,
-                                    "length": f.length,
-                                }
-                                for f in slot.fields
-                            ],
-                        }
-                        for slot in part.slots
-                    ],
-                }
-                for part in self.parts
-            ],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         widths = [p.row_width for p in self.parts]
         return (

@@ -164,8 +164,6 @@ class IVMManager:
         nbytes = 0
         for table in view.columns:
             mvcc = self.engine.db.table(table).mvcc
-            # visible_refs_at never observes reads — recomputing a view
-            # must not perturb MVCC read-timestamp metadata.
             visible = mvcc.visible_refs_at(ts, mvcc.delta.high_water_rows)
             deltas = {}
             for region, bits in zip((Region.DATA, Region.DELTA), visible):

@@ -10,14 +10,17 @@ in commit order:
 * ``delta`` — the delta-region row holding an update's new version
   (−1: the row's own data slot);
 * ``prev`` — the journal position of the version an update supersedes or
-  a delete removes (−1: the data-slot version);
-* ``read_ts`` — the newest timestamp that read an update's version.
+  a delete removes (−1: the data-slot version).
 
 Per row the manager keeps the packed ``head`` (journal position of the
 newest version, −1 for the data slot), the data-slot version's
-``base_ts`` (0, the insert ts, or the head ts at the last compaction)
-and its read ts, a pending tombstone ts, the dead flag of a deletion
-compaction folded, and the chain length, sized to the rows that exist.
+``base_ts`` (0, the insert ts, or the head ts at the last compaction),
+a pending tombstone ts, the dead flag of a deletion compaction folded,
+and the chain length, sized to the rows that exist.
+
+A read is a pure function of this state: it records nothing. One
+transaction runs at a time with a single writer, so no reader's
+timestamp could decide a conflict (DESIGN.md §5 states the isolation).
 
 Everything else is a view of the journal: a version chain is a ``prev``
 walk from the head, :meth:`MVCCManager.log_between` is a bisect slice of
@@ -47,14 +50,13 @@ UPDATE, INSERT, DELETE = 0, 1, 2
 KINDS = ("update", "insert", "delete")
 
 #: The journal's column attributes, one int64 array each.
-_COLUMNS = ("_write_ts", "_kind", "_row_id", "_delta", "_prev", "_read_ts")
+_COLUMNS = ("_write_ts", "_kind", "_row_id", "_delta", "_prev")
 
 #: The per-row arrays: attribute, dtype and the value of an unwritten row.
 #: They hold the rows that exist, grown geometrically up to the capacity.
 _ROW_ARRAYS = (
     ("_head", np.int32, -1),
     ("_base_ts", np.int64, 0),
-    ("_base_read_ts", np.int64, 0),
     ("_chain_len", np.int32, 1),
     ("_tomb_ts", np.int64, -1),
     ("_dead", bool, False),
@@ -132,8 +134,7 @@ class MVCCManager:
     # Reads
     # ------------------------------------------------------------------
     def read(self, row_id: int, ts: int) -> Tuple[int, int]:
-        """Locate the version of ``row_id`` visible at ``ts`` and record
-        the read on it.
+        """Locate the version of ``row_id`` visible at ``ts``.
 
         Returns ``(delta, chain length)``: the version's delta row (−1:
         the row's data slot) and the row's number of versions, as ``int``s.
@@ -145,28 +146,21 @@ class MVCCManager:
         tomb = self._tomb_ts.item(row_id)
         if 0 <= tomb <= ts:
             raise TransactionError(f"row {row_id} deleted at ts {tomb}")
-        pos = self._head.item(row_id)
-        while pos >= 0 and self._write_ts.item(pos) > ts:
-            pos = self._prev.item(pos)
-        if pos >= 0:
-            if ts > self._read_ts.item(pos):
-                self._read_ts[pos] = ts
-            return self._delta.item(pos), self._chain_len.item(row_id)
-        if self._base_ts.item(row_id) > ts:
+        pos = self._version_at(row_id, ts)
+        if pos == -2:
             raise TransactionError(f"row {row_id} not visible at ts {ts}")
-        if ts > self._base_read_ts.item(row_id):
-            self._base_read_ts[row_id] = ts
-        return -1, self._chain_len.item(row_id)
+        delta = self._delta.item(pos) if pos >= 0 else -1
+        return delta, self._chain_len.item(row_id)
 
     def _version_at(self, row_id: int, ts: int) -> int:
         """Journal position of the newest version of ``row_id`` written at
         or before ``ts``: −1 for the data slot, −2 if even that is newer."""
-        pos = self._head[row_id]
-        while pos >= 0 and self._write_ts[pos] > ts:
-            pos = self._prev[pos]
-        if pos < 0 and self._base_ts[row_id] > ts:
+        pos = self._head.item(row_id)
+        while pos >= 0 and self._write_ts.item(pos) > ts:
+            pos = self._prev.item(pos)
+        if pos < 0 and self._base_ts.item(row_id) > ts:
             return -2
-        return int(pos)
+        return pos
 
     def read_many(self, row_ids, ts: int) -> List[Tuple[int, int]]:
         """:meth:`read` of a batch of rows, in order."""
@@ -269,7 +263,6 @@ class MVCCManager:
         self._row_id[pos] = row_id
         self._delta[pos] = delta
         self._prev[pos] = prev
-        self._read_ts[pos] = 0
         self._size = pos + 1
         return pos
 
@@ -300,7 +293,7 @@ class MVCCManager:
                 self.delta.release(int(self._delta[pos]))
             elif kind == INSERT:
                 self.num_rows -= 1
-                self._base_ts[row_id] = self._base_read_ts[row_id] = 0
+                self._base_ts[row_id] = 0
             else:
                 self._tomb_ts[row_id] = -1
             self._size = pos
@@ -377,8 +370,7 @@ class MVCCManager:
         entries) and the delta region's first ``delta_rows`` entries.
         Rows whose head is newer than ``ts`` fall back to a ``prev`` walk
         — the only per-row work, and only for in-flight multi-version
-        rows. Unlike :meth:`read`, this never records reads (it describes
-        a snapshot, it doesn't take part in concurrency control).
+        rows, through the same walk :meth:`read` takes.
         """
         n = self.num_rows
         data_bits = np.zeros(self.data.num_rows, dtype=bool)
@@ -414,7 +406,7 @@ class MVCCManager:
         be a wasted Eq. 1/2 transfer since no future read can observe it —
         and their tombstones fold into the permanent dead flag, since the
         journal entries that carried them are cleared here. Every head's
-        timestamps become its row's data-slot version, all delta rows are
+        write ts becomes its row's ``base_ts``, all delta rows are
         released, and the journal is cleared.
         """
         n = self._size
@@ -424,7 +416,6 @@ class MVCCManager:
         live = self._tomb_ts[updated] < 0
         moves = updated[live], self._delta[heads[live]]
         self._base_ts[updated] = self._write_ts[heads]
-        self._base_read_ts[updated] = self._read_ts[heads]
         self._head[updated] = -1
         self._chain_len[updated] = 1
         self._dead[deleted] = True

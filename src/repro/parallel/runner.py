@@ -30,7 +30,7 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, on_shard
 from repro.faults import injector as faults
 from repro.faults.plan import TWOPC_HOOKS
 from repro.telemetry import registry as telemetry
@@ -123,13 +123,9 @@ def _execute(workload, run_plan, jobs: int):
                 pool.submit(run_shard_ops, shard, run_plan.shard_ops[shard])
                 for shard in range(num_shards)
             ]
-            results = []
-            for shard, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except ReproError as exc:
-                    raise type(exc)(f"shard {shard}: {exc}") from None
-            return results
+            return [
+                on_shard(shard, future.result) for shard, future in enumerate(futures)
+            ]
     finally:
         worker_mod._set_fork_workload(None)
 

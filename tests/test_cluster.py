@@ -402,6 +402,39 @@ class TestTwoPhaseCommit:
         for name, rows in before.items():
             assert cluster.query(name).rows == rows
 
+    @pytest.mark.parametrize("hook", [None, *TWOPC_HOOKS])
+    def test_no_fractured_read(self, hook):
+        """A cross-shard payment's parts are read together: after a
+        commit both shards read its writes, after a global abort neither
+        does, at every 2PC fault hook."""
+        cluster = PushTapCluster.build(shards=2, scale=SCALE, **ENGINE_KWARGS)
+        txn = self._remote_payment(cluster)
+        p = txn.params
+        parts = [
+            (p.w_id, "warehouse", p.w_id, "w_ytd"),
+            (p.customer_w_id, "customer", (p.customer_w_id, p.customer_d_id, p.c_id), "c_ytd_payment"),
+        ]
+
+        def reads():
+            values = []
+            for w_id, table, key, column in parts:
+                engine = cluster.engines[cluster.router.shard_of_warehouse(w_id)]
+                row = engine.db.index(f"{table}_pk").probe(key)
+                ts = engine.db.oracle.read_timestamp()
+                values.append(engine.table(table).read_row(row, ts, [column])[column])
+            return values
+
+        before = reads()
+        if hook is not None:
+            install(FaultInjector(FaultPlan(3, FaultRates.parse(f"{hook}=1.0"))))
+        try:
+            result = cluster.execute_transaction(txn)
+        finally:
+            deactivate()
+        assert result.committed == (hook is None)
+        moved = [after - value for after, value in zip(reads(), before)]
+        assert moved == ([p.amount, p.amount] if result.committed else [0, 0])
+
     def test_cluster_fault_sweep_smoke(self):
         result = run_fault_sweep(
             seed=3,

@@ -23,9 +23,9 @@ from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import Region
 from repro.pim.memory import Rank
 
-#: Bytes per row of the six per-row arrays: head and chain length int32,
-#: three timestamps int64, the dead flag one byte.
-ROW_BYTES = 4 + 8 + 8 + 4 + 8 + 1
+#: Bytes per row of the five per-row arrays: head and chain length int32,
+#: two timestamps int64, the dead flag one byte.
+ROW_BYTES = 4 + 8 + 4 + 8 + 1
 
 SCHEMA = TableSchema.of("t", [Column("k", 4), Column("v", 4)])
 BLOCK = 8

@@ -4,14 +4,19 @@
 manager keeps versions in its journal); its tests stay here.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MemoryError_, TransactionError
+from repro.core.engine import PushTapEngine
+from repro.errors import MemoryError_, TransactionAborted, TransactionError
+from repro.mvcc import manager as mvcc_module
 from repro.mvcc.manager import MVCCManager
 from repro.mvcc.metadata import METADATA_BYTES
 from repro.mvcc.regions import DataRegion, DeltaAllocator
 from repro.mvcc.timestamps import TimestampOracle
+from tests.conftest import ENGINE_KWARGS
 from tests.test_vectorized_equivalence import VersionChain, VersionEntry
 
 
@@ -55,13 +60,6 @@ class TestVersionChain:
         chain = self.make_chain()
         with pytest.raises(TransactionError):
             chain.install(VersionEntry(7, 9))
-
-    def test_read_ts_tracking(self):
-        chain = self.make_chain()
-        entry = chain.visible_at(5)
-        entry.observe_read(5)
-        entry.observe_read(4)
-        assert entry.read_ts == 5
 
     def test_truncate_to_head(self):
         chain = self.make_chain()
@@ -318,3 +316,65 @@ class TestUpdateAtomicity:
         with pytest.raises(TransactionError, match="precedes"):
             mv.update(5, ts=2)
         assert mv.delta.allocated_rows == before
+
+
+def mvcc_state(engine):
+    """Every table's journal columns and per-row arrays, as bytes."""
+    names = mvcc_module._COLUMNS + tuple(name for name, _, _ in mvcc_module._ROW_ARRAYS)
+    state = {}
+    for table, runtime in engine.db.tables.items():
+        mvcc = runtime.mvcc
+        state[table] = (mvcc._size, mvcc.num_rows)
+        for name in names:
+            state[table, name] = getattr(mvcc, name).tobytes()
+    return state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reads_change_no_mvcc_state(seed):
+    """A read is a pure function of the journal: after a random history
+    (updates, inserts, deletes, aborts and a defragmentation), reading
+    every row at several timestamps through each read path leaves every
+    journal column and per-row array byte-identical."""
+    rng = random.Random(seed)
+    engine = PushTapEngine.build(**ENGINE_KWARGS)
+    driver = engine.make_driver(seed=seed, delivery_fraction=0.1)
+    engine.run_transactions(rng.randrange(20, 60), driver)
+    engine.defragment()
+    engine.run_transactions(rng.randrange(20, 60), driver)
+
+    def aborts(ctx):
+        ctx.update("district", 0, {"d_ytd": 1})
+        raise TransactionAborted("the history aborts")
+
+    assert engine.oltp.execute(aborts).aborted
+    last = engine.db.oracle.read_timestamp()
+    probes = [0, 1, last // 2, last, last + 1, rng.randrange(last + 2)]
+    before = mvcc_state(engine)
+
+    picks = []
+    for name, runtime in engine.db.tables.items():
+        mvcc = runtime.mvcc
+        for ts in probes:
+            mvcc.visible_refs_at(ts, mvcc.delta.high_water_rows)
+            for row in range(mvcc.num_rows):
+                try:
+                    mvcc.read(row, ts)
+                except TransactionError:
+                    pass
+            for row in rng.sample(range(mvcc.num_rows), min(20, mvcc.num_rows)):
+                picks.append((name, row))
+                try:
+                    runtime.read_row(row, ts)
+                except TransactionError:
+                    pass
+
+    def read_only(ctx):
+        for name, row in picks:
+            try:
+                ctx.read(name, row)
+            except TransactionError:
+                pass
+
+    assert not engine.oltp.execute(read_only).aborted
+    assert mvcc_state(engine) == before

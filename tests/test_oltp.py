@@ -1,5 +1,7 @@
 """OLTP: hash index, format models, the cost engine, TPC-C transactions."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -262,6 +264,46 @@ class TestTransactionsFunctional:
         assert after["c_ytd_payment"] == before["c_ytd_payment"] + params.amount
         assert after["c_payment_cnt"] == before["c_payment_cnt"] + 1
         assert engine.table("history").num_rows == history_before + 1
+
+    def test_no_lost_update(self, fresh_engine):
+        """Two payments read-modify-write one customer, district and
+        warehouse: transactions run serially, so the second reads the
+        first's committed write and both increments land."""
+        engine = fresh_engine
+        first = engine.make_driver(seed=1).next_payment()
+        second = dataclasses.replace(first, amount=first.amount + 7)
+        rows = {
+            "customer": engine.db.index("customer_pk").probe(
+                (first.customer_w_id, first.customer_d_id, first.c_id)
+            ),
+            "district": engine.db.index("district_pk").probe((first.w_id, first.d_id)),
+            "warehouse": engine.db.index("warehouse_pk").probe(first.w_id),
+        }
+        columns = {"customer": "c_ytd_payment", "district": "d_ytd", "warehouse": "w_ytd"}
+
+        def totals():
+            ts = engine.db.oracle.read_timestamp()
+            return {t: engine.table(t).read_row(row, ts)[columns[t]] for t, row in rows.items()}
+
+        before = totals()
+        for params in (first, second):
+            assert not engine.execute_transaction(payment(params)).aborted
+        paid = first.amount + second.amount
+        assert totals() == {t: value + paid for t, value in before.items()}
+
+    def test_reads_at_a_timestamp_repeat(self, fresh_engine):
+        """A reader at ``ts`` reads the same version before and after a
+        later transaction commits a change to the row: no non-repeatable
+        read."""
+        engine = fresh_engine
+        params = engine.make_driver(seed=1).next_payment()
+        c_row = engine.db.index("customer_pk").probe((params.w_id, params.d_id, params.c_id))
+        customer = engine.table("customer")
+        ts = engine.db.oracle.read_timestamp()
+        first = customer.read_row(c_row, ts)
+        engine.execute_transaction(payment(params))
+        assert customer.read_row(c_row, ts) == first
+        assert customer.read_row(c_row, engine.db.oracle.read_timestamp()) != first
 
     def test_new_order_inserts_rows(self, fresh_engine):
         engine = fresh_engine

@@ -135,17 +135,18 @@ class TestJobsIdentity:
             workload.run(1)
         assert workload._txn_cursor == 0
 
-    def test_worker_error_names_its_shard(self, monkeypatch):
-        """A worker's ReproError comes back as the same type, prefixed
-        with its shard once."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_error_names_its_shard(self, monkeypatch, jobs):
+        """A shard engine's ReproError leaves the cluster as the same
+        type, prefixed with its shard once, in process or in a worker."""
 
         def boom(self, name):
             raise QueryError("boom")
 
         # Forked workers inherit the patched method.
         monkeypatch.setattr(PushTapEngine, "query", boom)
-        workload = small_workload()
-        with pytest.raises(QueryError, match=r"^shard \d: boom"):
+        workload = small_workload(jobs)
+        with pytest.raises(QueryError, match=r"^shard \d: boom$"):
             workload.run(1)
 
     def test_invalid_jobs_rejected(self):

@@ -266,12 +266,6 @@ class VersionEntry:
     write_ts: int
     location: int
     prev: Optional["VersionEntry"] = None
-    read_ts: int = 0
-
-    def observe_read(self, ts: int) -> None:
-        """Record a read at timestamp ``ts``."""
-        if ts > self.read_ts:
-            self.read_ts = ts
 
 
 @dataclass
@@ -349,7 +343,8 @@ class UpdateRecord:
 
 
 class OracleMVCC:
-    """The MVCC manager before the version journal, kept verbatim.
+    """The MVCC manager before the version journal, kept verbatim but
+    for the read timestamps both have since dropped.
 
     One table's history five ways: :class:`VersionChain` objects, a
     tombstone dict plus a dead-row set, an :class:`UpdateRecord` log with
@@ -418,13 +413,10 @@ class OracleMVCC:
         if self._head_ts[row_id] <= ts:
             # Common case: the newest version is visible — resolved by
             # the packed index without walking the chain.
-            head = chain.head
-            head.observe_read(ts)
-            return head.location, self.chain_length(row_id)
+            return chain.head.location, self.chain_length(row_id)
         entry = chain.visible_at(ts)
         if entry is None:
             raise TransactionError(f"row {row_id} not visible at ts {ts}")
-        entry.observe_read(ts)
         return entry.location, self.chain_length(row_id)
 
     def fast_row_mask(self, row_ids) -> np.ndarray:
@@ -432,10 +424,10 @@ class OracleMVCC:
 
         A ``True`` entry marks an in-range, never-versioned, live row —
         its visible version at *any* timestamp is its data-region origin
-        (location −1, chain length 1), with no tombstone check, no chain
-        walk, and no read observation. One vectorized pass over the
-        packed index answers this for the whole batch; callers send the
-        ``False`` rows through :meth:`read` for the full treatment.
+        (location −1, chain length 1), with no tombstone check and no
+        chain walk. One vectorized pass over the packed index answers
+        this for the whole batch; callers send the ``False`` rows
+        through :meth:`read` for the full treatment.
         Pure: no side effects, safe to call speculatively.
         """
         ids = np.asarray(row_ids, dtype=np.int64)
@@ -454,8 +446,7 @@ class OracleMVCC:
     def read_many(self, row_ids, ts: int) -> List[Tuple[int, int]]:
         """Locate the versions of a batch of rows visible at ``ts``.
 
-        Identical outcomes and side effects to calling :meth:`read` once
-        per row in order: the packed index resolves never-versioned live
+        Identical outcomes to calling :meth:`read` once per row in order: the packed index resolves never-versioned live
         rows in one array pass, and only chained / tombstoned / dead /
         out-of-range rows fall back to the per-row path — errors surface
         at the same row, with the same message, as the sequential loop.
@@ -715,8 +706,6 @@ class OracleMVCC:
         entries) and the delta region's first ``delta_rows`` entries.
         Rows whose head is newer than ``ts`` fall back to a chain walk —
         the only per-row work, and only for in-flight multi-version rows.
-        Unlike :meth:`read`, this never observes reads (it describes a
-        snapshot, it doesn't take part in concurrency control).
         """
         n = self.num_rows
         data_bits = np.zeros(self.data.num_rows, dtype=bool)
@@ -923,23 +912,6 @@ class TestMVCCEquivalence:
             assert capture(lambda: mvcc.chain_length(row)) == capture(
                 lambda: oracle.chain_length(row)
             )
-
-    def test_read_observes_the_version_it_returns(self, seed):
-        mvcc, oracle, last_ts = run_history(seed)
-        for row in range(mvcc.num_rows):
-            for ts in (last_ts + 7, last_ts // 2, 1):
-                if capture(lambda: oracle.read(row, ts))[0] == "err":
-                    continue
-                delta, _ = mvcc.read(row, ts)
-                pos = mvcc._version_at(row, ts)
-                if pos >= 0:
-                    # A delta version's read ts is the oracle entry's.
-                    entry = oracle._chains[row].visible_at(ts)
-                    assert delta == entry.location
-                    assert mvcc._read_ts[pos] == entry.read_ts >= ts
-                else:
-                    assert delta == -1
-                    assert mvcc._base_read_ts[row] >= ts
 
     def test_visible_sets_identical(self, seed):
         mvcc, oracle, last_ts = run_history(seed)

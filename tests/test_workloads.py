@@ -413,18 +413,3 @@ class TestMixedWorkloadDriver:
         )
         assert report.committed == 10
         assert report.oltp_tpmc == pytest.approx(10.0)
-
-
-class TestLayoutDescribe:
-    def test_describe_roundtrips_structure(self, loaded_engine):
-        layout = loaded_engine.layouts["orderline"]
-        desc = layout.describe()
-        assert desc["table"] == "orderline"
-        assert len(desc["parts"]) == layout.num_parts
-        placed = sum(
-            f["length"]
-            for part in desc["parts"]
-            for slot in part["slots"]
-            for f in slot["fields"]
-        )
-        assert placed == layout.useful_bytes_per_row()
